@@ -2,7 +2,7 @@
 //! early stopping with TPE in place of random sampling — plus the
 //! asynchronous crosses wiring TPE into ASHA and D-ASHA.
 
-use asha_core::{Asha, AshaConfig, DAsha, ShaConfig, SyncSha};
+use asha_core::{Asha, AshaConfig, ShaConfig, SyncSha};
 use asha_space::SearchSpace;
 
 use crate::tpe::{TpeConfig, TpeSampler};
@@ -59,10 +59,10 @@ pub fn bohb_asha(space: SearchSpace, config: AshaConfig) -> Asha {
 ///
 /// # Panics
 ///
-/// Panics under the same conditions as [`DAsha::new`].
-pub fn dasha_tpe(space: SearchSpace, config: AshaConfig) -> DAsha {
+/// Panics under the same conditions as [`Asha::new`].
+pub fn dasha_tpe(space: SearchSpace, config: AshaConfig) -> Asha {
     let sampler = TpeSampler::new(space.clone(), TpeConfig::default());
-    DAsha::with_sampler(space, config, Box::new(sampler))
+    Asha::with_sampler(space, config.delayed(), Box::new(sampler))
 }
 
 #[cfg(test)]

@@ -3,7 +3,9 @@
 //! `RungLadder::find_promotable`) at paper-scale record counts, and the
 //! cluster simulator event loop at the paper's 25- and 500-worker regimes.
 
-use asha_core::{Asha, AshaConfig, Observation, Rung, RungLadder, Scheduler, TrialId};
+use asha_core::{
+    Asha, AshaConfig, Observation, PromotionRule, Rung, RungLadder, ScanOrder, Scheduler, TrialId,
+};
 use asha_sim::{ClusterSim, SimConfig, TraceMode};
 use asha_space::{Scale, SearchSpace};
 use asha_surrogate::{presets, BenchmarkModel};
@@ -27,7 +29,7 @@ fn saturated_rung(n: usize) -> Rung {
     for i in 0..n {
         rung.record(TrialId(i as u64), ((i * 7919) % 1009) as f64);
     }
-    while let Some((t, _)) = rung.promotable(4.0) {
+    while let Some((t, _)) = rung.promotable(4.0, PromotionRule::Eager) {
         rung.mark_promoted(t);
     }
     rung
@@ -38,7 +40,7 @@ fn bench_rung_promotable(c: &mut Criterion) {
     for &size in &[10_000usize, 100_000] {
         group.bench_with_input(BenchmarkId::from_parameter(size), &size, |b, &size| {
             let rung = saturated_rung(size);
-            b.iter(|| std::hint::black_box(rung.promotable(4.0)));
+            b.iter(|| std::hint::black_box(rung.promotable(4.0, PromotionRule::Eager)));
         });
     }
     group.finish();
@@ -57,7 +59,11 @@ fn bench_ladder_find_promotable(c: &mut Criterion) {
                 asha.observe(Observation::for_job(&job, ((i * 7919) % 1009) as f64));
             }
             let ladder: &RungLadder = asha.ladder();
-            b.iter(|| std::hint::black_box(ladder.find_promotable()));
+            b.iter(|| {
+                std::hint::black_box(
+                    ladder.find_promotable(ScanOrder::TopDown, PromotionRule::Eager),
+                )
+            });
         });
     }
     group.finish();

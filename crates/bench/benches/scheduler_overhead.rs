@@ -4,7 +4,8 @@
 //! constant-time as rungs grow (see `asha_core::rung` for the design).
 
 use asha_core::{
-    Asha, AshaConfig, AsyncHyperband, HyperbandConfig, Observation, Scheduler, ShaConfig, SyncSha,
+    Asha, AshaConfig, AsyncHyperband, HyperbandConfig, Observation, PromotionRule, ScanOrder,
+    Scheduler, ShaConfig, SyncSha,
 };
 use asha_space::{Scale, SearchSpace};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -82,7 +83,12 @@ fn bench_promotion_scan_cost(c: &mut Criterion) {
     // Isolate the `get_job` promotion scan at a large, stable rung size.
     let asha = prefilled_asha(50_000);
     c.bench_function("promotion_scan_50k", |b| {
-        b.iter(|| std::hint::black_box(asha.ladder().find_promotable()));
+        b.iter(|| {
+            std::hint::black_box(
+                asha.ladder()
+                    .find_promotable(ScanOrder::TopDown, PromotionRule::Eager),
+            )
+        });
     });
 }
 

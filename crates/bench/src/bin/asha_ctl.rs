@@ -43,7 +43,7 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use asha::core::{Asha, AshaConfig, DAsha};
+use asha::core::{Asha, AshaConfig};
 use asha::metrics::JsonValue;
 use asha::obs::{parse_jsonl, Event, HistogramSnapshot, RunReport};
 use asha::service::{Client, Push};
@@ -132,12 +132,14 @@ fn run_options(args: &Args) -> RunOptions {
         Some(name) => StoreFormat::from_name(name)
             .unwrap_or_else(|| fail(format!("--wal-format: unknown format {name:?}"))),
     };
-    RunOptions {
+    let opts = RunOptions {
         sync,
         snapshot_jobs: args.num("snapshot-jobs", RunOptions::default().snapshot_jobs),
         format,
         delta_chain: args.num("delta-chain", RunOptions::default().delta_chain),
-    }
+    };
+    opts.validate().unwrap_or_else(|e| fail(e));
+    opts
 }
 
 fn connect(
@@ -171,7 +173,12 @@ fn cmd_create(client: &mut Client, args: &Args) {
     let min_r = args.num("min-r", 1.0f64);
     let max_r = args.num("max-r", 27.0f64);
     let eta = args.num("eta", 3.0f64);
-    let config = AshaConfig::new(min_r, max_r, eta);
+    let config = match args.get("scheduler").unwrap_or("asha") {
+        "asha" => AshaConfig::new(min_r, max_r, eta),
+        "dasha" => AshaConfig::new(min_r, max_r, eta).delayed(),
+        other => fail(format!("--scheduler: unknown kind {other:?} (asha/dasha)")),
+    };
+    config.validate().unwrap_or_else(|e| fail(e));
 
     // The sampling plane: `--sampler tpe|gp` attaches a model-based
     // sampler. The kind travels in the meta; the daemon rebuilds the
@@ -181,26 +188,19 @@ fn cmd_create(client: &mut Client, args: &Args) {
         Some(kind @ ("tpe" | "gp")) => Some(kind.to_owned()),
         Some(other) => fail(format!("--sampler: unknown kind {other:?} (random/tpe/gp)")),
     };
-    let build_sampler = |kind: &Option<String>| {
-        make_sampler(kind.as_deref().unwrap_or("random"), &space).unwrap_or_else(|e| fail(e))
-    };
-    let initial = match args.get("scheduler").unwrap_or("asha") {
-        "asha" => SchedulerState::Asha(
-            Asha::with_sampler(space.clone(), config, build_sampler(&sampler)).export_state(),
-        ),
-        "dasha" => SchedulerState::DAsha(
-            DAsha::with_sampler(space.clone(), config, build_sampler(&sampler)).export_state(),
-        ),
-        other => fail(format!("--scheduler: unknown kind {other:?} (asha/dasha)")),
-    };
+    let build =
+        make_sampler(sampler.as_deref().unwrap_or("random"), &space).unwrap_or_else(|e| fail(e));
+    let initial =
+        SchedulerState::Asha(Asha::with_sampler(space.clone(), config, build).export_state());
 
-    let sim = SimConfig::builder()
-        .workers(args.num("workers", 4usize))
-        .max_time(args.num("max-time", 100.0f64))
-        .straggler_std(args.num("straggler-std", 0.0f64))
-        .drop_prob(args.num("drop-prob", 0.0f64))
-        .build()
-        .unwrap_or_else(|e| fail(e));
+    let sim = SimConfig {
+        workers: args.num("workers", 4usize),
+        max_time: args.num("max-time", 100.0f64),
+        straggler_std: args.num("straggler-std", 0.0f64),
+        drop_prob: args.num("drop-prob", 0.0f64),
+        ..SimConfig::new(1, 1.0)
+    };
+    sim.validate().unwrap_or_else(|e| fail(e));
 
     let meta = ExperimentMeta {
         name: name.to_owned(),

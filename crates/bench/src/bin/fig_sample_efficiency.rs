@@ -10,7 +10,7 @@
 //! delayed promotion should not cost much wall-clock on a clean cluster.
 
 use asha::baselines::{bohb, bohb_asha, dasha_tpe};
-use asha::core::{Asha, AshaConfig, DAsha, ShaConfig, SyncSha};
+use asha::core::{Asha, AshaConfig, ShaConfig, SyncSha};
 use asha::space::SearchSpace;
 use asha::surrogate::{presets, BenchmarkModel, CurveBenchmark};
 use asha_bench::{
@@ -38,7 +38,7 @@ fn methods(space: &SearchSpace) -> Vec<MethodSpec> {
             bohb_asha(s2.clone(), AshaConfig::new(1.0, R, ETA))
         }),
         MethodSpec::new("D-ASHA", move || {
-            DAsha::new(s3.clone(), AshaConfig::new(1.0, R, ETA))
+            Asha::new(s3.clone(), AshaConfig::new(1.0, R, ETA).delayed())
         }),
         MethodSpec::new("D-ASHA+TPE", move || {
             dasha_tpe(s4.clone(), AshaConfig::new(1.0, R, ETA))

@@ -21,8 +21,7 @@ use std::time::Instant;
 
 use asha::baselines::bohb_asha;
 use asha::core::{
-    Asha, AshaConfig, AsyncHyperband, DAsha, HyperbandConfig, Observation, Scheduler, ShaConfig,
-    SyncSha,
+    Asha, AshaConfig, AsyncHyperband, HyperbandConfig, Observation, Scheduler, ShaConfig, SyncSha,
 };
 use asha::metrics::JsonValue;
 use asha::sim::{ClusterSim, SimConfig, TraceMode};
@@ -246,7 +245,7 @@ fn wal_tax(
         // Baseline: record in memory while the engine runs, bulk-write the
         // JSONL log when the checkpoint is reached.
         let mut engine =
-            asha::sim::SimEngine::new(sim_cfg.clone(), StoredScheduler::Asha(make()), bench);
+            asha::sim::SimEngine::new(sim_cfg.clone(), StoredScheduler::new(make()), bench);
         let mut rng = StdRng::seed_from_u64(0);
         let mut recorder = asha::obs::RunRecorder::new();
         let start = Instant::now();
@@ -363,7 +362,7 @@ fn persistence(
     // Replay speed: a fresh scheduler + same-seed RNG re-derives every
     // decision in the log, with match assertions on.
     let contents = read_wal(&wal_path).expect("wal read");
-    let mut replay_sched = StoredScheduler::Asha(Asha::new(
+    let mut replay_sched = StoredScheduler::new(Asha::new(
         bench.space().clone(),
         AshaConfig::new(1.0, R, ETA),
     ));
@@ -663,7 +662,10 @@ fn main() {
         ),
         scheduler_throughput(
             "D-ASHA",
-            Box::new(DAsha::new(space.clone(), AshaConfig::new(1.0, R, ETA))),
+            Box::new(Asha::new(
+                space.clone(),
+                AshaConfig::new(1.0, R, ETA).delayed(),
+            )),
             rounds,
         ),
         // Model-on row: TPE reads every observation it has recorded on each

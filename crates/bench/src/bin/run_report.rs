@@ -40,7 +40,7 @@
 
 use std::path::Path;
 
-use asha::core::{Asha, AshaConfig, DAsha, Scheduler};
+use asha::core::{Asha, AshaConfig};
 use asha::obs::{parse_jsonl, Event, RunRecorder, RunReport};
 use asha::sim::{ClusterSim, SimConfig};
 use asha::space::SearchSpace;
@@ -138,21 +138,17 @@ fn fail(msg: impl std::fmt::Display) -> ! {
 }
 
 /// Build the demo scheduler (with its model-based sampler attached, if any)
-/// for the chosen `--scheduler`/`--sampler` kinds. Kept concrete so the
-/// exported state carries the right embedded name ("ASHA+tpe", "D-ASHA", …).
-fn demo_initial(scheduler: &str, sampler: &Option<String>, space: &SearchSpace) -> SchedulerState {
-    let config = AshaConfig::new(1.0, 256.0, 4.0);
-    let build =
-        || make_sampler(sampler.as_deref().unwrap_or("random"), space).unwrap_or_else(|e| fail(e));
-    match scheduler {
-        "asha" => {
-            SchedulerState::Asha(Asha::with_sampler(space.clone(), config, build()).export_state())
-        }
-        "dasha" => SchedulerState::DAsha(
-            DAsha::with_sampler(space.clone(), config, build()).export_state(),
-        ),
+/// for the chosen `--scheduler`/`--sampler` kinds; its exported state carries
+/// the right embedded name ("ASHA+tpe", "D-ASHA", …).
+fn demo_scheduler(scheduler: &str, sampler: &Option<String>, space: &SearchSpace) -> Asha {
+    let config = match scheduler {
+        "asha" => AshaConfig::new(1.0, 256.0, 4.0),
+        "dasha" => AshaConfig::new(1.0, 256.0, 4.0).delayed(),
         other => fail(format!("--scheduler: unknown kind {other:?} (asha/dasha)")),
-    }
+    };
+    let sampler =
+        make_sampler(sampler.as_deref().unwrap_or("random"), space).unwrap_or_else(|e| fail(e));
+    Asha::with_sampler(space.clone(), config, sampler)
 }
 
 /// The `--demo` experiment: the same seeded 25-worker chaos simulation the
@@ -166,7 +162,7 @@ fn demo_meta(seed: u64, scheduler: &str, sampler: &Option<String>) -> Experiment
     let space = bench.space().clone();
     ExperimentMeta {
         name: "run-report-demo".to_owned(),
-        initial: demo_initial(scheduler, sampler, &space),
+        initial: SchedulerState::Asha(demo_scheduler(scheduler, sampler, &space).export_state()),
         space,
         sampler: sampler.clone(),
         seed,
@@ -181,15 +177,7 @@ fn demo_meta(seed: u64, scheduler: &str, sampler: &Option<String>) -> Experiment
 /// recording on and write its event log to `path`.
 fn write_demo_log(path: &str, seed: u64, scheduler: &str, sampler: &Option<String>) {
     let bench = presets::cifar10_cuda_convnet(presets::DEFAULT_SURFACE_SEED);
-    let space = bench.space().clone();
-    let config = AshaConfig::new(1.0, 256.0, 4.0);
-    let build =
-        || make_sampler(sampler.as_deref().unwrap_or("random"), &space).unwrap_or_else(|e| fail(e));
-    let sched: Box<dyn Scheduler> = match scheduler {
-        "asha" => Box::new(Asha::with_sampler(space.clone(), config, build())),
-        "dasha" => Box::new(DAsha::with_sampler(space.clone(), config, build())),
-        other => fail(format!("--scheduler: unknown kind {other:?} (asha/dasha)")),
-    };
+    let sched = demo_scheduler(scheduler, sampler, bench.space());
     let sim = ClusterSim::new(
         SimConfig::new(DEMO_WORKERS, 60.0)
             .with_stragglers(0.5)

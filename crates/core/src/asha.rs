@@ -4,10 +4,12 @@ use asha_space::{Config, SearchSpace};
 
 use crate::fx::{FxHashMap, FxHashSet};
 
+use crate::budget::Geometry;
+use crate::error::Error;
 use crate::rung::{PromotionRule, RungLadder, ScanOrder};
 use crate::sampler::{ConfigSampler, Fidelity, RandomSampler};
 use crate::scheduler::{Decision, Job, Observation, Scheduler, TrialId};
-use crate::state::{AshaState, RungState};
+use crate::state::{AshaState, DurableScheduler, RungState, SchedulerState};
 
 /// Configuration of an [`Asha`] scheduler.
 ///
@@ -35,6 +37,10 @@ pub struct AshaConfig {
     /// Rung visiting order of the promotion scan. Algorithm 2 prescribes
     /// top-down; bottom-up exists for the ablation study.
     pub scan_order: ScanOrder,
+    /// When a rung lets its best trial move up: Algorithm 2's eager rule, or
+    /// Hyper-Tune's delayed rule — which is all that separates D-ASHA from
+    /// ASHA.
+    pub rule: PromotionRule,
 }
 
 impl AshaConfig {
@@ -49,6 +55,7 @@ impl AshaConfig {
             infinite_horizon: false,
             max_trials: None,
             scan_order: ScanOrder::TopDown,
+            rule: PromotionRule::Eager,
         }
     }
 
@@ -70,10 +77,38 @@ impl AshaConfig {
         self
     }
 
+    /// Switch to the delayed promotion rule (D-ASHA): a rung promotes only
+    /// while `promoted < floor(len/eta)`, so promotions never exceed the
+    /// exact `1/eta` quota synchronous SHA would allot. A strong late
+    /// arrival waits until the rung grows another slot; there is still no
+    /// barrier anywhere.
+    pub fn delayed(mut self) -> Self {
+        self.rule = PromotionRule::Delayed;
+        self
+    }
+
     /// Use a non-default promotion scan order (ablation knob).
     pub fn with_scan_order(mut self, scan_order: ScanOrder) -> Self {
         self.scan_order = scan_order;
         self
+    }
+
+    /// The ladder geometry this config describes (`R` is ignored in the
+    /// infinite horizon), or why it describes none.
+    pub fn geometry(&self) -> Result<Geometry, Error> {
+        Geometry::new(
+            self.min_resource,
+            (!self.infinite_horizon).then_some(self.max_resource),
+            self.reduction_factor,
+            self.stop_rate,
+        )
+    }
+
+    /// Check the config without building a scheduler: `eta >= 2`,
+    /// `0 < r <= R`, `s <= floor(log_eta(R/r))`. Decoders of untrusted
+    /// input call this; [`Asha::new`] panics on the same conditions.
+    pub fn validate(&self) -> Result<(), Error> {
+        self.geometry().map(|_| ())
     }
 }
 
@@ -96,7 +131,6 @@ pub struct Asha {
     next_trial: u64,
     trials_started: usize,
     name: String,
-    rule: PromotionRule,
 }
 
 impl std::fmt::Debug for Asha {
@@ -115,7 +149,7 @@ impl Asha {
     /// # Panics
     ///
     /// Panics if the config is invalid (`eta < 2`, non-positive resources,
-    /// or `s > log_eta(R/r)`); see [`RungLadder::finite`].
+    /// or `s > log_eta(R/r)`); see [`AshaConfig::validate`].
     pub fn new(space: SearchSpace, config: AshaConfig) -> Self {
         Asha::with_sampler(space, config, Box::new(RandomSampler::new()))
     }
@@ -131,24 +165,15 @@ impl Asha {
         config: AshaConfig,
         sampler: Box<dyn ConfigSampler>,
     ) -> Self {
-        let ladder = if config.infinite_horizon {
-            RungLadder::infinite(
-                config.min_resource,
-                config.reduction_factor,
-                config.stop_rate,
-            )
-        } else {
-            RungLadder::finite(
-                config.min_resource,
-                config.max_resource,
-                config.reduction_factor,
-                config.stop_rate,
-            )
+        let ladder = RungLadder::new(config.geometry().unwrap_or_else(|e| panic!("{e}")));
+        let prefix = match config.rule {
+            PromotionRule::Eager => "ASHA",
+            PromotionRule::Delayed => "D-ASHA",
         };
         let name = if sampler.name() == "random" {
-            "ASHA".to_owned()
+            prefix.to_owned()
         } else {
-            format!("ASHA+{}", sampler.name())
+            format!("{prefix}+{}", sampler.name())
         };
         Asha {
             space,
@@ -160,19 +185,7 @@ impl Asha {
             next_trial: 0,
             trials_started: 0,
             name,
-            rule: PromotionRule::Eager,
         }
-    }
-
-    /// Switch the promotion rule (used by the D-ASHA wrapper; Algorithm 2's
-    /// eager rule is the default).
-    pub(crate) fn set_rule(&mut self, rule: PromotionRule) {
-        self.rule = rule;
-    }
-
-    /// The promotion rule in effect.
-    pub fn rule(&self) -> PromotionRule {
-        self.rule
     }
 
     /// Rename the scheduler (used when ASHA is embedded in a larger method).
@@ -209,11 +222,6 @@ impl Asha {
     /// rung (Section 3.3).
     pub fn best(&self) -> Option<(TrialId, f64)> {
         self.ladder.best_loss()
-    }
-
-    /// The attached sampler's name (`"random"`, `"tpe"`, ...).
-    pub fn sampler_name(&self) -> &str {
-        self.sampler.name()
     }
 
     /// The attached sampler's serialized cursor, if it keeps one (see
@@ -341,7 +349,7 @@ impl Scheduler for Asha {
         // scanning rungs from the top down.
         if let Some((trial, _loss, rung)) = self
             .ladder
-            .find_promotable_ruled(self.config.scan_order, self.rule)
+            .find_promotable(self.config.scan_order, self.config.rule)
         {
             return Decision::Run(self.promote(trial, rung));
         }
@@ -385,6 +393,26 @@ impl Scheduler for Asha {
         // no RNG and mutates nothing: re-asking without an intervening
         // `observe` always yields `Wait` again.
         true
+    }
+}
+
+impl DurableScheduler for Asha {
+    fn durable_state(&self) -> SchedulerState {
+        SchedulerState::Asha(self.export_state())
+    }
+
+    fn sampler_name(&self) -> &str {
+        self.sampler.name()
+    }
+
+    fn sampler_cursors(&self) -> Vec<Option<String>> {
+        vec![self.export_sampler_cursor()]
+    }
+
+    fn restore_sampler_cursors(&mut self, cursors: &[Option<String>]) {
+        if let Some(Some(cursor)) = cursors.first() {
+            self.restore_sampler_cursor(cursor);
+        }
     }
 }
 
@@ -565,5 +593,87 @@ mod tests {
         let asha = Asha::new(space(), AshaConfig::new(1.0, 9.0, 3.0));
         assert_eq!(asha.name(), "ASHA");
         assert!(format!("{asha:?}").contains("Asha"));
+    }
+
+    fn delayed() -> Asha {
+        Asha::new(space(), AshaConfig::new(1.0, 9.0, 3.0).delayed())
+    }
+
+    #[test]
+    fn delayed_rule_promotes_like_eager_under_quota() {
+        let mut d = delayed();
+        let mut r = rng();
+        for loss in [0.3, 0.1, 0.2] {
+            let job = d.suggest(&mut r).job().unwrap();
+            complete(&mut d, &job, loss);
+        }
+        let job = d.suggest(&mut r).job().unwrap();
+        assert_eq!(job.trial, TrialId(1));
+        assert_eq!(job.rung, 1);
+        assert_eq!(d.name(), "D-ASHA");
+    }
+
+    #[test]
+    fn delayed_rule_delays_late_better_arrivals() {
+        // Drive the scheduler through the quota corner case: after the
+        // bottom rung promotes its floor(len/eta) quota, a strictly better
+        // config arrives. Eager ASHA promotes it immediately; D-ASHA grows
+        // the bottom rung instead until the quota reopens.
+        let mut d = delayed();
+        let mut r = StdRng::seed_from_u64(7);
+        for loss in [0.5, 0.6, 0.7] {
+            let job = d.suggest(&mut r).job().unwrap();
+            complete(&mut d, &job, loss);
+        }
+        // Promote trial 0 (quota k=1 for len=3).
+        let promo = d.suggest(&mut r).job().unwrap();
+        assert_eq!((promo.trial, promo.rung), (TrialId(0), 1));
+        // A better config lands in the bottom rung.
+        let j = d.suggest(&mut r).job().unwrap();
+        assert_eq!(j.rung, 0);
+        complete(&mut d, &j, 0.1);
+        // len=4, k=1, promoted=1: eager ASHA would promote the 0.1 trial
+        // here; D-ASHA must keep growing the bottom rung.
+        let j = d.suggest(&mut r).job().unwrap();
+        assert_eq!(j.rung, 0, "delayed rule must not over-promote");
+        complete(&mut d, &j, 0.9);
+        let j = d.suggest(&mut r).job().unwrap();
+        assert_eq!(j.rung, 0);
+        complete(&mut d, &j, 0.9);
+        // len=6, k=2 > promoted=1: the held-back trial is promoted now.
+        let j = d.suggest(&mut r).job().unwrap();
+        assert_eq!(j.rung, 1);
+    }
+
+    #[test]
+    fn delayed_state_roundtrips_and_keeps_the_rule() {
+        let mut d = delayed();
+        let mut r = StdRng::seed_from_u64(3);
+        for _ in 0..20 {
+            if let Some(job) = d.suggest(&mut r).job() {
+                complete(&mut d, &job, job.trial.0 as f64 * 0.01);
+            }
+        }
+        let state = d.export_state();
+        assert_eq!(SchedulerState::Asha(state.clone()).kind(), "dasha");
+        let mut restored = Asha::from_state(space(), state);
+        assert_eq!(restored.config().rule, PromotionRule::Delayed);
+        assert_eq!(restored.name(), d.name());
+        // Identical decision streams from the same RNG.
+        let mut ra = StdRng::seed_from_u64(11);
+        let mut rb = StdRng::seed_from_u64(11);
+        for _ in 0..30 {
+            let a = d.suggest(&mut ra);
+            let b = restored.suggest(&mut rb);
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            if let (Some(ja), Some(jb)) = (a.job(), b.job()) {
+                complete(&mut d, &ja, 0.42);
+                complete(&mut restored, &jb, 0.42);
+            }
+        }
+        assert_eq!(
+            format!("{:?}", d.export_state()),
+            format!("{:?}", restored.export_state())
+        );
     }
 }

@@ -1,12 +1,6 @@
-//! The workspace-wide durability knob.
-//!
-//! Two layers grew their own overlapping dials: `asha-obs`'s `JsonlWriter`
-//! had a two-state `Durability` (flush vs. fsync per commit) and
-//! `asha-store`'s WAL had a three-state `SyncPolicy` (never / every N /
-//! always). They answer the same question — *when does appended data become
-//! crash-durable?* — so both now share this one type. The old names remain
-//! as deprecated aliases for one release (`asha_store::SyncPolicy`,
-//! `asha_obs::Durability` re-export).
+//! The workspace-wide durability knob: *when does appended data become
+//! crash-durable?* `asha-obs`'s `JsonlWriter` and `asha-store`'s WAL ask the
+//! same question, so both take this one type.
 //!
 //! Semantics, common to every writer that takes a [`Durability`]:
 //!
@@ -32,21 +26,13 @@ pub enum Durability {
 }
 
 impl Durability {
-    /// Old `asha_store::SyncPolicy::Never` spelling.
-    #[deprecated(note = "renamed to `Durability::Flush`")]
-    #[allow(non_upper_case_globals)]
-    pub const Never: Durability = Durability::Flush;
-
-    /// Old `asha_store::SyncPolicy::Always` spelling.
-    #[deprecated(note = "renamed to `Durability::Sync`")]
-    #[allow(non_upper_case_globals)]
-    pub const Always: Durability = Durability::Sync;
-
-    /// A validating builder; defaults match [`Durability::default`].
-    pub fn builder() -> DurabilityBuilder {
-        DurabilityBuilder {
-            mode: Durability::default(),
+    /// Check the mode: an `EveryN` cadence must be positive. Decoders of
+    /// untrusted input call this.
+    pub fn validate(&self) -> Result<(), Error> {
+        if let Durability::EveryN(0) = self {
+            return Err(Error::config("fsync cadence must be positive"));
         }
+        Ok(())
     }
 
     /// Whether an fsync is due after a commit point, given how many records
@@ -76,49 +62,6 @@ impl Default for Durability {
     }
 }
 
-/// Builder for [`Durability`]; see [`Durability::builder`].
-///
-/// ```
-/// use asha_core::Durability;
-///
-/// let d = Durability::builder().fsync_every(16).build()?;
-/// assert_eq!(d, Durability::EveryN(16));
-/// assert!(Durability::builder().fsync_every(0).build().is_err());
-/// # Ok::<(), asha_core::Error>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct DurabilityBuilder {
-    mode: Durability,
-}
-
-impl DurabilityBuilder {
-    /// Never fsync; flush to the OS only.
-    pub fn flush_only(mut self) -> Self {
-        self.mode = Durability::Flush;
-        self
-    }
-
-    /// Fsync every `n` records (must end up positive).
-    pub fn fsync_every(mut self, n: usize) -> Self {
-        self.mode = Durability::EveryN(n);
-        self
-    }
-
-    /// Fsync at every commit point.
-    pub fn fsync_always(mut self) -> Self {
-        self.mode = Durability::Sync;
-        self
-    }
-
-    /// Validate and produce the durability mode.
-    pub fn build(self) -> Result<Durability, Error> {
-        if let Durability::EveryN(0) = self.mode {
-            return Err(Error::config("fsync cadence must be positive"));
-        }
-        Ok(self.mode)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,26 +78,10 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates() {
-        assert_eq!(
-            Durability::builder().flush_only().build().unwrap(),
-            Durability::Flush
-        );
-        assert_eq!(
-            Durability::builder().fsync_always().build().unwrap(),
-            Durability::Sync
-        );
-        assert!(Durability::builder().fsync_every(0).build().is_err());
-        assert_eq!(
-            Durability::builder().build().unwrap(),
-            Durability::default()
-        );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn old_spellings_still_name_the_same_modes() {
-        assert_eq!(Durability::Never, Durability::Flush);
-        assert_eq!(Durability::Always, Durability::Sync);
+    fn validate_rejects_a_zero_cadence() {
+        assert!(Durability::Flush.validate().is_ok());
+        assert!(Durability::Sync.validate().is_ok());
+        assert!(Durability::default().validate().is_ok());
+        assert!(Durability::EveryN(0).validate().is_err());
     }
 }

@@ -9,11 +9,12 @@
 use asha_space::SearchSpace;
 
 use crate::asha::{Asha, AshaConfig};
-use crate::budget;
+use crate::budget::{self, Geometry};
+use crate::error::Error;
 use crate::sampler::ConfigSampler;
 use crate::scheduler::{Decision, Job, Observation, Scheduler, TrialId};
 use crate::sha::{ShaConfig, SyncSha};
-use crate::state::AsyncHyperbandState;
+use crate::state::{AsyncHyperbandState, DurableScheduler, SchedulerState};
 
 /// Trial-id stride separating the namespaces of different brackets, so that
 /// wrappers can route observations back to the bracket that issued them
@@ -42,17 +43,13 @@ impl HyperbandConfig {
     ///
     /// Panics if `eta < 2` or the resources are invalid.
     pub fn new(min_resource: f64, max_resource: f64, eta: f64) -> Self {
-        assert!(eta >= 2.0, "eta must be >= 2");
-        assert!(
-            min_resource > 0.0 && max_resource >= min_resource,
-            "resources must satisfy 0 < r <= R"
-        );
-        let s_max = (max_resource / min_resource).log(eta).floor() as usize;
+        let num_brackets =
+            Geometry::finite_or_panic(min_resource, max_resource, eta, 0).num_rungs();
         HyperbandConfig {
             min_resource,
             max_resource,
             reduction_factor: eta,
-            num_brackets: s_max + 1,
+            num_brackets,
         }
     }
 
@@ -65,15 +62,45 @@ impl HyperbandConfig {
         self
     }
 
+    /// `floor(log_eta(R/r))`, the largest early-stopping rate a bracket of
+    /// this config can have.
+    fn s_max(&self) -> Result<usize, Error> {
+        let widest = Geometry::new(
+            self.min_resource,
+            Some(self.max_resource),
+            self.reduction_factor,
+            0,
+        )?;
+        Ok(widest.num_rungs() - 1)
+    }
+
+    /// Check the config without building a scheduler: a valid geometry and
+    /// `1 <= num_brackets <= floor(log_eta(R/r)) + 1` (every bracket's `s`
+    /// must fit the ladder). Decoders of untrusted input call this; the
+    /// schedulers' constructors panic on the same conditions.
+    pub fn validate(&self) -> Result<(), Error> {
+        let s_max = self.s_max()?;
+        if !(1..=s_max + 1).contains(&self.num_brackets) {
+            return Err(Error::config(format!(
+                "num_brackets must be in 1..={}, got {}",
+                s_max + 1,
+                self.num_brackets
+            )));
+        }
+        Ok(())
+    }
+
     /// The number of base-rung configurations Hyperband assigns to bracket
     /// `s`: `ceil((s_max + 1) * eta^(s_max - s) / (s_max - s + 1))`, which
     /// equalizes total budget across brackets (Li et al., 2018), adapted to
     /// this paper's convention that `s = 0` is the *most* aggressive
     /// bracket.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the config is invalid (see [`HyperbandConfig::validate`]).
     pub fn bracket_num_configs(&self, s: usize) -> usize {
-        let s_max = (self.max_resource / self.min_resource)
-            .log(self.reduction_factor)
-            .floor() as usize;
+        let s_max = self.s_max().unwrap_or_else(|e| panic!("{e}"));
         let s = s.min(s_max);
         let rungs = (s_max - s + 1) as f64;
         let n = ((s_max as f64 + 1.0) * self.reduction_factor.powi((s_max - s) as i32) / rungs)
@@ -123,6 +150,7 @@ impl Hyperband {
     ///
     /// Panics if the configuration is invalid (see [`HyperbandConfig::new`]).
     pub fn new(space: SearchSpace, config: HyperbandConfig) -> Self {
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         let current = SyncSha::new(space.clone(), config.sha_config(0));
         Hyperband {
             space,
@@ -237,6 +265,7 @@ impl AsyncHyperband {
         config: HyperbandConfig,
         factory: impl Fn(usize) -> Box<dyn ConfigSampler>,
     ) -> Self {
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         let brackets: Vec<Asha> = (0..config.num_brackets)
             .map(|s| {
                 Asha::with_sampler(
@@ -262,9 +291,9 @@ impl AsyncHyperband {
                 )
             })
             .collect();
-        let name = match brackets.first().map(Asha::sampler_name) {
-            Some("random") | None => "Hyperband (async)".to_owned(),
-            Some(sampler) => format!("Hyperband (async)+{sampler}"),
+        let name = match brackets[0].sampler_name() {
+            "random" => "Hyperband (async)".to_owned(),
+            sampler => format!("Hyperband (async)+{sampler}"),
         };
         AsyncHyperband {
             config,
@@ -295,26 +324,15 @@ impl AsyncHyperband {
     }
 
     /// Rebuild a scheduler from a state captured by
-    /// [`AsyncHyperband::export_state`].
+    /// [`AsyncHyperband::export_state`], with per-bracket samplers built by
+    /// `factory`. Sampler cursors, if any, are restored separately via
+    /// [`DurableScheduler::restore_sampler_cursors`].
     ///
     /// # Panics
     ///
     /// Panics if the embedded config is invalid (see
-    /// [`HyperbandConfig::new`]) or the bracket count does not match the
-    /// config.
-    pub fn from_state(space: SearchSpace, state: AsyncHyperbandState) -> Self {
-        AsyncHyperband::from_state_with_sampler_factory(space, state, |_| {
-            Box::new(crate::sampler::RandomSampler::new())
-        })
-    }
-
-    /// Rebuild a scheduler from a captured state with per-bracket samplers
-    /// built by `factory`. Sampler cursors, if any, are restored separately
-    /// via [`AsyncHyperband::restore_sampler_cursors`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`AsyncHyperband::from_state`].
+    /// [`HyperbandConfig::validate`]) or the bracket count does not match
+    /// the config.
     pub fn from_state_with_sampler_factory(
         space: SearchSpace,
         state: AsyncHyperbandState,
@@ -337,35 +355,6 @@ impl AsyncHyperband {
         ahb.current = state.current;
         ahb.name = state.name;
         ahb
-    }
-
-    /// The attached samplers' name (`"random"`, `"tpe"`, ...); every bracket
-    /// uses the same sampler kind by construction.
-    pub fn sampler_name(&self) -> &str {
-        self.brackets
-            .first()
-            .map(Asha::sampler_name)
-            .unwrap_or("random")
-    }
-
-    /// Serialized sampler cursors, one per bracket (see
-    /// [`Asha::export_sampler_cursor`]).
-    pub fn export_sampler_cursors(&self) -> Vec<Option<String>> {
-        self.brackets
-            .iter()
-            .map(Asha::export_sampler_cursor)
-            .collect()
-    }
-
-    /// Restore per-bracket sampler cursors previously produced by
-    /// [`AsyncHyperband::export_sampler_cursors`]. Extra or missing entries
-    /// are ignored (a bracket without a cursor stays cold).
-    pub fn restore_sampler_cursors(&mut self, cursors: &[Option<String>]) {
-        for (bracket, cursor) in self.brackets.iter_mut().zip(cursors) {
-            if let Some(cursor) = cursor {
-                bracket.restore_sampler_cursor(cursor);
-            }
-        }
     }
 
     /// Read-only access to the per-bracket ASHA instances.
@@ -427,6 +416,32 @@ impl Scheduler for AsyncHyperband {
         // after any budget rotation already happened on the first call;
         // re-asking repeats the same rotation-free, RNG-free path.
         true
+    }
+}
+
+impl DurableScheduler for AsyncHyperband {
+    fn durable_state(&self) -> SchedulerState {
+        SchedulerState::AsyncHyperband(self.export_state())
+    }
+
+    fn sampler_name(&self) -> &str {
+        // Every bracket uses the same sampler kind by construction.
+        self.brackets[0].sampler_name()
+    }
+
+    fn sampler_cursors(&self) -> Vec<Option<String>> {
+        self.brackets
+            .iter()
+            .map(Asha::export_sampler_cursor)
+            .collect()
+    }
+
+    fn restore_sampler_cursors(&mut self, cursors: &[Option<String>]) {
+        for (bracket, cursor) in self.brackets.iter_mut().zip(cursors) {
+            if let Some(cursor) = cursor {
+                bracket.restore_sampler_cursor(cursor);
+            }
+        }
     }
 }
 

@@ -5,16 +5,21 @@
 //!
 //! * [`Asha`] — Algorithm 2 of the paper: promote a configuration to the
 //!   next rung whenever possible; otherwise grow the bottom rung.
-//! * [`DAsha`] — ASHA under Hyper-Tune's delayed promotion rule: per-rung
-//!   promotions never exceed the exact `1/eta` quota.
+//!   [`AshaConfig::delayed`] switches it to Hyper-Tune's delayed promotion
+//!   rule (D-ASHA): per-rung promotions never exceed the exact `1/eta` quota.
 //! * [`SyncSha`] — Algorithm 1, the synchronous Successive Halving
 //!   Algorithm, including the bracket-growing parallelization of Falkner
 //!   et al. (2018) that the paper compares against.
 //! * [`Hyperband`] / [`AsyncHyperband`] — loop over SHA/ASHA brackets with
 //!   different early-stopping rates.
 //! * [`RandomSearch`] — the embarrassingly parallel baseline.
-//! * [`budget`] — the closed-form promotion/budget tables of Figure 1 and
-//!   the wall-clock bounds of Section 3.2.
+//! * [`budget`] — [`budget::Geometry`], the one place `(r, R, eta, s)` is
+//!   validated and turned into rung counts and rung resources; plus the
+//!   closed-form promotion/budget tables of Figure 1 and the wall-clock
+//!   bounds of Section 3.2.
+//! * [`state`] — every durable scheduler's state as plain data
+//!   ([`SchedulerState`]) and [`DurableScheduler`], the one interface a
+//!   store needs to persist and restore any of them.
 //! * [`telemetry`] — the structured-event vocabulary (suggest / promote /
 //!   grow_bottom / job lifecycle / faults), the zero-cost [`Recorder`] sink
 //!   both execution layers emit into, and the [`InstrumentedScheduler`]
@@ -56,7 +61,6 @@
 
 mod asha;
 pub mod budget;
-mod dasha;
 pub mod durability;
 pub mod error;
 pub mod fx;
@@ -72,8 +76,7 @@ pub mod state;
 pub mod telemetry;
 
 pub use crate::asha::{Asha, AshaConfig};
-pub use crate::dasha::DAsha;
-pub use crate::durability::{Durability, DurabilityBuilder};
+pub use crate::durability::Durability;
 pub use crate::error::{Error, ErrorKind, ResultContext};
 pub use crate::fx::{FxHashMap, FxHashSet};
 pub use crate::hyperband::{AsyncHyperband, Hyperband, HyperbandConfig};
@@ -82,7 +85,10 @@ pub use crate::rung::{PromotionRule, Rung, RungLadder, ScanOrder};
 pub use crate::sampler::{ConfigSampler, Fidelity, RandomSampler};
 pub use crate::scheduler::{Decision, Job, Observation, Scheduler, TrialId};
 pub use crate::sha::{ShaConfig, SyncSha};
-pub use crate::state::{AshaState, AsyncHyperbandState, BracketState, RungState, SyncShaState};
+pub use crate::state::{
+    AshaState, AsyncHyperbandState, BracketState, DurableScheduler, RungState, SchedulerState,
+    SyncShaState,
+};
 pub use crate::telemetry::{
     DropCause, Event, EventKind, IdleKind, InstrumentedScheduler, NoopRecorder, Recorder,
 };

@@ -18,7 +18,7 @@ use std::collections::{HashMap, HashSet};
 
 use asha_space::{Config, SearchSpace};
 
-use crate::budget;
+use crate::budget::{self, Geometry};
 use crate::rung::{PromotionRule, ScanOrder};
 use crate::sampler::{ConfigSampler, Fidelity, RandomSampler};
 use crate::scheduler::{Decision, Job, Observation, Scheduler, TrialId};
@@ -51,10 +51,10 @@ impl RefRung {
         }
     }
 
-    /// The spec of `Rung::promotable`, by brute force: sort the whole rung
-    /// by `(loss, trial)`, find the first unpromoted trial, and answer yes
-    /// iff it ranks inside the top `floor(len/eta)` with a finite loss.
-    fn promotable(&self, eta: f64) -> Option<(TrialId, f64)> {
+    /// The spec of the eager rule, by brute force: sort the whole rung by
+    /// `(loss, trial)`, find the first unpromoted trial, and answer yes iff
+    /// it ranks inside the top `floor(len/eta)` with a finite loss.
+    fn promotable_eager(&self, eta: f64) -> Option<(TrialId, f64)> {
         let k = (self.records.len() as f64 / eta).floor() as usize;
         if k == 0 {
             return None;
@@ -72,16 +72,16 @@ impl RefRung {
         }
     }
 
-    /// The spec of `Rung::promotable_ruled`: the delayed rule additionally
+    /// The spec of `Rung::promotable`: the delayed rule additionally
     /// requires the promoted count to stay under `floor(len/eta)`.
-    fn promotable_ruled(&self, eta: f64, rule: PromotionRule) -> Option<(TrialId, f64)> {
+    fn promotable(&self, eta: f64, rule: PromotionRule) -> Option<(TrialId, f64)> {
         if rule == PromotionRule::Delayed {
             let k = (self.records.len() as f64 / eta).floor() as usize;
             if self.promoted.len() >= k {
                 return None;
             }
         }
-        self.promotable(eta)
+        self.promotable_eager(eta)
     }
 
     fn best(&self) -> Option<(TrialId, f64)> {
@@ -105,44 +105,29 @@ impl RefRung {
     }
 }
 
-/// Index-free rung ladder with the same geometry as `RungLadder`.
+/// Index-free rung ladder over the same [`Geometry`] as `RungLadder`: the
+/// twins are an oracle for promotion decisions, not for rung arithmetic.
 #[derive(Debug, Clone)]
 struct RefLadder {
     rungs: Vec<RefRung>,
-    min_resource: f64,
-    max_resource: f64,
-    eta: f64,
-    stop_rate: usize,
-    max_rung: Option<usize>,
+    geometry: Geometry,
 }
 
 impl RefLadder {
     fn new(config: &AshaConfig) -> Self {
-        let (max_resource, max_rung) = if config.infinite_horizon {
-            (f64::INFINITY, None)
-        } else {
-            let s_max = (config.max_resource / config.min_resource)
-                .log(config.reduction_factor)
-                .floor() as usize;
-            (config.max_resource, Some(s_max - config.stop_rate))
-        };
-        let len = max_rung.map_or(1, |m| m + 1);
+        let geometry = config.geometry().unwrap_or_else(|e| panic!("{e}"));
         RefLadder {
-            rungs: vec![RefRung::default(); len],
-            min_resource: config.min_resource,
-            max_resource,
-            eta: config.reduction_factor,
-            stop_rate: config.stop_rate,
-            max_rung,
+            rungs: vec![RefRung::default(); geometry.max_rung().map_or(1, |max| max + 1)],
+            geometry,
         }
     }
 
     fn resource(&self, rung: usize) -> f64 {
-        (self.min_resource * self.eta.powi((self.stop_rate + rung) as i32)).min(self.max_resource)
+        self.geometry.resource(rung)
     }
 
     fn rung_mut(&mut self, k: usize) -> &mut RefRung {
-        if let Some(max) = self.max_rung {
+        if let Some(max) = self.geometry.max_rung() {
             assert!(k <= max, "rung {k} exceeds finite-horizon top rung {max}");
         } else if k >= self.rungs.len() {
             self.rungs.resize_with(k + 1, RefRung::default);
@@ -150,19 +135,19 @@ impl RefLadder {
         &mut self.rungs[k]
     }
 
-    fn find_promotable_ruled(
+    fn find_promotable(
         &self,
         order: ScanOrder,
         rule: PromotionRule,
     ) -> Option<(TrialId, f64, usize)> {
-        let top = match self.max_rung {
+        let top = match self.geometry.max_rung() {
             Some(max) => max,
             None => self.rungs.len(),
         };
         let limit = top.min(self.rungs.len());
         let scan = |k: usize| {
             self.rungs[k]
-                .promotable_ruled(self.eta, rule)
+                .promotable(self.geometry.eta(), rule)
                 .map(|(t, l)| (t, l, k))
         };
         match order {
@@ -179,7 +164,8 @@ impl RefLadder {
     }
 }
 
-/// Linear-scan ASHA: decision-for-decision identical to [`crate::Asha`],
+/// Linear-scan ASHA: decision-for-decision identical to [`crate::Asha`]
+/// under either [`PromotionRule`] (read from the config, as `Asha` does),
 /// implemented with no promotion indexes. Supports the same pluggable
 /// samplers as the indexed scheduler (an independent sampler instance fed
 /// the identical observation stream proposes identical configurations, so
@@ -194,7 +180,6 @@ pub struct RefAsha {
     next_trial: u64,
     trials_started: usize,
     name: String,
-    rule: PromotionRule,
 }
 
 impl std::fmt::Debug for RefAsha {
@@ -220,10 +205,14 @@ impl RefAsha {
         sampler: Box<dyn ConfigSampler>,
     ) -> Self {
         let ladder = RefLadder::new(&config);
+        let prefix = match config.rule {
+            PromotionRule::Eager => "ASHA",
+            PromotionRule::Delayed => "D-ASHA",
+        };
         let name = if sampler.name() == "random" {
-            "ASHA".to_owned()
+            prefix.to_owned()
         } else {
-            format!("ASHA+{}", sampler.name())
+            format!("{prefix}+{}", sampler.name())
         };
         RefAsha {
             space,
@@ -235,7 +224,6 @@ impl RefAsha {
             next_trial: 0,
             trials_started: 0,
             name,
-            rule: PromotionRule::Eager,
         }
     }
 
@@ -276,7 +264,7 @@ impl Scheduler for RefAsha {
     fn suggest(&mut self, rng: &mut dyn rand::RngCore) -> Decision {
         if let Some((trial, _loss, rung)) = self
             .ladder
-            .find_promotable_ruled(self.config.scan_order, self.rule)
+            .find_promotable(self.config.scan_order, self.config.rule)
         {
             self.ladder.rung_mut(rung).mark_promoted(trial);
             let rung = rung + 1;
@@ -331,75 +319,6 @@ impl Scheduler for RefAsha {
 
     fn name(&self) -> &str {
         &self.name
-    }
-}
-
-/// Linear-scan D-ASHA: [`RefAsha`] under the brute-force delayed promotion
-/// rule — the reference twin of [`crate::DAsha`].
-pub struct RefDAsha {
-    inner: RefAsha,
-}
-
-impl std::fmt::Debug for RefDAsha {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RefDAsha")
-            .field("config", &self.inner.config)
-            .field("trials_started", &self.inner.trials_started)
-            .finish_non_exhaustive()
-    }
-}
-
-impl RefDAsha {
-    /// Create a reference D-ASHA scheduler with uniform random sampling.
-    pub fn new(space: SearchSpace, config: AshaConfig) -> Self {
-        RefDAsha::with_sampler(space, config, Box::new(RandomSampler::new()))
-    }
-
-    /// Create a reference D-ASHA scheduler with a custom sampler, mirroring
-    /// [`crate::DAsha::with_sampler`]'s naming.
-    pub fn with_sampler(
-        space: SearchSpace,
-        config: AshaConfig,
-        sampler: Box<dyn ConfigSampler>,
-    ) -> Self {
-        let name = if sampler.name() == "random" {
-            "D-ASHA".to_owned()
-        } else {
-            format!("D-ASHA+{}", sampler.name())
-        };
-        let mut inner = RefAsha::with_sampler(space, config, sampler);
-        inner.rule = PromotionRule::Delayed;
-        inner.name = name;
-        RefDAsha { inner }
-    }
-
-    /// Best `(trial, loss)` seen so far.
-    pub fn best(&self) -> Option<(TrialId, f64)> {
-        self.inner.best()
-    }
-
-    /// The attached sampler's serialized cursor, if it keeps one.
-    pub fn export_sampler_cursor(&self) -> Option<String> {
-        self.inner.export_sampler_cursor()
-    }
-
-    /// Export state in exactly [`crate::DAsha::export_state`]'s format.
-    pub fn export_state(&self) -> AshaState {
-        self.inner.export_state()
-    }
-}
-
-impl Scheduler for RefDAsha {
-    fn suggest(&mut self, rng: &mut dyn rand::RngCore) -> Decision {
-        self.inner.suggest(rng)
-    }
-
-    fn observe(&mut self, obs: Observation) {
-        self.inner.observe(obs);
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
     }
 }
 
@@ -762,8 +681,8 @@ mod tests {
 
     #[test]
     fn ref_dasha_matches_indexed_on_a_serial_run() {
-        let mut fast = crate::DAsha::new(space(), AshaConfig::new(1.0, 27.0, 3.0));
-        let mut slow = RefDAsha::new(space(), AshaConfig::new(1.0, 27.0, 3.0));
+        let mut fast = crate::Asha::new(space(), AshaConfig::new(1.0, 27.0, 3.0).delayed());
+        let mut slow = RefAsha::new(space(), AshaConfig::new(1.0, 27.0, 3.0).delayed());
         let mut rng_a = StdRng::seed_from_u64(13);
         let mut rng_b = StdRng::seed_from_u64(13);
         for i in 0..300u64 {

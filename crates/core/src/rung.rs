@@ -40,10 +40,11 @@ use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, BinaryHeap};
 
+use crate::budget::Geometry;
 use crate::fx::FxHashMap;
 use crate::scheduler::TrialId;
 
-/// Which direction [`RungLadder::find_promotable_ordered`] visits rungs.
+/// Which direction [`RungLadder::find_promotable`] visits rungs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ScanOrder {
     /// Highest promotable rung first — Algorithm 2's prescription, which
@@ -236,11 +237,21 @@ impl Rung {
     }
 
     /// The best not-yet-promoted trial among the top `1/eta` fraction of this
-    /// rung (line 14–17 of Algorithm 2), if any. O(1) when the rung is
-    /// unchanged since the last call (candidate cache hit, either answer).
-    pub fn promotable(&self, eta: f64) -> Option<(TrialId, f64)> {
+    /// rung (line 14–17 of Algorithm 2) that `rule` lets move up, if any.
+    /// O(1) when the rung is unchanged since the last call (candidate cache
+    /// hit, either answer).
+    ///
+    /// The delayed gate — `promoted < floor(len/eta)` — depends only on the
+    /// `(len, promoted, eta)` triple the candidate cache is keyed on, so it
+    /// runs as pure arithmetic *before* the cached check and adds nothing to
+    /// the indexes: whenever the gate passes, `promoted < k` means the eager
+    /// answer is already exactly the delayed answer.
+    pub fn promotable(&self, eta: f64, rule: PromotionRule) -> Option<(TrialId, f64)> {
         let len = self.records.len();
         let p = self.promoted_sorted.len();
+        if rule == PromotionRule::Delayed && p >= (len as f64 / eta).floor() as usize {
+            return None;
+        }
         let eta_bits = eta.to_bits();
         // The cache is consulted before `k` is even computed: the hit path —
         // several times per `suggest`, since the ladder scan revisits every
@@ -263,24 +274,6 @@ impl Rung {
             result,
         }));
         result.map(|(key, trial)| (trial, key_loss(key)))
-    }
-
-    /// The promotability check under an explicit [`PromotionRule`].
-    ///
-    /// The delayed gate — `promoted < floor(len/eta)` — depends only on the
-    /// `(len, promoted, eta)` triple the candidate cache is keyed on, so it
-    /// runs as pure arithmetic *before* the cached check and adds nothing to
-    /// the indexes: whenever the gate passes, `promoted < k` means the eager
-    /// answer (the fast path of [`Rung::promotable`]) is already exactly the
-    /// delayed answer.
-    pub fn promotable_ruled(&self, eta: f64, rule: PromotionRule) -> Option<(TrialId, f64)> {
-        if rule == PromotionRule::Delayed {
-            let k = (self.records.len() as f64 / eta).floor() as usize;
-            if self.promoted_sorted.len() >= k {
-                return None;
-            }
-        }
-        self.promotable(eta)
     }
 
     /// The uncached promotability check (runs once per rung mutation).
@@ -359,86 +352,44 @@ impl Rung {
     }
 }
 
-/// The stack of rungs of one bracket, together with the resource level of
-/// each rung: `r_k = min(r * eta^(s + k), R)`.
+/// The stack of rungs of one bracket, together with the [`Geometry`] that
+/// fixes the resource level of each rung.
 #[derive(Debug, Clone)]
 pub struct RungLadder {
     rungs: Vec<Rung>,
-    min_resource: f64,
-    max_resource: f64,
-    eta: f64,
-    stop_rate: usize,
-    max_rung: Option<usize>,
+    geometry: Geometry,
 }
 
 impl RungLadder {
-    /// Build a ladder for a finite-horizon bracket: rungs `0..=K` with
-    /// `K = floor(log_eta(R / r)) - s` (Algorithm 2 line 13 scans `K-1..=0`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `eta < 2`, resources are non-positive, `r > R`, or the
-    /// early-stopping rate `s` exceeds `floor(log_eta(R / r))`.
-    pub fn finite(min_resource: f64, max_resource: f64, eta: f64, stop_rate: usize) -> Self {
-        assert!(eta >= 2.0, "reduction factor eta must be >= 2");
-        assert!(
-            min_resource > 0.0 && max_resource >= min_resource,
-            "resources must satisfy 0 < r <= R"
-        );
-        let s_max = (max_resource / min_resource).log(eta).floor() as usize;
-        assert!(
-            stop_rate <= s_max,
-            "early-stopping rate s={stop_rate} exceeds log_eta(R/r)={s_max}"
-        );
-        let max_rung = s_max - stop_rate;
+    /// An empty ladder over `geometry`: every rung `0..=K` up front in the
+    /// finite horizon (Algorithm 2 line 13 scans `K-1..=0`), one rung that
+    /// grows on demand in the infinite horizon.
+    pub fn new(geometry: Geometry) -> Self {
         RungLadder {
-            rungs: vec![Rung::new(); max_rung + 1],
-            min_resource,
-            max_resource,
-            eta,
-            stop_rate,
-            max_rung: Some(max_rung),
-        }
-    }
-
-    /// Build an infinite-horizon ladder (Section 3.3): no top rung; the
-    /// maximum resource grows as configurations keep being promoted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `eta < 2` or `min_resource <= 0`.
-    pub fn infinite(min_resource: f64, eta: f64, stop_rate: usize) -> Self {
-        assert!(eta >= 2.0, "reduction factor eta must be >= 2");
-        assert!(min_resource > 0.0, "minimum resource must be positive");
-        RungLadder {
-            rungs: vec![Rung::new()],
-            min_resource,
-            max_resource: f64::INFINITY,
-            eta,
-            stop_rate,
-            max_rung: None,
+            rungs: vec![Rung::new(); geometry.max_rung().map_or(1, |max| max + 1)],
+            geometry,
         }
     }
 
     /// The reduction factor `eta`.
     pub fn eta(&self) -> f64 {
-        self.eta
+        self.geometry.eta()
     }
 
     /// The early-stopping rate `s`.
     pub fn stop_rate(&self) -> usize {
-        self.stop_rate
+        self.geometry.stop_rate()
     }
 
     /// Index of the highest rung, if the horizon is finite.
     pub fn max_rung(&self) -> Option<usize> {
-        self.max_rung
+        self.geometry.max_rung()
     }
 
     /// Cumulative resource allocated to a trial at rung `k`:
     /// `min(r * eta^(s + k), R)`.
     pub fn resource(&self, rung: usize) -> f64 {
-        (self.min_resource * self.eta.powi((self.stop_rate + rung) as i32)).min(self.max_resource)
+        self.geometry.resource(rung)
     }
 
     /// The rungs, bottom first. Infinite-horizon ladders grow on demand.
@@ -453,7 +404,7 @@ impl RungLadder {
     ///
     /// Panics if `k` exceeds the top rung of a finite-horizon ladder.
     pub fn rung_mut(&mut self, k: usize) -> &mut Rung {
-        if let Some(max) = self.max_rung {
+        if let Some(max) = self.max_rung() {
             assert!(k <= max, "rung {k} exceeds finite-horizon top rung {max}");
         } else if k >= self.rungs.len() {
             self.rungs.resize_with(k + 1, Rung::new);
@@ -466,45 +417,29 @@ impl RungLadder {
         self.rung_mut(rung).record(trial, loss);
     }
 
-    /// ASHA's promotion scan (Algorithm 2, `get_job`): walk rungs from the
-    /// top promotable rung down to 0, returning the first `(trial, loss,
-    /// rung)` whose trial sits in the top `1/eta` of its rung and has not
-    /// been promoted. The returned rung is the rung the trial is *in*; the
-    /// caller promotes it to `rung + 1`.
-    pub fn find_promotable(&self) -> Option<(TrialId, f64, usize)> {
-        self.find_promotable_ordered(ScanOrder::TopDown)
-    }
-
-    /// The promotion scan with an explicit rung visiting order. Algorithm 2
-    /// prescribes [`ScanOrder::TopDown`] (line 13 iterates `K-1, ..., 1, 0`);
-    /// [`ScanOrder::BottomUp`] is provided for the ablation study of that
-    /// design choice. With the per-rung candidate caches, an unchanged
-    /// ladder answers this scan in a handful of integer compares.
-    pub fn find_promotable_ordered(&self, order: ScanOrder) -> Option<(TrialId, f64, usize)> {
-        self.find_promotable_ruled(order, PromotionRule::Eager)
-    }
-
-    /// The promotion scan with an explicit visiting order *and* promotion
-    /// rule. [`PromotionRule::Delayed`] is the D-ASHA scan: identical walk,
-    /// but each rung's candidate must also fit under the `floor(len/eta)`
-    /// promotion quota.
-    pub fn find_promotable_ruled(
+    /// ASHA's promotion scan (Algorithm 2, `get_job`): walk the rungs in
+    /// `order`, returning the first `(trial, loss, rung)` whose trial sits in
+    /// the top `1/eta` of its rung, has not been promoted, and passes `rule`.
+    /// The returned rung is the rung the trial is *in*; the caller promotes
+    /// it to `rung + 1`.
+    ///
+    /// Algorithm 2 prescribes [`ScanOrder::TopDown`] (line 13 iterates
+    /// `K-1, ..., 1, 0`) and [`PromotionRule::Eager`];
+    /// [`ScanOrder::BottomUp`] is the ablation alternative and
+    /// [`PromotionRule::Delayed`] the D-ASHA scan (identical walk, but each
+    /// rung's candidate must also fit under the `floor(len/eta)` quota).
+    /// With the per-rung candidate caches, an unchanged ladder answers this
+    /// scan in a handful of integer compares.
+    pub fn find_promotable(
         &self,
         order: ScanOrder,
         rule: PromotionRule,
     ) -> Option<(TrialId, f64, usize)> {
-        let top = match self.max_rung {
-            // Finite horizon: scan K-1 .. 0 (trials at rung K are done).
-            Some(max) => max,
-            // Infinite horizon: every existing rung may promote upward.
-            None => self.rungs.len(),
-        };
-        let limit = top.min(self.rungs.len());
-        let scan = |k: usize| {
-            self.rungs[k]
-                .promotable_ruled(self.eta, rule)
-                .map(|(t, l)| (t, l, k))
-        };
+        // Finite horizon: scan K-1 .. 0 (trials at rung K are done).
+        // Infinite horizon: every existing rung may promote upward.
+        let limit = self.max_rung().unwrap_or(self.rungs.len());
+        let eta = self.eta();
+        let scan = |k: usize| self.rungs[k].promotable(eta, rule).map(|(t, l)| (t, l, k));
         match order {
             ScanOrder::TopDown => (0..limit).rev().find_map(scan),
             ScanOrder::BottomUp => (0..limit).find_map(scan),
@@ -531,6 +466,11 @@ impl RungLadder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use PromotionRule::{Delayed, Eager};
+
+    fn finite(r: f64, max_r: f64, eta: f64, s: usize) -> RungLadder {
+        RungLadder::new(Geometry::new(r, Some(max_r), eta, s).unwrap())
+    }
 
     #[test]
     fn loss_key_is_monotone() {
@@ -543,7 +483,7 @@ mod tests {
     #[test]
     fn resources_follow_geometric_schedule() {
         // Figure 1 bracket 0: r=1, R=9, eta=3 -> rungs at 1, 3, 9.
-        let ladder = RungLadder::finite(1.0, 9.0, 3.0, 0);
+        let ladder = finite(1.0, 9.0, 3.0, 0);
         assert_eq!(ladder.max_rung(), Some(2));
         assert_eq!(ladder.resource(0), 1.0);
         assert_eq!(ladder.resource(1), 3.0);
@@ -555,11 +495,11 @@ mod tests {
     #[test]
     fn stop_rate_shifts_the_base_resource() {
         // Figure 1 bracket 1: rungs at 3, 9. Bracket 2: rung at 9.
-        let b1 = RungLadder::finite(1.0, 9.0, 3.0, 1);
+        let b1 = finite(1.0, 9.0, 3.0, 1);
         assert_eq!(b1.max_rung(), Some(1));
         assert_eq!(b1.resource(0), 3.0);
         assert_eq!(b1.resource(1), 9.0);
-        let b2 = RungLadder::finite(1.0, 9.0, 3.0, 2);
+        let b2 = finite(1.0, 9.0, 3.0, 2);
         assert_eq!(b2.max_rung(), Some(0));
         assert_eq!(b2.resource(0), 9.0);
     }
@@ -567,7 +507,7 @@ mod tests {
     #[test]
     fn resource_is_capped_at_r_max() {
         // R/r not a power of eta: top rung resource is clamped to R.
-        let ladder = RungLadder::finite(1.0, 10.0, 3.0, 0);
+        let ladder = finite(1.0, 10.0, 3.0, 0);
         assert_eq!(ladder.max_rung(), Some(2));
         assert_eq!(ladder.resource(2), 9.0);
         assert_eq!(ladder.resource(3), 10.0); // hypothetical rung clamps
@@ -579,10 +519,10 @@ mod tests {
         rung.record(TrialId(0), 0.5);
         rung.record(TrialId(1), 0.3);
         // |rung|/eta = 2/3 -> floor 0 candidates.
-        assert_eq!(rung.promotable(3.0), None);
+        assert_eq!(rung.promotable(3.0, Eager), None);
         rung.record(TrialId(2), 0.8);
         // Now 3/3 = 1 candidate: trial 1 with loss 0.3.
-        assert_eq!(rung.promotable(3.0), Some((TrialId(1), 0.3)));
+        assert_eq!(rung.promotable(3.0, Eager), Some((TrialId(1), 0.3)));
         assert!(rung.contains(TrialId(1)));
         assert!(!rung.contains(TrialId(9)));
     }
@@ -594,19 +534,19 @@ mod tests {
         rung.record(TrialId(1), f64::NAN); // recorded as INFINITY
         rung.record(TrialId(2), f64::INFINITY);
         // 3/3 = 1 candidate by count, but every loss is poisoned.
-        assert_eq!(rung.promotable(3.0), None);
+        assert_eq!(rung.promotable(3.0, Eager), None);
         // A finite arrival is promotable as usual; the poisoned ones stay.
         for t in 3..9 {
             rung.record(TrialId(t), 0.5);
         }
         rung.record(TrialId(9), 0.1);
-        assert_eq!(rung.promotable(3.0), Some((TrialId(9), 0.1)));
+        assert_eq!(rung.promotable(3.0, Eager), Some((TrialId(9), 0.1)));
         rung.mark_promoted(TrialId(9));
         for t in 3..9 {
             rung.mark_promoted(TrialId(t));
         }
         // Only the non-finite trials remain unpromoted; k = 3 but none pass.
-        assert_eq!(rung.promotable(3.0), None);
+        assert_eq!(rung.promotable(3.0, Eager), None);
     }
 
     #[test]
@@ -616,12 +556,12 @@ mod tests {
             rung.record(TrialId(i as u64), *loss);
         }
         // top 6/3 = 2: trials 1 (0.1) and 2 (0.2).
-        assert_eq!(rung.promotable(3.0), Some((TrialId(1), 0.1)));
+        assert_eq!(rung.promotable(3.0, Eager), Some((TrialId(1), 0.1)));
         rung.mark_promoted(TrialId(1));
         assert!(rung.is_promoted(TrialId(1)));
-        assert_eq!(rung.promotable(3.0), Some((TrialId(2), 0.2)));
+        assert_eq!(rung.promotable(3.0, Eager), Some((TrialId(2), 0.2)));
         rung.mark_promoted(TrialId(2));
-        assert_eq!(rung.promotable(3.0), None);
+        assert_eq!(rung.promotable(3.0, Eager), None);
         assert_eq!(rung.promoted_count(), 2);
     }
 
@@ -634,12 +574,12 @@ mod tests {
         for (i, loss) in [0.5, 0.6, 0.7].iter().enumerate() {
             rung.record(TrialId(i as u64), *loss);
         }
-        let (t, _) = rung.promotable(3.0).unwrap();
+        let (t, _) = rung.promotable(3.0, Eager).unwrap();
         rung.mark_promoted(t); // quota of k=1 used
-        assert_eq!(rung.promotable(3.0), None);
+        assert_eq!(rung.promotable(3.0, Eager), None);
         rung.record(TrialId(10), 0.1); // better than everything promoted
                                        // k is still floor(4/3) = 1 and promoted = 1, but trial 10 ranks 0.
-        assert_eq!(rung.promotable(3.0), Some((TrialId(10), 0.1)));
+        assert_eq!(rung.promotable(3.0, Eager), Some((TrialId(10), 0.1)));
     }
 
     #[test]
@@ -651,27 +591,24 @@ mod tests {
         for (i, loss) in [0.5, 0.6, 0.7].iter().enumerate() {
             rung.record(TrialId(i as u64), *loss);
         }
-        let (t, _) = rung.promotable_ruled(3.0, PromotionRule::Delayed).unwrap();
+        let (t, _) = rung.promotable(3.0, Delayed).unwrap();
         assert_eq!(t, TrialId(0));
         rung.mark_promoted(t); // quota of k=1 used
         rung.record(TrialId(10), 0.1); // better than everything promoted
         assert_eq!(
-            rung.promotable(3.0),
+            rung.promotable(3.0, Eager),
             Some((TrialId(10), 0.1)),
             "eager rule promotes the late arrival"
         );
         assert_eq!(
-            rung.promotable_ruled(3.0, PromotionRule::Delayed),
+            rung.promotable(3.0, Delayed),
             None,
             "delayed rule holds it back: promoted = k = floor(4/3)"
         );
         // Two more records make k = 2 > promoted = 1: the slot opens.
         rung.record(TrialId(11), 0.9);
         rung.record(TrialId(12), 0.9);
-        assert_eq!(
-            rung.promotable_ruled(3.0, PromotionRule::Delayed),
-            Some((TrialId(10), 0.1))
-        );
+        assert_eq!(rung.promotable(3.0, Delayed), Some((TrialId(10), 0.1)));
     }
 
     #[test]
@@ -681,10 +618,7 @@ mod tests {
             rung.record(TrialId(i as u64), *loss);
         }
         // k = 2, promoted = 0: both rules agree.
-        assert_eq!(
-            rung.promotable_ruled(3.0, PromotionRule::Delayed),
-            rung.promotable_ruled(3.0, PromotionRule::Eager),
-        );
+        assert_eq!(rung.promotable(3.0, Delayed), rung.promotable(3.0, Eager),);
     }
 
     #[test]
@@ -695,13 +629,13 @@ mod tests {
         }
         rung.mark_promoted(TrialId(0));
         rung.mark_promoted(TrialId(1));
-        assert_eq!(rung.promotable(3.0), None);
-        assert_eq!(rung.promotable(3.0), None); // cached path
-                                                // Growth changes k: 9 records -> k = 3.
+        assert_eq!(rung.promotable(3.0, Eager), None);
+        assert_eq!(rung.promotable(3.0, Eager), None); // cached path
+                                                       // Growth changes k: 9 records -> k = 3.
         for i in 6..9 {
             rung.record(TrialId(i), 0.9);
         }
-        assert_eq!(rung.promotable(3.0), Some((TrialId(2), 0.3)));
+        assert_eq!(rung.promotable(3.0, Eager), Some((TrialId(2), 0.3)));
     }
 
     #[test]
@@ -713,10 +647,10 @@ mod tests {
         for (i, loss) in [0.3, 0.1, 0.2].iter().enumerate() {
             rung.record(TrialId(i as u64), *loss);
         }
-        assert_eq!(rung.promotable(3.0), Some((TrialId(1), 0.1)));
-        assert_eq!(rung.promotable(3.0), Some((TrialId(1), 0.1))); // cache hit
+        assert_eq!(rung.promotable(3.0, Eager), Some((TrialId(1), 0.1)));
+        assert_eq!(rung.promotable(3.0, Eager), Some((TrialId(1), 0.1))); // cache hit
         rung.mark_promoted(TrialId(1));
-        assert_eq!(rung.promotable(3.0), None);
+        assert_eq!(rung.promotable(3.0, Eager), None);
     }
 
     #[test]
@@ -727,9 +661,9 @@ mod tests {
         }
         rung.mark_promoted(TrialId(1));
         // k = floor(4/4) = 1 and the only top-1 trial is promoted.
-        assert_eq!(rung.promotable(4.0), None);
+        assert_eq!(rung.promotable(4.0, Eager), None);
         // A different eta must not reuse that answer: k = floor(4/2) = 2.
-        assert_eq!(rung.promotable(2.0), Some((TrialId(2), 0.2)));
+        assert_eq!(rung.promotable(2.0, Eager), Some((TrialId(2), 0.2)));
     }
 
     #[test]
@@ -797,12 +731,12 @@ mod tests {
         rung.mark_promoted(TrialId(0));
         rung.mark_promoted(TrialId(0));
         assert_eq!(rung.promoted_count(), 1);
-        assert_eq!(rung.promotable(3.0), None);
+        assert_eq!(rung.promotable(3.0, Eager), None);
     }
 
     #[test]
     fn find_promotable_scans_top_down() {
-        let mut ladder = RungLadder::finite(1.0, 27.0, 3.0, 0);
+        let mut ladder = finite(1.0, 27.0, 3.0, 0);
         for i in 0..3 {
             ladder.record(0, TrialId(i), 0.1 * (i + 1) as f64);
         }
@@ -810,39 +744,39 @@ mod tests {
             ladder.record(1, TrialId(i), 0.1 * (i + 1) as f64);
         }
         // Rung 1's best (trial 3) wins over rung 0's best (trial 0).
-        let (t, _, k) = ladder.find_promotable().unwrap();
+        let (t, _, k) = ladder.find_promotable(ScanOrder::TopDown, Eager).unwrap();
         assert_eq!((t, k), (TrialId(3), 1));
         ladder.mark_promoted(1, TrialId(3));
-        let (t, _, k) = ladder.find_promotable().unwrap();
+        let (t, _, k) = ladder.find_promotable(ScanOrder::TopDown, Eager).unwrap();
         assert_eq!((t, k), (TrialId(0), 0));
     }
 
     #[test]
     fn top_rung_never_promotes_in_finite_horizon() {
-        let mut ladder = RungLadder::finite(1.0, 9.0, 3.0, 0);
+        let mut ladder = finite(1.0, 9.0, 3.0, 0);
         for i in 0..9 {
             ladder.record(2, TrialId(i), i as f64);
         }
-        assert_eq!(ladder.find_promotable(), None);
+        assert_eq!(ladder.find_promotable(ScanOrder::TopDown, Eager), None);
     }
 
     #[test]
     fn infinite_horizon_grows_rungs() {
-        let mut ladder = RungLadder::infinite(1.0, 3.0, 0);
+        let mut ladder = RungLadder::new(Geometry::new(1.0, None, 3.0, 0).unwrap());
         assert_eq!(ladder.max_rung(), None);
         for i in 0..3 {
             ladder.record(4, TrialId(i), i as f64);
         }
         assert_eq!(ladder.rungs().len(), 5);
         // Rung 4 can promote upward: resources keep scaling.
-        let (t, _, k) = ladder.find_promotable().unwrap();
+        let (t, _, k) = ladder.find_promotable(ScanOrder::TopDown, Eager).unwrap();
         assert_eq!((t, k), (TrialId(0), 4));
         assert_eq!(ladder.resource(5), 3f64.powi(5));
     }
 
     #[test]
     fn best_loss_uses_intermediate_results() {
-        let mut ladder = RungLadder::finite(1.0, 9.0, 3.0, 0);
+        let mut ladder = finite(1.0, 9.0, 3.0, 0);
         ladder.record(0, TrialId(0), 0.9);
         ladder.record(1, TrialId(1), 0.2);
         assert_eq!(ladder.best_loss(), Some((TrialId(1), 0.2)));
@@ -857,7 +791,7 @@ mod tests {
         let mut promoted = 0u64;
         for i in 0..50_000u64 {
             rung.record(TrialId(i), (i % 977) as f64);
-            if let Some((t, _)) = rung.promotable(4.0) {
+            if let Some((t, _)) = rung.promotable(4.0, Eager) {
                 rung.mark_promoted(t);
                 promoted += 1;
             }
@@ -873,19 +807,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds finite-horizon top rung")]
     fn finite_ladder_rejects_out_of_range_rung() {
-        let mut ladder = RungLadder::finite(1.0, 9.0, 3.0, 0);
+        let mut ladder = finite(1.0, 9.0, 3.0, 0);
         ladder.record(3, TrialId(0), 0.1);
-    }
-
-    #[test]
-    #[should_panic(expected = "eta must be >= 2")]
-    fn small_eta_is_rejected() {
-        let _ = RungLadder::finite(1.0, 9.0, 1.5, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds log_eta")]
-    fn oversized_stop_rate_is_rejected() {
-        let _ = RungLadder::finite(1.0, 9.0, 3.0, 3);
     }
 }

@@ -6,10 +6,12 @@ use std::collections::BTreeSet;
 
 use asha_space::{Config, SearchSpace};
 
+use crate::budget::Geometry;
+use crate::error::Error;
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::sampler::{ConfigSampler, RandomSampler};
 use crate::scheduler::{Decision, Job, Observation, Scheduler, TrialId};
-use crate::state::{BracketState, SyncShaState};
+use crate::state::{BracketState, DurableScheduler, SchedulerState, SyncShaState};
 
 /// Configuration of a [`SyncSha`] scheduler.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,42 +60,52 @@ impl ShaConfig {
         self
     }
 
+    /// The bracket's ladder geometry, or why the config describes none.
+    pub fn geometry(&self) -> Result<Geometry, Error> {
+        Geometry::new(
+            self.min_resource,
+            Some(self.max_resource),
+            self.reduction_factor,
+            self.stop_rate,
+        )
+    }
+
     /// Number of rungs in a bracket: `floor(log_eta(R/r)) - s + 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the config is invalid (see [`ShaConfig::validate`]).
     pub fn num_rungs(&self) -> usize {
-        let s_max = (self.max_resource / self.min_resource)
-            .log(self.reduction_factor)
-            .floor() as usize;
-        s_max - self.stop_rate + 1
+        self.geometry()
+            .unwrap_or_else(|e| panic!("{e}"))
+            .num_rungs()
     }
 
     /// Cumulative resource of rung `k`: `min(r * eta^(s+k), R)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the config is invalid (see [`ShaConfig::validate`]).
     pub fn rung_resource(&self, rung: usize) -> f64 {
-        (self.min_resource * self.reduction_factor.powi((self.stop_rate + rung) as i32))
-            .min(self.max_resource)
+        self.geometry()
+            .unwrap_or_else(|e| panic!("{e}"))
+            .resource(rung)
     }
 
-    fn validate(&self) {
-        assert!(self.reduction_factor >= 2.0, "eta must be >= 2");
-        assert!(
-            self.min_resource > 0.0 && self.max_resource >= self.min_resource,
-            "resources must satisfy 0 < r <= R"
-        );
-        let s_max = (self.max_resource / self.min_resource)
-            .log(self.reduction_factor)
-            .floor() as usize;
-        assert!(
-            self.stop_rate <= s_max,
-            "stop rate {} exceeds log_eta(R/r) = {s_max}",
-            self.stop_rate
-        );
-        // Line 3 of Algorithm 1: n >= eta^(s_max - s) so at least one
-        // configuration reaches R.
-        let needed = self.reduction_factor.powi((s_max - self.stop_rate) as i32) as usize;
-        assert!(
-            self.num_configs >= needed,
-            "n = {} too small: need at least eta^(s_max - s) = {needed}",
-            self.num_configs
-        );
+    /// Check Algorithm 1's preconditions without building a scheduler: a
+    /// valid geometry and `n >= eta^(s_max - s)` (line 3), so that at least
+    /// one configuration reaches `R`. Decoders of untrusted input call this;
+    /// [`SyncSha::new`] panics on the same conditions.
+    pub fn validate(&self) -> Result<(), Error> {
+        let top = self.geometry()?.num_rungs() - 1;
+        let needed = self.reduction_factor.powi(top as i32) as usize;
+        if self.num_configs < needed {
+            return Err(Error::config(format!(
+                "n = {} too small: need at least eta^(s_max - s) = {needed}",
+                self.num_configs
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -147,12 +159,13 @@ impl Bracket {
 pub struct SyncSha {
     space: SearchSpace,
     config: ShaConfig,
+    geometry: Geometry,
     sampler: Box<dyn ConfigSampler>,
     brackets: Vec<Bracket>,
     /// Work index: exactly the bracket indices whose `has_work()` is true,
     /// kept in sync after every mutation so `suggest` finds the first
     /// issuable bracket in O(1) instead of scanning every bracket. Derived
-    /// data — rebuilt by `from_state`, never serialized.
+    /// data — rebuilt on restore, never serialized.
     active: BTreeSet<usize>,
     trial_meta: FxHashMap<TrialId, (usize, Config)>,
     next_trial: u64,
@@ -190,7 +203,8 @@ impl SyncSha {
         config: ShaConfig,
         sampler: Box<dyn ConfigSampler>,
     ) -> Self {
-        config.validate();
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
+        let geometry = config.geometry().expect("validated above");
         let name = if sampler.name() == "random" {
             "SHA".to_owned()
         } else {
@@ -204,6 +218,7 @@ impl SyncSha {
         SyncSha {
             space,
             config,
+            geometry,
             sampler,
             brackets: vec![first],
             active,
@@ -223,22 +238,6 @@ impl SyncSha {
         &self.config
     }
 
-    /// The attached sampler's name (`"random"` for the default).
-    pub fn sampler_name(&self) -> &str {
-        self.sampler.name()
-    }
-
-    /// Export the sampler's serialized model cursor, if it keeps one.
-    pub fn export_sampler_cursor(&self) -> Option<String> {
-        self.sampler.export_cursor()
-    }
-
-    /// Restore the sampler's model cursor (no-op on a mismatched or
-    /// malformed cursor).
-    pub fn restore_sampler_cursor(&mut self, cursor: &str) {
-        self.sampler.restore_cursor(cursor);
-    }
-
     /// Number of brackets started so far.
     pub fn bracket_count(&self) -> usize {
         self.brackets.len()
@@ -250,7 +249,8 @@ impl SyncSha {
     }
 
     /// Capture the scheduler's full mutable state as plain data (see
-    /// [`crate::state`]). Restoring it with [`SyncSha::from_state`] yields a
+    /// [`crate::state`]). Restoring it with
+    /// [`SyncSha::from_state_with_sampler`] yields a
     /// scheduler that makes identical decisions given the same RNG stream.
     pub fn export_state(&self) -> SyncShaState {
         let brackets = self
@@ -286,21 +286,12 @@ impl SyncSha {
     }
 
     /// Rebuild a scheduler from a state captured by
-    /// [`SyncSha::export_state`], with uniform random sampling.
+    /// [`SyncSha::export_state`], with a fresh `sampler` attached.
     ///
     /// # Panics
     ///
     /// Panics if the embedded config is invalid (same conditions as
     /// [`SyncSha::new`]).
-    pub fn from_state(space: SearchSpace, state: SyncShaState) -> Self {
-        SyncSha::from_state_with_sampler(space, state, Box::new(RandomSampler::new()))
-    }
-
-    /// Rebuild a scheduler from a captured state with a custom sampler.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`SyncSha::from_state`].
     pub fn from_state_with_sampler(
         space: SearchSpace,
         state: SyncShaState,
@@ -355,7 +346,7 @@ impl SyncSha {
             self.brackets[bracket_idx].remaining_to_sample -= 1;
             let trial = TrialId(self.next_trial);
             self.next_trial += 1;
-            let fidelity = crate::sampler::Fidelity::base(self.config.rung_resource(0));
+            let fidelity = crate::sampler::Fidelity::base(self.geometry.resource(0));
             let config = self.sampler.propose_at(&self.space, fidelity, rng);
             self.trial_meta.insert(trial, (bracket_idx, config.clone()));
             (trial, config)
@@ -372,14 +363,14 @@ impl SyncSha {
             trial,
             config,
             rung,
-            resource: self.config.rung_resource(rung),
+            resource: self.geometry.resource(rung),
             bracket: bracket_idx,
             inherit_from: None,
         }
     }
 
     fn complete_rung(&mut self, bracket_idx: usize) {
-        let num_rungs = self.config.num_rungs();
+        let num_rungs = self.geometry.num_rungs();
         let eta = self.config.reduction_factor;
         let bracket = &mut self.brackets[bracket_idx];
         let k = (bracket.results.len() as f64 / eta).floor() as usize;
@@ -469,6 +460,26 @@ impl Scheduler for SyncSha {
         // growing is off; that check consumes no RNG and mutates nothing,
         // so the answer cannot change until an `observe` lands.
         true
+    }
+}
+
+impl DurableScheduler for SyncSha {
+    fn durable_state(&self) -> SchedulerState {
+        SchedulerState::SyncSha(self.export_state())
+    }
+
+    fn sampler_name(&self) -> &str {
+        self.sampler.name()
+    }
+
+    fn sampler_cursors(&self) -> Vec<Option<String>> {
+        vec![self.sampler.export_cursor()]
+    }
+
+    fn restore_sampler_cursors(&mut self, cursors: &[Option<String>]) {
+        if let Some(Some(cursor)) = cursors.first() {
+            self.sampler.restore_cursor(cursor);
+        }
     }
 }
 

@@ -16,8 +16,8 @@
 
 use asha_space::Config;
 
-use crate::rung::{Rung, RungLadder};
-use crate::scheduler::TrialId;
+use crate::rung::{PromotionRule, Rung, RungLadder};
+use crate::scheduler::{Scheduler, TrialId};
 
 /// Snapshot of one [`Rung`]: every recorded `(trial, loss)` in arrival
 /// order, plus which trials have been promoted out.
@@ -129,4 +129,58 @@ pub struct AsyncHyperbandState {
     pub current: usize,
     /// The scheduler's display name.
     pub name: String,
+}
+
+/// Exported state of any durable scheduler, tagged by kind.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SchedulerState {
+    /// An [`Asha`](crate::Asha) scheduler — ASHA or, when the embedded
+    /// config carries [`PromotionRule::Delayed`], D-ASHA.
+    Asha(AshaState),
+    /// A [`SyncSha`](crate::SyncSha) scheduler.
+    SyncSha(SyncShaState),
+    /// An [`AsyncHyperband`](crate::AsyncHyperband) scheduler.
+    AsyncHyperband(AsyncHyperbandState),
+}
+
+impl SchedulerState {
+    /// Stable kind tag used in snapshot files and experiment metadata.
+    /// `"dasha"` is an [`AshaState`] under the delayed rule: the rule
+    /// travels in the tag, not in the config document, which keeps every
+    /// store written before the rule became a config field readable (and
+    /// everything written since, byte-identical to it).
+    pub fn kind(&self) -> &'static str {
+        match self {
+            SchedulerState::Asha(s) => match s.config.rule {
+                PromotionRule::Eager => "asha",
+                PromotionRule::Delayed => "dasha",
+            },
+            SchedulerState::SyncSha(_) => "sync_sha",
+            SchedulerState::AsyncHyperband(_) => "async_hyperband",
+        }
+    }
+}
+
+/// The one interface a durable store needs from a scheduler beyond
+/// [`Scheduler`] itself: its state as plain data and its samplers' cursors.
+/// A scheduler becomes durable by implementing this (plus one restore arm
+/// where the store rebuilds it from a [`SchedulerState`]).
+pub trait DurableScheduler: Scheduler + std::fmt::Debug {
+    /// The scheduler's full mutable state.
+    fn durable_state(&self) -> SchedulerState;
+
+    /// The attached samplers' name (`"random"`, `"tpe"`, ...); a scheduler
+    /// with several sampler instances uses one kind for all of them.
+    fn sampler_name(&self) -> &str;
+
+    /// Each sampler instance's serialized cursor (see
+    /// [`ConfigSampler::export_cursor`](crate::ConfigSampler::export_cursor)):
+    /// one entry for single-ladder schedulers, one per bracket for
+    /// [`AsyncHyperband`](crate::AsyncHyperband).
+    fn sampler_cursors(&self) -> Vec<Option<String>>;
+
+    /// Restore cursors produced by [`DurableScheduler::sampler_cursors`].
+    /// Extra or missing entries are ignored (an instance without a cursor
+    /// stays cold).
+    fn restore_sampler_cursors(&mut self, cursors: &[Option<String>]);
 }

@@ -54,4 +54,4 @@ pub use chaos::{
     install_quiet_panic_hook, ChaosConfig, ChaosObjective, ChaosPanic, InjectionReport,
 };
 pub use objective::{Evaluation, FnObjective, JobCtx, JobDropped, Objective};
-pub use tuner::{ExecConfig, ExecConfigBuilder, ExecResult, FaultPolicy, ParallelTuner};
+pub use tuner::{ExecConfig, ExecResult, FaultPolicy, ParallelTuner};

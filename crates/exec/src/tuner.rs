@@ -126,69 +126,29 @@ impl ExecConfig {
         self
     }
 
-    /// A validating builder: [`ExecConfigBuilder::build`] returns a typed
-    /// [`asha_core::Error`] (kind `Config`) instead of panicking.
-    /// Defaults match [`ExecConfig::new`]`(1)`.
-    pub fn builder() -> ExecConfigBuilder {
-        ExecConfigBuilder {
-            config: ExecConfig::new(1),
-        }
-    }
-}
-
-/// Builder for [`ExecConfig`]; see [`ExecConfig::builder`].
-///
-/// ```
-/// use asha_exec::ExecConfig;
-///
-/// let config = ExecConfig::builder().workers(8).max_jobs(500).build().unwrap();
-/// assert_eq!(config.workers, 8);
-/// assert!(ExecConfig::builder().workers(0).build().is_err());
-/// ```
-#[derive(Debug, Clone)]
-pub struct ExecConfigBuilder {
-    config: ExecConfig,
-}
-
-impl ExecConfigBuilder {
-    /// Number of worker threads (must end up > 0).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
-        self
-    }
-
-    /// Stop after this many completed jobs (must end up > 0).
-    pub fn max_jobs(mut self, max_jobs: usize) -> Self {
-        self.config.max_jobs = max_jobs;
-        self
-    }
-
-    /// Stop after the given wall-clock duration.
-    pub fn wall_limit(mut self, limit: Duration) -> Self {
-        self.config.wall_limit = Some(limit);
-        self
-    }
-
-    /// Timeout/retry/panic handling.
-    pub fn fault_policy(mut self, faults: FaultPolicy) -> Self {
-        self.config.faults = faults;
-        self
-    }
-
-    /// Validate and produce the config.
-    pub fn build(self) -> Result<ExecConfig, asha_core::Error> {
-        if self.config.workers == 0 {
+    /// Check every field: `workers > 0`, `max_jobs > 0`, and a positive
+    /// wall limit if one is set. Returns a typed [`asha_core::Error`] (kind
+    /// `Config`) instead of panicking like [`ExecConfig::new`].
+    ///
+    /// ```
+    /// use asha_exec::ExecConfig;
+    ///
+    /// let mut config = ExecConfig::new(8).with_max_jobs(500);
+    /// assert!(config.validate().is_ok());
+    /// config.workers = 0;
+    /// assert!(config.validate().is_err());
+    /// ```
+    pub fn validate(&self) -> Result<(), asha_core::Error> {
+        if self.workers == 0 {
             return Err(asha_core::Error::config("need at least one worker thread"));
         }
-        if self.config.max_jobs == 0 {
+        if self.max_jobs == 0 {
             return Err(asha_core::Error::config("max_jobs must be positive"));
         }
-        if let Some(limit) = self.config.wall_limit {
-            if limit.is_zero() {
-                return Err(asha_core::Error::config("wall limit must be positive"));
-            }
+        if self.wall_limit.is_some_and(|limit| limit.is_zero()) {
+            return Err(asha_core::Error::config("wall limit must be positive"));
         }
-        Ok(self.config)
+        Ok(())
     }
 }
 

@@ -21,9 +21,6 @@
 //! * [`RunReport`] — replays an event stream into a per-rung promotion
 //!   table, latency quantiles, and a worker-utilization timeline, as text
 //!   or JSON (consumed by the `run_report` binary in `asha-bench`).
-//! * [`LogTail`] — follows a live JSONL log across appends, torn tails,
-//!   and crash-recovery rewrites (the service layer's streaming
-//!   subscriptions are built on it).
 //!
 //! # Example
 //!
@@ -62,7 +59,6 @@ mod metrics;
 mod recorder;
 mod report;
 pub mod shared;
-mod tail;
 mod writer;
 
 pub use crate::log::{
@@ -72,7 +68,6 @@ pub use crate::metrics::{Counter, DecisionCounters, Gauge, Histogram, MetricsReg
 pub use crate::recorder::RunRecorder;
 pub use crate::report::{RunReport, REPORT_SCHEMA, TIMELINE_BINS};
 pub use crate::shared::{HistogramSnapshot, SharedCounter, SharedGauge, SharedHistogram};
-pub use crate::tail::{LogTail, TailChunk};
 pub use crate::writer::{Durability, JsonlWriter};
 
 // Re-export the core vocabulary so downstream users need only this crate.

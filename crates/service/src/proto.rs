@@ -105,12 +105,14 @@ pub fn run_options_from_json(v: &JsonValue) -> Result<RunOptions, Error> {
             as usize,
         None => defaults.delta_chain,
     };
-    Ok(RunOptions {
+    let opts = RunOptions {
         sync,
         snapshot_jobs: get_u64(v, "snapshot_jobs")? as usize,
         format,
         delta_chain,
-    })
+    };
+    opts.validate()?;
+    Ok(opts)
 }
 
 // ---------------------------------------------------------------------------

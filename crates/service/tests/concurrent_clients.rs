@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use asha_core::{Asha, AshaConfig};
+use asha_core::{Asha, AshaConfig, ErrorKind};
 use asha_service::{Client, Daemon, Push, ServeOptions};
 use asha_store::{
     BenchSpec, Durability, ExperimentMeta, ExperimentStatus, RunOptions, SchedulerState,
@@ -249,5 +249,76 @@ fn unix_socket_serves_subscribers_and_pause_resume() {
     admin.shutdown().unwrap();
     daemon.wait().unwrap();
     assert!(!sock.exists(), "socket not cleaned up on shutdown");
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// A `create` frame whose config parses but cannot build a ladder or a
+/// simulator must come back as a typed `config` error — not reach a
+/// panicking constructor under the supervisor lock, which used to poison
+/// the mutex and take the housekeeper and every later `create` down.
+#[test]
+fn hostile_create_frames_get_typed_errors_and_the_daemon_keeps_serving() {
+    let root = tmp_root("hostile");
+    let mut serve = ServeOptions::new(&root);
+    serve.tcp = Some("127.0.0.1:0".to_owned());
+    let daemon = Daemon::start(serve).unwrap();
+    let addr = daemon.tcp_addr().unwrap().to_string();
+
+    // A wedged or dead worker must fail the test, not hang it.
+    let connect = || {
+        let mut client = Client::connect_tcp(&addr).unwrap();
+        client.set_call_timeout(Some(Duration::from_secs(20)));
+        client
+    };
+    let with_asha = |edit: fn(&mut AshaConfig)| {
+        let mut meta = small_meta("hostile");
+        let SchedulerState::Asha(state) = &mut meta.initial else {
+            unreachable!("small_meta builds an ASHA state");
+        };
+        edit(&mut state.config);
+        meta
+    };
+    let with_sim = |edit: fn(&mut asha_sim::SimConfig)| {
+        let mut meta = small_meta("hostile");
+        edit(&mut meta.sim);
+        meta
+    };
+    let hostile = [
+        ("eta < 2", with_asha(|c| c.reduction_factor = 1.5)),
+        ("r > R", with_asha(|c| c.min_resource = 81.0)),
+        ("s > s_max", with_asha(|c| c.stop_rate = 4)),
+        ("workers = 0", with_sim(|s| s.workers = 0)),
+        ("max_time = 0", with_sim(|s| s.max_time = 0.0)),
+        ("max_time < 0", with_sim(|s| s.max_time = -3.0)),
+        ("max_time NaN", with_sim(|s| s.max_time = f64::NAN)),
+        ("drop_prob = 2", with_sim(|s| s.drop_prob = 2.0)),
+        ("drop_prob < 0", with_sim(|s| s.drop_prob = -0.1)),
+    ];
+    let mut first = connect();
+    for (what, bad) in &hostile {
+        let err = first
+            .create(bad, opts())
+            .expect_err("a hostile create must be refused");
+        assert_eq!(err.kind(), ErrorKind::Config, "{what}: {err}");
+        // The same connection is neither wedged nor closed.
+        first.ping().unwrap_or_else(|e| panic!("{what}: ping: {e}"));
+    }
+    assert!(
+        first.list().unwrap().is_empty(),
+        "no hostile frame may leave an experiment behind"
+    );
+
+    // A second connection finds a fully working daemon: create, start and a
+    // complete subscription, which the first connection can follow too.
+    let mut second = connect();
+    second.ping().unwrap();
+    second.create(&small_meta("good"), opts()).unwrap();
+    second.start("good", opts()).unwrap();
+    let seen_by_second = drain_stream(&mut second, "good");
+    assert!(!seen_by_second.is_empty());
+    assert_eq!(drain_stream(&mut first, "good"), seen_by_second);
+
+    first.shutdown().unwrap();
+    daemon.wait().unwrap();
     std::fs::remove_dir_all(&root).ok();
 }

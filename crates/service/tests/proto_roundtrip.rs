@@ -45,7 +45,7 @@ fn dasha_tpe_meta() -> ExperimentMeta {
     ExperimentMeta {
         name: "proto-roundtrip-dasha-tpe".to_owned(),
         space,
-        initial: SchedulerState::DAsha(dasha.export_state()),
+        initial: SchedulerState::Asha(dasha.export_state()),
         sampler: Some("tpe".to_owned()),
         seed: 7,
         sim: asha_sim::SimConfig::new(4, 60.0),
@@ -141,8 +141,9 @@ fn dasha_tpe_create_round_trips_scheduler_and_sampler() {
         panic!("decoded to a different op");
     };
     assert_eq!(back.sampler.as_deref(), Some("tpe"));
-    assert!(
-        matches!(back.initial, SchedulerState::DAsha(_)),
+    assert_eq!(
+        back.initial.kind(),
+        "dasha",
         "scheduler kind lost on the wire"
     );
     // The decoded meta must rebuild into the same named scheduler the
@@ -153,7 +154,7 @@ fn dasha_tpe_create_round_trips_scheduler_and_sampler() {
         back.sampler.as_deref().unwrap(),
     )
     .unwrap();
-    assert_eq!(rebuilt.kind(), "dasha");
+    assert_eq!(rebuilt.export_state().kind(), "dasha");
     assert_eq!(rebuilt.name(), "D-ASHA+tpe");
 }
 

@@ -121,111 +121,48 @@ impl SimConfig {
         self
     }
 
-    /// A validating builder: same knobs as the struct fields, but
-    /// [`SimConfigBuilder::build`] returns a typed
-    /// [`asha_core::Error`] (kind `Config`) instead of panicking, so
-    /// configuration coming from CLIs or the service layer can be
-    /// rejected gracefully. Defaults match [`SimConfig::new`]`(1, 100.0)`.
-    pub fn builder() -> SimConfigBuilder {
-        SimConfigBuilder {
-            config: SimConfig::new(1, 100.0),
-        }
-    }
-}
-
-/// Builder for [`SimConfig`]; see [`SimConfig::builder`].
-///
-/// ```
-/// use asha_sim::SimConfig;
-///
-/// let config = SimConfig::builder()
-///     .workers(25)
-///     .max_time(400.0)
-///     .straggler_std(0.3)
-///     .drop_prob(0.05)
-///     .build()
-///     .unwrap();
-/// assert_eq!(config.workers, 25);
-/// assert!(SimConfig::builder().workers(0).build().is_err());
-/// ```
-#[derive(Debug, Clone)]
-pub struct SimConfigBuilder {
-    config: SimConfig,
-}
-
-impl SimConfigBuilder {
-    /// Number of parallel workers (must end up > 0).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
-        self
-    }
-
-    /// Simulated-time horizon (must end up > 0).
-    pub fn max_time(mut self, max_time: f64) -> Self {
-        self.config.max_time = max_time;
-        self
-    }
-
-    /// Safety cap on completed jobs.
-    pub fn max_jobs(mut self, max_jobs: usize) -> Self {
-        self.config.max_jobs = max_jobs;
-        self
-    }
-
-    /// Straggler noise standard deviation (must end up ≥ 0).
-    pub fn straggler_std(mut self, std: f64) -> Self {
-        self.config.straggler_std = std;
-        self
-    }
-
-    /// Per-time-unit job-drop probability (must end up in `[0, 1)`).
-    pub fn drop_prob(mut self, p: f64) -> Self {
-        self.config.drop_prob = p;
-        self
-    }
-
-    /// Resume policy for promoted trials.
-    pub fn resume(mut self, resume: ResumePolicy) -> Self {
-        self.config.resume = resume;
-        self
-    }
-
-    /// How much of the completion stream to record.
-    pub fn trace_mode(mut self, mode: TraceMode) -> Self {
-        self.config.trace_mode = mode;
-        self
-    }
-
-    /// Validate and produce the config.
-    pub fn build(self) -> Result<SimConfig, asha_core::Error> {
-        let c = &self.config;
-        if c.workers == 0 {
+    /// Check every field: `workers > 0`, `max_time > 0`, `max_jobs > 0`,
+    /// `straggler_std >= 0`, `drop_prob` in `[0, 1)`. Returns a typed
+    /// [`asha_core::Error`] (kind `Config`) so configuration coming from
+    /// CLIs, stored files or the service layer is rejected gracefully; the
+    /// constructors above panic on the same conditions.
+    ///
+    /// ```
+    /// use asha_sim::SimConfig;
+    ///
+    /// let mut config = SimConfig::new(25, 400.0).with_stragglers(0.3).with_drops(0.05);
+    /// assert!(config.validate().is_ok());
+    /// config.workers = 0;
+    /// assert!(config.validate().is_err());
+    /// ```
+    pub fn validate(&self) -> Result<(), asha_core::Error> {
+        if self.workers == 0 {
             return Err(asha_core::Error::config("need at least one worker"));
         }
         // NaN must fail both bounds checks, so compare for the invalid
         // range rather than negating the valid one.
-        if c.max_time.is_nan() || c.max_time <= 0.0 {
+        if self.max_time.is_nan() || self.max_time <= 0.0 {
             return Err(asha_core::Error::config(format!(
                 "horizon must be positive, got {}",
-                c.max_time
+                self.max_time
             )));
         }
-        if c.max_jobs == 0 {
+        if self.max_jobs == 0 {
             return Err(asha_core::Error::config("max_jobs must be positive"));
         }
-        if c.straggler_std.is_nan() || c.straggler_std < 0.0 {
+        if self.straggler_std.is_nan() || self.straggler_std < 0.0 {
             return Err(asha_core::Error::config(format!(
                 "straggler std must be non-negative, got {}",
-                c.straggler_std
+                self.straggler_std
             )));
         }
-        if !(0.0..1.0).contains(&c.drop_prob) {
+        if !(0.0..1.0).contains(&self.drop_prob) {
             return Err(asha_core::Error::config(format!(
                 "drop probability must be in [0, 1), got {}",
-                c.drop_prob
+                self.drop_prob
             )));
         }
-        Ok(self.config)
+        Ok(())
     }
 }
 

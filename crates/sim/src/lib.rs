@@ -46,6 +46,6 @@
 mod cluster;
 
 pub use cluster::{
-    ClusterSim, PendingJob, ResumePolicy, SimConfig, SimConfigBuilder, SimEngine, SimResult,
-    SimRunState, TraceMode, TrialSlotState,
+    ClusterSim, PendingJob, ResumePolicy, SimConfig, SimEngine, SimResult, SimRunState, TraceMode,
+    TrialSlotState,
 };

@@ -15,14 +15,17 @@
 //!   the state structs sort their collections, so the same logical state
 //!   always encodes to the same bytes.
 //!
-//! All decoders return `Err(String)` describing the first mismatch; callers
-//! wrap that into an [`ErrorKind::Corrupt`](asha_core::ErrorKind::Corrupt) error with
-//! the offending path.
+//! All decoders return an [`Error`] describing the first mismatch; callers
+//! reading files recast it as [`ErrorKind::Corrupt`](asha_core::ErrorKind::Corrupt)
+//! with the offending path. The config decoders also *validate* what they
+//! decoded (kind `Config`): the same documents arrive in `create` frames
+//! from the network, and a config that parses but cannot build a ladder
+//! would otherwise panic the constructor that meets it.
 
 use crate::error::Error;
 use asha_core::{
-    AshaConfig, AshaState, AsyncHyperbandState, BracketState, HyperbandConfig, Job, RungState,
-    ScanOrder, ShaConfig, SyncShaState, TrialId,
+    AshaConfig, AshaState, AsyncHyperbandState, BracketState, HyperbandConfig, Job, PromotionRule,
+    RungState, ScanOrder, SchedulerState, ShaConfig, SyncShaState, TrialId,
 };
 use asha_metrics::{FaultStats, JsonValue, TraceEvent};
 use asha_sim::{PendingJob, ResumePolicy, SimConfig, SimRunState, TraceMode, TrialSlotState};
@@ -276,7 +279,9 @@ fn scan_order_from(name: &str) -> Result<ScanOrder, Error> {
     }
 }
 
-/// Encode an [`AshaConfig`].
+/// Encode an [`AshaConfig`]. The promotion rule is not part of the
+/// document: it travels as the enclosing state's kind tag (see
+/// [`scheduler_state_to_json`]).
 pub fn asha_config_to_json(c: &AshaConfig) -> JsonValue {
     JsonValue::obj([
         ("min_resource", float_to_json(c.min_resource)),
@@ -298,7 +303,8 @@ pub fn asha_config_to_json(c: &AshaConfig) -> JsonValue {
     ])
 }
 
-/// Decode an [`AshaConfig`].
+/// Decode and validate an [`AshaConfig`] (eager rule; the `"dasha"` kind
+/// tag switches it).
 pub fn asha_config_from_json(v: &JsonValue) -> Result<AshaConfig, Error> {
     let mut c = AshaConfig::new(
         get_f64(v, "min_resource")?,
@@ -313,6 +319,7 @@ pub fn asha_config_from_json(v: &JsonValue) -> Result<AshaConfig, Error> {
         Some(get_usize(v, "max_trials")?)
     };
     c.scan_order = scan_order_from(get_str(v, "scan_order")?)?;
+    c.validate()?;
     Ok(c)
 }
 
@@ -328,7 +335,7 @@ pub fn sha_config_to_json(c: &ShaConfig) -> JsonValue {
     ])
 }
 
-/// Decode a [`ShaConfig`].
+/// Decode and validate a [`ShaConfig`].
 pub fn sha_config_from_json(v: &JsonValue) -> Result<ShaConfig, Error> {
     let mut c = ShaConfig::new(
         get_usize(v, "num_configs")?,
@@ -338,6 +345,7 @@ pub fn sha_config_from_json(v: &JsonValue) -> Result<ShaConfig, Error> {
     );
     c.stop_rate = get_usize(v, "stop_rate")?;
     c.grow_brackets = get_bool(v, "grow_brackets")?;
+    c.validate()?;
     Ok(c)
 }
 
@@ -351,14 +359,15 @@ pub fn hyperband_config_to_json(c: &HyperbandConfig) -> JsonValue {
     ])
 }
 
-/// Decode a [`HyperbandConfig`].
+/// Decode and validate a [`HyperbandConfig`].
 pub fn hyperband_config_from_json(v: &JsonValue) -> Result<HyperbandConfig, Error> {
-    let mut c = HyperbandConfig::new(
-        get_f64(v, "min_resource")?,
-        get_f64(v, "max_resource")?,
-        get_f64(v, "reduction_factor")?,
-    );
-    c.num_brackets = get_usize(v, "num_brackets")?;
+    let c = HyperbandConfig {
+        min_resource: get_f64(v, "min_resource")?,
+        max_resource: get_f64(v, "max_resource")?,
+        reduction_factor: get_f64(v, "reduction_factor")?,
+        num_brackets: get_usize(v, "num_brackets")?,
+    };
+    c.validate()?;
     Ok(c)
 }
 
@@ -608,6 +617,36 @@ pub fn hyperband_state_from_json(v: &JsonValue) -> Result<AsyncHyperbandState, E
     })
 }
 
+/// Encode any scheduler's state as `{"kind": ..., "state": ...}`.
+pub fn scheduler_state_to_json(s: &SchedulerState) -> JsonValue {
+    let state = match s {
+        SchedulerState::Asha(s) => asha_state_to_json(s),
+        SchedulerState::SyncSha(s) => sync_sha_state_to_json(s),
+        SchedulerState::AsyncHyperband(s) => hyperband_state_to_json(s),
+    };
+    JsonValue::obj([
+        ("kind", JsonValue::Str(s.kind().to_owned())),
+        ("state", state),
+    ])
+}
+
+/// Decode a state written by [`scheduler_state_to_json`]. The `"dasha"`
+/// kind is an ASHA state under the delayed promotion rule.
+pub fn scheduler_state_from_json(v: &JsonValue) -> Result<SchedulerState, Error> {
+    let state = get(v, "state")?;
+    Ok(match get_str(v, "kind")? {
+        "asha" => SchedulerState::Asha(asha_state_from_json(state)?),
+        "dasha" => {
+            let mut s = asha_state_from_json(state)?;
+            s.config.rule = PromotionRule::Delayed;
+            SchedulerState::Asha(s)
+        }
+        "sync_sha" => SchedulerState::SyncSha(sync_sha_state_from_json(state)?),
+        "async_hyperband" => SchedulerState::AsyncHyperband(hyperband_state_from_json(state)?),
+        other => return Err(Error::codec(format!("unknown scheduler kind {other:?}"))),
+    })
+}
+
 // ---------------------------------------------------------------------------
 // Simulator state
 // ---------------------------------------------------------------------------
@@ -744,23 +783,29 @@ pub fn sim_config_to_json(c: &SimConfig) -> JsonValue {
     ])
 }
 
-/// Decode a [`SimConfig`].
+/// Decode and validate a [`SimConfig`].
 pub fn sim_config_from_json(v: &JsonValue) -> Result<SimConfig, Error> {
-    let mut c = SimConfig::new(get_usize(v, "workers")?, get_f64(v, "max_time")?);
-    c.max_jobs = get_usize(v, "max_jobs")?;
-    c.straggler_std = get_f64(v, "straggler_std")?;
-    c.drop_prob = get_f64(v, "drop_prob")?;
-    c.resume = match get_str(v, "resume")? {
-        "checkpoint" => ResumePolicy::Checkpoint,
-        "from_scratch" => ResumePolicy::FromScratch,
-        other => return Err(Error::codec(format!("unknown resume policy {other:?}"))),
+    // A struct literal, not `SimConfig::new`: the constructor panics on
+    // exactly the values `validate` is here to reject.
+    let c = SimConfig {
+        workers: get_usize(v, "workers")?,
+        max_time: get_f64(v, "max_time")?,
+        max_jobs: get_usize(v, "max_jobs")?,
+        straggler_std: get_f64(v, "straggler_std")?,
+        drop_prob: get_f64(v, "drop_prob")?,
+        resume: match get_str(v, "resume")? {
+            "checkpoint" => ResumePolicy::Checkpoint,
+            "from_scratch" => ResumePolicy::FromScratch,
+            other => return Err(Error::codec(format!("unknown resume policy {other:?}"))),
+        },
+        trace_mode: match get_str(v, "trace_mode")? {
+            "full" => TraceMode::Full,
+            "incumbent_only" => TraceMode::IncumbentOnly,
+            "aggregated" => TraceMode::Aggregated,
+            other => return Err(Error::codec(format!("unknown trace mode {other:?}"))),
+        },
     };
-    c.trace_mode = match get_str(v, "trace_mode")? {
-        "full" => TraceMode::Full,
-        "incumbent_only" => TraceMode::IncumbentOnly,
-        "aggregated" => TraceMode::Aggregated,
-        other => return Err(Error::codec(format!("unknown trace mode {other:?}"))),
-    };
+    c.validate()?;
     Ok(c)
 }
 

@@ -23,7 +23,7 @@
 use std::path::{Path, PathBuf};
 
 use asha_core::telemetry::{Event, EventKind, IdleKind, Recorder};
-use asha_core::{Decision, Durability, Observation, Scheduler, TrialId};
+use asha_core::{Decision, Durability, Observation, Scheduler, SchedulerState, TrialId};
 use asha_metrics::JsonValue;
 use asha_sim::{SimConfig, SimEngine, SimResult};
 use asha_space::SearchSpace;
@@ -35,7 +35,7 @@ use crate::codec;
 use crate::delta;
 use crate::error::{Error, StoreError};
 use crate::format::{EncodeBuf, StoreFormat};
-use crate::snapshot::{self, DeltaDoc, SchedulerState, Snapshot, StoredScheduler};
+use crate::snapshot::{self, DeltaDoc, Snapshot, StoredScheduler};
 use crate::wal::{read_wal, MarkerRef, SnapMarker, StoreEvent, WalContents, WalRecord, WalWriter};
 
 /// Schema tag written into every `meta.json`.
@@ -110,7 +110,7 @@ impl ExperimentMeta {
             ("schema", JsonValue::Str(META_SCHEMA.to_owned())),
             ("name", JsonValue::Str(self.name.clone())),
             ("space", codec::space_to_json(&self.space)),
-            ("scheduler", self.initial.to_json()),
+            ("scheduler", codec::scheduler_state_to_json(&self.initial)),
         ];
         if let Some(kind) = &self.sampler {
             fields.push(("sampler", JsonValue::Str(kind.clone())));
@@ -146,7 +146,7 @@ impl ExperimentMeta {
                 .ok_or("meta missing name")?
                 .to_owned(),
             space: codec::space_from_json(v.get("space").ok_or("meta missing space")?)?,
-            initial: SchedulerState::from_json(
+            initial: codec::scheduler_state_from_json(
                 v.get("scheduler").ok_or("meta missing scheduler")?,
             )?,
             sampler: v.get("sampler").and_then(|s| s.as_str()).map(str::to_owned),
@@ -288,73 +288,23 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// A validating builder: [`RunOptionsBuilder::build`] returns a typed
-    /// [`asha_core::Error`] (kind `Config`) instead of panicking. Defaults
-    /// match [`RunOptions::default`].
-    pub fn builder() -> RunOptionsBuilder {
-        RunOptionsBuilder {
-            opts: RunOptions::default(),
-        }
-    }
-}
-
-/// Builder for [`RunOptions`]; see [`RunOptions::builder`].
-///
-/// ```
-/// use asha_store::{Durability, RunOptions, StoreFormat};
-///
-/// let opts = RunOptions::builder()
-///     .sync(Durability::Sync)
-///     .snapshot_jobs(50)
-///     .format(StoreFormat::JsonlV1)
-///     .delta_chain(0)
-///     .build()
-///     .unwrap();
-/// assert_eq!(opts.snapshot_jobs, 50);
-/// assert!(RunOptions::builder().snapshot_jobs(0).build().is_err());
-/// ```
-#[derive(Debug, Clone)]
-pub struct RunOptionsBuilder {
-    opts: RunOptions,
-}
-
-impl RunOptionsBuilder {
-    /// WAL fsync cadence.
-    pub fn sync(mut self, sync: Durability) -> Self {
-        self.opts.sync = sync;
-        self
-    }
-
-    /// Take a checkpoint every `snapshot_jobs` completed jobs (must end up
-    /// > 0).
-    pub fn snapshot_jobs(mut self, snapshot_jobs: usize) -> Self {
-        self.opts.snapshot_jobs = snapshot_jobs;
-        self
-    }
-
-    /// On-disk dialect for newly created files.
-    pub fn format(mut self, format: StoreFormat) -> Self {
-        self.opts.format = format;
-        self
-    }
-
-    /// Maximum delta snapshots between full snapshots (0 = always full).
-    pub fn delta_chain(mut self, delta_chain: usize) -> Self {
-        self.opts.delta_chain = delta_chain;
-        self
-    }
-
-    /// Validate and produce the options.
-    pub fn build(self) -> Result<RunOptions, asha_core::Error> {
-        if self.opts.snapshot_jobs == 0 {
+    /// Check the knobs: `snapshot_jobs > 0` and a valid [`Durability`].
+    /// Returns a typed [`asha_core::Error`] (kind `Config`); decoders of
+    /// untrusted input call this.
+    ///
+    /// ```
+    /// use asha_store::{Durability, RunOptions};
+    ///
+    /// let mut opts = RunOptions { sync: Durability::Sync, snapshot_jobs: 50, ..RunOptions::default() };
+    /// assert!(opts.validate().is_ok());
+    /// opts.snapshot_jobs = 0;
+    /// assert!(opts.validate().is_err());
+    /// ```
+    pub fn validate(&self) -> Result<(), asha_core::Error> {
+        if self.snapshot_jobs == 0 {
             return Err(asha_core::Error::config("snapshot_jobs must be positive"));
         }
-        if let Durability::EveryN(0) = self.opts.sync {
-            return Err(asha_core::Error::config(
-                "sync EveryN cadence must be positive",
-            ));
-        }
-        Ok(self.opts)
+        self.sync.validate()
     }
 }
 

@@ -108,22 +108,20 @@ pub use crate::commit::{CommitHandle, CommitPipeline};
 pub use crate::error::{Error, ErrorKind, StoreError};
 pub use crate::experiment::{
     read_meta, replay_scheduler, write_meta, BenchSpec, DurableRun, ExperimentMeta, RunOptions,
-    RunOptionsBuilder, WalRecorder, META_FILE, META_SCHEMA, WAL_FILE,
+    WalRecorder, META_FILE, META_SCHEMA, WAL_FILE,
 };
 pub use crate::format::{DecodeStep, EncodeBuf, SnapshotCodec, StoreFormat, WalCodec};
 pub use crate::metrics::StoreMetrics;
 pub use crate::snapshot::{
     delta_file_name, list_snapshots, load_latest, make_sampler, read_document, write_document,
-    DeltaDoc, SamplerSpec, SchedulerState, Snapshot, StoredScheduler, DELTA_SCHEMA,
-    SNAPSHOT_SCHEMA,
+    DeltaDoc, SamplerSpec, Snapshot, StoredScheduler, DELTA_SCHEMA, SNAPSHOT_SCHEMA,
 };
 pub use crate::supervisor::{
     read_manifest, ExperimentStatus, ExperimentSupervisor, ManifestEntry, StatusListener,
     MANIFEST_FILE, MANIFEST_SCHEMA,
 };
 pub use crate::tail::{WalChunk, WalTail};
-#[allow(deprecated)]
-pub use crate::wal::SyncPolicy;
 pub use crate::wal::{
     read_wal, Durability, MarkerRef, SnapMarker, StoreEvent, WalContents, WalRecord, WalWriter,
 };
+pub use asha_core::SchedulerState;

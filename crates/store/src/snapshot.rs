@@ -19,7 +19,8 @@ use std::path::{Path, PathBuf};
 
 use asha_baselines::{GpSampler, GpSamplerConfig, TpeConfig, TpeSampler};
 use asha_core::{
-    Asha, AsyncHyperband, ConfigSampler, DAsha, Decision, Observation, Scheduler, SyncSha,
+    Asha, AsyncHyperband, ConfigSampler, Decision, DurableScheduler, Observation, Scheduler,
+    SchedulerState, SyncSha,
 };
 use asha_metrics::JsonValue;
 use asha_sim::SimRunState;
@@ -35,71 +36,12 @@ pub const SNAPSHOT_SCHEMA: &str = "asha-store-snapshot-v1";
 /// Schema tag written into every delta-snapshot file.
 pub const DELTA_SCHEMA: &str = "asha-store-delta-v1";
 
-/// Exported state of any supported scheduler, tagged by kind.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SchedulerState {
-    /// An [`Asha`] scheduler.
-    Asha(asha_core::AshaState),
-    /// A [`DAsha`] scheduler (delayed promotion; same state shape as ASHA —
-    /// the promotion rule is re-established by the kind tag on restore).
-    DAsha(asha_core::AshaState),
-    /// A [`SyncSha`] scheduler.
-    SyncSha(asha_core::SyncShaState),
-    /// An [`AsyncHyperband`] scheduler.
-    AsyncHyperband(asha_core::AsyncHyperbandState),
-}
-
-impl SchedulerState {
-    /// Stable kind tag used in snapshot files and experiment metadata.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            SchedulerState::Asha(_) => "asha",
-            SchedulerState::DAsha(_) => "dasha",
-            SchedulerState::SyncSha(_) => "sync_sha",
-            SchedulerState::AsyncHyperband(_) => "async_hyperband",
-        }
-    }
-
-    /// Encode as tagged JSON.
-    pub fn to_json(&self) -> JsonValue {
-        let state = match self {
-            SchedulerState::Asha(s) | SchedulerState::DAsha(s) => codec::asha_state_to_json(s),
-            SchedulerState::SyncSha(s) => codec::sync_sha_state_to_json(s),
-            SchedulerState::AsyncHyperband(s) => codec::hyperband_state_to_json(s),
-        };
-        JsonValue::obj([
-            ("kind", JsonValue::Str(self.kind().to_owned())),
-            ("state", state),
-        ])
-    }
-
-    /// Decode from tagged JSON written by [`SchedulerState::to_json`].
-    pub fn from_json(v: &JsonValue) -> Result<Self, Error> {
-        let kind = v
-            .get("kind")
-            .and_then(|k| k.as_str())
-            .ok_or("scheduler state missing kind")?;
-        let state = v.get("state").ok_or("scheduler state missing state")?;
-        match kind {
-            "asha" => Ok(SchedulerState::Asha(codec::asha_state_from_json(state)?)),
-            "dasha" => Ok(SchedulerState::DAsha(codec::asha_state_from_json(state)?)),
-            "sync_sha" => Ok(SchedulerState::SyncSha(codec::sync_sha_state_from_json(
-                state,
-            )?)),
-            "async_hyperband" => Ok(SchedulerState::AsyncHyperband(
-                codec::hyperband_state_from_json(state)?,
-            )),
-            other => Err(Error::codec(format!("unknown scheduler kind {other:?}"))),
-        }
-    }
-}
-
 /// The sampling-plane half of a snapshot: which [`ConfigSampler`] kind the
 /// scheduler runs and each sampler instance's serialized model cursor.
 ///
 /// `cursors` holds one entry per sampler instance — a single element for
-/// `Asha`/`DAsha`/`SyncSha`, one per bracket for `AsyncHyperband`. A `None`
-/// entry means that instance keeps no cursor (stateless sampler).
+/// `Asha`/`SyncSha`, one per bracket for `AsyncHyperband`. A `None` entry
+/// means that instance keeps no cursor (stateless sampler).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SamplerSpec {
     /// Sampler kind tag: `"tpe"` or `"gp"` (the random sampler is encoded
@@ -163,46 +105,32 @@ pub fn make_sampler(kind: &str, space: &SearchSpace) -> Result<Box<dyn ConfigSam
     })
 }
 
-/// A scheduler of any supported kind, restorable from a [`SchedulerState`].
+/// A scheduler of any durable kind, restorable from a [`SchedulerState`].
 ///
 /// The store cannot be generic over the scheduler type (the kind is data,
-/// read from a file), so this enum dispatches the [`Scheduler`] trait over
-/// the durable kinds.
+/// read from a file), so it holds the scheduler behind
+/// [`DurableScheduler`]; the one place that still names the concrete
+/// types is the restore in [`StoredScheduler::from_state_with_sampler`].
 #[derive(Debug)]
-pub enum StoredScheduler {
-    /// Algorithm 2 (ASHA).
-    Asha(Asha),
-    /// ASHA with Hyper-Tune's delayed promotion rule.
-    DAsha(DAsha),
-    /// Algorithm 1 (synchronous SHA).
-    SyncSha(SyncSha),
-    /// Asynchronous Hyperband (looping ASHA brackets).
-    AsyncHyperband(AsyncHyperband),
-}
+pub struct StoredScheduler(Box<dyn DurableScheduler>);
 
 impl StoredScheduler {
+    /// Wrap a live scheduler.
+    pub fn new(scheduler: impl DurableScheduler + 'static) -> Self {
+        StoredScheduler(Box::new(scheduler))
+    }
+
     /// Export the wrapped scheduler's full state.
     pub fn export_state(&self) -> SchedulerState {
-        match self {
-            StoredScheduler::Asha(s) => SchedulerState::Asha(s.export_state()),
-            StoredScheduler::DAsha(s) => SchedulerState::DAsha(s.export_state()),
-            StoredScheduler::SyncSha(s) => SchedulerState::SyncSha(s.export_state()),
-            StoredScheduler::AsyncHyperband(s) => SchedulerState::AsyncHyperband(s.export_state()),
-        }
+        self.0.durable_state()
     }
 
     /// Rebuild a scheduler from an exported state, with uniform random
     /// sampling (see [`StoredScheduler::from_state_with_sampler`] for
     /// model-based samplers).
     pub fn from_state(space: SearchSpace, state: SchedulerState) -> Self {
-        match state {
-            SchedulerState::Asha(s) => StoredScheduler::Asha(Asha::from_state(space, s)),
-            SchedulerState::DAsha(s) => StoredScheduler::DAsha(DAsha::from_state(space, s)),
-            SchedulerState::SyncSha(s) => StoredScheduler::SyncSha(SyncSha::from_state(space, s)),
-            SchedulerState::AsyncHyperband(s) => {
-                StoredScheduler::AsyncHyperband(AsyncHyperband::from_state(space, s))
-            }
-        }
+        StoredScheduler::from_state_with_sampler(space, state, "random")
+            .expect("the random sampler is always known")
     }
 
     /// Rebuild a scheduler from an exported state with a fresh sampler of
@@ -216,65 +144,39 @@ impl StoredScheduler {
         state: SchedulerState,
         sampler_kind: &str,
     ) -> Result<Self, Error> {
-        if sampler_kind == "random" {
-            return Ok(StoredScheduler::from_state(space, state));
-        }
-        // Validate the kind up front so the hyperband factory below (which
-        // must be infallible) cannot hit an unknown name.
-        make_sampler(sampler_kind, &space)?;
+        // Built (and so validated) up front: the hyperband factory below
+        // must be infallible.
+        let sampler = make_sampler(sampler_kind, &space)?;
         Ok(match state {
             SchedulerState::Asha(s) => {
-                let sampler = make_sampler(sampler_kind, &space)?;
-                StoredScheduler::Asha(Asha::from_state_with_sampler(space, s, sampler))
-            }
-            SchedulerState::DAsha(s) => {
-                let sampler = make_sampler(sampler_kind, &space)?;
-                StoredScheduler::DAsha(DAsha::from_state_with_sampler(space, s, sampler))
+                StoredScheduler::new(Asha::from_state_with_sampler(space, s, sampler))
             }
             SchedulerState::SyncSha(s) => {
-                let sampler = make_sampler(sampler_kind, &space)?;
-                StoredScheduler::SyncSha(SyncSha::from_state_with_sampler(space, s, sampler))
+                StoredScheduler::new(SyncSha::from_state_with_sampler(space, s, sampler))
             }
             SchedulerState::AsyncHyperband(s) => {
-                let kind = sampler_kind.to_owned();
                 let factory_space = space.clone();
-                StoredScheduler::AsyncHyperband(AsyncHyperband::from_state_with_sampler_factory(
+                StoredScheduler::new(AsyncHyperband::from_state_with_sampler_factory(
                     space,
                     s,
                     move |_| {
-                        make_sampler(&kind, &factory_space).expect("sampler kind validated above")
+                        make_sampler(sampler_kind, &factory_space)
+                            .expect("sampler kind validated above")
                     },
                 ))
             }
         })
     }
 
-    /// The attached sampler's kind tag (`"random"` for the default).
-    pub fn sampler_kind(&self) -> &str {
-        match self {
-            StoredScheduler::Asha(s) => s.sampler_name(),
-            StoredScheduler::DAsha(s) => s.sampler_name(),
-            StoredScheduler::SyncSha(s) => s.sampler_name(),
-            StoredScheduler::AsyncHyperband(s) => s.sampler_name(),
-        }
-    }
-
     /// Export the sampling plane's state for a snapshot. `None` for the
     /// random sampler (nothing to persist — and random-run snapshot bytes
     /// stay identical to earlier store versions).
     pub fn export_sampler_spec(&self) -> Option<SamplerSpec> {
-        let kind = self.sampler_kind();
-        if kind == "random" {
-            return None;
-        }
-        let kind = kind.to_owned();
-        let cursors = match self {
-            StoredScheduler::Asha(s) => vec![s.export_sampler_cursor()],
-            StoredScheduler::DAsha(s) => vec![s.export_sampler_cursor()],
-            StoredScheduler::SyncSha(s) => vec![s.export_sampler_cursor()],
-            StoredScheduler::AsyncHyperband(s) => s.export_sampler_cursors(),
-        };
-        Some(SamplerSpec { kind, cursors })
+        let kind = self.0.sampler_name();
+        (kind != "random").then(|| SamplerSpec {
+            kind: kind.to_owned(),
+            cursors: self.0.sampler_cursors(),
+        })
     }
 
     /// Restore the sampling plane from a snapshot's [`SamplerSpec`]:
@@ -282,72 +184,25 @@ impl StoredScheduler {
     /// malformed cursor leaves the affected sampler cold (samplers reject
     /// foreign cursors atomically) rather than failing recovery.
     pub fn restore_sampler_spec(&mut self, spec: &SamplerSpec) {
-        match self {
-            StoredScheduler::Asha(s) => {
-                if let Some(Some(cursor)) = spec.cursors.first() {
-                    s.restore_sampler_cursor(cursor);
-                }
-            }
-            StoredScheduler::DAsha(s) => {
-                if let Some(Some(cursor)) = spec.cursors.first() {
-                    s.restore_sampler_cursor(cursor);
-                }
-            }
-            StoredScheduler::SyncSha(s) => {
-                if let Some(Some(cursor)) = spec.cursors.first() {
-                    s.restore_sampler_cursor(cursor);
-                }
-            }
-            StoredScheduler::AsyncHyperband(s) => s.restore_sampler_cursors(&spec.cursors),
-        }
-    }
-
-    /// Stable kind tag (matches [`SchedulerState::kind`]).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            StoredScheduler::Asha(_) => "asha",
-            StoredScheduler::DAsha(_) => "dasha",
-            StoredScheduler::SyncSha(_) => "sync_sha",
-            StoredScheduler::AsyncHyperband(_) => "async_hyperband",
-        }
+        self.0.restore_sampler_cursors(&spec.cursors);
     }
 }
 
 impl Scheduler for StoredScheduler {
     fn suggest(&mut self, rng: &mut dyn rand::RngCore) -> Decision {
-        match self {
-            StoredScheduler::Asha(s) => s.suggest(rng),
-            StoredScheduler::DAsha(s) => s.suggest(rng),
-            StoredScheduler::SyncSha(s) => s.suggest(rng),
-            StoredScheduler::AsyncHyperband(s) => s.suggest(rng),
-        }
+        self.0.suggest(rng)
     }
 
     fn observe(&mut self, obs: Observation) {
-        match self {
-            StoredScheduler::Asha(s) => s.observe(obs),
-            StoredScheduler::DAsha(s) => s.observe(obs),
-            StoredScheduler::SyncSha(s) => s.observe(obs),
-            StoredScheduler::AsyncHyperband(s) => s.observe(obs),
-        }
+        self.0.observe(obs)
     }
 
     fn name(&self) -> &str {
-        match self {
-            StoredScheduler::Asha(s) => s.name(),
-            StoredScheduler::DAsha(s) => s.name(),
-            StoredScheduler::SyncSha(s) => s.name(),
-            StoredScheduler::AsyncHyperband(s) => s.name(),
-        }
+        self.0.name()
     }
 
     fn wait_is_stable(&self) -> bool {
-        match self {
-            StoredScheduler::Asha(s) => s.wait_is_stable(),
-            StoredScheduler::DAsha(s) => s.wait_is_stable(),
-            StoredScheduler::SyncSha(s) => s.wait_is_stable(),
-            StoredScheduler::AsyncHyperband(s) => s.wait_is_stable(),
-        }
+        self.0.wait_is_stable()
     }
 }
 
@@ -394,7 +249,7 @@ impl Snapshot {
             ("schema", JsonValue::Str(SNAPSHOT_SCHEMA.to_owned())),
             ("seq", JsonValue::Int(self.seq)),
             ("events", JsonValue::Int(self.events)),
-            ("scheduler", self.scheduler.to_json()),
+            ("scheduler", codec::scheduler_state_to_json(&self.scheduler)),
         ];
         if let Some(spec) = &self.sampler {
             fields.push(("sampler", spec.to_json()));
@@ -438,7 +293,7 @@ impl Snapshot {
                 .get("events")
                 .and_then(|s| s.as_u64())
                 .ok_or("snapshot missing events")?,
-            scheduler: SchedulerState::from_json(
+            scheduler: codec::scheduler_state_from_json(
                 v.get("scheduler").ok_or("snapshot missing scheduler")?,
             )?,
             sampler: match v.get("sampler") {

@@ -9,8 +9,7 @@
 //! a tail pointed at a path before the writer creates the file follows
 //! whichever dialect eventually appears.
 //!
-//! Three realities of live WALs shape the API, mirrored from the obs
-//! crate's line-oriented `LogTail`:
+//! Three realities of live WALs shape the API:
 //!
 //! * **Torn tails.** The writer may be mid-append when we poll. A record
 //!   never yields until it is complete — its trailing newline (`jsonl-v1`)
@@ -58,9 +57,9 @@ pub struct WalChunk {
 pub struct WalTail {
     path: PathBuf,
     /// Byte offset of the first byte not yet consumed as a complete
-    /// record. Bytes held in `partial` count as consumed here (exactly
-    /// like the obs `LogTail`), so a bounded follower given this offset
-    /// re-reads and re-holds the same pending fragment.
+    /// record. Bytes held in `partial` count as consumed here, so a
+    /// bounded follower given this offset re-reads and re-holds the same
+    /// pending fragment.
     offset: u64,
     /// Bytes read past the last complete record, pending completion.
     partial: Vec<u8>,

@@ -34,10 +34,6 @@ use crate::commit::CommitHandle;
 use crate::error::StoreError;
 use crate::format::{DecodeStep, EncodeBuf, StoreFormat, WalCodec};
 
-/// Old name of [`Durability`], kept for one release.
-#[deprecated(note = "renamed to `Durability` (now shared with `asha-obs`)")]
-pub type SyncPolicy = Durability;
-
 /// An experiment-lifecycle record (everything that is neither telemetry
 /// nor a snapshot marker).
 #[derive(Debug, Clone, PartialEq)]

@@ -59,7 +59,7 @@ fn tpe_meta(name: &str, seed: u64, delayed: bool) -> ExperimentMeta {
     let space = bench.space().clone();
     let config = AshaConfig::new(1.0, 27.0, 3.0);
     let initial = if delayed {
-        SchedulerState::DAsha(dasha_tpe(space.clone(), config).export_state())
+        SchedulerState::Asha(dasha_tpe(space.clone(), config).export_state())
     } else {
         SchedulerState::Asha(bohb_asha(space.clone(), config).export_state())
     };
@@ -289,7 +289,7 @@ fn wal_suffix_replay_reconstructs_scheduler_decisions() {
     };
     let bench = spec.build().unwrap();
     let space = bench.space().clone();
-    let mut live = StoredScheduler::Asha(Asha::new(space.clone(), AshaConfig::new(1.0, 27.0, 3.0)));
+    let mut live = StoredScheduler::new(Asha::new(space.clone(), AshaConfig::new(1.0, 27.0, 3.0)));
     let mut rng = StdRng::seed_from_u64(99);
     let mut pending: VecDeque<asha_core::Job> = VecDeque::new();
     let mut records = Vec::new();
@@ -370,7 +370,7 @@ fn replay_detects_log_state_mismatch() {
     let bench = spec.build().unwrap();
     let space = bench.space().clone();
     let mut scheduler =
-        StoredScheduler::Asha(Asha::new(space.clone(), AshaConfig::new(1.0, 27.0, 3.0)));
+        StoredScheduler::new(Asha::new(space.clone(), AshaConfig::new(1.0, 27.0, 3.0)));
     let mut rng = StdRng::seed_from_u64(5);
     let d = scheduler.suggest(&mut rng);
     let trial = match &d {
@@ -390,7 +390,7 @@ fn replay_detects_log_state_mismatch() {
             resource: 1.0,
         },
     })];
-    let mut fresh = StoredScheduler::Asha(Asha::new(space, AshaConfig::new(1.0, 27.0, 3.0)));
+    let mut fresh = StoredScheduler::new(Asha::new(space, AshaConfig::new(1.0, 27.0, 3.0)));
     let mut rng2 = StdRng::seed_from_u64(5);
     let err = replay_scheduler(&mut fresh, &mut rng2, &bogus, 0).unwrap_err();
     assert!(err.to_string().contains("mismatch"), "got: {err}");

@@ -18,9 +18,9 @@ use asha_sim::{SimConfig, SimResult};
 use asha_store::binary::json_eq;
 use asha_store::delta::{apply, diff, is_unchanged};
 use asha_store::{
-    delta_file_name, read_meta, read_wal, BenchSpec, DecodeStep, Durability, DurableRun, EncodeBuf,
-    ExperimentMeta, RunOptions, SchedulerState, SnapMarker, Snapshot, StoreEvent, StoreFormat,
-    WalRecord, WAL_FILE,
+    delta_file_name, read_document, read_meta, read_wal, BenchSpec, DecodeStep, DeltaDoc,
+    Durability, DurableRun, EncodeBuf, ExperimentMeta, RunOptions, SchedulerState, SnapMarker,
+    Snapshot, StoreEvent, StoreFormat, WalRecord, WAL_FILE,
 };
 use asha_surrogate::BenchmarkModel;
 use proptest::prelude::*;
@@ -203,28 +203,65 @@ fn binary_delta_chain_atop_v1_full_snapshot_recovers() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// The committed pre-redesign fixture — a `jsonl-v1` store generated
-/// before the codec API existed and killed at 100 jobs — must open under
-/// today's defaults and resume to the same result as a fresh run of its
-/// own metadata. This is the backward-compatibility contract in file form:
-/// if this test fails, an on-disk format change broke real stores.
-#[test]
-fn pre_redesign_fixture_opens_and_resumes() {
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))
+/// A committed fixture store must open under today's defaults, report the
+/// scheduler kind it was written with, resume to the same result as a
+/// fresh run of its own metadata, and re-encode — metadata and every
+/// checkpoint — to exactly the committed bytes. This is the
+/// backward-compatibility contract in file form: if it fails, an on-disk
+/// format change broke real stores (or made new ones unreadable by old
+/// code).
+fn fixture_opens_resumes_and_reencodes(fixture: &str, kind: &str) {
+    let fixture_dir = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("fixtures")
-        .join("v1-demo-store");
-    let root = tmpdir("fixture");
+        .join(fixture);
+    let root = tmpdir(fixture);
     let dir = root.join("exp");
     std::fs::create_dir_all(&dir).unwrap();
-    for entry in std::fs::read_dir(&fixture).unwrap() {
+    for entry in std::fs::read_dir(&fixture_dir).unwrap() {
         let entry = entry.unwrap();
         std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
     }
 
     let meta = read_meta(&dir).expect("fixture metadata parses");
-    let reference = uninterrupted(&meta, &root.join("ref"), RunOptions::default());
+    assert_eq!(meta.initial.kind(), kind);
+    assert_eq!(
+        meta.to_json().render().into_bytes(),
+        std::fs::read(dir.join("meta.json")).unwrap(),
+        "meta.json must re-encode byte-identically"
+    );
+    let mut checkpoints = files_with_ext(&dir, "bin");
+    checkpoints.extend(files_with_ext(&dir, "json"));
+    checkpoints.retain(|p| p.file_name().unwrap() != "meta.json");
+    let mut full_snapshots = 0;
+    for path in &checkpoints {
+        let doc = read_document(path).unwrap();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let reencoded = if name.starts_with("snap-") {
+            let snap = Snapshot::from_json(&doc).unwrap();
+            assert_eq!(snap.scheduler.kind(), kind, "{name}");
+            full_snapshots += 1;
+            snap.to_json()
+        } else {
+            DeltaDoc::from_json(&doc).unwrap().to_json()
+        };
+        let format = match path.extension().unwrap().to_str().unwrap() {
+            "bin" => StoreFormat::BinaryV2,
+            _ => StoreFormat::JsonlV1,
+        };
+        let mut bytes = Vec::new();
+        format
+            .snapshot_codec()
+            .encode_document(&reencoded, &mut bytes);
+        assert_eq!(
+            bytes,
+            std::fs::read(path).unwrap(),
+            "{name} must re-encode byte-identically"
+        );
+    }
+    assert!(full_snapshots > 0, "fixture must hold a full snapshot");
 
+    let reference = uninterrupted(&meta, &root.join("ref"), RunOptions::default());
     let bench = meta.bench.build().unwrap();
     let resumed = DurableRun::resume(&dir, &meta, &bench, RunOptions::default()).unwrap();
     assert!(
@@ -234,6 +271,23 @@ fn pre_redesign_fixture_opens_and_resumes() {
     let result = resumed.run_to_completion().unwrap();
     assert_results_identical(&reference, &result);
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// The pre-redesign fixture: a `jsonl-v1` ASHA store generated before the
+/// codec API existed and killed at 100 jobs.
+#[test]
+fn pre_redesign_fixture_opens_and_resumes() {
+    fixture_opens_resumes_and_reencodes("v1-demo-store", "asha");
+}
+
+/// A `binary-v2` D-ASHA+TPE store written while D-ASHA was still its own
+/// scheduler type and killed at 100 jobs, one delta past its full snapshot:
+/// the `"dasha"` kind tag, the rule-less config document and the TPE cursor
+/// must all keep their meaning (the resume patches the delta — which holds
+/// the scheduler state and the cursor — onto the base).
+#[test]
+fn dasha_tpe_fixture_opens_and_resumes() {
+    fixture_opens_resumes_and_reencodes("dasha-tpe-store", "dasha");
 }
 
 // ---------------------------------------------------------------------------

@@ -9,12 +9,13 @@ use std::collections::VecDeque;
 
 use asha_baselines::{bohb_asha, dasha_tpe, GpSampler, GpSamplerConfig};
 use asha_core::{
-    Asha, AshaConfig, AsyncHyperband, DAsha, Decision, HyperbandConfig, Job, Observation,
-    Scheduler, ShaConfig, SyncSha,
+    Asha, AshaConfig, AsyncHyperband, Decision, HyperbandConfig, Job, Observation, Scheduler,
+    ShaConfig, SyncSha,
 };
 use asha_metrics::JsonValue;
 use asha_space::{Scale, SearchSpace};
-use asha_store::{SamplerSpec, SchedulerState, StoredScheduler};
+use asha_store::codec::{scheduler_state_from_json, scheduler_state_to_json};
+use asha_store::{SamplerSpec, StoredScheduler};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -78,13 +79,13 @@ fn check_roundtrip(
     // Full JSON round trip through rendered text, exactly as a snapshot
     // file would store it.
     let state = original.export_state();
-    let text = state.to_json().render();
+    let text = scheduler_state_to_json(&state).render();
     let parsed = JsonValue::parse(&text)
         .map_err(|e| e.to_string())
-        .and_then(|v| SchedulerState::from_json(&v).map_err(|e| e.to_string()))?;
+        .and_then(|v| scheduler_state_from_json(&v).map_err(|e| e.to_string()))?;
     // State equality is checked via re-rendered JSON (NaN losses make the
     // structural PartialEq vacuously false).
-    prop_assert_eq!(&text, &parsed.to_json().render());
+    prop_assert_eq!(&text, &scheduler_state_to_json(&parsed).render());
     // The sampling plane takes the same trip: kind + cursors through JSON,
     // then a fresh sampler instance rehydrated from the parsed spec — the
     // exact path `DurableRun::resume` walks.
@@ -146,8 +147,8 @@ fn check_roundtrip(
     // ladder rebuilt by replay and then mutated further is observationally
     // identical to one that never went through serialization.
     prop_assert_eq!(
-        original.export_state().to_json().render(),
-        restored.export_state().to_json().render(),
+        scheduler_state_to_json(&original.export_state()).render(),
+        scheduler_state_to_json(&restored.export_state()).render(),
         "continued exports diverged after restore"
     );
     // And the sampling plane too: sixty further shared observations must
@@ -205,7 +206,7 @@ fn pre_index_snapshot_restores_and_promotes_correctly() {
     }}"#
     );
     let parsed = JsonValue::parse(&text).expect("fixture parses");
-    let state = SchedulerState::from_json(&parsed).expect("fixture decodes");
+    let state = scheduler_state_from_json(&parsed).expect("fixture decodes");
     let mut restored = StoredScheduler::from_state(fixture_space, state);
     let mut rng = StdRng::seed_from_u64(0);
 
@@ -247,7 +248,7 @@ proptest! {
         script in prop::collection::vec((any::<bool>(), 0u8..5), 1..80),
         seed in 0u64..1000,
     ) {
-        let scheduler = StoredScheduler::Asha(Asha::new(
+        let scheduler = StoredScheduler::new(Asha::new(
             space(),
             AshaConfig::new(1.0, 27.0, 3.0),
         ));
@@ -259,9 +260,9 @@ proptest! {
         script in prop::collection::vec((any::<bool>(), 0u8..5), 1..80),
         seed in 0u64..1000,
     ) {
-        let scheduler = StoredScheduler::DAsha(DAsha::new(
+        let scheduler = StoredScheduler::new(Asha::new(
             space(),
-            AshaConfig::new(1.0, 27.0, 3.0),
+            AshaConfig::new(1.0, 27.0, 3.0).delayed(),
         ));
         check_roundtrip(scheduler, script, seed)?;
     }
@@ -273,7 +274,7 @@ proptest! {
     ) {
         // Model-based sampling through the snapshot path: the TPE cursor
         // must survive serialization and keep proposing identically.
-        let scheduler = StoredScheduler::Asha(bohb_asha(
+        let scheduler = StoredScheduler::new(bohb_asha(
             space(),
             AshaConfig::new(1.0, 27.0, 3.0),
         ));
@@ -285,7 +286,7 @@ proptest! {
         script in prop::collection::vec((any::<bool>(), 0u8..5), 1..80),
         seed in 0u64..1000,
     ) {
-        let scheduler = StoredScheduler::DAsha(dasha_tpe(
+        let scheduler = StoredScheduler::new(dasha_tpe(
             space(),
             AshaConfig::new(1.0, 27.0, 3.0),
         ));
@@ -298,7 +299,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let sampler = Box::new(GpSampler::new(space(), GpSamplerConfig::default()));
-        let scheduler = StoredScheduler::Asha(Asha::with_sampler(
+        let scheduler = StoredScheduler::new(Asha::with_sampler(
             space(),
             AshaConfig::new(1.0, 27.0, 3.0),
             sampler,
@@ -311,7 +312,7 @@ proptest! {
         script in prop::collection::vec((any::<bool>(), 0u8..5), 1..80),
         seed in 0u64..1000,
     ) {
-        let scheduler = StoredScheduler::SyncSha(SyncSha::new(
+        let scheduler = StoredScheduler::new(SyncSha::new(
             space(),
             ShaConfig::new(27, 1.0, 27.0, 3.0),
         ));
@@ -323,7 +324,7 @@ proptest! {
         script in prop::collection::vec((any::<bool>(), 0u8..5), 1..80),
         seed in 0u64..1000,
     ) {
-        let scheduler = StoredScheduler::AsyncHyperband(AsyncHyperband::new(
+        let scheduler = StoredScheduler::new(AsyncHyperband::new(
             space(),
             HyperbandConfig::new(1.0, 27.0, 3.0),
         ));

@@ -82,17 +82,15 @@ pub use asha_surrogate as surrogate;
 /// ```
 pub mod prelude {
     pub use asha_core::{
-        Asha, AshaConfig, AsyncHyperband, Decision, Durability, DurabilityBuilder, Error,
-        ErrorKind, Hyperband, HyperbandConfig, Job, Observation, RandomSearch, ResultContext,
-        Scheduler, ShaConfig, SyncSha, TrialId,
+        Asha, AshaConfig, AsyncHyperband, Decision, Durability, Error, ErrorKind, Hyperband,
+        HyperbandConfig, Job, Observation, RandomSearch, ResultContext, Scheduler, ShaConfig,
+        SyncSha, TrialId,
     };
     pub use asha_exec::{ExecConfig, FnObjective, Objective, ParallelTuner};
     pub use asha_obs::{RunRecorder, RunReport};
     pub use asha_service::{Client, Daemon, ServeOptions};
     pub use asha_sim::{ClusterSim, SimConfig};
     pub use asha_space::SearchSpace;
-    #[allow(deprecated)]
-    pub use asha_store::SyncPolicy;
     pub use asha_store::{
         BenchSpec, DurableRun, ExperimentMeta, ExperimentSupervisor, RunOptions, SchedulerState,
         StoreFormat,

@@ -6,11 +6,11 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use asha::baselines::{TpeConfig, TpeSampler};
 use asha::core::{
-    Asha, AshaConfig, AsyncHyperband, DAsha, Decision, HyperbandConfig, Job, Observation,
-    Scheduler, ShaConfig, SyncSha, TrialId,
+    Asha, AshaConfig, AsyncHyperband, Decision, HyperbandConfig, Job, Observation, Scheduler,
+    ShaConfig, SyncSha, TrialId,
 };
 use asha::space::{Scale, SearchSpace};
-use asha_core::reference::{RefAsha, RefAsyncHyperband, RefDAsha, RefSyncSha};
+use asha_core::reference::{RefAsha, RefAsyncHyperband, RefSyncSha};
 use proptest::prelude::*;
 
 fn space() -> SearchSpace {
@@ -255,7 +255,7 @@ proptest! {
         steps in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u16>()), 1..400),
         workers in 1usize..16,
     ) {
-        let dasha = DAsha::new(space(), AshaConfig::new(1.0, 27.0, 3.0));
+        let dasha = Asha::new(space(), AshaConfig::new(1.0, 27.0, 3.0).delayed());
         let (issued, first_loss) = drive_hostile(dasha, &steps, workers);
         let bad = poisoned_promotions(&issued, &first_loss);
         prop_assert!(bad.is_empty(), "poisoned trials promoted: {:?}", bad);
@@ -276,7 +276,7 @@ proptest! {
         // The delayed rule's defining property, and what separates it from
         // eager ASHA: at every instant, every rung has promoted at most
         // floor(len / eta) trials — exactly, with no sqrt-scale excess.
-        let mut dasha = DAsha::new(space(), AshaConfig::new(1.0, 27.0, 3.0));
+        let mut dasha = Asha::new(space(), AshaConfig::new(1.0, 27.0, 3.0).delayed());
         use rand::SeedableRng as _;
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let mut outstanding: VecDeque<Job> = VecDeque::new();
@@ -307,11 +307,11 @@ proptest! {
         steps in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u16>()), 1..300),
         workers in 1usize..16,
     ) {
-        let fast = DAsha::new(space(), AshaConfig::new(1.0, 27.0, 3.0));
-        let reference = RefDAsha::new(space(), AshaConfig::new(1.0, 27.0, 3.0));
+        let fast = Asha::new(space(), AshaConfig::new(1.0, 27.0, 3.0).delayed());
+        let reference = RefAsha::new(space(), AshaConfig::new(1.0, 27.0, 3.0).delayed());
         assert_differential(
             fast, reference, &steps, workers,
-            DAsha::export_state, RefDAsha::export_state,
+            Asha::export_state, RefAsha::export_state,
         )?;
     }
 
@@ -339,13 +339,13 @@ proptest! {
         workers in 1usize..16,
     ) {
         let tpe = || Box::new(TpeSampler::new(space(), TpeConfig::default()));
-        let fast = DAsha::with_sampler(space(), AshaConfig::new(1.0, 27.0, 3.0), tpe());
-        let reference =
-            RefDAsha::with_sampler(space(), AshaConfig::new(1.0, 27.0, 3.0), tpe());
+        let config = AshaConfig::new(1.0, 27.0, 3.0).delayed();
+        let fast = Asha::with_sampler(space(), config.clone(), tpe());
+        let reference = RefAsha::with_sampler(space(), config, tpe());
         assert_differential(
             fast, reference, &steps, workers,
-            |a: &DAsha| (a.export_state(), a.export_sampler_cursor()),
-            |r: &RefDAsha| (r.export_state(), r.export_sampler_cursor()),
+            |a: &Asha| (a.export_state(), a.export_sampler_cursor()),
+            |r: &RefAsha| (r.export_state(), r.export_sampler_cursor()),
         )?;
     }
 

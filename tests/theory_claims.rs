@@ -105,3 +105,37 @@ fn promotion_tables_are_self_consistent() {
         }
     }
 }
+
+#[test]
+fn exact_powers_get_their_top_rung() {
+    // `floor(log_eta(R/r))` computed through `ln` lands just below the
+    // integer at exact powers (log_3(243) evaluates to 4.999…), which used to
+    // cost every ladder with R = eta^k its top rung: no trial ever trained
+    // for R. Every scheduler's geometry must count k + 1 rungs and train the
+    // top one for exactly R.
+    let space = SearchSpace::builder()
+        .continuous("x", 0.0, 1.0, Scale::Linear)
+        .build()
+        .expect("valid space");
+    for eta in [2.0f64, 3.0, 4.0, 5.0, 10.0] {
+        for k in 1..=10usize {
+            let max_r = eta.powi(k as i32);
+            let case = format!("eta = {eta}, R = eta^{k}");
+
+            let asha = Asha::new(space.clone(), AshaConfig::new(1.0, max_r, eta));
+            assert_eq!(asha.ladder().max_rung(), Some(k), "{case}");
+            assert_eq!(asha.ladder().resource(k), max_r, "{case}");
+
+            let sha = ShaConfig::new(max_r as usize, 1.0, max_r, eta);
+            assert_eq!(sha.num_rungs(), k + 1, "{case}");
+            assert_eq!(sha.rung_resource(k), max_r, "{case}");
+
+            let hyperband = asha::core::HyperbandConfig::new(1.0, max_r, eta);
+            assert_eq!(hyperband.num_brackets, k + 1, "{case}");
+
+            let table = budget::promotion_table(max_r as usize, 1.0, max_r, eta, 0);
+            assert_eq!(table.len(), k + 1, "{case}");
+            assert_eq!(table[k].resource, max_r, "{case}");
+        }
+    }
+}
