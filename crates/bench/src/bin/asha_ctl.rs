@@ -9,7 +9,7 @@
 //! Commands:
 //!   ping                              liveness probe
 //!   create NAME --preset P [opts]     create an experiment (not started)
-//!   start NAME [--sync S] [--snapshot-jobs N] [--wal-format F] [--delta-chain N]
+//!   start NAME [--sync S] [--snapshot-jobs N] [--delta-chain N]
 //!   pause NAME | resume NAME | abort NAME
 //!   status NAME | list | stats
 //!   metrics                           dump the full metrics snapshot (JSON)
@@ -24,10 +24,9 @@
 //! `create` options: `--preset P --bench-seed N --seed N --workers N
 //! --max-time T --straggler-std S --drop-prob Q --min-r R --max-r R
 //! --eta E --scheduler (asha|dasha) --sampler (random|tpe|gp)
-//! --sync (never|always|N) --snapshot-jobs N --wal-format (jsonl-v1|binary-v2)
-//! --delta-chain N`. `--wal-format` picks the on-disk dialect for new store
-//! files (binary-v2 default); `--delta-chain` caps delta snapshots between
-//! full ones (0 = always full).
+//! --sync (never|always|N) --snapshot-jobs N --delta-chain N`.
+//! `--delta-chain` caps delta snapshots between full ones (0 = always
+//! full).
 //!
 //! `--connect-timeout` (default 10) bounds TCP connection establishment;
 //! `--timeout` (default 30, `0` disables) bounds each request's wait for a
@@ -49,7 +48,7 @@ use asha::obs::{parse_jsonl, Event, HistogramSnapshot, RunReport};
 use asha::service::{Client, Push};
 use asha::sim::SimConfig;
 use asha::store::{
-    make_sampler, BenchSpec, Durability, ExperimentMeta, RunOptions, SchedulerState, StoreFormat,
+    make_sampler, BenchSpec, Durability, ExperimentMeta, RunOptions, SchedulerState,
 };
 use asha::surrogate::BenchmarkModel as _;
 
@@ -127,15 +126,9 @@ fn run_options(args: &Args) -> RunOptions {
                 .unwrap_or_else(|e| fail(format!("--sync: expected never/always/N: {e}"))),
         ),
     };
-    let format = match args.get("wal-format") {
-        None => RunOptions::default().format,
-        Some(name) => StoreFormat::from_name(name)
-            .unwrap_or_else(|| fail(format!("--wal-format: unknown format {name:?}"))),
-    };
     let opts = RunOptions {
         sync,
         snapshot_jobs: args.num("snapshot-jobs", RunOptions::default().snapshot_jobs),
-        format,
         delta_chain: args.num("delta-chain", RunOptions::default().delta_chain),
     };
     opts.validate().unwrap_or_else(|e| fail(e));

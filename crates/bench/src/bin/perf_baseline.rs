@@ -347,8 +347,7 @@ fn persistence(
     }
     let wal_path = dir.join("append.wal");
     let start = Instant::now();
-    let mut writer = WalWriter::create(&wal_path, Durability::EveryN(64), StoreFormat::default())
-        .expect("wal create");
+    let mut writer = WalWriter::create(&wal_path, Durability::EveryN(64)).expect("wal create");
     for event in &events {
         writer
             .append(&WalRecord::telemetry(*event))
@@ -389,9 +388,7 @@ fn persistence(
     let start = Instant::now();
     let mut snap_written = (snap_dir.clone(), 0u64);
     for _ in 0..iters {
-        snap_written = snap
-            .write(&snap_dir, StoreFormat::BinaryV2)
-            .expect("snapshot write");
+        snap_written = snap.write(&snap_dir).expect("snapshot write");
     }
     let snap_ms = start.elapsed().as_secs_f64() * 1000.0 / iters as f64;
     let snap_bytes = snap_written.1;
@@ -428,9 +425,7 @@ fn persistence(
             events: next.events,
             patch: asha::store::delta::diff(&base_doc, &next_doc),
         };
-        delta_written = doc
-            .write(&snap_dir, StoreFormat::BinaryV2)
-            .expect("delta write");
+        delta_written = doc.write(&snap_dir).expect("delta write");
     }
     let delta_ms = start.elapsed().as_secs_f64() * 1000.0 / iters as f64;
     let delta_bytes = delta_written.1;
@@ -445,12 +440,9 @@ fn persistence(
     let group_wals = 4usize;
     let mut writers: Vec<WalWriter> = (0..group_wals)
         .map(|w| {
-            let mut writer = WalWriter::create(
-                &dir.join(format!("group-{w}.wal")),
-                Durability::EveryN(8),
-                StoreFormat::BinaryV2,
-            )
-            .expect("group wal create");
+            let mut writer =
+                WalWriter::create(&dir.join(format!("group-{w}.wal")), Durability::EveryN(8))
+                    .expect("group wal create");
             let handle = pipeline
                 .register(writer.file_clone().expect("wal fd dup"))
                 .expect("pipeline register");

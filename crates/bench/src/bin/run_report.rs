@@ -23,10 +23,6 @@
 //!                       it, and report on the completed log
 //!     [--snapshot-jobs N]
 //!                       snapshot cadence for --store/--resume (default 200)
-//!     [--wal-format NAME]
-//!                       on-disk dialect for new store files: jsonl-v1 or
-//!                       binary-v2 (default). Resume keeps an existing WAL's
-//!                       own dialect regardless.
 //!     [--delta-chain N] max delta snapshots between full snapshots for
 //!                       --store/--resume (0 = always full; default 8)
 //! ```
@@ -67,7 +63,6 @@ struct Opts {
     crash_after_jobs: Option<usize>,
     resume: Option<String>,
     snapshot_jobs: Option<usize>,
-    wal_format: Option<String>,
     delta_chain: Option<usize>,
 }
 
@@ -84,7 +79,6 @@ fn parse_opts() -> Opts {
         crash_after_jobs: None,
         resume: None,
         snapshot_jobs: None,
-        wal_format: None,
         delta_chain: None,
     };
     let mut args = std::env::args().skip(1);
@@ -110,13 +104,12 @@ fn parse_opts() -> Opts {
             }
             "--resume" => opts.resume = args.next(),
             "--snapshot-jobs" => opts.snapshot_jobs = args.next().and_then(|v| v.parse().ok()),
-            "--wal-format" => opts.wal_format = args.next(),
             "--delta-chain" => opts.delta_chain = args.next().and_then(|v| v.parse().ok()),
             "--help" | "-h" => {
                 println!(
                     "usage: run_report <events.jsonl> [--workers N] [--json PATH] [--demo] \
                      [--seed N] [--store DIR] [--crash-after-jobs N] [--resume DIR] \
-                     [--snapshot-jobs N] [--wal-format NAME] [--delta-chain N]"
+                     [--snapshot-jobs N] [--delta-chain N]"
                 );
                 std::process::exit(0);
             }
@@ -256,10 +249,6 @@ fn main() {
     if let Some(jobs) = opts.snapshot_jobs {
         run_opts.snapshot_jobs = jobs.max(1);
     }
-    if let Some(name) = &opts.wal_format {
-        run_opts.format = asha::store::StoreFormat::from_name(name)
-            .unwrap_or_else(|| fail(format!("unknown --wal-format {name:?}")));
-    }
     if let Some(chain) = opts.delta_chain {
         run_opts.delta_chain = chain;
     }
@@ -300,8 +289,7 @@ fn main() {
     let Some(log_path) = opts.log else {
         eprintln!(
             "usage: run_report <events.jsonl> [--workers N] [--json PATH] [--demo] \
-             [--store DIR] [--crash-after-jobs N] [--resume DIR] \
-             [--wal-format NAME] [--delta-chain N]"
+             [--store DIR] [--crash-after-jobs N] [--resume DIR] [--delta-chain N]"
         );
         std::process::exit(2);
     };

@@ -18,8 +18,9 @@
 //! chains: sequence, covered events, dialect, file size), and the WAL's
 //! shape: detected dialect, record counts, telemetry sequence range, store
 //! markers, and whether a torn tail was discarded. Dialects are detected
-//! per file, so mixed-format stores (e.g. a `jsonl-v1` store resumed under
-//! the binary codec) inspect cleanly.
+//! per file, so mixed-format stores (a `jsonl-v1` store after a resume:
+//! binary WAL and new checkpoints beside the old `.json` snapshots) inspect
+//! cleanly.
 
 use std::path::Path;
 
@@ -44,9 +45,9 @@ struct Opts {
 /// wrong dialect and the operator knows better.
 fn read_wal_forced(path: &Path, format: StoreFormat) -> Result<WalContents, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let codec = format.wal_codec();
-    let mut offset = if bytes.starts_with(codec.magic()) {
-        codec.magic().len()
+    let magic = asha::store::format::WAL_MAGIC;
+    let mut offset = if format == StoreFormat::BinaryV2 && bytes.starts_with(magic) {
+        magic.len()
     } else {
         0
     };
@@ -56,7 +57,7 @@ fn read_wal_forced(path: &Path, format: StoreFormat) -> Result<WalContents, Stri
         format,
     };
     while offset < bytes.len() {
-        match codec.decode_step(&bytes[offset..]) {
+        match format.decode_step(&bytes[offset..]) {
             DecodeStep::Record { consumed, record } => {
                 offset += consumed;
                 contents.records.push(record);
@@ -78,7 +79,7 @@ fn read_wal_forced(path: &Path, format: StoreFormat) -> Result<WalContents, Stri
 fn read_checkpoint_doc(path: &Path) -> Result<(StoreFormat, asha::metrics::JsonValue), String> {
     let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
     let format = StoreFormat::detect_document(&bytes);
-    let doc = format.snapshot_codec().decode_document(&bytes)?;
+    let doc = format.decode_document(&bytes)?;
     Ok((format, doc))
 }
 

@@ -22,12 +22,6 @@
 //! single-threaded reference bit-for-bit: `count`, per-bucket counts,
 //! `sum_nanos`, `min_nanos`, and `max_nanos` are all order-independent.
 //! That exactness is what the concurrency proptests assert.
-//!
-//! # Compile-time kill switch
-//!
-//! With the `plane-noop` cargo feature every mutating call compiles to
-//! nothing (the structures still exist and snapshot as empty), which is
-//! how the `service_load` bench measures the plane's true overhead.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 
@@ -57,10 +51,7 @@ impl SharedCounter {
     /// Add `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(not(feature = "plane-noop"))]
         self.0.fetch_add(n, Ordering::Relaxed);
-        #[cfg(feature = "plane-noop")]
-        let _ = n;
     }
 
     /// Current value.
@@ -96,19 +87,13 @@ impl SharedGauge {
     /// Add `delta` (may be negative).
     #[inline]
     pub fn add(&self, delta: i64) {
-        #[cfg(not(feature = "plane-noop"))]
         self.0.fetch_add(delta, Ordering::Relaxed);
-        #[cfg(feature = "plane-noop")]
-        let _ = delta;
     }
 
     /// Overwrite with `value`.
     #[inline]
     pub fn set(&self, value: i64) {
-        #[cfg(not(feature = "plane-noop"))]
         self.0.store(value, Ordering::Relaxed);
-        #[cfg(feature = "plane-noop")]
-        let _ = value;
     }
 
     /// Current value.
@@ -202,22 +187,17 @@ impl SharedHistogram {
     /// Record one observation, in seconds.
     #[inline]
     pub fn observe(&self, seconds: f64) {
-        #[cfg(not(feature = "plane-noop"))]
-        {
-            // NaN.max(0.0) is 0.0, so a NaN lands in the first bucket with
-            // zero contribution to the sum instead of poisoning it.
-            let v = seconds.max(0.0);
-            let nanos = to_nanos(v);
-            let idx = self.bounds.partition_point(|&b| b < v);
-            let shard = &self.shards[shard_index()];
-            shard.counts[idx].fetch_add(1, Ordering::Relaxed);
-            shard.count.fetch_add(1, Ordering::Relaxed);
-            shard.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
-            shard.min_nanos.fetch_min(nanos, Ordering::Relaxed);
-            shard.max_nanos.fetch_max(nanos, Ordering::Relaxed);
-        }
-        #[cfg(feature = "plane-noop")]
-        let _ = seconds;
+        // NaN.max(0.0) is 0.0, so a NaN lands in the first bucket with
+        // zero contribution to the sum instead of poisoning it.
+        let v = seconds.max(0.0);
+        let nanos = to_nanos(v);
+        let idx = self.bounds.partition_point(|&b| b < v);
+        let shard = &self.shards[shard_index()];
+        shard.counts[idx].fetch_add(1, Ordering::Relaxed);
+        shard.count.fetch_add(1, Ordering::Relaxed);
+        shard.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
+        shard.min_nanos.fetch_min(nanos, Ordering::Relaxed);
+        shard.max_nanos.fetch_max(nanos, Ordering::Relaxed);
     }
 
     /// Record a [`std::time::Duration`].
@@ -460,7 +440,7 @@ impl HistogramSnapshot {
     }
 }
 
-#[cfg(all(test, not(feature = "plane-noop")))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;

@@ -77,14 +77,14 @@ pub fn run_options_to_json(opts: &RunOptions) -> JsonValue {
     obj(vec![
         ("sync", sync),
         ("snapshot_jobs", JsonValue::Int(opts.snapshot_jobs as u64)),
-        ("format", JsonValue::Str(opts.format.name().to_owned())),
         ("delta_chain", JsonValue::Int(opts.delta_chain as u64)),
     ])
 }
 
-/// Decode [`RunOptions`] written by [`run_options_to_json`]. `format` and
-/// `delta_chain` default when absent, so frames from pre-codec-redesign
-/// clients still decode.
+/// Decode [`RunOptions`] written by [`run_options_to_json`]; `delta_chain`
+/// defaults when absent. Older clients also send `format`: `binary-v2`, the
+/// only dialect written, is ignored; anything else is a `config` error
+/// rather than a silent switch to binary.
 pub fn run_options_from_json(v: &JsonValue) -> Result<RunOptions, Error> {
     let sync = match v.get("sync") {
         Some(JsonValue::Str(s)) if s == "never" || s == "flush" => Durability::Flush,
@@ -93,11 +93,11 @@ pub fn run_options_from_json(v: &JsonValue) -> Result<RunOptions, Error> {
         None => return Err(Error::protocol("run options missing sync")),
     };
     let defaults = RunOptions::default();
-    let format = match v.get("format").and_then(|f| f.as_str()) {
-        Some(name) => StoreFormat::from_name(name)
-            .ok_or_else(|| Error::protocol(format!("unknown store format {name:?}")))?,
-        None => defaults.format,
-    };
+    if let Some(name) = v.get("format").and_then(|f| f.as_str()) {
+        if StoreFormat::from_name(name) != Some(StoreFormat::BinaryV2) {
+            return Err(Error::config(format!("cannot write store format {name:?}")));
+        }
+    }
     let delta_chain = match v.get("delta_chain") {
         Some(n) => n
             .as_u64()
@@ -108,7 +108,6 @@ pub fn run_options_from_json(v: &JsonValue) -> Result<RunOptions, Error> {
     let opts = RunOptions {
         sync,
         snapshot_jobs: get_u64(v, "snapshot_jobs")? as usize,
-        format,
         delta_chain,
     };
     opts.validate()?;

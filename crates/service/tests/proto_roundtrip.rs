@@ -8,7 +8,6 @@ use asha_service::proto::{run_options_from_json, run_options_to_json};
 use asha_service::{encode_frame, DaemonStats, Push, Reply, Request, WireStatus, PROTOCOL_VERSION};
 use asha_store::{
     BenchSpec, Durability, ExperimentMeta, ExperimentStatus, RunOptions, SchedulerState,
-    StoreFormat,
 };
 use asha_surrogate::BenchmarkModel;
 
@@ -68,7 +67,6 @@ fn all_requests() -> Vec<Request> {
             opts: RunOptions {
                 sync: Durability::EveryN(16),
                 snapshot_jobs: 50,
-                format: StoreFormat::JsonlV1,
                 delta_chain: 4,
             },
         },
@@ -295,28 +293,59 @@ fn run_options_round_trip_all_sync_policies() {
         Durability::EveryN(1),
         Durability::EveryN(64),
     ] {
-        for format in [StoreFormat::JsonlV1, StoreFormat::BinaryV2] {
-            let opts = RunOptions {
-                sync,
-                snapshot_jobs: 123,
-                format,
-                delta_chain: 5,
-            };
-            let back = run_options_from_json(&run_options_to_json(&opts)).unwrap();
-            assert_eq!(back, opts);
+        let opts = RunOptions {
+            sync,
+            snapshot_jobs: 123,
+            delta_chain: 5,
+        };
+        let back = run_options_from_json(&run_options_to_json(&opts)).unwrap();
+        assert_eq!(back, opts);
+    }
+}
+
+/// Older clients put the dialect on the wire. `binary-v2` is what the
+/// daemon writes anyway, so the key is ignored; asking for `jsonl-v1` (or
+/// anything else) is refused with a typed `config` error instead of being
+/// silently written as binary.
+#[test]
+fn create_frames_from_older_clients_may_still_name_a_format() {
+    let create_with_format = |name: &str| {
+        let request = Request::Create {
+            meta: sample_meta(),
+            opts: RunOptions::default(),
+        };
+        let JsonValue::Obj(mut fields) = request.to_frame(3) else {
+            panic!("frames are objects");
+        };
+        for (key, value) in &mut fields {
+            if let ("opts", JsonValue::Obj(opts)) = (key.as_str(), value) {
+                opts.push(("format".to_owned(), JsonValue::Str(name.to_owned())));
+            }
         }
+        Request::from_frame(&wire_trip(&JsonValue::Obj(fields)))
+    };
+    let (id, request) = create_with_format("binary-v2").unwrap();
+    assert_eq!(id, 3);
+    let Request::Create { opts, .. } = request else {
+        panic!("decoded a different op");
+    };
+    assert_eq!(opts, RunOptions::default());
+
+    for name in ["jsonl-v1", "parquet"] {
+        let err = create_with_format(name).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Config, "{name}: {err}");
+        assert!(err.to_string().contains(name), "{err}");
     }
 }
 
 #[test]
 fn run_options_without_format_fields_decode_with_defaults() {
     // A frame from a pre-codec-redesign client carries neither `format`
-    // nor `delta_chain`; both must fall back to the defaults.
+    // nor `delta_chain`; the latter must fall back to the default.
     let frame = JsonValue::parse(r#"{"sync":"always","snapshot_jobs":77}"#).unwrap();
     let opts = run_options_from_json(&frame).unwrap();
     assert_eq!(opts.sync, Durability::Sync);
     assert_eq!(opts.snapshot_jobs, 77);
-    assert_eq!(opts.format, RunOptions::default().format);
     assert_eq!(opts.delta_chain, RunOptions::default().delta_chain);
 }
 

@@ -4,12 +4,17 @@
 //!
 //! ```text
 //! <dir>/meta.json             immutable: space, scheduler, seed, sim, benchmark
-//! <dir>/wal.jsonl             write-ahead log (name is historical: the codec
-//!                             — jsonl-v1 or binary-v2 — is sniffed from the
-//!                             file's first bytes, never from its extension)
+//! <dir>/wal.jsonl             write-ahead log (name is historical: the
+//!                             dialect is sniffed from the file's first
+//!                             bytes, never from its extension)
 //! <dir>/snap-<seq>.<ext>      full-state snapshots (scheduler + RNG + sim loop)
 //! <dir>/delta-<seq>-<k>.<ext> delta snapshots: diffs chained on snap <seq>
 //! ```
+//!
+//! Everything is written as `binary-v2` (`.bin` checkpoints). A
+//! pre-redesign `jsonl-v1` store is an input: its `.json` snapshots are
+//! read where they lie and [`DurableRun::resume`] rewrites its WAL as
+//! binary before appending.
 //!
 //! The recovery protocol pivots on the WAL's checkpoint *markers*: a
 //! checkpoint file (full snapshot or delta) is fsynced **before** its
@@ -34,9 +39,9 @@ use rand::SeedableRng;
 use crate::codec;
 use crate::delta;
 use crate::error::{Error, StoreError};
-use crate::format::{EncodeBuf, StoreFormat};
+use crate::format::StoreFormat;
 use crate::snapshot::{self, DeltaDoc, Snapshot, StoredScheduler};
-use crate::wal::{read_wal, MarkerRef, SnapMarker, StoreEvent, WalContents, WalRecord, WalWriter};
+use crate::wal::{read_wal, rewrite_to_marker, SnapMarker, StoreEvent, WalRecord, WalWriter};
 
 /// Schema tag written into every `meta.json`.
 pub const META_SCHEMA: &str = "asha-store-meta-v1";
@@ -261,11 +266,6 @@ pub struct RunOptions {
     pub sync: Durability,
     /// Take a checkpoint every `snapshot_jobs` completed jobs.
     pub snapshot_jobs: usize,
-    /// On-disk dialect for newly created files. An existing WAL keeps its
-    /// own dialect on resume (sniffed from the file), but checkpoints
-    /// written after the resume use this format — mixed-dialect stores are
-    /// fully supported.
-    pub format: StoreFormat,
     /// Maximum delta snapshots between full snapshots. `0` disables delta
     /// checkpoints entirely (every checkpoint is a full snapshot);
     /// otherwise each full snapshot is followed by up to this many diffs
@@ -275,13 +275,12 @@ pub struct RunOptions {
 }
 
 impl Default for RunOptions {
-    /// Fsync every 64 WAL records, checkpoint every 200 completed jobs in
-    /// the binary dialect, with up to 8 deltas per full snapshot.
+    /// Fsync every 64 WAL records, checkpoint every 200 completed jobs,
+    /// with up to 8 deltas per full snapshot.
     fn default() -> Self {
         RunOptions {
             sync: Durability::default(),
             snapshot_jobs: 200,
-            format: StoreFormat::default(),
             delta_chain: 8,
         }
     }
@@ -360,7 +359,7 @@ impl<'b> DurableRun<'b> {
             meta.initial.clone(),
             meta.sampler.as_deref().unwrap_or("random"),
         )?;
-        let mut wal = WalWriter::create(&dir.join(WAL_FILE), opts.sync, opts.format)?;
+        let mut wal = WalWriter::create(&dir.join(WAL_FILE), opts.sync)?;
         wal.append(&WalRecord::Meta {
             time: 0.0,
             event: StoreEvent::ExperimentCreated {
@@ -388,7 +387,8 @@ impl<'b> DurableRun<'b> {
     /// Recover a run from its experiment directory: load the snapshot named
     /// by the newest durable WAL marker, discard the WAL suffix past it
     /// (the resumed engine regenerates those events identically), and
-    /// continue.
+    /// continue. A `jsonl-v1` WAL is rewritten as `binary-v2` in the same
+    /// atomic step (one way; its `.json` snapshots stay where they are).
     ///
     /// The caller owns the benchmark; rebuild it from
     /// [`ExperimentMeta::bench`] (via [`read_meta`]) or pass the original.
@@ -437,7 +437,7 @@ impl<'b> DurableRun<'b> {
                 ),
             ));
         }
-        truncate_after_marker(&wal_path, &contents, marker)?;
+        rewrite_to_marker(&wal_path, &contents, marker)?;
         let sim_state = snap.sim.ok_or_else(|| {
             StoreError::corrupt(&snap_path, "snapshot has no simulator state to resume")
         })?;
@@ -462,7 +462,7 @@ impl<'b> DurableRun<'b> {
         }
         let engine = SimEngine::restore(meta.sim.clone(), scheduler, bench, sim_state);
         let rng = StdRng::from_state(snap.rng);
-        let mut wal = WalWriter::open_append(&wal_path, opts.sync, marker.events, opts.format)?;
+        let mut wal = WalWriter::open_append(&wal_path, opts.sync, marker.events)?;
         wal.append(&WalRecord::Meta {
             time: engine.now(),
             event: StoreEvent::Resumed,
@@ -610,32 +610,35 @@ impl<'b> DurableRun<'b> {
     /// two stores byte-identical.
     pub fn write_snapshot(&mut self) -> Result<(), StoreError> {
         let events = self.recorder.next_seq();
-        let can_delta = self
+        let delta_chain = self.opts.delta_chain;
+        let open_chain = self
             .chain
-            .as_ref()
-            .is_some_and(|chain| (chain.len as usize) < self.opts.delta_chain);
+            .as_mut()
+            .filter(|chain| (chain.len as usize) < delta_chain);
         let start = self.metrics.is_some().then(std::time::Instant::now);
-        let marker = if can_delta {
-            let chain = self.chain.as_mut().expect("can_delta checked chain");
-            // The delta keeps the base snapshot's seq: patching the chain
-            // onto the base must reproduce this document exactly.
-            let snap = Snapshot {
-                seq: chain.snap,
-                events,
-                scheduler: self.engine.scheduler().export_state(),
-                sampler: self.engine.scheduler().export_sampler_spec(),
-                rng: self.rng.state(),
-                sim: Some(self.engine.export_state()),
-            };
-            let doc = snap.to_json();
+        // A delta keeps its chain's base seq: patching the chain onto the
+        // base must reproduce this document exactly.
+        let seq = open_chain
+            .as_ref()
+            .map_or(self.next_snap, |chain| chain.snap);
+        let doc = Snapshot {
+            seq,
+            events,
+            scheduler: self.engine.scheduler().export_state(),
+            sampler: self.engine.scheduler().export_sampler_spec(),
+            rng: self.rng.state(),
+            sim: Some(self.engine.export_state()),
+        }
+        .to_json();
+        let marker = if let Some(chain) = open_chain {
             let delta = chain.len + 1;
             let delta_doc = DeltaDoc {
-                snap: chain.snap,
+                snap: seq,
                 delta,
                 events,
                 patch: delta::diff(&chain.doc, &doc),
             };
-            let (_, bytes) = delta_doc.write(&self.dir, self.opts.format)?;
+            let (_, bytes) = delta_doc.write(&self.dir)?;
             if let (Some(m), Some(t0)) = (&self.metrics, start) {
                 m.snapshot_delta_write.observe_duration(t0.elapsed());
                 m.snapshot_delta_bytes.add(bytes);
@@ -643,30 +646,25 @@ impl<'b> DurableRun<'b> {
             chain.len = delta;
             chain.doc = doc;
             SnapMarker::Delta {
-                snap: chain.snap,
+                snap: seq,
                 delta,
                 events,
             }
         } else {
-            let seq = self.next_snap;
-            let snap = Snapshot {
-                seq,
-                events,
-                scheduler: self.engine.scheduler().export_state(),
-                sampler: self.engine.scheduler().export_sampler_spec(),
-                rng: self.rng.state(),
-                sim: Some(self.engine.export_state()),
-            };
-            let (_, bytes) = snap.write(&self.dir, self.opts.format)?;
+            let (_, bytes) = snapshot::write_document(
+                &self.dir,
+                &Snapshot::file_name(seq, StoreFormat::BinaryV2),
+                &doc,
+            )?;
             if let (Some(m), Some(t0)) = (&self.metrics, start) {
                 m.snapshot_write.observe_duration(t0.elapsed());
                 m.snapshot_full_bytes.add(bytes);
             }
             self.next_snap = seq + 1;
-            self.chain = (self.opts.delta_chain > 0).then(|| ChainState {
+            self.chain = (delta_chain > 0).then_some(ChainState {
                 snap: seq,
                 len: 0,
-                doc: snap.to_json(),
+                doc,
             });
             SnapMarker::Full { snap: seq, events }
         };
@@ -686,47 +684,6 @@ impl<'b> DurableRun<'b> {
     pub fn into_result(self) -> SimResult {
         self.engine.into_result()
     }
-}
-
-/// Rewrite the WAL to end exactly at the record for checkpoint `marker`,
-/// re-encoded in the file's own dialect (crash-safe: temp + rename). No-op
-/// when the marker is already the final record and the tail is clean.
-fn truncate_after_marker(
-    wal_path: &Path,
-    contents: &WalContents,
-    marker: MarkerRef,
-) -> Result<(), StoreError> {
-    let marker_idx = contents
-        .records
-        .iter()
-        .rposition(|r| {
-            matches!(
-                r,
-                WalRecord::SnapshotMarker { marker: m, .. }
-                    if m.snap() == marker.snap && m.delta() == marker.delta
-            )
-        })
-        .ok_or_else(|| StoreError::corrupt(wal_path, "checkpoint marker vanished"))?;
-    if marker_idx + 1 == contents.records.len() && !contents.torn_tail {
-        return Ok(());
-    }
-    let codec = contents.format.wal_codec();
-    let mut out: Vec<u8> = codec.magic().to_vec();
-    let mut buf = EncodeBuf::default();
-    for record in &contents.records[..=marker_idx] {
-        codec.encode_record(record, &mut buf);
-        out.extend_from_slice(&buf.bytes);
-    }
-    let tmp = wal_path.with_extension("jsonl.tmp");
-    std::fs::write(&tmp, out).map_err(|e| StoreError::io(&tmp, e))?;
-    std::fs::File::open(&tmp)
-        .and_then(|f| f.sync_all())
-        .map_err(|e| StoreError::io(&tmp, e))?;
-    std::fs::rename(&tmp, wal_path).map_err(|e| StoreError::io(wal_path, e))?;
-    if let Some(dir) = wal_path.parent() {
-        snapshot::fsync_dir(dir)?;
-    }
-    Ok(())
 }
 
 /// Replay a WAL telemetry suffix into a snapshot-restored scheduler,

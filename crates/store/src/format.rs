@@ -1,15 +1,17 @@
-//! The versioned storage codec API: [`StoreFormat`] and the
-//! [`WalCodec`] / [`SnapshotCodec`] trait pair behind it.
+//! The storage dialects: [`StoreFormat`], both decoders and the one
+//! encoder.
 //!
-//! The store speaks two on-disk dialects:
+//! The store reads two on-disk dialects and writes one:
 //!
 //! * **`jsonl-v1`** — the original human-greppable format: one JSON object
 //!   per WAL line (exact `asha-obs` schema for telemetry), snapshots as a
-//!   single compact-rendered JSON document. Kept fully writable so
-//!   pre-redesign stores keep working and debugging stays cheap.
+//!   single compact-rendered JSON document. Read-only: pre-redesign stores
+//!   open unchanged and [`DurableRun::resume`](crate::DurableRun::resume)
+//!   up-converts their WAL; nothing writes it any more.
 //! * **`binary-v2`** — compact length-prefixed records with a per-record
 //!   CRC32 and varint-packed fields; snapshot documents as CRC-guarded
-//!   binvalue trees (see [`crate::binary`]).
+//!   binvalue trees (see [`crate::binary`]). The only dialect written
+//!   ([`encode_record`], [`encode_document`]).
 //!
 //! Readers never need to be told which dialect a file is in:
 //! [`StoreFormat::detect_wal`] / [`StoreFormat::detect_document`] sniff the
@@ -79,19 +81,32 @@ impl StoreFormat {
         }
     }
 
-    /// The WAL codec for this format.
-    pub fn wal_codec(&self) -> &'static dyn WalCodec {
+    /// File extension of checkpoint documents in this dialect.
+    pub(crate) fn extension(&self) -> &'static str {
         match self {
-            StoreFormat::JsonlV1 => &JsonlV1Wal,
-            StoreFormat::BinaryV2 => &BinaryV2Wal,
+            StoreFormat::JsonlV1 => "json",
+            StoreFormat::BinaryV2 => "bin",
         }
     }
 
-    /// The snapshot-document codec for this format.
-    pub fn snapshot_codec(&self) -> &'static dyn SnapshotCodec {
+    /// Decode one WAL record from the front of `buf` (a `binary-v2` file's
+    /// [`WAL_MAGIC`] already stripped).
+    pub fn decode_step(&self, buf: &[u8]) -> DecodeStep {
         match self {
-            StoreFormat::JsonlV1 => &JsonlV1Snapshot,
-            StoreFormat::BinaryV2 => &BinaryV2Snapshot,
+            StoreFormat::JsonlV1 => decode_step_jsonl(buf),
+            StoreFormat::BinaryV2 => decode_step_binary(buf),
+        }
+    }
+
+    /// Decode a whole snapshot / delta document in this dialect. Both
+    /// dialects carry the same [`JsonValue`] tree; only the bytes differ.
+    pub fn decode_document(&self, bytes: &[u8]) -> Result<JsonValue, String> {
+        match self {
+            StoreFormat::JsonlV1 => {
+                let text = std::str::from_utf8(bytes).map_err(|_| "invalid UTF-8".to_owned())?;
+                JsonValue::parse(text).map_err(|e| e.to_string())
+            }
+            StoreFormat::BinaryV2 => decode_document_binary(bytes),
         }
     }
 
@@ -116,16 +131,14 @@ impl StoreFormat {
     }
 }
 
-/// Reusable encode scratch shared by a writer and its codec, so steady-state
-/// appends allocate nothing. `bytes` receives the finished on-disk frame.
+/// Reusable encode scratch for [`encode_record`], so steady-state appends
+/// allocate nothing. `bytes` receives the finished on-disk frame.
 #[derive(Debug, Default)]
 pub struct EncodeBuf {
     /// The encoded frame, exactly as written to disk.
     pub bytes: Vec<u8>,
-    /// Text scratch used by the JSONL codec.
-    pub text: String,
-    /// Payload scratch used by the binary codec (the frame prefixes the
-    /// payload with its length, so it is built separately first).
+    /// Payload scratch (the frame prefixes the payload with its length, so
+    /// it is built separately first).
     payload: Vec<u8>,
 }
 
@@ -161,123 +174,36 @@ pub enum DecodeStep {
     Lost(String),
 }
 
-/// A versioned WAL record codec.
-pub trait WalCodec: Send + Sync {
-    /// Stable codec name (matches [`StoreFormat::name`]).
-    fn name(&self) -> &'static str;
-
-    /// File magic written at creation; empty for magic-less formats.
-    fn magic(&self) -> &'static [u8];
-
-    /// Encode one record into `buf.bytes` (cleared first): the exact bytes
-    /// appended to the file.
-    fn encode_record(&self, record: &WalRecord, buf: &mut EncodeBuf);
-
-    /// Decode one record from the front of `buf` (the magic already
-    /// stripped).
-    fn decode_step(&self, buf: &[u8]) -> DecodeStep;
-}
-
-/// A versioned snapshot-document codec. Both dialects carry the same
-/// [`JsonValue`] document tree; only the bytes differ.
-pub trait SnapshotCodec: Send + Sync {
-    /// Stable codec name (matches [`StoreFormat::name`]).
-    fn name(&self) -> &'static str;
-
-    /// File extension for documents in this dialect (`"json"` / `"bin"`).
-    fn extension(&self) -> &'static str;
-
-    /// Encode a document into `out` (cleared first).
-    fn encode_document(&self, doc: &JsonValue, out: &mut Vec<u8>);
-
-    /// Decode a document previously written by `encode_document`.
-    fn decode_document(&self, bytes: &[u8]) -> Result<JsonValue, String>;
-}
-
 /// Decode a snapshot / delta document of either dialect (sniffed by magic).
 pub fn decode_any_document(bytes: &[u8]) -> Result<JsonValue, String> {
-    StoreFormat::detect_document(bytes)
-        .snapshot_codec()
-        .decode_document(bytes)
+    StoreFormat::detect_document(bytes).decode_document(bytes)
 }
 
-// ---------------------------------------------------------------------------
-// jsonl-v1
-// ---------------------------------------------------------------------------
-
-struct JsonlV1Wal;
-
-impl WalCodec for JsonlV1Wal {
-    fn name(&self) -> &'static str {
-        "jsonl-v1"
+fn decode_step_jsonl(buf: &[u8]) -> DecodeStep {
+    if buf.is_empty() {
+        return DecodeStep::Incomplete;
     }
-
-    fn magic(&self) -> &'static [u8] {
-        b""
-    }
-
-    fn encode_record(&self, record: &WalRecord, buf: &mut EncodeBuf) {
-        buf.bytes.clear();
-        buf.text.clear();
-        crate::wal::render_record_jsonl(record, &mut buf.text);
-        buf.bytes.extend_from_slice(buf.text.as_bytes());
-        buf.bytes.push(b'\n');
-    }
-
-    fn decode_step(&self, buf: &[u8]) -> DecodeStep {
-        if buf.is_empty() {
-            return DecodeStep::Incomplete;
-        }
-        let Some(nl) = buf.iter().position(|&b| b == b'\n') else {
-            // A final line without its newline is by definition torn: the
-            // writer terminates every record before flushing.
-            return DecodeStep::Incomplete;
-        };
-        let consumed = nl + 1;
-        let line = match std::str::from_utf8(&buf[..nl]) {
-            Ok(line) => line.trim_end_matches('\r'),
-            Err(_) => {
-                return DecodeStep::Invalid {
-                    consumed,
-                    why: "invalid UTF-8".to_owned(),
-                }
+    let Some(nl) = buf.iter().position(|&b| b == b'\n') else {
+        // A final line without its newline is by definition torn: the
+        // writer terminated every record before flushing.
+        return DecodeStep::Incomplete;
+    };
+    let consumed = nl + 1;
+    let line = match std::str::from_utf8(&buf[..nl]) {
+        Ok(line) => line.trim_end_matches('\r'),
+        Err(_) => {
+            return DecodeStep::Invalid {
+                consumed,
+                why: "invalid UTF-8".to_owned(),
             }
-        };
-        if line.trim().is_empty() {
-            return DecodeStep::Blank { consumed };
         }
-        match crate::wal::parse_record_jsonl(line) {
-            Ok(record) => DecodeStep::Record { consumed, record },
-            Err(why) => DecodeStep::Invalid { consumed, why },
-        }
+    };
+    if line.trim().is_empty() {
+        return DecodeStep::Blank { consumed };
     }
-}
-
-struct JsonlV1Snapshot;
-
-impl SnapshotCodec for JsonlV1Snapshot {
-    fn name(&self) -> &'static str {
-        "jsonl-v1"
-    }
-
-    fn extension(&self) -> &'static str {
-        "json"
-    }
-
-    fn encode_document(&self, doc: &JsonValue, out: &mut Vec<u8>) {
-        out.clear();
-        // Compact rendering: snapshots are machine-read only and can reach
-        // megabytes mid-run, so pretty indentation would roughly double
-        // both the bytes fsynced and the render time for nothing.
-        let mut text = String::new();
-        doc.render_compact_into(&mut text);
-        text.push('\n');
-        out.extend_from_slice(text.as_bytes());
-    }
-
-    fn decode_document(&self, bytes: &[u8]) -> Result<JsonValue, String> {
-        let text = std::str::from_utf8(bytes).map_err(|_| "invalid UTF-8".to_owned())?;
-        JsonValue::parse(text).map_err(|e| e.to_string())
+    match crate::wal::parse_record_jsonl(line) {
+        Ok(record) => DecodeStep::Record { consumed, record },
+        Err(why) => DecodeStep::Invalid { consumed, why },
     }
 }
 
@@ -302,8 +228,6 @@ const TAG_PAUSED: u8 = 0x12;
 const TAG_RESUMED: u8 = 0x13;
 const TAG_EXPERIMENT_FINISHED: u8 = 0x14;
 const TAG_SNAPSHOT_DELTA: u8 = 0x15;
-
-struct BinaryV2Wal;
 
 fn put_event(out: &mut Vec<u8>, event: &Event) {
     let (tag, push_fields): (u8, fn(&mut Vec<u8>, &EventKind)) = match event.kind {
@@ -556,126 +480,120 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
     Ok(record)
 }
 
-impl WalCodec for BinaryV2Wal {
-    fn name(&self) -> &'static str {
-        "binary-v2"
-    }
+/// Encode one record as its `binary-v2` frame into `buf.bytes` (cleared
+/// first): the exact bytes appended to the file.
+pub fn encode_record(record: &WalRecord, buf: &mut EncodeBuf) {
+    buf.bytes.clear();
+    buf.payload.clear();
+    encode_payload(record, &mut buf.payload);
+    put_varint(&mut buf.bytes, buf.payload.len() as u64);
+    buf.bytes.extend_from_slice(&buf.payload);
+    buf.bytes
+        .extend_from_slice(&crc32(&buf.payload).to_le_bytes());
+}
 
-    fn magic(&self) -> &'static [u8] {
-        WAL_MAGIC
+/// A whole `binary-v2` WAL file holding `records`: the magic, then one frame
+/// each.
+pub(crate) fn encode_wal(records: &[WalRecord]) -> Vec<u8> {
+    let mut out = WAL_MAGIC.to_vec();
+    let mut buf = EncodeBuf::default();
+    for record in records {
+        encode_record(record, &mut buf);
+        out.extend_from_slice(&buf.bytes);
     }
+    out
+}
 
-    fn encode_record(&self, record: &WalRecord, buf: &mut EncodeBuf) {
-        buf.bytes.clear();
-        buf.payload.clear();
-        encode_payload(record, &mut buf.payload);
-        put_varint(&mut buf.bytes, buf.payload.len() as u64);
-        buf.bytes.extend_from_slice(&buf.payload);
-        buf.bytes
-            .extend_from_slice(&crc32(&buf.payload).to_le_bytes());
+fn decode_step_binary(buf: &[u8]) -> DecodeStep {
+    if buf.is_empty() {
+        return DecodeStep::Incomplete;
     }
-
-    fn decode_step(&self, buf: &[u8]) -> DecodeStep {
-        if buf.is_empty() {
-            return DecodeStep::Incomplete;
-        }
-        let (len, len_bytes) = match get_varint(buf) {
-            VarintRead::Done(len, n) => (len, n),
-            VarintRead::Short => return DecodeStep::Incomplete,
-            VarintRead::Malformed => return DecodeStep::Lost("malformed record length".to_owned()),
+    let (len, len_bytes) = match get_varint(buf) {
+        VarintRead::Done(len, n) => (len, n),
+        VarintRead::Short => return DecodeStep::Incomplete,
+        VarintRead::Malformed => return DecodeStep::Lost("malformed record length".to_owned()),
+    };
+    if len > MAX_RECORD_LEN {
+        return DecodeStep::Lost(format!("implausible record length {len}"));
+    }
+    let len = len as usize;
+    let total = len_bytes + len + 4;
+    if buf.len() < total {
+        return DecodeStep::Incomplete;
+    }
+    let payload = &buf[len_bytes..len_bytes + len];
+    let mut crc_raw = [0u8; 4];
+    crc_raw.copy_from_slice(&buf[len_bytes + len..total]);
+    let stored = u32::from_le_bytes(crc_raw);
+    let actual = crc32(payload);
+    if stored != actual {
+        return DecodeStep::Invalid {
+            consumed: total,
+            why: format!("CRC mismatch (stored {stored:#010x}, computed {actual:#010x})"),
         };
-        if len > MAX_RECORD_LEN {
-            return DecodeStep::Lost(format!("implausible record length {len}"));
-        }
-        let len = len as usize;
-        let total = len_bytes + len + 4;
-        if buf.len() < total {
-            return DecodeStep::Incomplete;
-        }
-        let payload = &buf[len_bytes..len_bytes + len];
-        let mut crc_raw = [0u8; 4];
-        crc_raw.copy_from_slice(&buf[len_bytes + len..total]);
-        let stored = u32::from_le_bytes(crc_raw);
-        let actual = crc32(payload);
-        if stored != actual {
-            return DecodeStep::Invalid {
-                consumed: total,
-                why: format!("CRC mismatch (stored {stored:#010x}, computed {actual:#010x})"),
-            };
-        }
-        match decode_payload(payload) {
-            Ok(record) => DecodeStep::Record {
-                consumed: total,
-                record,
-            },
-            Err(why) => DecodeStep::Invalid {
-                consumed: total,
-                why,
-            },
-        }
+    }
+    match decode_payload(payload) {
+        Ok(record) => DecodeStep::Record {
+            consumed: total,
+            record,
+        },
+        Err(why) => DecodeStep::Invalid {
+            consumed: total,
+            why,
+        },
     }
 }
 
-struct BinaryV2Snapshot;
+/// Encode a snapshot / delta document as `binary-v2` bytes into `out`
+/// (cleared first).
+pub fn encode_document(doc: &JsonValue, out: &mut Vec<u8>) {
+    out.clear();
+    let mut payload = Vec::new();
+    binary::put_value(&mut payload, doc);
+    out.extend_from_slice(DOC_MAGIC);
+    put_varint(out, payload.len() as u64);
+    out.extend_from_slice(&payload);
+    out.extend_from_slice(&crc32(&payload).to_le_bytes());
+}
 
-impl SnapshotCodec for BinaryV2Snapshot {
-    fn name(&self) -> &'static str {
-        "binary-v2"
+fn decode_document_binary(bytes: &[u8]) -> Result<JsonValue, String> {
+    let rest = bytes
+        .strip_prefix(DOC_MAGIC.as_slice())
+        .ok_or("missing binary document magic")?;
+    let (len, len_bytes) = match get_varint(rest) {
+        VarintRead::Done(len, n) => (len, n),
+        _ => return Err("truncated document length".to_owned()),
+    };
+    let len = len as usize;
+    let total = len_bytes
+        .checked_add(len)
+        .and_then(|t| t.checked_add(4))
+        .ok_or("implausible document length")?;
+    if rest.len() < total {
+        return Err("truncated document".to_owned());
     }
-
-    fn extension(&self) -> &'static str {
-        "bin"
+    if rest.len() > total {
+        return Err(format!(
+            "document has {} trailing bytes",
+            rest.len() - total
+        ));
     }
-
-    fn encode_document(&self, doc: &JsonValue, out: &mut Vec<u8>) {
-        out.clear();
-        let mut payload = Vec::new();
-        binary::put_value(&mut payload, doc);
-        out.extend_from_slice(DOC_MAGIC);
-        put_varint(out, payload.len() as u64);
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    let payload = &rest[len_bytes..len_bytes + len];
+    let mut crc_raw = [0u8; 4];
+    crc_raw.copy_from_slice(&rest[len_bytes + len..total]);
+    let stored = u32::from_le_bytes(crc_raw);
+    let actual = crc32(payload);
+    if stored != actual {
+        return Err(format!(
+            "document CRC mismatch (stored {stored:#010x}, computed {actual:#010x})"
+        ));
     }
-
-    fn decode_document(&self, bytes: &[u8]) -> Result<JsonValue, String> {
-        let rest = bytes
-            .strip_prefix(DOC_MAGIC.as_slice())
-            .ok_or("missing binary document magic")?;
-        let (len, len_bytes) = match get_varint(rest) {
-            VarintRead::Done(len, n) => (len, n),
-            _ => return Err("truncated document length".to_owned()),
-        };
-        let len = len as usize;
-        let total = len_bytes
-            .checked_add(len)
-            .and_then(|t| t.checked_add(4))
-            .ok_or("implausible document length")?;
-        if rest.len() < total {
-            return Err("truncated document".to_owned());
-        }
-        if rest.len() > total {
-            return Err(format!(
-                "document has {} trailing bytes",
-                rest.len() - total
-            ));
-        }
-        let payload = &rest[len_bytes..len_bytes + len];
-        let mut crc_raw = [0u8; 4];
-        crc_raw.copy_from_slice(&rest[len_bytes + len..total]);
-        let stored = u32::from_le_bytes(crc_raw);
-        let actual = crc32(payload);
-        if stored != actual {
-            return Err(format!(
-                "document CRC mismatch (stored {stored:#010x}, computed {actual:#010x})"
-            ));
-        }
-        let mut pos = 0;
-        let doc = binary::get_value(payload, &mut pos)?;
-        if pos != payload.len() {
-            return Err("document payload has trailing bytes".to_owned());
-        }
-        Ok(doc)
+    let mut pos = 0;
+    let doc = binary::get_value(payload, &mut pos)?;
+    if pos != payload.len() {
+        return Err("document payload has trailing bytes".to_owned());
     }
+    Ok(doc)
 }
 
 #[cfg(test)]
@@ -783,21 +701,24 @@ mod tests {
         ]
     }
 
+    /// `records` as a WAL body in `format`: the one encoder's frames, or
+    /// the lines the retired `jsonl-v1` writer produced.
+    fn wal_body(format: StoreFormat, records: &[WalRecord]) -> Vec<u8> {
+        match format {
+            StoreFormat::JsonlV1 => crate::wal::v1_bytes(records),
+            StoreFormat::BinaryV2 => encode_wal(records)[WAL_MAGIC.len()..].to_vec(),
+        }
+    }
+
     #[test]
-    fn both_codecs_round_trip_every_record_kind() {
+    fn both_dialects_decode_every_record_kind() {
+        let records = sample_records();
         for format in [StoreFormat::JsonlV1, StoreFormat::BinaryV2] {
-            let codec = format.wal_codec();
-            let mut buf = EncodeBuf::default();
-            let mut stream = Vec::new();
-            let records = sample_records();
-            for record in &records {
-                codec.encode_record(record, &mut buf);
-                stream.extend_from_slice(&buf.bytes);
-            }
+            let stream = wal_body(format, &records);
             let mut decoded = Vec::new();
             let mut pos = 0;
             while pos < stream.len() {
-                match codec.decode_step(&stream[pos..]) {
+                match format.decode_step(&stream[pos..]) {
                     DecodeStep::Record { consumed, record } => {
                         decoded.push(record);
                         pos += consumed;
@@ -812,18 +733,8 @@ mod tests {
     #[test]
     fn binary_frames_are_smaller_than_jsonl() {
         let records = sample_records();
-        let mut buf = EncodeBuf::default();
-        let mut size = |format: StoreFormat| -> usize {
-            records
-                .iter()
-                .map(|r| {
-                    format.wal_codec().encode_record(r, &mut buf);
-                    buf.bytes.len()
-                })
-                .sum()
-        };
-        let jsonl = size(StoreFormat::JsonlV1);
-        let binary = size(StoreFormat::BinaryV2);
+        let jsonl = wal_body(StoreFormat::JsonlV1, &records).len();
+        let binary = wal_body(StoreFormat::BinaryV2, &records).len();
         assert!(
             binary * 2 < jsonl,
             "binary ({binary}B) should be under half of jsonl ({jsonl}B)"
@@ -832,13 +743,10 @@ mod tests {
 
     #[test]
     fn binary_torn_prefixes_read_incomplete_not_invalid() {
-        let codec = StoreFormat::BinaryV2.wal_codec();
-        let mut buf = EncodeBuf::default();
-        codec.encode_record(&sample_records()[1], &mut buf);
-        let frame = buf.bytes.clone();
+        let frame = wal_body(StoreFormat::BinaryV2, &sample_records()[1..2]);
         for cut in 0..frame.len() {
             assert_eq!(
-                codec.decode_step(&frame[..cut]),
+                StoreFormat::BinaryV2.decode_step(&frame[..cut]),
                 DecodeStep::Incomplete,
                 "cut at {cut}"
             );
@@ -847,13 +755,10 @@ mod tests {
 
     #[test]
     fn binary_bitflips_fail_crc() {
-        let codec = StoreFormat::BinaryV2.wal_codec();
-        let mut buf = EncodeBuf::default();
-        codec.encode_record(&sample_records()[2], &mut buf);
+        let mut frame = wal_body(StoreFormat::BinaryV2, &sample_records()[2..3]);
         // Flip a payload bit (past the 1-byte length prefix).
-        let mut frame = buf.bytes.clone();
         frame[2] ^= 0x40;
-        match codec.decode_step(&frame) {
+        match StoreFormat::BinaryV2.decode_step(&frame) {
             DecodeStep::Invalid { consumed, why } => {
                 assert_eq!(consumed, frame.len());
                 assert!(why.contains("CRC"), "{why}");
@@ -881,8 +786,6 @@ mod tests {
         assert_eq!(StoreFormat::from_name("parquet"), None);
         for format in [StoreFormat::JsonlV1, StoreFormat::BinaryV2] {
             assert_eq!(StoreFormat::from_name(format.name()), Some(format));
-            assert_eq!(format.wal_codec().name(), format.name());
-            assert_eq!(format.snapshot_codec().name(), format.name());
         }
     }
 
@@ -897,18 +800,21 @@ mod tests {
                 JsonValue::Arr(vec![JsonValue::Null, JsonValue::Bool(true)]),
             ),
         ]);
-        for format in [StoreFormat::JsonlV1, StoreFormat::BinaryV2] {
-            let codec = format.snapshot_codec();
-            let mut bytes = Vec::new();
-            codec.encode_document(&doc, &mut bytes);
-            assert_eq!(StoreFormat::detect_document(&bytes), format);
-            let back = decode_any_document(&bytes).unwrap();
+        // A v1 document is the compact rendering plus a newline.
+        let mut v1 = String::new();
+        doc.render_compact_into(&mut v1);
+        v1.push('\n');
+        let mut bytes = Vec::new();
+        encode_document(&doc, &mut bytes);
+        for (format, bytes) in [
+            (StoreFormat::JsonlV1, v1.as_bytes()),
+            (StoreFormat::BinaryV2, &bytes[..]),
+        ] {
+            assert_eq!(StoreFormat::detect_document(bytes), format);
+            let back = decode_any_document(bytes).unwrap();
             assert!(crate::binary::json_eq(&doc, &back), "{}", format.name());
         }
         // A flipped payload bit in a binary document is caught by its CRC.
-        let codec = StoreFormat::BinaryV2.snapshot_codec();
-        let mut bytes = Vec::new();
-        codec.encode_document(&doc, &mut bytes);
         let flip = bytes.len() - 6;
         bytes[flip] ^= 0x01;
         assert!(decode_any_document(&bytes).unwrap_err().contains("CRC"));

@@ -1,6 +1,6 @@
-//! Durable experiment store for ASHA runs: write-ahead event log behind a
-//! versioned codec, full and delta snapshots, group-committed fsyncs, crash
-//! recovery, and a multi-experiment supervisor.
+//! Durable experiment store for ASHA runs: write-ahead event log, full and
+//! delta snapshots, group-committed fsyncs, crash recovery, and a
+//! multi-experiment supervisor.
 //!
 //! The store makes a tuning run a *recoverable* object. Every telemetry
 //! event the run emits is appended to a write-ahead log with an explicit
@@ -8,11 +8,12 @@
 //! state — scheduler rungs/brackets, sampler cursors, raw RNG words, and
 //! the simulator's event loop — is checkpointed: a full snapshot file, or
 //! a *delta* (a structural diff against the previous checkpoint) while the
-//! chain stays short. How any of this becomes bytes is a [`StoreFormat`]'s
-//! business: `jsonl-v1` (one JSON object per line / per file, the original
-//! dialect) and `binary-v2` (length-prefixed, CRC-guarded frames) are both
-//! fully readable and writable, sniffed per file, so pre-redesign stores
-//! open unchanged and dialects may mix within one directory. Because every
+//! chain stays short. Everything is written as `binary-v2`
+//! (length-prefixed, CRC-guarded frames); `jsonl-v1` (one JSON object per
+//! line / per file, the original dialect) is a read-only input — each file
+//! is sniffed ([`StoreFormat`]), so pre-redesign stores open unchanged,
+//! resume up-converts their WAL, and their snapshots stay readable beside
+//! the new binary ones. Because every
 //! component of the system is deterministic given its state and the RNG
 //! stream, recovery after a crash (load the newest durable checkpoint —
 //! base snapshot plus its delta chain — discard the WAL suffix past its
@@ -26,9 +27,8 @@
 //!   non-finite loss encoding.
 //! - [`binary`]: the byte-level toolkit for `binary-v2` — CRC32, LEB128
 //!   varints, and a compact tagged encoding of JSON documents.
-//! - [`format`]: the versioned codec API — [`WalCodec`] and
-//!   [`SnapshotCodec`] traits, the [`StoreFormat`] registry, and per-file
-//!   dialect detection.
+//! - [`format`]: the two dialects — per-file detection ([`StoreFormat`]),
+//!   a decoder for each, and the one (`binary-v2`) encoder.
 //! - [`delta`]: structural diff/patch over JSON documents, the engine
 //!   behind delta snapshots.
 //! - [`wal`]: the append-only log of typed [`WalRecord`]s — scheduler
@@ -110,7 +110,7 @@ pub use crate::experiment::{
     read_meta, replay_scheduler, write_meta, BenchSpec, DurableRun, ExperimentMeta, RunOptions,
     WalRecorder, META_FILE, META_SCHEMA, WAL_FILE,
 };
-pub use crate::format::{DecodeStep, EncodeBuf, SnapshotCodec, StoreFormat, WalCodec};
+pub use crate::format::{DecodeStep, EncodeBuf, StoreFormat};
 pub use crate::metrics::StoreMetrics;
 pub use crate::snapshot::{
     delta_file_name, list_snapshots, load_latest, make_sampler, read_document, write_document,

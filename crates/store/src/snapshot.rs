@@ -9,10 +9,10 @@
 //! proportional to change. All checkpoint files are written crash-safely —
 //! encoded to a temp file, fsynced, renamed into place, directory fsynced —
 //! so a crash mid-write never damages the previous checkpoint, and
-//! recovery can always fall back along the chain. Bytes on disk are
-//! whatever the [`SnapshotCodec`](crate::format::SnapshotCodec) produces;
-//! readers sniff the dialect per file, so chains may mix dialects (e.g.
-//! binary deltas atop a v1 JSON full snapshot).
+//! recovery can always fall back along the chain. Files are written as
+//! `binary-v2` ([`crate::format::encode_document`]); readers sniff the
+//! dialect per file, so a chain may hang binary deltas off a `jsonl-v1`
+//! full snapshot written before the redesign.
 
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -28,7 +28,7 @@ use asha_space::SearchSpace;
 
 use crate::codec;
 use crate::error::{Error, StoreError};
-use crate::format::{decode_any_document, StoreFormat};
+use crate::format::{decode_any_document, encode_document, StoreFormat};
 
 /// Schema tag written into every snapshot file.
 pub const SNAPSHOT_SCHEMA: &str = "asha-store-snapshot-v1";
@@ -231,7 +231,7 @@ impl Snapshot {
     /// The file name for snapshot `seq` in `format` (zero-padded so
     /// lexicographic and numeric order agree).
     pub fn file_name(seq: u64, format: StoreFormat) -> String {
-        format!("snap-{seq:08}.{}", format.snapshot_codec().extension())
+        format!("snap-{seq:08}.{}", format.extension())
     }
 
     /// Locate snapshot `seq` in `dir`, whichever dialect it was written in.
@@ -306,24 +306,20 @@ impl Snapshot {
         })
     }
 
-    /// Write the snapshot crash-safely into `dir` in `format`. Returns the
-    /// final path and the encoded size in bytes.
-    pub fn write(&self, dir: &Path, format: StoreFormat) -> Result<(PathBuf, u64), StoreError> {
+    /// Write the snapshot crash-safely into `dir`. Returns the final path
+    /// and the encoded size in bytes.
+    pub fn write(&self, dir: &Path) -> Result<(PathBuf, u64), StoreError> {
         write_document(
             dir,
-            &Self::file_name(self.seq, format),
+            &Self::file_name(self.seq, StoreFormat::BinaryV2),
             &self.to_json(),
-            format,
         )
     }
 }
 
 /// The file name for delta `delta` on top of full snapshot `snap`.
 pub fn delta_file_name(snap: u64, delta: u64, format: StoreFormat) -> String {
-    format!(
-        "delta-{snap:08}-{delta:04}.{}",
-        format.snapshot_codec().extension()
-    )
+    format!("delta-{snap:08}-{delta:04}.{}", format.extension())
 }
 
 /// A delta-snapshot document: a [`crate::delta`] patch plus enough chain
@@ -380,14 +376,13 @@ impl DeltaDoc {
         })
     }
 
-    /// Write crash-safely into `dir` in `format`. Returns the final path
-    /// and the encoded size in bytes.
-    pub fn write(&self, dir: &Path, format: StoreFormat) -> Result<(PathBuf, u64), StoreError> {
+    /// Write crash-safely into `dir`. Returns the final path and the
+    /// encoded size in bytes.
+    pub fn write(&self, dir: &Path) -> Result<(PathBuf, u64), StoreError> {
         write_document(
             dir,
-            &delta_file_name(self.snap, self.delta, format),
+            &delta_file_name(self.snap, self.delta, StoreFormat::BinaryV2),
             &self.to_json(),
-            format,
         )
     }
 
@@ -416,19 +411,18 @@ impl DeltaDoc {
     }
 }
 
-/// Write a checkpoint document crash-safely into `dir`: encode with
-/// `format`'s codec to a temp file, fsync, rename into place, fsync the
+/// Write a checkpoint document crash-safely into `dir`: encode as
+/// `binary-v2` to a temp file, fsync, rename into place, fsync the
 /// directory. Returns the final path and encoded size.
 pub fn write_document(
     dir: &Path,
     file_name: &str,
     doc: &JsonValue,
-    format: StoreFormat,
 ) -> Result<(PathBuf, u64), StoreError> {
     let final_path = dir.join(file_name);
     let tmp_path = dir.join(format!("{file_name}.tmp"));
     let mut bytes = Vec::new();
-    format.snapshot_codec().encode_document(doc, &mut bytes);
+    encode_document(doc, &mut bytes);
     std::fs::write(&tmp_path, &bytes).map_err(|e| StoreError::io(&tmp_path, e))?;
     File::open(&tmp_path)
         .and_then(|f| f.sync_all())

@@ -36,7 +36,7 @@
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
-use crate::format::{DecodeStep, StoreFormat};
+use crate::format::{DecodeStep, StoreFormat, WAL_MAGIC};
 
 /// What one [`WalTail::poll`] observed.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -128,8 +128,8 @@ impl WalTail {
         let mut chunk = WalChunk::default();
         if real_len < self.offset || !self.anchor_matches(&mut file)? {
             // The file was truncated or rewritten: start over and
-            // re-sniff — recovery preserves a file's dialect today, but
-            // nothing about this tail needs to assume that. The anchor
+            // re-sniff — resuming a `jsonl-v1` store rewrites its WAL as
+            // `binary-v2` under the same name. The anchor
             // check catches the rewrite even when the new file has
             // already regrown past our offset (a live resume truncates
             // the WAL and the deterministic run re-extends it at full
@@ -166,7 +166,7 @@ impl WalTail {
         // Resolve the dialect once the prefix is unambiguous: a file
         // shorter than the binary magic that matches its prefix could
         // still become either, so it stays pending.
-        let magic = StoreFormat::BinaryV2.wal_codec().magic();
+        let magic = WAL_MAGIC.as_slice();
         if self.format.is_none() {
             if buf.len() >= magic.len() {
                 self.format = Some(StoreFormat::detect_wal(&buf));
@@ -201,9 +201,8 @@ impl WalTail {
                 start = line_start;
             }
             StoreFormat::BinaryV2 => {
-                let codec = format.wal_codec();
                 loop {
-                    match codec.decode_step(&buf[start..]) {
+                    match format.decode_step(&buf[start..]) {
                         DecodeStep::Record { consumed, record } => {
                             start += consumed;
                             chunk.lines.push(record.render_jsonl());
@@ -249,8 +248,8 @@ impl WalTail {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::EncodeBuf;
-    use crate::wal::{StoreEvent, WalRecord};
+    use crate::format::encode_wal;
+    use crate::wal::{v1_bytes, StoreEvent, WalRecord};
     use asha_core::telemetry::{Event, EventKind};
     use std::io::Write;
 
@@ -270,15 +269,13 @@ mod tests {
         })
     }
 
+    /// A whole WAL file holding `records`: what the writer produces, or
+    /// (for `jsonl-v1`) what the retired writer left behind.
     fn encode(format: StoreFormat, records: &[WalRecord]) -> Vec<u8> {
-        let codec = format.wal_codec();
-        let mut bytes = codec.magic().to_vec();
-        let mut buf = EncodeBuf::default();
-        for record in records {
-            codec.encode_record(record, &mut buf);
-            bytes.extend_from_slice(&buf.bytes);
+        match format {
+            StoreFormat::JsonlV1 => v1_bytes(records),
+            StoreFormat::BinaryV2 => encode_wal(records),
         }
-        bytes
     }
 
     #[test]
@@ -347,19 +344,21 @@ mod tests {
         let dir = tmpdir("rewind");
         let path = dir.join("wal.jsonl");
         let records: Vec<WalRecord> = (0..3).map(ev).collect();
-        std::fs::write(&path, encode(StoreFormat::BinaryV2, &records)).unwrap();
+        std::fs::write(&path, encode(StoreFormat::JsonlV1, &records)).unwrap();
         let mut tail = WalTail::new(&path);
         assert_eq!(tail.poll().unwrap().lines.len(), 3);
+        assert_eq!(tail.format(), Some(StoreFormat::JsonlV1));
 
         // Crash recovery rewrites the log shorter (rename-over pattern) —
-        // here even switching dialect, which the tail takes in stride.
+        // and, resuming a v1 store, in the other dialect, which the tail
+        // takes in stride.
         let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, encode(StoreFormat::JsonlV1, &records[..1])).unwrap();
+        std::fs::write(&tmp, encode(StoreFormat::BinaryV2, &records[..1])).unwrap();
         std::fs::rename(&tmp, &path).unwrap();
         let chunk = tail.poll().unwrap();
         assert!(chunk.rewound);
         assert_eq!(chunk.lines, vec![records[0].render_jsonl()]);
-        assert_eq!(tail.format(), Some(StoreFormat::JsonlV1));
+        assert_eq!(tail.format(), Some(StoreFormat::BinaryV2));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,15 +1,14 @@
-//! The write-ahead event log: durable typed records behind a versioned
-//! codec.
+//! The write-ahead event log: durable typed records.
 //!
 //! A WAL holds one stream of [`WalRecord`]s — telemetry split into
 //! scheduler [`WalRecord::Decision`]s and executor [`WalRecord::Job`]
 //! events, snapshot markers (full and delta), and experiment-lifecycle
-//! [`WalRecord::Meta`] events. How records become bytes is the
-//! [`WalCodec`](crate::format::WalCodec)'s business: `jsonl-v1` writes one
-//! JSON object per line (telemetry in the exact `asha-obs` log schema, so
-//! a v1 WAL is a superset of a telemetry event log), `binary-v2` writes
-//! length-prefixed CRC-guarded frames. Readers sniff the dialect from the
-//! file's first bytes, so every pre-redesign store opens unchanged.
+//! [`WalRecord::Meta`] events. How records become bytes is
+//! [`crate::format`]'s business: the writer appends `binary-v2`
+//! length-prefixed CRC-guarded frames; the reader also accepts `jsonl-v1`
+//! (one JSON object per line, telemetry in the exact `asha-obs` log
+//! schema), sniffed from the file's first bytes, so every pre-redesign
+//! store opens unchanged.
 //!
 //! Durability follows a [`Durability`] policy: appends always reach the OS
 //! (flushed through the userspace buffer at each commit point), and
@@ -32,7 +31,7 @@ use asha_obs::Event;
 
 use crate::commit::CommitHandle;
 use crate::error::StoreError;
-use crate::format::{DecodeStep, EncodeBuf, StoreFormat, WalCodec};
+use crate::format::{encode_record, encode_wal, DecodeStep, EncodeBuf, StoreFormat, WAL_MAGIC};
 
 /// An experiment-lifecycle record (everything that is neither telemetry
 /// nor a snapshot marker).
@@ -159,7 +158,7 @@ impl WalRecord {
     /// Render this record as its `jsonl-v1` line (no trailing newline):
     /// the human-readable form of either dialect. `store_inspect` dumps
     /// binary WALs through this, and the service tailer uses it to fan
-    /// binary records out as JSON events.
+    /// binary records out as JSON events. Never written to a store file.
     pub fn render_jsonl(&self) -> String {
         let mut out = String::new();
         render_record_jsonl(self, &mut out);
@@ -289,7 +288,6 @@ pub struct WalWriter {
     file: BufWriter<File>,
     path: PathBuf,
     policy: Durability,
-    format: StoreFormat,
     since_sync: usize,
     telemetry_appended: u64,
     buf: EncodeBuf,
@@ -300,77 +298,44 @@ pub struct WalWriter {
 }
 
 impl WalWriter {
-    /// Create a fresh WAL in `format` (truncating any existing file). The
-    /// format's magic (if any) is written and flushed immediately so the
-    /// file's dialect is detectable from its very first bytes.
-    pub fn create(
-        path: &Path,
-        policy: Durability,
-        format: StoreFormat,
-    ) -> Result<Self, StoreError> {
+    /// Create a fresh `binary-v2` WAL (truncating any existing file). The
+    /// magic is written and flushed immediately so the file's dialect is
+    /// detectable from its very first bytes.
+    pub fn create(path: &Path, policy: Durability) -> Result<Self, StoreError> {
         let file = File::create(path).map_err(|e| StoreError::io(path, e))?;
-        let mut writer = WalWriter::from_file(file, path, policy, format, 0);
-        let magic = format.wal_codec().magic();
-        if !magic.is_empty() {
-            writer
-                .file
-                .write_all(magic)
-                .map_err(|e| StoreError::io(path, e))?;
-            writer.flush()?;
-        }
-        Ok(writer)
+        WalWriter::from_file(file, path, policy, 0).with_magic()
     }
 
-    /// Open an existing WAL for appending, *keeping the file's own
-    /// dialect* (sniffed from its first bytes) — `preferred` only applies
-    /// when the file is missing or empty. `telemetry_so_far` seeds the
-    /// telemetry counter (the recovered event count), so snapshot markers
-    /// written after recovery carry correct positions.
+    /// Open an existing `binary-v2` WAL for appending (a missing or empty
+    /// file is started fresh). A `jsonl-v1` WAL must be up-converted first,
+    /// as [`DurableRun::resume`](crate::DurableRun::resume) does.
+    /// `telemetry_so_far` seeds the telemetry counter (the recovered event
+    /// count), so snapshot markers written after recovery carry correct
+    /// positions.
     pub fn open_append(
         path: &Path,
         policy: Durability,
         telemetry_so_far: u64,
-        preferred: StoreFormat,
     ) -> Result<Self, StoreError> {
         let file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(path)
             .map_err(|e| StoreError::io(path, e))?;
-        let len = file.metadata().map_err(|e| StoreError::io(path, e))?.len();
-        if len == 0 {
-            drop(file);
-            let mut writer = WalWriter::create(path, policy, preferred)?;
-            writer.telemetry_appended = telemetry_so_far;
-            return Ok(writer);
+        let empty = file.metadata().map_err(|e| StoreError::io(path, e))?.len() == 0;
+        let writer = WalWriter::from_file(file, path, policy, telemetry_so_far);
+        if empty {
+            writer.with_magic()
+        } else {
+            Ok(writer)
         }
-        let format = {
-            let mut head = [0u8; 8];
-            let mut probe = File::open(path).map_err(|e| StoreError::io(path, e))?;
-            let n = read_fully(&mut probe, &mut head).map_err(|e| StoreError::io(path, e))?;
-            StoreFormat::detect_wal(&head[..n])
-        };
-        Ok(WalWriter::from_file(
-            file,
-            path,
-            policy,
-            format,
-            telemetry_so_far,
-        ))
     }
 
-    fn from_file(
-        file: File,
-        path: &Path,
-        policy: Durability,
-        format: StoreFormat,
-        telemetry_so_far: u64,
-    ) -> Self {
+    fn from_file(file: File, path: &Path, policy: Durability, telemetry_so_far: u64) -> Self {
         WalWriter {
             file: BufWriter::new(file),
             path: path.to_owned(),
             policy,
-            format,
             since_sync: 0,
             telemetry_appended: telemetry_so_far,
             buf: EncodeBuf::default(),
@@ -379,9 +344,12 @@ impl WalWriter {
         }
     }
 
-    /// The dialect this writer appends in.
-    pub fn format(&self) -> StoreFormat {
-        self.format
+    fn with_magic(mut self) -> Result<Self, StoreError> {
+        self.file
+            .write_all(WAL_MAGIC)
+            .map_err(|e| StoreError::io(&self.path, e))?;
+        self.flush()?;
+        Ok(self)
     }
 
     /// Attach durability-plane histograms; subsequent appends and fsyncs
@@ -414,11 +382,11 @@ impl WalWriter {
     }
 
     /// Append one record. This is the only write entry point: every call
-    /// site hands the writer a typed [`WalRecord`], and the codec owns the
-    /// bytes.
+    /// site hands the writer a typed [`WalRecord`], and [`encode_record`]
+    /// owns the bytes.
     pub fn append(&mut self, record: &WalRecord) -> Result<(), StoreError> {
         let start = self.metrics.is_some().then(std::time::Instant::now);
-        self.format.wal_codec().encode_record(record, &mut self.buf);
+        encode_record(record, &mut self.buf);
         self.file
             .write_all(&self.buf.bytes)
             .map_err(|e| StoreError::io(&self.path, e))?;
@@ -539,26 +507,12 @@ impl WalContents {
     }
 }
 
-fn read_fully(file: &mut File, buf: &mut [u8]) -> std::io::Result<usize> {
-    use std::io::Read;
-    let mut filled = 0;
-    while filled < buf.len() {
-        match file.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(filled)
-}
-
 /// Does any complete valid record decode from `rest`? Distinguishes a torn
 /// tail (damage at EOF — tolerated) from mid-file corruption (damage
 /// *followed by* valid records — an error).
-fn rest_has_record(codec: &dyn WalCodec, mut rest: &[u8]) -> bool {
+fn rest_has_record(format: StoreFormat, mut rest: &[u8]) -> bool {
     loop {
-        match codec.decode_step(rest) {
+        match format.decode_step(rest) {
             DecodeStep::Record { .. } => return true,
             DecodeStep::Blank { consumed } | DecodeStep::Invalid { consumed, .. } => {
                 if consumed == 0 || consumed > rest.len() {
@@ -576,14 +530,16 @@ fn rest_has_record(codec: &dyn WalCodec, mut rest: &[u8]) -> bool {
 pub fn read_wal(path: &Path) -> Result<WalContents, StoreError> {
     let bytes = std::fs::read(path).map_err(|e| StoreError::io(path, e))?;
     let format = StoreFormat::detect_wal(&bytes);
-    let codec = format.wal_codec();
-    let mut pos = codec.magic().len();
+    let mut pos = match format {
+        StoreFormat::JsonlV1 => 0,
+        StoreFormat::BinaryV2 => WAL_MAGIC.len(),
+    };
     let mut records = Vec::new();
     let mut torn_tail = false;
     let mut record_no = 0usize;
     while pos < bytes.len() {
         record_no += 1;
-        match codec.decode_step(&bytes[pos..]) {
+        match format.decode_step(&bytes[pos..]) {
             DecodeStep::Record { consumed, record } => {
                 records.push(record);
                 pos += consumed;
@@ -597,7 +553,7 @@ pub fn read_wal(path: &Path) -> Result<WalContents, StoreError> {
                 break;
             }
             DecodeStep::Invalid { consumed, why } => {
-                if rest_has_record(codec, &bytes[(pos + consumed).min(bytes.len())..]) {
+                if rest_has_record(format, &bytes[(pos + consumed).min(bytes.len())..]) {
                     return Err(StoreError::corrupt(
                         path,
                         format!("record {record_no}: {why}"),
@@ -623,10 +579,63 @@ pub fn read_wal(path: &Path) -> Result<WalContents, StoreError> {
     })
 }
 
+/// Rewrite the WAL at `wal_path` to end exactly at the record for
+/// checkpoint `marker`, as `binary-v2` (crash-safe: temp file + fsync +
+/// rename). This is recovery's suffix discard and, for a `jsonl-v1` file,
+/// its one-way up-conversion. No-op when the file is already binary, the
+/// marker is its final record and the tail is clean.
+pub(crate) fn rewrite_to_marker(
+    wal_path: &Path,
+    contents: &WalContents,
+    marker: MarkerRef,
+) -> Result<(), StoreError> {
+    let marker_idx = contents
+        .records
+        .iter()
+        .rposition(|r| {
+            matches!(
+                r,
+                WalRecord::SnapshotMarker { marker: m, .. }
+                    if m.snap() == marker.snap && m.delta() == marker.delta
+            )
+        })
+        .ok_or_else(|| StoreError::corrupt(wal_path, "checkpoint marker vanished"))?;
+    if contents.format == StoreFormat::BinaryV2
+        && marker_idx + 1 == contents.records.len()
+        && !contents.torn_tail
+    {
+        return Ok(());
+    }
+    let tmp = wal_path.with_extension("jsonl.tmp");
+    std::fs::write(&tmp, encode_wal(&contents.records[..=marker_idx]))
+        .map_err(|e| StoreError::io(&tmp, e))?;
+    File::open(&tmp)
+        .and_then(|f| f.sync_all())
+        .map_err(|e| StoreError::io(&tmp, e))?;
+    std::fs::rename(&tmp, wal_path).map_err(|e| StoreError::io(wal_path, e))?;
+    if let Some(dir) = wal_path.parent() {
+        crate::snapshot::fsync_dir(dir)?;
+    }
+    Ok(())
+}
+
+/// What the retired `jsonl-v1` writer put on disk for `records`: one
+/// rendered line each. Tests feed the v1 read path with this.
+#[cfg(test)]
+pub(crate) fn v1_bytes(records: &[WalRecord]) -> Vec<u8> {
+    let mut text = String::new();
+    for record in records {
+        render_record_jsonl(record, &mut text);
+        text.push('\n');
+    }
+    text.into_bytes()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use asha_core::telemetry::EventKind;
+    use proptest::prelude::*;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("asha-store-wal-{tag}-{}", std::process::id()));
@@ -647,47 +656,51 @@ mod tests {
     }
 
     #[test]
-    fn wal_round_trips_telemetry_and_store_events_in_both_formats() {
+    fn wal_reads_telemetry_and_store_events_in_both_dialects() {
+        let records = vec![
+            WalRecord::Meta {
+                time: 0.0,
+                event: StoreEvent::ExperimentCreated {
+                    name: "exp".to_owned(),
+                },
+            },
+            WalRecord::telemetry(ev(0, 0.0)),
+            WalRecord::telemetry(ev(1, 0.5)),
+            WalRecord::SnapshotMarker {
+                time: 0.5,
+                marker: SnapMarker::Full { snap: 0, events: 2 },
+            },
+            WalRecord::SnapshotMarker {
+                time: 0.75,
+                marker: SnapMarker::Delta {
+                    snap: 0,
+                    delta: 1,
+                    events: 2,
+                },
+            },
+            WalRecord::Meta {
+                time: 1.0,
+                event: StoreEvent::ExperimentFinished,
+            },
+        ];
+        let dir = tmpdir("roundtrip");
+        let path = dir.join("wal");
         for format in [StoreFormat::JsonlV1, StoreFormat::BinaryV2] {
-            let dir = tmpdir(&format!("roundtrip-{}", format.extensionless_tag()));
-            let path = dir.join("wal");
-            {
-                let mut wal = WalWriter::create(&path, Durability::Sync, format).unwrap();
-                wal.append(&WalRecord::Meta {
-                    time: 0.0,
-                    event: StoreEvent::ExperimentCreated {
-                        name: "exp".to_owned(),
-                    },
-                })
-                .unwrap();
-                wal.append(&WalRecord::telemetry(ev(0, 0.0))).unwrap();
-                wal.append(&WalRecord::telemetry(ev(1, 0.5))).unwrap();
-                wal.append(&WalRecord::SnapshotMarker {
-                    time: 0.5,
-                    marker: SnapMarker::Full { snap: 0, events: 2 },
-                })
-                .unwrap();
-                wal.append(&WalRecord::SnapshotMarker {
-                    time: 0.75,
-                    marker: SnapMarker::Delta {
-                        snap: 0,
-                        delta: 1,
-                        events: 2,
-                    },
-                })
-                .unwrap();
-                wal.append(&WalRecord::Meta {
-                    time: 1.0,
-                    event: StoreEvent::ExperimentFinished,
-                })
-                .unwrap();
-                assert_eq!(wal.telemetry_appended(), 2);
-                assert_eq!(wal.format(), format);
+            match format {
+                // v1 is read-only: the file is what the old writer left.
+                StoreFormat::JsonlV1 => std::fs::write(&path, v1_bytes(&records)).unwrap(),
+                StoreFormat::BinaryV2 => {
+                    let mut wal = WalWriter::create(&path, Durability::Sync).unwrap();
+                    for record in &records {
+                        wal.append(record).unwrap();
+                    }
+                    assert_eq!(wal.telemetry_appended(), 2);
+                }
             }
             let contents = read_wal(&path).unwrap();
             assert_eq!(contents.format, format);
             assert!(!contents.torn_tail);
-            assert_eq!(contents.records.len(), 6);
+            assert_eq!(contents.records, records);
             assert_eq!(contents.telemetry_len(), 2);
             assert_eq!(
                 contents.last_snapshot_marker(),
@@ -702,41 +715,45 @@ mod tests {
                 WalRecord::Decision(ev(0, 0.0)),
                 "grow_bottom classifies as a scheduler decision"
             );
-
-            // Appending keeps the file's own dialect even when the caller
-            // prefers the other one.
-            let other = match format {
-                StoreFormat::JsonlV1 => StoreFormat::BinaryV2,
-                StoreFormat::BinaryV2 => StoreFormat::JsonlV1,
-            };
-            {
-                let mut wal = WalWriter::open_append(&path, Durability::Flush, 2, other).unwrap();
-                assert_eq!(wal.format(), format, "existing dialect wins");
-                wal.append(&WalRecord::telemetry(ev(2, 2.0))).unwrap();
-            }
-            assert_eq!(read_wal(&path).unwrap().telemetry_len(), 3);
-            std::fs::remove_dir_all(&dir).ok();
         }
+
+        // Appending continues the binary file; a missing file starts fresh.
+        for path in [path, dir.join("fresh")] {
+            let before = read_wal(&path).map_or(0, |c| c.telemetry_len());
+            {
+                let mut wal = WalWriter::open_append(&path, Durability::Flush, before).unwrap();
+                wal.append(&WalRecord::telemetry(ev(before, 2.0))).unwrap();
+                assert_eq!(wal.telemetry_appended(), before + 1);
+            }
+            let contents = read_wal(&path).unwrap();
+            assert_eq!(contents.format, StoreFormat::BinaryV2);
+            assert_eq!(contents.telemetry_len(), before + 1);
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn torn_tail_is_discarded_but_midfile_corruption_errors() {
         let dir = tmpdir("torn");
         let path = dir.join("wal.jsonl");
-        {
-            let mut wal =
-                WalWriter::create(&path, Durability::Flush, StoreFormat::JsonlV1).unwrap();
-            wal.append(&WalRecord::telemetry(ev(0, 0.0))).unwrap();
-            wal.append(&WalRecord::telemetry(ev(1, 0.5))).unwrap();
-        }
-        // Simulate a crash mid-append: a partial final line.
-        {
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(b"{\"seq\":2,\"t\":0.7,\"ev\":\"job_e").unwrap();
-        }
+        // Two clean v1 lines, then a crash mid-append: a partial final line.
+        let mut bytes = v1_bytes(&[
+            WalRecord::telemetry(ev(0, 0.0)),
+            WalRecord::telemetry(ev(1, 0.5)),
+        ]);
+        bytes.extend_from_slice(b"{\"seq\":2,\"t\":0.7,\"ev\":\"job_e");
+        std::fs::write(&path, bytes).unwrap();
         let contents = read_wal(&path).unwrap();
         assert!(contents.torn_tail);
         assert_eq!(contents.telemetry_len(), 2);
+
+        // Blank lines and CRLF endings (a WAL that passed through an editor)
+        // are skipped, not counted as damage.
+        let text = String::from_utf8(v1_bytes(&[WalRecord::telemetry(ev(0, 0.0))])).unwrap();
+        std::fs::write(&path, format!("\n{}\r\n  \n", text.trim_end())).unwrap();
+        let contents = read_wal(&path).unwrap();
+        assert!(!contents.torn_tail);
+        assert_eq!(contents.records, vec![WalRecord::telemetry(ev(0, 0.0))]);
 
         // The same garbage mid-file is corruption, not a torn tail.
         std::fs::write(
@@ -756,8 +773,7 @@ mod tests {
         let dir = tmpdir("binary-torn");
         let path = dir.join("wal.bin");
         {
-            let mut wal =
-                WalWriter::create(&path, Durability::Flush, StoreFormat::BinaryV2).unwrap();
+            let mut wal = WalWriter::create(&path, Durability::Flush).unwrap();
             for i in 0..4 {
                 wal.append(&WalRecord::telemetry(ev(i, i as f64))).unwrap();
             }
@@ -794,8 +810,7 @@ mod tests {
     fn every_n_policy_counts_records() {
         let dir = tmpdir("everyn");
         let path = dir.join("wal.jsonl");
-        let mut wal =
-            WalWriter::create(&path, Durability::EveryN(2), StoreFormat::JsonlV1).unwrap();
+        let mut wal = WalWriter::create(&path, Durability::EveryN(2)).unwrap();
         for i in 0..5 {
             wal.append(&WalRecord::telemetry(ev(i, i as f64))).unwrap();
         }
@@ -808,11 +823,67 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    impl StoreFormat {
-        fn extensionless_tag(&self) -> &'static str {
-            match self {
-                StoreFormat::JsonlV1 => "jsonl",
-                StoreFormat::BinaryV2 => "bin",
+    /// A short record sequence dense in checkpoint markers, with finite
+    /// timestamps (what the v1 writer could put on a line).
+    fn records() -> impl Strategy<Value = Vec<WalRecord>> {
+        let record = (0u8..6, 0u64..1000, 0u32..1_000_000).prop_map(|(pick, n, t)| {
+            let time = t as f64 / 64.0;
+            match pick {
+                0 => WalRecord::SnapshotMarker {
+                    time,
+                    marker: SnapMarker::Full { snap: n, events: n },
+                },
+                1 => WalRecord::SnapshotMarker {
+                    time,
+                    marker: SnapMarker::Delta {
+                        snap: n,
+                        delta: 1 + n % 8,
+                        events: n,
+                    },
+                },
+                2 => WalRecord::Meta {
+                    time,
+                    event: StoreEvent::Resumed,
+                },
+                _ => WalRecord::telemetry(ev(n, time)),
+            }
+        });
+        prop::collection::vec(record, 1..40)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Up-conversion keeps exactly what recovery keeps: any v1 WAL, cut
+        /// at any byte (a torn line included), rewrites to a clean binary
+        /// WAL holding the v1 records up to the last marker.
+        #[test]
+        fn v1_wal_cut_anywhere_up_converts_to_its_marker_prefix(
+            records in records(),
+            cut in any::<usize>(),
+        ) {
+            let dir = tmpdir("upconvert");
+            let path = dir.join("wal.jsonl");
+            let bytes = v1_bytes(&records);
+            std::fs::write(&path, &bytes[..=cut % bytes.len()]).unwrap();
+            let v1 = read_wal(&path).unwrap();
+            prop_assert_eq!(v1.format, StoreFormat::JsonlV1);
+            if let Some(marker) = v1.last_snapshot_marker() {
+                rewrite_to_marker(&path, &v1, marker).unwrap();
+                let keep = v1
+                    .records
+                    .iter()
+                    .rposition(|r| matches!(r, WalRecord::SnapshotMarker { .. }))
+                    .unwrap();
+                let v2 = read_wal(&path).unwrap();
+                prop_assert_eq!(v2.format, StoreFormat::BinaryV2);
+                prop_assert!(!v2.torn_tail);
+                prop_assert_eq!(&v2.records[..], &v1.records[..=keep]);
+                // A second pass (a crash right after the rename, then
+                // another resume) leaves the file alone.
+                let before = std::fs::read(&path).unwrap();
+                rewrite_to_marker(&path, &v2, marker).unwrap();
+                prop_assert_eq!(before, std::fs::read(&path).unwrap());
             }
         }
     }

@@ -10,8 +10,7 @@ use asha_core::{Asha, AshaConfig, Decision, Observation, Scheduler};
 use asha_sim::{SimConfig, SimResult};
 use asha_store::{
     read_meta, read_wal, replay_scheduler, BenchSpec, Durability, DurableRun, ExperimentMeta,
-    ExperimentStatus, ExperimentSupervisor, RunOptions, SchedulerState, StoreFormat,
-    StoredScheduler, WAL_FILE,
+    ExperimentStatus, ExperimentSupervisor, RunOptions, SchedulerState, StoredScheduler, WAL_FILE,
 };
 use asha_surrogate::BenchmarkModel;
 use rand::rngs::StdRng;
@@ -84,17 +83,6 @@ fn opts(snapshot_jobs: usize) -> RunOptions {
     }
 }
 
-/// The same knobs in the `jsonl-v1` dialect with deltas disabled — the
-/// exact on-disk behavior of pre-codec-redesign stores.
-fn v1_opts(snapshot_jobs: usize) -> RunOptions {
-    RunOptions {
-        sync: Durability::EveryN(16),
-        snapshot_jobs,
-        format: StoreFormat::JsonlV1,
-        delta_chain: 0,
-    }
-}
-
 fn assert_results_identical(a: &SimResult, b: &SimResult) {
     assert_eq!(a.jobs_completed, b.jobs_completed);
     assert_eq!(a.distinct_trials, b.distinct_trials);
@@ -130,9 +118,12 @@ fn uninterrupted_result(meta: &ExperimentMeta, dir: &Path, o: RunOptions) -> Sim
 
 #[test]
 fn recovery_after_hard_kill_matches_uninterrupted_run() {
-    // Both dialects, including the pre-redesign on-disk shape (jsonl-v1,
-    // no delta chain): recovery must be bit-identical under each.
-    for (tag, o) in [("bin", opts(30)), ("v1", v1_opts(30))] {
+    // With delta chains (the default) and with full snapshots only.
+    let full_only = RunOptions {
+        delta_chain: 0,
+        ..opts(30)
+    };
+    for (tag, o) in [("delta", opts(30)), ("full", full_only)] {
         recovery_after_hard_kill(tag, o);
     }
 }
@@ -459,13 +450,8 @@ fn supervisor_abort_leaves_resumable_store_and_manifest_survives_reopen() {
 
 #[test]
 fn wal_of_recovered_run_equals_uninterrupted_telemetry() {
-    for (tag, o) in [("bin", opts(20)), ("v1", v1_opts(20))] {
-        wal_of_recovered_run_equals(tag, o);
-    }
-}
-
-fn wal_of_recovered_run_equals(tag: &str, o: RunOptions) {
-    let root = tmpdir(&format!("wal-eq-{tag}"));
+    let root = tmpdir("wal-eq");
+    let o = opts(20);
     let meta = chaos_meta("wal", 21);
     let ref_dir = root.join("ref");
     uninterrupted_result(&meta, &ref_dir, o);

@@ -1,10 +1,10 @@
 //! Mixed-format recovery: the codec redesign's compatibility guarantees.
 //!
-//! A store written in one dialect must open, resume, and stay recoverable
-//! under the other — `jsonl-v1` WALs appended in place while new
-//! checkpoints land as `binary-v2`, binary delta chains patched on top of
-//! a v1 full snapshot, and the committed pre-redesign fixture opening
-//! unchanged. Alongside the integration tests, property tests pin the
+//! `jsonl-v1` is a read-only input: the committed pre-redesign fixture
+//! must open, resume — its WAL up-converted to `binary-v2` in the same
+//! atomic rewrite that discards the suffix past the marker — and stay
+//! recoverable afterwards, with binary delta chains patched on top of its
+//! v1 full snapshot. Alongside the integration tests, property tests pin the
 //! binary codec's record roundtrip and the delta diff/patch algebra, and
 //! byte-surgery tests distinguish a torn tail (truncate and continue)
 //! from mid-file corruption (hard error).
@@ -17,10 +17,11 @@ use asha_metrics::JsonValue;
 use asha_sim::{SimConfig, SimResult};
 use asha_store::binary::json_eq;
 use asha_store::delta::{apply, diff, is_unchanged};
+use asha_store::format::{encode_document, encode_record, WAL_MAGIC};
 use asha_store::{
     delta_file_name, read_document, read_meta, read_wal, BenchSpec, DecodeStep, DeltaDoc,
     Durability, DurableRun, EncodeBuf, ExperimentMeta, RunOptions, SchedulerState, SnapMarker,
-    Snapshot, StoreEvent, StoreFormat, WalRecord, WAL_FILE,
+    Snapshot, StoreEvent, StoreFormat, WalRecord, WalTail, WAL_FILE,
 };
 use asha_surrogate::BenchmarkModel;
 use proptest::prelude::*;
@@ -60,17 +61,6 @@ fn bin_opts(snapshot_jobs: usize) -> RunOptions {
         sync: Durability::EveryN(16),
         snapshot_jobs,
         ..RunOptions::default()
-    }
-}
-
-/// The exact on-disk behavior of pre-codec-redesign stores: `jsonl-v1`
-/// everywhere, no delta chains.
-fn v1_opts(snapshot_jobs: usize) -> RunOptions {
-    RunOptions {
-        sync: Durability::EveryN(16),
-        snapshot_jobs,
-        format: StoreFormat::JsonlV1,
-        delta_chain: 0,
     }
 }
 
@@ -116,67 +106,89 @@ fn files_with_ext(dir: &Path, ext: &str) -> Vec<PathBuf> {
 // Cross-dialect stores
 // ---------------------------------------------------------------------------
 
-/// A pre-redesign (`jsonl-v1`) store killed mid-run and resumed under the
-/// binary codec finishes bit-identical — and the directory it leaves
-/// behind is genuinely mixed: the WAL keeps its original dialect (appends
-/// continue in place), while checkpoints written after the switch are
-/// `binary-v2` files.
-#[test]
-fn v1_store_resumed_under_binary_options_finishes_identical() {
-    let root = tmpdir("v1-under-bin");
-    let meta = chaos_meta("mixed", 19);
-    let reference = uninterrupted(&meta, &root.join("ref"), v1_opts(30));
-
+/// A fresh temp copy of a committed fixture store: `(root, experiment dir)`.
+fn fixture_copy(fixture: &str, tag: &str) -> (PathBuf, PathBuf) {
+    let fixture_dir = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("fixtures")
+        .join(fixture);
+    let root = tmpdir(tag);
     let dir = root.join("exp");
-    let bench = meta.bench.build().unwrap();
-    let mut run = DurableRun::create(&dir, &meta, &bench, v1_opts(30)).unwrap();
-    run.run_until_jobs(45).unwrap();
-    std::mem::forget(run);
-
-    let resumed = DurableRun::resume(&dir, &meta, &bench, bin_opts(30)).unwrap();
-    let result = resumed.run_to_completion().unwrap();
-    assert_results_identical(&reference, &result);
-
-    let contents = read_wal(&dir.join(WAL_FILE)).unwrap();
-    assert_eq!(contents.format, StoreFormat::JsonlV1, "WAL dialect sticks");
-    assert!(
-        !files_with_ext(&dir, "json").is_empty(),
-        "the v1 checkpoints written before the switch remain"
-    );
-    assert!(
-        !files_with_ext(&dir, "bin").is_empty(),
-        "checkpoints written after the switch must be binary"
-    );
-    std::fs::remove_dir_all(&root).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    for entry in std::fs::read_dir(&fixture_dir).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+    }
+    (root, dir)
 }
 
-/// Binary deltas chained on top of a `jsonl-v1` full snapshot: resume a
-/// v1 store under binary options with a live delta chain, crash again
-/// mid-chain, and recovery must patch `.bin` deltas onto the `.json`
-/// base — then finish identical to an uninterrupted run.
+fn telemetry(dir: &Path) -> Vec<Event> {
+    read_wal(&dir.join(WAL_FILE))
+        .unwrap()
+        .telemetry()
+        .copied()
+        .collect()
+}
+
+/// Resuming the `jsonl-v1` fixture rewrites its WAL as `binary-v2` — the v1
+/// records up to the checkpoint marker, then `resumed` — leaves the v1
+/// snapshots where they are, chains binary deltas onto the v1 base, survives
+/// a second crash mid-chain, and finishes identical to an uninterrupted run.
 #[test]
-fn binary_delta_chain_atop_v1_full_snapshot_recovers() {
-    let root = tmpdir("delta-on-v1");
-    let meta = chaos_meta("delta-on-v1", 23);
-    let reference = uninterrupted(&meta, &root.join("ref"), v1_opts(25));
-
-    let dir = root.join("exp");
+fn v1_fixture_resume_up_converts_the_wal_and_chains_deltas_on_the_v1_base() {
+    let (root, dir) = fixture_copy("v1-demo-store", "v1-upconvert");
+    let meta = read_meta(&dir).unwrap();
     let bench = meta.bench.build().unwrap();
-    let mut run = DurableRun::create(&dir, &meta, &bench, v1_opts(25)).unwrap();
-    run.run_until_jobs(40).unwrap();
+    let reference = uninterrupted(&meta, &root.join("ref"), RunOptions::default());
+
+    // The fixture's kill lost everything past its last marker; put a suffix
+    // back — two complete lines and a torn one — as a later kill would.
+    let wal_path = dir.join(WAL_FILE);
+    let committed = read_wal(&wal_path).unwrap();
+    let marker_idx = committed.records.len() - 1;
+    assert!(matches!(
+        committed.records[marker_idx],
+        WalRecord::SnapshotMarker { .. }
+    ));
+    {
+        use std::io::Write;
+        let mut wal = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&wal_path)
+            .unwrap();
+        for record in &committed.records[3..5] {
+            writeln!(wal, "{}", record.render_jsonl()).unwrap();
+        }
+        wal.write_all(b"{\"seq\":290,\"t\":1.02,\"ev\":\"job_e")
+            .unwrap();
+    }
+    let v1 = read_wal(&wal_path).unwrap();
+    assert_eq!(v1.format, StoreFormat::JsonlV1);
+    assert!(v1.torn_tail);
+    assert_eq!(v1.records.len(), marker_idx + 3);
+
+    // A tight cadence so the reopened chain grows several deltas.
+    let tight = bin_opts(10);
+    let mut run = DurableRun::resume(&dir, &meta, &bench, tight).unwrap();
+    run.flush().unwrap();
+    assert!(std::fs::read(&wal_path).unwrap().starts_with(WAL_MAGIC));
+    let converted = read_wal(&wal_path).unwrap();
+    assert_eq!(converted.format, StoreFormat::BinaryV2);
+    assert!(!converted.torn_tail);
+    let (resumed, kept) = converted.records.split_last().unwrap();
+    assert_eq!(kept, &v1.records[..=marker_idx]);
+    assert!(matches!(
+        resumed,
+        WalRecord::Meta {
+            event: StoreEvent::Resumed,
+            ..
+        }
+    ));
+
+    // Die again mid-chain: `.bin` deltas hang off the `.json` base.
+    run.run_until_jobs(run.jobs_completed() + 45).unwrap();
     std::mem::forget(run);
-
-    // Resume under a tight binary checkpoint cadence so the reopened chain
-    // grows several deltas, then die again mid-chain.
-    let tight = RunOptions {
-        snapshot_jobs: 10,
-        ..bin_opts(10)
-    };
-    let mut resumed = DurableRun::resume(&dir, &meta, &bench, tight).unwrap();
-    resumed.run_until_jobs(80).unwrap();
-    std::mem::forget(resumed);
-
-    let marker = read_wal(&dir.join(WAL_FILE))
+    let marker = read_wal(&wal_path)
         .unwrap()
         .last_snapshot_marker()
         .expect("store has checkpoint markers");
@@ -200,6 +212,73 @@ fn binary_delta_chain_atop_v1_full_snapshot_recovers() {
         .run_to_completion()
         .unwrap();
     assert_results_identical(&reference, &result);
+    assert_eq!(telemetry(&root.join("ref")), telemetry(&dir));
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// A crash right after the up-converting rename — before `resumed` or
+/// anything else reaches the new file — leaves a binary WAL ending at the
+/// marker; resuming that finishes exactly like a single resume.
+#[test]
+fn double_resume_of_the_v1_fixture_equals_a_single_resume() {
+    let (root_once, once) = fixture_copy("v1-demo-store", "v1-once");
+    let (root_twice, twice) = fixture_copy("v1-demo-store", "v1-twice");
+    let meta = read_meta(&once).unwrap();
+    let bench = meta.bench.build().unwrap();
+    let o = RunOptions::default();
+
+    let single = DurableRun::resume(&once, &meta, &bench, o)
+        .unwrap()
+        .run_to_completion()
+        .unwrap();
+
+    // Dropped without destructors before any step: the buffered `resumed`
+    // record never lands.
+    std::mem::forget(DurableRun::resume(&twice, &meta, &bench, o).unwrap());
+    let after_crash = read_wal(&twice.join(WAL_FILE)).unwrap();
+    assert_eq!(after_crash.format, StoreFormat::BinaryV2);
+    assert!(matches!(
+        after_crash.records.last(),
+        Some(WalRecord::SnapshotMarker { .. })
+    ));
+    let double = DurableRun::resume(&twice, &meta, &bench, o)
+        .unwrap()
+        .run_to_completion()
+        .unwrap();
+
+    assert_results_identical(&single, &double);
+    assert_eq!(telemetry(&once), telemetry(&twice));
+    std::fs::remove_dir_all(&root_once).ok();
+    std::fs::remove_dir_all(&root_twice).ok();
+}
+
+/// A tail that was following the v1 WAL sees the up-conversion as one
+/// rewind, after which it delivers exactly what a fresh tail of the
+/// converted file delivers.
+#[test]
+fn a_tail_on_the_v1_wal_rewinds_once_across_the_up_conversion() {
+    let (root, dir) = fixture_copy("v1-demo-store", "v1-tail");
+    let meta = read_meta(&dir).unwrap();
+    let bench = meta.bench.build().unwrap();
+    let wal_path = dir.join(WAL_FILE);
+
+    let mut tail = WalTail::new(&wal_path);
+    let before = tail.poll().unwrap();
+    assert!(!before.rewound);
+    assert!(!before.lines.is_empty());
+    assert_eq!(tail.format(), Some(StoreFormat::JsonlV1));
+
+    DurableRun::resume(&dir, &meta, &bench, RunOptions::default())
+        .unwrap()
+        .run_to_completion()
+        .unwrap();
+
+    let after = tail.poll().unwrap();
+    assert!(after.rewound, "the rewrite must rewind the tail");
+    assert_eq!(tail.format(), Some(StoreFormat::BinaryV2));
+    let fresh = WalTail::new(&wal_path).poll().unwrap();
+    assert_eq!(after.lines, fresh.lines);
+    assert_eq!(tail.poll().unwrap(), Default::default(), "one rewind only");
     std::fs::remove_dir_all(&root).ok();
 }
 
@@ -211,17 +290,7 @@ fn binary_delta_chain_atop_v1_full_snapshot_recovers() {
 /// format change broke real stores (or made new ones unreadable by old
 /// code).
 fn fixture_opens_resumes_and_reencodes(fixture: &str, kind: &str) {
-    let fixture_dir = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("fixtures")
-        .join(fixture);
-    let root = tmpdir(fixture);
-    let dir = root.join("exp");
-    std::fs::create_dir_all(&dir).unwrap();
-    for entry in std::fs::read_dir(&fixture_dir).unwrap() {
-        let entry = entry.unwrap();
-        std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
-    }
+    let (root, dir) = fixture_copy(fixture, fixture);
 
     let meta = read_meta(&dir).expect("fixture metadata parses");
     assert_eq!(meta.initial.kind(), kind);
@@ -245,14 +314,17 @@ fn fixture_opens_resumes_and_reencodes(fixture: &str, kind: &str) {
         } else {
             DeltaDoc::from_json(&doc).unwrap().to_json()
         };
-        let format = match path.extension().unwrap().to_str().unwrap() {
-            "bin" => StoreFormat::BinaryV2,
-            _ => StoreFormat::JsonlV1,
-        };
         let mut bytes = Vec::new();
-        format
-            .snapshot_codec()
-            .encode_document(&reencoded, &mut bytes);
+        if path.extension().unwrap() == "bin" {
+            encode_document(&reencoded, &mut bytes);
+        } else {
+            // What the retired v1 writer produced: the compact rendering
+            // and a newline.
+            let mut text = String::new();
+            reencoded.render_compact_into(&mut text);
+            text.push('\n');
+            bytes = text.into_bytes();
+        }
         assert_eq!(
             bytes,
             std::fs::read(path).unwrap(),
@@ -384,9 +456,9 @@ fn mid_file_crc_flip_is_reported_as_corruption() {
     // Locate the first frame after the magic and flip its final CRC byte.
     let wal_path = dir.join(WAL_FILE);
     let mut bytes = std::fs::read(&wal_path).unwrap();
-    let codec = StoreFormat::BinaryV2.wal_codec();
-    let magic = codec.magic().len();
-    let DecodeStep::Record { consumed, .. } = codec.decode_step(&bytes[magic..]) else {
+    let magic = WAL_MAGIC.len();
+    let DecodeStep::Record { consumed, .. } = StoreFormat::BinaryV2.decode_step(&bytes[magic..])
+    else {
         panic!("WAL must start with a well-formed record");
     };
     bytes[magic + consumed - 1] ^= 0xff;
@@ -554,10 +626,9 @@ proptest! {
     /// one frame, fully consumed, structurally equal.
     #[test]
     fn binary_wal_records_roundtrip(record in wal_record()) {
-        let codec = StoreFormat::BinaryV2.wal_codec();
         let mut buf = EncodeBuf::default();
-        codec.encode_record(&record, &mut buf);
-        match codec.decode_step(&buf.bytes) {
+        encode_record(&record, &mut buf);
+        match StoreFormat::BinaryV2.decode_step(&buf.bytes) {
             DecodeStep::Record { consumed, record: decoded } => {
                 prop_assert_eq!(consumed, buf.bytes.len(), "one frame, no slack");
                 prop_assert_eq!(decoded, record);
@@ -570,12 +641,11 @@ proptest! {
     /// (a torn append), never as a bogus record or a hard error.
     #[test]
     fn truncated_binary_frames_read_as_incomplete(record in wal_record(), cut in any::<usize>()) {
-        let codec = StoreFormat::BinaryV2.wal_codec();
         let mut buf = EncodeBuf::default();
-        codec.encode_record(&record, &mut buf);
+        encode_record(&record, &mut buf);
         let cut = cut % buf.bytes.len(); // 0..len, always a strict prefix
         prop_assert!(matches!(
-            codec.decode_step(&buf.bytes[..cut]),
+            StoreFormat::BinaryV2.decode_step(&buf.bytes[..cut]),
             DecodeStep::Incomplete
         ));
     }
