@@ -332,20 +332,11 @@ fn fmt_secs(s: f64) -> String {
 
 /// One rendered frame of the `top` view.
 fn render_top(snap: &JsonValue, rows: &[asha::service::WireStatus]) {
-    let enabled = snap
-        .get("enabled")
-        .and_then(JsonValue::as_bool)
-        .unwrap_or(false);
     println!(
-        "asha-serve — up {:.0}s — metrics {}",
+        "asha-serve — up {:.0}s — metrics on",
         jpath(snap, "uptime_s")
             .and_then(JsonValue::as_f64)
             .unwrap_or(0.0),
-        if enabled {
-            "on"
-        } else {
-            "off (counters are zeros)"
-        },
     );
     println!(
         "conns {} open / {} total   workers queue {}   subs {} open   http scrapes {}",

@@ -11,7 +11,7 @@
 //! asha-serve --root DIR [--unix PATH] [--tcp ADDR] [--trace FILE]
 //!            [--queue-depth N] [--max-frame BYTES]
 //!            [--metrics-addr ADDR] [--slow-log FILE] [--slow-ms MS]
-//!            [--group-commit-ms MS] [--no-metrics]
+//!            [--group-commit-ms MS]
 //! ```
 //!
 //! At least one of `--unix` / `--tcp` is required. `--metrics-addr` adds
@@ -19,11 +19,10 @@
 //! `--slow-log` appends requests slower than `--slow-ms` (default 1000)
 //! as JSONL. `--group-commit-ms` coalesces WAL fsyncs across experiments
 //! through one shared commit pipeline (at most one fsync per WAL per
-//! window). `--no-metrics` (or `ASHA_METRICS=off`) disables the metrics
-//! plane entirely — for measuring its overhead, not for production. The
-//! daemon runs until SIGTERM/SIGINT or a client `shutdown` request, then
-//! drains gracefully: running experiments park behind durable snapshots,
-//! the manifest is flushed, and client queues are drained before exit.
+//! window). The daemon runs until SIGTERM/SIGINT or a client `shutdown`
+//! request, then drains gracefully: running experiments park behind
+//! durable snapshots, the manifest is flushed, and client queues are
+//! drained before exit.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -70,7 +69,7 @@ fn usage() -> ! {
         "usage: asha-serve --root DIR [--unix PATH] [--tcp ADDR] [--trace FILE]\n\
          \x20                 [--queue-depth N] [--max-frame BYTES]\n\
          \x20                 [--metrics-addr ADDR] [--slow-log FILE] [--slow-ms MS]\n\
-         \x20                 [--group-commit-ms MS] [--no-metrics]"
+         \x20                 [--group-commit-ms MS]"
     );
     std::process::exit(2);
 }
@@ -86,7 +85,6 @@ fn parse_options() -> ServeOptions {
     let mut slow_log = None;
     let mut slow_ms = None;
     let mut group_commit_ms = None;
-    let mut no_metrics = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -129,7 +127,6 @@ fn parse_options() -> ServeOptions {
                         .unwrap_or_else(|e| fail(format!("--group-commit-ms: {e}"))),
                 )
             }
-            "--no-metrics" => no_metrics = true,
             "--help" | "-h" => usage(),
             other => fail(format!("unknown argument {other:?}")),
         }
@@ -152,11 +149,6 @@ fn parse_options() -> ServeOptions {
         opts.slow_threshold = std::time::Duration::from_millis(ms);
     }
     opts.group_commit = group_commit_ms.map(std::time::Duration::from_millis);
-    // `ASHA_METRICS=off` matches the bench harness, which toggles the
-    // plane without changing the command line.
-    if no_metrics || std::env::var("ASHA_METRICS").is_ok_and(|v| v == "off") {
-        opts.metrics = false;
-    }
     if opts.unix.is_none() && opts.tcp.is_none() {
         fail("at least one of --unix / --tcp is required");
     }

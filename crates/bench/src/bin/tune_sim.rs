@@ -17,6 +17,7 @@
 //!   --drops       per-time-unit drop probability      (default 0)
 //!   --seed        RNG seed                            (default 0)
 
+use asha::sim::SimConfig;
 use asha::surrogate::{presets, BenchmarkModel, CurveBenchmark};
 use asha::tune::{Searcher, SimTune};
 
@@ -73,6 +74,19 @@ fn main() {
     let seed: u64 = parse_flag(&args, "--seed")
         .and_then(|s| s.parse().ok())
         .unwrap_or(0);
+    // `SimTune::run` builds its `SimConfig` through the panicking
+    // constructors; reject the same conditions here as a usage error.
+    let flags = SimConfig {
+        workers,
+        max_time: horizon,
+        straggler_std: stragglers,
+        drop_prob: drops,
+        ..SimConfig::new(1, 1.0)
+    };
+    if let Err(e) = flags.validate() {
+        eprintln!("tune_sim: {e}");
+        std::process::exit(2);
+    }
 
     println!(
         "tuning `{}` with {searcher_name} on {workers} simulated workers for {horizon:.1} time units",

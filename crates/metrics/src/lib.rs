@@ -15,7 +15,7 @@
 //!   shared time grid (the shaded bands of Figures 3–6 and 9).
 //! * [`write_csv`] — plain CSV export used by the benchmark harness.
 //! * [`write_json`] / [`JsonValue`] — hand-rolled JSON export for small
-//!   structured reports (the perf-baseline trajectory `BENCH_sim.json`),
+//!   structured reports (`report.json`, the daemon's metrics snapshot),
 //!   with [`JsonValue::parse`] as the matching reader so telemetry event
 //!   logs and reports can be replayed without a serde dependency.
 //!

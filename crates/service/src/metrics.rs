@@ -14,9 +14,7 @@
 //! against the daemon's start (`now_nanos`). Cross-thread timestamps
 //! (request ids are stamped at decode on the reactor thread and the
 //! queue-wait measured on a worker thread) are safe because `Instant` is
-//! monotonic across threads. When the plane is disabled, `now_nanos`
-//! returns 0 and every recorder is a cheap early-return — no clock reads
-//! on any hot path.
+//! monotonic across threads.
 //!
 //! # Exposure
 //!
@@ -119,7 +117,6 @@ impl TailerMetrics {
 /// Every metric the daemon exposes, updated lock-free from all threads.
 #[derive(Debug)]
 pub struct ServiceMetrics {
-    enabled: bool,
     epoch: Instant,
     next_req_id: AtomicU64,
 
@@ -160,12 +157,9 @@ pub struct ServiceMetrics {
 }
 
 impl ServiceMetrics {
-    /// A zeroed plane. `enabled: false` turns every recorder into an
-    /// early-return (used by the `service_load` overhead row); snapshots
-    /// then report zeros.
-    pub fn new(enabled: bool) -> Arc<ServiceMetrics> {
+    /// A zeroed plane.
+    pub fn new() -> Arc<ServiceMetrics> {
         Arc::new(ServiceMetrics {
-            enabled,
             epoch: Instant::now(),
             next_req_id: AtomicU64::new(1),
             accepts: SharedCounter::new(),
@@ -192,24 +186,15 @@ impl ServiceMetrics {
         })
     }
 
-    /// Whether the plane records anything.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Monotonic nanoseconds since the daemon started (0 when disabled —
-    /// callers treat timestamps as opaque and only difference them).
+    /// Monotonic nanoseconds since the daemon started (callers treat
+    /// timestamps as opaque and only difference them).
     #[inline]
     pub fn now_nanos(&self) -> u64 {
-        if !self.enabled {
-            return 0;
-        }
         self.epoch.elapsed().as_nanos() as u64
     }
 
     /// Allocate the next request id (assigned at decode time, before the
-    /// frame is queued for a worker). Ids are allocated even when the
-    /// plane is disabled so slow-request traces stay correlatable.
+    /// frame is queued for a worker).
     #[inline]
     pub fn next_request_id(&self) -> u64 {
         self.next_req_id.fetch_add(1, Ordering::Relaxed)
@@ -224,99 +209,72 @@ impl ServiceMetrics {
 
     /// A socket was accepted (any listener, including `/metrics`).
     pub fn accept(&self) {
-        if self.enabled {
-            self.accepts.inc();
-        }
+        self.accepts.inc();
     }
 
     /// Bytes read off a socket.
     pub fn record_bytes_read(&self, n: u64) {
-        if self.enabled {
-            self.bytes_read.add(n);
-        }
+        self.bytes_read.add(n);
     }
 
     /// Bytes written to a socket.
     pub fn record_bytes_written(&self, n: u64) {
-        if self.enabled {
-            self.bytes_written.add(n);
-        }
+        self.bytes_written.add(n);
     }
 
     /// A frame failed to decode (malformed, oversized, torn).
     pub fn decode_error(&self) {
-        if self.enabled {
-            self.decode_errors.inc();
-        }
+        self.decode_errors.inc();
     }
 
     /// A connection's reads were paused by the backlog high-water mark.
     pub fn read_pause(&self) {
-        if self.enabled {
-            self.read_pauses.inc();
-        }
+        self.read_pauses.inc();
     }
 
     /// One reactor iteration that dispatched at least one readiness event.
     pub fn reactor_iteration(&self, seconds: f64) {
-        if self.enabled {
-            self.iterations.inc();
-            self.iteration.observe(seconds);
-        }
+        self.iterations.inc();
+        self.iteration.observe(seconds);
     }
 
     /// Producer doorbell → reactor dispatch latency.
     pub fn wake_to_dispatch(&self, seconds: f64) {
-        if self.enabled {
-            self.wake_dispatch.observe(seconds);
-        }
+        self.wake_dispatch.observe(seconds);
     }
 
     /// A request line arrived on the HTTP `/metrics` listener.
     pub fn http_request(&self) {
-        if self.enabled {
-            self.http_requests.inc();
-        }
+        self.http_requests.inc();
     }
 
     // ---- Connection lifecycle ---------------------------------------
 
     /// A protocol connection opened.
     pub fn conn_opened(&self) {
-        if self.enabled {
-            self.connections_total.inc();
-            self.connections_open.inc();
-        }
+        self.connections_total.inc();
+        self.connections_open.inc();
     }
 
     /// A protocol connection closed.
     pub fn conn_closed(&self) {
-        if self.enabled {
-            self.connections_open.dec();
-        }
+        self.connections_open.dec();
     }
 
     // ---- Worker pool ------------------------------------------------
 
     /// A visit entered the worker queue.
     pub fn visit_queued(&self) {
-        if self.enabled {
-            self.queue_depth.inc();
-        }
+        self.queue_depth.inc();
     }
 
     /// A visit left the worker queue.
     pub fn visit_dequeued(&self) {
-        if self.enabled {
-            self.queue_depth.dec();
-        }
+        self.queue_depth.dec();
     }
 
     /// One request finished: op, outcome, and both latency legs.
     pub fn request_observed(&self, op: &str, ok: bool, queue_wait_s: f64, execute_s: f64) {
-        if !self.enabled {
-            return;
-        }
         self.requests.inc();
         if !ok {
             self.request_errors.inc();
@@ -332,39 +290,29 @@ impl ServiceMetrics {
 
     /// A request crossed the slow-request threshold.
     pub fn slow_request(&self) {
-        if self.enabled {
-            self.slow_requests.inc();
-        }
+        self.slow_requests.inc();
     }
 
     // ---- Subscriptions ----------------------------------------------
 
     /// A subscription opened.
     pub fn sub_opened(&self) {
-        if self.enabled {
-            self.subscriptions_open.inc();
-        }
+        self.subscriptions_open.inc();
     }
 
     /// A subscription closed.
     pub fn sub_closed(&self) {
-        if self.enabled {
-            self.subscriptions_open.dec();
-        }
+        self.subscriptions_open.dec();
     }
 
     /// A push frame was delivered to a subscriber queue.
     pub fn event_sent(&self) {
-        if self.enabled {
-            self.events_sent.inc();
-        }
+        self.events_sent.inc();
     }
 
     /// A lossy push was dropped on a full subscriber queue.
     pub fn event_lagged(&self) {
-        if self.enabled {
-            self.events_lagged.inc();
-        }
+        self.events_lagged.inc();
     }
 
     /// The per-experiment tailer cells, created on first use. Stable for
@@ -439,7 +387,8 @@ impl ServiceMetrics {
         };
         JsonValue::obj(vec![
             ("schema", JsonValue::Str(METRICS_SCHEMA.to_owned())),
-            ("enabled", JsonValue::Bool(self.enabled)),
+            // Constant: older `asha-ctl` builds read it to pick a rendering.
+            ("enabled", JsonValue::Bool(true)),
             (
                 "uptime_s",
                 JsonValue::Num(self.epoch.elapsed().as_secs_f64()),
@@ -945,7 +894,7 @@ mod tests {
 
     #[test]
     fn stats_projection_tracks_cells() {
-        let m = ServiceMetrics::new(true);
+        let m = ServiceMetrics::new();
         m.conn_opened();
         m.conn_opened();
         m.conn_closed();
@@ -963,19 +912,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_plane_records_nothing() {
-        let m = ServiceMetrics::new(false);
-        m.conn_opened();
-        m.request_observed("ping", true, 1.0, 1.0);
-        assert_eq!(m.now_nanos(), 0);
-        let s = m.daemon_stats();
-        assert_eq!(s.connections_total, 0);
-        assert_eq!(s.requests, 0);
-    }
-
-    #[test]
     fn unknown_op_buckets_as_invalid() {
-        let m = ServiceMetrics::new(true);
+        let m = ServiceMetrics::new();
         m.request_observed("frobnicate", false, 0.0, 0.0);
         let snap = m.snapshot_json();
         let by_op = snap.get("requests").and_then(|r| r.get("by_op")).unwrap();
@@ -984,7 +922,7 @@ mod tests {
 
     #[test]
     fn snapshot_json_carries_schema() {
-        let m = ServiceMetrics::new(true);
+        let m = ServiceMetrics::new();
         let v = m.snapshot_json();
         assert_eq!(
             v.get("schema").and_then(|s| s.as_str()),

@@ -250,11 +250,9 @@ impl ConnHandle {
     /// Ring the reactor's doorbell for this connection (flush + re-arm).
     pub fn mark_dirty(&self) {
         if !self.dirty.swap(true, Ordering::AcqRel) {
-            if self.metrics.enabled() {
-                // `.max(1)` keeps a 0 reading distinguishable from "unset".
-                self.dirty_at_nanos
-                    .store(self.metrics.now_nanos().max(1), Ordering::Relaxed);
-            }
+            // `.max(1)` keeps a 0 reading distinguishable from "unset".
+            self.dirty_at_nanos
+                .store(self.metrics.now_nanos().max(1), Ordering::Relaxed);
             self.notify.dirty.lock().unwrap().push(self.token);
             self.notify.waker.wake();
         }
@@ -607,7 +605,7 @@ impl Reactor {
             }
             // Take the batch out of `self` so handlers can borrow freely.
             let batch = std::mem::take(&mut events);
-            let iter_start = (self.metrics.enabled() && !batch.is_empty()).then(Instant::now);
+            let iter_start = (!batch.is_empty()).then(Instant::now);
             for ev in &batch {
                 match ev.token {
                     TOKEN_WAKER => {

@@ -85,10 +85,6 @@ pub struct ServeOptions {
     /// Optional request/response trace: every request and reply frame is
     /// appended as JSONL through [`asha_obs::JsonlWriter`].
     pub trace: Option<PathBuf>,
-    /// Whether the metrics plane records at all. With `false` every
-    /// recorder is an early-return and snapshots report zeros (used to
-    /// measure the plane's own overhead).
-    pub metrics: bool,
     /// Optional HTTP listener address (e.g. `127.0.0.1:9090`) answering
     /// `GET /metrics` in Prometheus text exposition format. Served by the
     /// same reactor and worker pool as the protocol listeners.
@@ -119,7 +115,6 @@ impl ServeOptions {
             poll_interval: Duration::from_millis(25),
             workers: 4,
             trace: None,
-            metrics: true,
             metrics_addr: None,
             slow_log: None,
             slow_threshold: Duration::from_secs(1),
@@ -340,7 +335,7 @@ mod unix_impl {
                 let execute_s = metrics.now_nanos().saturating_sub(started) as f64 / 1e9;
                 metrics.request_observed(op, ok, queue_wait_s, execute_s);
                 let total_s = queue_wait_s + execute_s;
-                if total_s >= shared.opts.slow_threshold.as_secs_f64() && metrics.enabled() {
+                if total_s >= shared.opts.slow_threshold.as_secs_f64() {
                     metrics.slow_request();
                     shared.log_slow_request(req.req_id, op, conn.peer(), queue_wait_s, execute_s);
                 }
@@ -373,11 +368,9 @@ mod unix_impl {
             }
             let mut supervisor = ExperimentSupervisor::open(&opts.root)?;
             let shutdown = Arc::new(AtomicBool::new(false));
-            let metrics = ServiceMetrics::new(opts.metrics);
-            if opts.metrics {
-                // WAL/fsync/snapshot timings flow into the same plane.
-                supervisor.set_metrics(metrics.store());
-            }
+            let metrics = ServiceMetrics::new();
+            // WAL/fsync/snapshot timings flow into the same plane.
+            supervisor.set_metrics(metrics.store());
             if let Some(window) = opts.group_commit {
                 // After set_metrics, so the pipeline's window/amortization
                 // counters land in the plane too.

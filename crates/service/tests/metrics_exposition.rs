@@ -15,7 +15,7 @@ type Families = HashMap<String, (String, Vec<(String, String, f64)>)>;
 /// A deterministically populated plane: a few requests across two ops,
 /// reactor traffic, a tailer, and store latencies.
 fn populated_plane() -> std::sync::Arc<ServiceMetrics> {
-    let m = ServiceMetrics::new(true);
+    let m = ServiceMetrics::new();
     for _ in 0..3 {
         m.accept();
     }
@@ -228,7 +228,7 @@ fn every_family_has_help_and_type_in_order() {
 
 #[test]
 fn experiment_label_values_are_escaped() {
-    let m = ServiceMetrics::new(true);
+    let m = ServiceMetrics::new();
     m.tailer("weird\"name\\with\nstuff");
     let text = m.render_prometheus();
     assert!(
@@ -243,18 +243,4 @@ fn experiment_label_values_are_escaped() {
             "unescaped quote leaked: {line}"
         );
     }
-}
-
-#[test]
-fn disabled_plane_still_renders_valid_exposition() {
-    let m = ServiceMetrics::new(false);
-    m.request_observed("ping", true, 1.0, 1.0);
-    let text = m.render_prometheus();
-    let families = parse_exposition(&text);
-    assert_eq!(
-        sample_value(&families, "asha_requests_total", "asha_requests_total", ""),
-        0.0
-    );
-    let (n, _) = check_histogram(&families, "asha_reactor_iteration_seconds", "");
-    assert_eq!(n, 0);
 }

@@ -139,6 +139,8 @@ fn metrics_frame_returns_snapshot_and_stats_stays_a_projection() {
         snap.get("schema").and_then(JsonValue::as_str),
         Some(METRICS_SCHEMA)
     );
+    // Constant on the wire: older `asha-ctl top` builds key their header on it.
+    assert_eq!(snap.get("enabled").and_then(JsonValue::as_bool), Some(true));
     let ping = snap
         .get("requests")
         .and_then(|r| r.get("by_op"))
@@ -184,33 +186,5 @@ fn metrics_frame_returns_snapshot_and_stats_stays_a_projection() {
         assert!(row.get("op").and_then(JsonValue::as_str).is_some());
         assert!(row.get("total_s").and_then(JsonValue::as_f64).is_some());
     }
-    std::fs::remove_dir_all(&root).ok();
-}
-
-#[test]
-fn disabled_plane_serves_empty_but_valid_answers() {
-    let root = tmp_root("disabled");
-    let mut opts = ServeOptions::new(&root);
-    opts.tcp = Some("127.0.0.1:0".to_owned());
-    opts.metrics_addr = Some("127.0.0.1:0".to_owned());
-    opts.metrics = false;
-    let daemon = Daemon::start(opts).unwrap();
-    let mut client = connect(&daemon);
-    client.ping().unwrap();
-
-    let snap = client.metrics().unwrap();
-    assert_eq!(
-        snap.get("enabled").and_then(JsonValue::as_bool),
-        Some(false)
-    );
-    let response = http_get(
-        daemon.metrics_addr().unwrap(),
-        "GET /metrics HTTP/1.0\r\n\r\n",
-    );
-    assert!(response.starts_with("HTTP/1.0 200"), "{response}");
-    assert!(response.contains("asha_requests_total 0"));
-
-    client.shutdown().unwrap();
-    daemon.wait().unwrap();
     std::fs::remove_dir_all(&root).ok();
 }
