@@ -1,22 +1,34 @@
-//! Binary encoding primitives for the `binary-v2` store codecs: LEB128
-//! varints, a compile-time CRC32 (IEEE) table, and a compact tagged binary
-//! form of [`JsonValue`] trees ("binvalue").
+//! The byte-level toolkit of `binary-v2`: LEB128 varints, a compile-time
+//! slicing-by-8 CRC32 (IEEE), and **binvalue** — a compact tagged binary
+//! form of [`JsonValue`] trees that is the store's in-memory checkpoint
+//! representation as well as its on-disk one.
 //!
-//! Everything here is hand-rolled — the workspace's `serde` is an offline
-//! stub — and everything round-trips *exactly*: varints are canonical
-//! (minimal length), floats are raw little-endian bits (so non-finite
-//! values and NaN payloads survive, unlike JSON text), and binvalue
-//! preserves the [`JsonValue::Int`] / [`JsonValue::Num`] distinction so a
-//! decoded tree re-renders to byte-identical JSON text.
+//! Binvalue is written two ways that emit the same bytes: [`ValueWriter`]
+//! streams a document straight into a `Vec<u8>` (what the codecs and the
+//! delta engine use — no tree is ever built on the checkpoint path), and
+//! [`put_value`] walks an existing tree through that same writer. Readers
+//! either decode a tree ([`get_value`]) or walk the bytes in place
+//! ([`skip_value`], [`find_field`]).
+//!
+//! Everything round-trips *exactly*: varints are canonical (minimal
+//! length), floats are raw little-endian bits (so non-finite values and NaN
+//! payloads survive, unlike JSON text), and the [`JsonValue::Int`] /
+//! [`JsonValue::Num`] distinction is preserved, so a decoded tree
+//! re-renders to byte-identical JSON text. The encoding is canonical and
+//! prefix-free: two values are [`json_eq`] exactly when their bytes are
+//! equal, which is what lets [`crate::delta`] decide "unchanged" by slice
+//! comparison.
 
 use asha_metrics::JsonValue;
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, the zlib/PNG polynomial), table built at compile time
+// CRC32 (IEEE 802.3, the zlib/PNG polynomial), tables built at compile time
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `[0]` is the classic byte-at-a-time table, `[k]`
+/// advances a byte's contribution past `k` further zero bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -29,19 +41,43 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC32 (IEEE) of `bytes`.
+/// CRC32 (IEEE) of `bytes`, eight bytes per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -64,6 +100,15 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
         }
         out.push(byte | 0x80);
     }
+}
+
+/// Insert `v` as an LEB128 varint at byte offset `at`, shifting what follows
+/// — for a count that is only known once the items after it are written.
+pub(crate) fn insert_varint(out: &mut Vec<u8>, at: usize, v: u64) {
+    let end = out.len();
+    put_varint(out, v);
+    let width = out.len() - end;
+    out[at..].rotate_right(width);
 }
 
 /// Outcome of reading a varint from the front of a buffer.
@@ -106,7 +151,14 @@ pub fn get_varint(buf: &[u8]) -> VarintRead {
 /// Read a varint at `*pos`, advancing it. Errors on truncation/malformed
 /// input (inside a CRC-verified payload both mean a decoder bug or a
 /// version mismatch, not a torn tail).
+#[inline]
 pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, String> {
+    // Most varints in a document (tags' counts, lengths, small ids) are
+    // one byte.
+    if let Some(&byte) = buf.get(*pos).filter(|&&byte| byte < 0x80) {
+        *pos += 1;
+        return Ok(u64::from(byte));
+    }
     match get_varint(&buf[(*pos).min(buf.len())..]) {
         VarintRead::Done(v, n) => {
             *pos += n;
@@ -118,6 +170,7 @@ pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, String> {
 }
 
 /// Read one byte at `*pos`, advancing it.
+#[inline]
 pub fn read_u8(buf: &[u8], pos: &mut usize) -> Result<u8, String> {
     let b = *buf.get(*pos).ok_or("truncated byte")?;
     *pos += 1;
@@ -125,6 +178,7 @@ pub fn read_u8(buf: &[u8], pos: &mut usize) -> Result<u8, String> {
 }
 
 /// Read a little-endian `f64` (raw bits) at `*pos`, advancing it.
+#[inline]
 pub fn read_f64(buf: &[u8], pos: &mut usize) -> Result<f64, String> {
     let end = pos.checked_add(8).filter(|&e| e <= buf.len());
     let end = end.ok_or("truncated f64")?;
@@ -134,13 +188,21 @@ pub fn read_f64(buf: &[u8], pos: &mut usize) -> Result<f64, String> {
     Ok(f64::from_le_bytes(raw))
 }
 
-/// Read a varint-length-prefixed UTF-8 string at `*pos`, advancing it.
-pub fn read_str(buf: &[u8], pos: &mut usize) -> Result<String, String> {
-    let len = read_varint(buf, pos)? as usize;
+/// Read a varint-length-prefixed byte string at `*pos`, advancing it. No
+/// UTF-8 check: the in-place walkers compare and copy keys as bytes.
+#[inline]
+pub fn read_slice<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8], String> {
+    let len = usize::try_from(read_varint(buf, pos)?).map_err(|_| "implausible length")?;
     let end = pos.checked_add(len).filter(|&e| e <= buf.len());
     let end = end.ok_or("truncated string")?;
-    let s = std::str::from_utf8(&buf[*pos..end]).map_err(|_| "invalid UTF-8".to_owned())?;
+    let bytes = &buf[*pos..end];
     *pos = end;
+    Ok(bytes)
+}
+
+/// Read a varint-length-prefixed UTF-8 string at `*pos`, advancing it.
+pub fn read_str(buf: &[u8], pos: &mut usize) -> Result<String, String> {
+    let s = std::str::from_utf8(read_slice(buf, pos)?).map_err(|_| "invalid UTF-8".to_owned())?;
     Ok(s.to_owned())
 }
 
@@ -149,73 +211,160 @@ pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Append a varint-length-prefixed byte string.
+pub fn put_slice(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_varint(out, bytes.len() as u64);
+    out.extend_from_slice(bytes);
+}
+
 /// Append a varint-length-prefixed UTF-8 string.
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_varint(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
+    put_slice(out, s.as_bytes());
 }
 
 // ---------------------------------------------------------------------------
 // binvalue: compact tagged binary JsonValue
 // ---------------------------------------------------------------------------
 
-const TAG_NULL: u8 = 0;
-const TAG_FALSE: u8 = 1;
-const TAG_TRUE: u8 = 2;
-const TAG_INT: u8 = 3;
-const TAG_NUM: u8 = 4;
-const TAG_STR: u8 = 5;
-const TAG_ARR: u8 = 6;
-const TAG_OBJ: u8 = 7;
+pub(crate) const TAG_NULL: u8 = 0;
+pub(crate) const TAG_FALSE: u8 = 1;
+pub(crate) const TAG_TRUE: u8 = 2;
+pub(crate) const TAG_INT: u8 = 3;
+pub(crate) const TAG_NUM: u8 = 4;
+pub(crate) const TAG_STR: u8 = 5;
+pub(crate) const TAG_ARR: u8 = 6;
+pub(crate) const TAG_OBJ: u8 = 7;
 
-/// Append a [`JsonValue`] tree in binvalue form: one tag byte per node,
-/// varint integers and lengths, raw little-endian `f64`s.
-pub fn put_value(out: &mut Vec<u8>, v: &JsonValue) {
-    match v {
-        JsonValue::Null => out.push(TAG_NULL),
-        JsonValue::Bool(false) => out.push(TAG_FALSE),
-        JsonValue::Bool(true) => out.push(TAG_TRUE),
-        JsonValue::Int(n) => {
-            out.push(TAG_INT);
-            put_varint(out, *n);
-        }
-        JsonValue::Num(x) => {
-            out.push(TAG_NUM);
-            put_f64(out, *x);
-        }
-        JsonValue::Str(s) => {
-            out.push(TAG_STR);
-            put_str(out, s);
-        }
-        JsonValue::Arr(items) => {
-            out.push(TAG_ARR);
-            put_varint(out, items.len() as u64);
-            for item in items {
-                put_value(out, item);
+/// Deepest nesting any binvalue reader follows. The store's documents nest
+/// a handful of levels; hostile input could nest arbitrarily, so every
+/// recursive walker stops here instead of exhausting the stack.
+pub const MAX_DEPTH: u32 = 128;
+
+/// Streams one binvalue document into a byte buffer: one tag byte per
+/// node, varint integers and lengths, raw little-endian `f64`s — exactly
+/// what [`put_value`] emits for the equivalent [`JsonValue`] tree, without
+/// the tree. Containers are count-prefixed: [`arr`](Self::arr) and
+/// [`obj`](Self::obj) state how many items (or keyed fields) follow, and the
+/// caller then writes exactly that many.
+#[derive(Debug)]
+pub struct ValueWriter<'a> {
+    out: &'a mut Vec<u8>,
+}
+
+impl<'a> ValueWriter<'a> {
+    /// Append to `out`.
+    pub fn new(out: &'a mut Vec<u8>) -> Self {
+        ValueWriter { out }
+    }
+
+    /// `null`.
+    pub fn null(&mut self) {
+        self.out.push(TAG_NULL);
+    }
+
+    /// A boolean.
+    pub fn bool(&mut self, v: bool) {
+        self.out.push(if v { TAG_TRUE } else { TAG_FALSE });
+    }
+
+    /// An unsigned integer ([`JsonValue::Int`]).
+    pub fn int(&mut self, v: u64) {
+        self.out.push(TAG_INT);
+        put_varint(self.out, v);
+    }
+
+    /// A float, raw bits ([`JsonValue::Num`]).
+    pub fn num(&mut self, v: f64) {
+        self.out.push(TAG_NUM);
+        put_f64(self.out, v);
+    }
+
+    /// A string.
+    pub fn str(&mut self, s: &str) {
+        self.out.push(TAG_STR);
+        put_str(self.out, s);
+    }
+
+    /// An array header: `count` values follow.
+    pub fn arr(&mut self, count: usize) {
+        self.out.push(TAG_ARR);
+        put_varint(self.out, count as u64);
+    }
+
+    /// An object header: `count` fields follow, each a [`key`](Self::key)
+    /// and then its value.
+    pub fn obj(&mut self, count: usize) {
+        self.out.push(TAG_OBJ);
+        put_varint(self.out, count as u64);
+    }
+
+    /// The key of the next object field; its value is written next.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        put_str(self.out, key);
+        self
+    }
+
+    /// A whole [`JsonValue`] tree.
+    pub fn tree(&mut self, v: &JsonValue) {
+        match v {
+            JsonValue::Null => self.null(),
+            JsonValue::Bool(b) => self.bool(*b),
+            JsonValue::Int(n) => self.int(*n),
+            JsonValue::Num(x) => self.num(*x),
+            JsonValue::Str(s) => self.str(s),
+            JsonValue::Arr(items) => {
+                self.arr(items.len());
+                for item in items {
+                    self.tree(item);
+                }
             }
-        }
-        JsonValue::Obj(fields) => {
-            out.push(TAG_OBJ);
-            put_varint(out, fields.len() as u64);
-            for (key, val) in fields {
-                put_str(out, key);
-                put_value(out, val);
+            JsonValue::Obj(fields) => {
+                self.obj(fields.len());
+                for (key, val) in fields {
+                    self.key(key).tree(val);
+                }
             }
         }
     }
+}
+
+/// Append a [`JsonValue`] tree in binvalue form.
+pub fn put_value(out: &mut Vec<u8>, v: &JsonValue) {
+    ValueWriter::new(out).tree(v);
+}
+
+/// The tree a [`ValueWriter`] callback encodes: how the codecs' public
+/// `*_to_json` functions are derived from their one byte encoder.
+pub(crate) fn tree_of(encode: impl FnOnce(&mut ValueWriter<'_>)) -> JsonValue {
+    let mut bytes = Vec::new();
+    encode(&mut ValueWriter::new(&mut bytes));
+    decode_value(&bytes).expect("an encoder's own output decodes")
 }
 
 /// Decode a binvalue tree at `*pos`, advancing it.
 pub fn get_value(buf: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    // Recursion depth is bounded by the store's document shapes (a few
-    // levels); a hostile input could still nest deeply, so cap it.
     get_value_depth(buf, pos, 0)
 }
 
+/// Decode a buffer that holds exactly one binvalue tree.
+pub fn decode_value(buf: &[u8]) -> Result<JsonValue, String> {
+    let mut pos = 0;
+    let tree = get_value(buf, &mut pos)?;
+    if pos != buf.len() {
+        return Err(format!(
+            "{} trailing bytes after the value",
+            buf.len() - pos
+        ));
+    }
+    Ok(tree)
+}
+
 fn get_value_depth(buf: &[u8], pos: &mut usize, depth: u32) -> Result<JsonValue, String> {
-    if depth > 128 {
+    if depth > MAX_DEPTH {
         return Err("binvalue nesting too deep".to_owned());
     }
+    // A corrupt count must not force a huge reservation.
+    let capacity = |count: u64| count.min(4096) as usize;
     match read_u8(buf, pos)? {
         TAG_NULL => Ok(JsonValue::Null),
         TAG_FALSE => Ok(JsonValue::Bool(false)),
@@ -224,17 +373,16 @@ fn get_value_depth(buf: &[u8], pos: &mut usize, depth: u32) -> Result<JsonValue,
         TAG_NUM => Ok(JsonValue::Num(read_f64(buf, pos)?)),
         TAG_STR => Ok(JsonValue::Str(read_str(buf, pos)?)),
         TAG_ARR => {
-            let count = read_varint(buf, pos)? as usize;
-            // Guard against a corrupt count forcing a huge reservation.
-            let mut items = Vec::with_capacity(count.min(4096));
+            let count = read_varint(buf, pos)?;
+            let mut items = Vec::with_capacity(capacity(count));
             for _ in 0..count {
                 items.push(get_value_depth(buf, pos, depth + 1)?);
             }
             Ok(JsonValue::Arr(items))
         }
         TAG_OBJ => {
-            let count = read_varint(buf, pos)? as usize;
-            let mut fields = Vec::with_capacity(count.min(4096));
+            let count = read_varint(buf, pos)?;
+            let mut fields = Vec::with_capacity(capacity(count));
             for _ in 0..count {
                 let key = read_str(buf, pos)?;
                 let val = get_value_depth(buf, pos, depth + 1)?;
@@ -244,6 +392,104 @@ fn get_value_depth(buf: &[u8], pos: &mut usize, depth: u32) -> Result<JsonValue,
         }
         other => Err(format!("unknown binvalue tag {other}")),
     }
+}
+
+/// The end of the binvalue at `pos`, found without decoding it. Checks
+/// framing (tags, lengths, nesting depth) but not UTF-8: skipped bytes are
+/// only ever compared or copied.
+pub fn skip_value(buf: &[u8], pos: usize) -> Result<usize, String> {
+    skip_value_depth(buf, pos, 0)
+}
+
+/// [`skip_value`] for a value already `depth` levels down.
+pub(crate) fn skip_value_depth(buf: &[u8], pos: usize, depth: u32) -> Result<usize, String> {
+    try_skip(buf, pos, depth).ok_or_else(|| "malformed or truncated binvalue".to_owned())
+}
+
+/// [`skip_value_depth`] without a reason for failure — nothing is
+/// allocated on either outcome, so the delta engine can *ask* whether a
+/// value ends inside a prefix of a buffer. Scalars, most of a document's
+/// values, are stepped over inline; only containers leave the caller's
+/// loop.
+#[inline]
+pub(crate) fn try_skip(buf: &[u8], pos: usize, depth: u32) -> Option<usize> {
+    if depth > MAX_DEPTH {
+        return None;
+    }
+    let end = match *buf.get(pos)? {
+        TAG_NULL | TAG_FALSE | TAG_TRUE => pos + 1,
+        TAG_NUM => pos + 9,
+        TAG_INT if *buf.get(pos + 1)? < 0x80 => pos + 2,
+        _ => return try_skip_slow(buf, pos, depth),
+    };
+    (end <= buf.len()).then_some(end)
+}
+
+fn try_skip_slow(buf: &[u8], mut pos: usize, depth: u32) -> Option<usize> {
+    let varint = |pos: &mut usize| match get_varint(buf.get(*pos..)?) {
+        VarintRead::Done(v, n) => {
+            *pos += n;
+            Some(v)
+        }
+        _ => None,
+    };
+    let string = |pos: &mut usize| {
+        let len = usize::try_from(varint(pos)?).ok()?;
+        *pos = pos.checked_add(len).filter(|&end| end <= buf.len())?;
+        Some(())
+    };
+    let tag = *buf.get(pos)?;
+    pos += 1;
+    match tag {
+        TAG_INT => {
+            varint(&mut pos)?;
+        }
+        TAG_STR => string(&mut pos)?,
+        // A count is never trusted: each pass consumes input or fails.
+        TAG_ARR => {
+            for _ in 0..varint(&mut pos)? {
+                pos = try_skip(buf, pos, depth + 1)?;
+            }
+        }
+        TAG_OBJ => {
+            for _ in 0..varint(&mut pos)? {
+                string(&mut pos)?;
+                pos = try_skip(buf, pos, depth + 1)?;
+            }
+        }
+        // Every other tag is a fixed-size scalar `try_skip` has handled.
+        _ => return None,
+    }
+    Some(pos)
+}
+
+/// Scan `count` object fields starting at `pos` for the first one keyed
+/// `key`: its index and the position of its value. The fields sit `depth`
+/// levels down.
+pub(crate) fn find_key(
+    buf: &[u8],
+    mut pos: usize,
+    count: u64,
+    key: &[u8],
+    depth: u32,
+) -> Result<Option<(u64, usize)>, String> {
+    for idx in 0..count {
+        if read_slice(buf, &mut pos)? == key {
+            return Ok(Some((idx, pos)));
+        }
+        pos = skip_value_depth(buf, pos, depth)?;
+    }
+    Ok(None)
+}
+
+/// The position of the value stored under `key` in the object at `pos`
+/// (first match, like [`JsonValue::get`]), found without decoding.
+pub fn find_field(buf: &[u8], mut pos: usize, key: &str) -> Result<Option<usize>, String> {
+    if read_u8(buf, &mut pos)? != TAG_OBJ {
+        return Err("expected an object".to_owned());
+    }
+    let count = read_varint(buf, &mut pos)?;
+    Ok(find_key(buf, pos, count, key.as_bytes(), 1)?.map(|(_, at)| at))
 }
 
 /// Structural equality with bit-exact float comparison: two trees are equal
@@ -274,11 +520,106 @@ pub fn json_eq(a: &JsonValue, b: &JsonValue) -> bool {
 mod tests {
     use super::*;
 
+    /// The byte-at-a-time loop `crc32` replaced: its reference twin.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard check value for the IEEE polynomial.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+        for crc in [crc32, crc32_bytewise] {
+            assert_eq!(crc(b"123456789"), 0xCBF4_3926);
+            assert_eq!(crc(b""), 0);
+        }
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_loop() {
+        // Every length 0..=64 (so every remainder after whole 8-byte
+        // steps) at every offset into an 8-aligned-or-not buffer.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let noise: Vec<u8> = (0..64 + 8)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (state >> 56) as u8
+            })
+            .collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let bytes = &noise[offset..offset + len];
+                assert_eq!(crc32(bytes), crc32_bytewise(bytes), "{offset}+{len}");
+            }
+        }
+    }
+
+    #[test]
+    fn writer_emits_what_put_value_emits_and_walkers_agree() {
+        let mut streamed = Vec::new();
+        let w = &mut ValueWriter::new(&mut streamed);
+        w.obj(4);
+        w.key("n").null();
+        w.key("flags").arr(2);
+        w.bool(true);
+        w.bool(false);
+        w.key("nums").arr(3);
+        w.int(u64::MAX);
+        w.num(-0.0);
+        w.num(f64::NAN);
+        w.key("inner").obj(1);
+        w.key("s").str("héllo");
+        let tree = JsonValue::obj([
+            ("n", JsonValue::Null),
+            (
+                "flags",
+                JsonValue::Arr(vec![JsonValue::Bool(true), JsonValue::Bool(false)]),
+            ),
+            (
+                "nums",
+                JsonValue::Arr(vec![
+                    JsonValue::Int(u64::MAX),
+                    JsonValue::Num(-0.0),
+                    JsonValue::Num(f64::NAN),
+                ]),
+            ),
+            (
+                "inner",
+                JsonValue::obj([("s", JsonValue::Str("héllo".to_owned()))]),
+            ),
+        ]);
+        let mut walked = Vec::new();
+        put_value(&mut walked, &tree);
+        assert_eq!(streamed, walked);
+        assert!(json_eq(&get_value(&streamed, &mut 0).unwrap(), &tree));
+
+        // In-place walkers: the whole value, one field, a missing field.
+        assert_eq!(skip_value(&streamed, 0), Ok(streamed.len()));
+        let at = find_field(&streamed, 0, "inner").unwrap().unwrap();
+        assert_eq!(skip_value(&streamed, at), Ok(streamed.len()));
+        assert_eq!(find_field(&streamed, 0, "absent"), Ok(None));
+        assert!(
+            find_field(&streamed, at - 1, "s").is_err(),
+            "not at an object"
+        );
+        for cut in 0..streamed.len() {
+            assert!(skip_value(&streamed[..cut], 0).is_err(), "prefix {cut}");
+        }
+    }
+
+    #[test]
+    fn insert_varint_shifts_the_tail() {
+        for v in [0u64, 127, 128, u64::MAX] {
+            let mut out = b"headtail".to_vec();
+            insert_varint(&mut out, 4, v);
+            let mut expected = b"head".to_vec();
+            put_varint(&mut expected, v);
+            expected.extend_from_slice(b"tail");
+            assert_eq!(out, expected);
+        }
     }
 
     #[test]

@@ -1,8 +1,13 @@
-//! Hand-rolled JSON codecs for everything the store persists.
+//! Hand-rolled codecs for everything the store persists.
 //!
 //! The workspace's `serde` is an offline API stub, so durable state is
-//! encoded explicitly over [`asha_metrics::JsonValue`]. Two invariants the
-//! codecs maintain:
+//! encoded explicitly. Every persisted type has exactly **one encoder**, a
+//! `put_*` function that streams the document as binvalue bytes through a
+//! [`ValueWriter`] — no [`JsonValue`] tree is built on the checkpoint path.
+//! The public `*_to_json` functions are that same encoder decoded back into
+//! a tree ([`crate::binary`]'s `tree_of`), for the callers that want text:
+//! `meta.json`, the wire protocol, `store_inspect`. Decoders read trees.
+//! Two invariants the codecs maintain:
 //!
 //! * **Exact `f64` round-trips.** `JsonValue::Num` renders with Rust's
 //!   shortest-round-trip formatting, so finite floats survive a
@@ -22,6 +27,7 @@
 //! from the network, and a config that parses but cannot build a ladder
 //! would otherwise panic the constructor that meets it.
 
+use crate::binary::{tree_of, ValueWriter};
 use crate::error::Error;
 use asha_core::{
     AshaConfig, AshaState, AsyncHyperbandState, BracketState, HyperbandConfig, Job, PromotionRule,
@@ -32,18 +38,22 @@ use asha_sim::{PendingJob, ResumePolicy, SimConfig, SimRunState, TraceMode, Tria
 use asha_space::{Config, ParamSpec, ParamValue, Scale, SearchSpace};
 use asha_surrogate::TrainingState;
 
+fn put_float(w: &mut ValueWriter<'_>, v: f64) {
+    if v.is_finite() {
+        w.num(v)
+    } else if v == f64::INFINITY {
+        w.str("inf")
+    } else if v == f64::NEG_INFINITY {
+        w.str("-inf")
+    } else {
+        w.str("nan")
+    }
+}
+
 /// Encode an `f64` that may be non-finite (`JsonValue::Num` renders
 /// non-finite values as `null`, which would not round-trip).
 pub fn float_to_json(v: f64) -> JsonValue {
-    if v.is_finite() {
-        JsonValue::Num(v)
-    } else if v == f64::INFINITY {
-        JsonValue::Str("inf".to_owned())
-    } else if v == f64::NEG_INFINITY {
-        JsonValue::Str("-inf".to_owned())
-    } else {
-        JsonValue::Str("nan".to_owned())
-    }
+    tree_of(|w| put_float(w, v))
 }
 
 /// Decode an `f64` written by [`float_to_json`]. `null` decodes to `+inf`
@@ -102,13 +112,20 @@ fn get_arr<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], Error> {
         .ok_or_else(|| Error::codec(format!("field {key:?}: expected an array")))
 }
 
-fn i64_to_json(v: i64) -> JsonValue {
+fn put_i64(w: &mut ValueWriter<'_>, v: i64) {
     if v >= 0 {
-        JsonValue::Int(v as u64)
+        w.int(v as u64)
     } else {
         // Negative integers have no exact JsonValue form; a string keeps
         // the full 64-bit range.
-        JsonValue::Str(v.to_string())
+        w.str(&v.to_string())
+    }
+}
+
+fn put_opt_int(w: &mut ValueWriter<'_>, v: Option<u64>) {
+    match v {
+        Some(n) => w.int(n),
+        None => w.null(),
     }
 }
 
@@ -135,47 +152,50 @@ fn scale_name(s: Scale) -> &'static str {
     }
 }
 
+pub(crate) fn put_space(w: &mut ValueWriter<'_>, space: &SearchSpace) {
+    w.arr(space.params().len());
+    for p in space.params() {
+        match p.spec() {
+            ParamSpec::Continuous { low, high, scale } => {
+                w.obj(5);
+                w.key("name").str(p.name());
+                w.key("kind").str("continuous");
+                w.key("low").num(*low);
+                w.key("high").num(*high);
+                w.key("scale").str(scale_name(*scale));
+            }
+            ParamSpec::Discrete { low, high } => {
+                w.obj(4);
+                w.key("name").str(p.name());
+                w.key("kind").str("discrete");
+                put_i64(w.key("low"), *low);
+                put_i64(w.key("high"), *high);
+            }
+            ParamSpec::Ordinal { values } => {
+                w.obj(3);
+                w.key("name").str(p.name());
+                w.key("kind").str("ordinal");
+                w.key("values").arr(values.len());
+                for &v in values {
+                    w.num(v);
+                }
+            }
+            ParamSpec::Categorical { labels } => {
+                w.obj(3);
+                w.key("name").str(p.name());
+                w.key("kind").str("categorical");
+                w.key("labels").arr(labels.len());
+                for l in labels {
+                    w.str(l);
+                }
+            }
+        }
+    }
+}
+
 /// Encode a search space as an array of named parameter specs.
 pub fn space_to_json(space: &SearchSpace) -> JsonValue {
-    JsonValue::Arr(
-        space
-            .params()
-            .iter()
-            .map(|p| {
-                let mut fields = vec![("name", JsonValue::Str(p.name().to_owned()))];
-                match p.spec() {
-                    ParamSpec::Continuous { low, high, scale } => {
-                        fields.push(("kind", JsonValue::Str("continuous".to_owned())));
-                        fields.push(("low", JsonValue::Num(*low)));
-                        fields.push(("high", JsonValue::Num(*high)));
-                        fields.push(("scale", JsonValue::Str(scale_name(*scale).to_owned())));
-                    }
-                    ParamSpec::Discrete { low, high } => {
-                        fields.push(("kind", JsonValue::Str("discrete".to_owned())));
-                        fields.push(("low", i64_to_json(*low)));
-                        fields.push(("high", i64_to_json(*high)));
-                    }
-                    ParamSpec::Ordinal { values } => {
-                        fields.push(("kind", JsonValue::Str("ordinal".to_owned())));
-                        fields.push((
-                            "values",
-                            JsonValue::Arr(values.iter().map(|&v| JsonValue::Num(v)).collect()),
-                        ));
-                    }
-                    ParamSpec::Categorical { labels } => {
-                        fields.push(("kind", JsonValue::Str("categorical".to_owned())));
-                        fields.push((
-                            "labels",
-                            JsonValue::Arr(
-                                labels.iter().map(|l| JsonValue::Str(l.clone())).collect(),
-                            ),
-                        ));
-                    }
-                }
-                JsonValue::obj(fields)
-            })
-            .collect(),
-    )
+    tree_of(|w| put_space(w, space))
 }
 
 /// Decode a search space written by [`space_to_json`].
@@ -223,19 +243,21 @@ pub fn space_from_json(v: &JsonValue) -> Result<SearchSpace, Error> {
     builder.build().map_err(|e| Error::codec(e.to_string()))
 }
 
+fn put_config(w: &mut ValueWriter<'_>, config: &Config) {
+    w.arr(config.values().len());
+    for v in config.values() {
+        w.obj(1);
+        match v {
+            ParamValue::Float(x) => put_float(w.key("float"), *x),
+            ParamValue::Int(x) => put_i64(w.key("int"), *x),
+            ParamValue::Index(x) => w.key("index").int(*x as u64),
+        }
+    }
+}
+
 /// Encode a sampled configuration as an array of tagged values.
 pub fn config_to_json(config: &Config) -> JsonValue {
-    JsonValue::Arr(
-        config
-            .values()
-            .iter()
-            .map(|v| match v {
-                ParamValue::Float(x) => JsonValue::obj([("float", float_to_json(*x))]),
-                ParamValue::Int(x) => JsonValue::obj([("int", i64_to_json(*x))]),
-                ParamValue::Index(x) => JsonValue::obj([("index", JsonValue::Int(*x as u64))]),
-            })
-            .collect(),
-    )
+    tree_of(|w| put_config(w, config))
 }
 
 /// Decode a configuration written by [`config_to_json`].
@@ -279,28 +301,22 @@ fn scan_order_from(name: &str) -> Result<ScanOrder, Error> {
     }
 }
 
+fn put_asha_config(w: &mut ValueWriter<'_>, c: &AshaConfig) {
+    w.obj(7);
+    put_float(w.key("min_resource"), c.min_resource);
+    put_float(w.key("max_resource"), c.max_resource);
+    put_float(w.key("reduction_factor"), c.reduction_factor);
+    w.key("stop_rate").int(c.stop_rate as u64);
+    w.key("infinite_horizon").bool(c.infinite_horizon);
+    put_opt_int(w.key("max_trials"), c.max_trials.map(|n| n as u64));
+    w.key("scan_order").str(scan_order_name(c.scan_order));
+}
+
 /// Encode an [`AshaConfig`]. The promotion rule is not part of the
 /// document: it travels as the enclosing state's kind tag (see
 /// [`scheduler_state_to_json`]).
 pub fn asha_config_to_json(c: &AshaConfig) -> JsonValue {
-    JsonValue::obj([
-        ("min_resource", float_to_json(c.min_resource)),
-        ("max_resource", float_to_json(c.max_resource)),
-        ("reduction_factor", float_to_json(c.reduction_factor)),
-        ("stop_rate", JsonValue::Int(c.stop_rate as u64)),
-        ("infinite_horizon", JsonValue::Bool(c.infinite_horizon)),
-        (
-            "max_trials",
-            match c.max_trials {
-                Some(n) => JsonValue::Int(n as u64),
-                None => JsonValue::Null,
-            },
-        ),
-        (
-            "scan_order",
-            JsonValue::Str(scan_order_name(c.scan_order).to_owned()),
-        ),
-    ])
+    tree_of(|w| put_asha_config(w, c))
 }
 
 /// Decode and validate an [`AshaConfig`] (eager rule; the `"dasha"` kind
@@ -323,16 +339,19 @@ pub fn asha_config_from_json(v: &JsonValue) -> Result<AshaConfig, Error> {
     Ok(c)
 }
 
+fn put_sha_config(w: &mut ValueWriter<'_>, c: &ShaConfig) {
+    w.obj(6);
+    w.key("num_configs").int(c.num_configs as u64);
+    put_float(w.key("min_resource"), c.min_resource);
+    put_float(w.key("max_resource"), c.max_resource);
+    put_float(w.key("reduction_factor"), c.reduction_factor);
+    w.key("stop_rate").int(c.stop_rate as u64);
+    w.key("grow_brackets").bool(c.grow_brackets);
+}
+
 /// Encode a [`ShaConfig`].
 pub fn sha_config_to_json(c: &ShaConfig) -> JsonValue {
-    JsonValue::obj([
-        ("num_configs", JsonValue::Int(c.num_configs as u64)),
-        ("min_resource", float_to_json(c.min_resource)),
-        ("max_resource", float_to_json(c.max_resource)),
-        ("reduction_factor", float_to_json(c.reduction_factor)),
-        ("stop_rate", JsonValue::Int(c.stop_rate as u64)),
-        ("grow_brackets", JsonValue::Bool(c.grow_brackets)),
-    ])
+    tree_of(|w| put_sha_config(w, c))
 }
 
 /// Decode and validate a [`ShaConfig`].
@@ -349,14 +368,17 @@ pub fn sha_config_from_json(v: &JsonValue) -> Result<ShaConfig, Error> {
     Ok(c)
 }
 
+fn put_hyperband_config(w: &mut ValueWriter<'_>, c: &HyperbandConfig) {
+    w.obj(4);
+    put_float(w.key("min_resource"), c.min_resource);
+    put_float(w.key("max_resource"), c.max_resource);
+    put_float(w.key("reduction_factor"), c.reduction_factor);
+    w.key("num_brackets").int(c.num_brackets as u64);
+}
+
 /// Encode a [`HyperbandConfig`].
 pub fn hyperband_config_to_json(c: &HyperbandConfig) -> JsonValue {
-    JsonValue::obj([
-        ("min_resource", float_to_json(c.min_resource)),
-        ("max_resource", float_to_json(c.max_resource)),
-        ("reduction_factor", float_to_json(c.reduction_factor)),
-        ("num_brackets", JsonValue::Int(c.num_brackets as u64)),
-    ])
+    tree_of(|w| put_hyperband_config(w, c))
 }
 
 /// Decode and validate a [`HyperbandConfig`].
@@ -371,13 +393,13 @@ pub fn hyperband_config_from_json(v: &JsonValue) -> Result<HyperbandConfig, Erro
     Ok(c)
 }
 
-fn trial_loss_pairs_to_json(pairs: &[(u64, f64)]) -> JsonValue {
-    JsonValue::Arr(
-        pairs
-            .iter()
-            .map(|&(t, l)| JsonValue::Arr(vec![JsonValue::Int(t), float_to_json(l)]))
-            .collect(),
-    )
+fn put_trial_loss_pairs(w: &mut ValueWriter<'_>, pairs: &[(u64, f64)]) {
+    w.arr(pairs.len());
+    for &(t, l) in pairs {
+        w.arr(2);
+        w.int(t);
+        put_float(w, l);
+    }
 }
 
 fn trial_loss_pairs_from_json(v: &JsonValue, what: &str) -> Result<Vec<(u64, f64)>, Error> {
@@ -397,8 +419,11 @@ fn trial_loss_pairs_from_json(v: &JsonValue, what: &str) -> Result<Vec<(u64, f64
         .collect()
 }
 
-fn u64s_to_json(ids: &[u64]) -> JsonValue {
-    JsonValue::Arr(ids.iter().map(|&t| JsonValue::Int(t)).collect())
+pub(crate) fn put_u64s(w: &mut ValueWriter<'_>, ids: &[u64]) {
+    w.arr(ids.len());
+    for &t in ids {
+        w.int(t);
+    }
 }
 
 fn u64s_from_json(v: &JsonValue, what: &str) -> Result<Vec<u64>, Error> {
@@ -412,13 +437,13 @@ fn u64s_from_json(v: &JsonValue, what: &str) -> Result<Vec<u64>, Error> {
         .collect()
 }
 
-fn trial_configs_to_json(trials: &[(u64, Config)]) -> JsonValue {
-    JsonValue::Arr(
-        trials
-            .iter()
-            .map(|(t, c)| JsonValue::Arr(vec![JsonValue::Int(*t), config_to_json(c)]))
-            .collect(),
-    )
+fn put_trial_configs(w: &mut ValueWriter<'_>, trials: &[(u64, Config)]) {
+    w.arr(trials.len());
+    for (t, c) in trials {
+        w.arr(2);
+        w.int(*t);
+        put_config(w, c);
+    }
 }
 
 fn trial_configs_from_json(v: &JsonValue, what: &str) -> Result<Vec<(u64, Config)>, Error> {
@@ -438,11 +463,10 @@ fn trial_configs_from_json(v: &JsonValue, what: &str) -> Result<Vec<(u64, Config
         .collect()
 }
 
-fn rung_state_to_json(r: &RungState) -> JsonValue {
-    JsonValue::obj([
-        ("records", trial_loss_pairs_to_json(&r.records)),
-        ("promoted", u64s_to_json(&r.promoted)),
-    ])
+fn put_rung_state(w: &mut ValueWriter<'_>, r: &RungState) {
+    w.obj(2);
+    put_trial_loss_pairs(w.key("records"), &r.records);
+    put_u64s(w.key("promoted"), &r.promoted);
 }
 
 fn rung_state_from_json(v: &JsonValue) -> Result<RungState, Error> {
@@ -452,30 +476,28 @@ fn rung_state_from_json(v: &JsonValue) -> Result<RungState, Error> {
     })
 }
 
+fn put_asha_state(w: &mut ValueWriter<'_>, s: &AshaState) {
+    w.obj(7);
+    put_asha_config(w.key("config"), &s.config);
+    w.key("rungs").arr(s.rungs.len());
+    for r in &s.rungs {
+        put_rung_state(w, r);
+    }
+    put_trial_configs(w.key("trials"), &s.trials);
+    w.key("outstanding").arr(s.outstanding.len());
+    for &(t, k) in &s.outstanding {
+        w.arr(2);
+        w.int(t);
+        w.int(k as u64);
+    }
+    w.key("next_trial").int(s.next_trial);
+    w.key("trials_started").int(s.trials_started as u64);
+    w.key("name").str(&s.name);
+}
+
 /// Encode an [`AshaState`].
 pub fn asha_state_to_json(s: &AshaState) -> JsonValue {
-    JsonValue::obj([
-        ("config", asha_config_to_json(&s.config)),
-        (
-            "rungs",
-            JsonValue::Arr(s.rungs.iter().map(rung_state_to_json).collect()),
-        ),
-        ("trials", trial_configs_to_json(&s.trials)),
-        (
-            "outstanding",
-            JsonValue::Arr(
-                s.outstanding
-                    .iter()
-                    .map(|&(t, k)| {
-                        JsonValue::Arr(vec![JsonValue::Int(t), JsonValue::Int(k as u64)])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("next_trial", JsonValue::Int(s.next_trial)),
-        ("trials_started", JsonValue::Int(s.trials_started as u64)),
-        ("name", JsonValue::Str(s.name.clone())),
-    ])
+    tree_of(|w| put_asha_state(w, s))
 }
 
 /// Decode an [`AshaState`].
@@ -507,19 +529,16 @@ pub fn asha_state_from_json(v: &JsonValue) -> Result<AshaState, Error> {
     })
 }
 
-fn bracket_state_to_json(b: &BracketState) -> JsonValue {
-    JsonValue::obj([
-        (
-            "remaining_to_sample",
-            JsonValue::Int(b.remaining_to_sample as u64),
-        ),
-        ("queue", trial_configs_to_json(&b.queue)),
-        ("outstanding", JsonValue::Int(b.outstanding as u64)),
-        ("issued", u64s_to_json(&b.issued)),
-        ("results", trial_loss_pairs_to_json(&b.results)),
-        ("rung", JsonValue::Int(b.rung as u64)),
-        ("done", JsonValue::Bool(b.done)),
-    ])
+fn put_bracket_state(w: &mut ValueWriter<'_>, b: &BracketState) {
+    w.obj(7);
+    w.key("remaining_to_sample")
+        .int(b.remaining_to_sample as u64);
+    put_trial_configs(w.key("queue"), &b.queue);
+    w.key("outstanding").int(b.outstanding as u64);
+    put_u64s(w.key("issued"), &b.issued);
+    put_trial_loss_pairs(w.key("results"), &b.results);
+    w.key("rung").int(b.rung as u64);
+    w.key("done").bool(b.done);
 }
 
 fn bracket_state_from_json(v: &JsonValue) -> Result<BracketState, Error> {
@@ -534,32 +553,27 @@ fn bracket_state_from_json(v: &JsonValue) -> Result<BracketState, Error> {
     })
 }
 
+fn put_sync_sha_state(w: &mut ValueWriter<'_>, s: &SyncShaState) {
+    w.obj(5);
+    put_sha_config(w.key("config"), &s.config);
+    w.key("brackets").arr(s.brackets.len());
+    for b in &s.brackets {
+        put_bracket_state(w, b);
+    }
+    w.key("trial_meta").arr(s.trial_meta.len());
+    for (t, b, c) in &s.trial_meta {
+        w.arr(3);
+        w.int(*t);
+        w.int(*b as u64);
+        put_config(w, c);
+    }
+    w.key("next_trial").int(s.next_trial);
+    w.key("name").str(&s.name);
+}
+
 /// Encode a [`SyncShaState`].
 pub fn sync_sha_state_to_json(s: &SyncShaState) -> JsonValue {
-    JsonValue::obj([
-        ("config", sha_config_to_json(&s.config)),
-        (
-            "brackets",
-            JsonValue::Arr(s.brackets.iter().map(bracket_state_to_json).collect()),
-        ),
-        (
-            "trial_meta",
-            JsonValue::Arr(
-                s.trial_meta
-                    .iter()
-                    .map(|(t, b, c)| {
-                        JsonValue::Arr(vec![
-                            JsonValue::Int(*t),
-                            JsonValue::Int(*b as u64),
-                            config_to_json(c),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("next_trial", JsonValue::Int(s.next_trial)),
-        ("name", JsonValue::Str(s.name.clone())),
-    ])
+    tree_of(|w| put_sync_sha_state(w, s))
 }
 
 /// Decode a [`SyncShaState`].
@@ -589,18 +603,21 @@ pub fn sync_sha_state_from_json(v: &JsonValue) -> Result<SyncShaState, Error> {
     })
 }
 
+fn put_hyperband_state(w: &mut ValueWriter<'_>, s: &AsyncHyperbandState) {
+    w.obj(5);
+    put_hyperband_config(w.key("config"), &s.config);
+    w.key("brackets").arr(s.brackets.len());
+    for b in &s.brackets {
+        put_asha_state(w, b);
+    }
+    put_float(w.key("spent"), s.spent);
+    w.key("current").int(s.current as u64);
+    w.key("name").str(&s.name);
+}
+
 /// Encode an [`AsyncHyperbandState`].
 pub fn hyperband_state_to_json(s: &AsyncHyperbandState) -> JsonValue {
-    JsonValue::obj([
-        ("config", hyperband_config_to_json(&s.config)),
-        (
-            "brackets",
-            JsonValue::Arr(s.brackets.iter().map(asha_state_to_json).collect()),
-        ),
-        ("spent", float_to_json(s.spent)),
-        ("current", JsonValue::Int(s.current as u64)),
-        ("name", JsonValue::Str(s.name.clone())),
-    ])
+    tree_of(|w| put_hyperband_state(w, s))
 }
 
 /// Decode an [`AsyncHyperbandState`].
@@ -617,17 +634,20 @@ pub fn hyperband_state_from_json(v: &JsonValue) -> Result<AsyncHyperbandState, E
     })
 }
 
+pub(crate) fn put_scheduler_state(w: &mut ValueWriter<'_>, s: &SchedulerState) {
+    w.obj(2);
+    w.key("kind").str(s.kind());
+    w.key("state");
+    match s {
+        SchedulerState::Asha(s) => put_asha_state(w, s),
+        SchedulerState::SyncSha(s) => put_sync_sha_state(w, s),
+        SchedulerState::AsyncHyperband(s) => put_hyperband_state(w, s),
+    }
+}
+
 /// Encode any scheduler's state as `{"kind": ..., "state": ...}`.
 pub fn scheduler_state_to_json(s: &SchedulerState) -> JsonValue {
-    let state = match s {
-        SchedulerState::Asha(s) => asha_state_to_json(s),
-        SchedulerState::SyncSha(s) => sync_sha_state_to_json(s),
-        SchedulerState::AsyncHyperband(s) => hyperband_state_to_json(s),
-    };
-    JsonValue::obj([
-        ("kind", JsonValue::Str(s.kind().to_owned())),
-        ("state", state),
-    ])
+    tree_of(|w| put_scheduler_state(w, s))
 }
 
 /// Decode a state written by [`scheduler_state_to_json`]. The `"dasha"`
@@ -651,22 +671,19 @@ pub fn scheduler_state_from_json(v: &JsonValue) -> Result<SchedulerState, Error>
 // Simulator state
 // ---------------------------------------------------------------------------
 
+fn put_job(w: &mut ValueWriter<'_>, j: &Job) {
+    w.obj(6);
+    w.key("trial").int(j.trial.0);
+    put_config(w.key("config"), &j.config);
+    w.key("rung").int(j.rung as u64);
+    put_float(w.key("resource"), j.resource);
+    w.key("bracket").int(j.bracket as u64);
+    put_opt_int(w.key("inherit_from"), j.inherit_from.map(|t| t.0));
+}
+
 /// Encode a [`Job`].
 pub fn job_to_json(j: &Job) -> JsonValue {
-    JsonValue::obj([
-        ("trial", JsonValue::Int(j.trial.0)),
-        ("config", config_to_json(&j.config)),
-        ("rung", JsonValue::Int(j.rung as u64)),
-        ("resource", float_to_json(j.resource)),
-        ("bracket", JsonValue::Int(j.bracket as u64)),
-        (
-            "inherit_from",
-            match j.inherit_from {
-                Some(t) => JsonValue::Int(t.0),
-                None => JsonValue::Null,
-            },
-        ),
-    ])
+    tree_of(|w| put_job(w, j))
 }
 
 /// Decode a [`Job`].
@@ -685,15 +702,14 @@ pub fn job_from_json(v: &JsonValue) -> Result<Job, Error> {
     })
 }
 
-fn training_state_to_json(s: &TrainingState) -> JsonValue {
-    JsonValue::obj([
-        ("resource", float_to_json(s.resource)),
-        ("loss", float_to_json(s.loss)),
-        ("asym_jitter", float_to_json(s.asym_jitter)),
-        ("rate_jitter", float_to_json(s.rate_jitter)),
-        ("divergence_draw", float_to_json(s.divergence_draw)),
-        ("diverged", JsonValue::Bool(s.diverged)),
-    ])
+fn put_training_state(w: &mut ValueWriter<'_>, s: &TrainingState) {
+    w.obj(6);
+    put_float(w.key("resource"), s.resource);
+    put_float(w.key("loss"), s.loss);
+    put_float(w.key("asym_jitter"), s.asym_jitter);
+    put_float(w.key("rate_jitter"), s.rate_jitter);
+    put_float(w.key("divergence_draw"), s.divergence_draw);
+    w.key("diverged").bool(s.diverged);
 }
 
 fn training_state_from_json(v: &JsonValue) -> Result<TrainingState, Error> {
@@ -707,14 +723,13 @@ fn training_state_from_json(v: &JsonValue) -> Result<TrainingState, Error> {
     })
 }
 
-fn fault_stats_to_json(f: &FaultStats) -> JsonValue {
-    JsonValue::obj([
-        ("dropped", JsonValue::Int(f.jobs_dropped as u64)),
-        ("retried", JsonValue::Int(f.jobs_retried as u64)),
-        ("timed_out", JsonValue::Int(f.jobs_timed_out as u64)),
-        ("panicked", JsonValue::Int(f.jobs_panicked as u64)),
-        ("poisoned", JsonValue::Int(f.jobs_poisoned as u64)),
-    ])
+fn put_fault_stats(w: &mut ValueWriter<'_>, f: &FaultStats) {
+    w.obj(5);
+    w.key("dropped").int(f.jobs_dropped as u64);
+    w.key("retried").int(f.jobs_retried as u64);
+    w.key("timed_out").int(f.jobs_timed_out as u64);
+    w.key("panicked").int(f.jobs_panicked as u64);
+    w.key("poisoned").int(f.jobs_poisoned as u64);
 }
 
 fn fault_stats_from_json(v: &JsonValue) -> Result<FaultStats, Error> {
@@ -727,16 +742,15 @@ fn fault_stats_from_json(v: &JsonValue) -> Result<FaultStats, Error> {
     })
 }
 
-fn trace_event_to_json(e: &TraceEvent) -> JsonValue {
-    JsonValue::obj([
-        ("time", float_to_json(e.time)),
-        ("trial", JsonValue::Int(e.trial)),
-        ("bracket", JsonValue::Int(e.bracket as u64)),
-        ("rung", JsonValue::Int(e.rung as u64)),
-        ("resource", float_to_json(e.resource)),
-        ("val_loss", float_to_json(e.val_loss)),
-        ("test_loss", float_to_json(e.test_loss)),
-    ])
+fn put_trace_event(w: &mut ValueWriter<'_>, e: &TraceEvent) {
+    w.obj(7);
+    put_float(w.key("time"), e.time);
+    w.key("trial").int(e.trial);
+    w.key("bracket").int(e.bracket as u64);
+    w.key("rung").int(e.rung as u64);
+    put_float(w.key("resource"), e.resource);
+    put_float(w.key("val_loss"), e.val_loss);
+    put_float(w.key("test_loss"), e.test_loss);
 }
 
 fn trace_event_from_json(v: &JsonValue) -> Result<TraceEvent, Error> {
@@ -751,36 +765,27 @@ fn trace_event_from_json(v: &JsonValue) -> Result<TraceEvent, Error> {
     })
 }
 
+pub(crate) fn put_sim_config(w: &mut ValueWriter<'_>, c: &SimConfig) {
+    w.obj(7);
+    w.key("workers").int(c.workers as u64);
+    put_float(w.key("max_time"), c.max_time);
+    w.key("max_jobs").int(c.max_jobs as u64);
+    put_float(w.key("straggler_std"), c.straggler_std);
+    put_float(w.key("drop_prob"), c.drop_prob);
+    w.key("resume").str(match c.resume {
+        ResumePolicy::Checkpoint => "checkpoint",
+        ResumePolicy::FromScratch => "from_scratch",
+    });
+    w.key("trace_mode").str(match c.trace_mode {
+        TraceMode::Full => "full",
+        TraceMode::IncumbentOnly => "incumbent_only",
+        TraceMode::Aggregated => "aggregated",
+    });
+}
+
 /// Encode a [`SimConfig`].
 pub fn sim_config_to_json(c: &SimConfig) -> JsonValue {
-    JsonValue::obj([
-        ("workers", JsonValue::Int(c.workers as u64)),
-        ("max_time", float_to_json(c.max_time)),
-        ("max_jobs", JsonValue::Int(c.max_jobs as u64)),
-        ("straggler_std", float_to_json(c.straggler_std)),
-        ("drop_prob", float_to_json(c.drop_prob)),
-        (
-            "resume",
-            JsonValue::Str(
-                match c.resume {
-                    ResumePolicy::Checkpoint => "checkpoint",
-                    ResumePolicy::FromScratch => "from_scratch",
-                }
-                .to_owned(),
-            ),
-        ),
-        (
-            "trace_mode",
-            JsonValue::Str(
-                match c.trace_mode {
-                    TraceMode::Full => "full",
-                    TraceMode::IncumbentOnly => "incumbent_only",
-                    TraceMode::Aggregated => "aggregated",
-                }
-                .to_owned(),
-            ),
-        ),
-    ])
+    tree_of(|w| put_sim_config(w, c))
 }
 
 /// Decode and validate a [`SimConfig`].
@@ -809,70 +814,56 @@ pub fn sim_config_from_json(v: &JsonValue) -> Result<SimConfig, Error> {
     Ok(c)
 }
 
+pub(crate) fn put_sim_run_state(w: &mut ValueWriter<'_>, s: &SimRunState) {
+    w.obj(14);
+    put_float(w.key("now"), s.now);
+    w.key("seq").int(s.seq);
+    w.key("free_workers").int(s.free_workers as u64);
+    w.key("jobs_completed").int(s.jobs_completed as u64);
+    w.key("distinct_trials").int(s.distinct_trials as u64);
+    put_fault_stats(w.key("faults"), &s.faults);
+    w.key("scheduler_finished").bool(s.scheduler_finished);
+    put_float(w.key("incumbent_val"), s.incumbent_val);
+    w.key("best_config");
+    match &s.best_config {
+        Some((c, loss, resource)) => {
+            w.obj(3);
+            put_config(w.key("config"), c);
+            put_float(w.key("loss"), *loss);
+            put_float(w.key("resource"), *resource);
+        }
+        None => w.null(),
+    }
+    w.key("slots").arr(s.slots.len());
+    for slot in &s.slots {
+        w.obj(4);
+        w.key("trial").int(slot.trial);
+        put_training_state(w.key("state"), &slot.state);
+        put_float(w.key("time_per_unit"), slot.time_per_unit);
+        w.key("completed").bool(slot.completed);
+    }
+    w.key("pending").arr(s.pending.len());
+    for p in &s.pending {
+        w.obj(4);
+        put_float(w.key("time"), p.time);
+        w.key("seq").int(p.seq);
+        put_job(w.key("job"), &p.job);
+        w.key("dropped").bool(p.dropped);
+    }
+    w.key("retry").arr(s.retry.len());
+    for j in &s.retry {
+        put_job(w, j);
+    }
+    w.key("searcher").str(&s.searcher);
+    w.key("trace").arr(s.trace.len());
+    for e in &s.trace {
+        put_trace_event(w, e);
+    }
+}
+
 /// Encode a [`SimRunState`].
 pub fn sim_run_state_to_json(s: &SimRunState) -> JsonValue {
-    JsonValue::obj([
-        ("now", float_to_json(s.now)),
-        ("seq", JsonValue::Int(s.seq)),
-        ("free_workers", JsonValue::Int(s.free_workers as u64)),
-        ("jobs_completed", JsonValue::Int(s.jobs_completed as u64)),
-        ("distinct_trials", JsonValue::Int(s.distinct_trials as u64)),
-        ("faults", fault_stats_to_json(&s.faults)),
-        ("scheduler_finished", JsonValue::Bool(s.scheduler_finished)),
-        ("incumbent_val", float_to_json(s.incumbent_val)),
-        (
-            "best_config",
-            match &s.best_config {
-                Some((c, loss, resource)) => JsonValue::obj([
-                    ("config", config_to_json(c)),
-                    ("loss", float_to_json(*loss)),
-                    ("resource", float_to_json(*resource)),
-                ]),
-                None => JsonValue::Null,
-            },
-        ),
-        (
-            "slots",
-            JsonValue::Arr(
-                s.slots
-                    .iter()
-                    .map(|slot| {
-                        JsonValue::obj([
-                            ("trial", JsonValue::Int(slot.trial)),
-                            ("state", training_state_to_json(&slot.state)),
-                            ("time_per_unit", float_to_json(slot.time_per_unit)),
-                            ("completed", JsonValue::Bool(slot.completed)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "pending",
-            JsonValue::Arr(
-                s.pending
-                    .iter()
-                    .map(|p| {
-                        JsonValue::obj([
-                            ("time", float_to_json(p.time)),
-                            ("seq", JsonValue::Int(p.seq)),
-                            ("job", job_to_json(&p.job)),
-                            ("dropped", JsonValue::Bool(p.dropped)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "retry",
-            JsonValue::Arr(s.retry.iter().map(job_to_json).collect()),
-        ),
-        ("searcher", JsonValue::Str(s.searcher.clone())),
-        (
-            "trace",
-            JsonValue::Arr(s.trace.iter().map(trace_event_to_json).collect()),
-        ),
-    ])
+    tree_of(|w| put_sim_run_state(w, s))
 }
 
 /// Decode a [`SimRunState`].
@@ -935,7 +926,7 @@ pub fn sim_run_state_from_json(v: &JsonValue) -> Result<SimRunState, Error> {
 
 /// Encode raw xoshiro256++ state words captured by `StdRng::state`.
 pub fn rng_state_to_json(s: [u64; 4]) -> JsonValue {
-    JsonValue::Arr(s.iter().map(|&w| JsonValue::Int(w)).collect())
+    tree_of(|w| put_u64s(w, &s))
 }
 
 /// Decode RNG state words written by [`rng_state_to_json`].

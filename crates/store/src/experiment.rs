@@ -36,11 +36,12 @@ use asha_surrogate::CurveBenchmark;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::binary::{decode_value, tree_of, ValueWriter};
 use crate::codec;
 use crate::delta;
 use crate::error::{Error, StoreError};
 use crate::format::StoreFormat;
-use crate::snapshot::{self, DeltaDoc, Snapshot, StoredScheduler};
+use crate::snapshot::{self, Snapshot, StoredScheduler};
 use crate::wal::{read_wal, rewrite_to_marker, SnapMarker, StoreEvent, WalRecord, WalWriter};
 
 /// Schema tag written into every `meta.json`.
@@ -111,25 +112,23 @@ impl ExperimentMeta {
     /// samplers, so random-run metas are byte-identical to earlier store
     /// versions (and old metas decode with `sampler: None`).
     pub fn to_json(&self) -> JsonValue {
-        let mut fields = vec![
-            ("schema", JsonValue::Str(META_SCHEMA.to_owned())),
-            ("name", JsonValue::Str(self.name.clone())),
-            ("space", codec::space_to_json(&self.space)),
-            ("scheduler", codec::scheduler_state_to_json(&self.initial)),
-        ];
+        tree_of(|w| self.put(w))
+    }
+
+    fn put(&self, w: &mut ValueWriter<'_>) {
+        w.obj(7 + usize::from(self.sampler.is_some()));
+        w.key("schema").str(META_SCHEMA);
+        w.key("name").str(&self.name);
+        codec::put_space(w.key("space"), &self.space);
+        codec::put_scheduler_state(w.key("scheduler"), &self.initial);
         if let Some(kind) = &self.sampler {
-            fields.push(("sampler", JsonValue::Str(kind.clone())));
+            w.key("sampler").str(kind);
         }
-        fields.push(("seed", JsonValue::Int(self.seed)));
-        fields.push(("sim", codec::sim_config_to_json(&self.sim)));
-        fields.push((
-            "bench",
-            JsonValue::obj([
-                ("preset", JsonValue::Str(self.bench.preset.clone())),
-                ("seed", JsonValue::Int(self.bench.seed)),
-            ]),
-        ));
-        JsonValue::obj(fields)
+        w.key("seed").int(self.seed);
+        codec::put_sim_config(w.key("sim"), &self.sim);
+        w.key("bench").obj(2);
+        w.key("preset").str(&self.bench.preset);
+        w.key("seed").int(self.bench.seed);
     }
 
     /// Decode, verifying the schema tag.
@@ -177,14 +176,8 @@ impl ExperimentMeta {
 
 /// Write `meta.json` crash-safely (temp file + fsync + rename).
 pub fn write_meta(dir: &Path, meta: &ExperimentMeta) -> Result<(), StoreError> {
-    let path = dir.join(META_FILE);
-    let tmp = dir.join(format!("{META_FILE}.tmp"));
-    std::fs::write(&tmp, meta.to_json().render()).map_err(|e| StoreError::io(&tmp, e))?;
-    std::fs::File::open(&tmp)
-        .and_then(|f| f.sync_all())
-        .map_err(|e| StoreError::io(&tmp, e))?;
-    std::fs::rename(&tmp, &path).map_err(|e| StoreError::io(&path, e))?;
-    snapshot::fsync_dir(dir)
+    let text = meta.to_json().render();
+    snapshot::write_atomic(dir, META_FILE, &[text.as_bytes()]).map(|_| ())
 }
 
 /// Read and decode `<dir>/meta.json`.
@@ -315,9 +308,9 @@ struct ChainState {
     snap: u64,
     /// Deltas written on top so far.
     len: u64,
-    /// The previous checkpoint's JSON document (full or patched), kept as
-    /// the base for the next structural diff.
-    doc: JsonValue,
+    /// The previous checkpoint's snapshot payload (as written, or as
+    /// patched together on recovery), kept as the base for the next diff.
+    doc: Vec<u8>,
 }
 
 /// A simulated tuning run with durable state: every telemetry event goes to
@@ -339,6 +332,11 @@ pub struct DurableRun<'b> {
     /// Optional durability-plane histograms (snapshot-write latency; the
     /// WAL writer holds its own handle for append/fsync).
     metrics: Option<std::sync::Arc<crate::StoreMetrics>>,
+    /// Reused encode buffers, so a steady-state checkpoint allocates
+    /// nothing: the snapshot payload being written (swapped with the
+    /// chain's previous one after a delta) and the delta document.
+    payload_buf: Vec<u8>,
+    delta_buf: Vec<u8>,
 }
 
 impl<'b> DurableRun<'b> {
@@ -379,6 +377,8 @@ impl<'b> DurableRun<'b> {
             finished_recorded: false,
             chain: None,
             metrics: None,
+            payload_buf: Vec::new(),
+            delta_buf: Vec::new(),
         };
         run.write_snapshot()?;
         Ok(run)
@@ -415,19 +415,22 @@ impl<'b> DurableRun<'b> {
                 ),
             )
         })?;
-        // Rebuild the checkpoint document: the base full snapshot, then the
-        // marker's delta chain patched on top in order.
-        let mut doc = snapshot::read_document(&snap_path)?;
+        // Rebuild the checkpoint document on its bytes: the base full
+        // snapshot, then the marker's delta chain patched on top in order.
+        // Only the final document is decoded.
+        let mut doc = snapshot::read_payload(&snap_path)?;
+        let mut patched = Vec::new();
         for k in 1..=marker.delta {
-            let delta_doc = DeltaDoc::load(dir, marker.snap, k)?;
-            doc = delta::apply(&doc, &delta_doc.patch).map_err(|msg| {
-                StoreError::corrupt(
-                    dir,
-                    format!("applying delta {k} of snapshot {}: {msg}", marker.snap),
-                )
-            })?;
+            let (path, delta_doc, patch) = snapshot::load_delta_payload(dir, marker.snap, k)?;
+            patched.clear();
+            delta::apply_bytes(&doc, &delta_doc[patch], &mut patched)
+                .map_err(|msg| StoreError::corrupt(&path, format!("applying delta: {msg}")))?;
+            std::mem::swap(&mut doc, &mut patched);
         }
-        let snap = Snapshot::from_json(&doc).map_err(|e| e.corrupt_at(&snap_path))?;
+        let snap = decode_value(&doc)
+            .map_err(Error::codec)
+            .and_then(|tree| Snapshot::from_json(&tree))
+            .map_err(|e| e.corrupt_at(&snap_path))?;
         if snap.events != marker.events {
             return Err(StoreError::corrupt(
                 &snap_path,
@@ -487,6 +490,8 @@ impl<'b> DurableRun<'b> {
             finished_recorded: false,
             chain,
             metrics: None,
+            payload_buf: patched,
+            delta_buf: Vec::new(),
         })
     }
 
@@ -621,7 +626,10 @@ impl<'b> DurableRun<'b> {
         let seq = open_chain
             .as_ref()
             .map_or(self.next_snap, |chain| chain.snap);
-        let doc = Snapshot {
+        // Typed state -> payload bytes -> file: no tree in between.
+        let mut doc = std::mem::take(&mut self.payload_buf);
+        doc.clear();
+        Snapshot {
             seq,
             events,
             scheduler: self.engine.scheduler().export_state(),
@@ -629,22 +637,32 @@ impl<'b> DurableRun<'b> {
             rng: self.rng.state(),
             sim: Some(self.engine.export_state()),
         }
-        .to_json();
+        .encode(&mut doc);
         let marker = if let Some(chain) = open_chain {
             let delta = chain.len + 1;
-            let delta_doc = DeltaDoc {
-                snap: seq,
+            self.delta_buf.clear();
+            snapshot::put_delta_header(
+                &mut ValueWriter::new(&mut self.delta_buf),
+                seq,
                 delta,
                 events,
-                patch: delta::diff(&chain.doc, &doc),
-            };
-            let (_, bytes) = delta_doc.write(&self.dir)?;
+            );
+            delta::diff_bytes(&chain.doc, &doc, &mut self.delta_buf).map_err(|msg| {
+                StoreError::corrupt(&self.dir, format!("diffing snapshots: {msg}"))
+            })?;
+            let (_, bytes) = snapshot::write_document(
+                &self.dir,
+                &snapshot::delta_file_name(seq, delta, StoreFormat::BinaryV2),
+                &self.delta_buf,
+            )?;
             if let (Some(m), Some(t0)) = (&self.metrics, start) {
                 m.snapshot_delta_write.observe_duration(t0.elapsed());
                 m.snapshot_delta_bytes.add(bytes);
             }
             chain.len = delta;
-            chain.doc = doc;
+            // The new payload becomes the diff base; the old one's buffer
+            // takes the next encode.
+            self.payload_buf = std::mem::replace(&mut chain.doc, doc);
             SnapMarker::Delta {
                 snap: seq,
                 delta,
@@ -661,11 +679,19 @@ impl<'b> DurableRun<'b> {
                 m.snapshot_full_bytes.add(bytes);
             }
             self.next_snap = seq + 1;
-            self.chain = (delta_chain > 0).then_some(ChainState {
-                snap: seq,
-                len: 0,
-                doc,
-            });
+            // A new chain opens on this payload; whichever buffer that
+            // frees takes the next encode.
+            let spare = if delta_chain > 0 {
+                let chain = ChainState {
+                    snap: seq,
+                    len: 0,
+                    doc,
+                };
+                self.chain.replace(chain).map(|closed| closed.doc)
+            } else {
+                Some(doc)
+            };
+            self.payload_buf = spare.unwrap_or_default();
             SnapMarker::Full { snap: seq, events }
         };
         // Marker only after the checkpoint file is durable: the newest

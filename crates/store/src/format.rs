@@ -544,19 +544,45 @@ fn decode_step_binary(buf: &[u8]) -> DecodeStep {
     }
 }
 
+/// What frames `payload` (a document's binvalue bytes) as a `binary-v2`
+/// file: the bytes before it (magic, varint length) and after it (CRC32).
+pub(crate) fn document_frame(payload: &[u8]) -> (Vec<u8>, [u8; 4]) {
+    let mut head = DOC_MAGIC.to_vec();
+    put_varint(&mut head, payload.len() as u64);
+    (head, crc32(payload).to_le_bytes())
+}
+
 /// Encode a snapshot / delta document as `binary-v2` bytes into `out`
 /// (cleared first).
 pub fn encode_document(doc: &JsonValue, out: &mut Vec<u8>) {
     out.clear();
-    let mut payload = Vec::new();
-    binary::put_value(&mut payload, doc);
-    out.extend_from_slice(DOC_MAGIC);
-    put_varint(out, payload.len() as u64);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    binary::put_value(out, doc);
+    let (head, crc) = document_frame(out);
+    out.splice(..0, head);
+    out.extend_from_slice(&crc);
 }
 
-fn decode_document_binary(bytes: &[u8]) -> Result<JsonValue, String> {
+/// The binvalue payload of a checkpoint file of either dialect (sniffed by
+/// magic), reusing the file's buffer: a `binary-v2` frame is CRC-verified
+/// and stripped, `jsonl-v1` text is parsed and re-encoded.
+pub(crate) fn document_payload(mut bytes: Vec<u8>) -> Result<Vec<u8>, String> {
+    match StoreFormat::detect_document(&bytes) {
+        StoreFormat::BinaryV2 => {
+            let payload = binary_payload(&bytes)?;
+            bytes.truncate(payload.end);
+            bytes.drain(..payload.start);
+        }
+        StoreFormat::JsonlV1 => {
+            let doc = StoreFormat::JsonlV1.decode_document(&bytes)?;
+            bytes.clear();
+            binary::put_value(&mut bytes, &doc);
+        }
+    }
+    Ok(bytes)
+}
+
+/// Check a `binary-v2` document's frame and CRC; where its payload lies.
+fn binary_payload(bytes: &[u8]) -> Result<std::ops::Range<usize>, String> {
     let rest = bytes
         .strip_prefix(DOC_MAGIC.as_slice())
         .ok_or("missing binary document magic")?;
@@ -588,12 +614,12 @@ fn decode_document_binary(bytes: &[u8]) -> Result<JsonValue, String> {
             "document CRC mismatch (stored {stored:#010x}, computed {actual:#010x})"
         ));
     }
-    let mut pos = 0;
-    let doc = binary::get_value(payload, &mut pos)?;
-    if pos != payload.len() {
-        return Err("document payload has trailing bytes".to_owned());
-    }
-    Ok(doc)
+    let start = DOC_MAGIC.len() + len_bytes;
+    Ok(start..start + len)
+}
+
+fn decode_document_binary(bytes: &[u8]) -> Result<JsonValue, String> {
+    binary::decode_value(&bytes[binary_payload(bytes)?])
 }
 
 #[cfg(test)]

@@ -8,7 +8,10 @@
 //! state — scheduler rungs/brackets, sampler cursors, raw RNG words, and
 //! the simulator's event loop — is checkpointed: a full snapshot file, or
 //! a *delta* (a structural diff against the previous checkpoint) while the
-//! chain stays short. Everything is written as `binary-v2`
+//! chain stays short. A checkpoint is encoded from the typed state straight
+//! to `binary-v2` bytes, diffed and patched as bytes, and only ever decoded
+//! into a tree once, at the end of a recovery. Everything is written as
+//! `binary-v2`
 //! (length-prefixed, CRC-guarded frames); `jsonl-v1` (one JSON object per
 //! line / per file, the original dialect) is a read-only input — each file
 //! is sniffed ([`StoreFormat`]), so pre-redesign stores open unchanged,
@@ -22,15 +25,19 @@
 //!
 //! Layers, bottom up:
 //!
-//! - [`codec`]: hand-rolled JSON codecs for every persisted type (the
-//!   vendored `serde` is a stub), including exact `f64` round-trips and
-//!   non-finite loss encoding.
-//! - [`binary`]: the byte-level toolkit for `binary-v2` — CRC32, LEB128
-//!   varints, and a compact tagged encoding of JSON documents.
-//! - [`format`]: the two dialects — per-file detection ([`StoreFormat`]),
-//!   a decoder for each, and the one (`binary-v2`) encoder.
-//! - [`delta`]: structural diff/patch over JSON documents, the engine
-//!   behind delta snapshots.
+//! - [`binary`]: the byte-level toolkit for `binary-v2` — slicing-by-8
+//!   CRC32, LEB128 varints, and *binvalue*, the compact tagged encoding of
+//!   JSON-shaped documents, with a streaming writer, a tree decoder and
+//!   in-place walkers.
+//! - [`codec`]: one hand-rolled byte encoder per persisted type (the
+//!   vendored `serde` is a stub) with its tree form derived from it, and
+//!   the tree decoders; exact `f64` round-trips and non-finite loss
+//!   encoding.
+//! - [`mod@format`]: the two dialects — per-file detection
+//!   ([`StoreFormat`]), a decoder for each, and the one (`binary-v2`)
+//!   encoder.
+//! - [`delta`]: structural diff/patch computed on binvalue bytes, the
+//!   engine behind delta snapshots.
 //! - [`wal`]: the append-only log of typed [`WalRecord`]s — scheduler
 //!   decisions, job events, checkpoint markers, lifecycle events — with
 //!   torn-tail-tolerant reading in either dialect.

@@ -5,16 +5,24 @@
 //! scheduler's exported state, the raw RNG state words, and (for simulated
 //! runs) the simulator's [`SimRunState`]. Between full snapshots the store
 //! may write *delta* documents — structural diffs (see [`crate::delta`])
-//! against the previous checkpoint — so steady-state checkpoint cost is
-//! proportional to change. All checkpoint files are written crash-safely —
-//! encoded to a temp file, fsynced, renamed into place, directory fsynced —
-//! so a crash mid-write never damages the previous checkpoint, and
-//! recovery can always fall back along the chain. Files are written as
-//! `binary-v2` ([`crate::format::encode_document`]); readers sniff the
-//! dialect per file, so a chain may hang binary deltas off a `jsonl-v1`
-//! full snapshot written before the redesign.
+//! against the previous checkpoint — so steady-state checkpoint bytes are
+//! proportional to change.
+//!
+//! A checkpoint document exists in memory as its binvalue *payload*
+//! ([`Snapshot::encode`]; a delta's header fields followed by a
+//! [`crate::delta::diff_bytes`] patch) and on disk as that payload in a
+//! `binary-v2` frame ([`write_document`]); the [`JsonValue`] forms
+//! (`to_json`, [`read_document`]) are decoded from the same bytes for tools
+//! and tests. All files are written crash-safely — one temp file, written
+//! and fsynced through the same handle, renamed into place, directory
+//! fsynced — so a crash mid-write never damages the previous checkpoint and
+//! recovery can always fall back along the chain. Readers sniff the dialect
+//! per file, so a chain may hang binary deltas off a `jsonl-v1` full
+//! snapshot written before the redesign.
 
 use std::fs::File;
+use std::io::Write;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use asha_baselines::{GpSampler, GpSamplerConfig, TpeConfig, TpeSampler};
@@ -26,9 +34,10 @@ use asha_metrics::JsonValue;
 use asha_sim::SimRunState;
 use asha_space::SearchSpace;
 
+use crate::binary::{decode_value, find_field, get_value, skip_value, tree_of, ValueWriter};
 use crate::codec;
 use crate::error::{Error, StoreError};
-use crate::format::{decode_any_document, encode_document, StoreFormat};
+use crate::format::{decode_any_document, document_frame, document_payload, StoreFormat};
 
 /// Schema tag written into every snapshot file.
 pub const SNAPSHOT_SCHEMA: &str = "asha-store-snapshot-v1";
@@ -53,23 +62,21 @@ pub struct SamplerSpec {
 }
 
 impl SamplerSpec {
+    fn put(&self, w: &mut ValueWriter<'_>) {
+        w.obj(2);
+        w.key("kind").str(&self.kind);
+        w.key("cursors").arr(self.cursors.len());
+        for cursor in &self.cursors {
+            match cursor {
+                Some(s) => w.str(s),
+                None => w.null(),
+            }
+        }
+    }
+
     /// Encode as JSON.
     pub fn to_json(&self) -> JsonValue {
-        JsonValue::obj([
-            ("kind", JsonValue::Str(self.kind.clone())),
-            (
-                "cursors",
-                JsonValue::Arr(
-                    self.cursors
-                        .iter()
-                        .map(|c| match c {
-                            Some(s) => JsonValue::Str(s.clone()),
-                            None => JsonValue::Null,
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        tree_of(|w| self.put(w))
     }
 
     /// Decode from JSON written by [`SamplerSpec::to_json`].
@@ -242,27 +249,33 @@ impl Snapshot {
             .find(|path| path.exists())
     }
 
-    /// Encode as JSON. The `sampler` key is present only when the run has
+    /// Append the snapshot document's binvalue payload to `out`: what a
+    /// checkpoint holds in memory and frames on disk.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        self.put(&mut ValueWriter::new(out));
+    }
+
+    /// The one encoder. The `sampler` key is present only when the run has
     /// a model-based sampler attached.
-    pub fn to_json(&self) -> JsonValue {
-        let mut fields = vec![
-            ("schema", JsonValue::Str(SNAPSHOT_SCHEMA.to_owned())),
-            ("seq", JsonValue::Int(self.seq)),
-            ("events", JsonValue::Int(self.events)),
-            ("scheduler", codec::scheduler_state_to_json(&self.scheduler)),
-        ];
+    fn put(&self, w: &mut ValueWriter<'_>) {
+        w.obj(6 + usize::from(self.sampler.is_some()));
+        w.key("schema").str(SNAPSHOT_SCHEMA);
+        w.key("seq").int(self.seq);
+        w.key("events").int(self.events);
+        codec::put_scheduler_state(w.key("scheduler"), &self.scheduler);
         if let Some(spec) = &self.sampler {
-            fields.push(("sampler", spec.to_json()));
+            spec.put(w.key("sampler"));
         }
-        fields.push(("rng", codec::rng_state_to_json(self.rng)));
-        fields.push((
-            "sim",
-            match &self.sim {
-                Some(s) => codec::sim_run_state_to_json(s),
-                None => JsonValue::Null,
-            },
-        ));
-        JsonValue::obj(fields)
+        codec::put_u64s(w.key("rng"), &self.rng);
+        match &self.sim {
+            Some(s) => codec::put_sim_run_state(w.key("sim"), s),
+            None => w.key("sim").null(),
+        }
+    }
+
+    /// Encode as JSON.
+    pub fn to_json(&self) -> JsonValue {
+        tree_of(|w| self.put(w))
     }
 
     /// Decode a snapshot, verifying the schema tag.
@@ -305,16 +318,6 @@ impl Snapshot {
             sim,
         })
     }
-
-    /// Write the snapshot crash-safely into `dir`. Returns the final path
-    /// and the encoded size in bytes.
-    pub fn write(&self, dir: &Path) -> Result<(PathBuf, u64), StoreError> {
-        write_document(
-            dir,
-            &Self::file_name(self.seq, StoreFormat::BinaryV2),
-            &self.to_json(),
-        )
-    }
 }
 
 /// The file name for delta `delta` on top of full snapshot `snap`.
@@ -336,16 +339,26 @@ pub struct DeltaDoc {
     pub patch: JsonValue,
 }
 
+/// Start a delta document's payload: every field up to and including the
+/// `patch` key. The caller appends the patch value — a
+/// [`crate::delta::diff_bytes`] result on the write path, an encoded tree in
+/// [`DeltaDoc::to_json`].
+pub(crate) fn put_delta_header(w: &mut ValueWriter<'_>, snap: u64, delta: u64, events: u64) {
+    w.obj(5);
+    w.key("schema").str(DELTA_SCHEMA);
+    w.key("snap").int(snap);
+    w.key("delta").int(delta);
+    w.key("events").int(events);
+    w.key("patch");
+}
+
 impl DeltaDoc {
     /// Encode as JSON.
     pub fn to_json(&self) -> JsonValue {
-        JsonValue::obj([
-            ("schema", JsonValue::Str(DELTA_SCHEMA.to_owned())),
-            ("snap", JsonValue::Int(self.snap)),
-            ("delta", JsonValue::Int(self.delta)),
-            ("events", JsonValue::Int(self.events)),
-            ("patch", self.patch.clone()),
-        ])
+        tree_of(|w| {
+            put_delta_header(w, self.snap, self.delta, self.events);
+            w.tree(&self.patch);
+        })
     }
 
     /// Decode, verifying the schema tag.
@@ -376,63 +389,110 @@ impl DeltaDoc {
         })
     }
 
-    /// Write crash-safely into `dir`. Returns the final path and the
-    /// encoded size in bytes.
-    pub fn write(&self, dir: &Path) -> Result<(PathBuf, u64), StoreError> {
-        write_document(
-            dir,
-            &delta_file_name(self.snap, self.delta, StoreFormat::BinaryV2),
-            &self.to_json(),
-        )
-    }
-
     /// Load the delta `delta` of chain `snap` from `dir`, whichever
     /// dialect it was written in, verifying its chain position.
     pub fn load(dir: &Path, snap: u64, delta: u64) -> Result<DeltaDoc, StoreError> {
-        let path = [StoreFormat::BinaryV2, StoreFormat::JsonlV1]
-            .into_iter()
-            .map(|format| dir.join(delta_file_name(snap, delta, format)))
-            .find(|path| path.exists())
-            .ok_or_else(|| {
-                StoreError::corrupt(dir, format!("delta {delta} of snapshot {snap} is missing"))
-            })?;
-        let doc = read_document(&path)?;
-        let parsed = DeltaDoc::from_json(&doc).map_err(|e| e.corrupt_at(&path))?;
-        if parsed.snap != snap || parsed.delta != delta {
-            return Err(StoreError::corrupt(
-                &path,
-                format!(
-                    "delta chain mismatch: file says snap {} delta {}, expected snap {snap} delta {delta}",
-                    parsed.snap, parsed.delta
-                ),
-            ));
-        }
-        Ok(parsed)
+        let (path, payload, _) = load_delta_payload(dir, snap, delta)?;
+        decode_value(&payload)
+            .map_err(Error::codec)
+            .and_then(|doc| DeltaDoc::from_json(&doc))
+            .map_err(|e| e.corrupt_at(&path))
     }
 }
 
-/// Write a checkpoint document crash-safely into `dir`: encode as
-/// `binary-v2` to a temp file, fsync, rename into place, fsync the
-/// directory. Returns the final path and encoded size.
-pub fn write_document(
+/// Read delta `delta` of chain `snap` from `dir` (either dialect) as its
+/// payload, verify schema and chain position on the bytes, and locate the
+/// patch value inside it — recovery applies that range without decoding it.
+/// Returns the file's path, its payload and the patch's range.
+pub(crate) fn load_delta_payload(
+    dir: &Path,
+    snap: u64,
+    delta: u64,
+) -> Result<(PathBuf, Vec<u8>, Range<usize>), StoreError> {
+    let path = [StoreFormat::BinaryV2, StoreFormat::JsonlV1]
+        .into_iter()
+        .map(|format| dir.join(delta_file_name(snap, delta, format)))
+        .find(|path| path.exists())
+        .ok_or_else(|| {
+            StoreError::corrupt(dir, format!("delta {delta} of snapshot {snap} is missing"))
+        })?;
+    let payload = read_payload(&path)?;
+    let patch =
+        locate_patch(&payload, snap, delta).map_err(|msg| StoreError::corrupt(&path, msg))?;
+    Ok((path, payload, patch))
+}
+
+fn locate_patch(payload: &[u8], snap: u64, delta: u64) -> Result<Range<usize>, String> {
+    if skip_value(payload, 0)? != payload.len() {
+        return Err("delta payload has trailing bytes".to_owned());
+    }
+    // Only the small header fields are decoded; the patch stays bytes.
+    let field = |key: &str| -> Result<JsonValue, String> {
+        let mut at = find_field(payload, 0, key)?.ok_or(format!("delta missing {key}"))?;
+        get_value(payload, &mut at)
+    };
+    let schema = field("schema")?;
+    if schema.as_str() != Some(DELTA_SCHEMA) {
+        return Err(format!(
+            "unsupported delta schema {schema:?} (expected {DELTA_SCHEMA:?})"
+        ));
+    }
+    let (file_snap, file_delta) = (field("snap")?.as_u64(), field("delta")?.as_u64());
+    if (file_snap, file_delta) != (Some(snap), Some(delta)) {
+        return Err(format!(
+            "delta chain mismatch: file says snap {file_snap:?} delta {file_delta:?}, expected snap {snap} delta {delta}"
+        ));
+    }
+    let start = find_field(payload, 0, "patch")?.ok_or("delta missing patch")?;
+    Ok(start..skip_value(payload, start)?)
+}
+
+/// Write `parts`, concatenated, to `dir/file_name` crash-safely: one temp
+/// file, written and fsynced through the same handle, renamed into place,
+/// then the directory fsynced. Returns the final path.
+pub(crate) fn write_atomic(
     dir: &Path,
     file_name: &str,
-    doc: &JsonValue,
-) -> Result<(PathBuf, u64), StoreError> {
+    parts: &[&[u8]],
+) -> Result<PathBuf, StoreError> {
     let final_path = dir.join(file_name);
     let tmp_path = dir.join(format!("{file_name}.tmp"));
-    let mut bytes = Vec::new();
-    encode_document(doc, &mut bytes);
-    std::fs::write(&tmp_path, &bytes).map_err(|e| StoreError::io(&tmp_path, e))?;
-    File::open(&tmp_path)
-        .and_then(|f| f.sync_all())
+    File::create(&tmp_path)
+        .and_then(|mut f| {
+            for part in parts {
+                f.write_all(part)?;
+            }
+            f.sync_all()
+        })
         .map_err(|e| StoreError::io(&tmp_path, e))?;
     std::fs::rename(&tmp_path, &final_path).map_err(|e| StoreError::io(&final_path, e))?;
     fsync_dir(dir)?;
-    Ok((final_path, bytes.len() as u64))
+    Ok(final_path)
 }
 
-/// Read a checkpoint document of either dialect (sniffed by magic).
+/// Write a checkpoint document crash-safely into `dir`: `payload` (the
+/// document's binvalue bytes) in its `binary-v2` frame. Returns the final
+/// path and the file's size.
+pub fn write_document(
+    dir: &Path,
+    file_name: &str,
+    payload: &[u8],
+) -> Result<(PathBuf, u64), StoreError> {
+    let (head, crc) = document_frame(payload);
+    let path = write_atomic(dir, file_name, &[&head, payload, &crc])?;
+    Ok((path, (head.len() + payload.len() + crc.len()) as u64))
+}
+
+/// Read a checkpoint document of either dialect (sniffed by magic) as its
+/// binvalue payload: a `binary-v2` frame's CRC-verified bytes, or a
+/// `jsonl-v1` text re-encoded.
+pub(crate) fn read_payload(path: &Path) -> Result<Vec<u8>, StoreError> {
+    let bytes = std::fs::read(path).map_err(|e| StoreError::io(path, e))?;
+    document_payload(bytes).map_err(|msg| StoreError::corrupt(path, msg))
+}
+
+/// Read a checkpoint document of either dialect (sniffed by magic) as a
+/// tree.
 pub fn read_document(path: &Path) -> Result<JsonValue, StoreError> {
     let bytes = std::fs::read(path).map_err(|e| StoreError::io(path, e))?;
     decode_any_document(&bytes).map_err(|msg| StoreError::corrupt(path, msg))

@@ -25,7 +25,7 @@ use asha_sim::SimResult;
 
 use crate::error::{Error, StoreError};
 use crate::experiment::{read_meta, DurableRun, ExperimentMeta, RunOptions};
-use crate::snapshot::fsync_dir;
+use crate::snapshot::write_atomic;
 
 /// Schema tag written into every `manifest.json`.
 pub const MANIFEST_SCHEMA: &str = "asha-store-manifest-v1";
@@ -450,14 +450,7 @@ impl ExperimentSupervisor {
             ("schema", JsonValue::Str(MANIFEST_SCHEMA.to_owned())),
             ("experiments", JsonValue::Arr(rows)),
         ]);
-        let path = self.root.join(MANIFEST_FILE);
-        let tmp = self.root.join(format!("{MANIFEST_FILE}.tmp"));
-        std::fs::write(&tmp, doc.render()).map_err(|e| StoreError::io(&tmp, e))?;
-        std::fs::File::open(&tmp)
-            .and_then(|f| f.sync_all())
-            .map_err(|e| StoreError::io(&tmp, e))?;
-        std::fs::rename(&tmp, &path).map_err(|e| StoreError::io(&path, e))?;
-        fsync_dir(&self.root)
+        write_atomic(&self.root, MANIFEST_FILE, &[doc.render().as_bytes()]).map(|_| ())
     }
 }
 

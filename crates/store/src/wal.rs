@@ -606,17 +606,11 @@ pub(crate) fn rewrite_to_marker(
     {
         return Ok(());
     }
-    let tmp = wal_path.with_extension("jsonl.tmp");
-    std::fs::write(&tmp, encode_wal(&contents.records[..=marker_idx]))
-        .map_err(|e| StoreError::io(&tmp, e))?;
-    File::open(&tmp)
-        .and_then(|f| f.sync_all())
-        .map_err(|e| StoreError::io(&tmp, e))?;
-    std::fs::rename(&tmp, wal_path).map_err(|e| StoreError::io(wal_path, e))?;
-    if let Some(dir) = wal_path.parent() {
-        crate::snapshot::fsync_dir(dir)?;
-    }
-    Ok(())
+    let (Some(dir), Some(name)) = (wal_path.parent(), wal_path.file_name()) else {
+        return Err(StoreError::corrupt(wal_path, "WAL path names no file"));
+    };
+    let bytes = encode_wal(&contents.records[..=marker_idx]);
+    crate::snapshot::write_atomic(dir, &name.to_string_lossy(), &[&bytes]).map(|_| ())
 }
 
 /// What the retired `jsonl-v1` writer put on disk for `records`: one
