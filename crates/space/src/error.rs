@@ -19,11 +19,12 @@ pub enum SpaceError {
     /// An ordinal or categorical parameter was declared with no choices.
     EmptyChoices(String),
     /// A value was accessed with the wrong type
-    /// (e.g. [`crate::Config::float`] on a discrete parameter).
+    /// (e.g. [`crate::Config::float`] on a discrete parameter), or is one
+    /// its parameter cannot hold ([`crate::SearchSpace::check`]).
     TypeMismatch {
         /// Name of the parameter being accessed.
         name: String,
-        /// The accessor that was used.
+        /// What the value was required to be.
         requested: &'static str,
     },
     /// A configuration has a different number of values than the space has

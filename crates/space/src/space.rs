@@ -4,7 +4,7 @@ use std::fmt;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::config::Config;
+use crate::config::{Config, ParamValue};
 use crate::error::SpaceError;
 use crate::param::{ParamSpec, Scale};
 
@@ -36,6 +36,13 @@ pub struct SearchSpace {
     params: Vec<Param>,
     #[serde(skip)]
     by_name: HashMap<String, usize>,
+    /// `(low.ln(), high.ln())` per log-scale continuous parameter, `None`
+    /// for every other kind: the bounds never change, so their logarithms
+    /// are taken once here instead of on every sample and unit mapping.
+    /// Derived like `by_name`, and like it absent (empty) on a deserialized
+    /// space, where every use falls back to the `ParamSpec` method.
+    #[serde(skip)]
+    log_bounds: Vec<Option<(f64, f64)>>,
 }
 
 impl PartialEq for SearchSpace {
@@ -99,7 +106,9 @@ impl SearchSpace {
 
     /// Draw a uniformly random configuration.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Config {
-        self.params.iter().map(|p| p.spec.sample(rng)).collect()
+        (0..self.params.len())
+            .map(|i| self.value_at(i, rng.gen::<f64>()))
+            .collect()
     }
 
     /// The configuration at the center of every parameter's domain; useful as
@@ -121,18 +130,31 @@ impl SearchSpace {
             .params
             .iter()
             .zip(config.values())
-            .map(|(p, v)| p.spec.to_unit(v))
+            .enumerate()
+            .map(|(i, (p, v))| match (self.log_bounds.get(i), v) {
+                (Some(&Some((ll, lh))), ParamValue::Float(v)) => {
+                    ((v.ln() - ll) / (lh - ll)).clamp(0.0, 1.0)
+                }
+                _ => p.spec.to_unit(v),
+            })
             .collect())
     }
 
     /// Map a point in `[0, 1]^d` back to a configuration. Coordinates outside
     /// `[0, 1]` are clamped; missing trailing coordinates default to `0.5`.
     pub fn from_unit(&self, unit: &[f64]) -> Config {
-        self.params
-            .iter()
-            .enumerate()
-            .map(|(i, p)| p.spec.from_unit(unit.get(i).copied().unwrap_or(0.5)))
+        (0..self.params.len())
+            .map(|i| self.value_at(i, unit.get(i).copied().unwrap_or(0.5)))
             .collect()
+    }
+
+    /// [`ParamSpec::from_unit`] of parameter `i`, bit for bit, reading the
+    /// logarithms of a log-scale parameter's bounds from `log_bounds`.
+    fn value_at(&self, i: usize, u: f64) -> ParamValue {
+        match self.log_bounds.get(i) {
+            Some(&Some((ll, lh))) => ParamValue::Float((ll + u.clamp(0.0, 1.0) * (lh - ll)).exp()),
+            _ => self.params[i].spec.from_unit(u),
+        }
     }
 
     /// Perturb every value of a configuration the way PBT's explore step
@@ -182,6 +204,37 @@ impl SearchSpace {
             .join(" "))
     }
 
+    /// Check that `config` could have come from this space: one value per
+    /// parameter, each of the parameter's kind, floats finite and choice
+    /// indices in range. For configurations that arrive from outside the
+    /// program (a stored snapshot, a wire frame); configurations this space
+    /// produced pass by construction.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpaceError::ArityMismatch`] on a wrong value count and
+    /// [`SpaceError::TypeMismatch`] on a value its parameter cannot hold.
+    pub fn check(&self, config: &Config) -> Result<(), SpaceError> {
+        self.check_arity(config)?;
+        for (p, v) in self.params.iter().zip(config.values()) {
+            let requested = match (&p.spec, v) {
+                (ParamSpec::Continuous { .. }, ParamValue::Float(x)) if x.is_finite() => continue,
+                (ParamSpec::Continuous { .. }, _) => "a finite float",
+                (ParamSpec::Discrete { .. }, ParamValue::Int(_)) => continue,
+                (ParamSpec::Discrete { .. }, _) => "an integer",
+                (spec, ParamValue::Index(i)) if spec.cardinality().is_some_and(|n| *i < n) => {
+                    continue
+                }
+                _ => "an index into its choices",
+            };
+            return Err(SpaceError::TypeMismatch {
+                name: p.name.clone(),
+                requested,
+            });
+        }
+        Ok(())
+    }
+
     fn check_arity(&self, config: &Config) -> Result<(), SpaceError> {
         if config.len() != self.params.len() {
             return Err(SpaceError::ArityMismatch {
@@ -192,12 +245,24 @@ impl SearchSpace {
         Ok(())
     }
 
-    fn rebuild_index(&mut self) {
+    fn rebuild_derived(&mut self) {
         self.by_name = self
             .params
             .iter()
             .enumerate()
             .map(|(i, p)| (p.name.clone(), i))
+            .collect();
+        self.log_bounds = self
+            .params
+            .iter()
+            .map(|p| match p.spec {
+                ParamSpec::Continuous {
+                    low,
+                    high,
+                    scale: Scale::Log,
+                } => Some((low.ln(), high.ln())),
+                _ => None,
+            })
             .collect();
     }
 }
@@ -335,8 +400,9 @@ impl SearchSpaceBuilder {
         let mut space = SearchSpace {
             params: self.params,
             by_name: HashMap::new(),
+            log_bounds: Vec::new(),
         };
-        space.rebuild_index();
+        space.rebuild_derived();
         Ok(space)
     }
 }
@@ -344,7 +410,6 @@ impl SearchSpaceBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ParamValue;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -426,6 +491,91 @@ mod tests {
             assert_eq!(c.int("layers", &s), c2.int("layers", &s));
             assert_eq!(c.index("batch", &s), c2.index("batch", &s));
         }
+    }
+
+    #[test]
+    fn a_space_without_its_derived_caches_produces_the_same_bits() {
+        // What `#[serde(skip)]` leaves behind: the parameters and nothing
+        // derived from them.
+        let cached = space();
+        let bare = SearchSpace {
+            params: cached.params.clone(),
+            by_name: HashMap::new(),
+            log_bounds: Vec::new(),
+        };
+        assert_eq!(bare.index_of("batch"), Ok(2));
+        let bits = |c: &Config| -> Vec<u64> {
+            c.values()
+                .iter()
+                .map(|v| match v {
+                    ParamValue::Float(x) => x.to_bits(),
+                    ParamValue::Int(x) => *x as u64,
+                    ParamValue::Index(x) => *x as u64,
+                })
+                .collect()
+        };
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut twin = rng.clone();
+        for _ in 0..200 {
+            let c = cached.sample(&mut rng);
+            assert_eq!(bits(&c), bits(&bare.sample(&mut twin)));
+            let u = cached.to_unit(&c).unwrap();
+            let bare_u = bare.to_unit(&c).unwrap();
+            assert!(u
+                .iter()
+                .zip(&bare_u)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+            assert_eq!(bits(&cached.from_unit(&u)), bits(&bare.from_unit(&u)));
+        }
+    }
+
+    #[test]
+    fn check_accepts_own_configs_and_rejects_foreign_ones() {
+        let s = space();
+        let mut rng = StdRng::seed_from_u64(13);
+        for _ in 0..50 {
+            assert_eq!(s.check(&s.sample(&mut rng)), Ok(()));
+        }
+        let good = s.default_config();
+        let with = |i: usize, v: ParamValue| {
+            let mut c = good.clone();
+            c.values_mut()[i] = v;
+            c
+        };
+        assert!(matches!(
+            s.check(&Config::new(good.values()[..3].to_vec())),
+            Err(SpaceError::ArityMismatch {
+                expected: 4,
+                found: 3
+            })
+        ));
+        assert!(matches!(
+            s.check(&with(0, ParamValue::Int(1))),
+            Err(SpaceError::TypeMismatch { .. })
+        ));
+        assert!(matches!(
+            s.check(&with(1, ParamValue::Float(3.0))),
+            Err(SpaceError::TypeMismatch { .. })
+        ));
+        assert!(matches!(
+            s.check(&with(3, ParamValue::Int(0))),
+            Err(SpaceError::TypeMismatch { .. })
+        ));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                s.check(&with(0, ParamValue::Float(bad))),
+                Err(SpaceError::TypeMismatch { .. })
+            ));
+        }
+        assert_eq!(s.check(&with(2, ParamValue::Index(2))), Ok(()));
+        assert!(matches!(
+            s.check(&with(2, ParamValue::Index(3))),
+            Err(SpaceError::TypeMismatch { .. })
+        ));
+        assert!(matches!(
+            s.check(&with(3, ParamValue::Index(2))),
+            Err(SpaceError::TypeMismatch { .. })
+        ));
     }
 
     #[test]

@@ -54,8 +54,46 @@ fn space_strategy() -> impl Strategy<Value = SearchSpace> {
     })
 }
 
+/// A value's exact bits, so float comparisons are on representation, not
+/// on `==`.
+fn bits(v: &ParamValue) -> (u8, u64) {
+    match v {
+        ParamValue::Float(x) => (0, x.to_bits()),
+        ParamValue::Int(x) => (1, *x as u64),
+        ParamValue::Index(x) => (2, *x as u64),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    // `SearchSpace` reads the logarithms of log-scale bounds from a cache;
+    // `ParamSpec` takes them on every call and is the reference.
+    #[test]
+    fn space_methods_equal_the_per_parameter_methods_bit_for_bit(
+        space in space_strategy(),
+        seed in any::<u64>(),
+        // Out-of-range coordinates clamp; a short vector defaults to 0.5.
+        unit in prop::collection::vec(-0.5f64..1.5, 0..8),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut twin = rng.clone();
+        for _ in 0..4 {
+            let config = space.sample(&mut rng);
+            let u = space.to_unit(&config).expect("own config embeds");
+            for (i, (_, spec)) in space.iter().enumerate() {
+                let reference = spec.sample(&mut twin);
+                prop_assert_eq!(bits(&config.values()[i]), bits(&reference), "sample, param {}", i);
+                prop_assert_eq!(u[i].to_bits(), spec.to_unit(&reference).to_bits(), "to_unit, param {}", i);
+            }
+        }
+        let config = space.from_unit(&unit);
+        prop_assert_eq!(config.len(), space.len());
+        for (i, (_, spec)) in space.iter().enumerate() {
+            let reference = spec.from_unit(unit.get(i).copied().unwrap_or(0.5));
+            prop_assert_eq!(bits(&config.values()[i]), bits(&reference), "from_unit, param {}", i);
+        }
+    }
 
     #[test]
     fn sampled_configs_embed_into_the_unit_cube(space in space_strategy(), seed in any::<u64>()) {

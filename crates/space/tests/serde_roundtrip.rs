@@ -5,9 +5,16 @@
 //! traits exist on every persisted type, and (b) the part serde *skips* — the
 //! space's name index — is not load-bearing: a space whose index is absent
 //! (exactly what deserialization produces) still resolves every lookup via
-//! the scan fallback in `SearchSpace::index_of`.
+//! the scan fallback in `SearchSpace::index_of`. The same holds for the other
+//! skipped field, the cached logarithms of log-scale bounds: the space's
+//! `sample` / `to_unit` / `from_unit` equal the per-parameter `ParamSpec`
+//! methods bit for bit with or without it. The vendored serde derives are
+//! no-ops, so no test outside the crate can produce a space with its skipped
+//! fields actually absent; that twin is `space.rs`'s
+//! `a_space_without_its_derived_caches_produces_the_same_bits`, and the one
+//! here covers the route persisted spaces really take, through the builder.
 
-use asha_space::{Config, ParamValue, Scale, SearchSpace};
+use asha_space::{Config, ParamSpec, ParamValue, Scale, SearchSpace};
 use rand::SeedableRng;
 
 fn space() -> SearchSpace {
@@ -61,4 +68,46 @@ fn config_values_round_trip_through_reconstruction() {
         s.to_unit(&a).expect("valid"),
         s.to_unit(&rebuilt).expect("valid")
     );
+}
+
+#[test]
+fn a_space_rebuilt_from_its_persisted_parts_produces_the_same_bits() {
+    // What the store's decoder does: read `(name, spec)` pairs back and feed
+    // them through the builder.
+    let original = space();
+    let mut builder = SearchSpace::builder();
+    for (name, spec) in original.iter() {
+        builder = match spec {
+            ParamSpec::Continuous { low, high, scale } => {
+                builder.continuous(name, *low, *high, *scale)
+            }
+            ParamSpec::Discrete { low, high } => builder.discrete(name, *low, *high),
+            ParamSpec::Ordinal { values } => builder.ordinal(name, values),
+            ParamSpec::Categorical { labels } => {
+                let refs: Vec<&str> = labels.iter().map(String::as_str).collect();
+                builder.categorical(name, &refs)
+            }
+        };
+    }
+    let rebuilt = builder.build().expect("persisted parts are valid");
+    assert_eq!(original, rebuilt);
+
+    let bits = |v: &ParamValue| match v {
+        ParamValue::Float(x) => x.to_bits(),
+        ParamValue::Int(x) => *x as u64,
+        ParamValue::Index(x) => *x as u64,
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+    let mut twin = rng.clone();
+    for _ in 0..200 {
+        let config = rebuilt.sample(&mut rng);
+        let unit = rebuilt.to_unit(&config).expect("own config embeds");
+        let back = rebuilt.from_unit(&unit);
+        for (i, (_, spec)) in rebuilt.iter().enumerate() {
+            let reference = spec.sample(&mut twin);
+            assert_eq!(bits(&config.values()[i]), bits(&reference));
+            assert_eq!(unit[i].to_bits(), spec.to_unit(&reference).to_bits());
+            assert_eq!(bits(&back.values()[i]), bits(&spec.from_unit(unit[i])));
+        }
+    }
 }

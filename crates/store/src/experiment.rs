@@ -440,6 +440,8 @@ impl<'b> DurableRun<'b> {
                 ),
             ));
         }
+        snap.check_configs(&meta.space)
+            .map_err(|e| e.corrupt_at(&snap_path))?;
         rewrite_to_marker(&wal_path, &contents, marker)?;
         let sim_state = snap.sim.ok_or_else(|| {
             StoreError::corrupt(&snap_path, "snapshot has no simulator state to resume")

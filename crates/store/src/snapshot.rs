@@ -32,7 +32,7 @@ use asha_core::{
 };
 use asha_metrics::JsonValue;
 use asha_sim::SimRunState;
-use asha_space::SearchSpace;
+use asha_space::{Config, SearchSpace};
 
 use crate::binary::{decode_value, find_field, get_value, skip_value, tree_of, ValueWriter};
 use crate::codec;
@@ -247,6 +247,38 @@ impl Snapshot {
             .into_iter()
             .map(|format| dir.join(Self::file_name(seq, format)))
             .find(|path| path.exists())
+    }
+
+    /// Check every stored configuration against the experiment's `space`
+    /// ([`SearchSpace::check`]): the scheduler's trials, the simulator's
+    /// in-flight and retry jobs, and the incumbent. The config decoder
+    /// accepts any tagged values, so this is where a document that is
+    /// well-formed but not of this experiment is refused — before it
+    /// reaches a benchmark model, which panics on a foreign config.
+    pub(crate) fn check_configs(&self, space: &SearchSpace) -> Result<(), Error> {
+        let check = |config: &Config| {
+            space
+                .check(config)
+                .map_err(|e| Error::codec(format!("stored config {config:?}: {e}")))
+        };
+        match &self.scheduler {
+            SchedulerState::Asha(s) => s.trials.iter().try_for_each(|(_, c)| check(c))?,
+            SchedulerState::SyncSha(s) => {
+                s.trial_meta.iter().try_for_each(|(_, _, c)| check(c))?;
+                let mut queued = s.brackets.iter().flat_map(|b| &b.queue);
+                queued.try_for_each(|(_, c)| check(c))?;
+            }
+            SchedulerState::AsyncHyperband(s) => {
+                let mut trials = s.brackets.iter().flat_map(|b| &b.trials);
+                trials.try_for_each(|(_, c)| check(c))?;
+            }
+        }
+        if let Some(sim) = &self.sim {
+            sim.pending.iter().try_for_each(|p| check(&p.job.config))?;
+            sim.retry.iter().try_for_each(|j| check(&j.config))?;
+            sim.best_config.iter().try_for_each(|(c, _, _)| check(c))?;
+        }
+        Ok(())
     }
 
     /// Append the snapshot document's binvalue payload to `out`: what a

@@ -8,9 +8,11 @@ use std::path::{Path, PathBuf};
 use asha_baselines::{bohb_asha, dasha_tpe};
 use asha_core::{Asha, AshaConfig, Decision, Observation, Scheduler};
 use asha_sim::{SimConfig, SimResult};
+use asha_space::{Config, ParamValue};
 use asha_store::{
-    read_meta, read_wal, replay_scheduler, BenchSpec, Durability, DurableRun, ExperimentMeta,
-    ExperimentStatus, ExperimentSupervisor, RunOptions, SchedulerState, StoredScheduler, WAL_FILE,
+    load_latest, read_meta, read_wal, replay_scheduler, write_document, BenchSpec, Durability,
+    DurableRun, ErrorKind, ExperimentMeta, ExperimentStatus, ExperimentSupervisor, RunOptions,
+    SchedulerState, Snapshot, StoredScheduler, WAL_FILE,
 };
 use asha_surrogate::BenchmarkModel;
 use rand::rngs::StdRng;
@@ -476,5 +478,95 @@ fn wal_of_recovered_run_equals_uninterrupted_telemetry() {
             .collect()
     };
     assert_eq!(tele(&ref_dir), tele(&dir));
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// A checkpoint can be well-formed, CRC-valid and still not of this
+/// experiment: the config decoder accepts any tagged values. A stored
+/// config that does not fit the experiment's space must be refused at
+/// resume with a typed error — not handed to the benchmark model, which
+/// panics on a foreign config at that job's completion.
+#[test]
+fn resume_refuses_a_snapshot_whose_configs_do_not_fit_the_space() {
+    let root = tmpdir("hostile-config");
+    let o = RunOptions {
+        delta_chain: 0,
+        ..opts(20)
+    };
+    let meta = chaos_meta("hostile", 42);
+    let bench = meta.bench.build().unwrap();
+    let dir = root.join("run");
+    let mut run = DurableRun::create(&dir, &meta, &bench, o).unwrap();
+    assert!(run.run_until_jobs(45).unwrap());
+    drop(run);
+
+    let (good, path) = load_latest(&dir).unwrap().expect("checkpoints were taken");
+    let file_name = path.file_name().unwrap().to_str().unwrap().to_owned();
+    let write = |snap: &Snapshot| {
+        let mut payload = Vec::new();
+        snap.encode(&mut payload);
+        write_document(&dir, &file_name, &payload).unwrap();
+    };
+    // One value short of the space's arity, and a value of the wrong kind.
+    let short = |c: &Config| Config::new(c.values()[1..].to_vec());
+    let wrong_kind = |c: &Config| {
+        let mut c = c.clone();
+        c.values_mut()[0] = ParamValue::Index(0);
+        c
+    };
+    fn sim(s: &mut Snapshot) -> &mut asha_sim::SimRunState {
+        s.sim.as_mut().expect("simulated run")
+    }
+    type Tamper<'a> = Box<dyn Fn(&mut Snapshot) + 'a>;
+    let hostile: Vec<(&str, Tamper)> = vec![
+        (
+            "pending job",
+            Box::new(|s| {
+                let job = &mut sim(s).pending[0].job;
+                job.config = short(&job.config);
+            }),
+        ),
+        (
+            "retry entry",
+            Box::new(|s| {
+                let mut job = sim(s).pending[0].job.clone();
+                job.config = short(&job.config);
+                sim(s).retry.push(job);
+            }),
+        ),
+        (
+            "scheduler trial",
+            Box::new(|s| match &mut s.scheduler {
+                SchedulerState::Asha(a) => a.trials[0].1 = short(&a.trials[0].1),
+                other => panic!("chaos_meta runs ASHA, got {}", other.kind()),
+            }),
+        ),
+        (
+            "incumbent",
+            Box::new(|s| {
+                let best = sim(s).best_config.as_mut().expect("jobs completed");
+                best.0 = wrong_kind(&best.0);
+            }),
+        ),
+    ];
+    for (what, tamper) in &hostile {
+        let mut snap = good.clone();
+        tamper(&mut snap);
+        write(&snap);
+        let err = DurableRun::resume(&dir, &meta, &bench, o)
+            .err()
+            .unwrap_or_else(|| panic!("resume accepted a hostile {what}"));
+        assert_eq!(err.kind(), ErrorKind::Corrupt, "{what}: {err}");
+        assert_eq!(err.path(), Some(path.as_path()), "{what}: {err}");
+    }
+    // A refused resume leaves the store as it was: with the original
+    // checkpoint back in place the run recovers and finishes.
+    write(&good);
+    let result = DurableRun::resume(&dir, &meta, &bench, o)
+        .unwrap()
+        .run_to_completion()
+        .unwrap();
+    let reference = uninterrupted_result(&meta, &root.join("ref"), o);
+    assert_results_identical(&reference, &result);
     std::fs::remove_dir_all(&root).ok();
 }

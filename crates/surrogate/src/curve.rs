@@ -82,7 +82,7 @@ impl CurveBenchmark {
             .space
             .to_unit(config)
             .expect("config must come from this benchmark's space");
-        self.floor + self.range * self.quality(&u)
+        self.asym_from(self.quality(&u))
     }
 
     /// The noise-free convergence rate of a configuration.
@@ -91,25 +91,22 @@ impl CurveBenchmark {
             .space
             .to_unit(config)
             .expect("config must come from this benchmark's space");
-        self.rate_of(&u)
+        self.rate_from(&u, self.quality(&u))
     }
 
     /// Probability that a run of this configuration diverges.
     pub fn divergence_probability(&self, config: &Config) -> f64 {
-        let Some(spec) = self.divergence else {
-            return 0.0;
-        };
         let u = self
             .space
             .to_unit(config)
             .expect("config must come from this benchmark's space");
-        let x = u[spec.dim];
-        if x <= spec.threshold {
-            0.0
-        } else {
-            ((x - spec.threshold) / (1.0 - spec.threshold)).clamp(0.0, 1.0)
-        }
+        self.diverge_p_at(&u)
     }
+
+    // The helpers below are the only place each formula lives. The per-call
+    // methods and `profile` both map the config into unit space themselves
+    // and then call these, so profiled and unprofiled evaluation agree bit
+    // for bit by construction.
 
     fn quality(&self, u: &[f64]) -> f64 {
         let mut total = 0.0;
@@ -128,20 +125,50 @@ impl CurveBenchmark {
         (self.sharpness * bowl + rough).clamp(0.0, 1.0)
     }
 
-    fn rate_of(&self, u: &[f64]) -> f64 {
+    fn asym_from(&self, quality: f64) -> f64 {
+        self.floor + self.range * quality
+    }
+
+    /// `quality` is `self.quality(u)`, passed in so a caller that also needs
+    /// the asymptote evaluates the surface once.
+    fn rate_from(&self, u: &[f64], quality: f64) -> f64 {
         // Better configurations converge faster as well as lower — the
         // coupling that makes partial losses informative of final quality,
         // which real learning curves exhibit (and which early stopping
         // fundamentally relies on).
         self.rate_base
             * (self.rate_span * (self.rate_field.eval(u) - 0.5)).exp()
-            * (self.rate_quality_coupling * (0.5 - self.quality(u))).exp()
+            * (self.rate_quality_coupling * (0.5 - quality)).exp()
     }
 
-    /// Resource at which a run with divergence draw `d` diverges under this
-    /// configuration, or `INFINITY`.
-    fn diverge_at(&self, config: &Config, draw: f64) -> f64 {
-        let p = self.divergence_probability(config);
+    fn gap_at(&self, u: &[f64]) -> f64 {
+        self.gap_frac * self.range * self.gap_field.eval(u)
+    }
+
+    fn diverge_p_at(&self, u: &[f64]) -> f64 {
+        let Some(spec) = self.divergence else {
+            return 0.0;
+        };
+        let x = u[spec.dim];
+        if x <= spec.threshold {
+            0.0
+        } else {
+            ((x - spec.threshold) / (1.0 - spec.threshold)).clamp(0.0, 1.0)
+        }
+    }
+
+    fn cost_per_unit_at(&self, u: &[f64]) -> f64 {
+        let mut exponent = 0.0;
+        for (i, &ui) in u.iter().enumerate() {
+            exponent += self.cost_weights.get(i).copied().unwrap_or(0.0) * (ui - 0.5);
+        }
+        (self.cost_base / self.max_resource) * exponent.exp()
+    }
+
+    /// Resource at which a run with divergence draw `d` diverges at unit
+    /// point `u`, or `INFINITY`.
+    fn diverge_at(&self, u: &[f64], draw: f64) -> f64 {
+        let p = self.diverge_p_at(u);
         if p > 0.0 && draw < p {
             // Higher risk diverges earlier; always within the first half of
             // training, like real learning-rate blowups.
@@ -188,7 +215,11 @@ impl BenchmarkModel for CurveBenchmark {
             state.resource = state.resource.max(target);
             return;
         }
-        if self.diverge_at(config, state.divergence_draw) <= target {
+        let u = self
+            .space
+            .to_unit(config)
+            .expect("config must come from this benchmark's space");
+        if self.diverge_at(&u, state.divergence_draw) <= target {
             state.diverged = true;
             if let Some(spec) = self.divergence {
                 state.loss = spec.magnitude;
@@ -196,13 +227,9 @@ impl BenchmarkModel for CurveBenchmark {
             state.resource = target;
             return;
         }
-        let u = self
-            .space
-            .to_unit(config)
-            .expect("config must come from this benchmark's space");
-        let asym =
-            (self.floor + self.range * self.quality(&u) + state.asym_jitter).max(self.floor * 0.5);
-        let rate = self.rate_of(&u) * state.rate_jitter;
+        let quality = self.quality(&u);
+        let asym = (self.asym_from(quality) + state.asym_jitter).max(self.floor * 0.5);
+        let rate = self.rate_from(&u, quality) * state.rate_jitter;
         let delta = (target - state.resource) / self.max_resource;
         state.loss = asym + (state.loss - asym) * (-rate * delta).exp();
         state.resource = target;
@@ -228,8 +255,7 @@ impl BenchmarkModel for CurveBenchmark {
             .space
             .to_unit(config)
             .expect("config must come from this benchmark's space");
-        let gap = self.gap_frac * self.range * self.gap_field.eval(&u);
-        self.clamp_loss(state.loss + gap)
+        self.clamp_loss(state.loss + self.gap_at(&u))
     }
 
     fn time_per_unit(&self, config: &Config) -> f64 {
@@ -237,11 +263,7 @@ impl BenchmarkModel for CurveBenchmark {
             .space
             .to_unit(config)
             .expect("config must come from this benchmark's space");
-        let mut exponent = 0.0;
-        for (i, &ui) in u.iter().enumerate() {
-            exponent += self.cost_weights.get(i).copied().unwrap_or(0.0) * (ui - 0.5);
-        }
-        (self.cost_base / self.max_resource) * exponent.exp()
+        self.cost_per_unit_at(&u)
     }
 
     fn profile(&self, config: &Config) -> Option<ConfigProfile> {
@@ -249,20 +271,18 @@ impl BenchmarkModel for CurveBenchmark {
             .space
             .to_unit(config)
             .expect("config must come from this benchmark's space");
-        // Each expression mirrors the corresponding per-call method exactly
-        // (same operations in the same order) so profiled evaluation is
-        // bitwise-identical to unprofiled evaluation.
+        let quality = self.quality(&u);
         Some(ConfigProfile {
             max_resource: self.max_resource,
-            asym_base: self.floor + self.range * self.quality(&u),
+            asym_base: self.asym_from(quality),
             asym_floor: self.floor * 0.5,
-            rate: self.rate_of(&u),
+            rate: self.rate_from(&u, quality),
             noise_std: self.noise_std,
-            gap: self.gap_frac * self.range * self.gap_field.eval(&u),
+            gap: self.gap_at(&u),
             loss_cap: self.loss_cap,
-            diverge_p: self.divergence_probability(config),
+            diverge_p: self.diverge_p_at(&u),
             diverge_magnitude: self.divergence.map_or(0.0, |s| s.magnitude),
-            time_per_unit: self.time_per_unit(config),
+            time_per_unit: self.cost_per_unit_at(&u),
         })
     }
 
@@ -677,14 +697,79 @@ mod tests {
         );
     }
 
+    fn state_bits(s: &TrainingState) -> [u64; 6] {
+        [
+            s.resource.to_bits(),
+            s.loss.to_bits(),
+            s.asym_jitter.to_bits(),
+            s.rate_jitter.to_bits(),
+            s.divergence_draw.to_bits(),
+            u64::from(s.diverged),
+        ]
+    }
+
+    /// The per-call methods are the oracle: a profile of `c` must reproduce
+    /// every one of them bit for bit, along a schedule that overshoots `R`.
+    fn assert_profile_twin(b: &CurveBenchmark, c: &Config, r: &mut StdRng) {
+        let name = b.name();
+        let profile = b.profile(c).expect("curve benchmarks are profilable");
+        assert_eq!(
+            profile.time_per_unit.to_bits(),
+            b.time_per_unit(c).to_bits(),
+            "{name}: time_per_unit of {c:?}"
+        );
+        assert_eq!(
+            profile.asym_base.to_bits(),
+            b.asymptote(c).to_bits(),
+            "{name}: asymptote of {c:?}"
+        );
+        assert_eq!(
+            profile.rate.to_bits(),
+            b.convergence_rate(c).to_bits(),
+            "{name}: rate of {c:?}"
+        );
+        assert_eq!(
+            profile.diverge_p.to_bits(),
+            b.divergence_probability(c).to_bits(),
+            "{name}: divergence probability of {c:?}"
+        );
+        let mut direct = b.init_state(c, r);
+        let mut via = direct;
+        // Twin RNGs so the noise draws see identical streams.
+        let mut ra = StdRng::seed_from_u64(direct.asym_jitter.to_bits());
+        let mut rb = ra.clone();
+        for step in 1..=6 {
+            let target = step as f64 * 0.2 * b.max_resource; // overshoots R on purpose
+            b.advance(c, &mut direct, target, &mut ra);
+            profile.advance(&mut via, target);
+            assert_eq!(
+                state_bits(&direct),
+                state_bits(&via),
+                "{name}: state diverged at target {target} for {c:?}"
+            );
+            assert_eq!(
+                b.validation_loss(c, &direct, &mut ra).to_bits(),
+                profile.validation_loss(&via, &mut rb).to_bits(),
+                "{name}: validation loss at target {target} for {c:?}"
+            );
+            assert_eq!(
+                b.test_loss(c, &direct).to_bits(),
+                profile.test_loss(&via).to_bits(),
+                "{name}: test loss at target {target} for {c:?}"
+            );
+        }
+    }
+
     #[test]
     fn profile_is_bitwise_identical_to_per_call_methods() {
+        use crate::presets;
+
         let space = SearchSpace::builder()
             .continuous("lr", 1e-4, 1.0, Scale::Log)
             .continuous("reg", 1e-5, 1.0, Scale::Log)
             .build()
             .unwrap();
-        let b = CurveBenchmark::builder("prof", space, 100.0, 17)
+        let hand_built = CurveBenchmark::builder("prof", space, 100.0, 17)
             .losses(0.05, 0.5, 0.9, 2.0)
             .divergence(DivergenceSpec {
                 dim: 0,
@@ -692,29 +777,41 @@ mod tests {
                 magnitude: 1.5,
             })
             .build();
+        let seed = presets::DEFAULT_SURFACE_SEED;
+        let benches = [
+            hand_built,
+            presets::cifar10_cuda_convnet(seed),
+            presets::cifar10_small_cnn(seed),
+            presets::svhn_small_cnn(seed),
+            presets::ptb_lstm(seed),
+            presets::ptb_dropconnect_lstm(seed),
+            presets::svm_vehicle(seed),
+            presets::svm_mnist(seed),
+        ];
         let mut r = rng();
-        for _ in 0..200 {
-            let c = b.space().sample(&mut r);
-            let profile = b.profile(&c).expect("curve benchmarks are profilable");
-            assert_eq!(profile.time_per_unit, b.time_per_unit(&c));
-            let mut direct = b.init_state(&c, &mut r);
-            let mut via = direct;
-            // Twin RNGs so the noise draws see identical streams.
-            let mut ra = StdRng::seed_from_u64(direct.loss.to_bits());
-            let mut rb = ra.clone();
-            for step in 1..=6 {
-                let target = step as f64 * 20.0; // overshoots R on purpose
-                b.advance(&c, &mut direct, target, &mut ra);
-                profile.advance(&mut via, target);
-                assert_eq!(direct, via, "state diverged at target {target}");
-                assert_eq!(
-                    b.validation_loss(&c, &direct, &mut ra).to_bits(),
-                    profile.validation_loss(&via, &mut rb).to_bits()
-                );
-                assert_eq!(
-                    b.test_loss(&c, &direct).to_bits(),
-                    profile.test_loss(&via).to_bits()
-                );
+        for b in &benches {
+            for _ in 0..200 {
+                let c = b.space().sample(&mut r);
+                assert_profile_twin(b, &c, &mut r);
+            }
+            // The corners of the unit cube, then the divergence coordinate
+            // on and around the point where the risk turns on.
+            let dims = b.space().len();
+            let mut edges = vec![vec![0.0; dims], vec![1.0; dims]];
+            if let Some(spec) = b.divergence {
+                let ulp_above = f64::from_bits(spec.threshold.to_bits() + 1);
+                for x in [spec.threshold, ulp_above, 1.0] {
+                    let mut u = vec![0.5; dims];
+                    u[spec.dim] = x;
+                    edges.push(u);
+                }
+            }
+            for u in &edges {
+                // Several runs per edge so both sides of the divergence
+                // draw are taken.
+                for _ in 0..8 {
+                    assert_profile_twin(b, &b.space().from_unit(u), &mut r);
+                }
             }
         }
     }
