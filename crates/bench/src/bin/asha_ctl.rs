@@ -383,17 +383,19 @@ fn render_top(snap: &JsonValue, rows: &[asha::service::WireStatus]) {
     if let Some(JsonValue::Obj(tailers)) = snap.get("tailers") {
         if !tailers.is_empty() {
             println!(
-                "  {:<24} {:>5} {:>8} {:>7} {:>10}",
-                "TAILER", "SUBS", "LAG", "EVICT", "FANOUT"
+                "  {:<24} {:>5} {:>8} {:>7} {:>10} {:>8} {:>8}",
+                "TAILER", "SUBS", "LAG", "EVICT", "FANOUT", "JAMS", "TIMEDOUT"
             );
             for (name, t) in tailers {
                 println!(
-                    "  {:<24} {:>5} {:>8} {:>7} {:>10}",
+                    "  {:<24} {:>5} {:>8} {:>7} {:>10} {:>8} {:>8}",
                     name,
                     jint(t, "subscribers"),
                     jint(t, "lag_records"),
                     jint(t, "window_evictions"),
                     jint(t, "fanout_frames"),
+                    jint(t, "jam_waits"),
+                    jint(t, "jam_timeouts"),
                 );
             }
         }

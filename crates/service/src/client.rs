@@ -31,7 +31,13 @@ pub struct Client {
     /// Bound on how long [`Client::call`] waits for its reply (`None`
     /// blocks forever — a dead daemon then hangs the caller).
     call_timeout: Option<Duration>,
+    /// The read timeout the socket currently carries, so it is touched
+    /// only when the wanted value changes.
+    armed: Option<Duration>,
 }
+
+/// Read-timeout slice while a bounded wait polls its deadline.
+const POLL_SLICE: Duration = Duration::from_millis(50);
 
 impl Client {
     /// Connect over a Unix-domain socket.
@@ -79,6 +85,7 @@ impl Client {
             next_id: 1,
             pending: VecDeque::new(),
             call_timeout: None,
+            armed: None,
         })
     }
 
@@ -106,12 +113,10 @@ impl Client {
             .map_err(|e| Error::from(e).context("sending request"))?;
         let op = request.op();
         let deadline = self.call_timeout.map(|t| Instant::now() + t);
-        if deadline.is_some() {
-            // Poll in short slices so the deadline is honored even when the
-            // daemon never writes a byte.
-            self.set_read_timeout(Some(Duration::from_millis(50)))?;
-        }
-        let result = loop {
+        // Poll in short slices so the deadline is honored even when the
+        // daemon never writes a byte; without one, block for real.
+        self.arm_read_timeout(deadline.map(|_| POLL_SLICE))?;
+        loop {
             match self.reader.read_frame() {
                 Err(e) => break Err(e),
                 Ok(Frame::Eof) => {
@@ -133,7 +138,7 @@ impl Client {
                 }
                 Ok(Frame::Value(frame)) => {
                     if Push::is_push_frame(&frame) {
-                        match Push::from_frame(&frame) {
+                        match Push::from_frame_owned(frame) {
                             Ok(push) => self.pending.push_back(push),
                             Err(e) => break Err(e),
                         }
@@ -149,13 +154,7 @@ impl Client {
                     });
                 }
             }
-        };
-        if deadline.is_some() {
-            // Best-effort restore; if the socket died the result already
-            // carries the interesting error.
-            let _ = self.set_read_timeout(None);
         }
-        result
     }
 
     /// Next push frame: buffered ones first, then the wire. `timeout`
@@ -168,8 +167,8 @@ impl Client {
         let deadline = timeout.map(|t| Instant::now() + t);
         // Poll in short slices so a bounded wait stays responsive without
         // reconfiguring the socket per call.
-        self.set_read_timeout(Some(Duration::from_millis(50)))?;
-        let result = loop {
+        self.arm_read_timeout(Some(POLL_SLICE))?;
+        loop {
             match self.reader.read_frame() {
                 Ok(Frame::Eof) => break Ok(None),
                 Ok(Frame::TimedOut) => {
@@ -181,23 +180,29 @@ impl Client {
                 }
                 Ok(Frame::Value(frame)) => {
                     if Push::is_push_frame(&frame) {
-                        break Push::from_frame(&frame).map(Some);
+                        break Push::from_frame_owned(frame).map(Some);
                     }
                     // A reply with no in-flight call is a protocol breach.
                     break Err(Error::protocol("unsolicited reply frame"));
                 }
                 Err(e) => break Err(e),
             }
-        };
-        self.set_read_timeout(None)?;
-        result
+        }
     }
 
-    fn set_read_timeout(&mut self, dur: Option<Duration>) -> Result<(), Error> {
+    /// Make the socket's read timeout `want`; returns whether the socket
+    /// had to be touched. A stream of pushes, or of calls under one
+    /// deadline, sets it once instead of arming and disarming per frame.
+    fn arm_read_timeout(&mut self, want: Option<Duration>) -> Result<bool, Error> {
+        if self.armed == want {
+            return Ok(false);
+        }
         self.reader
             .get_ref()
-            .set_read_timeout(dur)
-            .map_err(|e| Error::from(e).context("setting read timeout"))
+            .set_read_timeout(want)
+            .map_err(|e| Error::from(e).context("setting read timeout"))?;
+        self.armed = want;
+        Ok(true)
     }
 
     // ---- Convenience wrappers over the request vocabulary ----
@@ -308,5 +313,57 @@ impl Client {
     /// Ask the daemon to shut down gracefully.
     pub fn shutdown(&mut self) -> Result<(), Error> {
         self.call(&Request::Shutdown).map(|_| ())
+    }
+}
+
+#[cfg(all(test, unix))]
+mod tests {
+    use super::*;
+
+    /// Whether the socket itself carries a read timeout (the kernel rounds
+    /// the value to its clock tick, so only its presence is compared).
+    fn socket_armed(client: &Client) -> bool {
+        match client.reader.get_ref() {
+            Conn::Unix(s) => s.read_timeout().unwrap().is_some(),
+            Conn::Tcp(s) => s.read_timeout().unwrap().is_some(),
+        }
+    }
+
+    /// A client on one end of a socket pair; the test plays the daemon on
+    /// the other.
+    fn pair() -> (Client, UnixStream) {
+        let (ours, theirs) = UnixStream::pair().unwrap();
+        (Client::from_conn(Conn::Unix(ours)).unwrap(), theirs)
+    }
+
+    #[test]
+    fn read_timeout_is_set_only_when_it_changes() {
+        let (mut client, mut daemon) = pair();
+        let event = "{\"v\":1,\"sub\":1,\"push\":\"event\",\"data\":{\"seq\":0}}\n";
+        let pong = |id: u64| format!("{{\"v\":1,\"id\":{id},\"ok\":{{\"pong\":true}}}}\n");
+        let wait = Some(Duration::from_secs(5));
+
+        // push -> push: armed once, then left alone.
+        daemon.write_all(event.repeat(2).as_bytes()).unwrap();
+        assert!(client.next_push(wait).unwrap().is_some());
+        assert_eq!(client.armed, Some(POLL_SLICE));
+        assert!(socket_armed(&client));
+        assert!(!client.arm_read_timeout(Some(POLL_SLICE)).unwrap());
+        assert!(client.next_push(wait).unwrap().is_some());
+        assert!(socket_armed(&client));
+
+        // push -> deadline-less call: disarmed, so the read really blocks.
+        daemon.write_all(pong(1).as_bytes()).unwrap();
+        client.ping().unwrap();
+        assert_eq!(client.armed, None);
+        assert!(!socket_armed(&client));
+        assert!(!client.arm_read_timeout(None).unwrap());
+
+        // call under a deadline -> push: armed once for both.
+        client.set_call_timeout(wait);
+        daemon.write_all(pong(2).as_bytes()).unwrap();
+        client.ping().unwrap();
+        assert!(socket_armed(&client));
+        assert!(!client.arm_read_timeout(Some(POLL_SLICE)).unwrap());
     }
 }

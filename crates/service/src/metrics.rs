@@ -101,6 +101,11 @@ pub struct TailerMetrics {
     pub window_evictions: SharedCounter,
     /// Event frames fanned out to subscriber queues.
     pub fanout_frames: SharedCounter,
+    /// Times the tailer waited for room in a full subscriber queue.
+    pub jam_waits: SharedCounter,
+    /// Those waits that ran out their bound instead of being woken by the
+    /// drain that made room.
+    pub jam_timeouts: SharedCounter,
 }
 
 impl TailerMetrics {
@@ -110,6 +115,8 @@ impl TailerMetrics {
             lag_records: SharedGauge::new(),
             window_evictions: SharedCounter::new(),
             fanout_frames: SharedCounter::new(),
+            jam_waits: SharedCounter::new(),
+            jam_timeouts: SharedCounter::new(),
         })
     }
 }
@@ -378,6 +385,8 @@ impl ServiceMetrics {
                             ),
                             ("window_evictions", JsonValue::Int(t.window_evictions.get())),
                             ("fanout_frames", JsonValue::Int(t.fanout_frames.get())),
+                            ("jam_waits", JsonValue::Int(t.jam_waits.get())),
+                            ("jam_timeouts", JsonValue::Int(t.jam_timeouts.get())),
                         ]),
                     )
                 })
@@ -646,65 +655,51 @@ impl ServiceMetrics {
             let map = self.tailers.lock().unwrap();
             let mut names: Vec<&String> = map.keys().collect();
             names.sort();
-            header(
-                &mut out,
-                "asha_tailer_subscribers",
-                "Subscribers attached to the experiment's tailer",
-                "gauge",
-            );
-            for name in &names {
-                let label = format!("experiment=\"{}\"", escape_label(name));
-                sample(
-                    &mut out,
+            type Read = fn(&TailerMetrics) -> f64;
+            let series: [(&str, &str, &str, Read); 6] = [
+                (
                     "asha_tailer_subscribers",
-                    &label,
-                    map[name.as_str()].subscribers.get() as f64,
-                );
-            }
-            header(
-                &mut out,
-                "asha_tailer_lag_records",
-                "Backlog records the slowest live subscriber has not consumed",
-                "gauge",
-            );
-            for name in &names {
-                let label = format!("experiment=\"{}\"", escape_label(name));
-                sample(
-                    &mut out,
+                    "Subscribers attached to the experiment's tailer",
+                    "gauge",
+                    |t| t.subscribers.get() as f64,
+                ),
+                (
                     "asha_tailer_lag_records",
-                    &label,
-                    map[name.as_str()].lag_records.get() as f64,
-                );
-            }
-            header(
-                &mut out,
-                "asha_tailer_window_evictions_total",
-                "Live subscribers demoted to catch-up after falling out of the backlog window",
-                "counter",
-            );
-            for name in &names {
-                let label = format!("experiment=\"{}\"", escape_label(name));
-                sample(
-                    &mut out,
+                    "Backlog records the slowest live subscriber has not consumed",
+                    "gauge",
+                    |t| t.lag_records.get() as f64,
+                ),
+                (
                     "asha_tailer_window_evictions_total",
-                    &label,
-                    map[name.as_str()].window_evictions.get() as f64,
-                );
-            }
-            header(
-                &mut out,
-                "asha_tailer_fanout_frames_total",
-                "Event frames fanned out to subscriber queues",
-                "counter",
-            );
-            for name in &names {
-                let label = format!("experiment=\"{}\"", escape_label(name));
-                sample(
-                    &mut out,
+                    "Live subscribers demoted to catch-up after falling out of the backlog window",
+                    "counter",
+                    |t| t.window_evictions.get() as f64,
+                ),
+                (
                     "asha_tailer_fanout_frames_total",
-                    &label,
-                    map[name.as_str()].fanout_frames.get() as f64,
-                );
+                    "Event frames fanned out to subscriber queues",
+                    "counter",
+                    |t| t.fanout_frames.get() as f64,
+                ),
+                (
+                    "asha_tailer_jam_waits_total",
+                    "Waits for room in a full subscriber queue",
+                    "counter",
+                    |t| t.jam_waits.get() as f64,
+                ),
+                (
+                    "asha_tailer_jam_timeouts_total",
+                    "Waits for room ended by their time bound, not by the drain",
+                    "counter",
+                    |t| t.jam_timeouts.get() as f64,
+                ),
+            ];
+            for (metric, help, kind, read) in series {
+                header(&mut out, metric, help, kind);
+                for name in &names {
+                    let label = format!("experiment=\"{}\"", escape_label(name));
+                    sample(&mut out, metric, &label, read(&map[name.as_str()]));
+                }
             }
         }
         histogram(

@@ -568,15 +568,33 @@ impl Push {
 
     /// Decode a push frame.
     pub fn from_frame(v: &JsonValue) -> Result<Push, Error> {
+        Push::decode(v, v.get("data").cloned())
+    }
+
+    /// Decode a push frame the caller is done with: an event's `data` is
+    /// moved out of the frame instead of cloned and then dropped with it.
+    /// Accepts and refuses exactly what [`Push::from_frame`] does.
+    pub fn from_frame_owned(mut v: JsonValue) -> Result<Push, Error> {
+        // Taken in place: the other keys keep their positions, so a frame
+        // with repeated keys reads the same as it does borrowed.
+        let data = match &mut v {
+            JsonValue::Obj(fields) => fields
+                .iter_mut()
+                .find(|(key, _)| key == "data")
+                .map(|(_, value)| std::mem::replace(value, JsonValue::Null)),
+            _ => None,
+        };
+        Push::decode(&v, data)
+    }
+
+    /// `data` is the frame's `data` field, however the caller came by it.
+    fn decode(v: &JsonValue, data: Option<JsonValue>) -> Result<Push, Error> {
         check_version(v)?;
         let sub = get_u64(v, "sub")?;
         Ok(match get_str(v, "push")? {
             "event" => Push::Event {
                 sub,
-                data: v
-                    .get("data")
-                    .ok_or_else(|| Error::protocol("event push missing data"))?
-                    .clone(),
+                data: data.ok_or_else(|| Error::protocol("event push missing data"))?,
             },
             "lag" => Push::Lag {
                 sub,

@@ -237,10 +237,20 @@ impl ConnHandle {
 
     /// Queue a subscription frame if the bounded outgoing queue has room.
     pub fn offer_frame(&self, line: String) -> Offer {
+        self.offer_with(|out| out.offer(line))
+    }
+
+    /// Queue a frame of a file-backed stream, which stops short of the
+    /// queue's capacity (see [`OutBuf::offer_stream`]).
+    pub fn offer_stream_frame(&self, line: String) -> Offer {
+        self.offer_with(|out| out.offer_stream(line))
+    }
+
+    fn offer_with(&self, offer: impl FnOnce(&mut OutBuf) -> Offer) -> Offer {
         if self.is_closed() {
             return Offer::Closed;
         }
-        let offer = self.out.lock().unwrap().offer(line);
+        let offer = offer(&mut self.out.lock().expect("outgoing queue poisoned"));
         if offer == Offer::Sent {
             self.mark_dirty();
         }
@@ -478,6 +488,12 @@ pub trait ConnHandler: Send + Sync + 'static {
     /// which closes the connection without a response.
     fn on_http(&self, conn: &Arc<ConnHandle>, method: &str, path: &str) {
         let _ = (conn, method, path);
+    }
+    /// The connection's bounded outgoing queue refused a frame
+    /// ([`Offer::Full`]) and has room again, or is closing: whoever kept
+    /// the frame should retry now. Reactor thread; default: ignore.
+    fn on_room(&self, conn: &Arc<ConnHandle>) {
+        let _ = conn;
     }
     /// The connection is gone (socket closed and deregistered).
     fn on_close(&self, conn: &Arc<ConnHandle>);
@@ -853,7 +869,7 @@ impl Reactor {
         };
         let mut dead = false;
         let mut jammed = false;
-        {
+        let room = {
             let mut out = io.handle.out.lock().unwrap();
             loop {
                 let staged = out.stage(&mut self.write_scratch, IO_CHUNK);
@@ -880,10 +896,16 @@ impl Reactor {
                     }
                 }
             }
-        }
+            // Under the lock the refusal was recorded under, so the drain
+            // above and a concurrent offer cannot both miss each other.
+            out.take_starved()
+        };
         if dead {
             self.close_conn(token);
             return;
+        }
+        if room {
+            self.handler.on_room(&io.handle);
         }
         let drained = io.handle.out.lock().unwrap().is_empty();
         if io.draining && drained && io.handle.idle() {

@@ -6,6 +6,27 @@
 //! one that ends mid-frame — so the buffer tracks an offset into its front
 //! frame and [`OutBuf::consume`] advances across frame boundaries exactly
 //! as far as the kernel accepted.
+//!
+//! # The starved bit
+//!
+//! A producer whose offer is refused keeps its frame and must learn when
+//! to try again. The refusal sets a sticky `starved` mark under the same
+//! lock that guards the queue, and [`OutBuf::take_starved`] hands it out
+//! exactly once, as soon as an offer could get a different answer (room
+//! again, or the buffer closing). Because both sides run under one lock,
+//! either the drain sees the mark the refusal set, or the offer sees the
+//! room the drain made: the wake-up cannot fall between them.
+//!
+//! # Two fill marks
+//!
+//! A woken producer refills the queue the moment it drains, so a stream
+//! faster than its reader keeps the queue at its mark for as long as it
+//! lasts. File-backed stream frames ([`OutBuf::offer_stream`]) therefore
+//! stop an eighth short of the capacity: what they leave free is what
+//! lets a lossy push land instead of turning into a `lag` notice, and what
+//! keeps the stream alone from holding the connection at the reactor's
+//! read-pause mark (the same number), where its own requests —
+//! `unsubscribe` among them — would go unread.
 
 use std::collections::VecDeque;
 
@@ -35,6 +56,9 @@ pub struct OutBuf {
     closing: bool,
     /// The socket is gone; everything is discarded.
     closed: bool,
+    /// The lowest fill mark an offer was refused at since anybody was last
+    /// told that trying again is worthwhile.
+    starved: Option<usize>,
 }
 
 impl OutBuf {
@@ -46,6 +70,7 @@ impl OutBuf {
             cap,
             closing: false,
             closed: false,
+            starved: None,
         }
     }
 
@@ -94,16 +119,41 @@ impl OutBuf {
         true
     }
 
-    /// Append a frame if there is capacity (subscription tiers).
+    /// Append a lossy or stream-control frame if there is capacity.
     pub fn offer(&mut self, frame: String) -> Offer {
+        self.offer_below(frame, self.cap)
+    }
+
+    /// Append a frame of a stream that can always wait (its source is a
+    /// file), leaving the last eighth of the capacity to [`OutBuf::offer`].
+    pub fn offer_stream(&mut self, frame: String) -> Offer {
+        self.offer_below(frame, self.cap - self.cap / 8)
+    }
+
+    fn offer_below(&mut self, frame: String, mark: usize) -> Offer {
         if self.closed || self.closing {
             return Offer::Closed;
         }
-        if self.frames.len() >= self.cap {
+        if self.frames.len() >= mark {
+            self.starved = Some(self.starved.map_or(mark, |m| m.min(mark)));
             return Offer::Full;
         }
         self.frames.push_back(frame);
         Offer::Sent
+    }
+
+    /// Whether a refused producer should be woken now: true exactly once
+    /// per run of refusals, and only when a retry would no longer be
+    /// refused for lack of room. Call after [`OutBuf::consume`],
+    /// [`OutBuf::begin_close`] or [`OutBuf::close`], under the same lock.
+    pub fn take_starved(&mut self) -> bool {
+        let wake = self
+            .starved
+            .is_some_and(|mark| self.closing || self.frames.len() < mark);
+        if wake {
+            self.starved = None;
+        }
+        wake
     }
 
     /// Copy up to `limit` bytes of queued frames into `scratch` (cleared
@@ -200,5 +250,95 @@ mod tests {
         assert_eq!(out.offer("d\n".into()), Offer::Closed);
         assert!(!out.push_reply("r\n".into()));
         assert!(out.is_empty());
+    }
+
+    fn full(cap: usize) -> OutBuf {
+        let mut out = OutBuf::new(cap);
+        for _ in 0..cap {
+            assert_eq!(out.offer("abcd\n".into()), Offer::Sent);
+        }
+        out
+    }
+
+    #[test]
+    fn refused_offer_is_woken_exactly_once_when_room_returns() {
+        let mut out = full(2);
+        assert!(!out.take_starved(), "nothing refused yet");
+        assert_eq!(out.offer("x\n".into()), Offer::Full);
+        assert_eq!(out.offer("x\n".into()), Offer::Full);
+        assert!(!out.take_starved(), "still full: a retry would be refused");
+        out.consume(5);
+        assert!(out.take_starved());
+        assert!(!out.take_starved(), "one wake-up per run of refusals");
+        // The retry succeeds, and a later refusal arms the bit afresh.
+        assert_eq!(out.offer("x\n".into()), Offer::Sent);
+        assert_eq!(out.offer("y\n".into()), Offer::Full);
+        out.consume(5);
+        assert!(out.take_starved());
+    }
+
+    #[test]
+    fn drain_without_a_refused_offer_wakes_nobody() {
+        let mut out = full(2);
+        out.consume(5);
+        assert!(!out.take_starved());
+        out.consume(5);
+        assert!(!out.take_starved());
+    }
+
+    #[test]
+    fn partial_write_that_frees_no_frame_wakes_nobody() {
+        let mut out = full(2);
+        assert_eq!(out.offer("x\n".into()), Offer::Full);
+        out.consume(3);
+        assert!(!out.take_starved(), "front frame only partly written");
+        // Replies bypass the cap, so one freed frame may still leave no room.
+        assert!(out.push_reply("r\n".into()));
+        out.consume(2);
+        assert!(!out.take_starved(), "2 frames queued at cap 2");
+        out.consume(5);
+        assert!(out.take_starved());
+    }
+
+    #[test]
+    fn stream_frames_leave_an_eighth_to_the_other_pushes() {
+        let mut out = OutBuf::new(16);
+        for _ in 0..14 {
+            assert_eq!(out.offer_stream("abcd\n".into()), Offer::Sent);
+        }
+        assert_eq!(out.offer_stream("abcd\n".into()), Offer::Full);
+        assert_eq!(out.offer("abcd\n".into()), Offer::Sent);
+        assert_eq!(out.offer("abcd\n".into()), Offer::Sent);
+        assert_eq!(out.offer("abcd\n".into()), Offer::Full);
+        // The wake-up waits for the lower of the marks refused at.
+        out.consume(10);
+        assert!(
+            !out.take_starved(),
+            "14 queued: the stream is still refused"
+        );
+        out.consume(5);
+        assert!(out.take_starved());
+        assert_eq!(out.offer_stream("abcd\n".into()), Offer::Sent);
+        // A queue too shallow to spare a frame gives the stream all of it.
+        let mut out = OutBuf::new(4);
+        for _ in 0..4 {
+            assert_eq!(out.offer_stream("abcd\n".into()), Offer::Sent);
+        }
+        assert_eq!(out.offer_stream("abcd\n".into()), Offer::Full);
+    }
+
+    #[test]
+    fn closing_wakes_a_refused_producer() {
+        let mut out = full(1);
+        assert_eq!(out.offer("x\n".into()), Offer::Full);
+        out.begin_close();
+        assert!(out.take_starved(), "the retry now answers Closed");
+        assert!(!out.take_starved());
+
+        let mut out = full(1);
+        assert_eq!(out.offer("x\n".into()), Offer::Full);
+        out.close();
+        assert!(out.take_starved());
+        assert_eq!(out.offer("x\n".into()), Offer::Closed);
     }
 }

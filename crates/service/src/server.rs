@@ -27,11 +27,12 @@
 //! blocks anything else, by two mechanisms:
 //!
 //! * **WAL event frames** are file-backed, so the tailer never drops
-//!   them: when the queue is full it holds the subscriber's cursor and
-//!   retries, delivering a gap-free stream at whatever pace the client
-//!   reads. Only the experiment's tailer thread waits, and only on its
-//!   own schedule — other subscribers of the same experiment keep
-//!   receiving.
+//!   them: when the queue is full it holds the subscriber's cursor until
+//!   the reactor's next drain of that queue wakes it (at the latest two
+//!   milliseconds on), delivering a gap-free stream at whatever pace the
+//!   client reads. Only the experiment's tailer thread waits — other
+//!   subscribers of the same experiment keep receiving. Event frames fill
+//!   the queue to seven eighths; the rest is kept for the pushes below.
 //! * **Status pushes** fire on supervisor/worker threads, which must not
 //!   wait on anyone; they are offered without retry. A dropped frame grows
 //!   the subscription's lag counter (`events_lagged` in daemon stats), and
@@ -286,6 +287,18 @@ mod unix_impl {
             };
             if conn.enqueue_request(req) {
                 self.pool.submit(Arc::clone(conn));
+            }
+        }
+
+        fn on_room(&self, conn: &Arc<ConnHandle>) {
+            // Reactor thread: wake the tailers holding frames for this
+            // connection; which of them was refused is not tracked, and a
+            // ring nobody waits for costs one loop of an idle tailer.
+            if let Some(ctx) = conn.user::<ConnCtx>() {
+                let subs = ctx.subs.lock().expect("subscription map poisoned");
+                for sub in subs.values() {
+                    sub.ring();
+                }
             }
         }
 

@@ -11,10 +11,14 @@
 //! subscriber owns a cursor into it. The [`WalTail`] renders every record
 //! as its `jsonl-v1` line whatever the on-disk dialect, so a `binary-v2`
 //! WAL fans out to subscribers as exactly the same JSON event frames as a
-//! `jsonl-v1` one. The record body is serialized once —
-//! per-subscriber frames only wrap it in the cheap push envelope
+//! `jsonl-v1` one, and tags each line with the two things routing needs
+//! (its `seq`, whether it is the finished marker), so no line is parsed
+//! back here. The record body is serialized once — per-subscriber frames
+//! only wrap it in the cheap push envelope
 //! (`{"v":1,"sub":K,"push":"event","data":<body>}`), never re-rendering
-//! the payload.
+//! the payload. The backlog is filled on demand, one [`READ_WINDOW`] at a
+//! time, when a Live subscriber has used it up: a subscriber that keeps up
+//! with the file is fed from one decode of it, however long it is.
 //!
 //! # Subscriber phases
 //!
@@ -26,34 +30,46 @@
 //! ```
 //!
 //! A new subscriber starts in **CatchUp**: a private [`WalTail`] replays
-//! the WAL from the start, bounded by the shared tailer's offset so it can
-//! never overshoot, then the subscriber is promoted to **Live** at the
-//! backlog's write edge. Live subscribers consume the shared backlog; one
-//! that falls further behind than the backlog cap is demoted back to
-//! CatchUp (skipping the records it already delivered) so the backlog
-//! stays bounded no matter how slow a client reads.
+//! the WAL from the start, a window at a time, bounded by the shared
+//! tailer's offset so it can never overshoot (nothing at all, for the first
+//! subscriber of a fresh tailer), then the subscriber is promoted to
+//! **Live** at the backlog's write edge. Live subscribers consume the
+//! shared backlog; one that falls further behind than the backlog cap is
+//! demoted back to CatchUp (skipping the records it already delivered) so
+//! the backlog stays bounded no matter how slow a client reads.
 //!
 //! # Backpressure tiers (unchanged semantics)
 //!
 //! * **WAL event frames** are file-backed and never dropped: a full
-//!   connection queue makes the tailer hold the subscriber's cursor and
-//!   retry — a gap-free stream at whatever pace the client reads.
+//!   connection queue makes the tailer hold the subscriber's cursor until
+//!   it is woken on room — a gap-free stream at whatever pace the client
+//!   reads.
 //! * **Status pushes** (delivered by supervisor threads, not here) are
 //!   lossy with lag accounting; an owed `lag` notice is flushed before the
 //!   next frame that fits.
 //! * **Stream-control pushes** (`rewind`, `end`) must arrive: they are
 //!   owed per-subscriber and retried every tick, without ever blocking the
 //!   tailer on one slow client.
+//!
+//! # Waiting
+//!
+//! A tailer thread never sleeps blind. With a subscriber's queue full it
+//! waits on its [`Doorbell`], which the reactor rings the moment a drain
+//! makes room in that queue (see the starved bit in `reactor/outbuf.rs`);
+//! with nothing to read and nothing to deliver it waits on the same bell,
+//! which a new subscriber or a closing one rings. [`JAM_PAUSE`] and the
+//! poll interval stay as the waits' upper bounds: the file itself rings
+//! nothing, one stuck client may hold the others back no longer than the
+//! first, and a ring that somehow never came costs what every jam used to.
 
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use asha_metrics::JsonValue;
-use asha_store::WalTail;
+use asha_store::{LineTag, WalChunk, WalTail};
 
 use crate::codec::encode_frame;
 use crate::metrics::{ServiceMetrics, TailerMetrics};
@@ -63,8 +79,38 @@ use crate::reactor::{ConnHandle, Offer};
 /// Shared backlog records kept per tailer before slow Live subscribers are
 /// demoted to CatchUp.
 const BACKLOG_CAP: usize = 4096;
-/// Sleep while a subscriber's connection queue is full.
+/// Longest wait for room while a subscriber's connection queue is full.
 const JAM_PAUSE: Duration = Duration::from_millis(2);
+/// WAL bytes one read may take in, so what a tail materialises as lines is
+/// bounded whatever the length of the WAL behind it (about half the
+/// backlog cap in records at this repo's record sizes).
+const READ_WINDOW: u64 = 64 * 1024;
+
+/// What wakes a waiting tailer thread early. Sticky: a ring with nobody
+/// waiting is kept for the next wait, so it cannot be lost between a
+/// refused offer and the wait that follows it.
+#[derive(Default)]
+pub(crate) struct Doorbell {
+    rung: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Doorbell {
+    pub(crate) fn ring(&self) {
+        *self.rung.lock().expect("doorbell lock poisoned") = true;
+        self.cv.notify_one();
+    }
+
+    /// Wait for a ring, at most `timeout`; returns whether one came.
+    fn wait(&self, timeout: Duration) -> bool {
+        let rung = self.rung.lock().expect("doorbell lock poisoned");
+        let (mut rung, _) = self
+            .cv
+            .wait_timeout_while(rung, timeout, |rung| !*rung)
+            .expect("doorbell lock poisoned");
+        std::mem::take(&mut *rung)
+    }
+}
 
 /// One live subscription, shared between the experiment's tailer, the
 /// status-watcher registry, and the owning connection.
@@ -79,6 +125,8 @@ pub(crate) struct SubState {
     dropped: AtomicU64,
     /// Set by unsubscribe, connection teardown, or end-of-stream.
     closed: AtomicBool,
+    /// The doorbell of the tailer thread serving this subscription.
+    bell: OnceLock<Arc<Doorbell>>,
 }
 
 impl SubState {
@@ -89,7 +137,15 @@ impl SubState {
             conn,
             dropped: AtomicU64::new(0),
             closed: AtomicBool::new(false),
+            bell: OnceLock::new(),
         })
+    }
+
+    /// Wake the tailer serving this subscription, if one has taken it on.
+    pub(crate) fn ring(&self) {
+        if let Some(bell) = self.bell.get() {
+            bell.ring();
+        }
     }
 
     pub(crate) fn is_closed(&self) -> bool {
@@ -100,21 +156,22 @@ impl SubState {
     pub(crate) fn mark_closed(&self, metrics: &ServiceMetrics) {
         if !self.closed.swap(true, Ordering::AcqRel) {
             metrics.sub_closed();
+            self.ring();
         }
     }
 
-    fn try_line(&self, metrics: &ServiceMetrics, line: String) -> Offer {
-        match self.conn.offer_frame(line) {
-            Offer::Sent => {
-                metrics.event_sent();
-                Offer::Sent
-            }
-            Offer::Full => Offer::Full,
-            Offer::Closed => {
-                self.mark_closed(metrics);
-                Offer::Closed
-            }
+    /// Book what the connection answered to an offer.
+    fn account(&self, metrics: &ServiceMetrics, offer: Offer) -> Offer {
+        match offer {
+            Offer::Sent => metrics.event_sent(),
+            Offer::Full => {}
+            Offer::Closed => self.mark_closed(metrics),
         }
+        offer
+    }
+
+    fn try_line(&self, metrics: &ServiceMetrics, line: String) -> Offer {
+        self.account(metrics, self.conn.offer_frame(line))
     }
 
     /// Flush any owed `lag` notice; it must precede the next delivered
@@ -135,21 +192,38 @@ impl SubState {
         offer
     }
 
-    /// Offer an already-encoded frame without blocking or dropping: on a
-    /// full queue the caller retains its cursor and retries later.
-    fn offer_line(&self, metrics: &ServiceMetrics, line: String) -> Offer {
+    /// What stands between this subscription and its next frame, if
+    /// anything: it is closed, or an owed `lag` notice did not fit.
+    fn ready(&self, metrics: &ServiceMetrics) -> Offer {
         if self.is_closed() {
             return Offer::Closed;
         }
-        match self.flush_owed(metrics) {
-            Offer::Sent => {}
-            other => return other,
-        }
-        self.try_line(metrics, line)
+        self.flush_owed(metrics)
     }
 
+    /// Offer a push without blocking or dropping: on a full queue the
+    /// caller keeps it and retries later.
     fn offer_push(&self, metrics: &ServiceMetrics, push: &Push) -> Offer {
-        self.offer_line(metrics, encode_frame(&push.to_frame()))
+        match self.ready(metrics) {
+            Offer::Sent => self.try_line(metrics, encode_frame(&push.to_frame())),
+            other => other,
+        }
+    }
+
+    /// Offer one WAL record's rendered line as an event frame; on a full
+    /// queue the caller holds its cursor. The body is wrapped in the push
+    /// envelope by hand — field order as [`Push::to_frame`] renders it, so
+    /// the wire bytes are the same — and is never re-rendered itself.
+    fn offer_event(&self, metrics: &ServiceMetrics, body: &str) -> Offer {
+        match self.ready(metrics) {
+            Offer::Sent => {
+                let sub = self.sub;
+                let line =
+                    format!("{{\"v\":1,\"sub\":{sub},\"push\":\"event\",\"data\":{body}}}\n");
+                self.account(metrics, self.conn.offer_stream_frame(line))
+            }
+            other => other,
+        }
     }
 
     /// Deliver a push that may be dropped under backpressure, with lag
@@ -166,14 +240,6 @@ impl SubState {
     }
 }
 
-/// Wrap a raw (already-validated) WAL line in the event-push envelope.
-/// Field order matches [`Push::to_frame`] so the wire bytes are identical
-/// to the re-rendering path — but the body is serialized exactly once per
-/// record, shared across every subscriber.
-fn event_line(sub: u64, body: &str) -> String {
-    format!("{{\"v\":1,\"sub\":{sub},\"push\":\"event\",\"data\":{body}}}\n")
-}
-
 /// Tailer environment, shared by every tailer thread.
 pub(crate) struct TailerCtx {
     pub(crate) metrics: Arc<ServiceMetrics>,
@@ -183,25 +249,29 @@ pub(crate) struct TailerCtx {
     pub(crate) grace: Duration,
 }
 
-/// One parsed WAL record in the shared backlog.
+/// One WAL record in the shared backlog.
 struct Rec {
-    /// Telemetry sequence number, when the record carries one.
-    seq: Option<u64>,
-    /// The `experiment_finished` marker ends every subscription.
-    finished: bool,
-    /// The raw line — the shared serialized body.
+    /// Telemetry sequence number and finished marker, as the tail read
+    /// them off the record.
+    tag: LineTag,
+    /// The rendered line — the shared serialized body.
     body: String,
 }
 
-fn parse_rec(line: String) -> Option<Rec> {
-    let value = JsonValue::parse(&line).ok()?;
-    let seq = value.get("seq").and_then(|s| s.as_u64());
-    let finished = value.get("ev").and_then(|e| e.as_str()) == Some("experiment_finished");
-    Some(Rec {
-        seq,
-        finished,
-        body: line,
-    })
+/// The chunk's records, each line with its tag.
+fn recs(chunk: WalChunk) -> impl Iterator<Item = Rec> {
+    chunk
+        .lines
+        .into_iter()
+        .zip(chunk.tags)
+        .map(|(body, tag)| Rec { tag, body })
+}
+
+/// Read on from the tail's offset, at most [`READ_WINDOW`] bytes and never
+/// past `limit`. (A rewind restarts at byte 0 inside the poll, so that one
+/// read may take in as much as the tail had already consumed.)
+fn poll_window(tail: &mut WalTail, limit: u64) -> std::io::Result<WalChunk> {
+    tail.poll_to(limit.min(tail.offset().saturating_add(READ_WINDOW)))
 }
 
 /// Where one subscriber is in the stream.
@@ -245,15 +315,20 @@ impl SubEntry {
     }
 }
 
-/// Subscribers queued for a tailer to pick up on its next tick.
-type Mailbox = Arc<Mutex<Vec<Arc<SubState>>>>;
+/// What the registry shares with one tailer thread.
+#[derive(Default)]
+struct Slot {
+    /// Subscribers queued for the tailer to pick up on its next tick.
+    adds: Mutex<Vec<Arc<SubState>>>,
+    bell: Arc<Doorbell>,
+}
 
 /// Experiment tailers keyed by WAL path: first subscriber spawns, later
 /// ones attach, last one out ends the thread.
 pub(crate) struct TailerRegistry {
     ctx: Arc<TailerCtx>,
-    /// WAL path → mailbox of subscribers waiting to attach.
-    slots: Mutex<HashMap<PathBuf, Mailbox>>,
+    /// WAL path → the slot of the tailer thread following it.
+    slots: Mutex<HashMap<PathBuf, Arc<Slot>>>,
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -275,17 +350,25 @@ impl TailerRegistry {
         state: Arc<SubState>,
     ) {
         let mut slots = self.slots.lock().unwrap();
-        if let Some(adds) = slots.get(&wal_path) {
-            adds.lock().unwrap().push(state);
+        let running = slots.get(&wal_path).cloned();
+        let spawn = running.is_none();
+        let slot = running.unwrap_or_default();
+        let _ = state.bell.set(Arc::clone(&slot.bell));
+        slot.adds
+            .lock()
+            .expect("tailer mailbox poisoned")
+            .push(state);
+        if !spawn {
+            // A waiting tailer attaches the newcomer at once.
+            slot.bell.ring();
             return;
         }
-        let adds = Arc::new(Mutex::new(vec![state]));
-        slots.insert(wal_path.clone(), Arc::clone(&adds));
+        slots.insert(wal_path.clone(), Arc::clone(&slot));
         let registry = Arc::clone(self);
         let ctx = Arc::clone(&self.ctx);
         let handle = std::thread::Builder::new()
             .name("asha-serve-tailer".to_owned())
-            .spawn(move || tailer_main(wal_path, experiment, adds, registry, ctx))
+            .spawn(move || tailer_main(wal_path, experiment, slot, registry, ctx))
             .expect("spawning tailer thread");
         self.threads.lock().unwrap().push(handle);
     }
@@ -303,7 +386,7 @@ impl TailerRegistry {
 fn tailer_main(
     wal_path: PathBuf,
     experiment: String,
-    adds: Arc<Mutex<Vec<Arc<SubState>>>>,
+    slot: Arc<Slot>,
     registry: Arc<TailerRegistry>,
     ctx: Arc<TailerCtx>,
 ) {
@@ -321,7 +404,7 @@ fn tailer_main(
     loop {
         // Attach newly-arrived subscribers.
         {
-            let mut mailbox = adds.lock().unwrap();
+            let mut mailbox = slot.adds.lock().unwrap();
             for state in mailbox.drain(..) {
                 subs.push(SubEntry::new(state, &wal_path));
             }
@@ -330,12 +413,23 @@ fn tailer_main(
         let shutting_down = ctx.shutdown.load(Ordering::Acquire);
         let mut read_any = false;
 
-        // Read new WAL records once, into the shared backlog. Polling
-        // continues even after the finished marker: a restarted
-        // experiment rewrites the WAL, and only the tail's rewind
-        // detection can tell still-attached subscribers about it.
+        // Read new WAL records once, into the shared backlog — but only
+        // when a Live subscriber has used the backlog up. Reading ahead of
+        // every subscriber decodes records nobody takes from here: those
+        // catching up read the file themselves, and a backlog grown past
+        // its cap sends the Live ones back to do the same. A subscriber
+        // that keeps up is thus never held back by one that does not.
+        // The poll itself happens every turn, bounded to the tail's own
+        // offset when nothing is wanted, even after the finished marker:
+        // a restarted experiment rewrites the WAL, and only the tail's
+        // rewind detection can tell still-attached subscribers about it.
         if !shutting_down {
-            if let Ok(chunk) = tail.poll() {
+            let edge = base + backlog.len() as u64;
+            let wanted = subs
+                .iter()
+                .any(|e| matches!(e.phase, Phase::Live { next } if next >= edge));
+            let limit = if wanted { u64::MAX } else { tail.offset() };
+            if let Ok(chunk) = poll_window(&mut tail, limit) {
                 if chunk.rewound {
                     // Crash recovery rewrote the WAL shorter: restart the
                     // stream; everything derived is stale.
@@ -355,12 +449,10 @@ fn tailer_main(
                         }
                     }
                 }
-                for line in chunk.lines {
+                for rec in recs(chunk) {
                     read_any = true;
-                    if let Some(rec) = parse_rec(line) {
-                        finished |= rec.finished;
-                        backlog.push_back(rec);
-                    }
+                    finished |= rec.tag.finished;
+                    backlog.push_back(rec);
                 }
             }
         }
@@ -428,7 +520,7 @@ fn tailer_main(
             // subscribe either lands in our mailbox or spawns a new tailer
             // after removal).
             let mut slots = registry.slots.lock().unwrap();
-            if adds.lock().unwrap().is_empty() {
+            if slot.adds.lock().unwrap().is_empty() {
                 slots.remove(&wal_path);
                 tm.subscribers.set(0);
                 tm.lag_records.set(0);
@@ -452,9 +544,12 @@ fn tailer_main(
         }
 
         if jammed {
-            std::thread::sleep(JAM_PAUSE);
+            tm.jam_waits.inc();
+            if !slot.bell.wait(JAM_PAUSE) {
+                tm.jam_timeouts.inc();
+            }
         } else if !read_any && !progressed {
-            std::thread::sleep(ctx.poll_interval);
+            slot.bell.wait(ctx.poll_interval);
         }
     }
 }
@@ -504,13 +599,13 @@ fn advance(
             } => {
                 // Deliver what the last poll read before reading more.
                 while let Some(rec) = pending.front() {
-                    if let Some(seq) = rec.seq {
+                    if let Some(seq) = rec.tag.seq {
                         if seq < state.from_seq {
                             pending.pop_front();
                             continue;
                         }
                     }
-                    match state.offer_line(stats, event_line(state.sub, &rec.body)) {
+                    match state.offer_event(stats, &rec.body) {
                         Offer::Sent => {
                             tm.fanout_frames.inc();
                             pending.pop_front();
@@ -532,7 +627,7 @@ fn advance(
                 }
                 // Read more of the replay, never past the shared cursor so
                 // promotion can't skip records.
-                match tail.poll_to(main_offset) {
+                match poll_window(tail, main_offset) {
                     Ok(chunk) => {
                         if chunk.rewound {
                             // The file shrank under the private tail; the
@@ -542,17 +637,15 @@ fn advance(
                             *skip = 0;
                             pending.clear();
                         }
-                        let was_empty = chunk.lines.is_empty();
-                        for line in chunk.lines {
-                            if let Some(rec) = parse_rec(line) {
-                                if *skip > 0 {
-                                    *skip -= 1;
-                                    continue;
-                                }
-                                pending.push_back(rec);
+                        let (rewound, was_empty) = (chunk.rewound, chunk.lines.is_empty());
+                        for rec in recs(chunk) {
+                            if *skip > 0 {
+                                *skip -= 1;
+                                continue;
                             }
+                            pending.push_back(rec);
                         }
-                        if chunk.rewound {
+                        if rewound {
                             // The chunk's lines are the new file's start;
                             // they are stashed above, but the owed rewind
                             // push (checked at the top of the next advance)
@@ -569,13 +662,13 @@ fn advance(
             Phase::Live { next } => {
                 while *next < end_abs {
                     let rec = &backlog[(*next - base) as usize];
-                    if let Some(seq) = rec.seq {
+                    if let Some(seq) = rec.tag.seq {
                         if seq < state.from_seq {
                             *next += 1;
                             continue;
                         }
                     }
-                    match state.offer_line(stats, event_line(state.sub, &rec.body)) {
+                    match state.offer_event(stats, &rec.body) {
                         Offer::Sent => {
                             tm.fanout_frames.inc();
                             *next += 1;
@@ -612,5 +705,186 @@ fn advance(
             }
             Phase::Done => return (progressed, false),
         }
+    }
+}
+
+#[cfg(all(test, unix))]
+mod tests {
+    use super::*;
+    use std::io::Read;
+    use std::os::unix::net::{UnixListener, UnixStream};
+    use std::sync::mpsc;
+
+    use asha_core::telemetry::{Event, EventKind};
+    use asha_metrics::JsonValue;
+    use asha_store::{Durability, StoreEvent, WalRecord, WalWriter};
+
+    use crate::reactor::{start_reactor, ConnHandler, Listener, ReactorConfig, ReactorFlags};
+
+    fn tmpdir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("asha-tailer-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// A finished `binary-v2` WAL of `n` telemetry records.
+    fn write_wal(path: &std::path::Path, n: u64) {
+        let mut wal = WalWriter::create(path, Durability::Flush).unwrap();
+        for seq in 0..n {
+            wal.append(&WalRecord::telemetry(Event {
+                seq,
+                time: seq as f64,
+                kind: EventKind::WorkerIdle { idle: 1 },
+            }))
+            .unwrap();
+        }
+        wal.append(&WalRecord::Meta {
+            time: n as f64,
+            event: StoreEvent::ExperimentFinished,
+        })
+        .unwrap();
+        wal.sync().unwrap();
+    }
+
+    /// Hands the test the reactor's handle of each accepted connection.
+    struct Capture(Mutex<mpsc::Sender<Arc<ConnHandle>>>);
+
+    impl ConnHandler for Capture {
+        fn on_open(&self, conn: &Arc<ConnHandle>) {
+            self.0.lock().unwrap().send(Arc::clone(conn)).unwrap();
+        }
+        fn on_frame(&self, _: &Arc<ConnHandle>, _: JsonValue) {}
+        fn on_decode_error(&self, _: &Arc<ConnHandle>, _: &asha_core::Error) -> bool {
+            false
+        }
+        fn on_close(&self, _: &Arc<ConnHandle>) {}
+    }
+
+    #[test]
+    fn reads_are_windowed_and_lose_nothing() {
+        let dir = tmpdir("window");
+        let wal_path = dir.join("wal.jsonl");
+        write_wal(&wal_path, 40_000);
+        let whole = WalTail::new(&wal_path).poll().unwrap();
+        assert_eq!(whole.lines.len(), 40_001);
+
+        let mut tail = WalTail::new(&wal_path);
+        let (mut lines, mut tags, mut reads) = (Vec::new(), Vec::new(), 0);
+        loop {
+            let before = tail.offset();
+            let chunk = poll_window(&mut tail, u64::MAX).unwrap();
+            assert!(tail.offset() - before <= READ_WINDOW);
+            if chunk.lines.is_empty() {
+                break;
+            }
+            reads += 1;
+            lines.extend(chunk.lines);
+            tags.extend(chunk.tags);
+        }
+        assert!(reads >= 5, "the WAL is many windows long ({reads} reads)");
+        assert_eq!(lines, whole.lines);
+        assert_eq!(tags, whole.tags);
+
+        // The window never carries a read past the caller's own bound.
+        let mut tail = WalTail::new(&wal_path);
+        poll_window(&mut tail, 1_000).unwrap();
+        assert_eq!(tail.offset(), 1_000);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A subscriber attaching to a finished WAL many windows long, behind a
+    /// 4-frame queue: catch-up holds one window of records at a time, and
+    /// the client still receives every record's frame, in order, with the
+    /// bytes `Push::to_frame` would render.
+    #[test]
+    fn catch_up_holds_one_window_of_a_long_wal() {
+        let dir = tmpdir("catchup");
+        let wal_path = dir.join("wal.jsonl");
+        write_wal(&wal_path, 40_000);
+        let whole = WalTail::new(&wal_path).poll().unwrap();
+        let wal_len = std::fs::metadata(&wal_path).unwrap().len();
+
+        let metrics = ServiceMetrics::new();
+        let socket = dir.join("sock");
+        let listener = UnixListener::bind(&socket).unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let (opened_tx, opened) = mpsc::channel();
+        let flags = ReactorFlags {
+            shutdown: Arc::new(AtomicBool::new(false)),
+            final_drain: Arc::new(AtomicBool::new(false)),
+        };
+        let (shutdown, final_drain) = (Arc::clone(&flags.shutdown), Arc::clone(&flags.final_drain));
+        let reactor = start_reactor(
+            ReactorConfig {
+                max_frame: 1 << 16,
+                high_water: 4,
+                poll_interval: Duration::from_millis(5),
+                grace: Duration::from_millis(50),
+            },
+            vec![Listener::Unix(listener)],
+            Arc::new(Capture(Mutex::new(opened_tx))),
+            flags,
+            Arc::clone(&metrics),
+        )
+        .unwrap();
+        let mut peer = UnixStream::connect(&socket).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        let conn = opened.recv_timeout(Duration::from_secs(20)).unwrap();
+
+        let tm = metrics.tailer("long");
+        let mut entry = SubEntry::new(SubState::new(9, 0, conn), &wal_path);
+        let backlog = VecDeque::new();
+        let mut wire = Vec::new();
+        let mut buf = vec![0u8; 16 * 1024];
+        let mut most_pending = 0;
+        loop {
+            let (_, jammed) = advance(
+                &mut entry, &backlog, 0, 0, false, false, wal_len, &metrics, &tm,
+            );
+            match &entry.phase {
+                Phase::CatchUp { pending, .. } => most_pending = most_pending.max(pending.len()),
+                Phase::Live { .. } => break,
+                _ => panic!("catch-up ends in Live"),
+            }
+            assert!(
+                jammed,
+                "a turn that does not finish catch-up hit a full queue"
+            );
+            // Make room: whatever was refused sits behind frames the
+            // reactor is writing, so this read cannot wait for nothing.
+            let n = peer.read(&mut buf).unwrap();
+            wire.extend_from_slice(&buf[..n]);
+        }
+        assert!(
+            (1..=whole.lines.len() / 4).contains(&most_pending),
+            "pending peaked at {most_pending} of {} records",
+            whole.lines.len()
+        );
+
+        let expected: Vec<u8> = whole
+            .lines
+            .iter()
+            .flat_map(|line| {
+                let push = Push::Event {
+                    sub: 9,
+                    data: JsonValue::parse(line).unwrap(),
+                };
+                encode_frame(&push.to_frame()).into_bytes()
+            })
+            .collect();
+        while wire.len() < expected.len() {
+            let n = peer.read(&mut buf).unwrap();
+            assert!(n > 0, "connection closed early");
+            wire.extend_from_slice(&buf[..n]);
+        }
+        assert!(wire == expected, "the stream differs from the WAL");
+        assert_eq!(tm.fanout_frames.get(), whole.lines.len() as u64);
+
+        shutdown.store(true, Ordering::Release);
+        final_drain.store(true, Ordering::Release);
+        reactor.join();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -34,6 +34,8 @@ fn populated_plane() -> std::sync::Arc<ServiceMetrics> {
     t.lag_records.set(17);
     t.window_evictions.inc();
     t.fanout_frames.add(250);
+    t.jam_waits.add(9);
+    t.jam_timeouts.add(2);
     m.store().wal_fsync.observe(3e-3);
     m.render_prometheus(); // rendering must not perturb any cell
     m
@@ -196,6 +198,8 @@ fn exposition_is_structurally_valid_and_values_are_exact() {
         ("asha_tailer_lag_records", 17.0),
         ("asha_tailer_window_evictions_total", 1.0),
         ("asha_tailer_fanout_frames_total", 250.0),
+        ("asha_tailer_jam_waits_total", 9.0),
+        ("asha_tailer_jam_timeouts_total", 2.0),
     ] {
         assert_eq!(
             sample_value(&families, family, family, "experiment=\"exp-a\""),

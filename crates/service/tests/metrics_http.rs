@@ -94,6 +94,8 @@ fn http_scrape_returns_prometheus_text_with_request_histograms() {
         "asha_wal_fsync_seconds_count",
         "asha_requests_total",
         "asha_connections_open",
+        "asha_tailer_jam_waits_total",
+        "asha_tailer_jam_timeouts_total",
     ] {
         assert!(body.contains(required), "missing {required}");
     }

@@ -398,3 +398,58 @@ fn reply_with_neither_ok_nor_err_is_rejected() {
     let err = Reply::from_frame(&frame, "ping").unwrap_err();
     assert_eq!(err.kind(), ErrorKind::Protocol);
 }
+
+/// The decode that takes the frame by value must be the borrowed decode in
+/// everything but the copy: the same push for every kind, and the same
+/// refusal — kind and message — for every frame the borrowed one refuses.
+#[test]
+fn owning_push_decode_agrees_with_the_borrowed_one() {
+    let frames = [
+        // One of every kind, `data` first, last and nested.
+        r#"{"v":1,"sub":1,"push":"event","data":{"seq":12,"ev":"job_end","loss":0.25}}"#,
+        r#"{"data":{"ev":"snapshot","t":1.5,"snap":2,"events":40},"v":1,"sub":1,"push":"event"}"#,
+        r#"{"v":1,"sub":1,"push":"event","data":{"a":[1,{"b":null}],"c":"x"},"extra":true}"#,
+        r#"{"v":1,"sub":2,"push":"lag","dropped":40}"#,
+        r#"{"v":1,"sub":3,"push":"status","state":{"name":"exp-a","status":"paused"}}"#,
+        r#"{"v":1,"sub":4,"push":"rewind"}"#,
+        r#"{"v":1,"sub":5,"push":"end"}"#,
+        // A `data` field on a push that has no use for it.
+        r#"{"v":1,"sub":5,"push":"end","data":{"seq":1}}"#,
+        // Repeated keys read the same way in both decodes.
+        r#"{"data":1,"v":1,"sub":7,"push":"event","data":2}"#,
+        r#"{"data":{"x":1},"v":2,"v":1,"sub":7,"push":"event"}"#,
+        // Refused: no data, wrong version, no version, no sub, bad sub,
+        // unknown push, no push, incomplete lag and status, not an object.
+        r#"{"v":1,"sub":1,"push":"event"}"#,
+        r#"{"v":2,"sub":1,"push":"event","data":{}}"#,
+        r#"{"sub":1,"push":"event","data":{}}"#,
+        r#"{"v":1,"push":"event","data":{}}"#,
+        r#"{"v":1,"sub":"one","push":"event","data":{}}"#,
+        r#"{"v":1,"sub":1,"push":"mystery","data":{}}"#,
+        r#"{"v":1,"sub":1,"data":{}}"#,
+        r#"{"v":1,"sub":2,"push":"lag"}"#,
+        r#"{"v":1,"sub":3,"push":"status"}"#,
+        r#"{"v":1,"sub":3,"push":"status","state":{"name":"e","status":"levitating"}}"#,
+        r#"[1,2,3]"#,
+        r#"null"#,
+    ];
+    let (mut accepted, mut refused) = (0, 0);
+    for text in frames {
+        let frame = JsonValue::parse(text).unwrap();
+        let borrowed = Push::from_frame(&frame);
+        let owned = Push::from_frame_owned(frame);
+        match (borrowed, owned) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a, b, "{text}");
+                accepted += 1;
+            }
+            (Err(a), Err(b)) => {
+                assert_eq!(a.kind(), b.kind(), "{text}");
+                assert_eq!(a.to_string(), b.to_string(), "{text}");
+                refused += 1;
+            }
+            (a, b) => panic!("{text}: borrowed {a:?}, owned {b:?}"),
+        }
+    }
+    assert_eq!((accepted, refused), (9, 13));
+}

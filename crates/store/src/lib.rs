@@ -127,7 +127,7 @@ pub use crate::supervisor::{
     read_manifest, ExperimentStatus, ExperimentSupervisor, ManifestEntry, StatusListener,
     MANIFEST_FILE, MANIFEST_SCHEMA,
 };
-pub use crate::tail::{WalChunk, WalTail};
+pub use crate::tail::{LineTag, WalChunk, WalTail};
 pub use crate::wal::{
     read_wal, Durability, MarkerRef, SnapMarker, StoreEvent, WalContents, WalRecord, WalWriter,
 };

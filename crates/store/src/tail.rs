@@ -36,15 +36,57 @@
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
+use asha_metrics::JsonValue;
+
 use crate::format::{DecodeStep, StoreFormat, WAL_MAGIC};
+use crate::wal::{StoreEvent, WalRecord};
+
+/// What a consumer routing a rendered line needs to know about it, so it
+/// never has to parse the line back: taken from the typed record for
+/// `binary-v2`, looked up in the line's JSON for `jsonl-v1`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LineTag {
+    /// The telemetry sequence number; `None` for store markers.
+    pub seq: Option<u64>,
+    /// Whether this is the `experiment_finished` marker.
+    pub finished: bool,
+}
+
+impl LineTag {
+    fn of_record(record: &WalRecord) -> LineTag {
+        LineTag {
+            seq: record.event().map(|event| event.seq),
+            finished: matches!(
+                record,
+                WalRecord::Meta {
+                    event: StoreEvent::ExperimentFinished,
+                    ..
+                }
+            ),
+        }
+    }
+
+    /// The tag a `jsonl-v1` line states about itself; `None` when the
+    /// line is not JSON at all.
+    fn of_line(line: &str) -> Option<LineTag> {
+        let value = JsonValue::parse(line).ok()?;
+        Some(LineTag {
+            seq: value.get("seq").and_then(|s| s.as_u64()),
+            finished: value.get("ev").and_then(|e| e.as_str()) == Some("experiment_finished"),
+        })
+    }
+}
 
 /// What one [`WalTail::poll`] observed.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WalChunk {
     /// Complete records in file order, each rendered as its `jsonl-v1`
     /// line (no trailing newline) — raw lines verbatim for a `jsonl-v1`
-    /// file, decoded and re-rendered for `binary-v2`.
+    /// file (those that are not JSON are skipped), decoded and re-rendered
+    /// for `binary-v2`.
     pub lines: Vec<String>,
+    /// One tag per entry of `lines`, in the same order.
+    pub tags: Vec<LineTag>,
     /// True when the file shrank below the previous offset (it was
     /// truncated or rewritten) and the tail rewound to the start: `lines`
     /// begins at byte 0 again and the consumer should reset derived state.
@@ -192,8 +234,9 @@ impl WalTail {
                 for i in start..buf.len() {
                     if buf[i] == b'\n' {
                         let text = String::from_utf8_lossy(&buf[line_start..i]);
-                        if !text.trim().is_empty() {
+                        if let Some(tag) = LineTag::of_line(&text) {
                             chunk.lines.push(text.into_owned());
+                            chunk.tags.push(tag);
                         }
                         line_start = i + 1;
                     }
@@ -205,6 +248,7 @@ impl WalTail {
                     match format.decode_step(&buf[start..]) {
                         DecodeStep::Record { consumed, record } => {
                             start += consumed;
+                            chunk.tags.push(LineTag::of_record(&record));
                             chunk.lines.push(record.render_jsonl());
                         }
                         DecodeStep::Blank { consumed } => start += consumed,
@@ -249,7 +293,7 @@ impl WalTail {
 mod tests {
     use super::*;
     use crate::format::encode_wal;
-    use crate::wal::{v1_bytes, StoreEvent, WalRecord};
+    use crate::wal::{v1_bytes, SnapMarker};
     use asha_core::telemetry::{Event, EventKind};
     use std::io::Write;
 
@@ -278,10 +322,62 @@ mod tests {
         }
     }
 
+    /// The service tailer's retired per-line parse, kept as the oracle a
+    /// tag must agree with: what the rendered line says about itself.
+    fn parse_rec(line: &str) -> LineTag {
+        let value = JsonValue::parse(line).expect("rendered lines are JSON");
+        LineTag {
+            seq: value.get("seq").and_then(|s| s.as_u64()),
+            finished: value.get("ev").and_then(|e| e.as_str()) == Some("experiment_finished"),
+        }
+    }
+
+    fn meta(time: f64, event: StoreEvent) -> WalRecord {
+        WalRecord::Meta { time, event }
+    }
+
+    /// One record of every kind the writer emits.
+    fn every_kind() -> Vec<WalRecord> {
+        vec![
+            meta(
+                0.0,
+                StoreEvent::ExperimentCreated {
+                    name: "demo".into(),
+                },
+            ),
+            ev(0),
+            WalRecord::telemetry(Event {
+                seq: 1,
+                time: 1.0,
+                kind: EventKind::GrowBottom {
+                    trial: 3,
+                    bracket: 0,
+                    resource: 1.0,
+                },
+            }),
+            WalRecord::SnapshotMarker {
+                time: 1.5,
+                marker: SnapMarker::Full { snap: 1, events: 2 },
+            },
+            meta(2.0, StoreEvent::Paused),
+            meta(2.0, StoreEvent::Resumed),
+            ev(2),
+            WalRecord::SnapshotMarker {
+                time: 2.5,
+                marker: SnapMarker::Delta {
+                    snap: 1,
+                    delta: 1,
+                    events: 3,
+                },
+            },
+            meta(3.0, StoreEvent::ExperimentFinished),
+        ]
+    }
+
     #[test]
     fn both_dialects_yield_identical_lines() {
-        let records: Vec<WalRecord> = (0..4).map(ev).collect();
-        let mut rendered: Vec<Vec<String>> = Vec::new();
+        let records = every_kind();
+        let mut chunks: Vec<WalChunk> = Vec::new();
         for format in [StoreFormat::JsonlV1, StoreFormat::BinaryV2] {
             let dir = tmpdir(&format!("dialects-{}", format.name()));
             let path = dir.join("wal.jsonl");
@@ -289,15 +385,55 @@ mod tests {
             let mut tail = WalTail::new(&path);
             let chunk = tail.poll().unwrap();
             assert!(!chunk.rewound);
-            assert_eq!(chunk.lines.len(), 4, "{format:?}");
+            assert_eq!(chunk.lines.len(), records.len(), "{format:?}");
             assert_eq!(tail.format(), Some(format));
-            rendered.push(chunk.lines);
+            let oracle: Vec<LineTag> = chunk.lines.iter().map(|l| parse_rec(l)).collect();
+            assert_eq!(
+                chunk.tags, oracle,
+                "{format:?}: a tag is what its line says"
+            );
+            chunks.push(chunk);
             std::fs::remove_dir_all(&dir).ok();
         }
         assert_eq!(
-            rendered[0], rendered[1],
-            "binary records must fan out as the same JSON lines"
+            chunks[0], chunks[1],
+            "binary records must fan out as the same JSON lines, tagged alike"
         );
+        let seqs: Vec<Option<u64>> = chunks[1].tags.iter().map(|t| t.seq).collect();
+        assert_eq!(
+            seqs,
+            [
+                None,
+                Some(0),
+                Some(1),
+                None,
+                None,
+                None,
+                Some(2),
+                None,
+                None
+            ]
+        );
+        let finished: Vec<bool> = chunks[1].tags.iter().map(|t| t.finished).collect();
+        assert_eq!(finished.iter().filter(|f| **f).count(), 1);
+        assert!(finished[records.len() - 1]);
+    }
+
+    #[test]
+    fn v1_lines_that_are_not_json_are_skipped() {
+        let dir = tmpdir("v1-junk");
+        let path = dir.join("wal.jsonl");
+        let mut bytes = v1_bytes(&[ev(0)]);
+        bytes.extend_from_slice(b"\n   \nnot json\n");
+        bytes.extend_from_slice(&v1_bytes(&[ev(1)]));
+        std::fs::write(&path, bytes).unwrap();
+        let chunk = WalTail::new(&path).poll().unwrap();
+        assert_eq!(
+            chunk.lines,
+            vec![ev(0).render_jsonl(), ev(1).render_jsonl()]
+        );
+        assert_eq!(chunk.tags.len(), 2);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -424,24 +560,25 @@ mod tests {
     fn marker_records_render_with_store_fields() {
         let dir = tmpdir("markers");
         let path = dir.join("wal.jsonl");
-        let records = vec![
-            WalRecord::Meta {
-                time: 0.0,
-                event: StoreEvent::ExperimentCreated {
-                    name: "demo".into(),
-                },
-            },
-            ev(0),
-        ];
+        let records = every_kind();
         std::fs::write(&path, encode(StoreFormat::BinaryV2, &records)).unwrap();
         let mut tail = WalTail::new(&path);
         let chunk = tail.poll().unwrap();
-        assert_eq!(chunk.lines.len(), 2);
-        assert!(
-            chunk.lines[0].contains("experiment_created"),
-            "{}",
-            chunk.lines[0]
-        );
+        assert_eq!(chunk.lines.len(), records.len());
+        for (i, name) in [
+            (0, "experiment_created"),
+            (3, "snapshot"),
+            (4, "paused"),
+            (5, "resumed"),
+            (7, "delta_snapshot"),
+            (8, "experiment_finished"),
+        ] {
+            let line = &chunk.lines[i];
+            assert!(line.contains(&format!("\"ev\":\"{name}\"")), "{line}");
+            assert_eq!(chunk.tags[i].seq, None, "{name} is a marker, not telemetry");
+            assert_eq!(chunk.tags[i].finished, name == "experiment_finished");
+            assert_eq!(chunk.tags[i], parse_rec(line));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }
