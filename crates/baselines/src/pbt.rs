@@ -82,13 +82,6 @@ impl PbtConfig {
         self.spawn_populations = true;
         self
     }
-
-    /// Override the bounded-lag window.
-    pub fn with_max_lag(mut self, max_lag: f64) -> Self {
-        assert!(max_lag >= self.interval, "lag below one interval deadlocks");
-        self.max_lag = max_lag;
-        self
-    }
 }
 
 #[derive(Debug, Clone)]

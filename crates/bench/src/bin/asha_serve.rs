@@ -11,15 +11,12 @@
 //! asha-serve --root DIR [--unix PATH] [--tcp ADDR] [--trace FILE]
 //!            [--queue-depth N] [--max-frame BYTES]
 //!            [--metrics-addr ADDR] [--slow-log FILE] [--slow-ms MS]
-//!            [--group-commit-ms MS]
 //! ```
 //!
 //! At least one of `--unix` / `--tcp` is required. `--metrics-addr` adds
 //! an HTTP listener answering `GET /metrics` in Prometheus text format;
 //! `--slow-log` appends requests slower than `--slow-ms` (default 1000)
-//! as JSONL. `--group-commit-ms` coalesces WAL fsyncs across experiments
-//! through one shared commit pipeline (at most one fsync per WAL per
-//! window). The daemon runs until SIGTERM/SIGINT or a client `shutdown`
+//! as JSONL. The daemon runs until SIGTERM/SIGINT or a client `shutdown`
 //! request, then drains gracefully: running experiments park behind
 //! durable snapshots, the manifest is flushed, and client queues are
 //! drained before exit.
@@ -68,8 +65,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: asha-serve --root DIR [--unix PATH] [--tcp ADDR] [--trace FILE]\n\
          \x20                 [--queue-depth N] [--max-frame BYTES]\n\
-         \x20                 [--metrics-addr ADDR] [--slow-log FILE] [--slow-ms MS]\n\
-         \x20                 [--group-commit-ms MS]"
+         \x20                 [--metrics-addr ADDR] [--slow-log FILE] [--slow-ms MS]"
     );
     std::process::exit(2);
 }
@@ -84,7 +80,6 @@ fn parse_options() -> ServeOptions {
     let mut metrics_addr = None;
     let mut slow_log = None;
     let mut slow_ms = None;
-    let mut group_commit_ms = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -120,13 +115,6 @@ fn parse_options() -> ServeOptions {
                         .unwrap_or_else(|e| fail(format!("--slow-ms: {e}"))),
                 )
             }
-            "--group-commit-ms" => {
-                group_commit_ms = Some(
-                    value("--group-commit-ms")
-                        .parse::<u64>()
-                        .unwrap_or_else(|e| fail(format!("--group-commit-ms: {e}"))),
-                )
-            }
             "--help" | "-h" => usage(),
             other => fail(format!("unknown argument {other:?}")),
         }
@@ -148,7 +136,6 @@ fn parse_options() -> ServeOptions {
     if let Some(ms) = slow_ms {
         opts.slow_threshold = std::time::Duration::from_millis(ms);
     }
-    opts.group_commit = group_commit_ms.map(std::time::Duration::from_millis);
     if opts.unix.is_none() && opts.tcp.is_none() {
         fail("at least one of --unix / --tcp is required");
     }

@@ -213,11 +213,6 @@ impl Asha {
         self.outstanding.len()
     }
 
-    /// The configuration of a trial, if known.
-    pub fn trial_config(&self, trial: TrialId) -> Option<&Config> {
-        self.trial_configs.get(&trial)
-    }
-
     /// Best `(trial, loss)` seen so far, using intermediate losses from every
     /// rung (Section 3.3).
     pub fn best(&self) -> Option<(TrialId, f64)> {

@@ -183,11 +183,6 @@ impl Error {
     pub fn path(&self) -> Option<&Path> {
         self.path.as_deref()
     }
-
-    /// The context chain, outermost first.
-    pub fn context_chain(&self) -> &[String] {
-        &self.context
-    }
 }
 
 impl fmt::Display for Error {

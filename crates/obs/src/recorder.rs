@@ -97,11 +97,6 @@ impl RunRecorder {
     pub fn report(&self, workers: Option<usize>) -> RunReport {
         RunReport::from_events(&self.events, workers)
     }
-
-    /// Consume the recorder, returning the raw event stream.
-    pub fn into_events(self) -> Vec<Event> {
-        self.events
-    }
 }
 
 impl Recorder for RunRecorder {

@@ -478,18 +478,6 @@ impl ServiceMetrics {
                         "snapshot_delta_bytes",
                         JsonValue::Int(self.store.snapshot_delta_bytes.get()),
                     ),
-                    (
-                        "commit_window",
-                        self.store.commit_window.snapshot().to_json(),
-                    ),
-                    (
-                        "group_commit_requests",
-                        JsonValue::Int(self.store.group_commit_requests.get()),
-                    ),
-                    (
-                        "group_commit_fsyncs",
-                        JsonValue::Int(self.store.group_commit_fsyncs.get()),
-                    ),
                 ]),
             ),
         ])
@@ -741,25 +729,6 @@ impl ServiceMetrics {
             "asha_snapshot_delta_bytes_total",
             "Bytes written by delta snapshots",
             self.store.snapshot_delta_bytes.get(),
-        );
-        histogram(
-            &mut out,
-            "asha_commit_window_seconds",
-            "Group-commit batch latency, first request to durable",
-            "",
-            &self.store.commit_window.snapshot(),
-        );
-        counter(
-            &mut out,
-            "asha_group_commit_requests_total",
-            "Durability requests submitted to the group-commit pipeline",
-            self.store.group_commit_requests.get(),
-        );
-        counter(
-            &mut out,
-            "asha_group_commit_fsyncs_total",
-            "Fsync syscalls the group-commit pipeline issued",
-            self.store.group_commit_fsyncs.get(),
         );
         gauge_f64(
             &mut out,

@@ -89,11 +89,6 @@ impl OutBuf {
         self.closed
     }
 
-    /// Whether the buffer is draining towards a close.
-    pub fn is_closing(&self) -> bool {
-        self.closing
-    }
-
     /// Mark the connection as drain-then-close: no new frames, but queued
     /// ones still go out.
     pub fn begin_close(&mut self) {

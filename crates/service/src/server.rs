@@ -10,7 +10,7 @@
 //!   readiness events (epoll on Linux, `poll(2)` elsewhere). It decodes
 //!   frames incrementally and drains each connection's outgoing queue with
 //!   partial-write resumption;
-//! * a **worker pool** ([`ServeOptions::workers`] threads) executing
+//! * a **worker pool** (four threads) executing
 //!   decoded requests under the supervisor lock, strict FIFO per
 //!   connection;
 //! * one **tailer thread per experiment** (see [`crate::tailer`] — *not*
@@ -70,19 +70,10 @@ pub struct ServeOptions {
     pub tcp: Option<String>,
     /// Maximum encoded frame size accepted from a client.
     pub max_frame: usize,
-    /// Grace unit for shutdown draining (the drain window is ten times
-    /// this), kept under its historical name for compatibility.
-    pub read_timeout: Duration,
     /// Depth of each connection's bounded outgoing queue (frames); also
     /// the high-water mark above which the reactor pauses that
     /// connection's reads.
     pub queue_depth: usize,
-    /// How often experiment tailers poll the WAL for new lines; also the
-    /// reactor's poll timeout (bounds shutdown latency).
-    pub poll_interval: Duration,
-    /// Worker threads executing requests (the fixed pool the reactor
-    /// feeds).
-    pub workers: usize,
     /// Optional request/response trace: every request and reply frame is
     /// appended as JSONL through [`asha_obs::JsonlWriter`].
     pub trace: Option<PathBuf>,
@@ -95,11 +86,6 @@ pub struct ServeOptions {
     pub slow_log: Option<PathBuf>,
     /// Threshold for the slow-request log.
     pub slow_threshold: Duration,
-    /// Group commit window: when set, every experiment's WAL fsyncs are
-    /// coalesced through one shared [`asha_store::CommitPipeline`] — at
-    /// most one fsync per WAL per window, each request acked only after
-    /// its bytes are durable. `None` keeps per-experiment fsyncs.
-    pub group_commit: Option<Duration>,
 }
 
 impl ServeOptions {
@@ -111,15 +97,11 @@ impl ServeOptions {
             unix: None,
             tcp: None,
             max_frame: DEFAULT_MAX_FRAME,
-            read_timeout: Duration::from_millis(200),
             queue_depth: 256,
-            poll_interval: Duration::from_millis(25),
-            workers: 4,
             trace: None,
             metrics_addr: None,
             slow_log: None,
             slow_threshold: Duration::from_secs(1),
-            group_commit: None,
         }
     }
 }
@@ -152,6 +134,16 @@ mod unix_impl {
         ReactorFlags, ReactorHandle, Work, WorkerPool,
     };
     use crate::tailer::{SubState, TailerCtx, TailerRegistry};
+
+    /// How long shutdown waits for tailers' `end` frames and connections'
+    /// outgoing queues to drain.
+    const DRAIN_GRACE: Duration = Duration::from_secs(2);
+    /// How often experiment tailers poll the WAL for new lines; also the
+    /// reactor's poll timeout (bounds shutdown latency).
+    const POLL_INTERVAL: Duration = Duration::from_millis(25);
+    /// Worker threads executing requests (the fixed pool the reactor
+    /// feeds).
+    const WORKERS: usize = 4;
 
     /// Experiment name → subscriptions that want its status pushes.
     type Watchers = Mutex<HashMap<String, Vec<Arc<SubState>>>>;
@@ -384,11 +376,6 @@ mod unix_impl {
             let metrics = ServiceMetrics::new();
             // WAL/fsync/snapshot timings flow into the same plane.
             supervisor.set_metrics(metrics.store());
-            if let Some(window) = opts.group_commit {
-                // After set_metrics, so the pipeline's window/amortization
-                // counters land in the plane too.
-                supervisor.enable_group_commit(window);
-            }
             let watchers: Arc<Watchers> = Arc::new(Mutex::new(HashMap::new()));
 
             // Status changes fan out to subscriptions through the
@@ -434,12 +421,11 @@ mod unix_impl {
                 None => None,
             };
 
-            let grace = opts.read_timeout * 10;
             let tailers = TailerRegistry::new(TailerCtx {
                 metrics: Arc::clone(&metrics),
                 shutdown: Arc::clone(&shutdown),
-                poll_interval: opts.poll_interval,
-                grace,
+                poll_interval: POLL_INTERVAL,
+                grace: DRAIN_GRACE,
             });
 
             let unix_path = opts.unix.clone();
@@ -495,7 +481,7 @@ mod unix_impl {
             let pool = {
                 let shared = Arc::clone(&shared);
                 WorkerPool::start(
-                    shared.opts.workers,
+                    WORKERS,
                     Arc::clone(&metrics),
                     Arc::new(move |conn: &Arc<ConnHandle>, req| {
                         run_one(&shared, conn, req);
@@ -512,8 +498,8 @@ mod unix_impl {
                 ReactorConfig {
                     max_frame: shared.opts.max_frame,
                     high_water: shared.opts.queue_depth,
-                    poll_interval: shared.opts.poll_interval,
-                    grace,
+                    poll_interval: POLL_INTERVAL,
+                    grace: DRAIN_GRACE,
                 },
                 listeners,
                 handler,
@@ -592,7 +578,7 @@ mod unix_impl {
         /// connections a grace period to drain their queues.
         pub fn wait(self) -> Result<(), Error> {
             while !self.shared.shutdown.load(Ordering::Acquire) {
-                std::thread::sleep(self.shared.opts.poll_interval);
+                std::thread::sleep(POLL_INTERVAL);
             }
             self.reactor.wake();
             let Daemon {
@@ -650,7 +636,7 @@ mod unix_impl {
                 let mut sup = shared.supervisor.lock().unwrap();
                 let _ = sup.reap_finished();
             }
-            std::thread::sleep(shared.opts.poll_interval.max(Duration::from_millis(20)));
+            std::thread::sleep(POLL_INTERVAL);
         }
     }
 

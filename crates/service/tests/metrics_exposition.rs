@@ -6,6 +6,7 @@
 
 use std::collections::HashMap;
 
+use asha_metrics::JsonValue;
 use asha_service::ServiceMetrics;
 
 /// `family name -> (type, samples)`; each sample is
@@ -247,4 +248,117 @@ fn experiment_label_values_are_escaped() {
             "unescaped quote leaked: {line}"
         );
     }
+}
+
+/// Operators' dashboards and `asha-ctl top` key on these names, so the
+/// whole surface is pinned, in order: every Prometheus family with its
+/// type, and every `snapshot_json` key path (a histogram is one leaf).
+/// Adding, renaming, reordering or dropping a series fails here first.
+#[test]
+fn family_set_and_snapshot_key_paths_are_pinned() {
+    const FAMILIES: &[&str] = &[
+        "asha_connections_total counter",
+        "asha_connections_open gauge",
+        "asha_reactor_accepts_total counter",
+        "asha_reactor_bytes_read_total counter",
+        "asha_reactor_bytes_written_total counter",
+        "asha_reactor_frame_decode_errors_total counter",
+        "asha_reactor_read_pauses_total counter",
+        "asha_reactor_iterations_total counter",
+        "asha_reactor_iteration_seconds histogram",
+        "asha_reactor_wake_dispatch_seconds histogram",
+        "asha_http_requests_total counter",
+        "asha_worker_queue_depth gauge",
+        "asha_requests_total counter",
+        "asha_request_errors_total counter",
+        "asha_slow_requests_total counter",
+        "asha_request_queue_wait_seconds histogram",
+        "asha_request_execute_seconds histogram",
+        "asha_subscriptions_open gauge",
+        "asha_sub_events_sent_total counter",
+        "asha_sub_events_lagged_total counter",
+        "asha_tailer_subscribers gauge",
+        "asha_tailer_lag_records gauge",
+        "asha_tailer_window_evictions_total counter",
+        "asha_tailer_fanout_frames_total counter",
+        "asha_tailer_jam_waits_total counter",
+        "asha_tailer_jam_timeouts_total counter",
+        "asha_wal_append_seconds histogram",
+        "asha_wal_fsync_seconds histogram",
+        "asha_snapshot_write_seconds histogram",
+        "asha_snapshot_delta_write_seconds histogram",
+        "asha_snapshot_full_bytes_total counter",
+        "asha_snapshot_delta_bytes_total counter",
+        "asha_uptime_seconds gauge",
+    ];
+    const KEY_PATHS: &[&str] = &[
+        "schema",
+        "enabled",
+        "uptime_s",
+        "reactor.accepts",
+        "reactor.bytes_read",
+        "reactor.bytes_written",
+        "reactor.decode_errors",
+        "reactor.read_pauses",
+        "reactor.iterations",
+        "reactor.iteration",
+        "reactor.wake_dispatch",
+        "connections.total",
+        "connections.open",
+        "http.requests",
+        "workers.queue_depth",
+        "requests.total",
+        "requests.errors",
+        "requests.slow",
+        "requests.by_op.ping.count",
+        "requests.by_op.ping.errors",
+        "requests.by_op.ping.queue_wait",
+        "requests.by_op.ping.execute",
+        "requests.by_op.status.count",
+        "requests.by_op.status.errors",
+        "requests.by_op.status.queue_wait",
+        "requests.by_op.status.execute",
+        "subscriptions.open",
+        "subscriptions.events_sent",
+        "subscriptions.events_lagged",
+        "tailers.exp-a.subscribers",
+        "tailers.exp-a.lag_records",
+        "tailers.exp-a.window_evictions",
+        "tailers.exp-a.fanout_frames",
+        "tailers.exp-a.jam_waits",
+        "tailers.exp-a.jam_timeouts",
+        "store.wal_append",
+        "store.wal_fsync",
+        "store.snapshot_write",
+        "store.snapshot_delta_write",
+        "store.snapshot_full_bytes",
+        "store.snapshot_delta_bytes",
+    ];
+
+    fn key_paths(prefix: &str, v: &JsonValue, out: &mut Vec<String>) {
+        match v {
+            JsonValue::Obj(fields) if !fields.iter().any(|(k, _)| k == "le") => {
+                for (k, child) in fields {
+                    let path = if prefix.is_empty() {
+                        k.clone()
+                    } else {
+                        format!("{prefix}.{k}")
+                    };
+                    key_paths(&path, child, out);
+                }
+            }
+            _ => out.push(prefix.to_owned()),
+        }
+    }
+
+    let m = populated_plane();
+    let text = m.render_prometheus();
+    let families: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .collect();
+    assert_eq!(families, FAMILIES);
+    let mut paths = Vec::new();
+    key_paths("", &m.snapshot_json(), &mut paths);
+    assert_eq!(paths, KEY_PATHS);
 }

@@ -301,6 +301,8 @@ fn scan_order_from(name: &str) -> Result<ScanOrder, Error> {
     }
 }
 
+/// The promotion rule is not part of the document: it travels as the
+/// enclosing state's kind tag (see [`scheduler_state_to_json`]).
 fn put_asha_config(w: &mut ValueWriter<'_>, c: &AshaConfig) {
     w.obj(7);
     put_float(w.key("min_resource"), c.min_resource);
@@ -310,13 +312,6 @@ fn put_asha_config(w: &mut ValueWriter<'_>, c: &AshaConfig) {
     w.key("infinite_horizon").bool(c.infinite_horizon);
     put_opt_int(w.key("max_trials"), c.max_trials.map(|n| n as u64));
     w.key("scan_order").str(scan_order_name(c.scan_order));
-}
-
-/// Encode an [`AshaConfig`]. The promotion rule is not part of the
-/// document: it travels as the enclosing state's kind tag (see
-/// [`scheduler_state_to_json`]).
-pub fn asha_config_to_json(c: &AshaConfig) -> JsonValue {
-    tree_of(|w| put_asha_config(w, c))
 }
 
 /// Decode and validate an [`AshaConfig`] (eager rule; the `"dasha"` kind
@@ -349,11 +344,6 @@ fn put_sha_config(w: &mut ValueWriter<'_>, c: &ShaConfig) {
     w.key("grow_brackets").bool(c.grow_brackets);
 }
 
-/// Encode a [`ShaConfig`].
-pub fn sha_config_to_json(c: &ShaConfig) -> JsonValue {
-    tree_of(|w| put_sha_config(w, c))
-}
-
 /// Decode and validate a [`ShaConfig`].
 pub fn sha_config_from_json(v: &JsonValue) -> Result<ShaConfig, Error> {
     let mut c = ShaConfig::new(
@@ -374,11 +364,6 @@ fn put_hyperband_config(w: &mut ValueWriter<'_>, c: &HyperbandConfig) {
     put_float(w.key("max_resource"), c.max_resource);
     put_float(w.key("reduction_factor"), c.reduction_factor);
     w.key("num_brackets").int(c.num_brackets as u64);
-}
-
-/// Encode a [`HyperbandConfig`].
-pub fn hyperband_config_to_json(c: &HyperbandConfig) -> JsonValue {
-    tree_of(|w| put_hyperband_config(w, c))
 }
 
 /// Decode and validate a [`HyperbandConfig`].
@@ -495,11 +480,6 @@ fn put_asha_state(w: &mut ValueWriter<'_>, s: &AshaState) {
     w.key("name").str(&s.name);
 }
 
-/// Encode an [`AshaState`].
-pub fn asha_state_to_json(s: &AshaState) -> JsonValue {
-    tree_of(|w| put_asha_state(w, s))
-}
-
 /// Decode an [`AshaState`].
 pub fn asha_state_from_json(v: &JsonValue) -> Result<AshaState, Error> {
     let outstanding = get_arr(v, "outstanding")?
@@ -571,11 +551,6 @@ fn put_sync_sha_state(w: &mut ValueWriter<'_>, s: &SyncShaState) {
     w.key("name").str(&s.name);
 }
 
-/// Encode a [`SyncShaState`].
-pub fn sync_sha_state_to_json(s: &SyncShaState) -> JsonValue {
-    tree_of(|w| put_sync_sha_state(w, s))
-}
-
 /// Decode a [`SyncShaState`].
 pub fn sync_sha_state_from_json(v: &JsonValue) -> Result<SyncShaState, Error> {
     let trial_meta = get_arr(v, "trial_meta")?
@@ -613,11 +588,6 @@ fn put_hyperband_state(w: &mut ValueWriter<'_>, s: &AsyncHyperbandState) {
     put_float(w.key("spent"), s.spent);
     w.key("current").int(s.current as u64);
     w.key("name").str(&s.name);
-}
-
-/// Encode an [`AsyncHyperbandState`].
-pub fn hyperband_state_to_json(s: &AsyncHyperbandState) -> JsonValue {
-    tree_of(|w| put_hyperband_state(w, s))
 }
 
 /// Decode an [`AsyncHyperbandState`].
@@ -859,11 +829,6 @@ pub(crate) fn put_sim_run_state(w: &mut ValueWriter<'_>, s: &SimRunState) {
     for e in &s.trace {
         put_trace_event(w, e);
     }
-}
-
-/// Encode a [`SimRunState`].
-pub fn sim_run_state_to_json(s: &SimRunState) -> JsonValue {
-    tree_of(|w| put_sim_run_state(w, s))
 }
 
 /// Decode a [`SimRunState`].

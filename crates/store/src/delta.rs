@@ -49,15 +49,10 @@
 //! documents with unique keys, the only kind the codecs write — and
 //! [`apply_bytes`] enforces that, so a crafted patch cannot make recovery
 //! allocate without bound by naming one large base value many times.
-//!
-//! The tree-typed [`diff`] / [`apply`] are adapters over the byte engine
-//! for tests and tools.
-
-use asha_metrics::JsonValue;
 
 use crate::binary::{
-    decode_value, find_key, insert_varint, put_slice, put_value, put_varint, read_slice, read_u8,
-    read_varint, skip_value_depth, try_skip, TAG_ARR, TAG_INT, TAG_OBJ, TAG_STR,
+    find_key, insert_varint, put_slice, put_varint, read_slice, read_u8, read_varint,
+    skip_value_depth, try_skip, TAG_ARR, TAG_INT, TAG_OBJ, TAG_STR,
 };
 pub use crate::binary::{json_eq, skip_value, MAX_DEPTH};
 
@@ -540,60 +535,43 @@ pub fn apply_bytes(base: &[u8], patch: &[u8], out: &mut Vec<u8>) -> Result<(), S
     })
 }
 
-fn encoded(v: &JsonValue) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    put_value(&mut bytes, v);
-    bytes
-}
-
-/// The patch that is literally `{"u":1}` — the "nothing changed" diff.
-pub fn unchanged() -> JsonValue {
-    JsonValue::obj([("u", JsonValue::Int(1))])
-}
-
-/// Is this patch the [`unchanged`] marker?
-pub fn is_unchanged(patch: &JsonValue) -> bool {
-    matches!(patch.get("u"), Some(JsonValue::Int(1)))
-}
-
-/// [`diff_bytes`] over trees: a patch transforming `base` into `new`.
-///
-/// # Panics
-///
-/// If a document nests deeper than the byte engine follows — a patch nests
-/// about three levels per document level, so beyond [`MAX_DEPTH`]` / 3`.
-pub fn diff(base: &JsonValue, new: &JsonValue) -> JsonValue {
-    let mut patch = Vec::new();
-    diff_bytes(&encoded(base), &encoded(new), &mut patch)
-        .and_then(|()| decode_value(&patch))
-        .expect("documents nest shallower than MAX_DEPTH / 3")
-}
-
-/// [`apply_bytes`] over trees: `apply(base, &diff(base, new))` reproduces
-/// `new` exactly. Fails on a malformed patch or one computed against a
-/// different base shape.
-pub fn apply(base: &JsonValue, patch: &JsonValue) -> Result<JsonValue, String> {
-    let mut out = Vec::new();
-    apply_bytes(&encoded(base), &encoded(patch), &mut out)?;
-    decode_value(&out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binary::get_value;
+    use crate::binary::{decode_value, get_value, put_value};
+    use asha_metrics::JsonValue;
     use proptest::prelude::*;
+
+    fn encoded(v: &JsonValue) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        put_value(&mut bytes, v);
+        bytes
+    }
+
+    /// [`diff_bytes`] over trees.
+    fn diff(base: &JsonValue, new: &JsonValue) -> JsonValue {
+        let mut patch = Vec::new();
+        diff_bytes(&encoded(base), &encoded(new), &mut patch).expect("shallow documents");
+        decode_value(&patch).expect("a patch is a binvalue")
+    }
+
+    /// [`apply_bytes`] over trees.
+    fn apply(base: &JsonValue, patch: &JsonValue) -> Result<JsonValue, String> {
+        let mut out = Vec::new();
+        apply_bytes(&encoded(base), &encoded(patch), &mut out)?;
+        decode_value(&out)
+    }
 
     /// The tree-walking diff/apply the byte engine replaced, kept as its
     /// reference twin: what the engine must reproduce byte for byte.
     mod oracle {
-        use super::super::{json_eq, unchanged};
+        use super::super::json_eq;
         use asha_metrics::JsonValue;
 
         /// Compute a patch transforming `base` into `new`.
         pub fn diff(base: &JsonValue, new: &JsonValue) -> JsonValue {
             if json_eq(base, new) {
-                return unchanged();
+                return JsonValue::obj([("u", JsonValue::Int(1))]);
             }
             match (base, new) {
                 (JsonValue::Obj(base_fields), JsonValue::Obj(new_fields)) => {
@@ -779,7 +757,6 @@ mod tests {
             ("b", JsonValue::Arr(vec![JsonValue::Num(f64::NAN)])),
         ]);
         let patch = roundtrip(&doc, &doc.clone());
-        assert!(is_unchanged(&patch));
         assert_eq!(encoded(&patch), UNCHANGED);
     }
 

@@ -505,21 +505,6 @@ impl<'b> DurableRun<'b> {
         self.metrics = Some(metrics);
     }
 
-    /// Route this run's WAL fsyncs through a shared group-commit pipeline:
-    /// registers the WAL file and hands the writer the resulting
-    /// [`CommitHandle`](crate::CommitHandle). Policy-due fsyncs become
-    /// asynchronous batch requests; checkpoint markers still block for
-    /// their durability ack.
-    pub fn attach_commit_pipeline(
-        &mut self,
-        pipeline: &crate::CommitPipeline,
-    ) -> Result<(), StoreError> {
-        let file = self.recorder.writer().file_clone()?;
-        let handle = pipeline.register(file)?;
-        self.recorder.writer().set_group_commit(handle);
-        Ok(())
-    }
-
     /// The experiment directory this run persists into.
     pub fn dir(&self) -> &Path {
         &self.dir

@@ -1,6 +1,5 @@
 //! Durable experiment store for ASHA runs: write-ahead event log, full and
-//! delta snapshots, group-committed fsyncs, crash recovery, and a
-//! multi-experiment supervisor.
+//! delta snapshots, crash recovery, and a multi-experiment supervisor.
 //!
 //! The store makes a tuning run a *recoverable* object. Every telemetry
 //! event the run emits is appended to a write-ahead log with an explicit
@@ -47,8 +46,6 @@
 //! - [`tail`]: live, dialect-agnostic WAL following ([`WalTail`]), every
 //!   record rendered as its `jsonl-v1` line — what the service streams to
 //!   subscribers.
-//! - [`commit`]: the group-commit pipeline that coalesces WAL fsyncs
-//!   across experiments into one fsync per commit window.
 //! - [`experiment`]: one experiment directory (`meta.json` + WAL +
 //!   checkpoints) and [`DurableRun`], the persisting sim driver with
 //!   [`DurableRun::create`] / [`DurableRun::resume`]; plus
@@ -56,7 +53,7 @@
 //!   executor-driven runs.
 //! - [`supervisor`]: many named experiments in one process, each on a
 //!   worker thread with independent pause/resume/abort, under a crash-safe
-//!   manifest and an optional shared commit pipeline.
+//!   manifest.
 //!
 //! # Example: kill-and-recover
 //!
@@ -100,7 +97,6 @@
 
 pub mod binary;
 pub mod codec;
-pub mod commit;
 pub mod delta;
 mod error;
 pub mod experiment;
@@ -111,7 +107,6 @@ pub mod supervisor;
 pub mod tail;
 pub mod wal;
 
-pub use crate::commit::{CommitHandle, CommitPipeline};
 pub use crate::error::{Error, ErrorKind, StoreError};
 pub use crate::experiment::{
     read_meta, replay_scheduler, write_meta, BenchSpec, DurableRun, ExperimentMeta, RunOptions,

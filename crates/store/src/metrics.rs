@@ -2,10 +2,9 @@
 //!
 //! [`StoreMetrics`] is a small bundle of concurrent latency histograms and
 //! counters (from [`asha_obs::shared`]) covering the operations whose cost
-//! dominates a durable run: WAL record appends, WAL fsyncs, full and delta
-//! snapshot writes, and the group-commit pipeline. The store never creates
-//! one itself — a host (the service daemon, a bench harness) attaches a
-//! handle via
+//! dominates a durable run: WAL record appends, WAL fsyncs, and full and
+//! delta snapshot writes. The store never creates one itself — a host (the
+//! service daemon, a bench harness) attaches a handle via
 //! [`ExperimentSupervisor::set_metrics`](crate::ExperimentSupervisor::set_metrics)
 //! or [`WalWriter::set_metrics`](crate::WalWriter::set_metrics), and every
 //! run worker under that supervisor records into the same shared cells.
@@ -26,8 +25,7 @@ pub struct StoreMetrics {
     /// One WAL record append (userspace buffer write, plus any
     /// policy-triggered fsync it absorbed).
     pub wal_append: SharedHistogram,
-    /// One explicit WAL flush+fsync (under group commit: the wait for the
-    /// covering batch).
+    /// One WAL flush+fsync.
     pub wal_fsync: SharedHistogram,
     /// One full snapshot write (serialize, temp file, fsync, rename).
     pub snapshot_write: SharedHistogram,
@@ -39,14 +37,6 @@ pub struct StoreMetrics {
     /// Bytes written by delta snapshots. Comparing against
     /// `snapshot_full_bytes` shows what the delta chain saves.
     pub snapshot_delta_bytes: SharedCounter,
-    /// One group-commit batch, first request to durable (bounded by the
-    /// commit window plus fsync time).
-    pub commit_window: SharedHistogram,
-    /// Durability requests submitted to the group-commit pipeline.
-    pub group_commit_requests: SharedCounter,
-    /// Fsync syscalls the pipeline actually issued; the gap to
-    /// `group_commit_requests` is the fsyncs saved by coalescing.
-    pub group_commit_fsyncs: SharedCounter,
 }
 
 impl StoreMetrics {
@@ -60,9 +50,6 @@ impl StoreMetrics {
             snapshot_delta_write: SharedHistogram::latency(),
             snapshot_full_bytes: SharedCounter::new(),
             snapshot_delta_bytes: SharedCounter::new(),
-            commit_window: SharedHistogram::latency(),
-            group_commit_requests: SharedCounter::new(),
-            group_commit_fsyncs: SharedCounter::new(),
         })
     }
 }

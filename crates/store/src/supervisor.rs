@@ -156,7 +156,6 @@ pub struct ExperimentSupervisor {
     workers: HashMap<String, Worker>,
     listener: Option<StatusListener>,
     metrics: Option<Arc<crate::StoreMetrics>>,
-    pipeline: Option<Arc<crate::CommitPipeline>>,
 }
 
 impl std::fmt::Debug for ExperimentSupervisor {
@@ -194,7 +193,6 @@ impl ExperimentSupervisor {
             workers: HashMap::new(),
             listener: None,
             metrics: None,
-            pipeline: None,
         };
         if interrupted {
             sup.write_manifest()?;
@@ -219,29 +217,7 @@ impl ExperimentSupervisor {
     /// previous handle; workers already running keep the one they started
     /// with.
     pub fn set_metrics(&mut self, metrics: Arc<crate::StoreMetrics>) {
-        if let Some(pipeline) = &self.pipeline {
-            pipeline.set_metrics(Arc::clone(&metrics));
-        }
         self.metrics = Some(metrics);
-    }
-
-    /// Turn on group commit: every experiment this supervisor creates or
-    /// starts from now on routes its WAL fsyncs through one shared
-    /// [`crate::CommitPipeline`], so N experiments fsyncing concurrently
-    /// cost one fsync per WAL per commit `window` instead of one per
-    /// durability point. Experiments already running keep their private
-    /// fsync path. Returns the pipeline for callers that want its
-    /// counters.
-    pub fn enable_group_commit(
-        &mut self,
-        window: std::time::Duration,
-    ) -> Arc<crate::CommitPipeline> {
-        let pipeline = Arc::new(crate::CommitPipeline::new(window));
-        if let Some(metrics) = &self.metrics {
-            pipeline.set_metrics(Arc::clone(metrics));
-        }
-        self.pipeline = Some(Arc::clone(&pipeline));
-        pipeline
     }
 
     /// Join any worker threads that have finished on their own, recording
@@ -314,9 +290,6 @@ impl ExperimentSupervisor {
         if let Some(m) = &self.metrics {
             run.set_metrics(Arc::clone(m));
         }
-        if let Some(pipeline) = &self.pipeline {
-            run.attach_commit_pipeline(pipeline)?;
-        }
         drop(run);
         self.entries.push(ManifestEntry {
             name: meta.name.clone(),
@@ -344,9 +317,7 @@ impl ExperimentSupervisor {
         let control = Control::new();
         let thread_control = Arc::clone(&control);
         let metrics = self.metrics.clone();
-        let pipeline = self.pipeline.clone();
-        let thread =
-            std::thread::spawn(move || worker_main(dir, opts, thread_control, metrics, pipeline));
+        let thread = std::thread::spawn(move || worker_main(dir, opts, thread_control, metrics));
         self.workers
             .insert(name.to_owned(), Worker { control, thread });
         Ok(())
@@ -500,7 +471,6 @@ fn worker_main(
     opts: RunOptions,
     control: Arc<Control>,
     metrics: Option<Arc<crate::StoreMetrics>>,
-    pipeline: Option<Arc<crate::CommitPipeline>>,
 ) -> WorkerOutcome {
     let meta = read_meta(&dir)?;
     let bench = meta
@@ -510,9 +480,6 @@ fn worker_main(
     let mut run = DurableRun::resume(&dir, &meta, &bench, opts)?;
     if let Some(m) = metrics {
         run.set_metrics(m);
-    }
-    if let Some(pipeline) = pipeline {
-        run.attach_commit_pipeline(&pipeline)?;
     }
     loop {
         match control.current() {

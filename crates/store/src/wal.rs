@@ -13,12 +13,11 @@
 //! Durability follows a [`Durability`] policy: appends always reach the OS
 //! (flushed through the userspace buffer at each commit point), and
 //! `fsync` is issued per policy so a machine crash loses at most the
-//! configured window. When a [`CommitHandle`] is attached the fsyncs are
-//! delegated to the shared group-commit pipeline instead (see
-//! [`crate::commit`]). A process crash mid-append can leave a *torn tail*
-//! — a partial final record — which the reader tolerates by discarding it;
-//! any damage *before* the tail is real corruption and is reported as an
-//! error.
+//! configured window. [`WalWriter::sync`] is the only place the log is
+//! fsynced, and its error is always returned. A process crash mid-append
+//! can leave a *torn tail* — a partial final record — which the reader
+//! tolerates by discarding it; any damage *before* the tail is real
+//! corruption and is reported as an error.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
@@ -29,7 +28,6 @@ pub use asha_core::Durability;
 use asha_metrics::JsonValue;
 use asha_obs::Event;
 
-use crate::commit::CommitHandle;
 use crate::error::StoreError;
 use crate::format::{encode_record, encode_wal, DecodeStep, EncodeBuf, StoreFormat, WAL_MAGIC};
 
@@ -280,9 +278,7 @@ pub(crate) fn parse_record_jsonl(line: &str) -> Result<WalRecord, String> {
 /// Appends go through a userspace buffer that is flushed to the OS at every
 /// commit point crossing [`Durability`]'s fsync cadence, and unconditionally
 /// on [`WalWriter::sync`] and on drop (so a cleanly exiting process never
-/// loses records even with [`Durability::Flush`]). With a group-commit
-/// handle attached, policy-due fsyncs become asynchronous pipeline
-/// requests and only [`WalWriter::sync`] blocks for the durability ack.
+/// loses records even with [`Durability::Flush`]).
 #[derive(Debug)]
 pub struct WalWriter {
     file: BufWriter<File>,
@@ -291,7 +287,6 @@ pub struct WalWriter {
     since_sync: usize,
     telemetry_appended: u64,
     buf: EncodeBuf,
-    group: Option<CommitHandle>,
     /// Optional durability-plane metrics; `None` (the default) keeps
     /// clock reads off the append path entirely.
     metrics: Option<std::sync::Arc<crate::StoreMetrics>>,
@@ -339,7 +334,6 @@ impl WalWriter {
             since_sync: 0,
             telemetry_appended: telemetry_so_far,
             buf: EncodeBuf::default(),
-            group: None,
             metrics: None,
         }
     }
@@ -356,23 +350,6 @@ impl WalWriter {
     /// record their latency into `metrics`.
     pub fn set_metrics(&mut self, metrics: std::sync::Arc<crate::StoreMetrics>) {
         self.metrics = Some(metrics);
-    }
-
-    /// Route this writer's fsyncs through a group-commit pipeline:
-    /// policy-due syncs become fire-and-forget requests, and
-    /// [`WalWriter::sync`] waits for the covering batch instead of issuing
-    /// its own fsync syscall.
-    pub fn set_group_commit(&mut self, handle: CommitHandle) {
-        self.group = Some(handle);
-    }
-
-    /// A duplicated handle to the underlying file (for registering with a
-    /// [`crate::CommitPipeline`]).
-    pub fn file_clone(&self) -> Result<File, StoreError> {
-        self.file
-            .get_ref()
-            .try_clone()
-            .map_err(|e| StoreError::io(&self.path, e))
     }
 
     /// Telemetry events written (including any recovered count passed to
@@ -395,22 +372,7 @@ impl WalWriter {
         }
         self.since_sync += 1;
         if self.policy.fsync_due(self.since_sync) {
-            match &self.group {
-                Some(handle) => {
-                    // Group commit: get the bytes to the OS and enqueue an
-                    // asynchronous durability request; the pipeline batches
-                    // it with every other writer in the commit window.
-                    self.file
-                        .flush()
-                        .map_err(|e| StoreError::io(&self.path, e))?;
-                    if let Some(m) = &self.metrics {
-                        m.group_commit_requests.inc();
-                    }
-                    handle.request();
-                    self.since_sync = 0;
-                }
-                None => self.sync()?,
-            }
+            self.sync()?;
         }
         if let (Some(m), Some(t0)) = (&self.metrics, start) {
             m.wal_append.observe_duration(t0.elapsed());
@@ -423,26 +385,15 @@ impl WalWriter {
         self.file.flush().map_err(|e| StoreError::io(&self.path, e))
     }
 
-    /// Flush and make every appended record crash-durable — by a direct
-    /// fsync, or by waiting for the group-commit pipeline's covering batch
-    /// when a handle is attached.
+    /// Flush and fsync: every appended record is crash-durable when this
+    /// returns `Ok`.
     pub fn sync(&mut self) -> Result<(), StoreError> {
         let start = self.metrics.is_some().then(std::time::Instant::now);
         self.flush()?;
-        match &self.group {
-            Some(handle) => {
-                if let Some(m) = &self.metrics {
-                    m.group_commit_requests.inc();
-                }
-                handle.commit()?;
-            }
-            None => {
-                self.file
-                    .get_ref()
-                    .sync_all()
-                    .map_err(|e| StoreError::io(&self.path, e))?;
-            }
-        }
+        self.file
+            .get_ref()
+            .sync_all()
+            .map_err(|e| StoreError::io(&self.path, e))?;
         self.since_sync = 0;
         if let (Some(m), Some(t0)) = (&self.metrics, start) {
             m.wal_fsync.observe_duration(t0.elapsed());
@@ -647,6 +598,36 @@ mod tests {
                 resource: 1.0,
             },
         }
+    }
+
+    #[test]
+    fn every_n_fsyncs_inline_on_the_nth_append() {
+        let dir = tmpdir("every-n");
+        let mut wal = WalWriter::create(&dir.join("wal"), Durability::EveryN(2)).unwrap();
+        let metrics = crate::StoreMetrics::new();
+        wal.set_metrics(std::sync::Arc::clone(&metrics));
+        wal.append(&WalRecord::telemetry(ev(0, 0.0))).unwrap();
+        assert_eq!(metrics.wal_fsync.snapshot().count(), 0);
+        wal.append(&WalRecord::telemetry(ev(1, 0.5))).unwrap();
+        assert_eq!(metrics.wal_fsync.snapshot().count(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `/dev/null` takes every write and refuses `fsync` (`EINVAL`): the
+    /// one failure here is the fsync itself, and it must reach the caller
+    /// from `sync` and from an append whose policy made an fsync due.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_fsync_is_returned_not_swallowed() {
+        let path = Path::new("/dev/null");
+        let mut wal = WalWriter::open_append(path, Durability::Sync, 0).unwrap();
+        let metrics = crate::StoreMetrics::new();
+        wal.set_metrics(std::sync::Arc::clone(&metrics));
+        let err = wal.sync().unwrap_err();
+        assert_eq!(err.kind(), crate::ErrorKind::Io);
+        assert_eq!(err.path(), Some(path));
+        assert!(wal.append(&WalRecord::telemetry(ev(0, 0.0))).is_err());
+        assert_eq!(metrics.wal_fsync.snapshot().count(), 0);
     }
 
     #[test]

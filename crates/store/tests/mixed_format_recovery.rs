@@ -15,8 +15,8 @@ use asha_core::telemetry::{DropCause, Event, EventKind, IdleKind};
 use asha_core::{Asha, AshaConfig};
 use asha_metrics::JsonValue;
 use asha_sim::{SimConfig, SimResult};
-use asha_store::binary::json_eq;
-use asha_store::delta::{apply, diff, is_unchanged};
+use asha_store::binary::{decode_value, json_eq, put_value};
+use asha_store::delta::{apply_bytes, diff_bytes};
 use asha_store::format::{encode_document, encode_record, WAL_MAGIC};
 use asha_store::{
     delta_file_name, read_document, read_meta, read_wal, BenchSpec, DecodeStep, DeltaDoc,
@@ -25,6 +25,19 @@ use asha_store::{
 };
 use asha_surrogate::BenchmarkModel;
 use proptest::prelude::*;
+
+/// `diff_bytes` or `apply_bytes`.
+type DeltaOp = fn(&[u8], &[u8], &mut Vec<u8>) -> Result<(), String>;
+
+/// Run one of the byte-level delta operations on two trees: encode both,
+/// apply `op`, decode what it wrote.
+fn on_bytes(op: DeltaOp, a: &JsonValue, b: &JsonValue) -> Result<JsonValue, String> {
+    let (mut a_bytes, mut b_bytes, mut out) = (Vec::new(), Vec::new(), Vec::new());
+    put_value(&mut a_bytes, a);
+    put_value(&mut b_bytes, b);
+    op(&a_bytes, &b_bytes, &mut out)?;
+    decode_value(&out)
+}
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("asha-store-mixed-{tag}-{}", std::process::id()));
@@ -654,13 +667,16 @@ proptest! {
     /// bit-for-bit, and diffing a document against itself is a no-op patch.
     #[test]
     fn delta_diff_apply_roundtrips(base in json_doc(), new in json_doc()) {
-        let patch = diff(&base, &new);
-        let rebuilt = apply(&base, &patch)?;
+        let patch = on_bytes(diff_bytes, &base, &new)?;
+        let rebuilt = on_bytes(apply_bytes, &base, &patch)?;
         prop_assert!(json_eq(&rebuilt, &new), "patched document must equal the target");
 
-        let noop = diff(&base, &base);
-        prop_assert!(is_unchanged(&noop), "self-diff must be the no-op patch");
-        let same = apply(&base, &noop)?;
+        let noop = on_bytes(diff_bytes, &base, &base)?;
+        prop_assert!(
+            matches!(noop.get("u"), Some(JsonValue::Int(1))),
+            "self-diff must be the no-op patch"
+        );
+        let same = on_bytes(apply_bytes, &base, &noop)?;
         prop_assert!(json_eq(&same, &base));
     }
 }

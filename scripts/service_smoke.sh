@@ -13,8 +13,10 @@ BIN="${BIN_DIR:-target/release}"
 WORK="${WORK_DIR:-$(mktemp -d)}"
 mkdir -p "$WORK"
 CTL="$BIN/asha-ctl"
+# Sized so the run lasts seconds (4.5 s on a 2-vCPU box): the SIGKILL below
+# lands once 64 KiB of it is in the WAL, a few tens of milliseconds in.
 CREATE_ARGS=(--preset svm_mnist --bench-seed 11 --seed 11 --workers 16
-             --max-time 8000 --straggler-std 0.3 --drop-prob 0.05)
+             --max-time 20000 --straggler-std 0.3 --drop-prob 0.05)
 SERVE_PID=
 
 start_serve() { # root sock log
@@ -98,11 +100,27 @@ VIC_SOCK="$WORK/victim.sock"
 start_serve "$VIC_ROOT" "$VIC_SOCK" "$WORK/serve-victim-1.log"
 wait_sock "$VIC_SOCK"
 "$CTL" --unix "$VIC_SOCK" create exp "${CREATE_ARGS[@]}"
+VIC_WAL="$VIC_ROOT/exp/wal.jsonl"
+KILL_AT=$(( $(wc -c <"$VIC_WAL") + 65536 ))
 "$CTL" --unix "$VIC_SOCK" start exp
-sleep 1.2
+# Kill on progress, not on a timer: as soon as the run has put 64 KiB of
+# its own records (and its first checkpoints) behind it.
+for _ in $(seq 1 1000); do
+  [ "$(wc -c <"$VIC_WAL")" -ge "$KILL_AT" ] && break
+  sleep 0.01
+done
+[ "$(wc -c <"$VIC_WAL")" -ge "$KILL_AT" ] \
+  || { echo "victim run wrote less than 64 KiB of WAL within 10 s of start" >&2; exit 1; }
+STATUS=$("$CTL" --unix "$VIC_SOCK" status exp)
+case "$STATUS" in
+  *finished*)
+    echo "victim run finished before it could be killed mid-run ($STATUS):" \
+         "raise --max-time in CREATE_ARGS" >&2
+    exit 1 ;;
+esac
 kill -9 "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
-echo "killed daemon with $(wc -l <"$VIC_ROOT/exp/wal.jsonl") WAL lines written"
+echo "killed daemon with $(wc -c <"$VIC_WAL") WAL bytes written"
 
 echo "== restart, recover, re-attach =="
 start_serve "$VIC_ROOT" "$VIC_SOCK" "$WORK/serve-victim-2.log"

@@ -199,6 +199,86 @@ fn poisoned_promotions(issued: &[Job], first_loss: &HashMap<(u64, usize), f64>) 
         .collect()
 }
 
+/// Property body of `promotions_only_take_top_fraction_candidates`: one
+/// serial ASHA run fed `losses` in order.
+fn check_promotions_take_top_fraction(losses: &[u16]) -> Result<(), String> {
+    // The exact Algorithm 2 invariant: whenever a trial is promoted out
+    // of rung k, it is at that moment among the top floor(|rung k|/eta)
+    // of rung k by loss.
+    let eta = 3.0;
+    let mut asha = Asha::new(space(), AshaConfig::new(1.0, 27.0, eta));
+    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+    use rand::SeedableRng as _;
+    for &loss in losses {
+        // Snapshot rung contents before suggesting.
+        let tops: Vec<Vec<u64>> = asha
+            .ladder()
+            .rungs()
+            .iter()
+            .map(|r| {
+                let k = (r.len() as f64 / eta).floor() as usize;
+                r.top_k(k).into_iter().map(|(t, _)| t.0).collect()
+            })
+            .collect();
+        let job = match asha.suggest(&mut rng) {
+            Decision::Run(job) => job,
+            other => {
+                prop_assert!(false, "unexpected {other:?}");
+                unreachable!()
+            }
+        };
+        if job.rung > 0 {
+            let from = job.rung - 1;
+            prop_assert!(
+                tops[from].contains(&job.trial.0),
+                "promoted trial {} was not in the top 1/eta of rung {from}",
+                job.trial.0
+            );
+        }
+        asha.observe(Observation::for_job(&job, loss as f64));
+    }
+    // And mispromotion *count* stays sane: promoted out of rung 0 is at
+    // most len/eta plus a sqrt(len)-scale excess (the paper's Section
+    // 3.3 law-of-large-numbers argument).
+    let rung0 = &asha.ladder().rungs()[0];
+    let bound = rung0.len() as f64 / eta + 2.5 * (rung0.len() as f64).sqrt() + 2.0;
+    prop_assert!(
+        (rung0.promoted_count() as f64) <= bound,
+        "rung0 promoted {} of {} (bound {bound})",
+        rung0.promoted_count(),
+        rung0.len()
+    );
+    Ok(())
+}
+
+/// Property body of `rung_sizes_form_a_geometric_pyramid`.
+fn check_geometric_pyramid(losses: &[u16]) -> Result<(), String> {
+    // After a serial run, each rung holds roughly 1/eta of the rung
+    // below (Figure 2's "simple rule").
+    let eta = 3.0;
+    let mut asha = Asha::new(space(), AshaConfig::new(1.0, 27.0, eta));
+    let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+    use rand::SeedableRng as _;
+    for &loss in losses {
+        if let Decision::Run(job) = asha.suggest(&mut rng) {
+            asha.observe(Observation::for_job(&job, loss as f64));
+        }
+    }
+    let rungs = asha.ladder().rungs();
+    for k in 1..rungs.len() {
+        let below = rungs[k - 1].len() as f64;
+        let here = rungs[k].len() as f64;
+        // Each rung holds ~1/eta of the rung below; late record-breaking
+        // arrivals can promote past the quota (and cascade), but only
+        // by a sqrt-scale excess (Section 3.3's argument).
+        prop_assert!(
+            here <= below / eta + 2.5 * below.sqrt() + 2.0,
+            "rung {k} has {here} with {below} below"
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -437,77 +517,57 @@ proptest! {
     fn promotions_only_take_top_fraction_candidates(
         losses in prop::collection::vec(0u16..1000, 30..300),
     ) {
-        // The exact Algorithm 2 invariant: whenever a trial is promoted out
-        // of rung k, it is at that moment among the top floor(|rung k|/eta)
-        // of rung k by loss.
-        let eta = 3.0;
-        let mut asha = Asha::new(space(), AshaConfig::new(1.0, 27.0, eta));
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        use rand::SeedableRng as _;
-        for &loss in &losses {
-            // Snapshot rung contents before suggesting.
-            let tops: Vec<Vec<u64>> = asha
-                .ladder()
-                .rungs()
-                .iter()
-                .map(|r| {
-                    let k = (r.len() as f64 / eta).floor() as usize;
-                    r.top_k(k).into_iter().map(|(t, _)| t.0).collect()
-                })
-                .collect();
-            let job = match asha.suggest(&mut rng) {
-                Decision::Run(job) => job,
-                other => { prop_assert!(false, "unexpected {other:?}"); unreachable!() }
-            };
-            if job.rung > 0 {
-                let from = job.rung - 1;
-                prop_assert!(
-                    tops[from].contains(&job.trial.0),
-                    "promoted trial {} was not in the top 1/eta of rung {from}",
-                    job.trial.0
-                );
-            }
-            asha.observe(Observation::for_job(&job, loss as f64));
-        }
-        // And mispromotion *count* stays sane: promoted out of rung 0 is at
-        // most len/eta plus a sqrt(len)-scale excess (the paper's Section
-        // 3.3 law-of-large-numbers argument).
-        let rung0 = &asha.ladder().rungs()[0];
-        let bound = rung0.len() as f64 / eta + 2.5 * (rung0.len() as f64).sqrt() + 2.0;
-        prop_assert!(
-            (rung0.promoted_count() as f64) <= bound,
-            "rung0 promoted {} of {} (bound {bound})",
-            rung0.promoted_count(),
-            rung0.len()
-        );
+        check_promotions_take_top_fraction(&losses)?;
     }
 
     #[test]
     fn rung_sizes_form_a_geometric_pyramid(
         losses in prop::collection::vec(0u16..1000, 100..400),
     ) {
-        // After a serial run, each rung holds roughly 1/eta of the rung
-        // below (Figure 2's "simple rule").
-        let eta = 3.0;
-        let mut asha = Asha::new(space(), AshaConfig::new(1.0, 27.0, eta));
-        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        use rand::SeedableRng as _;
-        for &loss in &losses {
-            if let Decision::Run(job) = asha.suggest(&mut rng) {
-                asha.observe(Observation::for_job(&job, loss as f64));
-            }
-        }
-        let rungs = asha.ladder().rungs();
-        for k in 1..rungs.len() {
-            let below = rungs[k - 1].len() as f64;
-            let here = rungs[k].len() as f64;
-            // Each rung holds ~1/eta of the rung below; late record-breaking
-            // arrivals can promote past the quota (and cascade), but only
-            // by a sqrt-scale excess (Section 3.3's argument).
-            prop_assert!(
-                here <= below / eta + 2.5 * below.sqrt() + 2.0,
-                "rung {k} has {here} with {below} below"
-            );
-        }
+        check_geometric_pyramid(&losses)?;
     }
+}
+
+// Failing inputs an upstream `proptest` once shrank to and recorded; the
+// vendored runner keeps no regression file, so each is replayed by name
+// against both properties that take a loss stream.
+
+fn replay_recorded_losses(losses: &[u16]) {
+    check_promotions_take_top_fraction(losses).expect("recorded loss stream");
+    check_geometric_pyramid(losses).expect("recorded loss stream");
+}
+
+#[test]
+fn recorded_losses_30_starting_with_a_tie() {
+    replay_recorded_losses(&[
+        0, 0, 108, 82, 294, 671, 536, 188, 430, 208, 295, 670, 973, 107, 428, 18, 640, 823, 174,
+        412, 243, 670, 82, 443, 534, 920, 71, 953, 897, 509,
+    ]);
+}
+
+#[test]
+fn recorded_losses_150() {
+    replay_recorded_losses(&[
+        455, 394, 335, 849, 842, 484, 542, 876, 570, 730, 488, 981, 420, 570, 11, 397, 685, 767,
+        603, 918, 447, 240, 301, 876, 859, 893, 947, 685, 306, 803, 788, 553, 570, 687, 712, 783,
+        734, 918, 914, 610, 289, 754, 461, 695, 842, 123, 978, 837, 230, 122, 607, 735, 514, 522,
+        837, 868, 936, 378, 624, 812, 843, 135, 829, 879, 606, 811, 734, 360, 908, 170, 49, 203,
+        207, 377, 476, 792, 659, 94, 645, 474, 223, 694, 20, 360, 833, 987, 111, 897, 427, 504,
+        125, 342, 295, 65, 299, 498, 905, 774, 206, 845, 511, 643, 673, 992, 151, 557, 238, 584,
+        217, 897, 808, 900, 191, 194, 889, 386, 429, 60, 73, 915, 746, 187, 609, 242, 318, 547,
+        243, 962, 220, 697, 511, 404, 136, 805, 238, 626, 532, 944, 572, 233, 688, 40, 617, 67,
+        355, 72, 48, 397, 347, 924,
+    ]);
+}
+
+#[test]
+fn recorded_losses_100_starting_with_a_tie() {
+    replay_recorded_losses(&[
+        24, 24, 689, 218, 246, 23, 642, 795, 284, 700, 643, 629, 774, 648, 989, 937, 395, 807, 968,
+        973, 126, 809, 851, 840, 827, 175, 407, 483, 847, 843, 898, 344, 993, 721, 908, 485, 688,
+        865, 638, 362, 206, 234, 947, 733, 999, 72, 241, 852, 807, 598, 362, 566, 405, 907, 14,
+        841, 734, 720, 575, 76, 694, 888, 136, 287, 450, 972, 144, 13, 11, 885, 881, 265, 776, 773,
+        978, 582, 192, 221, 7, 181, 742, 348, 580, 249, 472, 282, 552, 353, 562, 311, 15, 964, 898,
+        623, 344, 97, 530, 703, 872, 138,
+    ]);
 }
