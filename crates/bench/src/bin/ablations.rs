@@ -10,52 +10,50 @@
 //!    2018); this sweeps `s = 0..=3` on benchmark 2.
 //! 4. **Reduction factor `eta`** — 2 vs 4 vs 8 on the same budget.
 
-use asha::core::{Asha, AshaConfig, ScanOrder};
-use asha::sim::{ResumePolicy, SimConfig};
+use asha::core::{AshaConfig, ScanOrder};
+use asha::sim::{ClusterSim, ResumePolicy, SimConfig};
 use asha::surrogate::{presets, BenchmarkModel};
+use asha::tune::Searcher;
 use asha_bench::{
     print_comparison, run_experiment_parallel, threads_from_args, ExperimentConfig, MethodSpec,
 };
+use rand::SeedableRng;
 
 const R: f64 = 256.0;
 
+fn asha(eta: f64) -> AshaConfig {
+    AshaConfig::new(1.0, R, eta)
+}
+
 fn main() {
     let bench = presets::cifar10_small_cnn(presets::DEFAULT_SURFACE_SEED);
-    let space = bench.space().clone();
+    let threads = threads_from_args();
+    let cfg = ExperimentConfig::new(25, 150.0, 5, 0.9);
+    let compare = |title: &str, methods: Vec<MethodSpec>| {
+        let results = run_experiment_parallel(&bench, &methods, &cfg, threads);
+        print_comparison(title, &results, &[25.0, 50.0, 100.0, 150.0]);
+    };
 
     // 1. Scan order.
-    let s1 = space.clone();
-    let s2 = space.clone();
-    let methods = vec![
-        MethodSpec::new("top-down (paper)", move || {
-            Asha::new(s1.clone(), AshaConfig::new(1.0, R, 4.0))
-        }),
-        MethodSpec::new("bottom-up", move || {
-            Asha::new(
-                s2.clone(),
-                AshaConfig::new(1.0, R, 4.0).with_scan_order(ScanOrder::BottomUp),
-            )
-        }),
-    ];
-    let cfg = ExperimentConfig::new(25, 150.0, 5, 0.9);
-    let results = run_experiment_parallel(&bench, &methods, &cfg, threads_from_args());
-    print_comparison(
+    compare(
         "Ablation 1 — promotion scan order (benchmark 2, 25 workers)",
-        &results,
-        &[25.0, 50.0, 100.0, 150.0],
+        vec![
+            MethodSpec::new("top-down (paper)", Searcher::asha(asha(4.0))),
+            MethodSpec::new(
+                "bottom-up",
+                Searcher::asha(asha(4.0).with_scan_order(ScanOrder::BottomUp)),
+            ),
+        ],
     );
 
     // 2. Resume policy.
-    let s3 = space.clone();
-    let methods = vec![MethodSpec::new("ASHA", move || {
-        Asha::new(s3.clone(), AshaConfig::new(1.0, R, 4.0))
-    })];
-    let mut ckpt_cfg = ExperimentConfig::new(25, 150.0, 5, 0.9);
+    let methods = vec![MethodSpec::new("ASHA", Searcher::asha(asha(4.0)))];
+    let mut ckpt_cfg = cfg.clone();
     ckpt_cfg.sim_tweak = |c: SimConfig| c.with_resume(ResumePolicy::Checkpoint);
-    let mut scratch_cfg = ExperimentConfig::new(25, 150.0, 5, 0.9);
+    let mut scratch_cfg = cfg.clone();
     scratch_cfg.sim_tweak = |c: SimConfig| c.with_resume(ResumePolicy::FromScratch);
-    let ckpt = run_experiment_parallel(&bench, &methods, &ckpt_cfg, threads_from_args());
-    let scratch = run_experiment_parallel(&bench, &methods, &scratch_cfg, threads_from_args());
+    let ckpt = run_experiment_parallel(&bench, &methods, &ckpt_cfg, threads);
+    let scratch = run_experiment_parallel(&bench, &methods, &scratch_cfg, threads);
     println!("\n== Ablation 2 — resume policy (benchmark 2, 25 workers) ==");
     println!("{:>22} {:>14} {:>14}", "", "checkpoint", "from-scratch");
     println!(
@@ -70,62 +68,45 @@ fn main() {
     );
 
     // 3. Early-stopping rate s.
-    let methods: Vec<MethodSpec> = (0..=3)
-        .map(|s| {
-            let sp = space.clone();
-            MethodSpec::new(&format!("s = {s}"), move || {
-                Asha::new(sp.clone(), AshaConfig::new(1.0, R, 4.0).with_stop_rate(s))
-            })
-        })
-        .collect();
-    let results = run_experiment_parallel(&bench, &methods, &cfg, threads_from_args());
-    print_comparison(
+    compare(
         "Ablation 3 — early-stopping rate (benchmark 2, 25 workers)",
-        &results,
-        &[25.0, 50.0, 100.0, 150.0],
+        (0..=3)
+            .map(|s| {
+                MethodSpec::new(
+                    &format!("s = {s}"),
+                    Searcher::asha(asha(4.0).with_stop_rate(s)),
+                )
+            })
+            .collect(),
     );
 
     // 4. Reduction factor eta.
-    let methods: Vec<MethodSpec> = [2.0, 4.0, 8.0]
-        .iter()
-        .map(|&eta| {
-            let sp = space.clone();
-            MethodSpec::new(&format!("eta = {eta}"), move || {
-                Asha::new(sp.clone(), AshaConfig::new(1.0, R, eta))
-            })
-        })
-        .collect();
-    let results = run_experiment_parallel(&bench, &methods, &cfg, threads_from_args());
-    print_comparison(
+    compare(
         "Ablation 4 — reduction factor (benchmark 2, 25 workers)",
-        &results,
-        &[25.0, 50.0, 100.0, 150.0],
+        [2.0, 4.0, 8.0]
+            .iter()
+            .map(|&eta| MethodSpec::new(&format!("eta = {eta}"), Searcher::asha(asha(eta))))
+            .collect(),
     );
 
     // 5. Incumbent accounting (Section 3.3): intermediate losses vs
     //    final-rung-only outputs.
-    {
-        use asha::core::Scheduler as _;
-        use asha::sim::ClusterSim;
-        let asha = asha::core::Asha::new(space.clone(), AshaConfig::new(1.0, R, 4.0));
-        let _ = asha.name();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-        use rand::SeedableRng as _;
-        let result = ClusterSim::new(SimConfig::new(25, 150.0)).run(asha, &bench, &mut rng);
-        let by_any = result.trace.incumbent_curve();
-        let final_only = result.trace.incumbent_curve_final_only(R);
-        println!("\n== Ablation 5 — incumbent accounting (Section 3.3) ==");
+    let scheduler = Searcher::asha(asha(4.0)).build(bench.space());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+    let result = ClusterSim::new(SimConfig::new(25, 150.0)).run(scheduler, &bench, &mut rng);
+    let by_any = result.trace.incumbent_curve();
+    let final_only = result.trace.incumbent_curve_final_only(R);
+    println!("\n== Ablation 5 — incumbent accounting (Section 3.3) ==");
+    println!(
+        "{:>8} {:>22} {:>22}",
+        "time", "intermediate losses", "final-rung only"
+    );
+    for t in [15.0, 30.0, 60.0, 100.0, 150.0] {
         println!(
-            "{:>8} {:>22} {:>22}",
-            "time", "intermediate losses", "final-rung only"
+            "{t:>8.0} {:>22.4} {:>22.4}",
+            by_any.eval_or(t, f64::NAN),
+            final_only.eval_or(t, f64::NAN)
         );
-        for t in [15.0, 30.0, 60.0, 100.0, 150.0] {
-            println!(
-                "{t:>8.0} {:>22.4} {:>22.4}",
-                by_any.eval_or(t, f64::NAN),
-                final_only.eval_or(t, f64::NAN)
-            );
-        }
     }
 
     println!("\nExpected: top-down ≈ bottom-up early but top-down reaches full-budget configs");

@@ -3,8 +3,9 @@
 //! worker with deterministic losses (configuration `i` has loss `i`; lower
 //! is better, so configurations 0, 1, 2 are the promotion-worthy ones).
 
-use asha::core::{Asha, AshaConfig, Decision, Observation, Scheduler, ShaConfig, SyncSha};
+use asha::core::{AshaConfig, Decision, Observation, Scheduler, ShaConfig};
 use asha::space::{Scale, SearchSpace};
+use asha::tune::Searcher;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -15,9 +16,10 @@ fn toy_space() -> SearchSpace {
         .expect("valid space")
 }
 
-/// Run a scheduler serially, completing each job immediately with loss =
+/// Run a method serially, completing each job immediately with loss =
 /// trial id, and return the chronological (trial, rung, budget) list.
-fn serial_trace<S: Scheduler>(mut scheduler: S, max_jobs: usize) -> Vec<(u64, usize, f64)> {
+fn serial_trace(searcher: Searcher, max_jobs: usize) -> Vec<(u64, usize, f64)> {
+    let mut scheduler = searcher.build(&toy_space());
     let mut rng = StdRng::seed_from_u64(0);
     let mut out = Vec::new();
     while out.len() < max_jobs {
@@ -44,12 +46,10 @@ fn print_trace(title: &str, trace: &[(u64, usize, f64)]) {
 fn main() {
     println!("Figure 2: promotion schemes of SHA vs ASHA (bracket 0, r=1, R=9, eta=3)");
 
-    let sha = SyncSha::new(toy_space(), ShaConfig::new(9, 1.0, 9.0, 3.0));
-    let sha_trace = serial_trace(sha, 13);
+    let sha_trace = serial_trace(Searcher::sha(ShaConfig::new(9, 1.0, 9.0, 3.0)), 13);
     print_trace("Successive Halving (Synchronous):", &sha_trace);
 
-    let asha = Asha::new(toy_space(), AshaConfig::new(1.0, 9.0, 3.0));
-    let asha_trace = serial_trace(asha, 13);
+    let asha_trace = serial_trace(Searcher::asha(AshaConfig::new(1.0, 9.0, 3.0)), 13);
     print_trace("Successive Halving (Asynchronous):", &asha_trace);
 
     // The structural claims of the figure, checked programmatically.

@@ -9,13 +9,14 @@
 //! A.1: configurations trained to the full resource R, plus the fault tally
 //! the executor survived.
 
-use asha::core::{Asha, AshaConfig, Scheduler, ShaConfig, SyncSha};
+use asha::core::{AshaConfig, ShaConfig};
 use asha::exec::{
     install_quiet_panic_hook, ChaosConfig, ChaosObjective, Evaluation, ExecConfig, FaultPolicy,
     FnObjective, ParallelTuner,
 };
 use asha::metrics::{write_csv, FaultStats};
 use asha::space::{Config, ParamValue, Scale, SearchSpace};
+use asha::tune::Searcher;
 
 const R: f64 = 256.0;
 const ETA: f64 = 4.0;
@@ -49,7 +50,8 @@ struct Cell {
     faults: FaultStats,
 }
 
-fn run_cell<S: Scheduler + Send>(make: impl Fn() -> S, rate: f64, seed_base: u64) -> Cell {
+fn run_cell(searcher: Searcher, rate: f64, seed_base: u64) -> Cell {
+    let space = space();
     let mut configs_at_r = 0usize;
     let mut best = f64::INFINITY;
     let mut faults = FaultStats::none();
@@ -63,7 +65,8 @@ fn run_cell<S: Scheduler + Send>(make: impl Fn() -> S, rate: f64, seed_base: u64
         );
         let exec =
             ExecConfig::new(WORKERS).with_fault_policy(FaultPolicy::default().with_max_retries(2));
-        let result = ParallelTuner::new(exec).run(make(), &chaos, seed_base + run as u64);
+        let result =
+            ParallelTuner::new(exec).run(searcher.build(&space), &chaos, seed_base + run as u64);
         configs_at_r += result.trace.configs_trained_to(R, f64::INFINITY);
         if let Some((_, loss)) = result.best {
             best = best.min(loss);
@@ -89,15 +92,13 @@ fn main() {
         "rate", "ASHA@R", "ASHA best", "SHA@R", "SHA best", "faults"
     );
     for (i, &rate) in rates.iter().enumerate() {
-        let sp = space();
         let asha = run_cell(
-            || Asha::new(sp.clone(), AshaConfig::new(1.0, R, ETA).with_max_trials(N)),
+            Searcher::asha(AshaConfig::new(1.0, R, ETA).with_max_trials(N)),
             rate,
             1000 + i as u64,
         );
-        let sp = space();
         let sha = run_cell(
-            || SyncSha::new(sp.clone(), ShaConfig::new(N, 1.0, R, ETA)),
+            Searcher::sha(ShaConfig::new(N, 1.0, R, ETA)),
             rate,
             2000 + i as u64,
         );

@@ -1,103 +1,20 @@
 //! Figure 7 (Appendix A.1): the number of configurations trained to the
 //! maximum resource R within 2000 time units, as drop probability and
-//! straggler variance grow — ASHA vs synchronous SHA, simulated workloads.
-//!
-//! Paper settings: η = 4, r = 1, R = 256, n = 256; "the expected training
-//! time for each job is the same as the allocated resource" (so the resume
-//! policy is from-scratch and the surrogate cost is 1 time unit per resource
-//! unit); stragglers multiply expected time by `1 + |z|`,
-//! `z ~ N(0, std)`; jobs drop with probability `p` per time unit.
+//! straggler variance grow — ASHA vs synchronous SHA, simulated workloads
+//! (settings in [`asha_bench::sweep`]).
 
-use asha::core::{Asha, AshaConfig, Scheduler, ShaConfig, SyncSha};
-use asha::metrics::write_csv;
-use asha::sim::{ClusterSim, ResumePolicy, SimConfig};
-use asha::space::{Scale, SearchSpace};
-use asha::surrogate::BenchmarkModel;
-use asha::surrogate::CurveBenchmark;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-const R: f64 = 256.0;
-const ETA: f64 = 4.0;
-const HORIZON: f64 = 2000.0;
-const WORKERS: usize = 25;
-const SIMS: usize = 25;
-
-/// A featureless benchmark whose cost is exactly 1 time unit per resource
-/// unit — the Appendix A.1 workload (losses are irrelevant to the metric).
-fn unit_cost_benchmark() -> CurveBenchmark {
-    let space = SearchSpace::builder()
-        .continuous("x", 0.0, 1.0, Scale::Linear)
-        .build()
-        .expect("valid space");
-    CurveBenchmark::builder("unit-cost", space, R, 7)
-        .cost(R, &[0.0])
-        .noise(0.01, 0.01)
-        .build()
-}
-
-fn count_completed<S: Scheduler>(make: impl Fn() -> S, std: f64, p: f64, seed: u64) -> f64 {
-    let bench = unit_cost_benchmark();
-    let mut total = 0usize;
-    for sim_idx in 0..SIMS {
-        let mut rng = StdRng::seed_from_u64(seed + sim_idx as u64);
-        let sim = ClusterSim::new(
-            SimConfig::new(WORKERS, HORIZON)
-                .with_stragglers(std)
-                .with_drops(p)
-                .with_resume(ResumePolicy::FromScratch),
-        );
-        let result = sim.run(make(), &bench, &mut rng);
-        total += result.trace.configs_trained_to(R, HORIZON);
-    }
-    total as f64 / SIMS as f64
-}
+use asha_bench::sweep::{self, HORIZON, R};
 
 fn main() {
-    println!(
-        "Figure 7: configs trained to R within {HORIZON} time units ({WORKERS} workers, {SIMS} sims/cell)"
-    );
-    let stds = [0.10, 0.24, 0.56, 1.33];
-    let drops = [0.0, 2e-3, 4e-3, 6e-3, 8e-3, 1e-2];
-    let space = unit_cost_benchmark().space().clone();
-    let mut rows = Vec::new();
-    println!(
-        "{:>10} {:>10} {:>12} {:>12}",
-        "train std", "drop prob", "ASHA", "SHA"
-    );
-    for &std in &stds {
-        for (i, &p) in drops.iter().enumerate() {
-            let space_a = space.clone();
-            let asha = count_completed(
-                move || Asha::new(space_a.clone(), AshaConfig::new(1.0, R, ETA)),
-                std,
-                p,
-                1000 + i as u64,
-            );
-            let space_s = space.clone();
-            let sha = count_completed(
-                move || SyncSha::new(space_s.clone(), ShaConfig::new(256, 1.0, R, ETA).growing()),
-                std,
-                p,
-                2000 + i as u64,
-            );
-            println!("{std:>10.2} {p:>10.4} {asha:>12.1} {sha:>12.1}");
-            rows.push(vec![std, p, asha, sha]);
-        }
-        println!();
-    }
-    if let Err(e) = write_csv(
+    sweep::run(
+        &format!("Figure 7: configs trained to R within {HORIZON} time units"),
+        &[0.10, 0.24, 0.56, 1.33],
+        &[0.0, 2e-3, 4e-3, 6e-3, 8e-3, 1e-2],
+        [1000, 2000],
+        |trace| trace.configs_trained_to(R, HORIZON) as f64,
         "results/fig7_stragglers.csv",
-        &[
-            "train_std",
-            "drop_prob",
-            "asha_configs_at_r",
-            "sha_configs_at_r",
-        ],
-        &rows,
-    ) {
-        eprintln!("warning: {e}");
-    }
+        ["asha_configs_at_r", "sha_configs_at_r"],
+    );
     println!("Expected shape (paper): ASHA trains many more configurations to R, and its");
     println!("advantage grows with straggler variance and drop probability.");
 }

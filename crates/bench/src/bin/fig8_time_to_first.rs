@@ -6,93 +6,18 @@
 //! time-unit horizon are reported at the horizon (matching the flat-topped
 //! curves of the paper's plot).
 
-use asha::core::{Asha, AshaConfig, Scheduler, ShaConfig, SyncSha};
-use asha::metrics::write_csv;
-use asha::sim::{ClusterSim, ResumePolicy, SimConfig};
-use asha::space::{Scale, SearchSpace};
-use asha::surrogate::{BenchmarkModel, CurveBenchmark};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-const R: f64 = 256.0;
-const ETA: f64 = 4.0;
-const HORIZON: f64 = 2000.0;
-const WORKERS: usize = 25;
-const SIMS: usize = 25;
-
-fn unit_cost_benchmark() -> CurveBenchmark {
-    let space = SearchSpace::builder()
-        .continuous("x", 0.0, 1.0, Scale::Linear)
-        .build()
-        .expect("valid space");
-    CurveBenchmark::builder("unit-cost", space, R, 7)
-        .cost(R, &[0.0])
-        .noise(0.01, 0.01)
-        .build()
-}
-
-fn mean_first_time<S: Scheduler>(make: impl Fn() -> S, std: f64, p: f64, seed: u64) -> f64 {
-    let bench = unit_cost_benchmark();
-    let mut total = 0.0;
-    for sim_idx in 0..SIMS {
-        let mut rng = StdRng::seed_from_u64(seed + sim_idx as u64);
-        let sim = ClusterSim::new(
-            SimConfig::new(WORKERS, HORIZON)
-                .with_stragglers(std)
-                .with_drops(p)
-                .with_resume(ResumePolicy::FromScratch),
-        );
-        let result = sim.run(make(), &bench, &mut rng);
-        total += result.trace.first_time_trained_to(R).unwrap_or(HORIZON);
-    }
-    total / SIMS as f64
-}
+use asha_bench::sweep::{self, HORIZON, R};
 
 fn main() {
-    println!(
-        "Figure 8: time until the first configuration trained for R ({WORKERS} workers, {SIMS} sims/cell)"
-    );
-    let stds = [0.0, 0.33, 0.67, 1.0, 1.33, 1.67];
-    let drops = [0.0, 1e-3, 2e-3, 3e-3];
-    let space = unit_cost_benchmark().space().clone();
-    let mut rows = Vec::new();
-    println!(
-        "{:>10} {:>10} {:>12} {:>12}",
-        "train std", "drop prob", "ASHA", "SHA"
-    );
-    for &std in &stds {
-        for (i, &p) in drops.iter().enumerate() {
-            let space_a = space.clone();
-            let asha = mean_first_time(
-                move || Asha::new(space_a.clone(), AshaConfig::new(1.0, R, ETA)),
-                std,
-                p,
-                3000 + i as u64,
-            );
-            let space_s = space.clone();
-            let sha = mean_first_time(
-                move || SyncSha::new(space_s.clone(), ShaConfig::new(256, 1.0, R, ETA).growing()),
-                std,
-                p,
-                4000 + i as u64,
-            );
-            println!("{std:>10.2} {p:>10.4} {asha:>12.1} {sha:>12.1}");
-            rows.push(vec![std, p, asha, sha]);
-        }
-        println!();
-    }
-    if let Err(e) = write_csv(
+    sweep::run(
+        "Figure 8: time until the first configuration trained for R",
+        &[0.0, 0.33, 0.67, 1.0, 1.33, 1.67],
+        &[0.0, 1e-3, 2e-3, 3e-3],
+        [3000, 4000],
+        |trace| trace.first_time_trained_to(R).unwrap_or(HORIZON),
         "results/fig8_time_to_first.csv",
-        &[
-            "train_std",
-            "drop_prob",
-            "asha_first_time",
-            "sha_first_time",
-        ],
-        &rows,
-    ) {
-        eprintln!("warning: {e}");
-    }
+        ["asha_first_time", "sha_first_time"],
+    );
     println!("Expected shape (paper): ASHA reaches a fully-trained configuration much sooner,");
     println!("and degrades gracefully where SHA's time blows up toward the horizon.");
 }

@@ -4,95 +4,80 @@
 //! accountings: "by rung" (using intermediate losses, as ASHA does) and "by
 //! bracket" (only at bracket completions, as Klein et al. evaluated it).
 
-use asha::baselines::{Fabolas, FabolasConfig};
-use asha::core::{Hyperband, HyperbandConfig, RandomSearch};
-use asha::metrics::{aggregate, uniform_grid, write_csv, AggregateCurve, StepCurve};
+use asha::baselines::FabolasConfig;
+use asha::core::HyperbandConfig;
+use asha::metrics::{aggregate, uniform_grid, write_csv, AggregateCurve, RunTrace, StepCurve};
 use asha::sim::{ClusterSim, SimConfig};
 use asha::surrogate::{presets, BenchmarkModel, CurveBenchmark};
+use asha::tune::Searcher;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const TRIALS: usize = 10;
 const ETA: f64 = 4.0;
 
-struct Series {
-    name: &'static str,
-    agg: AggregateCurve,
-}
-
-fn aggregate_curves(curves: Vec<StepCurve>, grid: &[f64], default: f64) -> AggregateCurve {
-    aggregate(&curves, grid, default)
+/// The traces of `TRIALS` sequential runs; trial `t` is seeded `seed_base + t`.
+fn traces(
+    searcher: &Searcher,
+    bench: &CurveBenchmark,
+    horizon: f64,
+    seed_base: u64,
+) -> Vec<RunTrace> {
+    let sim = ClusterSim::new(SimConfig::new(1, horizon));
+    (0..TRIALS as u64)
+        .map(|t| {
+            let mut rng = StdRng::seed_from_u64(seed_base + t);
+            sim.run(searcher.build(bench.space()), bench, &mut rng)
+                .trace
+        })
+        .collect()
 }
 
 fn run_task(bench: &CurveBenchmark, horizon: f64, default_loss: f64, stem: &str) {
     let grid = uniform_grid(horizon, 160);
-    let space = bench.space().clone();
     let max_r = bench.max_resource();
 
     // Hyperband: one set of runs, two accountings.
-    let mut by_rung = Vec::new();
-    let mut by_bracket = Vec::new();
-    for t in 0..TRIALS {
-        let mut rng = StdRng::seed_from_u64(100 + t as u64);
-        let hb = Hyperband::new(
-            space.clone(),
-            HyperbandConfig::new(max_r / 64.0, max_r, ETA),
-        );
-        let result = ClusterSim::new(SimConfig::new(1, horizon)).run(hb, bench, &mut rng);
-        by_rung.push(result.trace.incumbent_curve());
-        by_bracket.push(result.trace.incumbent_curve_by_bracket());
-    }
+    let hyperband = Searcher::Hyperband(HyperbandConfig::new(max_r / 64.0, max_r, ETA));
+    let hyperband = traces(&hyperband, bench, horizon, 100);
+    let fabolas = Searcher::Fabolas(FabolasConfig::new(max_r));
+    let fabolas = traces(&fabolas, bench, horizon, 200);
+    let random = Searcher::Random {
+        max_resource: max_r,
+    };
+    let random = traces(&random, bench, horizon, 300);
 
-    let mut fabolas = Vec::new();
-    for t in 0..TRIALS {
-        let mut rng = StdRng::seed_from_u64(200 + t as u64);
-        let f = Fabolas::new(space.clone(), FabolasConfig::new(max_r));
-        let result = ClusterSim::new(SimConfig::new(1, horizon)).run(f, bench, &mut rng);
-        fabolas.push(result.trace.incumbent_curve());
-    }
-
-    let mut random = Vec::new();
-    for t in 0..TRIALS {
-        let mut rng = StdRng::seed_from_u64(300 + t as u64);
-        let r = RandomSearch::new(space.clone(), max_r);
-        let result = ClusterSim::new(SimConfig::new(1, horizon)).run(r, bench, &mut rng);
-        random.push(result.trace.incumbent_curve());
-    }
-
+    let by_rung = RunTrace::incumbent_curve as fn(&RunTrace) -> StepCurve;
     let series = [
-        Series {
-            name: "Hyperband (by rung)",
-            agg: aggregate_curves(by_rung, &grid, default_loss),
-        },
-        Series {
-            name: "Hyperband (by bracket)",
-            agg: aggregate_curves(by_bracket, &grid, default_loss),
-        },
-        Series {
-            name: "Fabolas",
-            agg: aggregate_curves(fabolas, &grid, default_loss),
-        },
-        Series {
-            name: "Random",
-            agg: aggregate_curves(random, &grid, default_loss),
-        },
-    ];
+        ("Hyperband (by rung)", &hyperband, by_rung),
+        (
+            "Hyperband (by bracket)",
+            &hyperband,
+            RunTrace::incumbent_curve_by_bracket,
+        ),
+        ("Fabolas", &fabolas, by_rung),
+        ("Random", &random, by_rung),
+    ]
+    .map(|(name, traces, curve)| {
+        let curves: Vec<_> = traces.iter().map(curve).collect();
+        (name, aggregate(&curves, &grid, default_loss))
+    });
 
     println!(
         "\n== Figure 9 — {} (1 worker, mean of {TRIALS} trials, test error) ==",
         bench.name()
     );
     print!("{:>10}", "time");
-    for s in &series {
-        print!("{:>24}", s.name);
+    for (name, _) in &series {
+        print!("{name:>24}");
     }
     println!();
     for frac in [0.1, 0.25, 0.5, 0.75, 1.0] {
         let t = horizon * frac;
         let idx = grid.iter().position(|&g| g >= t).unwrap_or(grid.len() - 1);
         print!("{t:>10.0}");
-        for s in &series {
-            print!("{:>24.4}", s.agg.mean[idx]);
+        for (_, agg) in &series {
+            print!("{:>24.4}", agg.mean[idx]);
         }
         println!();
     }
@@ -101,20 +86,16 @@ fn run_task(bench: &CurveBenchmark, horizon: f64, default_loss: f64, stem: &str)
     let spread = |agg: &AggregateCurve| agg.max.last().unwrap() - agg.min.last().unwrap();
     println!(
         "final spread (max-min): by-rung {:.4}, fabolas {:.4}",
-        spread(&series[0].agg),
-        spread(&series[2].agg)
+        spread(&series[0].1),
+        spread(&series[2].1)
     );
 
-    let mut rows = Vec::new();
-    for (i, &t) in grid.iter().enumerate() {
-        rows.push(vec![
-            t,
-            series[0].agg.mean[i],
-            series[1].agg.mean[i],
-            series[2].agg.mean[i],
-            series[3].agg.mean[i],
-        ]);
-    }
+    let rows: Vec<Vec<f64>> = (0..grid.len())
+        .map(|i| {
+            let means = series.iter().map(|(_, agg)| agg.mean[i]);
+            std::iter::once(grid[i]).chain(means).collect()
+        })
+        .collect();
     if let Err(e) = write_csv(
         format!("results/{stem}.csv"),
         &["time", "hb_by_rung", "hb_by_bracket", "fabolas", "random"],

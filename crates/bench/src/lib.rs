@@ -1,46 +1,47 @@
 //! Shared harness for the paper-reproduction experiment binaries.
 //!
-//! Every figure binary (`fig1_promotion_table` … `fig9_fabolas`,
-//! `tables_search_spaces`) follows the same recipe: pick a surrogate
-//! benchmark, define the competing schedulers, run repeated simulated trials,
-//! aggregate incumbent curves, print a compact table, and drop CSVs under
-//! `results/`. This crate hosts that recipe so the binaries stay small.
+//! Most figures follow one recipe: pick a surrogate benchmark, define the
+//! competing methods, run repeated simulated trials, aggregate incumbent
+//! curves, print a compact table, and drop CSVs under `results/`. This crate
+//! hosts that recipe; the figures that are nothing but the recipe with
+//! different constants are rows of [`FIGURES`], run by the `figures` binary,
+//! and the bespoke ones (`fig1_promotion_table`, `fig9_fabolas`, …) keep a
+//! binary each.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod figures;
+pub mod sweep;
+
+pub use figures::{Figure, Panel, FIGURES};
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use asha_core::Scheduler;
+use asha::tune::Searcher;
 use asha_metrics::{aggregate, uniform_grid, AggregateCurve, StepCurve};
 use asha_sim::{ClusterSim, SimConfig};
 use asha_surrogate::BenchmarkModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// A named scheduler factory: builds a fresh scheduler per trial.
-///
-/// The factory is `Send + Sync` so the [`ParallelRunner`] can invoke it from
-/// any worker thread; factories only capture plain data (search spaces,
-/// scalar settings), so this costs callers nothing.
+/// A named method: what a figure calls it and the [`Searcher`] value that
+/// builds a fresh scheduler for every trial.
+#[derive(Debug, Clone, PartialEq)]
 pub struct MethodSpec {
     /// Display name used in tables and CSV files.
     pub name: String,
-    /// Factory invoked once per trial.
-    pub factory: Box<dyn Fn() -> Box<dyn Scheduler> + Send + Sync>,
+    /// The method itself.
+    pub searcher: Searcher,
 }
 
 impl MethodSpec {
     /// Convenience constructor.
-    pub fn new<F, S>(name: &str, factory: F) -> Self
-    where
-        F: Fn() -> S + Send + Sync + 'static,
-        S: Scheduler + 'static,
-    {
+    pub fn new(name: &str, searcher: Searcher) -> Self {
         MethodSpec {
             name: name.to_owned(),
-            factory: Box::new(move || Box::new(factory())),
+            searcher,
         }
     }
 }
@@ -109,7 +110,7 @@ fn run_cell(
     t: usize,
 ) -> CellOutcome {
     let mut rng = StdRng::seed_from_u64(cfg.base_seed + t as u64);
-    let scheduler = (method.factory)();
+    let scheduler = method.searcher.build(bench.space());
     let sim = ClusterSim::new((cfg.sim_tweak)(SimConfig::new(cfg.workers, cfg.horizon)));
     let result = sim.run(scheduler, bench, &mut rng);
     CellOutcome {
@@ -164,97 +165,68 @@ pub fn run_experiment(
         .collect()
 }
 
-/// A deterministic multicore experiment runner.
+/// Run every method for `cfg.trials` trials on `bench` and aggregate, on
+/// `threads` worker threads (`0` = one per available hardware thread). Same
+/// contract and output as [`run_experiment`]; only wall-clock differs.
 ///
 /// Every (method, trial) cell of an experiment is independent: trial `t` of
 /// any method always seeds its own `StdRng` with `base_seed + t`, and the
-/// simulator is deterministic given that stream. The runner therefore fans
-/// the cells across `threads` scoped worker threads with a shared atomic
-/// cursor, stores each outcome in its cell's slot (indexed by cell, never by
-/// arrival), and assembles per-method results in trial order afterwards —
+/// simulator is deterministic given that stream. The cells are therefore
+/// fanned across scoped worker threads with a shared atomic cursor, each
+/// outcome is stored in its cell's slot (indexed by cell, never by arrival),
+/// and per-method results are assembled in trial order afterwards —
 /// producing **bitwise-identical** output to [`run_experiment`] for any
 /// thread count and any completion order.
-pub struct ParallelRunner {
-    threads: usize,
-}
-
-impl ParallelRunner {
-    /// A runner over `threads` worker threads; `0` means one per available
-    /// hardware thread.
-    pub fn new(threads: usize) -> Self {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            threads
-        };
-        ParallelRunner { threads }
-    }
-
-    /// The resolved worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Run every method for `cfg.trials` trials on `bench` and aggregate.
-    /// Same contract and output as [`run_experiment`]; only wall-clock
-    /// differs.
-    pub fn run(
-        &self,
-        bench: &dyn BenchmarkModel,
-        methods: &[MethodSpec],
-        cfg: &ExperimentConfig,
-    ) -> Vec<MethodResult> {
-        let grid = uniform_grid(cfg.horizon, cfg.grid_points);
-        let cells = methods.len() * cfg.trials;
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<CellOutcome>>> = (0..cells).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..self.threads.min(cells.max(1)) {
-                scope.spawn(|| loop {
-                    let cell = next.fetch_add(1, Ordering::Relaxed);
-                    if cell >= cells {
-                        break;
-                    }
-                    let (m, t) = (cell / cfg.trials, cell % cfg.trials);
-                    let outcome = run_cell(bench, &methods[m], cfg, t);
-                    *slots[cell].lock().expect("cell slot poisoned") = Some(outcome);
-                });
-            }
-        });
-        let mut slots = slots.into_iter();
-        methods
-            .iter()
-            .map(|m| {
-                let outcomes = (0..cfg.trials)
-                    .map(|_| {
-                        slots
-                            .next()
-                            .expect("one slot per cell")
-                            .into_inner()
-                            .expect("cell slot poisoned")
-                            .expect("every cell was computed")
-                    })
-                    .collect();
-                assemble_method(&m.name, outcomes, cfg, &grid)
-            })
-            .collect()
-    }
-}
-
-/// Run the experiment on `threads` worker threads (`0` = all hardware
-/// threads); see [`ParallelRunner`] for the determinism contract.
 pub fn run_experiment_parallel(
     bench: &dyn BenchmarkModel,
     methods: &[MethodSpec],
     cfg: &ExperimentConfig,
     threads: usize,
 ) -> Vec<MethodResult> {
-    ParallelRunner::new(threads).run(bench, methods, cfg)
+    let threads = if threads == 0 {
+        std::thread::available_parallelism().map_or(1, usize::from)
+    } else {
+        threads
+    };
+    let grid = uniform_grid(cfg.horizon, cfg.grid_points);
+    let cells = methods.len() * cfg.trials;
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<CellOutcome>>> = (0..cells).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(cells.max(1)) {
+            scope.spawn(|| loop {
+                let cell = next.fetch_add(1, Ordering::Relaxed);
+                if cell >= cells {
+                    break;
+                }
+                let (m, t) = (cell / cfg.trials, cell % cfg.trials);
+                let outcome = run_cell(bench, &methods[m], cfg, t);
+                *slots[cell].lock().expect("cell slot poisoned") = Some(outcome);
+            });
+        }
+    });
+    let mut slots = slots.into_iter();
+    methods
+        .iter()
+        .map(|m| {
+            let outcomes = (0..cfg.trials)
+                .map(|_| {
+                    slots
+                        .next()
+                        .expect("one slot per cell")
+                        .into_inner()
+                        .expect("cell slot poisoned")
+                        .expect("every cell was computed")
+                })
+                .collect();
+            assemble_method(&m.name, outcomes, cfg, &grid)
+        })
+        .collect()
 }
 
 /// Thread-count knob shared by the experiment binaries: `--threads N` (or
 /// `--threads=N`) on the command line, else the `ASHA_THREADS` environment
-/// variable, else `0` (one thread per core — [`ParallelRunner::new`]
+/// variable, else `0` (one thread per core — [`run_experiment_parallel`]
 /// resolves it).
 pub fn threads_from_args() -> usize {
     let mut args = std::env::args();
@@ -386,20 +358,20 @@ fn nearest_grid_index(grid: &[f64], t: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asha_core::{Asha, AshaConfig, RandomSearch};
+    use asha_core::AshaConfig;
     use asha_surrogate::presets;
-    use asha_surrogate::BenchmarkModel;
 
     #[test]
     fn harness_runs_and_orders_methods_sensibly() {
         let bench = presets::cifar10_cuda_convnet(2020);
-        let space = bench.space().clone();
-        let space2 = space.clone();
         let methods = vec![
-            MethodSpec::new("ASHA", move || {
-                Asha::new(space.clone(), AshaConfig::new(1.0, 256.0, 4.0))
-            }),
-            MethodSpec::new("Random", move || RandomSearch::new(space2.clone(), 256.0)),
+            MethodSpec::new("ASHA", Searcher::asha(AshaConfig::new(1.0, 256.0, 4.0))),
+            MethodSpec::new(
+                "Random",
+                Searcher::Random {
+                    max_resource: 256.0,
+                },
+            ),
         ];
         let cfg = ExperimentConfig::new(9, 120.0, 2, 0.9);
         let results = run_experiment(&bench, &methods, &cfg);

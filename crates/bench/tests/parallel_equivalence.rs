@@ -3,30 +3,23 @@
 //! aggregates, same CSV bytes — because results are collected by cell index,
 //! never by completion order.
 
+use asha::tune::Searcher;
 use asha_bench::{
     run_experiment, run_experiment_parallel, write_results_to, ExperimentConfig, MethodSpec,
-    ParallelRunner,
 };
-use asha_core::{Asha, AshaConfig, AsyncHyperband, HyperbandConfig, RandomSearch};
-use asha_surrogate::{presets, BenchmarkModel, CurveBenchmark};
+use asha_core::{AshaConfig, HyperbandConfig};
+use asha_surrogate::{presets, CurveBenchmark};
 
 const R: f64 = 256.0;
 
-fn methods(bench: &CurveBenchmark) -> Vec<MethodSpec> {
-    let s1 = bench.space().clone();
-    let s2 = bench.space().clone();
-    let s3 = bench.space().clone();
+fn methods(_: &CurveBenchmark) -> Vec<MethodSpec> {
     vec![
-        MethodSpec::new("ASHA", move || {
-            Asha::new(s1.clone(), AshaConfig::new(1.0, R, 4.0))
-        }),
-        MethodSpec::new("AsyncHB", move || {
-            AsyncHyperband::new(
-                s2.clone(),
-                HyperbandConfig::new(1.0, R, 4.0).with_brackets(4),
-            )
-        }),
-        MethodSpec::new("Random", move || RandomSearch::new(s3.clone(), R)),
+        MethodSpec::new("ASHA", Searcher::asha(AshaConfig::new(1.0, R, 4.0))),
+        MethodSpec::new(
+            "AsyncHB",
+            Searcher::AsyncHyperband(HyperbandConfig::new(1.0, R, 4.0).with_brackets(4)),
+        ),
+        MethodSpec::new("Random", Searcher::Random { max_resource: R }),
     ]
 }
 
@@ -39,7 +32,8 @@ fn parallel_matches_sequential_bitwise_for_any_thread_count() {
     let bench = presets::cifar10_cuda_convnet(2020);
     let cfg = cfg();
     let sequential = run_experiment(&bench, &methods(&bench), &cfg);
-    for threads in [1usize, 2, 8] {
+    // 0 = one thread per hardware thread.
+    for threads in [0usize, 1, 2, 8] {
         let parallel = run_experiment_parallel(&bench, &methods(&bench), &cfg, threads);
         assert_eq!(sequential.len(), parallel.len());
         for (s, p) in sequential.iter().zip(&parallel) {
@@ -86,12 +80,6 @@ fn parallel_and_sequential_csvs_are_byte_identical() {
         assert_eq!(a, b, "CSV bytes differ for {name:?}");
     }
     std::fs::remove_dir_all(&root).ok();
-}
-
-#[test]
-fn runner_resolves_zero_threads_to_hardware() {
-    assert!(ParallelRunner::new(0).threads() >= 1);
-    assert_eq!(ParallelRunner::new(3).threads(), 3);
 }
 
 #[test]

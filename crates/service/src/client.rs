@@ -138,7 +138,7 @@ impl Client {
                 }
                 Ok(Frame::Value(frame)) => {
                     if Push::is_push_frame(&frame) {
-                        match Push::from_frame_owned(frame) {
+                        match Push::from_frame(frame) {
                             Ok(push) => self.pending.push_back(push),
                             Err(e) => break Err(e),
                         }
@@ -180,7 +180,7 @@ impl Client {
                 }
                 Ok(Frame::Value(frame)) => {
                     if Push::is_push_frame(&frame) {
-                        break Push::from_frame_owned(frame).map(Some);
+                        break Push::from_frame(frame).map(Some);
                     }
                     // A reply with no in-flight call is a protocol breach.
                     break Err(Error::protocol("unsolicited reply frame"));

@@ -566,17 +566,11 @@ impl Push {
         obj(fields)
     }
 
-    /// Decode a push frame.
-    pub fn from_frame(v: &JsonValue) -> Result<Push, Error> {
-        Push::decode(v, v.get("data").cloned())
-    }
-
-    /// Decode a push frame the caller is done with: an event's `data` is
-    /// moved out of the frame instead of cloned and then dropped with it.
-    /// Accepts and refuses exactly what [`Push::from_frame`] does.
-    pub fn from_frame_owned(mut v: JsonValue) -> Result<Push, Error> {
+    /// Decode a push frame. The frame is taken by value so an event's `data`
+    /// is moved out of it instead of cloned and then dropped with it.
+    pub fn from_frame(mut v: JsonValue) -> Result<Push, Error> {
         // Taken in place: the other keys keep their positions, so a frame
-        // with repeated keys reads the same as it does borrowed.
+        // with repeated keys still reads its first `v`, `sub` and `push`.
         let data = match &mut v {
             JsonValue::Obj(fields) => fields
                 .iter_mut()
@@ -584,11 +578,7 @@ impl Push {
                 .map(|(_, value)| std::mem::replace(value, JsonValue::Null)),
             _ => None,
         };
-        Push::decode(&v, data)
-    }
-
-    /// `data` is the frame's `data` field, however the caller came by it.
-    fn decode(v: &JsonValue, data: Option<JsonValue>) -> Result<Push, Error> {
+        let v = &v;
         check_version(v)?;
         let sub = get_u64(v, "sub")?;
         Ok(match get_str(v, "push")? {

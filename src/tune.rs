@@ -6,12 +6,13 @@
 //! together by hand, but downstream users mostly want exactly this:
 //!
 //! ```
-//! use asha::tune::{Searcher, SimTune};
+//! use asha::core::AshaConfig;
 //! use asha::surrogate::presets;
+//! use asha::tune::{Searcher, SimTune};
 //!
 //! let bench = presets::cifar10_cuda_convnet(presets::DEFAULT_SURFACE_SEED);
 //! let outcome = SimTune::new(&bench)
-//!     .searcher(Searcher::Asha { min_resource: 1.0, reduction_factor: 4.0, stop_rate: 0 })
+//!     .searcher(Searcher::asha(AshaConfig::new(1.0, 256.0, 4.0)))
 //!     .workers(25)
 //!     .horizon(60.0)
 //!     .seed(7)
@@ -20,10 +21,12 @@
 //! println!("best validation loss {:.4}: {}", best.val_loss, best.summary);
 //! ```
 
-use asha_baselines::{bohb, Fabolas, FabolasConfig, Pbt, PbtConfig, Vizier, VizierConfig};
+use asha_baselines::{
+    bohb, bohb_asha, dasha_tpe, Fabolas, FabolasConfig, Pbt, PbtConfig, Vizier, VizierConfig,
+};
 use asha_core::{
-    Asha, AshaConfig, AsyncHyperband, Hyperband, HyperbandConfig, RandomSearch, Scheduler,
-    ShaConfig, SyncSha,
+    Asha, AshaConfig, AsyncHyperband, Hyperband, HyperbandConfig, PromotionRule, RandomSearch,
+    Scheduler, ShaConfig, SyncSha,
 };
 use asha_metrics::{FaultStats, RunTrace};
 use asha_sim::{ClusterSim, ResumePolicy, SimConfig, SimResult, TraceMode};
@@ -31,144 +34,121 @@ use asha_space::{Config, SearchSpace};
 use asha_surrogate::BenchmarkModel;
 use rand::SeedableRng;
 
-/// Searcher selection for the high-level front ends. Each variant carries
-/// only the knobs the paper tunes; everything else uses the paper's
-/// defaults.
+/// Where a successive-halving searcher draws new configurations from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sampler {
+    /// Uniformly from the search space.
+    Random,
+    /// From a TPE model of the losses seen so far (BOHB's sampler).
+    Tpe,
+}
+
+/// A tuning method as a plain value: the scheduler kind plus that
+/// scheduler's own config struct, so anything the underlying crate can
+/// express (stop rate, scan order, D-ASHA's `config.rule`, PBT's frozen
+/// parameters, …) is expressible here. [`Searcher::build`] is the one place
+/// a description becomes a scheduler.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Searcher {
-    /// Asynchronous Successive Halving (Algorithm 2).
+    /// Asynchronous Successive Halving (Algorithm 2); D-ASHA when
+    /// `config.rule` is delayed, ASHA+TPE / D-ASHA+TPE under [`Sampler::Tpe`].
     Asha {
-        /// Minimum resource `r`.
-        min_resource: f64,
-        /// Reduction factor `eta`.
-        reduction_factor: f64,
-        /// Early-stopping rate `s`.
-        stop_rate: usize,
+        /// Ladder geometry, stop rate, scan order and promotion rule.
+        config: AshaConfig,
+        /// Source of new configurations.
+        sampler: Sampler,
     },
-    /// Synchronous SHA with bracket growing.
+    /// Synchronous SHA; BOHB under [`Sampler::Tpe`].
     Sha {
-        /// Base-rung size `n`.
-        num_configs: usize,
-        /// Minimum resource `r`.
-        min_resource: f64,
-        /// Reduction factor `eta`.
-        reduction_factor: f64,
+        /// Bracket size and geometry.
+        config: ShaConfig,
+        /// Source of new configurations.
+        sampler: Sampler,
     },
     /// Synchronous Hyperband looping over brackets.
-    Hyperband {
-        /// Minimum resource `r`.
-        min_resource: f64,
-        /// Reduction factor `eta`.
-        reduction_factor: f64,
-    },
+    Hyperband(HyperbandConfig),
     /// Asynchronous Hyperband (Section 3.2).
-    AsyncHyperband {
-        /// Minimum resource `r`.
-        min_resource: f64,
-        /// Reduction factor `eta`.
-        reduction_factor: f64,
-        /// Number of brackets to loop (`s = 0..brackets`).
-        brackets: usize,
-    },
-    /// BOHB: synchronous SHA + TPE sampling.
-    Bohb {
-        /// Base-rung size `n`.
-        num_configs: usize,
-        /// Minimum resource `r`.
-        min_resource: f64,
-        /// Reduction factor `eta`.
-        reduction_factor: f64,
-    },
+    AsyncHyperband(HyperbandConfig),
     /// Population Based Training (Appendix A.3 settings).
-    Pbt {
-        /// Population size.
-        population: usize,
-        /// Resource between exploit/explore rounds.
-        interval: f64,
-    },
+    Pbt(PbtConfig),
     /// Vizier-like GP-EI without early stopping.
-    Vizier,
+    Vizier(VizierConfig),
     /// Fabolas-like cost-aware BO over (config, subset) space.
-    Fabolas,
+    Fabolas(FabolasConfig),
     /// Random search at full budget.
-    Random,
+    Random {
+        /// Resource `R` every configuration trains for.
+        max_resource: f64,
+    },
 }
 
 impl Searcher {
-    /// The paper's default ASHA settings for a maximum resource `R`:
-    /// `r = R/256` (floored at 1), `eta = 4`, `s = 0`.
-    pub fn default_asha(max_resource: f64) -> Self {
+    /// ASHA (or D-ASHA, by `config.rule`) with uniform sampling.
+    pub fn asha(config: AshaConfig) -> Self {
         Searcher::Asha {
-            min_resource: (max_resource / 256.0).max(1.0),
-            reduction_factor: 4.0,
-            stop_rate: 0,
+            config,
+            sampler: Sampler::Random,
         }
     }
 
-    /// Instantiate a scheduler over `space` with maximum resource `R`.
+    /// ASHA+TPE (or D-ASHA+TPE, by `config.rule`).
+    pub fn asha_tpe(config: AshaConfig) -> Self {
+        Searcher::Asha {
+            config,
+            sampler: Sampler::Tpe,
+        }
+    }
+
+    /// Synchronous SHA with uniform sampling.
+    pub fn sha(config: ShaConfig) -> Self {
+        Searcher::Sha {
+            config,
+            sampler: Sampler::Random,
+        }
+    }
+
+    /// BOHB: synchronous SHA with TPE sampling.
+    pub fn bohb(config: ShaConfig) -> Self {
+        Searcher::Sha {
+            config,
+            sampler: Sampler::Tpe,
+        }
+    }
+
+    /// The paper's default ASHA settings for a maximum resource `R`:
+    /// `r = R/256` (floored at 1), `eta = 4`, `s = 0`.
+    pub fn default_asha(max_resource: f64) -> Self {
+        Searcher::asha(AshaConfig::new(
+            (max_resource / 256.0).max(1.0),
+            max_resource,
+            4.0,
+        ))
+    }
+
+    /// Instantiate a fresh scheduler over `space`.
     ///
     /// # Panics
     ///
-    /// Panics if the variant's parameters are invalid for `max_resource`
-    /// (same preconditions as the underlying constructors).
-    pub fn build(&self, space: &SearchSpace, max_resource: f64) -> Box<dyn Scheduler> {
-        match *self {
-            Searcher::Asha {
-                min_resource,
-                reduction_factor,
-                stop_rate,
-            } => Box::new(Asha::new(
-                space.clone(),
-                AshaConfig::new(min_resource, max_resource, reduction_factor)
-                    .with_stop_rate(stop_rate),
-            )),
-            Searcher::Sha {
-                num_configs,
-                min_resource,
-                reduction_factor,
-            } => Box::new(SyncSha::new(
-                space.clone(),
-                ShaConfig::new(num_configs, min_resource, max_resource, reduction_factor).growing(),
-            )),
-            Searcher::Hyperband {
-                min_resource,
-                reduction_factor,
-            } => Box::new(Hyperband::new(
-                space.clone(),
-                HyperbandConfig::new(min_resource, max_resource, reduction_factor),
-            )),
-            Searcher::AsyncHyperband {
-                min_resource,
-                reduction_factor,
-                brackets,
-            } => Box::new(AsyncHyperband::new(
-                space.clone(),
-                HyperbandConfig::new(min_resource, max_resource, reduction_factor)
-                    .with_brackets(brackets),
-            )),
-            Searcher::Bohb {
-                num_configs,
-                min_resource,
-                reduction_factor,
-            } => Box::new(bohb(
-                space.clone(),
-                ShaConfig::new(num_configs, min_resource, max_resource, reduction_factor).growing(),
-            )),
-            Searcher::Pbt {
-                population,
-                interval,
-            } => Box::new(Pbt::new(
-                space.clone(),
-                PbtConfig::new(population, max_resource, interval).spawning(),
-            )),
-            Searcher::Vizier => {
-                Box::new(Vizier::new(space.clone(), VizierConfig::new(max_resource)))
-            }
-            Searcher::Fabolas => Box::new(Fabolas::new(
-                space.clone(),
-                FabolasConfig::new(max_resource),
-            )),
-            Searcher::Random => Box::new(RandomSearch::new(space.clone(), max_resource)),
+    /// Panics if the carried config is invalid (same preconditions as the
+    /// underlying constructors).
+    pub fn build(&self, space: &SearchSpace) -> Box<dyn Scheduler + Send> {
+        let space = space.clone();
+        match self.clone() {
+            Searcher::Asha { config, sampler } => Box::new(match (sampler, config.rule) {
+                (Sampler::Random, _) => Asha::new(space, config),
+                (Sampler::Tpe, PromotionRule::Eager) => bohb_asha(space, config),
+                (Sampler::Tpe, PromotionRule::Delayed) => dasha_tpe(space, config),
+            }),
+            Searcher::Sha { config, sampler } => Box::new(match sampler {
+                Sampler::Random => SyncSha::new(space, config),
+                Sampler::Tpe => bohb(space, config),
+            }),
+            Searcher::Hyperband(config) => Box::new(Hyperband::new(space, config)),
+            Searcher::AsyncHyperband(config) => Box::new(AsyncHyperband::new(space, config)),
+            Searcher::Pbt(config) => Box::new(Pbt::new(space, config)),
+            Searcher::Vizier(config) => Box::new(Vizier::new(space, config)),
+            Searcher::Fabolas(config) => Box::new(Fabolas::new(space, config)),
+            Searcher::Random { max_resource } => Box::new(RandomSearch::new(space, max_resource)),
         }
     }
 
@@ -178,34 +158,20 @@ impl Searcher {
     pub fn from_name(name: &str, max_resource: f64) -> Option<Self> {
         let r = (max_resource / 256.0).max(1.0);
         let n = (max_resource / r).round() as usize;
+        let sha = || ShaConfig::new(n, r, max_resource, 4.0).growing();
+        let hyperband = || HyperbandConfig::new(r, max_resource, 4.0);
         Some(match name {
             "asha" => Searcher::default_asha(max_resource),
-            "sha" => Searcher::Sha {
-                num_configs: n,
-                min_resource: r,
-                reduction_factor: 4.0,
-            },
-            "hyperband" => Searcher::Hyperband {
-                min_resource: r,
-                reduction_factor: 4.0,
-            },
-            "async-hyperband" => Searcher::AsyncHyperband {
-                min_resource: r,
-                reduction_factor: 4.0,
-                brackets: 4,
-            },
-            "bohb" => Searcher::Bohb {
-                num_configs: n,
-                min_resource: r,
-                reduction_factor: 4.0,
-            },
-            "pbt" => Searcher::Pbt {
-                population: 25,
-                interval: (max_resource / 30.0).max(1.0),
-            },
-            "vizier" => Searcher::Vizier,
-            "fabolas" => Searcher::Fabolas,
-            "random" => Searcher::Random,
+            "sha" => Searcher::sha(sha()),
+            "hyperband" => Searcher::Hyperband(hyperband()),
+            "async-hyperband" => Searcher::AsyncHyperband(hyperband().with_brackets(4)),
+            "bohb" => Searcher::bohb(sha()),
+            "pbt" => Searcher::Pbt(
+                PbtConfig::new(25, max_resource, (max_resource / 30.0).max(1.0)).spawning(),
+            ),
+            "vizier" => Searcher::Vizier(VizierConfig::new(max_resource)),
+            "fabolas" => Searcher::Fabolas(FabolasConfig::new(max_resource)),
+            "random" => Searcher::Random { max_resource },
             _ => return None,
         })
     }
@@ -360,7 +326,7 @@ impl<'a> SimTune<'a> {
     /// resource scale, or `workers == 0` / `horizon <= 0`.
     pub fn run(self) -> TuneOutcome {
         let space = self.bench.space().clone();
-        let scheduler = self.searcher.build(&space, self.bench.max_resource());
+        let scheduler = self.searcher.build(&space);
         let sim = ClusterSim::new(
             SimConfig::new(self.workers, self.horizon)
                 .with_stragglers(self.straggler_std)
@@ -410,14 +376,11 @@ mod tests {
     #[test]
     fn default_asha_matches_paper_settings() {
         match Searcher::default_asha(256.0) {
-            Searcher::Asha {
-                min_resource,
-                reduction_factor,
-                stop_rate,
-            } => {
-                assert_eq!(min_resource, 1.0);
-                assert_eq!(reduction_factor, 4.0);
-                assert_eq!(stop_rate, 0);
+            Searcher::Asha { config, sampler } => {
+                assert_eq!(config.min_resource, 1.0);
+                assert_eq!(config.reduction_factor, 4.0);
+                assert_eq!(config.stop_rate, 0);
+                assert_eq!(sampler, Sampler::Random);
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -2,46 +2,34 @@
 //! every surrogate benchmark under the discrete-event simulator, produces a
 //! well-formed trace, and is deterministic given its seed.
 
-use asha::baselines::{bohb, Fabolas, FabolasConfig, Pbt, PbtConfig, Vizier, VizierConfig};
-use asha::core::{
-    Asha, AshaConfig, AsyncHyperband, Hyperband, HyperbandConfig, RandomSearch, Scheduler,
-    ShaConfig, SyncSha,
-};
+use asha::baselines::{FabolasConfig, PbtConfig, VizierConfig};
+use asha::core::{AshaConfig, HyperbandConfig, Scheduler, ShaConfig};
 use asha::sim::{ClusterSim, SimConfig};
 use asha::space::SearchSpace;
 use asha::surrogate::{presets, BenchmarkModel, CurveBenchmark};
+use asha::tune::Searcher;
 use rand::SeedableRng;
 
-fn all_schedulers(space: &SearchSpace, max_r: f64) -> Vec<Box<dyn Scheduler>> {
+fn all_schedulers(space: &SearchSpace, max_r: f64) -> Vec<Box<dyn Scheduler + Send>> {
     let eta = 4.0;
     let n = 64;
     let r = max_r / 64.0;
-    vec![
-        Box::new(Asha::new(space.clone(), AshaConfig::new(r, max_r, eta))),
-        Box::new(SyncSha::new(
-            space.clone(),
-            ShaConfig::new(n, r, max_r, eta).growing(),
-        )),
-        Box::new(Hyperband::new(
-            space.clone(),
-            HyperbandConfig::new(r, max_r, eta),
-        )),
-        Box::new(AsyncHyperband::new(
-            space.clone(),
-            HyperbandConfig::new(r, max_r, eta),
-        )),
-        Box::new(bohb(
-            space.clone(),
-            ShaConfig::new(n, r, max_r, eta).growing(),
-        )),
-        Box::new(Pbt::new(
-            space.clone(),
-            PbtConfig::new(8, max_r, max_r / 16.0).spawning(),
-        )),
-        Box::new(Vizier::new(space.clone(), VizierConfig::new(max_r))),
-        Box::new(Fabolas::new(space.clone(), FabolasConfig::new(max_r))),
-        Box::new(RandomSearch::new(space.clone(), max_r)),
+    [
+        Searcher::asha(AshaConfig::new(r, max_r, eta)),
+        Searcher::sha(ShaConfig::new(n, r, max_r, eta).growing()),
+        Searcher::Hyperband(HyperbandConfig::new(r, max_r, eta)),
+        Searcher::AsyncHyperband(HyperbandConfig::new(r, max_r, eta)),
+        Searcher::bohb(ShaConfig::new(n, r, max_r, eta).growing()),
+        Searcher::Pbt(PbtConfig::new(8, max_r, max_r / 16.0).spawning()),
+        Searcher::Vizier(VizierConfig::new(max_r)),
+        Searcher::Fabolas(FabolasConfig::new(max_r)),
+        Searcher::Random {
+            max_resource: max_r,
+        },
     ]
+    .iter()
+    .map(|searcher| searcher.build(space))
+    .collect()
 }
 
 fn benchmarks() -> Vec<CurveBenchmark> {
@@ -93,7 +81,7 @@ fn every_scheduler_runs_on_every_benchmark() {
 fn runs_are_deterministic_given_seed() {
     let bench = presets::cifar10_small_cnn(presets::DEFAULT_SURFACE_SEED);
     let run = |seed: u64| {
-        let asha = Asha::new(bench.space().clone(), AshaConfig::new(1.0, 256.0, 4.0));
+        let asha = Searcher::default_asha(256.0).build(bench.space());
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         ClusterSim::new(SimConfig::new(16, 60.0))
             .run(asha, &bench, &mut rng)
@@ -107,13 +95,16 @@ fn runs_are_deterministic_given_seed() {
 fn early_stopping_methods_evaluate_many_more_configs_than_full_budget_ones() {
     let bench = presets::cifar10_small_cnn(presets::DEFAULT_SURFACE_SEED);
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    let asha = Asha::new(bench.space().clone(), AshaConfig::new(1.0, 256.0, 4.0));
+    let asha = Searcher::default_asha(256.0).build(bench.space());
     let asha_configs = ClusterSim::new(SimConfig::new(25, 100.0))
         .run(asha, &bench, &mut rng)
         .trace
         .distinct_trials();
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    let random = RandomSearch::new(bench.space().clone(), 256.0);
+    let random = Searcher::Random {
+        max_resource: 256.0,
+    }
+    .build(bench.space());
     let random_configs = ClusterSim::new(SimConfig::new(25, 100.0))
         .run(random, &bench, &mut rng)
         .trace
@@ -132,7 +123,7 @@ fn pbt_inheritance_flows_through_the_simulator() {
     // actually transfer curve state through the simulator's checkpoint map.
     let bench = presets::cifar10_cuda_convnet(presets::DEFAULT_SURFACE_SEED);
     let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-    let pbt = Pbt::new(bench.space().clone(), PbtConfig::new(10, 256.0, 16.0));
+    let pbt = Searcher::Pbt(PbtConfig::new(10, 256.0, 16.0)).build(bench.space());
     let result = ClusterSim::new(SimConfig::new(10, 500.0)).run(pbt, &bench, &mut rng);
     let events = result.trace.events();
     // First generation: the 10 founding trials' first observations.

@@ -3,7 +3,8 @@
 //! `asha-bench` figure binaries; these guard against changes that would
 //! silently break the reproduction's shape.
 
-use asha::core::{Asha, AshaConfig, ShaConfig, SyncSha};
+use asha::baselines::VizierConfig;
+use asha::core::{AshaConfig, HyperbandConfig, ShaConfig};
 use asha::sim::{ClusterSim, ResumePolicy, SimConfig};
 use asha::space::{Scale, SearchSpace};
 use asha::surrogate::{presets, BenchmarkModel, CurveBenchmark};
@@ -35,7 +36,14 @@ fn asha_beats_random_search_clearly_on_benchmark1() {
     // Section 4.2's regime: the same parallel budget, vastly more configs.
     let bench = presets::cifar10_cuda_convnet(presets::DEFAULT_SURFACE_SEED);
     let asha = mean_final(&bench, Searcher::default_asha(256.0), 25, 100.0);
-    let random = mean_final(&bench, Searcher::Random, 25, 100.0);
+    let random = mean_final(
+        &bench,
+        Searcher::Random {
+            max_resource: 256.0,
+        },
+        25,
+        100.0,
+    );
     assert!(
         asha + 0.01 < random,
         "ASHA {asha:.4} should clearly beat random {random:.4}"
@@ -63,16 +71,13 @@ fn asha_withstands_stragglers_better_than_sync_sha() {
                 .with_resume(ResumePolicy::FromScratch),
         );
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let asha = Asha::new(bench.space().clone(), AshaConfig::new(1.0, 64.0, 4.0));
+        let asha = Searcher::asha(AshaConfig::new(1.0, 64.0, 4.0)).build(bench.space());
         asha_total += sim
             .run(asha, &bench, &mut rng)
             .trace
             .configs_trained_to(64.0, 600.0);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let sha = SyncSha::new(
-            bench.space().clone(),
-            ShaConfig::new(64, 1.0, 64.0, 4.0).growing(),
-        );
+        let sha = Searcher::sha(ShaConfig::new(64, 1.0, 64.0, 4.0).growing()).build(bench.space());
         sha_total += sim
             .run(sha, &bench, &mut rng)
             .trace
@@ -90,7 +95,7 @@ fn early_stopping_dominates_full_budget_evaluation_under_time_pressure() {
     // ASHA must beat the no-early-stopping model-based baseline.
     let bench = presets::ptb_lstm(presets::DEFAULT_SURFACE_SEED);
     let asha = mean_final(&bench, Searcher::default_asha(64.0), 50, 2.0);
-    let vizier = mean_final(&bench, Searcher::Vizier, 50, 2.0);
+    let vizier = mean_final(&bench, Searcher::Vizier(VizierConfig::new(64.0)), 50, 2.0);
     assert!(
         asha < vizier,
         "ASHA {asha:.2} should beat Vizier {vizier:.2} at 2 x time(R)"
@@ -103,10 +108,11 @@ fn by_rung_accounting_never_trails_by_bracket() {
     // earlier. Structural property of the two accountings on any trace.
     let bench = presets::svm_vehicle(presets::DEFAULT_SURFACE_SEED);
     let outcome = SimTune::new(&bench)
-        .searcher(Searcher::Hyperband {
-            min_resource: 1.0,
-            reduction_factor: 4.0,
-        })
+        .searcher(Searcher::Hyperband(HyperbandConfig::new(
+            1.0,
+            bench.max_resource(),
+            4.0,
+        )))
         .workers(1)
         .horizon(500.0)
         .seed(4)
@@ -143,7 +149,7 @@ fn divergent_configs_never_reach_high_rungs() {
     // ASHA's robustness to pathological configurations (Section 4.3): a
     // diverged trial's capped loss keeps it in the bottom rungs.
     let bench = presets::ptb_lstm(presets::DEFAULT_SURFACE_SEED);
-    let asha = Asha::new(bench.space().clone(), AshaConfig::new(1.0, 64.0, 4.0));
+    let asha = Searcher::asha(AshaConfig::new(1.0, 64.0, 4.0)).build(bench.space());
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
     let result = ClusterSim::new(SimConfig::new(25, 2.0)).run(asha, &bench, &mut rng);
     for e in result.trace.events() {

@@ -9,11 +9,10 @@
 
 use std::fmt::Write;
 
-use asha::core::{
-    Asha, AshaConfig, AsyncHyperband, HyperbandConfig, Scheduler, ShaConfig, SyncSha,
-};
+use asha::core::{AshaConfig, HyperbandConfig, ShaConfig};
 use asha::sim::{ClusterSim, SimConfig, SimResult, TraceMode};
 use asha::surrogate::{presets, BenchmarkModel, CurveBenchmark};
+use asha::tune::Searcher;
 use rand::SeedableRng;
 
 const SEED: u64 = 7;
@@ -50,7 +49,6 @@ fn digest(result: &SimResult) -> u64 {
 }
 
 fn run(bench: &CurveBenchmark, setup: &str) -> SimResult {
-    let space = bench.space().clone();
     let max_r = bench.max_resource();
     let (r, eta) = (max_r / 64.0, 4.0);
     let sim = |workers| {
@@ -58,31 +56,21 @@ fn run(bench: &CurveBenchmark, setup: &str) -> SimResult {
             .with_max_jobs(JOBS)
             .with_trace_mode(TraceMode::Full)
     };
-    let (config, scheduler): (SimConfig, Box<dyn Scheduler>) = match setup {
-        "asha-25w" => (
-            sim(25),
-            Box::new(Asha::new(space, AshaConfig::new(r, max_r, eta))),
-        ),
-        "asha-500w-chaos" => (
-            sim(500).with_stragglers(0.5).with_drops(0.001),
-            Box::new(Asha::new(space, AshaConfig::new(r, max_r, eta))),
-        ),
+    let asha = Searcher::asha(AshaConfig::new(r, max_r, eta));
+    let (config, searcher) = match setup {
+        "asha-25w" => (sim(25), asha),
+        "asha-500w-chaos" => (sim(500).with_stragglers(0.5).with_drops(0.001), asha),
         "sync-sha" => (
             sim(25),
-            Box::new(SyncSha::new(
-                space,
-                ShaConfig::new(64, r, max_r, eta).growing(),
-            )),
+            Searcher::sha(ShaConfig::new(64, r, max_r, eta).growing()),
         ),
         "async-hyperband" => (
             sim(25),
-            Box::new(AsyncHyperband::new(
-                space,
-                HyperbandConfig::new(r, max_r, eta),
-            )),
+            Searcher::AsyncHyperband(HyperbandConfig::new(r, max_r, eta)),
         ),
         other => unreachable!("unknown set-up {other}"),
     };
+    let scheduler = searcher.build(bench.space());
     let mut rng = rand::rngs::StdRng::seed_from_u64(SEED);
     ClusterSim::new(config).run(scheduler, bench, &mut rng)
 }
