@@ -44,7 +44,7 @@ use std::time::Duration;
 
 use asha::core::{Asha, AshaConfig};
 use asha::metrics::JsonValue;
-use asha::obs::{parse_jsonl, Event, HistogramSnapshot, RunReport};
+use asha::obs::{event_from_json, Event, HistogramSnapshot, RunReport};
 use asha::service::{Client, Push};
 use asha::sim::SimConfig;
 use asha::store::{
@@ -229,13 +229,12 @@ fn follow(client: &mut Client, name: &str, from_seq: u64, print_lines: bool) -> 
                 }
                 match push {
                     Push::Event { data, .. } => {
-                        let line = data.render_compact();
                         if print_lines {
-                            println!("{line}");
+                            println!("{}", data.render_compact());
                         }
                         if data.get("seq").is_some() {
-                            match parse_jsonl(&line) {
-                                Ok(parsed) => events.extend(parsed),
+                            match event_from_json(&data) {
+                                Ok(event) => events.push(event),
                                 Err(e) => eprintln!("asha-ctl: bad telemetry line: {e}"),
                             }
                             if !print_lines && events.len() >= last_note + 500 {

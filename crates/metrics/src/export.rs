@@ -1,3 +1,4 @@
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 use std::io::Write as _;
@@ -97,6 +98,12 @@ pub enum JsonValue {
 }
 
 impl JsonValue {
+    /// Deepest nesting of arrays and objects [`JsonValue::parse`] follows;
+    /// one level more is a parse error. The number
+    /// `asha_store::binary::MAX_DEPTH` uses for the binary form of the same
+    /// trees, so a document either reader accepts, the other can hold.
+    pub const MAX_DEPTH: usize = 128;
+
     /// Convenience constructor for an object.
     pub fn obj(fields: impl IntoIterator<Item = (&'static str, JsonValue)>) -> Self {
         JsonValue::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
@@ -114,7 +121,8 @@ impl JsonValue {
     /// newline) — the format of JSONL event logs, where one value per line
     /// keeps logs diffable and streamable.
     pub fn render_compact(&self) -> String {
-        let mut out = String::new();
+        // An event line or a small frame in one allocation, not six.
+        let mut out = String::with_capacity(128);
         self.write_compact(&mut out);
         out
     }
@@ -194,38 +202,50 @@ impl JsonValue {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonParseError`] (with a byte offset) on malformed input or
-    /// trailing garbage.
+    /// Returns [`JsonParseError`] (with a byte offset) on malformed input,
+    /// trailing garbage, a number literal no finite `f64` holds, or
+    /// containers nested deeper than [`JsonValue::MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<JsonValue, JsonParseError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser::new(text);
         p.skip_ws();
         let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after JSON value"));
-        }
+        p.finish()?;
         Ok(value)
     }
 
+    /// Parse a JSON document as [`JsonValue::parse`] does — same grammar,
+    /// same errors at the same offsets — but, when it is an object, hand
+    /// each top-level field to `visit` in document order instead of
+    /// collecting them: the key borrowed, the value owned. A reader that
+    /// wants a few scalars out of a flat line (an event log line) saves the
+    /// object's `Vec` and a `String` per key. A document that is not an
+    /// object is checked like any other and visits nothing.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`JsonValue::parse`]; fields before the error have
+    /// been visited by then.
+    pub fn parse_fields(
+        text: &str,
+        visit: impl FnMut(&str, JsonValue),
+    ) -> Result<(), JsonParseError> {
+        let mut p = Parser::new(text);
+        p.skip_ws();
+        if p.peek() == Some(b'{') {
+            p.nested(|p| p.fields(visit))?;
+        } else {
+            p.value()?;
+        }
+        p.finish()
+    }
+
     fn write_compact(&self, out: &mut String) {
-        use std::fmt::Write as _;
         match self {
             JsonValue::Null => out.push_str("null"),
-            JsonValue::Num(v) => {
-                if v.is_finite() {
-                    let _ = write!(out, "{v}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            JsonValue::Int(v) => {
-                let _ = write!(out, "{v}");
-            }
+            JsonValue::Num(v) => push_json_f64(out, *v),
+            JsonValue::Int(v) => push_json_u64(out, *v),
             JsonValue::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-            JsonValue::Str(s) => push_escaped(out, s),
+            JsonValue::Str(s) => push_json_str(out, s),
             JsonValue::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -242,7 +262,7 @@ impl JsonValue {
                     if i > 0 {
                         out.push(',');
                     }
-                    push_escaped(out, key);
+                    push_json_str(out, key);
                     out.push(':');
                     value.write_compact(out);
                 }
@@ -252,21 +272,12 @@ impl JsonValue {
     }
 
     fn write_into(&self, out: &mut String, indent: usize) {
-        use std::fmt::Write as _;
         match self {
             JsonValue::Null => out.push_str("null"),
-            JsonValue::Num(v) => {
-                if v.is_finite() {
-                    let _ = write!(out, "{v}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            JsonValue::Int(v) => {
-                let _ = write!(out, "{v}");
-            }
+            JsonValue::Num(v) => push_json_f64(out, *v),
+            JsonValue::Int(v) => push_json_u64(out, *v),
             JsonValue::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-            JsonValue::Str(s) => push_escaped(out, s),
+            JsonValue::Str(s) => push_json_str(out, s),
             JsonValue::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -297,7 +308,7 @@ impl JsonValue {
                     }
                     out.push('\n');
                     push_indent(out, indent + 1);
-                    push_escaped(out, key);
+                    push_json_str(out, key);
                     out.push_str(": ");
                     value.write_into(out, indent + 1);
                 }
@@ -309,26 +320,68 @@ impl JsonValue {
     }
 }
 
-/// Append `s` to `out` as a JSON string literal (quoted and escaped).
-/// Shared by the compact and pretty renderers so keys and values never go
-/// through a temporary allocation.
-fn push_escaped(out: &mut String, s: &str) {
+/// Append `s` to `out` as a JSON string literal (quoted and escaped): the
+/// bytes [`JsonValue::Str`] renders as. Runs that need no escaping are
+/// copied whole, so a plain key or name costs one `push_str`. Encoders that
+/// know their shape ([`JsonValue`]'s renderers, the event log) write their
+/// leaves through these three functions and so cannot disagree on a byte.
+pub fn push_json_str(out: &mut String, s: &str) {
     use std::fmt::Write as _;
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Start of the run not yet copied. Every byte that ends a run is ASCII,
+    // so `run` and `i` are always character boundaries.
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        // `None`: a control character with no short form.
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match escape {
+            Some(escape) => out.push_str(escape),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Append `v` in decimal: the bytes [`JsonValue::Int`] renders as (what
+/// `{v}` formats, without the `fmt` machinery).
+pub fn push_json_u64(out: &mut String, mut v: u64) {
+    // u64::MAX has 20 digits.
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
-    out.push('"');
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ascii digits"));
+}
+
+/// Append `v` in Rust's shortest round-trip `{}` form, or `null` when it is
+/// not finite (JSON has no NaN or infinity): the bytes [`JsonValue::Num`]
+/// renders as.
+pub fn push_json_f64(out: &mut String, v: f64) {
+    use std::fmt::Write as _;
+    if v.is_finite() {
+        let _ = write!(out, "{v}");
+    } else {
+        out.push_str("null");
+    }
 }
 
 fn push_indent(out: &mut String, indent: usize) {
@@ -355,11 +408,23 @@ impl fmt::Display for JsonParseError {
 impl Error for JsonParseError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around `pos`.
+    depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn err(&self, msg: impl Into<String>) -> JsonParseError {
         JsonParseError {
             pos: self.pos,
@@ -395,11 +460,20 @@ impl Parser<'_> {
         }
     }
 
+    /// Only whitespace may follow the document's value.
+    fn finish(&mut self) -> Result<(), JsonParseError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after JSON value"));
+        }
+        Ok(())
+    }
+
     fn value(&mut self) -> Result<JsonValue, JsonParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'"') => Ok(JsonValue::Str(self.string()?.into_owned())),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'n') => self.literal("null", JsonValue::Null),
@@ -408,13 +482,45 @@ impl Parser<'_> {
         }
     }
 
+    /// Parse a container one level down, refusing to go below
+    /// [`JsonValue::MAX_DEPTH`]: `value` recurses once per level, and a
+    /// frame of a million `[` must cost its sender an error, not the
+    /// parsing thread its stack.
+    fn nested<T>(
+        &mut self,
+        container: impl FnOnce(&mut Self) -> Result<T, JsonParseError>,
+    ) -> Result<T, JsonParseError> {
+        if self.depth == JsonValue::MAX_DEPTH {
+            return Err(self.err(format!(
+                "nesting deeper than {} levels",
+                JsonValue::MAX_DEPTH
+            )));
+        }
+        self.depth += 1;
+        let value = container(self)?;
+        self.depth -= 1;
+        Ok(value)
+    }
+
     fn object(&mut self) -> Result<JsonValue, JsonParseError> {
-        self.expect(b'{')?;
         let mut fields = Vec::new();
+        self.fields(|key, value| {
+            if fields.is_empty() {
+                // Room for an event line or a protocol frame in one go.
+                fields.reserve(8);
+            }
+            fields.push((key.to_owned(), value));
+        })?;
+        Ok(JsonValue::Obj(fields))
+    }
+
+    /// The fields of the object whose `{` is next, each handed to `visit`.
+    fn fields(&mut self, mut visit: impl FnMut(&str, JsonValue)) -> Result<(), JsonParseError> {
+        self.expect(b'{')?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(JsonValue::Obj(fields));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -422,14 +528,13 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
+            visit(&key, self.value()?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected `,` or `}` in object")),
             }
@@ -438,12 +543,12 @@ impl Parser<'_> {
 
     fn array(&mut self) -> Result<JsonValue, JsonParseError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(JsonValue::Arr(items));
+            return Ok(JsonValue::Arr(Vec::new()));
         }
+        let mut items = Vec::with_capacity(4);
         loop {
             self.skip_ws();
             items.push(self.value()?);
@@ -459,80 +564,144 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonParseError> {
+    /// A string literal: borrowed from the input when it holds no escape
+    /// (every key and name this repo writes), built otherwise.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonParseError> {
         self.expect(b'"')?;
+        let first = self.pos;
         let mut out = String::new();
         loop {
-            let Some(c) = self.peek() else {
+            // Everything up to the next quote or backslash is taken as one
+            // run. The input is a `str`, so multi-byte characters inside the
+            // run are already valid, and both stop bytes are ASCII, so the
+            // run's ends are character boundaries.
+            let run = self.pos;
+            let Some(len) = self.bytes[run..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                self.pos = self.bytes.len();
                 return Err(self.err("unterminated string"));
             };
+            let plain = &self.text[run..run + len];
+            self.pos = run + len + 1;
+            if self.bytes[run + len] == b'"' {
+                if run == first {
+                    return Ok(Cow::Borrowed(plain));
+                }
+                out.push_str(plain);
+                return Ok(Cow::Owned(out));
+            }
+            out.push_str(plain);
+            let Some(esc) = self.peek() else {
+                return Err(self.err("unterminated escape"));
+            };
             self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not produced by our writer;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let mut code = self.hex4()?;
+                    // A high surrogate followed by an escaped low one is one
+                    // character beyond the BMP; a surrogate on its own is
+                    // not a character and becomes U+FFFD.
+                    if (0xD800..0xDC00).contains(&code)
+                        && self.bytes[self.pos..].starts_with(b"\\u")
+                    {
+                        let second = self.pos;
+                        self.pos += 2;
+                        let low = self.hex4()?;
+                        if (0xDC00..0xE000).contains(&low) {
+                            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                        } else {
+                            self.pos = second;
                         }
-                        _ => return Err(self.err("unknown escape")),
                     }
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                 }
-                _ => {
-                    // Consume the full UTF-8 sequence starting at c.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len() && self.bytes[end] & 0xC0 == 0x80 {
-                        end += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    let ch = s.chars().next().expect("non-empty slice");
-                    out.push(ch);
-                    self.pos = start + ch.len_utf8();
-                }
+                _ => return Err(self.err("unknown escape")),
             }
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, JsonParseError> {
+    /// The four hex digits of a `\u` escape (exactly four, no sign).
+    fn hex4(&mut self) -> Result<u32, JsonParseError> {
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("bad \\u escape"))?;
+        let mut code = 0;
+        for &d in digits {
+            let d = (d as char)
+                .to_digit(16)
+                .ok_or_else(|| self.err("bad \\u escape"))?;
+            code = code * 16 + d;
+        }
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// Skip a run of ASCII digits; returns how many there were.
+    fn digits(&mut self) -> usize {
         let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
-        let token = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        if token.bytes().all(|b| b.is_ascii_digit()) {
-            if let Ok(n) = token.parse::<u64>() {
+        self.pos - start
+    }
+
+    /// The JSON number grammar, `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE]
+    /// [+-]? [0-9]+)?`, in one scan that also accumulates the value of a
+    /// plain non-negative integer — the common token of logs and frames.
+    fn number(&mut self) -> Result<JsonValue, JsonParseError> {
+        let start = self.pos;
+        let negative = self.peek() == Some(b'-');
+        if negative {
+            self.pos += 1;
+        }
+        let int_start = self.pos;
+        // `None` once the digits no longer fit a u64.
+        let mut int = Some(0u64);
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            int = int
+                .and_then(|n| n.checked_mul(10))
+                .and_then(|n| n.checked_add(u64::from(d - b'0')));
+            self.pos += 1;
+        }
+        let int_len = self.pos - int_start;
+        let mut valid = int_len == 1 || (int_len > 1 && self.bytes[int_start] != b'0');
+        let mut integral = true;
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            integral = false;
+            valid &= self.digits() > 0;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            integral = false;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            valid &= self.digits() > 0;
+        }
+        if valid && integral && !negative {
+            if let Some(n) = int {
                 return Ok(JsonValue::Int(n));
             }
         }
-        token
-            .parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| self.err(format!("bad number `{token}`")))
+        let token = &self.text[start..self.pos];
+        // A literal too large for an `f64` would read as infinity, which
+        // renders as `null`: refused, so that what parses also round-trips.
+        match token.parse::<f64>() {
+            Ok(v) if valid && v.is_finite() => Ok(JsonValue::Num(v)),
+            _ => Err(self.err(format!("bad number `{token}`"))),
+        }
     }
 }
 
@@ -663,6 +832,232 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "\"unterminated", "1 2"] {
             let err = JsonValue::parse(bad).unwrap_err();
             assert!(!err.to_string().is_empty(), "{bad}");
+        }
+    }
+
+    /// `levels` containers around a `0`, alternating by `kinds` (`[` for an
+    /// array level, `{` for an object level).
+    fn nested(levels: usize, kinds: &[u8]) -> String {
+        let mut open = String::new();
+        let mut close = String::new();
+        for level in 0..levels {
+            if kinds[level % kinds.len()] == b'[' {
+                open.push('[');
+                close.insert(0, ']');
+            } else {
+                open.push_str("{\"k\":");
+                close.insert(0, '}');
+            }
+        }
+        format!("{open}0{close}")
+    }
+
+    #[test]
+    fn nesting_is_followed_to_max_depth_and_no_further() {
+        for kinds in [&b"["[..], b"{", b"[{", b"{[["] {
+            let deepest = nested(JsonValue::MAX_DEPTH, kinds);
+            let value = JsonValue::parse(&deepest).unwrap();
+            assert_eq!(value.render_compact(), deepest);
+            let err = JsonValue::parse(&nested(JsonValue::MAX_DEPTH + 1, kinds)).unwrap_err();
+            assert!(err.msg.contains("nesting deeper than 128"), "{err}");
+            // The depth is of what is open, not of what was ever opened.
+            let wide = format!("[{}]", vec![nested(100, kinds); 3].join(","));
+            assert!(JsonValue::parse(&wide).is_ok());
+        }
+        // A frame-sized run of brackets is an error, not a stack overflow.
+        for hostile in ["[".repeat(1_000_000), "{\"a\":".repeat(200_000)] {
+            assert!(JsonValue::parse(&hostile).is_err());
+            assert!(JsonValue::parse_fields(&hostile, |_, _| {}).is_err());
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(
+            JsonValue::parse(r#""\u0041\u00e9\u20AC""#).unwrap(),
+            JsonValue::Str("Aé€".to_owned())
+        );
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u41""#,
+            r#""\u004""#,
+            r#""\u00g1""#,
+            r#""\u"#,
+        ] {
+            let err = JsonValue::parse(bad).unwrap_err();
+            assert!(err.msg.contains("\\u escape"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_combine_and_lone_surrogates_are_replaced() {
+        let parsed = |text: &str| JsonValue::parse(text).unwrap();
+        let s = |text: &str| JsonValue::Str(text.to_owned());
+        assert_eq!(parsed(r#""\ud83d\ude00""#), s("😀"));
+        assert_eq!(parsed(r#""a\uD834\uDD1Eb""#), s("a𝄞b"));
+        assert_eq!(parsed(r#""\ud83d""#), s("\u{fffd}"));
+        assert_eq!(parsed(r#""\ude00""#), s("\u{fffd}"));
+        assert_eq!(parsed(r#""\ud83dx""#), s("\u{fffd}x"));
+        // A high surrogate followed by an escape that is not a low one:
+        // the second escape stands for itself.
+        assert_eq!(parsed(r#""\ud83d\u0041""#), s("\u{fffd}A"));
+        assert_eq!(parsed(r#""\ud83d\ud83d\ude00""#), s("\u{fffd}😀"));
+        assert_eq!(parsed(r#""\ud83d\n""#), s("\u{fffd}\n"));
+        assert!(JsonValue::parse(r#""\ud83d\u+e00""#).is_err());
+        // What the writer emits for the character reads back as it.
+        assert_eq!(parsed(&s("😀").render_compact()), s("😀"));
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        for (text, want) in [
+            ("0", JsonValue::Int(0)),
+            ("10", JsonValue::Int(10)),
+            ("18446744073709551615", JsonValue::Int(u64::MAX)),
+            // One past u64: still a number, no longer an integer.
+            (
+                "18446744073709551616",
+                JsonValue::Num(18446744073709551616.0),
+            ),
+            ("-0", JsonValue::Num(-0.0)),
+            ("-7", JsonValue::Num(-7.0)),
+            ("0.5", JsonValue::Num(0.5)),
+            ("-0.25", JsonValue::Num(-0.25)),
+            ("1e3", JsonValue::Num(1000.0)),
+            ("1E+3", JsonValue::Num(1000.0)),
+            ("25e-1", JsonValue::Num(2.5)),
+            ("1.5e300", JsonValue::Num(1.5e300)),
+            ("1e-400", JsonValue::Num(0.0)),
+        ] {
+            let got = JsonValue::parse(text).unwrap();
+            assert_eq!(got, want, "{text}");
+            // `==` cannot tell -0 from 0.
+            assert_eq!(got.render_compact(), want.render_compact(), "{text}");
+        }
+        for bad in [
+            "1.", "-.5", ".5", "007", "-01", "00", "-", "+1", "1e", "1e+", "1.e3", "1.5.3", "0x10",
+            "1e5e5", "--1", "Infinity", "NaN",
+        ] {
+            assert!(JsonValue::parse(bad).is_err(), "{bad}");
+            assert!(JsonValue::parse(&format!("[{bad}]")).is_err(), "[{bad}]");
+        }
+    }
+
+    #[test]
+    fn a_number_no_f64_holds_is_refused_so_parsing_round_trips() {
+        for huge in ["1e999", "-1e999", "1e309", &"9".repeat(400)] {
+            let err = JsonValue::parse(huge).unwrap_err();
+            assert!(err.msg.contains("bad number"), "{huge}: {err}");
+        }
+        // The largest finite value still parses, and what parses renders to
+        // something that parses to the same value.
+        let max = JsonValue::parse("1.7976931348623157e308").unwrap();
+        assert_eq!(max, JsonValue::Num(f64::MAX));
+        assert_eq!(JsonValue::parse(&max.render_compact()).unwrap(), max);
+    }
+
+    /// The per-character escaper `push_json_str` replaced.
+    fn escaped_one_char_at_a_time(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn leaf_writers_emit_what_the_slow_forms_did() {
+        for v in [
+            0,
+            1,
+            9,
+            10,
+            99,
+            100,
+            12_345,
+            u32::MAX as u64,
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            let mut out = String::new();
+            push_json_u64(&mut out, v);
+            assert_eq!(out, format!("{v}"));
+        }
+        let every_control: String = (0u8..0x20).map(|b| b as char).collect();
+        for s in [
+            "",
+            "plain",
+            "\"",
+            "\\",
+            "a\"b\\c\nd\re\tf",
+            "\"\"\\\\",
+            "ends with a quote\"",
+            "\u{7f}\u{80}ñ€😀",
+            "mixed ñ \" € \\ 😀 \u{1}",
+            every_control.as_str(),
+        ] {
+            let mut out = String::from("x");
+            push_json_str(&mut out, s);
+            assert_eq!(out[1..], escaped_one_char_at_a_time(s), "{s:?}");
+            assert_eq!(
+                JsonValue::parse(&out[1..]).unwrap(),
+                JsonValue::Str(s.to_owned())
+            );
+        }
+        for (v, want) in [
+            (0.0, "0"),
+            (-0.0, "-0"),
+            (1.5, "1.5"),
+            (1e-7, "0.0000001"),
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+            (f64::NEG_INFINITY, "null"),
+        ] {
+            let mut out = String::new();
+            push_json_f64(&mut out, v);
+            assert_eq!(out, want);
+        }
+    }
+
+    #[test]
+    fn parse_fields_visits_what_parse_collects() {
+        for text in [
+            r#"{"a":1,"b":[1,{"c":2}],"a":"again","k\"ey":null}"#,
+            " { } ",
+            "{}",
+            "[1,2]",
+            "7",
+            r#"{"a":1,"b":}"#,
+            r#"{"a":1,}"#,
+            r#"{"a":1} x"#,
+            r#"{"a" 1}"#,
+            r#"{"a":1"#,
+            "",
+        ] {
+            let mut seen = Vec::new();
+            let visited = JsonValue::parse_fields(text, |k, v| seen.push((k.to_owned(), v)));
+            match JsonValue::parse(text) {
+                Ok(JsonValue::Obj(fields)) => {
+                    assert_eq!(visited, Ok(()), "{text}");
+                    assert_eq!(seen, fields, "{text}");
+                }
+                Ok(_) => {
+                    assert_eq!(visited, Ok(()), "{text}");
+                    assert!(seen.is_empty(), "{text}");
+                }
+                Err(e) => assert_eq!(visited, Err(e), "{text}"),
+            }
         }
     }
 

@@ -44,6 +44,9 @@ mod faults;
 mod trace;
 
 pub use curve::{aggregate, uniform_grid, AggregateCurve, StepCurve};
-pub use export::{write_csv, write_json, CsvError, JsonParseError, JsonValue};
+pub use export::{
+    push_json_f64, push_json_str, push_json_u64, write_csv, write_json, CsvError, JsonParseError,
+    JsonValue,
+};
 pub use faults::FaultStats;
 pub use trace::{RunTrace, TraceEvent};

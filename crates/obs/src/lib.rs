@@ -62,7 +62,7 @@ pub mod shared;
 mod writer;
 
 pub use crate::log::{
-    encode_event, encode_event_into, encode_jsonl, event_to_json, parse_jsonl, LogError,
+    encode_event, encode_event_into, encode_jsonl, event_from_json, parse_jsonl, LogError,
 };
 pub use crate::metrics::{Counter, DecisionCounters, Gauge, Histogram, MetricsRegistry};
 pub use crate::recorder::RunRecorder;

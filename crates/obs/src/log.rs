@@ -27,19 +27,97 @@
 use std::fmt;
 
 use asha_core::telemetry::{DropCause, Event, EventKind, IdleKind};
-use asha_metrics::JsonValue;
+use asha_metrics::{push_json_f64, push_json_str, push_json_u64, JsonValue};
 
 /// Encode one event as a compact single-line JSON object (no trailing
 /// newline).
 pub fn encode_event(event: &Event) -> String {
-    event_to_json(event).render_compact()
+    // The longest line of a real run is under 128 bytes: one allocation.
+    let mut out = String::with_capacity(128);
+    encode_event_into(&mut out, event);
+    out
 }
 
 /// Encode one event as compact JSON appended to `out` (no trailing
-/// newline). Identical bytes to [`encode_event`]; callers on hot paths use
-/// this to reuse one buffer across many events.
+/// newline): the schema's keys as literals in their fixed order, each value
+/// through the writer [`JsonValue`] renders that kind of leaf with. The one
+/// encoder — every log line, WAL dump and pushed event body is written
+/// here; callers on hot paths reuse one buffer across many events.
 pub fn encode_event_into(out: &mut String, event: &Event) {
-    event_to_json(event).render_compact_into(out);
+    fn int(out: &mut String, key: &str, v: u64) {
+        out.push_str(key);
+        push_json_u64(out, v);
+    }
+    // Non-finite numbers (the loss of a poisoned trial) encode as `null`.
+    fn num(out: &mut String, key: &str, v: f64) {
+        out.push_str(key);
+        push_json_f64(out, v);
+    }
+    fn name(out: &mut String, key: &str, v: &str) {
+        out.push_str(key);
+        push_json_str(out, v);
+    }
+    int(out, "{\"seq\":", event.seq);
+    num(out, ",\"t\":", event.time);
+    name(out, ",\"ev\":", event.kind.name());
+    match event.kind {
+        EventKind::Suggest { decision } => name(out, ",\"decision\":", decision.name()),
+        EventKind::Promote {
+            trial,
+            bracket,
+            from,
+            to,
+            resource,
+        } => {
+            int(out, ",\"trial\":", trial);
+            int(out, ",\"bracket\":", bracket as u64);
+            int(out, ",\"from\":", from as u64);
+            int(out, ",\"to\":", to as u64);
+            num(out, ",\"resource\":", resource);
+        }
+        EventKind::GrowBottom {
+            trial,
+            bracket,
+            resource,
+        } => {
+            int(out, ",\"trial\":", trial);
+            int(out, ",\"bracket\":", bracket as u64);
+            num(out, ",\"resource\":", resource);
+        }
+        EventKind::JobStart {
+            trial,
+            bracket,
+            rung,
+            resource,
+        } => {
+            int(out, ",\"trial\":", trial);
+            int(out, ",\"bracket\":", bracket as u64);
+            int(out, ",\"rung\":", rung as u64);
+            num(out, ",\"resource\":", resource);
+        }
+        EventKind::JobEnd {
+            trial,
+            rung,
+            resource,
+            loss,
+        } => {
+            int(out, ",\"trial\":", trial);
+            int(out, ",\"rung\":", rung as u64);
+            num(out, ",\"resource\":", resource);
+            num(out, ",\"loss\":", loss);
+        }
+        EventKind::Drop { trial, rung, cause } => {
+            int(out, ",\"trial\":", trial);
+            int(out, ",\"rung\":", rung as u64);
+            name(out, ",\"cause\":", cause.name());
+        }
+        EventKind::Retry { trial, rung } => {
+            int(out, ",\"trial\":", trial);
+            int(out, ",\"rung\":", rung as u64);
+        }
+        EventKind::WorkerIdle { idle } => int(out, ",\"idle\":", idle as u64),
+    }
+    out.push('}');
 }
 
 /// Encode a slice of events as a JSONL document (one line per event,
@@ -51,81 +129,6 @@ pub fn encode_jsonl(events: &[Event]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// The [`JsonValue`] form of an event, with the schema's field order.
-pub fn event_to_json(event: &Event) -> JsonValue {
-    let mut fields = vec![
-        ("seq".to_owned(), JsonValue::Int(event.seq)),
-        ("t".to_owned(), JsonValue::Num(event.time)),
-        (
-            "ev".to_owned(),
-            JsonValue::Str(event.kind.name().to_owned()),
-        ),
-    ];
-    let mut int = |name: &str, v: u64| fields.push((name.to_owned(), JsonValue::Int(v)));
-    match event.kind {
-        EventKind::Suggest { decision } => fields.push((
-            "decision".to_owned(),
-            JsonValue::Str(decision.name().to_owned()),
-        )),
-        EventKind::Promote {
-            trial,
-            bracket,
-            from,
-            to,
-            resource,
-        } => {
-            int("trial", trial);
-            int("bracket", bracket as u64);
-            int("from", from as u64);
-            int("to", to as u64);
-            fields.push(("resource".to_owned(), JsonValue::Num(resource)));
-        }
-        EventKind::GrowBottom {
-            trial,
-            bracket,
-            resource,
-        } => {
-            int("trial", trial);
-            int("bracket", bracket as u64);
-            fields.push(("resource".to_owned(), JsonValue::Num(resource)));
-        }
-        EventKind::JobStart {
-            trial,
-            bracket,
-            rung,
-            resource,
-        } => {
-            int("trial", trial);
-            int("bracket", bracket as u64);
-            int("rung", rung as u64);
-            fields.push(("resource".to_owned(), JsonValue::Num(resource)));
-        }
-        EventKind::JobEnd {
-            trial,
-            rung,
-            resource,
-            loss,
-        } => {
-            int("trial", trial);
-            int("rung", rung as u64);
-            fields.push(("resource".to_owned(), JsonValue::Num(resource)));
-            // Non-finite losses (poisoned trials) encode as JSON null.
-            fields.push(("loss".to_owned(), JsonValue::Num(loss)));
-        }
-        EventKind::Drop { trial, rung, cause } => {
-            int("trial", trial);
-            int("rung", rung as u64);
-            fields.push(("cause".to_owned(), JsonValue::Str(cause.name().to_owned())));
-        }
-        EventKind::Retry { trial, rung } => {
-            int("trial", trial);
-            int("rung", rung as u64);
-        }
-        EventKind::WorkerIdle { idle } => int("idle", idle as u64),
-    }
-    JsonValue::Obj(fields)
 }
 
 /// Error decoding a JSONL event log.
@@ -165,29 +168,65 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, LogError> {
     Ok(events)
 }
 
+/// Every key an event line can carry, all kinds together.
+const KEYS: [&str; 13] = [
+    "seq", "t", "ev", "trial", "rung", "resource", "bracket", "loss", "from", "to", "decision",
+    "cause", "idle",
+];
+
+fn key_index(key: &str) -> Option<usize> {
+    KEYS.iter().position(|k| *k == key)
+}
+
+/// One line, decoded as it is parsed: the fields go straight into a slot
+/// per known key, and no tree of the line is built. `first_seen[i]` is what
+/// `JsonValue::get(KEYS[i])` would find in that tree — the first value
+/// under the key — so the result, error text included, is
+/// `JsonValue::parse(line)` then [`event_from_json`].
 fn parse_line(line: &str, lineno: usize) -> Result<Event, LogError> {
     let fail = |msg: String| LogError { line: lineno, msg };
-    let value = JsonValue::parse(line).map_err(|e| fail(e.to_string()))?;
-    let want = |key: &str| {
-        value
-            .get(key)
-            .ok_or_else(|| fail(format!("missing field `{key}`")))
-    };
+    let mut first_seen: [Option<JsonValue>; KEYS.len()] = Default::default();
+    JsonValue::parse_fields(line, |key, value| {
+        if let Some(i) = key_index(key) {
+            first_seen[i].get_or_insert(value);
+        }
+    })
+    .map_err(|e| fail(e.to_string()))?;
+    decode(|key| first_seen[key_index(key)?].as_ref()).map_err(fail)
+}
+
+/// Decode an event from the [`JsonValue`] form of its log line — for
+/// callers that already hold the tree (a pushed frame's `data`, a WAL line
+/// parsed to look at its `ev`). Fields are found by name, the first of a
+/// repeated key wins, unknown keys are ignored.
+///
+/// # Errors
+///
+/// The message [`parse_jsonl`] puts in its [`LogError`]: an unknown `ev`
+/// kind, or a missing or mistyped field.
+pub fn event_from_json(value: &JsonValue) -> Result<Event, String> {
+    decode(|key| value.get(key))
+}
+
+/// The one field-extraction body: `get` looks a key up in a tree or in
+/// [`parse_line`]'s slots.
+fn decode<'a>(get: impl Fn(&str) -> Option<&'a JsonValue>) -> Result<Event, String> {
+    let want = |key: &str| get(key).ok_or_else(|| format!("missing field `{key}`"));
     let want_u64 = |key: &str| {
         want(key)?
             .as_u64()
-            .ok_or_else(|| fail(format!("field `{key}` is not an integer")))
+            .ok_or_else(|| format!("field `{key}` is not an integer"))
     };
     let want_usize = |key: &str| want_u64(key).map(|v| v as usize);
     let want_f64 = |key: &str| {
         want(key)?
             .as_f64()
-            .ok_or_else(|| fail(format!("field `{key}` is not a number")))
+            .ok_or_else(|| format!("field `{key}` is not a number"))
     };
     let want_str = |key: &str| {
         want(key)?
             .as_str()
-            .ok_or_else(|| fail(format!("field `{key}` is not a string")))
+            .ok_or_else(|| format!("field `{key}` is not a string"))
     };
 
     let seq = want_u64("seq")?;
@@ -197,7 +236,7 @@ fn parse_line(line: &str, lineno: usize) -> Result<Event, LogError> {
             decision: match want_str("decision")? {
                 "wait" => IdleKind::Wait,
                 "finished" => IdleKind::Finished,
-                other => return Err(fail(format!("unknown decision `{other}`"))),
+                other => return Err(format!("unknown decision `{other}`")),
             },
         },
         "promote" => EventKind::Promote {
@@ -235,7 +274,7 @@ fn parse_line(line: &str, lineno: usize) -> Result<Event, LogError> {
             cause: match want_str("cause")? {
                 "drop" => DropCause::Dropped,
                 "timeout" => DropCause::Timeout,
-                other => return Err(fail(format!("unknown drop cause `{other}`"))),
+                other => return Err(format!("unknown drop cause `{other}`")),
             },
         },
         "retry" => EventKind::Retry {
@@ -245,7 +284,7 @@ fn parse_line(line: &str, lineno: usize) -> Result<Event, LogError> {
         "worker_idle" => EventKind::WorkerIdle {
             idle: want_usize("idle")?,
         },
-        other => return Err(fail(format!("unknown event kind `{other}`"))),
+        other => return Err(format!("unknown event kind `{other}`")),
     };
     Ok(Event { seq, time, kind })
 }
@@ -253,6 +292,211 @@ fn parse_line(line: &str, lineno: usize) -> Result<Event, LogError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The tree encoder [`encode_event_into`] replaced, kept as its oracle: the
+    /// [`JsonValue`] form of an event, with the schema's field order.
+    fn event_to_json(event: &Event) -> JsonValue {
+        let mut fields = vec![
+            ("seq".to_owned(), JsonValue::Int(event.seq)),
+            ("t".to_owned(), JsonValue::Num(event.time)),
+            (
+                "ev".to_owned(),
+                JsonValue::Str(event.kind.name().to_owned()),
+            ),
+        ];
+        let mut int = |name: &str, v: u64| fields.push((name.to_owned(), JsonValue::Int(v)));
+        match event.kind {
+            EventKind::Suggest { decision } => fields.push((
+                "decision".to_owned(),
+                JsonValue::Str(decision.name().to_owned()),
+            )),
+            EventKind::Promote {
+                trial,
+                bracket,
+                from,
+                to,
+                resource,
+            } => {
+                int("trial", trial);
+                int("bracket", bracket as u64);
+                int("from", from as u64);
+                int("to", to as u64);
+                fields.push(("resource".to_owned(), JsonValue::Num(resource)));
+            }
+            EventKind::GrowBottom {
+                trial,
+                bracket,
+                resource,
+            } => {
+                int("trial", trial);
+                int("bracket", bracket as u64);
+                fields.push(("resource".to_owned(), JsonValue::Num(resource)));
+            }
+            EventKind::JobStart {
+                trial,
+                bracket,
+                rung,
+                resource,
+            } => {
+                int("trial", trial);
+                int("bracket", bracket as u64);
+                int("rung", rung as u64);
+                fields.push(("resource".to_owned(), JsonValue::Num(resource)));
+            }
+            EventKind::JobEnd {
+                trial,
+                rung,
+                resource,
+                loss,
+            } => {
+                int("trial", trial);
+                int("rung", rung as u64);
+                fields.push(("resource".to_owned(), JsonValue::Num(resource)));
+                // Non-finite losses (poisoned trials) encode as JSON null.
+                fields.push(("loss".to_owned(), JsonValue::Num(loss)));
+            }
+            EventKind::Drop { trial, rung, cause } => {
+                int("trial", trial);
+                int("rung", rung as u64);
+                fields.push(("cause".to_owned(), JsonValue::Str(cause.name().to_owned())));
+            }
+            EventKind::Retry { trial, rung } => {
+                int("trial", trial);
+                int("rung", rung as u64);
+            }
+            EventKind::WorkerIdle { idle } => int("idle", idle as u64),
+        }
+        JsonValue::Obj(fields)
+    }
+
+    /// Every kind, with every `DropCause` and `IdleKind`, around the given
+    /// numbers.
+    fn every_kind(trial: u64, index: usize, resource: f64, loss: f64) -> Vec<EventKind> {
+        let (bracket, rung, from, to, idle) = (index, index, index, index, index);
+        vec![
+            EventKind::Suggest {
+                decision: IdleKind::Wait,
+            },
+            EventKind::Suggest {
+                decision: IdleKind::Finished,
+            },
+            EventKind::Promote {
+                trial,
+                bracket,
+                from,
+                to,
+                resource,
+            },
+            EventKind::GrowBottom {
+                trial,
+                bracket,
+                resource,
+            },
+            EventKind::JobStart {
+                trial,
+                bracket,
+                rung,
+                resource,
+            },
+            EventKind::JobEnd {
+                trial,
+                rung,
+                resource,
+                loss,
+            },
+            EventKind::Drop {
+                trial,
+                rung,
+                cause: DropCause::Dropped,
+            },
+            EventKind::Drop {
+                trial,
+                rung,
+                cause: DropCause::Timeout,
+            },
+            EventKind::Retry { trial, rung },
+            EventKind::WorkerIdle { idle },
+        ]
+    }
+
+    #[test]
+    fn the_direct_encoder_writes_the_trees_bytes_at_every_edge() {
+        let floats = [
+            0.0,
+            -0.0,
+            1.0,
+            0.421875,
+            -2.5,
+            1e-310,
+            1e300,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::EPSILON,
+            1.0 / 3.0,
+        ];
+        let losses = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let mut checked = 0;
+        for (seq, trial, index) in [
+            (0, 0, 0),
+            (7, 42, 3),
+            (u64::MAX, u64::MAX, usize::MAX),
+            (u64::MAX - 1, 1 << 53, 1 << 31),
+        ] {
+            for &time in &floats {
+                for &resource in &floats {
+                    for &loss in floats.iter().chain(&losses) {
+                        for kind in every_kind(trial, index, resource, loss) {
+                            let event = Event { seq, time, kind };
+                            let line = encode_event(&event);
+                            assert_eq!(line, event_to_json(&event).render_compact());
+                            let mut appended = String::from("before");
+                            encode_event_into(&mut appended, &event);
+                            assert_eq!(appended, format!("before{line}"));
+
+                            // What was written reads back as what was meant:
+                            // exactly, sign of zero included, except that a
+                            // non-finite loss went out as `null` and comes
+                            // back infinite.
+                            let mut want = event;
+                            if let EventKind::JobEnd { loss, .. } = &mut want.kind {
+                                if !loss.is_finite() {
+                                    *loss = f64::INFINITY;
+                                }
+                            }
+                            let back = parse_jsonl(&line).unwrap();
+                            assert_eq!(back, [want], "{line}");
+                            assert_eq!(encode_event(&back[0]), encode_event(&want), "{line}");
+                            assert_eq!(
+                                event_from_json(&JsonValue::parse(&line).unwrap()),
+                                Ok(want)
+                            );
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 4 * 11 * 11 * 14 * 10);
+    }
+
+    #[test]
+    fn a_non_finite_time_or_resource_encodes_as_null_like_the_tree() {
+        // Nothing records one, but the encoder must not invent a token the
+        // tree would not have written; such a line does not read back.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for (time, resource) in [(bad, 1.0), (1.0, bad)] {
+                for kind in every_kind(1, 1, resource, 0.5) {
+                    let event = Event { seq: 1, time, kind };
+                    let line = encode_event(&event);
+                    assert_eq!(line, event_to_json(&event).render_compact());
+                    if line.contains("null") {
+                        let err = parse_jsonl(&line).unwrap_err();
+                        assert!(err.msg.contains("is not a number"), "{err}");
+                    }
+                }
+            }
+        }
+    }
 
     fn sample_events() -> Vec<Event> {
         let kinds = [

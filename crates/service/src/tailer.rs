@@ -69,6 +69,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use asha_metrics::push_json_u64;
 use asha_store::{LineTag, WalChunk, WalTail};
 
 use crate::codec::encode_frame;
@@ -217,9 +218,15 @@ impl SubState {
     fn offer_event(&self, metrics: &ServiceMetrics, body: &str) -> Offer {
         match self.ready(metrics) {
             Offer::Sent => {
-                let sub = self.sub;
-                let line =
-                    format!("{{\"v\":1,\"sub\":{sub},\"push\":\"event\",\"data\":{body}}}\n");
+                const HEAD: &str = "{\"v\":1,\"sub\":";
+                const MID: &str = ",\"push\":\"event\",\"data\":";
+                // 20 digits of `sub` at most, and the closing `}\n`.
+                let mut line = String::with_capacity(HEAD.len() + 20 + MID.len() + body.len() + 2);
+                line.push_str(HEAD);
+                push_json_u64(&mut line, self.sub);
+                line.push_str(MID);
+                line.push_str(body);
+                line.push_str("}\n");
                 self.account(metrics, self.conn.offer_stream_frame(line))
             }
             other => other,

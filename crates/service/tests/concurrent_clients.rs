@@ -3,13 +3,18 @@
 //! subscriptions with no deadlock, consistent manifest answers, and lag
 //! accounting visible in the stats counters.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 use asha_core::{Asha, AshaConfig, ErrorKind};
-use asha_service::{Client, Daemon, Push, ServeOptions};
+use asha_service::{
+    encode_frame, Client, Daemon, Frame, FrameReader, Push, Reply, Request, ServeOptions,
+    DEFAULT_MAX_FRAME,
+};
 use asha_store::{
     BenchSpec, Durability, ExperimentMeta, ExperimentStatus, RunOptions, SchedulerState,
 };
@@ -319,6 +324,71 @@ fn hostile_create_frames_get_typed_errors_and_the_daemon_keeps_serving() {
     assert_eq!(drain_stream(&mut first, "good"), seen_by_second);
 
     first.shutdown().unwrap();
+    daemon.wait().unwrap();
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// A frame nested deeper than the parser follows — well inside the frame
+/// size limit — must come back as a typed `protocol` error. Inbound frames
+/// are parsed on the reactor thread, so a parser that recursed as deep as
+/// the frame asked overflowed that thread's stack and took the daemon, and
+/// every experiment it was running, down with one line from any client.
+#[test]
+fn deeply_nested_frames_get_a_protocol_error_and_the_daemon_keeps_serving() {
+    let root = tmp_root("deep");
+    let mut serve = ServeOptions::new(&root);
+    serve.tcp = Some("127.0.0.1:0".to_owned());
+    let daemon = Daemon::start(serve).unwrap();
+    let addr = daemon.tcp_addr().unwrap().to_string();
+
+    let levels = 1_000_000;
+    assert!(
+        levels < DEFAULT_MAX_FRAME,
+        "the frame must pass the size check"
+    );
+    let hostile = [
+        ("arrays", "[".repeat(levels)),
+        ("objects", "{\"a\":".repeat(levels / 5)),
+        ("a mix", "[{\"a\":[".repeat(levels / 7)),
+        // Closed properly: refused for its depth, not for being cut short.
+        (
+            "balanced",
+            format!("{}{}", "[".repeat(200), "]".repeat(200)),
+        ),
+    ];
+
+    let mut raw = TcpStream::connect(&addr).unwrap();
+    let timeout = Some(Duration::from_secs(20));
+    raw.set_read_timeout(timeout).unwrap();
+    raw.set_write_timeout(timeout).unwrap();
+    let mut replies = FrameReader::new(raw.try_clone().unwrap());
+    let mut reply_to = |line: &str, op: &str| {
+        raw.write_all(line.as_bytes()).unwrap();
+        raw.write_all(b"\n").unwrap();
+        match replies.read_frame() {
+            Ok(Frame::Value(frame)) => Reply::from_frame(&frame, op).unwrap(),
+            other => panic!("no reply frame: {other:?}"),
+        }
+    };
+    for (what, frame) in &hostile {
+        let (id, reply) = reply_to(frame, "ping");
+        let err = reply.expect_err("a frame that deep must be refused");
+        assert_eq!((id, err.kind()), (0, ErrorKind::Protocol), "{what}: {err}");
+        assert!(err.to_string().contains("nesting deeper"), "{what}: {err}");
+        // The same connection is neither wedged nor closed.
+        let ping = encode_frame(&Request::Ping.to_frame(7));
+        assert_eq!(reply_to(ping.trim_end(), "ping"), (7, Ok(Reply::Pong)));
+    }
+
+    // A new connection finds a fully working daemon: create, start and a
+    // complete subscription.
+    let mut client = Client::connect_tcp(&addr).unwrap();
+    client.set_call_timeout(timeout);
+    client.create(&small_meta("after"), opts()).unwrap();
+    client.start("after", opts()).unwrap();
+    assert!(!drain_stream(&mut client, "after").is_empty());
+
+    client.shutdown().unwrap();
     daemon.wait().unwrap();
     std::fs::remove_dir_all(&root).ok();
 }

@@ -237,7 +237,9 @@ pub(crate) const TAG_OBJ: u8 = 7;
 
 /// Deepest nesting any binvalue reader follows. The store's documents nest
 /// a handful of levels; hostile input could nest arbitrarily, so every
-/// recursive walker stops here instead of exhausting the stack.
+/// recursive walker stops here instead of exhausting the stack. The same
+/// number as [`JsonValue::MAX_DEPTH`], the text parser's cap on the same
+/// trees: what one reader accepts, the other can hold.
 pub const MAX_DEPTH: u32 = 128;
 
 /// Streams one binvalue document into a byte buffer: one tag byte per

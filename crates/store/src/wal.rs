@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 
 use asha_core::telemetry::EventKind;
 pub use asha_core::Durability;
-use asha_metrics::JsonValue;
+use asha_metrics::{push_json_f64, push_json_str, push_json_u64, JsonValue};
 use asha_obs::Event;
 
 use crate::error::StoreError;
@@ -158,7 +158,9 @@ impl WalRecord {
     /// binary WALs through this, and the service tailer uses it to fan
     /// binary records out as JSON events. Never written to a store file.
     pub fn render_jsonl(&self) -> String {
-        let mut out = String::new();
+        // A line grown from empty reallocates five times on its way to the
+        // ~100 bytes of an event; the tail renders one per record.
+        let mut out = String::with_capacity(128);
         render_record_jsonl(self, &mut out);
         out
     }
@@ -172,35 +174,31 @@ pub(crate) fn render_record_jsonl(record: &WalRecord, out: &mut String) {
             asha_obs::encode_event_into(out, event);
         }
         WalRecord::SnapshotMarker { time, marker } => {
-            let mut fields = vec![
-                (
-                    "ev",
-                    JsonValue::Str(
-                        match marker {
-                            SnapMarker::Full { .. } => "snapshot",
-                            SnapMarker::Delta { .. } => "delta_snapshot",
-                        }
-                        .to_owned(),
-                    ),
-                ),
-                ("t", JsonValue::Num(*time)),
-                ("snap", JsonValue::Int(marker.snap())),
-            ];
+            out.push_str(match marker {
+                SnapMarker::Full { .. } => "{\"ev\":\"snapshot\",\"t\":",
+                SnapMarker::Delta { .. } => "{\"ev\":\"delta_snapshot\",\"t\":",
+            });
+            push_json_f64(out, *time);
+            out.push_str(",\"snap\":");
+            push_json_u64(out, marker.snap());
             if let SnapMarker::Delta { delta, .. } = marker {
-                fields.push(("delta", JsonValue::Int(*delta)));
+                out.push_str(",\"delta\":");
+                push_json_u64(out, *delta);
             }
-            fields.push(("events", JsonValue::Int(marker.events())));
-            JsonValue::obj(fields).render_compact_into(out);
+            out.push_str(",\"events\":");
+            push_json_u64(out, marker.events());
+            out.push('}');
         }
         WalRecord::Meta { time, event } => {
-            let mut fields = vec![
-                ("ev", JsonValue::Str(event.name().to_owned())),
-                ("t", JsonValue::Num(*time)),
-            ];
+            out.push_str("{\"ev\":");
+            push_json_str(out, event.name());
+            out.push_str(",\"t\":");
+            push_json_f64(out, *time);
             if let StoreEvent::ExperimentCreated { name } = event {
-                fields.push(("name", JsonValue::Str(name.clone())));
+                out.push_str(",\"name\":");
+                push_json_str(out, name);
             }
-            JsonValue::obj(fields).render_compact_into(out);
+            out.push('}');
         }
     }
 }
@@ -263,13 +261,7 @@ pub(crate) fn parse_record_jsonl(line: &str) -> Result<WalRecord, String> {
             time: time()?,
             event: StoreEvent::ExperimentFinished,
         }),
-        _ => {
-            let events = asha_obs::parse_jsonl(line).map_err(|e| e.to_string())?;
-            match events.into_iter().next() {
-                Some(event) => Ok(WalRecord::telemetry(event)),
-                None => Err("empty telemetry line".to_owned()),
-            }
-        }
+        _ => asha_obs::event_from_json(&value).map(WalRecord::telemetry),
     }
 }
 

@@ -1,8 +1,9 @@
 //! The prose may only name things that exist: every `--bin NAME` and
 //! `target/release/NAME` in the documents below is a binary `crates/bench`
-//! builds, and every committed root-level JSON file or `scripts/` path they
-//! name is in the tree. A deleted binary or data file fails here instead of
-//! living on in a README.
+//! builds, every committed root-level JSON file or `scripts/` path they
+//! name is in the tree, and so is every `.rs` file the three root documents
+//! name by its path. A deleted binary, data file or test fails here instead
+//! of living on in a README.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -58,6 +59,22 @@ fn root_json_names(text: &str) -> Vec<&str> {
         .collect()
 }
 
+/// Source files named by path: tokens ending in `.rs` that start at one of
+/// the tree's source roots, or at `benchmark/` followed by one (the token
+/// then resolves under `benchmark/` as written). A bare `tailer.rs`, a
+/// `service/src/…` without its `crates/` and a glob are not paths from the
+/// root and are not checked.
+fn source_paths(text: &str) -> Vec<&str> {
+    const ROOTS: [&str; 4] = ["crates/", "tests/", "src/", "examples/"];
+    text.split(|c: char| !is_name_char(c) && c != '/')
+        .map(|token| token.trim_end_matches('.'))
+        .filter(|token| {
+            let from_root = token.strip_prefix("benchmark/").unwrap_or(token);
+            token.ends_with(".rs") && ROOTS.iter().any(|root| from_root.starts_with(root))
+        })
+        .collect()
+}
+
 /// Binaries of `crates/bench`: one per `src/bin/*.rs`, plus the names its
 /// `[[bin]]` tables give (`asha-serve`, `asha-ctl`).
 fn bench_binaries(root: &Path) -> BTreeSet<String> {
@@ -109,7 +126,14 @@ fn documents_name_only_binaries_and_files_that_exist() {
             .into_iter()
             .map(|name| format!("scripts/{name}"));
         let jsons = root_json_names(&text).into_iter().map(str::to_owned);
-        for path in scripts.chain(jsons) {
+        // The documents at the root write source paths from the root.
+        let sources = if ["README.md", "DESIGN.md", "EXPERIMENTS.md"].contains(&doc) {
+            source_paths(&text)
+        } else {
+            Vec::new()
+        };
+        let sources = sources.into_iter().map(str::to_owned);
+        for path in scripts.chain(jsons).chain(sources) {
             let excused = ALLOWED_MISSING.contains(&(doc, path.as_str()));
             if !excused && !root.join(&path).exists() {
                 problems.push(format!("{doc}: `{path}` does not exist"));
@@ -128,4 +152,19 @@ fn the_tokenizers_see_what_the_documents_write() {
     assert_eq!(names_after(text, "target/release/"), ["tune_sim"]);
     assert_eq!(names_after(text, "scripts/"), ["service_smoke.sh"]);
     assert_eq!(root_json_names(text), ["BENCHMARK.json"]);
+
+    let text = "`crates/service/tests/concurrent_clients.rs::hostile_create_frames`, \
+                tests/sim_golden.rs. (`src/tune.rs`, examples/quickstart.rs:12) and \
+                `benchmark/src/stats.rs`; but not `tailer.rs`, service/src/tailer.rs, \
+                `crates/bench/src/bin/*.rs`, `store/src/{binary,codec}.rs` or crates/core/.";
+    assert_eq!(
+        source_paths(text),
+        [
+            "crates/service/tests/concurrent_clients.rs",
+            "tests/sim_golden.rs",
+            "src/tune.rs",
+            "examples/quickstart.rs",
+            "benchmark/src/stats.rs"
+        ]
+    );
 }
