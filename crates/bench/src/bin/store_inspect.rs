@@ -15,7 +15,8 @@
 //! supervisor root (contains `manifest.json`); for a root, every listed
 //! experiment is inspected. For each experiment the tool prints the
 //! metadata summary, the checkpoint chain (full snapshots and their delta
-//! chains: sequence, covered events, dialect, file size), and the WAL's
+//! chains: sequence, covered events, file dialect and size, and the
+//! snapshot layout — `v1` keyed rows or `v2` positional ones), and the WAL's
 //! shape: detected dialect, record counts, telemetry sequence range, store
 //! markers, and whether a torn tail was discarded. Dialects are detected
 //! per file, so mixed-format stores (a `jsonl-v1` store after a resume:
@@ -24,6 +25,9 @@
 
 use std::path::Path;
 
+use asha::metrics::JsonValue;
+use asha::store::binary::{find_field, get_value, put_value};
+use asha::store::delta::apply_bytes;
 use asha::store::{
     read_manifest, read_meta, read_wal, DecodeStep, DeltaDoc, Snapshot, StoreFormat, WalContents,
     WalRecord, MANIFEST_FILE, META_FILE, WAL_FILE,
@@ -76,7 +80,7 @@ fn read_wal_forced(path: &Path, format: StoreFormat) -> Result<WalContents, Stri
 
 /// Read and decode one checkpoint document (full snapshot or delta),
 /// reporting the dialect it was written in alongside the parsed value.
-fn read_checkpoint_doc(path: &Path) -> Result<(StoreFormat, asha::metrics::JsonValue), String> {
+fn read_checkpoint_doc(path: &Path) -> Result<(StoreFormat, JsonValue), String> {
     let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
     let format = StoreFormat::detect_document(&bytes);
     let doc = format.decode_document(&bytes)?;
@@ -107,8 +111,27 @@ fn inspect_experiment(dir: &Path, opts: &Opts) {
     inspect_wal(dir, opts);
 }
 
+/// The layout a snapshot document's payload was written in, from its schema
+/// tag: `v1` (keyed rows) or `v2` (positional rows).
+fn layout(payload: &[u8]) -> String {
+    let schema = find_field(payload, 0, "schema")
+        .ok()
+        .flatten()
+        .and_then(|mut at| get_value(payload, &mut at).ok());
+    match schema.as_ref().and_then(JsonValue::as_str) {
+        Some(tag) => tag
+            .strip_prefix("asha-store-snapshot-")
+            .unwrap_or(tag)
+            .to_owned(),
+        None => "?".to_owned(),
+    }
+}
+
 /// The checkpoint chain: every full snapshot in sequence order, each
-/// followed by its delta chain (if any), with per-file dialect and size.
+/// followed by its delta chain (if any), with per-file dialect and size and
+/// the layout of the document each file restores — a delta's is that of
+/// its base with the chain patched on, so an old store resumed under new
+/// code shows as a v1 snapshot followed by v2 deltas.
 fn inspect_checkpoints(dir: &Path) {
     match asha::store::list_snapshots(dir) {
         Ok(snaps) if snaps.is_empty() => println!("  snapshots: none"),
@@ -116,14 +139,25 @@ fn inspect_checkpoints(dir: &Path) {
             println!("  snapshots: {}", snaps.len());
             for (seq, path) in &snaps {
                 let size = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+                // The document the chain has restored so far, as a payload.
+                let mut chain = None;
                 match read_checkpoint_doc(path).and_then(|(f, doc)| {
-                    Ok((f, Snapshot::from_json(&doc).map_err(|e| e.to_string())?))
+                    Ok((
+                        f,
+                        Snapshot::from_json(&doc).map_err(|e| e.to_string())?,
+                        doc,
+                    ))
                 }) {
-                    Ok((format, snap)) => println!(
-                        "    snap {seq:>6}: covers {:>7} events, {size:>9} bytes ({})",
-                        snap.events,
-                        format.name()
-                    ),
+                    Ok((format, snap, doc)) => {
+                        let payload = chain.insert(Vec::new());
+                        put_value(payload, &doc);
+                        println!(
+                            "    snap {seq:>6}: covers {:>7} events, {size:>9} bytes ({}, layout {})",
+                            snap.events,
+                            format.name(),
+                            layout(payload)
+                        )
+                    }
                     Err(e) => println!("    snap {seq:>6}: UNREADABLE, {size:>9} bytes ({e})"),
                 }
                 // The delta chain hanging off this full snapshot, in chain
@@ -138,11 +172,20 @@ fn inspect_checkpoints(dir: &Path) {
                     };
                     let size = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
                     match (DeltaDoc::load(dir, *seq, k), read_checkpoint_doc(&path)) {
-                        (Ok(delta), Ok((format, _))) => println!(
-                            "      delta {seq:>4}+{k}: covers {:>7} events, {size:>9} bytes ({})",
-                            delta.events,
-                            format.name()
-                        ),
+                        (Ok(delta), Ok((format, _))) => {
+                            chain = chain.and_then(|base| {
+                                let (mut patch, mut patched) = (Vec::new(), Vec::new());
+                                put_value(&mut patch, &delta.patch);
+                                apply_bytes(&base, &patch, &mut patched).ok()?;
+                                Some(patched)
+                            });
+                            println!(
+                                "      delta {seq:>4}+{k}: covers {:>7} events, {size:>9} bytes ({}, layout {})",
+                                delta.events,
+                                format.name(),
+                                chain.as_deref().map_or_else(|| "?".to_owned(), layout)
+                            )
+                        }
                         (Err(e), _) => {
                             println!("      delta {seq:>4}+{k}: UNREADABLE, {size:>9} bytes ({e})")
                         }

@@ -66,6 +66,14 @@ fn killed_store_run_recovers_to_identical_report() {
     assert!(inspect.status.success(), "store_inspect failed:\n{text}");
     assert!(text.contains("binary-v2 dialect"), "{text}");
     assert!(text.contains("delta marker"), "{text}");
+    // Each checkpoint line names the snapshot layout it restores.
+    for kind in ["snap", "delta"] {
+        assert!(
+            text.lines().any(|line| line.trim_start().starts_with(kind)
+                && line.ends_with("bytes (binary-v2, layout v2)")),
+            "no {kind} line shows its layout:\n{text}"
+        );
+    }
     let dump = store_inspect(&["--dump", &crash_dir]);
     assert!(dump.status.success(), "store_inspect --dump failed");
 

@@ -1,10 +1,13 @@
 //! Same seed ⇒ same bytes on disk: re-run the command that generated the
 //! committed `dasha-tpe-store` fixture and require every file it writes to
-//! equal the fixture byte for byte. The fixture predates the bytes-first
-//! checkpoint path (and the scheduler-kind refactor before it), so this is
-//! the writer's half of the compatibility contract whose reader's half is
-//! `asha-store`'s `dasha_tpe_fixture_opens_and_resumes`: whatever changes
-//! behind `DurableRun`, the files may not.
+//! equal the fixture byte for byte. Its `meta.json` and WAL predate the
+//! bytes-first checkpoint path (and the scheduler-kind refactor before it);
+//! its checkpoints were regenerated once, by this command, when snapshots
+//! moved to schema v2. This is the writer's half of the compatibility
+//! contract whose reader's half is `asha-store`'s
+//! `dasha_tpe_fixture_opens_and_resumes`: whatever changes behind
+//! `DurableRun`, the files may not, unless the document format itself
+//! changes on purpose.
 
 use std::collections::BTreeMap;
 use std::path::Path;

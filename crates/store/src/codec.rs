@@ -20,6 +20,11 @@
 //!   the state structs sort their collections, so the same logical state
 //!   always encodes to the same bytes.
 //!
+//! Rows — the entries of a document's long arrays — are fixed-order arrays
+//! without keys (snapshot schema v2; the orders are listed at the
+//! simulator-state encoders), and the decoders still read schema v1's keyed
+//! rows.
+//!
 //! All decoders return an [`Error`] describing the first mismatch; callers
 //! reading files recast it as [`ErrorKind::Corrupt`](asha_core::ErrorKind::Corrupt)
 //! with the offending path. The config decoders also *validate* what they
@@ -80,14 +85,26 @@ fn get<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, Error> {
         .ok_or_else(|| Error::codec(format!("missing field {key:?}")))
 }
 
+fn f64_field(v: &JsonValue, key: &str) -> Result<f64, Error> {
+    float_from_json(v).map_err(|e| e.context(format!("field {key:?}")))
+}
+
+fn u64_field(v: &JsonValue, key: &str) -> Result<u64, Error> {
+    v.as_u64()
+        .ok_or_else(|| Error::codec(format!("field {key:?}: expected an unsigned integer")))
+}
+
+fn bool_field(v: &JsonValue, key: &str) -> Result<bool, Error> {
+    v.as_bool()
+        .ok_or_else(|| Error::codec(format!("field {key:?}: expected a bool")))
+}
+
 fn get_f64(v: &JsonValue, key: &str) -> Result<f64, Error> {
-    float_from_json(get(v, key)?).map_err(|e| e.context(format!("field {key:?}")))
+    f64_field(get(v, key)?, key)
 }
 
 fn get_u64(v: &JsonValue, key: &str) -> Result<u64, Error> {
-    get(v, key)?
-        .as_u64()
-        .ok_or_else(|| Error::codec(format!("field {key:?}: expected an unsigned integer")))
+    u64_field(get(v, key)?, key)
 }
 
 fn get_usize(v: &JsonValue, key: &str) -> Result<usize, Error> {
@@ -95,9 +112,7 @@ fn get_usize(v: &JsonValue, key: &str) -> Result<usize, Error> {
 }
 
 fn get_bool(v: &JsonValue, key: &str) -> Result<bool, Error> {
-    get(v, key)?
-        .as_bool()
-        .ok_or_else(|| Error::codec(format!("field {key:?}: expected a bool")))
+    bool_field(get(v, key)?, key)
 }
 
 fn get_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, Error> {
@@ -243,41 +258,74 @@ pub fn space_from_json(v: &JsonValue) -> Result<SearchSpace, Error> {
     builder.build().map_err(|e| Error::codec(e.to_string()))
 }
 
+/// Tags of the non-float config values (see [`put_config`]).
+const CONFIG_INT: u64 = 1;
+const CONFIG_INDEX: u64 = 2;
+
+/// A config is an array of its values: a `Float` is the bare float
+/// ([`float_to_json`]'s form), an `Int` is `[1, v]`, an `Index` is
+/// `[2, i]`. Snapshot schema v1 wrote each value as a one-key object,
+/// `{"float": x}` / `{"int": v}` / `{"index": i}`; that is still read.
 fn put_config(w: &mut ValueWriter<'_>, config: &Config) {
     w.arr(config.values().len());
     for v in config.values() {
-        w.obj(1);
         match v {
-            ParamValue::Float(x) => put_float(w.key("float"), *x),
-            ParamValue::Int(x) => put_i64(w.key("int"), *x),
-            ParamValue::Index(x) => w.key("index").int(*x as u64),
+            ParamValue::Float(x) => put_float(w, *x),
+            ParamValue::Int(x) => {
+                w.arr(2);
+                w.int(CONFIG_INT);
+                put_i64(w, *x);
+            }
+            ParamValue::Index(x) => {
+                w.arr(2);
+                w.int(CONFIG_INDEX);
+                w.int(*x as u64);
+            }
         }
     }
 }
 
-/// Encode a sampled configuration as an array of tagged values.
+/// Encode a sampled configuration as an array of values.
 pub fn config_to_json(config: &Config) -> JsonValue {
     tree_of(|w| put_config(w, config))
 }
 
-/// Decode a configuration written by [`config_to_json`].
-pub fn config_from_json(v: &JsonValue) -> Result<Config, Error> {
-    let arr = v.as_array().ok_or("config: expected an array")?;
-    let values = arr
-        .iter()
-        .map(|v| {
+fn index_from_json(v: &JsonValue) -> Result<ParamValue, Error> {
+    let i = v.as_u64().ok_or("index must be an unsigned integer")?;
+    Ok(ParamValue::Index(i as usize))
+}
+
+fn param_value_from_json(v: &JsonValue) -> Result<ParamValue, Error> {
+    match v {
+        JsonValue::Arr(tagged) => match tagged.as_slice() {
+            [JsonValue::Int(CONFIG_INT), x] => Ok(ParamValue::Int(i64_from_json(x)?)),
+            [JsonValue::Int(CONFIG_INDEX), i] => index_from_json(i),
+            _ => Err(Error::codec(
+                "config value: expected a float, [1, int] or [2, index]",
+            )),
+        },
+        JsonValue::Obj(_) => {
             if let Some(x) = v.get("float") {
                 Ok(ParamValue::Float(float_from_json(x)?))
             } else if let Some(x) = v.get("int") {
                 Ok(ParamValue::Int(i64_from_json(x)?))
-            } else if let Some(x) = v.get("index") {
-                Ok(ParamValue::Index(
-                    x.as_u64().ok_or("index must be an unsigned integer")? as usize,
-                ))
+            } else if let Some(i) = v.get("index") {
+                index_from_json(i)
             } else {
                 Err(Error::codec("config value must be tagged float/int/index"))
             }
-        })
+        }
+        float => Ok(ParamValue::Float(float_from_json(float)?)),
+    }
+}
+
+/// Decode a configuration written by [`config_to_json`] (or schema v1's
+/// keyed values).
+pub fn config_from_json(v: &JsonValue) -> Result<Config, Error> {
+    let arr = v.as_array().ok_or("config: expected an array")?;
+    let values = arr
+        .iter()
+        .map(param_value_from_json)
         .collect::<Result<Vec<_>, Error>>()?;
     Ok(Config::new(values))
 }
@@ -640,15 +688,82 @@ pub fn scheduler_state_from_json(v: &JsonValue) -> Result<SchedulerState, Error>
 // ---------------------------------------------------------------------------
 // Simulator state
 // ---------------------------------------------------------------------------
+//
+// Every row of the simulator half is a fixed-order array, like the
+// scheduler half's `[trial, loss]` pairs (snapshot schema v2):
+//
+//   job      [trial, config, rung, resource, bracket, inherit_from|null]
+//            (a `retry` entry; the third element of a `pending` row)
+//   slots    [trial, resource, loss, asym_jitter, rate_jitter,
+//             divergence_draw, diverged, time_per_unit, completed]
+//            (the `TrainingState` is elements 1..=6)
+//   pending  [time, seq, job, dropped]
+//   trace    [time, trial, bracket, rung, resource, val_loss, test_loss]
+//
+// Schema v1 wrote each row as an object keyed by those names, with a slot's
+// training state nested under `"state"`; each row decoder reads both. Only
+// the document's singletons — the top-level fields, `faults`,
+// `best_config`, the scheduler and simulator configs — keep their keys:
+// written once per document, they cost a few hundred bytes and name
+// themselves to a reader.
+
+/// One row being decoded: a v2 array read by position, or a v1 object read
+/// by key. A positional row's length is checked when it is opened, so a
+/// short, long or mistyped row is an error, never a panic.
+#[derive(Clone, Copy)]
+enum Row<'a> {
+    Positional(&'a [JsonValue]),
+    Keyed(&'a JsonValue),
+}
+
+impl<'a> Row<'a> {
+    fn open(v: &'a JsonValue, len: usize, what: &str) -> Result<Self, Error> {
+        match v {
+            JsonValue::Arr(items) if items.len() == len => Ok(Row::Positional(items)),
+            JsonValue::Arr(items) => Err(Error::codec(format!(
+                "{what}: expected {len} elements, got {}",
+                items.len()
+            ))),
+            JsonValue::Obj(_) => Ok(Row::Keyed(v)),
+            _ => Err(Error::codec(format!("{what}: expected an array"))),
+        }
+    }
+
+    /// Element `i` of a positional row, field `key` of a keyed one.
+    fn field(self, i: usize, key: &str) -> Result<&'a JsonValue, Error> {
+        match self {
+            Row::Positional(items) => items
+                .get(i)
+                .ok_or_else(|| Error::codec(format!("missing field {key:?}"))),
+            Row::Keyed(v) => get(v, key),
+        }
+    }
+
+    fn f64(self, i: usize, key: &str) -> Result<f64, Error> {
+        f64_field(self.field(i, key)?, key)
+    }
+
+    fn u64(self, i: usize, key: &str) -> Result<u64, Error> {
+        u64_field(self.field(i, key)?, key)
+    }
+
+    fn usize(self, i: usize, key: &str) -> Result<usize, Error> {
+        Ok(self.u64(i, key)? as usize)
+    }
+
+    fn bool(self, i: usize, key: &str) -> Result<bool, Error> {
+        bool_field(self.field(i, key)?, key)
+    }
+}
 
 fn put_job(w: &mut ValueWriter<'_>, j: &Job) {
-    w.obj(6);
-    w.key("trial").int(j.trial.0);
-    put_config(w.key("config"), &j.config);
-    w.key("rung").int(j.rung as u64);
-    put_float(w.key("resource"), j.resource);
-    w.key("bracket").int(j.bracket as u64);
-    put_opt_int(w.key("inherit_from"), j.inherit_from.map(|t| t.0));
+    w.arr(6);
+    w.int(j.trial.0);
+    put_config(w, &j.config);
+    w.int(j.rung as u64);
+    put_float(w, j.resource);
+    w.int(j.bracket as u64);
+    put_opt_int(w, j.inherit_from.map(|t| t.0));
 }
 
 /// Encode a [`Job`].
@@ -658,38 +773,72 @@ pub fn job_to_json(j: &Job) -> JsonValue {
 
 /// Decode a [`Job`].
 pub fn job_from_json(v: &JsonValue) -> Result<Job, Error> {
+    let row = Row::open(v, 6, "job")?;
+    let inherit_from = row.field(5, "inherit_from")?;
     Ok(Job {
-        trial: TrialId(get_u64(v, "trial")?),
-        config: config_from_json(get(v, "config")?)?,
-        rung: get_usize(v, "rung")?,
-        resource: get_f64(v, "resource")?,
-        bracket: get_usize(v, "bracket")?,
-        inherit_from: if get(v, "inherit_from")?.is_null() {
+        trial: TrialId(row.u64(0, "trial")?),
+        config: config_from_json(row.field(1, "config")?)?,
+        rung: row.usize(2, "rung")?,
+        resource: row.f64(3, "resource")?,
+        bracket: row.usize(4, "bracket")?,
+        inherit_from: if inherit_from.is_null() {
             None
         } else {
-            Some(TrialId(get_u64(v, "inherit_from")?))
+            Some(TrialId(u64_field(inherit_from, "inherit_from")?))
         },
     })
 }
 
-fn put_training_state(w: &mut ValueWriter<'_>, s: &TrainingState) {
-    w.obj(6);
-    put_float(w.key("resource"), s.resource);
-    put_float(w.key("loss"), s.loss);
-    put_float(w.key("asym_jitter"), s.asym_jitter);
-    put_float(w.key("rate_jitter"), s.rate_jitter);
-    put_float(w.key("divergence_draw"), s.divergence_draw);
-    w.key("diverged").bool(s.diverged);
+fn put_slot(w: &mut ValueWriter<'_>, slot: &TrialSlotState) {
+    let s = &slot.state;
+    w.arr(9);
+    w.int(slot.trial);
+    put_float(w, s.resource);
+    put_float(w, s.loss);
+    put_float(w, s.asym_jitter);
+    put_float(w, s.rate_jitter);
+    put_float(w, s.divergence_draw);
+    w.bool(s.diverged);
+    put_float(w, slot.time_per_unit);
+    w.bool(slot.completed);
 }
 
-fn training_state_from_json(v: &JsonValue) -> Result<TrainingState, Error> {
-    Ok(TrainingState {
-        resource: get_f64(v, "resource")?,
-        loss: get_f64(v, "loss")?,
-        asym_jitter: get_f64(v, "asym_jitter")?,
-        rate_jitter: get_f64(v, "rate_jitter")?,
-        divergence_draw: get_f64(v, "divergence_draw")?,
-        diverged: get_bool(v, "diverged")?,
+fn slot_from_json(v: &JsonValue) -> Result<TrialSlotState, Error> {
+    let row = Row::open(v, 9, "slot")?;
+    let state = match row {
+        Row::Positional(_) => row,
+        Row::Keyed(slot) => Row::Keyed(get(slot, "state")?),
+    };
+    Ok(TrialSlotState {
+        trial: row.u64(0, "trial")?,
+        state: TrainingState {
+            resource: state.f64(1, "resource")?,
+            loss: state.f64(2, "loss")?,
+            asym_jitter: state.f64(3, "asym_jitter")?,
+            rate_jitter: state.f64(4, "rate_jitter")?,
+            divergence_draw: state.f64(5, "divergence_draw")?,
+            diverged: state.bool(6, "diverged")?,
+        },
+        time_per_unit: row.f64(7, "time_per_unit")?,
+        completed: row.bool(8, "completed")?,
+    })
+}
+
+fn put_pending(w: &mut ValueWriter<'_>, p: &PendingJob) {
+    w.arr(4);
+    put_float(w, p.time);
+    w.int(p.seq);
+    put_job(w, &p.job);
+    w.bool(p.dropped);
+}
+
+fn pending_from_json(v: &JsonValue) -> Result<PendingJob, Error> {
+    let row = Row::open(v, 4, "pending job")?;
+    Ok(PendingJob {
+        time: row.f64(0, "time")?,
+        seq: row.u64(1, "seq")?,
+        job: job_from_json(row.field(2, "job")?)?,
+        dropped: row.bool(3, "dropped")?,
     })
 }
 
@@ -713,25 +862,26 @@ fn fault_stats_from_json(v: &JsonValue) -> Result<FaultStats, Error> {
 }
 
 fn put_trace_event(w: &mut ValueWriter<'_>, e: &TraceEvent) {
-    w.obj(7);
-    put_float(w.key("time"), e.time);
-    w.key("trial").int(e.trial);
-    w.key("bracket").int(e.bracket as u64);
-    w.key("rung").int(e.rung as u64);
-    put_float(w.key("resource"), e.resource);
-    put_float(w.key("val_loss"), e.val_loss);
-    put_float(w.key("test_loss"), e.test_loss);
+    w.arr(7);
+    put_float(w, e.time);
+    w.int(e.trial);
+    w.int(e.bracket as u64);
+    w.int(e.rung as u64);
+    put_float(w, e.resource);
+    put_float(w, e.val_loss);
+    put_float(w, e.test_loss);
 }
 
 fn trace_event_from_json(v: &JsonValue) -> Result<TraceEvent, Error> {
+    let row = Row::open(v, 7, "trace event")?;
     Ok(TraceEvent {
-        time: get_f64(v, "time")?,
-        trial: get_u64(v, "trial")?,
-        bracket: get_usize(v, "bracket")?,
-        rung: get_usize(v, "rung")?,
-        resource: get_f64(v, "resource")?,
-        val_loss: get_f64(v, "val_loss")?,
-        test_loss: get_f64(v, "test_loss")?,
+        time: row.f64(0, "time")?,
+        trial: row.u64(1, "trial")?,
+        bracket: row.usize(2, "bracket")?,
+        rung: row.usize(3, "rung")?,
+        resource: row.f64(4, "resource")?,
+        val_loss: row.f64(5, "val_loss")?,
+        test_loss: row.f64(6, "test_loss")?,
     })
 }
 
@@ -806,19 +956,11 @@ pub(crate) fn put_sim_run_state(w: &mut ValueWriter<'_>, s: &SimRunState) {
     }
     w.key("slots").arr(s.slots.len());
     for slot in &s.slots {
-        w.obj(4);
-        w.key("trial").int(slot.trial);
-        put_training_state(w.key("state"), &slot.state);
-        put_float(w.key("time_per_unit"), slot.time_per_unit);
-        w.key("completed").bool(slot.completed);
+        put_slot(w, slot);
     }
     w.key("pending").arr(s.pending.len());
     for p in &s.pending {
-        w.obj(4);
-        put_float(w.key("time"), p.time);
-        w.key("seq").int(p.seq);
-        put_job(w.key("job"), &p.job);
-        w.key("dropped").bool(p.dropped);
+        put_pending(w, p);
     }
     w.key("retry").arr(s.retry.len());
     for j in &s.retry {
@@ -857,26 +999,12 @@ pub fn sim_run_state_from_json(v: &JsonValue) -> Result<SimRunState, Error> {
         best_config,
         slots: get_arr(v, "slots")?
             .iter()
-            .map(|slot| {
-                Ok(TrialSlotState {
-                    trial: get_u64(slot, "trial")?,
-                    state: training_state_from_json(get(slot, "state")?)?,
-                    time_per_unit: get_f64(slot, "time_per_unit")?,
-                    completed: get_bool(slot, "completed")?,
-                })
-            })
-            .collect::<Result<_, Error>>()?,
+            .map(slot_from_json)
+            .collect::<Result<_, _>>()?,
         pending: get_arr(v, "pending")?
             .iter()
-            .map(|p| {
-                Ok(PendingJob {
-                    time: get_f64(p, "time")?,
-                    seq: get_u64(p, "seq")?,
-                    job: job_from_json(get(p, "job")?)?,
-                    dropped: get_bool(p, "dropped")?,
-                })
-            })
-            .collect::<Result<_, Error>>()?,
+            .map(pending_from_json)
+            .collect::<Result<_, _>>()?,
         retry: get_arr(v, "retry")?
             .iter()
             .map(job_from_json)

@@ -39,8 +39,13 @@ use crate::codec;
 use crate::error::{Error, StoreError};
 use crate::format::{decode_any_document, document_frame, document_payload, StoreFormat};
 
-/// Schema tag written into every snapshot file.
-pub const SNAPSHOT_SCHEMA: &str = "asha-store-snapshot-v1";
+/// Schema tag written into every snapshot file: the document layout, not
+/// the file dialect. v2 writes the simulator's rows and every config value
+/// positionally (see [`crate::codec`]).
+pub const SNAPSHOT_SCHEMA: &str = "asha-store-snapshot-v2";
+
+/// The layout before v2, with keyed rows and config values: still read.
+const SNAPSHOT_SCHEMA_V1: &str = "asha-store-snapshot-v1";
 
 /// Schema tag written into every delta-snapshot file.
 pub const DELTA_SCHEMA: &str = "asha-store-delta-v1";
@@ -310,15 +315,15 @@ impl Snapshot {
         tree_of(|w| self.put(w))
     }
 
-    /// Decode a snapshot, verifying the schema tag.
+    /// Decode a snapshot of either schema, verifying the tag.
     pub fn from_json(v: &JsonValue) -> Result<Self, Error> {
         let schema = v
             .get("schema")
             .and_then(|s| s.as_str())
             .ok_or("snapshot missing schema")?;
-        if schema != SNAPSHOT_SCHEMA {
+        if schema != SNAPSHOT_SCHEMA && schema != SNAPSHOT_SCHEMA_V1 {
             return Err(Error::codec(format!(
-                "unsupported snapshot schema {schema:?} (expected {SNAPSHOT_SCHEMA:?})"
+                "unsupported snapshot schema {schema:?} (expected {SNAPSHOT_SCHEMA:?} or {SNAPSHOT_SCHEMA_V1:?})"
             )));
         }
         let sim = {
@@ -532,13 +537,32 @@ pub fn read_document(path: &Path) -> Result<JsonValue, StoreError> {
 
 /// Fsync a directory so a just-renamed file's entry is durable (POSIX
 /// requires syncing the containing directory, not just the file).
+///
+/// Failing to open the directory or to sync it is an error: the rename it
+/// was to make durable may not survive a crash, so no marker may name it.
+/// The one exception is a filesystem that cannot fsync a directory at all
+/// and says so with [`std::io::ErrorKind::Unsupported`] or
+/// [`std::io::ErrorKind::InvalidInput`]; there the entry is as durable as
+/// that filesystem makes it.
 pub fn fsync_dir(dir: &Path) -> Result<(), StoreError> {
-    // Opening a directory read-only for fsync works on Linux; on platforms
-    // where it does not, durability degrades gracefully to writeback.
-    if let Ok(f) = File::open(dir) {
-        let _ = f.sync_all();
+    // `Path::parent` of a bare file name is the empty path.
+    let dir = if dir.as_os_str().is_empty() {
+        Path::new(".")
+    } else {
+        dir
+    };
+    let f = File::open(dir).map_err(|e| StoreError::io(dir, e))?;
+    match f.sync_all() {
+        Err(e)
+            if !matches!(
+                e.kind(),
+                std::io::ErrorKind::Unsupported | std::io::ErrorKind::InvalidInput
+            ) =>
+        {
+            Err(StoreError::io(dir, e))
+        }
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 /// Every snapshot in `dir`, sorted by sequence number.
@@ -577,4 +601,22 @@ pub fn load_latest(dir: &Path) -> Result<Option<(Snapshot, PathBuf)>, StoreError
         }
     }
     Ok(None)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fsync_dir_reports_a_directory_it_cannot_open() {
+        let missing =
+            std::env::temp_dir().join(format!("asha-store-fsync-missing-{}", std::process::id()));
+        let err = fsync_dir(&missing).unwrap_err();
+        assert!(
+            err.to_string().contains("asha-store-fsync-missing"),
+            "{err}"
+        );
+        fsync_dir(&std::env::temp_dir()).unwrap();
+        fsync_dir(Path::new("")).unwrap();
+    }
 }
