@@ -241,7 +241,7 @@ impl Asha {
             .iter()
             .map(|(t, c)| (t.0, c.clone()))
             .collect();
-        trials.sort_by_key(|&(t, _)| t);
+        trials.sort_unstable_by_key(|&(t, _)| t);
         let mut outstanding: Vec<(u64, usize)> =
             self.outstanding.iter().map(|&(t, r)| (t.0, r)).collect();
         outstanding.sort_unstable();

@@ -198,6 +198,12 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
 mod tests {
     use super::*;
 
+    /// Jobs cross threads (the executor's pool, the parallel runner).
+    const _: () = {
+        const fn shareable<T: Send + Sync>() {}
+        shareable::<Job>();
+    };
+
     #[test]
     fn trial_id_display() {
         assert_eq!(TrialId(7).to_string(), "trial#7");

@@ -275,7 +275,7 @@ impl SyncSha {
             .iter()
             .map(|(t, (b, c))| (t.0, *b, c.clone()))
             .collect();
-        trial_meta.sort_by_key(|&(t, _, _)| t);
+        trial_meta.sort_unstable_by_key(|&(t, _, _)| t);
         SyncShaState {
             config: self.config.clone(),
             brackets,

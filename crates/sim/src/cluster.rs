@@ -738,7 +738,7 @@ impl<'b, S: Scheduler> SimEngine<'b, S> {
                 completed: s.completed,
             })
             .collect();
-        slots.sort_by_key(|s| s.trial);
+        slots.sort_unstable_by_key(|s| s.trial);
         let mut pending: Vec<PendingJob> = self
             .heap
             .iter()
@@ -751,7 +751,7 @@ impl<'b, S: Scheduler> SimEngine<'b, S> {
                 dropped: e.dropped,
             })
             .collect();
-        pending.sort_by(|a, b| a.time.total_cmp(&b.time).then(a.seq.cmp(&b.seq)));
+        pending.sort_unstable_by(|a, b| a.time.total_cmp(&b.time).then(a.seq.cmp(&b.seq)));
         SimRunState {
             now: self.now,
             seq: self.seq,

@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::SpaceError;
@@ -22,12 +24,17 @@ pub enum ParamValue {
 /// of the [`SearchSpace`] it was sampled from, in the space's declaration
 /// order.
 ///
-/// Configurations are plain data (cheaply cloneable, serializable) and do not
-/// hold a reference to their space; accessors take the space as an argument
-/// so that values can be interpreted and validated.
+/// Configurations are plain data (serializable) and do not hold a reference
+/// to their space; accessors take the space as an argument so that values can
+/// be interpreted and validated.
+///
+/// A configuration is a shared immutable value: its values live in one
+/// reference-counted allocation, so a clone — one per issued job, pending
+/// job and exported trial — is a count increment. [`Config::values_mut`]
+/// copies on write.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Config {
-    values: Vec<ParamValue>,
+    values: Arc<[ParamValue]>,
 }
 
 impl Config {
@@ -35,7 +42,9 @@ impl Config {
     ///
     /// Most callers should use [`SearchSpace::sample`] instead.
     pub fn new(values: Vec<ParamValue>) -> Self {
-        Config { values }
+        Config {
+            values: values.into(),
+        }
     }
 
     /// The raw values in declaration order.
@@ -43,9 +52,10 @@ impl Config {
         &self.values
     }
 
-    /// Mutable access to the raw values (used by PBT's explore step).
+    /// Mutable access to the raw values (used by PBT's explore step). Copies
+    /// them first if another clone shares them, so no clone sees the edit.
     pub fn values_mut(&mut self) -> &mut [ParamValue] {
-        &mut self.values
+        Arc::make_mut(&mut self.values)
     }
 
     /// Number of values (equals the arity of the originating space).
@@ -206,6 +216,30 @@ mod tests {
             c.float("nope", &s),
             Err(SpaceError::UnknownParam(_))
         ));
+    }
+
+    /// Configurations cross threads (the parallel runner, the executor's
+    /// pool) inside jobs.
+    const _: () = {
+        const fn shareable<T: Send + Sync>() {}
+        shareable::<Config>();
+    };
+
+    #[test]
+    fn a_mutated_clone_leaves_the_original_alone() {
+        let original = Config::new(vec![ParamValue::Float(0.5), ParamValue::Int(2)]);
+        let mut clone = original.clone();
+        clone.values_mut()[1] = ParamValue::Int(3);
+        assert_eq!(
+            original,
+            Config::new(vec![ParamValue::Float(0.5), ParamValue::Int(2)])
+        );
+        assert_eq!(clone.values(), [ParamValue::Float(0.5), ParamValue::Int(3)]);
+        // Debug output is the value list's, as it was for a `Vec`.
+        assert_eq!(
+            format!("{original:?}"),
+            "Config { values: [Float(0.5), Int(2)] }"
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The byte-level toolkit of `binary-v2`: LEB128 varints, a compile-time
-//! slicing-by-8 CRC32 (IEEE), and **binvalue** — a compact tagged binary
+//! slicing-by-16 CRC32 (IEEE), and **binvalue** — a compact tagged binary
 //! form of [`JsonValue`] trees that is the store's in-memory checkpoint
 //! representation as well as its on-disk one.
 //!
@@ -25,10 +25,10 @@ use asha_metrics::JsonValue;
 // CRC32 (IEEE 802.3, the zlib/PNG polynomial), tables built at compile time
 // ---------------------------------------------------------------------------
 
-/// Slicing-by-8 tables: `[0]` is the classic byte-at-a-time table, `[k]`
+/// Slicing-by-16 tables: `[0]` is the classic byte-at-a-time table, `[k]`
 /// advances a byte's contribution past `k` further zero bytes.
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -45,7 +45,7 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
         i += 1;
     }
     let mut k = 1;
-    while k < 8 {
+    while k < 16 {
         let mut i = 0;
         while i < 256 {
             let prev = tables[k - 1][i];
@@ -57,24 +57,34 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
+static CRC_TABLES: [[u32; 256]; 16] = crc32_tables();
 
-/// CRC32 (IEEE) of `bytes`, eight bytes per step.
+/// The contribution of the four little-endian bytes of `word`, followed by
+/// `after` more bytes: table lookups `[after + 3]` down to `[after]`.
+#[inline(always)]
+fn crc32_word(t: &[[u32; 256]; 16], word: u32, after: usize) -> u32 {
+    t[after + 3][(word & 0xFF) as usize]
+        ^ t[after + 2][((word >> 8) & 0xFF) as usize]
+        ^ t[after + 1][((word >> 16) & 0xFF) as usize]
+        ^ t[after][(word >> 24) as usize]
+}
+
+/// CRC32 (IEEE) of `bytes`: sixteen bytes per step, then at most one
+/// eight-byte step (short WAL frames are mostly that), then bytes.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
+    let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
     let mut c = 0xFFFF_FFFFu32;
-    let mut chunks = bytes.chunks_exact(8);
+    let mut wide = bytes.chunks_exact(16);
+    for chunk in &mut wide {
+        c = crc32_word(t, c ^ word(chunk), 12)
+            ^ crc32_word(t, word(&chunk[4..]), 8)
+            ^ crc32_word(t, word(&chunk[8..]), 4)
+            ^ crc32_word(t, word(&chunk[12..]), 0);
+    }
+    let mut chunks = wide.remainder().chunks_exact(8);
     for chunk in &mut chunks {
-        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+        c = crc32_word(t, c ^ word(chunk), 4) ^ crc32_word(t, word(&chunk[4..]), 0);
     }
     for &b in chunks.remainder() {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);

@@ -44,6 +44,16 @@
 //!   increasing), then append the tail. Covers the store's append-mostly
 //!   arrays (trace, rungs) in O(appended) bytes.
 //!
+//! **No patch outgrows its value.** Below the root, a container that
+//! differs is written as `{"r":V}` whenever its `o`/`a` patch would be at
+//! least as long — that is, at least 4 bytes (the `{"r":` head) plus `V`'s
+//! own encoding. Decided bottom-up, so a patch below the root is never more
+//! than 4 bytes longer than the value it rebuilds: an array whose every row
+//! changed (the in-flight queue, re-sorted by completion time) costs its own
+//! bytes, not a patch per row. The root is never replaced, so a patch still
+//! fails against a base of another shape. Readers need nothing new: `r` was
+//! always legal at any depth.
+//!
 //! A patched document is never longer than its base plus its patch — each
 //! base value is copied at most once by any patch [`diff_bytes`] emits for
 //! documents with unique keys, the only kind the codecs write — and
@@ -194,20 +204,36 @@ impl Differ<'_> {
             }
         }
         let (mut b_in, mut n_in) = (b, n);
-        match (read_u8(base, &mut b_in)?, read_u8(new, &mut n_in)?) {
-            (TAG_OBJ, TAG_OBJ) => self.object(b_in, n_in, depth),
-            (TAG_ARR, TAG_ARR) => self.array(b_in, n_in, depth),
+        let mark = self.out.len();
+        let entered = match (read_u8(base, &mut b_in)?, read_u8(new, &mut n_in)?) {
+            (TAG_OBJ, TAG_OBJ) => self.object(b_in, n_in, depth)?,
+            (TAG_ARR, TAG_ARR) => self.array(b_in, n_in, depth)?,
             _ => {
                 let b_end = skip_value_depth(base, b, depth)?;
                 let n_end = skip_value_depth(new, n, depth)?;
                 let same = base[b..b_end] == new[n..n_end];
                 if !same {
-                    self.out.extend_from_slice(&op(b'r'));
-                    self.out.extend_from_slice(&new[n..n_end]);
+                    self.replace(&new[n..n_end]);
                 }
-                Ok((b_end, n_end, same))
+                return Ok((b_end, n_end, same));
             }
+        };
+        // Below the root, a container whose patch would be no shorter than
+        // replacing it is replaced (the root never is, so a patch still
+        // fails against a base of another shape).
+        let (_, n_end, same) = entered;
+        let value = &new[n..n_end];
+        if !same && depth > 0 && self.out.len() - mark >= op(b'r').len() + value.len() {
+            self.out.truncate(mark);
+            self.replace(value);
         }
+        Ok(entered)
+    }
+
+    /// Append `{"r": value}`.
+    fn replace(&mut self, value: &[u8]) {
+        self.out.extend_from_slice(&op(b'r'));
+        self.out.extend_from_slice(value);
     }
 
     /// Start the object-patch entry `["<tag>", key, …]` of `parts` parts.
@@ -566,14 +592,23 @@ mod tests {
     /// reference twin: what the engine must reproduce byte for byte.
     mod oracle {
         use super::super::json_eq;
+        use super::encoded;
         use asha_metrics::JsonValue;
 
         /// Compute a patch transforming `base` into `new`.
         pub fn diff(base: &JsonValue, new: &JsonValue) -> JsonValue {
+            patch(base, new, true)
+        }
+
+        /// [`diff`] of a value at the root or below it. Below the root, a
+        /// changed container whose patch is no shorter than `{"r": new}`
+        /// is replaced.
+        fn patch(base: &JsonValue, new: &JsonValue, root: bool) -> JsonValue {
             if json_eq(base, new) {
                 return JsonValue::obj([("u", JsonValue::Int(1))]);
             }
-            match (base, new) {
+            let replace = || JsonValue::obj([("r", new.clone())]);
+            let entered = match (base, new) {
                 (JsonValue::Obj(base_fields), JsonValue::Obj(new_fields)) => {
                     let mut entries = Vec::with_capacity(new_fields.len());
                     // `cursor` exploits the common case: the same codec wrote both
@@ -599,7 +634,7 @@ mod tests {
                                     entries.push(JsonValue::Arr(vec![
                                         JsonValue::Str("p".to_owned()),
                                         JsonValue::Str(key.clone()),
-                                        diff(base_val, new_val),
+                                        patch(base_val, new_val, false),
                                     ]));
                                 }
                             }
@@ -619,7 +654,7 @@ mod tests {
                         if !json_eq(&base_items[i], &new_items[i]) {
                             patches.push(JsonValue::Arr(vec![
                                 JsonValue::Int(i as u64),
-                                diff(&base_items[i], &new_items[i]),
+                                patch(&base_items[i], &new_items[i], false),
                             ]));
                         }
                     }
@@ -633,8 +668,12 @@ mod tests {
                         ]),
                     )])
                 }
-                _ => JsonValue::obj([("r", new.clone())]),
+                _ => return replace(),
+            };
+            if !root && encoded(&entered).len() >= encoded(&replace()).len() {
+                return replace();
             }
+            entered
         }
 
         /// Apply a patch produced by [`diff`]: `apply(base, &diff(base, new))`
@@ -882,6 +921,95 @@ mod tests {
         assert!(json_eq(&apply(&base, &once).unwrap(), &base));
     }
 
+    /// 500 in-flight `[time, seq, job, dropped]` rows of which every one
+    /// changed, the way a time-sorted queue shifts between checkpoints:
+    /// replaced whole, not patched row by row (2.4x the array's bytes).
+    #[test]
+    fn an_all_different_array_costs_its_own_bytes() {
+        let row = |k: u64| {
+            let config = JsonValue::Arr(vec![JsonValue::Num(k as f64 / 7.0); 3]);
+            let job = JsonValue::Arr(vec![
+                JsonValue::Int(k),
+                config,
+                JsonValue::Int(k % 3),
+                JsonValue::Num(1.0),
+                JsonValue::Int(0),
+                JsonValue::Null,
+            ]);
+            JsonValue::Arr(vec![
+                JsonValue::Num(k as f64 * 0.25),
+                JsonValue::Int(k),
+                job,
+                JsonValue::Bool(false),
+            ])
+        };
+        let pending = |from: u64| JsonValue::Arr((from..from + 500).map(row).collect());
+        let doc = |from: u64| JsonValue::obj([("pending", pending(from))]);
+        let patch = roundtrip(&doc(0), &doc(200));
+        let JsonValue::Obj(root) = &patch else {
+            panic!("the root is an object patch")
+        };
+        let entries = root[0].1.as_array().expect("object patch entries");
+        let part = entries[0].as_array().expect("one entry")[2].clone();
+        assert!(
+            encoded(&part).len() <= 4 + encoded(&pending(200)).len(),
+            "{} B patch for a {} B array",
+            encoded(&part).len(),
+            encoded(&pending(200)).len()
+        );
+    }
+
+    /// The bound on `patch`, which rebuilds `new`: below the root, no `o` /
+    /// `a` patch is as long as `{"r": new}`, and every `r` carries exactly
+    /// the new value.
+    fn bounded(patch: &JsonValue, new: &JsonValue, root: bool) -> Result<(), String> {
+        let JsonValue::Obj(fields) = patch else {
+            return Err("patch must be an object".to_owned());
+        };
+        let [(name, arg)] = fields.as_slice() else {
+            return Err("patch must hold exactly one operation".to_owned());
+        };
+        let items = || arg.as_array().ok_or("malformed patch");
+        match (name.as_str(), new) {
+            ("u", _) => return Ok(()),
+            ("r", _) => {
+                prop_assert_eq!(encoded(arg), encoded(new), "r carries the new value");
+                return Ok(());
+            }
+            ("o", JsonValue::Obj(new_fields)) => {
+                for entry in items()? {
+                    if let [tag, key, sub] = entry.as_array().ok_or("malformed entry")? {
+                        let (Some("p"), Some(key)) = (tag.as_str(), key.as_str()) else {
+                            continue;
+                        };
+                        let (_, value) = new_fields
+                            .iter()
+                            .find(|(k, _)| k == key)
+                            .ok_or("patched key missing from the new object")?;
+                        bounded(sub, value, false)?;
+                    }
+                }
+            }
+            ("a", JsonValue::Arr(new_items)) => {
+                for entry in items()?[1].as_array().ok_or("malformed patches")? {
+                    let [idx, sub] = entry.as_array().ok_or("malformed entry")? else {
+                        return Err("array patch entry must be [index, patch]".to_owned());
+                    };
+                    let idx = idx.as_u64().ok_or("malformed index")? as usize;
+                    bounded(sub, &new_items[idx], false)?;
+                }
+            }
+            (name, _) => return Err(format!("{name} patch for a value of another kind")),
+        }
+        let (size, value) = (encoded(patch).len(), encoded(new).len());
+        prop_assert!(
+            root || size < op(b'r').len() + value,
+            "{size} B patch for a {value} B value: {:?}",
+            patch
+        );
+        Ok(())
+    }
+
     // -- strategies ---------------------------------------------------------
 
     /// Floats as raw bit patterns: every NaN payload, both infinities, both
@@ -1095,6 +1223,14 @@ mod tests {
 
             prop_assert_eq!(contained(&base_bytes, &base_bytes, diff_bytes)?, UNCHANGED.to_vec());
             prop_assert_eq!(contained(&base_bytes, &UNCHANGED, apply_bytes)?, base_bytes);
+        }
+
+        /// Below the root, no container's patch is as long as replacing
+        /// it, and every replacement is exactly the new value.
+        #[test]
+        fn no_patch_outgrows_its_value((base, new) in doc_pair()) {
+            let patch = contained(&encoded(&base), &encoded(&new), diff_bytes)?;
+            bounded(&get_value(&patch, &mut 0)?, &new, true)?;
         }
 
         /// Arbitrary bytes in any position: an error or a bounded answer,

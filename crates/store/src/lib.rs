@@ -24,7 +24,7 @@
 //!
 //! Layers, bottom up:
 //!
-//! - [`binary`]: the byte-level toolkit for `binary-v2` — slicing-by-8
+//! - [`binary`]: the byte-level toolkit for `binary-v2` — slicing-by-16
 //!   CRC32, LEB128 varints, and *binvalue*, the compact tagged encoding of
 //!   JSON-shaped documents, with a streaming writer, a tree decoder and
 //!   in-place walkers.
