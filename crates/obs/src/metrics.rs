@@ -69,16 +69,115 @@ impl Gauge {
     }
 }
 
-/// A fixed-bucket histogram: cumulative counts over a static set of upper
-/// bucket bounds, plus exact count/sum/min/max. `observe` is O(log buckets)
-/// (a binary search over ~24 bounds); no allocation after construction.
+/// The bucket core [`Histogram`] and
+/// [`HistogramSnapshot`](crate::HistogramSnapshot) share: strictly
+/// increasing finite upper bounds and one count per bucket, the last being
+/// the overflow above the top bound. Bucket `i` counts observations in
+/// `(bounds[i-1], bounds[i]]`. A histogram's total is the sum of its
+/// buckets, so the two cannot disagree.
+///
+/// Sum, min and max stay with each type, because each pinned contract rules
+/// out one representation. Whole nanoseconds would break `report.json`:
+/// `run_report --demo --seed 0` writes `promotion_latency.max`
+/// 23.46396760814339 and `mean` 0.2248693042659694, and neither is a whole
+/// number of nanoseconds. An f64 sum would break the daemon's exact merges:
+/// `shared_props.rs` merges up to 400 values of up to 1e6 s, a sum past
+/// 2^53 ns, where f64 addition stops being exact and merge order shows.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Buckets {
+    bounds: Vec<f64>,
+    counts: Vec<u64>,
+}
+
+impl Buckets {
+    /// Zeroed buckets; panics unless `bounds` are valid.
+    pub(crate) fn new(bounds: Vec<f64>) -> Buckets {
+        assert!(
+            valid_bounds(&bounds),
+            "bucket bounds must be non-empty, finite and strictly increasing"
+        );
+        let counts = vec![0; bounds.len() + 1];
+        Buckets { bounds, counts }
+    }
+
+    /// Buckets decoded from outside the program: `None` unless the bounds
+    /// are valid, there is one count per bucket and they sum to `total`.
+    pub(crate) fn decoded(bounds: Vec<f64>, counts: Vec<u64>, total: u64) -> Option<Buckets> {
+        let sum = counts.iter().try_fold(0u64, |acc, &n| acc.checked_add(n));
+        (valid_bounds(&bounds) && counts.len() == bounds.len() + 1 && sum == Some(total))
+            .then_some(Buckets { bounds, counts })
+    }
+
+    /// Zeroed buckets over bounds `first * factor^i` for `i in 0..n`.
+    pub(crate) fn exponential(first: f64, factor: f64, n: usize) -> Buckets {
+        assert!(first > 0.0 && factor > 1.0 && n > 0, "invalid bucket spec");
+        Buckets::new((0..n).map(|i| first * factor.powi(i as i32)).collect())
+    }
+
+    pub(crate) fn bounds(&self) -> &[f64] {
+        &self.bounds
+    }
+
+    /// The bucket a value `v` falls in (NaN falls in the first).
+    #[inline]
+    pub(crate) fn index(&self, v: f64) -> usize {
+        self.bounds.partition_point(|&b| b < v)
+    }
+
+    /// Total observations (saturating).
+    pub(crate) fn count(&self) -> u64 {
+        self.counts.iter().fold(0, |acc, &n| acc.saturating_add(n))
+    }
+
+    /// Per-bucket `(upper_bound, count)` pairs; the final entry is the
+    /// overflow bucket with an infinite bound.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
+        self.bounds
+            .iter()
+            .copied()
+            .chain(std::iter::once(f64::INFINITY))
+            .zip(self.counts.iter().copied())
+    }
+
+    /// Upper-bound estimate of the `q`-quantile (`q` clamped to `[0, 1]`):
+    /// the bound of the first bucket whose cumulative count reaches
+    /// `ceil(q * n)`, clamped to the exact maximum `max`. NaN when empty.
+    pub(crate) fn quantile(&self, q: f64, max: f64) -> f64 {
+        let total = self.count();
+        if total == 0 {
+            return f64::NAN;
+        }
+        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        for (bound, n) in self.iter() {
+            seen = seen.saturating_add(n);
+            if seen >= target {
+                return bound.min(max);
+            }
+        }
+        max
+    }
+
+    /// Add `counts` bucket by bucket (saturating).
+    pub(crate) fn add(&mut self, counts: impl IntoIterator<Item = u64>) {
+        for (dst, n) in self.counts.iter_mut().zip(counts) {
+            *dst = dst.saturating_add(n);
+        }
+    }
+}
+
+fn valid_bounds(bounds: &[f64]) -> bool {
+    !bounds.is_empty()
+        && bounds.iter().all(|b| b.is_finite())
+        && bounds.windows(2).all(|w| w[0] < w[1])
+}
+
+/// A fixed-bucket histogram over f64 observations: the shared bucket core
+/// plus exact f64 sum/min/max. `observe` is O(log buckets) (a binary
+/// search over ~24 bounds); no allocation after construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
-    /// Upper (inclusive) bound of each bucket, strictly increasing.
-    bounds: Vec<f64>,
-    /// One count per bound, plus a final overflow bucket.
-    counts: Vec<u64>,
-    total: u64,
+    buckets: Buckets,
     sum: f64,
     min: f64,
     max: f64,
@@ -89,22 +188,9 @@ impl Histogram {
     ///
     /// # Panics
     ///
-    /// Panics if `bounds` is empty or not strictly increasing.
+    /// Panics if `bounds` is empty, not finite or not strictly increasing.
     pub fn new(bounds: Vec<f64>) -> Self {
-        assert!(!bounds.is_empty(), "need at least one bucket bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "bucket bounds must be strictly increasing"
-        );
-        let n = bounds.len() + 1;
-        Histogram {
-            bounds,
-            counts: vec![0; n],
-            total: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+        Histogram::over(Buckets::new(bounds))
     }
 
     /// Exponential bounds `first * factor^i` for `i in 0..n` — the default
@@ -114,25 +200,24 @@ impl Histogram {
     ///
     /// Panics if `first <= 0`, `factor <= 1`, or `n == 0`.
     pub fn exponential(first: f64, factor: f64, n: usize) -> Self {
-        assert!(first > 0.0 && factor > 1.0 && n > 0, "invalid bucket spec");
-        Histogram::new((0..n).map(|i| first * factor.powi(i as i32)).collect())
+        Histogram::over(Buckets::exponential(first, factor, n))
     }
 
-    /// Latency buckets spanning 1e-3 .. ~4e3 time units (24 doubling
-    /// buckets), used for every duration histogram in the registry.
+    /// Latency buckets from 1e-3 to 1e-3·2^23 = 8 388.608 time units (24
+    /// doubling buckets), used for every duration histogram in the registry.
     pub fn latency() -> Self {
         Histogram::exponential(1e-3, 2.0, 24)
     }
-}
 
-impl Default for Histogram {
-    /// The default latency buckets ([`Histogram::latency`]).
-    fn default() -> Self {
-        Histogram::latency()
+    fn over(buckets: Buckets) -> Self {
+        Histogram {
+            buckets,
+            sum: 0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+        }
     }
-}
 
-impl Histogram {
     /// Record one observation. Non-finite values land in the overflow
     /// bucket (and are excluded from `sum`, like NaN cells in CSV export).
     pub fn observe(&mut self, value: f64) {
@@ -140,17 +225,16 @@ impl Histogram {
             self.sum += value;
             self.min = self.min.min(value);
             self.max = self.max.max(value);
-            self.bounds.partition_point(|&b| b < value)
+            self.buckets.index(value)
         } else {
-            self.counts.len() - 1
+            self.buckets.bounds.len()
         };
-        self.counts[idx] += 1;
-        self.total += 1;
+        self.buckets.counts[idx] += 1;
     }
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.total
+        self.buckets.count()
     }
 
     /// Sum of all finite observations.
@@ -160,11 +244,7 @@ impl Histogram {
 
     /// Mean of finite observations (NaN when empty).
     pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            f64::NAN
-        } else {
-            self.sum / self.total as f64
-        }
+        self.sum / self.count() as f64
     }
 
     /// Smallest finite observation (infinite when none).
@@ -180,29 +260,21 @@ impl Histogram {
     /// Per-bucket `(upper_bound, count)` pairs; the final entry is the
     /// overflow bucket with an infinite bound.
     pub fn buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.bounds
-            .iter()
-            .copied()
-            .chain(std::iter::once(f64::INFINITY))
-            .zip(self.counts.iter().copied())
+        self.buckets.iter()
     }
 
-    /// Upper-bound estimate of the `q`-quantile (`0 < q <= 1`): the bound of
-    /// the first bucket whose cumulative count reaches `ceil(q * n)`,
-    /// clamped to the exact observed maximum. NaN when empty.
+    /// Upper-bound estimate of the `q`-quantile (`q` clamped to `[0, 1]`):
+    /// the bound of the first bucket whose cumulative count reaches
+    /// `ceil(q * n)`, clamped to the exact observed maximum. NaN when empty.
     pub fn quantile(&self, q: f64) -> f64 {
-        if self.total == 0 {
-            return f64::NAN;
-        }
-        let target = ((q * self.total as f64).ceil() as u64).max(1);
-        let mut cumulative = 0u64;
-        for (bound, count) in self.buckets() {
-            cumulative += count;
-            if cumulative >= target {
-                return bound.min(self.max);
-            }
-        }
-        self.max
+        self.buckets.quantile(q, self.max)
+    }
+}
+
+impl Default for Histogram {
+    /// The default latency buckets ([`Histogram::latency`]).
+    fn default() -> Self {
+        Histogram::latency()
     }
 }
 
@@ -271,12 +343,7 @@ pub struct MetricsRegistry {
 impl MetricsRegistry {
     /// An empty registry with the default latency buckets.
     pub fn new() -> Self {
-        MetricsRegistry {
-            promotion_wait: Histogram::latency(),
-            job_latency: Histogram::latency(),
-            queue_delay: Histogram::latency(),
-            ..Default::default()
-        }
+        MetricsRegistry::default()
     }
 
     fn at_rung<T: Default + Clone>(vec: &mut Vec<T>, rung: usize) -> &mut T {

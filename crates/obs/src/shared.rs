@@ -12,20 +12,27 @@
 //!   connections).
 //! * [`SharedHistogram`] — fixed-bucket latency histogram, sharded to
 //!   keep concurrent `observe` calls from bouncing one cache line, with a
-//!   mergeable [`HistogramSnapshot`] for export.
+//!   mergeable [`HistogramSnapshot`] for export. Both share their buckets
+//!   with the run layer's [`Histogram`](crate::Histogram).
+//! * [`metric_cells!`](crate::metric_cells) — declares a struct of these
+//!   cells and its metrics table ([`Row`]s) in one list, so a host renders
+//!   every cell by walking the table instead of naming each one again.
 //!
 //! # Clock discipline
 //!
 //! Histograms take observations in **seconds** (`f64`) but store
 //! fixed-point **nanoseconds** (`u64`). Integer addition commutes exactly,
 //! so a snapshot merged from N shards — or from N processes — equals the
-//! single-threaded reference bit-for-bit: `count`, per-bucket counts,
-//! `sum_nanos`, `min_nanos`, and `max_nanos` are all order-independent.
+//! single-threaded reference bit-for-bit: per-bucket counts (and so
+//! `count`), `sum_nanos`, `min_nanos`, and `max_nanos` are all
+//! order-independent.
 //! That exactness is what the concurrency proptests assert.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 
 use asha_metrics::JsonValue;
+
+use crate::metrics::Buckets;
 
 /// Number of independent shards per [`SharedHistogram`]. Eight covers the
 /// daemon's thread count (reactor + workers + tailers) without letting a
@@ -104,40 +111,27 @@ impl SharedGauge {
 }
 
 /// One shard's cells. `min_nanos` starts at `u64::MAX` so `fetch_min`
-/// works without a sentinel branch; an empty shard is detected by
-/// `count == 0`.
+/// works without a sentinel branch; the total is the sum of `counts`.
 #[derive(Debug)]
 struct Shard {
     counts: Box<[AtomicU64]>,
-    count: AtomicU64,
     sum_nanos: AtomicU64,
     min_nanos: AtomicU64,
     max_nanos: AtomicU64,
 }
 
-impl Shard {
-    fn new(buckets: usize) -> Self {
-        Shard {
-            counts: (0..buckets).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_nanos: AtomicU64::new(0),
-            min_nanos: AtomicU64::new(u64::MAX),
-            max_nanos: AtomicU64::new(0),
-        }
-    }
-}
-
 /// A fixed-bucket histogram whose `observe` is safe and cheap from any
 /// thread.
 ///
-/// Bucket semantics match the single-threaded
-/// [`Histogram`](crate::Histogram): `bounds` are strictly increasing
-/// upper edges, bucket `i` counts observations `<= bounds[i]` (and above
-/// the previous edge), plus one overflow bucket above the last edge.
-/// Observations are clamped to `[0, +inf)`; a NaN counts as zero.
+/// Its buckets are the single-threaded [`Histogram`](crate::Histogram)'s:
+/// `bounds` are strictly increasing upper edges, bucket `i` counts
+/// observations `<= bounds[i]` (and above the previous edge), plus one
+/// overflow bucket above the last edge. Observations are clamped to
+/// `[0, +inf)`; a NaN counts as zero.
 #[derive(Debug)]
 pub struct SharedHistogram {
-    bounds: Vec<f64>,
+    /// The bucket layout, as the snapshot every scan starts from.
+    empty: HistogramSnapshot,
     shards: Box<[Shard]>,
 }
 
@@ -146,42 +140,36 @@ impl SharedHistogram {
     ///
     /// # Panics
     ///
-    /// If `bounds` is empty or not strictly increasing.
+    /// If `bounds` is empty, not finite or not strictly increasing.
     pub fn new(bounds: Vec<f64>) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        let buckets = bounds.len() + 1;
-        SharedHistogram {
-            bounds,
-            shards: (0..SHARDS).map(|_| Shard::new(buckets)).collect(),
-        }
-    }
-
-    /// `n` exponentially spaced bounds starting at `first`.
-    pub fn exponential(first: f64, factor: f64, n: usize) -> Self {
-        assert!(first > 0.0 && factor > 1.0 && n > 0);
-        let mut bounds = Vec::with_capacity(n);
-        let mut b = first;
-        for _ in 0..n {
-            bounds.push(b);
-            b *= factor;
-        }
-        SharedHistogram::new(bounds)
+        SharedHistogram::over(Buckets::new(bounds))
     }
 
     /// The standard latency shape used across the daemon: powers of two
-    /// from 1µs to ~33s (26 edges). Wide enough for an fsync stall, fine
-    /// enough to resolve a microsecond-scale reactor iteration.
+    /// from 1 µs to 1e-6·2^25 ≈ 33.6 s (26 edges). Wide enough for an fsync
+    /// stall, fine enough to resolve a microsecond-scale reactor iteration.
     pub fn latency() -> Self {
-        SharedHistogram::exponential(1e-6, 2.0, 26)
+        SharedHistogram::over(Buckets::exponential(1e-6, 2.0, 26))
+    }
+
+    fn over(buckets: Buckets) -> Self {
+        let shard = || Shard {
+            counts: (0..=buckets.bounds().len())
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+            sum_nanos: AtomicU64::new(0),
+            min_nanos: AtomicU64::new(u64::MAX),
+            max_nanos: AtomicU64::new(0),
+        };
+        SharedHistogram {
+            shards: (0..SHARDS).map(|_| shard()).collect(),
+            empty: HistogramSnapshot::over(buckets),
+        }
     }
 
     /// The bucket upper edges (excluding the implicit `+inf`).
     pub fn bounds(&self) -> &[f64] {
-        &self.bounds
+        self.empty.bounds()
     }
 
     /// Record one observation, in seconds.
@@ -191,13 +179,14 @@ impl SharedHistogram {
         // zero contribution to the sum instead of poisoning it.
         let v = seconds.max(0.0);
         let nanos = to_nanos(v);
-        let idx = self.bounds.partition_point(|&b| b < v);
         let shard = &self.shards[shard_index()];
-        shard.counts[idx].fetch_add(1, Ordering::Relaxed);
-        shard.count.fetch_add(1, Ordering::Relaxed);
         shard.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
         shard.min_nanos.fetch_min(nanos, Ordering::Relaxed);
         shard.max_nanos.fetch_max(nanos, Ordering::Relaxed);
+        // Counted last: where stores stay in order (x86), a racing
+        // snapshot never shows a count without its min and max, which
+        // `from_json` would refuse.
+        shard.counts[self.empty.buckets.index(v)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record a [`std::time::Duration`].
@@ -210,17 +199,23 @@ impl SharedHistogram {
     /// racing with the scan may straddle it (a count landing without its
     /// sum); each cell is individually exact and monotone.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut snap = HistogramSnapshot::empty(self.bounds.clone());
+        let mut snap = self.empty.clone();
         for shard in self.shards.iter() {
-            for (dst, src) in snap.counts.iter_mut().zip(shard.counts.iter()) {
-                *dst += src.load(Ordering::Relaxed);
-            }
-            snap.count += shard.count.load(Ordering::Relaxed);
-            snap.sum_nanos += shard.sum_nanos.load(Ordering::Relaxed);
-            snap.min_nanos = snap.min_nanos.min(shard.min_nanos.load(Ordering::Relaxed));
-            snap.max_nanos = snap.max_nanos.max(shard.max_nanos.load(Ordering::Relaxed));
+            snap.absorb(
+                shard.counts.iter().map(|n| n.load(Ordering::Relaxed)),
+                shard.sum_nanos.load(Ordering::Relaxed),
+                shard.min_nanos.load(Ordering::Relaxed),
+                shard.max_nanos.load(Ordering::Relaxed),
+            );
         }
         snap
+    }
+}
+
+impl Default for SharedHistogram {
+    /// The daemon's latency buckets ([`SharedHistogram::latency`]).
+    fn default() -> Self {
+        SharedHistogram::latency()
     }
 }
 
@@ -259,11 +254,7 @@ fn shard_index() -> usize {
 /// histograms with identical bounds (shards, threads, or processes).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
-    bounds: Vec<f64>,
-    /// Per-bucket (non-cumulative) counts; `bounds.len() + 1` entries,
-    /// the last being the overflow bucket.
-    counts: Vec<u64>,
-    count: u64,
+    buckets: Buckets,
     sum_nanos: u64,
     /// `u64::MAX` when empty.
     min_nanos: u64,
@@ -272,12 +263,17 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// An empty snapshot over the given bounds.
+    ///
+    /// # Panics
+    ///
+    /// If `bounds` is empty, not finite or not strictly increasing.
     pub fn empty(bounds: Vec<f64>) -> Self {
-        let buckets = bounds.len() + 1;
+        HistogramSnapshot::over(Buckets::new(bounds))
+    }
+
+    fn over(buckets: Buckets) -> Self {
         HistogramSnapshot {
-            bounds,
-            counts: vec![0; buckets],
-            count: 0,
+            buckets,
             sum_nanos: 0,
             min_nanos: u64::MAX,
             max_nanos: 0,
@@ -286,12 +282,12 @@ impl HistogramSnapshot {
 
     /// The bucket upper edges (excluding the implicit `+inf`).
     pub fn bounds(&self) -> &[f64] {
-        &self.bounds
+        self.buckets.bounds()
     }
 
     /// Total observations.
     pub fn count(&self) -> u64 {
-        self.count
+        self.buckets.count()
     }
 
     /// Sum of observations, in seconds.
@@ -306,39 +302,31 @@ impl HistogramSnapshot {
 
     /// Mean observation in seconds (NaN when empty).
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.sum() / self.count as f64
-        }
+        self.sum() / self.count() as f64
     }
 
     /// Smallest observation in seconds (NaN when empty).
     pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.min_nanos as f64 / 1e9
-        }
+        self.seconds(self.min_nanos)
     }
 
     /// Largest observation in seconds (NaN when empty).
     pub fn max(&self) -> f64 {
-        if self.count == 0 {
+        self.seconds(self.max_nanos)
+    }
+
+    fn seconds(&self, nanos: u64) -> f64 {
+        if self.count() == 0 {
             f64::NAN
         } else {
-            self.max_nanos as f64 / 1e9
+            nanos as f64 / 1e9
         }
     }
 
     /// Iterate `(upper_edge, bucket_count)` pairs, ending with the
     /// `+inf` overflow bucket.
     pub fn buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.bounds
-            .iter()
-            .copied()
-            .chain(std::iter::once(f64::INFINITY))
-            .zip(self.counts.iter().copied())
+        self.buckets.iter()
     }
 
     /// Approximate quantile (`q` in `[0, 1]`): the upper edge of the
@@ -346,22 +334,10 @@ impl HistogramSnapshot {
     /// value so a lone overflow observation does not report `+inf`. NaN
     /// when empty. Matches [`Histogram::quantile`](crate::Histogram).
     pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return f64::NAN;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (bound, n) in self.buckets() {
-            seen += n;
-            if seen >= target {
-                return bound.min(self.max());
-            }
-        }
-        self.max()
+        self.buckets.quantile(q, self.max())
     }
 
-    /// Fold `other` into `self`.
+    /// Fold `other` into `self`. Counts and sums saturate at `u64::MAX`.
     ///
     /// # Panics
     ///
@@ -369,28 +345,32 @@ impl HistogramSnapshot {
     /// shapes is a caller bug, not a runtime condition.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         assert_eq!(
-            self.bounds, other.bounds,
+            self.bounds(),
+            other.bounds(),
             "cannot merge histogram snapshots with different bounds"
         );
-        for (dst, src) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *dst += src;
-        }
-        self.count += other.count;
-        self.sum_nanos += other.sum_nanos;
-        self.min_nanos = self.min_nanos.min(other.min_nanos);
-        self.max_nanos = self.max_nanos.max(other.max_nanos);
+        let counts = other.buckets.iter().map(|(_, n)| n);
+        self.absorb(counts, other.sum_nanos, other.min_nanos, other.max_nanos);
+    }
+
+    fn absorb(&mut self, counts: impl Iterator<Item = u64>, sum: u64, min: u64, max: u64) {
+        self.buckets.add(counts);
+        self.sum_nanos = self.sum_nanos.saturating_add(sum);
+        self.min_nanos = self.min_nanos.min(min);
+        self.max_nanos = self.max_nanos.max(max);
     }
 
     /// Encode as JSON. Bounds are carried as a finite `le` array (the
     /// `+inf` overflow edge is implicit), so the encoding survives JSON's
     /// lack of infinities; nanosecond cells stay exact integers.
     pub fn to_json(&self) -> JsonValue {
+        let count = self.count();
         JsonValue::obj(vec![
-            ("count", JsonValue::Int(self.count)),
+            ("count", JsonValue::Int(count)),
             ("sum_ns", JsonValue::Int(self.sum_nanos)),
             (
                 "min_ns",
-                if self.count == 0 {
+                if count == 0 {
                     JsonValue::Null
                 } else {
                     JsonValue::Int(self.min_nanos)
@@ -399,45 +379,127 @@ impl HistogramSnapshot {
             ("max_ns", JsonValue::Int(self.max_nanos)),
             (
                 "le",
-                JsonValue::Arr(self.bounds.iter().map(|&b| JsonValue::Num(b)).collect()),
+                JsonValue::Arr(self.bounds().iter().map(|&b| JsonValue::Num(b)).collect()),
             ),
             (
                 "counts",
-                JsonValue::Arr(self.counts.iter().map(|&c| JsonValue::Int(c)).collect()),
+                JsonValue::Arr(self.buckets().map(|(_, n)| JsonValue::Int(n)).collect()),
             ),
         ])
     }
 
     /// Decode a snapshot produced by [`HistogramSnapshot::to_json`].
-    /// Returns `None` on a malformed or inconsistent value.
+    /// Returns `None` on a malformed or inconsistent value: `le` empty,
+    /// not finite or not strictly increasing, a count per bucket missing,
+    /// `count` other than the sum of `counts`, or `min_ns > max_ns` in a
+    /// non-empty snapshot.
     pub fn from_json(v: &JsonValue) -> Option<HistogramSnapshot> {
-        let bounds: Vec<f64> = match v.get("le")? {
-            JsonValue::Arr(items) => items.iter().map(|b| b.as_f64()).collect::<Option<_>>()?,
-            _ => return None,
+        let array = |key: &str| match v.get(key)? {
+            JsonValue::Arr(items) => Some(items),
+            _ => None,
         };
-        let counts: Vec<u64> = match v.get("counts")? {
-            JsonValue::Arr(items) => items.iter().map(|c| c.as_u64()).collect::<Option<_>>()?,
-            _ => return None,
-        };
-        if counts.len() != bounds.len() + 1 {
-            return None;
-        }
+        let bounds = array("le")?
+            .iter()
+            .map(JsonValue::as_f64)
+            .collect::<Option<_>>()?;
+        let counts = array("counts")?
+            .iter()
+            .map(JsonValue::as_u64)
+            .collect::<Option<_>>()?;
         let count = v.get("count")?.as_u64()?;
-        let sum_nanos = v.get("sum_ns")?.as_u64()?;
-        let min_nanos = match v.get("min_ns") {
-            Some(JsonValue::Null) | None => u64::MAX,
-            Some(n) => n.as_u64()?,
+        let snap = HistogramSnapshot {
+            buckets: Buckets::decoded(bounds, counts, count)?,
+            sum_nanos: v.get("sum_ns")?.as_u64()?,
+            min_nanos: match v.get("min_ns") {
+                Some(JsonValue::Null) | None => u64::MAX,
+                Some(n) => n.as_u64()?,
+            },
+            max_nanos: v.get("max_ns")?.as_u64()?,
         };
-        let max_nanos = v.get("max_ns")?.as_u64()?;
-        Some(HistogramSnapshot {
-            bounds,
-            counts,
-            count,
-            sum_nanos,
-            min_nanos,
-            max_nanos,
-        })
+        (count == 0 || snap.min_nanos <= snap.max_nanos).then_some(snap)
     }
+}
+
+/// A cell as a metrics table reads it.
+#[derive(Debug, Clone, Copy)]
+pub enum Cell<'a> {
+    /// A monotone counter.
+    Counter(&'a SharedCounter),
+    /// A signed gauge.
+    Gauge(&'a SharedGauge),
+    /// A latency histogram.
+    Histogram(&'a SharedHistogram),
+}
+
+/// One row of a metrics table: a cell of an `S` and how it is exposed.
+/// [`metric_cells!`](crate::metric_cells) writes these; a host walks them
+/// to render every cell without naming it again.
+pub struct Row<S> {
+    /// The cell's key in a JSON snapshot (its field name).
+    pub json: &'static str,
+    /// Its Prometheus family; empty for a cell shown in JSON only.
+    pub family: &'static str,
+    /// Its Prometheus type: `counter`, `gauge` or `histogram`.
+    pub kind: &'static str,
+    /// Its Prometheus help text, which is also the field's doc.
+    pub help: &'static str,
+    /// Reads the cell off an `S`.
+    pub cell: fn(&S) -> Cell<'_>,
+}
+
+/// Declares a struct of shared cells and its metrics table in one list.
+/// Each field is written once, as
+/// `name: kind "prometheus_family" "help",` with `kind` one of `counter`,
+/// `gauge` or `histogram`. The help is also the field's doc. The struct
+/// derives `Debug` and `Default`, and its `ROWS` constant lists one
+/// [`Row`](crate::shared::Row) per field, in field order.
+///
+/// ```
+/// asha_obs::metric_cells! {
+///     /// Cells of a toy server.
+///     pub struct Toy {
+///         pub hits: counter "toy_hits_total" "Requests served",
+///         pub wait: histogram "toy_wait_seconds" "Queue wait",
+///     }
+/// }
+/// let toy = Toy::default();
+/// toy.hits.inc();
+/// assert_eq!(Toy::ROWS[0].json, "hits");
+/// assert_eq!(Toy::ROWS[1].kind, "histogram");
+/// ```
+#[macro_export]
+macro_rules! metric_cells {
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fattr:meta])* $fvis:vis $field:ident: $kind:ident $family:literal $help:literal,)*
+        }
+    ) => {
+        $(#[$attr])*
+        #[derive(Debug, Default)]
+        $vis struct $name {
+            $(#[doc = $help] $(#[$fattr])* $fvis $field: $crate::metric_cells!(@type $kind),)*
+        }
+
+        impl $name {
+            /// The metrics table of these cells, in field order.
+            $vis const ROWS: &'static [$crate::shared::Row<$name>] = &[$(
+                $crate::shared::Row {
+                    json: stringify!($field),
+                    family: $family,
+                    kind: stringify!($kind),
+                    help: $help,
+                    cell: |cells| $crate::metric_cells!(@cell $kind, &cells.$field),
+                },
+            )*];
+        }
+    };
+    (@type counter) => { $crate::SharedCounter };
+    (@type gauge) => { $crate::SharedGauge };
+    (@type histogram) => { $crate::SharedHistogram };
+    (@cell counter, $cell:expr) => { $crate::shared::Cell::Counter($cell) };
+    (@cell gauge, $cell:expr) => { $crate::shared::Cell::Gauge($cell) };
+    (@cell histogram, $cell:expr) => { $crate::shared::Cell::Histogram($cell) };
 }
 
 #[cfg(test)]
@@ -547,5 +609,61 @@ mod tests {
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         assert_eq!(merged, all.snapshot());
+    }
+
+    /// A valid encoded snapshot (three observations) with `key` replaced.
+    fn encoded_with(key: &str, value: JsonValue) -> JsonValue {
+        let h = SharedHistogram::new(vec![0.001, 0.01, 0.1]);
+        for v in [0.0005, 0.005, 0.05] {
+            h.observe(v);
+        }
+        let mut json = h.snapshot().to_json();
+        assert!(HistogramSnapshot::from_json(&json).is_some());
+        if let JsonValue::Obj(fields) = &mut json {
+            fields.iter_mut().find(|(k, _)| k == key).unwrap().1 = value;
+        }
+        json
+    }
+
+    fn nums(values: &[f64]) -> JsonValue {
+        JsonValue::Arr(values.iter().map(|&v| JsonValue::Num(v)).collect())
+    }
+
+    #[test]
+    fn from_json_refuses_le_not_strictly_increasing() {
+        let json = encoded_with("le", nums(&[0.001, 0.1, 0.01]));
+        assert_eq!(HistogramSnapshot::from_json(&json), None);
+        let json = encoded_with("le", nums(&[0.001, 0.01, 0.01]));
+        assert_eq!(HistogramSnapshot::from_json(&json), None);
+    }
+
+    #[test]
+    fn from_json_refuses_le_not_finite() {
+        let json = encoded_with("le", nums(&[0.001, 0.01, f64::INFINITY]));
+        assert_eq!(HistogramSnapshot::from_json(&json), None);
+        let json = encoded_with("le", nums(&[f64::NAN, 0.01, 0.1]));
+        assert_eq!(HistogramSnapshot::from_json(&json), None);
+    }
+
+    #[test]
+    fn from_json_refuses_count_other_than_bucket_sum() {
+        let json = encoded_with("count", JsonValue::Int(4));
+        assert_eq!(HistogramSnapshot::from_json(&json), None);
+    }
+
+    #[test]
+    fn from_json_refuses_min_above_max_when_not_empty() {
+        let json = encoded_with("min_ns", JsonValue::Int(60_000_000));
+        assert_eq!(HistogramSnapshot::from_json(&json), None);
+    }
+
+    #[test]
+    fn merging_decoded_snapshots_saturates_instead_of_overflowing() {
+        let json = encoded_with("sum_ns", JsonValue::Int(u64::MAX - 1));
+        let big = HistogramSnapshot::from_json(&json).unwrap();
+        let mut merged = big.clone();
+        merged.merge(&big);
+        assert_eq!(merged.sum_nanos(), u64::MAX);
+        assert_eq!(merged.count(), 6);
     }
 }

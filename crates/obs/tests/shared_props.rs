@@ -10,8 +10,9 @@ use std::thread;
 use asha_obs::{HistogramSnapshot, SharedCounter, SharedGauge, SharedHistogram};
 use proptest::prelude::*;
 
-/// Observation values spanning the latency buckets (1us .. ~1min) plus
-/// out-of-range extremes that land in the +Inf bucket or clamp at zero.
+/// Observation values spanning the latency buckets (1 µs .. 1e-6·2^25 ≈
+/// 33.6 s) plus out-of-range extremes that land in the +Inf bucket or clamp
+/// at zero.
 fn arb_values() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(
         (0u8..10, 1e-7f64..100.0).prop_map(|(tag, x)| match tag {

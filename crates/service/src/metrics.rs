@@ -8,6 +8,13 @@
 //! per-experiment tailer map, touched on subscribe and snapshot — never
 //! per frame.
 //!
+//! # One table
+//!
+//! Every cell is declared once, by [`asha_obs::metric_cells!`], in the
+//! struct of its JSON group, with its Prometheus family, type and help.
+//! One walk over those tables (`ServiceMetrics::readings`) feeds both
+//! renderings, so a new cell needs a field and a recorder, nothing more.
+//!
 //! # Clock discipline
 //!
 //! All durations are measured on one monotonic clock: `Instant` deltas
@@ -27,13 +34,15 @@
 //! * [`ServiceMetrics::render_prometheus`] — Prometheus text exposition
 //!   (format 0.0.4) for `GET /metrics`.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use asha_metrics::JsonValue;
-use asha_obs::{HistogramSnapshot, SharedCounter, SharedGauge, SharedHistogram};
+use asha_obs::shared::{Cell, Row};
+use asha_obs::{metric_cells, HistogramSnapshot};
 use asha_store::StoreMetrics;
 
 use crate::proto::DaemonStats;
@@ -64,60 +73,169 @@ fn op_index(op: &str) -> usize {
     OPS.iter().position(|&o| o == op).unwrap_or(OPS.len() - 1)
 }
 
-/// Per-request-kind cells.
-#[derive(Debug)]
-struct OpMetrics {
-    count: SharedCounter,
-    errors: SharedCounter,
-    /// Decode → worker pickup.
-    queue_wait: SharedHistogram,
-    /// Worker pickup → reply queued.
-    execute: SharedHistogram,
-}
-
-impl OpMetrics {
-    fn new() -> OpMetrics {
-        OpMetrics {
-            count: SharedCounter::new(),
-            errors: SharedCounter::new(),
-            queue_wait: SharedHistogram::latency(),
-            execute: SharedHistogram::latency(),
-        }
+metric_cells! {
+    /// The `connections` group.
+    struct Connections {
+        total: counter "asha_connections_total"
+            "Protocol connections accepted over the daemon's lifetime",
+        open: gauge "asha_connections_open" "Currently open protocol connections",
     }
 }
 
-/// Per-experiment tailer cells. Entries are created on first subscribe and
-/// kept for the daemon's lifetime so counter totals survive tailer
-/// restarts; gauges are zeroed when the tailer exits.
-#[derive(Debug)]
-pub struct TailerMetrics {
-    /// Live subscribers attached to this experiment's tailer.
-    pub subscribers: SharedGauge,
-    /// Records in the shared backlog the slowest Live subscriber has not
-    /// consumed yet.
-    pub lag_records: SharedGauge,
-    /// Live subscribers demoted to CatchUp because they fell further
-    /// behind than the backlog window.
-    pub window_evictions: SharedCounter,
-    /// Event frames fanned out to subscriber queues.
-    pub fanout_frames: SharedCounter,
-    /// Times the tailer waited for room in a full subscriber queue.
-    pub jam_waits: SharedCounter,
-    /// Those waits that ran out their bound instead of being woken by the
-    /// drain that made room.
-    pub jam_timeouts: SharedCounter,
+metric_cells! {
+    /// The `reactor` group.
+    struct Reactor {
+        accepts: counter "asha_reactor_accepts_total"
+            "Sockets accepted by the reactor (all listeners)",
+        bytes_read: counter "asha_reactor_bytes_read_total" "Bytes read off sockets",
+        bytes_written: counter "asha_reactor_bytes_written_total" "Bytes written to sockets",
+        decode_errors: counter "asha_reactor_frame_decode_errors_total"
+            "Frames that failed to decode (malformed, oversized, torn)",
+        read_pauses: counter "asha_reactor_read_pauses_total"
+            "Connection reads paused by the backlog high-water mark",
+        iterations: counter "asha_reactor_iterations_total"
+            "Reactor iterations that dispatched at least one event",
+        iteration: histogram "asha_reactor_iteration_seconds"
+            "Time spent dispatching one reactor readiness batch",
+        wake_dispatch: histogram "asha_reactor_wake_dispatch_seconds"
+            "Producer doorbell to reactor dispatch latency",
+    }
 }
 
-impl TailerMetrics {
-    fn new() -> Arc<TailerMetrics> {
-        Arc::new(TailerMetrics {
-            subscribers: SharedGauge::new(),
-            lag_records: SharedGauge::new(),
-            window_evictions: SharedCounter::new(),
-            fanout_frames: SharedCounter::new(),
-            jam_waits: SharedCounter::new(),
-            jam_timeouts: SharedCounter::new(),
-        })
+metric_cells! {
+    /// The `http` group.
+    struct Http {
+        requests: counter "asha_http_requests_total"
+            "Requests served on the HTTP metrics listener",
+    }
+}
+
+metric_cells! {
+    /// The `workers` group.
+    struct Workers {
+        queue_depth: gauge "asha_worker_queue_depth" "Connection visits queued for the worker pool",
+    }
+}
+
+metric_cells! {
+    /// The `requests` group.
+    struct Requests {
+        total: counter "asha_requests_total" "Protocol requests served (including failed ones)",
+        errors: counter "asha_request_errors_total"
+            "Protocol requests answered with an error frame",
+        slow: counter "asha_slow_requests_total"
+            "Requests that crossed the slow-request threshold",
+    }
+}
+
+metric_cells! {
+    /// Per-request-kind cells, under `requests.by_op.<op>` and labelled
+    /// `op` in Prometheus, which shows only the two latency legs.
+    struct OpMetrics {
+        count: counter "" "Requests of this kind",
+        errors: counter "" "Requests of this kind answered with an error frame",
+        queue_wait: histogram "asha_request_queue_wait_seconds"
+            "Request decode to worker pickup latency",
+        execute: histogram "asha_request_execute_seconds"
+            "Request execution latency (worker pickup to reply queued)",
+    }
+}
+
+metric_cells! {
+    /// The `subscriptions` group.
+    struct Subscriptions {
+        open: gauge "asha_subscriptions_open" "Currently live subscriptions",
+        events_sent: counter "asha_sub_events_sent_total"
+            "Push frames delivered to subscriber queues",
+        events_lagged: counter "asha_sub_events_lagged_total"
+            "Lossy push frames dropped on full subscriber queues",
+    }
+}
+
+metric_cells! {
+    /// Per-experiment tailer cells, under `tailers.<experiment>` and
+    /// labelled `experiment` in Prometheus. Entries are created on first
+    /// subscribe and kept for the daemon's lifetime so counter totals
+    /// survive tailer restarts; gauges are zeroed when the tailer exits.
+    pub struct TailerMetrics {
+        pub subscribers: gauge "asha_tailer_subscribers"
+            "Subscribers attached to the experiment's tailer",
+        pub lag_records: gauge "asha_tailer_lag_records"
+            "Backlog records the slowest live subscriber has not consumed",
+        pub window_evictions: counter "asha_tailer_window_evictions_total"
+            "Live subscribers demoted to catch-up after falling out of the backlog window",
+        pub fanout_frames: counter "asha_tailer_fanout_frames_total"
+            "Event frames fanned out to subscriber queues",
+        pub jam_waits: counter "asha_tailer_jam_waits_total"
+            "Waits for room in a full subscriber queue",
+        pub jam_timeouts: counter "asha_tailer_jam_timeouts_total"
+            "Waits for room ended by their time bound, not by the drain",
+    }
+}
+
+/// The JSON snapshot's top-level order. Prometheus lists families in walk
+/// order instead, which puts `connections` first and uptime last.
+const JSON_ORDER: [&str; 11] = [
+    "schema",
+    "enabled",
+    "uptime_s",
+    "reactor",
+    "connections",
+    "http",
+    "workers",
+    "requests",
+    "subscriptions",
+    "tailers",
+    "store",
+];
+
+/// One table row read for every series it has right now.
+struct Reading<'a> {
+    /// Path of the JSON object the row's series live under.
+    path: &'static [&'static str],
+    json: &'static str,
+    family: &'static str,
+    kind: &'static str,
+    help: &'static str,
+    /// `(JSON key of the series or "", Prometheus labels, cell)`.
+    series: Vec<(&'a str, String, Cell<'a>)>,
+}
+
+/// Reads each of `rows` off the one set of `cells` of a JSON group.
+fn group<'a, S>(
+    out: &mut Vec<Reading<'a>>,
+    path: &'static [&'static str],
+    rows: &'static [Row<S>],
+    cells: &'a S,
+) {
+    each(out, path, "", rows, &[("", cells)]);
+}
+
+/// Reads each of `rows` for every `(key, cells)` in `series`; `label`
+/// names the Prometheus label the keys become (none for `""`).
+fn each<'a, S>(
+    out: &mut Vec<Reading<'a>>,
+    path: &'static [&'static str],
+    label: &str,
+    rows: &'static [Row<S>],
+    series: &[(&'a str, &'a S)],
+) {
+    for row in rows {
+        let series = series.iter().map(|&(key, cells)| {
+            let labels = match label {
+                "" => String::new(),
+                _ => format!("{label}=\"{}\"", escape_label(key)),
+            };
+            (key, labels, (row.cell)(cells))
+        });
+        out.push(Reading {
+            path,
+            json: row.json,
+            family: row.family,
+            kind: row.kind,
+            help: row.help,
+            series: series.collect(),
+        });
     }
 }
 
@@ -126,40 +244,14 @@ impl TailerMetrics {
 pub struct ServiceMetrics {
     epoch: Instant,
     next_req_id: AtomicU64,
-
-    // Reactor.
-    accepts: SharedCounter,
-    bytes_read: SharedCounter,
-    bytes_written: SharedCounter,
-    decode_errors: SharedCounter,
-    read_pauses: SharedCounter,
-    iterations: SharedCounter,
-    iteration: SharedHistogram,
-    wake_dispatch: SharedHistogram,
-    http_requests: SharedCounter,
-
-    // Protocol connections.
-    connections_total: SharedCounter,
-    connections_open: SharedGauge,
-
-    // Worker pool.
-    queue_depth: SharedGauge,
-
-    // Requests.
-    requests: SharedCounter,
-    request_errors: SharedCounter,
-    slow_requests: SharedCounter,
-    per_op: Vec<OpMetrics>,
-
-    // Subscriptions.
-    subscriptions_open: SharedGauge,
-    events_sent: SharedCounter,
-    events_lagged: SharedCounter,
-
-    // Tailers, by experiment name.
-    tailers: Mutex<HashMap<String, Arc<TailerMetrics>>>,
-
-    // Store durability plane.
+    connections: Connections,
+    reactor: Reactor,
+    http: Http,
+    workers: Workers,
+    requests: Requests,
+    per_op: [OpMetrics; OPS.len()],
+    subscriptions: Subscriptions,
+    tailers: Mutex<BTreeMap<String, Arc<TailerMetrics>>>,
     store: Arc<StoreMetrics>,
 }
 
@@ -169,26 +261,14 @@ impl ServiceMetrics {
         Arc::new(ServiceMetrics {
             epoch: Instant::now(),
             next_req_id: AtomicU64::new(1),
-            accepts: SharedCounter::new(),
-            bytes_read: SharedCounter::new(),
-            bytes_written: SharedCounter::new(),
-            decode_errors: SharedCounter::new(),
-            read_pauses: SharedCounter::new(),
-            iterations: SharedCounter::new(),
-            iteration: SharedHistogram::latency(),
-            wake_dispatch: SharedHistogram::latency(),
-            http_requests: SharedCounter::new(),
-            connections_total: SharedCounter::new(),
-            connections_open: SharedGauge::new(),
-            queue_depth: SharedGauge::new(),
-            requests: SharedCounter::new(),
-            request_errors: SharedCounter::new(),
-            slow_requests: SharedCounter::new(),
-            per_op: OPS.iter().map(|_| OpMetrics::new()).collect(),
-            subscriptions_open: SharedGauge::new(),
-            events_sent: SharedCounter::new(),
-            events_lagged: SharedCounter::new(),
-            tailers: Mutex::new(HashMap::new()),
+            connections: Connections::default(),
+            reactor: Reactor::default(),
+            http: Http::default(),
+            workers: Workers::default(),
+            requests: Requests::default(),
+            per_op: Default::default(),
+            subscriptions: Subscriptions::default(),
+            tailers: Mutex::default(),
             store: StoreMetrics::new(),
         })
     }
@@ -216,75 +296,75 @@ impl ServiceMetrics {
 
     /// A socket was accepted (any listener, including `/metrics`).
     pub fn accept(&self) {
-        self.accepts.inc();
+        self.reactor.accepts.inc();
     }
 
     /// Bytes read off a socket.
     pub fn record_bytes_read(&self, n: u64) {
-        self.bytes_read.add(n);
+        self.reactor.bytes_read.add(n);
     }
 
     /// Bytes written to a socket.
     pub fn record_bytes_written(&self, n: u64) {
-        self.bytes_written.add(n);
+        self.reactor.bytes_written.add(n);
     }
 
     /// A frame failed to decode (malformed, oversized, torn).
     pub fn decode_error(&self) {
-        self.decode_errors.inc();
+        self.reactor.decode_errors.inc();
     }
 
     /// A connection's reads were paused by the backlog high-water mark.
     pub fn read_pause(&self) {
-        self.read_pauses.inc();
+        self.reactor.read_pauses.inc();
     }
 
     /// One reactor iteration that dispatched at least one readiness event.
     pub fn reactor_iteration(&self, seconds: f64) {
-        self.iterations.inc();
-        self.iteration.observe(seconds);
+        self.reactor.iterations.inc();
+        self.reactor.iteration.observe(seconds);
     }
 
     /// Producer doorbell → reactor dispatch latency.
     pub fn wake_to_dispatch(&self, seconds: f64) {
-        self.wake_dispatch.observe(seconds);
+        self.reactor.wake_dispatch.observe(seconds);
     }
 
     /// A request line arrived on the HTTP `/metrics` listener.
     pub fn http_request(&self) {
-        self.http_requests.inc();
+        self.http.requests.inc();
     }
 
     // ---- Connection lifecycle ---------------------------------------
 
     /// A protocol connection opened.
     pub fn conn_opened(&self) {
-        self.connections_total.inc();
-        self.connections_open.inc();
+        self.connections.total.inc();
+        self.connections.open.inc();
     }
 
     /// A protocol connection closed.
     pub fn conn_closed(&self) {
-        self.connections_open.dec();
+        self.connections.open.dec();
     }
 
     // ---- Worker pool ------------------------------------------------
 
     /// A visit entered the worker queue.
     pub fn visit_queued(&self) {
-        self.queue_depth.inc();
+        self.workers.queue_depth.inc();
     }
 
     /// A visit left the worker queue.
     pub fn visit_dequeued(&self) {
-        self.queue_depth.dec();
+        self.workers.queue_depth.dec();
     }
 
     /// One request finished: op, outcome, and both latency legs.
     pub fn request_observed(&self, op: &str, ok: bool, queue_wait_s: f64, execute_s: f64) {
-        self.requests.inc();
+        self.requests.total.inc();
         if !ok {
-            self.request_errors.inc();
+            self.requests.errors.inc();
         }
         let cells = &self.per_op[op_index(op)];
         cells.count.inc();
@@ -297,39 +377,36 @@ impl ServiceMetrics {
 
     /// A request crossed the slow-request threshold.
     pub fn slow_request(&self) {
-        self.slow_requests.inc();
+        self.requests.slow.inc();
     }
 
     // ---- Subscriptions ----------------------------------------------
 
     /// A subscription opened.
     pub fn sub_opened(&self) {
-        self.subscriptions_open.inc();
+        self.subscriptions.open.inc();
     }
 
     /// A subscription closed.
     pub fn sub_closed(&self) {
-        self.subscriptions_open.dec();
+        self.subscriptions.open.dec();
     }
 
     /// A push frame was delivered to a subscriber queue.
     pub fn event_sent(&self) {
-        self.events_sent.inc();
+        self.subscriptions.events_sent.inc();
     }
 
     /// A lossy push was dropped on a full subscriber queue.
     pub fn event_lagged(&self) {
-        self.events_lagged.inc();
+        self.subscriptions.events_lagged.inc();
     }
 
     /// The per-experiment tailer cells, created on first use. Stable for
     /// the daemon's lifetime so counters survive tailer restarts.
     pub fn tailer(&self, experiment: &str) -> Arc<TailerMetrics> {
-        let mut map = self.tailers.lock().unwrap();
-        Arc::clone(
-            map.entry(experiment.to_owned())
-                .or_insert_with(TailerMetrics::new),
-        )
+        let mut map = self.tailers.lock().expect("tailer map lock poisoned");
+        Arc::clone(map.entry(experiment.to_owned()).or_default())
     }
 
     // ---- Read paths -------------------------------------------------
@@ -338,149 +415,100 @@ impl ServiceMetrics {
     /// `Request::Stats` and `Request::Metrics` can never diverge.
     pub fn daemon_stats(&self) -> DaemonStats {
         DaemonStats {
-            connections_total: self.connections_total.get(),
-            connections_open: self.connections_open.get().max(0) as u64,
-            requests: self.requests.get(),
-            subscriptions_open: self.subscriptions_open.get().max(0) as u64,
-            events_sent: self.events_sent.get(),
-            events_lagged: self.events_lagged.get(),
+            connections_total: self.connections.total.get(),
+            connections_open: self.connections.open.get().max(0) as u64,
+            requests: self.requests.total.get(),
+            subscriptions_open: self.subscriptions.open.get().max(0) as u64,
+            events_sent: self.subscriptions.events_sent.get(),
+            events_lagged: self.subscriptions.events_lagged.get(),
         }
+    }
+
+    /// The one walk both renderings share: every row of every table, in
+    /// Prometheus family order, with the series it has now. Per-op rows
+    /// cover the ops seen so far; tailer rows every experiment in `tailers`.
+    fn readings<'a>(
+        &'a self,
+        tailers: &'a BTreeMap<String, Arc<TailerMetrics>>,
+    ) -> Vec<Reading<'a>> {
+        let seen: Vec<_> = OPS
+            .iter()
+            .zip(&self.per_op)
+            .filter(|(_, cells)| cells.count.get() > 0)
+            .map(|(op, cells)| (*op, cells))
+            .collect();
+        let tailers: Vec<_> = tailers
+            .iter()
+            .map(|(name, t)| (name.as_str(), &**t))
+            .collect();
+        let mut out = Vec::new();
+        group(
+            &mut out,
+            &["connections"],
+            Connections::ROWS,
+            &self.connections,
+        );
+        group(&mut out, &["reactor"], Reactor::ROWS, &self.reactor);
+        group(&mut out, &["http"], Http::ROWS, &self.http);
+        group(&mut out, &["workers"], Workers::ROWS, &self.workers);
+        group(&mut out, &["requests"], Requests::ROWS, &self.requests);
+        each(
+            &mut out,
+            &["requests", "by_op"],
+            "op",
+            OpMetrics::ROWS,
+            &seen,
+        );
+        group(
+            &mut out,
+            &["subscriptions"],
+            Subscriptions::ROWS,
+            &self.subscriptions,
+        );
+        each(
+            &mut out,
+            &["tailers"],
+            "experiment",
+            TailerMetrics::ROWS,
+            &tailers,
+        );
+        group(&mut out, &["store"], StoreMetrics::ROWS, &self.store);
+        out
+    }
+
+    fn uptime_s(&self) -> f64 {
+        self.epoch.elapsed().as_secs_f64()
     }
 
     /// The full plane as JSON (the `Request::Metrics` reply payload).
     /// Histograms use [`HistogramSnapshot::to_json`], so a client can
-    /// rebuild exact snapshots and compute quantiles locally.
+    /// rebuild exact snapshots and compute quantiles locally. Gauges are
+    /// clamped at 0; ops never seen are left out.
     pub fn snapshot_json(&self) -> JsonValue {
-        let by_op: Vec<(String, JsonValue)> = OPS
-            .iter()
-            .zip(self.per_op.iter())
-            .filter(|(_, cells)| cells.count.get() > 0)
-            .map(|(op, cells)| {
-                (
-                    (*op).to_owned(),
-                    JsonValue::obj(vec![
-                        ("count", JsonValue::Int(cells.count.get())),
-                        ("errors", JsonValue::Int(cells.errors.get())),
-                        ("queue_wait", cells.queue_wait.snapshot().to_json()),
-                        ("execute", cells.execute.snapshot().to_json()),
-                    ]),
-                )
-            })
-            .collect();
-        let tailers: Vec<(String, JsonValue)> = {
-            let map = self.tailers.lock().unwrap();
-            let mut rows: Vec<_> = map
-                .iter()
-                .map(|(name, t)| {
-                    (
-                        name.clone(),
-                        JsonValue::obj(vec![
-                            (
-                                "subscribers",
-                                JsonValue::Int(t.subscribers.get().max(0) as u64),
-                            ),
-                            (
-                                "lag_records",
-                                JsonValue::Int(t.lag_records.get().max(0) as u64),
-                            ),
-                            ("window_evictions", JsonValue::Int(t.window_evictions.get())),
-                            ("fanout_frames", JsonValue::Int(t.fanout_frames.get())),
-                            ("jam_waits", JsonValue::Int(t.jam_waits.get())),
-                            ("jam_timeouts", JsonValue::Int(t.jam_timeouts.get())),
-                        ]),
-                    )
-                })
-                .collect();
-            rows.sort_by(|a, b| a.0.cmp(&b.0));
-            rows
-        };
-        JsonValue::obj(vec![
-            ("schema", JsonValue::Str(METRICS_SCHEMA.to_owned())),
+        let tailers = self.tailers.lock().expect("tailer map lock poisoned");
+        let mut root = vec![
+            (
+                "schema".to_owned(),
+                JsonValue::Str(METRICS_SCHEMA.to_owned()),
+            ),
             // Constant: older `asha-ctl` builds read it to pick a rendering.
-            ("enabled", JsonValue::Bool(true)),
-            (
-                "uptime_s",
-                JsonValue::Num(self.epoch.elapsed().as_secs_f64()),
-            ),
-            (
-                "reactor",
-                JsonValue::obj(vec![
-                    ("accepts", JsonValue::Int(self.accepts.get())),
-                    ("bytes_read", JsonValue::Int(self.bytes_read.get())),
-                    ("bytes_written", JsonValue::Int(self.bytes_written.get())),
-                    ("decode_errors", JsonValue::Int(self.decode_errors.get())),
-                    ("read_pauses", JsonValue::Int(self.read_pauses.get())),
-                    ("iterations", JsonValue::Int(self.iterations.get())),
-                    ("iteration", self.iteration.snapshot().to_json()),
-                    ("wake_dispatch", self.wake_dispatch.snapshot().to_json()),
-                ]),
-            ),
-            (
-                "connections",
-                JsonValue::obj(vec![
-                    ("total", JsonValue::Int(self.connections_total.get())),
-                    (
-                        "open",
-                        JsonValue::Int(self.connections_open.get().max(0) as u64),
-                    ),
-                ]),
-            ),
-            (
-                "http",
-                JsonValue::obj(vec![("requests", JsonValue::Int(self.http_requests.get()))]),
-            ),
-            (
-                "workers",
-                JsonValue::obj(vec![(
-                    "queue_depth",
-                    JsonValue::Int(self.queue_depth.get().max(0) as u64),
-                )]),
-            ),
-            (
-                "requests",
-                JsonValue::obj(vec![
-                    ("total", JsonValue::Int(self.requests.get())),
-                    ("errors", JsonValue::Int(self.request_errors.get())),
-                    ("slow", JsonValue::Int(self.slow_requests.get())),
-                    ("by_op", JsonValue::Obj(by_op)),
-                ]),
-            ),
-            (
-                "subscriptions",
-                JsonValue::obj(vec![
-                    (
-                        "open",
-                        JsonValue::Int(self.subscriptions_open.get().max(0) as u64),
-                    ),
-                    ("events_sent", JsonValue::Int(self.events_sent.get())),
-                    ("events_lagged", JsonValue::Int(self.events_lagged.get())),
-                ]),
-            ),
-            ("tailers", JsonValue::Obj(tailers)),
-            (
-                "store",
-                JsonValue::obj(vec![
-                    ("wal_append", self.store.wal_append.snapshot().to_json()),
-                    ("wal_fsync", self.store.wal_fsync.snapshot().to_json()),
-                    (
-                        "snapshot_write",
-                        self.store.snapshot_write.snapshot().to_json(),
-                    ),
-                    (
-                        "snapshot_delta_write",
-                        self.store.snapshot_delta_write.snapshot().to_json(),
-                    ),
-                    (
-                        "snapshot_full_bytes",
-                        JsonValue::Int(self.store.snapshot_full_bytes.get()),
-                    ),
-                    (
-                        "snapshot_delta_bytes",
-                        JsonValue::Int(self.store.snapshot_delta_bytes.get()),
-                    ),
-                ]),
-            ),
-        ])
+            ("enabled".to_owned(), JsonValue::Bool(true)),
+            ("uptime_s".to_owned(), JsonValue::Num(self.uptime_s())),
+        ];
+        for reading in self.readings(&tailers) {
+            let group = object_at(&mut root, reading.path);
+            for (key, _, cell) in reading.series {
+                let value = match cell {
+                    Cell::Counter(c) => JsonValue::Int(c.get()),
+                    Cell::Gauge(g) => JsonValue::Int(g.get().max(0) as u64),
+                    Cell::Histogram(h) => h.snapshot().to_json(),
+                };
+                let path: &[&str] = if key.is_empty() { &[] } else { &[key] };
+                object_at(group, path).push((reading.json.to_owned(), value));
+            }
+        }
+        root.sort_by_key(|(key, _)| JSON_ORDER.iter().position(|k| k == key));
+        JsonValue::Obj(root)
     }
 
     /// Render the plane in the Prometheus text exposition format (0.0.4).
@@ -488,302 +516,76 @@ impl ServiceMetrics {
     /// Naming follows the Prometheus conventions: `asha_` prefix,
     /// `_total` suffix on counters, `_seconds` base unit on histograms
     /// (exposed as cumulative `_bucket{le=...}` series plus `_sum` /
-    /// `_count`). Fixed-name series always appear; per-op histograms
-    /// appear once the op has been seen, per-experiment tailer series
-    /// once the experiment has a tailer.
+    /// `_count`). Every family is headed even when it has no series yet;
+    /// per-op series appear once the op has been seen, per-experiment
+    /// tailer series once the experiment has a tailer. Gauges are not
+    /// clamped.
     pub fn render_prometheus(&self) -> String {
+        let tailers = self.tailers.lock().expect("tailer map lock poisoned");
         let mut out = String::with_capacity(8 * 1024);
-        counter(
-            &mut out,
-            "asha_connections_total",
-            "Protocol connections accepted over the daemon's lifetime",
-            self.connections_total.get(),
-        );
-        gauge(
-            &mut out,
-            "asha_connections_open",
-            "Currently open protocol connections",
-            self.connections_open.get(),
-        );
-        counter(
-            &mut out,
-            "asha_reactor_accepts_total",
-            "Sockets accepted by the reactor (all listeners)",
-            self.accepts.get(),
-        );
-        counter(
-            &mut out,
-            "asha_reactor_bytes_read_total",
-            "Bytes read off sockets",
-            self.bytes_read.get(),
-        );
-        counter(
-            &mut out,
-            "asha_reactor_bytes_written_total",
-            "Bytes written to sockets",
-            self.bytes_written.get(),
-        );
-        counter(
-            &mut out,
-            "asha_reactor_frame_decode_errors_total",
-            "Frames that failed to decode (malformed, oversized, torn)",
-            self.decode_errors.get(),
-        );
-        counter(
-            &mut out,
-            "asha_reactor_read_pauses_total",
-            "Connection reads paused by the backlog high-water mark",
-            self.read_pauses.get(),
-        );
-        counter(
-            &mut out,
-            "asha_reactor_iterations_total",
-            "Reactor iterations that dispatched at least one event",
-            self.iterations.get(),
-        );
-        histogram(
-            &mut out,
-            "asha_reactor_iteration_seconds",
-            "Time spent dispatching one reactor readiness batch",
-            "",
-            &self.iteration.snapshot(),
-        );
-        histogram(
-            &mut out,
-            "asha_reactor_wake_dispatch_seconds",
-            "Producer doorbell to reactor dispatch latency",
-            "",
-            &self.wake_dispatch.snapshot(),
-        );
-        counter(
-            &mut out,
-            "asha_http_requests_total",
-            "Requests served on the HTTP metrics listener",
-            self.http_requests.get(),
-        );
-        gauge(
-            &mut out,
-            "asha_worker_queue_depth",
-            "Connection visits queued for the worker pool",
-            self.queue_depth.get(),
-        );
-        counter(
-            &mut out,
-            "asha_requests_total",
-            "Protocol requests served (including failed ones)",
-            self.requests.get(),
-        );
-        counter(
-            &mut out,
-            "asha_request_errors_total",
-            "Protocol requests answered with an error frame",
-            self.request_errors.get(),
-        );
-        counter(
-            &mut out,
-            "asha_slow_requests_total",
-            "Requests that crossed the slow-request threshold",
-            self.slow_requests.get(),
-        );
-        // Per-op histograms share one metric family per leg, labelled by op.
-        let seen: Vec<(usize, &OpMetrics)> = self
-            .per_op
-            .iter()
-            .enumerate()
-            .filter(|(_, cells)| cells.count.get() > 0)
-            .collect();
-        header(
-            &mut out,
-            "asha_request_queue_wait_seconds",
-            "Request decode to worker pickup latency",
-            "histogram",
-        );
-        for (i, cells) in &seen {
-            histogram_series(
-                &mut out,
-                "asha_request_queue_wait_seconds",
-                &format!("op=\"{}\"", OPS[*i]),
-                &cells.queue_wait.snapshot(),
-            );
-        }
-        header(
-            &mut out,
-            "asha_request_execute_seconds",
-            "Request execution latency (worker pickup to reply queued)",
-            "histogram",
-        );
-        for (i, cells) in &seen {
-            histogram_series(
-                &mut out,
-                "asha_request_execute_seconds",
-                &format!("op=\"{}\"", OPS[*i]),
-                &cells.execute.snapshot(),
-            );
-        }
-        gauge(
-            &mut out,
-            "asha_subscriptions_open",
-            "Currently live subscriptions",
-            self.subscriptions_open.get(),
-        );
-        counter(
-            &mut out,
-            "asha_sub_events_sent_total",
-            "Push frames delivered to subscriber queues",
-            self.events_sent.get(),
-        );
-        counter(
-            &mut out,
-            "asha_sub_events_lagged_total",
-            "Lossy push frames dropped on full subscriber queues",
-            self.events_lagged.get(),
-        );
-        // Tailer series, labelled by experiment.
-        {
-            let map = self.tailers.lock().unwrap();
-            let mut names: Vec<&String> = map.keys().collect();
-            names.sort();
-            type Read = fn(&TailerMetrics) -> f64;
-            let series: [(&str, &str, &str, Read); 6] = [
-                (
-                    "asha_tailer_subscribers",
-                    "Subscribers attached to the experiment's tailer",
-                    "gauge",
-                    |t| t.subscribers.get() as f64,
-                ),
-                (
-                    "asha_tailer_lag_records",
-                    "Backlog records the slowest live subscriber has not consumed",
-                    "gauge",
-                    |t| t.lag_records.get() as f64,
-                ),
-                (
-                    "asha_tailer_window_evictions_total",
-                    "Live subscribers demoted to catch-up after falling out of the backlog window",
-                    "counter",
-                    |t| t.window_evictions.get() as f64,
-                ),
-                (
-                    "asha_tailer_fanout_frames_total",
-                    "Event frames fanned out to subscriber queues",
-                    "counter",
-                    |t| t.fanout_frames.get() as f64,
-                ),
-                (
-                    "asha_tailer_jam_waits_total",
-                    "Waits for room in a full subscriber queue",
-                    "counter",
-                    |t| t.jam_waits.get() as f64,
-                ),
-                (
-                    "asha_tailer_jam_timeouts_total",
-                    "Waits for room ended by their time bound, not by the drain",
-                    "counter",
-                    |t| t.jam_timeouts.get() as f64,
-                ),
-            ];
-            for (metric, help, kind, read) in series {
-                header(&mut out, metric, help, kind);
-                for name in &names {
-                    let label = format!("experiment=\"{}\"", escape_label(name));
-                    sample(&mut out, metric, &label, read(&map[name.as_str()]));
+        for reading in self.readings(&tailers) {
+            let family = reading.family;
+            if family.is_empty() {
+                continue;
+            }
+            header(&mut out, family, reading.help, reading.kind);
+            for (_, labels, cell) in &reading.series {
+                match cell {
+                    Cell::Counter(c) => sample(&mut out, family, labels, c.get() as f64),
+                    Cell::Gauge(g) => sample(&mut out, family, labels, g.get() as f64),
+                    Cell::Histogram(h) => histogram_series(&mut out, family, labels, &h.snapshot()),
                 }
             }
         }
-        histogram(
+        // Uptime is a clock reading, not a cell: first in JSON, last here.
+        let uptime = "asha_uptime_seconds";
+        header(
             &mut out,
-            "asha_wal_append_seconds",
-            "WAL record append latency",
-            "",
-            &self.store.wal_append.snapshot(),
-        );
-        histogram(
-            &mut out,
-            "asha_wal_fsync_seconds",
-            "WAL flush+fsync latency",
-            "",
-            &self.store.wal_fsync.snapshot(),
-        );
-        histogram(
-            &mut out,
-            "asha_snapshot_write_seconds",
-            "Experiment snapshot write latency",
-            "",
-            &self.store.snapshot_write.snapshot(),
-        );
-        histogram(
-            &mut out,
-            "asha_snapshot_delta_write_seconds",
-            "Delta snapshot diff+write latency",
-            "",
-            &self.store.snapshot_delta_write.snapshot(),
-        );
-        counter(
-            &mut out,
-            "asha_snapshot_full_bytes_total",
-            "Bytes written by full snapshots",
-            self.store.snapshot_full_bytes.get(),
-        );
-        counter(
-            &mut out,
-            "asha_snapshot_delta_bytes_total",
-            "Bytes written by delta snapshots",
-            self.store.snapshot_delta_bytes.get(),
-        );
-        gauge_f64(
-            &mut out,
-            "asha_uptime_seconds",
+            uptime,
             "Seconds since the daemon started",
-            self.epoch.elapsed().as_secs_f64(),
+            "gauge",
         );
+        sample(&mut out, uptime, "", self.uptime_s());
         out
     }
+}
+
+/// The object at `path` below `obj`, created empty (and appended) where
+/// missing.
+fn object_at<'a>(
+    mut obj: &'a mut Vec<(String, JsonValue)>,
+    path: &[&str],
+) -> &'a mut Vec<(String, JsonValue)> {
+    for key in path {
+        let at = match obj.iter().position(|(k, _)| k == key) {
+            Some(at) => at,
+            None => {
+                obj.push(((*key).to_owned(), JsonValue::Obj(Vec::new())));
+                obj.len() - 1
+            }
+        };
+        obj = match &mut obj[at].1 {
+            JsonValue::Obj(fields) => fields,
+            _ => unreachable!("metric groups only ever hold objects at {key}"),
+        };
+    }
+    obj
 }
 
 // ---- Prometheus text helpers ------------------------------------------
 
 fn header(out: &mut String, name: &str, help: &str, kind: &str) {
-    out.push_str("# HELP ");
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(help);
-    out.push_str("\n# TYPE ");
-    out.push_str(name);
-    out.push(' ');
-    out.push_str(kind);
-    out.push('\n');
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
 }
 
 fn sample(out: &mut String, name: &str, labels: &str, value: f64) {
     out.push_str(name);
     if !labels.is_empty() {
-        out.push('{');
-        out.push_str(labels);
-        out.push('}');
+        let _ = write!(out, "{{{labels}}}");
     }
     out.push(' ');
     push_num(out, value);
     out.push('\n');
-}
-
-fn counter(out: &mut String, name: &str, help: &str, value: u64) {
-    header(out, name, help, "counter");
-    sample(out, name, "", value as f64);
-}
-
-fn gauge(out: &mut String, name: &str, help: &str, value: i64) {
-    header(out, name, help, "gauge");
-    sample(out, name, "", value as f64);
-}
-
-fn gauge_f64(out: &mut String, name: &str, help: &str, value: f64) {
-    header(out, name, help, "gauge");
-    sample(out, name, "", value);
-}
-
-fn histogram(out: &mut String, name: &str, help: &str, labels: &str, snap: &HistogramSnapshot) {
-    header(out, name, help, "histogram");
-    histogram_series(out, name, labels, snap);
 }
 
 /// One labelled series of an (already-headed) histogram family:
@@ -793,11 +595,7 @@ fn histogram_series(out: &mut String, name: &str, labels: &str, snap: &Histogram
     let mut cumulative = 0u64;
     for (bound, n) in snap.buckets() {
         cumulative += n;
-        out.push_str(name);
-        out.push_str("_bucket{");
-        out.push_str(labels);
-        out.push_str(sep);
-        out.push_str("le=\"");
+        let _ = write!(out, "{name}_bucket{{{labels}{sep}le=\"");
         if bound.is_infinite() {
             out.push_str("+Inf");
         } else {
@@ -807,29 +605,13 @@ fn histogram_series(out: &mut String, name: &str, labels: &str, snap: &Histogram
         push_num(out, cumulative as f64);
         out.push('\n');
     }
-    let suffix = if labels.is_empty() {
-        String::new()
-    } else {
-        format!("{{{labels}}}")
-    };
-    out.push_str(name);
-    out.push_str("_sum");
-    out.push_str(&suffix);
-    out.push(' ');
-    push_num(out, snap.sum());
-    out.push('\n');
-    out.push_str(name);
-    out.push_str("_count");
-    out.push_str(&suffix);
-    out.push(' ');
-    push_num(out, snap.count() as f64);
-    out.push('\n');
+    sample(out, &format!("{name}_sum"), labels, snap.sum());
+    sample(out, &format!("{name}_count"), labels, snap.count() as f64);
 }
 
 /// Prometheus numbers: integers without a decimal point, floats via
 /// Rust's shortest round-trip `Display`.
 fn push_num(out: &mut String, v: f64) {
-    use std::fmt::Write;
     if v == v.trunc() && v.abs() < 1e15 {
         let _ = write!(out, "{}", v as i64);
     } else {

@@ -13,43 +13,34 @@
 
 use std::sync::Arc;
 
-use asha_obs::{SharedCounter, SharedHistogram};
-
-/// Shared latency histograms and counters for the store's durability hot
-/// paths.
-///
-/// All histogram observations are wall-clock seconds from a monotonic
-/// [`std::time::Instant`] pair taken around the operation.
-#[derive(Debug)]
-pub struct StoreMetrics {
-    /// One WAL record append (userspace buffer write, plus any
-    /// policy-triggered fsync it absorbed).
-    pub wal_append: SharedHistogram,
-    /// One WAL flush+fsync.
-    pub wal_fsync: SharedHistogram,
-    /// One full snapshot write (serialize, temp file, fsync, rename).
-    pub snapshot_write: SharedHistogram,
-    /// One delta snapshot write (diff, serialize, temp file, fsync,
-    /// rename).
-    pub snapshot_delta_write: SharedHistogram,
-    /// Bytes written by full snapshots.
-    pub snapshot_full_bytes: SharedCounter,
-    /// Bytes written by delta snapshots. Comparing against
-    /// `snapshot_full_bytes` shows what the delta chain saves.
-    pub snapshot_delta_bytes: SharedCounter,
+asha_obs::metric_cells! {
+    /// Shared latency histograms and counters for the store's durability
+    /// hot paths, with the daemon's metrics table rows for them.
+    ///
+    /// All histogram observations are wall-clock seconds from a monotonic
+    /// [`std::time::Instant`] pair taken around the operation.
+    pub struct StoreMetrics {
+        /// Userspace buffer write, plus any policy-triggered fsync it absorbed.
+        pub wal_append: histogram "asha_wal_append_seconds" "WAL record append latency",
+        pub wal_fsync: histogram "asha_wal_fsync_seconds" "WAL flush+fsync latency",
+        /// Serialize, temp file, fsync, rename.
+        pub snapshot_write: histogram "asha_snapshot_write_seconds"
+            "Experiment snapshot write latency",
+        pub snapshot_delta_write: histogram "asha_snapshot_delta_write_seconds"
+            "Delta snapshot diff+write latency",
+        pub snapshot_full_bytes: counter "asha_snapshot_full_bytes_total"
+            "Bytes written by full snapshots",
+        /// Comparing against `snapshot_full_bytes` shows what the delta
+        /// chain saves.
+        pub snapshot_delta_bytes: counter "asha_snapshot_delta_bytes_total"
+            "Bytes written by delta snapshots",
+    }
 }
 
 impl StoreMetrics {
     /// A fresh, zeroed bundle behind an [`Arc`] ready to share across run
     /// workers.
     pub fn new() -> Arc<StoreMetrics> {
-        Arc::new(StoreMetrics {
-            wal_append: SharedHistogram::latency(),
-            wal_fsync: SharedHistogram::latency(),
-            snapshot_write: SharedHistogram::latency(),
-            snapshot_delta_write: SharedHistogram::latency(),
-            snapshot_full_bytes: SharedCounter::new(),
-            snapshot_delta_bytes: SharedCounter::new(),
-        })
+        Arc::default()
     }
 }

@@ -134,3 +134,140 @@ fn executor_telemetry_is_consistent_under_chaos() {
     let events = parse_jsonl(&recorder.to_jsonl()).expect("own log must parse");
     assert_eq!(events, recorder.events());
 }
+
+/// `report.json` and the text report of one seeded chaos run, byte for
+/// byte: the histogram quantiles, maxima and means they print are the
+/// f64 accumulators' readings.
+#[test]
+fn chaos_report_bytes_are_pinned() {
+    let (_, recorder) = chaos_jsonl(3);
+    let report = recorder.report(Some(25));
+    assert_eq!(report.to_json().render(), CHAOS_REPORT_JSON);
+    assert_eq!(report.render_text(), CHAOS_REPORT_TEXT);
+}
+
+/// `chaos_jsonl(3)`'s `RunReport::to_json().render()`, 25 workers.
+const CHAOS_REPORT_JSON: &str = r#"{
+  "schema": "asha-run-report-v1",
+  "workers": 25,
+  "end_time": 39.96564566901143,
+  "events": 5516,
+  "decisions": {
+    "promote": 471,
+    "grow_bottom": 1366,
+    "wait": 0,
+    "finished": 0
+  },
+  "jobs": {
+    "started": 1847,
+    "completed": 1812,
+    "dropped": 10,
+    "retried": 10,
+    "idle_rounds": 0
+  },
+  "rungs": [
+    {
+      "rung": 0,
+      "resource": 1,
+      "completed": 1360,
+      "pending": 1003,
+      "promoted_out": 357
+    },
+    {
+      "rung": 1,
+      "resource": 4,
+      "completed": 349,
+      "pending": 262,
+      "promoted_out": 87
+    },
+    {
+      "rung": 2,
+      "resource": 16,
+      "completed": 86,
+      "pending": 63,
+      "promoted_out": 23
+    },
+    {
+      "rung": 3,
+      "resource": 64,
+      "completed": 17,
+      "pending": 13,
+      "promoted_out": 4
+    }
+  ],
+  "promotion_latency": {
+    "count": 471,
+    "p50": 0.001,
+    "p95": 2.048,
+    "max": 24.293742544004136,
+    "mean": 0.5422608645088696
+  },
+  "job_latency": {
+    "count": 1812,
+    "p50": 0.256,
+    "p95": 2.048,
+    "max": 13.634157806921039,
+    "mean": 0.5029317642680258
+  },
+  "queue_delay": {
+    "count": 10,
+    "p50": 0,
+    "p95": 0,
+    "max": 0,
+    "mean": 0
+  },
+  "utilization": {
+    "mean": 1,
+    "peak_busy": 25,
+    "timeline": [
+      0.9999999999999994,
+      1.0000000000000002,
+      0.9999999999999991,
+      1.0000000000000004,
+      1,
+      1.0000000000000004,
+      1.0000000000000004,
+      1,
+      1.0000000000000002,
+      0.9999999999999991,
+      1.000000000000001,
+      0.9999999999999993
+    ]
+  }
+}
+"#;
+
+/// `chaos_jsonl(3)`'s `RunReport::render_text()`, 25 workers.
+const CHAOS_REPORT_TEXT: &str = r#"asha run report
+===============
+events: 5516   end time: 39.966   workers: 25
+
+decisions: promote 471  grow_bottom 1366  wait 0  finished 0
+jobs: started 1847  completed 1812  dropped 10  retried 10  idle rounds 0
+
+rung  resource  completed  pending  promoted out
+----  --------  ---------  -------  ------------
+   0       1.0       1360     1003           357
+   1       4.0        349      262            87
+   2      16.0         86       63            23
+   3      64.0         17       13             4
+
+latency (time units)    count      p50      p95      max     mean
+promotion wait            471    0.001    2.048   24.294    0.542
+job latency              1812    0.256    2.048   13.634    0.503
+retry queue delay          10    0.000    0.000    0.000    0.000
+
+worker utilization: mean 100.0%  peak busy 25
+  [    0.00,     3.33)  ##############################  100.0%
+  [    3.33,     6.66)  ##############################  100.0%
+  [    6.66,     9.99)  ##############################  100.0%
+  [    9.99,    13.32)  ##############################  100.0%
+  [   13.32,    16.65)  ##############################  100.0%
+  [   16.65,    19.98)  ##############################  100.0%
+  [   19.98,    23.31)  ##############################  100.0%
+  [   23.31,    26.64)  ##############################  100.0%
+  [   26.64,    29.97)  ##############################  100.0%
+  [   29.97,    33.30)  ##############################  100.0%
+  [   33.30,    36.64)  ##############################  100.0%
+  [   36.64,    39.97)  ##############################  100.0%
+"#;
