@@ -3,12 +3,8 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p asha-bench --bin store_inspect -- [FLAGS] DIR
-//!     --format NAME   decode the WAL with the named codec (jsonl-v1 |
-//!                     binary-v2) instead of sniffing each file's magic —
-//!                     forensics for a store whose header bytes are damaged
-//!     --dump          print every WAL record as its JSONL line (binary
-//!                     records are decoded and re-rendered as JSON)
+//! cargo run --release -p asha-bench --bin store_inspect -- [--dump] DIR
+//!     --dump          print every WAL record as its JSON line
 //! ```
 //!
 //! `DIR` may be a single experiment directory (contains `meta.json`) or a
@@ -17,20 +13,19 @@
 //! metadata summary, the checkpoint chain (full snapshots and their delta
 //! chains: sequence, covered events, file dialect and size, and the
 //! snapshot layout — `v1` keyed rows or `v2` positional ones), and the WAL's
-//! shape: detected dialect, record counts, telemetry sequence range, store
-//! markers, and whether a torn tail was discarded. Dialects are detected
-//! per file, so mixed-format stores (a `jsonl-v1` store after a resume:
-//! binary WAL and new checkpoints beside the old `.json` snapshots) inspect
-//! cleanly.
+//! shape: dialect, record counts, telemetry sequence range, store markers,
+//! and whether a torn tail was discarded. A store written before the
+//! redesign (`jsonl-v1`) is read in memory through `asha_store::upgrade`,
+//! and nothing is written: the tool shows it as it is on disk.
 
 use std::path::Path;
 
 use asha::metrics::JsonValue;
-use asha::store::binary::{find_field, get_value, put_value};
+use asha::store::binary::{decode_value, find_field, get_value, put_value};
 use asha::store::delta::apply_bytes;
+use asha::store::upgrade::{self, Checkpoint};
 use asha::store::{
-    read_manifest, read_meta, read_wal, DecodeStep, DeltaDoc, Snapshot, StoreFormat, WalContents,
-    WalRecord, MANIFEST_FILE, META_FILE, WAL_FILE,
+    read_manifest, read_meta, DeltaDoc, Snapshot, WalRecord, MANIFEST_FILE, META_FILE, WAL_FILE,
 };
 
 fn fail(msg: impl std::fmt::Display) -> ! {
@@ -38,56 +33,7 @@ fn fail(msg: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
-struct Opts {
-    format: Option<StoreFormat>,
-    dump: bool,
-}
-
-/// Decode a WAL with one specific codec, ignoring the file's own magic.
-/// This is the `--format` escape hatch: when a header is damaged (or a
-/// file was produced by a tool that forgot the magic), sniffing picks the
-/// wrong dialect and the operator knows better.
-fn read_wal_forced(path: &Path, format: StoreFormat) -> Result<WalContents, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let magic = asha::store::format::WAL_MAGIC;
-    let mut offset = if format == StoreFormat::BinaryV2 && bytes.starts_with(magic) {
-        magic.len()
-    } else {
-        0
-    };
-    let mut contents = WalContents {
-        records: Vec::new(),
-        torn_tail: false,
-        format,
-    };
-    while offset < bytes.len() {
-        match format.decode_step(&bytes[offset..]) {
-            DecodeStep::Record { consumed, record } => {
-                offset += consumed;
-                contents.records.push(record);
-            }
-            DecodeStep::Blank { consumed } => offset += consumed,
-            // Forced mode is forensics: treat anything undecodable as the
-            // end of the usable prefix rather than failing the whole read.
-            DecodeStep::Incomplete | DecodeStep::Invalid { .. } | DecodeStep::Lost(_) => {
-                contents.torn_tail = true;
-                break;
-            }
-        }
-    }
-    Ok(contents)
-}
-
-/// Read and decode one checkpoint document (full snapshot or delta),
-/// reporting the dialect it was written in alongside the parsed value.
-fn read_checkpoint_doc(path: &Path) -> Result<(StoreFormat, JsonValue), String> {
-    let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
-    let format = StoreFormat::detect_document(&bytes);
-    let doc = format.decode_document(&bytes)?;
-    Ok((format, doc))
-}
-
-fn inspect_experiment(dir: &Path, opts: &Opts) {
+fn inspect_experiment(dir: &Path, dump: bool) {
     println!("experiment store: {}", dir.display());
 
     match read_meta(dir) {
@@ -108,7 +54,7 @@ fn inspect_experiment(dir: &Path, opts: &Opts) {
     }
 
     inspect_checkpoints(dir);
-    inspect_wal(dir, opts);
+    inspect_wal(dir, dump);
 }
 
 /// The layout a snapshot document's payload was written in, from its schema
@@ -127,102 +73,88 @@ fn layout(payload: &[u8]) -> String {
     }
 }
 
+/// A checkpoint's payload decoded as `T`, beside the payload itself.
+fn decode<T>(
+    file: &Checkpoint,
+    from_json: impl Fn(&JsonValue) -> Result<T, asha::store::Error>,
+) -> Result<(T, Vec<u8>), String> {
+    let payload = file.payload().map_err(|e| e.to_string())?;
+    let doc = decode_value(&payload)?;
+    Ok((from_json(&doc).map_err(|e| e.to_string())?, payload))
+}
+
 /// The checkpoint chain: every full snapshot in sequence order, each
 /// followed by its delta chain (if any), with per-file dialect and size and
 /// the layout of the document each file restores — a delta's is that of
 /// its base with the chain patched on, so an old store resumed under new
 /// code shows as a v1 snapshot followed by v2 deltas.
 fn inspect_checkpoints(dir: &Path) {
-    match asha::store::list_snapshots(dir) {
-        Ok(snaps) if snaps.is_empty() => println!("  snapshots: none"),
-        Ok(snaps) => {
-            println!("  snapshots: {}", snaps.len());
-            for (seq, path) in &snaps {
-                let size = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-                // The document the chain has restored so far, as a payload.
-                let mut chain = None;
-                match read_checkpoint_doc(path).and_then(|(f, doc)| {
-                    Ok((
-                        f,
-                        Snapshot::from_json(&doc).map_err(|e| e.to_string())?,
-                        doc,
-                    ))
-                }) {
-                    Ok((format, snap, doc)) => {
-                        let payload = chain.insert(Vec::new());
-                        put_value(payload, &doc);
-                        println!(
-                            "    snap {seq:>6}: covers {:>7} events, {size:>9} bytes ({}, layout {})",
-                            snap.events,
-                            format.name(),
-                            layout(payload)
-                        )
-                    }
-                    Err(e) => println!("    snap {seq:>6}: UNREADABLE, {size:>9} bytes ({e})"),
-                }
-                // The delta chain hanging off this full snapshot, in chain
-                // order; `load` validates each file's claimed position.
-                for k in 1.. {
-                    let Some(path) = [StoreFormat::BinaryV2, StoreFormat::JsonlV1]
-                        .into_iter()
-                        .map(|f| dir.join(asha::store::delta_file_name(*seq, k, f)))
-                        .find(|p| p.exists())
-                    else {
-                        break;
-                    };
-                    let size = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                    match (DeltaDoc::load(dir, *seq, k), read_checkpoint_doc(&path)) {
-                        (Ok(delta), Ok((format, _))) => {
-                            chain = chain.and_then(|base| {
-                                let (mut patch, mut patched) = (Vec::new(), Vec::new());
-                                put_value(&mut patch, &delta.patch);
-                                apply_bytes(&base, &patch, &mut patched).ok()?;
-                                Some(patched)
-                            });
-                            println!(
-                                "      delta {seq:>4}+{k}: covers {:>7} events, {size:>9} bytes ({}, layout {})",
-                                delta.events,
-                                format.name(),
-                                chain.as_deref().map_or_else(|| "?".to_owned(), layout)
-                            )
-                        }
-                        (Err(e), _) => {
-                            println!("      delta {seq:>4}+{k}: UNREADABLE, {size:>9} bytes ({e})")
-                        }
-                        (_, Err(e)) => {
-                            println!("      delta {seq:>4}+{k}: UNREADABLE, {size:>9} bytes ({e})")
-                        }
-                    }
-                }
-            }
+    let files = match upgrade::checkpoints(dir) {
+        Ok(files) => files,
+        Err(e) => return println!("  snapshots: unreadable ({e})"),
+    };
+    match files.iter().filter(|f| f.delta == 0).count() {
+        0 => println!("  snapshots: none"),
+        n => println!("  snapshots: {n}"),
+    }
+    // The document the chain has restored so far, as a payload, and the
+    // chain position it was restored to.
+    let (mut chain, mut at): (Option<Vec<u8>>, _) = (None, None);
+    for file in &files {
+        let size = std::fs::metadata(&file.path).map_or(0, |m| m.len());
+        let (seq, k, dialect) = (file.snap, file.delta, file.dialect);
+        if at.replace((seq, k)) != k.checked_sub(1).map(|prev| (seq, prev)) {
+            chain = None;
         }
-        Err(e) => println!("  snapshots: unreadable ({e})"),
+        if k == 0 {
+            match decode(file, Snapshot::from_json) {
+                Ok((snap, payload)) => println!(
+                    "    snap {seq:>6}: covers {:>7} events, {size:>9} bytes ({dialect}, layout {})",
+                    snap.events,
+                    layout(chain.insert(payload))
+                ),
+                Err(e) => println!("    snap {seq:>6}: UNREADABLE, {size:>9} bytes ({e})"),
+            }
+            continue;
+        }
+        let delta = decode(file, DeltaDoc::from_json).and_then(|(delta, _)| {
+            let (snap, k_file) = (delta.snap, delta.delta);
+            if (snap, k_file) == (seq, k) {
+                Ok(delta)
+            } else {
+                Err(format!(
+                    "delta chain mismatch: file says snap {snap} delta {k_file}"
+                ))
+            }
+        });
+        match delta {
+            Ok(delta) => {
+                chain = chain.and_then(|base| {
+                    let (mut patch, mut patched) = (Vec::new(), Vec::new());
+                    put_value(&mut patch, &delta.patch);
+                    apply_bytes(&base, &patch, &mut patched).ok()?;
+                    Some(patched)
+                });
+                println!(
+                    "      delta {seq:>4}+{k}: covers {:>7} events, {size:>9} bytes ({dialect}, layout {})",
+                    delta.events,
+                    chain.as_deref().map_or_else(|| "?".to_owned(), layout)
+                )
+            }
+            Err(e) => println!("      delta {seq:>4}+{k}: UNREADABLE, {size:>9} bytes ({e})"),
+        }
     }
 }
 
-fn inspect_wal(dir: &Path, opts: &Opts) {
-    let wal_path = dir.join(WAL_FILE);
-    let dialect = std::fs::read(&wal_path)
-        .map(|bytes| StoreFormat::detect_wal(&bytes))
-        .unwrap_or_default();
-    let contents = match opts.format {
-        Some(format) => read_wal_forced(&wal_path, format).map_err(asha::store::Error::codec),
-        None => read_wal(&wal_path),
-    };
-    match contents {
-        Ok(contents) => {
+fn inspect_wal(dir: &Path, dump: bool) {
+    match upgrade::read_wal(&dir.join(WAL_FILE)) {
+        Ok((contents, dialect)) => {
             let telemetry: Vec<_> = contents.telemetry().collect();
             let stores = contents.records.len() - telemetry.len();
             println!(
-                "  wal:       {} records ({} telemetry + {stores} store markers), {} dialect{}",
+                "  wal:       {} records ({} telemetry + {stores} store markers), {dialect} dialect",
                 contents.records.len(),
                 telemetry.len(),
-                opts.format.unwrap_or(dialect).name(),
-                if opts.format.is_some() {
-                    " (forced)"
-                } else {
-                    ""
-                }
             );
             match (telemetry.first(), telemetry.last()) {
                 (Some(first), Some(last)) => println!(
@@ -253,7 +185,7 @@ fn inspect_wal(dir: &Path, opts: &Opts) {
             if contents.torn_tail {
                 println!("    torn tail: one partial final record discarded (crash mid-append)");
             }
-            if opts.dump {
+            if dump {
                 println!("  records:");
                 for record in &contents.records {
                     println!("    {}", record.render_jsonl());
@@ -265,30 +197,17 @@ fn inspect_wal(dir: &Path, opts: &Opts) {
 }
 
 fn usage(code: i32) -> ! {
-    println!("usage: store_inspect [--format jsonl-v1|binary-v2] [--dump] <experiment-dir | supervisor-root>");
+    println!("usage: store_inspect [--dump] <experiment-dir | supervisor-root>");
     std::process::exit(code);
 }
 
 fn main() {
-    let mut opts = Opts {
-        format: None,
-        dump: false,
-    };
+    let mut dump = false;
     let mut dir: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--help" | "-h" => usage(0),
-            "--dump" => opts.dump = true,
-            "--format" => {
-                let name = args
-                    .next()
-                    .unwrap_or_else(|| fail("--format needs a value"));
-                opts.format = Some(
-                    StoreFormat::from_name(&name)
-                        .unwrap_or_else(|| fail(format!("unknown format {name:?}"))),
-                );
-            }
+            "--dump" => dump = true,
             other if dir.is_none() && !other.starts_with('-') => dir = Some(other.to_owned()),
             other => fail(format!("unexpected argument {other:?}")),
         }
@@ -309,7 +228,7 @@ fn main() {
         }
         for entry in &entries {
             println!();
-            inspect_experiment(&dir.join(&entry.name), &opts);
+            inspect_experiment(&dir.join(&entry.name), dump);
         }
         return;
     }
@@ -320,5 +239,5 @@ fn main() {
             dir.display()
         ));
     }
-    inspect_experiment(dir, &opts);
+    inspect_experiment(dir, dump);
 }

@@ -130,7 +130,6 @@ impl Recorder for RunRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asha_core::telemetry::IdleKind;
 
     #[test]
     fn assigns_gap_free_sequence_numbers() {
@@ -150,6 +149,7 @@ mod tests {
     #[should_panic(expected = "clock went backwards")]
     #[cfg(debug_assertions)]
     fn rejects_time_travel_in_debug_builds() {
+        use asha_core::telemetry::IdleKind;
         let mut rec = RunRecorder::new();
         rec.record(1.0, EventKind::WorkerIdle { idle: 0 });
         rec.record(

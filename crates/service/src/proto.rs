@@ -24,7 +24,7 @@
 
 use asha_core::{Error, ErrorKind};
 use asha_metrics::JsonValue;
-use asha_store::{Durability, ExperimentMeta, ExperimentStatus, RunOptions, StoreFormat};
+use asha_store::{Durability, ExperimentMeta, ExperimentStatus, RunOptions};
 
 /// The protocol version this build speaks.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -83,8 +83,8 @@ pub fn run_options_to_json(opts: &RunOptions) -> JsonValue {
 
 /// Decode [`RunOptions`] written by [`run_options_to_json`]; `delta_chain`
 /// defaults when absent. Older clients also send `format`: `binary-v2`, the
-/// only dialect written, is ignored; anything else is a `config` error
-/// rather than a silent switch to binary.
+/// only dialect written, is ignored under any of its names; anything else
+/// is a `config` error rather than a silent switch to binary.
 pub fn run_options_from_json(v: &JsonValue) -> Result<RunOptions, Error> {
     let sync = match v.get("sync") {
         Some(JsonValue::Str(s)) if s == "never" || s == "flush" => Durability::Flush,
@@ -94,7 +94,7 @@ pub fn run_options_from_json(v: &JsonValue) -> Result<RunOptions, Error> {
     };
     let defaults = RunOptions::default();
     if let Some(name) = v.get("format").and_then(|f| f.as_str()) {
-        if StoreFormat::from_name(name) != Some(StoreFormat::BinaryV2) {
+        if !matches!(name, "binary-v2" | "binary" | "v2" | "bin") {
             return Err(Error::config(format!("cannot write store format {name:?}")));
         }
     }

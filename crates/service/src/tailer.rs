@@ -8,12 +8,11 @@
 //! it, and the thread exits when its last subscriber closes.
 //!
 //! One thread reads each WAL record **once** into a shared backlog; each
-//! subscriber owns a cursor into it. The [`WalTail`] renders every record
-//! as its `jsonl-v1` line whatever the on-disk dialect, so a `binary-v2`
-//! WAL fans out to subscribers as exactly the same JSON event frames as a
-//! `jsonl-v1` one, and tags each line with the two things routing needs
-//! (its `seq`, whether it is the finished marker), so no line is parsed
-//! back here. The record body is serialized once — per-subscriber frames
+//! subscriber owns a cursor into it. The [`WalTail`] renders every
+//! `binary-v2` record as its JSON line — the event frame subscribers
+//! receive — and tags each line with the two things routing needs (its
+//! `seq`, whether it is the finished marker), so no line is parsed back
+//! here. The record body is serialized once — per-subscriber frames
 //! only wrap it in the cheap push envelope
 //! (`{"v":1,"sub":K,"push":"event","data":<body>}`), never re-rendering
 //! the payload. The backlog is filled on demand, one [`READ_WINDOW`] at a

@@ -4,17 +4,15 @@
 //!
 //! ```text
 //! <dir>/meta.json             immutable: space, scheduler, seed, sim, benchmark
-//! <dir>/wal.jsonl             write-ahead log (name is historical: the
-//!                             dialect is sniffed from the file's first
-//!                             bytes, never from its extension)
-//! <dir>/snap-<seq>.<ext>      full-state snapshots (scheduler + RNG + sim loop)
-//! <dir>/delta-<seq>-<k>.<ext> delta snapshots: diffs chained on snap <seq>
+//! <dir>/wal.jsonl             write-ahead log (`binary-v2`; the name is
+//!                             historical)
+//! <dir>/snap-<seq>.bin        full-state snapshots (scheduler + RNG + sim loop)
+//! <dir>/delta-<seq>-<k>.bin   delta snapshots: diffs chained on snap <seq>
 //! ```
 //!
-//! Everything is written as `binary-v2` (`.bin` checkpoints). A
-//! pre-redesign `jsonl-v1` store is an input: its `.json` snapshots are
-//! read where they lie and [`DurableRun::resume`] rewrites its WAL as
-//! binary before appending.
+//! Everything is written and read as `binary-v2`. A pre-redesign
+//! `jsonl-v1` store is converted in place by [`crate::upgrade::store`],
+//! which [`DurableRun::resume`] runs first.
 //!
 //! The recovery protocol pivots on the WAL's checkpoint *markers*: a
 //! checkpoint file (full snapshot or delta) is fsynced **before** its
@@ -40,7 +38,6 @@ use crate::binary::{decode_value, tree_of, ValueWriter};
 use crate::codec;
 use crate::delta;
 use crate::error::{Error, StoreError};
-use crate::format::StoreFormat;
 use crate::snapshot::{self, Snapshot, StoredScheduler};
 use crate::wal::{read_wal, rewrite_to_marker, SnapMarker, StoreEvent, WalRecord, WalWriter};
 
@@ -387,8 +384,8 @@ impl<'b> DurableRun<'b> {
     /// Recover a run from its experiment directory: load the snapshot named
     /// by the newest durable WAL marker, discard the WAL suffix past it
     /// (the resumed engine regenerates those events identically), and
-    /// continue. A `jsonl-v1` WAL is rewritten as `binary-v2` in the same
-    /// atomic step (one way; its `.json` snapshots stay where they are).
+    /// continue. A `jsonl-v1` store is first converted to `binary-v2` in
+    /// place ([`crate::upgrade::store`]).
     ///
     /// The caller owns the benchmark; rebuild it from
     /// [`ExperimentMeta::bench`] (via [`read_meta`]) or pass the original.
@@ -398,6 +395,7 @@ impl<'b> DurableRun<'b> {
         bench: &'b dyn asha_surrogate::BenchmarkModel,
         opts: RunOptions,
     ) -> Result<Self, StoreError> {
+        crate::upgrade::store(dir)?;
         let wal_path = dir.join(WAL_FILE);
         let contents = read_wal(&wal_path)?;
         let marker = contents.last_snapshot_marker().ok_or_else(|| {
@@ -639,7 +637,7 @@ impl<'b> DurableRun<'b> {
             })?;
             let (_, bytes) = snapshot::write_document(
                 &self.dir,
-                &snapshot::delta_file_name(seq, delta, StoreFormat::BinaryV2),
+                &snapshot::delta_file_name(seq, delta),
                 &self.delta_buf,
             )?;
             if let (Some(m), Some(t0)) = (&self.metrics, start) {
@@ -656,11 +654,7 @@ impl<'b> DurableRun<'b> {
                 events,
             }
         } else {
-            let (_, bytes) = snapshot::write_document(
-                &self.dir,
-                &Snapshot::file_name(seq, StoreFormat::BinaryV2),
-                &doc,
-            )?;
+            let (_, bytes) = snapshot::write_document(&self.dir, &Snapshot::file_name(seq), &doc)?;
             if let (Some(m), Some(t0)) = (&self.metrics, start) {
                 m.snapshot_write.observe_duration(t0.elapsed());
                 m.snapshot_full_bytes.add(bytes);

@@ -1,23 +1,14 @@
-//! The storage dialects: [`StoreFormat`], both decoders and the one
-//! encoder.
+//! The `binary-v2` codec: the one decoder and the one encoder of WAL
+//! records and checkpoint documents.
 //!
-//! The store reads two on-disk dialects and writes one:
+//! Every store file is `binary-v2`: compact length-prefixed records with a
+//! per-record CRC32 and varint-packed fields, and snapshot documents as
+//! CRC-guarded binvalue trees (see [`crate::binary`]). A WAL starts with
+//! [`WAL_MAGIC`], a checkpoint with [`DOC_MAGIC`]. Stores written before
+//! the redesign (`jsonl-v1`) are converted by [`crate::upgrade`] before
+//! anything here reads them.
 //!
-//! * **`jsonl-v1`** — the original human-greppable format: one JSON object
-//!   per WAL line (exact `asha-obs` schema for telemetry), snapshots as a
-//!   single compact-rendered JSON document. Read-only: pre-redesign stores
-//!   open unchanged and [`DurableRun::resume`](crate::DurableRun::resume)
-//!   up-converts their WAL; nothing writes it any more.
-//! * **`binary-v2`** — compact length-prefixed records with a per-record
-//!   CRC32 and varint-packed fields; snapshot documents as CRC-guarded
-//!   binvalue trees (see [`crate::binary`]). The only dialect written
-//!   ([`encode_record`], [`encode_document`]).
-//!
-//! Readers never need to be told which dialect a file is in:
-//! [`StoreFormat::detect_wal`] / [`StoreFormat::detect_document`] sniff the
-//! 8-byte magic (`binary-v2` files start with one; JSON text cannot).
-//!
-//! ## `binary-v2` WAL layout
+//! ## WAL layout
 //!
 //! ```text
 //! file   := magic record*            magic  = "ASHAWAL2" (8 bytes)
@@ -29,9 +20,9 @@
 //! Torn tails stay recognizable: a crash mid-append leaves a record whose
 //! `len`/payload/`crc` is merely *short* ([`DecodeStep::Incomplete`]),
 //! while flipped bits inside an intact frame fail the CRC
-//! ([`DecodeStep::Invalid`]). The reader applies the same policy as v1:
-//! damage at the very end of the file is a discarded torn tail, damage
-//! followed by more valid records is corruption.
+//! ([`DecodeStep::Invalid`]). Damage at the very end of the file is a
+//! discarded torn tail; damage followed by more valid records is
+//! corruption.
 
 use asha_core::telemetry::{DropCause, EventKind, IdleKind};
 use asha_metrics::JsonValue;
@@ -51,85 +42,6 @@ pub const DOC_MAGIC: &[u8; 8] = b"ASHADOC2";
 /// Upper bound on a single binary record's payload (sanity check: a length
 /// beyond this means framing was destroyed, not that a huge record exists).
 const MAX_RECORD_LEN: u64 = 64 << 20;
-
-/// On-disk dialect of a store (WAL + snapshot + delta files).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StoreFormat {
-    /// One JSON object per WAL line; snapshots as JSON text.
-    JsonlV1,
-    /// Length-prefixed CRC-guarded binary records; binvalue snapshots.
-    #[default]
-    BinaryV2,
-}
-
-impl StoreFormat {
-    /// Stable codec name (`"jsonl-v1"` / `"binary-v2"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            StoreFormat::JsonlV1 => "jsonl-v1",
-            StoreFormat::BinaryV2 => "binary-v2",
-        }
-    }
-
-    /// Parse a codec name; accepts the full name and common short forms
-    /// (`jsonl`, `v1`, `binary`, `v2`).
-    pub fn from_name(name: &str) -> Option<StoreFormat> {
-        match name {
-            "jsonl-v1" | "jsonl" | "v1" | "json" => Some(StoreFormat::JsonlV1),
-            "binary-v2" | "binary" | "v2" | "bin" => Some(StoreFormat::BinaryV2),
-            _ => None,
-        }
-    }
-
-    /// File extension of checkpoint documents in this dialect.
-    pub(crate) fn extension(&self) -> &'static str {
-        match self {
-            StoreFormat::JsonlV1 => "json",
-            StoreFormat::BinaryV2 => "bin",
-        }
-    }
-
-    /// Decode one WAL record from the front of `buf` (a `binary-v2` file's
-    /// [`WAL_MAGIC`] already stripped).
-    pub fn decode_step(&self, buf: &[u8]) -> DecodeStep {
-        match self {
-            StoreFormat::JsonlV1 => decode_step_jsonl(buf),
-            StoreFormat::BinaryV2 => decode_step_binary(buf),
-        }
-    }
-
-    /// Decode a whole snapshot / delta document in this dialect. Both
-    /// dialects carry the same [`JsonValue`] tree; only the bytes differ.
-    pub fn decode_document(&self, bytes: &[u8]) -> Result<JsonValue, String> {
-        match self {
-            StoreFormat::JsonlV1 => {
-                let text = std::str::from_utf8(bytes).map_err(|_| "invalid UTF-8".to_owned())?;
-                JsonValue::parse(text).map_err(|e| e.to_string())
-            }
-            StoreFormat::BinaryV2 => decode_document_binary(bytes),
-        }
-    }
-
-    /// Sniff a WAL file's dialect from its first bytes. JSON text can
-    /// never start with the binary magic, so this is unambiguous; an empty
-    /// file reads as (an empty) `jsonl-v1` WAL.
-    pub fn detect_wal(bytes: &[u8]) -> StoreFormat {
-        if bytes.starts_with(WAL_MAGIC) {
-            StoreFormat::BinaryV2
-        } else {
-            StoreFormat::JsonlV1
-        }
-    }
-
-    /// Sniff a snapshot / delta document's dialect from its first bytes.
-    pub fn detect_document(bytes: &[u8]) -> StoreFormat {
-        if bytes.starts_with(DOC_MAGIC) {
-            StoreFormat::BinaryV2
-        } else {
-            StoreFormat::JsonlV1
-        }
-    }
-}
 
 /// Reusable encode scratch for [`encode_record`], so steady-state appends
 /// allocate nothing. `bytes` receives the finished on-disk frame.
@@ -155,13 +67,8 @@ pub enum DecodeStep {
         /// The decoded record.
         record: WalRecord,
     },
-    /// A skippable non-record (a blank JSONL line).
-    Blank {
-        /// Bytes consumed from the front of the buffer.
-        consumed: usize,
-    },
-    /// A complete frame whose content is damaged (CRC mismatch, unparseable
-    /// JSON). Framing survives: decoding can continue past it, which is how
+    /// A complete frame whose content is damaged (CRC mismatch, unknown
+    /// tag, short fields). Framing survives: decoding can continue past it, which is how
     /// the reader distinguishes a torn tail from mid-file corruption.
     Invalid {
         /// Bytes consumed from the front of the buffer.
@@ -172,39 +79,6 @@ pub enum DecodeStep {
     /// Framing itself is destroyed (impossible length prefix); nothing
     /// after this point can be decoded.
     Lost(String),
-}
-
-/// Decode a snapshot / delta document of either dialect (sniffed by magic).
-pub fn decode_any_document(bytes: &[u8]) -> Result<JsonValue, String> {
-    StoreFormat::detect_document(bytes).decode_document(bytes)
-}
-
-fn decode_step_jsonl(buf: &[u8]) -> DecodeStep {
-    if buf.is_empty() {
-        return DecodeStep::Incomplete;
-    }
-    let Some(nl) = buf.iter().position(|&b| b == b'\n') else {
-        // A final line without its newline is by definition torn: the
-        // writer terminated every record before flushing.
-        return DecodeStep::Incomplete;
-    };
-    let consumed = nl + 1;
-    let line = match std::str::from_utf8(&buf[..nl]) {
-        Ok(line) => line.trim_end_matches('\r'),
-        Err(_) => {
-            return DecodeStep::Invalid {
-                consumed,
-                why: "invalid UTF-8".to_owned(),
-            }
-        }
-    };
-    if line.trim().is_empty() {
-        return DecodeStep::Blank { consumed };
-    }
-    match crate::wal::parse_record_jsonl(line) {
-        Ok(record) => DecodeStep::Record { consumed, record },
-        Err(why) => DecodeStep::Invalid { consumed, why },
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -230,97 +104,81 @@ const TAG_EXPERIMENT_FINISHED: u8 = 0x14;
 const TAG_SNAPSHOT_DELTA: u8 = 0x15;
 
 fn put_event(out: &mut Vec<u8>, event: &Event) {
-    let (tag, push_fields): (u8, fn(&mut Vec<u8>, &EventKind)) = match event.kind {
-        EventKind::Suggest { .. } => (TAG_SUGGEST, |out, kind| {
-            if let EventKind::Suggest { decision } = kind {
-                out.push(match decision {
-                    IdleKind::Wait => 0,
-                    IdleKind::Finished => 1,
-                });
-            }
-        }),
-        EventKind::Promote { .. } => (TAG_PROMOTE, |out, kind| {
-            if let EventKind::Promote {
-                trial,
-                bracket,
-                from,
-                to,
-                resource,
-            } = kind
-            {
-                put_varint(out, *trial);
-                put_varint(out, *bracket as u64);
-                put_varint(out, *from as u64);
-                put_varint(out, *to as u64);
-                put_f64(out, *resource);
-            }
-        }),
-        EventKind::GrowBottom { .. } => (TAG_GROW_BOTTOM, |out, kind| {
-            if let EventKind::GrowBottom {
-                trial,
-                bracket,
-                resource,
-            } = kind
-            {
-                put_varint(out, *trial);
-                put_varint(out, *bracket as u64);
-                put_f64(out, *resource);
-            }
-        }),
-        EventKind::JobStart { .. } => (TAG_JOB_START, |out, kind| {
-            if let EventKind::JobStart {
-                trial,
-                bracket,
-                rung,
-                resource,
-            } = kind
-            {
-                put_varint(out, *trial);
-                put_varint(out, *bracket as u64);
-                put_varint(out, *rung as u64);
-                put_f64(out, *resource);
-            }
-        }),
-        EventKind::JobEnd { .. } => (TAG_JOB_END, |out, kind| {
-            if let EventKind::JobEnd {
-                trial,
-                rung,
-                resource,
-                loss,
-            } = kind
-            {
-                put_varint(out, *trial);
-                put_varint(out, *rung as u64);
-                put_f64(out, *resource);
-                put_f64(out, *loss);
-            }
-        }),
-        EventKind::Drop { .. } => (TAG_DROP, |out, kind| {
-            if let EventKind::Drop { trial, rung, cause } = kind {
-                put_varint(out, *trial);
-                put_varint(out, *rung as u64);
-                out.push(match cause {
-                    DropCause::Dropped => 0,
-                    DropCause::Timeout => 1,
-                });
-            }
-        }),
-        EventKind::Retry { .. } => (TAG_RETRY, |out, kind| {
-            if let EventKind::Retry { trial, rung } = kind {
-                put_varint(out, *trial);
-                put_varint(out, *rung as u64);
-            }
-        }),
-        EventKind::WorkerIdle { .. } => (TAG_WORKER_IDLE, |out, kind| {
-            if let EventKind::WorkerIdle { idle } = kind {
-                put_varint(out, *idle as u64);
-            }
-        }),
-    };
-    out.push(tag);
+    out.push(match event.kind {
+        EventKind::Suggest { .. } => TAG_SUGGEST,
+        EventKind::Promote { .. } => TAG_PROMOTE,
+        EventKind::GrowBottom { .. } => TAG_GROW_BOTTOM,
+        EventKind::JobStart { .. } => TAG_JOB_START,
+        EventKind::JobEnd { .. } => TAG_JOB_END,
+        EventKind::Drop { .. } => TAG_DROP,
+        EventKind::Retry { .. } => TAG_RETRY,
+        EventKind::WorkerIdle { .. } => TAG_WORKER_IDLE,
+    });
     put_varint(out, event.seq);
     put_f64(out, event.time);
-    push_fields(out, &event.kind);
+    match event.kind {
+        EventKind::Suggest { decision } => out.push(match decision {
+            IdleKind::Wait => 0,
+            IdleKind::Finished => 1,
+        }),
+        EventKind::Promote {
+            trial,
+            bracket,
+            from,
+            to,
+            resource,
+        } => {
+            put_varint(out, trial);
+            put_varint(out, bracket as u64);
+            put_varint(out, from as u64);
+            put_varint(out, to as u64);
+            put_f64(out, resource);
+        }
+        EventKind::GrowBottom {
+            trial,
+            bracket,
+            resource,
+        } => {
+            put_varint(out, trial);
+            put_varint(out, bracket as u64);
+            put_f64(out, resource);
+        }
+        EventKind::JobStart {
+            trial,
+            bracket,
+            rung,
+            resource,
+        } => {
+            put_varint(out, trial);
+            put_varint(out, bracket as u64);
+            put_varint(out, rung as u64);
+            put_f64(out, resource);
+        }
+        EventKind::JobEnd {
+            trial,
+            rung,
+            resource,
+            loss,
+        } => {
+            put_varint(out, trial);
+            put_varint(out, rung as u64);
+            put_f64(out, resource);
+            put_f64(out, loss);
+        }
+        EventKind::Drop { trial, rung, cause } => {
+            put_varint(out, trial);
+            put_varint(out, rung as u64);
+            out.push(match cause {
+                DropCause::Dropped => 0,
+                DropCause::Timeout => 1,
+            });
+        }
+        EventKind::Retry { trial, rung } => {
+            put_varint(out, trial);
+            put_varint(out, rung as u64);
+        }
+        EventKind::WorkerIdle { idle } => put_varint(out, idle as u64),
+    }
 }
 
 fn get_event(tag: u8, payload: &[u8], pos: &mut usize) -> Result<Event, String> {
@@ -504,7 +362,9 @@ pub(crate) fn encode_wal(records: &[WalRecord]) -> Vec<u8> {
     out
 }
 
-fn decode_step_binary(buf: &[u8]) -> DecodeStep {
+/// Decode one WAL record from the front of `buf` (the file's
+/// [`WAL_MAGIC`] already stripped).
+pub fn decode_step(buf: &[u8]) -> DecodeStep {
     if buf.is_empty() {
         return DecodeStep::Incomplete;
     }
@@ -562,27 +422,9 @@ pub fn encode_document(doc: &JsonValue, out: &mut Vec<u8>) {
     out.extend_from_slice(&crc);
 }
 
-/// The binvalue payload of a checkpoint file of either dialect (sniffed by
-/// magic), reusing the file's buffer: a `binary-v2` frame is CRC-verified
-/// and stripped, `jsonl-v1` text is parsed and re-encoded.
+/// The binvalue payload of a checkpoint file, reusing the file's buffer:
+/// the frame and its CRC are checked and stripped.
 pub(crate) fn document_payload(mut bytes: Vec<u8>) -> Result<Vec<u8>, String> {
-    match StoreFormat::detect_document(&bytes) {
-        StoreFormat::BinaryV2 => {
-            let payload = binary_payload(&bytes)?;
-            bytes.truncate(payload.end);
-            bytes.drain(..payload.start);
-        }
-        StoreFormat::JsonlV1 => {
-            let doc = StoreFormat::JsonlV1.decode_document(&bytes)?;
-            bytes.clear();
-            binary::put_value(&mut bytes, &doc);
-        }
-    }
-    Ok(bytes)
-}
-
-/// Check a `binary-v2` document's frame and CRC; where its payload lies.
-fn binary_payload(bytes: &[u8]) -> Result<std::ops::Range<usize>, String> {
     let rest = bytes
         .strip_prefix(DOC_MAGIC.as_slice())
         .ok_or("missing binary document magic")?;
@@ -615,18 +457,18 @@ fn binary_payload(bytes: &[u8]) -> Result<std::ops::Range<usize>, String> {
         ));
     }
     let start = DOC_MAGIC.len() + len_bytes;
-    Ok(start..start + len)
-}
-
-fn decode_document_binary(bytes: &[u8]) -> Result<JsonValue, String> {
-    binary::decode_value(&bytes[binary_payload(bytes)?])
+    bytes.truncate(start + len);
+    bytes.drain(..start);
+    Ok(bytes)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn sample_records() -> Vec<WalRecord> {
+    /// One record of every kind, with a non-ASCII name and an infinite
+    /// loss.
+    pub(crate) fn sample_records() -> Vec<WalRecord> {
         vec![
             WalRecord::Meta {
                 time: 0.0,
@@ -727,40 +569,34 @@ mod tests {
         ]
     }
 
-    /// `records` as a WAL body in `format`: the one encoder's frames, or
-    /// the lines the retired `jsonl-v1` writer produced.
-    fn wal_body(format: StoreFormat, records: &[WalRecord]) -> Vec<u8> {
-        match format {
-            StoreFormat::JsonlV1 => crate::wal::v1_bytes(records),
-            StoreFormat::BinaryV2 => encode_wal(records)[WAL_MAGIC.len()..].to_vec(),
-        }
+    /// `records` as a WAL body: the encoder's frames after the magic.
+    fn wal_body(records: &[WalRecord]) -> Vec<u8> {
+        encode_wal(records)[WAL_MAGIC.len()..].to_vec()
     }
 
     #[test]
-    fn both_dialects_decode_every_record_kind() {
+    fn binary_decodes_every_record_kind() {
         let records = sample_records();
-        for format in [StoreFormat::JsonlV1, StoreFormat::BinaryV2] {
-            let stream = wal_body(format, &records);
-            let mut decoded = Vec::new();
-            let mut pos = 0;
-            while pos < stream.len() {
-                match format.decode_step(&stream[pos..]) {
-                    DecodeStep::Record { consumed, record } => {
-                        decoded.push(record);
-                        pos += consumed;
-                    }
-                    other => panic!("{}: unexpected step {other:?}", format.name()),
+        let stream = wal_body(&records);
+        let mut decoded = Vec::new();
+        let mut pos = 0;
+        while pos < stream.len() {
+            match decode_step(&stream[pos..]) {
+                DecodeStep::Record { consumed, record } => {
+                    decoded.push(record);
+                    pos += consumed;
                 }
+                other => panic!("unexpected step {other:?}"),
             }
-            assert_eq!(decoded, records, "{}", format.name());
         }
+        assert_eq!(decoded, records);
     }
 
     #[test]
     fn binary_frames_are_smaller_than_jsonl() {
         let records = sample_records();
-        let jsonl = wal_body(StoreFormat::JsonlV1, &records).len();
-        let binary = wal_body(StoreFormat::BinaryV2, &records).len();
+        let jsonl: usize = records.iter().map(|r| r.render_jsonl().len() + 1).sum();
+        let binary = wal_body(&records).len();
         assert!(
             binary * 2 < jsonl,
             "binary ({binary}B) should be under half of jsonl ({jsonl}B)"
@@ -769,10 +605,10 @@ mod tests {
 
     #[test]
     fn binary_torn_prefixes_read_incomplete_not_invalid() {
-        let frame = wal_body(StoreFormat::BinaryV2, &sample_records()[1..2]);
+        let frame = wal_body(&sample_records()[1..2]);
         for cut in 0..frame.len() {
             assert_eq!(
-                StoreFormat::BinaryV2.decode_step(&frame[..cut]),
+                decode_step(&frame[..cut]),
                 DecodeStep::Incomplete,
                 "cut at {cut}"
             );
@@ -781,10 +617,10 @@ mod tests {
 
     #[test]
     fn binary_bitflips_fail_crc() {
-        let mut frame = wal_body(StoreFormat::BinaryV2, &sample_records()[2..3]);
+        let mut frame = wal_body(&sample_records()[2..3]);
         // Flip a payload bit (past the 1-byte length prefix).
         frame[2] ^= 0x40;
-        match StoreFormat::BinaryV2.decode_step(&frame) {
+        match decode_step(&frame) {
             DecodeStep::Invalid { consumed, why } => {
                 assert_eq!(consumed, frame.len());
                 assert!(why.contains("CRC"), "{why}");
@@ -794,29 +630,7 @@ mod tests {
     }
 
     #[test]
-    fn format_detection_and_names() {
-        assert_eq!(
-            StoreFormat::detect_wal(b"ASHAWAL2rest"),
-            StoreFormat::BinaryV2
-        );
-        assert_eq!(
-            StoreFormat::detect_wal(b"{\"ev\":..."),
-            StoreFormat::JsonlV1
-        );
-        assert_eq!(StoreFormat::detect_wal(b""), StoreFormat::JsonlV1);
-        assert_eq!(
-            StoreFormat::from_name("binary-v2"),
-            Some(StoreFormat::BinaryV2)
-        );
-        assert_eq!(StoreFormat::from_name("jsonl"), Some(StoreFormat::JsonlV1));
-        assert_eq!(StoreFormat::from_name("parquet"), None);
-        for format in [StoreFormat::JsonlV1, StoreFormat::BinaryV2] {
-            assert_eq!(StoreFormat::from_name(format.name()), Some(format));
-        }
-    }
-
-    #[test]
-    fn snapshot_documents_round_trip_in_both_dialects() {
+    fn snapshot_documents_round_trip() {
         let doc = JsonValue::obj([
             ("schema", JsonValue::Str("x".to_owned())),
             ("seq", JsonValue::Int(3)),
@@ -826,23 +640,15 @@ mod tests {
                 JsonValue::Arr(vec![JsonValue::Null, JsonValue::Bool(true)]),
             ),
         ]);
-        // A v1 document is the compact rendering plus a newline.
-        let mut v1 = String::new();
-        doc.render_compact_into(&mut v1);
-        v1.push('\n');
         let mut bytes = Vec::new();
         encode_document(&doc, &mut bytes);
-        for (format, bytes) in [
-            (StoreFormat::JsonlV1, v1.as_bytes()),
-            (StoreFormat::BinaryV2, &bytes[..]),
-        ] {
-            assert_eq!(StoreFormat::detect_document(bytes), format);
-            let back = decode_any_document(bytes).unwrap();
-            assert!(crate::binary::json_eq(&doc, &back), "{}", format.name());
-        }
+        assert!(bytes.starts_with(DOC_MAGIC));
+        let payload = document_payload(bytes.clone()).unwrap();
+        let back = crate::binary::decode_value(&payload).unwrap();
+        assert!(crate::binary::json_eq(&doc, &back));
         // A flipped payload bit in a binary document is caught by its CRC.
         let flip = bytes.len() - 6;
         bytes[flip] ^= 0x01;
-        assert!(decode_any_document(&bytes).unwrap_err().contains("CRC"));
+        assert!(document_payload(bytes).unwrap_err().contains("CRC"));
     }
 }

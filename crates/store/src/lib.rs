@@ -9,13 +9,10 @@
 //! a *delta* (a structural diff against the previous checkpoint) while the
 //! chain stays short. A checkpoint is encoded from the typed state straight
 //! to `binary-v2` bytes, diffed and patched as bytes, and only ever decoded
-//! into a tree once, at the end of a recovery. Everything is written as
-//! `binary-v2`
-//! (length-prefixed, CRC-guarded frames); `jsonl-v1` (one JSON object per
-//! line / per file, the original dialect) is a read-only input — each file
-//! is sniffed ([`StoreFormat`]), so pre-redesign stores open unchanged,
-//! resume up-converts their WAL, and their snapshots stay readable beside
-//! the new binary ones. Because every
+//! into a tree once, at the end of a recovery. Everything is written and
+//! read as `binary-v2` (length-prefixed, CRC-guarded frames); a store in
+//! `jsonl-v1` (one JSON object per line / per file, the original dialect)
+//! is converted in place by [`upgrade`] when it is opened. Because every
 //! component of the system is deterministic given its state and the RNG
 //! stream, recovery after a crash (load the newest durable checkpoint —
 //! base snapshot plus its delta chain — discard the WAL suffix past its
@@ -32,20 +29,18 @@
 //!   vendored `serde` is a stub) with its tree form derived from it, and
 //!   the tree decoders; exact `f64` round-trips and non-finite loss
 //!   encoding.
-//! - [`mod@format`]: the two dialects — per-file detection
-//!   ([`StoreFormat`]), a decoder for each, and the one (`binary-v2`)
-//!   encoder.
+//! - [`mod@format`]: the `binary-v2` codec — the record and document
+//!   decoders and encoders.
 //! - [`delta`]: structural diff/patch computed on binvalue bytes, the
 //!   engine behind delta snapshots.
 //! - [`wal`]: the append-only log of typed [`WalRecord`]s — scheduler
 //!   decisions, job events, checkpoint markers, lifecycle events — with
-//!   torn-tail-tolerant reading in either dialect.
+//!   torn-tail-tolerant reading.
 //! - [`snapshot`]: crash-safe checkpoint files (full and delta) and the
 //!   [`StoredScheduler`] wrapper that restores any supported scheduler
 //!   kind from data.
-//! - [`tail`]: live, dialect-agnostic WAL following ([`WalTail`]), every
-//!   record rendered as its `jsonl-v1` line — what the service streams to
-//!   subscribers.
+//! - [`tail`]: live WAL following ([`WalTail`]), every record rendered as
+//!   its JSON line — what the service streams to subscribers.
 //! - [`experiment`]: one experiment directory (`meta.json` + WAL +
 //!   checkpoints) and [`DurableRun`], the persisting sim driver with
 //!   [`DurableRun::create`] / [`DurableRun::resume`]; plus
@@ -54,6 +49,8 @@
 //! - [`supervisor`]: many named experiments in one process, each on a
 //!   worker thread with independent pause/resume/abort, under a crash-safe
 //!   manifest.
+//! - [`upgrade`]: the one reader of `jsonl-v1` — converts a pre-redesign
+//!   store to `binary-v2` in place, or reads it in memory for tools.
 //!
 //! # Example: kill-and-recover
 //!
@@ -105,6 +102,7 @@ pub mod metrics;
 pub mod snapshot;
 pub mod supervisor;
 pub mod tail;
+pub mod upgrade;
 pub mod wal;
 
 pub use crate::error::{Error, ErrorKind, StoreError};
@@ -112,7 +110,7 @@ pub use crate::experiment::{
     read_meta, replay_scheduler, write_meta, BenchSpec, DurableRun, ExperimentMeta, RunOptions,
     WalRecorder, META_FILE, META_SCHEMA, WAL_FILE,
 };
-pub use crate::format::{DecodeStep, EncodeBuf, StoreFormat};
+pub use crate::format::{DecodeStep, EncodeBuf};
 pub use crate::metrics::StoreMetrics;
 pub use crate::snapshot::{
     delta_file_name, list_snapshots, load_latest, make_sampler, read_document, write_document,

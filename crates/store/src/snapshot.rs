@@ -16,9 +16,7 @@
 //! and tests. All files are written crash-safely — one temp file, written
 //! and fsynced through the same handle, renamed into place, directory
 //! fsynced — so a crash mid-write never damages the previous checkpoint and
-//! recovery can always fall back along the chain. Readers sniff the dialect
-//! per file, so a chain may hang binary deltas off a `jsonl-v1` full
-//! snapshot written before the redesign.
+//! recovery can always fall back along the chain.
 
 use std::fs::File;
 use std::io::Write;
@@ -37,7 +35,7 @@ use asha_space::{Config, SearchSpace};
 use crate::binary::{decode_value, find_field, get_value, skip_value, tree_of, ValueWriter};
 use crate::codec;
 use crate::error::{Error, StoreError};
-use crate::format::{decode_any_document, document_frame, document_payload, StoreFormat};
+use crate::format::{document_frame, document_payload};
 
 /// Schema tag written into every snapshot file: the document layout, not
 /// the file dialect. v2 writes the simulator's rows and every config value
@@ -240,18 +238,15 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// The file name for snapshot `seq` in `format` (zero-padded so
-    /// lexicographic and numeric order agree).
-    pub fn file_name(seq: u64, format: StoreFormat) -> String {
-        format!("snap-{seq:08}.{}", format.extension())
+    /// The file name for snapshot `seq` (zero-padded so lexicographic and
+    /// numeric order agree).
+    pub fn file_name(seq: u64) -> String {
+        format!("snap-{seq:08}.{EXT}")
     }
 
-    /// Locate snapshot `seq` in `dir`, whichever dialect it was written in.
+    /// Locate snapshot `seq` in `dir`.
     pub fn find(dir: &Path, seq: u64) -> Option<PathBuf> {
-        [StoreFormat::BinaryV2, StoreFormat::JsonlV1]
-            .into_iter()
-            .map(|format| dir.join(Self::file_name(seq, format)))
-            .find(|path| path.exists())
+        Some(dir.join(Self::file_name(seq))).filter(|path| path.exists())
     }
 
     /// Check every stored configuration against the experiment's `space`
@@ -358,8 +353,23 @@ impl Snapshot {
 }
 
 /// The file name for delta `delta` on top of full snapshot `snap`.
-pub fn delta_file_name(snap: u64, delta: u64, format: StoreFormat) -> String {
-    format!("delta-{snap:08}-{delta:04}.{}", format.extension())
+pub fn delta_file_name(snap: u64, delta: u64) -> String {
+    format!("delta-{snap:08}-{delta:04}.{EXT}")
+}
+
+/// The extension of every checkpoint file.
+pub(crate) const EXT: &str = "bin";
+
+/// The chain position a checkpoint file's name states — `(snap, 0)` for a
+/// full snapshot, `(snap, delta)` for a delta — when `name` is one with
+/// extension `ext`.
+pub(crate) fn checkpoint_position(name: &str, ext: &str) -> Option<(u64, u64)> {
+    let stem = name.strip_suffix(ext)?.strip_suffix('.')?;
+    if let Some(seq) = stem.strip_prefix("snap-") {
+        return Some((seq.parse().ok()?, 0));
+    }
+    let (snap, delta) = stem.strip_prefix("delta-")?.split_once('-')?;
+    Some((snap.parse().ok()?, delta.parse().ok()?)).filter(|&(_, delta)| delta > 0)
 }
 
 /// A delta-snapshot document: a [`crate::delta`] patch plus enough chain
@@ -425,34 +435,22 @@ impl DeltaDoc {
             patch: v.get("patch").ok_or("delta missing patch")?.clone(),
         })
     }
-
-    /// Load the delta `delta` of chain `snap` from `dir`, whichever
-    /// dialect it was written in, verifying its chain position.
-    pub fn load(dir: &Path, snap: u64, delta: u64) -> Result<DeltaDoc, StoreError> {
-        let (path, payload, _) = load_delta_payload(dir, snap, delta)?;
-        decode_value(&payload)
-            .map_err(Error::codec)
-            .and_then(|doc| DeltaDoc::from_json(&doc))
-            .map_err(|e| e.corrupt_at(&path))
-    }
 }
 
-/// Read delta `delta` of chain `snap` from `dir` (either dialect) as its
-/// payload, verify schema and chain position on the bytes, and locate the
-/// patch value inside it — recovery applies that range without decoding it.
-/// Returns the file's path, its payload and the patch's range.
+/// Read delta `delta` of chain `snap` from `dir` as its payload, verify
+/// schema and chain position on the bytes, and locate the patch value
+/// inside it — recovery applies that range without decoding it. Returns
+/// the file's path, its payload and the patch's range.
 pub(crate) fn load_delta_payload(
     dir: &Path,
     snap: u64,
     delta: u64,
 ) -> Result<(PathBuf, Vec<u8>, Range<usize>), StoreError> {
-    let path = [StoreFormat::BinaryV2, StoreFormat::JsonlV1]
-        .into_iter()
-        .map(|format| dir.join(delta_file_name(snap, delta, format)))
-        .find(|path| path.exists())
-        .ok_or_else(|| {
-            StoreError::corrupt(dir, format!("delta {delta} of snapshot {snap} is missing"))
-        })?;
+    let path = dir.join(delta_file_name(snap, delta));
+    if !path.exists() {
+        let missing = format!("delta {delta} of snapshot {snap} is missing");
+        return Err(StoreError::corrupt(dir, missing));
+    }
     let payload = read_payload(&path)?;
     let patch =
         locate_patch(&payload, snap, delta).map_err(|msg| StoreError::corrupt(&path, msg))?;
@@ -520,19 +518,16 @@ pub fn write_document(
     Ok((path, (head.len() + payload.len() + crc.len()) as u64))
 }
 
-/// Read a checkpoint document of either dialect (sniffed by magic) as its
-/// binvalue payload: a `binary-v2` frame's CRC-verified bytes, or a
-/// `jsonl-v1` text re-encoded.
+/// Read a checkpoint document as its binvalue payload: the frame's
+/// CRC-verified bytes.
 pub(crate) fn read_payload(path: &Path) -> Result<Vec<u8>, StoreError> {
     let bytes = std::fs::read(path).map_err(|e| StoreError::io(path, e))?;
     document_payload(bytes).map_err(|msg| StoreError::corrupt(path, msg))
 }
 
-/// Read a checkpoint document of either dialect (sniffed by magic) as a
-/// tree.
+/// Read a checkpoint document as a tree.
 pub fn read_document(path: &Path) -> Result<JsonValue, StoreError> {
-    let bytes = std::fs::read(path).map_err(|e| StoreError::io(path, e))?;
-    decode_any_document(&bytes).map_err(|msg| StoreError::corrupt(path, msg))
+    decode_value(&read_payload(path)?).map_err(|msg| StoreError::corrupt(path, msg))
 }
 
 /// Fsync a directory so a just-renamed file's entry is durable (POSIX
@@ -571,16 +566,7 @@ pub fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
     let entries = std::fs::read_dir(dir).map_err(|e| StoreError::io(dir, e))?;
     for entry in entries {
         let entry = entry.map_err(|e| StoreError::io(dir, e))?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if let Some(seq) = name
-            .strip_prefix("snap-")
-            .and_then(|rest| {
-                rest.strip_suffix(".json")
-                    .or_else(|| rest.strip_suffix(".bin"))
-            })
-            .and_then(|digits| digits.parse::<u64>().ok())
-        {
+        if let Some((seq, 0)) = checkpoint_position(&entry.file_name().to_string_lossy(), EXT) {
             snaps.push((seq, entry.path()));
         }
     }

@@ -171,7 +171,10 @@ impl std::fmt::Debug for ExperimentSupervisor {
 impl ExperimentSupervisor {
     /// Open (creating if needed) a supervisor root. Any experiment the
     /// manifest still marks `running` was interrupted by a crash and is
-    /// downgraded to [`ExperimentStatus::Interrupted`].
+    /// downgraded to [`ExperimentStatus::Interrupted`]. Every listed
+    /// experiment written before the redesign is converted to `binary-v2`
+    /// in place ([`crate::upgrade::store`]); one it cannot read fails the
+    /// open, naming the file.
     pub fn open(root: &Path) -> Result<Self, StoreError> {
         std::fs::create_dir_all(root).map_err(|e| StoreError::io(root, e))?;
         let manifest_path = root.join(MANIFEST_FILE);
@@ -182,6 +185,7 @@ impl ExperimentSupervisor {
         };
         let mut interrupted = false;
         for entry in &mut entries {
+            crate::upgrade::store(&root.join(&entry.name))?;
             if entry.status == ExperimentStatus::Running {
                 entry.status = ExperimentStatus::Interrupted;
                 interrupted = true;

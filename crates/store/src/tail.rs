@@ -1,20 +1,21 @@
-//! Incremental tailing of a live WAL in either dialect.
+//! Incremental tailing of a live `binary-v2` WAL.
 //!
 //! A [`WalTail`] follows a WAL file that another process (or thread) is
 //! appending to and yields each *complete* record exactly once, rendered
-//! as its `jsonl-v1` line — so consumers (the service tailer fanning
-//! events out to subscribers, ad-hoc follow tools) see one stable JSON
-//! surface regardless of the bytes on disk. The dialect is sniffed from
-//! the file's magic on first contact and re-sniffed after any rewind, so
-//! a tail pointed at a path before the writer creates the file follows
-//! whichever dialect eventually appears.
+//! as its JSON line — so consumers (the service tailer fanning events out
+//! to subscribers, ad-hoc follow tools) see one stable JSON surface. A tail
+//! pointed at a path before the writer creates the file waits for it; a
+//! file that is not a `binary-v2` WAL is an
+//! [`InvalidData`](std::io::ErrorKind::InvalidData) error, never a second
+//! dialect (stores from before the redesign are converted by
+//! [`crate::upgrade`] when they are opened).
 //!
 //! Three realities of live WALs shape the API:
 //!
 //! * **Torn tails.** The writer may be mid-append when we poll. A record
-//!   never yields until it is complete — its trailing newline (`jsonl-v1`)
-//!   or its full CRC-checked frame (`binary-v2`) has landed — so a torn
-//!   tail is simply "not yet".
+//!   never yields until its full CRC-checked frame has landed, and a file
+//!   still shorter than the magic stays pending, so a torn tail is simply
+//!   "not yet".
 //! * **Truncation / rewrite.** Crash recovery rewrites a WAL in place
 //!   (temp file + rename), discarding a suffix. A shorter file is the
 //!   obvious case, but not the only one: a live resume truncates the WAL
@@ -27,8 +28,8 @@
 //!   state.
 //! * **Bounded reads.** Several tails may follow one file with a lagging
 //!   reader capped at the lead reader's byte offset
-//!   ([`WalTail::poll_to`]); offsets are plain byte positions in either
-//!   dialect, so the bound composes across tails.
+//!   ([`WalTail::poll_to`]); offsets are plain byte positions, so the
+//!   bound composes across tails.
 //!
 //! The tail re-opens the file on every poll, so it also survives the
 //! rename-over-inode pattern used by crash-safe rewriters.
@@ -36,14 +37,11 @@
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
-use asha_metrics::JsonValue;
-
-use crate::format::{DecodeStep, StoreFormat, WAL_MAGIC};
+use crate::format::{decode_step, DecodeStep, WAL_MAGIC};
 use crate::wal::{StoreEvent, WalRecord};
 
 /// What a consumer routing a rendered line needs to know about it, so it
-/// never has to parse the line back: taken from the typed record for
-/// `binary-v2`, looked up in the line's JSON for `jsonl-v1`.
+/// never has to parse the line back: taken from the typed record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LineTag {
     /// The telemetry sequence number; `None` for store markers.
@@ -65,25 +63,13 @@ impl LineTag {
             ),
         }
     }
-
-    /// The tag a `jsonl-v1` line states about itself; `None` when the
-    /// line is not JSON at all.
-    fn of_line(line: &str) -> Option<LineTag> {
-        let value = JsonValue::parse(line).ok()?;
-        Some(LineTag {
-            seq: value.get("seq").and_then(|s| s.as_u64()),
-            finished: value.get("ev").and_then(|e| e.as_str()) == Some("experiment_finished"),
-        })
-    }
 }
 
 /// What one [`WalTail::poll`] observed.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WalChunk {
-    /// Complete records in file order, each rendered as its `jsonl-v1`
-    /// line (no trailing newline) — raw lines verbatim for a `jsonl-v1`
-    /// file (those that are not JSON are skipped), decoded and re-rendered
-    /// for `binary-v2`.
+    /// Complete records in file order, each rendered as its JSON line (no
+    /// trailing newline).
     pub lines: Vec<String>,
     /// One tag per entry of `lines`, in the same order.
     pub tags: Vec<LineTag>,
@@ -93,8 +79,7 @@ pub struct WalChunk {
     pub rewound: bool,
 }
 
-/// Follows a WAL file across appends, truncations, and rewrites,
-/// dialect-agnostically.
+/// Follows a WAL file across appends, truncations, and rewrites.
 #[derive(Debug)]
 pub struct WalTail {
     path: PathBuf,
@@ -105,8 +90,6 @@ pub struct WalTail {
     offset: u64,
     /// Bytes read past the last complete record, pending completion.
     partial: Vec<u8>,
-    /// Resolved on first contact with enough bytes; cleared on rewind.
-    format: Option<StoreFormat>,
     /// The last up-to-[`ANCHOR`] bytes of the consumed stream, ending at
     /// `offset`. Re-read from the file on every poll: a mismatch means
     /// the file was rewritten underneath us (even if it is now as long as
@@ -127,7 +110,6 @@ impl WalTail {
             path: path.into(),
             offset: 0,
             partial: Vec::new(),
-            format: None,
             anchor: Vec::new(),
         }
     }
@@ -143,13 +125,11 @@ impl WalTail {
         self.offset
     }
 
-    /// The dialect sniffed from the file, once enough bytes exist to tell.
-    pub fn format(&self) -> Option<StoreFormat> {
-        self.format
-    }
-
     /// Read any new complete records. A missing file is not an error — the
-    /// writer may not have created it yet — and yields an empty chunk.
+    /// writer may not have created it yet — and yields an empty chunk; a
+    /// file that does not start with the WAL magic is
+    /// [`InvalidData`](std::io::ErrorKind::InvalidData), and the tail
+    /// starts over on the next poll.
     pub fn poll(&mut self) -> std::io::Result<WalChunk> {
         self.poll_to(u64::MAX)
     }
@@ -169,17 +149,12 @@ impl WalTail {
         let len = real_len.min(limit);
         let mut chunk = WalChunk::default();
         if real_len < self.offset || !self.anchor_matches(&mut file)? {
-            // The file was truncated or rewritten: start over and
-            // re-sniff — resuming a `jsonl-v1` store rewrites its WAL as
-            // `binary-v2` under the same name. The anchor
+            // The file was truncated or rewritten: start over. The anchor
             // check catches the rewrite even when the new file has
             // already regrown past our offset (a live resume truncates
             // the WAL and the deterministic run re-extends it at full
             // speed, so a pure length comparison can race and miss it).
-            self.offset = 0;
-            self.partial.clear();
-            self.format = None;
-            self.anchor.clear();
+            self.restart();
             chunk.rewound = true;
         }
         if len <= self.offset {
@@ -194,80 +169,59 @@ impl WalTail {
         // at the (just advanced) offset. Partial bytes are file bytes
         // too, so they belong in it.
         let fresh = &buf[held..];
-        if fresh.len() >= ANCHOR {
-            self.anchor.clear();
-            self.anchor
-                .extend_from_slice(&fresh[fresh.len() - ANCHOR..]);
-        } else {
-            self.anchor.extend_from_slice(fresh);
-            if self.anchor.len() > ANCHOR {
-                self.anchor.drain(..self.anchor.len() - ANCHOR);
-            }
-        }
-
-        // Resolve the dialect once the prefix is unambiguous: a file
-        // shorter than the binary magic that matches its prefix could
-        // still become either, so it stays pending.
-        let magic = WAL_MAGIC.as_slice();
-        if self.format.is_none() {
-            if buf.len() >= magic.len() {
-                self.format = Some(StoreFormat::detect_wal(&buf));
-            } else if !magic.starts_with(&buf) {
-                self.format = Some(StoreFormat::JsonlV1);
-            }
-        }
-        let Some(format) = self.format else {
-            self.partial = buf;
-            return Ok(chunk);
-        };
+        let fresh = &fresh[fresh.len().saturating_sub(ANCHOR)..];
+        self.anchor.extend_from_slice(fresh);
+        self.anchor
+            .drain(..self.anchor.len().saturating_sub(ANCHOR));
 
         // Consume complete records from the front of the pending buffer;
         // whatever remains is a torn tail that stays pending until a later
-        // poll completes it. The magic counts as consumed prefix.
+        // poll completes it. When the buffer starts at byte 0, the magic
+        // comes first and counts as consumed prefix.
         let mut start = 0usize;
-        if self.offset == buf.len() as u64 && buf.starts_with(magic) {
+        let magic = WAL_MAGIC.as_slice();
+        if self.offset == buf.len() as u64 {
+            if buf.len() < magic.len() && magic.starts_with(&buf) {
+                self.partial = buf;
+                return Ok(chunk);
+            }
+            if !buf.starts_with(magic) {
+                self.restart();
+                // A consumer reset by this poll's rewind hears of it
+                // first; the next poll reports the file.
+                if chunk.rewound {
+                    return Ok(chunk);
+                }
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("{}: not a binary-v2 WAL (no magic)", self.path.display()),
+                ));
+            }
             start = magic.len();
         }
-        match format {
-            StoreFormat::JsonlV1 => {
-                let mut line_start = start;
-                for i in start..buf.len() {
-                    if buf[i] == b'\n' {
-                        let text = String::from_utf8_lossy(&buf[line_start..i]);
-                        if let Some(tag) = LineTag::of_line(&text) {
-                            chunk.lines.push(text.into_owned());
-                            chunk.tags.push(tag);
-                        }
-                        line_start = i + 1;
-                    }
+        while start < buf.len() {
+            match decode_step(&buf[start..]) {
+                DecodeStep::Record { consumed, record } => {
+                    start += consumed;
+                    chunk.tags.push(LineTag::of_record(&record));
+                    chunk.lines.push(record.render_jsonl());
                 }
-                start = line_start;
-            }
-            StoreFormat::BinaryV2 => {
-                loop {
-                    match format.decode_step(&buf[start..]) {
-                        DecodeStep::Record { consumed, record } => {
-                            start += consumed;
-                            chunk.tags.push(LineTag::of_record(&record));
-                            chunk.lines.push(record.render_jsonl());
-                        }
-                        DecodeStep::Blank { consumed } => start += consumed,
-                        // Incomplete: the writer is mid-append. Invalid or
-                        // lost mid-stream: hold position — either the bytes
-                        // complete into sense on a later poll or crash
-                        // recovery rewrites the file and we rewind.
-                        DecodeStep::Incomplete
-                        | DecodeStep::Invalid { .. }
-                        | DecodeStep::Lost(_) => break,
-                    }
-                    if start >= buf.len() {
-                        break;
-                    }
-                }
+                // Incomplete: the writer is mid-append. Invalid or lost
+                // mid-stream: hold position — either the bytes complete
+                // into sense on a later poll or crash recovery rewrites
+                // the file and we rewind.
+                DecodeStep::Incomplete | DecodeStep::Invalid { .. } | DecodeStep::Lost(_) => break,
             }
         }
         self.partial = buf.split_off(start);
         Ok(chunk)
+    }
+
+    /// Forget everything consumed: the next poll reads from byte 0.
+    fn restart(&mut self) {
+        self.offset = 0;
+        self.partial.clear();
+        self.anchor.clear();
     }
 
     /// Check that the file still holds the consumed stream's trailing
@@ -293,8 +247,9 @@ impl WalTail {
 mod tests {
     use super::*;
     use crate::format::encode_wal;
-    use crate::wal::{v1_bytes, SnapMarker};
+    use crate::wal::SnapMarker;
     use asha_core::telemetry::{Event, EventKind};
+    use asha_metrics::JsonValue;
     use std::io::Write;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -311,15 +266,6 @@ mod tests {
             time: seq as f64,
             kind: EventKind::WorkerIdle { idle: seq as usize },
         })
-    }
-
-    /// A whole WAL file holding `records`: what the writer produces, or
-    /// (for `jsonl-v1`) what the retired writer left behind.
-    fn encode(format: StoreFormat, records: &[WalRecord]) -> Vec<u8> {
-        match format {
-            StoreFormat::JsonlV1 => v1_bytes(records),
-            StoreFormat::BinaryV2 => encode_wal(records),
-        }
     }
 
     /// The service tailer's retired per-line parse, kept as the oracle a
@@ -375,31 +321,18 @@ mod tests {
     }
 
     #[test]
-    fn both_dialects_yield_identical_lines() {
+    fn every_record_yields_its_line_tagged_as_the_line_reads() {
         let records = every_kind();
-        let mut chunks: Vec<WalChunk> = Vec::new();
-        for format in [StoreFormat::JsonlV1, StoreFormat::BinaryV2] {
-            let dir = tmpdir(&format!("dialects-{}", format.name()));
-            let path = dir.join("wal.jsonl");
-            std::fs::write(&path, encode(format, &records)).unwrap();
-            let mut tail = WalTail::new(&path);
-            let chunk = tail.poll().unwrap();
-            assert!(!chunk.rewound);
-            assert_eq!(chunk.lines.len(), records.len(), "{format:?}");
-            assert_eq!(tail.format(), Some(format));
-            let oracle: Vec<LineTag> = chunk.lines.iter().map(|l| parse_rec(l)).collect();
-            assert_eq!(
-                chunk.tags, oracle,
-                "{format:?}: a tag is what its line says"
-            );
-            chunks.push(chunk);
-            std::fs::remove_dir_all(&dir).ok();
-        }
-        assert_eq!(
-            chunks[0], chunks[1],
-            "binary records must fan out as the same JSON lines, tagged alike"
-        );
-        let seqs: Vec<Option<u64>> = chunks[1].tags.iter().map(|t| t.seq).collect();
+        let dir = tmpdir("kinds");
+        let path = dir.join("wal.jsonl");
+        std::fs::write(&path, encode_wal(&records)).unwrap();
+        let chunk = WalTail::new(&path).poll().unwrap();
+        assert!(!chunk.rewound);
+        let want: Vec<String> = records.iter().map(WalRecord::render_jsonl).collect();
+        assert_eq!(chunk.lines, want);
+        let oracle: Vec<LineTag> = chunk.lines.iter().map(|l| parse_rec(l)).collect();
+        assert_eq!(chunk.tags, oracle, "a tag is what its line says");
+        let seqs: Vec<Option<u64>> = chunk.tags.iter().map(|t| t.seq).collect();
         assert_eq!(
             seqs,
             [
@@ -414,25 +347,9 @@ mod tests {
                 None
             ]
         );
-        let finished: Vec<bool> = chunks[1].tags.iter().map(|t| t.finished).collect();
+        let finished: Vec<bool> = chunk.tags.iter().map(|t| t.finished).collect();
         assert_eq!(finished.iter().filter(|f| **f).count(), 1);
         assert!(finished[records.len() - 1]);
-    }
-
-    #[test]
-    fn v1_lines_that_are_not_json_are_skipped() {
-        let dir = tmpdir("v1-junk");
-        let path = dir.join("wal.jsonl");
-        let mut bytes = v1_bytes(&[ev(0)]);
-        bytes.extend_from_slice(b"\n   \nnot json\n");
-        bytes.extend_from_slice(&v1_bytes(&[ev(1)]));
-        std::fs::write(&path, bytes).unwrap();
-        let chunk = WalTail::new(&path).poll().unwrap();
-        assert_eq!(
-            chunk.lines,
-            vec![ev(0).render_jsonl(), ev(1).render_jsonl()]
-        );
-        assert_eq!(chunk.tags.len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -441,7 +358,7 @@ mod tests {
         let dir = tmpdir("torn");
         let path = dir.join("wal.jsonl");
         let records: Vec<WalRecord> = (0..3).map(ev).collect();
-        let bytes = encode(StoreFormat::BinaryV2, &records);
+        let bytes = encode_wal(&records);
         // Cut mid-way through the final frame.
         std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
         let mut tail = WalTail::new(&path);
@@ -459,42 +376,69 @@ mod tests {
     }
 
     #[test]
-    fn empty_prefix_defers_dialect_detection() {
+    fn a_magic_prefix_stays_pending() {
         let dir = tmpdir("prefix");
         let path = dir.join("wal.jsonl");
-        let bytes = encode(StoreFormat::BinaryV2, &[ev(0)]);
-        // Only part of the magic on disk: could still become either
-        // dialect, so nothing yields and no format is claimed.
+        let bytes = encode_wal(&[ev(0)]);
+        // Only part of the magic on disk: nothing yields, nothing fails.
         std::fs::write(&path, &bytes[..4]).unwrap();
         let mut tail = WalTail::new(&path);
-        assert!(tail.poll().unwrap().lines.is_empty());
-        assert_eq!(tail.format(), None);
+        assert_eq!(tail.poll().unwrap(), WalChunk::default());
         std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(tail.poll().unwrap().lines.len(), 1);
-        assert_eq!(tail.format(), Some(StoreFormat::BinaryV2));
+        assert_eq!(tail.poll().unwrap().lines, vec![ev(0).render_jsonl()]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A binary WAL whose first byte flipped is not a second dialect: every
+    /// poll refuses it, after first reporting the rewind owed to a
+    /// consumer that had read the file it replaced.
+    #[test]
+    fn poll_refuses_a_file_without_the_magic() {
+        let dir = tmpdir("no-magic");
+        let path = dir.join("wal.jsonl");
+        let records: Vec<WalRecord> = (0..3).map(ev).collect();
+        let good = encode_wal(&records);
+        let mut bad = good.clone();
+        bad[0] ^= 0x01;
+
+        std::fs::write(&path, &bad).unwrap();
+        let mut tail = WalTail::new(&path);
+        for _ in 0..2 {
+            let err = tail.poll().unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("wal.jsonl"), "{err}");
+        }
+
+        std::fs::write(&path, &good).unwrap();
+        assert_eq!(tail.poll().unwrap().lines.len(), 3);
+        let tmp = path.with_extension("tmp");
+        std::fs::write(&tmp, &bad).unwrap();
+        std::fs::rename(&tmp, &path).unwrap();
+        let chunk = tail.poll().unwrap();
+        assert!(chunk.rewound && chunk.lines.is_empty());
+        assert_eq!(
+            tail.poll().unwrap_err().kind(),
+            std::io::ErrorKind::InvalidData
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn rewinds_and_resniffs_after_truncating_rewrite() {
+    fn rewinds_after_truncating_rewrite() {
         let dir = tmpdir("rewind");
         let path = dir.join("wal.jsonl");
         let records: Vec<WalRecord> = (0..3).map(ev).collect();
-        std::fs::write(&path, encode(StoreFormat::JsonlV1, &records)).unwrap();
+        std::fs::write(&path, encode_wal(&records)).unwrap();
         let mut tail = WalTail::new(&path);
         assert_eq!(tail.poll().unwrap().lines.len(), 3);
-        assert_eq!(tail.format(), Some(StoreFormat::JsonlV1));
 
-        // Crash recovery rewrites the log shorter (rename-over pattern) —
-        // and, resuming a v1 store, in the other dialect, which the tail
-        // takes in stride.
+        // Crash recovery rewrites the log shorter (rename-over pattern).
         let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, encode(StoreFormat::BinaryV2, &records[..1])).unwrap();
+        std::fs::write(&tmp, encode_wal(&records[..1])).unwrap();
         std::fs::rename(&tmp, &path).unwrap();
         let chunk = tail.poll().unwrap();
         assert!(chunk.rewound);
         assert_eq!(chunk.lines, vec![records[0].render_jsonl()]);
-        assert_eq!(tail.format(), Some(StoreFormat::BinaryV2));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -508,7 +452,7 @@ mod tests {
         let dir = tmpdir("regrow");
         let path = dir.join("wal.jsonl");
         let records: Vec<WalRecord> = (0..6).map(ev).collect();
-        std::fs::write(&path, encode(StoreFormat::BinaryV2, &records)).unwrap();
+        std::fs::write(&path, encode_wal(&records)).unwrap();
         let mut tail = WalTail::new(&path);
         assert_eq!(tail.poll().unwrap().lines.len(), 6);
 
@@ -521,7 +465,7 @@ mod tests {
             event: StoreEvent::Resumed,
         });
         rewritten.extend((2..20).map(ev));
-        let bytes = encode(StoreFormat::BinaryV2, &rewritten);
+        let bytes = encode_wal(&rewritten);
         assert!(
             bytes.len() as u64 > tail.offset(),
             "must regrow past the tail"
@@ -542,7 +486,7 @@ mod tests {
         let dir = tmpdir("bounded");
         let path = dir.join("wal.jsonl");
         let records: Vec<WalRecord> = (0..3).map(ev).collect();
-        let bytes = encode(StoreFormat::BinaryV2, &records);
+        let bytes = encode_wal(&records);
         std::fs::write(&path, &bytes).unwrap();
         let mut tail = WalTail::new(&path);
         // A limit cutting mid-frame yields only the records before it and
@@ -561,7 +505,7 @@ mod tests {
         let dir = tmpdir("markers");
         let path = dir.join("wal.jsonl");
         let records = every_kind();
-        std::fs::write(&path, encode(StoreFormat::BinaryV2, &records)).unwrap();
+        std::fs::write(&path, encode_wal(&records)).unwrap();
         let mut tail = WalTail::new(&path);
         let chunk = tail.poll().unwrap();
         assert_eq!(chunk.lines.len(), records.len());

@@ -5,10 +5,9 @@
 //! events, snapshot markers (full and delta), and experiment-lifecycle
 //! [`WalRecord::Meta`] events. How records become bytes is
 //! [`crate::format`]'s business: the writer appends `binary-v2`
-//! length-prefixed CRC-guarded frames; the reader also accepts `jsonl-v1`
-//! (one JSON object per line, telemetry in the exact `asha-obs` log
-//! schema), sniffed from the file's first bytes, so every pre-redesign
-//! store opens unchanged.
+//! length-prefixed CRC-guarded frames after the file's magic, and the
+//! reader reads nothing else (a pre-redesign `jsonl-v1` WAL is converted by
+//! [`crate::upgrade`] first).
 //!
 //! Durability follows a [`Durability`] policy: appends always reach the OS
 //! (flushed through the userspace buffer at each commit point), and
@@ -25,11 +24,11 @@ use std::path::{Path, PathBuf};
 
 use asha_core::telemetry::EventKind;
 pub use asha_core::Durability;
-use asha_metrics::{push_json_f64, push_json_str, push_json_u64, JsonValue};
+use asha_metrics::{push_json_f64, push_json_str, push_json_u64};
 use asha_obs::Event;
 
 use crate::error::StoreError;
-use crate::format::{encode_record, encode_wal, DecodeStep, EncodeBuf, StoreFormat, WAL_MAGIC};
+use crate::format::{decode_step, encode_record, encode_wal, DecodeStep, EncodeBuf, WAL_MAGIC};
 
 /// An experiment-lifecycle record (everything that is neither telemetry
 /// nor a snapshot marker).
@@ -153,115 +152,47 @@ impl WalRecord {
         }
     }
 
-    /// Render this record as its `jsonl-v1` line (no trailing newline):
-    /// the human-readable form of either dialect. `store_inspect` dumps
-    /// binary WALs through this, and the service tailer uses it to fan
-    /// binary records out as JSON events. Never written to a store file.
+    /// Render this record as its JSON line (no trailing newline), the
+    /// line the retired `jsonl-v1` writer put on disk. `store_inspect`
+    /// dumps WALs through this, and the service tailer uses it to fan
+    /// records out as JSON events. Never written to a store file.
     pub fn render_jsonl(&self) -> String {
         // A line grown from empty reallocates five times on its way to the
         // ~100 bytes of an event; the tail renders one per record.
         let mut out = String::with_capacity(128);
-        render_record_jsonl(self, &mut out);
+        match self {
+            WalRecord::Decision(event) | WalRecord::Job(event) => {
+                asha_obs::encode_event_into(&mut out, event);
+            }
+            WalRecord::SnapshotMarker { time, marker } => {
+                out.push_str(match marker {
+                    SnapMarker::Full { .. } => "{\"ev\":\"snapshot\",\"t\":",
+                    SnapMarker::Delta { .. } => "{\"ev\":\"delta_snapshot\",\"t\":",
+                });
+                push_json_f64(&mut out, *time);
+                out.push_str(",\"snap\":");
+                push_json_u64(&mut out, marker.snap());
+                if let SnapMarker::Delta { delta, .. } = marker {
+                    out.push_str(",\"delta\":");
+                    push_json_u64(&mut out, *delta);
+                }
+                out.push_str(",\"events\":");
+                push_json_u64(&mut out, marker.events());
+                out.push('}');
+            }
+            WalRecord::Meta { time, event } => {
+                out.push_str("{\"ev\":");
+                push_json_str(&mut out, event.name());
+                out.push_str(",\"t\":");
+                push_json_f64(&mut out, *time);
+                if let StoreEvent::ExperimentCreated { name } = event {
+                    out.push_str(",\"name\":");
+                    push_json_str(&mut out, name);
+                }
+                out.push('}');
+            }
+        }
         out
-    }
-}
-
-/// Render one record as its `jsonl-v1` line (no trailing newline). Also
-/// used by the tailer to fan binary WALs out as JSON events.
-pub(crate) fn render_record_jsonl(record: &WalRecord, out: &mut String) {
-    match record {
-        WalRecord::Decision(event) | WalRecord::Job(event) => {
-            asha_obs::encode_event_into(out, event);
-        }
-        WalRecord::SnapshotMarker { time, marker } => {
-            out.push_str(match marker {
-                SnapMarker::Full { .. } => "{\"ev\":\"snapshot\",\"t\":",
-                SnapMarker::Delta { .. } => "{\"ev\":\"delta_snapshot\",\"t\":",
-            });
-            push_json_f64(out, *time);
-            out.push_str(",\"snap\":");
-            push_json_u64(out, marker.snap());
-            if let SnapMarker::Delta { delta, .. } = marker {
-                out.push_str(",\"delta\":");
-                push_json_u64(out, *delta);
-            }
-            out.push_str(",\"events\":");
-            push_json_u64(out, marker.events());
-            out.push('}');
-        }
-        WalRecord::Meta { time, event } => {
-            out.push_str("{\"ev\":");
-            push_json_str(out, event.name());
-            out.push_str(",\"t\":");
-            push_json_f64(out, *time);
-            if let StoreEvent::ExperimentCreated { name } = event {
-                out.push_str(",\"name\":");
-                push_json_str(out, name);
-            }
-            out.push('}');
-        }
-    }
-}
-
-/// Parse one `jsonl-v1` WAL line into a typed record.
-pub(crate) fn parse_record_jsonl(line: &str) -> Result<WalRecord, String> {
-    let value = JsonValue::parse(line).map_err(|e| e.to_string())?;
-    let ev = value
-        .get("ev")
-        .and_then(|e| e.as_str())
-        .ok_or("missing ev field")?
-        .to_owned();
-    let time = || {
-        value
-            .get("t")
-            .and_then(|t| t.as_f64())
-            .ok_or_else(|| "store event missing numeric t".to_owned())
-    };
-    let marker_field = |key: &str| {
-        value
-            .get(key)
-            .and_then(|s| s.as_u64())
-            .ok_or_else(|| format!("{ev} missing {key}"))
-    };
-    match ev.as_str() {
-        "experiment_created" => Ok(WalRecord::Meta {
-            time: time()?,
-            event: StoreEvent::ExperimentCreated {
-                name: value
-                    .get("name")
-                    .and_then(|n| n.as_str())
-                    .ok_or("experiment_created missing name")?
-                    .to_owned(),
-            },
-        }),
-        "snapshot" => Ok(WalRecord::SnapshotMarker {
-            time: time()?,
-            marker: SnapMarker::Full {
-                snap: marker_field("snap")?,
-                events: marker_field("events")?,
-            },
-        }),
-        "delta_snapshot" => Ok(WalRecord::SnapshotMarker {
-            time: time()?,
-            marker: SnapMarker::Delta {
-                snap: marker_field("snap")?,
-                delta: marker_field("delta")?,
-                events: marker_field("events")?,
-            },
-        }),
-        "paused" => Ok(WalRecord::Meta {
-            time: time()?,
-            event: StoreEvent::Paused,
-        }),
-        "resumed" => Ok(WalRecord::Meta {
-            time: time()?,
-            event: StoreEvent::Resumed,
-        }),
-        "experiment_finished" => Ok(WalRecord::Meta {
-            time: time()?,
-            event: StoreEvent::ExperimentFinished,
-        }),
-        _ => asha_obs::event_from_json(&value).map(WalRecord::telemetry),
     }
 }
 
@@ -286,16 +217,15 @@ pub struct WalWriter {
 
 impl WalWriter {
     /// Create a fresh `binary-v2` WAL (truncating any existing file). The
-    /// magic is written and flushed immediately so the file's dialect is
-    /// detectable from its very first bytes.
+    /// magic is written and flushed immediately: a file this writer left
+    /// lacks it only when the process died before those 8 bytes landed.
     pub fn create(path: &Path, policy: Durability) -> Result<Self, StoreError> {
         let file = File::create(path).map_err(|e| StoreError::io(path, e))?;
         WalWriter::from_file(file, path, policy, 0).with_magic()
     }
 
     /// Open an existing `binary-v2` WAL for appending (a missing or empty
-    /// file is started fresh). A `jsonl-v1` WAL must be up-converted first,
-    /// as [`DurableRun::resume`](crate::DurableRun::resume) does.
+    /// file is started fresh).
     /// `telemetry_so_far` seeds the telemetry counter (the recovered event
     /// count), so snapshot markers written after recovery carry correct
     /// positions.
@@ -422,8 +352,6 @@ pub struct WalContents {
     pub records: Vec<WalRecord>,
     /// Whether a torn (partial or damaged) tail was discarded.
     pub torn_tail: bool,
-    /// The dialect the file was written in.
-    pub format: StoreFormat,
 }
 
 impl WalContents {
@@ -450,83 +378,54 @@ impl WalContents {
     }
 }
 
-/// Does any complete valid record decode from `rest`? Distinguishes a torn
-/// tail (damage at EOF — tolerated) from mid-file corruption (damage
-/// *followed by* valid records — an error).
-fn rest_has_record(format: StoreFormat, mut rest: &[u8]) -> bool {
-    loop {
-        match format.decode_step(rest) {
-            DecodeStep::Record { .. } => return true,
-            DecodeStep::Blank { consumed } | DecodeStep::Invalid { consumed, .. } => {
-                if consumed == 0 || consumed > rest.len() {
-                    return false;
-                }
-                rest = &rest[consumed..];
-            }
-            DecodeStep::Incomplete | DecodeStep::Lost(_) => return false,
-        }
-    }
-}
-
-/// Read a WAL file of either dialect (sniffed by magic), tolerating a torn
-/// tail.
+/// Read a `binary-v2` WAL file, tolerating a torn tail: damage at the very
+/// end (a short or CRC-failing last frame) is discarded, damage followed by
+/// a valid record is corruption. A file shorter than the magic that is a
+/// prefix of it (a crash before the magic landed) reads as empty; any other
+/// file without the magic is corrupt.
 pub fn read_wal(path: &Path) -> Result<WalContents, StoreError> {
     let bytes = std::fs::read(path).map_err(|e| StoreError::io(path, e))?;
-    let format = StoreFormat::detect_wal(&bytes);
-    let mut pos = match format {
-        StoreFormat::JsonlV1 => 0,
-        StoreFormat::BinaryV2 => WAL_MAGIC.len(),
-    };
+    if !bytes.starts_with(WAL_MAGIC) && !WAL_MAGIC.starts_with(&bytes) {
+        return Err(StoreError::corrupt(path, "not a binary-v2 WAL (no magic)"));
+    }
     let mut records = Vec::new();
-    let mut torn_tail = false;
-    let mut record_no = 0usize;
+    let mut torn_tail = !bytes.is_empty() && bytes.len() < WAL_MAGIC.len();
+    // The first damaged record: a torn tail unless a valid record follows.
+    let mut damage = None;
+    let mut pos = WAL_MAGIC.len();
     while pos < bytes.len() {
-        record_no += 1;
-        match format.decode_step(&bytes[pos..]) {
+        let at = records.len() + 1;
+        match decode_step(&bytes[pos..]) {
             DecodeStep::Record { consumed, record } => {
+                if let Some(why) = damage {
+                    return Err(StoreError::corrupt(path, why));
+                }
                 records.push(record);
                 pos += consumed;
             }
-            DecodeStep::Blank { consumed } => {
-                record_no -= 1;
+            DecodeStep::Invalid { consumed, why } => {
+                damage.get_or_insert(format!("record {at}: {why}"));
                 pos += consumed;
             }
-            DecodeStep::Incomplete => {
+            // Destroyed framing cannot come from a torn append (partial
+            // writes decode as Incomplete): before any damage, corruption.
+            DecodeStep::Lost(why) if damage.is_none() => {
+                return Err(StoreError::corrupt(path, format!("record {at}: {why}")));
+            }
+            DecodeStep::Incomplete | DecodeStep::Lost(_) => {
                 torn_tail = true;
                 break;
-            }
-            DecodeStep::Invalid { consumed, why } => {
-                if rest_has_record(format, &bytes[(pos + consumed).min(bytes.len())..]) {
-                    return Err(StoreError::corrupt(
-                        path,
-                        format!("record {record_no}: {why}"),
-                    ));
-                }
-                torn_tail = true;
-                break;
-            }
-            DecodeStep::Lost(why) => {
-                // Destroyed framing cannot come from a torn append (partial
-                // writes decode as Incomplete), so it is always corruption.
-                return Err(StoreError::corrupt(
-                    path,
-                    format!("record {record_no}: {why}"),
-                ));
             }
         }
     }
-    Ok(WalContents {
-        records,
-        torn_tail,
-        format,
-    })
+    torn_tail |= damage.is_some();
+    Ok(WalContents { records, torn_tail })
 }
 
 /// Rewrite the WAL at `wal_path` to end exactly at the record for
-/// checkpoint `marker`, as `binary-v2` (crash-safe: temp file + fsync +
-/// rename). This is recovery's suffix discard and, for a `jsonl-v1` file,
-/// its one-way up-conversion. No-op when the file is already binary, the
-/// marker is its final record and the tail is clean.
+/// checkpoint `marker` (crash-safe: temp file + fsync + rename): recovery's
+/// suffix discard. No-op when the marker is the final record and the tail
+/// is clean.
 pub(crate) fn rewrite_to_marker(
     wal_path: &Path,
     contents: &WalContents,
@@ -543,10 +442,7 @@ pub(crate) fn rewrite_to_marker(
             )
         })
         .ok_or_else(|| StoreError::corrupt(wal_path, "checkpoint marker vanished"))?;
-    if contents.format == StoreFormat::BinaryV2
-        && marker_idx + 1 == contents.records.len()
-        && !contents.torn_tail
-    {
+    if marker_idx + 1 == contents.records.len() && !contents.torn_tail {
         return Ok(());
     }
     let (Some(dir), Some(name)) = (wal_path.parent(), wal_path.file_name()) else {
@@ -556,23 +452,10 @@ pub(crate) fn rewrite_to_marker(
     crate::snapshot::write_atomic(dir, &name.to_string_lossy(), &[&bytes]).map(|_| ())
 }
 
-/// What the retired `jsonl-v1` writer put on disk for `records`: one
-/// rendered line each. Tests feed the v1 read path with this.
-#[cfg(test)]
-pub(crate) fn v1_bytes(records: &[WalRecord]) -> Vec<u8> {
-    let mut text = String::new();
-    for record in records {
-        render_record_jsonl(record, &mut text);
-        text.push('\n');
-    }
-    text.into_bytes()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use asha_core::telemetry::EventKind;
-    use proptest::prelude::*;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("asha-store-wal-{tag}-{}", std::process::id()));
@@ -623,7 +506,7 @@ mod tests {
     }
 
     #[test]
-    fn wal_reads_telemetry_and_store_events_in_both_dialects() {
+    fn wal_reads_telemetry_and_store_events() {
         let records = vec![
             WalRecord::Meta {
                 time: 0.0,
@@ -652,37 +535,30 @@ mod tests {
         ];
         let dir = tmpdir("roundtrip");
         let path = dir.join("wal");
-        for format in [StoreFormat::JsonlV1, StoreFormat::BinaryV2] {
-            match format {
-                // v1 is read-only: the file is what the old writer left.
-                StoreFormat::JsonlV1 => std::fs::write(&path, v1_bytes(&records)).unwrap(),
-                StoreFormat::BinaryV2 => {
-                    let mut wal = WalWriter::create(&path, Durability::Sync).unwrap();
-                    for record in &records {
-                        wal.append(record).unwrap();
-                    }
-                    assert_eq!(wal.telemetry_appended(), 2);
-                }
+        {
+            let mut wal = WalWriter::create(&path, Durability::Sync).unwrap();
+            for record in &records {
+                wal.append(record).unwrap();
             }
-            let contents = read_wal(&path).unwrap();
-            assert_eq!(contents.format, format);
-            assert!(!contents.torn_tail);
-            assert_eq!(contents.records, records);
-            assert_eq!(contents.telemetry_len(), 2);
-            assert_eq!(
-                contents.last_snapshot_marker(),
-                Some(MarkerRef {
-                    snap: 0,
-                    delta: 1,
-                    events: 2
-                })
-            );
-            assert_eq!(
-                contents.records[1],
-                WalRecord::Decision(ev(0, 0.0)),
-                "grow_bottom classifies as a scheduler decision"
-            );
+            assert_eq!(wal.telemetry_appended(), 2);
         }
+        let contents = read_wal(&path).unwrap();
+        assert!(!contents.torn_tail);
+        assert_eq!(contents.records, records);
+        assert_eq!(contents.telemetry_len(), 2);
+        assert_eq!(
+            contents.last_snapshot_marker(),
+            Some(MarkerRef {
+                snap: 0,
+                delta: 1,
+                events: 2
+            })
+        );
+        assert_eq!(
+            contents.records[1],
+            WalRecord::Decision(ev(0, 0.0)),
+            "grow_bottom classifies as a scheduler decision"
+        );
 
         // Appending continues the binary file; a missing file starts fresh.
         for path in [path, dir.join("fresh")] {
@@ -693,45 +569,39 @@ mod tests {
                 assert_eq!(wal.telemetry_appended(), before + 1);
             }
             let contents = read_wal(&path).unwrap();
-            assert_eq!(contents.format, StoreFormat::BinaryV2);
+            assert!(std::fs::read(&path).unwrap().starts_with(WAL_MAGIC));
             assert_eq!(contents.telemetry_len(), before + 1);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A binary WAL whose first byte flipped is not a second dialect: it
+    /// is refused, with the file named.
     #[test]
-    fn torn_tail_is_discarded_but_midfile_corruption_errors() {
-        let dir = tmpdir("torn");
+    fn read_wal_refuses_a_file_without_the_magic() {
+        let dir = tmpdir("no-magic");
         let path = dir.join("wal.jsonl");
-        // Two clean v1 lines, then a crash mid-append: a partial final line.
-        let mut bytes = v1_bytes(&[
-            WalRecord::telemetry(ev(0, 0.0)),
-            WalRecord::telemetry(ev(1, 0.5)),
-        ]);
-        bytes.extend_from_slice(b"{\"seq\":2,\"t\":0.7,\"ev\":\"job_e");
-        std::fs::write(&path, bytes).unwrap();
-        let contents = read_wal(&path).unwrap();
-        assert!(contents.torn_tail);
-        assert_eq!(contents.telemetry_len(), 2);
+        let mut bytes = encode_wal(&[WalRecord::telemetry(ev(0, 0.0))]);
+        bytes[0] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = read_wal(&path).unwrap_err();
+        assert_eq!(err.kind(), crate::error::ErrorKind::Corrupt);
+        assert_eq!(err.path(), Some(path.as_path()));
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
-        // Blank lines and CRLF endings (a WAL that passed through an editor)
-        // are skipped, not counted as damage.
-        let text = String::from_utf8(v1_bytes(&[WalRecord::telemetry(ev(0, 0.0))])).unwrap();
-        std::fs::write(&path, format!("\n{}\r\n  \n", text.trim_end())).unwrap();
-        let contents = read_wal(&path).unwrap();
-        assert!(!contents.torn_tail);
-        assert_eq!(contents.records, vec![WalRecord::telemetry(ev(0, 0.0))]);
-
-        // The same garbage mid-file is corruption, not a torn tail.
-        std::fs::write(
-            &path,
-            "{\"seq\":0,\"t\":0.0,\"ev\":\"job_e\n{\"seq\":1,\"t\":0.5,\"ev\":\"retry\",\"trial\":1,\"rung\":0}\n",
-        )
-        .unwrap();
-        assert_eq!(
-            read_wal(&path).unwrap_err().kind(),
-            crate::error::ErrorKind::Corrupt
-        );
+    /// A crash between creating the file and writing its magic leaves a
+    /// prefix of the magic: an empty log, torn when any byte landed.
+    #[test]
+    fn read_wal_reads_a_magic_prefix_as_empty() {
+        let dir = tmpdir("magic-prefix");
+        let path = dir.join("wal.jsonl");
+        for cut in 0..WAL_MAGIC.len() {
+            std::fs::write(&path, &WAL_MAGIC[..cut]).unwrap();
+            let contents = read_wal(&path).unwrap();
+            assert!(contents.records.is_empty(), "cut at {cut}");
+            assert_eq!(contents.torn_tail, cut > 0, "cut at {cut}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -788,70 +658,5 @@ mod tests {
         assert_eq!(contents.telemetry_len(), 5);
         drop(wal);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A short record sequence dense in checkpoint markers, with finite
-    /// timestamps (what the v1 writer could put on a line).
-    fn records() -> impl Strategy<Value = Vec<WalRecord>> {
-        let record = (0u8..6, 0u64..1000, 0u32..1_000_000).prop_map(|(pick, n, t)| {
-            let time = t as f64 / 64.0;
-            match pick {
-                0 => WalRecord::SnapshotMarker {
-                    time,
-                    marker: SnapMarker::Full { snap: n, events: n },
-                },
-                1 => WalRecord::SnapshotMarker {
-                    time,
-                    marker: SnapMarker::Delta {
-                        snap: n,
-                        delta: 1 + n % 8,
-                        events: n,
-                    },
-                },
-                2 => WalRecord::Meta {
-                    time,
-                    event: StoreEvent::Resumed,
-                },
-                _ => WalRecord::telemetry(ev(n, time)),
-            }
-        });
-        prop::collection::vec(record, 1..40)
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Up-conversion keeps exactly what recovery keeps: any v1 WAL, cut
-        /// at any byte (a torn line included), rewrites to a clean binary
-        /// WAL holding the v1 records up to the last marker.
-        #[test]
-        fn v1_wal_cut_anywhere_up_converts_to_its_marker_prefix(
-            records in records(),
-            cut in any::<usize>(),
-        ) {
-            let dir = tmpdir("upconvert");
-            let path = dir.join("wal.jsonl");
-            let bytes = v1_bytes(&records);
-            std::fs::write(&path, &bytes[..=cut % bytes.len()]).unwrap();
-            let v1 = read_wal(&path).unwrap();
-            prop_assert_eq!(v1.format, StoreFormat::JsonlV1);
-            if let Some(marker) = v1.last_snapshot_marker() {
-                rewrite_to_marker(&path, &v1, marker).unwrap();
-                let keep = v1
-                    .records
-                    .iter()
-                    .rposition(|r| matches!(r, WalRecord::SnapshotMarker { .. }))
-                    .unwrap();
-                let v2 = read_wal(&path).unwrap();
-                prop_assert_eq!(v2.format, StoreFormat::BinaryV2);
-                prop_assert!(!v2.torn_tail);
-                prop_assert_eq!(&v2.records[..], &v1.records[..=keep]);
-                // A second pass (a crash right after the rename, then
-                // another resume) leaves the file alone.
-                let before = std::fs::read(&path).unwrap();
-                rewrite_to_marker(&path, &v2, marker).unwrap();
-                prop_assert_eq!(before, std::fs::read(&path).unwrap());
-            }
-        }
     }
 }

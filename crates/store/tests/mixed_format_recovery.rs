@@ -1,14 +1,16 @@
 //! Mixed-format recovery: the codec redesign's compatibility guarantees.
 //!
-//! `jsonl-v1` is a read-only input: the committed pre-redesign fixture
-//! must open, resume — its WAL up-converted to `binary-v2` in the same
-//! atomic rewrite that discards the suffix past the marker — and stay
-//! recoverable afterwards, with binary delta chains patched on top of its
-//! v1 full snapshot. Alongside the integration tests, property tests pin the
-//! binary codec's record roundtrip and the delta diff/patch algebra, and
-//! byte-surgery tests distinguish a torn tail (truncate and continue)
-//! from mid-file corruption (hard error).
+//! `jsonl-v1` is an input only, read by `asha_store::upgrade`: the
+//! committed pre-redesign fixture must be converted to `binary-v2` in place
+//! — by a resume, by a supervisor opening it, from any crash point of the
+//! conversion itself — and then resume to the uninterrupted result, with
+//! binary delta chains patched on top of its converted v1 full snapshot.
+//! Alongside the integration tests, property tests pin the binary codec's
+//! record roundtrip and the delta diff/patch algebra, and byte-surgery
+//! tests distinguish a torn tail (truncate and continue) from mid-file
+//! corruption (hard error).
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use asha_core::telemetry::{DropCause, Event, EventKind, IdleKind};
@@ -17,11 +19,12 @@ use asha_metrics::JsonValue;
 use asha_sim::{SimConfig, SimResult};
 use asha_store::binary::{decode_value, json_eq, put_value};
 use asha_store::delta::{apply_bytes, diff_bytes};
-use asha_store::format::{encode_document, encode_record, WAL_MAGIC};
+use asha_store::format::{decode_step, encode_document, encode_record, WAL_MAGIC};
 use asha_store::{
-    delta_file_name, read_document, read_meta, read_wal, BenchSpec, DecodeStep, DeltaDoc,
-    Durability, DurableRun, EncodeBuf, ExperimentMeta, RunOptions, SchedulerState, SnapMarker,
-    Snapshot, StoreEvent, StoreFormat, WalRecord, WalTail, SNAPSHOT_SCHEMA, WAL_FILE,
+    delta_file_name, read_meta, read_wal, upgrade, BenchSpec, DecodeStep, DeltaDoc, Durability,
+    DurableRun, EncodeBuf, ExperimentMeta, ExperimentStatus, ExperimentSupervisor, RunOptions,
+    SchedulerState, SnapMarker, Snapshot, StoreEvent, WalRecord, WalTail, MANIFEST_FILE,
+    MANIFEST_SCHEMA, SNAPSHOT_SCHEMA, WAL_FILE,
 };
 use asha_surrogate::BenchmarkModel;
 use proptest::prelude::*;
@@ -121,12 +124,17 @@ fn files_with_ext(dir: &Path, ext: &str) -> Vec<PathBuf> {
 // Cross-dialect stores
 // ---------------------------------------------------------------------------
 
-/// A fresh temp copy of a committed fixture store: `(root, experiment dir)`.
-fn fixture_copy(fixture: &str, tag: &str) -> (PathBuf, PathBuf) {
-    let fixture_dir = Path::new(env!("CARGO_MANIFEST_DIR"))
+/// A committed fixture store.
+fn fixture_dir(fixture: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("fixtures")
-        .join(fixture);
+        .join(fixture)
+}
+
+/// A fresh temp copy of a committed fixture store: `(root, experiment dir)`.
+fn fixture_copy(fixture: &str, tag: &str) -> (PathBuf, PathBuf) {
+    let fixture_dir = fixture_dir(fixture);
     let root = tmpdir(tag);
     let dir = root.join("exp");
     std::fs::create_dir_all(&dir).unwrap();
@@ -135,6 +143,18 @@ fn fixture_copy(fixture: &str, tag: &str) -> (PathBuf, PathBuf) {
         std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
     }
     (root, dir)
+}
+
+/// Every file in `dir` with its bytes, by name.
+fn files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect()
 }
 
 fn telemetry(dir: &Path) -> Vec<Event> {
@@ -146,9 +166,10 @@ fn telemetry(dir: &Path) -> Vec<Event> {
 }
 
 /// Resuming the `jsonl-v1` fixture rewrites its WAL as `binary-v2` — the v1
-/// records up to the checkpoint marker, then `resumed` — leaves the v1
-/// snapshots where they are, chains binary deltas onto the v1 base, survives
-/// a second crash mid-chain, and finishes identical to an uninterrupted run.
+/// records up to the checkpoint marker, then `resumed` — converts the v1
+/// snapshots to `.bin` files holding the same documents, chains binary
+/// deltas onto the converted base, survives a second crash mid-chain, and
+/// finishes identical to an uninterrupted run.
 #[test]
 fn v1_fixture_resume_up_converts_the_wal_and_chains_deltas_on_the_v1_base() {
     let (root, dir) = fixture_copy("v1-demo-store", "v1-upconvert");
@@ -159,7 +180,7 @@ fn v1_fixture_resume_up_converts_the_wal_and_chains_deltas_on_the_v1_base() {
     // The fixture's kill lost everything past its last marker; put a suffix
     // back — two complete lines and a torn one — as a later kill would.
     let wal_path = dir.join(WAL_FILE);
-    let committed = read_wal(&wal_path).unwrap();
+    let (committed, _) = upgrade::read_wal(&wal_path).unwrap();
     let marker_idx = committed.records.len() - 1;
     assert!(matches!(
         committed.records[marker_idx],
@@ -177,8 +198,8 @@ fn v1_fixture_resume_up_converts_the_wal_and_chains_deltas_on_the_v1_base() {
         wal.write_all(b"{\"seq\":290,\"t\":1.02,\"ev\":\"job_e")
             .unwrap();
     }
-    let v1 = read_wal(&wal_path).unwrap();
-    assert_eq!(v1.format, StoreFormat::JsonlV1);
+    let (v1, dialect) = upgrade::read_wal(&wal_path).unwrap();
+    assert_eq!(dialect, "jsonl-v1");
     assert!(v1.torn_tail);
     assert_eq!(v1.records.len(), marker_idx + 3);
 
@@ -188,7 +209,6 @@ fn v1_fixture_resume_up_converts_the_wal_and_chains_deltas_on_the_v1_base() {
     run.flush().unwrap();
     assert!(std::fs::read(&wal_path).unwrap().starts_with(WAL_MAGIC));
     let converted = read_wal(&wal_path).unwrap();
-    assert_eq!(converted.format, StoreFormat::BinaryV2);
     assert!(!converted.torn_tail);
     let (resumed, kept) = converted.records.split_last().unwrap();
     assert_eq!(kept, &v1.records[..=marker_idx]);
@@ -200,7 +220,7 @@ fn v1_fixture_resume_up_converts_the_wal_and_chains_deltas_on_the_v1_base() {
         }
     ));
 
-    // Die again mid-chain: `.bin` deltas hang off the `.json` base.
+    // Die again mid-chain: `.bin` deltas hang off the converted v1 base.
     run.run_until_jobs(run.jobs_completed() + 45).unwrap();
     std::mem::forget(run);
     let marker = read_wal(&wal_path)
@@ -208,16 +228,24 @@ fn v1_fixture_resume_up_converts_the_wal_and_chains_deltas_on_the_v1_base() {
         .last_snapshot_marker()
         .expect("store has checkpoint markers");
     assert!(marker.delta > 0, "the crash must land mid-delta-chain");
-    let base = Snapshot::find(&dir, marker.snap).expect("base snapshot exists");
+    // The chain's base full snapshot is the v1 file, converted: a `.bin`
+    // holding the payload the `.json` decodes to.
+    let base_payload = |dir: &Path, dialect: &str| {
+        let checkpoints = upgrade::checkpoints(dir).unwrap().into_iter();
+        let mut base = checkpoints.filter(|c| (c.snap, c.delta) == (marker.snap, 0));
+        let base = base
+            .find(|c| c.dialect == dialect)
+            .expect("base snapshot exists");
+        base.payload().unwrap()
+    };
     assert_eq!(
-        base.extension().unwrap(),
-        "json",
-        "the chain's base full snapshot is still the v1 file"
+        base_payload(&dir, "binary-v2"),
+        base_payload(&fixture_dir("v1-demo-store"), "jsonl-v1")
     );
+    assert_eq!(files_with_ext(&dir, "json"), [dir.join("meta.json")]);
     for k in 1..=marker.delta {
         assert!(
-            dir.join(delta_file_name(marker.snap, k, StoreFormat::BinaryV2))
-                .exists(),
+            dir.join(delta_file_name(marker.snap, k)).exists(),
             "delta {k} of the chain must be a binary file"
         );
     }
@@ -251,7 +279,9 @@ fn double_resume_of_the_v1_fixture_equals_a_single_resume() {
     // record never lands.
     std::mem::forget(DurableRun::resume(&twice, &meta, &bench, o).unwrap());
     let after_crash = read_wal(&twice.join(WAL_FILE)).unwrap();
-    assert_eq!(after_crash.format, StoreFormat::BinaryV2);
+    assert!(std::fs::read(twice.join(WAL_FILE))
+        .unwrap()
+        .starts_with(WAL_MAGIC));
     assert!(matches!(
         after_crash.records.last(),
         Some(WalRecord::SnapshotMarker { .. })
@@ -267,21 +297,20 @@ fn double_resume_of_the_v1_fixture_equals_a_single_resume() {
     std::fs::remove_dir_all(&root_twice).ok();
 }
 
-/// A tail that was following the v1 WAL sees the up-conversion as one
-/// rewind, after which it delivers exactly what a fresh tail of the
-/// converted file delivers.
+/// A tail pointed at the v1 WAL refuses it — a v1 file is not a second
+/// dialect to follow — and once the resume has upgraded the store it
+/// delivers exactly what a fresh tail of the converted file delivers, with
+/// no rewind: it had delivered nothing to take back.
 #[test]
-fn a_tail_on_the_v1_wal_rewinds_once_across_the_up_conversion() {
+fn a_tail_on_the_v1_wal_refuses_it_until_the_upgrade() {
     let (root, dir) = fixture_copy("v1-demo-store", "v1-tail");
     let meta = read_meta(&dir).unwrap();
     let bench = meta.bench.build().unwrap();
     let wal_path = dir.join(WAL_FILE);
 
     let mut tail = WalTail::new(&wal_path);
-    let before = tail.poll().unwrap();
-    assert!(!before.rewound);
-    assert!(!before.lines.is_empty());
-    assert_eq!(tail.format(), Some(StoreFormat::JsonlV1));
+    let err = tail.poll().unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
 
     DurableRun::resume(&dir, &meta, &bench, RunOptions::default())
         .unwrap()
@@ -289,12 +318,113 @@ fn a_tail_on_the_v1_wal_rewinds_once_across_the_up_conversion() {
         .unwrap();
 
     let after = tail.poll().unwrap();
-    assert!(after.rewound, "the rewrite must rewind the tail");
-    assert_eq!(tail.format(), Some(StoreFormat::BinaryV2));
+    assert!(!after.rewound);
     let fresh = WalTail::new(&wal_path).poll().unwrap();
     assert_eq!(after.lines, fresh.lines);
-    assert_eq!(tail.poll().unwrap(), Default::default(), "one rewind only");
+    assert_eq!(tail.poll().unwrap(), Default::default(), "all delivered");
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// A supervisor root listing the v1 fixture as an `interrupted`
+/// experiment: opening it converts the store — binary WAL, no `.json`
+/// checkpoint left — a fresh tail yields the v1 file's lines exactly, and
+/// the supervisor's resume finishes equal to an uninterrupted run.
+#[test]
+fn supervisor_open_upgrades_an_interrupted_v1_experiment() {
+    let (root, dir) = fixture_copy("v1-demo-store", "v1-supervisor");
+    let meta = read_meta(&dir).unwrap();
+    let reference_root = tmpdir("v1-supervisor-ref");
+    let reference = uninterrupted(&meta, &reference_root, RunOptions::default());
+    let wal_path = dir.join(WAL_FILE);
+    let v1_text = String::from_utf8(std::fs::read(&wal_path).unwrap()).unwrap();
+    let manifest = JsonValue::obj([
+        ("schema", JsonValue::Str(MANIFEST_SCHEMA.to_owned())),
+        (
+            "experiments",
+            JsonValue::Arr(vec![JsonValue::obj([
+                ("name", JsonValue::Str("exp".to_owned())),
+                ("status", JsonValue::Str("interrupted".to_owned())),
+            ])]),
+        ),
+    ]);
+    std::fs::write(root.join(MANIFEST_FILE), manifest.render()).unwrap();
+
+    let mut sup = ExperimentSupervisor::open(&root).unwrap();
+    assert_eq!(sup.status("exp"), Some(ExperimentStatus::Interrupted));
+    assert!(std::fs::read(&wal_path).unwrap().starts_with(WAL_MAGIC));
+    assert_eq!(files_with_ext(&dir, "json"), [dir.join("meta.json")]);
+    let fresh = WalTail::new(&wal_path).poll().unwrap();
+    assert_eq!(fresh.lines, v1_text.lines().collect::<Vec<_>>());
+
+    sup.start("exp", RunOptions::default()).unwrap();
+    let result = sup.join("exp").unwrap().expect("the run finishes");
+    assert_results_identical(&reference, &result);
+    assert_eq!(telemetry(&reference_root), telemetry(&dir));
+    std::fs::remove_dir_all(&root).ok();
+    std::fs::remove_dir_all(&reference_root).ok();
+}
+
+/// The conversion completes from any point a crash can stop it at: `k` of
+/// the three `.bin` files written (with the next one's temp file cut
+/// short), the WAL converted or not (or its temp file cut short), `j` of
+/// the three `.json` files removed. Converting each such directory leaves
+/// exactly the files one conversion of the pristine copy leaves, and a
+/// resume of it finishes equal to an uninterrupted run.
+#[test]
+fn every_crash_point_of_the_upgrade_converts_to_the_same_store() {
+    let (root, pristine) = fixture_copy("v1-demo-store", "crash-points");
+    let (done_root, done) = fixture_copy("v1-demo-store", "crash-points-done");
+    upgrade::store(&done).unwrap();
+    let want = files(&done);
+    let meta = read_meta(&done).unwrap();
+    let bench = meta.bench.build().unwrap();
+    let reference = uninterrupted(&meta, &done_root.join("ref"), RunOptions::default());
+    // The fixture's snapshots are 0, 1 and 2.
+    let json = |seq: u64| format!("snap-{seq:08}.json");
+    let bin = |seq: u64| Snapshot::file_name(seq);
+
+    // Each state: the `.bin` files written so far, an optional torn temp
+    // file, whether the WAL is converted, the `.json` files removed.
+    let mut states: Vec<(u64, Option<String>, bool, u64)> = Vec::new();
+    for k in 0..=3 {
+        states.push((k, None, false, 0));
+        let torn = if k < 3 { bin(k) } else { WAL_FILE.to_owned() };
+        states.push((k, Some(format!("{torn}.tmp")), false, 0));
+    }
+    states.extend((0..=3).map(|j| (3, None, true, j)));
+
+    for (i, (k, torn, wal_done, j)) in states.into_iter().enumerate() {
+        let dir = root.join(format!("state-{i}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, bytes) in files(&pristine) {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+        for seq in 0..k {
+            std::fs::write(dir.join(bin(seq)), &want[&bin(seq)]).unwrap();
+        }
+        if let Some(tmp) = &torn {
+            let of = &want[tmp.trim_end_matches(".tmp")];
+            std::fs::write(dir.join(tmp), &of[..of.len() / 2]).unwrap();
+        }
+        if wal_done {
+            std::fs::write(dir.join(WAL_FILE), &want[WAL_FILE]).unwrap();
+        }
+        for seq in 0..j {
+            std::fs::remove_file(dir.join(json(seq))).unwrap();
+        }
+
+        upgrade::store(&dir).unwrap();
+        let state =
+            format!("{k} .bin written, torn {torn:?}, WAL converted {wal_done}, {j} .json removed");
+        assert_eq!(files(&dir), want, "{state}");
+        let result = DurableRun::resume(&dir, &meta, &bench, RunOptions::default())
+            .unwrap()
+            .run_to_completion()
+            .unwrap();
+        assert_results_identical(&reference, &result);
+    }
+    std::fs::remove_dir_all(&root).ok();
+    std::fs::remove_dir_all(&done_root).ok();
 }
 
 /// A committed fixture store must open under today's defaults, report the
@@ -314,12 +444,15 @@ fn fixture_opens_resumes_and_reencodes(fixture: &str, kind: &str) {
         std::fs::read(dir.join("meta.json")).unwrap(),
         "meta.json must re-encode byte-identically"
     );
-    let mut checkpoints = files_with_ext(&dir, "bin");
-    checkpoints.extend(files_with_ext(&dir, "json"));
-    checkpoints.retain(|p| p.file_name().unwrap() != "meta.json");
+    // Every `.bin` and `.json` file but `meta.json` is a checkpoint, and
+    // the v1 ones are read through the upgrade.
+    let checkpoints = upgrade::checkpoints(&dir).unwrap();
+    let files = files_with_ext(&dir, "bin").len() + files_with_ext(&dir, "json").len();
+    assert_eq!(checkpoints.len(), files - 1);
     let mut full_snapshots = 0;
-    for path in &checkpoints {
-        let doc = read_document(path).unwrap();
+    for checkpoint in &checkpoints {
+        let path = &checkpoint.path;
+        let doc = decode_value(&checkpoint.payload().unwrap()).unwrap();
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
         let reencoded = if name.starts_with("snap-") {
             let snap = Snapshot::from_json(&doc).unwrap();
@@ -479,8 +612,7 @@ fn mid_file_crc_flip_is_reported_as_corruption() {
     let wal_path = dir.join(WAL_FILE);
     let mut bytes = std::fs::read(&wal_path).unwrap();
     let magic = WAL_MAGIC.len();
-    let DecodeStep::Record { consumed, .. } = StoreFormat::BinaryV2.decode_step(&bytes[magic..])
-    else {
+    let DecodeStep::Record { consumed, .. } = decode_step(&bytes[magic..]) else {
         panic!("WAL must start with a well-formed record");
     };
     bytes[magic + consumed - 1] ^= 0xff;
@@ -650,7 +782,7 @@ proptest! {
     fn binary_wal_records_roundtrip(record in wal_record()) {
         let mut buf = EncodeBuf::default();
         encode_record(&record, &mut buf);
-        match StoreFormat::BinaryV2.decode_step(&buf.bytes) {
+        match decode_step(&buf.bytes) {
             DecodeStep::Record { consumed, record: decoded } => {
                 prop_assert_eq!(consumed, buf.bytes.len(), "one frame, no slack");
                 prop_assert_eq!(decoded, record);
@@ -667,7 +799,7 @@ proptest! {
         encode_record(&record, &mut buf);
         let cut = cut % buf.bytes.len(); // 0..len, always a strict prefix
         prop_assert!(matches!(
-            StoreFormat::BinaryV2.decode_step(&buf.bytes[..cut]),
+            decode_step(&buf.bytes[..cut]),
             DecodeStep::Incomplete
         ));
     }

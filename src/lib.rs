@@ -93,7 +93,6 @@ pub mod prelude {
     pub use asha_space::SearchSpace;
     pub use asha_store::{
         BenchSpec, DurableRun, ExperimentMeta, ExperimentSupervisor, RunOptions, SchedulerState,
-        StoreFormat,
     };
     pub use asha_surrogate::{presets, BenchmarkModel, CurveBenchmark};
 
