@@ -1,11 +1,13 @@
 //! BOHB (Falkner et al., 2018) as the paper frames it: synchronous SHA for
 //! early stopping with TPE in place of random sampling — plus the
-//! asynchronous crosses wiring TPE into ASHA and D-ASHA.
+//! asynchronous cross wiring TPE into ASHA. The two keep the names the
+//! paper's figures print (`BOHB`, `ASHA+TPE`); every other sampler cross
+//! names itself (`D-ASHA+tpe`, `SHA+gp`, ...).
 
 use asha_core::{Asha, AshaConfig, ShaConfig, SyncSha};
 use asha_space::SearchSpace;
 
-use crate::tpe::{TpeConfig, TpeSampler};
+use crate::sampler::Sampler;
 
 /// Build BOHB: synchronous SHA whose new configurations come from a TPE
 /// model. Per Section 4.1, "BOHB uses SHA to perform early-stopping and
@@ -33,8 +35,8 @@ use crate::tpe::{TpeConfig, TpeSampler};
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn bohb(space: SearchSpace, config: ShaConfig) -> SyncSha {
-    let sampler = TpeSampler::new(space.clone(), TpeConfig::default());
-    let mut sha = SyncSha::with_sampler(space, config, Box::new(sampler));
+    let sampler = Sampler::Tpe.build(&space);
+    let mut sha = SyncSha::with_sampler(space, config, sampler);
     sha.set_name("BOHB");
     sha
 }
@@ -47,22 +49,10 @@ pub fn bohb(space: SearchSpace, config: ShaConfig) -> SyncSha {
 ///
 /// Panics under the same conditions as [`Asha::new`].
 pub fn bohb_asha(space: SearchSpace, config: AshaConfig) -> Asha {
-    let sampler = TpeSampler::new(space.clone(), TpeConfig::default());
-    let mut asha = Asha::with_sampler(space, config, Box::new(sampler));
+    let sampler = Sampler::Tpe.build(&space);
+    let mut asha = Asha::with_sampler(space, config, sampler);
     asha.set_name("ASHA+TPE");
     asha
-}
-
-/// D-ASHA with TPE sampling: Hyper-Tune's delayed promotion rule combined
-/// with model-based proposals — the configuration their paper reports the
-/// largest sample-efficiency wins with.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`Asha::new`].
-pub fn dasha_tpe(space: SearchSpace, config: AshaConfig) -> Asha {
-    let sampler = TpeSampler::new(space.clone(), TpeConfig::default());
-    Asha::with_sampler(space, config.delayed(), Box::new(sampler))
 }
 
 #[cfg(test)]
@@ -130,11 +120,5 @@ mod tests {
     fn asha_tpe_cross_names_itself() {
         let tuner = bohb_asha(space(), asha_core::AshaConfig::new(1.0, 9.0, 3.0));
         assert_eq!(tuner.name(), "ASHA+TPE");
-    }
-
-    #[test]
-    fn dasha_tpe_cross_names_itself() {
-        let tuner = dasha_tpe(space(), asha_core::AshaConfig::new(1.0, 9.0, 3.0));
-        assert_eq!(tuner.name(), "D-ASHA+tpe");
     }
 }

@@ -6,10 +6,13 @@
 //! * [`TpeSampler`] — a rung-conditioned Tree-structured Parzen Estimator
 //!   ([`asha_core::ConfigSampler`]); plugging it into synchronous SHA yields
 //!   **BOHB** ([`bohb`]), into ASHA yields **ASHA+TPE** ([`bohb_asha`], the
-//!   A-BOHB direction), and into D-ASHA yields **D-ASHA+TPE**
-//!   ([`dasha_tpe`], the Hyper-Tune combination).
+//!   A-BOHB direction), and into D-ASHA yields **D-ASHA+TPE** (the
+//!   Hyper-Tune combination).
 //! * [`GpSampler`] — rung-conditioned GP-EI as a pluggable sampler (the
 //!   async counterpart of [`Vizier`]'s model).
+//! * [`Sampler`] — the three sampler kinds (random, TPE, GP-EI) as a value:
+//!   what a method description, `meta.json` and a snapshot name, and the
+//!   one place a kind becomes a sampler.
 //! * [`Pbt`] — Population Based Training with truncation selection and
 //!   perturb/resample exploration, following Appendix A.3 (including frozen
 //!   architecture hyperparameters and the bounded-lag fairness rule).
@@ -47,12 +50,14 @@ mod cursor;
 mod fabolas;
 mod gp;
 mod pbt;
+mod sampler;
 mod tpe;
 mod vizier;
 
-pub use bohb::{bohb, bohb_asha, dasha_tpe};
+pub use bohb::{bohb, bohb_asha};
 pub use fabolas::{Fabolas, FabolasConfig};
 pub use gp::{GpSampler, GpSamplerConfig};
 pub use pbt::{Pbt, PbtConfig};
+pub use sampler::Sampler;
 pub use tpe::{TpeConfig, TpeSampler};
 pub use vizier::{Vizier, VizierConfig};

@@ -23,10 +23,12 @@
 //!
 //! `create` options: `--preset P --bench-seed N --seed N --workers N
 //! --max-time T --straggler-std S --drop-prob Q --min-r R --max-r R
-//! --eta E --scheduler (asha|dasha) --sampler (random|tpe|gp)
+//! --eta E --scheduler M --sampler (random|tpe|gp)
 //! --sync (never|always|N) --snapshot-jobs N --delta-chain N`.
-//! `--delta-chain` caps delta snapshots between full ones (0 = always
-//! full).
+//! `--scheduler` is a persistable `Searcher::from_name` method (asha, dasha,
+//! sha, bohb, async-hyperband) on the ladder `--min-r`, `--max-r`, `--eta`;
+//! `--sampler` replaces its own (bohb's is tpe, the others' random).
+//! `--delta-chain` caps delta snapshots between full ones (0 = always full).
 //!
 //! `--connect-timeout` (default 10) bounds TCP connection establishment;
 //! `--timeout` (default 30, `0` disables) bounds each request's wait for a
@@ -42,15 +44,14 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
-use asha::core::{Asha, AshaConfig};
+use asha::core::AshaConfig;
 use asha::metrics::JsonValue;
 use asha::obs::{event_from_json, Event, HistogramSnapshot, RunReport};
 use asha::service::{Client, Push};
 use asha::sim::SimConfig;
-use asha::store::{
-    make_sampler, BenchSpec, Durability, ExperimentMeta, RunOptions, SchedulerState,
-};
+use asha::store::{BenchSpec, Durability, ExperimentMeta, RunOptions};
 use asha::surrogate::BenchmarkModel as _;
+use asha::tune::{Sampler, Searcher};
 
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("asha-ctl: error: {msg}");
@@ -166,25 +167,25 @@ fn cmd_create(client: &mut Client, args: &Args) {
     let min_r = args.num("min-r", 1.0f64);
     let max_r = args.num("max-r", 27.0f64);
     let eta = args.num("eta", 3.0f64);
-    let config = match args.get("scheduler").unwrap_or("asha") {
-        "asha" => AshaConfig::new(min_r, max_r, eta),
-        "dasha" => AshaConfig::new(min_r, max_r, eta).delayed(),
-        other => fail(format!("--scheduler: unknown kind {other:?} (asha/dasha)")),
-    };
-    config.validate().unwrap_or_else(|e| fail(e));
-
-    // The sampling plane: `--sampler tpe|gp` attaches a model-based
-    // sampler. The kind travels in the meta; the daemon rebuilds the
-    // sampler server-side and snapshots carry its model cursor.
-    let sampler = match args.get("sampler") {
-        None | Some("random") => None,
-        Some(kind @ ("tpe" | "gp")) => Some(kind.to_owned()),
-        Some(other) => fail(format!("--sampler: unknown kind {other:?} (random/tpe/gp)")),
-    };
-    let build =
-        make_sampler(sampler.as_deref().unwrap_or("random"), &space).unwrap_or_else(|e| fail(e));
-    let initial =
-        SchedulerState::Asha(Asha::with_sampler(space.clone(), config, build).export_state());
+    if let Err(e) = AshaConfig::new(min_r, max_r, eta).validate() {
+        fail(e)
+    }
+    let kind = args.get("scheduler").unwrap_or("asha");
+    let mut searcher = Searcher::from_name(kind, min_r, max_r, eta)
+        .unwrap_or_else(|| fail(format!("--scheduler: unknown method {kind:?}")));
+    // The sampler kind travels in the meta; the daemon rebuilds the sampler
+    // server-side and snapshots carry its model cursor.
+    let sampler = searcher
+        .sampler_mut()
+        .unwrap_or_else(|| fail(format!("--scheduler: {kind:?} cannot run durably")));
+    if let Some(name) = args.get("sampler") {
+        *sampler = Sampler::from_name(name)
+            .unwrap_or_else(|| fail(format!("--sampler: unknown kind {name:?} (random/tpe/gp)")));
+    }
+    let sampler = *sampler;
+    let scheduler = searcher
+        .durable(&space)
+        .expect("a method with a sampler is persistable");
 
     let sim = SimConfig {
         workers: args.num("workers", 4usize),
@@ -198,8 +199,8 @@ fn cmd_create(client: &mut Client, args: &Args) {
     let meta = ExperimentMeta {
         name: name.to_owned(),
         space,
-        initial,
-        sampler,
+        initial: scheduler.durable_state(),
+        sampler: Some(sampler),
         seed: args.num("seed", 0u64),
         sim,
         bench: spec,

@@ -11,8 +11,11 @@
 //!                       chaos simulation (stragglers + drops), then report on
 //!                       it — a self-contained worked example
 //!     [--seed N]        RNG seed for --demo (default 0)
-//!     [--scheduler K]   scheduler for --demo: asha (default) or dasha
-//!     [--sampler K]     config sampler for --demo: random (default), tpe, gp
+//!     [--scheduler K]   method for --demo at r = 1, R = 256, eta = 4: any
+//!                       persistable `Searcher::from_name` name — asha
+//!                       (default), dasha, sha, bohb, async-hyperband
+//!     [--sampler K]     config sampler for --demo: random, tpe or gp
+//!                       (default: the method's own; bohb's is tpe)
 //!     [--store DIR]     run the --demo through the durable experiment store:
 //!                       every event goes to DIR/wal.jsonl and snapshots are
 //!                       taken periodically, so the run is crash-recoverable
@@ -36,17 +39,18 @@
 
 use std::path::Path;
 
-use asha::core::{Asha, AshaConfig};
+use asha::core::DurableScheduler;
 use asha::obs::{parse_jsonl, Event, RunRecorder, RunReport};
 use asha::sim::{ClusterSim, SimConfig};
-use asha::space::SearchSpace;
-use asha::store::{
-    make_sampler, read_meta, read_wal, BenchSpec, DurableRun, ExperimentMeta, RunOptions,
-    SchedulerState,
-};
+use asha::store::{read_meta, read_wal, BenchSpec, DurableRun, ExperimentMeta, RunOptions};
 use asha::surrogate::{presets, BenchmarkModel};
+use asha::tune::{Sampler, Searcher};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+const USAGE: &str = "usage: run_report <events.jsonl> [--workers N] [--json PATH] [--demo] \
+     [--seed N] [--scheduler M] [--sampler K] [--store DIR] [--crash-after-jobs N] \
+     [--resume DIR] [--snapshot-jobs N] [--delta-chain N]";
 
 /// Worker count used by `--demo` (the paper's small-cluster regime).
 const DEMO_WORKERS: usize = 25;
@@ -58,7 +62,7 @@ struct Opts {
     demo: bool,
     seed: u64,
     scheduler: String,
-    sampler: Option<String>,
+    sampler: Option<Sampler>,
     store: Option<String>,
     crash_after_jobs: Option<usize>,
     resume: Option<String>,
@@ -93,11 +97,14 @@ fn parse_opts() -> Opts {
                     .next()
                     .unwrap_or_else(|| fail("--scheduler needs a value"))
             }
-            "--sampler" => match args.next().as_deref() {
-                None => fail("--sampler needs a value"),
-                Some("random") => opts.sampler = None,
-                Some(kind) => opts.sampler = Some(kind.to_owned()),
-            },
+            "--sampler" => {
+                let kind = args
+                    .next()
+                    .unwrap_or_else(|| fail("--sampler needs a value"));
+                opts.sampler = Some(Sampler::from_name(&kind).unwrap_or_else(|| {
+                    fail(format!("--sampler: unknown kind {kind:?} (random/tpe/gp)"))
+                }));
+            }
             "--store" => opts.store = args.next(),
             "--crash-after-jobs" => {
                 opts.crash_after_jobs = args.next().and_then(|v| v.parse().ok())
@@ -106,11 +113,7 @@ fn parse_opts() -> Opts {
             "--snapshot-jobs" => opts.snapshot_jobs = args.next().and_then(|v| v.parse().ok()),
             "--delta-chain" => opts.delta_chain = args.next().and_then(|v| v.parse().ok()),
             "--help" | "-h" => {
-                println!(
-                    "usage: run_report <events.jsonl> [--workers N] [--json PATH] [--demo] \
-                     [--seed N] [--store DIR] [--crash-after-jobs N] [--resume DIR] \
-                     [--snapshot-jobs N] [--delta-chain N]"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
             other if !other.starts_with("--") && opts.log.is_none() => {
@@ -130,61 +133,56 @@ fn fail(msg: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
-/// Build the demo scheduler (with its model-based sampler attached, if any)
-/// for the chosen `--scheduler`/`--sampler` kinds; its exported state carries
-/// the right embedded name ("ASHA+tpe", "D-ASHA", …).
-fn demo_scheduler(scheduler: &str, sampler: &Option<String>, space: &SearchSpace) -> Asha {
-    let config = match scheduler {
-        "asha" => AshaConfig::new(1.0, 256.0, 4.0),
-        "dasha" => AshaConfig::new(1.0, 256.0, 4.0).delayed(),
-        other => fail(format!("--scheduler: unknown kind {other:?} (asha/dasha)")),
-    };
-    let sampler =
-        make_sampler(sampler.as_deref().unwrap_or("random"), space).unwrap_or_else(|e| fail(e));
-    Asha::with_sampler(space.clone(), config, sampler)
-}
-
-/// The `--demo` experiment: the same seeded 25-worker chaos simulation the
-/// plain demo runs, described as durable-store metadata.
-fn demo_meta(seed: u64, scheduler: &str, sampler: &Option<String>) -> ExperimentMeta {
+/// The `--demo` experiment: the `--scheduler` / `--sampler` method on a
+/// seeded 25-worker chaos simulation (stragglers + drops), described as
+/// durable-store metadata, and the fresh scheduler its initial state was
+/// taken from.
+fn demo(opts: &Opts) -> (ExperimentMeta, Box<dyn DurableScheduler + Send>) {
     let spec = BenchSpec {
         preset: "cifar10_cuda_convnet".to_owned(),
         seed: presets::DEFAULT_SURFACE_SEED,
     };
-    let bench = spec.build().expect("demo preset exists");
-    let space = bench.space().clone();
-    ExperimentMeta {
+    let space = spec.build().expect("demo preset exists").space().clone();
+    let kind = &opts.scheduler;
+    let mut searcher = Searcher::from_name(kind, 1.0, 256.0, 4.0)
+        .unwrap_or_else(|| fail(format!("--scheduler: unknown method {kind:?}")));
+    let sampler = searcher
+        .sampler_mut()
+        .unwrap_or_else(|| fail(format!("--scheduler: {kind:?} cannot run durably")));
+    *sampler = opts.sampler.unwrap_or(*sampler);
+    let sampler = *sampler;
+    let scheduler = searcher
+        .durable(&space)
+        .expect("a method with a sampler is persistable");
+    let meta = ExperimentMeta {
         name: "run-report-demo".to_owned(),
-        initial: SchedulerState::Asha(demo_scheduler(scheduler, sampler, &space).export_state()),
+        initial: scheduler.durable_state(),
         space,
-        sampler: sampler.clone(),
-        seed,
+        sampler: Some(sampler),
+        seed: opts.seed,
         sim: SimConfig::new(DEMO_WORKERS, 60.0)
             .with_stragglers(0.5)
             .with_drops(0.01),
         bench: spec,
-    }
+    };
+    (meta, scheduler)
 }
 
-/// Run a seeded 25-worker chaos simulation (stragglers + drops) with
-/// recording on and write its event log to `path`.
-fn write_demo_log(path: &str, seed: u64, scheduler: &str, sampler: &Option<String>) {
-    let bench = presets::cifar10_cuda_convnet(presets::DEFAULT_SURFACE_SEED);
-    let sched = demo_scheduler(scheduler, sampler, bench.space());
-    let sim = ClusterSim::new(
-        SimConfig::new(DEMO_WORKERS, 60.0)
-            .with_stragglers(0.5)
-            .with_drops(0.01),
-    );
+/// Run the demo simulation with recording on and write its event log to
+/// `path`.
+fn write_demo_log(path: &str, opts: &Opts) {
+    let (meta, scheduler) = demo(opts);
+    let bench = meta.bench.build().unwrap_or_else(|e| fail(e));
     let mut recorder = RunRecorder::new();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let result = sim.run_recorded(sched, &bench, &mut rng, &mut recorder);
+    let mut rng = StdRng::seed_from_u64(meta.seed);
+    let result = ClusterSim::new(meta.sim).run_recorded(scheduler, &bench, &mut rng, &mut recorder);
     if let Err(e) = recorder.write_jsonl_durable(path) {
         fail(format!("failed to write {path}: {e}"));
     }
     println!(
-        "demo: simulated {} jobs on {DEMO_WORKERS} workers (seed {seed}), wrote {} events to {path}\n",
+        "demo: simulated {} jobs on {DEMO_WORKERS} workers (seed {}), wrote {} events to {path}\n",
         result.jobs_completed,
+        meta.seed,
         recorder.len(),
     );
 }
@@ -192,7 +190,7 @@ fn write_demo_log(path: &str, seed: u64, scheduler: &str, sampler: &Option<Strin
 /// Run the demo through the durable store, optionally dying abruptly after
 /// `crash_after_jobs` completed jobs.
 fn run_demo_store(dir: &Path, opts: &Opts, run_opts: RunOptions) {
-    let meta = demo_meta(opts.seed, &opts.scheduler, &opts.sampler);
+    let (meta, _) = demo(opts);
     let seed = opts.seed;
     let bench = meta.bench.build().unwrap_or_else(|e| fail(e));
     let mut run = DurableRun::create(dir, &meta, &bench, run_opts).unwrap_or_else(|e| fail(e));
@@ -282,15 +280,12 @@ fn main() {
             .log
             .clone()
             .unwrap_or_else(|| "events.jsonl".to_owned());
-        write_demo_log(&path, opts.seed, &opts.scheduler, &opts.sampler);
+        write_demo_log(&path, &opts);
         opts.log = Some(path);
         opts.workers = opts.workers.or(Some(DEMO_WORKERS));
     }
     let Some(log_path) = opts.log else {
-        eprintln!(
-            "usage: run_report <events.jsonl> [--workers N] [--json PATH] [--demo] \
-             [--store DIR] [--crash-after-jobs N] [--resume DIR] [--delta-chain N]"
-        );
+        eprintln!("{USAGE}");
         std::process::exit(2);
     };
 

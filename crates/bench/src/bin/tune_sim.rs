@@ -9,8 +9,9 @@
 //! Flags (all optional except `--bench`):
 //!   --bench       cuda-convnet | small-cnn | svhn | ptb-lstm | dropconnect |
 //!                 svm-vehicle | svm-mnist
-//!   --searcher    asha | sha | hyperband | async-hyperband | bohb | pbt |
-//!                 vizier | fabolas | random           (default asha)
+//!   --searcher    asha | dasha | sha | hyperband | async-hyperband | bohb |
+//!                 pbt | vizier | fabolas | random     (default asha), on the
+//!                 ladder r = max(R/256, 1), R, eta = 4
 //!   --workers     worker count                        (default 25)
 //!   --horizon     simulated-time budget               (default 10 x time(R))
 //!   --stragglers  straggler std (1+|z|)               (default 0)
@@ -55,7 +56,9 @@ fn main() {
         std::process::exit(2);
     };
     let searcher_name = parse_flag(&args, "--searcher").unwrap_or_else(|| "asha".into());
-    let Some(searcher) = Searcher::from_name(&searcher_name, bench.max_resource()) else {
+    let max_r = bench.max_resource();
+    let Some(searcher) = Searcher::from_name(&searcher_name, (max_r / 256.0).max(1.0), max_r, 4.0)
+    else {
         eprintln!("unknown searcher `{searcher_name}`");
         std::process::exit(2);
     };

@@ -136,7 +136,7 @@ fn fig3_methods(space: &SearchSpace) -> Vec<MethodSpec> {
         ),
         MethodSpec::new("PBT", pbt_cifar(space)),
         MethodSpec::new("ASHA", Searcher::asha(asha(256.0))),
-        MethodSpec::new("Hyperband (async)", Searcher::AsyncHyperband(hyperband)),
+        MethodSpec::new("Hyperband (async)", Searcher::async_hyperband(hyperband)),
         MethodSpec::new("BOHB", Searcher::bohb(sha256())),
     ]
 }
@@ -162,7 +162,7 @@ fn fig5_methods(_: &SearchSpace) -> Vec<MethodSpec> {
         MethodSpec::new("ASHA", Searcher::asha(asha(64.0))),
         MethodSpec::new(
             "Hyperband (loop brackets)",
-            Searcher::AsyncHyperband(HyperbandConfig::new(1.0, 64.0, ETA).with_brackets(4)),
+            Searcher::async_hyperband(HyperbandConfig::new(1.0, 64.0, ETA).with_brackets(4)),
         ),
         MethodSpec::new("Vizier", Searcher::Vizier(vizier)),
     ]

@@ -31,6 +31,8 @@ fn scheduler_name(searcher: &Searcher) -> &'static str {
             (Sampler::Random, PromotionRule::Delayed) => "D-ASHA",
             (Sampler::Tpe, PromotionRule::Eager) => "ASHA+TPE",
             (Sampler::Tpe, PromotionRule::Delayed) => "D-ASHA+tpe",
+            (Sampler::Gp, PromotionRule::Eager) => "ASHA+gp",
+            (Sampler::Gp, PromotionRule::Delayed) => "D-ASHA+gp",
         },
         Searcher::Sha {
             sampler: Sampler::Random,
@@ -40,8 +42,16 @@ fn scheduler_name(searcher: &Searcher) -> &'static str {
             sampler: Sampler::Tpe,
             ..
         } => "BOHB",
+        Searcher::Sha {
+            sampler: Sampler::Gp,
+            ..
+        } => "SHA+gp",
         Searcher::Hyperband(_) => "Hyperband",
-        Searcher::AsyncHyperband(_) => "Hyperband (async)",
+        Searcher::AsyncHyperband { sampler, .. } => match sampler {
+            Sampler::Random => "Hyperband (async)",
+            Sampler::Tpe => "Hyperband (async)+tpe",
+            Sampler::Gp => "Hyperband (async)+gp",
+        },
         Searcher::Pbt(_) => "PBT",
         Searcher::Vizier(_) => "Vizier",
         Searcher::Fabolas(_) => "Fabolas",
@@ -70,7 +80,7 @@ fn every_method_validates_and_builds_the_scheduler_it_names() {
                 let valid = match &method.searcher {
                     Searcher::Asha { config, .. } => config.validate(),
                     Searcher::Sha { config, .. } => config.validate(),
-                    Searcher::Hyperband(config) | Searcher::AsyncHyperband(config) => {
+                    Searcher::Hyperband(config) | Searcher::AsyncHyperband { config, .. } => {
                         config.validate()
                     }
                     _ => Ok(()),

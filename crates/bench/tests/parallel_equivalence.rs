@@ -17,7 +17,7 @@ fn methods(_: &CurveBenchmark) -> Vec<MethodSpec> {
         MethodSpec::new("ASHA", Searcher::asha(AshaConfig::new(1.0, R, 4.0))),
         MethodSpec::new(
             "AsyncHB",
-            Searcher::AsyncHyperband(HyperbandConfig::new(1.0, R, 4.0).with_brackets(4)),
+            Searcher::async_hyperband(HyperbandConfig::new(1.0, R, 4.0).with_brackets(4)),
         ),
         MethodSpec::new("Random", Searcher::Random { max_resource: R }),
     ]

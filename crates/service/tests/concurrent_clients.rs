@@ -11,6 +11,7 @@ use std::thread;
 use std::time::Duration;
 
 use asha_core::{Asha, AshaConfig, ErrorKind};
+use asha_metrics::JsonValue;
 use asha_service::{
     encode_frame, Client, Daemon, Frame, FrameReader, Push, Reply, Request, ServeOptions,
     DEFAULT_MAX_FRAME,
@@ -260,7 +261,9 @@ fn unix_socket_serves_subscribers_and_pause_resume() {
 /// A `create` frame whose config parses but cannot build a ladder or a
 /// simulator must come back as a typed `config` error — not reach a
 /// panicking constructor under the supervisor lock, which used to poison
-/// the mutex and take the housekeeper and every later `create` down.
+/// the mutex and take the housekeeper and every later `create` down. A
+/// `sampler` no method has is refused the same way, at decode: no refused
+/// create may leave a directory behind.
 #[test]
 fn hostile_create_frames_get_typed_errors_and_the_daemon_keeps_serving() {
     let root = tmp_root("hostile");
@@ -308,10 +311,48 @@ fn hostile_create_frames_get_typed_errors_and_the_daemon_keeps_serving() {
         // The same connection is neither wedged nor closed.
         first.ping().unwrap_or_else(|e| panic!("{what}: ping: {e}"));
     }
+    // No `ExperimentMeta` encodes these, so they go out as raw frames.
+    let with_sampler = |sampler: JsonValue| {
+        let request = Request::Create {
+            meta: small_meta("hostile"),
+            opts: opts(),
+        };
+        let mut frame = request.to_frame(9);
+        let JsonValue::Obj(fields) = &mut frame else {
+            unreachable!("a frame is an object")
+        };
+        let Some((_, JsonValue::Obj(meta))) = fields.iter_mut().find(|(key, _)| key == "meta")
+        else {
+            unreachable!("a create frame carries its meta")
+        };
+        meta.push(("sampler".to_owned(), sampler));
+        encode_frame(&frame)
+    };
+    let mut raw = TcpStream::connect(&addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    let mut replies = FrameReader::new(raw.try_clone().unwrap());
+    for (what, sampler) in [
+        ("sampler \"bogus\"", JsonValue::Str("bogus".to_owned())),
+        ("sampler 5", JsonValue::Int(5)),
+    ] {
+        raw.write_all(with_sampler(sampler).as_bytes()).unwrap();
+        let (id, reply) = match replies.read_frame() {
+            Ok(Frame::Value(frame)) => Reply::from_frame(&frame, "create").unwrap(),
+            other => panic!("{what}: no reply frame: {other:?}"),
+        };
+        let err = reply.expect_err("a create naming no sampler must be refused");
+        assert_eq!((id, err.kind()), (9, ErrorKind::Config), "{what}: {err}");
+    }
     assert!(
         first.list().unwrap().is_empty(),
         "no hostile frame may leave an experiment behind"
     );
+    let left: Vec<_> = std::fs::read_dir(&root)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.is_dir())
+        .collect();
+    assert!(left.is_empty(), "a refused create left {left:?} behind");
 
     // A second connection finds a fully working daemon: create, start and a
     // complete subscription, which the first connection can follow too.

@@ -2,6 +2,7 @@
 //! must survive encode → render → parse → decode unchanged, and version /
 //! error handling must follow the documented rules.
 
+use asha_baselines::Sampler;
 use asha_core::{Asha, AshaConfig, Error, ErrorKind, Scheduler};
 use asha_metrics::JsonValue;
 use asha_service::proto::{run_options_from_json, run_options_to_json};
@@ -40,12 +41,13 @@ fn dasha_tpe_meta() -> ExperimentMeta {
     };
     let bench = spec.build().unwrap();
     let space = bench.space().clone();
-    let dasha = asha_baselines::dasha_tpe(space.clone(), AshaConfig::new(1.0, 27.0, 3.0));
+    let config = AshaConfig::new(1.0, 27.0, 3.0).delayed();
+    let dasha = Asha::with_sampler(space.clone(), config, Sampler::Tpe.build(&space));
     ExperimentMeta {
         name: "proto-roundtrip-dasha-tpe".to_owned(),
         space,
         initial: SchedulerState::Asha(dasha.export_state()),
-        sampler: Some("tpe".to_owned()),
+        sampler: Some(Sampler::Tpe),
         seed: 7,
         sim: asha_sim::SimConfig::new(4, 60.0),
         bench: spec,
@@ -138,7 +140,7 @@ fn dasha_tpe_create_round_trips_scheduler_and_sampler() {
     let Request::Create { meta: back, .. } = decoded else {
         panic!("decoded to a different op");
     };
-    assert_eq!(back.sampler.as_deref(), Some("tpe"));
+    assert_eq!(back.sampler, Some(Sampler::Tpe));
     assert_eq!(
         back.initial.kind(),
         "dasha",
@@ -146,12 +148,11 @@ fn dasha_tpe_create_round_trips_scheduler_and_sampler() {
     );
     // The decoded meta must rebuild into the same named scheduler the
     // daemon would run: delayed promotion with the TPE sampler attached.
-    let rebuilt = asha_store::StoredScheduler::from_state_with_sampler(
+    let rebuilt = asha_store::StoredScheduler::from_state(
         back.space.clone(),
         back.initial,
-        back.sampler.as_deref().unwrap(),
-    )
-    .unwrap();
+        back.sampler.unwrap(),
+    );
     assert_eq!(rebuilt.export_state().kind(), "dasha");
     assert_eq!(rebuilt.name(), "D-ASHA+tpe");
 }

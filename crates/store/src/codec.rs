@@ -80,7 +80,7 @@ pub fn float_from_json(v: &JsonValue) -> Result<f64, Error> {
     }
 }
 
-fn get<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, Error> {
+pub(crate) fn get<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, Error> {
     v.get(key)
         .ok_or_else(|| Error::codec(format!("missing field {key:?}")))
 }
@@ -103,7 +103,7 @@ fn get_f64(v: &JsonValue, key: &str) -> Result<f64, Error> {
     f64_field(get(v, key)?, key)
 }
 
-fn get_u64(v: &JsonValue, key: &str) -> Result<u64, Error> {
+pub(crate) fn get_u64(v: &JsonValue, key: &str) -> Result<u64, Error> {
     u64_field(get(v, key)?, key)
 }
 
@@ -115,13 +115,24 @@ fn get_bool(v: &JsonValue, key: &str) -> Result<bool, Error> {
     bool_field(get(v, key)?, key)
 }
 
-fn get_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, Error> {
+pub(crate) fn get_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, Error> {
     get(v, key)?
         .as_str()
         .ok_or_else(|| Error::codec(format!("field {key:?}: expected a string")))
 }
 
-fn get_arr<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], Error> {
+/// Refuse a document whose `schema` tag is none of `known`.
+pub(crate) fn check_schema(v: &JsonValue, known: &[&str]) -> Result<(), Error> {
+    let schema = get_str(v, "schema")?;
+    if known.contains(&schema) {
+        return Ok(());
+    }
+    Err(Error::codec(format!(
+        "unsupported schema {schema:?} (expected one of {known:?})"
+    )))
+}
+
+pub(crate) fn get_arr<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], Error> {
     get(v, key)?
         .as_array()
         .ok_or_else(|| Error::codec(format!("field {key:?}: expected an array")))

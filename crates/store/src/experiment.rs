@@ -25,6 +25,7 @@
 
 use std::path::{Path, PathBuf};
 
+use asha_baselines::Sampler;
 use asha_core::telemetry::{Event, EventKind, IdleKind, Recorder};
 use asha_core::{Decision, Durability, Observation, Scheduler, SchedulerState, TrialId};
 use asha_metrics::JsonValue;
@@ -91,11 +92,11 @@ pub struct ExperimentMeta {
     pub space: SearchSpace,
     /// The scheduler's initial exported state.
     pub initial: SchedulerState,
-    /// Sampler kind attached to the scheduler (`"tpe"`, `"gp"`); `None`
-    /// means the default uniform random sampler. Stored here — not in the
-    /// scheduler state — because samplers are code: the store records how
-    /// to rebuild one, and snapshots carry the model cursor.
-    pub sampler: Option<String>,
+    /// The sampler attached to the scheduler; `None` means
+    /// [`Sampler::Random`]. Stored here — not in the scheduler state —
+    /// because samplers are code: the store records which one to rebuild
+    /// (a resume takes it from here alone), snapshots its model cursor.
+    pub sampler: Option<Sampler>,
     /// Seed of the run's RNG.
     pub seed: u64,
     /// Simulation parameters.
@@ -113,13 +114,14 @@ impl ExperimentMeta {
     }
 
     fn put(&self, w: &mut ValueWriter<'_>) {
-        w.obj(7 + usize::from(self.sampler.is_some()));
+        let sampler = self.sampler.filter(|&kind| kind != Sampler::Random);
+        w.obj(7 + usize::from(sampler.is_some()));
         w.key("schema").str(META_SCHEMA);
         w.key("name").str(&self.name);
         codec::put_space(w.key("space"), &self.space);
         codec::put_scheduler_state(w.key("scheduler"), &self.initial);
-        if let Some(kind) = &self.sampler {
-            w.key("sampler").str(kind);
+        if let Some(kind) = sampler {
+            w.key("sampler").str(kind.name());
         }
         w.key("seed").int(self.seed);
         codec::put_sim_config(w.key("sim"), &self.sim);
@@ -128,44 +130,25 @@ impl ExperimentMeta {
         w.key("seed").int(self.bench.seed);
     }
 
-    /// Decode, verifying the schema tag.
+    /// Decode, verifying the schema tag. A `sampler` that is not the name
+    /// of a [`Sampler`] is a `config` error.
     pub fn from_json(v: &JsonValue) -> Result<Self, Error> {
-        let schema = v
-            .get("schema")
-            .and_then(|s| s.as_str())
-            .ok_or("meta missing schema")?;
-        if schema != META_SCHEMA {
-            return Err(Error::codec(format!(
-                "unsupported meta schema {schema:?} (expected {META_SCHEMA:?})"
-            )));
-        }
-        let bench = v.get("bench").ok_or("meta missing bench")?;
+        codec::check_schema(v, &[META_SCHEMA])?;
+        let bench = codec::get(v, "bench")?;
+        let sampler = |s: &JsonValue| {
+            let unknown = || Error::config(format!("unknown sampler {}", s.render_compact()));
+            s.as_str().and_then(Sampler::from_name).ok_or_else(unknown)
+        };
         Ok(ExperimentMeta {
-            name: v
-                .get("name")
-                .and_then(|n| n.as_str())
-                .ok_or("meta missing name")?
-                .to_owned(),
-            space: codec::space_from_json(v.get("space").ok_or("meta missing space")?)?,
-            initial: codec::scheduler_state_from_json(
-                v.get("scheduler").ok_or("meta missing scheduler")?,
-            )?,
-            sampler: v.get("sampler").and_then(|s| s.as_str()).map(str::to_owned),
-            seed: v
-                .get("seed")
-                .and_then(|s| s.as_u64())
-                .ok_or("meta missing seed")?,
-            sim: codec::sim_config_from_json(v.get("sim").ok_or("meta missing sim")?)?,
+            name: codec::get_str(v, "name")?.to_owned(),
+            space: codec::space_from_json(codec::get(v, "space")?)?,
+            initial: codec::scheduler_state_from_json(codec::get(v, "scheduler")?)?,
+            sampler: v.get("sampler").map(sampler).transpose()?,
+            seed: codec::get_u64(v, "seed")?,
+            sim: codec::sim_config_from_json(codec::get(v, "sim")?)?,
             bench: BenchSpec {
-                preset: bench
-                    .get("preset")
-                    .and_then(|p| p.as_str())
-                    .ok_or("bench missing preset")?
-                    .to_owned(),
-                seed: bench
-                    .get("seed")
-                    .and_then(|s| s.as_u64())
-                    .ok_or("bench missing seed")?,
+                preset: codec::get_str(bench, "preset")?.to_owned(),
+                seed: codec::get_u64(bench, "seed")?,
             },
         })
     }
@@ -338,22 +321,22 @@ pub struct DurableRun<'b> {
 
 impl<'b> DurableRun<'b> {
     /// Initialize a fresh experiment directory and the run driving it.
-    /// Writes `meta.json`, starts the WAL, and takes snapshot 0 (the
-    /// pristine state), so the directory is recoverable from the first
-    /// instant.
+    /// Builds the scheduler first, then writes `meta.json`, starts the WAL,
+    /// and takes snapshot 0 (the pristine state), so the directory is
+    /// recoverable from the first instant.
     pub fn create(
         dir: &Path,
         meta: &ExperimentMeta,
         bench: &'b dyn asha_surrogate::BenchmarkModel,
         opts: RunOptions,
     ) -> Result<Self, StoreError> {
-        std::fs::create_dir_all(dir).map_err(|e| StoreError::io(dir, e))?;
-        write_meta(dir, meta)?;
-        let scheduler = StoredScheduler::from_state_with_sampler(
+        let scheduler = StoredScheduler::from_state(
             meta.space.clone(),
             meta.initial.clone(),
-            meta.sampler.as_deref().unwrap_or("random"),
-        )?;
+            meta.sampler.unwrap_or_default(),
+        );
+        std::fs::create_dir_all(dir).map_err(|e| StoreError::io(dir, e))?;
+        write_meta(dir, meta)?;
         let mut wal = WalWriter::create(&dir.join(WAL_FILE), opts.sync)?;
         wal.append(&WalRecord::Meta {
             time: 0.0,
@@ -438,28 +421,20 @@ impl<'b> DurableRun<'b> {
                 ),
             ));
         }
-        snap.check_configs(&meta.space)
+        // The method comes from `meta.json` alone.
+        let sampler = meta.sampler.unwrap_or_default();
+        snap.check_fits(&meta.space, sampler)
             .map_err(|e| e.corrupt_at(&snap_path))?;
         rewrite_to_marker(&wal_path, &contents, marker)?;
         let sim_state = snap.sim.ok_or_else(|| {
             StoreError::corrupt(&snap_path, "snapshot has no simulator state to resume")
         })?;
         // Rebuild the sampling plane alongside the scheduler: a fresh
-        // sampler of the recorded kind, rehydrated from the snapshot's
+        // sampler of the experiment's kind, rehydrated from the snapshot's
         // cursors, so an adaptive sampler resumes warm — not silently reset
         // to cold — and the recovered run stays byte-identical.
-        let sampler_kind = snap
-            .sampler
-            .as_ref()
-            .map(|spec| spec.kind.as_str())
-            .or(meta.sampler.as_deref())
-            .unwrap_or("random");
-        let mut scheduler = StoredScheduler::from_state_with_sampler(
-            meta.space.clone(),
-            snap.scheduler,
-            sampler_kind,
-        )
-        .map_err(|e| e.corrupt_at(&snap_path))?;
+        let mut scheduler =
+            StoredScheduler::from_state(meta.space.clone(), snap.scheduler, sampler);
         if let Some(spec) = &snap.sampler {
             scheduler.restore_sampler_spec(spec);
         }
@@ -539,11 +514,7 @@ impl<'b> DurableRun<'b> {
             }
         } else if !self.finished_recorded {
             self.finished_recorded = true;
-            let record = WalRecord::Meta {
-                time: self.engine.now(),
-                event: StoreEvent::ExperimentFinished,
-            };
-            self.recorder.writer().append(&record)?;
+            self.append_meta(StoreEvent::ExperimentFinished)?;
             self.write_snapshot()?;
         }
         Ok(alive)
@@ -572,22 +543,22 @@ impl<'b> DurableRun<'b> {
     /// and the run resumes from exactly here.
     pub fn mark_paused(&mut self) -> Result<(), StoreError> {
         self.write_snapshot()?;
-        let record = WalRecord::Meta {
-            time: self.engine.now(),
-            event: StoreEvent::Paused,
-        };
-        self.recorder.writer().append(&record)?;
+        self.append_meta(StoreEvent::Paused)?;
         self.recorder.writer().sync()
     }
 
     /// Append a `resumed` marker after a pause.
     pub fn mark_resumed(&mut self) -> Result<(), StoreError> {
-        let record = WalRecord::Meta {
-            time: self.engine.now(),
-            event: StoreEvent::Resumed,
-        };
-        self.recorder.writer().append(&record)?;
+        self.append_meta(StoreEvent::Resumed)?;
         self.recorder.writer().sync()
+    }
+
+    /// Append a lifecycle record stamped with the run's clock.
+    fn append_meta(&mut self, event: StoreEvent) -> Result<(), StoreError> {
+        let time = self.engine.now();
+        self.recorder
+            .writer()
+            .append(&WalRecord::Meta { time, event })
     }
 
     /// Take a checkpoint now (also called automatically on the job cadence

@@ -113,8 +113,8 @@ pub use crate::experiment::{
 pub use crate::format::{DecodeStep, EncodeBuf};
 pub use crate::metrics::StoreMetrics;
 pub use crate::snapshot::{
-    delta_file_name, list_snapshots, load_latest, make_sampler, read_document, write_document,
-    DeltaDoc, SamplerSpec, Snapshot, StoredScheduler, DELTA_SCHEMA, SNAPSHOT_SCHEMA,
+    delta_file_name, list_snapshots, load_latest, read_document, write_document, DeltaDoc,
+    SamplerSpec, Snapshot, StoredScheduler, DELTA_SCHEMA, SNAPSHOT_SCHEMA,
 };
 pub use crate::supervisor::{
     read_manifest, ExperimentStatus, ExperimentSupervisor, ManifestEntry, StatusListener,

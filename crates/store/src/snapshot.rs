@@ -23,10 +23,10 @@ use std::io::Write;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use asha_baselines::{GpSampler, GpSamplerConfig, TpeConfig, TpeSampler};
+use asha_baselines::Sampler;
 use asha_core::{
-    Asha, AsyncHyperband, ConfigSampler, Decision, DurableScheduler, Observation, Scheduler,
-    SchedulerState, SyncSha,
+    Asha, AsyncHyperband, Decision, DurableScheduler, Observation, Scheduler, SchedulerState,
+    SyncSha,
 };
 use asha_metrics::JsonValue;
 use asha_sim::SimRunState;
@@ -48,7 +48,7 @@ const SNAPSHOT_SCHEMA_V1: &str = "asha-store-snapshot-v1";
 /// Schema tag written into every delta-snapshot file.
 pub const DELTA_SCHEMA: &str = "asha-store-delta-v1";
 
-/// The sampling-plane half of a snapshot: which [`ConfigSampler`] kind the
+/// The sampling-plane half of a snapshot: which [`Sampler`] kind the
 /// scheduler runs and each sampler instance's serialized model cursor.
 ///
 /// `cursors` holds one entry per sampler instance — a single element for
@@ -56,10 +56,10 @@ pub const DELTA_SCHEMA: &str = "asha-store-delta-v1";
 /// means that instance keeps no cursor (stateless sampler).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SamplerSpec {
-    /// Sampler kind tag: `"tpe"` or `"gp"` (the random sampler is encoded
-    /// as the *absence* of a spec, keeping random-run snapshots
-    /// byte-identical to earlier store versions).
-    pub kind: String,
+    /// The sampler's kind, written as its name: `"tpe"` or `"gp"` (the
+    /// random sampler is encoded as the *absence* of a spec, keeping
+    /// random-run snapshots byte-identical to earlier store versions).
+    pub kind: Sampler,
     /// Per-instance serialized cursors.
     pub cursors: Vec<Option<String>>,
 }
@@ -67,7 +67,7 @@ pub struct SamplerSpec {
 impl SamplerSpec {
     fn put(&self, w: &mut ValueWriter<'_>) {
         w.obj(2);
-        w.key("kind").str(&self.kind);
+        w.key("kind").str(self.kind.name());
         w.key("cursors").arr(self.cursors.len());
         for cursor in &self.cursors {
             match cursor {
@@ -84,35 +84,19 @@ impl SamplerSpec {
 
     /// Decode from JSON written by [`SamplerSpec::to_json`].
     pub fn from_json(v: &JsonValue) -> Result<Self, Error> {
-        let kind = v
-            .get("kind")
-            .and_then(|k| k.as_str())
-            .ok_or("sampler spec missing kind")?
-            .to_owned();
-        let cursors = match v.get("cursors") {
-            Some(JsonValue::Arr(items)) => items
-                .iter()
-                .map(|c| match c {
-                    JsonValue::Null => Ok(None),
-                    JsonValue::Str(s) => Ok(Some(s.clone())),
-                    _ => Err(Error::codec("sampler cursor must be string or null")),
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err(Error::codec("sampler spec missing cursors")),
-        };
+        let kind = codec::get_str(v, "kind")?;
+        let kind = Sampler::from_name(kind)
+            .ok_or_else(|| Error::codec(format!("unknown sampler kind {kind:?}")))?;
+        let cursors = codec::get_arr(v, "cursors")?
+            .iter()
+            .map(|c| match c {
+                JsonValue::Null => Ok(None),
+                JsonValue::Str(s) => Ok(Some(s.clone())),
+                _ => Err(Error::codec("sampler cursor must be string or null")),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(SamplerSpec { kind, cursors })
     }
-}
-
-/// Build a fresh sampler of the named kind over `space`. Fails on an
-/// unknown kind (e.g. a store written by a newer version).
-pub fn make_sampler(kind: &str, space: &SearchSpace) -> Result<Box<dyn ConfigSampler>, Error> {
-    Ok(match kind {
-        "random" => Box::new(asha_core::RandomSampler::new()),
-        "tpe" => Box::new(TpeSampler::new(space.clone(), TpeConfig::default())),
-        "gp" => Box::new(GpSampler::new(space.clone(), GpSamplerConfig::default())),
-        other => return Err(Error::codec(format!("unknown sampler kind {other:?}"))),
-    })
 }
 
 /// A scheduler of any durable kind, restorable from a [`SchedulerState`].
@@ -120,7 +104,7 @@ pub fn make_sampler(kind: &str, space: &SearchSpace) -> Result<Box<dyn ConfigSam
 /// The store cannot be generic over the scheduler type (the kind is data,
 /// read from a file), so it holds the scheduler behind
 /// [`DurableScheduler`]; the one place that still names the concrete
-/// types is the restore in [`StoredScheduler::from_state_with_sampler`].
+/// types is the restore in [`StoredScheduler::from_state`].
 #[derive(Debug)]
 pub struct StoredScheduler(Box<dyn DurableScheduler>);
 
@@ -135,64 +119,48 @@ impl StoredScheduler {
         self.0.durable_state()
     }
 
-    /// Rebuild a scheduler from an exported state, with uniform random
-    /// sampling (see [`StoredScheduler::from_state_with_sampler`] for
-    /// model-based samplers).
-    pub fn from_state(space: SearchSpace, state: SchedulerState) -> Self {
-        StoredScheduler::from_state_with_sampler(space, state, "random")
-            .expect("the random sampler is always known")
-    }
-
-    /// Rebuild a scheduler from an exported state with a fresh sampler of
-    /// the named kind attached (`"random"`, `"tpe"`, or `"gp"`). The
-    /// sampler starts cold; restore its model with
+    /// Rebuild a scheduler from an exported state with a fresh, cold
+    /// `sampler` attached: the one restore, of a run's initial state and of
+    /// a checkpoint alike. Rehydrate a checkpoint's sampler model with
     /// [`StoredScheduler::restore_sampler_spec`].
     ///
-    /// Fails on an unknown sampler kind.
-    pub fn from_state_with_sampler(
-        space: SearchSpace,
-        state: SchedulerState,
-        sampler_kind: &str,
-    ) -> Result<Self, Error> {
-        // Built (and so validated) up front: the hyperband factory below
-        // must be infallible.
-        let sampler = make_sampler(sampler_kind, &space)?;
-        Ok(match state {
-            SchedulerState::Asha(s) => {
-                StoredScheduler::new(Asha::from_state_with_sampler(space, s, sampler))
-            }
+    /// # Panics
+    ///
+    /// Panics if the state's config is invalid (the decoders refuse one).
+    pub fn from_state(space: SearchSpace, state: SchedulerState, sampler: Sampler) -> Self {
+        let fresh = {
+            let space = space.clone();
+            move |_| sampler.build(&space)
+        };
+        StoredScheduler(match state {
+            SchedulerState::Asha(s) => Box::new(Asha::from_state_with_sampler(space, s, fresh(0))),
             SchedulerState::SyncSha(s) => {
-                StoredScheduler::new(SyncSha::from_state_with_sampler(space, s, sampler))
+                Box::new(SyncSha::from_state_with_sampler(space, s, fresh(0)))
             }
-            SchedulerState::AsyncHyperband(s) => {
-                let factory_space = space.clone();
-                StoredScheduler::new(AsyncHyperband::from_state_with_sampler_factory(
-                    space,
-                    s,
-                    move |_| {
-                        make_sampler(sampler_kind, &factory_space)
-                            .expect("sampler kind validated above")
-                    },
-                ))
-            }
+            SchedulerState::AsyncHyperband(s) => Box::new(
+                AsyncHyperband::from_state_with_sampler_factory(space, s, fresh),
+            ),
         })
     }
 
     /// Export the sampling plane's state for a snapshot. `None` for the
     /// random sampler (nothing to persist — and random-run snapshot bytes
-    /// stay identical to earlier store versions).
+    /// stay identical to earlier store versions) and for a sampler no
+    /// [`Sampler`] names, which no store can rebuild.
     pub fn export_sampler_spec(&self) -> Option<SamplerSpec> {
-        let kind = self.0.sampler_name();
-        (kind != "random").then(|| SamplerSpec {
-            kind: kind.to_owned(),
+        let kind = Sampler::from_name(self.0.sampler_name())?;
+        (kind != Sampler::Random).then(|| SamplerSpec {
+            kind,
             cursors: self.0.sampler_cursors(),
         })
     }
 
     /// Restore the sampling plane from a snapshot's [`SamplerSpec`]:
-    /// rehydrates each sampler instance's model cursor. A kind mismatch or
-    /// malformed cursor leaves the affected sampler cold (samplers reject
-    /// foreign cursors atomically) rather than failing recovery.
+    /// rehydrates each sampler instance's model cursor. A malformed cursor
+    /// leaves the affected sampler cold (samplers reject foreign cursors
+    /// atomically) rather than failing recovery; a spec of another kind
+    /// than the experiment's is refused before this, by
+    /// [`crate::DurableRun::resume`].
     pub fn restore_sampler_spec(&mut self, spec: &SamplerSpec) {
         self.0.restore_sampler_cursors(&spec.cursors);
     }
@@ -249,13 +217,21 @@ impl Snapshot {
         Some(dir.join(Self::file_name(seq))).filter(|path| path.exists())
     }
 
-    /// Check every stored configuration against the experiment's `space`
-    /// ([`SearchSpace::check`]): the scheduler's trials, the simulator's
-    /// in-flight and retry jobs, and the incumbent. The config decoder
-    /// accepts any tagged values, so this is where a document that is
-    /// well-formed but not of this experiment is refused — before it
-    /// reaches a benchmark model, which panics on a foreign config.
-    pub(crate) fn check_configs(&self, space: &SearchSpace) -> Result<(), Error> {
+    /// Check that the snapshot is of the experiment with `space` and
+    /// `sampler`: its sampler spec is of that kind (none for
+    /// [`Sampler::Random`]), and every stored configuration fits the space
+    /// ([`SearchSpace::check`]) — the scheduler's trials, the simulator's
+    /// in-flight and retry jobs, and the incumbent. The decoders accept any
+    /// well-formed document, so this is where one not of this experiment is
+    /// refused: before its cursors reach a sampler of another kind, and its
+    /// configs a benchmark model, which panics on a foreign config.
+    pub(crate) fn check_fits(&self, space: &SearchSpace, sampler: Sampler) -> Result<(), Error> {
+        let stored = self.sampler.as_ref().map_or(Sampler::Random, |s| s.kind);
+        if stored != sampler {
+            let (stored, sampler) = (stored.name(), sampler.name());
+            let msg = format!("{stored} checkpoint of a {sampler} experiment");
+            return Err(Error::codec(msg));
+        }
         let check = |config: &Config| {
             space
                 .check(config)
@@ -312,42 +288,21 @@ impl Snapshot {
 
     /// Decode a snapshot of either schema, verifying the tag.
     pub fn from_json(v: &JsonValue) -> Result<Self, Error> {
-        let schema = v
-            .get("schema")
-            .and_then(|s| s.as_str())
-            .ok_or("snapshot missing schema")?;
-        if schema != SNAPSHOT_SCHEMA && schema != SNAPSHOT_SCHEMA_V1 {
-            return Err(Error::codec(format!(
-                "unsupported snapshot schema {schema:?} (expected {SNAPSHOT_SCHEMA:?} or {SNAPSHOT_SCHEMA_V1:?})"
-            )));
-        }
-        let sim = {
-            let s = v.get("sim").ok_or("snapshot missing sim")?;
-            if s.is_null() {
-                None
-            } else {
-                Some(codec::sim_run_state_from_json(s)?)
-            }
-        };
+        codec::check_schema(v, &[SNAPSHOT_SCHEMA, SNAPSHOT_SCHEMA_V1])?;
+        let sim = codec::get(v, "sim")?;
         Ok(Snapshot {
-            seq: v
-                .get("seq")
-                .and_then(|s| s.as_u64())
-                .ok_or("snapshot missing seq")?,
-            events: v
-                .get("events")
-                .and_then(|s| s.as_u64())
-                .ok_or("snapshot missing events")?,
-            scheduler: codec::scheduler_state_from_json(
-                v.get("scheduler").ok_or("snapshot missing scheduler")?,
-            )?,
+            seq: codec::get_u64(v, "seq")?,
+            events: codec::get_u64(v, "events")?,
+            scheduler: codec::scheduler_state_from_json(codec::get(v, "scheduler")?)?,
             sampler: match v.get("sampler") {
-                None => None,
-                Some(JsonValue::Null) => None,
+                None | Some(JsonValue::Null) => None,
                 Some(spec) => Some(SamplerSpec::from_json(spec)?),
             },
-            rng: codec::rng_state_from_json(v.get("rng").ok_or("snapshot missing rng")?)?,
-            sim,
+            rng: codec::rng_state_from_json(codec::get(v, "rng")?)?,
+            sim: match sim {
+                JsonValue::Null => None,
+                sim => Some(codec::sim_run_state_from_json(sim)?),
+            },
         })
     }
 }
@@ -410,29 +365,12 @@ impl DeltaDoc {
 
     /// Decode, verifying the schema tag.
     pub fn from_json(v: &JsonValue) -> Result<Self, Error> {
-        let schema = v
-            .get("schema")
-            .and_then(|s| s.as_str())
-            .ok_or("delta missing schema")?;
-        if schema != DELTA_SCHEMA {
-            return Err(Error::codec(format!(
-                "unsupported delta schema {schema:?} (expected {DELTA_SCHEMA:?})"
-            )));
-        }
+        codec::check_schema(v, &[DELTA_SCHEMA])?;
         Ok(DeltaDoc {
-            snap: v
-                .get("snap")
-                .and_then(|s| s.as_u64())
-                .ok_or("delta missing snap")?,
-            delta: v
-                .get("delta")
-                .and_then(|s| s.as_u64())
-                .ok_or("delta missing delta")?,
-            events: v
-                .get("events")
-                .and_then(|s| s.as_u64())
-                .ok_or("delta missing events")?,
-            patch: v.get("patch").ok_or("delta missing patch")?.clone(),
+            snap: codec::get_u64(v, "snap")?,
+            delta: codec::get_u64(v, "delta")?,
+            events: codec::get_u64(v, "events")?,
+            patch: codec::get(v, "patch")?.clone(),
         })
     }
 }

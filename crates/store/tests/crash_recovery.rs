@@ -5,7 +5,7 @@
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 
-use asha_baselines::{bohb_asha, dasha_tpe};
+use asha_baselines::{bohb_asha, Sampler};
 use asha_core::{Asha, AshaConfig, Decision, Observation, Scheduler};
 use asha_sim::{SimConfig, SimResult};
 use asha_space::{Config, ParamValue};
@@ -60,7 +60,10 @@ fn tpe_meta(name: &str, seed: u64, delayed: bool) -> ExperimentMeta {
     let space = bench.space().clone();
     let config = AshaConfig::new(1.0, 27.0, 3.0);
     let initial = if delayed {
-        SchedulerState::Asha(dasha_tpe(space.clone(), config).export_state())
+        let sampler = Sampler::Tpe.build(&space);
+        SchedulerState::Asha(
+            Asha::with_sampler(space.clone(), config.delayed(), sampler).export_state(),
+        )
     } else {
         SchedulerState::Asha(bohb_asha(space.clone(), config).export_state())
     };
@@ -68,7 +71,7 @@ fn tpe_meta(name: &str, seed: u64, delayed: bool) -> ExperimentMeta {
         name: name.to_owned(),
         space,
         initial,
-        sampler: Some("tpe".to_owned()),
+        sampler: Some(Sampler::Tpe),
         seed,
         sim: SimConfig::new(6, 50.0)
             .with_stragglers(0.4)
@@ -190,8 +193,8 @@ fn recovery_with_model_sampler_matches_uninterrupted_run() {
 
             let recovered_meta = read_meta(&dir).unwrap();
             assert_eq!(
-                recovered_meta.sampler.as_deref(),
-                Some("tpe"),
+                recovered_meta.sampler,
+                Some(Sampler::Tpe),
                 "sampler kind must survive the meta roundtrip"
             );
             let bench2 = recovered_meta.bench.build().unwrap();
@@ -325,7 +328,7 @@ fn wal_suffix_replay_reconstructs_scheduler_decisions() {
     }
 
     let (state, rng_words, skip) = snapshot.expect("snapshot point reached");
-    let mut restored = StoredScheduler::from_state(space, state);
+    let mut restored = StoredScheduler::from_state(space, state, Sampler::Random);
     let mut replay_rng = StdRng::from_state(rng_words);
     let replayed = replay_scheduler(&mut restored, &mut replay_rng, &records, skip).unwrap();
     assert!(replayed > 0, "suffix must contain events to replay");

@@ -13,6 +13,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
+use asha_baselines::Sampler;
 use asha_core::telemetry::{DropCause, Event, EventKind, IdleKind};
 use asha_core::{Asha, AshaConfig};
 use asha_metrics::JsonValue;
@@ -22,9 +23,9 @@ use asha_store::delta::{apply_bytes, diff_bytes};
 use asha_store::format::{decode_step, encode_document, encode_record, WAL_MAGIC};
 use asha_store::{
     delta_file_name, read_meta, read_wal, upgrade, BenchSpec, DecodeStep, DeltaDoc, Durability,
-    DurableRun, EncodeBuf, ExperimentMeta, ExperimentStatus, ExperimentSupervisor, RunOptions,
-    SchedulerState, SnapMarker, Snapshot, StoreEvent, WalRecord, WalTail, MANIFEST_FILE,
-    MANIFEST_SCHEMA, SNAPSHOT_SCHEMA, WAL_FILE,
+    DurableRun, EncodeBuf, ErrorKind, ExperimentMeta, ExperimentStatus, ExperimentSupervisor,
+    RunOptions, SchedulerState, SnapMarker, Snapshot, StoreEvent, WalRecord, WalTail,
+    MANIFEST_FILE, MANIFEST_SCHEMA, SNAPSHOT_SCHEMA, WAL_FILE,
 };
 use asha_surrogate::BenchmarkModel;
 use proptest::prelude::*;
@@ -515,6 +516,34 @@ fn pre_redesign_fixture_opens_and_resumes() {
 #[test]
 fn dasha_tpe_fixture_opens_and_resumes() {
     fixture_opens_resumes_and_reencodes("dasha-tpe-store", "dasha");
+}
+
+/// The method comes from `meta.json` alone. The `dasha-tpe-store` fixture
+/// with its experiment's sampler changed to GP-EI holds checkpoints of a
+/// TPE model, which are not this experiment's: the resume is refused as
+/// corrupt, naming the checkpoint, and leaves the store as it was — it
+/// neither runs the checkpoint's TPE nor a cold GP.
+#[test]
+fn a_checkpoint_of_another_sampler_kind_is_refused_on_resume() {
+    let (root, dir) = fixture_copy("dasha-tpe-store", "sampler-mismatch");
+    let meta_path = dir.join("meta.json");
+    let text = std::fs::read_to_string(&meta_path).unwrap();
+    let gp = text.replace("\"sampler\": \"tpe\"", "\"sampler\": \"gp\"");
+    assert_ne!(gp, text, "the fixture names its sampler");
+    std::fs::write(&meta_path, gp).unwrap();
+    let meta = read_meta(&dir).unwrap();
+    assert_eq!(meta.sampler, Some(Sampler::Gp));
+
+    let before = files(&dir);
+    let bench = meta.bench.build().unwrap();
+    let err = DurableRun::resume(&dir, &meta, &bench, RunOptions::default())
+        .err()
+        .expect("a GP experiment must not resume a TPE checkpoint");
+    assert_eq!(err.kind(), ErrorKind::Corrupt, "{err}");
+    let snapshot = dir.join(Snapshot::file_name(0));
+    assert_eq!(err.path(), Some(snapshot.as_path()), "{err}");
+    assert_eq!(files(&dir), before, "a refused resume changes nothing");
+    std::fs::remove_dir_all(&root).ok();
 }
 
 // ---------------------------------------------------------------------------

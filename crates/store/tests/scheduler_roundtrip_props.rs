@@ -7,7 +7,7 @@
 
 use std::collections::VecDeque;
 
-use asha_baselines::{bohb_asha, dasha_tpe, GpSampler, GpSamplerConfig};
+use asha_baselines::{bohb_asha, Sampler};
 use asha_core::{
     Asha, AshaConfig, AsyncHyperband, Decision, HyperbandConfig, Job, Observation, Scheduler,
     ShaConfig, SyncSha,
@@ -102,10 +102,9 @@ fn check_roundtrip(
     };
     let kind = parsed_spec
         .as_ref()
-        .map(|s| s.kind.as_str())
-        .unwrap_or("random");
-    let mut restored = StoredScheduler::from_state_with_sampler(space(), parsed, kind)
-        .map_err(|e| e.to_string())?;
+        .map(|s| s.kind)
+        .unwrap_or(Sampler::Random);
+    let mut restored = StoredScheduler::from_state(space(), parsed, kind);
     if let Some(s) = &parsed_spec {
         restored.restore_sampler_spec(s);
     }
@@ -207,7 +206,7 @@ fn pre_index_snapshot_restores_and_promotes_correctly() {
     );
     let parsed = JsonValue::parse(&text).expect("fixture parses");
     let state = scheduler_state_from_json(&parsed).expect("fixture decodes");
-    let mut restored = StoredScheduler::from_state(fixture_space, state);
+    let mut restored = StoredScheduler::from_state(fixture_space, state, Sampler::Random);
     let mut rng = StdRng::seed_from_u64(0);
 
     // Rung 1 (len 3, eta 3 -> k = 1, none promoted) holds the best
@@ -286,9 +285,10 @@ proptest! {
         script in prop::collection::vec((any::<bool>(), 0u8..5), 1..80),
         seed in 0u64..1000,
     ) {
-        let scheduler = StoredScheduler::new(dasha_tpe(
+        let scheduler = StoredScheduler::new(Asha::with_sampler(
             space(),
-            AshaConfig::new(1.0, 27.0, 3.0),
+            AshaConfig::new(1.0, 27.0, 3.0).delayed(),
+            Sampler::Tpe.build(&space()),
         ));
         check_roundtrip(scheduler, script, seed)?;
     }
@@ -298,11 +298,10 @@ proptest! {
         script in prop::collection::vec((any::<bool>(), 0u8..5), 1..40),
         seed in 0u64..1000,
     ) {
-        let sampler = Box::new(GpSampler::new(space(), GpSamplerConfig::default()));
         let scheduler = StoredScheduler::new(Asha::with_sampler(
             space(),
             AshaConfig::new(1.0, 27.0, 3.0),
-            sampler,
+            Sampler::Gp.build(&space()),
         ));
         check_roundtrip(scheduler, script, seed)?;
     }

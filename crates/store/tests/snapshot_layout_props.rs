@@ -11,6 +11,7 @@
 //! `Err`, never a panic. (That the layout leaves `meta.json` alone is
 //! `mixed_format_recovery.rs`'s fixture re-encoding check.)
 
+use asha_baselines::Sampler;
 use asha_core::{
     AshaConfig, AshaState, AsyncHyperbandState, BracketState, HyperbandConfig, Job, RungState,
     ScanOrder, SchedulerState, ShaConfig, SyncShaState, TrialId,
@@ -350,7 +351,7 @@ fn snapshot_with(
         Just(None),
         prop::collection::vec(prop_oneof![Just(None), name().prop_map(Some)], 1..3).prop_map(
             |cursors| Some(SamplerSpec {
-                kind: "tpe".to_owned(),
+                kind: Sampler::Tpe,
                 cursors,
             })
         ),

@@ -13,10 +13,13 @@ BIN="${BIN_DIR:-target/release}"
 WORK="${WORK_DIR:-$(mktemp -d)}"
 mkdir -p "$WORK"
 CTL="$BIN/asha-ctl"
-# Sized so the run lasts seconds (4.5 s on a 2-vCPU box): the SIGKILL below
-# lands once 64 KiB of it is in the WAL, a few tens of milliseconds in.
+# A durable kind other than ASHA with a model-based sampler, so the SIGKILL
+# leg below also covers a TPE cursor per bracket. Sized so the whole script
+# takes ~1.5 s on a 2-vCPU box (6.5k jobs a run): the SIGKILL lands once
+# 64 KiB of the run is in the WAL, a few tens of milliseconds in.
 CREATE_ARGS=(--preset svm_mnist --bench-seed 11 --seed 11 --workers 16
-             --max-time 20000 --straggler-std 0.3 --drop-prob 0.05)
+             --max-time 20000 --straggler-std 0.3 --drop-prob 0.05
+             --scheduler async-hyperband --sampler tpe)
 SERVE_PID=
 
 start_serve() { # root sock log

@@ -22,11 +22,11 @@
 //! ```
 
 use asha_baselines::{
-    bohb, bohb_asha, dasha_tpe, Fabolas, FabolasConfig, Pbt, PbtConfig, Vizier, VizierConfig,
+    bohb, bohb_asha, Fabolas, FabolasConfig, Pbt, PbtConfig, Vizier, VizierConfig,
 };
 use asha_core::{
-    Asha, AshaConfig, AsyncHyperband, Hyperband, HyperbandConfig, PromotionRule, RandomSearch,
-    Scheduler, ShaConfig, SyncSha,
+    Asha, AshaConfig, AsyncHyperband, DurableScheduler, Hyperband, HyperbandConfig, PromotionRule,
+    RandomSearch, Scheduler, ShaConfig, SyncSha,
 };
 use asha_metrics::{FaultStats, RunTrace};
 use asha_sim::{ClusterSim, ResumePolicy, SimConfig, SimResult, TraceMode};
@@ -34,20 +34,15 @@ use asha_space::{Config, SearchSpace};
 use asha_surrogate::BenchmarkModel;
 use rand::SeedableRng;
 
-/// Where a successive-halving searcher draws new configurations from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Sampler {
-    /// Uniformly from the search space.
-    Random,
-    /// From a TPE model of the losses seen so far (BOHB's sampler).
-    Tpe,
-}
+pub use asha_baselines::Sampler;
 
 /// A tuning method as a plain value: the scheduler kind plus that
 /// scheduler's own config struct, so anything the underlying crate can
 /// express (stop rate, scan order, D-ASHA's `config.rule`, PBT's frozen
 /// parameters, …) is expressible here. [`Searcher::build`] is the one place
-/// a description becomes a scheduler.
+/// a description becomes a scheduler. The methods with a [`Sampler`] are
+/// the persistable ones ([`Searcher::durable`]): one value describes a
+/// figure's row, a `DurableRun`'s `meta.json` and a daemon experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Searcher {
     /// Asynchronous Successive Halving (Algorithm 2); D-ASHA when
@@ -68,7 +63,12 @@ pub enum Searcher {
     /// Synchronous Hyperband looping over brackets.
     Hyperband(HyperbandConfig),
     /// Asynchronous Hyperband (Section 3.2).
-    AsyncHyperband(HyperbandConfig),
+    AsyncHyperband {
+        /// Brackets and geometry.
+        config: HyperbandConfig,
+        /// Source of new configurations, one instance per bracket.
+        sampler: Sampler,
+    },
     /// Population Based Training (Appendix A.3 settings).
     Pbt(PbtConfig),
     /// Vizier-like GP-EI without early stopping.
@@ -115,6 +115,14 @@ impl Searcher {
         }
     }
 
+    /// Asynchronous Hyperband with uniform sampling.
+    pub fn async_hyperband(config: HyperbandConfig) -> Self {
+        Searcher::AsyncHyperband {
+            config,
+            sampler: Sampler::Random,
+        }
+    }
+
     /// The paper's default ASHA settings for a maximum resource `R`:
     /// `r = R/256` (floored at 1), `eta = 4`, `s = 0`.
     pub fn default_asha(max_resource: f64) -> Self {
@@ -123,6 +131,17 @@ impl Searcher {
             max_resource,
             4.0,
         ))
+    }
+
+    /// The method's [`Sampler`], if it draws new configurations through
+    /// one — exactly the persistable methods ([`Searcher::durable`]).
+    pub fn sampler_mut(&mut self) -> Option<&mut Sampler> {
+        match self {
+            Searcher::Asha { sampler, .. }
+            | Searcher::Sha { sampler, .. }
+            | Searcher::AsyncHyperband { sampler, .. } => Some(sampler),
+            _ => None,
+        }
     }
 
     /// Instantiate a fresh scheduler over `space`.
@@ -134,44 +153,77 @@ impl Searcher {
     pub fn build(&self, space: &SearchSpace) -> Box<dyn Scheduler + Send> {
         let space = space.clone();
         match self.clone() {
-            Searcher::Asha { config, sampler } => Box::new(match (sampler, config.rule) {
-                (Sampler::Random, _) => Asha::new(space, config),
-                (Sampler::Tpe, PromotionRule::Eager) => bohb_asha(space, config),
-                (Sampler::Tpe, PromotionRule::Delayed) => dasha_tpe(space, config),
-            }),
-            Searcher::Sha { config, sampler } => Box::new(match sampler {
-                Sampler::Random => SyncSha::new(space, config),
-                Sampler::Tpe => bohb(space, config),
-            }),
             Searcher::Hyperband(config) => Box::new(Hyperband::new(space, config)),
-            Searcher::AsyncHyperband(config) => Box::new(AsyncHyperband::new(space, config)),
             Searcher::Pbt(config) => Box::new(Pbt::new(space, config)),
             Searcher::Vizier(config) => Box::new(Vizier::new(space, config)),
             Searcher::Fabolas(config) => Box::new(Fabolas::new(space, config)),
             Searcher::Random { max_resource } => Box::new(RandomSearch::new(space, max_resource)),
+            _ => self
+                .durable(&space)
+                .expect("every other method has a sampler, so persists"),
         }
     }
 
-    /// Parse a searcher from its CLI name (`asha`, `sha`, `hyperband`,
-    /// `async-hyperband`, `bohb`, `pbt`, `vizier`, `fabolas`, `random`),
-    /// using paper defaults scaled to `max_resource`.
-    pub fn from_name(name: &str, max_resource: f64) -> Option<Self> {
-        let r = (max_resource / 256.0).max(1.0);
-        let n = (max_resource / r).round() as usize;
-        let sha = || ShaConfig::new(n, r, max_resource, 4.0).growing();
-        let hyperband = || HyperbandConfig::new(r, max_resource, 4.0);
+    /// A fresh scheduler over `space` that a durable store can checkpoint,
+    /// or `None` for a method without a [`Sampler`]: the only constructor of
+    /// the persistable kinds. TPE keeps the names the figures print
+    /// (`ASHA+TPE`, `BOHB`); the other crosses name themselves (`D-ASHA+tpe`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the carried config is invalid.
+    pub fn durable(&self, space: &SearchSpace) -> Option<Box<dyn DurableScheduler + Send>> {
+        let fresh = |kind: Sampler| kind.build(space);
+        let space = space.clone();
+        Some(match self.clone() {
+            Searcher::Asha { config, sampler } => Box::new(match (sampler, config.rule) {
+                (Sampler::Tpe, PromotionRule::Eager) => bohb_asha(space, config),
+                (sampler, _) => Asha::with_sampler(space, config, fresh(sampler)),
+            }),
+            Searcher::Sha { config, sampler } => Box::new(match sampler {
+                Sampler::Tpe => bohb(space, config),
+                sampler => SyncSha::with_sampler(space, config, fresh(sampler)),
+            }),
+            Searcher::AsyncHyperband { config, sampler } => {
+                Box::new(AsyncHyperband::with_sampler_factory(space, config, |_| {
+                    fresh(sampler)
+                }))
+            }
+            _ => return None,
+        })
+    }
+
+    /// Parse a method from its CLI name on the ladder `r`, `R`, `eta`:
+    /// `asha`, `dasha`, `sha` (a growing bracket of `R/r` configurations),
+    /// `bohb`, `hyperband`, `async-hyperband` (at most four brackets), and
+    /// `pbt`, `vizier`, `fabolas`, `random`, which read only `R`. The one
+    /// name table of `tune_sim`, `run_report --demo` and `asha-ctl create`.
+    ///
+    /// # Panics
+    ///
+    /// On a ladder no method can climb, for the Hyperband names; check one
+    /// first with [`AshaConfig::validate`].
+    pub fn from_name(name: &str, r: f64, max_r: f64, eta: f64) -> Option<Self> {
+        let asha = || AshaConfig::new(r, max_r, eta);
+        let sha = || ShaConfig::new((max_r / r).round() as usize, r, max_r, eta).growing();
+        let hyperband = || HyperbandConfig::new(r, max_r, eta);
         Some(match name {
-            "asha" => Searcher::default_asha(max_resource),
+            "asha" => Searcher::asha(asha()),
+            "dasha" => Searcher::asha(asha().delayed()),
             "sha" => Searcher::sha(sha()),
-            "hyperband" => Searcher::Hyperband(hyperband()),
-            "async-hyperband" => Searcher::AsyncHyperband(hyperband().with_brackets(4)),
             "bohb" => Searcher::bohb(sha()),
-            "pbt" => Searcher::Pbt(
-                PbtConfig::new(25, max_resource, (max_resource / 30.0).max(1.0)).spawning(),
-            ),
-            "vizier" => Searcher::Vizier(VizierConfig::new(max_resource)),
-            "fabolas" => Searcher::Fabolas(FabolasConfig::new(max_resource)),
-            "random" => Searcher::Random { max_resource },
+            "hyperband" => Searcher::Hyperband(hyperband()),
+            "async-hyperband" => {
+                let config = hyperband();
+                let brackets = config.num_brackets.min(4);
+                Searcher::async_hyperband(config.with_brackets(brackets))
+            }
+            "pbt" => Searcher::Pbt(PbtConfig::new(25, max_r, (max_r / 30.0).max(1.0)).spawning()),
+            "vizier" => Searcher::Vizier(VizierConfig::new(max_r)),
+            "fabolas" => Searcher::Fabolas(FabolasConfig::new(max_r)),
+            "random" => Searcher::Random {
+                max_resource: max_r,
+            },
             _ => return None,
         })
     }
@@ -347,8 +399,10 @@ mod tests {
     #[test]
     fn every_named_searcher_builds_and_runs() {
         let bench = presets::svm_vehicle(presets::DEFAULT_SURFACE_SEED);
+        let max_r = bench.max_resource();
         for name in [
             "asha",
+            "dasha",
             "sha",
             "hyperband",
             "async-hyperband",
@@ -358,7 +412,8 @@ mod tests {
             "fabolas",
             "random",
         ] {
-            let searcher = Searcher::from_name(name, bench.max_resource()).expect("known name");
+            let searcher = Searcher::from_name(name, (max_r / 256.0).max(1.0), max_r, 4.0)
+                .expect("known name");
             let outcome = SimTune::new(&bench)
                 .searcher(searcher)
                 .workers(4)
@@ -370,7 +425,7 @@ mod tests {
             assert!(best.val_loss.is_finite());
             assert!(best.summary.contains('='), "summary: {}", best.summary);
         }
-        assert!(Searcher::from_name("nope", 64.0).is_none());
+        assert!(Searcher::from_name("nope", 1.0, 64.0, 4.0).is_none());
     }
 
     #[test]

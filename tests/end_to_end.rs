@@ -18,7 +18,7 @@ fn all_schedulers(space: &SearchSpace, max_r: f64) -> Vec<Box<dyn Scheduler + Se
         Searcher::asha(AshaConfig::new(r, max_r, eta)),
         Searcher::sha(ShaConfig::new(n, r, max_r, eta).growing()),
         Searcher::Hyperband(HyperbandConfig::new(r, max_r, eta)),
-        Searcher::AsyncHyperband(HyperbandConfig::new(r, max_r, eta)),
+        Searcher::async_hyperband(HyperbandConfig::new(r, max_r, eta)),
         Searcher::bohb(ShaConfig::new(n, r, max_r, eta).growing()),
         Searcher::Pbt(PbtConfig::new(8, max_r, max_r / 16.0).spawning()),
         Searcher::Vizier(VizierConfig::new(max_r)),

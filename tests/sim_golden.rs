@@ -66,7 +66,7 @@ fn run(bench: &CurveBenchmark, setup: &str) -> SimResult {
         ),
         "async-hyperband" => (
             sim(25),
-            Searcher::AsyncHyperband(HyperbandConfig::new(r, max_r, eta)),
+            Searcher::async_hyperband(HyperbandConfig::new(r, max_r, eta)),
         ),
         other => unreachable!("unknown set-up {other}"),
     };
