@@ -2,7 +2,7 @@
 
 use asha_space::{Config, SearchSpace};
 
-use crate::fx::{FxHashMap, FxHashSet};
+use crate::fx::FxHashSet;
 
 use crate::budget::Geometry;
 use crate::error::Error;
@@ -126,7 +126,10 @@ pub struct Asha {
     config: AshaConfig,
     ladder: RungLadder,
     sampler: Box<dyn ConfigSampler>,
-    trial_configs: FxHashMap<TrialId, Config>,
+    /// Every trial's configuration, indexed by trial id: ids are dense
+    /// `0..next_trial`, so `promote` and `observe` index instead of hashing
+    /// and an export walks the table in id order.
+    trial_configs: Vec<Config>,
     outstanding: FxHashSet<(TrialId, usize)>,
     next_trial: u64,
     trials_started: usize,
@@ -180,7 +183,7 @@ impl Asha {
             config,
             ladder,
             sampler,
-            trial_configs: FxHashMap::default(),
+            trial_configs: Vec::new(),
             outstanding: FxHashSet::default(),
             next_trial: 0,
             trials_started: 0,
@@ -236,12 +239,8 @@ impl Asha {
     /// [`crate::state`]). Restoring it with [`Asha::from_state`] yields a
     /// scheduler that makes identical decisions given the same RNG stream.
     pub fn export_state(&self) -> AshaState {
-        let mut trials: Vec<(u64, Config)> = self
-            .trial_configs
-            .iter()
-            .map(|(t, c)| (t.0, c.clone()))
-            .collect();
-        trials.sort_unstable_by_key(|&(t, _)| t);
+        let trials = (0..).zip(&self.trial_configs);
+        let trials = trials.map(|(t, c)| (t, c.clone())).collect();
         let mut outstanding: Vec<(u64, usize)> =
             self.outstanding.iter().map(|&(t, r)| (t.0, r)).collect();
         outstanding.sort_unstable();
@@ -262,7 +261,8 @@ impl Asha {
     /// # Panics
     ///
     /// Panics if the embedded config is invalid (same conditions as
-    /// [`Asha::new`]).
+    /// [`Asha::new`]) or the state is one no `Asha` can hold
+    /// ([`AshaState::validate`]).
     pub fn from_state(space: SearchSpace, state: AshaState) -> Self {
         Asha::from_state_with_sampler(space, state, Box::new(RandomSampler::new()))
     }
@@ -273,12 +273,14 @@ impl Asha {
     ///
     /// # Panics
     ///
-    /// Same conditions as [`Asha::from_state`].
+    /// Same conditions as [`Asha::from_state`], and if the state is one no
+    /// `Asha` can hold ([`AshaState::validate`]).
     pub fn from_state_with_sampler(
         space: SearchSpace,
         state: AshaState,
         sampler: Box<dyn ConfigSampler>,
     ) -> Self {
+        state.validate().unwrap_or_else(|e| panic!("{e}"));
         let mut asha = Asha::with_sampler(space, state.config.clone(), sampler);
         for (k, rung) in state.rungs.iter().enumerate() {
             rung.replay_into(&mut asha.ladder, k);
@@ -288,11 +290,7 @@ impl Asha {
         if state.config.infinite_horizon && !state.rungs.is_empty() {
             asha.ladder.rung_mut(state.rungs.len() - 1);
         }
-        asha.trial_configs = state
-            .trials
-            .into_iter()
-            .map(|(t, c)| (TrialId(t), c))
-            .collect();
+        asha.trial_configs = state.trials.into_iter().map(|(_, c)| c).collect();
         asha.outstanding = state
             .outstanding
             .into_iter()
@@ -309,7 +307,7 @@ impl Asha {
         let rung = from_rung + 1;
         let job = Job {
             trial,
-            config: self.trial_configs[&trial].clone(),
+            config: self.trial_configs[trial.0 as usize].clone(),
             rung,
             resource: self.ladder.resource(rung),
             bracket: self.config.stop_rate,
@@ -325,7 +323,7 @@ impl Asha {
         self.trials_started += 1;
         let fidelity = Fidelity::base(self.ladder.resource(0));
         let config = self.sampler.propose_at(&self.space, fidelity, rng);
-        self.trial_configs.insert(trial, config.clone());
+        self.trial_configs.push(config.clone());
         self.outstanding.insert((trial, 0));
         Job {
             trial,
@@ -372,7 +370,7 @@ impl Scheduler for Asha {
         // Skip the per-trial config lookup entirely for samplers that do not
         // consume reports (the random sampler) — this is the observe hot path.
         if self.sampler.wants_reports() {
-            if let Some(config) = self.trial_configs.get(&obs.trial) {
+            if let Some(config) = self.trial_configs.get(obs.trial.0 as usize) {
                 self.sampler
                     .record(config, obs.rung, obs.resource, obs.loss);
             }

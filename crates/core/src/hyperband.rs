@@ -330,21 +330,17 @@ impl AsyncHyperband {
     ///
     /// # Panics
     ///
-    /// Panics if the embedded config is invalid (see
-    /// [`HyperbandConfig::validate`]) or the bracket count does not match
-    /// the config.
+    /// Panics if the state is one no `AsyncHyperband` can hold (see
+    /// [`AsyncHyperbandState::validate`]: an invalid config, a bracket
+    /// count that does not match it, a bracket `Asha` cannot hold).
     pub fn from_state_with_sampler_factory(
         space: SearchSpace,
         state: AsyncHyperbandState,
         factory: impl Fn(usize) -> Box<dyn ConfigSampler>,
     ) -> Self {
+        state.validate().unwrap_or_else(|e| panic!("{e}"));
         let mut ahb =
             AsyncHyperband::with_sampler_factory(space.clone(), state.config.clone(), &factory);
-        assert_eq!(
-            state.brackets.len(),
-            ahb.brackets.len(),
-            "bracket count mismatch between snapshot and config"
-        );
         ahb.brackets = state
             .brackets
             .into_iter()

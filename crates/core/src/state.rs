@@ -16,6 +16,7 @@
 
 use asha_space::Config;
 
+use crate::error::Error;
 use crate::rung::{PromotionRule, Rung, RungLadder};
 use crate::scheduler::{Scheduler, TrialId};
 
@@ -64,7 +65,8 @@ pub struct AshaState {
     pub config: crate::AshaConfig,
     /// Per-rung history, bottom rung first.
     pub rungs: Vec<RungState>,
-    /// Every trial's sampled configuration, sorted by trial id.
+    /// Every trial's sampled configuration: trial ids `0..next_trial`, in
+    /// order.
     pub trials: Vec<(u64, Config)>,
     /// Issued-but-unreported `(trial, rung)` jobs, sorted.
     pub outstanding: Vec<(u64, usize)>,
@@ -74,6 +76,57 @@ pub struct AshaState {
     pub trials_started: usize,
     /// The scheduler's display name.
     pub name: String,
+}
+
+impl AshaState {
+    /// Check that an [`Asha`](crate::Asha) can hold this state, which
+    /// [`Asha::from_state`](crate::Asha::from_state) panics on otherwise: a
+    /// valid config; `trials` exactly the ids `0..n` in order, with
+    /// `next_trial == n`; every rung record, promoted id and outstanding id
+    /// below `n`; and every rung, and the rung of every outstanding job, on
+    /// the ladder. The codecs accept any well-formed document, so the
+    /// boundaries that restore an untrusted state call this first.
+    pub fn validate(&self) -> Result<(), Error> {
+        let top = self.config.geometry()?.max_rung();
+        let n = self.trials.len() as u64;
+        if let Some((&(t, _), i)) = self.trials.iter().zip(0..).find(|&(&(t, _), i)| t != i) {
+            return Err(Error::config(format!(
+                "trial {t} sits at position {i} of the trial table"
+            )));
+        }
+        if self.next_trial != n {
+            return Err(Error::config(format!(
+                "next_trial is {} but the trial table holds {n} trials",
+                self.next_trial
+            )));
+        }
+        let rungs = self.rungs.len();
+        if let Some(max) = top.filter(|&max| rungs > max + 1) {
+            return Err(Error::config(format!(
+                "{rungs} rungs on a ladder whose top rung is {max}"
+            )));
+        }
+        let unknown = |t: u64, at: String| {
+            Error::config(format!("{at} names trial {t}, past the {n} trials sampled"))
+        };
+        for (k, rung) in self.rungs.iter().enumerate() {
+            let ids = rung.records.iter().map(|&(t, _)| t);
+            if let Some(t) = ids.chain(rung.promoted.iter().copied()).find(|&t| t >= n) {
+                return Err(unknown(t, format!("rung {k}")));
+            }
+        }
+        for &(t, k) in &self.outstanding {
+            if t >= n {
+                return Err(unknown(t, format!("an outstanding job at rung {k}")));
+            }
+            if k > top.unwrap_or(rungs) {
+                return Err(Error::config(format!(
+                    "an outstanding job of trial {t} at rung {k}, past the ladder"
+                )));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Snapshot of one synchronous SHA bracket (private to `SyncSha`; exported
@@ -131,6 +184,29 @@ pub struct AsyncHyperbandState {
     pub name: String,
 }
 
+impl AsyncHyperbandState {
+    /// Check that an [`AsyncHyperband`](crate::AsyncHyperband) can hold
+    /// this state: a valid config, one bracket per configured bracket, a
+    /// current bracket among them, and every bracket an ASHA state
+    /// ([`AshaState::validate`]).
+    pub fn validate(&self) -> Result<(), Error> {
+        self.config.validate()?;
+        let brackets = self.brackets.len();
+        if brackets != self.config.num_brackets || self.current >= brackets {
+            return Err(Error::config(format!(
+                "bracket {} of {brackets} current, {} configured",
+                self.current, self.config.num_brackets
+            )));
+        }
+        for (s, bracket) in self.brackets.iter().enumerate() {
+            bracket
+                .validate()
+                .map_err(|e| e.context(format!("bracket {s}")))?;
+        }
+        Ok(())
+    }
+}
+
 /// Exported state of any durable scheduler, tagged by kind.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SchedulerState {
@@ -157,6 +233,17 @@ impl SchedulerState {
             },
             SchedulerState::SyncSha(_) => "sync_sha",
             SchedulerState::AsyncHyperband(_) => "async_hyperband",
+        }
+    }
+
+    /// Check that the scheduler of this kind can hold the state (see
+    /// [`AshaState::validate`], [`AsyncHyperbandState::validate`]; a
+    /// `SyncSha` state's config). An error is of kind `Config`.
+    pub fn validate(&self) -> Result<(), Error> {
+        match self {
+            SchedulerState::Asha(s) => s.validate(),
+            SchedulerState::SyncSha(s) => s.config.validate(),
+            SchedulerState::AsyncHyperband(s) => s.validate(),
         }
     }
 }

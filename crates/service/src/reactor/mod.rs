@@ -350,7 +350,7 @@ pub type RunOne = Arc<dyn Fn(&Arc<ConnHandle>, PendingReq) + Send + Sync>;
 /// A fixed pool of worker threads executing requests for connections.
 ///
 /// Each queued entry is one *visit*: the worker drains up to
-/// [`WORKER_BATCH`] pending requests from that connection, then requeues it
+/// `WORKER_BATCH` pending requests from that connection, then requeues it
 /// if more arrived — strict FIFO per connection, fair across connections.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,

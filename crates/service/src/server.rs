@@ -13,7 +13,7 @@
 //! * a **worker pool** (four threads) executing
 //!   decoded requests under the supervisor lock, strict FIFO per
 //!   connection;
-//! * one **tailer thread per experiment** (see [`crate::tailer`] — *not*
+//! * one **tailer thread per experiment** (see the `tailer` module — *not*
 //!   per subscription) reading each WAL record once and fanning frames out
 //!   to every subscriber's queue;
 //! * one **housekeeping thread** reaping finished experiment workers.

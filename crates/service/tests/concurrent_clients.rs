@@ -262,8 +262,9 @@ fn unix_socket_serves_subscribers_and_pause_resume() {
 /// simulator must come back as a typed `config` error — not reach a
 /// panicking constructor under the supervisor lock, which used to poison
 /// the mutex and take the housekeeper and every later `create` down. A
-/// `sampler` no method has is refused the same way, at decode: no refused
-/// create may leave a directory behind.
+/// `sampler` no method has is refused the same way, at decode, and a state
+/// no scheduler can hold before the run is built: no refused create may
+/// leave a directory behind.
 #[test]
 fn hostile_create_frames_get_typed_errors_and_the_daemon_keeps_serving() {
     let root = tmp_root("hostile");
@@ -291,6 +292,16 @@ fn hostile_create_frames_get_typed_errors_and_the_daemon_keeps_serving() {
         edit(&mut meta.sim);
         meta
     };
+    // Decodes fine, but rung 0 holds trials no `Asha` ever sampled: the
+    // first `suggest` would have panicked on the worker thread.
+    let orphan_records = {
+        let mut meta = small_meta("hostile");
+        let SchedulerState::Asha(state) = &mut meta.initial else {
+            unreachable!("small_meta builds an ASHA state");
+        };
+        state.rungs[0].records = (100..108).map(|t| (t, 0.5)).collect();
+        meta
+    };
     let hostile = [
         ("eta < 2", with_asha(|c| c.reduction_factor = 1.5)),
         ("r > R", with_asha(|c| c.min_resource = 81.0)),
@@ -301,6 +312,7 @@ fn hostile_create_frames_get_typed_errors_and_the_daemon_keeps_serving() {
         ("max_time NaN", with_sim(|s| s.max_time = f64::NAN)),
         ("drop_prob = 2", with_sim(|s| s.drop_prob = 2.0)),
         ("drop_prob < 0", with_sim(|s| s.drop_prob = -0.1)),
+        ("orphan rung records", orphan_records),
     ];
     let mut first = connect();
     for (what, bad) in &hostile {

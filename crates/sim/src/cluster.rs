@@ -389,6 +389,10 @@ pub struct SimEngine<'b, S> {
     bench: &'b dyn BenchmarkModel,
     trace: RunTrace,
     states: FxHashMap<TrialId, TrialSlot>,
+    // The keys of `states` in the order the engine first saw them, which
+    // export writes slots in: sorted whenever trial ids only grow, as every
+    // single-ladder scheduler's do, so a checkpoint pays no sort for them.
+    order: Vec<TrialId>,
     heap: BinaryHeap<Event>,
     // Slab backing the heap's `slot` references plus its free list; at most
     // `workers` jobs are in flight, so both stabilize at that size.
@@ -444,6 +448,7 @@ impl<'b, S: Scheduler> SimEngine<'b, S> {
             bench,
             trace,
             states: FxHashMap::default(),
+            order: Vec::new(),
             waiting: false,
             free_workers,
             now: 0.0,
@@ -542,6 +547,7 @@ impl<'b, S: Scheduler> SimEngine<'b, S> {
                     || self.bench.time_per_unit(&job.config),
                     |p| p.time_per_unit,
                 );
+                self.order.push(job.trial);
                 self.states.insert(
                     job.trial,
                     TrialSlot {
@@ -729,16 +735,23 @@ impl<'b, S: Scheduler> SimEngine<'b, S> {
     /// steps (any time the caller holds the engine, by construction).
     pub fn export_state(&self) -> SimRunState {
         let mut slots: Vec<TrialSlotState> = self
-            .states
+            .order
             .iter()
-            .map(|(t, s)| TrialSlotState {
-                trial: t.0,
-                state: s.state,
-                time_per_unit: s.time_per_unit,
-                completed: s.completed,
+            .map(|t| {
+                let s = &self.states[t];
+                TrialSlotState {
+                    trial: t.0,
+                    state: s.state,
+                    time_per_unit: s.time_per_unit,
+                    completed: s.completed,
+                }
             })
             .collect();
-        slots.sort_unstable_by_key(|s| s.trial);
+        // First-seen order is id order unless ids interleave (async
+        // Hyperband's per-bracket strides).
+        if !slots.is_sorted_by_key(|s| s.trial) {
+            slots.sort_unstable_by_key(|s| s.trial);
+        }
         let mut pending: Vec<PendingJob> = self
             .heap
             .iter()
@@ -773,7 +786,8 @@ impl<'b, S: Scheduler> SimEngine<'b, S> {
     /// Rebuild an engine from a state captured by
     /// [`SimEngine::export_state`], with the scheduler restored separately.
     /// Continuing the restored engine with the original RNG state produces
-    /// exactly the events the uninterrupted run would have produced.
+    /// exactly the events the uninterrupted run would have produced. The
+    /// slots must be strictly increasing by trial, as export writes them.
     pub fn restore(
         config: SimConfig,
         scheduler: S,
@@ -800,6 +814,7 @@ impl<'b, S: Scheduler> SimEngine<'b, S> {
             VecDeque::with_capacity(config.workers.min(64).max(state.retry.len()));
         retry.extend(state.retry);
         let free_slots = Vec::with_capacity(config.workers + 1);
+        let order = state.slots.iter().map(|s| TrialId(s.trial)).collect();
         SimEngine {
             cfg: config,
             scheduler,
@@ -822,6 +837,7 @@ impl<'b, S: Scheduler> SimEngine<'b, S> {
                     )
                 })
                 .collect(),
+            order,
             heap,
             jobs,
             free_slots,
@@ -961,6 +977,51 @@ mod tests {
             assert_eq!(result.faults, reference.faults);
             assert_eq!(result.best_config, reference.best_config);
         }
+    }
+
+    /// Export writes slots strictly increasing by trial where first-seen
+    /// order is not id order (async Hyperband's per-bracket strides) and
+    /// where another scheduler issues the ids (growing synchronous SHA), and
+    /// a restored engine exports exactly what it was restored from.
+    #[test]
+    fn export_writes_slots_in_trial_order_and_restore_round_trips() {
+        use asha_core::{AsyncHyperband, HyperbandConfig, NoopRecorder, RandomSampler};
+
+        fn run<S: Scheduler>(mut engine: SimEngine<'_, S>) -> SimEngine<'_, S> {
+            let mut rng = rng(21);
+            for _ in 0..400 {
+                engine.step(&mut rng, &mut NoopRecorder);
+            }
+            engine
+        }
+        fn check<S: Scheduler>(engine: &SimEngine<'_, S>, restore: impl Fn(&S) -> S) {
+            let state = engine.export_state();
+            assert!(state.slots.len() > 20, "{} slots", state.slots.len());
+            assert!(state.slots.windows(2).all(|w| w[0].trial < w[1].trial));
+            let (cfg, scheduler) = (engine.cfg.clone(), restore(engine.scheduler()));
+            let restored = SimEngine::restore(cfg, scheduler, engine.bench, state.clone());
+            assert_eq!(restored.export_state(), state);
+        }
+
+        let bench = presets::cifar10_cuda_convnet(1);
+        let space = bench.space().clone();
+        let cfg = SimConfig::new(25, 1e6).with_drops(0.02);
+        let ahb = AsyncHyperband::new(space.clone(), HyperbandConfig::new(1.0, 9.0, 3.0));
+        let ahb = run(SimEngine::new(cfg.clone(), ahb, &bench));
+        assert!(!ahb.order.is_sorted(), "the brackets never interleaved");
+        check(&ahb, |s| {
+            let fresh = |_| Box::new(RandomSampler::new()) as Box<dyn asha_core::ConfigSampler>;
+            AsyncHyperband::from_state_with_sampler_factory(space.clone(), s.export_state(), fresh)
+        });
+        let sha = SyncSha::new(
+            space.clone(),
+            ShaConfig::new(16, 16.0, 256.0, 4.0).growing(),
+        );
+        let sha = run(SimEngine::new(cfg, sha, &bench));
+        check(&sha, |s| {
+            let fresh = Box::new(RandomSampler::new());
+            SyncSha::from_state_with_sampler(space.clone(), s.export_state(), fresh)
+        });
     }
 
     #[test]

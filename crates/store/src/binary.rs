@@ -7,8 +7,9 @@
 //! streams a document straight into a `Vec<u8>` (what the codecs and the
 //! delta engine use — no tree is ever built on the checkpoint path), and
 //! [`put_value`] walks an existing tree through that same writer. Readers
-//! either decode a tree ([`get_value`]) or walk the bytes in place
-//! ([`skip_value`], [`find_field`]).
+//! either decode a tree ([`get_value`]), walk the bytes in place
+//! ([`skip_value`], [`find_field`]), or — the codecs' `Reader` — decode a
+//! document straight into typed values, reading objects by key.
 //!
 //! Everything round-trips *exactly*: varints are canonical (minimal
 //! length), floats are raw little-endian bits (so non-finite values and NaN
@@ -20,6 +21,8 @@
 //! comparison.
 
 use asha_metrics::JsonValue;
+
+use crate::error::Error;
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE 802.3, the zlib/PNG polynomial), tables built at compile time
@@ -252,6 +255,10 @@ pub(crate) const TAG_OBJ: u8 = 7;
 /// trees: what one reader accepts, the other can hold.
 pub const MAX_DEPTH: u32 = 128;
 
+/// The most items a reader reserves room for before it has read them: a
+/// corrupt count must not force a huge reservation.
+pub(crate) const MAX_RESERVE: usize = 4096;
+
 /// Streams one binvalue document into a byte buffer: one tag byte per
 /// node, varint integers and lengths, raw little-endian `f64`s — exactly
 /// what [`put_value`] emits for the equivalent [`JsonValue`] tree, without
@@ -375,8 +382,7 @@ fn get_value_depth(buf: &[u8], pos: &mut usize, depth: u32) -> Result<JsonValue,
     if depth > MAX_DEPTH {
         return Err("binvalue nesting too deep".to_owned());
     }
-    // A corrupt count must not force a huge reservation.
-    let capacity = |count: u64| count.min(4096) as usize;
+    let capacity = |count: u64| count.min(MAX_RESERVE as u64) as usize;
     match read_u8(buf, pos)? {
         TAG_NULL => Ok(JsonValue::Null),
         TAG_FALSE => Ok(JsonValue::Bool(false)),
@@ -403,6 +409,285 @@ fn get_value_depth(buf: &[u8], pos: &mut usize, depth: u32) -> Result<JsonValue,
             Ok(JsonValue::Obj(fields))
         }
         other => Err(format!("unknown binvalue tag {other}")),
+    }
+}
+
+/// Decode a tree with a byte decoder, by re-encoding it: how the tree
+/// inputs reach the one decoder of their type.
+pub(crate) fn from_tree<T>(
+    v: &JsonValue,
+    decode: impl for<'a> FnOnce(&mut Reader<'a>) -> Result<T, Error>,
+) -> Result<T, Error> {
+    let mut bytes = Vec::new();
+    put_value(&mut bytes, v);
+    Reader::whole(&bytes, decode)
+}
+
+// ---------------------------------------------------------------------------
+// Reader: the typed decoders' cursor
+// ---------------------------------------------------------------------------
+
+/// A cursor over one binvalue payload. Each read checks the tag it expects
+/// and the bytes it needs, so a short, mistyped or hostile document is an
+/// `Err`, never a panic; a count is only a loop bound (each pass consumes
+/// input or fails) and reserves at most [`MAX_RESERVE`] items.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// Decode the one value `buf` holds, refusing bytes after it.
+    pub(crate) fn whole<T>(
+        buf: &'a [u8],
+        decode: impl FnOnce(&mut Self) -> Result<T, Error>,
+    ) -> Result<T, Error> {
+        let mut r = Reader { buf, pos: 0 };
+        let value = decode(&mut r)?;
+        match buf.len() - r.pos {
+            0 => Ok(value),
+            n => Err(Error::codec(format!("{n} trailing bytes after the value"))),
+        }
+    }
+
+    pub(crate) fn peek(&self) -> Result<u8, Error> {
+        let tag = self.buf.get(self.pos).copied();
+        tag.ok_or_else(|| Error::codec("truncated value"))
+    }
+
+    fn tag(&mut self) -> Result<u8, Error> {
+        Ok(read_u8(self.buf, &mut self.pos)?)
+    }
+
+    /// Consume the tag at the cursor if it is `tag`.
+    fn eat(&mut self, tag: u8) -> Result<bool, Error> {
+        let hit = self.peek()? == tag;
+        self.pos += usize::from(hit);
+        Ok(hit)
+    }
+
+    fn expect(&mut self, tag: u8, what: &str) -> Result<(), Error> {
+        match self.eat(tag)? {
+            true => Ok(()),
+            false => Err(Error::codec(format!("expected {what}"))),
+        }
+    }
+
+    fn varint(&mut self) -> Result<u64, Error> {
+        Ok(read_varint(self.buf, &mut self.pos)?)
+    }
+
+    /// A length-prefixed UTF-8 string: a key, or a string's body.
+    fn text(&mut self) -> Result<&'a str, Error> {
+        let bytes = read_slice(self.buf, &mut self.pos)?;
+        std::str::from_utf8(bytes).map_err(|_| Error::codec("invalid UTF-8"))
+    }
+
+    /// Where the value at the cursor lies in the buffer; the cursor steps
+    /// over it.
+    pub(crate) fn range(&mut self) -> Result<std::ops::Range<usize>, Error> {
+        let start = self.pos;
+        self.pos = skip_value(self.buf, start)?;
+        Ok(start..self.pos)
+    }
+
+    /// The bytes of the value at the cursor, which it steps over.
+    pub(crate) fn span(&mut self) -> Result<&'a [u8], Error> {
+        let range = self.range()?;
+        Ok(&self.buf[range])
+    }
+
+    /// A copy of the cursor at the value it steps over, to read later.
+    pub(crate) fn mark(&mut self) -> Result<Self, Error> {
+        let at = *self;
+        self.span()?;
+        Ok(at)
+    }
+
+    /// The value at the cursor as a tree.
+    pub(crate) fn tree(&mut self) -> Result<JsonValue, Error> {
+        Ok(get_value(self.buf, &mut self.pos)?)
+    }
+
+    /// `None` for `null`, else what `decode` reads.
+    pub(crate) fn nullable<T>(
+        &mut self,
+        decode: impl FnOnce(&mut Self) -> Result<T, Error>,
+    ) -> Result<Option<T>, Error> {
+        match self.eat(TAG_NULL)? {
+            true => Ok(None),
+            false => decode(self).map(Some),
+        }
+    }
+
+    pub(crate) fn bool(&mut self) -> Result<bool, Error> {
+        if self.eat(TAG_TRUE)? {
+            return Ok(true);
+        }
+        self.expect(TAG_FALSE, "a bool").map(|()| false)
+    }
+
+    /// An unsigned integer, or a float that is exactly one.
+    pub(crate) fn u64(&mut self) -> Result<u64, Error> {
+        let unsigned = match self.tag()? {
+            TAG_INT => return self.varint(),
+            TAG_NUM => Some(read_f64(self.buf, &mut self.pos)?),
+            _ => None,
+        };
+        match unsigned {
+            Some(v) if v >= 0.0 && v.fract() == 0.0 && v <= u64::MAX as f64 => Ok(v as u64),
+            _ => Err(Error::codec("expected an unsigned integer")),
+        }
+    }
+
+    pub(crate) fn usize(&mut self) -> Result<usize, Error> {
+        Ok(self.u64()? as usize)
+    }
+
+    /// A float as the codecs write it (non-finite ones as strings); an integer reads as itself,
+    /// `null` as `+inf` (the telemetry log's convention for a poisoned
+    /// loss).
+    pub(crate) fn f64(&mut self) -> Result<f64, Error> {
+        match self.tag()? {
+            TAG_NUM => Ok(read_f64(self.buf, &mut self.pos)?),
+            TAG_INT => Ok(self.varint()? as f64),
+            TAG_NULL => Ok(f64::INFINITY),
+            TAG_STR => match self.text()? {
+                "inf" => Ok(f64::INFINITY),
+                "-inf" => Ok(f64::NEG_INFINITY),
+                "nan" => Ok(f64::NAN),
+                other => Err(Error::codec(format!(
+                    "expected a float, got string {other:?}"
+                ))),
+            },
+            _ => Err(Error::codec("expected a float")),
+        }
+    }
+
+    pub(crate) fn str(&mut self) -> Result<&'a str, Error> {
+        self.expect(TAG_STR, "a string")?;
+        self.text()
+    }
+
+    pub(crate) fn string(&mut self) -> Result<String, Error> {
+        self.str().map(str::to_owned)
+    }
+
+    /// An array's header: how many values follow.
+    pub(crate) fn array(&mut self) -> Result<u64, Error> {
+        self.expect(TAG_ARR, "an array")?;
+        self.varint()
+    }
+
+    /// The header of an array of exactly `len` values.
+    pub(crate) fn tuple(&mut self, len: u64, what: &str) -> Result<(), Error> {
+        match self.array().map_err(|e| e.context(what.to_owned()))? {
+            n if n == len => Ok(()),
+            n => Err(Error::codec(format!(
+                "{what}: expected {len} elements, got {n}"
+            ))),
+        }
+    }
+
+    /// Whether the row at the cursor is a v1 keyed object, left unread for
+    /// [`crate::upgrade`]; otherwise the header of a v2 positional row of
+    /// exactly `len` values is read.
+    pub(crate) fn is_keyed_row(&mut self, len: u64, what: &str) -> Result<bool, Error> {
+        if self.peek()? == TAG_OBJ {
+            return Ok(true);
+        }
+        self.tuple(len, what).map(|()| false)
+    }
+
+    /// The array at the cursor, each value read by `item`.
+    pub(crate) fn list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, Error>,
+    ) -> Result<Vec<T>, Error> {
+        let count = self.array()?;
+        let mut items = Vec::with_capacity(count.min(MAX_RESERVE as u64) as usize);
+        for _ in 0..count {
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
+
+    /// The object at the cursor, read by key through [`Fields`]; the cursor
+    /// ends past the object, whichever fields `decode` read.
+    pub(crate) fn object<T>(
+        &mut self,
+        decode: impl FnOnce(&mut Fields<'_, 'a>) -> Result<T, Error>,
+    ) -> Result<T, Error> {
+        self.expect(TAG_OBJ, "an object")?;
+        let left = self.varint()?;
+        let mut fields = Fields {
+            r: self,
+            left,
+            passed: Vec::new(),
+        };
+        let value = decode(&mut fields)?;
+        for _ in 0..fields.left {
+            fields.r.text()?;
+            fields.r.span()?;
+        }
+        Ok(value)
+    }
+}
+
+/// An object's fields, read by key. Asked for in the order they were
+/// written, each is read where it stands, in one pass; a field the cursor
+/// has to pass to reach another is stepped over and kept to read later. Of
+/// repeated keys the first counts, as `JsonValue::get` reads.
+pub(crate) struct Fields<'r, 'a> {
+    r: &'r mut Reader<'a>,
+    /// Fields the cursor has not reached.
+    left: u64,
+    /// Fields it passed, with a cursor at each value.
+    passed: Vec<(&'a str, Reader<'a>)>,
+}
+
+impl<'a> Fields<'_, 'a> {
+    /// Field `key` read by `decode`, or `None` if the object has none; an
+    /// error is wrapped in the field's name.
+    pub(crate) fn opt<T>(
+        &mut self,
+        key: &str,
+        decode: impl FnOnce(&mut Reader<'a>) -> Result<T, Error>,
+    ) -> Result<Option<T>, Error> {
+        let named = |e: Error| e.context(format!("field {key:?}"));
+        if let Some(&(_, mut at)) = self.passed.iter().find(|&&(k, _)| k == key) {
+            return decode(&mut at).map(Some).map_err(named);
+        }
+        while self.left > 0 {
+            self.left -= 1;
+            match self.r.text()? {
+                k if k == key => return decode(&mut *self.r).map(Some).map_err(named),
+                k => self.passed.push((k, self.r.mark()?)),
+            }
+        }
+        Ok(None)
+    }
+
+    /// Field `key` read by `decode`; a missing field is an error.
+    pub(crate) fn get<T>(
+        &mut self,
+        key: &str,
+        decode: impl FnOnce(&mut Reader<'a>) -> Result<T, Error>,
+    ) -> Result<T, Error> {
+        let missing = || Error::codec(format!("missing field {key:?}"));
+        self.opt(key, decode)?.ok_or_else(missing)
+    }
+
+    /// Refuse a document whose `schema` field is none of `known`.
+    pub(crate) fn schema(&mut self, known: &[&str]) -> Result<(), Error> {
+        let schema = self.get("schema", Reader::str)?;
+        if known.contains(&schema) {
+            return Ok(());
+        }
+        Err(Error::codec(format!(
+            "unsupported schema {schema:?} (expected one of {known:?})"
+        )))
     }
 }
 

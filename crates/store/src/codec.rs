@@ -2,18 +2,19 @@
 //!
 //! The workspace's `serde` is an offline API stub, so durable state is
 //! encoded explicitly. Every persisted type has exactly **one encoder**, a
-//! `put_*` function that streams the document as binvalue bytes through a
-//! [`ValueWriter`] — no [`JsonValue`] tree is built on the checkpoint path.
-//! The public `*_to_json` functions are that same encoder decoded back into
-//! a tree ([`crate::binary`]'s `tree_of`), for the callers that want text:
-//! `meta.json`, the wire protocol, `store_inspect`. Decoders read trees.
-//! Two invariants the codecs maintain:
+//! `put_*` function streaming binvalue through a [`ValueWriter`], and **one
+//! decoder**, a `get_*` function reading those bytes through a `Reader`
+//! straight into the typed value: no tree is built on the checkpoint or the
+//! recovery path. A tree form (`*_to_json`) is the encoder's bytes decoded
+//! into a tree; a tree input (`meta.json`, `create` frames, tools) is
+//! re-encoded for the byte decoder (`from_tree`). Two invariants the
+//! codecs maintain:
 //!
 //! * **Exact `f64` round-trips.** `JsonValue::Num` renders with Rust's
 //!   shortest-round-trip formatting, so finite floats survive a
 //!   write/parse cycle bit-for-bit. Non-finite floats would render as
 //!   `null`, so they are encoded as the strings `"inf"` / `"-inf"` /
-//!   `"nan"` instead ([`float_to_json`]); decoding also accepts `null` as
+//!   `"nan"` instead (`put_float`); decoding also accepts `null` as
 //!   `+inf` for compatibility with the telemetry log's null-loss
 //!   convention.
 //! * **Deterministic bytes.** Object keys are emitted in a fixed order and
@@ -21,19 +22,18 @@
 //!   always encodes to the same bytes.
 //!
 //! Rows — the entries of a document's long arrays — are fixed-order arrays
-//! without keys (snapshot schema v2; the orders are listed at the
-//! simulator-state encoders), and the decoders still read schema v1's keyed
-//! rows.
+//! without keys (snapshot schema v2, listed at the simulator-state
+//! encoders); a keyed v1 row or config value is handed to [`crate::upgrade`].
 //!
-//! All decoders return an [`Error`] describing the first mismatch; callers
-//! reading files recast it as [`ErrorKind::Corrupt`](asha_core::ErrorKind::Corrupt)
-//! with the offending path. The config decoders also *validate* what they
-//! decoded (kind `Config`): the same documents arrive in `create` frames
-//! from the network, and a config that parses but cannot build a ladder
-//! would otherwise panic the constructor that meets it.
+//! A decoder's [`Error`] names the field of the first mismatch; callers
+//! reading files recast it as `Corrupt` with the path. The config decoders
+//! also *validate* (kind `Config`): the same documents arrive in `create`
+//! frames, and a config that cannot build a ladder would panic the
+//! constructor that meets it.
 
-use crate::binary::{tree_of, ValueWriter};
+use crate::binary::{from_tree, tree_of, Reader, ValueWriter, TAG_ARR, TAG_INT, TAG_OBJ, TAG_STR};
 use crate::error::Error;
+use crate::upgrade;
 use asha_core::{
     AshaConfig, AshaState, AsyncHyperbandState, BracketState, HyperbandConfig, Job, PromotionRule,
     RungState, ScanOrder, SchedulerState, ShaConfig, SyncShaState, TrialId,
@@ -43,6 +43,8 @@ use asha_sim::{PendingJob, ResumePolicy, SimConfig, SimRunState, TraceMode, Tria
 use asha_space::{Config, ParamSpec, ParamValue, Scale, SearchSpace};
 use asha_surrogate::TrainingState;
 
+/// An `f64` that may be non-finite: `JsonValue::Num` renders non-finite
+/// values as `null`, which would not round-trip, so they are strings.
 fn put_float(w: &mut ValueWriter<'_>, v: f64) {
     if v.is_finite() {
         w.num(v)
@@ -55,87 +57,13 @@ fn put_float(w: &mut ValueWriter<'_>, v: f64) {
     }
 }
 
-/// Encode an `f64` that may be non-finite (`JsonValue::Num` renders
-/// non-finite values as `null`, which would not round-trip).
-pub fn float_to_json(v: f64) -> JsonValue {
-    tree_of(|w| put_float(w, v))
-}
-
-/// Decode an `f64` written by [`float_to_json`]. `null` decodes to `+inf`
-/// (the telemetry log's convention for a poisoned loss).
-pub fn float_from_json(v: &JsonValue) -> Result<f64, Error> {
-    match v {
-        JsonValue::Null => Ok(f64::INFINITY),
-        JsonValue::Str(s) => match s.as_str() {
-            "inf" => Ok(f64::INFINITY),
-            "-inf" => Ok(f64::NEG_INFINITY),
-            "nan" => Ok(f64::NAN),
-            other => Err(Error::codec(format!(
-                "expected a float, got string {other:?}"
-            ))),
-        },
-        other => other
-            .as_f64()
-            .ok_or_else(|| Error::codec(format!("expected a float, got {other:?}"))),
-    }
-}
-
-pub(crate) fn get<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, Error> {
-    v.get(key)
-        .ok_or_else(|| Error::codec(format!("missing field {key:?}")))
-}
-
-fn f64_field(v: &JsonValue, key: &str) -> Result<f64, Error> {
-    float_from_json(v).map_err(|e| e.context(format!("field {key:?}")))
-}
-
-fn u64_field(v: &JsonValue, key: &str) -> Result<u64, Error> {
-    v.as_u64()
-        .ok_or_else(|| Error::codec(format!("field {key:?}: expected an unsigned integer")))
-}
-
-fn bool_field(v: &JsonValue, key: &str) -> Result<bool, Error> {
-    v.as_bool()
-        .ok_or_else(|| Error::codec(format!("field {key:?}: expected a bool")))
-}
-
-fn get_f64(v: &JsonValue, key: &str) -> Result<f64, Error> {
-    f64_field(get(v, key)?, key)
-}
-
-pub(crate) fn get_u64(v: &JsonValue, key: &str) -> Result<u64, Error> {
-    u64_field(get(v, key)?, key)
-}
-
-fn get_usize(v: &JsonValue, key: &str) -> Result<usize, Error> {
-    Ok(get_u64(v, key)? as usize)
-}
-
-fn get_bool(v: &JsonValue, key: &str) -> Result<bool, Error> {
-    bool_field(get(v, key)?, key)
-}
-
-pub(crate) fn get_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, Error> {
-    get(v, key)?
-        .as_str()
-        .ok_or_else(|| Error::codec(format!("field {key:?}: expected a string")))
-}
-
-/// Refuse a document whose `schema` tag is none of `known`.
-pub(crate) fn check_schema(v: &JsonValue, known: &[&str]) -> Result<(), Error> {
-    let schema = get_str(v, "schema")?;
-    if known.contains(&schema) {
-        return Ok(());
-    }
-    Err(Error::codec(format!(
-        "unsupported schema {schema:?} (expected one of {known:?})"
-    )))
-}
-
-pub(crate) fn get_arr<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], Error> {
-    get(v, key)?
-        .as_array()
-        .ok_or_else(|| Error::codec(format!("field {key:?}: expected an array")))
+/// Element `key` of a positional row, named on error.
+fn named<'a, T>(
+    r: &mut Reader<'a>,
+    key: &str,
+    decode: impl FnOnce(&mut Reader<'a>) -> Result<T, Error>,
+) -> Result<T, Error> {
+    decode(r).map_err(|e| e.context(format!("field {key:?}")))
 }
 
 fn put_i64(w: &mut ValueWriter<'_>, v: i64) {
@@ -155,15 +83,19 @@ fn put_opt_int(w: &mut ValueWriter<'_>, v: Option<u64>) {
     }
 }
 
-fn i64_from_json(v: &JsonValue) -> Result<i64, Error> {
-    match v {
-        JsonValue::Int(n) => {
-            i64::try_from(*n).map_err(|_| Error::codec(format!("integer {n} overflows i64")))
+/// An integer as [`put_i64`] writes it.
+pub(crate) fn get_i64(r: &mut Reader<'_>) -> Result<i64, Error> {
+    match r.peek()? {
+        TAG_INT => {
+            let n = r.u64()?;
+            i64::try_from(n).map_err(|_| Error::codec(format!("integer {n} overflows i64")))
         }
-        JsonValue::Str(s) => s
-            .parse::<i64>()
-            .map_err(|_| Error::codec(format!("expected an integer, got string {s:?}"))),
-        other => Err(Error::codec(format!("expected an integer, got {other:?}"))),
+        TAG_STR => {
+            let s = r.str()?;
+            let bad = || Error::codec(format!("expected an integer, got string {s:?}"));
+            s.parse().map_err(|_| bad())
+        }
+        _ => Err(Error::codec("expected an integer")),
     }
 }
 
@@ -178,6 +110,7 @@ fn scale_name(s: Scale) -> &'static str {
     }
 }
 
+/// A search space: an array of named parameter specs.
 pub(crate) fn put_space(w: &mut ValueWriter<'_>, space: &SearchSpace) {
     w.arr(space.params().len());
     for p in space.params() {
@@ -219,52 +152,33 @@ pub(crate) fn put_space(w: &mut ValueWriter<'_>, space: &SearchSpace) {
     }
 }
 
-/// Encode a search space as an array of named parameter specs.
-pub fn space_to_json(space: &SearchSpace) -> JsonValue {
-    tree_of(|w| put_space(w, space))
-}
-
-/// Decode a search space written by [`space_to_json`].
-pub fn space_from_json(v: &JsonValue) -> Result<SearchSpace, Error> {
-    let params = v.as_array().ok_or("search space: expected an array")?;
+/// A search space as [`put_space`] writes it.
+pub(crate) fn get_space(r: &mut Reader<'_>) -> Result<SearchSpace, Error> {
     let mut builder = SearchSpace::builder();
-    for p in params {
-        let name = get_str(p, "name")?;
-        match get_str(p, "kind")? {
-            "continuous" => {
-                let scale = match get_str(p, "scale")? {
-                    "linear" => Scale::Linear,
-                    "log" => Scale::Log,
-                    other => return Err(Error::codec(format!("unknown scale {other:?}"))),
-                };
-                builder = builder.continuous(name, get_f64(p, "low")?, get_f64(p, "high")?, scale);
-            }
-            "discrete" => {
-                let low = i64_from_json(get(p, "low")?)?;
-                let high = i64_from_json(get(p, "high")?)?;
-                builder = builder.discrete(name, low, high);
-            }
-            "ordinal" => {
-                let values: Vec<f64> = get_arr(p, "values")?
-                    .iter()
-                    .map(float_from_json)
-                    .collect::<Result<_, _>>()?;
-                builder = builder.ordinal(name, &values);
-            }
-            "categorical" => {
-                let labels: Vec<String> = get_arr(p, "labels")?
-                    .iter()
-                    .map(|l| {
-                        l.as_str()
-                            .map(str::to_owned)
-                            .ok_or_else(|| "categorical label must be a string".to_owned())
-                    })
-                    .collect::<Result<_, _>>()?;
-                let refs: Vec<&str> = labels.iter().map(String::as_str).collect();
-                builder = builder.categorical(name, &refs);
-            }
-            other => return Err(Error::codec(format!("unknown parameter kind {other:?}"))),
-        }
+    for _ in 0..r.array()? {
+        builder = r.object(|o| {
+            let name = o.get("name", Reader::str)?;
+            Ok(match o.get("kind", Reader::str)? {
+                "continuous" => {
+                    let (low, high) = (o.get("low", Reader::f64)?, o.get("high", Reader::f64)?);
+                    let scale = match o.get("scale", Reader::str)? {
+                        "linear" => Scale::Linear,
+                        "log" => Scale::Log,
+                        other => return Err(Error::codec(format!("unknown scale {other:?}"))),
+                    };
+                    builder.continuous(name, low, high, scale)
+                }
+                "discrete" => {
+                    let low = o.get("low", get_i64)?;
+                    builder.discrete(name, low, o.get("high", get_i64)?)
+                }
+                "ordinal" => builder.ordinal(name, &o.get("values", |r| r.list(Reader::f64))?),
+                "categorical" => {
+                    builder.categorical(name, &o.get("labels", |r| r.list(Reader::str))?)
+                }
+                other => return Err(Error::codec(format!("unknown parameter kind {other:?}"))),
+            })
+        })?;
     }
     builder.build().map_err(|e| Error::codec(e.to_string()))
 }
@@ -274,9 +188,10 @@ const CONFIG_INT: u64 = 1;
 const CONFIG_INDEX: u64 = 2;
 
 /// A config is an array of its values: a `Float` is the bare float
-/// ([`float_to_json`]'s form), an `Int` is `[1, v]`, an `Index` is
+/// ([`put_float`]'s form), an `Int` is `[1, v]`, an `Index` is
 /// `[2, i]`. Snapshot schema v1 wrote each value as a one-key object,
-/// `{"float": x}` / `{"int": v}` / `{"index": i}`; that is still read.
+/// `{"float": x}` / `{"int": v}` / `{"index": i}`; [`crate::upgrade`] still
+/// reads that.
 fn put_config(w: &mut ValueWriter<'_>, config: &Config) {
     w.arr(config.values().len());
     for v in config.values() {
@@ -296,49 +211,26 @@ fn put_config(w: &mut ValueWriter<'_>, config: &Config) {
     }
 }
 
-/// Encode a sampled configuration as an array of values.
-pub fn config_to_json(config: &Config) -> JsonValue {
-    tree_of(|w| put_config(w, config))
+pub(crate) fn get_config(r: &mut Reader<'_>) -> Result<Config, Error> {
+    Ok(Config::new(r.list(get_param_value)?))
 }
 
-fn index_from_json(v: &JsonValue) -> Result<ParamValue, Error> {
-    let i = v.as_u64().ok_or("index must be an unsigned integer")?;
-    Ok(ParamValue::Index(i as usize))
-}
-
-fn param_value_from_json(v: &JsonValue) -> Result<ParamValue, Error> {
-    match v {
-        JsonValue::Arr(tagged) => match tagged.as_slice() {
-            [JsonValue::Int(CONFIG_INT), x] => Ok(ParamValue::Int(i64_from_json(x)?)),
-            [JsonValue::Int(CONFIG_INDEX), i] => index_from_json(i),
-            _ => Err(Error::codec(
-                "config value: expected a float, [1, int] or [2, index]",
-            )),
-        },
-        JsonValue::Obj(_) => {
-            if let Some(x) = v.get("float") {
-                Ok(ParamValue::Float(float_from_json(x)?))
-            } else if let Some(x) = v.get("int") {
-                Ok(ParamValue::Int(i64_from_json(x)?))
-            } else if let Some(i) = v.get("index") {
-                index_from_json(i)
-            } else {
-                Err(Error::codec("config value must be tagged float/int/index"))
+fn get_param_value(r: &mut Reader<'_>) -> Result<ParamValue, Error> {
+    let bad = || Error::codec("config value: expected a float, [1, int] or [2, index]");
+    match r.peek()? {
+        TAG_ARR => {
+            if r.array()? != 2 || r.peek()? != TAG_INT {
+                return Err(bad());
+            }
+            match r.u64()? {
+                CONFIG_INT => Ok(ParamValue::Int(get_i64(r)?)),
+                CONFIG_INDEX => Ok(ParamValue::Index(r.usize()?)),
+                _ => Err(bad()),
             }
         }
-        float => Ok(ParamValue::Float(float_from_json(float)?)),
+        TAG_OBJ => upgrade::keyed_param_value(r),
+        _ => Ok(ParamValue::Float(r.f64()?)),
     }
-}
-
-/// Decode a configuration written by [`config_to_json`] (or schema v1's
-/// keyed values).
-pub fn config_from_json(v: &JsonValue) -> Result<Config, Error> {
-    let arr = v.as_array().ok_or("config: expected an array")?;
-    let values = arr
-        .iter()
-        .map(param_value_from_json)
-        .collect::<Result<Vec<_>, Error>>()?;
-    Ok(Config::new(values))
 }
 
 // ---------------------------------------------------------------------------
@@ -375,22 +267,20 @@ fn put_asha_config(w: &mut ValueWriter<'_>, c: &AshaConfig) {
 
 /// Decode and validate an [`AshaConfig`] (eager rule; the `"dasha"` kind
 /// tag switches it).
-pub fn asha_config_from_json(v: &JsonValue) -> Result<AshaConfig, Error> {
-    let mut c = AshaConfig::new(
-        get_f64(v, "min_resource")?,
-        get_f64(v, "max_resource")?,
-        get_f64(v, "reduction_factor")?,
-    );
-    c.stop_rate = get_usize(v, "stop_rate")?;
-    c.infinite_horizon = get_bool(v, "infinite_horizon")?;
-    c.max_trials = if get(v, "max_trials")?.is_null() {
-        None
-    } else {
-        Some(get_usize(v, "max_trials")?)
-    };
-    c.scan_order = scan_order_from(get_str(v, "scan_order")?)?;
-    c.validate()?;
-    Ok(c)
+fn get_asha_config(r: &mut Reader<'_>) -> Result<AshaConfig, Error> {
+    r.object(|o| {
+        let (min, max) = (
+            o.get("min_resource", Reader::f64)?,
+            o.get("max_resource", Reader::f64)?,
+        );
+        let mut c = AshaConfig::new(min, max, o.get("reduction_factor", Reader::f64)?);
+        c.stop_rate = o.get("stop_rate", Reader::usize)?;
+        c.infinite_horizon = o.get("infinite_horizon", Reader::bool)?;
+        c.max_trials = o.get("max_trials", |r| r.nullable(Reader::usize))?;
+        c.scan_order = scan_order_from(o.get("scan_order", Reader::str)?)?;
+        c.validate()?;
+        Ok(c)
+    })
 }
 
 fn put_sha_config(w: &mut ValueWriter<'_>, c: &ShaConfig) {
@@ -404,17 +294,19 @@ fn put_sha_config(w: &mut ValueWriter<'_>, c: &ShaConfig) {
 }
 
 /// Decode and validate a [`ShaConfig`].
-pub fn sha_config_from_json(v: &JsonValue) -> Result<ShaConfig, Error> {
-    let mut c = ShaConfig::new(
-        get_usize(v, "num_configs")?,
-        get_f64(v, "min_resource")?,
-        get_f64(v, "max_resource")?,
-        get_f64(v, "reduction_factor")?,
-    );
-    c.stop_rate = get_usize(v, "stop_rate")?;
-    c.grow_brackets = get_bool(v, "grow_brackets")?;
-    c.validate()?;
-    Ok(c)
+fn get_sha_config(r: &mut Reader<'_>) -> Result<ShaConfig, Error> {
+    r.object(|o| {
+        let n = o.get("num_configs", Reader::usize)?;
+        let (min, max) = (
+            o.get("min_resource", Reader::f64)?,
+            o.get("max_resource", Reader::f64)?,
+        );
+        let mut c = ShaConfig::new(n, min, max, o.get("reduction_factor", Reader::f64)?);
+        c.stop_rate = o.get("stop_rate", Reader::usize)?;
+        c.grow_brackets = o.get("grow_brackets", Reader::bool)?;
+        c.validate()?;
+        Ok(c)
+    })
 }
 
 fn put_hyperband_config(w: &mut ValueWriter<'_>, c: &HyperbandConfig) {
@@ -426,13 +318,15 @@ fn put_hyperband_config(w: &mut ValueWriter<'_>, c: &HyperbandConfig) {
 }
 
 /// Decode and validate a [`HyperbandConfig`].
-pub fn hyperband_config_from_json(v: &JsonValue) -> Result<HyperbandConfig, Error> {
-    let c = HyperbandConfig {
-        min_resource: get_f64(v, "min_resource")?,
-        max_resource: get_f64(v, "max_resource")?,
-        reduction_factor: get_f64(v, "reduction_factor")?,
-        num_brackets: get_usize(v, "num_brackets")?,
-    };
+fn get_hyperband_config(r: &mut Reader<'_>) -> Result<HyperbandConfig, Error> {
+    let c = r.object(|o| {
+        Ok(HyperbandConfig {
+            min_resource: o.get("min_resource", Reader::f64)?,
+            max_resource: o.get("max_resource", Reader::f64)?,
+            reduction_factor: o.get("reduction_factor", Reader::f64)?,
+            num_brackets: o.get("num_brackets", Reader::usize)?,
+        })
+    })?;
     c.validate()?;
     Ok(c)
 }
@@ -446,21 +340,9 @@ fn put_trial_loss_pairs(w: &mut ValueWriter<'_>, pairs: &[(u64, f64)]) {
     }
 }
 
-fn trial_loss_pairs_from_json(v: &JsonValue, what: &str) -> Result<Vec<(u64, f64)>, Error> {
-    v.as_array()
-        .ok_or_else(|| Error::codec(format!("{what}: expected an array")))?
-        .iter()
-        .map(|pair| {
-            let pair = pair
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| Error::codec(format!("{what}: expected [trial, loss] pairs")))?;
-            let t = pair[0].as_u64().ok_or_else(|| {
-                Error::codec(format!("{what}: trial must be an unsigned integer"))
-            })?;
-            Ok((t, float_from_json(&pair[1])?))
-        })
-        .collect()
+fn get_trial_loss(r: &mut Reader<'_>) -> Result<(u64, f64), Error> {
+    r.tuple(2, "[trial, loss] pair")?;
+    Ok((r.u64()?, r.f64()?))
 }
 
 pub(crate) fn put_u64s(w: &mut ValueWriter<'_>, ids: &[u64]) {
@@ -468,17 +350,6 @@ pub(crate) fn put_u64s(w: &mut ValueWriter<'_>, ids: &[u64]) {
     for &t in ids {
         w.int(t);
     }
-}
-
-fn u64s_from_json(v: &JsonValue, what: &str) -> Result<Vec<u64>, Error> {
-    v.as_array()
-        .ok_or_else(|| Error::codec(format!("{what}: expected an array")))?
-        .iter()
-        .map(|t| {
-            t.as_u64()
-                .ok_or_else(|| Error::codec(format!("{what}: expected unsigned integers")))
-        })
-        .collect()
 }
 
 fn put_trial_configs(w: &mut ValueWriter<'_>, trials: &[(u64, Config)]) {
@@ -490,21 +361,9 @@ fn put_trial_configs(w: &mut ValueWriter<'_>, trials: &[(u64, Config)]) {
     }
 }
 
-fn trial_configs_from_json(v: &JsonValue, what: &str) -> Result<Vec<(u64, Config)>, Error> {
-    v.as_array()
-        .ok_or_else(|| Error::codec(format!("{what}: expected an array")))?
-        .iter()
-        .map(|pair| {
-            let pair = pair
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| Error::codec(format!("{what}: expected [trial, config] pairs")))?;
-            let t = pair[0].as_u64().ok_or_else(|| {
-                Error::codec(format!("{what}: trial must be an unsigned integer"))
-            })?;
-            Ok((t, config_from_json(&pair[1])?))
-        })
-        .collect()
+fn get_trial_config(r: &mut Reader<'_>) -> Result<(u64, Config), Error> {
+    r.tuple(2, "[trial, config] pair")?;
+    Ok((r.u64()?, get_config(r)?))
 }
 
 fn put_rung_state(w: &mut ValueWriter<'_>, r: &RungState) {
@@ -513,10 +372,12 @@ fn put_rung_state(w: &mut ValueWriter<'_>, r: &RungState) {
     put_u64s(w.key("promoted"), &r.promoted);
 }
 
-fn rung_state_from_json(v: &JsonValue) -> Result<RungState, Error> {
-    Ok(RungState {
-        records: trial_loss_pairs_from_json(get(v, "records")?, "rung records")?,
-        promoted: u64s_from_json(get(v, "promoted")?, "rung promoted")?,
+fn get_rung_state(r: &mut Reader<'_>) -> Result<RungState, Error> {
+    r.object(|o| {
+        Ok(RungState {
+            records: o.get("records", |r| r.list(get_trial_loss))?,
+            promoted: o.get("promoted", |r| r.list(Reader::u64))?,
+        })
     })
 }
 
@@ -539,32 +400,21 @@ fn put_asha_state(w: &mut ValueWriter<'_>, s: &AshaState) {
     w.key("name").str(&s.name);
 }
 
-/// Decode an [`AshaState`].
-pub fn asha_state_from_json(v: &JsonValue) -> Result<AshaState, Error> {
-    let outstanding = get_arr(v, "outstanding")?
-        .iter()
-        .map(|pair| {
-            let pair = pair
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or("outstanding: expected [trial, rung] pairs")?;
-            match (pair[0].as_u64(), pair[1].as_u64()) {
-                (Some(t), Some(k)) => Ok((t, k as usize)),
-                _ => Err(Error::codec("outstanding: expected unsigned integers")),
-            }
+fn get_asha_state(r: &mut Reader<'_>) -> Result<AshaState, Error> {
+    let outstanding = |r: &mut Reader<'_>| {
+        r.tuple(2, "[trial, rung] pair")?;
+        Ok((r.u64()?, r.usize()?))
+    };
+    r.object(|o| {
+        Ok(AshaState {
+            config: o.get("config", get_asha_config)?,
+            rungs: o.get("rungs", |r| r.list(get_rung_state))?,
+            trials: o.get("trials", |r| r.list(get_trial_config))?,
+            outstanding: o.get("outstanding", |r| r.list(outstanding))?,
+            next_trial: o.get("next_trial", Reader::u64)?,
+            trials_started: o.get("trials_started", Reader::usize)?,
+            name: o.get("name", Reader::string)?,
         })
-        .collect::<Result<Vec<_>, Error>>()?;
-    Ok(AshaState {
-        config: asha_config_from_json(get(v, "config")?)?,
-        rungs: get_arr(v, "rungs")?
-            .iter()
-            .map(rung_state_from_json)
-            .collect::<Result<_, _>>()?,
-        trials: trial_configs_from_json(get(v, "trials")?, "trials")?,
-        outstanding,
-        next_trial: get_u64(v, "next_trial")?,
-        trials_started: get_usize(v, "trials_started")?,
-        name: get_str(v, "name")?.to_owned(),
     })
 }
 
@@ -580,15 +430,17 @@ fn put_bracket_state(w: &mut ValueWriter<'_>, b: &BracketState) {
     w.key("done").bool(b.done);
 }
 
-fn bracket_state_from_json(v: &JsonValue) -> Result<BracketState, Error> {
-    Ok(BracketState {
-        remaining_to_sample: get_usize(v, "remaining_to_sample")?,
-        queue: trial_configs_from_json(get(v, "queue")?, "bracket queue")?,
-        outstanding: get_usize(v, "outstanding")?,
-        issued: u64s_from_json(get(v, "issued")?, "bracket issued")?,
-        results: trial_loss_pairs_from_json(get(v, "results")?, "bracket results")?,
-        rung: get_usize(v, "rung")?,
-        done: get_bool(v, "done")?,
+fn get_bracket_state(r: &mut Reader<'_>) -> Result<BracketState, Error> {
+    r.object(|o| {
+        Ok(BracketState {
+            remaining_to_sample: o.get("remaining_to_sample", Reader::usize)?,
+            queue: o.get("queue", |r| r.list(get_trial_config))?,
+            outstanding: o.get("outstanding", Reader::usize)?,
+            issued: o.get("issued", |r| r.list(Reader::u64))?,
+            results: o.get("results", |r| r.list(get_trial_loss))?,
+            rung: o.get("rung", Reader::usize)?,
+            done: o.get("done", Reader::bool)?,
+        })
     })
 }
 
@@ -610,30 +462,19 @@ fn put_sync_sha_state(w: &mut ValueWriter<'_>, s: &SyncShaState) {
     w.key("name").str(&s.name);
 }
 
-/// Decode a [`SyncShaState`].
-pub fn sync_sha_state_from_json(v: &JsonValue) -> Result<SyncShaState, Error> {
-    let trial_meta = get_arr(v, "trial_meta")?
-        .iter()
-        .map(|triple| {
-            let triple = triple
-                .as_array()
-                .filter(|p| p.len() == 3)
-                .ok_or("trial_meta: expected [trial, bracket, config] triples")?;
-            match (triple[0].as_u64(), triple[1].as_u64()) {
-                (Some(t), Some(b)) => Ok((t, b as usize, config_from_json(&triple[2])?)),
-                _ => Err(Error::codec("trial_meta: expected unsigned integers")),
-            }
+fn get_sync_sha_state(r: &mut Reader<'_>) -> Result<SyncShaState, Error> {
+    let trial_meta = |r: &mut Reader<'_>| {
+        r.tuple(3, "[trial, bracket, config] triple")?;
+        Ok((r.u64()?, r.usize()?, get_config(r)?))
+    };
+    r.object(|o| {
+        Ok(SyncShaState {
+            config: o.get("config", get_sha_config)?,
+            brackets: o.get("brackets", |r| r.list(get_bracket_state))?,
+            trial_meta: o.get("trial_meta", |r| r.list(trial_meta))?,
+            next_trial: o.get("next_trial", Reader::u64)?,
+            name: o.get("name", Reader::string)?,
         })
-        .collect::<Result<Vec<_>, Error>>()?;
-    Ok(SyncShaState {
-        config: sha_config_from_json(get(v, "config")?)?,
-        brackets: get_arr(v, "brackets")?
-            .iter()
-            .map(bracket_state_from_json)
-            .collect::<Result<_, _>>()?,
-        trial_meta,
-        next_trial: get_u64(v, "next_trial")?,
-        name: get_str(v, "name")?.to_owned(),
     })
 }
 
@@ -649,17 +490,15 @@ fn put_hyperband_state(w: &mut ValueWriter<'_>, s: &AsyncHyperbandState) {
     w.key("name").str(&s.name);
 }
 
-/// Decode an [`AsyncHyperbandState`].
-pub fn hyperband_state_from_json(v: &JsonValue) -> Result<AsyncHyperbandState, Error> {
-    Ok(AsyncHyperbandState {
-        config: hyperband_config_from_json(get(v, "config")?)?,
-        brackets: get_arr(v, "brackets")?
-            .iter()
-            .map(asha_state_from_json)
-            .collect::<Result<_, _>>()?,
-        spent: get_f64(v, "spent")?,
-        current: get_usize(v, "current")?,
-        name: get_str(v, "name")?.to_owned(),
+fn get_hyperband_state(r: &mut Reader<'_>) -> Result<AsyncHyperbandState, Error> {
+    r.object(|o| {
+        Ok(AsyncHyperbandState {
+            config: o.get("config", get_hyperband_config)?,
+            brackets: o.get("brackets", |r| r.list(get_asha_state))?,
+            spent: o.get("spent", Reader::f64)?,
+            current: o.get("current", Reader::usize)?,
+            name: o.get("name", Reader::string)?,
+        })
     })
 }
 
@@ -682,16 +521,26 @@ pub fn scheduler_state_to_json(s: &SchedulerState) -> JsonValue {
 /// Decode a state written by [`scheduler_state_to_json`]. The `"dasha"`
 /// kind is an ASHA state under the delayed promotion rule.
 pub fn scheduler_state_from_json(v: &JsonValue) -> Result<SchedulerState, Error> {
-    let state = get(v, "state")?;
-    Ok(match get_str(v, "kind")? {
-        "asha" => SchedulerState::Asha(asha_state_from_json(state)?),
+    from_tree(v, get_scheduler_state)
+}
+
+pub(crate) fn get_scheduler_state(r: &mut Reader<'_>) -> Result<SchedulerState, Error> {
+    r.object(|o| {
+        let kind = o.get("kind", Reader::str)?;
+        o.get("state", |r| state_of(kind, r))
+    })
+}
+
+fn state_of(kind: &str, r: &mut Reader<'_>) -> Result<SchedulerState, Error> {
+    Ok(match kind {
+        "asha" => SchedulerState::Asha(get_asha_state(r)?),
         "dasha" => {
-            let mut s = asha_state_from_json(state)?;
+            let mut s = get_asha_state(r)?;
             s.config.rule = PromotionRule::Delayed;
             SchedulerState::Asha(s)
         }
-        "sync_sha" => SchedulerState::SyncSha(sync_sha_state_from_json(state)?),
-        "async_hyperband" => SchedulerState::AsyncHyperband(hyperband_state_from_json(state)?),
+        "sync_sha" => SchedulerState::SyncSha(get_sync_sha_state(r)?),
+        "async_hyperband" => SchedulerState::AsyncHyperband(get_hyperband_state(r)?),
         other => return Err(Error::codec(format!("unknown scheduler kind {other:?}"))),
     })
 }
@@ -712,60 +561,11 @@ pub fn scheduler_state_from_json(v: &JsonValue) -> Result<SchedulerState, Error>
 //   trace    [time, trial, bracket, rung, resource, val_loss, test_loss]
 //
 // Schema v1 wrote each row as an object keyed by those names, with a slot's
-// training state nested under `"state"`; each row decoder reads both. Only
-// the document's singletons — the top-level fields, `faults`,
-// `best_config`, the scheduler and simulator configs — keep their keys:
-// written once per document, they cost a few hundred bytes and name
-// themselves to a reader.
-
-/// One row being decoded: a v2 array read by position, or a v1 object read
-/// by key. A positional row's length is checked when it is opened, so a
-/// short, long or mistyped row is an error, never a panic.
-#[derive(Clone, Copy)]
-enum Row<'a> {
-    Positional(&'a [JsonValue]),
-    Keyed(&'a JsonValue),
-}
-
-impl<'a> Row<'a> {
-    fn open(v: &'a JsonValue, len: usize, what: &str) -> Result<Self, Error> {
-        match v {
-            JsonValue::Arr(items) if items.len() == len => Ok(Row::Positional(items)),
-            JsonValue::Arr(items) => Err(Error::codec(format!(
-                "{what}: expected {len} elements, got {}",
-                items.len()
-            ))),
-            JsonValue::Obj(_) => Ok(Row::Keyed(v)),
-            _ => Err(Error::codec(format!("{what}: expected an array"))),
-        }
-    }
-
-    /// Element `i` of a positional row, field `key` of a keyed one.
-    fn field(self, i: usize, key: &str) -> Result<&'a JsonValue, Error> {
-        match self {
-            Row::Positional(items) => items
-                .get(i)
-                .ok_or_else(|| Error::codec(format!("missing field {key:?}"))),
-            Row::Keyed(v) => get(v, key),
-        }
-    }
-
-    fn f64(self, i: usize, key: &str) -> Result<f64, Error> {
-        f64_field(self.field(i, key)?, key)
-    }
-
-    fn u64(self, i: usize, key: &str) -> Result<u64, Error> {
-        u64_field(self.field(i, key)?, key)
-    }
-
-    fn usize(self, i: usize, key: &str) -> Result<usize, Error> {
-        Ok(self.u64(i, key)? as usize)
-    }
-
-    fn bool(self, i: usize, key: &str) -> Result<bool, Error> {
-        bool_field(self.field(i, key)?, key)
-    }
-}
+// training state nested under `"state"`; each row decoder hands such an
+// object to `upgrade`. Only the document's singletons — the top-level
+// fields, `faults`, `best_config`, the scheduler and simulator configs —
+// keep their keys: written once per document, they cost a few hundred bytes
+// and name themselves to a reader.
 
 fn put_job(w: &mut ValueWriter<'_>, j: &Job) {
     w.arr(6);
@@ -777,26 +577,17 @@ fn put_job(w: &mut ValueWriter<'_>, j: &Job) {
     put_opt_int(w, j.inherit_from.map(|t| t.0));
 }
 
-/// Encode a [`Job`].
-pub fn job_to_json(j: &Job) -> JsonValue {
-    tree_of(|w| put_job(w, j))
-}
-
-/// Decode a [`Job`].
-pub fn job_from_json(v: &JsonValue) -> Result<Job, Error> {
-    let row = Row::open(v, 6, "job")?;
-    let inherit_from = row.field(5, "inherit_from")?;
+pub(crate) fn get_job(r: &mut Reader<'_>) -> Result<Job, Error> {
+    if r.is_keyed_row(6, "job")? {
+        return upgrade::keyed_row(r, upgrade::JOB, get_job);
+    }
     Ok(Job {
-        trial: TrialId(row.u64(0, "trial")?),
-        config: config_from_json(row.field(1, "config")?)?,
-        rung: row.usize(2, "rung")?,
-        resource: row.f64(3, "resource")?,
-        bracket: row.usize(4, "bracket")?,
-        inherit_from: if inherit_from.is_null() {
-            None
-        } else {
-            Some(TrialId(u64_field(inherit_from, "inherit_from")?))
-        },
+        trial: TrialId(named(r, "trial", Reader::u64)?),
+        config: named(r, "config", get_config)?,
+        rung: named(r, "rung", Reader::usize)?,
+        resource: named(r, "resource", Reader::f64)?,
+        bracket: named(r, "bracket", Reader::usize)?,
+        inherit_from: named(r, "inherit_from", |r| r.nullable(Reader::u64))?.map(TrialId),
     })
 }
 
@@ -814,24 +605,22 @@ fn put_slot(w: &mut ValueWriter<'_>, slot: &TrialSlotState) {
     w.bool(slot.completed);
 }
 
-fn slot_from_json(v: &JsonValue) -> Result<TrialSlotState, Error> {
-    let row = Row::open(v, 9, "slot")?;
-    let state = match row {
-        Row::Positional(_) => row,
-        Row::Keyed(slot) => Row::Keyed(get(slot, "state")?),
-    };
+fn get_slot(r: &mut Reader<'_>) -> Result<TrialSlotState, Error> {
+    if r.is_keyed_row(9, "slot")? {
+        return upgrade::keyed_row(r, upgrade::SLOT, get_slot);
+    }
     Ok(TrialSlotState {
-        trial: row.u64(0, "trial")?,
+        trial: named(r, "trial", Reader::u64)?,
         state: TrainingState {
-            resource: state.f64(1, "resource")?,
-            loss: state.f64(2, "loss")?,
-            asym_jitter: state.f64(3, "asym_jitter")?,
-            rate_jitter: state.f64(4, "rate_jitter")?,
-            divergence_draw: state.f64(5, "divergence_draw")?,
-            diverged: state.bool(6, "diverged")?,
+            resource: named(r, "resource", Reader::f64)?,
+            loss: named(r, "loss", Reader::f64)?,
+            asym_jitter: named(r, "asym_jitter", Reader::f64)?,
+            rate_jitter: named(r, "rate_jitter", Reader::f64)?,
+            divergence_draw: named(r, "divergence_draw", Reader::f64)?,
+            diverged: named(r, "diverged", Reader::bool)?,
         },
-        time_per_unit: row.f64(7, "time_per_unit")?,
-        completed: row.bool(8, "completed")?,
+        time_per_unit: named(r, "time_per_unit", Reader::f64)?,
+        completed: named(r, "completed", Reader::bool)?,
     })
 }
 
@@ -843,13 +632,15 @@ fn put_pending(w: &mut ValueWriter<'_>, p: &PendingJob) {
     w.bool(p.dropped);
 }
 
-fn pending_from_json(v: &JsonValue) -> Result<PendingJob, Error> {
-    let row = Row::open(v, 4, "pending job")?;
+fn get_pending(r: &mut Reader<'_>) -> Result<PendingJob, Error> {
+    if r.is_keyed_row(4, "pending job")? {
+        return upgrade::keyed_row(r, upgrade::PENDING, get_pending);
+    }
     Ok(PendingJob {
-        time: row.f64(0, "time")?,
-        seq: row.u64(1, "seq")?,
-        job: job_from_json(row.field(2, "job")?)?,
-        dropped: row.bool(3, "dropped")?,
+        time: named(r, "time", Reader::f64)?,
+        seq: named(r, "seq", Reader::u64)?,
+        job: named(r, "job", get_job)?,
+        dropped: named(r, "dropped", Reader::bool)?,
     })
 }
 
@@ -862,13 +653,15 @@ fn put_fault_stats(w: &mut ValueWriter<'_>, f: &FaultStats) {
     w.key("poisoned").int(f.jobs_poisoned as u64);
 }
 
-fn fault_stats_from_json(v: &JsonValue) -> Result<FaultStats, Error> {
-    Ok(FaultStats {
-        jobs_dropped: get_usize(v, "dropped")?,
-        jobs_retried: get_usize(v, "retried")?,
-        jobs_timed_out: get_usize(v, "timed_out")?,
-        jobs_panicked: get_usize(v, "panicked")?,
-        jobs_poisoned: get_usize(v, "poisoned")?,
+fn get_fault_stats(r: &mut Reader<'_>) -> Result<FaultStats, Error> {
+    r.object(|o| {
+        Ok(FaultStats {
+            jobs_dropped: o.get("dropped", Reader::usize)?,
+            jobs_retried: o.get("retried", Reader::usize)?,
+            jobs_timed_out: o.get("timed_out", Reader::usize)?,
+            jobs_panicked: o.get("panicked", Reader::usize)?,
+            jobs_poisoned: o.get("poisoned", Reader::usize)?,
+        })
     })
 }
 
@@ -883,16 +676,18 @@ fn put_trace_event(w: &mut ValueWriter<'_>, e: &TraceEvent) {
     put_float(w, e.test_loss);
 }
 
-fn trace_event_from_json(v: &JsonValue) -> Result<TraceEvent, Error> {
-    let row = Row::open(v, 7, "trace event")?;
+fn get_trace_event(r: &mut Reader<'_>) -> Result<TraceEvent, Error> {
+    if r.is_keyed_row(7, "trace event")? {
+        return upgrade::keyed_row(r, upgrade::TRACE, get_trace_event);
+    }
     Ok(TraceEvent {
-        time: row.f64(0, "time")?,
-        trial: row.u64(1, "trial")?,
-        bracket: row.usize(2, "bracket")?,
-        rung: row.usize(3, "rung")?,
-        resource: row.f64(4, "resource")?,
-        val_loss: row.f64(5, "val_loss")?,
-        test_loss: row.f64(6, "test_loss")?,
+        time: named(r, "time", Reader::f64)?,
+        trial: named(r, "trial", Reader::u64)?,
+        bracket: named(r, "bracket", Reader::usize)?,
+        rung: named(r, "rung", Reader::usize)?,
+        resource: named(r, "resource", Reader::f64)?,
+        val_loss: named(r, "val_loss", Reader::f64)?,
+        test_loss: named(r, "test_loss", Reader::f64)?,
     })
 }
 
@@ -914,33 +709,30 @@ pub(crate) fn put_sim_config(w: &mut ValueWriter<'_>, c: &SimConfig) {
     });
 }
 
-/// Encode a [`SimConfig`].
-pub fn sim_config_to_json(c: &SimConfig) -> JsonValue {
-    tree_of(|w| put_sim_config(w, c))
-}
-
 /// Decode and validate a [`SimConfig`].
-pub fn sim_config_from_json(v: &JsonValue) -> Result<SimConfig, Error> {
+pub(crate) fn get_sim_config(r: &mut Reader<'_>) -> Result<SimConfig, Error> {
     // A struct literal, not `SimConfig::new`: the constructor panics on
     // exactly the values `validate` is here to reject.
-    let c = SimConfig {
-        workers: get_usize(v, "workers")?,
-        max_time: get_f64(v, "max_time")?,
-        max_jobs: get_usize(v, "max_jobs")?,
-        straggler_std: get_f64(v, "straggler_std")?,
-        drop_prob: get_f64(v, "drop_prob")?,
-        resume: match get_str(v, "resume")? {
-            "checkpoint" => ResumePolicy::Checkpoint,
-            "from_scratch" => ResumePolicy::FromScratch,
-            other => return Err(Error::codec(format!("unknown resume policy {other:?}"))),
-        },
-        trace_mode: match get_str(v, "trace_mode")? {
-            "full" => TraceMode::Full,
-            "incumbent_only" => TraceMode::IncumbentOnly,
-            "aggregated" => TraceMode::Aggregated,
-            other => return Err(Error::codec(format!("unknown trace mode {other:?}"))),
-        },
-    };
+    let c = r.object(|o| {
+        Ok(SimConfig {
+            workers: o.get("workers", Reader::usize)?,
+            max_time: o.get("max_time", Reader::f64)?,
+            max_jobs: o.get("max_jobs", Reader::usize)?,
+            straggler_std: o.get("straggler_std", Reader::f64)?,
+            drop_prob: o.get("drop_prob", Reader::f64)?,
+            resume: match o.get("resume", Reader::str)? {
+                "checkpoint" => ResumePolicy::Checkpoint,
+                "from_scratch" => ResumePolicy::FromScratch,
+                other => return Err(Error::codec(format!("unknown resume policy {other:?}"))),
+            },
+            trace_mode: match o.get("trace_mode", Reader::str)? {
+                "full" => TraceMode::Full,
+                "incumbent_only" => TraceMode::IncumbentOnly,
+                "aggregated" => TraceMode::Aggregated,
+                other => return Err(Error::codec(format!("unknown trace mode {other:?}"))),
+            },
+        })
+    })?;
     c.validate()?;
     Ok(c)
 }
@@ -984,82 +776,64 @@ pub(crate) fn put_sim_run_state(w: &mut ValueWriter<'_>, s: &SimRunState) {
     }
 }
 
-/// Decode a [`SimRunState`].
-pub fn sim_run_state_from_json(v: &JsonValue) -> Result<SimRunState, Error> {
-    let best_config = {
-        let b = get(v, "best_config")?;
-        if b.is_null() {
-            None
-        } else {
-            Some((
-                config_from_json(get(b, "config")?)?,
-                get_f64(b, "loss")?,
-                get_f64(b, "resource")?,
+pub(crate) fn get_sim_run_state(r: &mut Reader<'_>) -> Result<SimRunState, Error> {
+    let best_config = |r: &mut Reader<'_>| {
+        r.object(|o| {
+            let config = o.get("config", get_config)?;
+            Ok((
+                config,
+                o.get("loss", Reader::f64)?,
+                o.get("resource", Reader::f64)?,
             ))
-        }
+        })
     };
-    Ok(SimRunState {
-        now: get_f64(v, "now")?,
-        seq: get_u64(v, "seq")?,
-        free_workers: get_usize(v, "free_workers")?,
-        jobs_completed: get_usize(v, "jobs_completed")?,
-        distinct_trials: get_usize(v, "distinct_trials")?,
-        faults: fault_stats_from_json(get(v, "faults")?)?,
-        scheduler_finished: get_bool(v, "scheduler_finished")?,
-        incumbent_val: get_f64(v, "incumbent_val")?,
-        best_config,
-        slots: get_arr(v, "slots")?
-            .iter()
-            .map(slot_from_json)
-            .collect::<Result<_, _>>()?,
-        pending: get_arr(v, "pending")?
-            .iter()
-            .map(pending_from_json)
-            .collect::<Result<_, _>>()?,
-        retry: get_arr(v, "retry")?
-            .iter()
-            .map(job_from_json)
-            .collect::<Result<_, _>>()?,
-        searcher: get_str(v, "searcher")?.to_owned(),
-        trace: get_arr(v, "trace")?
-            .iter()
-            .map(trace_event_from_json)
-            .collect::<Result<_, _>>()?,
+    r.object(|o| {
+        Ok(SimRunState {
+            now: o.get("now", Reader::f64)?,
+            seq: o.get("seq", Reader::u64)?,
+            free_workers: o.get("free_workers", Reader::usize)?,
+            jobs_completed: o.get("jobs_completed", Reader::usize)?,
+            distinct_trials: o.get("distinct_trials", Reader::usize)?,
+            faults: o.get("faults", get_fault_stats)?,
+            scheduler_finished: o.get("scheduler_finished", Reader::bool)?,
+            incumbent_val: o.get("incumbent_val", Reader::f64)?,
+            best_config: o.get("best_config", |r| r.nullable(best_config))?,
+            slots: o.get("slots", |r| r.list(get_slot))?,
+            pending: o.get("pending", |r| r.list(get_pending))?,
+            retry: o.get("retry", |r| r.list(get_job))?,
+            searcher: o.get("searcher", Reader::string)?,
+            trace: o.get("trace", |r| r.list(get_trace_event))?,
+        })
     })
 }
 
-/// Encode raw xoshiro256++ state words captured by `StdRng::state`.
-pub fn rng_state_to_json(s: [u64; 4]) -> JsonValue {
-    tree_of(|w| put_u64s(w, &s))
-}
-
-/// Decode RNG state words written by [`rng_state_to_json`].
-pub fn rng_state_from_json(v: &JsonValue) -> Result<[u64; 4], Error> {
-    let words = u64s_from_json(v, "rng state")?;
-    let arr: [u64; 4] = words
-        .try_into()
-        .map_err(|_| "rng state must have exactly 4 words".to_owned())?;
-    Ok(arr)
+/// Raw xoshiro256++ state words captured by `StdRng::state`, as
+/// [`put_u64s`] writes them.
+pub(crate) fn get_rng_state(r: &mut Reader<'_>) -> Result<[u64; 4], Error> {
+    r.tuple(4, "rng state")?;
+    Ok([r.u64()?, r.u64()?, r.u64()?, r.u64()?])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn roundtrip(v: &JsonValue) -> JsonValue {
-        JsonValue::parse(&v.render()).expect("rendered JSON reparses")
+    /// `encode`'s bytes as a tree, through rendered text and back.
+    fn roundtrip(encode: impl FnOnce(&mut ValueWriter<'_>)) -> JsonValue {
+        JsonValue::parse(&tree_of(encode).render()).expect("rendered JSON reparses")
     }
 
     #[test]
     fn float_codec_handles_non_finite() {
         for v in [0.5, -3.25, f64::INFINITY, f64::NEG_INFINITY] {
-            let back = float_from_json(&roundtrip(&float_to_json(v))).unwrap();
+            let back = from_tree(&roundtrip(|w| put_float(w, v)), |r| r.f64()).unwrap();
             assert_eq!(v.to_bits(), back.to_bits());
         }
-        let nan = float_from_json(&roundtrip(&float_to_json(f64::NAN))).unwrap();
+        let nan = from_tree(&roundtrip(|w| put_float(w, f64::NAN)), |r| r.f64()).unwrap();
         assert!(nan.is_nan());
         // Telemetry-log compatibility: null decodes as +inf.
-        assert_eq!(float_from_json(&JsonValue::Null).unwrap(), f64::INFINITY);
+        let null = from_tree(&JsonValue::Null, |r| r.f64()).unwrap();
+        assert_eq!(null, f64::INFINITY);
     }
 
     #[test]
@@ -1072,11 +846,9 @@ mod tests {
             .categorical("act", &["relu", "tanh"])
             .build()
             .unwrap();
-        let back = space_from_json(&roundtrip(&space_to_json(&space))).unwrap();
-        assert_eq!(
-            space_to_json(&back).render(),
-            space_to_json(&space).render()
-        );
+        let back = from_tree(&roundtrip(|w| put_space(w, &space)), get_space).unwrap();
+        let tree = |space: &SearchSpace| tree_of(|w| put_space(w, space)).render();
+        assert_eq!(tree(&back), tree(&space));
     }
 
     #[test]
@@ -1086,7 +858,7 @@ mod tests {
             ParamValue::Int(-5),
             ParamValue::Index(2),
         ]);
-        let back = config_from_json(&roundtrip(&config_to_json(&c))).unwrap();
+        let back = from_tree(&roundtrip(|w| put_config(w, &c)), get_config).unwrap();
         assert_eq!(back, c);
     }
 
@@ -1100,7 +872,8 @@ mod tests {
             bracket: 1,
             inherit_from: Some(TrialId(7)),
         };
-        assert_eq!(job_from_json(&roundtrip(&job_to_json(&job))).unwrap(), job);
+        let back = from_tree(&roundtrip(|w| put_job(w, &job)), get_job).unwrap();
+        assert_eq!(back, job);
     }
 
     #[test]
@@ -1111,7 +884,46 @@ mod tests {
             .with_max_jobs(1000)
             .with_resume(ResumePolicy::FromScratch)
             .with_trace_mode(TraceMode::IncumbentOnly);
-        let back = sim_config_from_json(&roundtrip(&sim_config_to_json(&cfg))).unwrap();
+        let back = from_tree(&roundtrip(|w| put_sim_config(w, &cfg)), get_sim_config).unwrap();
         assert_eq!(back, cfg);
+    }
+
+    /// Fields are found by key in any order, a field passed over on the
+    /// way to another is read later, and the first of repeated keys counts.
+    #[test]
+    fn fields_are_read_by_key_in_any_order() {
+        let doc = JsonValue::parse(
+            r#"{"state": {"x": 1}, "a": 5, "kind": "k", "a": 6, "extra": [1, [2]], "b": true}"#,
+        )
+        .unwrap();
+        let read = from_tree(&doc, |r| {
+            r.object(|o| {
+                let b = o.get("b", Reader::bool)?;
+                let kind = o.get("kind", Reader::string)?;
+                let x = o.get("state", |r| r.object(|o| o.get("x", Reader::u64)))?;
+                Ok((
+                    b,
+                    kind,
+                    x,
+                    o.get("a", Reader::u64)?,
+                    o.opt("absent", Reader::u64)?,
+                ))
+            })
+        });
+        assert_eq!(read.unwrap(), (true, "k".to_owned(), 1, 5, None));
+        let err = from_tree(&doc, |r| r.object(|o| o.get("missing", Reader::u64)));
+        assert!(err.unwrap_err().to_string().contains("missing field"));
+    }
+
+    /// A count is a loop bound, never a reservation: arrays claiming
+    /// 2⁶⁴ − 1 values are refused as soon as their bytes run out.
+    #[test]
+    fn a_huge_count_is_an_error_not_an_allocation() {
+        let mut bytes = vec![TAG_ARR];
+        crate::binary::put_varint(&mut bytes, u64::MAX);
+        bytes.push(crate::binary::TAG_NUM);
+        assert!(Reader::whole(&bytes, get_config).is_err());
+        assert!(Reader::whole(&bytes, |r| r.list(get_slot)).is_err());
+        assert!(Reader::whole(&bytes, |r| r.list(Reader::u64)).is_err());
     }
 }

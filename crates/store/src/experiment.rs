@@ -35,7 +35,7 @@ use asha_surrogate::CurveBenchmark;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::binary::{decode_value, tree_of, ValueWriter};
+use crate::binary::{from_tree, tree_of, Reader, ValueWriter};
 use crate::codec;
 use crate::delta;
 use crate::error::{Error, StoreError};
@@ -133,23 +133,33 @@ impl ExperimentMeta {
     /// Decode, verifying the schema tag. A `sampler` that is not the name
     /// of a [`Sampler`] is a `config` error.
     pub fn from_json(v: &JsonValue) -> Result<Self, Error> {
-        codec::check_schema(v, &[META_SCHEMA])?;
-        let bench = codec::get(v, "bench")?;
-        let sampler = |s: &JsonValue| {
-            let unknown = || Error::config(format!("unknown sampler {}", s.render_compact()));
-            s.as_str().and_then(Sampler::from_name).ok_or_else(unknown)
+        from_tree(v, ExperimentMeta::get)
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let sampler = |r: &mut Reader<'_>| {
+            let name = r.str().map_err(|e| Error::config(e.message()))?;
+            let unknown = || Error::config(format!("unknown sampler {name:?}"));
+            Sampler::from_name(name).ok_or_else(unknown)
         };
-        Ok(ExperimentMeta {
-            name: codec::get_str(v, "name")?.to_owned(),
-            space: codec::space_from_json(codec::get(v, "space")?)?,
-            initial: codec::scheduler_state_from_json(codec::get(v, "scheduler")?)?,
-            sampler: v.get("sampler").map(sampler).transpose()?,
-            seed: codec::get_u64(v, "seed")?,
-            sim: codec::sim_config_from_json(codec::get(v, "sim")?)?,
-            bench: BenchSpec {
-                preset: codec::get_str(bench, "preset")?.to_owned(),
-                seed: codec::get_u64(bench, "seed")?,
-            },
+        let bench = |r: &mut Reader<'_>| {
+            r.object(|o| {
+                let preset = o.get("preset", Reader::string)?;
+                let seed = o.get("seed", Reader::u64)?;
+                Ok(BenchSpec { preset, seed })
+            })
+        };
+        r.object(|o| {
+            o.schema(&[META_SCHEMA])?;
+            Ok(ExperimentMeta {
+                name: o.get("name", Reader::string)?,
+                space: o.get("space", codec::get_space)?,
+                initial: o.get("scheduler", codec::get_scheduler_state)?,
+                seed: o.get("seed", Reader::u64)?,
+                sim: o.get("sim", codec::get_sim_config)?,
+                bench: o.get("bench", bench)?,
+                sampler: o.opt("sampler", sampler)?,
+            })
         })
     }
 }
@@ -321,8 +331,10 @@ pub struct DurableRun<'b> {
 
 impl<'b> DurableRun<'b> {
     /// Initialize a fresh experiment directory and the run driving it.
-    /// Builds the scheduler first, then writes `meta.json`, starts the WAL,
-    /// and takes snapshot 0 (the pristine state), so the directory is
+    /// Builds the scheduler first — an initial state it cannot hold
+    /// ([`SchedulerState::validate`]) is refused, kind `Config`, before
+    /// anything is written — then writes `meta.json`, starts the WAL, and
+    /// takes snapshot 0 (the pristine state), so the directory is
     /// recoverable from the first instant.
     pub fn create(
         dir: &Path,
@@ -330,6 +342,9 @@ impl<'b> DurableRun<'b> {
         bench: &'b dyn asha_surrogate::BenchmarkModel,
         opts: RunOptions,
     ) -> Result<Self, StoreError> {
+        meta.initial
+            .validate()
+            .map_err(|e| e.context("initial scheduler state"))?;
         let scheduler = StoredScheduler::from_state(
             meta.space.clone(),
             meta.initial.clone(),
@@ -398,7 +413,7 @@ impl<'b> DurableRun<'b> {
         })?;
         // Rebuild the checkpoint document on its bytes: the base full
         // snapshot, then the marker's delta chain patched on top in order.
-        // Only the final document is decoded.
+        // Only the final document is decoded, straight into typed state.
         let mut doc = snapshot::read_payload(&snap_path)?;
         let mut patched = Vec::new();
         for k in 1..=marker.delta {
@@ -408,10 +423,7 @@ impl<'b> DurableRun<'b> {
                 .map_err(|msg| StoreError::corrupt(&path, format!("applying delta: {msg}")))?;
             std::mem::swap(&mut doc, &mut patched);
         }
-        let snap = decode_value(&doc)
-            .map_err(Error::codec)
-            .and_then(|tree| Snapshot::from_json(&tree))
-            .map_err(|e| e.corrupt_at(&snap_path))?;
+        let snap = Snapshot::from_bytes(&doc).map_err(|e| e.corrupt_at(&snap_path))?;
         if snap.events != marker.events {
             return Err(StoreError::corrupt(
                 &snap_path,

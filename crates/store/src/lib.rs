@@ -8,8 +8,9 @@
 //! the simulator's event loop — is checkpointed: a full snapshot file, or
 //! a *delta* (a structural diff against the previous checkpoint) while the
 //! chain stays short. A checkpoint is encoded from the typed state straight
-//! to `binary-v2` bytes, diffed and patched as bytes, and only ever decoded
-//! into a tree once, at the end of a recovery. Everything is written and
+//! to `binary-v2` bytes, diffed and patched as bytes, and decoded from the
+//! bytes straight back into typed state at the end of a recovery: no tree
+//! is built on either path. Everything is written and
 //! read as `binary-v2` (length-prefixed, CRC-guarded frames); a store in
 //! `jsonl-v1` (one JSON object per line / per file, the original dialect)
 //! is converted in place by [`upgrade`] when it is opened. Because every
@@ -25,9 +26,9 @@
 //!   CRC32, LEB128 varints, and *binvalue*, the compact tagged encoding of
 //!   JSON-shaped documents, with a streaming writer, a tree decoder and
 //!   in-place walkers.
-//! - [`codec`]: one hand-rolled byte encoder per persisted type (the
-//!   vendored `serde` is a stub) with its tree form derived from it, and
-//!   the tree decoders; exact `f64` round-trips and non-finite loss
+//! - [`codec`]: one hand-rolled byte encoder and one byte decoder per
+//!   persisted type (the vendored `serde` is a stub), with the tree forms
+//!   derived from them; exact `f64` round-trips and non-finite loss
 //!   encoding.
 //! - [`mod@format`]: the `binary-v2` codec — the record and document
 //!   decoders and encoders.
@@ -50,7 +51,8 @@
 //!   worker thread with independent pause/resume/abort, under a crash-safe
 //!   manifest.
 //! - [`upgrade`]: the one reader of `jsonl-v1` — converts a pre-redesign
-//!   store to `binary-v2` in place, or reads it in memory for tools.
+//!   store to `binary-v2` in place, or reads it in memory for tools — and
+//!   of snapshot schema v1's keyed rows.
 //!
 //! # Example: kill-and-recover
 //!
@@ -113,8 +115,8 @@ pub use crate::experiment::{
 pub use crate::format::{DecodeStep, EncodeBuf};
 pub use crate::metrics::StoreMetrics;
 pub use crate::snapshot::{
-    delta_file_name, list_snapshots, load_latest, read_document, write_document, DeltaDoc,
-    SamplerSpec, Snapshot, StoredScheduler, DELTA_SCHEMA, SNAPSHOT_SCHEMA,
+    delta_file_name, list_snapshots, load_latest, write_document, DeltaDoc, SamplerSpec, Snapshot,
+    StoredScheduler, DELTA_SCHEMA, SNAPSHOT_SCHEMA,
 };
 pub use crate::supervisor::{
     read_manifest, ExperimentStatus, ExperimentSupervisor, ManifestEntry, StatusListener,

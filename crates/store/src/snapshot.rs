@@ -11,12 +11,13 @@
 //! A checkpoint document exists in memory as its binvalue *payload*
 //! ([`Snapshot::encode`]; a delta's header fields followed by a
 //! [`crate::delta::diff_bytes`] patch) and on disk as that payload in a
-//! `binary-v2` frame ([`write_document`]); the [`JsonValue`] forms
-//! (`to_json`, [`read_document`]) are decoded from the same bytes for tools
-//! and tests. All files are written crash-safely — one temp file, written
-//! and fsynced through the same handle, renamed into place, directory
-//! fsynced — so a crash mid-write never damages the previous checkpoint and
-//! recovery can always fall back along the chain.
+//! `binary-v2` frame ([`write_document`]). Recovery decodes the payload
+//! straight into typed state ([`Snapshot::from_bytes`]); the [`JsonValue`]
+//! forms (`to_json`, `from_json`) are for tools and tests. All files are
+//! written crash-safely — one temp file, written and fsynced through the
+//! same handle, renamed into place, directory fsynced — so a crash
+//! mid-write never damages the previous checkpoint and recovery can always
+//! fall back along the chain.
 
 use std::fs::File;
 use std::io::Write;
@@ -32,7 +33,7 @@ use asha_metrics::JsonValue;
 use asha_sim::SimRunState;
 use asha_space::{Config, SearchSpace};
 
-use crate::binary::{decode_value, find_field, get_value, skip_value, tree_of, ValueWriter};
+use crate::binary::{from_tree, tree_of, Fields, Reader, ValueWriter};
 use crate::codec;
 use crate::error::{Error, StoreError};
 use crate::format::{document_frame, document_payload};
@@ -84,18 +85,18 @@ impl SamplerSpec {
 
     /// Decode from JSON written by [`SamplerSpec::to_json`].
     pub fn from_json(v: &JsonValue) -> Result<Self, Error> {
-        let kind = codec::get_str(v, "kind")?;
-        let kind = Sampler::from_name(kind)
-            .ok_or_else(|| Error::codec(format!("unknown sampler kind {kind:?}")))?;
-        let cursors = codec::get_arr(v, "cursors")?
-            .iter()
-            .map(|c| match c {
-                JsonValue::Null => Ok(None),
-                JsonValue::Str(s) => Ok(Some(s.clone())),
-                _ => Err(Error::codec("sampler cursor must be string or null")),
+        from_tree(v, SamplerSpec::get)
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.object(|o| {
+            let name = o.get("kind", Reader::str)?;
+            let unknown = || Error::codec(format!("unknown sampler kind {name:?}"));
+            Ok(SamplerSpec {
+                kind: Sampler::from_name(name).ok_or_else(unknown)?,
+                cursors: o.get("cursors", |r| r.list(|r| r.nullable(Reader::string)))?,
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(SamplerSpec { kind, cursors })
+        })
     }
 }
 
@@ -126,7 +127,8 @@ impl StoredScheduler {
     ///
     /// # Panics
     ///
-    /// Panics if the state's config is invalid (the decoders refuse one).
+    /// Panics if the state is one the scheduler cannot hold
+    /// ([`SchedulerState::validate`], which `DurableRun` checks first).
     pub fn from_state(space: SearchSpace, state: SchedulerState, sampler: Sampler) -> Self {
         let fresh = {
             let space = space.clone();
@@ -218,19 +220,31 @@ impl Snapshot {
     }
 
     /// Check that the snapshot is of the experiment with `space` and
-    /// `sampler`: its sampler spec is of that kind (none for
-    /// [`Sampler::Random`]), and every stored configuration fits the space
-    /// ([`SearchSpace::check`]) — the scheduler's trials, the simulator's
-    /// in-flight and retry jobs, and the incumbent. The decoders accept any
-    /// well-formed document, so this is where one not of this experiment is
-    /// refused: before its cursors reach a sampler of another kind, and its
-    /// configs a benchmark model, which panics on a foreign config.
+    /// `sampler`, and that the run can hold it: its sampler spec is of that
+    /// kind (none for [`Sampler::Random`]); its scheduler state is one the
+    /// scheduler can hold ([`SchedulerState::validate`]) and its simulator
+    /// slots are strictly increasing by trial; and every stored
+    /// configuration fits the space ([`SearchSpace::check`]) — the
+    /// scheduler's trials, the simulator's in-flight and retry jobs, and
+    /// the incumbent. The decoders accept any well-formed document, so this
+    /// is where one not of this experiment is refused: before its cursors
+    /// reach a sampler of another kind, its state a scheduler that panics on
+    /// it, and its configs a benchmark model, which panics on a foreign
+    /// config.
     pub(crate) fn check_fits(&self, space: &SearchSpace, sampler: Sampler) -> Result<(), Error> {
         let stored = self.sampler.as_ref().map_or(Sampler::Random, |s| s.kind);
         if stored != sampler {
             let (stored, sampler) = (stored.name(), sampler.name());
             let msg = format!("{stored} checkpoint of a {sampler} experiment");
             return Err(Error::codec(msg));
+        }
+        self.scheduler.validate()?;
+        let mut slots = self.sim.iter().flat_map(|sim| sim.slots.windows(2));
+        if let Some(w) = slots.find(|w| w[0].trial >= w[1].trial) {
+            let (a, b) = (w[0].trial, w[1].trial);
+            return Err(Error::codec(format!(
+                "simulator slot of trial {b} after {a}"
+            )));
         }
         let check = |config: &Config| {
             space
@@ -286,23 +300,33 @@ impl Snapshot {
         tree_of(|w| self.put(w))
     }
 
-    /// Decode a snapshot of either schema, verifying the tag.
+    /// Decode a snapshot document's payload, of either schema, straight
+    /// into typed state (no tree is built), verifying the tag.
+    pub fn from_bytes(payload: &[u8]) -> Result<Self, Error> {
+        Reader::whole(payload, Snapshot::get)
+    }
+
+    /// Decode a snapshot document's tree: [`Snapshot::from_bytes`] of its
+    /// bytes.
     pub fn from_json(v: &JsonValue) -> Result<Self, Error> {
-        codec::check_schema(v, &[SNAPSHOT_SCHEMA, SNAPSHOT_SCHEMA_V1])?;
-        let sim = codec::get(v, "sim")?;
-        Ok(Snapshot {
-            seq: codec::get_u64(v, "seq")?,
-            events: codec::get_u64(v, "events")?,
-            scheduler: codec::scheduler_state_from_json(codec::get(v, "scheduler")?)?,
-            sampler: match v.get("sampler") {
-                None | Some(JsonValue::Null) => None,
-                Some(spec) => Some(SamplerSpec::from_json(spec)?),
-            },
-            rng: codec::rng_state_from_json(codec::get(v, "rng")?)?,
-            sim: match sim {
-                JsonValue::Null => None,
-                sim => Some(codec::sim_run_state_from_json(sim)?),
-            },
+        from_tree(v, Snapshot::get)
+    }
+
+    /// The optional `sampler` is asked for last: the fields it precedes
+    /// are then read where they stand whether or not it is there.
+    fn get(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.object(|o| {
+            o.schema(&[SNAPSHOT_SCHEMA, SNAPSHOT_SCHEMA_V1])?;
+            Ok(Snapshot {
+                seq: o.get("seq", Reader::u64)?,
+                events: o.get("events", Reader::u64)?,
+                scheduler: o.get("scheduler", codec::get_scheduler_state)?,
+                rng: o.get("rng", codec::get_rng_state)?,
+                sim: o.get("sim", |r| r.nullable(codec::get_sim_run_state))?,
+                sampler: o
+                    .opt("sampler", |r| r.nullable(SamplerSpec::get))?
+                    .flatten(),
+            })
         })
     }
 }
@@ -365,13 +389,16 @@ impl DeltaDoc {
 
     /// Decode, verifying the schema tag.
     pub fn from_json(v: &JsonValue) -> Result<Self, Error> {
-        codec::check_schema(v, &[DELTA_SCHEMA])?;
-        Ok(DeltaDoc {
-            snap: codec::get_u64(v, "snap")?,
-            delta: codec::get_u64(v, "delta")?,
-            events: codec::get_u64(v, "events")?,
-            patch: codec::get(v, "patch")?.clone(),
-        })
+        let delta = |o: &mut Fields<'_, '_>| {
+            o.schema(&[DELTA_SCHEMA])?;
+            Ok(DeltaDoc {
+                snap: o.get("snap", Reader::u64)?,
+                delta: o.get("delta", Reader::u64)?,
+                events: o.get("events", Reader::u64)?,
+                patch: o.get("patch", Reader::tree)?,
+            })
+        };
+        from_tree(v, |r| r.object(delta))
     }
 }
 
@@ -390,34 +417,22 @@ pub(crate) fn load_delta_payload(
         return Err(StoreError::corrupt(dir, missing));
     }
     let payload = read_payload(&path)?;
-    let patch =
-        locate_patch(&payload, snap, delta).map_err(|msg| StoreError::corrupt(&path, msg))?;
-    Ok((path, payload, patch))
-}
-
-fn locate_patch(payload: &[u8], snap: u64, delta: u64) -> Result<Range<usize>, String> {
-    if skip_value(payload, 0)? != payload.len() {
-        return Err("delta payload has trailing bytes".to_owned());
-    }
     // Only the small header fields are decoded; the patch stays bytes.
-    let field = |key: &str| -> Result<JsonValue, String> {
-        let mut at = find_field(payload, 0, key)?.ok_or(format!("delta missing {key}"))?;
-        get_value(payload, &mut at)
-    };
-    let schema = field("schema")?;
-    if schema.as_str() != Some(DELTA_SCHEMA) {
-        return Err(format!(
-            "unsupported delta schema {schema:?} (expected {DELTA_SCHEMA:?})"
-        ));
-    }
-    let (file_snap, file_delta) = (field("snap")?.as_u64(), field("delta")?.as_u64());
-    if (file_snap, file_delta) != (Some(snap), Some(delta)) {
-        return Err(format!(
-            "delta chain mismatch: file says snap {file_snap:?} delta {file_delta:?}, expected snap {snap} delta {delta}"
-        ));
-    }
-    let start = find_field(payload, 0, "patch")?.ok_or("delta missing patch")?;
-    Ok(start..skip_value(payload, start)?)
+    let patch = Reader::whole(&payload, |r| {
+        r.object(|o| {
+            o.schema(&[DELTA_SCHEMA])?;
+            let file = (o.get("snap", Reader::u64)?, o.get("delta", Reader::u64)?);
+            if file != (snap, delta) {
+                let (file_snap, file_delta) = file;
+                return Err(Error::codec(format!(
+                    "delta chain mismatch: file says snap {file_snap} delta {file_delta}, expected snap {snap} delta {delta}"
+                )));
+            }
+            o.get("patch", Reader::range)
+        })
+    });
+    let patch = patch.map_err(|e| e.corrupt_at(&path))?;
+    Ok((path, payload, patch))
 }
 
 /// Write `parts`, concatenated, to `dir/file_name` crash-safely: one temp
@@ -461,11 +476,6 @@ pub fn write_document(
 pub(crate) fn read_payload(path: &Path) -> Result<Vec<u8>, StoreError> {
     let bytes = std::fs::read(path).map_err(|e| StoreError::io(path, e))?;
     document_payload(bytes).map_err(|msg| StoreError::corrupt(path, msg))
-}
-
-/// Read a checkpoint document as a tree.
-pub fn read_document(path: &Path) -> Result<JsonValue, StoreError> {
-    decode_value(&read_payload(path)?).map_err(|msg| StoreError::corrupt(path, msg))
 }
 
 /// Fsync a directory so a just-renamed file's entry is durable (POSIX
@@ -518,8 +528,8 @@ pub fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
 pub fn load_latest(dir: &Path) -> Result<Option<(Snapshot, PathBuf)>, StoreError> {
     let snaps = list_snapshots(dir)?;
     for (_, path) in snaps.iter().rev() {
-        let parsed = read_document(path)
-            .and_then(|doc| Snapshot::from_json(&doc).map_err(|e| e.corrupt_at(path)));
+        let parsed = read_payload(path)
+            .and_then(|payload| Snapshot::from_bytes(&payload).map_err(|e| e.corrupt_at(path)));
         if let Ok(snapshot) = parsed {
             return Ok(Some((snapshot, path.clone())));
         }

@@ -23,6 +23,7 @@ use std::thread::JoinHandle;
 use asha_metrics::JsonValue;
 use asha_sim::SimResult;
 
+use crate::binary::{from_tree, Reader};
 use crate::error::{Error, StoreError};
 use crate::experiment::{read_meta, DurableRun, ExperimentMeta, RunOptions};
 use crate::snapshot::write_atomic;
@@ -432,39 +433,23 @@ impl ExperimentSupervisor {
 /// Read and decode a manifest file.
 pub fn read_manifest(path: &Path) -> Result<Vec<ManifestEntry>, StoreError> {
     let text = std::fs::read_to_string(path).map_err(|e| StoreError::io(path, e))?;
-    let parse = || -> Result<Vec<ManifestEntry>, Error> {
-        let v = JsonValue::parse(&text).map_err(|e| e.to_string())?;
-        let schema = v
-            .get("schema")
-            .and_then(|s| s.as_str())
-            .ok_or("manifest missing schema")?;
-        if schema != MANIFEST_SCHEMA {
-            return Err(Error::codec(format!(
-                "unsupported manifest schema {schema:?} (expected {MANIFEST_SCHEMA:?})"
-            )));
-        }
-        let rows = v
-            .get("experiments")
-            .and_then(|e| e.as_array())
-            .ok_or("manifest missing experiments array")?;
-        rows.iter()
-            .map(|row| {
-                Ok(ManifestEntry {
-                    name: row
-                        .get("name")
-                        .and_then(|n| n.as_str())
-                        .ok_or("manifest row missing name")?
-                        .to_owned(),
-                    status: ExperimentStatus::parse(
-                        row.get("status")
-                            .and_then(|s| s.as_str())
-                            .ok_or("manifest row missing status")?,
-                    )?,
-                })
-            })
-            .collect()
+    let row = |r: &mut Reader<'_>| {
+        r.object(|o| {
+            let name = o.get("name", Reader::string)?;
+            let status = ExperimentStatus::parse(o.get("status", Reader::str)?)?;
+            Ok(ManifestEntry { name, status })
+        })
     };
-    parse().map_err(|e| e.corrupt_at(path))
+    let manifest = |r: &mut Reader<'_>| {
+        r.object(|o| {
+            o.schema(&[MANIFEST_SCHEMA])?;
+            o.get("experiments", |r| r.list(row))
+        })
+    };
+    JsonValue::parse(&text)
+        .map_err(|e| Error::codec(e.to_string()))
+        .and_then(|v| from_tree(&v, manifest))
+        .map_err(|e| e.corrupt_at(path))
 }
 
 /// The body of one experiment's worker thread: recover the run from its

@@ -17,14 +17,20 @@
 //! v1 record is `Corrupt` before anything is written, and a `.json` file
 //! that does not parse is neither converted nor removed (readers, knowing
 //! only `.bin`, pass it by like any unreadable checkpoint).
+//!
+//! A converted checkpoint may still be of snapshot schema v1, whose rows and
+//! config values are keyed objects: what reads those lives here too, and
+//! [`crate::codec`]'s decoders hand every keyed row and value to it.
 
 use std::io::Read;
 use std::path::{Path, PathBuf};
 
 use asha_metrics::JsonValue;
+use asha_space::ParamValue;
 
-use crate::binary::put_value;
-use crate::error::StoreError;
+use crate::binary::{put_value, put_varint, Reader, TAG_ARR};
+use crate::codec;
+use crate::error::{Error, StoreError};
 use crate::experiment::WAL_FILE;
 use crate::format::{encode_wal, WAL_MAGIC};
 use crate::snapshot::{checkpoint_position, delta_file_name, fsync_dir, read_payload};
@@ -231,6 +237,65 @@ fn parse_record(line: &str) -> Result<WalRecord, String> {
         },
     };
     Ok(WalRecord::SnapshotMarker { time, marker })
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot schema v1: keyed rows and config values
+// ---------------------------------------------------------------------------
+
+/// The fields of schema v1's keyed rows, in the order of the v2 rows that
+/// replaced them (see [`crate::codec`]); `outer/inner` names a field of the
+/// one object nested in a row, a slot's training state.
+pub(crate) const JOB: &str = "trial config rung resource bracket inherit_from";
+pub(crate) const SLOT: &str = "trial state/resource state/loss state/asym_jitter \
+    state/rate_jitter state/divergence_draw state/diverged time_per_unit completed";
+pub(crate) const PENDING: &str = "time seq job dropped";
+pub(crate) const TRACE: &str = "time trial bracket rung resource val_loss test_loss";
+
+/// Decode the v1 keyed row at the cursor with `decode`, the decoder of its
+/// v2 row: the fields `keys` names are found by key and laid out in order.
+pub(crate) fn keyed_row<T>(
+    r: &mut Reader<'_>,
+    keys: &str,
+    decode: impl for<'b> FnOnce(&mut Reader<'b>) -> Result<T, Error>,
+) -> Result<T, Error> {
+    let keys = keys.split_whitespace();
+    let mut row = vec![TAG_ARR];
+    put_varint(&mut row, keys.clone().count() as u64);
+    r.object(|o| {
+        let mut nested = None;
+        for key in keys {
+            let value = match key.split_once('/') {
+                None => o.get(key, Reader::span)?,
+                Some((outer, inner)) => {
+                    let mut at = match nested {
+                        Some(at) => at,
+                        None => *nested.insert(o.get(outer, Reader::mark)?),
+                    };
+                    at.object(|o| o.get(inner, Reader::span))?
+                }
+            };
+            row.extend_from_slice(value);
+        }
+        Ok(())
+    })?;
+    Reader::whole(&row, decode)
+}
+
+/// A v1 config value: the first of `float`, `int`, `index` it holds.
+pub(crate) fn keyed_param_value(r: &mut Reader<'_>) -> Result<ParamValue, Error> {
+    r.object(|o| {
+        if let Some(x) = o.opt("float", Reader::f64)? {
+            return Ok(ParamValue::Float(x));
+        }
+        if let Some(x) = o.opt("int", codec::get_i64)? {
+            return Ok(ParamValue::Int(x));
+        }
+        let index = o.opt("index", Reader::usize)?;
+        index
+            .map(ParamValue::Index)
+            .ok_or_else(|| Error::codec("config value must be tagged float/int/index"))
+    })
 }
 
 #[cfg(test)]

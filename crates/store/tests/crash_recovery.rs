@@ -573,3 +573,84 @@ fn resume_refuses_a_snapshot_whose_configs_do_not_fit_the_space() {
     assert_results_identical(&reference, &result);
     std::fs::remove_dir_all(&root).ok();
 }
+
+/// A CRC-valid checkpoint whose scheduler state no scheduler can hold — a
+/// rung record of a trial that was never sampled, a gap in the trial table,
+/// simulator slots out of order — must be refused at resume as `Corrupt`,
+/// naming the checkpoint, not restored into a scheduler that panics at its
+/// first `suggest`.
+#[test]
+fn resume_refuses_a_snapshot_the_scheduler_cannot_hold() {
+    let root = tmpdir("unholdable");
+    let o = RunOptions {
+        delta_chain: 0,
+        ..opts(20)
+    };
+    let meta = chaos_meta("unholdable", 42);
+    let bench = meta.bench.build().unwrap();
+    let dir = root.join("run");
+    let mut run = DurableRun::create(&dir, &meta, &bench, o).unwrap();
+    assert!(run.run_until_jobs(45).unwrap());
+    drop(run);
+
+    let (good, path) = load_latest(&dir).unwrap().expect("checkpoints were taken");
+    let file_name = path.file_name().unwrap().to_str().unwrap().to_owned();
+    type Tamper = fn(&mut Snapshot);
+    let hostile: [(&str, Tamper); 4] = [
+        ("orphan record", |s| {
+            let SchedulerState::Asha(a) = &mut s.scheduler else {
+                unreachable!("chaos_meta runs ASHA")
+            };
+            a.rungs[0].records.push((a.next_trial + 100, 0.5));
+        }),
+        ("trial table gap", |s| {
+            let SchedulerState::Asha(a) = &mut s.scheduler else {
+                unreachable!("chaos_meta runs ASHA")
+            };
+            a.trials.remove(1);
+            a.next_trial -= 1;
+        }),
+        ("outstanding past the ladder", |s| {
+            let SchedulerState::Asha(a) = &mut s.scheduler else {
+                unreachable!("chaos_meta runs ASHA")
+            };
+            a.outstanding.push((0, 7));
+        }),
+        ("slots out of order", |s| {
+            s.sim.as_mut().expect("simulated run").slots.swap(0, 1);
+        }),
+    ];
+    for (what, tamper) in hostile {
+        let mut snap = good.clone();
+        tamper(&mut snap);
+        let mut payload = Vec::new();
+        snap.encode(&mut payload);
+        write_document(&dir, &file_name, &payload).unwrap();
+        let err = DurableRun::resume(&dir, &meta, &bench, o)
+            .err()
+            .unwrap_or_else(|| panic!("resume accepted a snapshot: {what}"));
+        assert_eq!(err.kind(), ErrorKind::Corrupt, "{what}: {err}");
+        assert_eq!(err.path(), Some(path.as_path()), "{what}: {err}");
+    }
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// The same state as a run's initial one is refused by `DurableRun::create`
+/// as a `config` error before the directory exists.
+#[test]
+fn create_refuses_an_initial_state_the_scheduler_cannot_hold() {
+    let root = tmpdir("unholdable-initial");
+    let mut meta = chaos_meta("unholdable-initial", 42);
+    let SchedulerState::Asha(initial) = &mut meta.initial else {
+        unreachable!("chaos_meta runs ASHA")
+    };
+    initial.rungs[0].records = (100..108).map(|t| (t, 0.5)).collect();
+    let bench = meta.bench.build().unwrap();
+    let dir = root.join("run");
+    let err = DurableRun::create(&dir, &meta, &bench, opts(20))
+        .err()
+        .expect("create accepted an orphan rung record");
+    assert_eq!(err.kind(), ErrorKind::Config, "{err}");
+    assert!(!dir.exists(), "a refused create left {dir:?} behind");
+    std::fs::remove_dir_all(&root).ok();
+}

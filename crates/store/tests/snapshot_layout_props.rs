@@ -19,7 +19,7 @@ use asha_core::{
 use asha_metrics::{FaultStats, JsonValue, TraceEvent};
 use asha_sim::{PendingJob, SimRunState, TrialSlotState};
 use asha_space::{Config, ParamValue};
-use asha_store::binary::decode_value;
+use asha_store::binary::{decode_value, put_value};
 use asha_store::{SamplerSpec, Snapshot, SNAPSHOT_SCHEMA};
 use asha_surrogate::TrainingState;
 use proptest::prelude::*;
@@ -389,8 +389,12 @@ fn encode(snap: &Snapshot) -> Vec<u8> {
     bytes
 }
 
+/// Decode a document of either layout the way recovery does: its bytes
+/// through `Snapshot::from_bytes`.
 fn from_tree(doc: &JsonValue) -> Result<Snapshot, String> {
-    Snapshot::from_json(doc).map_err(|e| e.to_string())
+    let mut bytes = Vec::new();
+    put_value(&mut bytes, doc);
+    Snapshot::from_bytes(&bytes).map_err(|e| e.to_string())
 }
 
 /// Structural equality that sees every float bit but one: `Debug` prints
@@ -548,7 +552,7 @@ proptest! {
         bits in 1u8..=255,
     ) {
         let bytes = encode(&snap);
-        let decode = |b: &[u8]| decode_value(b).and_then(|doc| from_tree(&doc));
+        let decode = |b: &[u8]| Snapshot::from_bytes(b).map_err(|e| e.to_string());
         prop_assert!(decode(&bytes[..cut % bytes.len()]).is_err());
         let mut flipped = bytes.clone();
         flipped[flip % bytes.len()] ^= bits;
