@@ -28,7 +28,10 @@
 //! `--scheduler` is a persistable `Searcher::from_name` method (asha, dasha,
 //! sha, bohb, async-hyperband) on the ladder `--min-r`, `--max-r`, `--eta`;
 //! `--sampler` replaces its own (bohb's is tpe, the others' random).
-//! `--delta-chain` caps delta snapshots between full ones (0 = always full).
+//! `--snapshot-jobs N` checkpoints every N jobs; 0, the default, is
+//! amortised: a checkpoint once the WAL written since the last one
+//! outweighs it. `--delta-chain` caps delta snapshots between full ones
+//! (0 = always full; default 1).
 //!
 //! `--connect-timeout` (default 10) bounds TCP connection establishment;
 //! `--timeout` (default 30, `0` disables) bounds each request's wait for a

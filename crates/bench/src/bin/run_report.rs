@@ -25,10 +25,15 @@
 //!     [--resume DIR]    recover a crashed/aborted store run from DIR, finish
 //!                       it, and report on the completed log
 //!     [--snapshot-jobs N]
-//!                       snapshot cadence for --store/--resume (default 200)
+//!                       checkpoint every N jobs for --store/--resume
+//!                       (default 0: amortised, once the WAL written since
+//!                       the last checkpoint outweighs it)
 //!     [--delta-chain N] max delta snapshots between full snapshots for
-//!                       --store/--resume (0 = always full; default 8)
+//!                       --store/--resume (0 = always full; default 1)
 //! ```
+//!
+//! A flag missing its value, a malformed number or an unknown sampler is a
+//! usage error (exit 2).
 //!
 //! The report is derived entirely from the log, so it reproduces exactly the
 //! metrics the live run's recorder saw: per-rung promotion table, decision
@@ -87,31 +92,24 @@ fn parse_opts() -> Opts {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--workers" => opts.workers = args.next().and_then(|v| v.parse().ok()),
+        let flag = arg.as_str();
+        match flag {
+            "--workers" => opts.workers = Some(number(flag, args.next())),
             "--json" => opts.json = args.next(),
             "--demo" => opts.demo = true,
-            "--seed" => opts.seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(0),
-            "--scheduler" => {
-                opts.scheduler = args
-                    .next()
-                    .unwrap_or_else(|| fail("--scheduler needs a value"))
-            }
+            "--seed" => opts.seed = number(flag, args.next()),
+            "--scheduler" => opts.scheduler = value(flag, args.next()),
             "--sampler" => {
-                let kind = args
-                    .next()
-                    .unwrap_or_else(|| fail("--sampler needs a value"));
+                let kind = value(flag, args.next());
                 opts.sampler = Some(Sampler::from_name(&kind).unwrap_or_else(|| {
-                    fail(format!("--sampler: unknown kind {kind:?} (random/tpe/gp)"))
+                    usage_error(format!("--sampler: unknown kind {kind:?} (random/tpe/gp)"))
                 }));
             }
             "--store" => opts.store = args.next(),
-            "--crash-after-jobs" => {
-                opts.crash_after_jobs = args.next().and_then(|v| v.parse().ok())
-            }
+            "--crash-after-jobs" => opts.crash_after_jobs = Some(number(flag, args.next())),
             "--resume" => opts.resume = args.next(),
-            "--snapshot-jobs" => opts.snapshot_jobs = args.next().and_then(|v| v.parse().ok()),
-            "--delta-chain" => opts.delta_chain = args.next().and_then(|v| v.parse().ok()),
+            "--snapshot-jobs" => opts.snapshot_jobs = Some(number(flag, args.next())),
+            "--delta-chain" => opts.delta_chain = Some(number(flag, args.next())),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -131,6 +129,25 @@ fn parse_opts() -> Opts {
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(1);
+}
+
+/// A malformed command line: the message and the usage line, exit 2.
+fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// The value after `flag`, which must be there.
+fn value(flag: &str, raw: Option<String>) -> String {
+    raw.unwrap_or_else(|| usage_error(format!("{flag} needs a value")))
+}
+
+/// The number after `flag`: a missing or malformed one is a usage error, so
+/// `--crash-after-jobs 2OO` never runs uninterrupted in place of a crash.
+fn number<T: std::str::FromStr>(flag: &str, raw: Option<String>) -> T {
+    let raw = value(flag, raw);
+    raw.parse()
+        .unwrap_or_else(|_| usage_error(format!("{flag}: not a number: {raw:?}")))
 }
 
 /// The `--demo` experiment: the `--scheduler` / `--sampler` method on a
@@ -245,7 +262,7 @@ fn main() {
     // Store-backed paths: the report comes from the WAL, not a loose log.
     let mut run_opts = RunOptions::default();
     if let Some(jobs) = opts.snapshot_jobs {
-        run_opts.snapshot_jobs = jobs.max(1);
+        run_opts.snapshot_jobs = jobs;
     }
     if let Some(chain) = opts.delta_chain {
         run_opts.delta_chain = chain;

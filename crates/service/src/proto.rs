@@ -82,9 +82,11 @@ pub fn run_options_to_json(opts: &RunOptions) -> JsonValue {
 }
 
 /// Decode [`RunOptions`] written by [`run_options_to_json`]; `delta_chain`
-/// defaults when absent. Older clients also send `format`: `binary-v2`, the
-/// only dialect written, is ignored under any of its names; anything else
-/// is a `config` error rather than a silent switch to binary.
+/// defaults when absent, and `snapshot_jobs: 0` is the amortised cadence
+/// ([`RunOptions::snapshot_jobs`]), not an error. Older clients also send
+/// `format`: `binary-v2`, the only dialect written, is ignored under any of
+/// its names; anything else is a `config` error rather than a silent switch
+/// to binary.
 pub fn run_options_from_json(v: &JsonValue) -> Result<RunOptions, Error> {
     let sync = match v.get("sync") {
         Some(JsonValue::Str(s)) if s == "never" || s == "flush" => Durability::Flush,

@@ -350,6 +350,18 @@ fn run_options_without_format_fields_decode_with_defaults() {
     assert_eq!(opts.delta_chain, RunOptions::default().delta_chain);
 }
 
+/// `snapshot_jobs: 0` is the amortised cadence, the default: it crosses the
+/// wire like any other cadence instead of being refused.
+#[test]
+fn amortised_run_options_cross_the_wire() {
+    let opts = RunOptions::default();
+    assert_eq!(opts.snapshot_jobs, 0);
+    let back = run_options_from_json(&run_options_to_json(&opts)).unwrap();
+    assert_eq!(back, opts);
+    let frame = JsonValue::parse(r#"{"sync":"always","snapshot_jobs":0}"#).unwrap();
+    assert_eq!(run_options_from_json(&frame).unwrap().snapshot_jobs, 0);
+}
+
 #[test]
 fn unsupported_version_is_a_protocol_error_not_a_parse_failure() {
     let frame = JsonValue::parse(&format!(

@@ -247,32 +247,49 @@ impl Recorder for WalRecorder {
 pub struct RunOptions {
     /// WAL fsync cadence.
     pub sync: Durability,
-    /// Take a checkpoint every `snapshot_jobs` completed jobs.
+    /// Checkpoint cadence. `N > 0` checkpoints every `N` completed jobs.
+    /// `0` (the default) is *amortised*: a checkpoint is taken once the
+    /// telemetry bytes appended to the WAL since the last checkpoint reach
+    /// that checkpoint's payload length (the encoded full document, whether
+    /// written whole or diffed into a delta). So every checkpoint but the
+    /// newest is paid for by at least its size in WAL — the checkpoint
+    /// bytes a run encodes stay within the WAL bytes it writes plus one
+    /// payload — and a recovery replays less WAL than the checkpoint it
+    /// loads, plus at most one event-loop step. A payload holds the whole
+    /// history, so checkpoints thin out as the run grows: O(log J) of them
+    /// in J jobs. Both sides of the test repeat across a crash
+    /// ([`WalWriter::telemetry_bytes`] counts telemetry frames only; a
+    /// resume seeds the payload length from the document it patched
+    /// together), so a resumed run takes exactly the uninterrupted run's
+    /// checkpoints.
     pub snapshot_jobs: usize,
     /// Maximum delta snapshots between full snapshots. `0` disables delta
     /// checkpoints entirely (every checkpoint is a full snapshot);
     /// otherwise each full snapshot is followed by up to this many diffs
     /// before the next full one, bounding recovery to `delta_chain` patch
-    /// applications.
+    /// applications. The default is 1: at amortised spacing two
+    /// consecutive checkpoints differ by about what they hold, so a delta
+    /// saves little disk and costs more to write than a full snapshot, and
+    /// a chain of one bounds recovery to a single patch.
     pub delta_chain: usize,
 }
 
 impl Default for RunOptions {
-    /// Fsync every 64 WAL records, checkpoint every 200 completed jobs,
-    /// with up to 8 deltas per full snapshot.
+    /// Fsync every 64 WAL records, amortised checkpoints
+    /// (`snapshot_jobs: 0`), with one delta per full snapshot.
     fn default() -> Self {
         RunOptions {
             sync: Durability::default(),
-            snapshot_jobs: 200,
-            delta_chain: 8,
+            snapshot_jobs: 0,
+            delta_chain: 1,
         }
     }
 }
 
 impl RunOptions {
-    /// Check the knobs: `snapshot_jobs > 0` and a valid [`Durability`].
-    /// Returns a typed [`asha_core::Error`] (kind `Config`); decoders of
-    /// untrusted input call this.
+    /// Check the knobs: a valid [`Durability`] (every `snapshot_jobs` is
+    /// valid, 0 meaning amortised). Returns a typed [`asha_core::Error`]
+    /// (kind `Config`); decoders of untrusted input call this.
     ///
     /// ```
     /// use asha_store::{Durability, RunOptions};
@@ -280,12 +297,11 @@ impl RunOptions {
     /// let mut opts = RunOptions { sync: Durability::Sync, snapshot_jobs: 50, ..RunOptions::default() };
     /// assert!(opts.validate().is_ok());
     /// opts.snapshot_jobs = 0;
+    /// assert!(opts.validate().is_ok());
+    /// opts.sync = Durability::EveryN(0);
     /// assert!(opts.validate().is_err());
     /// ```
     pub fn validate(&self) -> Result<(), asha_core::Error> {
-        if self.snapshot_jobs == 0 {
-            return Err(asha_core::Error::config("snapshot_jobs must be positive"));
-        }
         self.sync.validate()
     }
 }
@@ -305,8 +321,9 @@ struct ChainState {
 
 /// A simulated tuning run with durable state: every telemetry event goes to
 /// the WAL and checkpoints (full snapshots plus bounded delta chains) are
-/// taken on a job cadence, so the run can be killed at any instant and
-/// [resumed](DurableRun::resume) to the identical final result.
+/// taken on the [`RunOptions::snapshot_jobs`] cadence, so the run can be
+/// killed at any instant and [resumed](DurableRun::resume) to the identical
+/// final result.
 pub struct DurableRun<'b> {
     dir: PathBuf,
     engine: SimEngine<'b, StoredScheduler>,
@@ -314,6 +331,10 @@ pub struct DurableRun<'b> {
     recorder: WalRecorder,
     next_snap: u64,
     last_snapshot_jobs: usize,
+    /// The writer's [`WalWriter::telemetry_bytes`] at which an amortised
+    /// checkpoint falls due: its count at the last checkpoint plus that
+    /// checkpoint's payload length.
+    checkpoint_due_bytes: u64,
     opts: RunOptions,
     finished_recorded: bool,
     /// The live delta chain; `None` until the first full snapshot lands
@@ -368,6 +389,7 @@ impl<'b> DurableRun<'b> {
             recorder: WalRecorder::new(wal, 0),
             next_snap: 0,
             last_snapshot_jobs: 0,
+            checkpoint_due_bytes: 0,
             opts,
             finished_recorded: false,
             chain: None,
@@ -458,9 +480,13 @@ impl<'b> DurableRun<'b> {
             event: StoreEvent::Resumed,
         })?;
         let jobs = engine.jobs_completed();
-        // Reopen the delta chain exactly where the marker left it, so the
-        // post-recovery checkpoint schedule (and hence every file written
-        // from here on) matches the uninterrupted run's byte for byte.
+        // Reopen the cadence and the delta chain exactly where the marker
+        // left them, so the post-recovery checkpoint schedule (and hence
+        // every file written from here on) matches the uninterrupted run's
+        // byte for byte. The fresh writer has counted no telemetry bytes —
+        // the `resumed` record is not telemetry — just as the uninterrupted
+        // run had counted none past its checkpoint.
+        let checkpoint_due_bytes = doc.len() as u64;
         let chain = (opts.delta_chain > 0).then_some(ChainState {
             snap: marker.snap,
             len: marker.delta,
@@ -473,6 +499,7 @@ impl<'b> DurableRun<'b> {
             recorder: WalRecorder::new(wal, marker.events),
             next_snap: marker.snap + 1,
             last_snapshot_jobs: jobs,
+            checkpoint_due_bytes,
             opts,
             finished_recorded: false,
             chain,
@@ -521,7 +548,11 @@ impl<'b> DurableRun<'b> {
         let alive = self.engine.step(&mut self.rng, &mut self.recorder);
         self.recorder.take_error()?;
         if alive {
-            if self.engine.jobs_completed() - self.last_snapshot_jobs >= self.opts.snapshot_jobs {
+            let due = match self.opts.snapshot_jobs {
+                0 => self.recorder.writer().telemetry_bytes() >= self.checkpoint_due_bytes,
+                every => self.engine.jobs_completed() - self.last_snapshot_jobs >= every,
+            };
+            if due {
                 self.write_snapshot()?;
             }
         } else if !self.finished_recorded {
@@ -573,7 +604,7 @@ impl<'b> DurableRun<'b> {
             .append(&WalRecord::Meta { time, event })
     }
 
-    /// Take a checkpoint now (also called automatically on the job cadence
+    /// Take a checkpoint now (also called automatically on the cadence
     /// and at the end of the run): a delta while the current chain is
     /// shorter than [`RunOptions::delta_chain`], a full snapshot otherwise.
     ///
@@ -606,6 +637,7 @@ impl<'b> DurableRun<'b> {
             sim: Some(self.engine.export_state()),
         }
         .encode(&mut doc);
+        let payload_len = doc.len() as u64;
         let marker = if let Some(chain) = open_chain {
             let delta = chain.len + 1;
             self.delta_buf.clear();
@@ -664,8 +696,10 @@ impl<'b> DurableRun<'b> {
             time: self.engine.now(),
             marker,
         };
-        self.recorder.writer().append(&record)?;
-        self.recorder.writer().sync()?;
+        let wal = self.recorder.writer();
+        wal.append(&record)?;
+        wal.sync()?;
+        self.checkpoint_due_bytes = wal.telemetry_bytes() + payload_len;
         self.last_snapshot_jobs = self.engine.jobs_completed();
         Ok(())
     }

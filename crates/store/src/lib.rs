@@ -3,11 +3,12 @@
 //!
 //! The store makes a tuning run a *recoverable* object. Every telemetry
 //! event the run emits is appended to a write-ahead log with an explicit
-//! fsync discipline ([`Durability`]), and on a job cadence the full run
-//! state — scheduler rungs/brackets, sampler cursors, raw RNG words, and
-//! the simulator's event loop — is checkpointed: a full snapshot file, or
-//! a *delta* (a structural diff against the previous checkpoint) while the
-//! chain stays short. A checkpoint is encoded from the typed state straight
+//! fsync discipline ([`Durability`]), and once the WAL written since the
+//! last checkpoint outweighs it (or every N jobs, see [`RunOptions`]) the
+//! full run state — scheduler rungs/brackets, sampler cursors, raw RNG
+//! words, and the simulator's event loop — is checkpointed: a full
+//! snapshot file, or a *delta* (a structural diff against the previous
+//! checkpoint) while the chain stays short. A checkpoint is encoded from the typed state straight
 //! to `binary-v2` bytes, diffed and patched as bytes, and decoded from the
 //! bytes straight back into typed state at the end of a recovery: no tree
 //! is built on either path. Everything is written and

@@ -209,6 +209,7 @@ pub struct WalWriter {
     policy: Durability,
     since_sync: usize,
     telemetry_appended: u64,
+    telemetry_bytes: u64,
     buf: EncodeBuf,
     /// Optional durability-plane metrics; `None` (the default) keeps
     /// clock reads off the append path entirely.
@@ -255,6 +256,7 @@ impl WalWriter {
             policy,
             since_sync: 0,
             telemetry_appended: telemetry_so_far,
+            telemetry_bytes: 0,
             buf: EncodeBuf::default(),
             metrics: None,
         }
@@ -280,6 +282,16 @@ impl WalWriter {
         self.telemetry_appended
     }
 
+    /// Bytes of the telemetry records this writer appended — frames of
+    /// [`WalRecord::Decision`] / [`WalRecord::Job`] only, never markers or
+    /// lifecycle records, and counted from 0 at open. A run that regenerates
+    /// the same events after recovery counts the same bytes, which is what
+    /// lets the amortised checkpoint rule ([`crate::RunOptions`]) repeat
+    /// across a crash.
+    pub fn telemetry_bytes(&self) -> u64 {
+        self.telemetry_bytes
+    }
+
     /// Append one record. This is the only write entry point: every call
     /// site hands the writer a typed [`WalRecord`], and [`encode_record`]
     /// owns the bytes.
@@ -291,6 +303,7 @@ impl WalWriter {
             .map_err(|e| StoreError::io(&self.path, e))?;
         if matches!(record, WalRecord::Decision(_) | WalRecord::Job(_)) {
             self.telemetry_appended += 1;
+            self.telemetry_bytes += self.buf.bytes.len() as u64;
         }
         self.since_sync += 1;
         if self.policy.fsync_due(self.since_sync) {
@@ -572,6 +585,48 @@ mod tests {
             assert!(std::fs::read(&path).unwrap().starts_with(WAL_MAGIC));
             assert_eq!(contents.telemetry_len(), before + 1);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `telemetry_bytes` counts the frames of telemetry records only —
+    /// markers and lifecycle records (`resumed` among them) leave it alone —
+    /// and a reopened writer counts from 0.
+    #[test]
+    fn telemetry_bytes_count_telemetry_frames_only() {
+        let dir = tmpdir("telemetry-bytes");
+        let path = dir.join("wal");
+        let records = [
+            WalRecord::Meta {
+                time: 0.0,
+                event: StoreEvent::ExperimentCreated {
+                    name: "exp".to_owned(),
+                },
+            },
+            WalRecord::telemetry(ev(0, 0.0)),
+            WalRecord::SnapshotMarker {
+                time: 0.5,
+                marker: SnapMarker::Full { snap: 0, events: 1 },
+            },
+            WalRecord::Meta {
+                time: 0.5,
+                event: StoreEvent::Resumed,
+            },
+            WalRecord::telemetry(ev(1, 0.75)),
+        ];
+        let mut wal = WalWriter::create(&path, Durability::Flush).unwrap();
+        let (mut frame, mut expected) = (EncodeBuf::default(), 0);
+        for record in &records {
+            wal.append(record).unwrap();
+            if record.event().is_some() {
+                encode_record(record, &mut frame);
+                expected += frame.bytes.len() as u64;
+            }
+            assert_eq!(wal.telemetry_bytes(), expected, "after {record:?}");
+        }
+        drop(wal);
+        let reopened = WalWriter::open_append(&path, Durability::Flush, 2).unwrap();
+        assert_eq!(reopened.telemetry_bytes(), 0);
+        drop(reopened);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -2,17 +2,22 @@
 //! point and recovered must finish with a result bitwise-identical to an
 //! uninterrupted run of the same seed — the store's core guarantee.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 
 use asha_baselines::{bohb_asha, Sampler};
+use asha_core::telemetry::EventKind;
 use asha_core::{Asha, AshaConfig, Decision, Observation, Scheduler};
 use asha_sim::{SimConfig, SimResult};
 use asha_space::{Config, ParamValue};
+use asha_store::binary::{decode_value, put_value};
+use asha_store::delta::apply_bytes;
+use asha_store::format::encode_record;
 use asha_store::{
-    load_latest, read_meta, read_wal, replay_scheduler, write_document, BenchSpec, Durability,
-    DurableRun, ErrorKind, ExperimentMeta, ExperimentStatus, ExperimentSupervisor, RunOptions,
-    SchedulerState, Snapshot, StoredScheduler, WAL_FILE,
+    load_latest, read_meta, read_wal, replay_scheduler, upgrade, write_document, BenchSpec,
+    DeltaDoc, Durability, DurableRun, EncodeBuf, ErrorKind, ExperimentMeta, ExperimentStatus,
+    ExperimentSupervisor, RunOptions, SchedulerState, Snapshot, StoredScheduler, WalRecord,
+    WAL_FILE,
 };
 use asha_surrogate::BenchmarkModel;
 use rand::rngs::StdRng;
@@ -84,7 +89,7 @@ fn opts(snapshot_jobs: usize) -> RunOptions {
     RunOptions {
         sync: Durability::EveryN(16),
         snapshot_jobs,
-        ..RunOptions::default()
+        delta_chain: 8,
     }
 }
 
@@ -215,6 +220,198 @@ fn recovery_with_model_sampler_matches_uninterrupted_run() {
         }
         std::fs::remove_dir_all(&root).ok();
     }
+}
+
+/// Every checkpoint file (`snap-*` / `delta-*`) in `dir`, by name.
+fn checkpoint_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter_map(|path| {
+            let name = path.file_name()?.to_str()?.to_owned();
+            let checkpoint = name.starts_with("snap-") || name.starts_with("delta-");
+            checkpoint.then(|| (name, std::fs::read(&path).unwrap()))
+        })
+        .collect()
+}
+
+/// The WAL's checkpoint markers in order, each beside the jobs completed
+/// (`job_end` events) before it.
+fn markers(dir: &Path) -> Vec<(WalRecord, usize)> {
+    let mut jobs = 0;
+    let mut found = Vec::new();
+    for record in read_wal(&dir.join(WAL_FILE)).unwrap().records {
+        if let WalRecord::SnapshotMarker { .. } = record {
+            found.push((record, jobs));
+        } else if matches!(record.event(), Some(e) if matches!(e.kind, EventKind::JobEnd { .. })) {
+            jobs += 1;
+        }
+    }
+    found
+}
+
+/// A resumed run takes exactly the checkpoints the uninterrupted run takes:
+/// the same markers at the same points, and the same checkpoint files byte
+/// for byte — under the amortised default, whose trigger counts WAL bytes
+/// (which the `resumed` record must not add to), and under an explicit job
+/// cadence. Kills land one job before, at and one job after every
+/// checkpoint the reference run took on its cadence. At seed 1 one
+/// amortised checkpoint falls due within a `resumed` record's bytes of the
+/// end of its step, so a writer that counted that record would move it.
+#[test]
+fn a_resumed_run_takes_the_uninterrupted_runs_checkpoints() {
+    let every_25 = RunOptions {
+        snapshot_jobs: 25,
+        ..RunOptions::default()
+    };
+    for (tag, o, seed) in [
+        ("amortised-1", RunOptions::default(), 1),
+        ("amortised-42", RunOptions::default(), 42),
+        ("every-25", every_25, 42),
+    ] {
+        let meta = chaos_meta("cadence", seed);
+        let bench = meta.bench.build().unwrap();
+        let root = tmpdir(&format!("cadence-{tag}"));
+        let ref_dir = root.join("ref");
+        let reference = uninterrupted_result(&meta, &ref_dir, o);
+        let ref_markers = markers(&ref_dir);
+        let ref_files = checkpoint_files(&ref_dir);
+        // Snapshot 0 at create and the final one at the end are not on the
+        // cadence.
+        let cadence = &ref_markers[1..ref_markers.len() - 1];
+        assert!(
+            cadence.len() >= 3,
+            "{tag}: only {} checkpoints",
+            cadence.len()
+        );
+        let mut kills: Vec<usize> = cadence
+            .iter()
+            .flat_map(|&(_, jobs)| [jobs.saturating_sub(1), jobs, jobs + 1])
+            .filter(|&jobs| (1..reference.jobs_completed).contains(&jobs))
+            .collect();
+        kills.dedup();
+        for kill_after in kills {
+            let dir = root.join(format!("kill-{kill_after}"));
+            let mut run = DurableRun::create(&dir, &meta, &bench, o).unwrap();
+            assert!(run.run_until_jobs(kill_after).unwrap());
+            std::mem::forget(run);
+            let result = DurableRun::resume(&dir, &meta, &bench, o)
+                .unwrap()
+                .run_to_completion()
+                .unwrap();
+            assert_results_identical(&reference, &result);
+            let what = format!("{tag}, killed after {kill_after} jobs");
+            assert!(markers(&dir) == ref_markers, "{what}: markers differ");
+            let files = checkpoint_files(&dir);
+            assert_eq!(
+                files.keys().collect::<Vec<_>>(),
+                ref_files.keys().collect::<Vec<_>>(),
+                "{what}"
+            );
+            for (name, bytes) in &ref_files {
+                assert!(files[name] == *bytes, "{what}: {name} differs");
+            }
+        }
+        std::fs::remove_dir_all(&root).ok();
+    }
+}
+
+/// The amortisation bound of the default cadence on a 500-worker run of
+/// 20 000 jobs: the telemetry bytes written between two checkpoints reach
+/// the first one's payload, so every checkpoint but the newest is paid for
+/// by the WAL and their payloads sum to at most the telemetry bytes; the
+/// WAL past the newest checkpoint (what a recovery replays) is shorter than
+/// its payload; and since a payload holds the whole history, checkpoints
+/// thin out geometrically — a handful where a 200-job cadence writes 100.
+#[test]
+fn amortised_checkpoints_are_paid_for_by_the_wal() {
+    const JOBS: usize = 20_000;
+    let spec = BenchSpec {
+        preset: "cifar10_cuda_convnet".to_owned(),
+        seed: 5,
+    };
+    let bench = spec.build().unwrap();
+    let space = bench.space().clone();
+    let asha = Asha::new(space.clone(), AshaConfig::new(1.0, 256.0, 4.0));
+    let meta = ExperimentMeta {
+        name: "amortised".to_owned(),
+        space,
+        initial: SchedulerState::Asha(asha.export_state()),
+        sampler: None,
+        seed: 5,
+        sim: SimConfig::new(500, 1e12).with_max_jobs(JOBS + 1_000),
+        bench: spec,
+    };
+    let root = tmpdir("amortised");
+    let dir = root.join("run");
+    let mut run = DurableRun::create(&dir, &meta, &bench, RunOptions::default()).unwrap();
+    assert!(run.run_until_jobs(JOBS).unwrap());
+    drop(run);
+
+    // Each checkpoint's payload: a full snapshot's as stored, a delta's
+    // patched onto the payload before it.
+    let mut payloads: Vec<Vec<u8>> = Vec::new();
+    for file in upgrade::checkpoints(&dir).unwrap() {
+        let stored = file.payload().unwrap();
+        if file.delta == 0 {
+            payloads.push(stored);
+            continue;
+        }
+        let delta = DeltaDoc::from_json(&decode_value(&stored).unwrap()).unwrap();
+        let (mut patch, mut patched) = (Vec::new(), Vec::new());
+        put_value(&mut patch, &delta.patch);
+        apply_bytes(payloads.last().unwrap(), &patch, &mut patched).unwrap();
+        payloads.push(patched);
+    }
+    let payload_len: Vec<u64> = payloads.iter().map(|p| p.len() as u64).collect();
+
+    // The telemetry bytes (as framed on disk) after each checkpoint's
+    // marker, up to the next one.
+    let mut buf = EncodeBuf::default();
+    let mut spans: Vec<u64> = Vec::new();
+    for record in read_wal(&dir.join(WAL_FILE)).unwrap().records {
+        if let WalRecord::SnapshotMarker { .. } = record {
+            spans.push(0);
+        } else if record.event().is_some() {
+            encode_record(&record, &mut buf);
+            let span = spans.last_mut().expect("snapshot 0 precedes all telemetry");
+            *span += buf.bytes.len() as u64;
+        }
+    }
+    let at_jobs: Vec<usize> = markers(&dir).into_iter().map(|(_, jobs)| jobs).collect();
+    assert_eq!(
+        spans.len(),
+        payload_len.len(),
+        "one marker per checkpoint file"
+    );
+    let newest = payload_len.len() - 1;
+    for i in 0..newest {
+        assert!(
+            spans[i] >= payload_len[i],
+            "checkpoint {i} ({} B) was followed by only {} B of WAL",
+            payload_len[i],
+            spans[i]
+        );
+    }
+    let telemetry: u64 = spans.iter().sum();
+    let encoded: u64 = payload_len.iter().sum();
+    assert!(encoded <= telemetry + payload_len[newest]);
+    assert!(
+        spans[newest] < payload_len[newest],
+        "replay outgrew the checkpoint"
+    );
+
+    // Logarithmic in J: every checkpoint on the cadence at least doubles
+    // the jobs of the one before, so there are at most log2(J) + 2.
+    for w in at_jobs[1..].windows(2) {
+        assert!(w[1] >= 2 * w[0], "checkpoints at {at_jobs:?} jobs");
+    }
+    assert!(
+        payload_len.len() <= JOBS.ilog2() as usize + 2,
+        "{} checkpoints in {JOBS} jobs (at {at_jobs:?})",
+        payload_len.len()
+    );
+    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]

@@ -79,7 +79,7 @@ fn bin_opts(snapshot_jobs: usize) -> RunOptions {
     RunOptions {
         sync: Durability::EveryN(16),
         snapshot_jobs,
-        ..RunOptions::default()
+        delta_chain: 8,
     }
 }
 
