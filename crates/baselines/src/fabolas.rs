@@ -95,7 +95,8 @@ impl Fabolas {
     }
 
     /// Number of recorded observations (all fidelities).
-    pub fn observations(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn observations(&self) -> usize {
         self.observations.len()
     }
 

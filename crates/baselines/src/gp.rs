@@ -74,11 +74,6 @@ impl GpSampler {
         }
     }
 
-    /// Number of recorded observations at the given rung.
-    pub fn observations_at(&self, rung: usize) -> usize {
-        self.by_rung.get(&rung).map_or(0, Vec::len)
-    }
-
     fn min_points(&self) -> usize {
         if self.config.min_points > 0 {
             self.config.min_points

@@ -137,7 +137,8 @@ impl Pbt {
     }
 
     /// Number of populations spawned.
-    pub fn population_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn population_count(&self) -> usize {
         self.populations.len()
     }
 

@@ -70,7 +70,8 @@ impl TpeSampler {
     }
 
     /// Number of recorded observations at the given rung.
-    pub fn observations_at(&self, rung: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn observations_at(&self, rung: usize) -> usize {
         self.by_rung.get(&rung).map_or(0, Vec::len)
     }
 

@@ -88,7 +88,8 @@ impl Vizier {
     }
 
     /// Number of completed full evaluations.
-    pub fn completed(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn completed(&self) -> usize {
         self.completed.len()
     }
 

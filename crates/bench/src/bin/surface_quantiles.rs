@@ -3,6 +3,13 @@
 //! sanity-check that surfaces make the paper's comparisons meaningful (e.g.
 //! "best of ~2k random full evaluations" vs "best of ~50k early-stopped
 //! ones" for Figure 5).
+//!
+//! ```text
+//! cargo run --release -p asha-bench --bin surface_quantiles -- [SAMPLES]
+//! ```
+//!
+//! `SAMPLES` is the number of random configurations per benchmark (default
+//! 20 000).
 
 use asha::math::stats::{mean, quantile, std_dev};
 use asha::surrogate::{presets, BenchmarkModel};
@@ -10,10 +17,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20_000);
+    // A malformed sample count is a usage error (exit 2), not the default.
+    let n: usize = match std::env::args().nth(1) {
+        None => 20_000,
+        Some(raw) => raw.parse().unwrap_or_else(|_| {
+            eprintln!("surface_quantiles: not a number: {raw:?}");
+            std::process::exit(2);
+        }),
+    };
     let seed = presets::DEFAULT_SURFACE_SEED;
     let benches = [
         presets::cifar10_cuda_convnet(seed),

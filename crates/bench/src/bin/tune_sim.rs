@@ -28,6 +28,26 @@ fn parse_flag(args: &[String], flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// A malformed command line: one `tune_sim: ...` line on stderr, exit 2.
+fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("tune_sim: {msg}");
+    std::process::exit(2);
+}
+
+/// The number after `flag`, or `default()` when the flag is absent. A missing
+/// or malformed value is a usage error, so `--workers 2S` never runs the
+/// default worker count.
+fn number<T: std::str::FromStr>(args: &[String], flag: &str, default: impl FnOnce() -> T) -> T {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return default();
+    };
+    let Some(raw) = args.get(i + 1) else {
+        usage_error(format!("{flag} needs a value"))
+    };
+    raw.parse()
+        .unwrap_or_else(|_| usage_error(format!("{flag}: not a number: {raw:?}")))
+}
+
 fn benchmark_by_name(name: &str) -> Option<CurveBenchmark> {
     let seed = presets::DEFAULT_SURFACE_SEED;
     Some(match name {
@@ -62,21 +82,13 @@ fn main() {
         eprintln!("unknown searcher `{searcher_name}`");
         std::process::exit(2);
     };
-    let workers: usize = parse_flag(&args, "--workers")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(25);
-    let horizon: f64 = parse_flag(&args, "--horizon")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| bench.time_full(&bench.space().default_config()) * 10.0);
-    let stragglers: f64 = parse_flag(&args, "--stragglers")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.0);
-    let drops: f64 = parse_flag(&args, "--drops")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.0);
-    let seed: u64 = parse_flag(&args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+    let workers: usize = number(&args, "--workers", || 25);
+    let horizon: f64 = number(&args, "--horizon", || {
+        bench.time_full(&bench.space().default_config()) * 10.0
+    });
+    let stragglers: f64 = number(&args, "--stragglers", || 0.0);
+    let drops: f64 = number(&args, "--drops", || 0.0);
+    let seed: u64 = number(&args, "--seed", || 0);
     // `SimTune::run` builds its `SimConfig` through the panicking
     // constructors; reject the same conditions here as a usage error.
     let flags = SimConfig {
@@ -87,8 +99,7 @@ fn main() {
         ..SimConfig::new(1, 1.0)
     };
     if let Err(e) = flags.validate() {
-        eprintln!("tune_sim: {e}");
-        std::process::exit(2);
+        usage_error(e);
     }
 
     println!(

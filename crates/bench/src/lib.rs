@@ -10,11 +10,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod figures;
 pub mod sweep;
 
-pub use figures::{Figure, Panel, FIGURES};
+pub use figures::{Figure, FIGURES};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -283,7 +284,7 @@ pub fn print_comparison(title: &str, results: &[MethodResult], sample_times: &[f
 
 /// Print "time to reach threshold" per method — the paper's headline
 /// comparisons ("ASHA finds a configuration below X in Y minutes").
-pub fn print_time_to_reach(results: &[MethodResult], threshold: f64) {
+pub(crate) fn print_time_to_reach(results: &[MethodResult], threshold: f64) {
     println!("\n-- time to reach mean loss <= {threshold} --");
     for r in results {
         match r.aggregate.time_to_reach(threshold) {
@@ -294,12 +295,12 @@ pub fn print_time_to_reach(results: &[MethodResult], threshold: f64) {
 }
 
 /// Write every method's aggregate to `results/<file_stem>_<method>.csv`.
-pub fn write_results(file_stem: &str, results: &[MethodResult]) {
+pub(crate) fn write_results(file_stem: &str, results: &[MethodResult]) {
     write_results_to("results", file_stem, results);
 }
 
 /// Write every method's aggregate to `<dir>/<file_stem>_<method>.csv` —
-/// same format as [`write_results`] with an explicit output directory.
+/// same format as `write_results` with an explicit output directory.
 pub fn write_results_to(
     dir: impl AsRef<std::path::Path>,
     file_stem: &str,

@@ -95,7 +95,7 @@ impl AshaConfig {
 
     /// The ladder geometry this config describes (`R` is ignored in the
     /// infinite horizon), or why it describes none.
-    pub fn geometry(&self) -> Result<Geometry, Error> {
+    pub(crate) fn geometry(&self) -> Result<Geometry, Error> {
         Geometry::new(
             self.min_resource,
             (!self.infinite_horizon).then_some(self.max_resource),
@@ -202,23 +202,27 @@ impl Asha {
     }
 
     /// The scheduler's configuration.
-    pub fn config(&self) -> &AshaConfig {
+    #[cfg(test)]
+    pub(crate) fn config(&self) -> &AshaConfig {
         &self.config
     }
 
     /// Number of distinct trials started so far.
-    pub fn trials_started(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn trials_started(&self) -> usize {
         self.trials_started
     }
 
     /// Number of issued-but-unreported jobs.
-    pub fn outstanding_jobs(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn outstanding_jobs(&self) -> usize {
         self.outstanding.len()
     }
 
     /// Best `(trial, loss)` seen so far, using intermediate losses from every
     /// rung (Section 3.3).
-    pub fn best(&self) -> Option<(TrialId, f64)> {
+    #[cfg(test)]
+    pub(crate) fn best(&self) -> Option<(TrialId, f64)> {
         self.ladder.best_loss()
     }
 
@@ -231,12 +235,12 @@ impl Asha {
 
     /// Restore a sampler cursor previously produced by
     /// [`Asha::export_sampler_cursor`].
-    pub fn restore_sampler_cursor(&mut self, cursor: &str) {
+    pub(crate) fn restore_sampler_cursor(&mut self, cursor: &str) {
         self.sampler.restore_cursor(cursor);
     }
 
     /// Capture the scheduler's full mutable state as plain data (see
-    /// [`crate::state`]). Restoring it with [`Asha::from_state`] yields a
+    /// [`SchedulerState`](crate::SchedulerState)). Restoring it with [`Asha::from_state`] yields a
     /// scheduler that makes identical decisions given the same RNG stream.
     pub fn export_state(&self) -> AshaState {
         let trials = (0..).zip(&self.trial_configs);
@@ -262,7 +266,7 @@ impl Asha {
     ///
     /// Panics if the embedded config is invalid (same conditions as
     /// [`Asha::new`]) or the state is one no `Asha` can hold
-    /// ([`AshaState::validate`]).
+    /// (`AshaState::validate`).
     pub fn from_state(space: SearchSpace, state: AshaState) -> Self {
         Asha::from_state_with_sampler(space, state, Box::new(RandomSampler::new()))
     }
@@ -274,7 +278,7 @@ impl Asha {
     /// # Panics
     ///
     /// Same conditions as [`Asha::from_state`], and if the state is one no
-    /// `Asha` can hold ([`AshaState::validate`]).
+    /// `Asha` can hold (`AshaState::validate`).
     pub fn from_state_with_sampler(
         space: SearchSpace,
         state: AshaState,

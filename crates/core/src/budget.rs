@@ -24,7 +24,7 @@ fn s_max(r: f64, max_r: f64, eta: f64) -> usize {
 /// only place the workspace derives rung counts and rung resources from
 /// them. Every scheduler config checks itself by building one.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Geometry {
+pub(crate) struct Geometry {
     min_resource: f64,
     max_resource: f64,
     eta: f64,
@@ -38,7 +38,7 @@ impl Geometry {
     ///
     /// Fails (kind `Config`) unless `eta >= 2`, `0 < r <= R`, all three are
     /// finite, and `s <= floor(log_eta(R/r))`.
-    pub fn new(r: f64, max_r: Option<f64>, eta: f64, s: usize) -> Result<Self, Error> {
+    pub(crate) fn new(r: f64, max_r: Option<f64>, eta: f64, s: usize) -> Result<Self, Error> {
         // Written so that NaN fails each check.
         if !(eta >= 2.0 && eta.is_finite()) {
             return Err(Error::config(format!(
@@ -79,18 +79,19 @@ impl Geometry {
     }
 
     /// The reduction factor `eta`.
-    pub fn eta(&self) -> f64 {
+    pub(crate) fn eta(&self) -> f64 {
         self.eta
     }
 
     /// The early-stopping rate `s`.
-    pub fn stop_rate(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn stop_rate(&self) -> usize {
         self.stop_rate
     }
 
     /// Index of the top rung, `floor(log_eta(R/r)) - s`; `None` in the
     /// infinite horizon.
-    pub fn max_rung(&self) -> Option<usize> {
+    pub(crate) fn max_rung(&self) -> Option<usize> {
         self.max_rung
     }
 
@@ -99,12 +100,12 @@ impl Geometry {
     /// # Panics
     ///
     /// Panics in the infinite horizon, which has no last rung.
-    pub fn num_rungs(&self) -> usize {
+    pub(crate) fn num_rungs(&self) -> usize {
         self.max_rung.expect("infinite horizon has no rung count") + 1
     }
 
     /// Cumulative resource of a trial at rung `k`: `min(r * eta^(s + k), R)`.
-    pub fn resource(&self, rung: usize) -> f64 {
+    pub(crate) fn resource(&self, rung: usize) -> f64 {
         (self.min_resource * self.eta.powi((self.stop_rate + rung) as i32)).min(self.max_resource)
     }
 }

@@ -44,15 +44,6 @@ impl Durability {
             Durability::Sync => true,
         }
     }
-
-    /// Stable lowercase name (`"flush"`, `"every_n"`, `"sync"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Durability::Flush => "flush",
-            Durability::EveryN(_) => "every_n",
-            Durability::Sync => "sync",
-        }
-    }
 }
 
 impl Default for Durability {

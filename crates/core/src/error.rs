@@ -1,7 +1,7 @@
 //! The unified error type every asha crate's fallible surface converges on.
 //!
 //! Four PRs of growth left the workspace with three error dialects — ad-hoc
-//! `Result<_, String>` in codecs and parsers, a crate-local `StoreError`
+//! `Result<_, String>` in codecs and parsers, a crate-local error
 //! enum in `asha-store`, and panics in config constructors. This module
 //! replaces all of them with one [`Error`] value: a machine-matchable
 //! [`ErrorKind`], a human-readable message, an optional filesystem path,
@@ -148,7 +148,7 @@ impl Error {
     }
 
     /// Attach the filesystem path the error concerns.
-    pub fn with_path(mut self, path: impl Into<PathBuf>) -> Self {
+    pub(crate) fn with_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.path = Some(path.into());
         self
     }

@@ -11,11 +11,11 @@
 
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// A `HashMap` using [`FxHasher`] — for hot-path maps with integer keys.
+/// A `HashMap` using `FxHasher` — for hot-path maps with integer keys.
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// A `HashSet` using [`FxHasher`] — for hot-path sets with integer keys.
-pub type FxHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
+pub(crate) type FxHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 

@@ -162,11 +162,6 @@ impl Hyperband {
         }
     }
 
-    /// The early-stopping rate of the bracket currently running.
-    pub fn current_bracket(&self) -> usize {
-        self.bracket_idx
-    }
-
     fn advance_bracket(&mut self) {
         self.bracket_idx = (self.bracket_idx + 1) % self.config.num_brackets;
         self.generation += 1;
@@ -305,13 +300,9 @@ impl AsyncHyperband {
         }
     }
 
-    /// The early-stopping rate of the bracket currently being filled.
-    pub fn current_bracket(&self) -> usize {
-        self.current
-    }
-
     /// Capture the scheduler's full mutable state as plain data (see
-    /// [`crate::state`]): one [`crate::state::AshaState`] per bracket plus
+    /// [`SchedulerState`](crate::SchedulerState)): one
+    /// [`AshaState`](crate::AshaState) per bracket plus
     /// the budget cursor. Per-bracket budgets are recomputed on restore.
     pub fn export_state(&self) -> AsyncHyperbandState {
         AsyncHyperbandState {
@@ -331,7 +322,7 @@ impl AsyncHyperband {
     /// # Panics
     ///
     /// Panics if the state is one no `AsyncHyperband` can hold (see
-    /// [`AsyncHyperbandState::validate`]: an invalid config, a bracket
+    /// `AsyncHyperbandState::validate`: an invalid config, a bracket
     /// count that does not match it, a bracket `Asha` cannot hold).
     pub fn from_state_with_sampler_factory(
         space: SearchSpace,
@@ -354,12 +345,14 @@ impl AsyncHyperband {
     }
 
     /// Read-only access to the per-bracket ASHA instances.
-    pub fn brackets(&self) -> &[Asha] {
+    #[cfg(test)]
+    pub(crate) fn brackets(&self) -> &[Asha] {
         &self.brackets
     }
 
     /// Best `(trial, loss)` across every bracket, using intermediate losses.
-    pub fn best(&self) -> Option<(TrialId, f64)> {
+    #[cfg(test)]
+    pub(crate) fn best(&self) -> Option<(TrialId, f64)> {
         self.brackets
             .iter()
             .enumerate()

@@ -13,16 +13,16 @@
 //! * [`Hyperband`] / [`AsyncHyperband`] — loop over SHA/ASHA brackets with
 //!   different early-stopping rates.
 //! * [`RandomSearch`] — the embarrassingly parallel baseline.
-//! * [`budget`] — [`budget::Geometry`], the one place `(r, R, eta, s)` is
+//! * [`budget`] — `budget::Geometry`, the one place `(r, R, eta, s)` is
 //!   validated and turned into rung counts and rung resources; plus the
 //!   closed-form promotion/budget tables of Figure 1 and the wall-clock
 //!   bounds of Section 3.2.
-//! * [`state`] — every durable scheduler's state as plain data
+//! * `state` — every durable scheduler's state as plain data
 //!   ([`SchedulerState`]) and [`DurableScheduler`], the one interface a
 //!   store needs to persist and restore any of them.
 //! * [`telemetry`] — the structured-event vocabulary (suggest / promote /
 //!   grow_bottom / job lifecycle / faults), the zero-cost [`Recorder`] sink
-//!   both execution layers emit into, and the [`InstrumentedScheduler`]
+//!   both execution layers emit into, and the `InstrumentedScheduler`
 //!   decorator; collection and reporting live in `asha-obs`.
 //! * [`error`] — the unified [`Error`] type (kind + context chain) every
 //!   fallible surface in the workspace converges on.
@@ -58,12 +58,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod asha;
 pub mod budget;
-pub mod durability;
+mod durability;
 pub mod error;
-pub mod fx;
+mod fx;
 mod hyperband;
 mod random;
 #[cfg(any(test, feature = "reference"))]
@@ -72,16 +73,16 @@ mod rung;
 mod sampler;
 mod scheduler;
 mod sha;
-pub mod state;
+mod state;
 pub mod telemetry;
 
 pub use crate::asha::{Asha, AshaConfig};
 pub use crate::durability::Durability;
 pub use crate::error::{Error, ErrorKind, ResultContext};
-pub use crate::fx::{FxHashMap, FxHashSet};
+pub use crate::fx::FxHashMap;
 pub use crate::hyperband::{AsyncHyperband, Hyperband, HyperbandConfig};
 pub use crate::random::RandomSearch;
-pub use crate::rung::{PromotionRule, Rung, RungLadder, ScanOrder};
+pub use crate::rung::{PromotionRule, ScanOrder};
 pub use crate::sampler::{ConfigSampler, Fidelity, RandomSampler};
 pub use crate::scheduler::{Decision, Job, Observation, Scheduler, TrialId};
 pub use crate::sha::{ShaConfig, SyncSha};
@@ -89,6 +90,4 @@ pub use crate::state::{
     AshaState, AsyncHyperbandState, BracketState, DurableScheduler, RungState, SchedulerState,
     SyncShaState,
 };
-pub use crate::telemetry::{
-    DropCause, Event, EventKind, IdleKind, InstrumentedScheduler, NoopRecorder, Recorder,
-};
+pub use crate::telemetry::{NoopRecorder, Recorder};

@@ -48,12 +48,14 @@ impl RandomSearch {
     }
 
     /// Number of completed evaluations.
-    pub fn completed(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn completed(&self) -> usize {
         self.completed
     }
 
     /// Best loss observed so far (`INFINITY` before the first completion).
-    pub fn best_loss(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn best_loss(&self) -> f64 {
         self.best_loss
     }
 }

@@ -84,14 +84,6 @@ impl RefRung {
         self.promotable_eager(eta)
     }
 
-    fn best(&self) -> Option<(TrialId, f64)> {
-        self.records
-            .iter()
-            .map(|&(t, l)| (l, t))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-            .map(|(l, t)| (t, l))
-    }
-
     fn export(&self) -> RungState {
         RungState {
             records: self.records.iter().map(|&(t, l)| (t.0, l)).collect(),
@@ -154,13 +146,6 @@ impl RefLadder {
             ScanOrder::TopDown => (0..limit).rev().find_map(scan),
             ScanOrder::BottomUp => (0..limit).find_map(scan),
         }
-    }
-
-    fn best_loss(&self) -> Option<(TrialId, f64)> {
-        self.rungs
-            .iter()
-            .flat_map(|r| r.best())
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
     }
 }
 
@@ -230,11 +215,6 @@ impl RefAsha {
     /// The attached sampler's serialized cursor, if it keeps one.
     pub fn export_sampler_cursor(&self) -> Option<String> {
         self.sampler.export_cursor()
-    }
-
-    /// Best `(trial, loss)` seen so far, using intermediate losses.
-    pub fn best(&self) -> Option<(TrialId, f64)> {
-        self.ladder.best_loss()
     }
 
     /// Export state in exactly [`crate::Asha::export_state`]'s format.
@@ -398,7 +378,7 @@ impl RefSyncSha {
     }
 
     /// Whether every bracket has run to completion.
-    pub fn all_done(&self) -> bool {
+    pub(crate) fn all_done(&self) -> bool {
         self.brackets.iter().all(|b| b.done)
     }
 

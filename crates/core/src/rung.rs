@@ -44,7 +44,7 @@ use crate::budget::Geometry;
 use crate::fx::FxHashMap;
 use crate::scheduler::TrialId;
 
-/// Which direction [`RungLadder::find_promotable`] visits rungs.
+/// Which direction `RungLadder::find_promotable` visits rungs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ScanOrder {
     /// Highest promotable rung first — Algorithm 2's prescription, which
@@ -140,13 +140,13 @@ pub struct Rung {
 
 impl Rung {
     /// Create an empty rung.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Rung::default()
     }
 
     /// Record a trial's loss at this rung. Re-reports of the same trial are
     /// ignored (first result wins), which makes executors free to retry jobs.
-    pub fn record(&mut self, trial: TrialId, loss: f64) {
+    pub(crate) fn record(&mut self, trial: TrialId, loss: f64) {
         // Treat NaN losses as worst-possible rather than corrupting sorts.
         let loss = if loss.is_nan() { f64::INFINITY } else { loss };
         let key = loss_key(loss);
@@ -163,17 +163,19 @@ impl Rung {
     }
 
     /// Whether no trial has reached this rung yet.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
 
     /// Whether the given trial has a recorded result here.
-    pub fn contains(&self, trial: TrialId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, trial: TrialId) -> bool {
         self.loss_of.contains_key(&trial)
     }
 
     /// Whether the given trial has already been promoted out of this rung.
-    pub fn is_promoted(&self, trial: TrialId) -> bool {
+    pub(crate) fn is_promoted(&self, trial: TrialId) -> bool {
         self.loss_of.get(&trial).is_some_and(|&(_, p)| p)
     }
 
@@ -183,7 +185,7 @@ impl Rung {
     }
 
     /// All `(trial, loss)` records in arrival order.
-    pub fn records(&self) -> &[(TrialId, f64)] {
+    pub(crate) fn records(&self) -> &[(TrialId, f64)] {
         &self.records
     }
 
@@ -246,7 +248,7 @@ impl Rung {
     /// runs as pure arithmetic *before* the cached check and adds nothing to
     /// the indexes: whenever the gate passes, `promoted < k` means the eager
     /// answer is already exactly the delayed answer.
-    pub fn promotable(&self, eta: f64, rule: PromotionRule) -> Option<(TrialId, f64)> {
+    pub(crate) fn promotable(&self, eta: f64, rule: PromotionRule) -> Option<(TrialId, f64)> {
         let len = self.records.len();
         let p = self.promoted_sorted.len();
         if rule == PromotionRule::Delayed && p >= (len as f64 / eta).floor() as usize {
@@ -323,7 +325,7 @@ impl Rung {
     /// Mark a trial as promoted out of this rung. Unknown trials are
     /// ignored. The stale heap entry is *not* removed here (lazy deletion);
     /// the candidate cache self-invalidates because `promoted_count` grew.
-    pub fn mark_promoted(&mut self, trial: TrialId) {
+    pub(crate) fn mark_promoted(&mut self, trial: TrialId) {
         if let Some(slot) = self.loss_of.get_mut(&trial) {
             slot.1 = true;
             let entry = (slot.0, trial);
@@ -339,7 +341,8 @@ impl Rung {
     }
 
     /// Best (lowest) loss at this rung, if any trial has completed.
-    pub fn best(&self) -> Option<(TrialId, f64)> {
+    #[cfg(test)]
+    pub(crate) fn best(&self) -> Option<(TrialId, f64)> {
         let a = self.best_unpromoted();
         let b = self.promoted_sorted.first().copied();
         let (key, trial) = match (a, b) {
@@ -364,7 +367,7 @@ impl RungLadder {
     /// An empty ladder over `geometry`: every rung `0..=K` up front in the
     /// finite horizon (Algorithm 2 line 13 scans `K-1..=0`), one rung that
     /// grows on demand in the infinite horizon.
-    pub fn new(geometry: Geometry) -> Self {
+    pub(crate) fn new(geometry: Geometry) -> Self {
         RungLadder {
             rungs: vec![Rung::new(); geometry.max_rung().map_or(1, |max| max + 1)],
             geometry,
@@ -372,12 +375,13 @@ impl RungLadder {
     }
 
     /// The reduction factor `eta`.
-    pub fn eta(&self) -> f64 {
+    pub(crate) fn eta(&self) -> f64 {
         self.geometry.eta()
     }
 
     /// The early-stopping rate `s`.
-    pub fn stop_rate(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn stop_rate(&self) -> usize {
         self.geometry.stop_rate()
     }
 
@@ -403,7 +407,7 @@ impl RungLadder {
     /// # Panics
     ///
     /// Panics if `k` exceeds the top rung of a finite-horizon ladder.
-    pub fn rung_mut(&mut self, k: usize) -> &mut Rung {
+    pub(crate) fn rung_mut(&mut self, k: usize) -> &mut Rung {
         if let Some(max) = self.max_rung() {
             assert!(k <= max, "rung {k} exceeds finite-horizon top rung {max}");
         } else if k >= self.rungs.len() {
@@ -413,7 +417,7 @@ impl RungLadder {
     }
 
     /// Record an observation at rung `k`.
-    pub fn record(&mut self, rung: usize, trial: TrialId, loss: f64) {
+    pub(crate) fn record(&mut self, rung: usize, trial: TrialId, loss: f64) {
         self.rung_mut(rung).record(trial, loss);
     }
 
@@ -430,7 +434,7 @@ impl RungLadder {
     /// rung's candidate must also fit under the `floor(len/eta)` quota).
     /// With the per-rung candidate caches, an unchanged ladder answers this
     /// scan in a handful of integer compares.
-    pub fn find_promotable(
+    pub(crate) fn find_promotable(
         &self,
         order: ScanOrder,
         rule: PromotionRule,
@@ -447,7 +451,7 @@ impl RungLadder {
     }
 
     /// Mark a trial as promoted out of rung `k`.
-    pub fn mark_promoted(&mut self, rung: usize, trial: TrialId) {
+    pub(crate) fn mark_promoted(&mut self, rung: usize, trial: TrialId) {
         self.rung_mut(rung).mark_promoted(trial);
     }
 
@@ -455,7 +459,8 @@ impl RungLadder {
     /// rungs' intermediate losses as ASHA does for incumbent reporting
     /// (Section 3.3: "ASHA uses intermediate losses to determine the current
     /// best performing configuration").
-    pub fn best_loss(&self) -> Option<(TrialId, f64)> {
+    #[cfg(test)]
+    pub(crate) fn best_loss(&self) -> Option<(TrialId, f64)> {
         self.rungs
             .iter()
             .flat_map(|r| r.best())

@@ -14,7 +14,7 @@ pub struct Fidelity {
 
 impl Fidelity {
     /// Fidelity of the base rung at resource `r`.
-    pub fn base(resource: f64) -> Self {
+    pub(crate) fn base(resource: f64) -> Self {
         Fidelity { rung: 0, resource }
     }
 }

@@ -106,7 +106,8 @@ impl Decision {
     }
 
     /// Whether this is [`Decision::Finished`].
-    pub fn is_finished(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_finished(&self) -> bool {
         matches!(self, Decision::Finished)
     }
 }

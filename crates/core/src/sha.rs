@@ -49,7 +49,8 @@ impl ShaConfig {
     }
 
     /// Set the early-stopping rate `s`.
-    pub fn with_stop_rate(mut self, stop_rate: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_stop_rate(mut self, stop_rate: usize) -> Self {
         self.stop_rate = stop_rate;
         self
     }
@@ -61,7 +62,7 @@ impl ShaConfig {
     }
 
     /// The bracket's ladder geometry, or why the config describes none.
-    pub fn geometry(&self) -> Result<Geometry, Error> {
+    pub(crate) fn geometry(&self) -> Result<Geometry, Error> {
         Geometry::new(
             self.min_resource,
             Some(self.max_resource),
@@ -233,23 +234,19 @@ impl SyncSha {
         self.name = name.into();
     }
 
-    /// The scheduler's configuration.
-    pub fn config(&self) -> &ShaConfig {
-        &self.config
-    }
-
     /// Number of brackets started so far.
-    pub fn bracket_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn bracket_count(&self) -> usize {
         self.brackets.len()
     }
 
     /// Whether every bracket has run to completion.
-    pub fn all_done(&self) -> bool {
+    pub(crate) fn all_done(&self) -> bool {
         self.brackets.iter().all(|b| b.done)
     }
 
     /// Capture the scheduler's full mutable state as plain data (see
-    /// [`crate::state`]). Restoring it with
+    /// [`SchedulerState`](crate::SchedulerState)). Restoring it with
     /// [`SyncSha::from_state_with_sampler`] yields a
     /// scheduler that makes identical decisions given the same RNG stream.
     pub fn export_state(&self) -> SyncShaState {

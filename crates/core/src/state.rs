@@ -20,11 +20,11 @@ use crate::error::Error;
 use crate::rung::{PromotionRule, Rung, RungLadder};
 use crate::scheduler::{Scheduler, TrialId};
 
-/// Snapshot of one [`Rung`]: every recorded `(trial, loss)` in arrival
+/// Snapshot of one `Rung`: every recorded `(trial, loss)` in arrival
 /// order, plus which trials have been promoted out.
 ///
 /// Losses are stored post-normalization (the rung records NaN as
-/// `+inf`), so replaying `records` through [`Rung::record`] reproduces the
+/// `+inf`), so replaying `records` through `Rung::record` reproduces the
 /// rung exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RungState {
@@ -36,7 +36,7 @@ pub struct RungState {
 
 impl RungState {
     /// Capture the state of a rung.
-    pub fn of(rung: &Rung) -> Self {
+    pub(crate) fn of(rung: &Rung) -> Self {
         let records: Vec<(u64, f64)> = rung.records().iter().map(|&(t, l)| (t.0, l)).collect();
         let promoted = rung
             .records()
@@ -48,7 +48,7 @@ impl RungState {
     }
 
     /// Replay this rung's history into rung `k` of a fresh ladder.
-    pub fn replay_into(&self, ladder: &mut RungLadder, k: usize) {
+    pub(crate) fn replay_into(&self, ladder: &mut RungLadder, k: usize) {
         for &(trial, loss) in &self.records {
             ladder.record(k, TrialId(trial), loss);
         }
@@ -86,7 +86,7 @@ impl AshaState {
     /// below `n`; and every rung, and the rung of every outstanding job, on
     /// the ladder. The codecs accept any well-formed document, so the
     /// boundaries that restore an untrusted state call this first.
-    pub fn validate(&self) -> Result<(), Error> {
+    pub(crate) fn validate(&self) -> Result<(), Error> {
         let top = self.config.geometry()?.max_rung();
         let n = self.trials.len() as u64;
         if let Some((&(t, _), i)) = self.trials.iter().zip(0..).find(|&(&(t, _), i)| t != i) {
@@ -189,7 +189,7 @@ impl AsyncHyperbandState {
     /// this state: a valid config, one bracket per configured bracket, a
     /// current bracket among them, and every bracket an ASHA state
     /// ([`AshaState::validate`]).
-    pub fn validate(&self) -> Result<(), Error> {
+    pub(crate) fn validate(&self) -> Result<(), Error> {
         self.config.validate()?;
         let brackets = self.brackets.len();
         if brackets != self.config.num_brackets || self.current >= brackets {
@@ -237,7 +237,7 @@ impl SchedulerState {
     }
 
     /// Check that the scheduler of this kind can hold the state (see
-    /// [`AshaState::validate`], [`AsyncHyperbandState::validate`]; a
+    /// `AshaState::validate`, `AsyncHyperbandState::validate`; a
     /// `SyncSha` state's config). An error is of kind `Config`.
     pub fn validate(&self) -> Result<(), Error> {
         match self {

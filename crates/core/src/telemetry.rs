@@ -215,7 +215,7 @@ impl EventKind {
     }
 
     /// The job-end event for an observation.
-    pub fn job_end(obs: &Observation) -> EventKind {
+    pub(crate) fn job_end(obs: &Observation) -> EventKind {
         EventKind::JobEnd {
             trial: obs.trial.0,
             rung: obs.rung,
@@ -323,16 +323,6 @@ impl<S: Scheduler, R: Recorder> InstrumentedScheduler<S, R> {
     /// non-decreasing.
     pub fn set_time(&mut self, now: f64) {
         self.now = now;
-    }
-
-    /// The wrapped scheduler.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// The recorder.
-    pub fn recorder(&self) -> &R {
-        &self.recorder
     }
 
     /// Unwrap into the scheduler and the recorder.

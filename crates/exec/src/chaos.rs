@@ -50,9 +50,9 @@ use crate::objective::{Evaluation, JobCtx, JobDropped, Objective};
 /// but [`install_quiet_panic_hook`] recognises it and keeps test output
 /// clean.
 #[derive(Debug, Clone, Copy)]
-pub struct ChaosPanic;
+pub(crate) struct ChaosPanic;
 
-/// Silence panic-hook output for *injected* faults ([`ChaosPanic`] and
+/// Silence panic-hook output for *injected* faults (`ChaosPanic` and
 /// [`JobDropped`] payloads), delegating every other panic to the previous
 /// hook. Idempotent and safe to call from concurrent tests.
 pub fn install_quiet_panic_hook() {
@@ -79,7 +79,7 @@ pub fn install_quiet_panic_hook() {
 pub struct ChaosConfig {
     /// Seed mixed with each attempt's identity; fixes the full fault script.
     pub seed: u64,
-    /// Probability an attempt panics before training ([`ChaosPanic`]).
+    /// Probability an attempt panics before training (`ChaosPanic`).
     pub panic_rate: f64,
     /// Probability an attempt's result is dropped after training
     /// ([`JobDropped`]).
@@ -146,7 +146,8 @@ impl ChaosConfig {
     }
 
     /// Corrupt the validation loss to +∞ with probability `rate`.
-    pub fn with_inf_losses(mut self, rate: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_inf_losses(mut self, rate: f64) -> Self {
         assert_rate(rate, "inf_rate");
         self.inf_rate = rate;
         self
@@ -195,13 +196,8 @@ impl<O> ChaosObjective<O> {
         }
     }
 
-    /// The wrapped objective.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-
     /// Faults injected so far (exact, not sampled — compare against
-    /// [`ExecResult::faults`](crate::ExecResult)).
+    /// `ExecResult::faults`).
     pub fn injected(&self) -> InjectionReport {
         InjectionReport {
             panics: self.counters.panics.load(Ordering::Relaxed),

@@ -17,7 +17,7 @@
 //! model"): a panicking objective poisons its trial (the scheduler observes
 //! `f64::INFINITY`), timeouts and dropped results are retried from the last
 //! reported checkpoint with exponential backoff per the configured
-//! [`FaultPolicy`], and every event is tallied in [`ExecResult::faults`].
+//! [`FaultPolicy`], and every event is tallied in `ExecResult::faults`.
 //! [`ChaosObjective`] injects exactly these faults deterministically for
 //! testing.
 //!
@@ -45,13 +45,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod chaos;
 mod objective;
 mod tuner;
 
-pub use chaos::{
-    install_quiet_panic_hook, ChaosConfig, ChaosObjective, ChaosPanic, InjectionReport,
-};
+pub use chaos::{install_quiet_panic_hook, ChaosConfig, ChaosObjective};
 pub use objective::{Evaluation, FnObjective, JobCtx, JobDropped, Objective};
-pub use tuner::{ExecConfig, ExecResult, FaultPolicy, ParallelTuner};
+pub use tuner::{ExecConfig, FaultPolicy, ParallelTuner};

@@ -492,7 +492,7 @@ impl ParallelTuner {
     /// reporting work; objective evaluations run in parallel outside it.
     /// Objective panics and timeouts never propagate out of the pool — they
     /// are absorbed per the configured [`FaultPolicy`] and tallied in
-    /// [`ExecResult::faults`].
+    /// `ExecResult::faults`.
     pub fn run<S, O>(&self, scheduler: S, objective: &O, seed: u64) -> ExecResult
     where
         S: Scheduler + Send,
@@ -532,7 +532,7 @@ impl ParallelTuner {
     /// off (the pool's RNG is consumed only by `Scheduler::suggest`, never
     /// by objectives, so scheduler state + RNG state fully determine the
     /// remaining decision stream).
-    pub fn run_resumed<S, O, R>(
+    pub(crate) fn run_resumed<S, O, R>(
         &self,
         scheduler: S,
         objective: &O,
@@ -759,7 +759,7 @@ mod tests {
                 };
                 // Half the space detonates.
                 if x >= 0.5 {
-                    std::panic::panic_any(crate::ChaosPanic);
+                    std::panic::panic_any(crate::chaos::ChaosPanic);
                 }
                 (Evaluation::of(x + 1.0 / r), r)
             }

@@ -47,7 +47,7 @@ pub fn half_normal<R: Rng + ?Sized>(rng: &mut R, std: f64) -> f64 {
 
 /// Draw a normal sample truncated to `[low, high]` by rejection, falling back
 /// to clamping after 64 rejections (only reachable for extreme bounds).
-pub fn truncated_normal<R: Rng + ?Sized>(
+pub(crate) fn truncated_normal<R: Rng + ?Sized>(
     rng: &mut R,
     mean: f64,
     std: f64,
@@ -72,7 +72,7 @@ pub fn normal_pdf(x: f64) -> f64 {
 /// Probability density of `N(mean, std^2)` at `x`.
 ///
 /// Returns 0 for `std <= 0` (a degenerate distribution), never NaN.
-pub fn normal_pdf_scaled(x: f64, mean: f64, std: f64) -> f64 {
+pub(crate) fn normal_pdf_scaled(x: f64, mean: f64, std: f64) -> f64 {
     if std <= 0.0 {
         return 0.0;
     }
@@ -88,7 +88,7 @@ pub fn normal_cdf(x: f64) -> f64 {
 }
 
 /// Error function via the Abramowitz & Stegun 7.1.26 approximation.
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.327_591_1 * x);

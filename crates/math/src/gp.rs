@@ -135,12 +135,14 @@ impl Gp {
     }
 
     /// Number of training observations.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.xs.len()
     }
 
     /// Whether the GP has no training points (never true for a fitted GP).
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.xs.is_empty()
     }
 }

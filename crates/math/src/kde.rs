@@ -34,17 +34,20 @@ impl Kde1d {
     }
 
     /// The bandwidth in use.
-    pub fn bandwidth(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn bandwidth(&self) -> f64 {
         self.bandwidth
     }
 
     /// Number of kernel centers.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.points.len()
     }
 
     /// Whether the KDE has no centers (never true for a constructed KDE).
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
 

@@ -7,12 +7,12 @@
 //!   normal pdf/cdf used by expected improvement.
 //! * [`stats`] — descriptive statistics, quantiles, argsort, ECDF, and
 //!   Spearman rank correlation (used to validate surrogate fidelity).
-//! * [`linalg`] — a small dense matrix type with Cholesky factorization and
+//! * `linalg` — a small dense matrix type with Cholesky factorization and
 //!   triangular solves, enough to implement Gaussian-process regression.
-//! * [`gp`] — Gaussian-process regression with a squared-exponential ARD
+//! * `gp` — Gaussian-process regression with a squared-exponential ARD
 //!   kernel and the expected-improvement acquisition (the Vizier-like and
 //!   Fabolas-like baselines).
-//! * [`kde`] — one-dimensional Gaussian kernel density estimation (the TPE
+//! * `kde` — one-dimensional Gaussian kernel density estimation (the TPE
 //!   sampler inside BOHB).
 //!
 //! # Examples
@@ -27,11 +27,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod dist;
-pub mod gp;
-pub mod kde;
-pub mod linalg;
+mod gp;
+mod kde;
+mod linalg;
 pub mod stats;
 
 pub use gp::{expected_improvement, Gp, GpConfig};

@@ -60,7 +60,8 @@ impl Matrix {
     }
 
     /// The identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
             m[(i, i)] = 1.0;
@@ -105,7 +106,8 @@ impl Matrix {
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -180,7 +182,8 @@ pub struct Cholesky {
 
 impl Cholesky {
     /// The lower-triangular factor `L`.
-    pub fn factor(&self) -> &Matrix {
+    #[cfg(test)]
+    pub(crate) fn factor(&self) -> &Matrix {
         &self.l
     }
 
@@ -189,7 +192,7 @@ impl Cholesky {
     /// # Panics
     ///
     /// Panics if `b.len()` does not match the factor size.
-    pub fn solve_lower(&self, b: &[f64]) -> Vec<f64> {
+    pub(crate) fn solve_lower(&self, b: &[f64]) -> Vec<f64> {
         let n = self.l.rows();
         assert_eq!(b.len(), n, "dimension mismatch in solve_lower");
         let mut y = vec![0.0; n];
@@ -208,7 +211,7 @@ impl Cholesky {
     /// # Panics
     ///
     /// Panics if `y.len()` does not match the factor size.
-    pub fn solve_upper_transpose(&self, y: &[f64]) -> Vec<f64> {
+    pub(crate) fn solve_upper_transpose(&self, y: &[f64]) -> Vec<f64> {
         let n = self.l.rows();
         assert_eq!(y.len(), n, "dimension mismatch in solve_upper_transpose");
         let mut x = vec![0.0; n];

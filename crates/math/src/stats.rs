@@ -11,7 +11,7 @@ pub fn mean(xs: &[f64]) -> f64 {
 }
 
 /// Population variance; `NaN` for an empty slice.
-pub fn variance(xs: &[f64]) -> f64 {
+pub(crate) fn variance(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return f64::NAN;
     }
@@ -41,7 +41,7 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
 }
 
 /// Quantile of an already-sorted slice (ascending).
-pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
+pub(crate) fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return f64::NAN;
     }
@@ -57,7 +57,7 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
 }
 
 /// Indices that would sort `xs` ascending (NaN values sort last).
-pub fn argsort(xs: &[f64]) -> Vec<usize> {
+pub(crate) fn argsort(xs: &[f64]) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..xs.len()).collect();
     idx.sort_by(|&a, &b| {
         xs[a]
@@ -67,17 +67,9 @@ pub fn argsort(xs: &[f64]) -> Vec<usize> {
     idx
 }
 
-/// Indices of the `k` smallest values of `xs` (ties broken by index order).
-/// Returns fewer than `k` indices when `xs` is shorter than `k`.
-pub fn bottom_k_indices(xs: &[f64], k: usize) -> Vec<usize> {
-    let mut idx = argsort(xs);
-    idx.truncate(k);
-    idx
-}
-
 /// Fractional ranks (average rank for ties), 1-based, as used by Spearman
 /// correlation.
-pub fn fractional_ranks(xs: &[f64]) -> Vec<f64> {
+pub(crate) fn fractional_ranks(xs: &[f64]) -> Vec<f64> {
     let order = argsort(xs);
     let n = xs.len();
     let mut ranks = vec![0.0; n];
@@ -99,7 +91,7 @@ pub fn fractional_ranks(xs: &[f64]) -> Vec<f64> {
 
 /// Pearson correlation coefficient; `NaN` when either input is constant or
 /// the lengths differ.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
+pub(crate) fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     if xs.len() != ys.len() || xs.len() < 2 {
         return f64::NAN;
     }
@@ -160,12 +152,14 @@ impl Ecdf {
     }
 
     /// Number of (non-NaN) points.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.sorted.len()
     }
 
     /// Whether the ECDF has no points.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.sorted.is_empty()
     }
 }
@@ -173,6 +167,14 @@ impl Ecdf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Indices of the `k` smallest values of `xs` (ties broken by index order).
+    /// Returns fewer than `k` indices when `xs` is shorter than `k`.
+    fn bottom_k_indices(xs: &[f64], k: usize) -> Vec<usize> {
+        let mut idx = argsort(xs);
+        idx.truncate(k);
+        idx
+    }
 
     #[test]
     fn mean_variance_std() {

@@ -13,7 +13,7 @@ impl StepCurve {
     /// # Panics
     ///
     /// Panics in debug builds if the times are not non-decreasing.
-    pub fn new(points: Vec<(f64, f64)>) -> Self {
+    pub(crate) fn new(points: Vec<(f64, f64)>) -> Self {
         debug_assert!(
             points.windows(2).all(|w| w[0].0 <= w[1].0),
             "step curve points must be time-ordered"
@@ -27,12 +27,14 @@ impl StepCurve {
     }
 
     /// Number of change points.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.points.len()
     }
 
     /// Whether the curve has no points.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
 

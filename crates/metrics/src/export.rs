@@ -202,7 +202,7 @@ impl JsonValue {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonParseError`] (with a byte offset) on malformed input,
+    /// Returns `JsonParseError` (with a byte offset) on malformed input,
     /// trailing garbage, a number literal no finite `f64` holds, or
     /// containers nested deeper than [`JsonValue::MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<JsonValue, JsonParseError> {

@@ -36,6 +36,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod analysis;
 mod curve;
@@ -45,8 +46,7 @@ mod trace;
 
 pub use curve::{aggregate, uniform_grid, AggregateCurve, StepCurve};
 pub use export::{
-    push_json_f64, push_json_str, push_json_u64, write_csv, write_json, CsvError, JsonParseError,
-    JsonValue,
+    push_json_f64, push_json_str, push_json_u64, write_csv, write_json, CsvError, JsonValue,
 };
 pub use faults::FaultStats;
 pub use trace::{RunTrace, TraceEvent};

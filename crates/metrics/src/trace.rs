@@ -136,7 +136,8 @@ impl RunTrace {
     /// # Errors
     ///
     /// Returns [`crate::CsvError`] on I/O failure.
-    pub fn write_events_csv(
+    #[cfg(test)]
+    pub(crate) fn write_events_csv(
         &self,
         path: impl AsRef<std::path::Path>,
     ) -> Result<(), crate::CsvError> {
@@ -201,11 +202,11 @@ impl RunTrace {
     }
 
     /// Best validation loss and the matching test loss at the end of the
-    /// run, if any job completed.
+    /// run, if any job completed with a loss that is not NaN.
     pub fn final_best(&self) -> Option<(f64, f64)> {
         let mut best: Option<(f64, f64)> = None;
         for e in &self.events {
-            if best.is_none_or(|(v, _)| e.val_loss < v) {
+            if !e.val_loss.is_nan() && best.is_none_or(|(v, _)| e.val_loss < v) {
                 best = Some((e.val_loss, e.test_loss));
             }
         }
@@ -213,7 +214,8 @@ impl RunTrace {
     }
 
     /// Time of the last event, or 0 for an empty trace.
-    pub fn end_time(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn end_time(&self) -> f64 {
         self.events.last().map_or(0.0, |e| e.time)
     }
 }

@@ -158,7 +158,8 @@ impl Dataset {
     /// # Panics
     ///
     /// Panics if `stats.len()` does not match the feature dimension.
-    pub fn apply_standardization(&mut self, stats: &[(f64, f64)]) {
+    #[cfg(test)]
+    pub(crate) fn apply_standardization(&mut self, stats: &[(f64, f64)]) {
         assert_eq!(stats.len(), self.dims(), "dimension mismatch");
         for x in &mut self.xs {
             for (v, &(mean, std)) in x.iter_mut().zip(stats) {
@@ -178,7 +179,7 @@ impl Dataset {
     }
 
     /// Feature dimensionality.
-    pub fn dims(&self) -> usize {
+    pub(crate) fn dims(&self) -> usize {
         self.xs.first().map_or(0, Vec::len)
     }
 

@@ -82,12 +82,13 @@ impl KernelRidge {
     }
 
     /// Number of support points (the subset size it was fit on).
-    pub fn support_size(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn support_size(&self) -> usize {
         self.support.len()
     }
 
     /// Per-class discriminant values for one example.
-    pub fn decision(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn decision(&self, x: &[f64]) -> Vec<f64> {
         let k: Vec<f64> = self
             .support
             .iter()
@@ -100,7 +101,7 @@ impl KernelRidge {
     }
 
     /// Predicted class for one example.
-    pub fn predict(&self, x: &[f64]) -> usize {
+    pub(crate) fn predict(&self, x: &[f64]) -> usize {
         self.decision(x)
             .iter()
             .enumerate()

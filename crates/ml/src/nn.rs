@@ -122,12 +122,13 @@ impl Mlp {
     }
 
     /// Number of parameters (weights + biases).
-    pub fn num_params(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn num_params(&self) -> usize {
         self.layers.iter().map(|l| l.w.len() + l.b.len()).sum()
     }
 
     /// Class logits for one example.
-    pub fn logits(&self, x: &[f64]) -> Vec<f64> {
+    pub(crate) fn logits(&self, x: &[f64]) -> Vec<f64> {
         let mut act = x.to_vec();
         for (i, layer) in self.layers.iter().enumerate() {
             let mut z = layer.forward(&act);
@@ -142,7 +143,7 @@ impl Mlp {
     }
 
     /// Predicted class for one example.
-    pub fn predict(&self, x: &[f64]) -> usize {
+    pub(crate) fn predict(&self, x: &[f64]) -> usize {
         let logits = self.logits(x);
         logits
             .iter()
@@ -153,7 +154,7 @@ impl Mlp {
     }
 
     /// Cross-entropy loss of one example (natural log).
-    pub fn loss_one(&self, x: &[f64], y: usize) -> f64 {
+    pub(crate) fn loss_one(&self, x: &[f64], y: usize) -> f64 {
         let logits = self.logits(x);
         let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let log_z = max + logits.iter().map(|&l| (l - max).exp()).sum::<f64>().ln();

@@ -74,7 +74,8 @@ impl Trainer {
     }
 
     /// The current model.
-    pub fn model(&self) -> &Mlp {
+    #[cfg(test)]
+    pub(crate) fn model(&self) -> &Mlp {
         &self.model
     }
 
@@ -84,7 +85,7 @@ impl Trainer {
     }
 
     /// Current learning rate after decay.
-    pub fn current_lr(&self) -> f64 {
+    pub(crate) fn current_lr(&self) -> f64 {
         if self.config.lr_decay == 1.0 || self.config.decay_every == 0 {
             self.config.learning_rate
         } else {

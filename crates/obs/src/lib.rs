@@ -12,7 +12,7 @@
 //!   [`MetricsRegistry`] as it arrives. Plug it into
 //!   `ClusterSim::run_recorded`, `ParallelTuner::run_recorded`, or an
 //!   [`InstrumentedScheduler`].
-//! * [`log`] — the JSONL event-log codec: deterministic one-line-per-event
+//! * `log` — the JSONL event-log codec: deterministic one-line-per-event
 //!   encoding (same seed ⇒ byte-identical log) and a strict parser.
 //! * [`MetricsRegistry`] — counters (decisions by kind, promotions per
 //!   rung), gauges (rung occupancy, pending promotions, busy workers), and
@@ -53,20 +53,19 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod log;
+mod log;
 mod metrics;
 mod recorder;
 mod report;
 pub mod shared;
 mod writer;
 
-pub use crate::log::{
-    encode_event, encode_event_into, encode_jsonl, event_from_json, parse_jsonl, LogError,
-};
-pub use crate::metrics::{Counter, DecisionCounters, Gauge, Histogram, MetricsRegistry};
+pub use crate::log::{encode_event, encode_event_into, event_from_json, parse_jsonl, LogError};
+pub use crate::metrics::{Histogram, MetricsRegistry};
 pub use crate::recorder::RunRecorder;
-pub use crate::report::{RunReport, REPORT_SCHEMA, TIMELINE_BINS};
+pub use crate::report::RunReport;
 pub use crate::shared::{HistogramSnapshot, SharedCounter, SharedGauge, SharedHistogram};
 pub use crate::writer::{Durability, JsonlWriter};
 

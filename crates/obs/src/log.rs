@@ -122,7 +122,7 @@ pub fn encode_event_into(out: &mut String, event: &Event) {
 
 /// Encode a slice of events as a JSONL document (one line per event,
 /// trailing newline after the last).
-pub fn encode_jsonl(events: &[Event]) -> String {
+pub(crate) fn encode_jsonl(events: &[Event]) -> String {
     let mut out = String::new();
     for event in events {
         encode_event_into(&mut out, event);
@@ -148,7 +148,7 @@ impl fmt::Display for LogError {
 
 impl std::error::Error for LogError {}
 
-/// Decode a JSONL document (as produced by [`encode_jsonl`]) back into
+/// Decode a JSONL document (one [`encode_event`] line per event) back into
 /// events. Blank lines are skipped; `seq` order is *not* enforced here (the
 /// metrics registry and report tolerate arbitrary streams), only per-line
 /// validity.

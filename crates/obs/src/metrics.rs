@@ -12,7 +12,7 @@ pub struct Counter(u64);
 
 impl Counter {
     /// Increment by one.
-    pub fn inc(&mut self) {
+    pub(crate) fn inc(&mut self) {
         self.0 += 1;
     }
 
@@ -37,17 +37,17 @@ pub struct Gauge {
 
 impl Gauge {
     /// Increment by one.
-    pub fn inc(&mut self) {
+    pub(crate) fn inc(&mut self) {
         self.add(1);
     }
 
     /// Decrement by one.
-    pub fn dec(&mut self) {
+    pub(crate) fn dec(&mut self) {
         self.add(-1);
     }
 
     /// Add a (possibly negative) delta.
-    pub fn add(&mut self, delta: i64) {
+    pub(crate) fn add(&mut self, delta: i64) {
         self.value += delta;
         self.min = self.min.min(self.value);
         self.max = self.max.max(self.value);
@@ -189,7 +189,8 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if `bounds` is empty, not finite or not strictly increasing.
-    pub fn new(bounds: Vec<f64>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(bounds: Vec<f64>) -> Self {
         Histogram::over(Buckets::new(bounds))
     }
 
@@ -199,7 +200,7 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if `first <= 0`, `factor <= 1`, or `n == 0`.
-    pub fn exponential(first: f64, factor: f64, n: usize) -> Self {
+    pub(crate) fn exponential(first: f64, factor: f64, n: usize) -> Self {
         Histogram::over(Buckets::exponential(first, factor, n))
     }
 
@@ -237,23 +238,19 @@ impl Histogram {
         self.buckets.count()
     }
 
-    /// Sum of all finite observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
     /// Mean of finite observations (NaN when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         self.sum / self.count() as f64
     }
 
     /// Smallest finite observation (infinite when none).
-    pub fn min(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn min(&self) -> f64 {
         self.min
     }
 
     /// Largest finite observation (`-inf` when none).
-    pub fn max(&self) -> f64 {
+    pub(crate) fn max(&self) -> f64 {
         self.max
     }
 
@@ -432,20 +429,15 @@ impl MetricsRegistry {
     }
 
     /// Timestamp of the last applied event.
-    pub fn end_time(&self) -> f64 {
+    pub(crate) fn end_time(&self) -> f64 {
         self.end_time
-    }
-
-    /// The busy-worker time integral so far.
-    pub fn busy_integral(&self) -> f64 {
-        self.busy_integral
     }
 
     /// Mean worker utilization over `[0, end_time]` for a pool of `workers`
     /// (NaN before any event). Clamped to 1.0: the integral is a sum of
     /// thousands of `busy * dt` terms, so a fully-busy pool can otherwise
     /// land a few ulps above the exact ratio.
-    pub fn mean_utilization(&self, workers: usize) -> f64 {
+    pub(crate) fn mean_utilization(&self, workers: usize) -> f64 {
         let mean = self.busy_integral / (workers.max(1) as f64 * self.end_time);
         if mean > 1.0 {
             1.0
@@ -455,12 +447,12 @@ impl MetricsRegistry {
     }
 
     /// First resource target observed at `rung`, if any job started there.
-    pub fn rung_resource(&self, rung: usize) -> Option<f64> {
+    pub(crate) fn rung_resource(&self, rung: usize) -> Option<f64> {
         self.rung_resource.get(rung).copied().filter(|&r| r != 0.0)
     }
 
     /// Number of rungs any metric has touched.
-    pub fn rung_count(&self) -> usize {
+    pub(crate) fn rung_count(&self) -> usize {
         self.promotions_per_rung
             .len()
             .max(self.rung_occupancy.len())

@@ -67,7 +67,7 @@ impl RunRecorder {
     /// # Errors
     ///
     /// Returns any underlying I/O error.
-    pub fn write_jsonl(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
+    pub(crate) fn write_jsonl(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
         let path = path.as_ref();
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
@@ -79,7 +79,7 @@ impl RunRecorder {
         out.flush()
     }
 
-    /// Like [`RunRecorder::write_jsonl`], but also fsync the file and its
+    /// Like `RunRecorder::write_jsonl`, but also fsync the file and its
     /// parent directory so the log survives a machine crash, not just a
     /// process crash.
     ///

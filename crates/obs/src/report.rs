@@ -13,7 +13,7 @@ use asha_metrics::JsonValue;
 use crate::metrics::{Histogram, MetricsRegistry};
 
 /// Version tag of the JSON report schema.
-pub const REPORT_SCHEMA: &str = "asha-run-report-v1";
+pub(crate) const REPORT_SCHEMA: &str = "asha-run-report-v1";
 
 /// A summarized run: the final metrics registry plus the busy-worker step
 /// function needed for the utilization timeline.
@@ -56,13 +56,14 @@ impl RunReport {
     }
 
     /// Number of events summarized.
-    pub fn event_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn event_count(&self) -> usize {
         self.events
     }
 
     /// The utilization denominator: the configured pool size, or the peak
     /// concurrent busy count when the pool size is unknown.
-    pub fn worker_denominator(&self) -> usize {
+    pub(crate) fn worker_denominator(&self) -> usize {
         self.workers
             .unwrap_or_else(|| self.metrics.busy_workers.max().max(0) as usize)
             .max(1)
@@ -77,7 +78,7 @@ impl RunReport {
     /// Mean utilization per time bin: `bins` equal slices of
     /// `[0, end_time]`, each the time-weighted average busy fraction within
     /// that slice. Empty when the run has no duration.
-    pub fn utilization_timeline(&self, bins: usize) -> Vec<f64> {
+    pub(crate) fn utilization_timeline(&self, bins: usize) -> Vec<f64> {
         let end = self.metrics.end_time();
         if bins == 0 || end <= 0.0 {
             return Vec::new();
@@ -225,7 +226,7 @@ impl RunReport {
     }
 
     /// Build the machine-readable report document (schema
-    /// [`REPORT_SCHEMA`]).
+    /// `REPORT_SCHEMA`).
     pub fn to_json(&self) -> JsonValue {
         let m = &self.metrics;
         let d = &m.decisions;
@@ -315,7 +316,7 @@ impl RunReport {
 }
 
 /// Number of bins in the utilization timeline (text and JSON).
-pub const TIMELINE_BINS: usize = 12;
+pub(crate) const TIMELINE_BINS: usize = 12;
 
 fn hist_json(h: &Histogram) -> JsonValue {
     JsonValue::obj([

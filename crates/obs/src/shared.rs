@@ -141,7 +141,8 @@ impl SharedHistogram {
     /// # Panics
     ///
     /// If `bounds` is empty, not finite or not strictly increasing.
-    pub fn new(bounds: Vec<f64>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(bounds: Vec<f64>) -> Self {
         SharedHistogram::over(Buckets::new(bounds))
     }
 
@@ -281,7 +282,7 @@ impl HistogramSnapshot {
     }
 
     /// The bucket upper edges (excluding the implicit `+inf`).
-    pub fn bounds(&self) -> &[f64] {
+    pub(crate) fn bounds(&self) -> &[f64] {
         self.buckets.bounds()
     }
 
@@ -296,7 +297,8 @@ impl HistogramSnapshot {
     }
 
     /// Exact sum in fixed-point nanoseconds.
-    pub fn sum_nanos(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn sum_nanos(&self) -> u64 {
         self.sum_nanos
     }
 
@@ -306,12 +308,13 @@ impl HistogramSnapshot {
     }
 
     /// Smallest observation in seconds (NaN when empty).
-    pub fn min(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn min(&self) -> f64 {
         self.seconds(self.min_nanos)
     }
 
     /// Largest observation in seconds (NaN when empty).
-    pub fn max(&self) -> f64 {
+    pub(crate) fn max(&self) -> f64 {
         self.seconds(self.max_nanos)
     }
 

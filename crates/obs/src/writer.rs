@@ -10,25 +10,22 @@
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use asha_core::telemetry::Event;
 pub use asha_core::Durability;
-
-use crate::log::encode_event;
 
 /// An append-only JSONL event-log writer with explicit durability.
 ///
 /// Lines are buffered; [`JsonlWriter::commit`] (or drop) makes everything
 /// appended so far durable at the configured [`Durability`] level. The
-/// encoding matches [`encode_event`], so files written here parse back with
-/// [`parse_jsonl`](crate::parse_jsonl) and are byte-identical to
-/// [`RunRecorder::write_jsonl`](crate::RunRecorder::write_jsonl) output for
+/// encoding matches [`encode_event`](crate::encode_event), so files written
+/// here parse back with [`parse_jsonl`](crate::parse_jsonl) and are
+/// byte-identical to
+/// `RunRecorder::write_jsonl` output for
 /// the same event stream.
 #[derive(Debug)]
 pub struct JsonlWriter {
     out: BufWriter<File>,
-    path: PathBuf,
     durability: Durability,
     written: u64,
     /// Lines committed since the last fsync (drives
@@ -48,27 +45,24 @@ impl JsonlWriter {
         }
         Ok(JsonlWriter {
             out: BufWriter::new(File::create(path)?),
-            path: path.to_owned(),
             durability,
             written: 0,
             since_sync: 0,
         })
     }
 
-    /// The file being written.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Events appended so far.
-    pub fn written(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn written(&self) -> u64 {
         self.written
     }
 
     /// Append one event as a JSONL line (buffered; see
     /// [`JsonlWriter::commit`]).
-    pub fn append(&mut self, event: &Event) -> std::io::Result<()> {
-        self.out.write_all(encode_event(event).as_bytes())?;
+    #[cfg(test)]
+    pub(crate) fn append(&mut self, event: &asha_core::telemetry::Event) -> std::io::Result<()> {
+        self.out
+            .write_all(crate::log::encode_event(event).as_bytes())?;
         self.out.write_all(b"\n")?;
         self.written += 1;
         Ok(())
@@ -77,8 +71,8 @@ impl JsonlWriter {
     /// Append one pre-encoded JSONL line (no trailing newline expected).
     ///
     /// For logs that are JSONL but not telemetry events — the service
-    /// daemon's request/response trace streams through this, keeping every
-    /// durability property of [`JsonlWriter::append`].
+    /// daemon's request/response trace streams through this, with the same
+    /// buffering and [`Durability`] as an event line.
     pub fn append_raw(&mut self, line: &str) -> std::io::Result<()> {
         self.out.write_all(line.as_bytes())?;
         self.out.write_all(b"\n")?;
@@ -101,7 +95,8 @@ impl JsonlWriter {
 
     /// Commit and close, surfacing any final I/O error (drop would swallow
     /// it).
-    pub fn finish(mut self) -> std::io::Result<()> {
+    #[cfg(test)]
+    pub(crate) fn finish(mut self) -> std::io::Result<()> {
         self.commit()
     }
 }
@@ -133,7 +128,7 @@ pub(crate) fn sync_file_and_dir(path: &Path) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asha_core::telemetry::EventKind;
+    use asha_core::telemetry::{Event, EventKind};
 
     fn ev(seq: u64) -> Event {
         Event {

@@ -89,21 +89,16 @@ impl Client {
         })
     }
 
-    /// Bound how long [`Client::call`] (and every convenience wrapper)
+    /// Bound how long `Client::call` (and every convenience wrapper)
     /// waits for a reply. `None` restores the default: block forever.
     pub fn set_call_timeout(&mut self, timeout: Option<Duration>) {
         self.call_timeout = timeout;
     }
 
-    /// The current reply-wait bound, if any.
-    pub fn call_timeout(&self) -> Option<Duration> {
-        self.call_timeout
-    }
-
     /// Send one request and block for its reply (bounded by
     /// [`Client::set_call_timeout`], if set). Push frames that arrive
     /// first are buffered for [`Client::next_push`].
-    pub fn call(&mut self, request: &Request) -> Result<Reply, Error> {
+    pub(crate) fn call(&mut self, request: &Request) -> Result<Reply, Error> {
         let id = self.next_id;
         self.next_id += 1;
         let line = encode_frame(&request.to_frame(id));

@@ -58,11 +58,6 @@ impl FrameBuf {
         }
     }
 
-    /// The configured frame-size limit.
-    pub fn max_frame(&self) -> usize {
-        self.max_frame
-    }
-
     /// Append raw bytes from the transport.
     pub fn feed(&mut self, bytes: &[u8]) {
         self.compact();
@@ -76,7 +71,7 @@ impl FrameBuf {
     }
 
     /// Bytes buffered but not yet consumed as frames.
-    pub fn pending_len(&self) -> usize {
+    pub(crate) fn pending_len(&self) -> usize {
         self.buf.len() - self.start
     }
 
@@ -84,7 +79,7 @@ impl FrameBuf {
     /// partial longer than the limit can never become a legal frame, so it
     /// is discarded and reported immediately rather than growing without
     /// bound. Call after [`FrameBuf::next_frame`] returns `None`.
-    pub fn check_overflow(&mut self) -> Result<(), Error> {
+    pub(crate) fn check_overflow(&mut self) -> Result<(), Error> {
         if self.pending_len() > self.max_frame {
             self.buf.clear();
             self.start = 0;
@@ -97,7 +92,7 @@ impl FrameBuf {
     }
 
     /// Drop everything buffered (used when abandoning a poisoned stream).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.buf.clear();
         self.start = 0;
     }
@@ -188,13 +183,8 @@ impl<R: Read> FrameReader<R> {
         }
     }
 
-    /// The configured frame-size limit.
-    pub fn max_frame(&self) -> usize {
-        self.frames.max_frame()
-    }
-
     /// Shared access to the underlying stream.
-    pub fn get_ref(&self) -> &R {
+    pub(crate) fn get_ref(&self) -> &R {
         &self.inner
     }
 

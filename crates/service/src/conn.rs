@@ -11,7 +11,7 @@ use std::time::Duration;
 
 /// One connected byte stream, Unix or TCP.
 #[derive(Debug)]
-pub enum Conn {
+pub(crate) enum Conn {
     /// A Unix-domain socket connection.
     #[cfg(unix)]
     Unix(UnixStream),
@@ -22,7 +22,7 @@ pub enum Conn {
 impl Conn {
     /// Clone the underlying socket handle (independent cursor; same
     /// connection), so one side can read while the other writes.
-    pub fn try_clone(&self) -> std::io::Result<Conn> {
+    pub(crate) fn try_clone(&self) -> std::io::Result<Conn> {
         Ok(match self {
             #[cfg(unix)]
             Conn::Unix(s) => Conn::Unix(s.try_clone()?),
@@ -31,7 +31,7 @@ impl Conn {
     }
 
     /// Set the read timeout (None = block forever).
-    pub fn set_read_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
+    pub(crate) fn set_read_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
         match self {
             #[cfg(unix)]
             Conn::Unix(s) => s.set_read_timeout(dur),
@@ -42,7 +42,7 @@ impl Conn {
     /// Switch the socket between blocking and non-blocking mode. The
     /// daemon's reactor runs every accepted socket non-blocking; the client
     /// library keeps its sockets blocking with read timeouts.
-    pub fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
+    pub(crate) fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
         match self {
             #[cfg(unix)]
             Conn::Unix(s) => s.set_nonblocking(nonblocking),
@@ -52,7 +52,7 @@ impl Conn {
 
     /// The raw file descriptor, for readiness registration.
     #[cfg(unix)]
-    pub fn raw_fd(&self) -> std::os::fd::RawFd {
+    pub(crate) fn raw_fd(&self) -> std::os::fd::RawFd {
         use std::os::fd::AsRawFd;
         match self {
             Conn::Unix(s) => s.as_raw_fd(),
@@ -62,7 +62,7 @@ impl Conn {
 
     /// Shut down both directions, unblocking any reader on the peer or on
     /// a cloned handle.
-    pub fn shutdown(&self) -> std::io::Result<()> {
+    pub(crate) fn shutdown(&self) -> std::io::Result<()> {
         match self {
             #[cfg(unix)]
             Conn::Unix(s) => s.shutdown(std::net::Shutdown::Both),
@@ -71,7 +71,7 @@ impl Conn {
     }
 
     /// Short peer description for tracing.
-    pub fn peer(&self) -> String {
+    pub(crate) fn peer(&self) -> String {
         match self {
             #[cfg(unix)]
             Conn::Unix(_) => "unix".to_owned(),

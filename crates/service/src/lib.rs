@@ -13,18 +13,18 @@
 //!   (create/start/pause/resume/abort/status/list/stats/subscribe/…),
 //!   replies, typed errors on the wire, and push frames for streaming
 //!   subscriptions.
-//! * [`codec`] — newline-delimited framing: the sans-io [`FrameBuf`]
+//! * `codec` — newline-delimited framing: the sans-io [`FrameBuf`]
 //!   decoder (fed from readiness events) and the blocking [`FrameReader`]
 //!   built on it; size limits, torn-frame detection, timeout-aware reads.
-//! * [`reactor`] — the event-driven connection engine (Unix only): one
+//! * `reactor` — the event-driven connection engine (Unix only): one
 //!   readiness loop (epoll/`poll`) over every non-blocking socket, driving
 //!   a fixed worker pool; per-connection outgoing queues with
 //!   partial-write resumption and interest re-arming.
-//! * [`server`] — [`Daemon`]: the reactor plus one WAL tailer per
+//! * `server` — [`Daemon`]: the reactor plus one WAL tailer per
 //!   *experiment* fanning frames out to all of its subscribers, bounded
 //!   per-client queues with explicit lag accounting (a slow subscriber
 //!   never stalls a run), graceful drain on shutdown.
-//! * [`client`] — [`Client`]: blocking request/reply with push buffering
+//! * `client` — [`Client`]: blocking request/reply with push buffering
 //!   and connect/call timeouts; the `asha-ctl` binary in `asha-bench` is a
 //!   thin shell over it.
 //!
@@ -51,22 +51,22 @@
 // modules and explicitly allowed there. Everything else stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod client;
-pub mod codec;
-pub mod conn;
-pub mod metrics;
+mod client;
+mod codec;
+mod conn;
+mod metrics;
 pub mod proto;
 #[cfg(unix)]
-pub mod reactor;
-pub mod server;
+mod reactor;
+mod server;
 #[cfg(unix)]
-pub(crate) mod tailer;
+mod tailer;
 
 pub use crate::client::Client;
 pub use crate::codec::{encode_frame, Frame, FrameBuf, FrameReader};
-pub use crate::conn::Conn;
-pub use crate::metrics::{ServiceMetrics, TailerMetrics, METRICS_SCHEMA};
+pub use crate::metrics::{ServiceMetrics, METRICS_SCHEMA};
 pub use crate::proto::{
     DaemonStats, Push, Reply, Request, WireStatus, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };

@@ -52,7 +52,7 @@ pub const METRICS_SCHEMA: &str = "asha-daemon-metrics-v1";
 
 /// Request kinds tracked with per-op latency histograms. `invalid` buckets
 /// frames that failed to decode into any known op.
-pub const OPS: [&str; 14] = [
+pub(crate) const OPS: [&str; 14] = [
     "ping",
     "create",
     "start",
@@ -276,14 +276,14 @@ impl ServiceMetrics {
     /// Monotonic nanoseconds since the daemon started (callers treat
     /// timestamps as opaque and only difference them).
     #[inline]
-    pub fn now_nanos(&self) -> u64 {
+    pub(crate) fn now_nanos(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
 
     /// Allocate the next request id (assigned at decode time, before the
     /// frame is queued for a worker).
     #[inline]
-    pub fn next_request_id(&self) -> u64 {
+    pub(crate) fn next_request_id(&self) -> u64 {
         self.next_req_id.fetch_add(1, Ordering::Relaxed)
     }
 
@@ -315,18 +315,18 @@ impl ServiceMetrics {
     }
 
     /// A connection's reads were paused by the backlog high-water mark.
-    pub fn read_pause(&self) {
+    pub(crate) fn read_pause(&self) {
         self.reactor.read_pauses.inc();
     }
 
     /// One reactor iteration that dispatched at least one readiness event.
-    pub fn reactor_iteration(&self, seconds: f64) {
+    pub(crate) fn reactor_iteration(&self, seconds: f64) {
         self.reactor.iterations.inc();
         self.reactor.iteration.observe(seconds);
     }
 
     /// Producer doorbell → reactor dispatch latency.
-    pub fn wake_to_dispatch(&self, seconds: f64) {
+    pub(crate) fn wake_to_dispatch(&self, seconds: f64) {
         self.reactor.wake_dispatch.observe(seconds);
     }
 
@@ -351,12 +351,12 @@ impl ServiceMetrics {
     // ---- Worker pool ------------------------------------------------
 
     /// A visit entered the worker queue.
-    pub fn visit_queued(&self) {
+    pub(crate) fn visit_queued(&self) {
         self.workers.queue_depth.inc();
     }
 
     /// A visit left the worker queue.
-    pub fn visit_dequeued(&self) {
+    pub(crate) fn visit_dequeued(&self) {
         self.workers.queue_depth.dec();
     }
 
@@ -383,22 +383,22 @@ impl ServiceMetrics {
     // ---- Subscriptions ----------------------------------------------
 
     /// A subscription opened.
-    pub fn sub_opened(&self) {
+    pub(crate) fn sub_opened(&self) {
         self.subscriptions.open.inc();
     }
 
     /// A subscription closed.
-    pub fn sub_closed(&self) {
+    pub(crate) fn sub_closed(&self) {
         self.subscriptions.open.dec();
     }
 
     /// A push frame was delivered to a subscriber queue.
-    pub fn event_sent(&self) {
+    pub(crate) fn event_sent(&self) {
         self.subscriptions.events_sent.inc();
     }
 
     /// A lossy push was dropped on a full subscriber queue.
-    pub fn event_lagged(&self) {
+    pub(crate) fn event_lagged(&self) {
         self.subscriptions.events_lagged.inc();
     }
 
@@ -413,7 +413,7 @@ impl ServiceMetrics {
 
     /// The legacy [`DaemonStats`] counters, projected from the plane so
     /// `Request::Stats` and `Request::Metrics` can never diverge.
-    pub fn daemon_stats(&self) -> DaemonStats {
+    pub(crate) fn daemon_stats(&self) -> DaemonStats {
         DaemonStats {
             connections_total: self.connections.total.get(),
             connections_open: self.connections.open.get().max(0) as u64,

@@ -51,7 +51,7 @@ fn get_u64(v: &JsonValue, key: &str) -> Result<u64, Error> {
 }
 
 /// Check the `"v"` field of a decoded frame.
-pub fn check_version(v: &JsonValue) -> Result<(), Error> {
+pub(crate) fn check_version(v: &JsonValue) -> Result<(), Error> {
     let version = get_u64(v, "v")?;
     if version != PROTOCOL_VERSION {
         return Err(Error::protocol(format!(
@@ -339,7 +339,7 @@ pub struct DaemonStats {
 
 impl DaemonStats {
     /// Encode as the `stats` reply payload.
-    pub fn to_json(&self) -> JsonValue {
+    pub(crate) fn to_json(self) -> JsonValue {
         obj(vec![
             ("connections_total", JsonValue::Int(self.connections_total)),
             ("connections_open", JsonValue::Int(self.connections_open)),
@@ -354,7 +354,7 @@ impl DaemonStats {
     }
 
     /// Decode a `stats` reply payload.
-    pub fn from_json(v: &JsonValue) -> Result<Self, Error> {
+    pub(crate) fn from_json(v: &JsonValue) -> Result<Self, Error> {
         Ok(DaemonStats {
             connections_total: get_u64(v, "connections_total")?,
             connections_open: get_u64(v, "connections_open")?,

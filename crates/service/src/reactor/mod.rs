@@ -51,7 +51,7 @@ use asha_core::Error;
 use asha_metrics::JsonValue;
 
 pub use outbuf::{Offer, OutBuf};
-pub use poller::{Interest, PollEvent, Poller, Waker};
+pub(crate) use poller::{Interest, PollEvent, Poller, Waker};
 
 use crate::codec::FrameBuf;
 use crate::conn::Conn;
@@ -73,7 +73,7 @@ const HTTP_HEAD_MAX: usize = 8 * 1024;
 
 /// Reactor tuning knobs, derived from `ServeOptions`.
 #[derive(Debug, Clone)]
-pub struct ReactorConfig {
+pub(crate) struct ReactorConfig {
     /// Maximum encoded frame size accepted from a client.
     pub max_frame: usize,
     /// High-water mark (frames) on pending requests + outgoing backlog;
@@ -88,7 +88,7 @@ pub struct ReactorConfig {
 /// Cross-thread doorbell: producers mark a connection dirty and wake the
 /// reactor, which flushes its [`OutBuf`] and re-arms interest.
 #[derive(Debug)]
-pub struct ReactorNotify {
+pub(crate) struct ReactorNotify {
     dirty: Mutex<Vec<u64>>,
     waker: Waker,
 }
@@ -102,7 +102,7 @@ impl ReactorNotify {
     }
 
     /// Wake the reactor without marking any connection (shutdown nudges).
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         self.waker.wake();
     }
 
@@ -114,19 +114,19 @@ impl ReactorNotify {
 
 /// One unit of work queued for the worker pool.
 #[derive(Debug)]
-pub enum Work {
+pub(crate) enum Work {
     /// A decoded protocol frame.
     Frame(JsonValue),
-    /// A `GET` on the HTTP metrics listener (the request path). Only the
-    /// reactor's HTTP decode path constructs this, so protocol clients
-    /// cannot inject HTTP work.
-    HttpGet(String),
+    /// A `GET /metrics` on the HTTP metrics listener. Only the reactor's
+    /// HTTP decode path constructs this, so protocol clients cannot inject
+    /// HTTP work.
+    HttpGet,
 }
 
 /// A queued request with its tracing envelope: the id assigned at decode
 /// time and the enqueue timestamp used to measure queue wait.
 #[derive(Debug)]
-pub struct PendingReq {
+pub(crate) struct PendingReq {
     /// What to execute.
     pub work: Work,
     /// Request id assigned at decode time (for slow-request traces).
@@ -144,7 +144,7 @@ struct Pending {
 
 /// Shared per-connection state: everything threads other than the reactor
 /// may touch. The socket itself stays reactor-private.
-pub struct ConnHandle {
+pub(crate) struct ConnHandle {
     token: u64,
     peer: String,
     /// Accepted on the HTTP metrics listener rather than a protocol one.
@@ -194,40 +194,35 @@ impl ConnHandle {
         })
     }
 
-    /// The connection's reactor token (stable for its lifetime).
-    pub fn token(&self) -> u64 {
-        self.token
-    }
-
     /// Short peer description for tracing.
-    pub fn peer(&self) -> &str {
+    pub(crate) fn peer(&self) -> &str {
         &self.peer
     }
 
     /// Whether this connection arrived on the HTTP metrics listener.
-    pub fn is_http(&self) -> bool {
+    pub(crate) fn is_http(&self) -> bool {
         self.http
     }
 
     /// Whether the socket is gone; producers should drop their references.
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         self.closed.load(Ordering::Acquire)
     }
 
     /// Attach service-specific state (called once at accept time).
-    pub fn set_user(&self, value: Box<dyn Any + Send + Sync>) {
+    pub(crate) fn set_user(&self, value: Box<dyn Any + Send + Sync>) {
         let _ = self.user.set(value);
     }
 
     /// Typed view of the attached service state.
-    pub fn user<T: Any + Send + Sync>(&self) -> Option<&T> {
+    pub(crate) fn user<T: Any + Send + Sync>(&self) -> Option<&T> {
         self.user.get().and_then(|b| b.downcast_ref::<T>())
     }
 
     /// Queue a reply frame (never dropped; backpressure is applied by
     /// pausing this connection's reads). Returns false when the socket is
     /// already gone.
-    pub fn push_reply(&self, line: String) -> bool {
+    pub(crate) fn push_reply(&self, line: String) -> bool {
         let queued = self.out.lock().unwrap().push_reply(line);
         if queued {
             self.mark_dirty();
@@ -236,13 +231,13 @@ impl ConnHandle {
     }
 
     /// Queue a subscription frame if the bounded outgoing queue has room.
-    pub fn offer_frame(&self, line: String) -> Offer {
+    pub(crate) fn offer_frame(&self, line: String) -> Offer {
         self.offer_with(|out| out.offer(line))
     }
 
     /// Queue a frame of a file-backed stream, which stops short of the
     /// queue's capacity (see [`OutBuf::offer_stream`]).
-    pub fn offer_stream_frame(&self, line: String) -> Offer {
+    pub(crate) fn offer_stream_frame(&self, line: String) -> Offer {
         self.offer_with(|out| out.offer_stream(line))
     }
 
@@ -258,7 +253,7 @@ impl ConnHandle {
     }
 
     /// Ring the reactor's doorbell for this connection (flush + re-arm).
-    pub fn mark_dirty(&self) {
+    pub(crate) fn mark_dirty(&self) {
         if !self.dirty.swap(true, Ordering::AcqRel) {
             // `.max(1)` keeps a 0 reading distinguishable from "unset".
             self.dirty_at_nanos
@@ -275,7 +270,7 @@ impl ConnHandle {
 
     /// Enqueue a decoded request; returns true when a worker visit should
     /// be scheduled (none is running or queued).
-    pub fn enqueue_request(&self, req: PendingReq) -> bool {
+    pub(crate) fn enqueue_request(&self, req: PendingReq) -> bool {
         let mut p = self.pending.lock().unwrap();
         p.queue.push_back(req);
         if p.busy {
@@ -288,7 +283,7 @@ impl ConnHandle {
 
     /// Worker side: take the next request, or mark the visit finished when
     /// the queue is empty.
-    pub fn next_request(&self) -> Option<PendingReq> {
+    pub(crate) fn next_request(&self) -> Option<PendingReq> {
         let mut p = self.pending.lock().unwrap();
         match p.queue.pop_front() {
             Some(req) => Some(req),
@@ -301,7 +296,7 @@ impl ConnHandle {
 
     /// Worker side, at batch end: keep the visit alive if more requests are
     /// queued (returns true → resubmit), otherwise finish it.
-    pub fn yield_visit(&self) -> bool {
+    pub(crate) fn yield_visit(&self) -> bool {
         let mut p = self.pending.lock().unwrap();
         if p.queue.is_empty() {
             p.busy = false;
@@ -330,13 +325,13 @@ struct PoolShared {
 
 /// Cloneable handle for scheduling worker visits.
 #[derive(Clone)]
-pub struct PoolSubmitter {
+pub(crate) struct PoolSubmitter {
     shared: Arc<PoolShared>,
 }
 
 impl PoolSubmitter {
     /// Schedule a worker visit for this connection.
-    pub fn submit(&self, conn: Arc<ConnHandle>) {
+    pub(crate) fn submit(&self, conn: Arc<ConnHandle>) {
         self.shared.metrics.visit_queued();
         self.shared.queue.lock().unwrap().push_back(conn);
         self.shared.cv.notify_one();
@@ -345,14 +340,14 @@ impl PoolSubmitter {
 
 /// Request executor shared by every worker: runs one queued request for a
 /// connection and enqueues its reply.
-pub type RunOne = Arc<dyn Fn(&Arc<ConnHandle>, PendingReq) + Send + Sync>;
+pub(crate) type RunOne = Arc<dyn Fn(&Arc<ConnHandle>, PendingReq) + Send + Sync>;
 
 /// A fixed pool of worker threads executing requests for connections.
 ///
 /// Each queued entry is one *visit*: the worker drains up to
 /// `WORKER_BATCH` pending requests from that connection, then requeues it
 /// if more arrived — strict FIFO per connection, fair across connections.
-pub struct WorkerPool {
+pub(crate) struct WorkerPool {
     shared: Arc<PoolShared>,
     threads: Vec<JoinHandle<()>>,
 }
@@ -360,7 +355,7 @@ pub struct WorkerPool {
 impl WorkerPool {
     /// Spawn `n` workers; `run_one` executes a single queued request for a
     /// connection and enqueues its reply.
-    pub fn start(n: usize, metrics: Arc<ServiceMetrics>, run_one: RunOne) -> WorkerPool {
+    pub(crate) fn start(n: usize, metrics: Arc<ServiceMetrics>, run_one: RunOne) -> WorkerPool {
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
@@ -381,14 +376,14 @@ impl WorkerPool {
     }
 
     /// A handle for scheduling visits (cheap to clone into closures).
-    pub fn submitter(&self) -> PoolSubmitter {
+    pub(crate) fn submitter(&self) -> PoolSubmitter {
         PoolSubmitter {
             shared: Arc::clone(&self.shared),
         }
     }
 
     /// Finish queued visits, then stop and join every worker.
-    pub fn shutdown_join(self) {
+    pub(crate) fn shutdown_join(self) {
         self.shared.shutdown.store(true, Ordering::Release);
         self.shared.cv.notify_all();
         for t in self.threads {
@@ -436,7 +431,7 @@ fn worker_main(shared: Arc<PoolShared>, run_one: RunOne) {
 
 /// A bound, non-blocking listening socket registered with the reactor.
 #[derive(Debug)]
-pub enum Listener {
+pub(crate) enum Listener {
     /// A Unix-domain listener.
     #[cfg(unix)]
     Unix(std::os::unix::net::UnixListener),
@@ -473,7 +468,7 @@ impl Listener {
 /// Service-side hooks the reactor calls. Decode errors and frames arrive on
 /// the reactor thread, so implementations must stay cheap there (dispatch
 /// to the pool, don't execute).
-pub trait ConnHandler: Send + Sync + 'static {
+pub(crate) trait ConnHandler: Send + Sync + 'static {
     /// A connection was accepted and registered.
     fn on_open(&self, conn: &Arc<ConnHandle>);
     /// One complete frame was decoded. Typically: enqueue + schedule a
@@ -504,24 +499,19 @@ pub trait ConnHandler: Send + Sync + 'static {
 // ---------------------------------------------------------------------------
 
 /// A running reactor thread.
-pub struct ReactorHandle {
+pub(crate) struct ReactorHandle {
     notify: Arc<ReactorNotify>,
     thread: JoinHandle<()>,
 }
 
 impl ReactorHandle {
-    /// The doorbell shared with every [`ConnHandle`].
-    pub fn notify(&self) -> Arc<ReactorNotify> {
-        Arc::clone(&self.notify)
-    }
-
     /// Wake the loop (e.g. after flipping the shutdown flag).
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         self.notify.wake();
     }
 
     /// Join the reactor thread (returns after the final drain).
-    pub fn join(self) {
+    pub(crate) fn join(self) {
         self.wake();
         let _ = self.thread.join();
     }
@@ -529,7 +519,7 @@ impl ReactorHandle {
 
 /// Reactor lifecycle flags shared with the daemon.
 #[derive(Debug)]
-pub struct ReactorFlags {
+pub(crate) struct ReactorFlags {
     /// Graceful shutdown requested: stop accepting and reading.
     pub shutdown: Arc<AtomicBool>,
     /// Producers (workers, tailers) are done: drain queues and exit.
@@ -537,7 +527,7 @@ pub struct ReactorFlags {
 }
 
 /// Spawn the reactor thread over the given listeners.
-pub fn start_reactor(
+pub(crate) fn start_reactor(
     cfg: ReactorConfig,
     listeners: Vec<Listener>,
     handler: Arc<dyn ConnHandler>,

@@ -75,7 +75,7 @@ impl OutBuf {
     }
 
     /// Queued frame count.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.frames.len()
     }
 
@@ -84,19 +84,14 @@ impl OutBuf {
         self.frames.is_empty()
     }
 
-    /// Whether the buffer refuses new frames forever.
-    pub fn is_closed(&self) -> bool {
-        self.closed
-    }
-
     /// Mark the connection as drain-then-close: no new frames, but queued
     /// ones still go out.
-    pub fn begin_close(&mut self) {
+    pub(crate) fn begin_close(&mut self) {
         self.closing = true;
     }
 
     /// Mark the connection dead and drop everything queued.
-    pub fn close(&mut self) {
+    pub(crate) fn close(&mut self) {
         self.closed = true;
         self.closing = true;
         self.frames.clear();
@@ -121,7 +116,7 @@ impl OutBuf {
 
     /// Append a frame of a stream that can always wait (its source is a
     /// file), leaving the last eighth of the capacity to [`OutBuf::offer`].
-    pub fn offer_stream(&mut self, frame: String) -> Offer {
+    pub(crate) fn offer_stream(&mut self, frame: String) -> Offer {
         self.offer_below(frame, self.cap - self.cap / 8)
     }
 
@@ -141,7 +136,7 @@ impl OutBuf {
     /// per run of refusals, and only when a retry would no longer be
     /// refused for lack of room. Call after [`OutBuf::consume`],
     /// [`OutBuf::begin_close`] or [`OutBuf::close`], under the same lock.
-    pub fn take_starved(&mut self) -> bool {
+    pub(crate) fn take_starved(&mut self) -> bool {
         let wake = self
             .starved
             .is_some_and(|mark| self.closing || self.frames.len() < mark);

@@ -21,7 +21,7 @@ use std::time::Duration;
 
 /// Readiness interest for one registered descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interest {
+pub(crate) struct Interest {
     /// Wake when the descriptor is readable (or a peer hung up).
     pub read: bool,
     /// Wake when the descriptor is writable.
@@ -30,22 +30,18 @@ pub struct Interest {
 
 impl Interest {
     /// Read-only interest.
-    pub const READ: Interest = Interest {
+    pub(crate) const READ: Interest = Interest {
         read: true,
         write: false,
     };
-    /// Read + write interest.
-    pub const READ_WRITE: Interest = Interest {
-        read: true,
-        write: true,
-    };
     /// Write-only interest (reads paused).
-    pub const WRITE: Interest = Interest {
+    #[cfg(test)]
+    pub(crate) const WRITE: Interest = Interest {
         read: false,
         write: true,
     };
     /// No interest (fully paused; stays registered).
-    pub const NONE: Interest = Interest {
+    pub(crate) const NONE: Interest = Interest {
         read: false,
         write: false,
     };
@@ -53,7 +49,7 @@ impl Interest {
 
 /// One readiness event from [`Poller::wait`].
 #[derive(Debug, Clone, Copy)]
-pub struct PollEvent {
+pub(crate) struct PollEvent {
     /// The token the descriptor was registered with.
     pub token: u64,
     /// Readable (data, or EOF/hangup — a read will not block).
@@ -106,12 +102,12 @@ mod sys {
 
     /// The epoll instance (closed on drop).
     #[derive(Debug)]
-    pub struct Backend {
+    pub(crate) struct Backend {
         epfd: RawFd,
     }
 
     impl Backend {
-        pub fn new() -> io::Result<Backend> {
+        pub(crate) fn new() -> io::Result<Backend> {
             // SAFETY: epoll_create1 takes a flag word and returns a new fd
             // or -1; no pointers are involved.
             let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
@@ -139,19 +135,23 @@ mod sys {
             Ok(())
         }
 
-        pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        pub(crate) fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
             self.ctl(EPOLL_CTL_ADD, fd, token, interest)
         }
 
-        pub fn rearm(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        pub(crate) fn rearm(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
             self.ctl(EPOLL_CTL_MOD, fd, token, interest)
         }
 
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
+        pub(crate) fn deregister(&self, fd: RawFd) -> io::Result<()> {
             self.ctl(EPOLL_CTL_DEL, fd, 0, Interest::NONE)
         }
 
-        pub fn wait(&self, out: &mut Vec<PollEvent>, timeout: Option<Duration>) -> io::Result<()> {
+        pub(crate) fn wait(
+            &self,
+            out: &mut Vec<PollEvent>,
+            timeout: Option<Duration>,
+        ) -> io::Result<()> {
             const MAX_EVENTS: usize = 256;
             let mut events = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
             let timeout_ms = match timeout {
@@ -243,16 +243,16 @@ mod sys {
     /// Registration table driving repeated `poll(2)` calls. O(n) per wait,
     /// which is fine for the platforms that land here; Linux gets epoll.
     #[derive(Debug, Default)]
-    pub struct Backend {
+    pub(crate) struct Backend {
         registered: Mutex<HashMap<RawFd, (u64, Interest)>>,
     }
 
     impl Backend {
-        pub fn new() -> io::Result<Backend> {
+        pub(crate) fn new() -> io::Result<Backend> {
             Ok(Backend::default())
         }
 
-        pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        pub(crate) fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
             self.registered
                 .lock()
                 .unwrap()
@@ -260,16 +260,20 @@ mod sys {
             Ok(())
         }
 
-        pub fn rearm(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        pub(crate) fn rearm(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
             self.register(fd, token, interest)
         }
 
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
+        pub(crate) fn deregister(&self, fd: RawFd) -> io::Result<()> {
             self.registered.lock().unwrap().remove(&fd);
             Ok(())
         }
 
-        pub fn wait(&self, out: &mut Vec<PollEvent>, timeout: Option<Duration>) -> io::Result<()> {
+        pub(crate) fn wait(
+            &self,
+            out: &mut Vec<PollEvent>,
+            timeout: Option<Duration>,
+        ) -> io::Result<()> {
             let (mut fds, tokens): (Vec<PollFd>, Vec<u64>) = {
                 let reg = self.registered.lock().unwrap();
                 reg.iter()
@@ -323,13 +327,13 @@ mod sys {
 
 /// The readiness poller: epoll on Linux, `poll(2)` on other Unix.
 #[derive(Debug)]
-pub struct Poller {
+pub(crate) struct Poller {
     backend: sys::Backend,
 }
 
 impl Poller {
     /// A new, empty poller.
-    pub fn new() -> io::Result<Poller> {
+    pub(crate) fn new() -> io::Result<Poller> {
         Ok(Poller {
             backend: sys::Backend::new()?,
         })
@@ -337,24 +341,28 @@ impl Poller {
 
     /// Register `fd` under `token` with the given interest. The fd must be
     /// deregistered before it is closed.
-    pub fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    pub(crate) fn register(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         self.backend.register(fd, token, interest)
     }
 
     /// Change the interest set of a registered fd.
-    pub fn rearm(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+    pub(crate) fn rearm(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
         self.backend.rearm(fd, token, interest)
     }
 
     /// Remove a registered fd.
-    pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
+    pub(crate) fn deregister(&self, fd: RawFd) -> io::Result<()> {
         self.backend.deregister(fd)
     }
 
     /// Block until at least one registered fd is ready or the timeout
     /// elapses, appending events to `out` (which is cleared first).
     /// A signal-interrupted wait returns successfully with no events.
-    pub fn wait(&self, out: &mut Vec<PollEvent>, timeout: Option<Duration>) -> io::Result<()> {
+    pub(crate) fn wait(
+        &self,
+        out: &mut Vec<PollEvent>,
+        timeout: Option<Duration>,
+    ) -> io::Result<()> {
         out.clear();
         self.backend.wait(out, timeout)
     }
@@ -366,14 +374,14 @@ impl Poller {
 /// [`Waker::wake`] makes that token readable, and the poll loop calls
 /// [`Waker::drain`] to reset it.
 #[derive(Debug)]
-pub struct Waker {
+pub(crate) struct Waker {
     read_end: UnixStream,
     write_end: UnixStream,
 }
 
 impl Waker {
     /// A new waker; register [`Waker::fd`] with the poller afterwards.
-    pub fn new() -> io::Result<Waker> {
+    pub(crate) fn new() -> io::Result<Waker> {
         let (read_end, write_end) = UnixStream::pair()?;
         read_end.set_nonblocking(true)?;
         write_end.set_nonblocking(true)?;
@@ -384,20 +392,20 @@ impl Waker {
     }
 
     /// The fd to register (read interest) under the waker's token.
-    pub fn fd(&self) -> RawFd {
+    pub(crate) fn fd(&self) -> RawFd {
         self.read_end.as_raw_fd()
     }
 
     /// Make the poller's next (or current) wait return. Safe from any
     /// thread; a full pipe means a wakeup is already pending, which is all
     /// that is needed.
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         use std::io::Write;
         let _ = (&self.write_end).write(&[1u8]);
     }
 
     /// Consume pending wakeup bytes after the poller reported readability.
-    pub fn drain(&self) {
+    pub(crate) fn drain(&self) {
         use std::io::Read;
         let mut buf = [0u8; 64];
         while let Ok(n) = (&self.read_end).read(&mut buf) {

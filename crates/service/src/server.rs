@@ -53,8 +53,6 @@ use std::time::Duration;
 #[cfg(not(unix))]
 use asha_core::Error;
 
-#[cfg(not(unix))]
-use crate::proto::DaemonStats;
 use crate::proto::DEFAULT_MAX_FRAME;
 
 /// Configuration for [`Daemon::start`].
@@ -128,7 +126,7 @@ mod unix_impl {
     use super::ServeOptions;
     use crate::codec::encode_frame;
     use crate::metrics::ServiceMetrics;
-    use crate::proto::{DaemonStats, Push, Reply, Request, WireStatus};
+    use crate::proto::{Push, Reply, Request, WireStatus};
     use crate::reactor::{
         start_reactor, ConnHandle, ConnHandler, Listener, PendingReq, PoolSubmitter, ReactorConfig,
         ReactorFlags, ReactorHandle, Work, WorkerPool,
@@ -273,7 +271,7 @@ mod unix_impl {
             }
             let metrics = &self.shared.metrics;
             let req = PendingReq {
-                work: Work::HttpGet(path.to_owned()),
+                work: Work::HttpGet,
                 req_id: metrics.next_request_id(),
                 enqueued_nanos: metrics.now_nanos(),
             };
@@ -324,7 +322,7 @@ mod unix_impl {
         let started = metrics.now_nanos();
         let queue_wait_s = started.saturating_sub(req.enqueued_nanos) as f64 / 1e9;
         match req.work {
-            Work::HttpGet(_) => {
+            Work::HttpGet => {
                 let body = metrics.render_prometheus();
                 let _ = conn.push_reply(http_response(
                     "200 OK",
@@ -544,17 +542,6 @@ mod unix_impl {
             self.metrics_addr
         }
 
-        /// The daemon's metrics plane (shared with every daemon thread).
-        pub fn metrics(&self) -> Arc<ServiceMetrics> {
-            Arc::clone(&self.shared.metrics)
-        }
-
-        /// The shutdown flag; setting it to `true` (e.g. from a signal
-        /// handler) is equivalent to [`Daemon::begin_shutdown`].
-        pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-            Arc::clone(&self.shared.shutdown)
-        }
-
         /// Request a graceful shutdown (idempotent, non-blocking).
         pub fn begin_shutdown(&self) {
             self.shared.shutdown.store(true, Ordering::Release);
@@ -565,11 +552,6 @@ mod unix_impl {
         /// [`Daemon::begin_shutdown`]).
         pub fn shutdown_requested(&self) -> bool {
             self.shared.shutdown.load(Ordering::Acquire)
-        }
-
-        /// Current daemon counters (a projection of the metrics plane).
-        pub fn stats(&self) -> DaemonStats {
-            self.shared.metrics.daemon_stats()
         }
 
         /// Block until shutdown is requested, then drain: stop accepting,
@@ -791,11 +773,6 @@ impl Daemon {
     }
 
     /// Unreachable (a `Daemon` cannot be constructed on this platform).
-    pub fn shutdown_flag(&self) -> std::sync::Arc<std::sync::atomic::AtomicBool> {
-        match self.never {}
-    }
-
-    /// Unreachable (a `Daemon` cannot be constructed on this platform).
     pub fn begin_shutdown(&self) {
         match self.never {}
     }
@@ -806,17 +783,7 @@ impl Daemon {
     }
 
     /// Unreachable (a `Daemon` cannot be constructed on this platform).
-    pub fn stats(&self) -> DaemonStats {
-        match self.never {}
-    }
-
-    /// Unreachable (a `Daemon` cannot be constructed on this platform).
     pub fn metrics_addr(&self) -> Option<std::net::SocketAddr> {
-        match self.never {}
-    }
-
-    /// Unreachable (a `Daemon` cannot be constructed on this platform).
-    pub fn metrics(&self) -> std::sync::Arc<crate::metrics::ServiceMetrics> {
         match self.never {}
     }
 

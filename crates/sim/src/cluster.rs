@@ -264,11 +264,6 @@ impl ClusterSim {
         ClusterSim { config }
     }
 
-    /// The simulation parameters.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
     /// Run `scheduler` against `bench` until the time horizon, the job cap,
     /// or scheduler completion — whichever comes first. Deterministic given
     /// the RNG state.
@@ -461,11 +456,6 @@ impl<'b, S: Scheduler> SimEngine<'b, S> {
             incumbent_val: f64::INFINITY,
             done: false,
         }
-    }
-
-    /// Whether the run has ended (horizon, job cap, or drained scheduler).
-    pub fn is_done(&self) -> bool {
-        self.done
     }
 
     /// Simulated time of the last processed event.
@@ -682,7 +672,9 @@ impl<'b, S: Scheduler> SimEngine<'b, S> {
                 slot.completed = true;
                 self.distinct_trials += 1;
             }
-            if self.best_config.as_ref().is_none_or(|&(_, l, _)| val < l) {
+            // A NaN never becomes best: every later `val < NaN` is false, so
+            // it would never be replaced.
+            if !val.is_nan() && self.best_config.as_ref().is_none_or(|&(_, l, _)| val < l) {
                 self.best_config = Some((job.config.clone(), val, job.resource));
             }
             let improved = val < self.incumbent_val;

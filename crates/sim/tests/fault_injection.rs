@@ -2,10 +2,10 @@
 //! drop/retry semantics, straggler accounting, and resume-policy costs under
 //! adversarial settings.
 
-use asha_core::{Decision, Job, Observation, Scheduler, TrialId};
+use asha_core::{Asha, AshaConfig, Decision, Job, Observation, Scheduler, TrialId};
 use asha_sim::{ClusterSim, ResumePolicy, SimConfig};
-use asha_space::{Scale, SearchSpace};
-use asha_surrogate::{BenchmarkModel, CurveBenchmark};
+use asha_space::{Config, Scale, SearchSpace};
+use asha_surrogate::{BenchmarkModel, CurveBenchmark, TrainingState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -163,5 +163,74 @@ fn best_config_matches_trace_best() {
         ClusterSim::new(SimConfig::new(1, 1e6)).run(InheritProbe { step: 0 }, &b, &mut rng);
     let (best_val, _) = result.trace.final_best().expect("events exist");
     let (_, val, _) = result.best_config.expect("events exist");
+    assert_eq!(val, best_val);
+}
+
+/// A benchmark whose first validation loss is NaN, the rest its inner's.
+struct FirstLossNan {
+    inner: CurveBenchmark,
+    calls: std::sync::atomic::AtomicUsize,
+}
+
+impl BenchmarkModel for FirstLossNan {
+    fn space(&self) -> &SearchSpace {
+        self.inner.space()
+    }
+    fn max_resource(&self) -> f64 {
+        self.inner.max_resource()
+    }
+    fn init_state(&self, config: &Config, rng: &mut dyn rand::RngCore) -> TrainingState {
+        self.inner.init_state(config, rng)
+    }
+    fn advance(
+        &self,
+        config: &Config,
+        state: &mut TrainingState,
+        target_resource: f64,
+        rng: &mut dyn rand::RngCore,
+    ) {
+        self.inner.advance(config, state, target_resource, rng)
+    }
+    fn validation_loss(
+        &self,
+        config: &Config,
+        state: &TrainingState,
+        rng: &mut dyn rand::RngCore,
+    ) -> f64 {
+        let loss = self.inner.validation_loss(config, state, rng);
+        let call = self
+            .calls
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        if call == 0 {
+            f64::NAN
+        } else {
+            loss
+        }
+    }
+    fn test_loss(&self, config: &Config, state: &TrainingState) -> f64 {
+        self.inner.test_loss(config, state)
+    }
+    fn time_per_unit(&self, config: &Config) -> f64 {
+        self.inner.time_per_unit(config)
+    }
+}
+
+/// A NaN loss never becomes the incumbent: the first completion used to be
+/// taken unconditionally, and no later `val < NaN` could replace it.
+#[test]
+fn a_nan_loss_never_becomes_best() {
+    let b = FirstLossNan {
+        inner: asha_surrogate::presets::cifar10_cuda_convnet(1),
+        calls: Default::default(),
+    };
+    let tuner = Asha::new(b.space().clone(), AshaConfig::new(1.0, 256.0, 4.0));
+    let mut rng = StdRng::seed_from_u64(0);
+    let mut cfg = SimConfig::new(4, 1e9);
+    cfg.max_jobs = 200;
+    let result = ClusterSim::new(cfg).run(tuner, &b, &mut rng);
+    assert!(result.trace.events().iter().any(|e| e.val_loss.is_nan()));
+    let (best_val, best_test) = result.trace.final_best().expect("jobs completed");
+    assert!(best_val.is_finite() && best_test.is_finite(), "{best_val}");
+    let (_, val, _) = result.best_config.expect("jobs completed");
     assert_eq!(val, best_val);
 }

@@ -126,7 +126,8 @@ impl Config {
     /// # Errors
     ///
     /// Returns [`SpaceError::UnknownParam`] if `name` is not in `space`.
-    pub fn numeric(&self, name: &str, space: &SearchSpace) -> Result<f64, SpaceError> {
+    #[cfg(test)]
+    pub(crate) fn numeric(&self, name: &str, space: &SearchSpace) -> Result<f64, SpaceError> {
         let idx = space.index_of(name)?;
         let spec = space.spec_at(idx);
         Ok(self

@@ -33,6 +33,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod config;
 mod error;
@@ -43,4 +44,4 @@ mod space;
 pub use config::{Config, ParamValue};
 pub use error::SpaceError;
 pub use param::{ParamSpec, Scale};
-pub use space::{SearchSpace, SearchSpaceBuilder};
+pub use space::SearchSpace;

@@ -52,7 +52,7 @@ pub enum ParamSpec {
 
 impl ParamSpec {
     /// Number of distinct values, if the domain is finite.
-    pub fn cardinality(&self) -> Option<usize> {
+    pub(crate) fn cardinality(&self) -> Option<usize> {
         match self {
             ParamSpec::Continuous { .. } => None,
             ParamSpec::Discrete { low, high } => Some((high - low + 1) as usize),
@@ -141,7 +141,7 @@ impl ParamSpec {
     /// (Appendix A.3 of the paper): continuous values are multiplied by
     /// `factor` or `1/factor` (clamped to the domain); finite domains move to
     /// one of the two adjacent choices; categorical values are re-sampled.
-    pub fn perturb<R: Rng + ?Sized>(
+    pub(crate) fn perturb<R: Rng + ?Sized>(
         &self,
         value: &ParamValue,
         factor: f64,
@@ -171,7 +171,7 @@ impl ParamSpec {
     }
 
     /// Render a stored value as a human-readable string.
-    pub fn display_value(&self, value: &ParamValue) -> String {
+    pub(crate) fn display_value(&self, value: &ParamValue) -> String {
         match (self, value) {
             (ParamSpec::Categorical { labels }, ParamValue::Index(i)) => labels
                 .get(*i)

@@ -158,7 +158,7 @@ impl SearchSpace {
     }
 
     /// Perturb every value of a configuration the way PBT's explore step
-    /// does; see [`ParamSpec::perturb`]. `frozen` names parameters that must
+    /// does; see `ParamSpec::perturb`. `frozen` names parameters that must
     /// not change (the paper freezes architecture-changing hyperparameters).
     ///
     /// # Errors

@@ -8,7 +8,7 @@
 //! delta engine use — no tree is ever built on the checkpoint path), and
 //! [`put_value`] walks an existing tree through that same writer. Readers
 //! either decode a tree ([`get_value`]), walk the bytes in place
-//! ([`skip_value`], [`find_field`]), or — the codecs' `Reader` — decode a
+//! (`skip_value`, [`find_field`]), or — the codecs' `Reader` — decode a
 //! document straight into typed values, reading objects by key.
 //!
 //! Everything round-trips *exactly*: varints are canonical (minimal
@@ -22,7 +22,7 @@
 
 use asha_metrics::JsonValue;
 
-use crate::error::Error;
+use asha_core::Error;
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE 802.3, the zlib/PNG polynomial), tables built at compile time
@@ -74,7 +74,7 @@ fn crc32_word(t: &[[u32; 256]; 16], word: u32, after: usize) -> u32 {
 
 /// CRC32 (IEEE) of `bytes`: sixteen bytes per step, then at most one
 /// eight-byte step (short WAL frames are mostly that), then bytes.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
     let mut c = 0xFFFF_FFFFu32;
@@ -100,10 +100,10 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // ---------------------------------------------------------------------------
 
 /// Longest legal LEB128 encoding of a `u64` (10 bytes).
-pub const MAX_VARINT_LEN: usize = 10;
+pub(crate) const MAX_VARINT_LEN: usize = 10;
 
 /// Append `v` as an LEB128 varint.
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
@@ -126,7 +126,7 @@ pub(crate) fn insert_varint(out: &mut Vec<u8>, at: usize, v: u64) {
 
 /// Outcome of reading a varint from the front of a buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VarintRead {
+pub(crate) enum VarintRead {
     /// A complete varint: its value and encoded length.
     Done(u64, usize),
     /// The buffer ends mid-varint (torn tail).
@@ -137,7 +137,7 @@ pub enum VarintRead {
 }
 
 /// Read an LEB128 varint from the front of `buf`.
-pub fn get_varint(buf: &[u8]) -> VarintRead {
+pub(crate) fn get_varint(buf: &[u8]) -> VarintRead {
     let mut value = 0u64;
     let mut shift = 0u32;
     for (i, &byte) in buf.iter().enumerate() {
@@ -165,7 +165,7 @@ pub fn get_varint(buf: &[u8]) -> VarintRead {
 /// input (inside a CRC-verified payload both mean a decoder bug or a
 /// version mismatch, not a torn tail).
 #[inline]
-pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, String> {
+pub(crate) fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, String> {
     // Most varints in a document (tags' counts, lengths, small ids) are
     // one byte.
     if let Some(&byte) = buf.get(*pos).filter(|&&byte| byte < 0x80) {
@@ -184,7 +184,7 @@ pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, String> {
 
 /// Read one byte at `*pos`, advancing it.
 #[inline]
-pub fn read_u8(buf: &[u8], pos: &mut usize) -> Result<u8, String> {
+pub(crate) fn read_u8(buf: &[u8], pos: &mut usize) -> Result<u8, String> {
     let b = *buf.get(*pos).ok_or("truncated byte")?;
     *pos += 1;
     Ok(b)
@@ -192,7 +192,7 @@ pub fn read_u8(buf: &[u8], pos: &mut usize) -> Result<u8, String> {
 
 /// Read a little-endian `f64` (raw bits) at `*pos`, advancing it.
 #[inline]
-pub fn read_f64(buf: &[u8], pos: &mut usize) -> Result<f64, String> {
+pub(crate) fn read_f64(buf: &[u8], pos: &mut usize) -> Result<f64, String> {
     let end = pos.checked_add(8).filter(|&e| e <= buf.len());
     let end = end.ok_or("truncated f64")?;
     let mut raw = [0u8; 8];
@@ -204,7 +204,7 @@ pub fn read_f64(buf: &[u8], pos: &mut usize) -> Result<f64, String> {
 /// Read a varint-length-prefixed byte string at `*pos`, advancing it. No
 /// UTF-8 check: the in-place walkers compare and copy keys as bytes.
 #[inline]
-pub fn read_slice<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8], String> {
+pub(crate) fn read_slice<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8], String> {
     let len = usize::try_from(read_varint(buf, pos)?).map_err(|_| "implausible length")?;
     let end = pos.checked_add(len).filter(|&e| e <= buf.len());
     let end = end.ok_or("truncated string")?;
@@ -214,24 +214,24 @@ pub fn read_slice<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8], String
 }
 
 /// Read a varint-length-prefixed UTF-8 string at `*pos`, advancing it.
-pub fn read_str(buf: &[u8], pos: &mut usize) -> Result<String, String> {
+pub(crate) fn read_str(buf: &[u8], pos: &mut usize) -> Result<String, String> {
     let s = std::str::from_utf8(read_slice(buf, pos)?).map_err(|_| "invalid UTF-8".to_owned())?;
     Ok(s.to_owned())
 }
 
 /// Append a raw little-endian `f64`.
-pub fn put_f64(out: &mut Vec<u8>, v: f64) {
+pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Append a varint-length-prefixed byte string.
-pub fn put_slice(out: &mut Vec<u8>, bytes: &[u8]) {
+pub(crate) fn put_slice(out: &mut Vec<u8>, bytes: &[u8]) {
     put_varint(out, bytes.len() as u64);
     out.extend_from_slice(bytes);
 }
 
 /// Append a varint-length-prefixed UTF-8 string.
-pub fn put_str(out: &mut Vec<u8>, s: &str) {
+pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
     put_slice(out, s.as_bytes());
 }
 
@@ -253,7 +253,7 @@ pub(crate) const TAG_OBJ: u8 = 7;
 /// recursive walker stops here instead of exhausting the stack. The same
 /// number as [`JsonValue::MAX_DEPTH`], the text parser's cap on the same
 /// trees: what one reader accepts, the other can hold.
-pub const MAX_DEPTH: u32 = 128;
+pub(crate) const MAX_DEPTH: u32 = 128;
 
 /// The most items a reader reserves room for before it has read them: a
 /// corrupt count must not force a huge reservation.
@@ -694,7 +694,7 @@ impl<'a> Fields<'_, 'a> {
 /// The end of the binvalue at `pos`, found without decoding it. Checks
 /// framing (tags, lengths, nesting depth) but not UTF-8: skipped bytes are
 /// only ever compared or copied.
-pub fn skip_value(buf: &[u8], pos: usize) -> Result<usize, String> {
+pub(crate) fn skip_value(buf: &[u8], pos: usize) -> Result<usize, String> {
     skip_value_depth(buf, pos, 0)
 }
 

@@ -32,8 +32,8 @@
 //! constructor that meets it.
 
 use crate::binary::{from_tree, tree_of, Reader, ValueWriter, TAG_ARR, TAG_INT, TAG_OBJ, TAG_STR};
-use crate::error::Error;
 use crate::upgrade;
+use asha_core::Error;
 use asha_core::{
     AshaConfig, AshaState, AsyncHyperbandState, BracketState, HyperbandConfig, Job, PromotionRule,
     RungState, ScanOrder, SchedulerState, ShaConfig, SyncShaState, TrialId,

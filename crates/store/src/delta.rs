@@ -10,11 +10,11 @@
 //! snapshot.
 //!
 //! Neither direction builds a tree. Both walk two payloads in lock-step
-//! ([`skip_value`] finds where a value ends), and "unchanged" is decided by
+//! (`skip_value` finds where a value ends), and "unchanged" is decided by
 //! comparing byte slices: binvalue is canonical and prefix-free, so two
-//! values are [`json_eq`] exactly when their bytes are equal. The only
+//! values are `json_eq` exactly when their bytes are equal. The only
 //! allocation is the output buffer; nesting is followed to
-//! [`MAX_DEPTH`] and no further; and since
+//! `MAX_DEPTH` and no further; and since
 //! the inputs may be files, nothing in them is trusted — a count is a loop
 //! bound that must be paid for in input bytes, never a reservation, and a
 //! malformed payload or a patch computed against a different base is an
@@ -60,11 +60,11 @@
 //! [`apply_bytes`] enforces that, so a crafted patch cannot make recovery
 //! allocate without bound by naming one large base value many times.
 
+pub(crate) use crate::binary::MAX_DEPTH;
 use crate::binary::{
     find_key, insert_varint, put_slice, put_varint, read_slice, read_u8, read_varint,
     skip_value_depth, try_skip, TAG_ARR, TAG_INT, TAG_OBJ, TAG_STR,
 };
-pub use crate::binary::{json_eq, skip_value, MAX_DEPTH};
 
 /// `{"u":1}`, encoded.
 const UNCHANGED: [u8; 6] = [TAG_OBJ, 1, 1, b'u', TAG_INT, 1];
@@ -564,7 +564,7 @@ pub fn apply_bytes(base: &[u8], patch: &[u8], out: &mut Vec<u8>) -> Result<(), S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::binary::{decode_value, get_value, put_value};
+    use crate::binary::{decode_value, get_value, json_eq, put_value, skip_value};
     use asha_metrics::JsonValue;
     use proptest::prelude::*;
 
@@ -591,12 +591,12 @@ mod tests {
     /// The tree-walking diff/apply the byte engine replaced, kept as its
     /// reference twin: what the engine must reproduce byte for byte.
     mod oracle {
-        use super::super::json_eq;
         use super::encoded;
+        use crate::binary::json_eq;
         use asha_metrics::JsonValue;
 
         /// Compute a patch transforming `base` into `new`.
-        pub fn diff(base: &JsonValue, new: &JsonValue) -> JsonValue {
+        pub(super) fn diff(base: &JsonValue, new: &JsonValue) -> JsonValue {
             patch(base, new, true)
         }
 
@@ -679,7 +679,7 @@ mod tests {
         /// Apply a patch produced by [`diff`]: `apply(base, &diff(base, new))`
         /// reproduces `new` exactly. Fails on a malformed patch or one computed
         /// against a different base shape.
-        pub fn apply(base: &JsonValue, patch: &JsonValue) -> Result<JsonValue, String> {
+        pub(super) fn apply(base: &JsonValue, patch: &JsonValue) -> Result<JsonValue, String> {
             let JsonValue::Obj(fields) = patch else {
                 return Err("patch must be an object".to_owned());
             };

@@ -38,12 +38,12 @@ use rand::SeedableRng;
 use crate::binary::{from_tree, tree_of, Reader, ValueWriter};
 use crate::codec;
 use crate::delta;
-use crate::error::{Error, StoreError};
 use crate::snapshot::{self, Snapshot, StoredScheduler};
 use crate::wal::{read_wal, rewrite_to_marker, SnapMarker, StoreEvent, WalRecord, WalWriter};
+use asha_core::Error;
 
 /// Schema tag written into every `meta.json`.
-pub const META_SCHEMA: &str = "asha-store-meta-v1";
+pub(crate) const META_SCHEMA: &str = "asha-store-meta-v1";
 /// File name of the experiment metadata.
 pub const META_FILE: &str = "meta.json";
 /// File name of the write-ahead log.
@@ -165,15 +165,15 @@ impl ExperimentMeta {
 }
 
 /// Write `meta.json` crash-safely (temp file + fsync + rename).
-pub fn write_meta(dir: &Path, meta: &ExperimentMeta) -> Result<(), StoreError> {
+pub(crate) fn write_meta(dir: &Path, meta: &ExperimentMeta) -> Result<(), Error> {
     let text = meta.to_json().render();
     snapshot::write_atomic(dir, META_FILE, &[text.as_bytes()]).map(|_| ())
 }
 
 /// Read and decode `<dir>/meta.json`.
-pub fn read_meta(dir: &Path) -> Result<ExperimentMeta, StoreError> {
+pub fn read_meta(dir: &Path) -> Result<ExperimentMeta, Error> {
     let path = dir.join(META_FILE);
-    let text = std::fs::read_to_string(&path).map_err(|e| StoreError::io(&path, e))?;
+    let text = std::fs::read_to_string(&path).map_err(|e| Error::io(&path, e))?;
     JsonValue::parse(&text)
         .map_err(|e| Error::codec(e.to_string()))
         .and_then(|v| ExperimentMeta::from_json(&v))
@@ -185,16 +185,16 @@ pub fn read_meta(dir: &Path) -> Result<ExperimentMeta, StoreError> {
 /// I/O errors are stashed and surfaced by [`WalRecorder::take_error`] after
 /// each step.
 #[derive(Debug)]
-pub struct WalRecorder {
+pub(crate) struct WalRecorder {
     writer: WalWriter,
     next_seq: u64,
-    error: Option<StoreError>,
+    error: Option<Error>,
 }
 
 impl WalRecorder {
     /// Wrap a WAL writer; `next_seq` is the next telemetry sequence number
     /// (0 for a fresh run, the snapshot's event count after recovery).
-    pub fn new(writer: WalWriter, next_seq: u64) -> Self {
+    pub(crate) fn new(writer: WalWriter, next_seq: u64) -> Self {
         WalRecorder {
             writer,
             next_seq,
@@ -203,17 +203,17 @@ impl WalRecorder {
     }
 
     /// The next telemetry sequence number (== events written so far).
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
     /// Access the underlying writer (for store events and syncs).
-    pub fn writer(&mut self) -> &mut WalWriter {
+    pub(crate) fn writer(&mut self) -> &mut WalWriter {
         &mut self.writer
     }
 
     /// Surface any I/O error that occurred inside `record`.
-    pub fn take_error(&mut self) -> Result<(), StoreError> {
+    pub(crate) fn take_error(&mut self) -> Result<(), Error> {
         match self.error.take() {
             Some(e) => Err(e),
             None => Ok(()),
@@ -258,7 +258,7 @@ pub struct RunOptions {
     /// loads, plus at most one event-loop step. A payload holds the whole
     /// history, so checkpoints thin out as the run grows: O(log J) of them
     /// in J jobs. Both sides of the test repeat across a crash
-    /// ([`WalWriter::telemetry_bytes`] counts telemetry frames only; a
+    /// (`WalWriter::telemetry_bytes` counts telemetry frames only; a
     /// resume seeds the payload length from the document it patched
     /// together), so a resumed run takes exactly the uninterrupted run's
     /// checkpoints.
@@ -362,7 +362,7 @@ impl<'b> DurableRun<'b> {
         meta: &ExperimentMeta,
         bench: &'b dyn asha_surrogate::BenchmarkModel,
         opts: RunOptions,
-    ) -> Result<Self, StoreError> {
+    ) -> Result<Self, Error> {
         meta.initial
             .validate()
             .map_err(|e| e.context("initial scheduler state"))?;
@@ -371,7 +371,7 @@ impl<'b> DurableRun<'b> {
             meta.initial.clone(),
             meta.sampler.unwrap_or_default(),
         );
-        std::fs::create_dir_all(dir).map_err(|e| StoreError::io(dir, e))?;
+        std::fs::create_dir_all(dir).map_err(|e| Error::io(dir, e))?;
         write_meta(dir, meta)?;
         let mut wal = WalWriter::create(&dir.join(WAL_FILE), opts.sync)?;
         wal.append(&WalRecord::Meta {
@@ -414,18 +414,18 @@ impl<'b> DurableRun<'b> {
         meta: &ExperimentMeta,
         bench: &'b dyn asha_surrogate::BenchmarkModel,
         opts: RunOptions,
-    ) -> Result<Self, StoreError> {
+    ) -> Result<Self, Error> {
         crate::upgrade::store(dir)?;
         let wal_path = dir.join(WAL_FILE);
         let contents = read_wal(&wal_path)?;
         let marker = contents.last_snapshot_marker().ok_or_else(|| {
-            StoreError::corrupt(
+            Error::corrupt(
                 &wal_path,
                 "no checkpoint marker in WAL (store never initialized?)",
             )
         })?;
         let snap_path = Snapshot::find(dir, marker.snap).ok_or_else(|| {
-            StoreError::corrupt(
+            Error::corrupt(
                 dir,
                 format!(
                     "full snapshot {} named by the WAL marker is missing",
@@ -442,12 +442,12 @@ impl<'b> DurableRun<'b> {
             let (path, delta_doc, patch) = snapshot::load_delta_payload(dir, marker.snap, k)?;
             patched.clear();
             delta::apply_bytes(&doc, &delta_doc[patch], &mut patched)
-                .map_err(|msg| StoreError::corrupt(&path, format!("applying delta: {msg}")))?;
+                .map_err(|msg| Error::corrupt(&path, format!("applying delta: {msg}")))?;
             std::mem::swap(&mut doc, &mut patched);
         }
         let snap = Snapshot::from_bytes(&doc).map_err(|e| e.corrupt_at(&snap_path))?;
         if snap.events != marker.events {
-            return Err(StoreError::corrupt(
+            return Err(Error::corrupt(
                 &snap_path,
                 format!(
                     "checkpoint covers {} events but its WAL marker says {}",
@@ -461,7 +461,7 @@ impl<'b> DurableRun<'b> {
             .map_err(|e| e.corrupt_at(&snap_path))?;
         rewrite_to_marker(&wal_path, &contents, marker)?;
         let sim_state = snap.sim.ok_or_else(|| {
-            StoreError::corrupt(&snap_path, "snapshot has no simulator state to resume")
+            Error::corrupt(&snap_path, "snapshot has no simulator state to resume")
         })?;
         // Rebuild the sampling plane alongside the scheduler: a fresh
         // sampler of the experiment's kind, rehydrated from the snapshot's
@@ -517,26 +517,16 @@ impl<'b> DurableRun<'b> {
         self.metrics = Some(metrics);
     }
 
-    /// The experiment directory this run persists into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Jobs completed so far.
     pub fn jobs_completed(&self) -> usize {
         self.engine.jobs_completed()
-    }
-
-    /// Whether the run has ended.
-    pub fn is_done(&self) -> bool {
-        self.engine.is_done()
     }
 
     /// Push any WAL records still buffered in userspace to the OS (no
     /// fsync). Crash durability still follows the configured
     /// [`Durability`]; this only narrows the loss window for buffered
     /// records, e.g. before a long idle stretch.
-    pub fn flush(&mut self) -> Result<(), StoreError> {
+    pub fn flush(&mut self) -> Result<(), Error> {
         self.recorder.writer().flush()
     }
 
@@ -544,7 +534,7 @@ impl<'b> DurableRun<'b> {
     /// snapshotting on the configured cadence. Returns `false` when the run
     /// is over (and its final snapshot + `experiment_finished` marker are
     /// durable).
-    pub fn step(&mut self) -> Result<bool, StoreError> {
+    pub fn step(&mut self) -> Result<bool, Error> {
         let alive = self.engine.step(&mut self.rng, &mut self.recorder);
         self.recorder.take_error()?;
         if alive {
@@ -564,7 +554,7 @@ impl<'b> DurableRun<'b> {
     }
 
     /// Drive the run to completion and return its result.
-    pub fn run_to_completion(mut self) -> Result<SimResult, StoreError> {
+    pub fn run_to_completion(mut self) -> Result<SimResult, Error> {
         while self.step()? {}
         Ok(self.into_result())
     }
@@ -572,7 +562,7 @@ impl<'b> DurableRun<'b> {
     /// Step until at least `jobs` jobs have completed (or the run ends).
     /// Returns whether the run is still live — the hook crash-injection
     /// tests use to die at a controlled point.
-    pub fn run_until_jobs(&mut self, jobs: usize) -> Result<bool, StoreError> {
+    pub fn run_until_jobs(&mut self, jobs: usize) -> Result<bool, Error> {
         while self.engine.jobs_completed() < jobs {
             if !self.step()? {
                 return Ok(false);
@@ -584,20 +574,20 @@ impl<'b> DurableRun<'b> {
     /// Persist a pause point: snapshot the full state, then append a
     /// `paused` marker and sync. After this the process can idle (or exit)
     /// and the run resumes from exactly here.
-    pub fn mark_paused(&mut self) -> Result<(), StoreError> {
+    pub(crate) fn mark_paused(&mut self) -> Result<(), Error> {
         self.write_snapshot()?;
         self.append_meta(StoreEvent::Paused)?;
         self.recorder.writer().sync()
     }
 
     /// Append a `resumed` marker after a pause.
-    pub fn mark_resumed(&mut self) -> Result<(), StoreError> {
+    pub(crate) fn mark_resumed(&mut self) -> Result<(), Error> {
         self.append_meta(StoreEvent::Resumed)?;
         self.recorder.writer().sync()
     }
 
     /// Append a lifecycle record stamped with the run's clock.
-    fn append_meta(&mut self, event: StoreEvent) -> Result<(), StoreError> {
+    fn append_meta(&mut self, event: StoreEvent) -> Result<(), Error> {
         let time = self.engine.now();
         self.recorder
             .writer()
@@ -612,7 +602,7 @@ impl<'b> DurableRun<'b> {
     /// content sizes — so an interrupted-and-recovered run makes exactly
     /// the same full/delta decisions as an uninterrupted one, keeping the
     /// two stores byte-identical.
-    pub fn write_snapshot(&mut self) -> Result<(), StoreError> {
+    pub(crate) fn write_snapshot(&mut self) -> Result<(), Error> {
         let events = self.recorder.next_seq();
         let delta_chain = self.opts.delta_chain;
         let open_chain = self
@@ -647,9 +637,8 @@ impl<'b> DurableRun<'b> {
                 delta,
                 events,
             );
-            delta::diff_bytes(&chain.doc, &doc, &mut self.delta_buf).map_err(|msg| {
-                StoreError::corrupt(&self.dir, format!("diffing snapshots: {msg}"))
-            })?;
+            delta::diff_bytes(&chain.doc, &doc, &mut self.delta_buf)
+                .map_err(|msg| Error::corrupt(&self.dir, format!("diffing snapshots: {msg}")))?;
             let (_, bytes) = snapshot::write_document(
                 &self.dir,
                 &snapshot::delta_file_name(seq, delta),

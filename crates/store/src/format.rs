@@ -4,7 +4,7 @@
 //! Every store file is `binary-v2`: compact length-prefixed records with a
 //! per-record CRC32 and varint-packed fields, and snapshot documents as
 //! CRC-guarded binvalue trees (see [`crate::binary`]). A WAL starts with
-//! [`WAL_MAGIC`], a checkpoint with [`DOC_MAGIC`]. Stores written before
+//! [`WAL_MAGIC`], a checkpoint with `DOC_MAGIC`. Stores written before
 //! the redesign (`jsonl-v1`) are converted by [`crate::upgrade`] before
 //! anything here reads them.
 //!
@@ -37,7 +37,7 @@ use crate::wal::{SnapMarker, StoreEvent, WalRecord};
 /// Magic prefix of a `binary-v2` WAL file.
 pub const WAL_MAGIC: &[u8; 8] = b"ASHAWAL2";
 /// Magic prefix of a `binary-v2` snapshot / delta document.
-pub const DOC_MAGIC: &[u8; 8] = b"ASHADOC2";
+pub(crate) const DOC_MAGIC: &[u8; 8] = b"ASHADOC2";
 
 /// Upper bound on a single binary record's payload (sanity check: a length
 /// beyond this means framing was destroyed, not that a huge record exists).

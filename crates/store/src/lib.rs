@@ -35,20 +35,20 @@
 //!   decoders and encoders.
 //! - [`delta`]: structural diff/patch computed on binvalue bytes, the
 //!   engine behind delta snapshots.
-//! - [`wal`]: the append-only log of typed [`WalRecord`]s — scheduler
+//! - `wal`: the append-only log of typed [`WalRecord`]s — scheduler
 //!   decisions, job events, checkpoint markers, lifecycle events — with
 //!   torn-tail-tolerant reading.
-//! - [`snapshot`]: crash-safe checkpoint files (full and delta) and the
+//! - `snapshot`: crash-safe checkpoint files (full and delta) and the
 //!   [`StoredScheduler`] wrapper that restores any supported scheduler
 //!   kind from data.
-//! - [`tail`]: live WAL following ([`WalTail`]), every record rendered as
+//! - `tail`: live WAL following ([`WalTail`]), every record rendered as
 //!   its JSON line — what the service streams to subscribers.
-//! - [`experiment`]: one experiment directory (`meta.json` + WAL +
+//! - `experiment`: one experiment directory (`meta.json` + WAL +
 //!   checkpoints) and [`DurableRun`], the persisting sim driver with
 //!   [`DurableRun::create`] / [`DurableRun::resume`]; plus
 //!   [`replay_scheduler`] for scheduler-level WAL-suffix replay in
 //!   executor-driven runs.
-//! - [`supervisor`]: many named experiments in one process, each on a
+//! - `supervisor`: many named experiments in one process, each on a
 //!   worker thread with independent pause/resume/abort, under a crash-safe
 //!   manifest.
 //! - [`upgrade`]: the one reader of `jsonl-v1` — converts a pre-redesign
@@ -94,37 +94,33 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod binary;
 pub mod codec;
 pub mod delta;
-mod error;
-pub mod experiment;
+mod experiment;
 pub mod format;
-pub mod metrics;
-pub mod snapshot;
-pub mod supervisor;
-pub mod tail;
+mod metrics;
+mod snapshot;
+mod supervisor;
+mod tail;
 pub mod upgrade;
-pub mod wal;
+mod wal;
 
-pub use crate::error::{Error, ErrorKind, StoreError};
 pub use crate::experiment::{
-    read_meta, replay_scheduler, write_meta, BenchSpec, DurableRun, ExperimentMeta, RunOptions,
-    WalRecorder, META_FILE, META_SCHEMA, WAL_FILE,
+    read_meta, replay_scheduler, BenchSpec, DurableRun, ExperimentMeta, RunOptions, META_FILE,
+    WAL_FILE,
 };
 pub use crate::format::{DecodeStep, EncodeBuf};
 pub use crate::metrics::StoreMetrics;
 pub use crate::snapshot::{
-    delta_file_name, list_snapshots, load_latest, write_document, DeltaDoc, SamplerSpec, Snapshot,
-    StoredScheduler, DELTA_SCHEMA, SNAPSHOT_SCHEMA,
+    delta_file_name, load_latest, write_document, DeltaDoc, SamplerSpec, Snapshot, StoredScheduler,
+    SNAPSHOT_SCHEMA,
 };
 pub use crate::supervisor::{
-    read_manifest, ExperimentStatus, ExperimentSupervisor, ManifestEntry, StatusListener,
-    MANIFEST_FILE, MANIFEST_SCHEMA,
+    read_manifest, ExperimentStatus, ExperimentSupervisor, MANIFEST_FILE, MANIFEST_SCHEMA,
 };
 pub use crate::tail::{LineTag, WalChunk, WalTail};
-pub use crate::wal::{
-    read_wal, Durability, MarkerRef, SnapMarker, StoreEvent, WalContents, WalRecord, WalWriter,
-};
-pub use asha_core::SchedulerState;
+pub use crate::wal::{read_wal, Durability, SnapMarker, StoreEvent, WalRecord, WalWriter};
+pub use asha_core::{Error, ErrorKind, SchedulerState};

@@ -35,8 +35,8 @@ use asha_space::{Config, SearchSpace};
 
 use crate::binary::{from_tree, tree_of, Fields, Reader, ValueWriter};
 use crate::codec;
-use crate::error::{Error, StoreError};
 use crate::format::{document_frame, document_payload};
+use asha_core::Error;
 
 /// Schema tag written into every snapshot file: the document layout, not
 /// the file dialect. v2 writes the simulator's rows and every config value
@@ -47,7 +47,7 @@ pub const SNAPSHOT_SCHEMA: &str = "asha-store-snapshot-v2";
 const SNAPSHOT_SCHEMA_V1: &str = "asha-store-snapshot-v1";
 
 /// Schema tag written into every delta-snapshot file.
-pub const DELTA_SCHEMA: &str = "asha-store-delta-v1";
+pub(crate) const DELTA_SCHEMA: &str = "asha-store-delta-v1";
 
 /// The sampling-plane half of a snapshot: which [`Sampler`] kind the
 /// scheduler runs and each sampler instance's serialized model cursor.
@@ -215,7 +215,7 @@ impl Snapshot {
     }
 
     /// Locate snapshot `seq` in `dir`.
-    pub fn find(dir: &Path, seq: u64) -> Option<PathBuf> {
+    pub(crate) fn find(dir: &Path, seq: u64) -> Option<PathBuf> {
         Some(dir.join(Self::file_name(seq))).filter(|path| path.exists())
     }
 
@@ -410,11 +410,11 @@ pub(crate) fn load_delta_payload(
     dir: &Path,
     snap: u64,
     delta: u64,
-) -> Result<(PathBuf, Vec<u8>, Range<usize>), StoreError> {
+) -> Result<(PathBuf, Vec<u8>, Range<usize>), Error> {
     let path = dir.join(delta_file_name(snap, delta));
     if !path.exists() {
         let missing = format!("delta {delta} of snapshot {snap} is missing");
-        return Err(StoreError::corrupt(dir, missing));
+        return Err(Error::corrupt(dir, missing));
     }
     let payload = read_payload(&path)?;
     // Only the small header fields are decoded; the patch stays bytes.
@@ -438,11 +438,7 @@ pub(crate) fn load_delta_payload(
 /// Write `parts`, concatenated, to `dir/file_name` crash-safely: one temp
 /// file, written and fsynced through the same handle, renamed into place,
 /// then the directory fsynced. Returns the final path.
-pub(crate) fn write_atomic(
-    dir: &Path,
-    file_name: &str,
-    parts: &[&[u8]],
-) -> Result<PathBuf, StoreError> {
+pub(crate) fn write_atomic(dir: &Path, file_name: &str, parts: &[&[u8]]) -> Result<PathBuf, Error> {
     let final_path = dir.join(file_name);
     let tmp_path = dir.join(format!("{file_name}.tmp"));
     File::create(&tmp_path)
@@ -452,8 +448,8 @@ pub(crate) fn write_atomic(
             }
             f.sync_all()
         })
-        .map_err(|e| StoreError::io(&tmp_path, e))?;
-    std::fs::rename(&tmp_path, &final_path).map_err(|e| StoreError::io(&final_path, e))?;
+        .map_err(|e| Error::io(&tmp_path, e))?;
+    std::fs::rename(&tmp_path, &final_path).map_err(|e| Error::io(&final_path, e))?;
     fsync_dir(dir)?;
     Ok(final_path)
 }
@@ -465,7 +461,7 @@ pub fn write_document(
     dir: &Path,
     file_name: &str,
     payload: &[u8],
-) -> Result<(PathBuf, u64), StoreError> {
+) -> Result<(PathBuf, u64), Error> {
     let (head, crc) = document_frame(payload);
     let path = write_atomic(dir, file_name, &[&head, payload, &crc])?;
     Ok((path, (head.len() + payload.len() + crc.len()) as u64))
@@ -473,9 +469,9 @@ pub fn write_document(
 
 /// Read a checkpoint document as its binvalue payload: the frame's
 /// CRC-verified bytes.
-pub(crate) fn read_payload(path: &Path) -> Result<Vec<u8>, StoreError> {
-    let bytes = std::fs::read(path).map_err(|e| StoreError::io(path, e))?;
-    document_payload(bytes).map_err(|msg| StoreError::corrupt(path, msg))
+pub(crate) fn read_payload(path: &Path) -> Result<Vec<u8>, Error> {
+    let bytes = std::fs::read(path).map_err(|e| Error::io(path, e))?;
+    document_payload(bytes).map_err(|msg| Error::corrupt(path, msg))
 }
 
 /// Fsync a directory so a just-renamed file's entry is durable (POSIX
@@ -487,14 +483,14 @@ pub(crate) fn read_payload(path: &Path) -> Result<Vec<u8>, StoreError> {
 /// and says so with [`std::io::ErrorKind::Unsupported`] or
 /// [`std::io::ErrorKind::InvalidInput`]; there the entry is as durable as
 /// that filesystem makes it.
-pub fn fsync_dir(dir: &Path) -> Result<(), StoreError> {
+pub(crate) fn fsync_dir(dir: &Path) -> Result<(), Error> {
     // `Path::parent` of a bare file name is the empty path.
     let dir = if dir.as_os_str().is_empty() {
         Path::new(".")
     } else {
         dir
     };
-    let f = File::open(dir).map_err(|e| StoreError::io(dir, e))?;
+    let f = File::open(dir).map_err(|e| Error::io(dir, e))?;
     match f.sync_all() {
         Err(e)
             if !matches!(
@@ -502,18 +498,18 @@ pub fn fsync_dir(dir: &Path) -> Result<(), StoreError> {
                 std::io::ErrorKind::Unsupported | std::io::ErrorKind::InvalidInput
             ) =>
         {
-            Err(StoreError::io(dir, e))
+            Err(Error::io(dir, e))
         }
         _ => Ok(()),
     }
 }
 
 /// Every snapshot in `dir`, sorted by sequence number.
-pub fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
+pub(crate) fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, Error> {
     let mut snaps = Vec::new();
-    let entries = std::fs::read_dir(dir).map_err(|e| StoreError::io(dir, e))?;
+    let entries = std::fs::read_dir(dir).map_err(|e| Error::io(dir, e))?;
     for entry in entries {
-        let entry = entry.map_err(|e| StoreError::io(dir, e))?;
+        let entry = entry.map_err(|e| Error::io(dir, e))?;
         if let Some((seq, 0)) = checkpoint_position(&entry.file_name().to_string_lossy(), EXT) {
             snaps.push((seq, entry.path()));
         }
@@ -525,7 +521,7 @@ pub fn list_snapshots(dir: &Path) -> Result<Vec<(u64, PathBuf)>, StoreError> {
 /// Load the newest parseable snapshot in `dir`, walking the chain backwards
 /// past any unreadable file (a crash can only damage the newest one, and
 /// only on filesystems that reorder the rename).
-pub fn load_latest(dir: &Path) -> Result<Option<(Snapshot, PathBuf)>, StoreError> {
+pub fn load_latest(dir: &Path) -> Result<Option<(Snapshot, PathBuf)>, Error> {
     let snaps = list_snapshots(dir)?;
     for (_, path) in snaps.iter().rev() {
         let parsed = read_payload(path)

@@ -24,9 +24,9 @@ use asha_metrics::JsonValue;
 use asha_sim::SimResult;
 
 use crate::binary::{from_tree, Reader};
-use crate::error::{Error, StoreError};
 use crate::experiment::{read_meta, DurableRun, ExperimentMeta, RunOptions};
 use crate::snapshot::write_atomic;
+use asha_core::Error;
 
 /// Schema tag written into every `manifest.json`.
 pub const MANIFEST_SCHEMA: &str = "asha-store-manifest-v1";
@@ -131,7 +131,7 @@ impl Control {
 
 /// The outcome a worker thread reports: the run's result, or `None` when it
 /// was aborted before finishing.
-type WorkerOutcome = Result<Option<SimResult>, StoreError>;
+type WorkerOutcome = Result<Option<SimResult>, Error>;
 
 struct Worker {
     control: Arc<Control>,
@@ -142,7 +142,7 @@ struct Worker {
 /// (create, start, pause, resume, abort, finish, reap). The service layer
 /// hangs live status subscriptions off this hook; it is called *after* the
 /// manifest rewrite, so observers never see a status the disk does not.
-pub type StatusListener = Arc<dyn Fn(&str, ExperimentStatus) + Send + Sync>;
+pub(crate) type StatusListener = Arc<dyn Fn(&str, ExperimentStatus) + Send + Sync>;
 
 /// Manages many named durable experiments under one root directory.
 ///
@@ -176,8 +176,8 @@ impl ExperimentSupervisor {
     /// experiment written before the redesign is converted to `binary-v2`
     /// in place ([`crate::upgrade::store`]); one it cannot read fails the
     /// open, naming the file.
-    pub fn open(root: &Path) -> Result<Self, StoreError> {
-        std::fs::create_dir_all(root).map_err(|e| StoreError::io(root, e))?;
+    pub fn open(root: &Path) -> Result<Self, Error> {
+        std::fs::create_dir_all(root).map_err(|e| Error::io(root, e))?;
         let manifest_path = root.join(MANIFEST_FILE);
         let mut entries = if manifest_path.exists() {
             read_manifest(&manifest_path)?
@@ -205,12 +205,7 @@ impl ExperimentSupervisor {
         Ok(sup)
     }
 
-    /// The supervisor's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    /// Install a [`StatusListener`] notified after every durable status
+    /// Install a `StatusListener` notified after every durable status
     /// change. Replaces any previous listener.
     pub fn set_status_listener(&mut self, listener: StatusListener) {
         self.listener = Some(listener);
@@ -232,7 +227,7 @@ impl ExperimentSupervisor {
     /// The blocking [`ExperimentSupervisor::join`] needs the caller to know
     /// which experiment to wait on; a daemon serving many clients instead
     /// polls this from a housekeeping loop.
-    pub fn reap_finished(&mut self) -> Result<Vec<(String, ExperimentStatus)>, StoreError> {
+    pub fn reap_finished(&mut self) -> Result<Vec<(String, ExperimentStatus)>, Error> {
         let done: Vec<String> = self
             .workers
             .iter()
@@ -276,7 +271,7 @@ impl ExperimentSupervisor {
 
     /// Initialize a new experiment directory (meta, WAL, snapshot 0) and
     /// register it in the manifest. Does not start it.
-    pub fn create(&mut self, meta: &ExperimentMeta, opts: RunOptions) -> Result<(), StoreError> {
+    pub fn create(&mut self, meta: &ExperimentMeta, opts: RunOptions) -> Result<(), Error> {
         if self.entries.iter().any(|e| e.name == meta.name) {
             return Err(Error::invalid(format!(
                 "experiment {:?} already exists",
@@ -311,7 +306,7 @@ impl ExperimentSupervisor {
     /// a worker thread. The thread recovers from the experiment directory,
     /// so this is the same code path for a fresh start and a post-crash
     /// resume.
-    pub fn start(&mut self, name: &str, opts: RunOptions) -> Result<(), StoreError> {
+    pub fn start(&mut self, name: &str, opts: RunOptions) -> Result<(), Error> {
         if self.workers.contains_key(name) {
             return Err(Error::invalid(format!(
                 "experiment {name:?} is already running"
@@ -330,7 +325,7 @@ impl ExperimentSupervisor {
 
     /// Ask the named experiment to pause at its next step boundary. The
     /// worker persists a snapshot and a `paused` WAL marker, then idles.
-    pub fn pause(&mut self, name: &str) -> Result<(), StoreError> {
+    pub fn pause(&mut self, name: &str) -> Result<(), Error> {
         let worker = self
             .workers
             .get(name)
@@ -341,7 +336,7 @@ impl ExperimentSupervisor {
 
     /// Resume a paused experiment in place (the worker thread wakes and
     /// continues; no recovery needed).
-    pub fn resume(&mut self, name: &str) -> Result<(), StoreError> {
+    pub fn resume(&mut self, name: &str) -> Result<(), Error> {
         let worker = self
             .workers
             .get(name)
@@ -353,7 +348,7 @@ impl ExperimentSupervisor {
     /// Abort the named experiment: the worker snapshots and exits at its
     /// next step boundary. The directory remains resumable via
     /// [`ExperimentSupervisor::start`].
-    pub fn abort(&mut self, name: &str) -> Result<(), StoreError> {
+    pub fn abort(&mut self, name: &str) -> Result<(), Error> {
         let worker = self
             .workers
             .remove(name)
@@ -369,7 +364,7 @@ impl ExperimentSupervisor {
 
     /// Wait for the named experiment's worker to finish and return its
     /// result (`None` if it was aborted before completing).
-    pub fn join(&mut self, name: &str) -> Result<Option<SimResult>, StoreError> {
+    pub fn join(&mut self, name: &str) -> Result<Option<SimResult>, Error> {
         let worker = self
             .workers
             .remove(name)
@@ -397,7 +392,7 @@ impl ExperimentSupervisor {
         names
     }
 
-    fn set_status(&mut self, name: &str, status: ExperimentStatus) -> Result<(), StoreError> {
+    fn set_status(&mut self, name: &str, status: ExperimentStatus) -> Result<(), Error> {
         let entry = self
             .entries
             .iter_mut()
@@ -411,7 +406,7 @@ impl ExperimentSupervisor {
         Ok(())
     }
 
-    fn write_manifest(&self) -> Result<(), StoreError> {
+    fn write_manifest(&self) -> Result<(), Error> {
         let rows: Vec<JsonValue> = self
             .entries
             .iter()
@@ -431,8 +426,8 @@ impl ExperimentSupervisor {
 }
 
 /// Read and decode a manifest file.
-pub fn read_manifest(path: &Path) -> Result<Vec<ManifestEntry>, StoreError> {
-    let text = std::fs::read_to_string(path).map_err(|e| StoreError::io(path, e))?;
+pub fn read_manifest(path: &Path) -> Result<Vec<ManifestEntry>, Error> {
+    let text = std::fs::read_to_string(path).map_err(|e| Error::io(path, e))?;
     let row = |r: &mut Reader<'_>| {
         r.object(|o| {
             let name = o.get("name", Reader::string)?;

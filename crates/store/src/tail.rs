@@ -35,7 +35,7 @@
 //! rename-over-inode pattern used by crash-safe rewriters.
 
 use std::io::{Read, Seek, SeekFrom};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use crate::format::{decode_step, DecodeStep, WAL_MAGIC};
 use crate::wal::{StoreEvent, WalRecord};
@@ -112,11 +112,6 @@ impl WalTail {
             partial: Vec::new(),
             anchor: Vec::new(),
         }
-    }
-
-    /// The file being tailed.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Byte offset of the next unconsumed byte (pending partial-record

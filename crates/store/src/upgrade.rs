@@ -30,12 +30,12 @@ use asha_space::ParamValue;
 
 use crate::binary::{put_value, put_varint, Reader, TAG_ARR};
 use crate::codec;
-use crate::error::{Error, StoreError};
 use crate::experiment::WAL_FILE;
 use crate::format::{encode_wal, WAL_MAGIC};
 use crate::snapshot::{checkpoint_position, delta_file_name, fsync_dir, read_payload};
 use crate::snapshot::{write_atomic, write_document, Snapshot, EXT};
 use crate::wal::{SnapMarker, StoreEvent, WalContents, WalRecord};
+use asha_core::Error;
 
 const V1: &str = "jsonl-v1";
 const V2: &str = "binary-v2";
@@ -43,13 +43,13 @@ const V2: &str = "binary-v2";
 /// Convert the experiment store in `dir` to `binary-v2` in place (see the
 /// module docs). Costs a store with nothing to convert, or a missing
 /// directory, one listing and an 8-byte read.
-pub fn store(dir: &Path) -> Result<(), StoreError> {
+pub fn store(dir: &Path) -> Result<(), Error> {
     if !dir.is_dir() {
         return Ok(());
     }
     let wal_path = dir.join(WAL_FILE);
     let v1_wal = v1_wal_bytes(&wal_path)?
-        .map(|bytes| wal(&bytes).map_err(|msg| StoreError::corrupt(&wal_path, msg)))
+        .map(|bytes| wal(&bytes).map_err(|msg| Error::corrupt(&wal_path, msg)))
         .transpose()?;
     let mut converted = Vec::new();
     for file in checkpoints(dir)?.into_iter().filter(|c| c.dialect == V1) {
@@ -70,7 +70,7 @@ pub fn store(dir: &Path) -> Result<(), StoreError> {
         write_atomic(dir, WAL_FILE, &[&encode_wal(&contents.records)])?;
     }
     for path in &converted {
-        std::fs::remove_file(path).map_err(|e| StoreError::io(path, e))?;
+        std::fs::remove_file(path).map_err(|e| Error::io(path, e))?;
     }
     if converted.is_empty() {
         return Ok(());
@@ -81,30 +81,30 @@ pub fn store(dir: &Path) -> Result<(), StoreError> {
 /// Read the WAL at `path` without writing, whichever dialect it is in:
 /// `binary-v2` through [`crate::read_wal`], anything else as `jsonl-v1`.
 /// Returns the dialect's name beside the contents.
-pub fn read_wal(path: &Path) -> Result<(WalContents, &'static str), StoreError> {
+pub fn read_wal(path: &Path) -> Result<(WalContents, &'static str), Error> {
     match v1_wal_bytes(path)? {
         None => Ok((crate::read_wal(path)?, V2)),
         Some(bytes) => wal(&bytes)
             .map(|contents| (contents, V1))
-            .map_err(|msg| StoreError::corrupt(path, msg)),
+            .map_err(|msg| Error::corrupt(path, msg)),
     }
 }
 
 /// The WAL's bytes when it neither starts with the `binary-v2` magic nor
 /// is a prefix of it (a file its writer had only just created); `None`
 /// when there is nothing to convert, a missing file included.
-fn v1_wal_bytes(path: &Path) -> Result<Option<Vec<u8>>, StoreError> {
+fn v1_wal_bytes(path: &Path) -> Result<Option<Vec<u8>>, Error> {
     let mut head = Vec::with_capacity(WAL_MAGIC.len());
     match std::fs::File::open(path) {
         Ok(file) => file.take(WAL_MAGIC.len() as u64).read_to_end(&mut head),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => Err(e),
     }
-    .map_err(|e| StoreError::io(path, e))?;
+    .map_err(|e| Error::io(path, e))?;
     if WAL_MAGIC.starts_with(&head) {
         return Ok(None);
     }
-    let bytes = std::fs::read(path).map_err(|e| StoreError::io(path, e))?;
+    let bytes = std::fs::read(path).map_err(|e| Error::io(path, e))?;
     Ok(Some(bytes))
 }
 
@@ -123,23 +123,23 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// The file's binvalue payload: what its `.bin` holds, or will hold.
-    pub fn payload(&self) -> Result<Vec<u8>, StoreError> {
+    pub fn payload(&self) -> Result<Vec<u8>, Error> {
         if self.dialect == V2 {
             return read_payload(&self.path);
         }
-        let bytes = std::fs::read(&self.path).map_err(|e| StoreError::io(&self.path, e))?;
-        document(&bytes).map_err(|msg| StoreError::corrupt(&self.path, msg))
+        let bytes = std::fs::read(&self.path).map_err(|e| Error::io(&self.path, e))?;
+        document(&bytes).map_err(|msg| Error::corrupt(&self.path, msg))
     }
 }
 
 /// Every checkpoint file in `dir`, in chain order (a `.bin` before a
 /// `.json` of the same position).
-pub fn checkpoints(dir: &Path) -> Result<Vec<Checkpoint>, StoreError> {
+pub fn checkpoints(dir: &Path) -> Result<Vec<Checkpoint>, Error> {
     let mut found = Vec::new();
-    for entry in std::fs::read_dir(dir).map_err(|e| StoreError::io(dir, e))? {
+    for entry in std::fs::read_dir(dir).map_err(|e| Error::io(dir, e))? {
         let (name, path) = entry
             .map(|e| (e.file_name(), e.path()))
-            .map_err(|e| StoreError::io(dir, e))?;
+            .map_err(|e| Error::io(dir, e))?;
         for (ext, dialect) in [(EXT, V2), ("json", V1)] {
             if let Some((snap, delta)) = checkpoint_position(&name.to_string_lossy(), ext) {
                 let path = path.clone();
@@ -301,11 +301,11 @@ pub(crate) fn keyed_param_value(r: &mut Reader<'_>) -> Result<ParamValue, Error>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::ErrorKind;
     use crate::format::tests::sample_records;
     use crate::wal::rewrite_to_marker;
     use crate::WalTail;
     use asha_core::telemetry::{Event, EventKind};
+    use asha_core::ErrorKind;
     use proptest::prelude::*;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -340,9 +340,9 @@ mod tests {
     }
 
     /// The v1 WAL at `path`, read in memory as tools read it.
-    fn read_v1(path: &Path) -> Result<WalContents, StoreError> {
-        let bytes = std::fs::read(path).map_err(|e| StoreError::io(path, e))?;
-        wal(&bytes).map_err(|msg| StoreError::corrupt(path, msg))
+    fn read_v1(path: &Path) -> Result<WalContents, Error> {
+        let bytes = std::fs::read(path).map_err(|e| Error::io(path, e))?;
+        wal(&bytes).map_err(|msg| Error::corrupt(path, msg))
     }
 
     /// Every file in `dir` with its bytes, by name.
@@ -417,7 +417,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             read_v1(&path).unwrap_err().kind(),
-            crate::error::ErrorKind::Corrupt
+            asha_core::ErrorKind::Corrupt
         );
         std::fs::remove_dir_all(&dir).ok();
     }

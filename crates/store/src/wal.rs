@@ -27,8 +27,8 @@ pub use asha_core::Durability;
 use asha_metrics::{push_json_f64, push_json_str, push_json_u64};
 use asha_obs::Event;
 
-use crate::error::StoreError;
 use crate::format::{decode_step, encode_record, encode_wal, DecodeStep, EncodeBuf, WAL_MAGIC};
+use asha_core::Error;
 
 /// An experiment-lifecycle record (everything that is neither telemetry
 /// nor a snapshot marker).
@@ -220,8 +220,8 @@ impl WalWriter {
     /// Create a fresh `binary-v2` WAL (truncating any existing file). The
     /// magic is written and flushed immediately: a file this writer left
     /// lacks it only when the process died before those 8 bytes landed.
-    pub fn create(path: &Path, policy: Durability) -> Result<Self, StoreError> {
-        let file = File::create(path).map_err(|e| StoreError::io(path, e))?;
+    pub fn create(path: &Path, policy: Durability) -> Result<Self, Error> {
+        let file = File::create(path).map_err(|e| Error::io(path, e))?;
         WalWriter::from_file(file, path, policy, 0).with_magic()
     }
 
@@ -230,17 +230,17 @@ impl WalWriter {
     /// `telemetry_so_far` seeds the telemetry counter (the recovered event
     /// count), so snapshot markers written after recovery carry correct
     /// positions.
-    pub fn open_append(
+    pub(crate) fn open_append(
         path: &Path,
         policy: Durability,
         telemetry_so_far: u64,
-    ) -> Result<Self, StoreError> {
+    ) -> Result<Self, Error> {
         let file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(path)
-            .map_err(|e| StoreError::io(path, e))?;
-        let empty = file.metadata().map_err(|e| StoreError::io(path, e))?.len() == 0;
+            .map_err(|e| Error::io(path, e))?;
+        let empty = file.metadata().map_err(|e| Error::io(path, e))?.len() == 0;
         let writer = WalWriter::from_file(file, path, policy, telemetry_so_far);
         if empty {
             writer.with_magic()
@@ -262,23 +262,24 @@ impl WalWriter {
         }
     }
 
-    fn with_magic(mut self) -> Result<Self, StoreError> {
+    fn with_magic(mut self) -> Result<Self, Error> {
         self.file
             .write_all(WAL_MAGIC)
-            .map_err(|e| StoreError::io(&self.path, e))?;
+            .map_err(|e| Error::io(&self.path, e))?;
         self.flush()?;
         Ok(self)
     }
 
     /// Attach durability-plane histograms; subsequent appends and fsyncs
     /// record their latency into `metrics`.
-    pub fn set_metrics(&mut self, metrics: std::sync::Arc<crate::StoreMetrics>) {
+    pub(crate) fn set_metrics(&mut self, metrics: std::sync::Arc<crate::StoreMetrics>) {
         self.metrics = Some(metrics);
     }
 
     /// Telemetry events written (including any recovered count passed to
     /// [`WalWriter::open_append`]).
-    pub fn telemetry_appended(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn telemetry_appended(&self) -> u64 {
         self.telemetry_appended
     }
 
@@ -288,19 +289,19 @@ impl WalWriter {
     /// the same events after recovery counts the same bytes, which is what
     /// lets the amortised checkpoint rule ([`crate::RunOptions`]) repeat
     /// across a crash.
-    pub fn telemetry_bytes(&self) -> u64 {
+    pub(crate) fn telemetry_bytes(&self) -> u64 {
         self.telemetry_bytes
     }
 
     /// Append one record. This is the only write entry point: every call
     /// site hands the writer a typed [`WalRecord`], and [`encode_record`]
     /// owns the bytes.
-    pub fn append(&mut self, record: &WalRecord) -> Result<(), StoreError> {
+    pub fn append(&mut self, record: &WalRecord) -> Result<(), Error> {
         let start = self.metrics.is_some().then(std::time::Instant::now);
         encode_record(record, &mut self.buf);
         self.file
             .write_all(&self.buf.bytes)
-            .map_err(|e| StoreError::io(&self.path, e))?;
+            .map_err(|e| Error::io(&self.path, e))?;
         if matches!(record, WalRecord::Decision(_) | WalRecord::Job(_)) {
             self.telemetry_appended += 1;
             self.telemetry_bytes += self.buf.bytes.len() as u64;
@@ -316,19 +317,19 @@ impl WalWriter {
     }
 
     /// Flush userspace buffers to the OS (no fsync).
-    pub fn flush(&mut self) -> Result<(), StoreError> {
-        self.file.flush().map_err(|e| StoreError::io(&self.path, e))
+    pub(crate) fn flush(&mut self) -> Result<(), Error> {
+        self.file.flush().map_err(|e| Error::io(&self.path, e))
     }
 
     /// Flush and fsync: every appended record is crash-durable when this
     /// returns `Ok`.
-    pub fn sync(&mut self) -> Result<(), StoreError> {
+    pub fn sync(&mut self) -> Result<(), Error> {
         let start = self.metrics.is_some().then(std::time::Instant::now);
         self.flush()?;
         self.file
             .get_ref()
             .sync_all()
-            .map_err(|e| StoreError::io(&self.path, e))?;
+            .map_err(|e| Error::io(&self.path, e))?;
         self.since_sync = 0;
         if let (Some(m), Some(t0)) = (&self.metrics, start) {
             m.wal_fsync.observe_duration(t0.elapsed());
@@ -374,7 +375,8 @@ impl WalContents {
     }
 
     /// Number of telemetry events.
-    pub fn telemetry_len(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn telemetry_len(&self) -> u64 {
         self.telemetry().count() as u64
     }
 
@@ -396,10 +398,10 @@ impl WalContents {
 /// a valid record is corruption. A file shorter than the magic that is a
 /// prefix of it (a crash before the magic landed) reads as empty; any other
 /// file without the magic is corrupt.
-pub fn read_wal(path: &Path) -> Result<WalContents, StoreError> {
-    let bytes = std::fs::read(path).map_err(|e| StoreError::io(path, e))?;
+pub fn read_wal(path: &Path) -> Result<WalContents, Error> {
+    let bytes = std::fs::read(path).map_err(|e| Error::io(path, e))?;
     if !bytes.starts_with(WAL_MAGIC) && !WAL_MAGIC.starts_with(&bytes) {
-        return Err(StoreError::corrupt(path, "not a binary-v2 WAL (no magic)"));
+        return Err(Error::corrupt(path, "not a binary-v2 WAL (no magic)"));
     }
     let mut records = Vec::new();
     let mut torn_tail = !bytes.is_empty() && bytes.len() < WAL_MAGIC.len();
@@ -411,7 +413,7 @@ pub fn read_wal(path: &Path) -> Result<WalContents, StoreError> {
         match decode_step(&bytes[pos..]) {
             DecodeStep::Record { consumed, record } => {
                 if let Some(why) = damage {
-                    return Err(StoreError::corrupt(path, why));
+                    return Err(Error::corrupt(path, why));
                 }
                 records.push(record);
                 pos += consumed;
@@ -423,7 +425,7 @@ pub fn read_wal(path: &Path) -> Result<WalContents, StoreError> {
             // Destroyed framing cannot come from a torn append (partial
             // writes decode as Incomplete): before any damage, corruption.
             DecodeStep::Lost(why) if damage.is_none() => {
-                return Err(StoreError::corrupt(path, format!("record {at}: {why}")));
+                return Err(Error::corrupt(path, format!("record {at}: {why}")));
             }
             DecodeStep::Incomplete | DecodeStep::Lost(_) => {
                 torn_tail = true;
@@ -443,7 +445,7 @@ pub(crate) fn rewrite_to_marker(
     wal_path: &Path,
     contents: &WalContents,
     marker: MarkerRef,
-) -> Result<(), StoreError> {
+) -> Result<(), Error> {
     let marker_idx = contents
         .records
         .iter()
@@ -454,12 +456,12 @@ pub(crate) fn rewrite_to_marker(
                     if m.snap() == marker.snap && m.delta() == marker.delta
             )
         })
-        .ok_or_else(|| StoreError::corrupt(wal_path, "checkpoint marker vanished"))?;
+        .ok_or_else(|| Error::corrupt(wal_path, "checkpoint marker vanished"))?;
     if marker_idx + 1 == contents.records.len() && !contents.torn_tail {
         return Ok(());
     }
     let (Some(dir), Some(name)) = (wal_path.parent(), wal_path.file_name()) else {
-        return Err(StoreError::corrupt(wal_path, "WAL path names no file"));
+        return Err(Error::corrupt(wal_path, "WAL path names no file"));
     };
     let bytes = encode_wal(&contents.records[..=marker_idx]);
     crate::snapshot::write_atomic(dir, &name.to_string_lossy(), &[&bytes]).map(|_| ())
@@ -640,7 +642,7 @@ mod tests {
         bytes[0] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         let err = read_wal(&path).unwrap_err();
-        assert_eq!(err.kind(), crate::error::ErrorKind::Corrupt);
+        assert_eq!(err.kind(), asha_core::ErrorKind::Corrupt);
         assert_eq!(err.path(), Some(path.as_path()));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -693,7 +695,7 @@ mod tests {
         std::fs::write(&path, &mid_flip).unwrap();
         assert_eq!(
             read_wal(&path).unwrap_err().kind(),
-            crate::error::ErrorKind::Corrupt
+            asha_core::ErrorKind::Corrupt
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -12,7 +12,7 @@ use crate::pseudo::SmoothPseudo;
 /// exceeds `threshold` risk diverging, producing losses "orders of magnitude
 /// larger than the average case" (Section 4.3).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DivergenceSpec {
+pub(crate) struct DivergenceSpec {
     /// Index of the hyperparameter that drives divergence (typically the
     /// learning rate).
     pub dim: usize,
@@ -341,7 +341,7 @@ impl CurveBenchmarkBuilder {
     /// # Panics
     ///
     /// Panics if the length does not match the space dimensionality.
-    pub fn optimum(mut self, opt: &[f64]) -> Self {
+    pub(crate) fn optimum(mut self, opt: &[f64]) -> Self {
         assert_eq!(opt.len(), self.inner.space.len(), "optimum dimensionality");
         self.inner.opt = opt.to_vec();
         self
@@ -352,7 +352,7 @@ impl CurveBenchmarkBuilder {
     /// # Panics
     ///
     /// Panics if the length does not match the space dimensionality.
-    pub fn weights(mut self, w: &[f64]) -> Self {
+    pub(crate) fn weights(mut self, w: &[f64]) -> Self {
         assert_eq!(w.len(), self.inner.space.len(), "weights dimensionality");
         self.inner.weights = w.to_vec();
         self
@@ -360,14 +360,14 @@ impl CurveBenchmarkBuilder {
 
     /// Extra penalty multiplier for overshooting dimension `dim` (e.g. 3.0
     /// makes too-high learning rates much worse than too-low ones).
-    pub fn asymmetric(mut self, dim: usize, up_penalty: f64) -> Self {
+    pub(crate) fn asymmetric(mut self, dim: usize, up_penalty: f64) -> Self {
         self.inner.asym_up[dim] = up_penalty;
         self
     }
 
     /// Loss range: asymptotes lie in `[floor, floor + range]` (before
     /// jitter); `init_loss` is the untrained loss; `cap` clamps outputs.
-    pub fn losses(mut self, floor: f64, range: f64, init_loss: f64, cap: f64) -> Self {
+    pub(crate) fn losses(mut self, floor: f64, range: f64, init_loss: f64, cap: f64) -> Self {
         assert!(
             range > 0.0 && floor >= 0.0 && cap > floor,
             "invalid loss shape"
@@ -381,7 +381,7 @@ impl CurveBenchmarkBuilder {
 
     /// Quality-surface shape: `sharpness` scales the distance bowl,
     /// `roughness` the pseudo-random field's amplitude.
-    pub fn shape(mut self, sharpness: f64, roughness: f64) -> Self {
+    pub(crate) fn shape(mut self, sharpness: f64, roughness: f64) -> Self {
         self.inner.sharpness = sharpness;
         self.inner.roughness = roughness;
         self
@@ -389,7 +389,7 @@ impl CurveBenchmarkBuilder {
 
     /// Convergence dynamics: `rate_base` is the median exponential rate per
     /// full-`R` of training; `rate_span` the log-spread across configs.
-    pub fn dynamics(mut self, rate_base: f64, rate_span: f64) -> Self {
+    pub(crate) fn dynamics(mut self, rate_base: f64, rate_span: f64) -> Self {
         assert!(rate_base > 0.0, "rate must be positive");
         self.inner.rate_base = rate_base;
         self.inner.rate_span = rate_span;
@@ -400,7 +400,7 @@ impl CurveBenchmarkBuilder {
     /// (log-rate bonus for a quality-0 config relative to a quality-1 one
     /// is `2 * coupling`). Zero decouples them entirely, making early
     /// losses rank configurations by speed rather than quality.
-    pub fn rate_quality_coupling(mut self, coupling: f64) -> Self {
+    pub(crate) fn rate_quality_coupling(mut self, coupling: f64) -> Self {
         self.inner.rate_quality_coupling = coupling;
         self
     }
@@ -415,7 +415,7 @@ impl CurveBenchmarkBuilder {
 
     /// Generalization gap: test loss exceeds validation loss by up to
     /// `gap_frac * range`.
-    pub fn gap(mut self, gap_frac: f64) -> Self {
+    pub(crate) fn gap(mut self, gap_frac: f64) -> Self {
         self.inner.gap_frac = gap_frac;
         self
     }
@@ -440,7 +440,7 @@ impl CurveBenchmarkBuilder {
     }
 
     /// Enable divergence for configurations with a high coordinate on `dim`.
-    pub fn divergence(mut self, spec: DivergenceSpec) -> Self {
+    pub(crate) fn divergence(mut self, spec: DivergenceSpec) -> Self {
         assert!(spec.dim < self.inner.space.len(), "divergence dim in range");
         self.inner.divergence = Some(spec);
         self

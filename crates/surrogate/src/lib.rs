@@ -41,15 +41,16 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod curve;
 mod model;
 pub mod presets;
 mod pseudo;
 
-pub use curve::{CurveBenchmark, CurveBenchmarkBuilder, DivergenceSpec};
+pub use curve::CurveBenchmark;
 pub use model::{BenchmarkModel, ConfigProfile, TrainingState};
-pub use pseudo::SmoothPseudo;
+pub(crate) use pseudo::SmoothPseudo;
 
 // The parallel experiment runner (asha-bench) shares one `&dyn
 // BenchmarkModel` across worker threads, so every benchmark must stay plain

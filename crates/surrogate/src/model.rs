@@ -26,20 +26,7 @@ pub struct TrainingState {
     pub diverged: bool,
 }
 
-impl TrainingState {
-    /// A fresh, untrained, jitter-free state (useful in tests; benchmarks
-    /// construct states via [`BenchmarkModel::init_state`]).
-    pub fn fresh(init_loss: f64) -> Self {
-        TrainingState {
-            resource: 0.0,
-            loss: init_loss,
-            asym_jitter: 0.0,
-            rate_jitter: 1.0,
-            divergence_draw: 1.0,
-            diverged: false,
-        }
-    }
-}
+impl TrainingState {}
 
 /// Precomputed per-configuration response of a benchmark: everything the
 /// simulator needs to advance a run and score it, with the config-dependent

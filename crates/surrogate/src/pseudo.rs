@@ -11,7 +11,7 @@ use rand::{Rng, SeedableRng};
 
 /// A smooth deterministic field `f: [0,1]^d -> [0,1]`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SmoothPseudo {
+pub(crate) struct SmoothPseudo {
     directions: Vec<Vec<f64>>,
     phases: Vec<f64>,
     frequencies: Vec<f64>,
@@ -24,7 +24,7 @@ impl SmoothPseudo {
     /// # Panics
     ///
     /// Panics if `waves == 0` or `dims == 0`.
-    pub fn new(seed: u64, dims: usize, waves: usize) -> Self {
+    pub(crate) fn new(seed: u64, dims: usize, waves: usize) -> Self {
         assert!(dims > 0, "field needs at least one dimension");
         assert!(waves > 0, "field needs at least one wave");
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
@@ -53,7 +53,7 @@ impl SmoothPseudo {
 
     /// Evaluate the field at a point (coordinates are used as given; points
     /// outside the cube extrapolate smoothly). Result lies in `[0, 1]`.
-    pub fn eval(&self, u: &[f64]) -> f64 {
+    pub(crate) fn eval(&self, u: &[f64]) -> f64 {
         let mut acc = 0.0;
         for ((v, phase), freq) in self
             .directions

@@ -29,7 +29,7 @@ use asha_core::{
     RandomSearch, Scheduler, ShaConfig, SyncSha,
 };
 use asha_metrics::{FaultStats, RunTrace};
-use asha_sim::{ClusterSim, ResumePolicy, SimConfig, SimResult, TraceMode};
+use asha_sim::{ClusterSim, SimConfig, SimResult, TraceMode};
 use asha_space::{Config, SearchSpace};
 use asha_surrogate::BenchmarkModel;
 use rand::SeedableRng;
@@ -296,7 +296,6 @@ pub struct SimTune<'a> {
     horizon: f64,
     straggler_std: f64,
     drop_prob: f64,
-    resume: ResumePolicy,
     trace_mode: TraceMode,
     seed: u64,
 }
@@ -313,7 +312,6 @@ impl<'a> SimTune<'a> {
             horizon,
             straggler_std: 0.0,
             drop_prob: 0.0,
-            resume: ResumePolicy::Checkpoint,
             trace_mode: TraceMode::Full,
             seed: 0,
         }
@@ -349,17 +347,12 @@ impl<'a> SimTune<'a> {
         self
     }
 
-    /// Resume policy for promotions.
-    pub fn resume(mut self, resume: ResumePolicy) -> Self {
-        self.resume = resume;
-        self
-    }
-
     /// How much of the completion stream to keep. [`TraceMode::Full`] (the
     /// default) records every job; [`TraceMode::IncumbentOnly`] keeps
     /// O(incumbent-updates) memory on long horizons with the identical
     /// incumbent curve; [`TraceMode::Aggregated`] keeps scalars only.
-    pub fn trace_mode(mut self, mode: TraceMode) -> Self {
+    #[cfg(test)]
+    pub(crate) fn trace_mode(mut self, mode: TraceMode) -> Self {
         self.trace_mode = mode;
         self
     }
@@ -383,7 +376,6 @@ impl<'a> SimTune<'a> {
             SimConfig::new(self.workers, self.horizon)
                 .with_stragglers(self.straggler_std)
                 .with_drops(self.drop_prob)
-                .with_resume(self.resume)
                 .with_trace_mode(self.trace_mode),
         );
         let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed);
