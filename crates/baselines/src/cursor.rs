@@ -13,7 +13,8 @@
 //! is bit-exact (including negative zeros and infinities) and a restored
 //! sampler proposes byte-identical configurations — the property the
 //! kill-and-recover tests assert. Decoding is atomic: a malformed cursor is
-//! rejected wholesale rather than partially applied.
+//! rejected wholesale rather than partially applied, and a sampler also
+//! refuses, whole, a cursor whose rows do not fit its space ([`rows_fit`]).
 
 use std::collections::BTreeMap;
 
@@ -70,6 +71,18 @@ pub(crate) fn decode_by_rung(header: &str, cursor: &str) -> Option<ByRung> {
     Some(by_rung)
 }
 
+/// Whether every row of `by_rung` is a point of the `width`-dimensional
+/// unit cube, as [`asha_space::SearchSpace::to_unit`] records it: exactly
+/// `width` coordinates, each in `[0, 1]` (NaN is not). A row that is not
+/// came from another space or a corrupted cursor, and a short one would
+/// index out of bounds at the next modelled proposal.
+pub(crate) fn rows_fit(by_rung: &ByRung, width: usize) -> bool {
+    by_rung
+        .values()
+        .flatten()
+        .all(|(u, _)| u.len() == width && u.iter().all(|x| (0.0..=1.0).contains(x)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,5 +121,24 @@ mod tests {
         assert_eq!(decode_by_rung("tpe-v1", "tpe-v1;nonsense"), None);
         assert_eq!(decode_by_rung("tpe-v1", "tpe-v1;0=zz:aa"), None);
         assert_eq!(decode_by_rung("tpe-v1", ""), None);
+    }
+
+    #[test]
+    fn rows_must_fit_the_space() {
+        let mut by_rung = ByRung::new();
+        by_rung.insert(
+            0,
+            vec![(vec![0.0, 1.0], 0.5), (vec![-0.0, 0.25], f64::INFINITY)],
+        );
+        by_rung.insert(2, Vec::new());
+        assert!(rows_fit(&by_rung, 2));
+        assert!(!rows_fit(&by_rung, 1));
+        assert!(!rows_fit(&by_rung, 3));
+        assert!(rows_fit(&ByRung::new(), 7));
+        for bad in [f64::NAN, 1.5, -1e-300, f64::INFINITY] {
+            let mut by_rung = by_rung.clone();
+            by_rung.insert(1, vec![(vec![0.5, bad], 0.1)]);
+            assert!(!rows_fit(&by_rung, 2), "coordinate {bad} accepted");
+        }
     }
 }

@@ -23,7 +23,7 @@ use asha_math::{expected_improvement, Gp, GpConfig};
 use asha_space::{Config, SearchSpace};
 use rand::Rng;
 
-use crate::cursor::{decode_by_rung, encode_by_rung};
+use crate::cursor::{decode_by_rung, encode_by_rung, rows_fit};
 
 /// Version header of the GP sampler cursor format.
 const CURSOR_HEADER: &str = "gp-v1";
@@ -149,7 +149,9 @@ impl ConfigSampler for GpSampler {
     }
 
     fn restore_cursor(&mut self, cursor: &str) {
-        if let Some(by_rung) = decode_by_rung(CURSOR_HEADER, cursor) {
+        if let Some(by_rung) = decode_by_rung(CURSOR_HEADER, cursor)
+            .filter(|by_rung| rows_fit(by_rung, self.space.len()))
+        {
             self.by_rung = by_rung;
         }
     }
@@ -158,6 +160,7 @@ impl ConfigSampler for GpSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cursor::ByRung;
     use asha_space::Scale;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -254,6 +257,33 @@ mod tests {
             let a = warm.propose(&s, &mut ra);
             let b = cold.propose(&s, &mut rb);
             assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        }
+    }
+
+    #[test]
+    fn a_cursor_that_does_not_fit_the_space_stays_cold() {
+        let s = space();
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut short = ByRung::new();
+        short.insert(
+            0,
+            (0..20)
+                .map(|i| (vec![rng.gen::<f64>()], f64::from(i)))
+                .collect(),
+        );
+        let mut out_of_range = ByRung::new();
+        out_of_range.insert(0, vec![(vec![0.5, 1.5], 0.1); 20]);
+        for by_rung in [short, out_of_range] {
+            let mut gp = GpSampler::new(
+                s.clone(),
+                GpSamplerConfig {
+                    random_fraction: 0.0,
+                    ..GpSamplerConfig::default()
+                },
+            );
+            gp.restore_cursor(&encode_by_rung(CURSOR_HEADER, &by_rung));
+            assert_eq!(gp.export_cursor().as_deref(), Some(CURSOR_HEADER));
+            assert_eq!(gp.propose(&s, &mut rng).len(), 2);
         }
     }
 }

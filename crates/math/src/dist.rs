@@ -7,7 +7,7 @@
 use rand::Rng;
 
 /// Inverse of `sqrt(2*pi)`.
-const INV_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
+pub(crate) const INV_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
 
 /// Draw one standard-normal sample using the Box–Muller transform.
 ///

@@ -13,7 +13,7 @@
 //!   kernel and the expected-improvement acquisition (the Vizier-like and
 //!   Fabolas-like baselines).
 //! * `kde` — one-dimensional Gaussian kernel density estimation (the TPE
-//!   sampler inside BOHB).
+//!   sampler inside BOHB), with a batch density of bounded relative error.
 //!
 //! # Examples
 //!

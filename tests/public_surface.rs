@@ -21,7 +21,7 @@ const SURFACE: [(&str, usize); 14] = [
     ("crates/bench/src", 20),
     ("crates/core/src", 146),
     ("crates/exec/src", 37),
-    ("crates/math/src", 37),
+    ("crates/math/src", 39),
     ("crates/metrics/src", 60),
     ("crates/ml/src", 26),
     ("crates/obs/src", 79),
