@@ -20,6 +20,17 @@ fn s_max(r: f64, max_r: f64, eta: f64) -> usize {
     k as usize
 }
 
+/// The fewest base-rung configurations a synchronous bracket needs for one
+/// to reach rung `top`, when each rung keeps `floor(n / eta)` of its `n`.
+///
+/// Iterated down from the top: one survivor there needs `ceil(eta)` below
+/// it, `m` survivors need `ceil(m * eta)`. That is `eta^top` for a whole
+/// `eta`; for any other `eta` the rounding compounds and `eta^top` is too
+/// few (`eta = 2.5`, two rungs up: 8, not 6).
+pub(crate) fn min_configs(eta: f64, top: usize) -> usize {
+    (0..top).fold(1, |m, _| (m as f64 * eta).ceil() as usize)
+}
+
 /// The rung geometry of one bracket — `(r, R, eta, s)`, validated — and the
 /// only place the workspace derives rung counts and rung resources from
 /// them. Every scheduler config checks itself by building one.

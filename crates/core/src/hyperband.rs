@@ -9,7 +9,7 @@
 use asha_space::SearchSpace;
 
 use crate::asha::{Asha, AshaConfig};
-use crate::budget::{self, Geometry};
+use crate::budget::{self, min_configs, Geometry};
 use crate::error::Error;
 use crate::sampler::ConfigSampler;
 use crate::scheduler::{Decision, Job, Observation, Scheduler, TrialId};
@@ -105,8 +105,8 @@ impl HyperbandConfig {
         let rungs = (s_max - s + 1) as f64;
         let n = ((s_max as f64 + 1.0) * self.reduction_factor.powi((s_max - s) as i32) / rungs)
             .ceil() as usize;
-        // Algorithm 1's precondition: n >= eta^(s_max - s).
-        n.max(self.reduction_factor.powi((s_max - s) as i32) as usize)
+        // Algorithm 1's precondition: enough configurations to reach R.
+        n.max(min_configs(self.reduction_factor, s_max - s))
     }
 
     fn sha_config(&self, s: usize) -> ShaConfig {
@@ -462,6 +462,14 @@ mod tests {
             assert!(w[0] > w[1], "sizes must decrease: {sizes:?}");
         }
         assert_eq!(sizes[4], 5);
+    }
+
+    #[test]
+    fn fractional_eta_brackets_are_big_enough_to_reach_the_top() {
+        // ceil(3 * 2.5^2 / 3) = 7 would stop at 7 → 2 → 0.
+        let cfg = HyperbandConfig::new(1.0, 6.25, 2.5);
+        assert_eq!(cfg.bracket_num_configs(0), 8);
+        assert!(cfg.sha_config(0).validate().is_ok());
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //!   ([`SchedulerState`]) and [`DurableScheduler`], the one interface a
 //!   store needs to persist and restore any of them.
 //! * [`telemetry`] — the structured-event vocabulary (suggest / promote /
-//!   grow_bottom / job lifecycle / faults), the zero-cost [`Recorder`] sink
-//!   both execution layers emit into, and the `InstrumentedScheduler`
-//!   decorator; collection and reporting live in `asha-obs`.
+//!   grow_bottom / job lifecycle / faults) and the zero-cost [`Recorder`]
+//!   sink both execution layers emit into; collection and reporting live in
+//!   `asha-obs`.
 //! * [`error`] — the unified [`Error`] type (kind + context chain) every
 //!   fallible surface in the workspace converges on.
 //!

@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 
 use asha_space::{Config, SearchSpace};
 
-use crate::budget::Geometry;
+use crate::budget::{min_configs, Geometry};
 use crate::error::Error;
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::sampler::{ConfigSampler, RandomSampler};
@@ -94,15 +94,16 @@ impl ShaConfig {
     }
 
     /// Check Algorithm 1's preconditions without building a scheduler: a
-    /// valid geometry and `n >= eta^(s_max - s)` (line 3), so that at least
-    /// one configuration reaches `R`. Decoders of untrusted input call this;
-    /// [`SyncSha::new`] panics on the same conditions.
+    /// valid geometry and enough configurations that at least one reaches
+    /// `R` (line 3's `n >= eta^(s_max - s)`, rounded rung by rung for a
+    /// fractional `eta`; see `budget::min_configs`). Decoders of untrusted
+    /// input call this; [`SyncSha::new`] panics on the same conditions.
     pub fn validate(&self) -> Result<(), Error> {
         let top = self.geometry()?.num_rungs() - 1;
-        let needed = self.reduction_factor.powi(top as i32) as usize;
+        let needed = min_configs(self.reduction_factor, top);
         if self.num_configs < needed {
             return Err(Error::config(format!(
-                "n = {} too small: need at least eta^(s_max - s) = {needed}",
+                "n = {} too small: need at least {needed} to reach the top rung",
                 self.num_configs
             )));
         }
@@ -514,6 +515,22 @@ mod tests {
     #[should_panic(expected = "too small")]
     fn too_few_configs_is_rejected() {
         let _ = SyncSha::new(space(), ShaConfig::new(8, 1.0, 9.0, 3.0));
+    }
+
+    /// With `eta = 2.5` and two rungs above the base, each rung keeps
+    /// `floor(n / 2.5)`: 7 → 2 → 0 never reaches `R`, 8 → 3 → 1 does.
+    #[test]
+    fn fractional_eta_needs_enough_configs_to_reach_the_top() {
+        let too_few = ShaConfig::new(7, 1.0, 6.25, 2.5);
+        assert!(too_few.validate().is_err(), "7 → 2 → 0 stops below R");
+        let mut sha = SyncSha::new(space(), ShaConfig::new(8, 1.0, 6.25, 2.5));
+        let mut r = rng();
+        let mut rung_sizes = [0usize; 3];
+        while let Decision::Run(job) = sha.suggest(&mut r) {
+            rung_sizes[job.rung] += 1;
+            sha.observe(Observation::for_job(&job, job.trial.0 as f64));
+        }
+        assert_eq!(rung_sizes, [8, 3, 1]);
     }
 
     #[test]

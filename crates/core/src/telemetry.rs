@@ -1,5 +1,4 @@
-//! Structured run telemetry: scheduling events, the [`Recorder`] sink, and
-//! the [`InstrumentedScheduler`] decorator.
+//! Structured run telemetry: scheduling events and the [`Recorder`] sink.
 //!
 //! Every claim about ASHA is a claim about *scheduling dynamics under
 //! parallelism* — who sits in which rung, how long promotable configurations
@@ -31,7 +30,7 @@
 //! strictly increasing; the collecting recorder in `asha-obs` debug-asserts
 //! both.
 
-use crate::scheduler::{Decision, Job, Observation, Scheduler};
+use crate::scheduler::{Decision, Job};
 
 /// Why a suggest call produced no job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,16 +212,6 @@ impl EventKind {
             resource: job.resource,
         }
     }
-
-    /// The job-end event for an observation.
-    pub(crate) fn job_end(obs: &Observation) -> EventKind {
-        EventKind::JobEnd {
-            trial: obs.trial.0,
-            rung: obs.rung,
-            resource: obs.resource,
-            loss: obs.loss,
-        }
-    }
 }
 
 /// A recorded event: a kind stamped with a sequence number and a timestamp.
@@ -288,78 +277,6 @@ impl<R: Recorder + ?Sized> Recorder for &mut R {
     #[inline]
     fn record(&mut self, now: f64, kind: EventKind) {
         (**self).record(now, kind);
-    }
-}
-
-/// A [`Scheduler`] decorator that records every decision and observation
-/// into a [`Recorder`], without changing behaviour: the wrapped scheduler
-/// sees exactly the calls (and RNG stream) the bare one would.
-///
-/// Use this when driving a scheduler *directly* (custom loops, tests,
-/// throughput rigs). Under `asha-sim` / `asha-exec`, prefer their
-/// `run_recorded` entry points instead — the execution layer also emits job
-/// lifecycle and fault events and stamps everything with its own clock,
-/// which this decorator cannot see. Set the decorator's clock with
-/// [`set_time`](InstrumentedScheduler::set_time) if the driver has one;
-/// otherwise all events are stamped 0.0 and ordered by `seq` alone.
-#[derive(Debug)]
-pub struct InstrumentedScheduler<S, R> {
-    inner: S,
-    recorder: R,
-    now: f64,
-}
-
-impl<S: Scheduler, R: Recorder> InstrumentedScheduler<S, R> {
-    /// Wrap `inner`, recording into `recorder`.
-    pub fn new(inner: S, recorder: R) -> Self {
-        InstrumentedScheduler {
-            inner,
-            recorder,
-            now: 0.0,
-        }
-    }
-
-    /// Advance the clock used to stamp subsequent events. Must be
-    /// non-decreasing.
-    pub fn set_time(&mut self, now: f64) {
-        self.now = now;
-    }
-
-    /// Unwrap into the scheduler and the recorder.
-    pub fn into_parts(self) -> (S, R) {
-        (self.inner, self.recorder)
-    }
-}
-
-impl<S: Scheduler, R: Recorder> Scheduler for InstrumentedScheduler<S, R> {
-    fn suggest(&mut self, rng: &mut dyn rand::RngCore) -> Decision {
-        let decision = self.inner.suggest(rng);
-        if self.recorder.enabled() {
-            self.recorder
-                .record(self.now, EventKind::of_decision(&decision));
-            if let Decision::Run(job) = &decision {
-                self.recorder.record(self.now, EventKind::job_start(job));
-            }
-        }
-        decision
-    }
-
-    fn observe(&mut self, obs: Observation) {
-        if self.recorder.enabled() {
-            self.recorder.record(self.now, EventKind::job_end(&obs));
-        }
-        self.inner.observe(obs);
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn wait_is_stable(&self) -> bool {
-        // With an active recorder every `suggest` emits a wait event — an
-        // observable effect — so batching may only elide re-asks when the
-        // recorder is off and the inner scheduler's `Wait` is stable.
-        !self.recorder.enabled() && self.inner.wait_is_stable()
     }
 }
 

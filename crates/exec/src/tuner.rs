@@ -109,7 +109,12 @@ impl ExecConfig {
     }
 
     /// Stop after `max_jobs` completions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_jobs == 0`.
     pub fn with_max_jobs(mut self, max_jobs: usize) -> Self {
+        assert!(max_jobs > 0, "max_jobs must be positive");
         self.max_jobs = max_jobs;
         self
     }
@@ -612,6 +617,12 @@ mod tests {
             .continuous("x", 0.0, 1.0, Scale::Linear)
             .build()
             .unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "max_jobs must be positive")]
+    fn zero_job_cap_rejected() {
+        let _ = ExecConfig::new(4).with_max_jobs(0);
     }
 
     /// Objective: loss = |x - 0.3| + 1/resource, checkpoint = resource seen.

@@ -10,8 +10,7 @@
 //! * [`RunRecorder`] — the collecting [`Recorder`]: buffers every event,
 //!   stamps gap-free sequence numbers, and folds each event into a
 //!   [`MetricsRegistry`] as it arrives. Plug it into
-//!   `ClusterSim::run_recorded`, `ParallelTuner::run_recorded`, or an
-//!   [`InstrumentedScheduler`].
+//!   `ClusterSim::run_recorded` or `ParallelTuner::run_recorded`.
 //! * `log` — the JSONL event-log codec: deterministic one-line-per-event
 //!   encoding (same seed ⇒ byte-identical log) and a strict parser.
 //! * [`MetricsRegistry`] — counters (decisions by kind, promotions per
@@ -70,6 +69,4 @@ pub use crate::shared::{HistogramSnapshot, SharedCounter, SharedGauge, SharedHis
 pub use crate::writer::{Durability, JsonlWriter};
 
 // Re-export the core vocabulary so downstream users need only this crate.
-pub use asha_core::telemetry::{
-    DropCause, Event, EventKind, IdleKind, InstrumentedScheduler, NoopRecorder, Recorder,
-};
+pub use asha_core::telemetry::{DropCause, Event, EventKind, IdleKind, NoopRecorder, Recorder};

@@ -1,9 +1,14 @@
 //! Property-based tests of the telemetry metrics: histogram bookkeeping and
 //! gauge non-negativity must hold for arbitrary observation sets and
-//! arbitrary (even hostile) event streams.
+//! arbitrary (even hostile) event streams, and a registry fed a real
+//! scheduler's events agrees with that scheduler's own rung state.
 
-use asha_obs::{Event, EventKind, Histogram, IdleKind, MetricsRegistry};
+use asha_core::{Asha, AshaConfig, Observation, Scheduler};
+use asha_obs::{Event, EventKind, Histogram, IdleKind, MetricsRegistry, Recorder, RunRecorder};
+use asha_space::{Scale, SearchSpace};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// One arbitrary event kind, biased toward the job lifecycle (the events
 /// that move gauges). Trials and rungs are drawn from small ranges so
@@ -128,4 +133,64 @@ proptest! {
         prop_assert!(m.promotion_wait.count() <= m.decisions.promote.get().min(m.jobs_completed.get()));
         prop_assert!(m.queue_delay.count() <= m.jobs_dropped.get().min(m.jobs_retried.get()));
     }
+}
+
+#[test]
+fn recorded_metrics_agree_with_ladder_state() {
+    let space = SearchSpace::builder()
+        .continuous("lr", 1e-4, 1.0, Scale::Log)
+        .discrete("layers", 2, 8)
+        .build()
+        .unwrap();
+    let mut asha = Asha::new(space, AshaConfig::new(1.0, 64.0, 4.0));
+    let mut recorder = RunRecorder::new();
+    let mut rng = StdRng::seed_from_u64(7);
+    // Drive by hand, recording what an execution layer records: the
+    // decision, its job's start, then its end, each job observed at once.
+    for step in 0..400 {
+        let now = step as f64;
+        let decision = asha.suggest(&mut rng);
+        recorder.record(now, EventKind::of_decision(&decision));
+        let Some(job) = decision.job() else {
+            break;
+        };
+        recorder.record(now, EventKind::job_start(&job));
+        let loss = ((job.trial.0 * 7919) % 1009) as f64 / (job.rung + 1) as f64;
+        recorder.record(
+            now,
+            EventKind::JobEnd {
+                trial: job.trial.0,
+                rung: job.rung,
+                resource: job.resource,
+                loss,
+            },
+        );
+        asha.observe(Observation::for_job(&job, loss));
+    }
+
+    let m = recorder.metrics();
+    assert_eq!(m.jobs_started.get(), m.jobs_completed.get());
+    assert_eq!(m.busy_workers.value(), 0);
+    // Per-rung occupancy equals the ladder's record count, promotions out
+    // of each rung its promoted count, and completed = promoted + pending.
+    for (rung_idx, rung) in asha.ladder().rungs().iter().enumerate() {
+        let occupancy = m.rung_occupancy.get(rung_idx).map_or(0, |g| g.value());
+        assert_eq!(
+            occupancy as usize,
+            rung.len(),
+            "occupancy at rung {rung_idx}"
+        );
+        let promoted = m.promotions_per_rung.get(rung_idx).map_or(0, |c| c.get());
+        assert_eq!(
+            promoted as usize,
+            rung.promoted_count(),
+            "promotions at rung {rung_idx}"
+        );
+        let pending = m.pending_promotions.get(rung_idx).map_or(0, |g| g.value());
+        assert_eq!(occupancy, promoted as i64 + pending);
+    }
+    // The decision counters partition the issued jobs.
+    let d = &m.decisions;
+    assert_eq!(d.promote.get() + d.grow_bottom.get(), m.jobs_started.get());
+    assert!(d.promote.get() > 0, "expected some promotions in 400 steps");
 }

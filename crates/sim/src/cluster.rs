@@ -110,7 +110,12 @@ impl SimConfig {
     }
 
     /// Cap the number of completed jobs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_jobs == 0`.
     pub fn with_max_jobs(mut self, max_jobs: usize) -> Self {
+        assert!(max_jobs > 0, "max_jobs must be positive");
         self.max_jobs = max_jobs;
         self
     }
@@ -1102,6 +1107,12 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
         let _ = SimConfig::new(0, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "max_jobs must be positive")]
+    fn zero_job_cap_rejected() {
+        let _ = SimConfig::new(4, 1.0).with_max_jobs(0);
     }
 
     #[test]

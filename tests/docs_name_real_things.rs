@@ -4,6 +4,11 @@
 //! name is in the tree, and so is every `.rs` file the three root documents
 //! name by its path. A deleted binary, data file or test fails here instead
 //! of living on in a README.
+//!
+//! DESIGN.md is a ledger whose entries cite the tests that pin them as
+//! `path.rs::fn_name`; every such citation in DESIGN.md and README.md must
+//! name a `fn` in that file, each ledger entry must carry its What,
+//! Invariant and Pinned by, and DESIGN.md stays within `DESIGN_MAX_LINES`.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -15,6 +20,15 @@ const DOCS: [&str; 5] = [
     "benchmark/README.md",
     ".claude/skills/verify/SKILL.md",
 ];
+
+/// The documents whose `path.rs::fn_name` citations must resolve.
+const CITING_DOCS: [&str; 2] = ["DESIGN.md", "README.md"];
+
+/// Where source paths written from the repository root start.
+const SOURCE_ROOTS: [&str; 4] = ["crates/", "tests/", "src/", "examples/"];
+
+/// DESIGN.md states each mechanism once; past this it is restating.
+const DESIGN_MAX_LINES: usize = 700;
 
 /// `(document, name)` pairs excused from the existence check: one sentence.
 ///
@@ -65,14 +79,68 @@ fn root_json_names(text: &str) -> Vec<&str> {
 /// `service/src/…` without its `crates/` and a glob are not paths from the
 /// root and are not checked.
 fn source_paths(text: &str) -> Vec<&str> {
-    const ROOTS: [&str; 4] = ["crates/", "tests/", "src/", "examples/"];
     text.split(|c: char| !is_name_char(c) && c != '/')
         .map(|token| token.trim_end_matches('.'))
         .filter(|token| {
             let from_root = token.strip_prefix("benchmark/").unwrap_or(token);
-            token.ends_with(".rs") && ROOTS.iter().any(|root| from_root.starts_with(root))
+            token.ends_with(".rs") && SOURCE_ROOTS.iter().any(|root| from_root.starts_with(root))
         })
         .collect()
+}
+
+/// Every `path.rs::name` citation in `text`, as `(path, name)`: the path is
+/// the run of path characters before `.rs::`, the name the last `::`
+/// segment after it (`snapshot.rs::Snapshot::from_bytes` cites
+/// `from_bytes`).
+fn cited_fns(text: &str) -> Vec<(&str, &str)> {
+    text.match_indices(".rs::")
+        .map(|(at, _)| {
+            let before = &text[..at];
+            let start = before
+                .rfind(|c: char| !is_name_char(c) && c != '/')
+                .map_or(0, |i| i + 1);
+            let after = &text[at + ".rs::".len()..];
+            let end = after
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == ':'))
+                .unwrap_or(after.len());
+            let name = after[..end].trim_end_matches(':');
+            let name = name.rsplit("::").next().unwrap_or(name);
+            (&text[start..at + ".rs".len()], name)
+        })
+        .collect()
+}
+
+/// Whether `source` declares `fn name` (followed by its parameter list or
+/// generics, so a longer name that starts with `name` does not count).
+fn declares_fn(source: &str, name: &str) -> bool {
+    let needle = format!("fn {name}");
+    source.match_indices(&needle).any(|(at, _)| {
+        let boundary = at == 0 || !is_name_char(source[..at].chars().next_back().unwrap());
+        let next = source[at + needle.len()..].chars().next();
+        boundary && matches!(next, Some('(' | '<'))
+    })
+}
+
+/// Ledger entries of DESIGN.md (`### ` sections) that lack one of the
+/// labels, or whose Pinned by cites no test.
+fn incomplete_entries(design: &str) -> Vec<String> {
+    let mut problems = Vec::new();
+    for section in design.split("\n### ").skip(1) {
+        let entry = section.split("\n## ").next().unwrap_or(section);
+        let title = entry.lines().next().unwrap_or_default();
+        for label in ["**What:**", "**Invariant:**", "**Pinned by:**"] {
+            if !entry.contains(label) {
+                problems.push(format!("DESIGN.md: `{title}` has no {label}"));
+            }
+        }
+        if let Some((_, pinned)) = entry.split_once("**Pinned by:**") {
+            let pinned = pinned.split("\n- **").next().unwrap_or(pinned);
+            if !pinned.contains(".rs::") {
+                problems.push(format!("DESIGN.md: `{title}` pins no `path.rs::fn`"));
+            }
+        }
+    }
+    problems
 }
 
 /// Binaries of `crates/bench`: one per `src/bin/*.rs`, plus the names its
@@ -144,6 +212,40 @@ fn documents_name_only_binaries_and_files_that_exist() {
 }
 
 #[test]
+fn cited_tests_exist_and_design_stays_a_ledger() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut problems = Vec::new();
+    let mut cited = 0;
+    for doc in CITING_DOCS {
+        let text = std::fs::read_to_string(root.join(doc))
+            .unwrap_or_else(|e| panic!("cannot read {doc}: {e}"));
+        for (path, name) in cited_fns(&text) {
+            cited += 1;
+            if !SOURCE_ROOTS.iter().any(|root| path.starts_with(root)) {
+                problems.push(format!("{doc}: cite `{path}::{name}` from the repo root"));
+                continue;
+            }
+            match std::fs::read_to_string(root.join(path)) {
+                Ok(source) if declares_fn(&source, name) => {}
+                Ok(_) => problems.push(format!("{doc}: `{path}` has no `fn {name}`")),
+                Err(_) => problems.push(format!("{doc}: `{path}` does not exist")),
+            }
+        }
+    }
+    assert!(cited > 0, "citation discovery is broken");
+
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).unwrap();
+    let lines = design.lines().count();
+    if lines > DESIGN_MAX_LINES {
+        problems.push(format!(
+            "DESIGN.md is {lines} lines, over {DESIGN_MAX_LINES}: cite, do not restate"
+        ));
+    }
+    problems.extend(incomplete_entries(&design));
+    assert!(problems.is_empty(), "{}", problems.join("\n"));
+}
+
+#[test]
 fn the_tokenizers_see_what_the_documents_write() {
     let text = "run `cargo run -p asha-bench --bin asha-ctl -- ping`, then \
                 ./target/release/tune_sim. See `BENCHMARK.json`, `report.json`, \
@@ -165,6 +267,33 @@ fn the_tokenizers_see_what_the_documents_write() {
             "src/tune.rs",
             "examples/quickstart.rs",
             "benchmark/src/stats.rs"
+        ]
+    );
+
+    let text = "**Pinned by:** `crates/core/src/rung.rs::cache_test`,\n  \
+                `crates/store/src/snapshot.rs::Snapshot::from_bytes` and delta.rs::oracle.";
+    assert_eq!(
+        cited_fns(text),
+        [
+            ("crates/core/src/rung.rs", "cache_test"),
+            ("crates/store/src/snapshot.rs", "from_bytes"),
+            ("delta.rs", "oracle")
+        ]
+    );
+    let source = "fn helper_longer() {}\n    pub fn helper<T>(x: T) {}\nfn other(){}";
+    assert!(declares_fn(source, "helper"));
+    assert!(declares_fn(source, "other"));
+    assert!(!declares_fn(source, "helper_long"));
+    assert!(!declares_fn(source, "elper"));
+
+    let design = "## 7. Core\n\n### 7.1 Good\n\n- **What:** a\n- **Invariant:** b\n\
+                  - **Pinned by:** `tests/x.rs::y`.\n\n### 7.2 Bad\n\n- **What:** a\n\
+                  - **Pinned by:** nothing.\n- **Measured by:** `z.rs::w`\n\n## 8. Next\n";
+    assert_eq!(
+        incomplete_entries(design),
+        [
+            "DESIGN.md: `7.2 Bad` has no **Invariant:**",
+            "DESIGN.md: `7.2 Bad` pins no `path.rs::fn`"
         ]
     );
 }

@@ -3,11 +3,13 @@
 //! a configuration trained to completion within `2 x time(R)`, while
 //! synchronous SHA needs one `time(R)` per rung.
 
-use asha::core::{budget, Asha, AshaConfig, ShaConfig, SyncSha};
+use asha::core::{
+    budget, Asha, AshaConfig, Decision, HyperbandConfig, Observation, Scheduler, ShaConfig, SyncSha,
+};
 use asha::sim::{ClusterSim, ResumePolicy, SimConfig};
 use asha::space::{Scale, SearchSpace};
 use asha::surrogate::{BenchmarkModel, CurveBenchmark};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// A benchmark whose cost is exactly `time(R) = 1`: one resource unit takes
 /// `1/R` time units for every configuration.
@@ -130,12 +132,71 @@ fn exact_powers_get_their_top_rung() {
             assert_eq!(sha.num_rungs(), k + 1, "{case}");
             assert_eq!(sha.rung_resource(k), max_r, "{case}");
 
-            let hyperband = asha::core::HyperbandConfig::new(1.0, max_r, eta);
+            let hyperband = HyperbandConfig::new(1.0, max_r, eta);
             assert_eq!(hyperband.num_brackets, k + 1, "{case}");
 
             let table = budget::promotion_table(max_r as usize, 1.0, max_r, eta, 0);
             assert_eq!(table.len(), k + 1, "{case}");
             assert_eq!(table[k].resource, max_r, "{case}");
+        }
+    }
+}
+
+/// The highest rung a serial run of one synchronous bracket trains, with
+/// seeded random finite losses.
+fn top_rung_reached(config: ShaConfig, seed: u64) -> usize {
+    let space = SearchSpace::builder()
+        .continuous("x", 0.0, 1.0, Scale::Linear)
+        .build()
+        .expect("valid space");
+    let mut sha = SyncSha::new(space, config);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut losses = rand::rngs::StdRng::seed_from_u64(!seed);
+    let mut top = 0;
+    loop {
+        match sha.suggest(&mut rng) {
+            Decision::Run(job) => {
+                top = top.max(job.rung);
+                sha.observe(Observation::for_job(&job, losses.gen::<f64>()));
+            }
+            Decision::Finished => return top,
+            Decision::Wait => panic!("a serial run never waits"),
+        }
+    }
+}
+
+#[test]
+fn the_smallest_accepted_bracket_reaches_r_for_any_eta() {
+    // Each rung keeps floor(n / eta) of its n. For a fractional eta the
+    // rounding compounds, so eta^(s_max - s) configurations can stop short
+    // of R (eta = 2.5, R/r = 6.25: 6 -> 2 -> 0). The smallest bracket SHA
+    // accepts, and every bracket Hyperband sizes, must reach the top rung.
+    let mut seed = 0;
+    for eta in [2.0f64, 2.5, 3.0, 3.7, 4.0] {
+        for ratio in [1.0, eta, eta * eta, 6.25, 10.0, 27.0, 50.0, 100.0, 256.0] {
+            let max_r = 2.0 * ratio;
+            let case = format!("eta = {eta}, R/r = {ratio}");
+            let config = |n| ShaConfig::new(n, 2.0, max_r, eta);
+            let top = config(1).num_rungs() - 1;
+            let n = (1..)
+                .find(|&n| config(n).validate().is_ok())
+                .expect("some n is accepted");
+            seed += 1;
+            assert_eq!(top_rung_reached(config(n), seed), top, "{case}, n = {n}");
+            assert!(config(n - 1).validate().is_err(), "{case}");
+
+            let hyperband = HyperbandConfig::new(2.0, max_r, eta);
+            for s in 0..hyperband.num_brackets {
+                let bracket = ShaConfig {
+                    num_configs: hyperband.bracket_num_configs(s),
+                    stop_rate: s,
+                    ..config(1)
+                };
+                assert!(bracket.validate().is_ok(), "{case}, s = {s}");
+                let top = bracket.num_rungs() - 1;
+                seed += 1;
+                assert_eq!(top_rung_reached(bracket, seed), top, "{case}, s = {s}");
+            }
         }
     }
 }
