@@ -16,7 +16,8 @@
 //! so the winner is found without calling libm for every kernel term:
 //!
 //! 1. [`Kde1d::pdf_batch`] evaluates each dimension's good and bad density
-//!    `l̃_d`, `g̃_d` at every candidate, each within a relative
+//!    `l̃_d`, `g̃_d` at every candidate (32 at a time, in buffers on the
+//!    stack, so scoring allocates nothing), each within a relative
 //!    `ε` = [`Kde1d::BATCH_REL_ERR`] = `1e-5` of [`Kde1d::pdf`]. Its `exp` is
 //!    a Cody–Waite reduction and a degree-5 polynomial whose remainder is at
 //!    most `e^(ln2/2)·(ln2/2)^6/6! ≈ 3.4e-6` (below `5e-6` relative); `ε`
@@ -35,8 +36,11 @@
 //! dimensions) — the exact scorer runs as it always has: `pdf().ln() −
 //! pdf().ln()` summed over dimensions, strict `>`, the first maximum
 //! winning. It is also the oracle the certificate is tested against. On
-//! ASHA+TPE over `cifar10_cuda_convnet`, 2 000 round trips a run, it ran
-//! for 75 of 38 896 modelled proposals across 40 seeds (about 2 a run).
+//! the `suggest-tpe` benchmark's drive (ASHA+TPE over `cifar10_cuda_convnet`,
+//! 2 000 round trips a run, the 96 runs of seed 7) it ran for 155 of 93 843
+//! modelled proposals, about 1.6 a run. The batch writes the same bits
+//! whichever of its instantiations the CPU selects, so that count, like
+//! every proposal, is the same on every CPU.
 
 use std::collections::BTreeMap;
 
@@ -88,6 +92,9 @@ pub struct TpeSampler {
     config: TpeConfig,
     /// Observations per rung: unit-space points and losses.
     by_rung: BTreeMap<usize, Vec<(Vec<f64>, f64)>>,
+    /// One dimension's points for the KDE `propose` is fitting; kept so
+    /// that a proposal does not allocate one per KDE.
+    points: Vec<f64>,
 }
 
 impl TpeSampler {
@@ -97,6 +104,7 @@ impl TpeSampler {
             space,
             config,
             by_rung: BTreeMap::new(),
+            points: Vec::new(),
         }
     }
 
@@ -164,6 +172,9 @@ fn exact_pick(good: &[Kde1d], bad: &[Kde1d], candidates: &[f64], count: usize) -
     best
 }
 
+/// Candidates [`certified_pick`] scores per pass, in buffers on its stack.
+const CHUNK: usize = 32;
+
 /// The candidate with the largest product of batch density ratios, if that
 /// product provably ranks first under [`exact_pick`] too (see the module
 /// docs); `None` sends the caller to `exact_pick`.
@@ -178,39 +189,43 @@ fn certified_pick(
     if count == 0 || margin > 1.0 {
         return None;
     }
-    let mut products = vec![1.0; count];
-    let mut column = vec![0.0; count];
-    let mut l = vec![0.0; count];
-    let mut g = vec![0.0; count];
+    let mut column = [0.0; CHUNK];
+    let mut l = [0.0; CHUNK];
+    let mut g = [0.0; CHUNK];
     // The smallest partial product: one that left the normal range lost
     // the precision the bound assumes.
     let mut lowest = f64::INFINITY;
-    for d in 0..dims {
-        for (x, u) in column.iter_mut().zip(candidates.chunks_exact(dims)) {
-            *x = u[d];
+    let (mut best, mut best_product, mut runner_up) = (0, f64::NEG_INFINITY, 0.0_f64);
+    for start in (0..count).step_by(CHUNK) {
+        let n = CHUNK.min(count - start);
+        let mut products = [1.0; CHUNK];
+        for d in 0..dims {
+            for (j, x) in column[..n].iter_mut().enumerate() {
+                *x = candidates[(start + j) * dims + d];
+            }
+            good[d].pdf_batch(&column[..n], &mut l[..n]);
+            bad[d].pdf_batch(&column[..n], &mut g[..n]);
+            for ((p, &l), &g) in products.iter_mut().zip(&l[..n]).zip(&g[..n]) {
+                *p *= l / g;
+                lowest = lowest.min(*p);
+            }
         }
-        good[d].pdf_batch(&column, &mut l);
-        bad[d].pdf_batch(&column, &mut g);
-        for ((p, &l), &g) in products.iter_mut().zip(&l).zip(&g) {
-            *p *= l / g;
-            lowest = lowest.min(*p);
+        for (j, &p) in products[..n].iter().enumerate() {
+            if !p.is_finite() {
+                return None;
+            }
+            if p > best_product {
+                runner_up = runner_up.max(best_product);
+                (best, best_product) = (start + j, p);
+            } else {
+                runner_up = runner_up.max(p);
+            }
         }
     }
-    if lowest < f64::MIN_POSITIVE || !products.iter().all(|p| p.is_finite()) {
+    if lowest < f64::MIN_POSITIVE {
         return None;
     }
-    let mut best = 0;
-    for (i, &p) in products.iter().enumerate() {
-        if p > products[best] {
-            best = i;
-        }
-    }
-    let runner_up = products
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != best)
-        .fold(0.0, |acc: f64, (_, &p)| acc.max(p));
-    (products[best] >= runner_up * (1.0 + margin)).then_some(best)
+    (best_product >= runner_up * (1.0 + margin)).then_some(best)
 }
 
 impl ConfigSampler for TpeSampler {
@@ -239,9 +254,11 @@ impl ConfigSampler for TpeSampler {
             return space.sample(rng);
         }
         // Per-dimension KDEs.
-        let kde_dim = |idx: &[usize], d: usize| {
-            let pts: Vec<f64> = idx.iter().map(|&i| obs[i].0[d]).collect();
-            Kde1d::new(&pts, self.config.min_bandwidth)
+        let (points, min_bandwidth) = (&mut self.points, self.config.min_bandwidth);
+        let mut kde_dim = |idx: &[usize], d: usize| {
+            points.clear();
+            points.extend(idx.iter().map(|&i| obs[i].0[d]));
+            Kde1d::new(points, min_bandwidth)
         };
         let good: Vec<Kde1d> = (0..dims).map(|d| kde_dim(good_idx, d)).collect();
         let bad: Vec<Kde1d> = (0..dims).map(|d| kde_dim(bad_idx, d)).collect();
@@ -608,6 +625,33 @@ mod tests {
             assert_eq!(exact_picks(), before + 1, "an overflow was certified");
             assert_eq!(got, exact_pick(&good, &bad, &candidates, 24));
         }
+    }
+
+    #[test]
+    fn picks_spanning_several_chunks_match_the_exact_scorer() {
+        let mut rng = StdRng::seed_from_u64(38);
+        let before = exact_picks();
+        for case in 0..500 {
+            let dims = rng.gen_range(1..8);
+            let good: Vec<Kde1d> = (0..dims)
+                .map(|_| Kde1d::new(&kde_points(&mut rng, 3, false), 0.03))
+                .collect();
+            let bad: Vec<Kde1d> = (0..dims)
+                .map(|_| Kde1d::new(&kde_points(&mut rng, 17, false), 0.03))
+                .collect();
+            // Up to four chunks, the last one short, and exact multiples.
+            let count = rng.gen_range(CHUNK - 1..4 * CHUNK + 2);
+            let candidates: Vec<f64> = (0..count * dims)
+                .map(|k| good[k % dims].sample(&mut rng))
+                .collect();
+            assert_eq!(
+                pick(&good, &bad, &candidates, count),
+                exact_pick(&good, &bad, &candidates, count),
+                "case {case}: dims {dims}, count {count}"
+            );
+        }
+        let fallbacks = exact_picks() - before;
+        assert!(fallbacks < 50, "{fallbacks} fallbacks in 500 cases");
     }
 
     #[test]
