@@ -1,4 +1,5 @@
-//! The Asynchronous Successive Halving Algorithm (Algorithm 2 of the paper).
+//! The Asynchronous Successive Halving Algorithm (Algorithm 2 of the paper),
+//! and the bracket engine it shares with synchronous SHA (Algorithm 1).
 
 use asha_space::{Config, SearchSpace};
 
@@ -9,7 +10,7 @@ use crate::error::Error;
 use crate::rung::{PromotionRule, RungLadder, ScanOrder};
 use crate::sampler::{ConfigSampler, Fidelity, RandomSampler};
 use crate::scheduler::{Decision, Job, Observation, Scheduler, TrialId};
-use crate::state::{AshaState, DurableScheduler, RungState, SchedulerState};
+use crate::state::{AshaState, DurableScheduler, SchedulerState};
 
 /// Configuration of an [`Asha`] scheduler.
 ///
@@ -112,6 +113,219 @@ impl AshaConfig {
     }
 }
 
+/// Every scheduler's display name: `prefix`, `+sampler` unless random.
+pub(crate) fn display_name(prefix: &str, sampler: &dyn ConfigSampler) -> String {
+    match sampler.name() {
+        "random" => prefix.to_owned(),
+        sampler => format!("{prefix}+{sampler}"),
+    }
+}
+
+/// Algorithm 1's barrier on a bracket of `max_trials` trials: every job
+/// runs at `rung`, which closes on the last report it can receive (all
+/// trials sampled, all survivors of the rung below issued). Its finite top
+/// `floor(len/eta)` in `(loss, trial)` order then survive to the next rung.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Barrier {
+    /// The rung whose jobs run; every rung below it has closed.
+    pub(crate) rung: usize,
+    /// Survivors of the rung below not yet issued, the best last.
+    pub(crate) queue: Vec<TrialId>,
+}
+
+/// One bracket as a scheduler drives it, the sampler lent per call so that
+/// one SHA run's brackets share a model: the indexed [`Bracket`], or the
+/// brute-force twin in `reference`.
+pub(crate) trait Engine: Send + std::fmt::Debug {
+    /// Algorithm 2's `get_job`, or the barrier's next job.
+    fn suggest(
+        &mut self,
+        space: &SearchSpace,
+        sampler: &mut dyn ConfigSampler,
+        rng: &mut dyn rand::RngCore,
+    ) -> Decision;
+
+    /// Take the report of a job this bracket issued; anything else (a
+    /// duplicate, a retry, an unknown trial) is ignored.
+    fn observe(&mut self, obs: Observation, sampler: &mut dyn ConfigSampler);
+
+    /// The barrier, if the bracket runs under one.
+    fn barrier(&self) -> Option<&Barrier>;
+
+    /// Whether a barrier bracket is done: every trial sampled and reported,
+    /// and no survivor left to issue.
+    fn finished(&self) -> bool;
+
+    /// The bracket as an `Asha` state document named `name`.
+    fn export_state(&self, name: &str) -> AshaState;
+}
+
+/// One bracket: a rung ladder, its trials and their outstanding jobs,
+/// promoting by `config.rule` or under a [`Barrier`]. [`Asha`] is a bracket
+/// and its sampler; SHA and both Hyperbands loop brackets (`BracketLoop`).
+#[derive(Debug)]
+pub(crate) struct Bracket {
+    config: AshaConfig,
+    ladder: RungLadder,
+    barrier: Option<Barrier>,
+    /// Every trial's configuration, indexed by trial id: ids are dense
+    /// `0..next_trial`, so `run` and `observe` index instead of hashing
+    /// and an export walks the table in id order.
+    trial_configs: Vec<Config>,
+    outstanding: FxHashSet<(TrialId, usize)>,
+    next_trial: u64,
+    trials_started: usize,
+}
+
+impl Bracket {
+    /// An empty bracket, under a barrier if `barrier`; panics on an invalid
+    /// config.
+    pub(crate) fn new(config: AshaConfig, barrier: bool) -> Self {
+        Bracket {
+            ladder: RungLadder::new(config.geometry().unwrap_or_else(|e| panic!("{e}"))),
+            config,
+            barrier: barrier.then(Barrier::default),
+            trial_configs: Vec::new(),
+            outstanding: FxHashSet::default(),
+            next_trial: 0,
+            trials_started: 0,
+        }
+    }
+
+    /// Rebuild a bracket from `state` (checked by the caller) and `barrier`.
+    pub(crate) fn from_state(state: AshaState, barrier: Option<Barrier>) -> Self {
+        let mut bracket = Bracket::new(state.config, false);
+        bracket.barrier = barrier;
+        for (k, rung) in state.rungs.iter().enumerate() {
+            for &(trial, loss) in &rung.records {
+                bracket.ladder.record(k, TrialId(trial), loss);
+            }
+            for &trial in &rung.promoted {
+                bracket.ladder.mark_promoted(k, TrialId(trial));
+            }
+        }
+        bracket.trial_configs = state.trials.into_iter().map(|(_, c)| c).collect();
+        let outstanding = state.outstanding.into_iter();
+        bracket.outstanding = outstanding.map(|(t, r)| (TrialId(t), r)).collect();
+        bracket.next_trial = state.next_trial;
+        bracket.trials_started = state.trials_started;
+        bracket
+    }
+
+    /// Issue `trial`'s job at `rung`.
+    fn run(&mut self, trial: TrialId, rung: usize) -> Job {
+        self.outstanding.insert((trial, rung));
+        Job {
+            trial,
+            config: self.trial_configs[trial.0 as usize].clone(),
+            rung,
+            resource: self.ladder.resource(rung),
+            bracket: self.config.stop_rate,
+            inherit_from: None,
+        }
+    }
+}
+
+impl Engine for Bracket {
+    fn suggest(
+        &mut self,
+        space: &SearchSpace,
+        sampler: &mut dyn ConfigSampler,
+        rng: &mut dyn rand::RngCore,
+    ) -> Decision {
+        // Lines 12–19 of Algorithm 2: look for a promotable configuration,
+        // scanning rungs from the top down — or, under a barrier, take the
+        // next survivor of the closed rung.
+        let promotion = match &mut self.barrier {
+            Some(barrier) => barrier.queue.pop().map(|t| (t, barrier.rung)),
+            None => {
+                let scan = self
+                    .ladder
+                    .find_promotable(self.config.scan_order, self.config.rule);
+                scan.map(|(trial, _, rung)| {
+                    self.ladder.mark_promoted(rung, trial);
+                    (trial, rung + 1)
+                })
+            }
+        };
+        if let Some((trial, rung)) = promotion {
+            return Decision::Run(self.run(trial, rung));
+        }
+        // Line 20: otherwise grow the bottom rung — unless a trial cap says
+        // we are done adding configurations.
+        if self
+            .config
+            .max_trials
+            .is_some_and(|cap| self.trials_started >= cap)
+        {
+            return if self.outstanding.is_empty() {
+                Decision::Finished
+            } else {
+                Decision::Wait
+            };
+        }
+        let trial = TrialId(self.next_trial);
+        self.next_trial += 1;
+        self.trials_started += 1;
+        let fidelity = Fidelity::base(self.ladder.resource(0));
+        self.trial_configs
+            .push(sampler.propose_at(space, fidelity, rng));
+        Decision::Run(self.run(trial, 0))
+    }
+
+    fn observe(&mut self, obs: Observation, sampler: &mut dyn ConfigSampler) {
+        if !self.outstanding.remove(&(obs.trial, obs.rung)) {
+            return;
+        }
+        self.ladder.record(obs.rung, obs.trial, obs.loss);
+        // Skip the per-trial config lookup entirely for samplers that do not
+        // consume reports (the random sampler) — this is the observe hot path.
+        if sampler.wants_reports() {
+            if let Some(config) = self.trial_configs.get(obs.trial.0 as usize) {
+                sampler.record(config, obs.rung, obs.resource, obs.loss);
+            }
+        }
+        // The last report a barrier rung can receive closes it: its
+        // survivors queue for the rung above, or, at the top rung or with
+        // none, the bracket stays finished.
+        let finished = self.finished();
+        if let Some(barrier) = self.barrier.as_mut().filter(|_| finished) {
+            let mut survivors = self.ladder.close(barrier.rung);
+            if !survivors.is_empty() {
+                survivors.reverse();
+                (barrier.queue, barrier.rung) = (survivors, barrier.rung + 1);
+            }
+        }
+    }
+
+    fn barrier(&self) -> Option<&Barrier> {
+        self.barrier.as_ref()
+    }
+
+    fn finished(&self) -> bool {
+        self.barrier.as_ref().is_some_and(|b| b.queue.is_empty())
+            && self.outstanding.is_empty()
+            && self.config.max_trials == Some(self.trials_started)
+    }
+
+    fn export_state(&self, name: &str) -> AshaState {
+        let trials = (0..).zip(&self.trial_configs);
+        let trials = trials.map(|(t, c)| (t, c.clone())).collect();
+        let mut outstanding: Vec<(u64, usize)> =
+            self.outstanding.iter().map(|&(t, r)| (t.0, r)).collect();
+        outstanding.sort_unstable();
+        AshaState {
+            config: self.config.clone(),
+            rungs: self.ladder.states(),
+            trials,
+            outstanding,
+            next_trial: self.next_trial,
+            trials_started: self.trials_started,
+            name: name.to_owned(),
+        }
+    }
+}
+
 /// Asynchronous Successive Halving (ASHA), Algorithm 2 of the paper.
 ///
 /// Every call to [`Scheduler::suggest`] runs the `get_job` procedure: scan
@@ -123,25 +337,17 @@ impl AshaConfig {
 /// and dropped jobs.
 pub struct Asha {
     space: SearchSpace,
-    config: AshaConfig,
-    ladder: RungLadder,
+    bracket: Bracket,
     sampler: Box<dyn ConfigSampler>,
-    /// Every trial's configuration, indexed by trial id: ids are dense
-    /// `0..next_trial`, so `promote` and `observe` index instead of hashing
-    /// and an export walks the table in id order.
-    trial_configs: Vec<Config>,
-    outstanding: FxHashSet<(TrialId, usize)>,
-    next_trial: u64,
-    trials_started: usize,
     name: String,
 }
 
 impl std::fmt::Debug for Asha {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Asha")
-            .field("config", &self.config)
-            .field("trials_started", &self.trials_started)
-            .field("outstanding", &self.outstanding.len())
+            .field("config", &self.bracket.config)
+            .field("trials_started", &self.bracket.trials_started)
+            .field("outstanding", &self.bracket.outstanding.len())
             .finish_non_exhaustive()
     }
 }
@@ -168,26 +374,15 @@ impl Asha {
         config: AshaConfig,
         sampler: Box<dyn ConfigSampler>,
     ) -> Self {
-        let ladder = RungLadder::new(config.geometry().unwrap_or_else(|e| panic!("{e}")));
         let prefix = match config.rule {
             PromotionRule::Eager => "ASHA",
             PromotionRule::Delayed => "D-ASHA",
         };
-        let name = if sampler.name() == "random" {
-            prefix.to_owned()
-        } else {
-            format!("{prefix}+{}", sampler.name())
-        };
         Asha {
             space,
-            config,
-            ladder,
+            bracket: Bracket::new(config, false),
+            name: display_name(prefix, &*sampler),
             sampler,
-            trial_configs: Vec::new(),
-            outstanding: FxHashSet::default(),
-            next_trial: 0,
-            trials_started: 0,
-            name,
         }
     }
 
@@ -198,32 +393,7 @@ impl Asha {
 
     /// The rung ladder (read-only), for analysis and tests.
     pub fn ladder(&self) -> &RungLadder {
-        &self.ladder
-    }
-
-    /// The scheduler's configuration.
-    #[cfg(test)]
-    pub(crate) fn config(&self) -> &AshaConfig {
-        &self.config
-    }
-
-    /// Number of distinct trials started so far.
-    #[cfg(test)]
-    pub(crate) fn trials_started(&self) -> usize {
-        self.trials_started
-    }
-
-    /// Number of issued-but-unreported jobs.
-    #[cfg(test)]
-    pub(crate) fn outstanding_jobs(&self) -> usize {
-        self.outstanding.len()
-    }
-
-    /// Best `(trial, loss)` seen so far, using intermediate losses from every
-    /// rung (Section 3.3).
-    #[cfg(test)]
-    pub(crate) fn best(&self) -> Option<(TrialId, f64)> {
-        self.ladder.best_loss()
+        &self.bracket.ladder
     }
 
     /// The attached sampler's serialized cursor, if it keeps one (see
@@ -233,30 +403,11 @@ impl Asha {
         self.sampler.export_cursor()
     }
 
-    /// Restore a sampler cursor previously produced by
-    /// [`Asha::export_sampler_cursor`].
-    pub(crate) fn restore_sampler_cursor(&mut self, cursor: &str) {
-        self.sampler.restore_cursor(cursor);
-    }
-
     /// Capture the scheduler's full mutable state as plain data (see
     /// [`SchedulerState`](crate::SchedulerState)). Restoring it with [`Asha::from_state`] yields a
     /// scheduler that makes identical decisions given the same RNG stream.
     pub fn export_state(&self) -> AshaState {
-        let trials = (0..).zip(&self.trial_configs);
-        let trials = trials.map(|(t, c)| (t, c.clone())).collect();
-        let mut outstanding: Vec<(u64, usize)> =
-            self.outstanding.iter().map(|&(t, r)| (t.0, r)).collect();
-        outstanding.sort_unstable();
-        AshaState {
-            config: self.config.clone(),
-            rungs: self.ladder.rungs().iter().map(RungState::of).collect(),
-            trials,
-            outstanding,
-            next_trial: self.next_trial,
-            trials_started: self.trials_started,
-            name: self.name.clone(),
-        }
+        self.bracket.export_state(&self.name)
     }
 
     /// Rebuild a scheduler from a state captured by [`Asha::export_state`],
@@ -285,100 +436,29 @@ impl Asha {
         sampler: Box<dyn ConfigSampler>,
     ) -> Self {
         state.validate().unwrap_or_else(|e| panic!("{e}"));
-        let mut asha = Asha::with_sampler(space, state.config.clone(), sampler);
-        for (k, rung) in state.rungs.iter().enumerate() {
-            rung.replay_into(&mut asha.ladder, k);
-        }
+        let (name, rungs) = (state.name.clone(), state.rungs.len());
+        let mut bracket = Bracket::from_state(state, None);
         // Infinite-horizon ladders grow on demand; force the restored ladder
         // to the snapshot's length even if trailing rungs are empty.
-        if state.config.infinite_horizon && !state.rungs.is_empty() {
-            asha.ladder.rung_mut(state.rungs.len() - 1);
+        if bracket.config.infinite_horizon && rungs > 0 {
+            bracket.ladder.rung_mut(rungs - 1);
         }
-        asha.trial_configs = state.trials.into_iter().map(|(_, c)| c).collect();
-        asha.outstanding = state
-            .outstanding
-            .into_iter()
-            .map(|(t, r)| (TrialId(t), r))
-            .collect();
-        asha.next_trial = state.next_trial;
-        asha.trials_started = state.trials_started;
-        asha.name = state.name;
-        asha
-    }
-
-    fn promote(&mut self, trial: TrialId, from_rung: usize) -> Job {
-        self.ladder.mark_promoted(from_rung, trial);
-        let rung = from_rung + 1;
-        let job = Job {
-            trial,
-            config: self.trial_configs[trial.0 as usize].clone(),
-            rung,
-            resource: self.ladder.resource(rung),
-            bracket: self.config.stop_rate,
-            inherit_from: None,
-        };
-        self.outstanding.insert((trial, rung));
-        job
-    }
-
-    fn grow_bottom(&mut self, rng: &mut dyn rand::RngCore) -> Job {
-        let trial = TrialId(self.next_trial);
-        self.next_trial += 1;
-        self.trials_started += 1;
-        let fidelity = Fidelity::base(self.ladder.resource(0));
-        let config = self.sampler.propose_at(&self.space, fidelity, rng);
-        self.trial_configs.push(config.clone());
-        self.outstanding.insert((trial, 0));
-        Job {
-            trial,
-            config,
-            rung: 0,
-            resource: self.ladder.resource(0),
-            bracket: self.config.stop_rate,
-            inherit_from: None,
+        Asha {
+            space,
+            bracket,
+            sampler,
+            name,
         }
     }
 }
 
 impl Scheduler for Asha {
     fn suggest(&mut self, rng: &mut dyn rand::RngCore) -> Decision {
-        // Lines 12–19 of Algorithm 2: look for a promotable configuration,
-        // scanning rungs from the top down.
-        if let Some((trial, _loss, rung)) = self
-            .ladder
-            .find_promotable(self.config.scan_order, self.config.rule)
-        {
-            return Decision::Run(self.promote(trial, rung));
-        }
-        // Line 20: otherwise grow the bottom rung — unless a trial cap says
-        // we are done adding configurations.
-        if let Some(cap) = self.config.max_trials {
-            if self.trials_started >= cap {
-                return if self.outstanding.is_empty() {
-                    Decision::Finished
-                } else {
-                    Decision::Wait
-                };
-            }
-        }
-        Decision::Run(self.grow_bottom(rng))
+        self.bracket.suggest(&self.space, &mut *self.sampler, rng)
     }
 
     fn observe(&mut self, obs: Observation) {
-        // Ignore results for jobs we did not issue (or duplicate reports):
-        // executors may retry dropped jobs.
-        if !self.outstanding.remove(&(obs.trial, obs.rung)) {
-            return;
-        }
-        self.ladder.record(obs.rung, obs.trial, obs.loss);
-        // Skip the per-trial config lookup entirely for samplers that do not
-        // consume reports (the random sampler) — this is the observe hot path.
-        if self.sampler.wants_reports() {
-            if let Some(config) = self.trial_configs.get(obs.trial.0 as usize) {
-                self.sampler
-                    .record(config, obs.rung, obs.resource, obs.loss);
-            }
-        }
+        self.bracket.observe(obs, &mut *self.sampler);
     }
 
     fn name(&self) -> &str {
@@ -408,7 +488,7 @@ impl DurableScheduler for Asha {
 
     fn restore_sampler_cursors(&mut self, cursors: &[Option<String>]) {
         if let Some(Some(cursor)) = cursors.first() {
-            self.restore_sampler_cursor(cursor);
+            self.sampler.restore_cursor(cursor);
         }
     }
 }
@@ -431,6 +511,17 @@ mod tests {
         StdRng::seed_from_u64(0)
     }
 
+    /// Best `(trial, loss)` seen so far, using intermediate losses from every
+    /// rung (Section 3.3).
+    fn best(asha: &Asha) -> Option<(TrialId, f64)> {
+        let records = asha
+            .ladder()
+            .rungs()
+            .iter()
+            .flat_map(|r| r.records().iter());
+        records.copied().min_by(|a, b| a.1.total_cmp(&b.1))
+    }
+
     /// Helper: run a job synchronously with loss = f(trial id).
     fn complete(asha: &mut Asha, job: &Job, loss: f64) {
         asha.observe(Observation::for_job(job, loss));
@@ -446,8 +537,8 @@ mod tests {
             assert_eq!(job.resource, 1.0);
             assert_eq!(job.trial, TrialId(i));
         }
-        assert_eq!(asha.trials_started(), 5);
-        assert_eq!(asha.outstanding_jobs(), 5);
+        assert_eq!(asha.bracket.trials_started, 5);
+        assert_eq!(asha.bracket.outstanding.len(), 5);
     }
 
     #[test]
@@ -550,7 +641,7 @@ mod tests {
     fn unsolicited_observations_are_ignored() {
         let mut asha = Asha::new(space(), AshaConfig::new(1.0, 9.0, 3.0));
         asha.observe(Observation::new(TrialId(99), 0, 1.0, 0.1));
-        assert_eq!(asha.best(), None);
+        assert_eq!(best(&asha), None);
     }
 
     #[test]
@@ -560,7 +651,7 @@ mod tests {
         let job = asha.suggest(&mut r).job().unwrap();
         complete(&mut asha, &job, 0.5);
         complete(&mut asha, &job, 0.1); // retry of the same job
-        assert_eq!(asha.best(), Some((job.trial, 0.5)));
+        assert_eq!(best(&asha), Some((job.trial, 0.5)));
     }
 
     #[test]
@@ -582,7 +673,7 @@ mod tests {
         }
         let promo = asha.suggest(&mut r).job().unwrap();
         complete(&mut asha, &promo, 0.2);
-        assert_eq!(asha.best().unwrap().1, 0.2);
+        assert_eq!(best(&asha).unwrap().1, 0.2);
     }
 
     #[test]
@@ -654,7 +745,7 @@ mod tests {
         let state = d.export_state();
         assert_eq!(SchedulerState::Asha(state.clone()).kind(), "dasha");
         let mut restored = Asha::from_state(space(), state);
-        assert_eq!(restored.config().rule, PromotionRule::Delayed);
+        assert_eq!(restored.bracket.config.rule, PromotionRule::Delayed);
         assert_eq!(restored.name(), d.name());
         // Identical decision streams from the same RNG.
         let mut ra = StdRng::seed_from_u64(11);

@@ -1,26 +1,29 @@
-//! Hyperband (synchronous) and asynchronous Hyperband.
+//! The bracket loop: SHA, Hyperband and asynchronous Hyperband.
 //!
 //! Hyperband runs SHA brackets with different early-stopping rates `s` to
 //! hedge over the choice of `s`. The asynchronous variant of Section 3.2
 //! "loops through brackets of ASHA sequentially as is done in the original
 //! Hyperband", switching brackets "when a budget corresponding to a
-//! hypothetical bracket of SHA would be depleted".
+//! hypothetical bracket of SHA would be depleted". Growing SHA (Falkner et
+//! al.) loops over identical brackets. All three are one [`BracketLoop`]
+//! over [`Bracket`]s, and differ only in which bracket opens next and when.
+
+use std::collections::BTreeSet;
 
 use asha_space::SearchSpace;
 
-use crate::asha::{Asha, AshaConfig};
+use crate::asha::{display_name, AshaConfig, Bracket, Engine};
 use crate::budget::{self, min_configs, Geometry};
 use crate::error::Error;
-use crate::sampler::ConfigSampler;
-use crate::scheduler::{Decision, Job, Observation, Scheduler, TrialId};
-use crate::sha::{ShaConfig, SyncSha};
-use crate::state::{AsyncHyperbandState, DurableScheduler, SchedulerState};
+use crate::sampler::{ConfigSampler, RandomSampler};
+use crate::scheduler::{Decision, Observation, TrialId};
+use crate::sha::ShaConfig;
+use crate::state::AsyncHyperbandState;
 
-/// Trial-id stride separating the namespaces of different brackets, so that
-/// wrappers can route observations back to the bracket that issued them
-/// without a lookup table.
+/// Trial-id stride separating the namespaces of different Hyperband
+/// brackets, so that an observation routes back to the bracket that issued
+/// it without a lookup table.
 const BRACKET_STRIDE: u64 = 1 << 40;
-
 /// Configuration shared by [`Hyperband`] and [`AsyncHyperband`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct HyperbandConfig {
@@ -109,7 +112,8 @@ impl HyperbandConfig {
         n.max(min_configs(self.reduction_factor, s_max - s))
     }
 
-    fn sha_config(&self, s: usize) -> ShaConfig {
+    /// Bracket `s` as a synchronous SHA bracket.
+    pub(crate) fn sha_config(&self, s: usize) -> ShaConfig {
         ShaConfig {
             num_configs: self.bracket_num_configs(s),
             min_resource: self.min_resource,
@@ -121,27 +125,223 @@ impl HyperbandConfig {
     }
 }
 
+/// Builds one bracket of a loop from its config, under a barrier if asked:
+/// the indexed [`Bracket`], or the twin in `reference`.
+type NewBracket = fn(AshaConfig, bool) -> Box<dyn Engine>;
+
+/// A loop over brackets: trial `t` of bracket `b` is
+/// `TrialId(b * stride + t)`, where the stride is the bracket size `n` for
+/// SHA and `2^40` for Hyperband, so an observation routes home by division.
+/// Which bracket opens next, and when, is the caller's: [`SyncSha`],
+/// [`Hyperband`] and [`AsyncHyperband`] each hold their own config.
+///
+/// [`SyncSha`]: crate::SyncSha
+pub(crate) struct BracketLoop {
+    space: SearchSpace,
+    /// Bracket `b`, or `None` once finished and freed.
+    pub(crate) brackets: Vec<Option<Box<dyn Engine>>>,
+    /// Brackets not yet finished, ascending.
+    pub(crate) open: Vec<usize>,
+    /// Open brackets that may have a job to issue, a superset of those that
+    /// do: one joins when it opens or takes a report and leaves when it
+    /// answers `Wait`, so `suggest` visits each blocked bracket once per
+    /// report instead of on every call.
+    pub(crate) ready: BTreeSet<usize>,
+    /// One shared sampler, or one per bracket (asynchronous Hyperband).
+    pub(crate) samplers: Vec<Box<dyn ConfigSampler>>,
+    stride: u64,
+    new_bracket: NewBracket,
+    /// Free a bracket once it finishes. SHA keeps its finished brackets
+    /// (closed rungs already dropped) because the `sync_sha` document
+    /// lists every trial.
+    free_finished: bool,
+    pub(crate) name: String,
+}
+
+impl std::fmt::Debug for BracketLoop {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (brackets, open) = (self.brackets.len(), self.open.len());
+        write!(f, "{} ({brackets} brackets, {open} open)", self.name)
+    }
+}
+
+/// The barrier bracket of `n` trials a synchronous plan runs for `sha`.
+pub(crate) fn barrier_config(sha: &ShaConfig) -> AshaConfig {
+    AshaConfig::new(sha.min_resource, sha.max_resource, sha.reduction_factor)
+        .with_stop_rate(sha.stop_rate)
+        .with_max_trials(sha.num_configs)
+}
+
+impl BracketLoop {
+    /// A loop of indexed brackets with no bracket yet.
+    pub(crate) fn new(
+        space: SearchSpace,
+        samplers: Vec<Box<dyn ConfigSampler>>,
+        stride: u64,
+        name: String,
+    ) -> Self {
+        BracketLoop {
+            space,
+            brackets: Vec::new(),
+            open: Vec::new(),
+            ready: BTreeSet::new(),
+            samplers,
+            stride,
+            new_bracket: |config, barrier| Box::new(Bracket::new(config, barrier)),
+            free_finished: false,
+            name,
+        }
+    }
+
+    /// Rebuild this fresh loop's brackets, and build every later one, with
+    /// `new_bracket` (the twin's).
+    #[cfg(any(test, feature = "reference"))]
+    pub(crate) fn rebuild(&mut self, new_bracket: NewBracket) {
+        self.new_bracket = new_bracket;
+        for bracket in self.brackets.iter_mut().flatten() {
+            let barrier = bracket.barrier().is_some();
+            *bracket = new_bracket(bracket.export_state("").config, barrier);
+        }
+    }
+
+    /// Open bracket `brackets.len()` with `config`.
+    pub(crate) fn open(&mut self, config: AshaConfig, barrier: bool) {
+        self.open.push(self.brackets.len());
+        self.ready.insert(self.brackets.len());
+        self.brackets
+            .push(Some((self.new_bracket)(config, barrier)));
+    }
+
+    /// Open bracket `b`'s decision, its trial id lifted into the loop's
+    /// namespace.
+    pub(crate) fn issue(&mut self, b: usize, rng: &mut dyn rand::RngCore) -> Decision {
+        let sampler = if self.samplers.len() == 1 { 0 } else { b };
+        let sampler = &mut *self.samplers[sampler];
+        let bracket = self.brackets[b].as_mut().expect("an open bracket is live");
+        let mut decision = bracket.suggest(&self.space, sampler, rng);
+        if let Decision::Run(job) = &mut decision {
+            job.trial = TrialId(b as u64 * self.stride + job.trial.0);
+        }
+        decision
+    }
+
+    /// The lowest open bracket that has a job issues it. If none has,
+    /// `next(b, all_finished)` may give the config of a barrier bracket `b`
+    /// to open and ask.
+    pub(crate) fn suggest(
+        &mut self,
+        rng: &mut dyn rand::RngCore,
+        next: impl FnOnce(usize, bool) -> Option<AshaConfig>,
+    ) -> Decision {
+        while let Some(&b) = self.ready.first() {
+            let decision = self.issue(b, rng);
+            if let Decision::Run(_) = decision {
+                return decision;
+            }
+            self.ready.remove(&b);
+        }
+        if let Some(config) = next(self.brackets.len(), self.open.is_empty()) {
+            self.open(config, true);
+            return self.issue(self.brackets.len() - 1, rng);
+        }
+        if self.open.is_empty() {
+            Decision::Finished
+        } else {
+            Decision::Wait
+        }
+    }
+
+    pub(crate) fn observe(&mut self, obs: Observation) {
+        let Ok(b) = usize::try_from(obs.trial.0 / self.stride) else {
+            return;
+        };
+        let Some(Some(bracket)) = self.brackets.get_mut(b) else {
+            return; // unsolicited, or a freed bracket's stale report
+        };
+        let sampler = if self.samplers.len() == 1 { 0 } else { b };
+        let local = Observation {
+            trial: TrialId(obs.trial.0 % self.stride),
+            ..obs
+        };
+        bracket.observe(local, &mut *self.samplers[sampler]);
+        if !bracket.finished() {
+            self.ready.insert(b);
+            return;
+        }
+        self.open.retain(|&open| open != b);
+        self.ready.remove(&b);
+        if self.free_finished {
+            self.brackets[b] = None;
+        }
+    }
+}
+
+/// `Scheduler` — and, given its state's `SchedulerState` variant,
+/// `DurableScheduler` — for a public face of a [`BracketLoop`]: a struct
+/// with the loop in `brackets`, a `next` that suggests, and an
+/// `export_state`.
+macro_rules! bracket_loop_scheduler {
+    ($face:ident) => {
+        impl $crate::Scheduler for $face {
+            fn suggest(&mut self, rng: &mut dyn rand::RngCore) -> $crate::Decision {
+                self.next(rng)
+            }
+
+            fn observe(&mut self, obs: $crate::Observation) {
+                self.brackets.observe(obs);
+            }
+
+            fn name(&self) -> &str {
+                &self.brackets.name
+            }
+
+            fn wait_is_stable(&self) -> bool {
+                true // a blocked barrier's `Wait` draws and changes nothing
+            }
+        }
+    };
+    ($face:ident, $kind:ident) => {
+        $crate::hyperband::bracket_loop_scheduler!($face);
+
+        impl $crate::DurableScheduler for $face {
+            fn durable_state(&self) -> $crate::SchedulerState {
+                $crate::SchedulerState::$kind(self.export_state())
+            }
+
+            fn sampler_name(&self) -> &str {
+                self.brackets.samplers[0].name() // one kind for every bracket
+            }
+
+            fn sampler_cursors(&self) -> Vec<Option<String>> {
+                let samplers = self.brackets.samplers.iter();
+                samplers.map(|s| s.export_cursor()).collect()
+            }
+
+            fn restore_sampler_cursors(&mut self, cursors: &[Option<String>]) {
+                for (sampler, cursor) in self.brackets.samplers.iter_mut().zip(cursors) {
+                    if let Some(cursor) = cursor {
+                        sampler.restore_cursor(cursor);
+                    }
+                }
+            }
+        }
+    };
+}
+pub(crate) use bracket_loop_scheduler;
+
 /// Synchronous Hyperband: run SHA brackets `s = 0, 1, ..., num_brackets-1`
 /// to completion, one after another, looping back to `s = 0` (the paper's
 /// sequential experiments loop "through 5 brackets of SHA, moving from
-/// bracket `s=0, r=R/256` to bracket `s=4, r=R`").
+/// bracket `s=0, r=R/256` to bracket `s=4, r=R`"). Generation `g` runs
+/// `s = g % num_brackets` and opens once generation `g - 1` finishes, which
+/// frees it.
+#[derive(Debug)]
 pub struct Hyperband {
-    space: SearchSpace,
     config: HyperbandConfig,
-    current: SyncSha,
-    bracket_idx: usize,
-    generation: u64,
-    name: String,
+    brackets: BracketLoop,
 }
 
-impl std::fmt::Debug for Hyperband {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Hyperband")
-            .field("config", &self.config)
-            .field("bracket_idx", &self.bracket_idx)
-            .finish_non_exhaustive()
-    }
-}
+bracket_loop_scheduler!(Hyperband);
 
 impl Hyperband {
     /// Create a synchronous Hyperband scheduler.
@@ -151,88 +351,36 @@ impl Hyperband {
     /// Panics if the configuration is invalid (see [`HyperbandConfig::new`]).
     pub fn new(space: SearchSpace, config: HyperbandConfig) -> Self {
         config.validate().unwrap_or_else(|e| panic!("{e}"));
-        let current = SyncSha::new(space.clone(), config.sha_config(0));
-        Hyperband {
-            space,
-            config,
-            current,
-            bracket_idx: 0,
-            generation: 0,
-            name: "Hyperband".to_owned(),
-        }
+        let sampler: Box<dyn ConfigSampler> = Box::new(RandomSampler::new());
+        let name = "Hyperband".to_owned();
+        let mut brackets = BracketLoop::new(space, vec![sampler], BRACKET_STRIDE, name);
+        brackets.free_finished = true;
+        brackets.open(barrier_config(&config.sha_config(0)), true);
+        Hyperband { config, brackets }
     }
 
-    fn advance_bracket(&mut self) {
-        self.bracket_idx = (self.bracket_idx + 1) % self.config.num_brackets;
-        self.generation += 1;
-        self.current = SyncSha::new(self.space.clone(), self.config.sha_config(self.bracket_idx));
-    }
-
-    fn tag(&self, mut job: Job) -> Job {
-        job.trial = TrialId(job.trial.0 + self.generation * BRACKET_STRIDE);
-        job.bracket = self.bracket_idx;
-        job
+    fn next(&mut self, rng: &mut dyn rand::RngCore) -> Decision {
+        let config = &self.config;
+        let sha = |g| barrier_config(&config.sha_config(g % config.num_brackets));
+        self.brackets
+            .suggest(rng, |g, all_finished| all_finished.then(|| sha(g)))
     }
 }
 
-impl Scheduler for Hyperband {
-    fn suggest(&mut self, rng: &mut dyn rand::RngCore) -> Decision {
-        loop {
-            match self.current.suggest(rng) {
-                Decision::Run(job) => return Decision::Run(self.tag(job)),
-                Decision::Wait => return Decision::Wait,
-                Decision::Finished => self.advance_bracket(),
-            }
-        }
-    }
-
-    fn observe(&mut self, obs: Observation) {
-        // Only the current bracket has outstanding jobs; results from an
-        // earlier generation are stale by construction.
-        if obs.trial.0 / BRACKET_STRIDE != self.generation {
-            return;
-        }
-        let local = Observation {
-            trial: TrialId(obs.trial.0 % BRACKET_STRIDE),
-            ..obs
-        };
-        self.current.observe(local);
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn wait_is_stable(&self) -> bool {
-        // A `Wait` comes straight from the current (stable) SyncSha bracket
-        // without advancing generations, so re-asking is a pure re-read.
-        true
-    }
-}
-
-/// Asynchronous Hyperband (Section 3.2): one ASHA instance per bracket,
-/// visited round-robin, switching when the bracket has *issued* as much
-/// resource as a hypothetical synchronous SHA bracket would consume.
+/// Asynchronous Hyperband (Section 3.2): one ASHA bracket per `s`, visited
+/// round-robin, switching when the bracket has *issued* as much resource as
+/// a hypothetical synchronous SHA bracket would consume.
+#[derive(Debug)]
 pub struct AsyncHyperband {
     config: HyperbandConfig,
-    brackets: Vec<Asha>,
-    /// Per-bracket budget of the hypothetical SHA bracket.
+    pub(crate) brackets: BracketLoop,
     budgets: Vec<f64>,
-    /// Resource issued in the current activation of the current bracket.
+    /// Resource issued in the current activation of `current`.
     spent: f64,
     current: usize,
-    name: String,
 }
 
-impl std::fmt::Debug for AsyncHyperband {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AsyncHyperband")
-            .field("config", &self.config)
-            .field("current", &self.current)
-            .field("spent", &self.spent)
-            .finish_non_exhaustive()
-    }
-}
+bracket_loop_scheduler!(AsyncHyperband, AsyncHyperband);
 
 impl AsyncHyperband {
     /// Create an asynchronous Hyperband scheduler.
@@ -241,9 +389,7 @@ impl AsyncHyperband {
     ///
     /// Panics if the configuration is invalid (see [`HyperbandConfig::new`]).
     pub fn new(space: SearchSpace, config: HyperbandConfig) -> Self {
-        AsyncHyperband::with_sampler_factory(space, config, |_| {
-            Box::new(crate::sampler::RandomSampler::new())
-        })
+        AsyncHyperband::with_sampler_factory(space, config, |_| Box::new(RandomSampler::new()))
     }
 
     /// Create an asynchronous Hyperband scheduler with a per-bracket sampler
@@ -261,43 +407,39 @@ impl AsyncHyperband {
         factory: impl Fn(usize) -> Box<dyn ConfigSampler>,
     ) -> Self {
         config.validate().unwrap_or_else(|e| panic!("{e}"));
-        let brackets: Vec<Asha> = (0..config.num_brackets)
-            .map(|s| {
-                Asha::with_sampler(
-                    space.clone(),
-                    AshaConfig::new(
-                        config.min_resource,
-                        config.max_resource,
-                        config.reduction_factor,
-                    )
-                    .with_stop_rate(s),
-                    factory(s),
-                )
-            })
-            .collect();
-        let budgets: Vec<f64> = (0..config.num_brackets)
-            .map(|s| {
-                budget::bracket_budget(
-                    config.bracket_num_configs(s),
-                    config.min_resource,
-                    config.max_resource,
-                    config.reduction_factor,
-                    s,
-                )
-            })
-            .collect();
-        let name = match brackets[0].sampler_name() {
-            "random" => "Hyperband (async)".to_owned(),
-            sampler => format!("Hyperband (async)+{sampler}"),
-        };
+        let samplers: Vec<_> = (0..config.num_brackets).map(factory).collect();
+        let name = display_name("Hyperband (async)", &*samplers[0]);
+        let mut brackets = BracketLoop::new(space, samplers, BRACKET_STRIDE, name);
+        let (r, max_r, eta) = (
+            config.min_resource,
+            config.max_resource,
+            config.reduction_factor,
+        );
+        for s in 0..config.num_brackets {
+            brackets.open(AshaConfig::new(r, max_r, eta).with_stop_rate(s), false);
+        }
+        let budget = |s| budget::bracket_budget(config.bracket_num_configs(s), r, max_r, eta, s);
         AsyncHyperband {
+            budgets: (0..config.num_brackets).map(budget).collect(),
             config,
             brackets,
-            budgets,
             spent: 0.0,
             current: 0,
-            name,
         }
+    }
+
+    /// The current bracket issues, after switching to the next once it has
+    /// spent its budget.
+    fn next(&mut self, rng: &mut dyn rand::RngCore) -> Decision {
+        if self.spent >= self.budgets[self.current] {
+            self.current = (self.current + 1) % self.budgets.len();
+            self.spent = 0.0;
+        }
+        let decision = self.brackets.issue(self.current, rng);
+        if let Decision::Run(job) = &decision {
+            self.spent += job.resource;
+        }
+        decision
     }
 
     /// Capture the scheduler's full mutable state as plain data (see
@@ -305,19 +447,21 @@ impl AsyncHyperband {
     /// [`AshaState`](crate::AshaState) per bracket plus
     /// the budget cursor. Per-bracket budgets are recomputed on restore.
     pub fn export_state(&self) -> AsyncHyperbandState {
+        let bracket_name = display_name("ASHA", &*self.brackets.samplers[0]);
+        let brackets = self.brackets.brackets.iter().flatten();
         AsyncHyperbandState {
             config: self.config.clone(),
-            brackets: self.brackets.iter().map(Asha::export_state).collect(),
+            brackets: brackets.map(|b| b.export_state(&bracket_name)).collect(),
             spent: self.spent,
             current: self.current,
-            name: self.name.clone(),
+            name: self.brackets.name.clone(),
         }
     }
 
     /// Rebuild a scheduler from a state captured by
     /// [`AsyncHyperband::export_state`], with per-bracket samplers built by
     /// `factory`. Sampler cursors, if any, are restored separately via
-    /// [`DurableScheduler::restore_sampler_cursors`].
+    /// [`DurableScheduler::restore_sampler_cursors`](crate::DurableScheduler::restore_sampler_cursors).
     ///
     /// # Panics
     ///
@@ -330,113 +474,20 @@ impl AsyncHyperband {
         factory: impl Fn(usize) -> Box<dyn ConfigSampler>,
     ) -> Self {
         state.validate().unwrap_or_else(|e| panic!("{e}"));
-        let mut ahb =
-            AsyncHyperband::with_sampler_factory(space.clone(), state.config.clone(), &factory);
-        ahb.brackets = state
-            .brackets
-            .into_iter()
-            .enumerate()
-            .map(|(s, b)| Asha::from_state_with_sampler(space.clone(), b, factory(s)))
-            .collect();
-        ahb.spent = state.spent;
-        ahb.current = state.current;
-        ahb.name = state.name;
+        let mut ahb = AsyncHyperband::with_sampler_factory(space, state.config, factory);
+        let brackets = state.brackets.into_iter();
+        let restore = |b| Some(Box::new(Bracket::from_state(b, None)) as Box<dyn Engine>);
+        ahb.brackets.brackets = brackets.map(restore).collect();
+        (ahb.spent, ahb.current) = (state.spent, state.current);
+        ahb.brackets.name = state.name;
         ahb
-    }
-
-    /// Read-only access to the per-bracket ASHA instances.
-    #[cfg(test)]
-    pub(crate) fn brackets(&self) -> &[Asha] {
-        &self.brackets
-    }
-
-    /// Best `(trial, loss)` across every bracket, using intermediate losses.
-    #[cfg(test)]
-    pub(crate) fn best(&self) -> Option<(TrialId, f64)> {
-        self.brackets
-            .iter()
-            .enumerate()
-            .filter_map(|(b, asha)| {
-                asha.best()
-                    .map(|(t, l)| (TrialId(t.0 + b as u64 * BRACKET_STRIDE), l))
-            })
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-    }
-}
-
-impl Scheduler for AsyncHyperband {
-    fn suggest(&mut self, rng: &mut dyn rand::RngCore) -> Decision {
-        if self.spent >= self.budgets[self.current] {
-            self.current = (self.current + 1) % self.brackets.len();
-            self.spent = 0.0;
-        }
-        let b = self.current;
-        match self.brackets[b].suggest(rng) {
-            Decision::Run(mut job) => {
-                self.spent += job.resource;
-                job.trial = TrialId(job.trial.0 + b as u64 * BRACKET_STRIDE);
-                job.bracket = b;
-                Decision::Run(job)
-            }
-            // Per-bracket ASHA without a trial cap never waits/finishes, but
-            // keep the fallthrough total.
-            other => other,
-        }
-    }
-
-    fn observe(&mut self, obs: Observation) {
-        let b = (obs.trial.0 / BRACKET_STRIDE) as usize;
-        if b >= self.brackets.len() {
-            return;
-        }
-        let local = Observation {
-            trial: TrialId(obs.trial.0 % BRACKET_STRIDE),
-            ..obs
-        };
-        self.brackets[b].observe(local);
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn wait_is_stable(&self) -> bool {
-        // A `Wait` can only come from a bracket whose own `Wait` is stable,
-        // after any budget rotation already happened on the first call;
-        // re-asking repeats the same rotation-free, RNG-free path.
-        true
-    }
-}
-
-impl DurableScheduler for AsyncHyperband {
-    fn durable_state(&self) -> SchedulerState {
-        SchedulerState::AsyncHyperband(self.export_state())
-    }
-
-    fn sampler_name(&self) -> &str {
-        // Every bracket uses the same sampler kind by construction.
-        self.brackets[0].sampler_name()
-    }
-
-    fn sampler_cursors(&self) -> Vec<Option<String>> {
-        self.brackets
-            .iter()
-            .map(Asha::export_sampler_cursor)
-            .collect()
-    }
-
-    fn restore_sampler_cursors(&mut self, cursors: &[Option<String>]) {
-        for (bracket, cursor) in self.brackets.iter_mut().zip(cursors) {
-            if let Some(cursor) = cursor {
-                bracket.restore_sampler_cursor(cursor);
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::Scheduler;
     use asha_space::Scale;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -494,6 +545,21 @@ mod tests {
     }
 
     #[test]
+    fn a_long_hyperband_run_frees_finished_brackets() {
+        let mut hb = Hyperband::new(space(), HyperbandConfig::new(1.0, 9.0, 3.0));
+        let mut r = rng();
+        for _ in 0..2_000 {
+            let job = hb.suggest(&mut r).job().expect("serial never waits");
+            hb.observe(Observation::for_job(&job, job.trial.0 as f64));
+            let live = hb.brackets.brackets.iter().flatten().count();
+            assert!(live <= 1, "{live} generations alive");
+        }
+        assert!(hb.brackets.brackets.len() > 50, "generations kept opening");
+        // A freed generation's stale report routes to nothing.
+        hb.observe(Observation::new(TrialId(0), 0, 1.0, 0.0));
+    }
+
+    #[test]
     fn hyperband_waits_when_bracket_blocked() {
         let cfg = HyperbandConfig::new(1.0, 9.0, 3.0);
         let mut hb = Hyperband::new(space(), cfg.clone());
@@ -544,28 +610,16 @@ mod tests {
             ahb.observe(Observation::for_job(&job, 1.0));
         };
         ahb.observe(Observation::for_job(&job, 0.123));
-        let bracket1 = &ahb.brackets()[1];
-        assert_eq!(bracket1.best().map(|(_, l)| l), Some(0.123));
-    }
-
-    #[test]
-    fn async_hyperband_best_spans_brackets() {
-        let cfg = HyperbandConfig::new(1.0, 9.0, 3.0);
-        let mut ahb = AsyncHyperband::new(space(), cfg);
-        let mut r = rng();
-        for i in 0..50 {
-            let job = ahb.suggest(&mut r).job().unwrap();
-            ahb.observe(Observation::for_job(&job, 100.0 - i as f64));
-        }
-        let (_, best) = ahb.best().unwrap();
-        assert_eq!(best, 51.0);
+        let bracket1 = &ahb.export_state().brackets[1];
+        let local = job.trial.0 - BRACKET_STRIDE;
+        assert_eq!(bracket1.rungs[job.rung].records, [(local, 0.123)]);
     }
 
     #[test]
     fn with_brackets_limits_the_loop() {
         let cfg = HyperbandConfig::new(1.0, 256.0, 4.0).with_brackets(4);
         let ahb = AsyncHyperband::new(space(), cfg);
-        assert_eq!(ahb.brackets().len(), 4);
+        assert_eq!(ahb.export_state().brackets.len(), 4);
     }
 
     #[test]

@@ -7,11 +7,9 @@
 //!   next rung whenever possible; otherwise grow the bottom rung.
 //!   [`AshaConfig::delayed`] switches it to Hyper-Tune's delayed promotion
 //!   rule (D-ASHA): per-rung promotions never exceed the exact `1/eta` quota.
-//! * [`SyncSha`] — Algorithm 1, the synchronous Successive Halving
-//!   Algorithm, including the bracket-growing parallelization of Falkner
-//!   et al. (2018) that the paper compares against.
-//! * [`Hyperband`] / [`AsyncHyperband`] — loop over SHA/ASHA brackets with
-//!   different early-stopping rates.
+//! * [`SyncSha`], [`Hyperband`], [`AsyncHyperband`] — one loop over ASHA's
+//!   brackets: Algorithm 1 is a bracket under a synchronous barrier, grown
+//!   as Falkner et al. (2018) do, and the Hyperbands vary its `s`.
 //! * [`RandomSearch`] — the embarrassingly parallel baseline.
 //! * [`budget`] — `budget::Geometry`, the one place `(r, R, eta, s)` is
 //!   validated and turned into rung counts and rung resources; plus the

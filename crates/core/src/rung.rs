@@ -30,10 +30,9 @@
 //!   the rank gate keeps the promoted population tracking `k`.
 //!
 //! None of these indexes is serialized: [`crate::state::RungState`] stores
-//! only the arrival-ordered records and the promoted set, and
-//! `replay_into` rebuilds the indexes by replaying them — which is also
-//! what makes old snapshots (written before the indexes existed) load
-//! unchanged.
+//! only the arrival-ordered records and the promoted set, and a restore
+//! rebuilds the indexes by replaying them — which is also what makes old
+//! snapshots (written before the indexes existed) load unchanged.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -43,6 +42,7 @@ use std::collections::{BTreeSet, BinaryHeap};
 use crate::budget::Geometry;
 use crate::fx::FxHashMap;
 use crate::scheduler::TrialId;
+use crate::state::RungState;
 
 /// Which direction `RungLadder::find_promotable` visits rungs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -80,11 +80,15 @@ pub enum PromotionRule {
     Delayed,
 }
 
-/// Monotone map from (non-NaN) `f64` to `u64` preserving order.
+const SIGN: u64 = 0x8000_0000_0000_0000;
+
+/// Monotone map from `f64` to `u64` that orders keys like `f64::total_cmp`.
+/// The sign bit, not `loss >= 0.0`, picks the branch, so `-0.0` sorts just
+/// below `+0.0` and decodes back to `-0.0`.
 fn loss_key(loss: f64) -> u64 {
     let bits = loss.to_bits();
-    if loss >= 0.0 {
-        bits ^ 0x8000_0000_0000_0000
+    if bits & SIGN == 0 {
+        bits ^ SIGN
     } else {
         !bits
     }
@@ -92,8 +96,8 @@ fn loss_key(loss: f64) -> u64 {
 
 /// Inverse of [`loss_key`].
 fn key_loss(key: u64) -> f64 {
-    if key >= 0x8000_0000_0000_0000 {
-        f64::from_bits(key ^ 0x8000_0000_0000_0000)
+    if key & SIGN != 0 {
+        f64::from_bits(key ^ SIGN)
     } else {
         f64::from_bits(!key)
     }
@@ -147,8 +151,13 @@ impl Rung {
     /// Record a trial's loss at this rung. Re-reports of the same trial are
     /// ignored (first result wins), which makes executors free to retry jobs.
     pub(crate) fn record(&mut self, trial: TrialId, loss: f64) {
-        // Treat NaN losses as worst-possible rather than corrupting sorts.
-        let loss = if loss.is_nan() { f64::INFINITY } else { loss };
+        // A non-finite loss (NaN, either infinity) is a poisoned trial:
+        // recorded as worst-possible, so it never sits ahead of a finite one.
+        let loss = if loss.is_finite() {
+            loss
+        } else {
+            f64::INFINITY
+        };
         let key = loss_key(loss);
         if let Entry::Vacant(slot) = self.loss_of.entry(trial) {
             slot.insert((key, false));
@@ -160,18 +169,6 @@ impl Rung {
     /// Number of trials recorded at this rung.
     pub fn len(&self) -> usize {
         self.records.len()
-    }
-
-    /// Whether no trial has reached this rung yet.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Whether the given trial has a recorded result here.
-    #[cfg(test)]
-    pub(crate) fn contains(&self, trial: TrialId) -> bool {
-        self.loss_of.contains_key(&trial)
     }
 
     /// Whether the given trial has already been promoted out of this rung.
@@ -206,9 +203,9 @@ impl Rung {
 
     /// The `top_k` operator of Algorithms 1–2: the `k` best (lowest-loss)
     /// trials at this rung, best first. Ties break by trial id, which keeps
-    /// promotion deterministic. This is an analysis/test path and pays an
-    /// O(n log n) sort of the unpromoted population; the scheduler's hot
-    /// path never calls it.
+    /// promotion deterministic. It pays an O(n log n) sort of the unpromoted
+    /// population, so only a barrier's close (once per rung) and analysis
+    /// call it; ASHA's promotion scan never does.
     pub fn top_k(&self, k: usize) -> Vec<(TrialId, f64)> {
         let heap = self.unpromoted.borrow();
         let mut unpromoted: Vec<(u64, TrialId)> = heap
@@ -339,20 +336,6 @@ impl Rung {
             }
         }
     }
-
-    /// Best (lowest) loss at this rung, if any trial has completed.
-    #[cfg(test)]
-    pub(crate) fn best(&self) -> Option<(TrialId, f64)> {
-        let a = self.best_unpromoted();
-        let b = self.promoted_sorted.first().copied();
-        let (key, trial) = match (a, b) {
-            (Some(x), Some(y)) => x.min(y),
-            (Some(x), None) => x,
-            (None, Some(y)) => y,
-            (None, None) => return None,
-        };
-        Some((trial, key_loss(key)))
-    }
 }
 
 /// The stack of rungs of one bracket, together with the [`Geometry`] that
@@ -372,17 +355,6 @@ impl RungLadder {
             rungs: vec![Rung::new(); geometry.max_rung().map_or(1, |max| max + 1)],
             geometry,
         }
-    }
-
-    /// The reduction factor `eta`.
-    pub(crate) fn eta(&self) -> f64 {
-        self.geometry.eta()
-    }
-
-    /// The early-stopping rate `s`.
-    #[cfg(test)]
-    pub(crate) fn stop_rate(&self) -> usize {
-        self.geometry.stop_rate()
     }
 
     /// Index of the highest rung, if the horizon is finite.
@@ -442,7 +414,7 @@ impl RungLadder {
         // Finite horizon: scan K-1 .. 0 (trials at rung K are done).
         // Infinite horizon: every existing rung may promote upward.
         let limit = self.max_rung().unwrap_or(self.rungs.len());
-        let eta = self.eta();
+        let eta = self.geometry.eta();
         let scan = |k: usize| self.rungs[k].promotable(eta, rule).map(|(t, l)| (t, l, k));
         match order {
             ScanOrder::TopDown => (0..limit).rev().find_map(scan),
@@ -455,16 +427,25 @@ impl RungLadder {
         self.rung_mut(rung).mark_promoted(trial);
     }
 
-    /// The best loss observed anywhere in the ladder, preferring higher
-    /// rungs' intermediate losses as ASHA does for incumbent reporting
-    /// (Section 3.3: "ASHA uses intermediate losses to determine the current
-    /// best performing configuration").
-    #[cfg(test)]
-    pub(crate) fn best_loss(&self) -> Option<(TrialId, f64)> {
-        self.rungs
-            .iter()
-            .flat_map(|r| r.best())
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+    /// Close barrier rung `k` and return its survivors, best first: its top
+    /// `floor(len/eta)` in `(loss, trial)` order, finite losses only, and
+    /// none at the top rung. Nothing reads a closed rung again, so its
+    /// records and indexes are dropped.
+    pub(crate) fn close(&mut self, rung: usize) -> Vec<TrialId> {
+        let closed = std::mem::replace(&mut self.rungs[rung], Rung::new());
+        if self.max_rung() == Some(rung) {
+            return Vec::new();
+        }
+        let k = (closed.len() as f64 / self.geometry.eta()).floor() as usize;
+        let top = closed.top_k(k).into_iter();
+        top.filter(|(_, loss)| loss.is_finite())
+            .map(|(trial, _)| trial)
+            .collect()
+    }
+
+    /// Every rung as plain data, bottom first.
+    pub(crate) fn states(&self) -> Vec<RungState> {
+        self.rungs.iter().map(RungState::of).collect()
     }
 }
 
@@ -479,10 +460,51 @@ mod tests {
 
     #[test]
     fn loss_key_is_monotone() {
-        let values = [-1e9, -1.0, -1e-12, 0.0, 1e-12, 0.5, 1.0, 1e9, f64::INFINITY];
+        let values = [
+            -1e9,
+            -1.0,
+            -1e-12,
+            -0.0,
+            0.0,
+            1e-12,
+            0.5,
+            1.0,
+            1e9,
+            f64::INFINITY,
+        ];
         for w in values.windows(2) {
             assert!(loss_key(w[0]) < loss_key(w[1]), "{} vs {}", w[0], w[1]);
         }
+        for v in values {
+            assert_eq!(key_loss(loss_key(v)).to_bits(), v.to_bits(), "{v}");
+        }
+    }
+
+    #[test]
+    fn a_negative_zero_loss_is_promotable() {
+        let mut rung = Rung::new();
+        rung.record(TrialId(0), -0.0);
+        rung.record(TrialId(1), -0.5);
+        rung.record(TrialId(2), 0.0);
+        let (t, loss) = rung.promotable(3.0, Eager).expect("k = 1, all finite");
+        assert_eq!((t, loss), (TrialId(1), -0.5));
+        rung.mark_promoted(t);
+        for t in 3..6 {
+            rung.record(TrialId(t), 1.0);
+        }
+        let (t, loss) = rung.promotable(3.0, Eager).expect("k = 2, -0.0 ranks 2nd");
+        assert_eq!(t, TrialId(0));
+        assert_eq!(loss.to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn a_negative_infinite_loss_is_poisoned_not_best() {
+        let mut rung = Rung::new();
+        rung.record(TrialId(0), f64::NEG_INFINITY);
+        rung.record(TrialId(1), 0.5);
+        rung.record(TrialId(2), 0.7);
+        assert_eq!(rung.records()[0].1, f64::INFINITY);
+        assert_eq!(rung.promotable(3.0, Eager), Some((TrialId(1), 0.5)));
     }
 
     #[test]
@@ -493,8 +515,8 @@ mod tests {
         assert_eq!(ladder.resource(0), 1.0);
         assert_eq!(ladder.resource(1), 3.0);
         assert_eq!(ladder.resource(2), 9.0);
-        assert_eq!(ladder.eta(), 3.0);
-        assert_eq!(ladder.stop_rate(), 0);
+        assert_eq!(ladder.geometry.eta(), 3.0);
+        assert_eq!(ladder.geometry.stop_rate(), 0);
     }
 
     #[test]
@@ -528,8 +550,8 @@ mod tests {
         rung.record(TrialId(2), 0.8);
         // Now 3/3 = 1 candidate: trial 1 with loss 0.3.
         assert_eq!(rung.promotable(3.0, Eager), Some((TrialId(1), 0.3)));
-        assert!(rung.contains(TrialId(1)));
-        assert!(!rung.contains(TrialId(9)));
+        assert!(rung.loss_of.contains_key(&TrialId(1)));
+        assert!(!rung.loss_of.contains_key(&TrialId(9)));
     }
 
     #[test]
@@ -537,7 +559,7 @@ mod tests {
         let mut rung = Rung::new();
         rung.record(TrialId(0), f64::INFINITY);
         rung.record(TrialId(1), f64::NAN); // recorded as INFINITY
-        rung.record(TrialId(2), f64::INFINITY);
+        rung.record(TrialId(2), f64::NEG_INFINITY);
         // 3/3 = 1 candidate by count, but every loss is poisoned.
         assert_eq!(rung.promotable(3.0, Eager), None);
         // A finite arrival is promotable as usual; the poisoned ones stay.
@@ -691,7 +713,6 @@ mod tests {
         rung.record(TrialId(0), 0.1);
         assert_eq!(rung.len(), 1);
         assert_eq!(rung.records()[0].1, 0.5);
-        assert!(!rung.is_empty());
     }
 
     #[test]
@@ -699,23 +720,30 @@ mod tests {
         let mut rung = Rung::new();
         rung.record(TrialId(0), f64::NAN);
         rung.record(TrialId(1), 0.4);
-        assert_eq!(rung.best(), Some((TrialId(1), 0.4)));
-        assert_eq!(rung.top_k(2)[1].0, TrialId(0));
+        assert_eq!(
+            rung.top_k(2),
+            [(TrialId(1), 0.4), (TrialId(0), f64::INFINITY)]
+        );
     }
 
     #[test]
-    fn best_is_stable_after_promotions() {
-        // best() consults the lazy heap; stale entries must not resurface.
+    fn top_k_is_stable_after_promotions() {
+        // top_k merges the lazy heap with the promoted set; stale heap
+        // entries must not resurface.
         let mut rung = Rung::new();
         for (i, loss) in [0.2, 0.1, 0.3].iter().enumerate() {
             rung.record(TrialId(i as u64), *loss);
         }
-        assert_eq!(rung.best(), Some((TrialId(1), 0.1)));
+        assert_eq!(rung.top_k(1), [(TrialId(1), 0.1)]);
         rung.mark_promoted(TrialId(1));
         // Trial 1 is promoted but still the rung's best loss.
-        assert_eq!(rung.best(), Some((TrialId(1), 0.1)));
+        assert_eq!(rung.promotable(3.0, Eager), None);
+        assert_eq!(rung.top_k(1), [(TrialId(1), 0.1)]);
         rung.mark_promoted(TrialId(0));
-        assert_eq!(rung.best(), Some((TrialId(1), 0.1)));
+        assert_eq!(
+            rung.top_k(3),
+            [(TrialId(1), 0.1), (TrialId(0), 0.2), (TrialId(2), 0.3)]
+        );
         assert_eq!(rung.promoted_count(), 2);
     }
 
@@ -777,14 +805,6 @@ mod tests {
         let (t, _, k) = ladder.find_promotable(ScanOrder::TopDown, Eager).unwrap();
         assert_eq!((t, k), (TrialId(0), 4));
         assert_eq!(ladder.resource(5), 3f64.powi(5));
-    }
-
-    #[test]
-    fn best_loss_uses_intermediate_results() {
-        let mut ladder = finite(1.0, 9.0, 3.0, 0);
-        ladder.record(0, TrialId(0), 0.9);
-        ladder.record(1, TrialId(1), 0.2);
-        assert_eq!(ladder.best_loss(), Some((TrialId(1), 0.2)));
     }
 
     #[test]

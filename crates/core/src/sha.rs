@@ -2,16 +2,15 @@
 //! bracket-growing parallelization scheme of Falkner et al. (2018) that the
 //! paper's distributed experiments compare against.
 
-use std::collections::BTreeSet;
+use asha_space::SearchSpace;
 
-use asha_space::{Config, SearchSpace};
-
+use crate::asha::{display_name, Barrier, Bracket, Engine};
 use crate::budget::{min_configs, Geometry};
 use crate::error::Error;
-use crate::fx::{FxHashMap, FxHashSet};
+use crate::hyperband::{barrier_config, bracket_loop_scheduler, BracketLoop};
 use crate::sampler::{ConfigSampler, RandomSampler};
-use crate::scheduler::{Decision, Job, Observation, Scheduler, TrialId};
-use crate::state::{BracketState, DurableScheduler, SchedulerState, SyncShaState};
+use crate::scheduler::{Decision, TrialId};
+use crate::state::{AshaState, BracketState, RungState, SyncShaState};
 
 /// Configuration of a [`SyncSha`] scheduler.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,7 +30,7 @@ pub struct ShaConfig {
     /// waiting on stragglers — the parallelization scheme of Falkner et al.
     /// (2018) ("add brackets when there are no jobs available in existing
     /// brackets"). With `false`, a single bracket runs to completion and the
-    /// scheduler then reports [`Decision::Finished`].
+    /// scheduler then reports [`Decision::Finished`](crate::Decision::Finished).
     pub grow_brackets: bool,
 }
 
@@ -46,13 +45,6 @@ impl ShaConfig {
             stop_rate: 0,
             grow_brackets: false,
         }
-    }
-
-    /// Set the early-stopping rate `s`.
-    #[cfg(test)]
-    pub(crate) fn with_stop_rate(mut self, stop_rate: usize) -> Self {
-        self.stop_rate = stop_rate;
-        self
     }
 
     /// Keep adding brackets when all existing ones are blocked.
@@ -111,77 +103,19 @@ impl ShaConfig {
     }
 }
 
-/// One synchronous bracket in flight.
-#[derive(Debug)]
-struct Bracket {
-    /// Trials not yet sampled for the base rung.
-    remaining_to_sample: usize,
-    /// Survivors queued for issue at the current rung.
-    queue: Vec<(TrialId, Config)>,
-    /// Jobs issued at the current rung and not yet reported.
-    outstanding: usize,
-    /// Trials currently issued (and unreported) at the current rung. A
-    /// report is accepted only for trials in this set, which makes duplicate
-    /// reports (executor retries) and reports for never-issued trials
-    /// harmless rather than barrier-corrupting.
-    issued: FxHashSet<TrialId>,
-    /// Results gathered at the current rung.
-    results: Vec<(TrialId, f64)>,
-    /// Current rung index.
-    rung: usize,
-    done: bool,
-}
-
-impl Bracket {
-    fn fresh(num_configs: usize) -> Self {
-        Bracket {
-            remaining_to_sample: num_configs,
-            queue: Vec::new(),
-            outstanding: 0,
-            issued: FxHashSet::default(),
-            results: Vec::new(),
-            rung: 0,
-            done: false,
-        }
-    }
-
-    fn has_work(&self) -> bool {
-        !self.done && (self.remaining_to_sample > 0 || !self.queue.is_empty())
-    }
-
-    fn idle(&self) -> bool {
-        self.done || (self.remaining_to_sample == 0 && self.queue.is_empty())
-    }
-}
-
 /// Synchronous Successive Halving: every configuration in a rung must finish
 /// before the top `1/eta` are promoted to the next rung — the property that
 /// makes the algorithm sensitive to stragglers and dropped jobs (Section 3.1
-/// and Appendix A.1).
+/// and Appendix A.1). Each bracket is a barrier bracket of `n` trials;
+/// trial `t` of bracket `b` is `TrialId(b * n + t)`, and its jobs are
+/// tagged bracket `b`.
+#[derive(Debug)]
 pub struct SyncSha {
-    space: SearchSpace,
     config: ShaConfig,
-    geometry: Geometry,
-    sampler: Box<dyn ConfigSampler>,
-    brackets: Vec<Bracket>,
-    /// Work index: exactly the bracket indices whose `has_work()` is true,
-    /// kept in sync after every mutation so `suggest` finds the first
-    /// issuable bracket in O(1) instead of scanning every bracket. Derived
-    /// data — rebuilt on restore, never serialized.
-    active: BTreeSet<usize>,
-    trial_meta: FxHashMap<TrialId, (usize, Config)>,
-    next_trial: u64,
-    name: String,
+    pub(crate) brackets: BracketLoop,
 }
 
-impl std::fmt::Debug for SyncSha {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SyncSha")
-            .field("config", &self.config)
-            .field("brackets", &self.brackets.len())
-            .finish_non_exhaustive()
-    }
-}
+bracket_loop_scheduler!(SyncSha, SyncSha);
 
 impl SyncSha {
     /// Create a synchronous SHA scheduler with uniform random sampling.
@@ -195,7 +129,7 @@ impl SyncSha {
     }
 
     /// Create a synchronous SHA scheduler with a custom sampler (BOHB uses a
-    /// TPE here).
+    /// TPE here), shared by every bracket.
     ///
     /// # Panics
     ///
@@ -206,80 +140,69 @@ impl SyncSha {
         sampler: Box<dyn ConfigSampler>,
     ) -> Self {
         config.validate().unwrap_or_else(|e| panic!("{e}"));
-        let geometry = config.geometry().expect("validated above");
-        let name = if sampler.name() == "random" {
-            "SHA".to_owned()
-        } else {
-            format!("SHA+{}", sampler.name())
-        };
-        let first = Bracket::fresh(config.num_configs);
-        let mut active = BTreeSet::new();
-        if first.has_work() {
-            active.insert(0);
-        }
-        SyncSha {
-            space,
-            config,
-            geometry,
-            sampler,
-            brackets: vec![first],
-            active,
-            trial_meta: FxHashMap::default(),
-            next_trial: 0,
-            name,
-        }
+        let name = display_name("SHA", &*sampler);
+        let n = config.num_configs as u64;
+        let mut brackets = BracketLoop::new(space, vec![sampler], n, name);
+        brackets.open(barrier_config(&config), true);
+        SyncSha { config, brackets }
     }
 
     /// Rename the scheduler (used by wrappers such as BOHB).
     pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
+        self.brackets.name = name.into();
     }
 
-    /// Number of brackets started so far.
-    #[cfg(test)]
-    pub(crate) fn bracket_count(&self) -> usize {
-        self.brackets.len()
-    }
-
-    /// Whether every bracket has run to completion.
-    pub(crate) fn all_done(&self) -> bool {
-        self.brackets.iter().all(|b| b.done)
+    /// The lowest open bracket with a job issues it; with `grow_brackets`, a
+    /// new bracket opens whenever every open one is blocked, exactly like
+    /// the Falkner et al. scheme.
+    fn next(&mut self, rng: &mut dyn rand::RngCore) -> Decision {
+        let config = &self.config;
+        let grow = |_, _| config.grow_brackets.then(|| barrier_config(config));
+        let mut decision = self.brackets.suggest(rng, grow);
+        if let Decision::Run(job) = &mut decision {
+            job.bracket = (job.trial.0 / config.num_configs as u64) as usize;
+        }
+        decision
     }
 
     /// Capture the scheduler's full mutable state as plain data (see
     /// [`SchedulerState`](crate::SchedulerState)). Restoring it with
     /// [`SyncSha::from_state_with_sampler`] yields a
     /// scheduler that makes identical decisions given the same RNG stream.
+    ///
+    /// A bracket's live state is its barrier: the records of the rung it
+    /// runs, and the survivors of the rung below still to issue. Closed
+    /// rungs are never read again, so they are not part of the document.
     pub fn export_state(&self) -> SyncShaState {
-        let brackets = self
-            .brackets
-            .iter()
-            .map(|b| {
-                let mut issued: Vec<u64> = b.issued.iter().map(|t| t.0).collect();
-                issued.sort_unstable();
-                BracketState {
-                    remaining_to_sample: b.remaining_to_sample,
-                    queue: b.queue.iter().map(|(t, c)| (t.0, c.clone())).collect(),
-                    outstanding: b.outstanding,
-                    issued,
-                    results: b.results.iter().map(|&(t, l)| (t.0, l)).collect(),
-                    rung: b.rung,
-                    done: b.done,
-                }
-            })
-            .collect();
-        let mut trial_meta: Vec<(u64, usize, Config)> = self
-            .trial_meta
-            .iter()
-            .map(|(t, (b, c))| (t.0, *b, c.clone()))
-            .collect();
-        trial_meta.sort_unstable_by_key(|&(t, _, _)| t);
+        let n = self.config.num_configs;
+        let mut trial_meta = Vec::new();
+        let mut brackets = Vec::new();
+        for (b, bracket) in self.brackets.brackets.iter().flatten().enumerate() {
+            let base = (b * n) as u64;
+            let state = bracket.export_state("");
+            let barrier = bracket.barrier().cloned().unwrap_or_default();
+            let done = bracket.finished();
+            let results = &state.rungs[barrier.rung].records[..];
+            let results = if done { &[][..] } else { results };
+            let trial = |t: u64| (base + t, state.trials[t as usize].1.clone());
+            brackets.push(BracketState {
+                remaining_to_sample: n - state.trials_started,
+                queue: barrier.queue.iter().map(|t| trial(t.0)).collect(),
+                outstanding: state.outstanding.len(),
+                issued: state.outstanding.iter().map(|&(t, _)| base + t).collect(),
+                results: results.iter().map(|&(t, l)| (base + t, l)).collect(),
+                rung: barrier.rung,
+                done,
+            });
+            let trials = state.trials.into_iter();
+            trial_meta.extend(trials.map(|(t, c)| (base + t, b, c)));
+        }
         SyncShaState {
             config: self.config.clone(),
             brackets,
+            next_trial: trial_meta.len() as u64,
             trial_meta,
-            next_trial: self.next_trial,
-            name: self.name.clone(),
+            name: self.brackets.name.clone(),
         }
     }
 
@@ -288,202 +211,55 @@ impl SyncSha {
     ///
     /// # Panics
     ///
-    /// Panics if the embedded config is invalid (same conditions as
-    /// [`SyncSha::new`]).
+    /// Panics if the state is one no `SyncSha` can hold (see
+    /// `SyncShaState::validate`).
     pub fn from_state_with_sampler(
         space: SearchSpace,
         state: SyncShaState,
         sampler: Box<dyn ConfigSampler>,
     ) -> Self {
+        state.validate().unwrap_or_else(|e| panic!("{e}"));
         let mut sha = SyncSha::with_sampler(space, state.config.clone(), sampler);
-        sha.brackets = state
-            .brackets
-            .into_iter()
-            .map(|b| Bracket {
-                remaining_to_sample: b.remaining_to_sample,
-                queue: b.queue.into_iter().map(|(t, c)| (TrialId(t), c)).collect(),
-                outstanding: b.outstanding,
-                issued: b.issued.into_iter().map(TrialId).collect(),
-                results: b
-                    .results
-                    .into_iter()
-                    .map(|(t, l)| (TrialId(t), l))
-                    .collect(),
-                rung: b.rung,
-                done: b.done,
-            })
-            .collect();
-        // The work index is derived data: rebuild it from the restored
-        // brackets (old snapshots carry no index fields and need none).
-        sha.active = (0..sha.brackets.len())
-            .filter(|&i| sha.brackets[i].has_work())
-            .collect();
-        sha.trial_meta = state
-            .trial_meta
-            .into_iter()
-            .map(|(t, b, c)| (TrialId(t), (b, c)))
-            .collect();
-        sha.next_trial = state.next_trial;
-        sha.name = state.name;
+        let n = state.config.num_configs;
+        let mut configs = state.trial_meta.into_iter().map(|(_, _, c)| c);
+        let (mut brackets, mut open) = (Vec::new(), Vec::new());
+        for (b, bracket) in state.brackets.into_iter().enumerate() {
+            let (base, rung, done) = ((b * n) as u64, bracket.rung, bracket.done);
+            let sampled = n - bracket.remaining_to_sample;
+            let mut rungs = vec![RungState::default(); rung + 1];
+            let results = bracket.results.into_iter();
+            rungs[rung].records = results.map(|(t, l)| (t - base, l)).collect();
+            let issued = bracket.issued.iter();
+            let asha = AshaState {
+                config: barrier_config(&state.config),
+                rungs,
+                trials: (0..).zip(configs.by_ref().take(sampled)).collect(),
+                outstanding: issued.map(|&t| (t - base, rung)).collect(),
+                next_trial: sampled as u64,
+                trials_started: sampled,
+                name: String::new(),
+            };
+            let queue = bracket.queue.iter().map(|&(t, _)| TrialId(t - base));
+            let barrier = Barrier {
+                rung,
+                queue: queue.collect(),
+            };
+            let bracket = Box::new(Bracket::from_state(asha, Some(barrier)));
+            brackets.push(Some(bracket as Box<dyn Engine>));
+            open.extend((!done).then_some(b));
+        }
+        sha.brackets.brackets = brackets;
+        sha.brackets.ready = open.iter().copied().collect();
+        sha.brackets.open = open;
+        sha.brackets.name = state.name;
         sha
-    }
-
-    /// Re-derive one bracket's membership in the work index after a
-    /// mutation.
-    fn sync_active(&mut self, bracket_idx: usize) {
-        if self.brackets[bracket_idx].has_work() {
-            self.active.insert(bracket_idx);
-        } else {
-            self.active.remove(&bracket_idx);
-        }
-    }
-
-    fn issue_from(&mut self, bracket_idx: usize, rng: &mut dyn rand::RngCore) -> Job {
-        let rung = self.brackets[bracket_idx].rung;
-        let (trial, config) = if self.brackets[bracket_idx].remaining_to_sample > 0 {
-            self.brackets[bracket_idx].remaining_to_sample -= 1;
-            let trial = TrialId(self.next_trial);
-            self.next_trial += 1;
-            let fidelity = crate::sampler::Fidelity::base(self.geometry.resource(0));
-            let config = self.sampler.propose_at(&self.space, fidelity, rng);
-            self.trial_meta.insert(trial, (bracket_idx, config.clone()));
-            (trial, config)
-        } else {
-            self.brackets[bracket_idx]
-                .queue
-                .pop()
-                .expect("issue_from called with work available")
-        };
-        self.brackets[bracket_idx].outstanding += 1;
-        self.brackets[bracket_idx].issued.insert(trial);
-        self.sync_active(bracket_idx);
-        Job {
-            trial,
-            config,
-            rung,
-            resource: self.geometry.resource(rung),
-            bracket: bracket_idx,
-            inherit_from: None,
-        }
-    }
-
-    fn complete_rung(&mut self, bracket_idx: usize) {
-        let num_rungs = self.geometry.num_rungs();
-        let eta = self.config.reduction_factor;
-        let bracket = &mut self.brackets[bracket_idx];
-        let k = (bracket.results.len() as f64 / eta).floor() as usize;
-        if bracket.rung + 1 >= num_rungs || k == 0 {
-            bracket.done = true;
-            bracket.results.clear();
-            self.sync_active(bracket_idx);
-            return;
-        }
-        let mut sorted = std::mem::take(&mut bracket.results);
-        // Poisoned trials (infinite or NaN loss — a crashed or diverged job)
-        // are never promoted; `k` still follows Algorithm 1's |rung|/eta.
-        sorted.retain(|&(_, loss)| loss.is_finite());
-        sorted.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        sorted.truncate(k);
-        if sorted.is_empty() {
-            // Every survivor candidate was poisoned: the bracket cannot
-            // continue meaningfully.
-            bracket.done = true;
-            self.sync_active(bracket_idx);
-            return;
-        }
-        bracket.rung += 1;
-        // Pop order is LIFO; reverse so the best survivor is issued first.
-        let meta = &self.trial_meta;
-        bracket.queue = sorted
-            .into_iter()
-            .rev()
-            .map(|(t, _)| (t, meta[&t].1.clone()))
-            .collect();
-        self.sync_active(bracket_idx);
-    }
-}
-
-impl Scheduler for SyncSha {
-    fn suggest(&mut self, rng: &mut dyn rand::RngCore) -> Decision {
-        // The work index holds exactly the brackets with issuable work, so
-        // the lowest-index preference of the original linear scan is a
-        // single ordered-set lookup.
-        if let Some(&idx) = self.active.first() {
-            return Decision::Run(self.issue_from(idx, rng));
-        }
-        if self.config.grow_brackets {
-            // Every bracket is blocked (or done): start a new one, exactly
-            // like the Falkner et al. scheme.
-            self.brackets.push(Bracket::fresh(self.config.num_configs));
-            let idx = self.brackets.len() - 1;
-            self.sync_active(idx);
-            return Decision::Run(self.issue_from(idx, rng));
-        }
-        if self.all_done() {
-            Decision::Finished
-        } else {
-            Decision::Wait
-        }
-    }
-
-    fn observe(&mut self, obs: Observation) {
-        let Some((bracket_idx, config)) = self.trial_meta.get(&obs.trial).cloned() else {
-            return; // unsolicited
-        };
-        {
-            let bracket = &mut self.brackets[bracket_idx];
-            if bracket.done || bracket.rung != obs.rung {
-                return; // stale report
-            }
-            if !bracket.issued.remove(&obs.trial) {
-                return; // duplicate, or never issued at this rung
-            }
-            bracket.outstanding -= 1;
-            bracket.results.push((obs.trial, obs.loss));
-        }
-        self.sampler
-            .record(&config, obs.rung, obs.resource, obs.loss);
-        let bracket = &self.brackets[bracket_idx];
-        if bracket.outstanding == 0 && bracket.idle() && !bracket.results.is_empty() {
-            self.complete_rung(bracket_idx);
-        }
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn wait_is_stable(&self) -> bool {
-        // `suggest` returns `Wait` only when no bracket has work and
-        // growing is off; that check consumes no RNG and mutates nothing,
-        // so the answer cannot change until an `observe` lands.
-        true
-    }
-}
-
-impl DurableScheduler for SyncSha {
-    fn durable_state(&self) -> SchedulerState {
-        SchedulerState::SyncSha(self.export_state())
-    }
-
-    fn sampler_name(&self) -> &str {
-        self.sampler.name()
-    }
-
-    fn sampler_cursors(&self) -> Vec<Option<String>> {
-        vec![self.sampler.export_cursor()]
-    }
-
-    fn restore_sampler_cursors(&mut self, cursors: &[Option<String>]) {
-        if let Some(Some(cursor)) = cursors.first() {
-            self.sampler.restore_cursor(cursor);
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::{Job, Observation, Scheduler};
     use asha_space::Scale;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -503,12 +279,16 @@ mod tests {
     fn config_rungs_match_figure1() {
         let cfg = ShaConfig::new(9, 1.0, 9.0, 3.0);
         assert_eq!(cfg.num_rungs(), 3);
-        assert_eq!(cfg.rung_resource(0), 1.0);
-        assert_eq!(cfg.rung_resource(1), 3.0);
-        assert_eq!(cfg.rung_resource(2), 9.0);
-        let b1 = cfg.clone().with_stop_rate(1);
+        let resource = |cfg: &ShaConfig, k| cfg.geometry().unwrap().resource(k);
+        assert_eq!(resource(&cfg, 0), 1.0);
+        assert_eq!(resource(&cfg, 1), 3.0);
+        assert_eq!(resource(&cfg, 2), 9.0);
+        let b1 = ShaConfig {
+            stop_rate: 1,
+            ..cfg
+        };
         assert_eq!(b1.num_rungs(), 2);
-        assert_eq!(b1.rung_resource(0), 3.0);
+        assert_eq!(resource(&b1, 0), 3.0);
     }
 
     #[test]
@@ -554,7 +334,7 @@ mod tests {
         // Figure 1 bracket 0: 9 + 3 + 1 = 13 jobs.
         assert_eq!(job_count, 13);
         assert_eq!(rung_sizes, [9, 3, 1]);
-        assert!(sha.all_done());
+        assert!(sha.brackets.open.is_empty());
     }
 
     #[test]
@@ -606,7 +386,7 @@ mod tests {
         // All 9 outstanding: a 10th worker asks for work -> a new bracket.
         let job = sha.suggest(&mut r).job().unwrap();
         assert_eq!(job.bracket, 1);
-        assert_eq!(sha.bracket_count(), 2);
+        assert_eq!(sha.brackets.brackets.len(), 2);
         // Old bracket results still promote correctly.
         for job in &jobs {
             sha.observe(Observation::for_job(job, job.trial.0 as f64));
@@ -618,6 +398,55 @@ mod tests {
     }
 
     #[test]
+    fn closed_rungs_and_finished_brackets_hold_no_records() {
+        let mut sha = SyncSha::new(space(), ShaConfig::new(9, 1.0, 9.0, 3.0));
+        let mut r = rng();
+        let records = |sha: &SyncSha| {
+            let bracket = sha.brackets.brackets[0].as_ref().unwrap();
+            let rungs = bracket.export_state("").rungs;
+            rungs.iter().map(|r| r.records.len()).collect::<Vec<_>>()
+        };
+        while let Decision::Run(job) = sha.suggest(&mut r) {
+            sha.observe(Observation::for_job(&job, job.trial.0 as f64));
+            if job.trial.0 == 8 && job.rung == 0 {
+                assert_eq!(records(&sha), [0, 0, 0], "rung 0 closed");
+            }
+        }
+        assert_eq!(records(&sha), [0, 0, 0], "the top rung closed too");
+        assert_eq!(sha.export_state().trial_meta.len(), 9);
+    }
+
+    /// The document is the barrier's live state, written out by hand here:
+    /// rung 1 running, survivor 0 issued, survivors 2 and 1 queued (best
+    /// last), rung 0's records gone with the rung.
+    #[test]
+    fn export_writes_the_barrier_as_the_bracket_document() {
+        let mut sha = SyncSha::new(space(), ShaConfig::new(9, 1.0, 9.0, 3.0));
+        let mut r = rng();
+        let jobs: Vec<Job> = (0..9).map(|_| sha.suggest(&mut r).job().unwrap()).collect();
+        for job in jobs.iter().rev() {
+            sha.observe(Observation::for_job(job, job.trial.0 as f64));
+        }
+        let survivor = sha.suggest(&mut r).job().unwrap();
+        assert_eq!((survivor.trial, survivor.rung), (TrialId(0), 1));
+        sha.observe(Observation::new(TrialId(5), 0, 1.0, 0.0)); // stale
+        let state = sha.export_state();
+        let b = &state.brackets[0];
+        let queued: Vec<u64> = b.queue.iter().map(|&(t, _)| t).collect();
+        assert_eq!((b.remaining_to_sample, b.rung, b.done), (0, 1, false));
+        assert_eq!(
+            (queued, b.outstanding, b.issued.clone()),
+            (vec![2, 1], 1, vec![0])
+        );
+        assert!(b.results.is_empty());
+        assert_eq!((state.next_trial, state.trial_meta.len()), (9, 9));
+        assert_eq!(b.queue[0].1, jobs[2].config);
+        sha.observe(Observation::for_job(&survivor, 0.5));
+        let b = &sha.export_state().brackets[0];
+        assert_eq!((b.results.clone(), b.issued.len()), (vec![(0, 0.5)], 0));
+    }
+
+    #[test]
     fn stale_observations_are_ignored() {
         let mut sha = SyncSha::new(space(), ShaConfig::new(9, 1.0, 9.0, 3.0));
         let mut r = rng();
@@ -626,7 +455,7 @@ mod tests {
         sha.observe(Observation::for_job(&job, 0.0)); // duplicate
         sha.observe(Observation::new(TrialId(999), 0, 1.0, 0.0)); // unknown
                                                                   // One result recorded, eight to go.
-        assert!(!sha.all_done());
+        assert!(!sha.brackets.open.is_empty());
     }
 
     #[test]
@@ -651,6 +480,20 @@ mod tests {
         assert_eq!(next.rung, 1);
     }
 
+    /// The barrier keeps `Rung`'s `(loss, trial)` order: of two tied
+    /// losses at the cut, the lower id survives whichever reported first.
+    #[test]
+    fn a_tie_at_the_cut_keeps_the_lower_trial_id() {
+        let mut sha = SyncSha::new(space(), ShaConfig::new(3, 1.0, 3.0, 3.0));
+        let mut r = rng();
+        let jobs: Vec<Job> = (0..3).map(|_| sha.suggest(&mut r).job().unwrap()).collect();
+        for (i, loss) in [(2, 0.5), (1, 0.5), (0, 0.9)] {
+            sha.observe(Observation::for_job(&jobs[i], loss));
+        }
+        let survivor = sha.suggest(&mut r).job().unwrap();
+        assert_eq!((survivor.trial, survivor.rung), (TrialId(1), 1));
+    }
+
     #[test]
     fn poisoned_trials_are_not_promoted() {
         let mut sha = SyncSha::new(space(), ShaConfig::new(9, 1.0, 9.0, 3.0));
@@ -669,7 +512,7 @@ mod tests {
             };
             sha.observe(Observation::for_job(&job, loss));
         }
-        assert!(sha.all_done());
+        assert!(sha.brackets.open.is_empty());
         assert!(
             !promoted.contains(&0) && !promoted.contains(&1),
             "poisoned trials promoted: {promoted:?}"
@@ -688,7 +531,7 @@ mod tests {
         }
         // No finite survivor: the bracket stops after the base rung.
         assert_eq!(count, 9);
-        assert!(sha.all_done());
+        assert!(sha.brackets.open.is_empty());
     }
 
     #[test]

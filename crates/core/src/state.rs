@@ -17,16 +17,16 @@
 use asha_space::Config;
 
 use crate::error::Error;
-use crate::rung::{PromotionRule, Rung, RungLadder};
-use crate::scheduler::{Scheduler, TrialId};
+use crate::rung::{PromotionRule, Rung};
+use crate::scheduler::Scheduler;
 
 /// Snapshot of one `Rung`: every recorded `(trial, loss)` in arrival
 /// order, plus which trials have been promoted out.
 ///
-/// Losses are stored post-normalization (the rung records NaN as
-/// `+inf`), so replaying `records` through `Rung::record` reproduces the
-/// rung exactly.
-#[derive(Debug, Clone, PartialEq)]
+/// Losses are stored post-normalization (the rung records every non-finite
+/// loss as `+inf`), so replaying `records` through `Rung::record`
+/// reproduces the rung exactly.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RungState {
     /// `(trial, loss)` in arrival order.
     pub records: Vec<(u64, f64)>,
@@ -45,16 +45,6 @@ impl RungState {
             .map(|&(t, _)| t.0)
             .collect();
         RungState { records, promoted }
-    }
-
-    /// Replay this rung's history into rung `k` of a fresh ladder.
-    pub(crate) fn replay_into(&self, ladder: &mut RungLadder, k: usize) {
-        for &(trial, loss) in &self.records {
-            ladder.record(k, TrialId(trial), loss);
-        }
-        for &trial in &self.promoted {
-            ladder.mark_promoted(k, TrialId(trial));
-        }
     }
 }
 
@@ -129,8 +119,8 @@ impl AshaState {
     }
 }
 
-/// Snapshot of one synchronous SHA bracket (private to `SyncSha`; exported
-/// here as plain data).
+/// Snapshot of one synchronous SHA bracket: the live state of its barrier
+/// (see [`SyncSha`](crate::SyncSha)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BracketState {
     /// Base-rung configurations not yet sampled.
@@ -164,6 +154,68 @@ pub struct SyncShaState {
     pub next_trial: u64,
     /// The scheduler's display name.
     pub name: String,
+}
+
+impl SyncShaState {
+    /// Check that a [`SyncSha`](crate::SyncSha) can hold this state, which
+    /// [`SyncSha::from_state_with_sampler`](crate::SyncSha::from_state_with_sampler)
+    /// panics on otherwise: a valid config; `trial_meta` exactly the ids
+    /// `0..next_trial` in order, trial `t` under bracket `t / n`, every
+    /// bracket but the last fully sampled; and per bracket, at most `n`
+    /// trials, a rung on the ladder, `outstanding == issued.len()`, its
+    /// queued, issued and result trials distinct and its own, and `done`
+    /// exactly when nothing is left to sample, issue or report (a bracket
+    /// samples only at rung 0, and queues only above it).
+    pub(crate) fn validate(&self) -> Result<(), Error> {
+        self.config.validate()?;
+        let (n, rungs) = (self.config.num_configs, self.config.num_rungs());
+        let mut sampled = 0;
+        for (b, bracket) in self.brackets.iter().enumerate() {
+            let own = n.saturating_sub(bracket.remaining_to_sample);
+            let first = (b * n) as u64;
+            let mut seen = std::collections::BTreeSet::new();
+            let queued = bracket.queue.iter().map(|(t, _)| t);
+            let results = bracket.results.iter().map(|(t, _)| t);
+            let mut ids = queued.chain(&bracket.issued).chain(results);
+            let idle = own == n && bracket.queue.is_empty() && bracket.issued.is_empty();
+            let problem = if bracket.remaining_to_sample > n {
+                "more trials left than it holds"
+            } else if own < n && b + 1 < self.brackets.len() {
+                "a later bracket opened before it sampled all its trials"
+            } else if bracket.rung >= rungs {
+                "a rung past the ladder"
+            } else if bracket.outstanding != bracket.issued.len() {
+                "an outstanding count that is not the issued trials'"
+            } else if !ids.all(|&t| (first..first + own as u64).contains(&t) && seen.insert(t)) {
+                "a queued, issued or result trial not its own, or named twice"
+            } else if (own < n && bracket.rung > 0)
+                || (bracket.rung == 0 && !bracket.queue.is_empty())
+                || bracket.done != idle
+                || (bracket.done && !bracket.results.is_empty())
+            {
+                "a rung, queue and done flag no bracket reaches"
+            } else {
+                sampled += own;
+                continue;
+            };
+            return Err(Error::config(format!("bracket {b}: {problem}")));
+        }
+        for (i, &(t, b, _)) in (0..).zip(&self.trial_meta) {
+            if t != i || b != i as usize / n {
+                return Err(Error::config(format!(
+                    "trial {t} of bracket {b} sits at position {i} of the trial table"
+                )));
+            }
+        }
+        if self.trial_meta.len() != sampled || self.next_trial != sampled as u64 {
+            return Err(Error::config(format!(
+                "next_trial is {} for {} trials in the table, {sampled} sampled",
+                self.next_trial,
+                self.trial_meta.len()
+            )));
+        }
+        Ok(())
+    }
 }
 
 /// Snapshot of an [`AsyncHyperband`](crate::AsyncHyperband) scheduler: one
@@ -237,12 +289,12 @@ impl SchedulerState {
     }
 
     /// Check that the scheduler of this kind can hold the state (see
-    /// `AshaState::validate`, `AsyncHyperbandState::validate`; a
-    /// `SyncSha` state's config). An error is of kind `Config`.
+    /// `AshaState::validate`, `SyncShaState::validate`,
+    /// `AsyncHyperbandState::validate`). An error is of kind `Config`.
     pub fn validate(&self) -> Result<(), Error> {
         match self {
             SchedulerState::Asha(s) => s.validate(),
-            SchedulerState::SyncSha(s) => s.config.validate(),
+            SchedulerState::SyncSha(s) => s.validate(),
             SchedulerState::AsyncHyperband(s) => s.validate(),
         }
     }
@@ -270,4 +322,103 @@ pub trait DurableScheduler: Scheduler + std::fmt::Debug {
     /// Extra or missing entries are ignored (an instance without a cursor
     /// stays cold).
     fn restore_sampler_cursors(&mut self, cursors: &[Option<String>]);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Decision, Observation, ShaConfig, SyncSha};
+    use asha_space::{Scale, SearchSpace};
+    use rand::SeedableRng;
+
+    /// A growing SHA mid-run: bracket 0 at rung 1 with one survivor issued
+    /// and two queued, bracket 1 with one of its nine trials issued.
+    fn mid_run() -> (SearchSpace, SyncShaState) {
+        let space = SearchSpace::builder()
+            .continuous("x", 0.0, 1.0, Scale::Linear)
+            .build()
+            .unwrap();
+        let config = ShaConfig::new(9, 1.0, 9.0, 3.0).growing();
+        let mut sha = SyncSha::new(space.clone(), config);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        let jobs: Vec<_> = (0..10)
+            .filter_map(|_| sha.suggest(&mut rng).job())
+            .collect();
+        for job in &jobs[..9] {
+            sha.observe(Observation::for_job(job, job.trial.0 as f64));
+        }
+        assert!(matches!(sha.suggest(&mut rng), Decision::Run(j) if j.rung == 1));
+        (space, sha.export_state())
+    }
+
+    fn refused(tamper: fn(&mut SyncShaState)) {
+        let (_, mut state) = mid_run();
+        tamper(&mut state);
+        let err = SchedulerState::SyncSha(state).validate().unwrap_err();
+        assert_eq!(err.kind(), crate::ErrorKind::Config, "{err}");
+    }
+
+    #[test]
+    fn a_mid_run_sha_state_validates_and_round_trips() {
+        let (space, state) = mid_run();
+        assert_eq!(state.brackets[0].queue.len(), 2);
+        assert_eq!((state.brackets[1].issued.len(), state.next_trial), (1, 10));
+        SchedulerState::SyncSha(state.clone()).validate().unwrap();
+        let sampler = Box::new(crate::RandomSampler::new());
+        let restored = SyncSha::from_state_with_sampler(space, state.clone(), sampler);
+        assert_eq!(restored.export_state(), state);
+    }
+
+    #[test]
+    fn sha_trial_filed_under_a_bracket_out_of_range_is_refused() {
+        refused(|s| s.trial_meta[3].1 = 5);
+    }
+
+    #[test]
+    fn sha_outstanding_count_other_than_the_issued_trials_is_refused() {
+        refused(|s| s.brackets[1].outstanding = 2);
+    }
+
+    #[test]
+    fn sha_issued_trial_of_another_bracket_is_refused() {
+        refused(|s| s.brackets[0].issued = vec![9]);
+    }
+
+    #[test]
+    fn sha_queued_trial_never_sampled_is_refused() {
+        refused(|s| s.brackets[0].queue[0].0 = 50);
+    }
+
+    #[test]
+    fn sha_rung_past_the_ladder_is_refused() {
+        refused(|s| s.brackets[0].rung = 3);
+    }
+
+    #[test]
+    fn sha_more_trials_left_than_a_bracket_holds_is_refused() {
+        refused(|s| s.brackets[1].remaining_to_sample = 10);
+    }
+
+    #[test]
+    fn sha_next_trial_below_a_sampled_trial_is_refused() {
+        refused(|s| s.next_trial = 5);
+    }
+
+    #[test]
+    fn sha_bracket_opened_before_the_last_sampled_all_is_refused() {
+        refused(|s| s.brackets[0].remaining_to_sample = 1);
+    }
+
+    #[test]
+    fn sha_done_bracket_with_work_left_is_refused() {
+        refused(|s| s.brackets[0].done = true);
+    }
+
+    #[test]
+    fn sha_trial_both_queued_and_issued_is_refused() {
+        refused(|s| {
+            let issued = s.brackets[0].issued[0];
+            s.brackets[0].queue[0].0 = issued;
+        });
+    }
 }

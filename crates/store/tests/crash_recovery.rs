@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 
 use asha_baselines::{bohb_asha, Sampler};
 use asha_core::telemetry::EventKind;
-use asha_core::{Asha, AshaConfig, Decision, Observation, Scheduler};
+use asha_core::{Asha, AshaConfig, Decision, Observation, Scheduler, ShaConfig, SyncSha};
 use asha_sim::{SimConfig, SimResult};
 use asha_space::{Config, ParamValue};
 use asha_store::binary::{decode_value, put_value};
@@ -849,5 +849,54 @@ fn create_refuses_an_initial_state_the_scheduler_cannot_hold() {
         .expect("create accepted an orphan rung record");
     assert_eq!(err.kind(), ErrorKind::Config, "{err}");
     assert!(!dir.exists(), "a refused create left {dir:?} behind");
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// A `sync_sha` state no bracket loop can hold is refused like an ASHA one:
+/// at create as `Config` (a trial filed under a bracket that does not
+/// exist, which used to panic at the first `observe`), and at resume as
+/// `Corrupt` (a bracket counting more outstanding jobs than it issued,
+/// which used to wait forever).
+#[test]
+fn create_and_resume_refuse_a_sync_sha_state_no_bracket_can_hold() {
+    let root = tmpdir("unholdable-sha");
+    let o = RunOptions {
+        delta_chain: 0,
+        ..opts(20)
+    };
+    let mut meta = chaos_meta("unholdable-sha", 42);
+    let sha = ShaConfig::new(27, 1.0, 27.0, 3.0).growing();
+    let initial = SyncSha::new(meta.space.clone(), sha).export_state();
+    let mut bad = initial.clone();
+    let config = meta.space.sample(&mut StdRng::seed_from_u64(0));
+    bad.trial_meta.push((0, 5, config));
+    meta.initial = SchedulerState::SyncSha(bad);
+    let bench = meta.bench.build().unwrap();
+    let dir = root.join("run");
+    let err = DurableRun::create(&dir, &meta, &bench, o)
+        .err()
+        .expect("create accepted a trial of bracket 5");
+    assert_eq!(err.kind(), ErrorKind::Config, "{err}");
+    assert!(!dir.exists(), "a refused create left {dir:?} behind");
+
+    meta.initial = SchedulerState::SyncSha(initial);
+    let mut run = DurableRun::create(&dir, &meta, &bench, o).unwrap();
+    assert!(run.run_until_jobs(45).unwrap());
+    drop(run);
+    let (mut snap, path) = load_latest(&dir).unwrap().expect("checkpoints were taken");
+    let SchedulerState::SyncSha(state) = &mut snap.scheduler else {
+        unreachable!("the run is SHA")
+    };
+    let busy = state.brackets.iter_mut().find(|b| !b.issued.is_empty());
+    busy.expect("a bracket has jobs out").outstanding += 1;
+    let mut payload = Vec::new();
+    snap.encode(&mut payload);
+    let file_name = path.file_name().unwrap().to_str().unwrap().to_owned();
+    write_document(&dir, &file_name, &payload).unwrap();
+    let err = DurableRun::resume(&dir, &meta, &bench, o)
+        .err()
+        .expect("resume accepted more outstanding jobs than issued");
+    assert_eq!(err.kind(), ErrorKind::Corrupt, "{err}");
+    assert_eq!(err.path(), Some(path.as_path()), "{err}");
     std::fs::remove_dir_all(&root).ok();
 }

@@ -10,7 +10,7 @@ use asha::core::{
     ShaConfig, SyncSha, TrialId,
 };
 use asha::space::{Scale, SearchSpace};
-use asha_core::reference::{RefAsha, RefAsyncHyperband, RefSyncSha};
+use asha_core::reference::{self as twin, RefAsha};
 use proptest::prelude::*;
 
 fn space() -> SearchSpace {
@@ -52,12 +52,28 @@ fn drive(
     (issued, observed)
 }
 
+/// The loss a hostile stream delivers for `raw`: `INFINITY`, `NaN` or
+/// `-INFINITY` (poisoned or diverged trials), `-0.0` beside `0.0`, negative
+/// losses, and a few values repeated exactly, so ties decide promotions.
+fn hostile_loss(raw: u16) -> f64 {
+    match raw % 8 {
+        0 => f64::INFINITY,
+        1 => f64::NAN,
+        2 => f64::NEG_INFINITY,
+        3 => -0.0,
+        4 => 0.0,
+        5 => -(raw as f64) / 16.0,
+        6 => (raw / 8 % 4) as f64,
+        _ => raw as f64 / 16.0,
+    }
+}
+
 /// Drive any scheduler with a *hostile* completion stream — the one a faulty
-/// executor produces: losses may be `INFINITY`/`-INFINITY`/`NaN` (poisoned
-/// or diverged trials), results may be delivered more than once (retries
-/// whose first attempt landed), and observations may arrive for trials that
-/// were never issued. Returns the issued jobs and the first loss delivered
-/// per `(trial, rung)` — the one the scheduler contract says wins.
+/// executor produces: losses from [`hostile_loss`], results may be delivered
+/// more than once (retries whose first attempt landed), and observations may
+/// arrive for trials that were never issued. Returns the issued jobs and the
+/// first loss delivered per `(trial, rung)` — the one the scheduler contract
+/// says wins.
 fn drive_hostile<S: Scheduler>(
     mut sched: S,
     steps: &[(u8, u8, u16)],
@@ -92,12 +108,7 @@ fn drive_hostile<S: Scheduler>(
             } else {
                 outstanding.remove(idx).expect("index in range")
             };
-            let loss = match raw % 8 {
-                0 => f64::INFINITY,
-                1 => f64::NAN,
-                2 => f64::NEG_INFINITY,
-                _ => raw as f64 / 16.0,
-            };
+            let loss = hostile_loss(raw);
             first_loss.entry((job.trial.0, job.rung)).or_insert(loss);
             sched.observe(Observation::for_job(&job, loss));
         }
@@ -113,9 +124,7 @@ fn drive_hostile<S: Scheduler>(
 /// in the promotion-index maintenance.
 ///
 /// States are compared by their `Debug` rendering rather than `PartialEq`:
-/// f64's Debug output is round-trip exact, and — unlike `PartialEq` — it
-/// equates the NaN losses that SyncSHA legitimately holds in a bracket's
-/// result buffer until rung completion filters them.
+/// f64's Debug output is round-trip exact and tells `-0.0` from `0.0`.
 fn assert_differential<A, B, T>(
     mut fast: A,
     mut reference: B,
@@ -166,12 +175,7 @@ where
             } else {
                 outstanding.remove(idx).expect("index in range")
             };
-            let loss = match raw % 8 {
-                0 => f64::INFINITY,
-                1 => f64::NAN,
-                2 => f64::NEG_INFINITY,
-                _ => raw as f64 / 16.0,
-            };
+            let loss = hostile_loss(raw);
             fast.observe(Observation::for_job(&job, loss));
             reference.observe(Observation::for_job(&job, loss));
         }
@@ -449,10 +453,10 @@ proptest! {
     ) {
         let config = ShaConfig::new(9, 1.0, 9.0, 3.0).growing();
         let fast = SyncSha::new(space(), config.clone());
-        let reference = RefSyncSha::new(space(), config);
+        let reference = twin::sync_sha(space(), config);
         assert_differential(
             fast, reference, &steps, workers,
-            SyncSha::export_state, RefSyncSha::export_state,
+            SyncSha::export_state, SyncSha::export_state,
         )?;
     }
 
@@ -463,10 +467,10 @@ proptest! {
     ) {
         let config = HyperbandConfig::new(1.0, 27.0, 3.0);
         let fast = AsyncHyperband::new(space(), config.clone());
-        let reference = RefAsyncHyperband::new(space(), config);
+        let reference = twin::async_hyperband(space(), config);
         assert_differential(
             fast, reference, &steps, workers,
-            AsyncHyperband::export_state, RefAsyncHyperband::export_state,
+            AsyncHyperband::export_state, AsyncHyperband::export_state,
         )?;
     }
 
