@@ -18,6 +18,9 @@
 //! * `state` — every durable scheduler's state as plain data
 //!   ([`SchedulerState`]) and [`DurableScheduler`], the one interface a
 //!   store needs to persist and restore any of them.
+//! * [`Driver`] — the job lifecycle both execution layers run on: ask for
+//!   work, record it, and complete it under one poison rule (a non-finite
+//!   loss is observed as `+inf`).
 //! * [`telemetry`] — the structured-event vocabulary (suggest / promote /
 //!   grow_bottom / job lifecycle / faults) and the zero-cost [`Recorder`]
 //!   sink both execution layers emit into; collection and reporting live in
@@ -60,6 +63,7 @@
 
 mod asha;
 pub mod budget;
+mod driver;
 mod durability;
 pub mod error;
 mod fx;
@@ -75,6 +79,7 @@ mod state;
 pub mod telemetry;
 
 pub use crate::asha::{Asha, AshaConfig};
+pub use crate::driver::{Completion, Driver};
 pub use crate::durability::Durability;
 pub use crate::error::{Error, ErrorKind, ResultContext};
 pub use crate::fx::FxHashMap;

@@ -1,23 +1,24 @@
 //! Real multi-threaded parallel execution of `asha` schedulers.
 //!
 //! The simulator (`asha-sim`) replays schedulers against surrogate models in
-//! virtual time; this crate runs them for real: a pool of worker threads
-//! pulls jobs from any [`asha_core::Scheduler`] behind a mutex, trains an
-//! [`Objective`] (e.g. an `asha-ml` network) on each job, checkpoints trial
-//! state so rung promotions resume instead of retraining, and records a
-//! wall-clock [`asha_metrics::RunTrace`].
+//! virtual time; this crate runs them for real. The calling thread is the
+//! one coordinator: it drives any [`asha_core::Scheduler`] through the same
+//! [`asha_core::Driver`] the simulator runs on, hands each job to a pool of
+//! worker threads that train an [`Objective`] (e.g. an `asha-ml` network),
+//! checkpoints trial state so rung promotions resume instead of retraining,
+//! and records a wall-clock [`asha_metrics::RunTrace`].
 //!
-//! The asynchronous contract is exactly Algorithm 2's: each worker
-//! independently asks `get_job` (here [`asha_core::Scheduler::suggest`]) the
-//! moment it frees up, and completions are reported in whatever order they
-//! finish. PBT's weight copies are honoured by cloning the parent trial's
+//! The asynchronous contract is exactly Algorithm 2's: a job is requested
+//! (`get_job`, here [`asha_core::Scheduler::suggest`]) the moment a worker
+//! frees up, and completions are reported in whatever order they finish. PBT's weight copies are honoured by cloning the parent trial's
 //! checkpoint when a job carries `inherit_from`.
 //!
 //! Faults never escape the pool (paper Section 4.4; DESIGN.md "Fault
-//! model"): a panicking objective poisons its trial (the scheduler observes
-//! `f64::INFINITY`), timeouts and dropped results are retried from the last
-//! reported checkpoint with exponential backoff per the configured
-//! [`FaultPolicy`], and every event is tallied in `ExecResult::faults`.
+//! model"): a panicking objective or a non-finite loss poisons its trial
+//! (the scheduler observes `f64::INFINITY`), timeouts and dropped results
+//! are retried from the last reported checkpoint with exponential backoff
+//! per the configured [`FaultPolicy`], and every event is tallied in
+//! `ExecResult::faults`.
 //! [`ChaosObjective`] injects exactly these faults deterministically for
 //! testing.
 //!

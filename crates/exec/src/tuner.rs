@@ -1,12 +1,11 @@
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use asha_core::telemetry::{DropCause, EventKind, NoopRecorder, Recorder};
-use asha_core::{Decision, Job, Observation, Scheduler, TrialId};
+use asha_core::{Driver, Job, Scheduler, TrialId};
 use asha_metrics::{FaultStats, RunTrace, TraceEvent};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -169,6 +168,8 @@ pub struct ExecResult {
     /// The best trial's configuration.
     pub best_config: Option<asha_space::Config>,
     /// Whether the scheduler reported [`Decision::Finished`].
+    ///
+    /// [`Decision::Finished`]: asha_core::Decision::Finished
     pub scheduler_finished: bool,
     /// Total wall-clock time.
     pub elapsed: Duration,
@@ -176,35 +177,7 @@ pub struct ExecResult {
     pub faults: FaultStats,
 }
 
-struct Shared<S, C, R> {
-    scheduler: S,
-    rng: StdRng,
-    /// Telemetry sink. Lives under the same lock as the scheduler, and
-    /// timestamps are computed while holding it, so recorded times are
-    /// monotone even with many workers reporting concurrently.
-    recorder: R,
-    checkpoints: HashMap<TrialId, C>,
-    /// `(seq, event)`: `seq` is assigned under this lock, so sorting by
-    /// `(time, seq)` gives a total, reproducible order even when wall-clock
-    /// timestamps collide.
-    trace: Vec<(u64, TraceEvent)>,
-    jobs_completed: usize,
-    best: Option<(TrialId, f64)>,
-    best_config: Option<asha_space::Config>,
-    faults: FaultStats,
-    stop: bool,
-    finished: bool,
-    idle_workers: usize,
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    // Worker panics are caught before they can poison the lock; if one ever
-    // slips through, the state is still consistent (mutations are atomic
-    // under the lock), so recover rather than cascade.
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// One execution attempt's outcome, as seen by the retry loop.
+/// One execution attempt's outcome, as the coordinator sees it.
 enum Attempt<C> {
     Done(Evaluation, C),
     Panicked,
@@ -254,228 +227,9 @@ where
     }
 }
 
-/// What the retry loop settled on for one job.
-enum JobOutcome<C> {
-    /// The objective returned; loss may still be non-finite.
-    Finished(Evaluation, C),
-    /// Panic, or retry budget exhausted: observe `f64::INFINITY`.
-    Poisoned,
-}
-
-fn worker_loop<'scope, 'env, S, O, R>(
-    scope: &'scope thread::Scope<'scope, 'env>,
-    cfg: &'env ExecConfig,
-    start: Instant,
-    shared: &'env Mutex<Shared<S, O::Checkpoint, R>>,
-    wake: &'env Condvar,
-    objective: &'env O,
-    // Whether the recorder collects anything, hoisted out of the lock so the
-    // fault path can skip its extra lock acquisitions when telemetry is off.
-    recording: bool,
-) where
-    S: Scheduler + Send,
-    O: Objective,
-    R: Recorder + Send,
-{
-    loop {
-        // Acquire a job (or learn we are done).
-        let job: Job = {
-            let mut guard = lock(shared);
-            loop {
-                let s = &mut *guard;
-                if s.stop
-                    || s.jobs_completed >= cfg.max_jobs
-                    || cfg.wall_limit.is_some_and(|limit| start.elapsed() >= limit)
-                {
-                    s.stop = true;
-                    wake.notify_all();
-                    return;
-                }
-                let decision = s.scheduler.suggest(&mut s.rng);
-                if s.recorder.enabled() {
-                    // Timestamps are taken while holding the lock, so they
-                    // are monotone across all workers.
-                    let t = start.elapsed().as_secs_f64();
-                    s.recorder.record(t, EventKind::of_decision(&decision));
-                    if let Decision::Run(job) = &decision {
-                        s.recorder.record(t, EventKind::job_start(job));
-                    }
-                }
-                match decision {
-                    Decision::Run(job) => break job,
-                    Decision::Finished => {
-                        s.finished = true;
-                        s.stop = true;
-                        wake.notify_all();
-                        return;
-                    }
-                    Decision::Wait => {
-                        // Block until some completion might unblock the
-                        // scheduler. If every worker is waiting, nothing can
-                        // ever complete: drain to avoid deadlock.
-                        s.idle_workers += 1;
-                        if s.idle_workers == cfg.workers {
-                            s.stop = true;
-                            s.idle_workers -= 1;
-                            wake.notify_all();
-                            return;
-                        }
-                        if s.recorder.enabled() {
-                            let t = start.elapsed().as_secs_f64();
-                            let idle = s.idle_workers;
-                            s.recorder.record(t, EventKind::WorkerIdle { idle });
-                        }
-                        guard = wake.wait(guard).unwrap_or_else(PoisonError::into_inner);
-                        guard.idle_workers -= 1;
-                    }
-                }
-            }
-        };
-
-        // Fetch (or inherit) the checkpoint. No other worker can hold this
-        // trial concurrently, so one fetch serves every retry attempt.
-        let checkpoint = {
-            let s = lock(shared);
-            s.checkpoints
-                .get(&job.trial)
-                .or_else(|| job.inherit_from.and_then(|src| s.checkpoints.get(&src)))
-                .cloned()
-        };
-
-        // Train outside the lock, absorbing faults per the policy.
-        let mut local_faults = FaultStats::none();
-        let mut attempt: u32 = 0;
-        let outcome = loop {
-            attempt += 1;
-            let ctx = JobCtx {
-                trial: job.trial.0,
-                rung: job.rung,
-                bracket: job.bracket,
-                attempt,
-            };
-            // The attempt closure owns everything it touches: on timeout it
-            // is abandoned and may outlive this iteration.
-            let config = job.config.clone();
-            let resource = job.resource;
-            let ckpt = checkpoint.clone();
-            let result = run_attempt(scope, cfg.faults.job_timeout, move || {
-                objective.run_ctx(ctx, &config, resource, ckpt)
-            });
-            match result {
-                Attempt::Done(eval, ckpt) => break JobOutcome::Finished(eval, ckpt),
-                Attempt::Panicked => {
-                    local_faults.jobs_panicked += 1;
-                    break JobOutcome::Poisoned;
-                }
-                Attempt::Dropped | Attempt::TimedOut => {
-                    let cause = if matches!(result, Attempt::Dropped) {
-                        local_faults.jobs_dropped += 1;
-                        DropCause::Dropped
-                    } else {
-                        local_faults.jobs_timed_out += 1;
-                        DropCause::Timeout
-                    };
-                    if recording {
-                        let mut s = lock(shared);
-                        let t = start.elapsed().as_secs_f64();
-                        s.recorder.record(
-                            t,
-                            EventKind::Drop {
-                                trial: job.trial.0,
-                                rung: job.rung,
-                                cause,
-                            },
-                        );
-                    }
-                    if attempt <= cfg.faults.max_retries {
-                        local_faults.jobs_retried += 1;
-                        thread::sleep(cfg.faults.backoff_before(attempt));
-                        if recording {
-                            // The retry runs on this same worker after the
-                            // backoff: re-announce the attempt so busy-worker
-                            // accounting balances the drop above.
-                            let mut s = lock(shared);
-                            let t = start.elapsed().as_secs_f64();
-                            s.recorder.record(
-                                t,
-                                EventKind::Retry {
-                                    trial: job.trial.0,
-                                    rung: job.rung,
-                                },
-                            );
-                            s.recorder.record(t, EventKind::job_start(&job));
-                        }
-                        continue;
-                    }
-                    break JobOutcome::Poisoned;
-                }
-            }
-        };
-
-        // Report. Poisoned jobs still complete — the scheduler's documented
-        // contract is that failures arrive as f64::INFINITY observations, so
-        // rung bookkeeping (especially SyncSha's barriers) stays consistent.
-        let mut s = lock(shared);
-        s.faults = s.faults.merge(&local_faults);
-        let (val_loss, test_loss) = match outcome {
-            JobOutcome::Finished(eval, ckpt) => {
-                s.checkpoints.insert(job.trial, ckpt);
-                let val = if eval.val_loss.is_nan() {
-                    f64::INFINITY
-                } else {
-                    eval.val_loss
-                };
-                let test = if eval.test_loss.is_nan() {
-                    f64::INFINITY
-                } else {
-                    eval.test_loss
-                };
-                if !val.is_finite() {
-                    s.faults.jobs_poisoned += 1;
-                }
-                (val, test)
-            }
-            JobOutcome::Poisoned => {
-                s.faults.jobs_poisoned += 1;
-                (f64::INFINITY, f64::INFINITY)
-            }
-        };
-        s.jobs_completed += 1;
-        if val_loss.is_finite() && s.best.is_none_or(|(_, l)| val_loss < l) {
-            s.best = Some((job.trial, val_loss));
-            s.best_config = Some(job.config.clone());
-        }
-        let seq = s.trace.len() as u64;
-        let t = start.elapsed().as_secs_f64();
-        s.trace.push((
-            seq,
-            TraceEvent {
-                time: t,
-                trial: job.trial.0,
-                bracket: job.bracket,
-                rung: job.rung,
-                resource: job.resource,
-                val_loss,
-                test_loss,
-            },
-        ));
-        if s.recorder.enabled() {
-            // Same timestamp as the TraceEvent: telemetry and traces share
-            // this backend's wall-clock-seconds time base.
-            s.recorder.record(
-                t,
-                EventKind::JobEnd {
-                    trial: job.trial.0,
-                    rung: job.rung,
-                    resource: job.resource,
-                    loss: val_loss,
-                },
-            );
-        }
-        s.scheduler.observe(Observation::for_job(&job, val_loss));
-        wake.notify_all();
-    }
-}
+/// `(job, attempt, checkpoint)`: one attempt of a job, handed to a pool
+/// thread. Attempt `n > 1` is a retry and sleeps its backoff first.
+type Task<C> = (Job, u32, Option<C>);
 
 /// A pool of worker threads driving one scheduler; see the crate docs.
 #[derive(Debug, Clone)]
@@ -493,114 +247,173 @@ impl ParallelTuner {
     /// job cap is hit, or the wall-clock limit expires. `seed` drives the
     /// scheduler's sampling RNG.
     ///
-    /// Worker threads hold the scheduler lock only while asking for or
-    /// reporting work; objective evaluations run in parallel outside it.
-    /// Objective panics and timeouts never propagate out of the pool — they
-    /// are absorbed per the configured [`FaultPolicy`] and tallied in
-    /// `ExecResult::faults`.
-    pub fn run<S, O>(&self, scheduler: S, objective: &O, seed: u64) -> ExecResult
-    where
-        S: Scheduler + Send,
-        O: Objective,
-    {
+    /// The calling thread is the one coordinator: it alone touches the
+    /// scheduler, so neither it nor a recorder needs to be `Send`.
+    /// Objective evaluations run in parallel on the pool. Objective panics
+    /// and timeouts never propagate out of the pool — they are absorbed per
+    /// the configured [`FaultPolicy`] and tallied in `ExecResult::faults`.
+    pub fn run<S: Scheduler, O: Objective>(
+        &self,
+        scheduler: S,
+        objective: &O,
+        seed: u64,
+    ) -> ExecResult {
         self.run_recorded(scheduler, objective, seed, &mut NoopRecorder)
     }
 
     /// Like [`run`](ParallelTuner::run), but emit structured telemetry into
     /// `recorder`: decisions, job lifecycle, fault-policy firings (drops,
-    /// timeouts, retries), and idle waits.
+    /// timeouts, retries), and idle rounds.
     ///
     /// Timestamps are wall-clock seconds since run start — the same clock as
-    /// this backend's [`TraceEvent::time`] — and are taken while holding the
-    /// scheduler lock, so they are monotone across workers. With the default
+    /// this backend's [`TraceEvent::time`] — and are read by the
+    /// coordinator alone, so they are monotone. With the default
     /// [`NoopRecorder`] every telemetry guard folds away and this is exactly
     /// [`run`](ParallelTuner::run).
-    pub fn run_recorded<S, O, R>(
+    pub fn run_recorded<S: Scheduler, O: Objective, R: Recorder>(
         &self,
         scheduler: S,
         objective: &O,
         seed: u64,
         recorder: &mut R,
-    ) -> ExecResult
-    where
-        S: Scheduler + Send,
-        O: Objective,
-        R: Recorder + Send,
-    {
-        self.run_resumed(scheduler, objective, StdRng::seed_from_u64(seed), recorder)
-    }
-
-    /// Like [`run_recorded`](ParallelTuner::run_recorded), but with an
-    /// explicit RNG instead of a fresh seed — the entry point durable-run
-    /// recovery uses: a scheduler rebuilt from a snapshot plus the RNG state
-    /// captured alongside it continues exactly where the crashed run left
-    /// off (the pool's RNG is consumed only by `Scheduler::suggest`, never
-    /// by objectives, so scheduler state + RNG state fully determine the
-    /// remaining decision stream).
-    pub(crate) fn run_resumed<S, O, R>(
-        &self,
-        scheduler: S,
-        objective: &O,
-        rng: StdRng,
-        recorder: &mut R,
-    ) -> ExecResult
-    where
-        S: Scheduler + Send,
-        O: Objective,
-        R: Recorder + Send,
-    {
-        let start = Instant::now();
-        let name = scheduler.name().to_owned();
-        let recording = recorder.enabled();
-        let shared = Mutex::new(Shared {
-            scheduler,
-            rng,
-            recorder,
-            checkpoints: HashMap::<TrialId, O::Checkpoint>::new(),
-            trace: Vec::new(),
-            jobs_completed: 0,
-            best: None,
-            best_config: None,
-            faults: FaultStats::none(),
-            stop: false,
-            finished: false,
-            idle_workers: 0,
-        });
-        let wake = Condvar::new();
+    ) -> ExecResult {
         let cfg = &self.config;
-
-        let shared_ref = &shared;
-        let wake_ref = &wake;
+        let start = Instant::now();
+        let clock = || start.elapsed().as_secs_f64();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut trace = RunTrace::new(scheduler.name());
+        let mut driver = Driver::new(scheduler);
+        let mut faults = FaultStats::none();
+        let mut best_trial = None;
+        let mut checkpoints: HashMap<TrialId, O::Checkpoint> = HashMap::new();
+        let mut retry: VecDeque<(Job, u32)> = VecDeque::new();
         thread::scope(|scope| {
-            for _ in 0..cfg.workers {
-                scope.spawn(move || {
-                    worker_loop(
-                        scope, cfg, start, shared_ref, wake_ref, objective, recording,
-                    )
+            let (report, reports) = mpsc::channel();
+            let workers: Vec<mpsc::Sender<Task<O::Checkpoint>>> = (0..cfg.workers)
+                .map(|w| {
+                    let (tx, tasks) = mpsc::channel::<Task<O::Checkpoint>>();
+                    let report = report.clone();
+                    scope.spawn(move || {
+                        for (job, attempt, checkpoint) in tasks {
+                            if attempt > 1 {
+                                thread::sleep(cfg.faults.backoff_before(attempt - 1));
+                            }
+                            let ctx = JobCtx {
+                                trial: job.trial.0,
+                                rung: job.rung,
+                                bracket: job.bracket,
+                                attempt,
+                            };
+                            // The attempt closure owns everything it touches:
+                            // on timeout it is abandoned and may outlive us.
+                            let (config, resource) = (job.config.clone(), job.resource);
+                            let result = run_attempt(scope, cfg.faults.job_timeout, move || {
+                                objective.run_ctx(ctx, &config, resource, checkpoint)
+                            });
+                            if report.send((w, job, attempt, result)).is_err() {
+                                return;
+                            }
+                        }
+                    });
+                    tx
+                })
+                .collect();
+            drop(report);
+            let mut idle: Vec<usize> = (0..cfg.workers).rev().collect();
+            loop {
+                // Hand work to idle workers: retries first, then the
+                // scheduler until it stops or the run's limits are reached.
+                // A lost attempt is retried even past the limits.
+                let stopping = driver.jobs_completed() >= cfg.max_jobs
+                    || cfg.wall_limit.is_some_and(|limit| start.elapsed() >= limit);
+                while let Some(&w) = idle.last() {
+                    let now = clock();
+                    let (job, attempt) = match retry.pop_front() {
+                        Some((job, attempt)) => {
+                            driver.retry(now, &job, recorder);
+                            (job, attempt)
+                        }
+                        None if stopping => break,
+                        None => match driver.next(now, &mut rng, recorder) {
+                            Some(job) => (job, 1),
+                            None => break,
+                        },
+                    };
+                    // Resume from the trial's checkpoint, or inherit one.
+                    let checkpoint = checkpoints
+                        .get(&job.trial)
+                        .or_else(|| job.inherit_from.and_then(|src| checkpoints.get(&src)))
+                        .cloned();
+                    idle.pop();
+                    let task = (job, attempt, checkpoint);
+                    workers[w].send(task).expect("pool threads outlive the run");
+                }
+                // Nothing in flight: the scheduler finished, or it waits on
+                // nothing that can ever complete (drained), or we stopped.
+                if idle.len() == cfg.workers {
+                    break;
+                }
+                if recorder.enabled() && !idle.is_empty() {
+                    recorder.record(clock(), EventKind::WorkerIdle { idle: idle.len() });
+                }
+                let (w, job, attempt, result) =
+                    reports.recv().expect("pool threads outlive the run");
+                idle.push(w);
+                let now = clock();
+                // Poisoned jobs still complete — the scheduler's contract is
+                // that failures arrive as `+inf` observations, so rung
+                // bookkeeping (especially SyncSha's barriers) stays whole.
+                let (val, test) = match result {
+                    Attempt::Done(eval, ckpt) => {
+                        checkpoints.insert(job.trial, ckpt);
+                        (eval.val_loss, eval.test_loss)
+                    }
+                    Attempt::Panicked => {
+                        faults.jobs_panicked += 1;
+                        (f64::INFINITY, f64::INFINITY)
+                    }
+                    Attempt::Dropped | Attempt::TimedOut => {
+                        let cause = if matches!(result, Attempt::Dropped) {
+                            faults.jobs_dropped += 1;
+                            DropCause::Dropped
+                        } else {
+                            faults.jobs_timed_out += 1;
+                            DropCause::Timeout
+                        };
+                        driver.lost(now, &job, cause, recorder);
+                        if attempt <= cfg.faults.max_retries {
+                            faults.jobs_retried += 1;
+                            retry.push_back((job, attempt + 1));
+                            continue;
+                        }
+                        (f64::INFINITY, f64::INFINITY)
+                    }
+                };
+                let outcome = driver.complete(now, &job, val, test, recorder);
+                faults.jobs_poisoned += usize::from(outcome.poisoned);
+                if outcome.improved {
+                    best_trial = Some(job.trial);
+                }
+                trace.push(TraceEvent {
+                    time: now,
+                    trial: job.trial.0,
+                    bracket: job.bracket,
+                    rung: job.rung,
+                    resource: job.resource,
+                    val_loss: outcome.val_loss,
+                    test_loss: outcome.test_loss,
                 });
             }
         });
-
-        let shared = shared.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let mut events = shared.trace;
-        events.sort_by(|(sa, a), (sb, b)| {
-            a.time
-                .partial_cmp(&b.time)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(sa.cmp(sb))
-        });
-        let mut trace = RunTrace::new(name);
-        for (_, e) in events {
-            trace.push(e);
-        }
+        let best = driver.incumbent();
         ExecResult {
             trace,
-            jobs_completed: shared.jobs_completed,
-            best: shared.best,
-            best_config: shared.best_config,
-            scheduler_finished: shared.finished,
+            jobs_completed: driver.jobs_completed(),
+            best: best_trial.zip(best.map(|b| b.1)),
+            best_config: best.map(|b| b.0.clone()),
+            scheduler_finished: driver.finished(),
             elapsed: start.elapsed(),
-            faults: shared.faults,
+            faults,
         }
     }
 }
@@ -696,10 +509,59 @@ mod tests {
     }
 
     #[test]
+    fn a_scheduler_waiting_on_nothing_in_flight_ends_the_run() {
+        // The simulator's drain rule: a `Wait` with no job in flight can
+        // never be unblocked, so the run ends instead of hanging.
+        struct Stuck;
+        impl Scheduler for Stuck {
+            fn suggest(&mut self, _rng: &mut dyn rand::RngCore) -> asha_core::Decision {
+                asha_core::Decision::Wait
+            }
+            fn observe(&mut self, _obs: asha_core::Observation) {}
+            fn name(&self) -> &str {
+                "stuck"
+            }
+        }
+        let result = ParallelTuner::new(ExecConfig::new(4)).run(Stuck, &objective(), 0);
+        assert_eq!(result.jobs_completed, 0);
+        assert!(!result.scheduler_finished);
+    }
+
+    /// The scheduler and the recorder never leave the calling thread, so
+    /// neither needs to be `Send`: this recorder counts through an `Rc`.
+    #[test]
+    fn a_recorder_that_is_not_send_runs_the_pool() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+        struct Ends(Rc<Cell<usize>>);
+        impl Recorder for Ends {
+            fn enabled(&self) -> bool {
+                true
+            }
+            fn record(&mut self, _now: f64, kind: EventKind) {
+                if matches!(kind, EventKind::JobEnd { .. }) {
+                    self.0.set(self.0.get() + 1);
+                }
+            }
+        }
+        let ends = Rc::new(Cell::new(0));
+        let asha = Asha::new(space(), AshaConfig::new(1.0, 9.0, 3.0).with_max_trials(9));
+        let mut recorder = Ends(Rc::clone(&ends));
+        let result = ParallelTuner::new(ExecConfig::new(3)).run_recorded(
+            asha,
+            &objective(),
+            0,
+            &mut recorder,
+        );
+        assert!(result.scheduler_finished);
+        assert_eq!(ends.get(), result.jobs_completed);
+    }
+
+    #[test]
     fn same_seed_single_worker_runs_produce_identical_traces() {
-        // Regression test for the trace-ordering fix: events now carry a
-        // monotonic sequence tiebreak, so two identical runs produce
-        // identical traces (wall-clock timestamps aside).
+        // One worker runs the coordinator's decisions in order, so two
+        // identical runs produce identical traces (wall-clock timestamps
+        // aside).
         let run = || {
             let asha = Asha::new(space(), AshaConfig::new(1.0, 27.0, 3.0).with_max_trials(20));
             ParallelTuner::new(ExecConfig::new(1)).run(asha, &objective(), 11)

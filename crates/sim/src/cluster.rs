@@ -2,7 +2,7 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
 use asha_core::telemetry::{DropCause, EventKind, NoopRecorder, Recorder};
-use asha_core::{Decision, FxHashMap, Job, Observation, Scheduler, TrialId};
+use asha_core::{Driver, FxHashMap, Job, Scheduler, TrialId};
 use asha_metrics::{FaultStats, RunTrace, TraceEvent};
 use asha_surrogate::{BenchmarkModel, ConfigProfile, TrainingState};
 use rand::Rng;
@@ -187,12 +187,15 @@ pub struct SimResult {
     pub distinct_trials: usize,
     /// Fault tally, using the same semantics as the real executor
     /// (`asha-exec`): every simulated drop is counted in `jobs_dropped` and,
-    /// because the simulator always requeues lost work, in `jobs_retried`.
+    /// because the simulator always requeues lost work, in `jobs_retried`;
+    /// a non-finite validation loss in `jobs_poisoned`.
     pub faults: FaultStats,
     /// Whether the scheduler reported [`Decision::Finished`].
+    ///
+    /// [`Decision::Finished`]: asha_core::Decision::Finished
     pub scheduler_finished: bool,
-    /// The configuration with the best validation loss, with that loss and
-    /// its cumulative resource: `(config, val_loss, resource)`.
+    /// The configuration with the best finite validation loss, with that
+    /// loss and its cumulative resource: `(config, val_loss, resource)`.
     pub best_config: Option<(asha_space::Config, f64, f64)>,
 }
 
@@ -355,8 +358,11 @@ pub struct SimRunState {
     /// Fault tally so far.
     pub faults: FaultStats,
     /// Whether the scheduler reported [`Decision::Finished`].
+    ///
+    /// [`Decision::Finished`]: asha_core::Decision::Finished
     pub scheduler_finished: bool,
-    /// Best validation loss recorded by the incumbent filter.
+    /// `best_config`'s loss, or `+inf` before one: written for the format,
+    /// derived from `best_config` on export and ignored on restore.
     pub incumbent_val: f64,
     /// Best `(config, val_loss, resource)` so far.
     pub best_config: Option<(asha_space::Config, f64, f64)>,
@@ -385,7 +391,7 @@ pub struct SimRunState {
 /// ([`SimRunState`], scheduler state, RNG state).
 pub struct SimEngine<'b, S> {
     cfg: SimConfig,
-    scheduler: S,
+    driver: Driver<S>,
     bench: &'b dyn BenchmarkModel,
     trace: RunTrace,
     states: FxHashMap<TrialId, TrialSlot>,
@@ -399,24 +405,11 @@ pub struct SimEngine<'b, S> {
     jobs: Vec<Option<Job>>,
     free_slots: Vec<u32>,
     retry: VecDeque<Job>,
-    // The scheduler answered `Wait` and guarantees (`wait_is_stable`) that
-    // re-asking before its next observation would answer `Wait` again with
-    // no side effects — so don't re-ask. Cleared on every observation.
-    // Derived data: not serialized; a restored engine re-asks once.
-    waiting: bool,
     free_workers: usize,
     now: f64,
     seq: u64,
-    jobs_completed: usize,
     distinct_trials: usize,
     faults: FaultStats,
-    scheduler_finished: bool,
-    best_config: Option<(asha_space::Config, f64, f64)>,
-    // Mirror of `RunTrace::incumbent_curve`'s filter, tracked online so
-    // `TraceMode::IncumbentOnly` records exactly the events that curve
-    // keeps (the conditions differ on NaN losses, so this cannot reuse
-    // the `best_config` update).
-    incumbent_val: f64,
     done: bool,
 }
 
@@ -424,7 +417,7 @@ impl<S> std::fmt::Debug for SimEngine<'_, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimEngine")
             .field("now", &self.now)
-            .field("jobs_completed", &self.jobs_completed)
+            .field("driver", &self.driver)
             .field("done", &self.done)
             .finish_non_exhaustive()
     }
@@ -444,21 +437,16 @@ impl<'b, S: Scheduler> SimEngine<'b, S> {
             free_slots: Vec::with_capacity(config.workers + 1),
             retry: VecDeque::with_capacity(config.workers.min(64)),
             cfg: config,
-            scheduler,
+            driver: Driver::new(scheduler),
             bench,
             trace,
             states: FxHashMap::default(),
             order: Vec::new(),
-            waiting: false,
             free_workers,
             now: 0.0,
             seq: 0,
-            jobs_completed: 0,
             distinct_trials: 0,
             faults: FaultStats::none(),
-            scheduler_finished: false,
-            best_config: None,
-            incumbent_val: f64::INFINITY,
             done: false,
         }
     }
@@ -470,12 +458,12 @@ impl<'b, S: Scheduler> SimEngine<'b, S> {
 
     /// Jobs completed so far.
     pub fn jobs_completed(&self) -> usize {
-        self.jobs_completed
+        self.driver.jobs_completed()
     }
 
     /// Read-only access to the scheduler (for state export at snapshots).
     pub fn scheduler(&self) -> &S {
-        &self.scheduler
+        self.driver.scheduler()
     }
 
     /// Run one iteration of the event loop: hand work to every free worker,
@@ -488,46 +476,14 @@ impl<'b, S: Scheduler> SimEngine<'b, S> {
         let cfg = &self.cfg;
         // Hand work to free workers: retries first, then the scheduler.
         while self.free_workers > 0 {
-            let (job, is_retry) = if let Some(job) = self.retry.pop_front() {
-                (job, true)
-            } else if self.scheduler_finished || self.waiting {
-                break;
+            let job = if let Some(job) = self.retry.pop_front() {
+                self.driver.retry(self.now, &job, recorder);
+                job
+            } else if let Some(job) = self.driver.next(self.now, rng, recorder) {
+                job
             } else {
-                let decision = self.scheduler.suggest(rng);
-                if recorder.enabled() {
-                    recorder.record(self.now, EventKind::of_decision(&decision));
-                }
-                match decision {
-                    Decision::Run(job) => (job, false),
-                    Decision::Wait => {
-                        // A stable Wait stays a Wait until the next
-                        // observation, so skip the redundant re-asks on
-                        // every round until then. Recorded runs keep
-                        // re-asking: each Wait decision is a telemetry
-                        // event, and eliding it would change the stream.
-                        if !recorder.enabled() && self.scheduler.wait_is_stable() {
-                            self.waiting = true;
-                        }
-                        break;
-                    }
-                    Decision::Finished => {
-                        self.scheduler_finished = true;
-                        break;
-                    }
-                }
+                break;
             };
-            if recorder.enabled() {
-                if is_retry {
-                    recorder.record(
-                        self.now,
-                        EventKind::Retry {
-                            trial: job.trial.0,
-                            rung: job.rung,
-                        },
-                    );
-                }
-                recorder.record(self.now, EventKind::job_start(&job));
-            }
             if !self.states.contains_key(&job.trial) {
                 // PBT-style inheritance: copy the parent's checkpoint
                 // (curve state) if the job asks for it. The unit cost is
@@ -633,20 +589,11 @@ impl<'b, S: Scheduler> SimEngine<'b, S> {
         if event.dropped {
             self.faults.jobs_dropped += 1;
             self.faults.jobs_retried += 1;
-            if recorder.enabled() {
-                recorder.record(
-                    self.now,
-                    EventKind::Drop {
-                        trial: job.trial.0,
-                        rung: job.rung,
-                        cause: DropCause::Dropped,
-                    },
-                );
-            }
+            self.driver
+                .lost(self.now, &job, DropCause::Dropped, recorder);
             // Work lost; retry from the last checkpoint.
             self.retry.push_back(job);
         } else {
-            self.jobs_completed += 1;
             let slot = self
                 .states
                 .get_mut(&job.trial)
@@ -677,18 +624,13 @@ impl<'b, S: Scheduler> SimEngine<'b, S> {
                 slot.completed = true;
                 self.distinct_trials += 1;
             }
-            // A NaN never becomes best: every later `val < NaN` is false, so
-            // it would never be replaced.
-            if !val.is_nan() && self.best_config.as_ref().is_none_or(|&(_, l, _)| val < l) {
-                self.best_config = Some((job.config.clone(), val, job.resource));
-            }
-            let improved = val < self.incumbent_val;
-            if improved {
-                self.incumbent_val = val;
-            }
+            // Same `now` for the job_end event and the TraceEvent:
+            // telemetry and traces share the simulated clock.
+            let outcome = self.driver.complete(self.now, &job, val, test, recorder);
+            self.faults.jobs_poisoned += usize::from(outcome.poisoned);
             let record = match cfg.trace_mode {
                 TraceMode::Full => true,
-                TraceMode::IncumbentOnly => improved,
+                TraceMode::IncumbentOnly => outcome.improved,
                 TraceMode::Aggregated => false,
             };
             if record {
@@ -698,30 +640,13 @@ impl<'b, S: Scheduler> SimEngine<'b, S> {
                     bracket: job.bracket,
                     rung: job.rung,
                     resource: job.resource,
-                    val_loss: val,
-                    test_loss: test,
+                    val_loss: outcome.val_loss,
+                    test_loss: outcome.test_loss,
                 });
             }
-            if recorder.enabled() {
-                // Same `now` as the TraceEvent above: telemetry and
-                // traces share the simulated clock.
-                recorder.record(
-                    self.now,
-                    EventKind::JobEnd {
-                        trial: job.trial.0,
-                        rung: job.rung,
-                        resource: job.resource,
-                        loss: val,
-                    },
-                );
-            }
-            self.scheduler.observe(Observation::for_job(&job, val));
-            // The scheduler saw new information; a sticky Wait (if any)
-            // may now be resolvable.
-            self.waiting = false;
         }
 
-        if self.jobs_completed >= cfg.max_jobs {
+        if self.driver.jobs_completed() >= cfg.max_jobs {
             self.done = true;
             return false;
         }
@@ -766,12 +691,12 @@ impl<'b, S: Scheduler> SimEngine<'b, S> {
             now: self.now,
             seq: self.seq,
             free_workers: self.free_workers,
-            jobs_completed: self.jobs_completed,
+            jobs_completed: self.driver.jobs_completed(),
             distinct_trials: self.distinct_trials,
             faults: self.faults,
-            scheduler_finished: self.scheduler_finished,
-            incumbent_val: self.incumbent_val,
-            best_config: self.best_config.clone(),
+            scheduler_finished: self.driver.finished(),
+            incumbent_val: self.driver.incumbent().map_or(f64::INFINITY, |b| b.1),
+            best_config: self.driver.incumbent().cloned(),
             slots,
             pending,
             retry: self.retry.iter().cloned().collect(),
@@ -812,9 +737,15 @@ impl<'b, S: Scheduler> SimEngine<'b, S> {
         retry.extend(state.retry);
         let free_slots = Vec::with_capacity(config.workers + 1);
         let order = state.slots.iter().map(|s| TrialId(s.trial)).collect();
+        let driver = Driver::resume(
+            scheduler,
+            state.scheduler_finished,
+            state.jobs_completed,
+            state.best_config,
+        );
         SimEngine {
             cfg: config,
-            scheduler,
+            driver,
             bench,
             trace,
             states: state
@@ -839,16 +770,11 @@ impl<'b, S: Scheduler> SimEngine<'b, S> {
             jobs,
             free_slots,
             retry,
-            waiting: false,
             free_workers: state.free_workers,
             now: state.now,
             seq: state.seq,
-            jobs_completed: state.jobs_completed,
             distinct_trials: state.distinct_trials,
             faults: state.faults,
-            scheduler_finished: state.scheduler_finished,
-            best_config: state.best_config,
-            incumbent_val: state.incumbent_val,
             done: false,
         }
     }
@@ -858,11 +784,11 @@ impl<'b, S: Scheduler> SimEngine<'b, S> {
         SimResult {
             trace: self.trace,
             end_time: self.now.min(self.cfg.max_time),
-            jobs_completed: self.jobs_completed,
+            jobs_completed: self.driver.jobs_completed(),
             distinct_trials: self.distinct_trials,
             faults: self.faults,
-            scheduler_finished: self.scheduler_finished,
-            best_config: self.best_config,
+            scheduler_finished: self.driver.finished(),
+            best_config: self.driver.incumbent().cloned(),
         }
     }
 }

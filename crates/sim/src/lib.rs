@@ -15,6 +15,9 @@
 //!   unit, i.e. it survives `d` units with probability `(1-p)^d`; dropped
 //!   jobs lose their work and are retried from the last checkpoint, and the
 //!   worker is freed meanwhile.
+//! * **Poisoned losses** — a NaN or ±∞ validation loss is observed and
+//!   traced as `+inf` and counted as poisoned: the simulator runs the same
+//!   [`asha_core::Driver`] job lifecycle as the real executor.
 //! * **Resume policy** — [`ResumePolicy::Checkpoint`] trains only the
 //!   resource delta since the trial's checkpoint (Section 3.2's iterative
 //!   setting); [`ResumePolicy::FromScratch`] pays the full rung resource

@@ -216,7 +216,8 @@ impl BenchmarkModel for FirstLossNan {
 }
 
 /// A NaN loss never becomes the incumbent: the first completion used to be
-/// taken unconditionally, and no later `val < NaN` could replace it.
+/// taken unconditionally, and no later `val < NaN` could replace it. It is
+/// poisoned instead: traced and observed as `+inf` and counted.
 #[test]
 fn a_nan_loss_never_becomes_best() {
     let b = FirstLossNan {
@@ -228,7 +229,12 @@ fn a_nan_loss_never_becomes_best() {
     let mut cfg = SimConfig::new(4, 1e9);
     cfg.max_jobs = 200;
     let result = ClusterSim::new(cfg).run(tuner, &b, &mut rng);
-    assert!(result.trace.events().iter().any(|e| e.val_loss.is_nan()));
+    assert!(result
+        .trace
+        .events()
+        .iter()
+        .any(|e| e.val_loss == f64::INFINITY));
+    assert_eq!(result.faults.jobs_poisoned, 1);
     let (best_val, best_test) = result.trace.final_best().expect("jobs completed");
     assert!(best_val.is_finite() && best_test.is_finite(), "{best_val}");
     let (_, val, _) = result.best_config.expect("jobs completed");

@@ -457,7 +457,7 @@ impl<'b> DurableRun<'b> {
         }
         // The method comes from `meta.json` alone.
         let sampler = meta.sampler.unwrap_or_default();
-        snap.check_fits(&meta.space, sampler)
+        snap.check_fits(meta)
             .map_err(|e| e.corrupt_at(&snap_path))?;
         rewrite_to_marker(&wal_path, &contents, marker)?;
         let sim_state = snap.sim.ok_or_else(|| {

@@ -35,6 +35,7 @@ use asha_space::{Config, SearchSpace};
 
 use crate::binary::{from_tree, tree_of, Fields, Reader, ValueWriter};
 use crate::codec;
+use crate::experiment::ExperimentMeta;
 use crate::format::{document_frame, document_payload};
 use asha_core::Error;
 
@@ -219,11 +220,13 @@ impl Snapshot {
         Some(dir.join(Self::file_name(seq))).filter(|path| path.exists())
     }
 
-    /// Check that the snapshot is of the experiment with `space` and
-    /// `sampler`, and that the run can hold it: its sampler spec is of that
-    /// kind (none for [`Sampler::Random`]); its scheduler state is one the
-    /// scheduler can hold ([`SchedulerState::validate`]) and its simulator
-    /// slots are strictly increasing by trial; and every stored
+    /// Check that the snapshot is of the experiment `meta` describes, and
+    /// that the run can hold it: its sampler spec is of the meta's kind (none
+    /// for [`Sampler::Random`]); its scheduler state is one the scheduler can
+    /// hold ([`SchedulerState::validate`]); its simulator slots are strictly
+    /// increasing by trial, every in-flight and retry job has one, and free
+    /// plus busy workers are at most the cluster's (the horizon's final
+    /// checkpoint holds one job fewer); and every stored
     /// configuration fits the space ([`SearchSpace::check`]) — the
     /// scheduler's trials, the simulator's in-flight and retry jobs, and
     /// the incumbent. The decoders accept any well-formed document, so this
@@ -231,7 +234,8 @@ impl Snapshot {
     /// reach a sampler of another kind, its state a scheduler that panics on
     /// it, and its configs a benchmark model, which panics on a foreign
     /// config.
-    pub(crate) fn check_fits(&self, space: &SearchSpace, sampler: Sampler) -> Result<(), Error> {
+    pub(crate) fn check_fits(&self, meta: &ExperimentMeta) -> Result<(), Error> {
+        let (space, sampler) = (&meta.space, meta.sampler.unwrap_or_default());
         let stored = self.sampler.as_ref().map_or(Sampler::Random, |s| s.kind);
         if stored != sampler {
             let (stored, sampler) = (stored.name(), sampler.name());
@@ -264,6 +268,17 @@ impl Snapshot {
             }
         }
         if let Some(sim) = &self.sim {
+            let (free, busy, workers) = (sim.free_workers, sim.pending.len(), meta.sim.workers);
+            if free + busy > workers {
+                let msg = format!("{free} free and {busy} busy workers in a cluster of {workers}");
+                return Err(Error::codec(msg));
+            }
+            let slot = |trial: u64| sim.slots.binary_search_by_key(&trial, |s| s.trial);
+            let mut jobs = sim.pending.iter().map(|p| &p.job).chain(&sim.retry);
+            if let Some(job) = jobs.find(|job| slot(job.trial.0).is_err()) {
+                let msg = format!("job of trial {} has no simulator slot", job.trial.0);
+                return Err(Error::codec(msg));
+            }
             sim.pending.iter().try_for_each(|p| check(&p.job.config))?;
             sim.retry.iter().try_for_each(|j| check(&j.config))?;
             sim.best_config.iter().try_for_each(|(c, _, _)| check(c))?;

@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 
 use asha_baselines::{bohb_asha, Sampler};
 use asha_core::telemetry::EventKind;
-use asha_core::{Asha, AshaConfig, Decision, Observation, Scheduler, ShaConfig, SyncSha};
+use asha_core::{Asha, AshaConfig, Decision, Observation, Scheduler, ShaConfig, SyncSha, TrialId};
 use asha_sim::{SimConfig, SimResult};
 use asha_space::{Config, ParamValue};
 use asha_store::binary::{decode_value, put_value};
@@ -771,11 +771,12 @@ fn resume_refuses_a_snapshot_whose_configs_do_not_fit_the_space() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// A CRC-valid checkpoint whose scheduler state no scheduler can hold — a
-/// rung record of a trial that was never sampled, a gap in the trial table,
-/// simulator slots out of order — must be refused at resume as `Corrupt`,
-/// naming the checkpoint, not restored into a scheduler that panics at its
-/// first `suggest`.
+/// A CRC-valid checkpoint whose state the run cannot hold — a rung record
+/// of a trial that was never sampled, a gap in the trial table, simulator
+/// slots out of order, an in-flight or retry job without a slot, more
+/// workers than the cluster has — must be refused at resume as `Corrupt`,
+/// naming the checkpoint, not restored into a run that panics at its first
+/// step, re-draws a trial's curve, or grows the cluster.
 #[test]
 fn resume_refuses_a_snapshot_the_scheduler_cannot_hold() {
     let root = tmpdir("unholdable");
@@ -793,7 +794,7 @@ fn resume_refuses_a_snapshot_the_scheduler_cannot_hold() {
     let (good, path) = load_latest(&dir).unwrap().expect("checkpoints were taken");
     let file_name = path.file_name().unwrap().to_str().unwrap().to_owned();
     type Tamper = fn(&mut Snapshot);
-    let hostile: [(&str, Tamper); 4] = [
+    let hostile: [(&str, Tamper); 7] = [
         ("orphan record", |s| {
             let SchedulerState::Asha(a) = &mut s.scheduler else {
                 unreachable!("chaos_meta runs ASHA")
@@ -815,6 +816,18 @@ fn resume_refuses_a_snapshot_the_scheduler_cannot_hold() {
         }),
         ("slots out of order", |s| {
             s.sim.as_mut().expect("simulated run").slots.swap(0, 1);
+        }),
+        ("pending job without a slot", |s| {
+            s.sim.as_mut().expect("simulated run").pending[0].job.trial = TrialId(9_999_999);
+        }),
+        ("retry job without a slot", |s| {
+            let sim = s.sim.as_mut().expect("simulated run");
+            let mut job = sim.pending[0].job.clone();
+            job.trial = TrialId(9_999_999);
+            sim.retry.push(job);
+        }),
+        ("more workers than the cluster", |s| {
+            s.sim.as_mut().expect("simulated run").free_workers += 50;
         }),
     ];
     for (what, tamper) in hostile {

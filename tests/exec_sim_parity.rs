@@ -6,9 +6,12 @@
 //!
 //! The benchmark/objective pair below computes an identical closed-form loss
 //! on both sides and never draws from the RNG, so the only randomness is the
-//! scheduler's own sampling stream, which both layers seed identically.
+//! scheduler's own sampling stream, which both layers seed identically. Its
+//! poisoning variant pins the one fault model: both layers complete a NaN or
+//! `-inf` loss the same way.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use asha::core::{Asha, AshaConfig, ShaConfig, SyncSha};
 use asha::exec::{Evaluation, ExecConfig, FnObjective, ParallelTuner};
@@ -38,11 +41,33 @@ fn loss_fn(x: f64, resource: f64) -> f64 {
     (x - 0.3).abs() + 1.0 / (1.0 + resource)
 }
 
+/// With `poison` on, the loss the `call`-th completion reports (0-based):
+/// the second is NaN and the fifth `-inf`, every other one `loss`.
+fn reported(poison: bool, call: usize, loss: f64) -> f64 {
+    match (poison, call) {
+        (true, 1) => f64::NAN,
+        (true, 4) => f64::NEG_INFINITY,
+        _ => loss,
+    }
+}
+
 /// An rng-free [`BenchmarkModel`]: every method is a pure function of the
-/// configuration and target resource, so the simulator's RNG stream is
-/// consumed only by the scheduler under test.
+/// configuration and target resource (and, when poisoning, of how many
+/// completions came before), so the simulator's RNG stream is consumed only
+/// by the scheduler under test.
 struct DeterministicBenchmark {
     space: SearchSpace,
+    poison: bool,
+    calls: AtomicUsize,
+}
+
+fn bench(poison: bool) -> DeterministicBenchmark {
+    let calls = AtomicUsize::new(0);
+    DeterministicBenchmark {
+        space: space(),
+        poison,
+        calls,
+    }
 }
 
 impl BenchmarkModel for DeterministicBenchmark {
@@ -84,7 +109,11 @@ impl BenchmarkModel for DeterministicBenchmark {
         state: &TrainingState,
         _rng: &mut dyn rand::RngCore,
     ) -> f64 {
-        state.loss
+        reported(
+            self.poison,
+            self.calls.fetch_add(1, Ordering::Relaxed),
+            state.loss,
+        )
     }
 
     fn test_loss(&self, _config: &Config, state: &TrainingState) -> f64 {
@@ -97,9 +126,12 @@ impl BenchmarkModel for DeterministicBenchmark {
 }
 
 /// The same loss through the real executor's objective interface.
-fn objective() -> impl asha::exec::Objective<Checkpoint = f64> {
-    FnObjective::new(|config: &Config, resource: f64, _ckpt: Option<f64>| {
-        (Evaluation::of(loss_fn(x_of(config), resource)), resource)
+fn objective(poison: bool) -> impl asha::exec::Objective<Checkpoint = f64> {
+    let calls = AtomicUsize::new(0);
+    FnObjective::new(move |config: &Config, resource: f64, _ckpt: Option<f64>| {
+        let call = calls.fetch_add(1, Ordering::Relaxed);
+        let loss = reported(poison, call, loss_fn(x_of(config), resource));
+        (Evaluation::of(loss), resource)
     })
 }
 
@@ -136,10 +168,10 @@ fn asha_sees_the_same_run_on_both_layers() {
     let seed = 17;
     let mk = || Asha::new(space(), AshaConfig::new(1.0, 9.0, 3.0).with_max_trials(12));
 
-    let exec = ParallelTuner::new(ExecConfig::new(1)).run(mk(), &objective(), seed);
+    let exec = ParallelTuner::new(ExecConfig::new(1)).run(mk(), &objective(false), seed);
     assert!(exec.scheduler_finished);
 
-    let bench = DeterministicBenchmark { space: space() };
+    let bench = bench(false);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let sim = ClusterSim::new(SimConfig::new(1, 1e9)).run(mk(), &bench, &mut rng);
     assert!(sim.scheduler_finished);
@@ -156,15 +188,54 @@ fn sync_sha_sees_the_same_run_on_both_layers() {
     let seed = 23;
     let mk = || SyncSha::new(space(), ShaConfig::new(9, 1.0, 9.0, 3.0));
 
-    let exec = ParallelTuner::new(ExecConfig::new(1)).run(mk(), &objective(), seed);
+    let exec = ParallelTuner::new(ExecConfig::new(1)).run(mk(), &objective(false), seed);
     assert!(exec.scheduler_finished);
     // Figure 1 bracket: 9 + 3 + 1 jobs.
     assert_eq!(exec.jobs_completed, 13);
 
-    let bench = DeterministicBenchmark { space: space() };
+    let bench = bench(false);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let sim = ClusterSim::new(SimConfig::new(1, 1e9)).run(mk(), &bench, &mut rng);
     assert!(sim.scheduler_finished);
 
+    assert_parity(&exec.trace, &sim.trace);
+}
+
+/// One fault model on both layers: a NaN and a `-inf` loss are each
+/// traced and observed as `+inf`, counted as poisoned, and never become the
+/// incumbent, and the two layers still run the same jobs.
+#[test]
+fn poisoned_losses_complete_the_same_way_on_both_layers() {
+    let seed = 17;
+    let mk = || Asha::new(space(), AshaConfig::new(1.0, 9.0, 3.0).with_max_trials(12));
+
+    let exec = ParallelTuner::new(ExecConfig::new(1)).run(mk(), &objective(true), seed);
+    let bench = bench(true);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let sim = ClusterSim::new(SimConfig::new(1, 1e9)).run(mk(), &bench, &mut rng);
+
+    let exec_best = exec.best.expect("jobs ran").1;
+    let sim_best = sim.best_config.expect("jobs ran").1;
+    for (layer, trace, poisoned, best) in [
+        (
+            "executor",
+            &exec.trace,
+            exec.faults.jobs_poisoned,
+            exec_best,
+        ),
+        ("simulator", &sim.trace, sim.faults.jobs_poisoned, sim_best),
+    ] {
+        let losses: Vec<f64> = trace.events().iter().map(|e| e.val_loss).collect();
+        assert_eq!(losses[1], f64::INFINITY, "{layer}: the NaN job");
+        assert_eq!(losses[4], f64::INFINITY, "{layer}: the -inf job");
+        assert_eq!(
+            losses.iter().filter(|l| !l.is_finite()).count(),
+            2,
+            "{layer}: {losses:?}"
+        );
+        assert_eq!(poisoned, 2, "{layer}");
+        let finite_min = losses.iter().copied().filter(|l| l.is_finite());
+        assert_eq!(Some(best), finite_min.reduce(f64::min), "{layer}");
+    }
     assert_parity(&exec.trace, &sim.trace);
 }

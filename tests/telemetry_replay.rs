@@ -71,7 +71,7 @@ fn log_round_trips_and_reports_sanely() {
 #[test]
 fn executor_telemetry_is_consistent_under_chaos() {
     // An objective whose first attempt of every job drops its result: the
-    // executor retries in place, which is exactly the path where naive
+    // executor retries it, which is exactly the path where naive
     // busy-worker accounting would go negative.
     struct Flaky;
     impl asha::exec::Objective for Flaky {
@@ -125,8 +125,8 @@ fn executor_telemetry_is_consistent_under_chaos() {
     assert_eq!(m.jobs_dropped.get() as usize, result.faults.jobs_dropped);
     assert_eq!(m.jobs_retried.get() as usize, result.faults.jobs_retried);
 
-    // Wall-clock timestamps are monotone because they are taken under the
-    // scheduler lock.
+    // Wall-clock timestamps are monotone because the one coordinator thread
+    // reads them all.
     let times: Vec<f64> = recorder.events().iter().map(|e| e.time).collect();
     assert!(times.windows(2).all(|w| w[0] <= w[1]));
 
