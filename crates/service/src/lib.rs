@@ -20,10 +20,10 @@
 //!   readiness loop (epoll/`poll`) over every non-blocking socket, driving
 //!   a fixed worker pool; per-connection outgoing queues with
 //!   partial-write resumption and interest re-arming.
-//! * `server` — [`Daemon`]: the reactor plus one WAL tailer per
-//!   *experiment* fanning frames out to all of its subscribers, bounded
-//!   per-client queues with explicit lag accounting (a slow subscriber
-//!   never stalls a run), graceful drain on shutdown.
+//! * `server` — [`Daemon`]: the reactor plus one WAL tailer thread per
+//!   *experiment*, following the WAL for each subscriber on its own
+//!   windowed tail; bounded per-client queues with explicit lag accounting
+//!   (a slow subscriber never stalls a run), graceful drain on shutdown.
 //! * `client` — [`Client`]: blocking request/reply with push buffering
 //!   and connect/call timeouts; the `asha-ctl` binary in `asha-bench` is a
 //!   thin shell over it.

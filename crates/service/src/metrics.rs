@@ -161,9 +161,7 @@ metric_cells! {
         pub subscribers: gauge "asha_tailer_subscribers"
             "Subscribers attached to the experiment's tailer",
         pub lag_records: gauge "asha_tailer_lag_records"
-            "Backlog records the slowest live subscriber has not consumed",
-        pub window_evictions: counter "asha_tailer_window_evictions_total"
-            "Live subscribers demoted to catch-up after falling out of the backlog window",
+            "Records read but not yet delivered, for the subscriber holding the most",
         pub fanout_frames: counter "asha_tailer_fanout_frames_total"
             "Event frames fanned out to subscriber queues",
         pub jam_waits: counter "asha_tailer_jam_waits_total"

@@ -14,8 +14,8 @@
 //!   decoded requests under the supervisor lock, strict FIFO per
 //!   connection;
 //! * one **tailer thread per experiment** (see the `tailer` module — *not*
-//!   per subscription) reading each WAL record once and fanning frames out
-//!   to every subscriber's queue;
+//!   per subscription) following the WAL for every subscriber, each on its
+//!   own windowed tail, into that subscriber's queue;
 //! * one **housekeeping thread** reaping finished experiment workers.
 //!
 //! # Backpressure and lag
@@ -27,7 +27,7 @@
 //! blocks anything else, by two mechanisms:
 //!
 //! * **WAL event frames** are file-backed, so the tailer never drops
-//!   them: when the queue is full it holds the subscriber's cursor until
+//!   them: when the queue is full it keeps the subscriber's records until
 //!   the reactor's next drain of that queue wakes it (at the latest two
 //!   milliseconds on), delivering a gap-free stream at whatever pace the
 //!   client reads. Only the experiment's tailer thread waits — other
@@ -70,7 +70,8 @@ pub struct ServeOptions {
     pub max_frame: usize,
     /// Depth of each connection's bounded outgoing queue (frames); also
     /// the high-water mark above which the reactor pauses that
-    /// connection's reads.
+    /// connection's reads. At least 1: [`Daemon::start`] refuses 0 as
+    /// [`asha_core::ErrorKind::Config`].
     pub queue_depth: usize,
     /// Optional request/response trace: every request and reply frame is
     /// appended as JSONL through [`asha_obs::JsonlWriter`].
@@ -368,6 +369,11 @@ mod unix_impl {
                 return Err(Error::config(
                     "daemon needs a unix socket path or a tcp address",
                 ));
+            }
+            if opts.queue_depth == 0 {
+                // Reads would pause at once and for good, and no stream
+                // frame would ever fit.
+                return Err(Error::config("queue depth must be at least 1"));
             }
             let mut supervisor = ExperimentSupervisor::open(&opts.root)?;
             let shutdown = Arc::new(AtomicBool::new(false));

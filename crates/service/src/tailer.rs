@@ -1,54 +1,37 @@
-//! Per-experiment WAL tailers: one reader thread per experiment fanning
-//! frames out to every subscriber of that experiment.
+//! Per-experiment WAL tailers: one reader thread per experiment serving
+//! every subscriber of that experiment.
 //!
-//! The previous design spawned one tailer thread *per subscription*, so N
-//! subscribers of one experiment meant N threads each reading the same WAL
-//! from disk. Here a [`TailerRegistry`] keys tailers by WAL path: the
-//! first subscription spawns the experiment's tailer, later ones attach to
-//! it, and the thread exits when its last subscriber closes.
+//! A [`TailerRegistry`] keys tailers by WAL path: the first subscription
+//! spawns the experiment's tailer, later ones attach to it, and the thread
+//! exits when its last subscriber closes.
 //!
-//! One thread reads each WAL record **once** into a shared backlog; each
-//! subscriber owns a cursor into it. The [`WalTail`] renders every
-//! `binary-v2` record as its JSON line — the event frame subscribers
-//! receive — and tags each line with the two things routing needs (its
-//! `seq`, whether it is the finished marker), so no line is parsed back
-//! here. The record body is serialized once — per-subscriber frames
-//! only wrap it in the cheap push envelope
-//! (`{"v":1,"sub":K,"push":"event","data":<body>}`), never re-rendering
-//! the payload. The backlog is filled on demand, one [`READ_WINDOW`] at a
-//! time, when a Live subscriber has used it up: a subscriber that keeps up
-//! with the file is fed from one decode of it, however long it is.
+//! Each subscriber follows the WAL through its own [`WalTail`], one
+//! [`READ_WINDOW`] at a time: a window is read only once everything the
+//! last one held has gone out, so a subscriber holds at most one window of
+//! records however long the WAL behind it, and a slow one holds back no
+//! reads but its own. The tail renders every `binary-v2` record as its
+//! JSON line — the event frame's body, wrapped only in the push envelope
+//! (`{"v":1,"sub":K,"push":"event","data":<body>}`) — and tags it with its
+//! `seq` and whether it is the finished marker, so no line is parsed back
+//! here; records below the subscription's `from_seq` are dropped as they
+//! are read. Every turn polls every tail, a drained one for its next
+//! window and the others only for a rewrite: crash recovery rewrites the
+//! WAL, and the tail's rewind detection is how a subscriber hears of it.
+//! K subscribers of one experiment decode each record K times.
 //!
-//! # Subscriber phases
-//!
-//! ```text
-//! CatchUp ──(private tail reaches the shared cursor)──▶ Live
-//!    ▲                                                   │
-//!    └──(falls > backlog cap behind: demoted)────────────┘
-//! Live ──(experiment finished / daemon draining)──▶ EndOwed ──▶ Done
-//! ```
-//!
-//! A new subscriber starts in **CatchUp**: a private [`WalTail`] replays
-//! the WAL from the start, a window at a time, bounded by the shared
-//! tailer's offset so it can never overshoot (nothing at all, for the first
-//! subscriber of a fresh tailer), then the subscriber is promoted to
-//! **Live** at the backlog's write edge. Live subscribers consume the
-//! shared backlog; one that falls further behind than the backlog cap is
-//! demoted back to CatchUp (skipping the records it already delivered) so
-//! the backlog stays bounded no matter how slow a client reads.
-//!
-//! # Backpressure tiers (unchanged semantics)
+//! # What a subscriber is owed
 //!
 //! * **WAL event frames** are file-backed and never dropped: a full
-//!   connection queue makes the tailer hold the subscriber's cursor until
-//!   it is woken on room — a gap-free stream at whatever pace the client
-//!   reads.
+//!   connection queue leaves them pending until the tailer is woken on
+//!   room — a gap-free stream at whatever pace the client reads.
 //! * **Status pushes** (delivered by supervisor threads, not here) are
 //!   lossy with lag accounting; an owed `lag` notice is flushed before the
 //!   next frame that fits.
-//! * **Stream-control pushes** (`rewind`, `end`) must arrive: they are
-//!   owed per-subscriber and retried every tick, without ever blocking the
-//!   tailer on one slow client.
+//! * **Stream-control pushes** must arrive: a `rewind` before any record
+//!   of a rewritten file, and `end` once the finished marker (or, when the
+//!   daemon drains, whatever was already read) has gone out. Both are
+//!   retried every turn, without ever blocking the tailer on one slow
+//!   client.
 //!
 //! # Waiting
 //!
@@ -69,21 +52,17 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use asha_metrics::push_json_u64;
-use asha_store::{LineTag, WalChunk, WalTail};
+use asha_store::{WalChunk, WalTail};
 
 use crate::codec::encode_frame;
 use crate::metrics::{ServiceMetrics, TailerMetrics};
 use crate::proto::Push;
 use crate::reactor::{ConnHandle, Offer};
 
-/// Shared backlog records kept per tailer before slow Live subscribers are
-/// demoted to CatchUp.
-const BACKLOG_CAP: usize = 4096;
 /// Longest wait for room while a subscriber's connection queue is full.
 const JAM_PAUSE: Duration = Duration::from_millis(2);
-/// WAL bytes one read may take in, so what a tail materialises as lines is
-/// bounded whatever the length of the WAL behind it (about half the
-/// backlog cap in records at this repo's record sizes).
+/// WAL bytes one read may take in, so what a subscriber holds as lines is
+/// bounded whatever the length of the WAL behind it.
 const READ_WINDOW: u64 = 64 * 1024;
 
 /// What wakes a waiting tailer thread early. Sticky: a ring with nobody
@@ -211,7 +190,7 @@ impl SubState {
     }
 
     /// Offer one WAL record's rendered line as an event frame; on a full
-    /// queue the caller holds its cursor. The body is wrapped in the push
+    /// queue the caller keeps the line. The body is wrapped in the push
     /// envelope by hand — field order as [`Push::to_frame`] renders it, so
     /// the wire bytes are the same — and is never re-rendered itself.
     fn offer_event(&self, metrics: &ServiceMetrics, body: &str) -> Offer {
@@ -255,24 +234,6 @@ pub(crate) struct TailerCtx {
     pub(crate) grace: Duration,
 }
 
-/// One WAL record in the shared backlog.
-struct Rec {
-    /// Telemetry sequence number and finished marker, as the tail read
-    /// them off the record.
-    tag: LineTag,
-    /// The rendered line — the shared serialized body.
-    body: String,
-}
-
-/// The chunk's records, each line with its tag.
-fn recs(chunk: WalChunk) -> impl Iterator<Item = Rec> {
-    chunk
-        .lines
-        .into_iter()
-        .zip(chunk.tags)
-        .map(|(body, tag)| Rec { tag, body })
-}
-
 /// Read on from the tail's offset, at most [`READ_WINDOW`] bytes and never
 /// past `limit`. (A rewind restarts at byte 0 inside the poll, so that one
 /// read may take in as much as the tail had already consumed.)
@@ -280,43 +241,99 @@ fn poll_window(tail: &mut WalTail, limit: u64) -> std::io::Result<WalChunk> {
     tail.poll_to(limit.min(tail.offset().saturating_add(READ_WINDOW)))
 }
 
-/// Where one subscriber is in the stream.
-enum Phase {
-    /// Replaying the WAL through a private tail, bounded by the shared
-    /// tailer's offset. `skip` counts already-delivered records (used when
-    /// a Live subscriber is demoted); `pending` holds records read but not
-    /// yet accepted by the connection queue.
-    CatchUp {
-        tail: WalTail,
-        skip: u64,
-        pending: VecDeque<Rec>,
-    },
-    /// Consuming the shared backlog; `next` is an absolute record index
-    /// (records since the last rewind).
-    Live { next: u64 },
-    /// Everything delivered; the `end` push is owed.
-    EndOwed,
-    /// Closed; the tailer forgets the subscriber.
-    Done,
-}
-
-struct SubEntry {
+/// One subscriber, as its experiment's tailer follows the WAL for it.
+struct Follower {
     state: Arc<SubState>,
-    phase: Phase,
-    /// Stream-control pushes (`rewind`) owed before any further data.
-    owed: VecDeque<Push>,
+    tail: WalTail,
+    /// Rendered records at or past `from_seq` that the connection queue
+    /// has not taken yet: what one read brought in, at most.
+    pending: VecDeque<String>,
+    /// The finished marker has been read: `end` is owed once `pending` is
+    /// delivered.
+    finished: bool,
+    /// The WAL was rewritten: a `rewind` is owed before anything else.
+    rewind_owed: bool,
 }
 
-impl SubEntry {
-    fn new(state: Arc<SubState>, wal_path: &PathBuf) -> SubEntry {
-        SubEntry {
+impl Follower {
+    fn new(state: Arc<SubState>, wal_path: &PathBuf) -> Follower {
+        Follower {
             state,
-            phase: Phase::CatchUp {
-                tail: WalTail::new(wal_path),
-                skip: 0,
-                pending: VecDeque::new(),
-            },
-            owed: VecDeque::new(),
+            tail: WalTail::new(wal_path),
+            pending: VecDeque::new(),
+            finished: false,
+            rewind_owed: false,
+        }
+    }
+
+    /// One turn without blocking: poll the tail, then offer the owed
+    /// `rewind`, the pending records and the owed `end`, in that order,
+    /// until the queue refuses one. Returns (made progress, hit a full
+    /// queue).
+    fn turn(
+        &mut self,
+        shutting_down: bool,
+        metrics: &ServiceMetrics,
+        tm: &TailerMetrics,
+    ) -> (bool, bool) {
+        if self.state.is_closed() {
+            return (false, false);
+        }
+        let mut progressed = false;
+        // A draining daemon reads no more: each subscriber gets what was
+        // read, then `end`.
+        if !shutting_down {
+            // Only a drained tail short of the finished marker reads on;
+            // the other polls read nothing and only look for a rewrite.
+            let drained = self.pending.is_empty() && !self.finished;
+            let limit = if drained {
+                u64::MAX
+            } else {
+                self.tail.offset()
+            };
+            if let Ok(chunk) = poll_window(&mut self.tail, limit) {
+                if chunk.rewound {
+                    // Crash recovery rewrote the WAL shorter or with other
+                    // bytes: restart the stream.
+                    self.pending.clear();
+                    self.finished = false;
+                    self.rewind_owed = true;
+                }
+                progressed |= !chunk.lines.is_empty();
+                for (body, tag) in chunk.lines.into_iter().zip(chunk.tags) {
+                    self.finished |= tag.finished;
+                    if tag.seq.is_none_or(|seq| seq >= self.state.from_seq) {
+                        self.pending.push_back(body);
+                    }
+                }
+            }
+        }
+
+        let sub = self.state.sub;
+        if self.rewind_owed {
+            match self.state.offer_push(metrics, &Push::Rewind { sub }) {
+                Offer::Sent => self.rewind_owed = false,
+                other => return (progressed, other == Offer::Full),
+            }
+            progressed = true;
+        }
+        while let Some(body) = self.pending.front() {
+            match self.state.offer_event(metrics, body) {
+                Offer::Sent => tm.fanout_frames.inc(),
+                other => return (progressed, other == Offer::Full),
+            }
+            self.pending.pop_front();
+            progressed = true;
+        }
+        if !self.finished && !shutting_down {
+            return (progressed, false);
+        }
+        match self.state.offer_push(metrics, &Push::End { sub }) {
+            Offer::Sent => {
+                self.state.mark_closed(metrics);
+                (true, false)
+            }
+            other => (progressed, other == Offer::Full),
         }
     }
 }
@@ -335,6 +352,8 @@ pub(crate) struct TailerRegistry {
     ctx: Arc<TailerCtx>,
     /// WAL path → the slot of the tailer thread following it.
     slots: Mutex<HashMap<PathBuf, Arc<Slot>>>,
+    /// Tailer threads not yet joined: the running ones, and those that
+    /// exited since the last spawn.
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -376,7 +395,16 @@ impl TailerRegistry {
             .name("asha-serve-tailer".to_owned())
             .spawn(move || tailer_main(wal_path, experiment, slot, registry, ctx))
             .expect("spawning tailer thread");
-        self.threads.lock().unwrap().push(handle);
+        // Join the tailers that have exited, so the handles kept are the
+        // running tailers', not every tailer the daemon ever started.
+        let mut threads = self.threads.lock().expect("tailer handles poisoned");
+        let (exited, running): (Vec<_>, Vec<_>) =
+            threads.drain(..).partition(JoinHandle::is_finished);
+        for t in exited {
+            let _ = t.join();
+        }
+        *threads = running;
+        threads.push(handle);
     }
 
     /// Join every tailer thread (call after the shutdown flag is set).
@@ -397,129 +425,37 @@ fn tailer_main(
     ctx: Arc<TailerCtx>,
 ) {
     // Counters outlive this thread (a later tailer for the same experiment
-    // keeps adding to them); gauges are zeroed on every exit path.
+    // keeps adding to them); gauges are zeroed on exit.
     let tm = ctx.metrics.tailer(&experiment);
-    let mut tail = WalTail::new(&wal_path);
-    // Shared backlog of records; `base` is the absolute index of the front.
-    let mut backlog: VecDeque<Rec> = VecDeque::new();
-    let mut base: u64 = 0;
-    let mut finished = false;
-    let mut subs: Vec<SubEntry> = Vec::new();
+    let mut subs: Vec<Follower> = Vec::new();
     let mut drain_deadline: Option<Instant> = None;
 
     loop {
         // Attach newly-arrived subscribers.
-        {
-            let mut mailbox = slot.adds.lock().unwrap();
-            for state in mailbox.drain(..) {
-                subs.push(SubEntry::new(state, &wal_path));
-            }
+        for state in slot.adds.lock().expect("tailer mailbox poisoned").drain(..) {
+            subs.push(Follower::new(state, &wal_path));
         }
 
         let shutting_down = ctx.shutdown.load(Ordering::Acquire);
-        let mut read_any = false;
-
-        // Read new WAL records once, into the shared backlog — but only
-        // when a Live subscriber has used the backlog up. Reading ahead of
-        // every subscriber decodes records nobody takes from here: those
-        // catching up read the file themselves, and a backlog grown past
-        // its cap sends the Live ones back to do the same. A subscriber
-        // that keeps up is thus never held back by one that does not.
-        // The poll itself happens every turn, bounded to the tail's own
-        // offset when nothing is wanted, even after the finished marker:
-        // a restarted experiment rewrites the WAL, and only the tail's
-        // rewind detection can tell still-attached subscribers about it.
-        if !shutting_down {
-            let edge = base + backlog.len() as u64;
-            let wanted = subs
-                .iter()
-                .any(|e| matches!(e.phase, Phase::Live { next } if next >= edge));
-            let limit = if wanted { u64::MAX } else { tail.offset() };
-            if let Ok(chunk) = poll_window(&mut tail, limit) {
-                if chunk.rewound {
-                    // Crash recovery rewrote the WAL shorter: restart the
-                    // stream; everything derived is stale.
-                    backlog.clear();
-                    base = 0;
-                    finished = false;
-                    for entry in &mut subs {
-                        if !matches!(entry.phase, Phase::Done) {
-                            entry.owed.push_back(Push::Rewind {
-                                sub: entry.state.sub,
-                            });
-                            entry.phase = Phase::CatchUp {
-                                tail: WalTail::new(&wal_path),
-                                skip: 0,
-                                pending: VecDeque::new(),
-                            };
-                        }
-                    }
-                }
-                for rec in recs(chunk) {
-                    read_any = true;
-                    finished |= rec.tag.finished;
-                    backlog.push_back(rec);
-                }
-            }
-        }
-        let end_abs = base + backlog.len() as u64;
-
-        // Advance every subscriber's state machine without blocking.
-        let mut progressed = false;
-        let mut jammed = false;
-        for entry in &mut subs {
-            let (p, j) = advance(
-                entry,
-                &backlog,
-                base,
-                end_abs,
-                finished,
-                shutting_down,
-                tail.offset(),
-                &ctx.metrics,
-                &tm,
-            );
+        let (mut progressed, mut jammed) = (false, false);
+        for sub in &mut subs {
+            let (p, j) = sub.turn(shutting_down, &ctx.metrics, &tm);
             progressed |= p;
             jammed |= j;
         }
-        subs.retain(|e| !matches!(e.phase, Phase::Done));
+        subs.retain(|sub| !sub.state.is_closed());
         tm.subscribers.set(subs.len() as i64);
+        let most_pending = subs.iter().map(|sub| sub.pending.len()).max();
+        tm.lag_records.set(most_pending.unwrap_or(0) as i64);
 
-        // Trim the backlog to the slowest Live cursor; demote subscribers
-        // that fall further behind than the cap so it stays bounded.
-        let min_live = subs
-            .iter()
-            .filter_map(|e| match e.phase {
-                Phase::Live { next } => Some(next),
-                _ => None,
-            })
-            .min()
-            .unwrap_or(end_abs);
-        // Backlog records the slowest Live subscriber has yet to consume.
-        tm.lag_records.set((end_abs - min_live.min(end_abs)) as i64);
-        if backlog.len() > BACKLOG_CAP {
-            let floor = end_abs - BACKLOG_CAP as u64;
-            for entry in &mut subs {
-                if let Phase::Live { next } = entry.phase {
-                    if next < floor {
-                        tm.window_evictions.inc();
-                        entry.phase = Phase::CatchUp {
-                            tail: WalTail::new(&wal_path),
-                            skip: next,
-                            pending: VecDeque::new(),
-                        };
-                    }
-                }
+        if shutting_down
+            && Instant::now() >= *drain_deadline.get_or_insert_with(|| Instant::now() + ctx.grace)
+        {
+            // Out of grace: drop whoever is still owed frames.
+            for sub in subs.drain(..) {
+                sub.state.mark_closed(&ctx.metrics);
             }
         }
-        let new_base = min_live.min(end_abs).max(base);
-        let over_cap = (backlog.len() as u64).saturating_sub(BACKLOG_CAP as u64);
-        let new_base = new_base.max(base + over_cap).min(end_abs);
-        while base < new_base {
-            backlog.pop_front();
-            base += 1;
-        }
-
         if subs.is_empty() {
             // Last subscriber left: remove our slot unless someone attached
             // in the meantime (checked under the registry lock so a racing
@@ -535,186 +471,19 @@ fn tailer_main(
             continue;
         }
 
-        if shutting_down {
-            let deadline = *drain_deadline.get_or_insert_with(|| Instant::now() + ctx.grace);
-            if Instant::now() >= deadline {
-                for entry in &subs {
-                    entry.state.mark_closed(&ctx.metrics);
-                }
-                let mut slots = registry.slots.lock().unwrap();
-                slots.remove(&wal_path);
-                tm.subscribers.set(0);
-                tm.lag_records.set(0);
-                return;
-            }
-        }
-
         if jammed {
             tm.jam_waits.inc();
             if !slot.bell.wait(JAM_PAUSE) {
                 tm.jam_timeouts.inc();
             }
-        } else if !read_any && !progressed {
+        } else if !progressed {
             slot.bell.wait(ctx.poll_interval);
         }
     }
 }
 
-/// Advance one subscriber; returns (made progress, hit a full queue).
-#[allow(clippy::too_many_arguments)]
-fn advance(
-    entry: &mut SubEntry,
-    backlog: &VecDeque<Rec>,
-    base: u64,
-    end_abs: u64,
-    finished: bool,
-    shutting_down: bool,
-    main_offset: u64,
-    metrics: &Arc<ServiceMetrics>,
-    tm: &TailerMetrics,
-) -> (bool, bool) {
-    let stats = &**metrics;
-    let state = Arc::clone(&entry.state);
-    if state.is_closed() {
-        entry.phase = Phase::Done;
-        return (false, false);
-    }
-    let mut progressed = false;
-
-    // Owed stream-control pushes go out before any further data.
-    while let Some(push) = entry.owed.front() {
-        match state.offer_push(stats, push) {
-            Offer::Sent => {
-                entry.owed.pop_front();
-                progressed = true;
-            }
-            Offer::Full => return (progressed, true),
-            Offer::Closed => {
-                entry.phase = Phase::Done;
-                return (progressed, false);
-            }
-        }
-    }
-
-    loop {
-        match &mut entry.phase {
-            Phase::CatchUp {
-                tail,
-                skip,
-                pending,
-            } => {
-                // Deliver what the last poll read before reading more.
-                while let Some(rec) = pending.front() {
-                    if let Some(seq) = rec.tag.seq {
-                        if seq < state.from_seq {
-                            pending.pop_front();
-                            continue;
-                        }
-                    }
-                    match state.offer_event(stats, &rec.body) {
-                        Offer::Sent => {
-                            tm.fanout_frames.inc();
-                            pending.pop_front();
-                            progressed = true;
-                        }
-                        Offer::Full => return (progressed, true),
-                        Offer::Closed => {
-                            entry.phase = Phase::Done;
-                            return (progressed, false);
-                        }
-                    }
-                }
-                if tail.offset() >= main_offset {
-                    // Caught up to the shared cursor: promote to Live at
-                    // the backlog's write edge.
-                    entry.phase = Phase::Live { next: end_abs };
-                    progressed = true;
-                    continue;
-                }
-                // Read more of the replay, never past the shared cursor so
-                // promotion can't skip records.
-                match poll_window(tail, main_offset) {
-                    Ok(chunk) => {
-                        if chunk.rewound {
-                            // The file shrank under the private tail; the
-                            // shared tailer will rewind everyone on its next
-                            // poll — restart this replay from the top now.
-                            entry.owed.push_back(Push::Rewind { sub: state.sub });
-                            *skip = 0;
-                            pending.clear();
-                        }
-                        let (rewound, was_empty) = (chunk.rewound, chunk.lines.is_empty());
-                        for rec in recs(chunk) {
-                            if *skip > 0 {
-                                *skip -= 1;
-                                continue;
-                            }
-                            pending.push_back(rec);
-                        }
-                        if rewound {
-                            // The chunk's lines are the new file's start;
-                            // they are stashed above, but the owed rewind
-                            // push (checked at the top of the next advance)
-                            // must reach the subscriber before them.
-                            return (true, false);
-                        }
-                        if was_empty {
-                            return (progressed, false);
-                        }
-                    }
-                    Err(_) => return (progressed, false),
-                }
-            }
-            Phase::Live { next } => {
-                while *next < end_abs {
-                    let rec = &backlog[(*next - base) as usize];
-                    if let Some(seq) = rec.tag.seq {
-                        if seq < state.from_seq {
-                            *next += 1;
-                            continue;
-                        }
-                    }
-                    match state.offer_event(stats, &rec.body) {
-                        Offer::Sent => {
-                            tm.fanout_frames.inc();
-                            *next += 1;
-                            progressed = true;
-                        }
-                        Offer::Full => return (progressed, true),
-                        Offer::Closed => {
-                            entry.phase = Phase::Done;
-                            return (progressed, false);
-                        }
-                    }
-                }
-                if finished || shutting_down {
-                    entry.phase = Phase::EndOwed;
-                    progressed = true;
-                    continue;
-                }
-                return (progressed, false);
-            }
-            Phase::EndOwed => {
-                let end = Push::End { sub: state.sub };
-                return match state.offer_push(stats, &end) {
-                    Offer::Sent => {
-                        state.mark_closed(stats);
-                        entry.phase = Phase::Done;
-                        (true, false)
-                    }
-                    Offer::Full => (progressed, true),
-                    Offer::Closed => {
-                        entry.phase = Phase::Done;
-                        (progressed, false)
-                    }
-                };
-            }
-            Phase::Done => return (progressed, false),
-        }
-    }
-}
-
-#[cfg(all(test, unix))]
+// `tailer` itself is compiled on Unix only.
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Read;
@@ -725,7 +494,9 @@ mod tests {
     use asha_metrics::JsonValue;
     use asha_store::{Durability, StoreEvent, WalRecord, WalWriter};
 
-    use crate::reactor::{start_reactor, ConnHandler, Listener, ReactorConfig, ReactorFlags};
+    use crate::reactor::{
+        start_reactor, ConnHandler, Listener, ReactorConfig, ReactorFlags, ReactorHandle,
+    };
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("asha-tailer-{tag}-{}", std::process::id()));
@@ -734,37 +505,168 @@ mod tests {
         dir
     }
 
+    /// A telemetry record; `idle` tells one file's records from another's.
+    fn idle(seq: u64, idle: usize) -> WalRecord {
+        WalRecord::telemetry(Event {
+            seq,
+            time: seq as f64,
+            kind: EventKind::WorkerIdle { idle },
+        })
+    }
+
+    fn finished(time: f64) -> WalRecord {
+        WalRecord::Meta {
+            time,
+            event: StoreEvent::ExperimentFinished,
+        }
+    }
+
     /// A finished `binary-v2` WAL of `n` telemetry records.
     fn write_wal(path: &std::path::Path, n: u64) {
         let mut wal = WalWriter::create(path, Durability::Flush).unwrap();
         for seq in 0..n {
-            wal.append(&WalRecord::telemetry(Event {
-                seq,
-                time: seq as f64,
-                kind: EventKind::WorkerIdle { idle: 1 },
-            }))
-            .unwrap();
+            wal.append(&idle(seq, 1)).unwrap();
         }
-        wal.append(&WalRecord::Meta {
-            time: n as f64,
-            event: StoreEvent::ExperimentFinished,
-        })
-        .unwrap();
+        wal.append(&finished(n as f64)).unwrap();
         wal.sync().unwrap();
     }
 
-    /// Hands the test the reactor's handle of each accepted connection.
-    struct Capture(Mutex<mpsc::Sender<Arc<ConnHandle>>>);
+    /// The event frames `Push::to_frame` renders for `lines`.
+    fn frames(sub: u64, lines: &[String]) -> Vec<u8> {
+        lines
+            .iter()
+            .flat_map(|line| {
+                let push = Push::Event {
+                    sub,
+                    data: JsonValue::parse(line).unwrap(),
+                };
+                encode_frame(&push.to_frame()).into_bytes()
+            })
+            .collect()
+    }
+
+    fn frame(push: Push) -> Vec<u8> {
+        encode_frame(&push.to_frame()).into_bytes()
+    }
+
+    /// Read `peer` until what it sent ends with subscription `sub`'s `end`.
+    fn read_to_end_of(peer: &mut UnixStream, sub: u64) -> Vec<u8> {
+        let end = frame(Push::End { sub });
+        let (mut wire, mut buf) = (Vec::new(), vec![0u8; 16 * 1024]);
+        while !wire.ends_with(&end) {
+            let n = peer.read(&mut buf).unwrap();
+            assert!(n > 0, "connection closed early");
+            wire.extend_from_slice(&buf[..n]);
+        }
+        wire
+    }
+
+    /// Hands the test the reactor's handle of each accepted connection,
+    /// and rings `subs` on every drain, as the daemon does.
+    struct Capture {
+        opened: Mutex<mpsc::Sender<Arc<ConnHandle>>>,
+        subs: Mutex<Vec<Arc<SubState>>>,
+    }
 
     impl ConnHandler for Capture {
         fn on_open(&self, conn: &Arc<ConnHandle>) {
-            self.0.lock().unwrap().send(Arc::clone(conn)).unwrap();
+            self.opened.lock().unwrap().send(Arc::clone(conn)).unwrap();
         }
         fn on_frame(&self, _: &Arc<ConnHandle>, _: JsonValue) {}
         fn on_decode_error(&self, _: &Arc<ConnHandle>, _: &asha_core::Error) -> bool {
             false
         }
+        fn on_room(&self, _: &Arc<ConnHandle>) {
+            for sub in self.subs.lock().unwrap().iter() {
+                sub.ring();
+            }
+        }
         fn on_close(&self, _: &Arc<ConnHandle>) {}
+    }
+
+    /// A reactor on a Unix socket whose connections queue four frames.
+    struct Rig {
+        socket: PathBuf,
+        handler: Arc<Capture>,
+        opened: mpsc::Receiver<Arc<ConnHandle>>,
+        metrics: Arc<ServiceMetrics>,
+        shutdown: Arc<AtomicBool>,
+        final_drain: Arc<AtomicBool>,
+        reactor: ReactorHandle,
+    }
+
+    impl Rig {
+        fn start(dir: &std::path::Path) -> Rig {
+            let metrics = ServiceMetrics::new();
+            let socket = dir.join("sock");
+            let listener = UnixListener::bind(&socket).unwrap();
+            listener.set_nonblocking(true).unwrap();
+            let (opened_tx, opened) = mpsc::channel();
+            let handler = Arc::new(Capture {
+                opened: Mutex::new(opened_tx),
+                subs: Mutex::new(Vec::new()),
+            });
+            let flags = ReactorFlags {
+                shutdown: Arc::new(AtomicBool::new(false)),
+                final_drain: Arc::new(AtomicBool::new(false)),
+            };
+            let (shutdown, final_drain) =
+                (Arc::clone(&flags.shutdown), Arc::clone(&flags.final_drain));
+            let reactor = start_reactor(
+                ReactorConfig {
+                    max_frame: 1 << 16,
+                    high_water: 4,
+                    poll_interval: Duration::from_millis(5),
+                    grace: Duration::from_millis(50),
+                },
+                vec![Listener::Unix(listener)],
+                Arc::clone(&handler) as Arc<dyn ConnHandler>,
+                flags,
+                Arc::clone(&metrics),
+            )
+            .unwrap();
+            Rig {
+                socket,
+                handler,
+                opened,
+                metrics,
+                shutdown,
+                final_drain,
+                reactor,
+            }
+        }
+
+        /// Both ends of a new connection: the client's socket and the
+        /// reactor's handle.
+        fn connect(&self) -> (UnixStream, Arc<ConnHandle>) {
+            let peer = UnixStream::connect(&self.socket).unwrap();
+            peer.set_read_timeout(Some(Duration::from_secs(20)))
+                .unwrap();
+            let conn = self.opened.recv_timeout(Duration::from_secs(20)).unwrap();
+            (peer, conn)
+        }
+
+        /// A subscription on `conn` that the reactor's drains wake.
+        fn sub(&self, sub: u64, conn: &Arc<ConnHandle>) -> Arc<SubState> {
+            let state = SubState::new(sub, 0, Arc::clone(conn));
+            self.handler.subs.lock().unwrap().push(Arc::clone(&state));
+            state
+        }
+
+        fn registry(&self) -> Arc<TailerRegistry> {
+            TailerRegistry::new(TailerCtx {
+                metrics: Arc::clone(&self.metrics),
+                shutdown: Arc::new(AtomicBool::new(false)),
+                poll_interval: Duration::from_millis(5),
+                grace: Duration::from_millis(50),
+            })
+        }
+
+        fn stop(self) {
+            self.shutdown.store(true, Ordering::Release);
+            self.final_drain.store(true, Ordering::Release);
+            self.reactor.join();
+        }
     }
 
     #[test]
@@ -800,86 +702,47 @@ mod tests {
     }
 
     /// A subscriber attaching to a finished WAL many windows long, behind a
-    /// 4-frame queue: catch-up holds one window of records at a time, and
+    /// 4-frame queue, holds at most one window of records at a time, and
     /// the client still receives every record's frame, in order, with the
-    /// bytes `Push::to_frame` would render.
+    /// bytes `Push::to_frame` would render, then `end`.
     #[test]
     fn catch_up_holds_one_window_of_a_long_wal() {
         let dir = tmpdir("catchup");
         let wal_path = dir.join("wal.jsonl");
         write_wal(&wal_path, 40_000);
         let whole = WalTail::new(&wal_path).poll().unwrap();
-        let wal_len = std::fs::metadata(&wal_path).unwrap().len();
-
-        let metrics = ServiceMetrics::new();
-        let socket = dir.join("sock");
-        let listener = UnixListener::bind(&socket).unwrap();
-        listener.set_nonblocking(true).unwrap();
-        let (opened_tx, opened) = mpsc::channel();
-        let flags = ReactorFlags {
-            shutdown: Arc::new(AtomicBool::new(false)),
-            final_drain: Arc::new(AtomicBool::new(false)),
-        };
-        let (shutdown, final_drain) = (Arc::clone(&flags.shutdown), Arc::clone(&flags.final_drain));
-        let reactor = start_reactor(
-            ReactorConfig {
-                max_frame: 1 << 16,
-                high_water: 4,
-                poll_interval: Duration::from_millis(5),
-                grace: Duration::from_millis(50),
-            },
-            vec![Listener::Unix(listener)],
-            Arc::new(Capture(Mutex::new(opened_tx))),
-            flags,
-            Arc::clone(&metrics),
-        )
-        .unwrap();
-        let mut peer = UnixStream::connect(&socket).unwrap();
-        peer.set_read_timeout(Some(Duration::from_secs(20)))
-            .unwrap();
-        let conn = opened.recv_timeout(Duration::from_secs(20)).unwrap();
-
-        let tm = metrics.tailer("long");
-        let mut entry = SubEntry::new(SubState::new(9, 0, conn), &wal_path);
-        let backlog = VecDeque::new();
-        let mut wire = Vec::new();
-        let mut buf = vec![0u8; 16 * 1024];
-        let mut most_pending = 0;
+        let mut tail = WalTail::new(&wal_path);
+        let mut window = 0;
         loop {
-            let (_, jammed) = advance(
-                &mut entry, &backlog, 0, 0, false, false, wal_len, &metrics, &tm,
-            );
-            match &entry.phase {
-                Phase::CatchUp { pending, .. } => most_pending = most_pending.max(pending.len()),
-                Phase::Live { .. } => break,
-                _ => panic!("catch-up ends in Live"),
+            let read = poll_window(&mut tail, u64::MAX).unwrap().lines.len();
+            if read == 0 {
+                break;
             }
-            assert!(
-                jammed,
-                "a turn that does not finish catch-up hit a full queue"
-            );
-            // Make room: whatever was refused sits behind frames the
-            // reactor is writing, so this read cannot wait for nothing.
-            let n = peer.read(&mut buf).unwrap();
-            wire.extend_from_slice(&buf[..n]);
+            window = window.max(read);
+        }
+
+        let rig = Rig::start(&dir);
+        let (mut peer, conn) = rig.connect();
+        let tm = rig.metrics.tailer("long");
+        let mut follower = Follower::new(SubState::new(9, 0, conn), &wal_path);
+        let (mut wire, mut buf) = (Vec::new(), vec![0u8; 16 * 1024]);
+        let mut most_pending = 0;
+        while !follower.state.is_closed() {
+            let (_, jammed) = follower.turn(false, &rig.metrics, &tm);
+            most_pending = most_pending.max(follower.pending.len());
+            if jammed {
+                // Make room: whatever was refused sits behind frames the
+                // reactor is writing, so this read cannot wait for nothing.
+                let n = peer.read(&mut buf).unwrap();
+                wire.extend_from_slice(&buf[..n]);
+            }
         }
         assert!(
-            (1..=whole.lines.len() / 4).contains(&most_pending),
-            "pending peaked at {most_pending} of {} records",
-            whole.lines.len()
+            (1..=window).contains(&most_pending),
+            "pending peaked at {most_pending} records; a window holds {window}"
         );
 
-        let expected: Vec<u8> = whole
-            .lines
-            .iter()
-            .flat_map(|line| {
-                let push = Push::Event {
-                    sub: 9,
-                    data: JsonValue::parse(line).unwrap(),
-                };
-                encode_frame(&push.to_frame()).into_bytes()
-            })
-            .collect();
+        let expected = [frames(9, &whole.lines), frame(Push::End { sub: 9 })].concat();
         while wire.len() < expected.len() {
             let n = peer.read(&mut buf).unwrap();
             assert!(n > 0, "connection closed early");
@@ -887,10 +750,123 @@ mod tests {
         }
         assert!(wire == expected, "the stream differs from the WAL");
         assert_eq!(tm.fanout_frames.get(), whole.lines.len() as u64);
+        rig.stop();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
-        shutdown.store(true, Ordering::Release);
-        final_drain.store(true, Ordering::Release);
-        reactor.join();
+    /// Two subscribers on one WAL, one behind a queue nobody drains. The WAL
+    /// is rewritten shorter and regrown past the consumed offset, as a live
+    /// resume does: each subscriber hears exactly one `rewind`, then the
+    /// rewritten file byte for byte, then `end` — and the one that reads
+    /// reaches its `end` while the other is still jammed.
+    #[test]
+    fn a_rewrite_rewinds_each_subscriber_once_and_a_jam_holds_back_nobody() {
+        let dir = tmpdir("rewrite");
+        let wal_path = dir.join("wal.jsonl");
+        let n = 10_000;
+        let mut wal = WalWriter::create(&wal_path, Durability::Flush).unwrap();
+        for seq in 0..n {
+            wal.append(&idle(seq, 1)).unwrap();
+        }
+        wal.sync().unwrap();
+        let old = WalTail::new(&wal_path).poll().unwrap().lines;
+
+        let rig = Rig::start(&dir);
+        let registry = rig.registry();
+        let (mut stuck_peer, stuck_conn) = rig.connect();
+        let (mut peer, conn) = rig.connect();
+        let stuck = rig.sub(1, &stuck_conn);
+        registry.subscribe(wal_path.clone(), "rw".to_owned(), Arc::clone(&stuck));
+        registry.subscribe(wal_path.clone(), "rw".to_owned(), rig.sub(2, &conn));
+
+        // The reading subscriber takes the whole unfinished file first.
+        let old_frames = frames(2, &old);
+        let (mut wire, mut buf) = (Vec::new(), vec![0u8; 16 * 1024]);
+        while wire.len() < old_frames.len() {
+            let read = peer.read(&mut buf).unwrap();
+            assert!(read > 0, "connection closed early");
+            wire.extend_from_slice(&buf[..read]);
+        }
+        let consumed = std::fs::metadata(&wal_path).unwrap().len();
+
+        // Rewrite: other bytes from the first record on, shorter, renamed
+        // over the WAL; then regrow it, finished, past the old end.
+        let tmp = dir.join("wal.tmp");
+        let mut wal = WalWriter::create(&tmp, Durability::Flush).unwrap();
+        for seq in 0..100 {
+            wal.append(&idle(seq, 2)).unwrap();
+        }
+        wal.sync().unwrap();
+        std::fs::rename(&tmp, &wal_path).unwrap();
+        for seq in 100..n + 100 {
+            wal.append(&idle(seq, 2)).unwrap();
+        }
+        wal.append(&finished((n + 100) as f64)).unwrap();
+        wal.sync().unwrap();
+        assert!(std::fs::metadata(&wal_path).unwrap().len() > consumed);
+        let new = WalTail::new(&wal_path).poll().unwrap().lines;
+
+        let after = |sub| {
+            [
+                frame(Push::Rewind { sub }),
+                frames(sub, &new),
+                frame(Push::End { sub }),
+            ]
+            .concat()
+        };
+        wire.extend(read_to_end_of(&mut peer, 2));
+        assert!(wire[..old_frames.len()] == old_frames[..]);
+        assert!(
+            wire[old_frames.len()..] == after(2)[..],
+            "the reading subscriber's stream after the old file"
+        );
+        assert!(
+            !stuck.is_closed(),
+            "the jammed subscriber still holds frames when the other ends"
+        );
+
+        let wire = read_to_end_of(&mut stuck_peer, 1);
+        let tail = after(1);
+        assert!(wire.ends_with(&tail), "the jammed subscriber's stream ends");
+        let head = &wire[..wire.len() - tail.len()];
+        let old_frames = frames(1, &old);
+        assert!(
+            head.len() < old_frames.len() && old_frames.starts_with(head),
+            "before its rewind, the jammed subscriber got part of the old file"
+        );
+        registry.join_all();
+        rig.stop();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Subscribing after the last subscriber left spawns a new tailer; the
+    /// one that exited is joined then, not kept until shutdown.
+    #[test]
+    fn exited_tailers_are_joined_when_the_next_one_spawns() {
+        let dir = tmpdir("reap");
+        let wal_path = dir.join("wal.jsonl");
+        write_wal(&wal_path, 10);
+        let rig = Rig::start(&dir);
+        let registry = rig.registry();
+        let (mut peer, conn) = rig.connect();
+        for sub in 1..=50 {
+            registry.subscribe(wal_path.clone(), "reap".to_owned(), rig.sub(sub, &conn));
+            read_to_end_of(&mut peer, sub);
+            // The tailer exits once its only subscriber has its `end`.
+            while !registry
+                .threads
+                .lock()
+                .unwrap()
+                .iter()
+                .all(JoinHandle::is_finished)
+            {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let kept = registry.threads.lock().unwrap().len();
+        assert!(kept <= 1, "{kept} tailer handles kept after 50 tailers ran");
+        registry.join_all();
+        rig.stop();
         std::fs::remove_dir_all(&dir).ok();
     }
 }

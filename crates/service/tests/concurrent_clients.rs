@@ -445,3 +445,18 @@ fn deeply_nested_frames_get_a_protocol_error_and_the_daemon_keeps_serving() {
     daemon.wait().unwrap();
     std::fs::remove_dir_all(&root).ok();
 }
+
+/// At a queue depth of 0 every connection's reads would pause for good and
+/// no stream frame would ever fit: the daemon refuses that as a `config`
+/// error before it creates the root.
+#[test]
+fn a_zero_queue_depth_is_refused_before_the_root_is_created() {
+    let root = std::env::temp_dir().join(format!("asha-svc-conc-depth0-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let mut serve = ServeOptions::new(&root);
+    serve.tcp = Some("127.0.0.1:0".to_owned());
+    serve.queue_depth = 0;
+    let err = Daemon::start(serve).err().expect("depth 0 must be refused");
+    assert_eq!(err.kind(), ErrorKind::Config, "{err}");
+    assert!(!root.exists(), "the refused daemon created its root");
+}

@@ -33,7 +33,6 @@ fn populated_plane() -> std::sync::Arc<ServiceMetrics> {
     let t = m.tailer("exp-a");
     t.subscribers.set(4);
     t.lag_records.set(17);
-    t.window_evictions.inc();
     t.fanout_frames.add(250);
     t.jam_waits.add(9);
     t.jam_timeouts.add(2);
@@ -197,7 +196,6 @@ fn exposition_is_structurally_valid_and_values_are_exact() {
     for (family, value) in [
         ("asha_tailer_subscribers", 4.0),
         ("asha_tailer_lag_records", 17.0),
-        ("asha_tailer_window_evictions_total", 1.0),
         ("asha_tailer_fanout_frames_total", 250.0),
         ("asha_tailer_jam_waits_total", 9.0),
         ("asha_tailer_jam_timeouts_total", 2.0),
@@ -279,7 +277,6 @@ fn family_set_and_snapshot_key_paths_are_pinned() {
         "asha_sub_events_lagged_total counter",
         "asha_tailer_subscribers gauge",
         "asha_tailer_lag_records gauge",
-        "asha_tailer_window_evictions_total counter",
         "asha_tailer_fanout_frames_total counter",
         "asha_tailer_jam_waits_total counter",
         "asha_tailer_jam_timeouts_total counter",
@@ -323,7 +320,6 @@ fn family_set_and_snapshot_key_paths_are_pinned() {
         "subscriptions.events_lagged",
         "tailers.exp-a.subscribers",
         "tailers.exp-a.lag_records",
-        "tailers.exp-a.window_evictions",
         "tailers.exp-a.fanout_frames",
         "tailers.exp-a.jam_waits",
         "tailers.exp-a.jam_timeouts",
@@ -648,12 +644,9 @@ asha_sub_events_lagged_total 0
 # HELP asha_tailer_subscribers Subscribers attached to the experiment's tailer
 # TYPE asha_tailer_subscribers gauge
 asha_tailer_subscribers{experiment="exp-a"} 4
-# HELP asha_tailer_lag_records Backlog records the slowest live subscriber has not consumed
+# HELP asha_tailer_lag_records Records read but not yet delivered, for the subscriber holding the most
 # TYPE asha_tailer_lag_records gauge
 asha_tailer_lag_records{experiment="exp-a"} 17
-# HELP asha_tailer_window_evictions_total Live subscribers demoted to catch-up after falling out of the backlog window
-# TYPE asha_tailer_window_evictions_total counter
-asha_tailer_window_evictions_total{experiment="exp-a"} 1
 # HELP asha_tailer_fanout_frames_total Event frames fanned out to subscriber queues
 # TYPE asha_tailer_fanout_frames_total counter
 asha_tailer_fanout_frames_total{experiment="exp-a"} 250
@@ -831,7 +824,6 @@ const POPULATED_JSON: &str = concat!(
     "\"events_lagged\":0},",
     "\"tailers\":{\"exp-a\":{\"subscribers\":4,",
     "\"lag_records\":17,",
-    "\"window_evictions\":1,",
     "\"fanout_frames\":250,",
     "\"jam_waits\":9,",
     "\"jam_timeouts\":2}},",

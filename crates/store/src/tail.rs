@@ -26,10 +26,10 @@
 //!   file on every poll; a shrink or an anchor mismatch rewinds to the
 //!   start and reports the rewind so the consumer can reset derived
 //!   state.
-//! * **Bounded reads.** Several tails may follow one file with a lagging
-//!   reader capped at the lead reader's byte offset
-//!   ([`WalTail::poll_to`]); offsets are plain byte positions, so the
-//!   bound composes across tails.
+//! * **Bounded reads.** [`WalTail::poll_to`] caps how far one poll reads,
+//!   as a plain byte offset: the service reads a window at a time, so what
+//!   it holds as lines is bounded whatever the WAL's length. A poll that
+//!   reads nothing still checks for a rewrite.
 //!
 //! The tail re-opens the file on every poll, so it also survives the
 //! rename-over-inode pattern used by crash-safe rewriters.
