@@ -11,7 +11,7 @@
 //!   create NAME --preset P [opts]     create an experiment (not started)
 //!   start NAME [--sync S] [--snapshot-jobs N] [--delta-chain N]
 //!   pause NAME | resume NAME | abort NAME
-//!   status NAME | list | stats
+//!   status NAME | list
 //!   metrics                           dump the full metrics snapshot (JSON)
 //!   top [--interval SECS] [--count N] live daemon metrics view (like top(1))
 //!   tail NAME [--from SEQ]            print the live WAL stream
@@ -66,7 +66,7 @@ fn usage() -> ! {
         "usage: asha-ctl (--unix PATH | --tcp ADDR)\n\
          \x20              [--connect-timeout SECS] [--timeout SECS] COMMAND [ARGS]\n\
          commands: ping, create, start, pause, resume, abort, status, list,\n\
-         \x20         stats, metrics, top, tail, watch, shutdown\n\
+         \x20         metrics, top, tail, watch, shutdown\n\
          \x20         (see source header for flags)"
     );
     std::process::exit(2);
@@ -217,10 +217,9 @@ fn cmd_create(client: &mut Client, args: &Args) {
 /// Follow a subscription; returns the accumulated telemetry when the
 /// stream ends (`print_lines` echoes every frame for `tail`).
 ///
-/// A `lag` push means the daemon dropped frames rather than stall the run;
-/// this consumer needs a gap-free stream, so it resubscribes from the last
-/// telemetry sequence it saw (the protocol's prescribed recovery). Pushes
-/// from the abandoned subscription are discarded by id.
+/// The daemon drops nothing it owes a subscriber, so a `lag` push is a
+/// protocol breach and fails the command. Pushes from a subscription
+/// abandoned on `rewind` are discarded by id.
 fn follow(client: &mut Client, name: &str, from_seq: u64, print_lines: bool) -> Vec<Event> {
     let mut sub = client.subscribe(name, from_seq).unwrap_or_else(|e| fail(e));
     let mut events: Vec<Event> = Vec::new();
@@ -251,14 +250,10 @@ fn follow(client: &mut Client, name: &str, from_seq: u64, print_lines: bool) -> 
                             eprintln!("asha-ctl: store marker: {ev}");
                         }
                     }
-                    Push::Lag { dropped, .. } => {
-                        let next_seq = events.last().map(|e| e.seq + 1).unwrap_or(from_seq);
-                        eprintln!(
-                            "asha-ctl: lagged ({dropped} frames dropped); resubscribing from seq {next_seq}"
-                        );
-                        let _ = client.unsubscribe(sub);
-                        sub = client.subscribe(name, next_seq).unwrap_or_else(|e| fail(e));
-                    }
+                    Push::Lag { dropped, .. } => fail(format!(
+                        "protocol: the daemon sent a lag push ({dropped} frames dropped), \
+                         which it never should"
+                    )),
                     Push::Status { state, .. } => {
                         eprintln!(
                             "asha-ctl: status: {} -> {}",
@@ -268,8 +263,7 @@ fn follow(client: &mut Client, name: &str, from_seq: u64, print_lines: bool) -> 
                     }
                     Push::Rewind { .. } => {
                         // The WAL was rewritten shorter; restart clean from
-                        // the original offset so a prior lag-resubscribe
-                        // filter can't hide the rewritten prefix.
+                        // the original offset.
                         eprintln!("asha-ctl: log rewound (crash recovery); resetting");
                         events.clear();
                         last_note = 0;
@@ -360,12 +354,11 @@ fn render_top(snap: &JsonValue, rows: &[asha::service::WireStatus]) {
         jint(snap, "reactor.read_pauses"),
     );
     println!(
-        "requests: {} total, {} errors, {} slow   events: {} sent, {} lagged",
+        "requests: {} total, {} errors, {} slow   events: {} sent",
         jint(snap, "requests.total"),
         jint(snap, "requests.errors"),
         jint(snap, "requests.slow"),
         jint(snap, "subscriptions.events_sent"),
-        jint(snap, "subscriptions.events_lagged"),
     );
     if let Some(JsonValue::Obj(by_op)) = jpath(snap, "requests.by_op") {
         println!(
@@ -527,15 +520,6 @@ fn main() {
             for row in client.list().unwrap_or_else(|e| fail(e)) {
                 println!("{:<24} {}", row.name, row.status.as_str());
             }
-        }
-        "stats" => {
-            let s = client.stats().unwrap_or_else(|e| fail(e));
-            println!("connections_total   {}", s.connections_total);
-            println!("connections_open    {}", s.connections_open);
-            println!("requests            {}", s.requests);
-            println!("subscriptions_open  {}", s.subscriptions_open);
-            println!("events_sent         {}", s.events_sent);
-            println!("events_lagged       {}", s.events_lagged);
         }
         "metrics" => {
             let snap = client.metrics().unwrap_or_else(|e| fail(e));

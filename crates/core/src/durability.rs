@@ -1,6 +1,6 @@
 //! The workspace-wide durability knob: *when does appended data become
-//! crash-durable?* `asha-obs`'s `JsonlWriter` and `asha-store`'s WAL ask the
-//! same question, so both take this one type.
+//! crash-durable?* `asha-store`'s WAL asks it; `asha-obs`'s `JsonlWriter`,
+//! whose logs a machine crash may cut short, always just flushes.
 //!
 //! Semantics, common to every writer that takes a [`Durability`]:
 //!

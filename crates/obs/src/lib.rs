@@ -66,7 +66,7 @@ pub use crate::metrics::{Histogram, MetricsRegistry};
 pub use crate::recorder::RunRecorder;
 pub use crate::report::RunReport;
 pub use crate::shared::{HistogramSnapshot, SharedCounter, SharedGauge, SharedHistogram};
-pub use crate::writer::{Durability, JsonlWriter};
+pub use crate::writer::JsonlWriter;
 
 // Re-export the core vocabulary so downstream users need only this crate.
 pub use asha_core::telemetry::{DropCause, Event, EventKind, IdleKind, NoopRecorder, Recorder};

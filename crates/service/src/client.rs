@@ -19,7 +19,7 @@ use asha_store::{ExperimentMeta, RunOptions};
 
 use crate::codec::{encode_frame, Frame, FrameReader};
 use crate::conn::Conn;
-use crate::proto::{DaemonStats, Push, Reply, Request, WireStatus};
+use crate::proto::{Push, Reply, Request, WireStatus};
 
 /// A connected protocol client.
 pub struct Client {
@@ -266,14 +266,6 @@ impl Client {
     pub fn list(&mut self) -> Result<Vec<WireStatus>, Error> {
         match self.call(&Request::List)? {
             Reply::List(rows) => Ok(rows),
-            other => Err(Error::protocol(format!("unexpected reply {other:?}"))),
-        }
-    }
-
-    /// Daemon counters.
-    pub fn stats(&mut self) -> Result<DaemonStats, Error> {
-        match self.call(&Request::Stats)? {
-            Reply::Stats(s) => Ok(s),
             other => Err(Error::protocol(format!("unexpected reply {other:?}"))),
         }
     }

@@ -10,7 +10,7 @@
 //! vendored `serde` is a stub).
 //!
 //! * [`proto`] — the frame vocabulary: requests
-//!   (create/start/pause/resume/abort/status/list/stats/subscribe/…),
+//!   (create/start/pause/resume/abort/status/list/metrics/subscribe/…),
 //!   replies, typed errors on the wire, and push frames for streaming
 //!   subscriptions.
 //! * `codec` — newline-delimited framing: the sans-io [`FrameBuf`]
@@ -20,10 +20,11 @@
 //!   readiness loop (epoll/`poll`) over every non-blocking socket, driving
 //!   a fixed worker pool; per-connection outgoing queues with
 //!   partial-write resumption and interest re-arming.
-//! * `server` — [`Daemon`]: the reactor plus one WAL tailer thread per
-//!   *experiment*, following the WAL for each subscriber on its own
-//!   windowed tail; bounded per-client queues with explicit lag accounting
-//!   (a slow subscriber never stalls a run), graceful drain on shutdown.
+//! * `server` — [`Daemon`]: the reactor plus one tailer thread per
+//!   *experiment*, delivering the WAL (each subscriber on its own windowed
+//!   tail) and the experiment's status changes; bounded per-client queues
+//!   that hold what a subscriber is owed instead of dropping it (a slow
+//!   subscriber never stalls a run), graceful drain on shutdown.
 //! * `client` — [`Client`]: blocking request/reply with push buffering
 //!   and connect/call timeouts; the `asha-ctl` binary in `asha-bench` is a
 //!   thin shell over it.
@@ -67,9 +68,7 @@ mod tailer;
 pub use crate::client::Client;
 pub use crate::codec::{encode_frame, Frame, FrameBuf, FrameReader};
 pub use crate::metrics::{ServiceMetrics, METRICS_SCHEMA};
-pub use crate::proto::{
-    DaemonStats, Push, Reply, Request, WireStatus, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
-};
+pub use crate::proto::{Push, Reply, Request, WireStatus, DEFAULT_MAX_FRAME, PROTOCOL_VERSION};
 #[cfg(unix)]
 pub use crate::reactor::{Offer, OutBuf};
 pub use crate::server::{Daemon, ServeOptions};

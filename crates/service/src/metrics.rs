@@ -25,10 +25,8 @@
 //!
 //! # Exposure
 //!
-//! Three read paths share the same cells:
+//! Two read paths share the same cells:
 //!
-//! * [`ServiceMetrics::daemon_stats`] — the legacy [`DaemonStats`]
-//!   projection answering `Request::Stats` (kept wire-compatible);
 //! * [`ServiceMetrics::snapshot_json`] — the full JSON snapshot answering
 //!   `Request::Metrics` (schema [`METRICS_SCHEMA`]);
 //! * [`ServiceMetrics::render_prometheus`] — Prometheus text exposition
@@ -45,14 +43,12 @@ use asha_obs::shared::{Cell, Row};
 use asha_obs::{metric_cells, HistogramSnapshot};
 use asha_store::StoreMetrics;
 
-use crate::proto::DaemonStats;
-
 /// Schema tag carried by every `Request::Metrics` reply.
 pub const METRICS_SCHEMA: &str = "asha-daemon-metrics-v1";
 
 /// Request kinds tracked with per-op latency histograms. `invalid` buckets
 /// frames that failed to decode into any known op.
-pub(crate) const OPS: [&str; 14] = [
+pub(crate) const OPS: [&str; 13] = [
     "ping",
     "create",
     "start",
@@ -61,7 +57,6 @@ pub(crate) const OPS: [&str; 14] = [
     "abort",
     "status",
     "list",
-    "stats",
     "metrics",
     "subscribe",
     "unsubscribe",
@@ -147,8 +142,6 @@ metric_cells! {
         open: gauge "asha_subscriptions_open" "Currently live subscriptions",
         events_sent: counter "asha_sub_events_sent_total"
             "Push frames delivered to subscriber queues",
-        events_lagged: counter "asha_sub_events_lagged_total"
-            "Lossy push frames dropped on full subscriber queues",
     }
 }
 
@@ -395,11 +388,6 @@ impl ServiceMetrics {
         self.subscriptions.events_sent.inc();
     }
 
-    /// A lossy push was dropped on a full subscriber queue.
-    pub(crate) fn event_lagged(&self) {
-        self.subscriptions.events_lagged.inc();
-    }
-
     /// The per-experiment tailer cells, created on first use. Stable for
     /// the daemon's lifetime so counters survive tailer restarts.
     pub fn tailer(&self, experiment: &str) -> Arc<TailerMetrics> {
@@ -408,19 +396,6 @@ impl ServiceMetrics {
     }
 
     // ---- Read paths -------------------------------------------------
-
-    /// The legacy [`DaemonStats`] counters, projected from the plane so
-    /// `Request::Stats` and `Request::Metrics` can never diverge.
-    pub(crate) fn daemon_stats(&self) -> DaemonStats {
-        DaemonStats {
-            connections_total: self.connections.total.get(),
-            connections_open: self.connections.open.get().max(0) as u64,
-            requests: self.requests.total.get(),
-            subscriptions_open: self.subscriptions.open.get().max(0) as u64,
-            events_sent: self.subscriptions.events_sent.get(),
-            events_lagged: self.subscriptions.events_lagged.get(),
-        }
-    }
 
     /// The one walk both renderings share: every row of every table, in
     /// Prometheus family order, with the series it has now. Per-op rows
@@ -635,25 +610,6 @@ fn escape_label(raw: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_projection_tracks_cells() {
-        let m = ServiceMetrics::new();
-        m.conn_opened();
-        m.conn_opened();
-        m.conn_closed();
-        m.request_observed("ping", true, 1e-6, 2e-6);
-        m.sub_opened();
-        m.event_sent();
-        m.event_lagged();
-        let s = m.daemon_stats();
-        assert_eq!(s.connections_total, 2);
-        assert_eq!(s.connections_open, 1);
-        assert_eq!(s.requests, 1);
-        assert_eq!(s.subscriptions_open, 1);
-        assert_eq!(s.events_sent, 1);
-        assert_eq!(s.events_lagged, 1);
-    }
 
     #[test]
     fn unknown_op_buckets_as_invalid() {

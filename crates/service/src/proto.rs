@@ -10,8 +10,9 @@
 //!   failure. Error kinds are [`asha_core::ErrorKind`] names, so a client
 //!   can rebuild a typed [`Error`] from the wire.
 //! * **Pushes** (server → client, unsolicited): `{"v":1,"sub":K,
-//!   "push":"...",...}` — live WAL lines, lag notices, status changes,
-//!   rewinds, and end-of-stream marks for streaming subscriptions.
+//!   "push":"...",...}` — live WAL lines, status changes, rewinds, and
+//!   end-of-stream marks for streaming subscriptions, none ever dropped.
+//!   The `lag` push is still decoded, but this daemon never sends it.
 //!
 //! # Versioning rules
 //!
@@ -21,6 +22,10 @@
 //! known-version frame are ignored, so additive evolution does not bump
 //! the version. Pushing the version is reserved for changes that alter the
 //! meaning of existing fields.
+//!
+//! Ops are removed, not versioned: the `stats` request, a projection of
+//! the `metrics` frame, is gone, and an old client's `stats` frame gets the
+//! `protocol` "unknown op" error any unknown op gets.
 
 use asha_core::{Error, ErrorKind};
 use asha_metrics::JsonValue;
@@ -170,8 +175,6 @@ pub enum Request {
     },
     /// All manifest rows.
     List,
-    /// Daemon counters (connections, requests, subscription lag, ...).
-    Stats,
     /// Full metrics-plane snapshot (request latency histograms, reactor
     /// and worker internals, tailer lag, store durability timings).
     Metrics,
@@ -206,7 +209,6 @@ impl Request {
             Request::Abort { .. } => "abort",
             Request::Status { .. } => "status",
             Request::List => "list",
-            Request::Stats => "stats",
             Request::Metrics => "metrics",
             Request::Subscribe { .. } => "subscribe",
             Request::Unsubscribe { .. } => "unsubscribe",
@@ -222,11 +224,7 @@ impl Request {
             ("op", JsonValue::Str(self.op().to_owned())),
         ];
         match self {
-            Request::Ping
-            | Request::List
-            | Request::Stats
-            | Request::Metrics
-            | Request::Shutdown => {}
+            Request::Ping | Request::List | Request::Metrics | Request::Shutdown => {}
             Request::Create { meta, opts } => {
                 fields.push(("meta", meta.to_json()));
                 fields.push(("opts", run_options_to_json(opts)));
@@ -260,7 +258,6 @@ impl Request {
         let request = match op {
             "ping" => Request::Ping,
             "list" => Request::List,
-            "stats" => Request::Stats,
             "metrics" => Request::Metrics,
             "shutdown" => Request::Shutdown,
             "create" => Request::Create {
@@ -319,53 +316,6 @@ pub struct WireStatus {
     pub status: ExperimentStatus,
 }
 
-/// Daemon counters returned by [`Request::Stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DaemonStats {
-    /// Connections accepted over the daemon's lifetime.
-    pub connections_total: u64,
-    /// Currently open connections.
-    pub connections_open: u64,
-    /// Requests served (including failed ones).
-    pub requests: u64,
-    /// Currently live subscriptions.
-    pub subscriptions_open: u64,
-    /// Push frames delivered to subscriber queues.
-    pub events_sent: u64,
-    /// Push frames dropped because a subscriber's bounded queue was full
-    /// (each drop is also reported to that subscriber as a `lag` push).
-    pub events_lagged: u64,
-}
-
-impl DaemonStats {
-    /// Encode as the `stats` reply payload.
-    pub(crate) fn to_json(self) -> JsonValue {
-        obj(vec![
-            ("connections_total", JsonValue::Int(self.connections_total)),
-            ("connections_open", JsonValue::Int(self.connections_open)),
-            ("requests", JsonValue::Int(self.requests)),
-            (
-                "subscriptions_open",
-                JsonValue::Int(self.subscriptions_open),
-            ),
-            ("events_sent", JsonValue::Int(self.events_sent)),
-            ("events_lagged", JsonValue::Int(self.events_lagged)),
-        ])
-    }
-
-    /// Decode a `stats` reply payload.
-    pub(crate) fn from_json(v: &JsonValue) -> Result<Self, Error> {
-        Ok(DaemonStats {
-            connections_total: get_u64(v, "connections_total")?,
-            connections_open: get_u64(v, "connections_open")?,
-            requests: get_u64(v, "requests")?,
-            subscriptions_open: get_u64(v, "subscriptions_open")?,
-            events_sent: get_u64(v, "events_sent")?,
-            events_lagged: get_u64(v, "events_lagged")?,
-        })
-    }
-}
-
 /// A successful reply's payload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Reply {
@@ -378,8 +328,6 @@ pub enum Reply {
     Status(WireStatus),
     /// Answer to [`Request::List`].
     List(Vec<WireStatus>),
-    /// Answer to [`Request::Stats`].
-    Stats(DaemonStats),
     /// Answer to [`Request::Metrics`]: the metrics-plane snapshot, kept as
     /// raw JSON (schema `asha-daemon-metrics-v1`) so old clients can pass
     /// newer daemons' snapshots through unharmed.
@@ -417,7 +365,6 @@ impl Reply {
                 "experiments",
                 JsonValue::Arr(rows.iter().map(status_to_json).collect()),
             )]),
-            Reply::Stats(stats) => stats.to_json(),
             Reply::Metrics(snapshot) => snapshot.clone(),
             Reply::Subscribed { sub } => obj(vec![("sub", JsonValue::Int(*sub))]),
         };
@@ -471,7 +418,6 @@ impl Reply {
                         .collect::<Result<Vec<_>, Error>>()?,
                 )
             }
-            "stats" => Reply::Stats(DaemonStats::from_json(ok)?),
             "metrics" => Reply::Metrics(ok.clone()),
             "subscribe" => Reply::Subscribed {
                 sub: get_u64(ok, "sub")?,
@@ -497,17 +443,20 @@ pub enum Push {
         /// The WAL line's JSON object.
         data: JsonValue,
     },
-    /// The subscriber's bounded queue overflowed: `dropped` frames were
-    /// discarded since the last successfully queued one. Consumers needing
-    /// a gap-free stream should resubscribe from their last seen `seq`.
+    /// Frames were dropped for this subscription. This daemon never sends
+    /// it: every push is owed until delivered. The variant stays only
+    /// because the benchmark's consumer matches on it; benchmark debt (7),
+    /// the typed push, deletes it.
     Lag {
         /// The subscription this belongs to.
         sub: u64,
         /// Frames dropped since the last delivered one.
         dropped: u64,
     },
-    /// The experiment's manifest status changed (via the supervisor's
-    /// status-listener hook).
+    /// The experiment's manifest status changed (the supervisor's status
+    /// listener posts it to the experiment's tailer). Carries the whole
+    /// state, so a subscriber that did not read in time is sent only the
+    /// newest status, never a gap.
     Status {
         /// The subscription this belongs to.
         sub: u64,

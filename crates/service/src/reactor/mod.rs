@@ -14,8 +14,7 @@
 //!   with partial-write resumption;
 //! * **`workers` pool threads** execute decoded requests (supervisor lock,
 //!   store I/O) and append replies to the connection's [`OutBuf`];
-//! * producers living elsewhere (experiment tailers, status listeners)
-//!   append frames the same way.
+//! * the experiment tailers append subscription frames the same way.
 //!
 //! Producers never touch a socket: they enqueue frames on the shared
 //! [`ConnHandle`] and mark it dirty, which wakes the reactor to flush and

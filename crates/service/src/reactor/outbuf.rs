@@ -1,7 +1,7 @@
 //! Per-connection outgoing frame buffer with partial-write resumption.
 //!
-//! Producers (worker threads, experiment tailers, status listeners) append
-//! whole encoded frames; the reactor drains bytes into the socket whenever
+//! Producers (worker threads and experiment tailers) append whole encoded
+//! frames; the reactor drains bytes into the socket whenever
 //! it is writable. A write syscall may consume any byte count — including
 //! one that ends mid-frame — so the buffer tracks an offset into its front
 //! frame and [`OutBuf::consume`] advances across frame boundaries exactly
@@ -22,11 +22,12 @@
 //! A woken producer refills the queue the moment it drains, so a stream
 //! faster than its reader keeps the queue at its mark for as long as it
 //! lasts. File-backed stream frames ([`OutBuf::offer_stream`]) therefore
-//! stop an eighth short of the capacity: what they leave free is what
-//! lets a lossy push land instead of turning into a `lag` notice, and what
-//! keeps the stream alone from holding the connection at the reactor's
-//! read-pause mark (the same number), where its own requests —
-//! `unsubscribe` among them — would go unread.
+//! stop an eighth short of the capacity: what they leave free holds the
+//! `rewind`, status and `end` pushes ([`OutBuf::offer`]) so they need not
+//! wait behind a stream that refills at once, and keeps the stream alone
+//! from holding the connection at the reactor's read-pause mark (the same
+//! number), where its own requests — `unsubscribe` among them — would go
+//! unread.
 
 use std::collections::VecDeque;
 
@@ -109,7 +110,7 @@ impl OutBuf {
         true
     }
 
-    /// Append a lossy or stream-control frame if there is capacity.
+    /// Append a stream-control or status frame if there is capacity.
     pub fn offer(&mut self, frame: String) -> Offer {
         self.offer_below(frame, self.cap)
     }

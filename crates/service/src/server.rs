@@ -14,30 +14,26 @@
 //!   decoded requests under the supervisor lock, strict FIFO per
 //!   connection;
 //! * one **tailer thread per experiment** (see the `tailer` module — *not*
-//!   per subscription) following the WAL for every subscriber, each on its
-//!   own windowed tail, into that subscriber's queue;
+//!   per subscription) delivering everything a subscriber receives: the
+//!   WAL, each subscriber on its own windowed tail, and the experiment's
+//!   status changes, into that subscriber's queue;
 //! * one **housekeeping thread** reaping finished experiment workers.
 //!
-//! # Backpressure and lag
+//! # Backpressure
 //!
 //! Each connection has one bounded outgoing queue. Replies are never
 //! dropped; instead the reactor stops *reading* from a connection whose
 //! backlog exceeds the high-water mark, so a client that stops draining
 //! replies stalls only its own request stream. Subscription traffic never
-//! blocks anything else, by two mechanisms:
-//!
-//! * **WAL event frames** are file-backed, so the tailer never drops
-//!   them: when the queue is full it keeps the subscriber's records until
-//!   the reactor's next drain of that queue wakes it (at the latest two
-//!   milliseconds on), delivering a gap-free stream at whatever pace the
-//!   client reads. Only the experiment's tailer thread waits — other
-//!   subscribers of the same experiment keep receiving. Event frames fill
-//!   the queue to seven eighths; the rest is kept for the pushes below.
-//! * **Status pushes** fire on supervisor/worker threads, which must not
-//!   wait on anyone; they are offered without retry. A dropped frame grows
-//!   the subscription's lag counter (`events_lagged` in daemon stats), and
-//!   the next frame that fits is preceded by a `lag` push telling the
-//!   subscriber exactly how many frames it lost.
+//! blocks anything else and is never dropped: the experiment's tailer owes
+//! each subscriber its `rewind`, newest status, WAL event frames and `end`,
+//! and when the queue is full it keeps them until the reactor's next drain
+//! of that queue wakes it (at the latest two milliseconds on). Only the
+//! tailer thread waits — other subscribers of the same experiment keep
+//! receiving. The supervisor's status listener, which runs under the
+//! supervisor lock, only posts the change to the tailer and rings it.
+//! Event frames fill the queue to seven eighths; the rest is kept for the
+//! other pushes.
 //!
 //! # Graceful shutdown
 //!
@@ -121,13 +117,13 @@ mod unix_impl {
 
     use asha_core::Error;
     use asha_metrics::JsonValue;
-    use asha_obs::{Durability, JsonlWriter};
+    use asha_obs::JsonlWriter;
     use asha_store::{ExperimentSupervisor, WAL_FILE};
 
     use super::ServeOptions;
     use crate::codec::encode_frame;
     use crate::metrics::ServiceMetrics;
-    use crate::proto::{Push, Reply, Request, WireStatus};
+    use crate::proto::{Reply, Request, WireStatus};
     use crate::reactor::{
         start_reactor, ConnHandle, ConnHandler, Listener, PendingReq, PoolSubmitter, ReactorConfig,
         ReactorFlags, ReactorHandle, Work, WorkerPool,
@@ -144,16 +140,12 @@ mod unix_impl {
     /// feeds).
     const WORKERS: usize = 4;
 
-    /// Experiment name → subscriptions that want its status pushes.
-    type Watchers = Mutex<HashMap<String, Vec<Arc<SubState>>>>;
-
     /// State shared by every daemon thread.
     pub(crate) struct Shared {
         opts: ServeOptions,
         supervisor: Mutex<ExperimentSupervisor>,
         shutdown: Arc<AtomicBool>,
         metrics: Arc<ServiceMetrics>,
-        watchers: Arc<Watchers>,
         tailers: Arc<TailerRegistry>,
         next_sub: AtomicU64,
         trace: Option<Mutex<JsonlWriter>>,
@@ -302,7 +294,6 @@ mod unix_impl {
                     sub.mark_closed(&self.shared.metrics);
                 }
             }
-            prune_watchers(&self.shared);
             self.shared.metrics.conn_closed();
         }
     }
@@ -380,50 +371,6 @@ mod unix_impl {
             let metrics = ServiceMetrics::new();
             // WAL/fsync/snapshot timings flow into the same plane.
             supervisor.set_metrics(metrics.store());
-            let watchers: Arc<Watchers> = Arc::new(Mutex::new(HashMap::new()));
-
-            // Status changes fan out to subscriptions through the
-            // supervisor's listener hook. The closure captures only the
-            // registries — not the supervisor itself — so there is no
-            // ownership cycle, and it runs after the manifest write with
-            // drop-don't-wait delivery, so it can never stall a state
-            // transition.
-            {
-                let watchers = Arc::clone(&watchers);
-                let metrics = Arc::clone(&metrics);
-                supervisor.set_status_listener(Arc::new(move |name, status| {
-                    let map = watchers.lock().unwrap();
-                    if let Some(subs) = map.get(name) {
-                        for sub in subs {
-                            sub.push_lossy(
-                                &metrics,
-                                &Push::Status {
-                                    sub: sub.sub,
-                                    state: WireStatus {
-                                        name: name.to_owned(),
-                                        status,
-                                    },
-                                },
-                            );
-                        }
-                    }
-                }));
-            }
-
-            let trace = match &opts.trace {
-                Some(path) => Some(Mutex::new(
-                    JsonlWriter::create(path, Durability::Flush)
-                        .map_err(|e| Error::io(path, e).context("opening trace log"))?,
-                )),
-                None => None,
-            };
-            let slow_log = match &opts.slow_log {
-                Some(path) => Some(Mutex::new(
-                    JsonlWriter::create(path, Durability::Flush)
-                        .map_err(|e| Error::io(path, e).context("opening slow-request log"))?,
-                )),
-                None => None,
-            };
 
             let tailers = TailerRegistry::new(TailerCtx {
                 metrics: Arc::clone(&metrics),
@@ -431,6 +378,34 @@ mod unix_impl {
                 poll_interval: POLL_INTERVAL,
                 grace: DRAIN_GRACE,
             });
+            // Status changes reach subscribers through the experiment's
+            // tailer. The closure captures only the registry — not the
+            // supervisor itself — so there is no ownership cycle, and it
+            // runs after the manifest write under the supervisor lock, so
+            // it only posts and rings and never waits on a subscriber.
+            {
+                let tailers = Arc::clone(&tailers);
+                supervisor.set_status_listener(Arc::new(move |name, status| {
+                    tailers.post_status(name, status);
+                }));
+            }
+
+            let trace = match &opts.trace {
+                Some(path) => {
+                    Some(Mutex::new(JsonlWriter::create(path).map_err(|e| {
+                        Error::io(path, e).context("opening trace log")
+                    })?))
+                }
+                None => None,
+            };
+            let slow_log = match &opts.slow_log {
+                Some(path) => {
+                    Some(Mutex::new(JsonlWriter::create(path).map_err(|e| {
+                        Error::io(path, e).context("opening slow-request log")
+                    })?))
+                }
+                None => None,
+            };
 
             let unix_path = opts.unix.clone();
             let shared = Arc::new(Shared {
@@ -438,7 +413,6 @@ mod unix_impl {
                 supervisor: Mutex::new(supervisor),
                 shutdown: Arc::clone(&shutdown),
                 metrics: Arc::clone(&metrics),
-                watchers,
                 tailers,
                 next_sub: AtomicU64::new(1),
                 trace,
@@ -628,15 +602,6 @@ mod unix_impl {
         }
     }
 
-    /// Drop closed subscriptions from the status-watcher registry.
-    fn prune_watchers(shared: &Shared) {
-        let mut map = shared.watchers.lock().unwrap();
-        map.retain(|_, subs| {
-            subs.retain(|s| !s.is_closed());
-            !subs.is_empty()
-        });
-    }
-
     /// Decode and execute one frame. Returns the response plus the op name
     /// and success flag for the metrics plane (`"invalid"` when the frame
     /// never decoded into a known request).
@@ -713,7 +678,6 @@ mod unix_impl {
                         .collect(),
                 ))
             }
-            Request::Stats => Ok(Reply::Stats(shared.metrics.daemon_stats())),
             Request::Metrics => Ok(Reply::Metrics(shared.metrics.snapshot_json())),
             Request::Subscribe { name, from_seq } => {
                 let wal_path = {
@@ -728,13 +692,6 @@ mod unix_impl {
                 if let Some(ctx) = conn.user::<ConnCtx>() {
                     ctx.subs.lock().unwrap().insert(sub_id, Arc::clone(&state));
                 }
-                shared
-                    .watchers
-                    .lock()
-                    .unwrap()
-                    .entry(name.clone())
-                    .or_default()
-                    .push(Arc::clone(&state));
                 shared.metrics.sub_opened();
                 shared.tailers.subscribe(wal_path, name, state);
                 Ok(Reply::Subscribed { sub: sub_id })
@@ -745,7 +702,6 @@ mod unix_impl {
                     .and_then(|ctx| ctx.subs.lock().unwrap().remove(&sub))
                     .ok_or_else(|| Error::missing(format!("subscription {sub}")))?;
                 state.mark_closed(&shared.metrics);
-                prune_watchers(shared);
                 Ok(Reply::Ack)
             }
             Request::Shutdown => {

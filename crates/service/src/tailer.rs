@@ -1,9 +1,9 @@
 //! Per-experiment WAL tailers: one reader thread per experiment serving
 //! every subscriber of that experiment.
 //!
-//! A [`TailerRegistry`] keys tailers by WAL path: the first subscription
-//! spawns the experiment's tailer, later ones attach to it, and the thread
-//! exits when its last subscriber closes.
+//! A [`TailerRegistry`] keys tailers by experiment name: the first
+//! subscription spawns the experiment's tailer, later ones attach to it,
+//! and the thread exits when its last subscriber closes.
 //!
 //! Each subscriber follows the WAL through its own [`WalTail`], one
 //! [`READ_WINDOW`] at a time: a window is read only once everything the
@@ -21,17 +21,21 @@
 //!
 //! # What a subscriber is owed
 //!
-//! * **WAL event frames** are file-backed and never dropped: a full
-//!   connection queue leaves them pending until the tailer is woken on
-//!   room — a gap-free stream at whatever pace the client reads.
-//! * **Status pushes** (delivered by supervisor threads, not here) are
-//!   lossy with lag accounting; an owed `lag` notice is flushed before the
-//!   next frame that fits.
-//! * **Stream-control pushes** must arrive: a `rewind` before any record
-//!   of a rewritten file, and `end` once the finished marker (or, when the
-//!   daemon drains, whatever was already read) has gone out. Both are
-//!   retried every turn, without ever blocking the tailer on one slow
-//!   client.
+//! Everything a subscriber receives goes out on this thread, and nothing
+//! owed is ever dropped: a full connection queue leaves it owed until the
+//! tailer is woken on room, without ever blocking the tailer on one slow
+//! client. Each turn offers, in this order:
+//!
+//! * a `rewind`, before any record of a rewritten file;
+//! * the experiment's newest **status**: the supervisor's listener posts
+//!   each change to the tailer's mailbox, and a status not yet queued when
+//!   a newer one arrives is replaced by it (a status push carries the whole
+//!   state; the WAL's `paused` / `resumed` / `experiment_finished` records
+//!   are the history);
+//! * the pending WAL **event frames**, file-backed, a gap-free stream at
+//!   whatever pace the client reads;
+//! * `end`, once the finished marker (or, when the daemon drains, whatever
+//!   was already read) has gone out.
 //!
 //! # Waiting
 //!
@@ -39,24 +43,25 @@
 //! waits on its [`Doorbell`], which the reactor rings the moment a drain
 //! makes room in that queue (see the starved bit in `reactor/outbuf.rs`);
 //! with nothing to read and nothing to deliver it waits on the same bell,
-//! which a new subscriber or a closing one rings. [`JAM_PAUSE`] and the
-//! poll interval stay as the waits' upper bounds: the file itself rings
-//! nothing, one stuck client may hold the others back no longer than the
-//! first, and a ring that somehow never came costs what every jam used to.
+//! which a new subscriber, a posted status or a closing one rings.
+//! [`JAM_PAUSE`] and the poll interval stay as the waits' upper bounds:
+//! the file itself rings nothing, one stuck client may hold the others
+//! back no longer than the first, and a ring that somehow never came costs
+//! what every jam used to.
 
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use asha_metrics::push_json_u64;
-use asha_store::{WalChunk, WalTail};
+use asha_store::{ExperimentStatus, WalChunk, WalTail};
 
 use crate::codec::encode_frame;
 use crate::metrics::{ServiceMetrics, TailerMetrics};
-use crate::proto::Push;
+use crate::proto::{Push, WireStatus};
 use crate::reactor::{ConnHandle, Offer};
 
 /// Longest wait for room while a subscriber's connection queue is full.
@@ -91,17 +96,14 @@ impl Doorbell {
     }
 }
 
-/// One live subscription, shared between the experiment's tailer, the
-/// status-watcher registry, and the owning connection.
+/// One live subscription, shared between the experiment's tailer and the
+/// owning connection.
 pub(crate) struct SubState {
     pub(crate) sub: u64,
     /// Telemetry records with `seq < from_seq` are filtered out; store
     /// markers without a `seq` always flow.
     pub(crate) from_seq: u64,
     conn: Arc<ConnHandle>,
-    /// Push frames dropped since the last delivered one; reported to the
-    /// subscriber as a `lag` push as soon as a frame fits again.
-    dropped: AtomicU64,
     /// Set by unsubscribe, connection teardown, or end-of-stream.
     closed: AtomicBool,
     /// The doorbell of the tailer thread serving this subscription.
@@ -114,7 +116,6 @@ impl SubState {
             sub,
             from_seq,
             conn,
-            dropped: AtomicU64::new(0),
             closed: AtomicBool::new(false),
             bell: OnceLock::new(),
         })
@@ -149,44 +150,14 @@ impl SubState {
         offer
     }
 
-    fn try_line(&self, metrics: &ServiceMetrics, line: String) -> Offer {
-        self.account(metrics, self.conn.offer_frame(line))
-    }
-
-    /// Flush any owed `lag` notice; it must precede the next delivered
-    /// frame so the gap's position in the stream is unambiguous.
-    fn flush_owed(&self, metrics: &ServiceMetrics) -> Offer {
-        let owed = self.dropped.load(Ordering::Acquire);
-        if owed == 0 {
-            return Offer::Sent;
-        }
-        let lag = Push::Lag {
-            sub: self.sub,
-            dropped: owed,
-        };
-        let offer = self.try_line(metrics, encode_frame(&lag.to_frame()));
-        if offer == Offer::Sent {
-            self.dropped.fetch_sub(owed, Ordering::AcqRel);
-        }
-        offer
-    }
-
-    /// What stands between this subscription and its next frame, if
-    /// anything: it is closed, or an owed `lag` notice did not fit.
-    fn ready(&self, metrics: &ServiceMetrics) -> Offer {
-        if self.is_closed() {
-            return Offer::Closed;
-        }
-        self.flush_owed(metrics)
-    }
-
     /// Offer a push without blocking or dropping: on a full queue the
     /// caller keeps it and retries later.
     fn offer_push(&self, metrics: &ServiceMetrics, push: &Push) -> Offer {
-        match self.ready(metrics) {
-            Offer::Sent => self.try_line(metrics, encode_frame(&push.to_frame())),
-            other => other,
+        if self.is_closed() {
+            return Offer::Closed;
         }
+        let line = encode_frame(&push.to_frame());
+        self.account(metrics, self.conn.offer_frame(line))
     }
 
     /// Offer one WAL record's rendered line as an event frame; on a full
@@ -194,34 +165,19 @@ impl SubState {
     /// envelope by hand — field order as [`Push::to_frame`] renders it, so
     /// the wire bytes are the same — and is never re-rendered itself.
     fn offer_event(&self, metrics: &ServiceMetrics, body: &str) -> Offer {
-        match self.ready(metrics) {
-            Offer::Sent => {
-                const HEAD: &str = "{\"v\":1,\"sub\":";
-                const MID: &str = ",\"push\":\"event\",\"data\":";
-                // 20 digits of `sub` at most, and the closing `}\n`.
-                let mut line = String::with_capacity(HEAD.len() + 20 + MID.len() + body.len() + 2);
-                line.push_str(HEAD);
-                push_json_u64(&mut line, self.sub);
-                line.push_str(MID);
-                line.push_str(body);
-                line.push_str("}\n");
-                self.account(metrics, self.conn.offer_stream_frame(line))
-            }
-            other => other,
+        if self.is_closed() {
+            return Offer::Closed;
         }
-    }
-
-    /// Deliver a push that may be dropped under backpressure, with lag
-    /// accounting. Status pushes use this: they fire on supervisor /
-    /// worker threads, which must never wait on a slow subscriber.
-    pub(crate) fn push_lossy(&self, metrics: &ServiceMetrics, push: &Push) {
-        match self.offer_push(metrics, push) {
-            Offer::Sent | Offer::Closed => {}
-            Offer::Full => {
-                self.dropped.fetch_add(1, Ordering::AcqRel);
-                metrics.event_lagged();
-            }
-        }
+        const HEAD: &str = "{\"v\":1,\"sub\":";
+        const MID: &str = ",\"push\":\"event\",\"data\":";
+        // 20 digits of `sub` at most, and the closing `}\n`.
+        let mut line = String::with_capacity(HEAD.len() + 20 + MID.len() + body.len() + 2);
+        line.push_str(HEAD);
+        push_json_u64(&mut line, self.sub);
+        line.push_str(MID);
+        line.push_str(body);
+        line.push_str("}\n");
+        self.account(metrics, self.conn.offer_stream_frame(line))
     }
 }
 
@@ -253,6 +209,8 @@ struct Follower {
     finished: bool,
     /// The WAL was rewritten: a `rewind` is owed before anything else.
     rewind_owed: bool,
+    /// The experiment's newest status, owed before the pending records.
+    status_owed: Option<WireStatus>,
 }
 
 impl Follower {
@@ -263,13 +221,14 @@ impl Follower {
             pending: VecDeque::new(),
             finished: false,
             rewind_owed: false,
+            status_owed: None,
         }
     }
 
     /// One turn without blocking: poll the tail, then offer the owed
-    /// `rewind`, the pending records and the owed `end`, in that order,
-    /// until the queue refuses one. Returns (made progress, hit a full
-    /// queue).
+    /// `rewind`, the owed status, the pending records and the owed `end`,
+    /// in that order, until the queue refuses one. Returns (made progress,
+    /// hit a full queue).
     fn turn(
         &mut self,
         shutting_down: bool,
@@ -317,6 +276,17 @@ impl Follower {
             }
             progressed = true;
         }
+        if let Some(state) = &self.status_owed {
+            let push = Push::Status {
+                sub,
+                state: state.clone(),
+            };
+            match self.state.offer_push(metrics, &push) {
+                Offer::Sent => self.status_owed = None,
+                other => return (progressed, other == Offer::Full),
+            }
+            progressed = true;
+        }
         while let Some(body) = self.pending.front() {
             match self.state.offer_event(metrics, body) {
                 Offer::Sent => tm.fanout_frames.inc(),
@@ -338,20 +308,30 @@ impl Follower {
     }
 }
 
+/// What others leave for a tailer thread to pick up on its next turn.
+#[derive(Default)]
+struct Mailbox {
+    /// Subscribers to attach.
+    adds: Vec<Arc<SubState>>,
+    /// The newest status posted since the last turn.
+    status: Option<ExperimentStatus>,
+}
+
 /// What the registry shares with one tailer thread.
 #[derive(Default)]
 struct Slot {
-    /// Subscribers queued for the tailer to pick up on its next tick.
-    adds: Mutex<Vec<Arc<SubState>>>,
+    /// One lock for both, so a subscriber attached before a status was
+    /// posted is owed that status.
+    mailbox: Mutex<Mailbox>,
     bell: Arc<Doorbell>,
 }
 
-/// Experiment tailers keyed by WAL path: first subscriber spawns, later
-/// ones attach, last one out ends the thread.
+/// Experiment tailers keyed by experiment name: first subscriber spawns,
+/// later ones attach, last one out ends the thread.
 pub(crate) struct TailerRegistry {
     ctx: Arc<TailerCtx>,
-    /// WAL path → the slot of the tailer thread following it.
-    slots: Mutex<HashMap<PathBuf, Arc<Slot>>>,
+    /// Experiment name → the slot of the tailer thread following its WAL.
+    slots: Mutex<HashMap<String, Arc<Slot>>>,
     /// Tailer threads not yet joined: the running ones, and those that
     /// exited since the last spawn.
     threads: Mutex<Vec<JoinHandle<()>>>,
@@ -375,20 +355,21 @@ impl TailerRegistry {
         state: Arc<SubState>,
     ) {
         let mut slots = self.slots.lock().unwrap();
-        let running = slots.get(&wal_path).cloned();
+        let running = slots.get(&experiment).cloned();
         let spawn = running.is_none();
         let slot = running.unwrap_or_default();
         let _ = state.bell.set(Arc::clone(&slot.bell));
-        slot.adds
+        slot.mailbox
             .lock()
             .expect("tailer mailbox poisoned")
+            .adds
             .push(state);
         if !spawn {
             // A waiting tailer attaches the newcomer at once.
             slot.bell.ring();
             return;
         }
-        slots.insert(wal_path.clone(), Arc::clone(&slot));
+        slots.insert(experiment.clone(), Arc::clone(&slot));
         let registry = Arc::clone(self);
         let ctx = Arc::clone(&self.ctx);
         let handle = std::thread::Builder::new()
@@ -405,6 +386,18 @@ impl TailerRegistry {
         }
         *threads = running;
         threads.push(handle);
+    }
+
+    /// Owe every subscriber of `experiment` a push of its new status. Never
+    /// waits on a subscriber: the supervisor's listener calls this with the
+    /// supervisor lock held. An experiment without a tailer has no
+    /// subscriber, and its status goes nowhere.
+    pub(crate) fn post_status(&self, experiment: &str, status: ExperimentStatus) {
+        let slots = self.slots.lock().expect("tailer registry poisoned");
+        if let Some(slot) = slots.get(experiment) {
+            slot.mailbox.lock().expect("tailer mailbox poisoned").status = Some(status);
+            slot.bell.ring();
+        }
     }
 
     /// Join every tailer thread (call after the shutdown flag is set).
@@ -431,9 +424,19 @@ fn tailer_main(
     let mut drain_deadline: Option<Instant> = None;
 
     loop {
-        // Attach newly-arrived subscribers.
-        for state in slot.adds.lock().expect("tailer mailbox poisoned").drain(..) {
+        // Attach newly-arrived subscribers, then owe all a posted status.
+        let mail = std::mem::take(&mut *slot.mailbox.lock().expect("tailer mailbox poisoned"));
+        for state in mail.adds {
             subs.push(Follower::new(state, &wal_path));
+        }
+        if let Some(status) = mail.status {
+            let state = WireStatus {
+                name: experiment.clone(),
+                status,
+            };
+            for sub in &mut subs {
+                sub.status_owed = Some(state.clone());
+            }
         }
 
         let shutting_down = ctx.shutdown.load(Ordering::Acquire);
@@ -462,8 +465,14 @@ fn tailer_main(
             // subscribe either lands in our mailbox or spawns a new tailer
             // after removal).
             let mut slots = registry.slots.lock().unwrap();
-            if slot.adds.lock().unwrap().is_empty() {
-                slots.remove(&wal_path);
+            if slot
+                .mailbox
+                .lock()
+                .expect("tailer mailbox poisoned")
+                .adds
+                .is_empty()
+            {
+                slots.remove(&experiment);
                 tm.subscribers.set(0);
                 tm.lag_records.set(0);
                 return;
@@ -833,6 +842,65 @@ mod tests {
         assert!(
             head.len() < old_frames.len() && old_frames.starts_with(head),
             "before its rewind, the jammed subscriber got part of the old file"
+        );
+        registry.join_all();
+        rig.stop();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Statuses posted while a subscriber's queue is full for good replace
+    /// one another: once it reads, it is sent the newest, once, between
+    /// two of the event frames it was owed.
+    #[test]
+    fn a_jammed_subscriber_is_sent_only_the_newest_status() {
+        let dir = tmpdir("status");
+        let wal_path = dir.join("wal.jsonl");
+        write_wal(&wal_path, 10_000);
+        let lines = WalTail::new(&wal_path).poll().unwrap().lines;
+        let rig = Rig::start(&dir);
+        let registry = rig.registry();
+        let (mut peer, conn) = rig.connect();
+        registry.subscribe(wal_path.clone(), "st".to_owned(), rig.sub(1, &conn));
+
+        // Full for good: over a stretch of waits for room, every one ran
+        // out its bound, because nobody drains the queue.
+        let tm = rig.metrics.tailer("st");
+        let mut last = (tm.jam_waits.get(), tm.jam_timeouts.get());
+        loop {
+            std::thread::sleep(Duration::from_millis(20));
+            let now = (tm.jam_waits.get(), tm.jam_timeouts.get());
+            if now.0 >= last.0 + 3 && now.1 - last.1 == now.0 - last.0 {
+                break;
+            }
+            last = now;
+        }
+        registry.post_status("st", ExperimentStatus::Paused);
+        // Two more jammed turns: the tailer has taken the first status from
+        // its mailbox, so the second replaces what the subscriber is owed.
+        let waits = tm.jam_waits.get();
+        while tm.jam_waits.get() < waits + 2 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        registry.post_status("st", ExperimentStatus::Running);
+
+        let mut wire = read_to_end_of(&mut peer, 1);
+        let status = frame(Push::Status {
+            sub: 1,
+            state: WireStatus {
+                name: "st".to_owned(),
+                status: ExperimentStatus::Running,
+            },
+        });
+        let at = wire
+            .windows(status.len())
+            .position(|w| w == status)
+            .expect("the newest status was sent");
+        assert!(at == 0 || wire[at - 1] == b'\n', "between two frames");
+        wire.drain(at..at + status.len());
+        let expected = [frames(1, &lines), frame(Push::End { sub: 1 })].concat();
+        assert!(
+            wire == expected,
+            "the rest of the stream is the WAL, then end"
         );
         registry.join_all();
         rig.stop();

@@ -1,7 +1,7 @@
 //! Many concurrent clients against one daemon: the acceptance bar is ≥32
 //! simultaneous connections doing mixed requests and streaming
-//! subscriptions with no deadlock, consistent manifest answers, and lag
-//! accounting visible in the stats counters.
+//! subscriptions with no deadlock, consistent manifest answers, and the
+//! traffic visible in the metrics frame.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -60,7 +60,8 @@ fn opts() -> RunOptions {
 }
 
 /// Follow a subscription to its end, returning every telemetry line seen
-/// (rendered compact), resubscribing on lag like a careful consumer.
+/// (rendered compact). The daemon never drops a push, so a `lag` fails
+/// the test.
 fn drain_stream(client: &mut Client, name: &str) -> Vec<String> {
     let mut sub = client.subscribe(name, 0).unwrap();
     let mut lines = Vec::new();
@@ -76,10 +77,8 @@ fn drain_stream(client: &mut Client, name: &str) -> Vec<String> {
                             lines.push(data.render_compact());
                         }
                     }
-                    Push::Lag { .. } => {
-                        let next = lines.len() as u64;
-                        let _ = client.unsubscribe(sub);
-                        sub = client.subscribe(name, next).unwrap();
+                    Push::Lag { dropped, .. } => {
+                        panic!("the daemon sent a lag push ({dropped} dropped)")
                     }
                     Push::Rewind { .. } => {
                         lines.clear();
@@ -137,7 +136,7 @@ fn daemon_sustains_36_concurrent_clients() {
                             }
                             let status = client.status("exp")?;
                             status.status.as_str(); // must be a known state
-                            client.stats()?;
+                            client.metrics()?;
                         }
                     }
                     // The rest subscribe briefly, then walk away mid-stream
@@ -172,23 +171,24 @@ fn daemon_sustains_36_concurrent_clients() {
     let status = admin.status("exp").unwrap();
     assert_eq!(status.status, ExperimentStatus::Finished);
 
-    let stats = admin.stats().unwrap();
+    let snap = admin.metrics().unwrap();
+    let count = |group: &str, key: &str| {
+        snap.get(group)
+            .and_then(|g| g.get(key))
+            .and_then(JsonValue::as_u64)
+            .unwrap_or_else(|| panic!("{group}.{key} missing"))
+    };
+    let connections = count("connections", "total");
     assert!(
-        stats.connections_total > CLIENTS as u64,
-        "expected >{} connections, saw {}",
-        CLIENTS,
-        stats.connections_total
+        connections > CLIENTS as u64,
+        "expected >{CLIENTS} connections, saw {connections}"
     );
+    let requests = count("requests", "total");
+    assert!(requests > CLIENTS as u64, "requests {requests}");
     assert!(
-        stats.requests > CLIENTS as u64,
-        "requests {}",
-        stats.requests
+        count("subscriptions", "events_sent") > 0,
+        "no events delivered"
     );
-    assert!(stats.events_sent > 0, "no events delivered");
-    // Lag accounting must be *visible*: the counter exists in the stats
-    // reply and is consistent (it only counts lossy status pushes, so zero
-    // is legitimate when no subscriber queue ever overflowed on one).
-    let _ = stats.events_lagged;
 
     // Attach-after-finish: two fresh subscribers replaying the finished
     // WAL must see byte-identical streams.

@@ -274,7 +274,6 @@ fn family_set_and_snapshot_key_paths_are_pinned() {
         "asha_request_execute_seconds histogram",
         "asha_subscriptions_open gauge",
         "asha_sub_events_sent_total counter",
-        "asha_sub_events_lagged_total counter",
         "asha_tailer_subscribers gauge",
         "asha_tailer_lag_records gauge",
         "asha_tailer_fanout_frames_total counter",
@@ -317,7 +316,6 @@ fn family_set_and_snapshot_key_paths_are_pinned() {
         "requests.by_op.status.execute",
         "subscriptions.open",
         "subscriptions.events_sent",
-        "subscriptions.events_lagged",
         "tailers.exp-a.subscribers",
         "tailers.exp-a.lag_records",
         "tailers.exp-a.fanout_frames",
@@ -638,9 +636,6 @@ asha_subscriptions_open 0
 # HELP asha_sub_events_sent_total Push frames delivered to subscriber queues
 # TYPE asha_sub_events_sent_total counter
 asha_sub_events_sent_total 0
-# HELP asha_sub_events_lagged_total Lossy push frames dropped on full subscriber queues
-# TYPE asha_sub_events_lagged_total counter
-asha_sub_events_lagged_total 0
 # HELP asha_tailer_subscribers Subscribers attached to the experiment's tailer
 # TYPE asha_tailer_subscribers gauge
 asha_tailer_subscribers{experiment="exp-a"} 4
@@ -820,8 +815,7 @@ const POPULATED_JSON: &str = concat!(
     "\"queue_wait\":{\"count\":1,\"sum_ns\":15000,\"min_ns\":15000,\"max_ns\":15000,\"le\":[0.000001,0.000002,0.000004,0.000008,0.000016,0.000032,0.000064,0.000128,0.000256,0.000512,0.001024,0.002048,0.004096,0.008192,0.016384,0.032768,0.065536,0.131072,0.262144,0.524288,1.048576,2.097152,4.194304,8.388608,16.777216,33.554432],\"counts\":[0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]},",
     "\"execute\":{\"count\":1,\"sum_ns\":100000,\"min_ns\":100000,\"max_ns\":100000,\"le\":[0.000001,0.000002,0.000004,0.000008,0.000016,0.000032,0.000064,0.000128,0.000256,0.000512,0.001024,0.002048,0.004096,0.008192,0.016384,0.032768,0.065536,0.131072,0.262144,0.524288,1.048576,2.097152,4.194304,8.388608,16.777216,33.554432],\"counts\":[0,0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}}}},",
     "\"subscriptions\":{\"open\":0,",
-    "\"events_sent\":0,",
-    "\"events_lagged\":0},",
+    "\"events_sent\":0},",
     "\"tailers\":{\"exp-a\":{\"subscribers\":4,",
     "\"lag_records\":17,",
     "\"fanout_frames\":250,",

@@ -6,7 +6,7 @@ use asha_baselines::Sampler;
 use asha_core::{Asha, AshaConfig, Error, ErrorKind, Scheduler};
 use asha_metrics::JsonValue;
 use asha_service::proto::{run_options_from_json, run_options_to_json};
-use asha_service::{encode_frame, DaemonStats, Push, Reply, Request, WireStatus, PROTOCOL_VERSION};
+use asha_service::{encode_frame, Push, Reply, Request, WireStatus, PROTOCOL_VERSION};
 use asha_store::{
     BenchSpec, Durability, ExperimentMeta, ExperimentStatus, RunOptions, SchedulerState,
 };
@@ -89,7 +89,6 @@ fn all_requests() -> Vec<Request> {
             name: "exp-a".to_owned(),
         },
         Request::List,
-        Request::Stats,
         Request::Metrics,
         Request::Subscribe {
             name: "exp-a".to_owned(),
@@ -163,14 +162,6 @@ fn every_reply_round_trips() {
         name: "exp-a".to_owned(),
         status: ExperimentStatus::Running,
     };
-    let stats = DaemonStats {
-        connections_total: 10,
-        connections_open: 3,
-        requests: 99,
-        subscriptions_open: 2,
-        events_sent: 12345,
-        events_lagged: 6,
-    };
     let cases: Vec<(Reply, &str)> = vec![
         (Reply::Ack, "start"),
         (Reply::Pong, "ping"),
@@ -186,7 +177,6 @@ fn every_reply_round_trips() {
             "list",
         ),
         (Reply::List(Vec::new()), "list"),
-        (Reply::Stats(stats), "stats"),
         (
             // The metrics reply is raw JSON: old clients pass newer
             // snapshots through untouched, so the payload here is
@@ -398,6 +388,11 @@ fn unknown_op_and_unknown_push_are_protocol_errors() {
         Request::from_frame(&bad_op).unwrap_err().kind(),
         ErrorKind::Protocol
     );
+    // `stats` was an op once; an old client sending it gets the same error.
+    let stats = JsonValue::parse("{\"v\":1,\"id\":2,\"op\":\"stats\"}").unwrap();
+    let err = Request::from_frame(&stats).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Protocol);
+    assert!(err.to_string().contains("unknown op \"stats\""), "{err}");
     let bad_push = JsonValue::parse("{\"v\":1,\"sub\":1,\"push\":\"mystery\"}").unwrap();
     assert_eq!(
         Push::from_frame(bad_push).unwrap_err().kind(),

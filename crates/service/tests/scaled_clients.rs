@@ -11,6 +11,7 @@
 use std::time::{Duration, Instant};
 
 use asha_core::{Asha, AshaConfig};
+use asha_metrics::JsonValue;
 use asha_service::{Client, Daemon, Push, ServeOptions};
 use asha_store::{
     BenchSpec, Durability, ExperimentMeta, ExperimentStatus, RunOptions, SchedulerState,
@@ -57,6 +58,14 @@ fn opts() -> RunOptions {
     }
 }
 
+/// The metrics frame's `group.key` counter.
+fn count(snap: &JsonValue, group: &str, key: &str) -> u64 {
+    snap.get(group)
+        .and_then(|g| g.get(key))
+        .and_then(JsonValue::as_u64)
+        .unwrap_or_else(|| panic!("{group}.{key} missing"))
+}
+
 /// Current thread count of this process (test + in-process daemon).
 #[cfg(target_os = "linux")]
 fn process_threads() -> Option<u64> {
@@ -68,10 +77,9 @@ fn process_threads() -> Option<u64> {
 }
 
 /// Read one subscriber to its `End`, returning every telemetry line
-/// (compact-rendered). Unlike the careful consumer in the 36-client test,
-/// this deliberately does NOT resubscribe on `Lag`: the event tier is
-/// hold-and-retry, so the stream must be complete anyway — lag pushes may
-/// only ever announce dropped *status* frames.
+/// (compact-rendered). Everything a subscriber is owed — events and
+/// status pushes alike — is held and retried, never dropped, so the
+/// stream is complete without resubscribing and a `lag` fails the test.
 fn drain_to_end(client: &mut Client, sub: u64) -> Vec<String> {
     let mut lines = Vec::new();
     loop {
@@ -87,7 +95,10 @@ fn drain_to_end(client: &mut Client, sub: u64) -> Vec<String> {
                         }
                     }
                     Push::Rewind { .. } => lines.clear(),
-                    Push::Lag { .. } | Push::Status { .. } => {}
+                    Push::Status { .. } => {}
+                    Push::Lag { dropped, .. } => {
+                        panic!("subscriber {sub} was sent a lag push ({dropped} dropped)")
+                    }
                     Push::End { .. } => break,
                 }
             }
@@ -152,15 +163,15 @@ fn daemon_sustains_512_mixed_clients_on_a_fixed_thread_pool() {
         );
     }
 
-    let stats = admin.stats().unwrap();
+    let snap = admin.metrics().unwrap();
+    let open = count(&snap, "connections", "open");
     assert!(
-        stats.connections_open >= CLIENTS as u64,
-        "connections_open {} < fleet {CLIENTS}",
-        stats.connections_open
+        open >= CLIENTS as u64,
+        "connections.open {open} < fleet {CLIENTS}"
     );
     // Subscriptions may already have completed (short runs deliver End the
     // moment the WAL is fully queued), so the gauge is bounded, not exact.
-    assert!(stats.subscriptions_open <= subs.len() as u64);
+    assert!(count(&snap, "subscriptions", "open") <= subs.len() as u64);
 
     // Let the run finish while the fleet stays connected.
     let deadline = Instant::now() + Duration::from_secs(120);
@@ -197,10 +208,14 @@ fn daemon_sustains_512_mixed_clients_on_a_fixed_thread_pool() {
     }
 
     // Every subscription ended cleanly, so the gauge must be back to zero.
-    let stats = admin.stats().unwrap();
-    assert_eq!(stats.subscriptions_open, 0, "subscriptions leaked");
-    assert!(stats.events_sent > 0);
-    assert!(stats.connections_total > CLIENTS as u64);
+    let snap = admin.metrics().unwrap();
+    assert_eq!(
+        count(&snap, "subscriptions", "open"),
+        0,
+        "subscriptions leaked"
+    );
+    assert!(count(&snap, "subscriptions", "events_sent") > 0);
+    assert!(count(&snap, "connections", "total") > CLIENTS as u64);
 
     drop(fleet);
     admin.shutdown().unwrap();

@@ -316,6 +316,16 @@ mod tests {
         dir
     }
 
+    /// Removes its directory when dropped, however a test case ends: an
+    /// early return, a failed `prop_assert!` or a panic.
+    struct RemoveOnDrop(PathBuf);
+
+    impl Drop for RemoveOnDrop {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.0).ok();
+        }
+    }
+
     fn ev(seq: u64, time: f64) -> Event {
         Event {
             seq,
@@ -562,6 +572,7 @@ mod tests {
             cut in any::<usize>(),
         ) {
             let dir = tmpdir("upconvert");
+            let _cleanup = RemoveOnDrop(dir.clone());
             let path = dir.join(WAL_FILE);
             let bytes = v1_bytes(&records);
             let cut = &bytes[..=cut % bytes.len()];

@@ -6,7 +6,8 @@
 #
 # Usage: scripts/service_smoke.sh
 #   BIN_DIR  (default target/release)  where asha-serve / asha-ctl live
-#   WORK_DIR (default mktemp -d)       scratch directory, kept on failure
+#   WORK_DIR (default mktemp -d)       scratch directory; a mktemp one is
+#                                      removed on success, kept on failure
 set -euo pipefail
 
 BIN="${BIN_DIR:-target/release}"
@@ -88,7 +89,6 @@ done
 echo "scrape OK: $(wc -l <"$WORK/metrics-midrun.txt") exposition lines, $REQS pings in histogram"
 
 "$CTL" --unix "$REF_SOCK" watch exp --workers 16 --out "$WORK/report-ref.json" >/dev/null
-"$CTL" --unix "$REF_SOCK" stats
 "$CTL" --unix "$REF_SOCK" top --count 1 >/dev/null
 "$CTL" --unix "$REF_SOCK" shutdown
 wait "$SERVE_PID"
@@ -141,4 +141,8 @@ wait "$SERVE_PID"
 
 cmp "$WORK/report-ref.json" "$WORK/report-victim.json"
 echo "OK: recovered report byte-identical to uninterrupted reference"
-echo "workdir: $WORK"
+if [ -n "${WORK_DIR:-}" ]; then
+  echo "workdir: $WORK"
+else
+  rm -rf "$WORK"
+fi

@@ -24,8 +24,8 @@ const SURFACE: [(&str, usize); 14] = [
     ("crates/math/src", 39),
     ("crates/metrics/src", 60),
     ("crates/ml/src", 26),
-    ("crates/obs/src", 79),
-    ("crates/service/src", 100),
+    ("crates/obs/src", 78),
+    ("crates/service/src", 98),
     ("crates/sim/src", 28),
     ("crates/space/src", 51),
     ("crates/store/src", 138),
