@@ -93,9 +93,33 @@ impl GpSampler {
     }
 }
 
+/// The EI step of this sampler and [`crate::Vizier`]: the first of
+/// `candidates` uniform points whose expected improvement on `best` is a
+/// strict maximum, or a uniform sample if none beats `-inf`.
+pub(crate) fn ei_argmax(
+    model: &Gp,
+    best: f64,
+    candidates: usize,
+    space: &SearchSpace,
+    rng: &mut dyn rand::RngCore,
+) -> Config {
+    let mut argmax = (f64::NEG_INFINITY, None);
+    for _ in 0..candidates {
+        let u: Vec<f64> = (0..space.len()).map(|_| rng.gen::<f64>()).collect();
+        let (mu, var) = model.predict(&u);
+        let ei = expected_improvement(mu, var, best);
+        if ei > argmax.0 {
+            argmax = (ei, Some(u));
+        }
+    }
+    match argmax.1 {
+        Some(u) => space.from_unit(&u),
+        None => space.sample(rng),
+    }
+}
+
 impl ConfigSampler for GpSampler {
     fn propose(&mut self, space: &SearchSpace, rng: &mut dyn rand::RngCore) -> Config {
-        let dims = space.len();
         if rng.gen::<f64>() < self.config.random_fraction {
             return space.sample(rng);
         }
@@ -112,21 +136,7 @@ impl ConfigSampler for GpSampler {
             return space.sample(rng);
         };
         let best = ys.iter().copied().fold(f64::INFINITY, f64::min);
-        let mut best_u: Option<Vec<f64>> = None;
-        let mut best_ei = f64::NEG_INFINITY;
-        for _ in 0..self.config.candidates {
-            let u: Vec<f64> = (0..dims).map(|_| rng.gen::<f64>()).collect();
-            let (mu, var) = model.predict(&u);
-            let ei = expected_improvement(mu, var, best);
-            if ei > best_ei {
-                best_ei = ei;
-                best_u = Some(u);
-            }
-        }
-        match best_u {
-            Some(u) => space.from_unit(&u),
-            None => space.sample(rng),
-        }
+        ei_argmax(&model, best, self.config.candidates, space, rng)
     }
 
     fn record(&mut self, config: &Config, rung: usize, _resource: f64, loss: f64) {

@@ -11,9 +11,10 @@
 //! Section 4.3.
 
 use asha_core::{Decision, Job, Observation, Scheduler, TrialId};
-use asha_math::{expected_improvement, Gp, GpConfig};
+use asha_math::{Gp, GpConfig};
 use asha_space::{Config, SearchSpace};
-use rand::Rng;
+
+use crate::gp::ei_argmax;
 
 /// Configuration of a [`Vizier`] scheduler.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,21 +133,7 @@ impl Vizier {
             return self.space.sample(rng);
         };
         let best = self.best_loss();
-        let mut best_u: Option<Vec<f64>> = None;
-        let mut best_ei = f64::NEG_INFINITY;
-        for _ in 0..self.config.candidates {
-            let u: Vec<f64> = (0..self.space.len()).map(|_| rng.gen::<f64>()).collect();
-            let (mu, var) = model.predict(&u);
-            let ei = expected_improvement(mu, var, best);
-            if ei > best_ei {
-                best_ei = ei;
-                best_u = Some(u);
-            }
-        }
-        match best_u {
-            Some(u) => self.space.from_unit(&u),
-            None => self.space.sample(rng),
-        }
+        ei_argmax(model, best, self.config.candidates, &self.space, rng)
     }
 }
 

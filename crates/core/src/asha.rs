@@ -125,12 +125,13 @@ pub(crate) fn display_name(prefix: &str, sampler: &dyn ConfigSampler) -> String 
 /// runs at `rung`, which closes on the last report it can receive (all
 /// trials sampled, all survivors of the rung below issued). Its finite top
 /// `floor(len/eta)` in `(loss, trial)` order then survive to the next rung.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Barrier {
+/// With the bracket's [`AshaState`], it is a barrier bracket's state.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Barrier {
     /// The rung whose jobs run; every rung below it has closed.
-    pub(crate) rung: usize,
+    pub rung: usize,
     /// Survivors of the rung below not yet issued, the best last.
-    pub(crate) queue: Vec<TrialId>,
+    pub queue: Vec<u64>,
 }
 
 /// One bracket as a scheduler drives it, the sampler lent per call so that
@@ -237,7 +238,7 @@ impl Engine for Bracket {
         // scanning rungs from the top down — or, under a barrier, take the
         // next survivor of the closed rung.
         let promotion = match &mut self.barrier {
-            Some(barrier) => barrier.queue.pop().map(|t| (t, barrier.rung)),
+            Some(barrier) => barrier.queue.pop().map(|t| (TrialId(t), barrier.rung)),
             None => {
                 let scan = self
                     .ladder
@@ -290,10 +291,10 @@ impl Engine for Bracket {
         // none, the bracket stays finished.
         let finished = self.finished();
         if let Some(barrier) = self.barrier.as_mut().filter(|_| finished) {
-            let mut survivors = self.ladder.close(barrier.rung);
+            let survivors = self.ladder.close(barrier.rung);
             if !survivors.is_empty() {
-                survivors.reverse();
-                (barrier.queue, barrier.rung) = (survivors, barrier.rung + 1);
+                let queue = survivors.iter().rev().map(|t| t.0).collect();
+                (barrier.queue, barrier.rung) = (queue, barrier.rung + 1);
             }
         }
     }

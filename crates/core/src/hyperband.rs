@@ -8,17 +8,16 @@
 //! al.) loops over identical brackets. All three are one [`BracketLoop`]
 //! over [`Bracket`]s, and differ only in which bracket opens next and when.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use asha_space::SearchSpace;
 
-use crate::asha::{display_name, AshaConfig, Bracket, Engine};
+use crate::asha::{display_name, AshaConfig, Barrier, Bracket, Engine};
 use crate::budget::{self, min_configs, Geometry};
 use crate::error::Error;
 use crate::sampler::{ConfigSampler, RandomSampler};
 use crate::scheduler::{Decision, Observation, TrialId};
-use crate::sha::ShaConfig;
-use crate::state::AsyncHyperbandState;
+use crate::state::{AsyncHyperbandState, BracketState, RungState};
 
 /// Trial-id stride separating the namespaces of different Hyperband
 /// brackets, so that an observation routes back to the bracket that issued
@@ -112,15 +111,14 @@ impl HyperbandConfig {
         n.max(min_configs(self.reduction_factor, s_max - s))
     }
 
-    /// Bracket `s` as a synchronous SHA bracket.
-    pub(crate) fn sha_config(&self, s: usize) -> ShaConfig {
-        ShaConfig {
-            num_configs: self.bracket_num_configs(s),
-            min_resource: self.min_resource,
-            max_resource: self.max_resource,
-            reduction_factor: self.reduction_factor,
-            stop_rate: s,
-            grow_brackets: false,
+    /// Bracket `s` of the loop: a barrier bracket of
+    /// `bracket_num_configs(s)` trials if `barrier`, else an ASHA bracket.
+    pub(crate) fn bracket_config(&self, s: usize, barrier: bool) -> AshaConfig {
+        let (r, max_r, eta) = (self.min_resource, self.max_resource, self.reduction_factor);
+        let config = AshaConfig::new(r, max_r, eta).with_stop_rate(s);
+        match barrier {
+            true => config.with_max_trials(self.bracket_num_configs(s)),
+            false => config,
         }
     }
 }
@@ -133,15 +131,16 @@ type NewBracket = fn(AshaConfig, bool) -> Box<dyn Engine>;
 /// `TrialId(b * stride + t)`, where the stride is the bracket size `n` for
 /// SHA and `2^40` for Hyperband, so an observation routes home by division.
 /// Which bracket opens next, and when, is the caller's: [`SyncSha`],
-/// [`Hyperband`] and [`AsyncHyperband`] each hold their own config.
+/// [`Hyperband`] and [`AsyncHyperband`] each hold their own config. A
+/// bracket is freed once it finishes, so the loop holds the open ones only.
 ///
 /// [`SyncSha`]: crate::SyncSha
 pub(crate) struct BracketLoop {
     space: SearchSpace,
-    /// Bracket `b`, or `None` once finished and freed.
-    pub(crate) brackets: Vec<Option<Box<dyn Engine>>>,
-    /// Brackets not yet finished, ascending.
-    pub(crate) open: Vec<usize>,
+    /// The open brackets, by index.
+    pub(crate) brackets: BTreeMap<usize, Box<dyn Engine>>,
+    /// Brackets opened so far, finished ones included.
+    pub(crate) opened: usize,
     /// Open brackets that may have a job to issue, a superset of those that
     /// do: one joins when it opens or takes a report and leaves when it
     /// answers `Wait`, so `suggest` visits each blocked bracket once per
@@ -151,25 +150,14 @@ pub(crate) struct BracketLoop {
     pub(crate) samplers: Vec<Box<dyn ConfigSampler>>,
     stride: u64,
     new_bracket: NewBracket,
-    /// Free a bracket once it finishes. SHA keeps its finished brackets
-    /// (closed rungs already dropped) because the `sync_sha` document
-    /// lists every trial.
-    free_finished: bool,
     pub(crate) name: String,
 }
 
 impl std::fmt::Debug for BracketLoop {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (brackets, open) = (self.brackets.len(), self.open.len());
+        let (brackets, open) = (self.opened, self.brackets.len());
         write!(f, "{} ({brackets} brackets, {open} open)", self.name)
     }
-}
-
-/// The barrier bracket of `n` trials a synchronous plan runs for `sha`.
-pub(crate) fn barrier_config(sha: &ShaConfig) -> AshaConfig {
-    AshaConfig::new(sha.min_resource, sha.max_resource, sha.reduction_factor)
-        .with_stop_rate(sha.stop_rate)
-        .with_max_trials(sha.num_configs)
 }
 
 impl BracketLoop {
@@ -182,13 +170,12 @@ impl BracketLoop {
     ) -> Self {
         BracketLoop {
             space,
-            brackets: Vec::new(),
-            open: Vec::new(),
+            brackets: BTreeMap::new(),
+            opened: 0,
             ready: BTreeSet::new(),
             samplers,
             stride,
             new_bracket: |config, barrier| Box::new(Bracket::new(config, barrier)),
-            free_finished: false,
             name,
         }
     }
@@ -198,18 +185,18 @@ impl BracketLoop {
     #[cfg(any(test, feature = "reference"))]
     pub(crate) fn rebuild(&mut self, new_bracket: NewBracket) {
         self.new_bracket = new_bracket;
-        for bracket in self.brackets.iter_mut().flatten() {
+        for bracket in self.brackets.values_mut() {
             let barrier = bracket.barrier().is_some();
             *bracket = new_bracket(bracket.export_state("").config, barrier);
         }
     }
 
-    /// Open bracket `brackets.len()` with `config`.
+    /// Open bracket `opened` with `config`.
     pub(crate) fn open(&mut self, config: AshaConfig, barrier: bool) {
-        self.open.push(self.brackets.len());
-        self.ready.insert(self.brackets.len());
-        self.brackets
-            .push(Some((self.new_bracket)(config, barrier)));
+        self.ready.insert(self.opened);
+        let bracket = (self.new_bracket)(config, barrier);
+        self.brackets.insert(self.opened, bracket);
+        self.opened += 1;
     }
 
     /// Open bracket `b`'s decision, its trial id lifted into the loop's
@@ -217,7 +204,7 @@ impl BracketLoop {
     pub(crate) fn issue(&mut self, b: usize, rng: &mut dyn rand::RngCore) -> Decision {
         let sampler = if self.samplers.len() == 1 { 0 } else { b };
         let sampler = &mut *self.samplers[sampler];
-        let bracket = self.brackets[b].as_mut().expect("an open bracket is live");
+        let bracket = self.brackets.get_mut(&b).expect("an open bracket is live");
         let mut decision = bracket.suggest(&self.space, sampler, rng);
         if let Decision::Run(job) = &mut decision {
             job.trial = TrialId(b as u64 * self.stride + job.trial.0);
@@ -240,11 +227,11 @@ impl BracketLoop {
             }
             self.ready.remove(&b);
         }
-        if let Some(config) = next(self.brackets.len(), self.open.is_empty()) {
+        if let Some(config) = next(self.opened, self.brackets.is_empty()) {
             self.open(config, true);
-            return self.issue(self.brackets.len() - 1, rng);
+            return self.issue(self.opened - 1, rng);
         }
-        if self.open.is_empty() {
+        if self.brackets.is_empty() {
             Decision::Finished
         } else {
             Decision::Wait
@@ -255,8 +242,8 @@ impl BracketLoop {
         let Ok(b) = usize::try_from(obs.trial.0 / self.stride) else {
             return;
         };
-        let Some(Some(bracket)) = self.brackets.get_mut(b) else {
-            return; // unsolicited, or a freed bracket's stale report
+        let Some(bracket) = self.brackets.get_mut(&b) else {
+            return; // unsolicited, or a finished bracket's stale report
         };
         let sampler = if self.samplers.len() == 1 { 0 } else { b };
         let local = Observation {
@@ -264,15 +251,92 @@ impl BracketLoop {
             ..obs
         };
         bracket.observe(local, &mut *self.samplers[sampler]);
-        if !bracket.finished() {
+        if bracket.finished() {
+            self.brackets.remove(&b);
+            self.ready.remove(&b);
+        } else {
             self.ready.insert(b);
-            return;
         }
-        self.open.retain(|&open| open != b);
-        self.ready.remove(&b);
-        if self.free_finished {
-            self.brackets[b] = None;
+    }
+
+    /// The open brackets, ascending, each one's state named as async
+    /// Hyperband's brackets are.
+    pub(crate) fn export(&self) -> Vec<BracketState> {
+        let name = display_name("ASHA", &*self.samplers[0]);
+        let brackets = self.brackets.iter().map(|(&index, b)| BracketState {
+            index,
+            asha: b.export_state(&name),
+            barrier: b.barrier().cloned(),
+        });
+        brackets.collect()
+    }
+
+    /// Take the open brackets, as [`BracketLoop::validate`] passed them, of
+    /// a loop that has opened `opened`.
+    pub(crate) fn restore(&mut self, opened: usize, open: Vec<BracketState>) {
+        let restore = |b: BracketState| {
+            let bracket = Bracket::from_state(b.asha, b.barrier);
+            (b.index, Box::new(bracket) as Box<dyn Engine>)
+        };
+        self.brackets = open.into_iter().map(restore).collect();
+        self.ready = self.brackets.keys().copied().collect();
+        self.opened = opened;
+    }
+
+    /// Check that a loop that has opened `opened` brackets can hold the
+    /// open ones, ascending: an index below `opened`, the config the loop
+    /// opens there and a barrier exactly if it caps its trials, an `Asha`
+    /// state (`AshaState::validate`). A barrier runs a rung on the ladder, the
+    /// only one with records or jobs, with no promotion; its queued,
+    /// outstanding and reported trials are sampled and distinct; only the
+    /// last bracket has trials left to sample, at rung 0; survivors queue
+    /// above rung 0; and work is left, for a finished bracket is freed.
+    pub(crate) fn validate(
+        opened: usize,
+        open: &[BracketState],
+        config: impl Fn(usize) -> AshaConfig,
+    ) -> Result<(), Error> {
+        let mut next = 0;
+        for bracket in open {
+            let (b, state) = (bracket.index, &bracket.asha);
+            let refuse = |why| Err(Error::config(format!("bracket {b} of {opened}: {why}")));
+            let opens = (next..opened).contains(&b) && state.config == config(b);
+            if !opens || bracket.barrier.is_some() != state.config.max_trials.is_some() {
+                return refuse("an index, config or barrier the loop does not open");
+            }
+            let at = format!("bracket {b}");
+            state.validate().map_err(|e| e.context(at))?;
+            next = b + 1;
+            let Some(Barrier { rung, queue }) = &bracket.barrier else {
+                continue;
+            };
+            let rung = *rung;
+            let (n, sampled) = (state.config.max_trials.unwrap_or(0), state.trials.len());
+            let top = state.config.geometry()?.max_rung().unwrap_or(0);
+            let records = state.rungs.get(rung).map_or(&[][..], |r| &r.records[..]);
+            let jobs = state.outstanding.iter().map(|&(t, _)| t);
+            let mut ids = (queue.iter().copied().chain(jobs)).chain(records.iter().map(|r| r.0));
+            let mut seen = BTreeSet::new();
+            let stray = |(k, r): (usize, &RungState)| {
+                !r.promoted.is_empty() || (k != rung && !r.records.is_empty())
+            };
+            if rung > top
+                || state.rungs.iter().enumerate().any(stray)
+                || state.outstanding.iter().any(|&(_, k)| k != rung)
+                || !ids.all(|t| t < sampled as u64 && seen.insert(t))
+            {
+                return refuse("a rung, record or job off the barrier, or a trial named twice");
+            }
+            if state.trials_started != sampled
+                || sampled > n
+                || (sampled < n && (rung > 0 || next < opened))
+                || (rung == 0 && !queue.is_empty())
+                || (sampled == n && queue.is_empty() && state.outstanding.is_empty())
+            {
+                return refuse("trials sampled, a rung and a queue no open bracket reaches");
+            }
         }
+        Ok(())
     }
 }
 
@@ -354,14 +418,13 @@ impl Hyperband {
         let sampler: Box<dyn ConfigSampler> = Box::new(RandomSampler::new());
         let name = "Hyperband".to_owned();
         let mut brackets = BracketLoop::new(space, vec![sampler], BRACKET_STRIDE, name);
-        brackets.free_finished = true;
-        brackets.open(barrier_config(&config.sha_config(0)), true);
+        brackets.open(config.bracket_config(0, true), true);
         Hyperband { config, brackets }
     }
 
     fn next(&mut self, rng: &mut dyn rand::RngCore) -> Decision {
         let config = &self.config;
-        let sha = |g| barrier_config(&config.sha_config(g % config.num_brackets));
+        let sha = |g| config.bracket_config(g % config.num_brackets, true);
         self.brackets
             .suggest(rng, |g, all_finished| all_finished.then(|| sha(g)))
     }
@@ -410,14 +473,14 @@ impl AsyncHyperband {
         let samplers: Vec<_> = (0..config.num_brackets).map(factory).collect();
         let name = display_name("Hyperband (async)", &*samplers[0]);
         let mut brackets = BracketLoop::new(space, samplers, BRACKET_STRIDE, name);
+        for s in 0..config.num_brackets {
+            brackets.open(config.bracket_config(s, false), false);
+        }
         let (r, max_r, eta) = (
             config.min_resource,
             config.max_resource,
             config.reduction_factor,
         );
-        for s in 0..config.num_brackets {
-            brackets.open(AshaConfig::new(r, max_r, eta).with_stop_rate(s), false);
-        }
         let budget = |s| budget::bracket_budget(config.bracket_num_configs(s), r, max_r, eta, s);
         AsyncHyperband {
             budgets: (0..config.num_brackets).map(budget).collect(),
@@ -447,11 +510,9 @@ impl AsyncHyperband {
     /// [`AshaState`](crate::AshaState) per bracket plus
     /// the budget cursor. Per-bracket budgets are recomputed on restore.
     pub fn export_state(&self) -> AsyncHyperbandState {
-        let bracket_name = display_name("ASHA", &*self.brackets.samplers[0]);
-        let brackets = self.brackets.brackets.iter().flatten();
         AsyncHyperbandState {
             config: self.config.clone(),
-            brackets: brackets.map(|b| b.export_state(&bracket_name)).collect(),
+            brackets: self.brackets.export(),
             spent: self.spent,
             current: self.current,
             name: self.brackets.name.clone(),
@@ -467,7 +528,7 @@ impl AsyncHyperband {
     ///
     /// Panics if the state is one no `AsyncHyperband` can hold (see
     /// `AsyncHyperbandState::validate`: an invalid config, a bracket
-    /// count that does not match it, a bracket `Asha` cannot hold).
+    /// count that does not match it, a bracket the loop cannot hold).
     pub fn from_state_with_sampler_factory(
         space: SearchSpace,
         state: AsyncHyperbandState,
@@ -475,9 +536,7 @@ impl AsyncHyperband {
     ) -> Self {
         state.validate().unwrap_or_else(|e| panic!("{e}"));
         let mut ahb = AsyncHyperband::with_sampler_factory(space, state.config, factory);
-        let brackets = state.brackets.into_iter();
-        let restore = |b| Some(Box::new(Bracket::from_state(b, None)) as Box<dyn Engine>);
-        ahb.brackets.brackets = brackets.map(restore).collect();
+        ahb.brackets.restore(ahb.budgets.len(), state.brackets);
         (ahb.spent, ahb.current) = (state.spent, state.current);
         ahb.brackets.name = state.name;
         ahb
@@ -488,6 +547,7 @@ impl AsyncHyperband {
 mod tests {
     use super::*;
     use crate::scheduler::Scheduler;
+    use crate::ShaConfig;
     use asha_space::Scale;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -520,7 +580,8 @@ mod tests {
         // ceil(3 * 2.5^2 / 3) = 7 would stop at 7 → 2 → 0.
         let cfg = HyperbandConfig::new(1.0, 6.25, 2.5);
         assert_eq!(cfg.bracket_num_configs(0), 8);
-        assert!(cfg.sha_config(0).validate().is_ok());
+        let sha = ShaConfig::new(cfg.bracket_num_configs(0), 1.0, 6.25, 2.5);
+        assert!(sha.validate().is_ok());
     }
 
     #[test]
@@ -544,19 +605,47 @@ mod tests {
         );
     }
 
+    /// Run `face` for 2 000 reports with up to `in_flight` jobs out, the
+    /// oldest reported first, checking that its loop holds no finished
+    /// bracket; the most brackets it held at once.
+    fn run_long<S: Scheduler>(face: &mut S, of: fn(&S) -> &BracketLoop, in_flight: usize) -> usize {
+        let (mut r, mut jobs, mut most) = (rng(), std::collections::VecDeque::new(), 0);
+        for _ in 0..2_000 {
+            while jobs.len() < in_flight {
+                let Decision::Run(job) = face.suggest(&mut r) else {
+                    break;
+                };
+                jobs.push_back(job);
+            }
+            let job = jobs.pop_front().expect("a job is out");
+            face.observe(Observation::for_job(&job, job.trial.0 as f64));
+            let brackets = &of(face).brackets;
+            assert!(
+                brackets.values().all(|b| !b.finished()),
+                "a finished bracket kept"
+            );
+            most = most.max(brackets.len());
+        }
+        assert!(of(face).opened > 50, "brackets kept opening");
+        most
+    }
+
     #[test]
     fn a_long_hyperband_run_frees_finished_brackets() {
         let mut hb = Hyperband::new(space(), HyperbandConfig::new(1.0, 9.0, 3.0));
-        let mut r = rng();
-        for _ in 0..2_000 {
-            let job = hb.suggest(&mut r).job().expect("serial never waits");
-            hb.observe(Observation::for_job(&job, job.trial.0 as f64));
-            let live = hb.brackets.brackets.iter().flatten().count();
-            assert!(live <= 1, "{live} generations alive");
-        }
-        assert!(hb.brackets.brackets.len() > 50, "generations kept opening");
+        assert_eq!(
+            run_long(&mut hb, |hb| &hb.brackets, 1),
+            1,
+            "one generation alive"
+        );
         // A freed generation's stale report routes to nothing.
         hb.observe(Observation::new(TrialId(0), 0, 1.0, 0.0));
+        // Growing SHA with 12 jobs out opens a bracket whenever the open
+        // ones are blocked, and each blocked one holds a job.
+        let config = ShaConfig::new(9, 1.0, 9.0, 3.0).growing();
+        let mut sha = crate::SyncSha::new(space(), config);
+        let most = run_long(&mut sha, |sha| &sha.brackets, 12);
+        assert!((2..=13).contains(&most), "{most} brackets open at once");
     }
 
     #[test]
@@ -610,7 +699,7 @@ mod tests {
             ahb.observe(Observation::for_job(&job, 1.0));
         };
         ahb.observe(Observation::for_job(&job, 0.123));
-        let bracket1 = &ahb.export_state().brackets[1];
+        let bracket1 = &ahb.export_state().brackets[1].asha;
         let local = job.trial.0 - BRACKET_STRIDE;
         assert_eq!(bracket1.rungs[job.rung].records, [(local, 0.123)]);
     }

@@ -78,7 +78,7 @@ mod sha;
 mod state;
 pub mod telemetry;
 
-pub use crate::asha::{Asha, AshaConfig};
+pub use crate::asha::{Asha, AshaConfig, Barrier};
 pub use crate::driver::{Completion, Driver};
 pub use crate::durability::Durability;
 pub use crate::error::{Error, ErrorKind, ResultContext};
@@ -91,6 +91,6 @@ pub use crate::scheduler::{Decision, Job, Observation, Scheduler, TrialId};
 pub use crate::sha::{ShaConfig, SyncSha};
 pub use crate::state::{
     AshaState, AsyncHyperbandState, BracketState, DurableScheduler, RungState, SchedulerState,
-    SyncShaState,
+    ShaState,
 };
 pub use crate::telemetry::{NoopRecorder, Recorder};

@@ -4,13 +4,13 @@
 
 use asha_space::SearchSpace;
 
-use crate::asha::{display_name, Barrier, Bracket, Engine};
+use crate::asha::{display_name, AshaConfig};
 use crate::budget::{min_configs, Geometry};
 use crate::error::Error;
-use crate::hyperband::{barrier_config, bracket_loop_scheduler, BracketLoop};
+use crate::hyperband::{bracket_loop_scheduler, BracketLoop};
 use crate::sampler::{ConfigSampler, RandomSampler};
-use crate::scheduler::{Decision, TrialId};
-use crate::state::{AshaState, BracketState, RungState, SyncShaState};
+use crate::scheduler::Decision;
+use crate::state::ShaState;
 
 /// Configuration of a [`SyncSha`] scheduler.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,6 +85,13 @@ impl ShaConfig {
             .resource(rung)
     }
 
+    /// The barrier bracket of `n` trials each bracket of this SHA runs.
+    pub fn bracket_config(&self) -> AshaConfig {
+        AshaConfig::new(self.min_resource, self.max_resource, self.reduction_factor)
+            .with_stop_rate(self.stop_rate)
+            .with_max_trials(self.num_configs)
+    }
+
     /// Check Algorithm 1's preconditions without building a scheduler: a
     /// valid geometry and enough configurations that at least one reaches
     /// `R` (line 3's `n >= eta^(s_max - s)`, rounded rung by rung for a
@@ -143,7 +150,7 @@ impl SyncSha {
         let name = display_name("SHA", &*sampler);
         let n = config.num_configs as u64;
         let mut brackets = BracketLoop::new(space, vec![sampler], n, name);
-        brackets.open(barrier_config(&config), true);
+        brackets.open(config.bracket_config(), true);
         SyncSha { config, brackets }
     }
 
@@ -157,7 +164,7 @@ impl SyncSha {
     /// the Falkner et al. scheme.
     fn next(&mut self, rng: &mut dyn rand::RngCore) -> Decision {
         let config = &self.config;
-        let grow = |_, _| config.grow_brackets.then(|| barrier_config(config));
+        let grow = |_, _| config.grow_brackets.then(|| config.bracket_config());
         let mut decision = self.brackets.suggest(rng, grow);
         if let Decision::Run(job) = &mut decision {
             job.bracket = (job.trial.0 / config.num_configs as u64) as usize;
@@ -166,42 +173,15 @@ impl SyncSha {
     }
 
     /// Capture the scheduler's full mutable state as plain data (see
-    /// [`SchedulerState`](crate::SchedulerState)). Restoring it with
-    /// [`SyncSha::from_state_with_sampler`] yields a
-    /// scheduler that makes identical decisions given the same RNG stream.
-    ///
-    /// A bracket's live state is its barrier: the records of the rung it
-    /// runs, and the survivors of the rung below still to issue. Closed
-    /// rungs are never read again, so they are not part of the document.
-    pub fn export_state(&self) -> SyncShaState {
-        let n = self.config.num_configs;
-        let mut trial_meta = Vec::new();
-        let mut brackets = Vec::new();
-        for (b, bracket) in self.brackets.brackets.iter().flatten().enumerate() {
-            let base = (b * n) as u64;
-            let state = bracket.export_state("");
-            let barrier = bracket.barrier().cloned().unwrap_or_default();
-            let done = bracket.finished();
-            let results = &state.rungs[barrier.rung].records[..];
-            let results = if done { &[][..] } else { results };
-            let trial = |t: u64| (base + t, state.trials[t as usize].1.clone());
-            brackets.push(BracketState {
-                remaining_to_sample: n - state.trials_started,
-                queue: barrier.queue.iter().map(|t| trial(t.0)).collect(),
-                outstanding: state.outstanding.len(),
-                issued: state.outstanding.iter().map(|&(t, _)| base + t).collect(),
-                results: results.iter().map(|&(t, l)| (base + t, l)).collect(),
-                rung: barrier.rung,
-                done,
-            });
-            let trials = state.trials.into_iter();
-            trial_meta.extend(trials.map(|(t, c)| (base + t, b, c)));
-        }
-        SyncShaState {
+    /// [`SchedulerState`](crate::SchedulerState)): each open bracket's
+    /// state and barrier. Restoring it with
+    /// [`SyncSha::from_state_with_sampler`] yields a scheduler that makes
+    /// identical decisions given the same RNG stream.
+    pub fn export_state(&self) -> ShaState {
+        ShaState {
             config: self.config.clone(),
-            brackets,
-            next_trial: trial_meta.len() as u64,
-            trial_meta,
+            opened: self.brackets.opened,
+            brackets: self.brackets.export(),
             name: self.brackets.name.clone(),
         }
     }
@@ -212,45 +192,15 @@ impl SyncSha {
     /// # Panics
     ///
     /// Panics if the state is one no `SyncSha` can hold (see
-    /// `SyncShaState::validate`).
+    /// `ShaState::validate`).
     pub fn from_state_with_sampler(
         space: SearchSpace,
-        state: SyncShaState,
+        state: ShaState,
         sampler: Box<dyn ConfigSampler>,
     ) -> Self {
         state.validate().unwrap_or_else(|e| panic!("{e}"));
-        let mut sha = SyncSha::with_sampler(space, state.config.clone(), sampler);
-        let n = state.config.num_configs;
-        let mut configs = state.trial_meta.into_iter().map(|(_, _, c)| c);
-        let (mut brackets, mut open) = (Vec::new(), Vec::new());
-        for (b, bracket) in state.brackets.into_iter().enumerate() {
-            let (base, rung, done) = ((b * n) as u64, bracket.rung, bracket.done);
-            let sampled = n - bracket.remaining_to_sample;
-            let mut rungs = vec![RungState::default(); rung + 1];
-            let results = bracket.results.into_iter();
-            rungs[rung].records = results.map(|(t, l)| (t - base, l)).collect();
-            let issued = bracket.issued.iter();
-            let asha = AshaState {
-                config: barrier_config(&state.config),
-                rungs,
-                trials: (0..).zip(configs.by_ref().take(sampled)).collect(),
-                outstanding: issued.map(|&t| (t - base, rung)).collect(),
-                next_trial: sampled as u64,
-                trials_started: sampled,
-                name: String::new(),
-            };
-            let queue = bracket.queue.iter().map(|&(t, _)| TrialId(t - base));
-            let barrier = Barrier {
-                rung,
-                queue: queue.collect(),
-            };
-            let bracket = Box::new(Bracket::from_state(asha, Some(barrier)));
-            brackets.push(Some(bracket as Box<dyn Engine>));
-            open.extend((!done).then_some(b));
-        }
-        sha.brackets.brackets = brackets;
-        sha.brackets.ready = open.iter().copied().collect();
-        sha.brackets.open = open;
+        let mut sha = SyncSha::with_sampler(space, state.config, sampler);
+        sha.brackets.restore(state.opened, state.brackets);
         sha.brackets.name = state.name;
         sha
     }
@@ -259,7 +209,7 @@ impl SyncSha {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{Job, Observation, Scheduler};
+    use crate::scheduler::{Job, Observation, Scheduler, TrialId};
     use asha_space::Scale;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -334,7 +284,7 @@ mod tests {
         // Figure 1 bracket 0: 9 + 3 + 1 = 13 jobs.
         assert_eq!(job_count, 13);
         assert_eq!(rung_sizes, [9, 3, 1]);
-        assert!(sha.brackets.open.is_empty());
+        assert!(sha.brackets.brackets.is_empty());
     }
 
     #[test]
@@ -398,27 +348,27 @@ mod tests {
     }
 
     #[test]
-    fn closed_rungs_and_finished_brackets_hold_no_records() {
+    fn closed_rungs_hold_no_records() {
         let mut sha = SyncSha::new(space(), ShaConfig::new(9, 1.0, 9.0, 3.0));
         let mut r = rng();
         let records = |sha: &SyncSha| {
-            let bracket = sha.brackets.brackets[0].as_ref().unwrap();
-            let rungs = bracket.export_state("").rungs;
+            let rungs = &sha.export_state().brackets[0].asha.rungs;
             rungs.iter().map(|r| r.records.len()).collect::<Vec<_>>()
         };
         while let Decision::Run(job) = sha.suggest(&mut r) {
             sha.observe(Observation::for_job(&job, job.trial.0 as f64));
-            if job.trial.0 == 8 && job.rung == 0 {
-                assert_eq!(records(&sha), [0, 0, 0], "rung 0 closed");
+            match (job.trial.0, job.rung) {
+                (8, 0) => assert_eq!(records(&sha), [0, 0, 0], "rung 0 closed"),
+                (1, 1) => assert_eq!(records(&sha), [0, 2, 0], "rung 1 open"),
+                (2, 1) => assert_eq!(records(&sha), [0, 0, 0], "rung 1 closed"),
+                _ => {}
             }
         }
-        assert_eq!(records(&sha), [0, 0, 0], "the top rung closed too");
-        assert_eq!(sha.export_state().trial_meta.len(), 9);
     }
 
-    /// The document is the barrier's live state, written out by hand here:
-    /// rung 1 running, survivor 0 issued, survivors 2 and 1 queued (best
-    /// last), rung 0's records gone with the rung.
+    /// The document is the barrier bracket's live state, written out by
+    /// hand here: rung 1 running, survivor 0 issued, survivors 2 and 1
+    /// queued (best last), rung 0's records gone with the rung.
     #[test]
     fn export_writes_the_barrier_as_the_bracket_document() {
         let mut sha = SyncSha::new(space(), ShaConfig::new(9, 1.0, 9.0, 3.0));
@@ -431,19 +381,18 @@ mod tests {
         assert_eq!((survivor.trial, survivor.rung), (TrialId(0), 1));
         sha.observe(Observation::new(TrialId(5), 0, 1.0, 0.0)); // stale
         let state = sha.export_state();
+        assert_eq!((state.opened, state.brackets.len()), (1, 1));
         let b = &state.brackets[0];
-        let queued: Vec<u64> = b.queue.iter().map(|&(t, _)| t).collect();
-        assert_eq!((b.remaining_to_sample, b.rung, b.done), (0, 1, false));
-        assert_eq!(
-            (queued, b.outstanding, b.issued.clone()),
-            (vec![2, 1], 1, vec![0])
-        );
-        assert!(b.results.is_empty());
-        assert_eq!((state.next_trial, state.trial_meta.len()), (9, 9));
-        assert_eq!(b.queue[0].1, jobs[2].config);
+        let barrier = b.barrier.clone().unwrap();
+        assert_eq!((b.index, barrier.rung, barrier.queue), (0, 1, vec![2, 1]));
+        assert_eq!(b.asha.outstanding, [(0, 1)]);
+        assert!(b.asha.rungs.iter().all(|r| r.records.is_empty()));
+        assert_eq!((b.asha.trials.len(), b.asha.trials_started), (9, 9));
+        assert_eq!(b.asha.trials[2].1, jobs[2].config);
         sha.observe(Observation::for_job(&survivor, 0.5));
         let b = &sha.export_state().brackets[0];
-        assert_eq!((b.results.clone(), b.issued.len()), (vec![(0, 0.5)], 0));
+        assert_eq!(b.asha.rungs[1].records, [(0, 0.5)]);
+        assert!(b.asha.outstanding.is_empty());
     }
 
     #[test]
@@ -455,7 +404,7 @@ mod tests {
         sha.observe(Observation::for_job(&job, 0.0)); // duplicate
         sha.observe(Observation::new(TrialId(999), 0, 1.0, 0.0)); // unknown
                                                                   // One result recorded, eight to go.
-        assert!(!sha.brackets.open.is_empty());
+        assert!(!sha.brackets.brackets.is_empty());
     }
 
     #[test]
@@ -512,7 +461,7 @@ mod tests {
             };
             sha.observe(Observation::for_job(&job, loss));
         }
-        assert!(sha.brackets.open.is_empty());
+        assert!(sha.brackets.brackets.is_empty());
         assert!(
             !promoted.contains(&0) && !promoted.contains(&1),
             "poisoned trials promoted: {promoted:?}"
@@ -531,7 +480,7 @@ mod tests {
         }
         // No finite survivor: the bracket stops after the base rung.
         assert_eq!(count, 9);
-        assert!(sha.brackets.open.is_empty());
+        assert!(sha.brackets.brackets.is_empty());
     }
 
     #[test]

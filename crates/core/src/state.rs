@@ -16,7 +16,9 @@
 
 use asha_space::Config;
 
+use crate::asha::Barrier;
 use crate::error::Error;
+use crate::hyperband::BracketLoop;
 use crate::rung::{PromotionRule, Rung};
 use crate::scheduler::Scheduler;
 
@@ -119,115 +121,61 @@ impl AshaState {
     }
 }
 
-/// Snapshot of one synchronous SHA bracket: the live state of its barrier
-/// (see [`SyncSha`](crate::SyncSha)).
+/// Snapshot of one open bracket of a bracket loop: its ladder, trials and
+/// jobs as the same [`AshaState`] an [`Asha`](crate::Asha) exports (trial
+/// ids local, a barrier's closed rungs empty), and its [`Barrier`] if it
+/// runs under one, as a [`SyncSha`](crate::SyncSha) bracket does.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BracketState {
-    /// Base-rung configurations not yet sampled.
-    pub remaining_to_sample: usize,
-    /// Survivors queued for issue at the current rung (LIFO pop order, as
-    /// stored by the live bracket).
-    pub queue: Vec<(u64, Config)>,
-    /// Jobs issued at the current rung and not yet reported.
-    pub outstanding: usize,
-    /// Trials currently issued and unreported, sorted by trial id.
-    pub issued: Vec<u64>,
-    /// Results gathered at the current rung, in arrival order.
-    pub results: Vec<(u64, f64)>,
-    /// Current rung index.
-    pub rung: usize,
-    /// Whether the bracket has run to completion.
-    pub done: bool,
+    /// The bracket's index: its trial `t` is the scheduler's
+    /// `index * n + t` (SHA's bracket size `n`), or `index * 2^40 + t`.
+    pub index: usize,
+    /// The bracket's ladder, trials and jobs.
+    pub asha: AshaState,
+    /// The bracket's barrier.
+    pub barrier: Option<Barrier>,
 }
 
-/// Snapshot of a [`SyncSha`](crate::SyncSha) scheduler.
+/// Snapshot of a [`SyncSha`](crate::SyncSha) scheduler: the brackets it
+/// runs. A finished bracket is freed, so it is in no document.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SyncShaState {
+pub struct ShaState {
     /// The scheduler's configuration.
     pub config: crate::ShaConfig,
-    /// Every bracket started so far, in creation order.
+    /// Brackets opened so far, finished ones included.
+    pub opened: usize,
+    /// The open brackets, ascending by index.
     pub brackets: Vec<BracketState>,
-    /// `(trial, bracket, config)` for every sampled trial, sorted by trial
-    /// id.
-    pub trial_meta: Vec<(u64, usize, Config)>,
-    /// Next trial id to assign.
-    pub next_trial: u64,
     /// The scheduler's display name.
     pub name: String,
 }
 
-impl SyncShaState {
+impl ShaState {
     /// Check that a [`SyncSha`](crate::SyncSha) can hold this state, which
     /// [`SyncSha::from_state_with_sampler`](crate::SyncSha::from_state_with_sampler)
-    /// panics on otherwise: a valid config; `trial_meta` exactly the ids
-    /// `0..next_trial` in order, trial `t` under bracket `t / n`, every
-    /// bracket but the last fully sampled; and per bracket, at most `n`
-    /// trials, a rung on the ladder, `outstanding == issued.len()`, its
-    /// queued, issued and result trials distinct and its own, and `done`
-    /// exactly when nothing is left to sample, issue or report (a bracket
-    /// samples only at rung 0, and queues only above it).
+    /// panics on otherwise: a valid config, trial ids of every bracket
+    /// opened below `2^64`, and the open brackets as the loop checks them
+    /// (`BracketLoop::validate`).
     pub(crate) fn validate(&self) -> Result<(), Error> {
         self.config.validate()?;
-        let (n, rungs) = (self.config.num_configs, self.config.num_rungs());
-        let mut sampled = 0;
-        for (b, bracket) in self.brackets.iter().enumerate() {
-            let own = n.saturating_sub(bracket.remaining_to_sample);
-            let first = (b * n) as u64;
-            let mut seen = std::collections::BTreeSet::new();
-            let queued = bracket.queue.iter().map(|(t, _)| t);
-            let results = bracket.results.iter().map(|(t, _)| t);
-            let mut ids = queued.chain(&bracket.issued).chain(results);
-            let idle = own == n && bracket.queue.is_empty() && bracket.issued.is_empty();
-            let problem = if bracket.remaining_to_sample > n {
-                "more trials left than it holds"
-            } else if own < n && b + 1 < self.brackets.len() {
-                "a later bracket opened before it sampled all its trials"
-            } else if bracket.rung >= rungs {
-                "a rung past the ladder"
-            } else if bracket.outstanding != bracket.issued.len() {
-                "an outstanding count that is not the issued trials'"
-            } else if !ids.all(|&t| (first..first + own as u64).contains(&t) && seen.insert(t)) {
-                "a queued, issued or result trial not its own, or named twice"
-            } else if (own < n && bracket.rung > 0)
-                || (bracket.rung == 0 && !bracket.queue.is_empty())
-                || bracket.done != idle
-                || (bracket.done && !bracket.results.is_empty())
-            {
-                "a rung, queue and done flag no bracket reaches"
-            } else {
-                sampled += own;
-                continue;
-            };
-            return Err(Error::config(format!("bracket {b}: {problem}")));
+        let (opened, n) = (self.opened, self.config.num_configs as u64);
+        if (opened as u64).checked_mul(n).is_none() {
+            return Err(Error::config(format!("{opened} brackets of {n} trials")));
         }
-        for (i, &(t, b, _)) in (0..).zip(&self.trial_meta) {
-            if t != i || b != i as usize / n {
-                return Err(Error::config(format!(
-                    "trial {t} of bracket {b} sits at position {i} of the trial table"
-                )));
-            }
-        }
-        if self.trial_meta.len() != sampled || self.next_trial != sampled as u64 {
-            return Err(Error::config(format!(
-                "next_trial is {} for {} trials in the table, {sampled} sampled",
-                self.next_trial,
-                self.trial_meta.len()
-            )));
-        }
-        Ok(())
+        BracketLoop::validate(opened, &self.brackets, |_| self.config.bracket_config())
     }
 }
 
 /// Snapshot of an [`AsyncHyperband`](crate::AsyncHyperband) scheduler: one
-/// [`AshaState`] per bracket plus the round-robin budget cursor. Per-bracket
-/// budgets are a pure function of the configuration and are recomputed on
-/// restore.
+/// bracket per `s`, none under a barrier, plus the round-robin budget
+/// cursor. Per-bracket budgets are a pure function of the configuration
+/// and are recomputed on restore.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AsyncHyperbandState {
     /// The scheduler's configuration.
     pub config: crate::HyperbandConfig,
-    /// Per-bracket ASHA state, `s = 0` first.
-    pub brackets: Vec<AshaState>,
+    /// Bracket `s` at index `s`, `s = 0` first.
+    pub brackets: Vec<BracketState>,
     /// Resource issued in the current activation of the current bracket.
     pub spent: f64,
     /// Index of the bracket currently being filled.
@@ -239,8 +187,9 @@ pub struct AsyncHyperbandState {
 impl AsyncHyperbandState {
     /// Check that an [`AsyncHyperband`](crate::AsyncHyperband) can hold
     /// this state: a valid config, one bracket per configured bracket, a
-    /// current bracket among them, and every bracket an ASHA state
-    /// ([`AshaState::validate`]).
+    /// current bracket among them, a finite `spent` of at least 0 (a NaN
+    /// would never reach a budget, and the loop would never rotate), and
+    /// the brackets as the loop checks them (`BracketLoop::validate`).
     pub(crate) fn validate(&self) -> Result<(), Error> {
         self.config.validate()?;
         let brackets = self.brackets.len();
@@ -250,12 +199,12 @@ impl AsyncHyperbandState {
                 self.current, self.config.num_brackets
             )));
         }
-        for (s, bracket) in self.brackets.iter().enumerate() {
-            bracket
-                .validate()
-                .map_err(|e| e.context(format!("bracket {s}")))?;
+        if !(self.spent.is_finite() && self.spent >= 0.0) {
+            let spent = self.spent;
+            return Err(Error::config(format!("spent {spent} is no resource")));
         }
-        Ok(())
+        let config = |s| self.config.bracket_config(s, false);
+        BracketLoop::validate(brackets, &self.brackets, config)
     }
 }
 
@@ -266,7 +215,7 @@ pub enum SchedulerState {
     /// config carries [`PromotionRule::Delayed`], D-ASHA.
     Asha(AshaState),
     /// A [`SyncSha`](crate::SyncSha) scheduler.
-    SyncSha(SyncShaState),
+    SyncSha(ShaState),
     /// An [`AsyncHyperband`](crate::AsyncHyperband) scheduler.
     AsyncHyperband(AsyncHyperbandState),
 }
@@ -276,20 +225,22 @@ impl SchedulerState {
     /// `"dasha"` is an [`AshaState`] under the delayed rule: the rule
     /// travels in the tag, not in the config document, which keeps every
     /// store written before the rule became a config field readable (and
-    /// everything written since, byte-identical to it).
+    /// everything written since, byte-identical to it). `"sha"` took over
+    /// from `"sync_sha"`, whose document listed every bracket and trial
+    /// ever opened; the store still reads that one.
     pub fn kind(&self) -> &'static str {
         match self {
             SchedulerState::Asha(s) => match s.config.rule {
                 PromotionRule::Eager => "asha",
                 PromotionRule::Delayed => "dasha",
             },
-            SchedulerState::SyncSha(_) => "sync_sha",
+            SchedulerState::SyncSha(_) => "sha",
             SchedulerState::AsyncHyperband(_) => "async_hyperband",
         }
     }
 
     /// Check that the scheduler of this kind can hold the state (see
-    /// `AshaState::validate`, `SyncShaState::validate`,
+    /// `AshaState::validate`, `ShaState::validate`,
     /// `AsyncHyperbandState::validate`). An error is of kind `Config`.
     pub fn validate(&self) -> Result<(), Error> {
         match self {
@@ -327,19 +278,22 @@ pub trait DurableScheduler: Scheduler + std::fmt::Debug {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Decision, Observation, ShaConfig, SyncSha};
+    use crate::{AsyncHyperband, Decision, HyperbandConfig, Observation, ShaConfig, SyncSha};
     use asha_space::{Scale, SearchSpace};
     use rand::SeedableRng;
 
-    /// A growing SHA mid-run: bracket 0 at rung 1 with one survivor issued
-    /// and two queued, bracket 1 with one of its nine trials issued.
-    fn mid_run() -> (SearchSpace, SyncShaState) {
-        let space = SearchSpace::builder()
+    fn space() -> SearchSpace {
+        SearchSpace::builder()
             .continuous("x", 0.0, 1.0, Scale::Linear)
             .build()
-            .unwrap();
+            .unwrap()
+    }
+
+    /// A growing SHA mid-run: bracket 0 at rung 1 with one survivor issued
+    /// and two queued, bracket 1 with one of its nine trials issued.
+    fn mid_run() -> ShaState {
         let config = ShaConfig::new(9, 1.0, 9.0, 3.0).growing();
-        let mut sha = SyncSha::new(space.clone(), config);
+        let mut sha = SyncSha::new(space(), config);
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         let jobs: Vec<_> = (0..10)
             .filter_map(|_| sha.suggest(&mut rng).job())
@@ -348,77 +302,156 @@ mod tests {
             sha.observe(Observation::for_job(job, job.trial.0 as f64));
         }
         assert!(matches!(sha.suggest(&mut rng), Decision::Run(j) if j.rung == 1));
-        (space, sha.export_state())
+        sha.export_state()
     }
 
-    fn refused(tamper: fn(&mut SyncShaState)) {
-        let (_, mut state) = mid_run();
+    fn barrier(s: &mut ShaState) -> &mut Barrier {
+        s.brackets[0]
+            .barrier
+            .as_mut()
+            .expect("a SHA bracket has a barrier")
+    }
+
+    fn refused(tamper: fn(&mut ShaState), why: &str) {
+        let mut state = mid_run();
         tamper(&mut state);
         let err = SchedulerState::SyncSha(state).validate().unwrap_err();
         assert_eq!(err.kind(), crate::ErrorKind::Config, "{err}");
+        assert!(err.to_string().contains(why), "{err}");
     }
 
     #[test]
     fn a_mid_run_sha_state_validates_and_round_trips() {
-        let (space, state) = mid_run();
-        assert_eq!(state.brackets[0].queue.len(), 2);
-        assert_eq!((state.brackets[1].issued.len(), state.next_trial), (1, 10));
+        let state = mid_run();
+        let (b0, b1) = (&state.brackets[0], &state.brackets[1]);
+        let barrier = b0.barrier.as_ref().unwrap();
+        assert_eq!((state.opened, barrier.rung, barrier.queue.len()), (2, 1, 2));
+        assert_eq!((b1.index, b1.asha.outstanding.len()), (1, 1));
         SchedulerState::SyncSha(state.clone()).validate().unwrap();
         let sampler = Box::new(crate::RandomSampler::new());
-        let restored = SyncSha::from_state_with_sampler(space, state.clone(), sampler);
+        let restored = SyncSha::from_state_with_sampler(space(), state.clone(), sampler);
         assert_eq!(restored.export_state(), state);
     }
 
     #[test]
-    fn sha_trial_filed_under_a_bracket_out_of_range_is_refused() {
-        refused(|s| s.trial_meta[3].1 = 5);
+    fn sha_bracket_past_the_brackets_opened_is_refused() {
+        refused(|s| s.brackets[1].index = 2, "an index");
     }
 
     #[test]
-    fn sha_outstanding_count_other_than_the_issued_trials_is_refused() {
-        refused(|s| s.brackets[1].outstanding = 2);
+    fn sha_brackets_out_of_order_are_refused() {
+        refused(|s| s.brackets.swap(0, 1), "an index");
     }
 
     #[test]
-    fn sha_issued_trial_of_another_bracket_is_refused() {
-        refused(|s| s.brackets[0].issued = vec![9]);
+    fn sha_brackets_opened_past_the_trial_ids_are_refused() {
+        refused(|s| s.opened = usize::MAX, "brackets of 9 trials");
+    }
+
+    #[test]
+    fn sha_bracket_of_a_config_the_loop_does_not_open_is_refused() {
+        refused(|s| s.brackets[0].asha.config.max_trials = None, "config");
+        refused(|s| s.brackets[1].asha.config.stop_rate = 1, "config");
+        refused(|s| s.brackets[1].barrier = None, "barrier");
+    }
+
+    #[test]
+    fn sha_job_outstanding_off_the_barrier_rung_is_refused() {
+        refused(
+            |s| s.brackets[0].asha.outstanding[0].1 = 0,
+            "off the barrier",
+        );
     }
 
     #[test]
     fn sha_queued_trial_never_sampled_is_refused() {
-        refused(|s| s.brackets[0].queue[0].0 = 50);
-    }
-
-    #[test]
-    fn sha_rung_past_the_ladder_is_refused() {
-        refused(|s| s.brackets[0].rung = 3);
-    }
-
-    #[test]
-    fn sha_more_trials_left_than_a_bracket_holds_is_refused() {
-        refused(|s| s.brackets[1].remaining_to_sample = 10);
-    }
-
-    #[test]
-    fn sha_next_trial_below_a_sampled_trial_is_refused() {
-        refused(|s| s.next_trial = 5);
-    }
-
-    #[test]
-    fn sha_bracket_opened_before_the_last_sampled_all_is_refused() {
-        refused(|s| s.brackets[0].remaining_to_sample = 1);
-    }
-
-    #[test]
-    fn sha_done_bracket_with_work_left_is_refused() {
-        refused(|s| s.brackets[0].done = true);
+        refused(|s| barrier(s).queue[0] = 9, "off the barrier");
     }
 
     #[test]
     fn sha_trial_both_queued_and_issued_is_refused() {
-        refused(|s| {
-            let issued = s.brackets[0].issued[0];
-            s.brackets[0].queue[0].0 = issued;
-        });
+        let twice = |s: &mut ShaState| barrier(s).queue[0] = s.brackets[0].asha.outstanding[0].0;
+        refused(twice, "named twice");
+    }
+
+    #[test]
+    fn sha_rung_past_the_ladder_is_refused() {
+        refused(|s| barrier(s).rung = 3, "off the barrier");
+    }
+
+    #[test]
+    fn sha_record_below_the_barrier_rung_is_refused() {
+        refused(
+            |s| s.brackets[0].asha.rungs[0].records.push((4, 0.5)),
+            "off the barrier",
+        );
+    }
+
+    #[test]
+    fn sha_trials_started_other_than_sampled_are_refused() {
+        refused(
+            |s| s.brackets[1].asha.trials_started = 2,
+            "no open bracket reaches",
+        );
+    }
+
+    #[test]
+    fn sha_bracket_opened_before_the_last_sampled_all_is_refused() {
+        let unsampled = |s: &mut ShaState| {
+            let b = &mut s.brackets[0];
+            b.barrier = Some(Barrier::default());
+            b.asha.outstanding = vec![(0, 0)];
+            b.asha.trials.pop();
+            (b.asha.next_trial, b.asha.trials_started) = (8, 8);
+        };
+        refused(unsampled, "no open bracket reaches");
+    }
+
+    #[test]
+    fn sha_finished_bracket_left_open_is_refused() {
+        let done = |s: &mut ShaState| {
+            let b = &mut s.brackets[0];
+            b.asha.outstanding.clear();
+            b.barrier.as_mut().unwrap().queue.clear();
+        };
+        refused(done, "no open bracket reaches");
+    }
+
+    fn hyperband() -> AsyncHyperbandState {
+        AsyncHyperband::new(space(), HyperbandConfig::new(1.0, 9.0, 3.0)).export_state()
+    }
+
+    #[test]
+    fn async_hyperband_spent_that_is_no_resource_is_refused() {
+        for spent in [f64::NAN, -1.0, f64::INFINITY] {
+            let state = AsyncHyperbandState {
+                spent,
+                ..hyperband()
+            };
+            let err = SchedulerState::AsyncHyperband(state)
+                .validate()
+                .unwrap_err();
+            assert_eq!(err.kind(), crate::ErrorKind::Config, "{err}");
+        }
+    }
+
+    #[test]
+    fn async_hyperband_bracket_of_another_stop_rate_or_under_a_barrier_is_refused() {
+        let mut state = hyperband();
+        SchedulerState::AsyncHyperband(state.clone())
+            .validate()
+            .unwrap();
+        let (b0, b1) = state.brackets.split_at_mut(1);
+        std::mem::swap(&mut b0[0].asha, &mut b1[0].asha);
+        let err = SchedulerState::AsyncHyperband(state)
+            .validate()
+            .unwrap_err();
+        assert!(err.to_string().contains("bracket 0"), "{err}");
+        let mut state = hyperband();
+        state.brackets[2].barrier = Some(Barrier::default());
+        let err = SchedulerState::AsyncHyperband(state)
+            .validate()
+            .unwrap_err();
+        assert!(err.to_string().contains("bracket 2"), "{err}");
     }
 }

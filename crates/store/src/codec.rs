@@ -35,8 +35,8 @@ use crate::binary::{from_tree, tree_of, Reader, ValueWriter, TAG_ARR, TAG_INT, T
 use crate::upgrade;
 use asha_core::Error;
 use asha_core::{
-    AshaConfig, AshaState, AsyncHyperbandState, BracketState, HyperbandConfig, Job, PromotionRule,
-    RungState, ScanOrder, SchedulerState, ShaConfig, SyncShaState, TrialId,
+    AshaConfig, AshaState, AsyncHyperbandState, Barrier, BracketState, HyperbandConfig, Job,
+    PromotionRule, RungState, ScanOrder, SchedulerState, ShaConfig, ShaState, TrialId,
 };
 use asha_metrics::{FaultStats, JsonValue, TraceEvent};
 use asha_sim::{PendingJob, ResumePolicy, SimConfig, SimRunState, TraceMode, TrialSlotState};
@@ -294,7 +294,7 @@ fn put_sha_config(w: &mut ValueWriter<'_>, c: &ShaConfig) {
 }
 
 /// Decode and validate a [`ShaConfig`].
-fn get_sha_config(r: &mut Reader<'_>) -> Result<ShaConfig, Error> {
+pub(crate) fn get_sha_config(r: &mut Reader<'_>) -> Result<ShaConfig, Error> {
     r.object(|o| {
         let n = o.get("num_configs", Reader::usize)?;
         let (min, max) = (
@@ -340,7 +340,7 @@ fn put_trial_loss_pairs(w: &mut ValueWriter<'_>, pairs: &[(u64, f64)]) {
     }
 }
 
-fn get_trial_loss(r: &mut Reader<'_>) -> Result<(u64, f64), Error> {
+pub(crate) fn get_trial_loss(r: &mut Reader<'_>) -> Result<(u64, f64), Error> {
     r.tuple(2, "[trial, loss] pair")?;
     Ok((r.u64()?, r.f64()?))
 }
@@ -361,7 +361,7 @@ fn put_trial_configs(w: &mut ValueWriter<'_>, trials: &[(u64, Config)]) {
     }
 }
 
-fn get_trial_config(r: &mut Reader<'_>) -> Result<(u64, Config), Error> {
+pub(crate) fn get_trial_config(r: &mut Reader<'_>) -> Result<(u64, Config), Error> {
     r.tuple(2, "[trial, config] pair")?;
     Ok((r.u64()?, get_config(r)?))
 }
@@ -418,72 +418,57 @@ fn get_asha_state(r: &mut Reader<'_>) -> Result<AshaState, Error> {
     })
 }
 
-fn put_bracket_state(w: &mut ValueWriter<'_>, b: &BracketState) {
-    w.obj(7);
-    w.key("remaining_to_sample")
-        .int(b.remaining_to_sample as u64);
-    put_trial_configs(w.key("queue"), &b.queue);
-    w.key("outstanding").int(b.outstanding as u64);
-    put_u64s(w.key("issued"), &b.issued);
-    put_trial_loss_pairs(w.key("results"), &b.results);
-    w.key("rung").int(b.rung as u64);
-    w.key("done").bool(b.done);
-}
-
-fn get_bracket_state(r: &mut Reader<'_>) -> Result<BracketState, Error> {
-    r.object(|o| {
-        Ok(BracketState {
-            remaining_to_sample: o.get("remaining_to_sample", Reader::usize)?,
-            queue: o.get("queue", |r| r.list(get_trial_config))?,
-            outstanding: o.get("outstanding", Reader::usize)?,
-            issued: o.get("issued", |r| r.list(Reader::u64))?,
-            results: o.get("results", |r| r.list(get_trial_loss))?,
-            rung: o.get("rung", Reader::usize)?,
-            done: o.get("done", Reader::bool)?,
-        })
-    })
-}
-
-fn put_sync_sha_state(w: &mut ValueWriter<'_>, s: &SyncShaState) {
-    w.obj(5);
+/// SHA's document: its config, the brackets opened, and each open one as
+/// its index (`bracket`), its barrier's `rung` and `queue`, and its `asha`
+/// document.
+fn put_sha_state(w: &mut ValueWriter<'_>, s: &ShaState) {
+    w.obj(4);
     put_sha_config(w.key("config"), &s.config);
+    w.key("opened").int(s.opened as u64);
     w.key("brackets").arr(s.brackets.len());
     for b in &s.brackets {
-        put_bracket_state(w, b);
+        let barrier = b.barrier.as_ref();
+        w.obj(4);
+        w.key("bracket").int(b.index as u64);
+        w.key("rung").int(barrier.map_or(0, |b| b.rung as u64));
+        put_u64s(w.key("queue"), barrier.map_or(&[], |b| &b.queue));
+        put_asha_state(w.key("asha"), &b.asha);
     }
-    w.key("trial_meta").arr(s.trial_meta.len());
-    for (t, b, c) in &s.trial_meta {
-        w.arr(3);
-        w.int(*t);
-        w.int(*b as u64);
-        put_config(w, c);
-    }
-    w.key("next_trial").int(s.next_trial);
     w.key("name").str(&s.name);
 }
 
-fn get_sync_sha_state(r: &mut Reader<'_>) -> Result<SyncShaState, Error> {
-    let trial_meta = |r: &mut Reader<'_>| {
-        r.tuple(3, "[trial, bracket, config] triple")?;
-        Ok((r.u64()?, r.usize()?, get_config(r)?))
+fn get_sha_state(r: &mut Reader<'_>) -> Result<ShaState, Error> {
+    let bracket = |r: &mut Reader<'_>| {
+        r.object(|o| {
+            let index = o.get("bracket", Reader::usize)?;
+            let rung = o.get("rung", Reader::usize)?;
+            let queue = o.get("queue", |r| r.list(Reader::u64))?;
+            let asha = o.get("asha", get_asha_state)?;
+            let barrier = Some(Barrier { rung, queue });
+            Ok(BracketState {
+                index,
+                asha,
+                barrier,
+            })
+        })
     };
     r.object(|o| {
-        Ok(SyncShaState {
+        Ok(ShaState {
             config: o.get("config", get_sha_config)?,
-            brackets: o.get("brackets", |r| r.list(get_bracket_state))?,
-            trial_meta: o.get("trial_meta", |r| r.list(trial_meta))?,
-            next_trial: o.get("next_trial", Reader::u64)?,
+            opened: o.get("opened", Reader::usize)?,
+            brackets: o.get("brackets", |r| r.list(bracket))?,
             name: o.get("name", Reader::string)?,
         })
     })
 }
 
+/// Async Hyperband's document: bracket `s` is its `s`-th `asha` document.
 fn put_hyperband_state(w: &mut ValueWriter<'_>, s: &AsyncHyperbandState) {
     w.obj(5);
     put_hyperband_config(w.key("config"), &s.config);
     w.key("brackets").arr(s.brackets.len());
     for b in &s.brackets {
-        put_asha_state(w, b);
+        put_asha_state(w, &b.asha);
     }
     put_float(w.key("spent"), s.spent);
     w.key("current").int(s.current as u64);
@@ -491,10 +476,20 @@ fn put_hyperband_state(w: &mut ValueWriter<'_>, s: &AsyncHyperbandState) {
 }
 
 fn get_hyperband_state(r: &mut Reader<'_>) -> Result<AsyncHyperbandState, Error> {
+    let mut index = 0;
+    let bracket = |r: &mut Reader<'_>| {
+        let (asha, barrier) = (get_asha_state(r)?, None);
+        index += 1;
+        Ok(BracketState {
+            index: index - 1,
+            asha,
+            barrier,
+        })
+    };
     r.object(|o| {
         Ok(AsyncHyperbandState {
             config: o.get("config", get_hyperband_config)?,
-            brackets: o.get("brackets", |r| r.list(get_asha_state))?,
+            brackets: o.get("brackets", |r| r.list(bracket))?,
             spent: o.get("spent", Reader::f64)?,
             current: o.get("current", Reader::usize)?,
             name: o.get("name", Reader::string)?,
@@ -508,7 +503,7 @@ pub(crate) fn put_scheduler_state(w: &mut ValueWriter<'_>, s: &SchedulerState) {
     w.key("state");
     match s {
         SchedulerState::Asha(s) => put_asha_state(w, s),
-        SchedulerState::SyncSha(s) => put_sync_sha_state(w, s),
+        SchedulerState::SyncSha(s) => put_sha_state(w, s),
         SchedulerState::AsyncHyperband(s) => put_hyperband_state(w, s),
     }
 }
@@ -519,7 +514,8 @@ pub fn scheduler_state_to_json(s: &SchedulerState) -> JsonValue {
 }
 
 /// Decode a state written by [`scheduler_state_to_json`]. The `"dasha"`
-/// kind is an ASHA state under the delayed promotion rule.
+/// kind is an ASHA state under the delayed promotion rule; a `"sync_sha"`
+/// state, SHA's document before `"sha"`, is read by [`crate::upgrade`].
 pub fn scheduler_state_from_json(v: &JsonValue) -> Result<SchedulerState, Error> {
     from_tree(v, get_scheduler_state)
 }
@@ -539,7 +535,8 @@ fn state_of(kind: &str, r: &mut Reader<'_>) -> Result<SchedulerState, Error> {
             s.config.rule = PromotionRule::Delayed;
             SchedulerState::Asha(s)
         }
-        "sync_sha" => SchedulerState::SyncSha(get_sync_sha_state(r)?),
+        "sha" => SchedulerState::SyncSha(get_sha_state(r)?),
+        "sync_sha" => SchedulerState::SyncSha(upgrade::sync_sha_state(r)?),
         "async_hyperband" => SchedulerState::AsyncHyperband(get_hyperband_state(r)?),
         other => return Err(Error::codec(format!("unknown scheduler kind {other:?}"))),
     })

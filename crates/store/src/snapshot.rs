@@ -26,8 +26,8 @@ use std::path::{Path, PathBuf};
 
 use asha_baselines::Sampler;
 use asha_core::{
-    Asha, AsyncHyperband, Decision, DurableScheduler, Observation, Scheduler, SchedulerState,
-    SyncSha,
+    Asha, AsyncHyperband, AsyncHyperbandState, Decision, DurableScheduler, Observation, Scheduler,
+    SchedulerState, ShaState, SyncSha,
 };
 use asha_metrics::JsonValue;
 use asha_sim::SimRunState;
@@ -257,13 +257,9 @@ impl Snapshot {
         };
         match &self.scheduler {
             SchedulerState::Asha(s) => s.trials.iter().try_for_each(|(_, c)| check(c))?,
-            SchedulerState::SyncSha(s) => {
-                s.trial_meta.iter().try_for_each(|(_, _, c)| check(c))?;
-                let mut queued = s.brackets.iter().flat_map(|b| &b.queue);
-                queued.try_for_each(|(_, c)| check(c))?;
-            }
-            SchedulerState::AsyncHyperband(s) => {
-                let mut trials = s.brackets.iter().flat_map(|b| &b.trials);
+            SchedulerState::SyncSha(ShaState { brackets, .. })
+            | SchedulerState::AsyncHyperband(AsyncHyperbandState { brackets, .. }) => {
+                let mut trials = brackets.iter().flat_map(|b| &b.asha.trials);
                 trials.try_for_each(|(_, c)| check(c))?;
             }
         }

@@ -19,8 +19,10 @@
 //! only `.bin`, pass it by like any unreadable checkpoint).
 //!
 //! A converted checkpoint may still be of snapshot schema v1, whose rows and
-//! config values are keyed objects: what reads those lives here too, and
-//! [`crate::codec`]'s decoders hand every keyed row and value to it.
+//! config values are keyed objects, and any checkpoint or `meta.json` may
+//! hold SHA's `sync_sha` document: what reads those lives here too, and
+//! [`crate::codec`]'s decoders hand every keyed row and value, and every
+//! `sync_sha` state, to it.
 
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -35,7 +37,7 @@ use crate::format::{encode_wal, WAL_MAGIC};
 use crate::snapshot::{checkpoint_position, delta_file_name, fsync_dir, read_payload};
 use crate::snapshot::{write_atomic, write_document, Snapshot, EXT};
 use crate::wal::{SnapMarker, StoreEvent, WalContents, WalRecord};
-use asha_core::Error;
+use asha_core::{AshaState, Barrier, BracketState, Error, RungState, ShaState};
 
 const V1: &str = "jsonl-v1";
 const V2: &str = "binary-v2";
@@ -298,6 +300,80 @@ pub(crate) fn keyed_param_value(r: &mut Reader<'_>) -> Result<ParamValue, Error>
     })
 }
 
+/// A `sync_sha` document, SHA's state before it freed finished brackets:
+/// every bracket opened, as its barrier's counts and lists in global ids,
+/// and `trial_meta`, `[trial, bracket, config]` for every trial sampled, as
+/// the [`ShaState`] SHA holds now: each bracket not `done`, ids made local,
+/// with the trials `trial_meta` files under it. What that cannot carry (an
+/// `outstanding` count not the `issued` list's, a rung past the ladder, a
+/// bracket whose trial ids pass `2^64`, one never opened) is refused;
+/// `SchedulerState::validate` judges the rest (an id of another bracket
+/// wraps past every trial sampled).
+pub(crate) fn sync_sha_state(r: &mut Reader<'_>) -> Result<ShaState, Error> {
+    r.object(|o| {
+        let config = o.get("config", codec::get_sha_config)?;
+        let (n, rungs, mut opened) = (config.num_configs, config.num_rungs(), 0);
+        let base = |b: usize| (b as u64).wrapping_mul(n as u64);
+        let bracket = |r: &mut Reader<'_>| {
+            let (index, local) = (opened, move |t: u64| t.wrapping_sub(base(opened)));
+            opened += 1;
+            r.object(|o| {
+                let sampled = n.saturating_sub(o.get("remaining_to_sample", Reader::usize)?);
+                let queue = o.get("queue", |r| r.list(codec::get_trial_config))?;
+                let outstanding = o.get("outstanding", Reader::usize)?;
+                let issued = o.get("issued", |r| r.list(Reader::u64))?;
+                let results = o.get("results", |r| r.list(codec::get_trial_loss))?;
+                let (rung, done) = (o.get("rung", Reader::usize)?, o.get("done", Reader::bool)?);
+                // A ladder of more than 65 rungs needs an `n` near 2^64, whose
+                // ids fit two brackets: refusing ids past 2^64 before the
+                // ladder below is allocated bounds what a document can cost.
+                let ids = (index as u64).checked_mul(n as u64);
+                if outstanding != issued.len() || rung >= rungs || ids.is_none() {
+                    return Err(Error::config(format!("bracket {index}: a count or a rung")));
+                }
+                let mut ladder = vec![RungState::default(); rungs];
+                ladder[rung].records = results.into_iter().map(|(t, l)| (local(t), l)).collect();
+                let asha = AshaState {
+                    config: config.bracket_config(),
+                    rungs: ladder,
+                    trials: Vec::new(),
+                    outstanding: issued.into_iter().map(|t| (local(t), rung)).collect(),
+                    next_trial: sampled as u64,
+                    trials_started: sampled,
+                    name: String::new(),
+                };
+                let queue = queue.into_iter().map(|(t, _)| local(t)).collect();
+                let barrier = Some(Barrier { rung, queue });
+                Ok((!done).then_some(BracketState {
+                    index,
+                    asha,
+                    barrier,
+                }))
+            })
+        };
+        let brackets = o.get("brackets", |r| r.list(bracket))?;
+        let mut brackets: Vec<_> = brackets.into_iter().flatten().collect();
+        let trial = |r: &mut Reader<'_>| {
+            r.tuple(3, "[trial, bracket, config] triple")?;
+            Ok((r.u64()?, r.usize()?, codec::get_config(r)?))
+        };
+        for (t, b, c) in o.get("trial_meta", |r| r.list(trial))? {
+            match brackets.binary_search_by_key(&b, |x| x.index) {
+                Ok(i) => brackets[i].asha.trials.push((t.wrapping_sub(base(b)), c)),
+                Err(_) if b >= opened => return Err(Error::config(format!("trial {t}: {b}"))),
+                Err(_) => {} // a finished bracket's
+            }
+        }
+        let name = o.get("name", Reader::string)?;
+        Ok(ShaState {
+            config,
+            opened,
+            brackets,
+            name,
+        })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,6 +451,26 @@ mod tests {
         let decoded = wal(&v1_bytes(&records)).unwrap();
         assert!(!decoded.torn_tail);
         assert_eq!(decoded.records, records, "jsonl-v1");
+    }
+
+    /// With `n` near 2^64 a bracket's ladder can hold ~2 000 rungs, and only
+    /// two brackets have trial ids: the third of a `sync_sha` document is
+    /// refused before its ladder is built.
+    #[test]
+    fn a_sync_sha_bracket_past_the_trial_ids_is_refused() {
+        let bracket = r#"{"remaining_to_sample": 0, "queue": [], "outstanding": 0,
+            "issued": [], "results": [], "rung": 0, "done": false}"#;
+        let doc = format!(
+            r#"{{"kind": "sync_sha", "state": {{"config": {{"num_configs": {n},
+                "min_resource": 5e-324, "max_resource": 1e308, "reduction_factor": 2,
+                "stop_rate": 0, "grow_brackets": true}}, "brackets": [{bracket}, {bracket},
+                {bracket}], "trial_meta": [], "next_trial": 0, "name": "SHA"}}}}"#,
+            n = u64::MAX
+        );
+        let doc = JsonValue::parse(&doc).unwrap();
+        let err = codec::scheduler_state_from_json(&doc).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Config, "{err}");
+        assert!(err.to_string().contains("bracket 2"), "{err}");
     }
 
     #[test]

@@ -7,10 +7,15 @@ use std::path::{Path, PathBuf};
 
 use asha_baselines::{bohb_asha, Sampler};
 use asha_core::telemetry::EventKind;
-use asha_core::{Asha, AshaConfig, Decision, Observation, Scheduler, ShaConfig, SyncSha, TrialId};
+use asha_core::{
+    Asha, AshaConfig, AsyncHyperband, Decision, HyperbandConfig, Observation, Scheduler, ShaConfig,
+    SyncSha, TrialId,
+};
+use asha_metrics::JsonValue;
 use asha_sim::{SimConfig, SimResult};
 use asha_space::{Config, ParamValue};
 use asha_store::binary::{decode_value, put_value};
+use asha_store::codec::scheduler_state_to_json;
 use asha_store::delta::apply_bytes;
 use asha_store::format::encode_record;
 use asha_store::{
@@ -22,6 +27,8 @@ use asha_store::{
 use asha_surrogate::BenchmarkModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+mod legacy;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("asha-store-crash-{tag}-{}", std::process::id()));
@@ -862,14 +869,25 @@ fn create_refuses_an_initial_state_the_scheduler_cannot_hold() {
         .expect("create accepted an orphan rung record");
     assert_eq!(err.kind(), ErrorKind::Config, "{err}");
     assert!(!dir.exists(), "a refused create left {dir:?} behind");
+    // Async Hyperband's budget cursor: a NaN `spent` never reaches a
+    // budget, so such a run would never leave its first bracket.
+    let config = HyperbandConfig::new(1.0, 27.0, 3.0);
+    let mut state = AsyncHyperband::new(meta.space.clone(), config).export_state();
+    state.spent = f64::NAN;
+    meta.initial = SchedulerState::AsyncHyperband(state);
+    let err = DurableRun::create(&dir, &meta, &bench, opts(20))
+        .err()
+        .expect("create accepted a NaN spent");
+    assert_eq!(err.kind(), ErrorKind::Config, "{err}");
+    assert!(!dir.exists(), "a refused create left {dir:?} behind");
     std::fs::remove_dir_all(&root).ok();
 }
 
-/// A `sync_sha` state no bracket loop can hold is refused like an ASHA one:
-/// at create as `Config` (a trial filed under a bracket that does not
-/// exist, which used to panic at the first `observe`), and at resume as
-/// `Corrupt` (a bracket counting more outstanding jobs than it issued,
-/// which used to wait forever).
+/// A SHA state no bracket loop can hold is refused like an ASHA one, as a
+/// `sha` document or as the legacy `sync_sha` one: at create as `Config` (a
+/// bracket never opened, or a trial filed under one, which would panic at
+/// the first `observe`), and at resume as `Corrupt` (a job outstanding
+/// twice, or a bracket counting more outstanding jobs than it issued).
 #[test]
 fn create_and_resume_refuse_a_sync_sha_state_no_bracket_can_hold() {
     let root = tmpdir("unholdable-sha");
@@ -881,35 +899,74 @@ fn create_and_resume_refuse_a_sync_sha_state_no_bracket_can_hold() {
     let sha = ShaConfig::new(27, 1.0, 27.0, 3.0).growing();
     let initial = SyncSha::new(meta.space.clone(), sha).export_state();
     let mut bad = initial.clone();
-    let config = meta.space.sample(&mut StdRng::seed_from_u64(0));
-    bad.trial_meta.push((0, 5, config));
+    bad.brackets[0].index = 5;
     meta.initial = SchedulerState::SyncSha(bad);
     let bench = meta.bench.build().unwrap();
     let dir = root.join("run");
     let err = DurableRun::create(&dir, &meta, &bench, o)
         .err()
-        .expect("create accepted a trial of bracket 5");
+        .expect("create accepted bracket 5 of 1");
     assert_eq!(err.kind(), ErrorKind::Config, "{err}");
     assert!(!dir.exists(), "a refused create left {dir:?} behind");
+    let mut legacy = legacy::of_run(&initial, &BTreeMap::new());
+    let config = meta.space.sample(&mut StdRng::seed_from_u64(0));
+    legacy.trial_meta.push((0, 5, config));
+    let mut tree = meta.to_json();
+    *field(&mut tree, "scheduler") = legacy::to_json(&legacy, false);
+    let err = ExperimentMeta::from_json(&tree).expect_err("a trial of bracket 5 was read");
+    assert_eq!(err.kind(), ErrorKind::Config, "{err}");
 
     meta.initial = SchedulerState::SyncSha(initial);
     let mut run = DurableRun::create(&dir, &meta, &bench, o).unwrap();
     assert!(run.run_until_jobs(45).unwrap());
     drop(run);
-    let (mut snap, path) = load_latest(&dir).unwrap().expect("checkpoints were taken");
-    let SchedulerState::SyncSha(state) = &mut snap.scheduler else {
+    let (snap, path) = load_latest(&dir).unwrap().expect("checkpoints were taken");
+    let SchedulerState::SyncSha(state) = &snap.scheduler else {
         unreachable!("the run is SHA")
     };
-    let busy = state.brackets.iter_mut().find(|b| !b.issued.is_empty());
-    busy.expect("a bracket has jobs out").outstanding += 1;
-    let mut payload = Vec::new();
-    snap.encode(&mut payload);
     let file_name = path.file_name().unwrap().to_str().unwrap().to_owned();
-    write_document(&dir, &file_name, &payload).unwrap();
-    let err = DurableRun::resume(&dir, &meta, &bench, o)
-        .err()
-        .expect("resume accepted more outstanding jobs than issued");
-    assert_eq!(err.kind(), ErrorKind::Corrupt, "{err}");
-    assert_eq!(err.path(), Some(path.as_path()), "{err}");
+    let busy = state
+        .brackets
+        .iter()
+        .position(|b| !b.asha.outstanding.is_empty());
+    let busy = busy.expect("a bracket has jobs out");
+    let mut twice = state.clone();
+    let jobs = &mut twice.brackets[busy].asha.outstanding;
+    jobs.push(jobs[0]);
+    let mut configs = BTreeMap::new();
+    for b in &state.brackets {
+        let base = (b.index * 27) as u64;
+        configs.extend(b.asha.trials.iter().map(|(t, c)| (base + t, c.clone())));
+    }
+    let mut miscounted = legacy::of_run(state, &configs);
+    let busy = miscounted
+        .brackets
+        .iter_mut()
+        .find(|b| !b.issued.is_empty());
+    busy.expect("a bracket has jobs out").outstanding += 1;
+    let mut doc = snap.to_json();
+    for scheduler in [
+        scheduler_state_to_json(&SchedulerState::SyncSha(twice)),
+        legacy::to_json(&miscounted, false),
+    ] {
+        *field(&mut doc, "scheduler") = scheduler;
+        let mut payload = Vec::new();
+        put_value(&mut payload, &doc);
+        write_document(&dir, &file_name, &payload).unwrap();
+        let err = DurableRun::resume(&dir, &meta, &bench, o)
+            .err()
+            .expect("resume accepted a job outstanding twice, or miscounted");
+        assert_eq!(err.kind(), ErrorKind::Corrupt, "{err}");
+        assert_eq!(err.path(), Some(path.as_path()), "{err}");
+    }
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// The value of field `key` of the object `doc`.
+fn field<'a>(doc: &'a mut JsonValue, key: &str) -> &'a mut JsonValue {
+    let JsonValue::Obj(fields) = doc else {
+        panic!("not an object: {doc:?}")
+    };
+    let at = fields.iter_mut().find(|(k, _)| k == key);
+    &mut at.unwrap_or_else(|| panic!("no field {key}")).1
 }

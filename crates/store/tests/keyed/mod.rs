@@ -7,14 +7,15 @@
 //! Only the shapes that changed are spelled out differently from the
 //! library's writer; the rest (scheduler configs, rung records, faults) is
 //! the same document and is copied here so the oracle owes the code under
-//! test nothing.
+//! test nothing. SHA's state is written as today's `sha` document, which
+//! took over from `sync_sha` (kept in `legacy/`) after schema v2.
 
 // Each test target that includes this module uses only part of it.
 #![allow(dead_code)]
 
 use asha_core::{
-    AshaConfig, AshaState, AsyncHyperbandState, BracketState, HyperbandConfig, Job, RungState,
-    ScanOrder, SchedulerState, ShaConfig, SyncShaState,
+    AshaConfig, AshaState, AsyncHyperbandState, HyperbandConfig, Job, RungState, ScanOrder,
+    SchedulerState, ShaConfig, ShaState,
 };
 use asha_metrics::{FaultStats, JsonValue, TraceEvent};
 use asha_sim::SimRunState;
@@ -174,33 +175,19 @@ fn put_asha_state(w: &mut ValueWriter<'_>, s: &AshaState) {
     w.key("name").str(&s.name);
 }
 
-fn put_bracket_state(w: &mut ValueWriter<'_>, b: &BracketState) {
-    w.obj(7);
-    w.key("remaining_to_sample")
-        .int(b.remaining_to_sample as u64);
-    put_trial_configs(w.key("queue"), &b.queue);
-    w.key("outstanding").int(b.outstanding as u64);
-    put_u64s(w.key("issued"), &b.issued);
-    put_trial_loss_pairs(w.key("results"), &b.results);
-    w.key("rung").int(b.rung as u64);
-    w.key("done").bool(b.done);
-}
-
-fn put_sync_sha_state(w: &mut ValueWriter<'_>, s: &SyncShaState) {
-    w.obj(5);
+fn put_sha_state(w: &mut ValueWriter<'_>, s: &ShaState) {
+    w.obj(4);
     put_sha_config(w.key("config"), &s.config);
+    w.key("opened").int(s.opened as u64);
     w.key("brackets").arr(s.brackets.len());
     for b in &s.brackets {
-        put_bracket_state(w, b);
+        w.obj(4);
+        w.key("bracket").int(b.index as u64);
+        let barrier = b.barrier.clone().unwrap_or_default();
+        w.key("rung").int(barrier.rung as u64);
+        put_u64s(w.key("queue"), &barrier.queue);
+        put_asha_state(w.key("asha"), &b.asha);
     }
-    w.key("trial_meta").arr(s.trial_meta.len());
-    for (t, b, c) in &s.trial_meta {
-        w.arr(3);
-        w.int(*t);
-        w.int(*b as u64);
-        put_config(w, c);
-    }
-    w.key("next_trial").int(s.next_trial);
     w.key("name").str(&s.name);
 }
 
@@ -209,7 +196,7 @@ fn put_hyperband_state(w: &mut ValueWriter<'_>, s: &AsyncHyperbandState) {
     put_hyperband_config(w.key("config"), &s.config);
     w.key("brackets").arr(s.brackets.len());
     for b in &s.brackets {
-        put_asha_state(w, b);
+        put_asha_state(w, &b.asha);
     }
     put_float(w.key("spent"), s.spent);
     w.key("current").int(s.current as u64);
@@ -222,7 +209,7 @@ fn put_scheduler_state(w: &mut ValueWriter<'_>, s: &SchedulerState) {
     w.key("state");
     match s {
         SchedulerState::Asha(s) => put_asha_state(w, s),
-        SchedulerState::SyncSha(s) => put_sync_sha_state(w, s),
+        SchedulerState::SyncSha(s) => put_sha_state(w, s),
         SchedulerState::AsyncHyperband(s) => put_hyperband_state(w, s),
     }
 }

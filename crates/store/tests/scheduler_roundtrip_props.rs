@@ -5,20 +5,22 @@
 //! restoring must yield a scheduler whose subsequent decision stream is
 //! identical to the original's — the property crash recovery rests on.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
-use asha_baselines::{bohb_asha, Sampler};
+use asha_baselines::{bohb, bohb_asha, Sampler};
 use asha_core::{
     Asha, AshaConfig, AsyncHyperband, Decision, HyperbandConfig, Job, Observation, Scheduler,
-    ShaConfig, SyncSha,
+    SchedulerState, ShaConfig, SyncSha,
 };
 use asha_metrics::JsonValue;
-use asha_space::{Scale, SearchSpace};
+use asha_space::{Config, Scale, SearchSpace};
 use asha_store::codec::{scheduler_state_from_json, scheduler_state_to_json};
 use asha_store::{SamplerSpec, StoredScheduler};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+mod legacy;
 
 fn space() -> SearchSpace {
     SearchSpace::builder()
@@ -44,11 +46,13 @@ fn loss_for(job: &Job, kind: u8) -> f64 {
 type ScriptStep = (bool, u8);
 
 /// Drive `scheduler` through `script`, keeping issued-but-unfinished jobs in
-/// a pending queue (so promotions can be outstanding when we stop).
+/// a pending queue (so promotions can be outstanding when we stop) and
+/// every trial's config by id in `configs`.
 fn drive(
     scheduler: &mut StoredScheduler,
     rng: &mut StdRng,
     pending: &mut VecDeque<Job>,
+    configs: &mut BTreeMap<u64, Config>,
     script: &[ScriptStep],
 ) {
     for &(observe_first, loss_kind) in script {
@@ -59,7 +63,10 @@ fn drive(
             }
         }
         match scheduler.suggest(rng) {
-            Decision::Run(job) => pending.push_back(job),
+            Decision::Run(job) => {
+                configs.insert(job.trial.0, job.config.clone());
+                pending.push_back(job);
+            }
             Decision::Wait | Decision::Finished => {}
         }
     }
@@ -68,24 +75,42 @@ fn drive(
 /// Serialize → render → parse → restore, then check the original and the
 /// restored copy produce identical decision streams from identical RNGs.
 fn check_roundtrip(
-    mut original: StoredScheduler,
+    original: StoredScheduler,
     script: Vec<ScriptStep>,
     seed: u64,
 ) -> Result<(), String> {
+    check_restore(original, script, seed, false)
+}
+
+/// [`check_roundtrip`], the state written as SHA's legacy `sync_sha`
+/// document if `legacy`.
+fn check_restore(
+    mut original: StoredScheduler,
+    script: Vec<ScriptStep>,
+    seed: u64,
+    legacy: bool,
+) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut pending = VecDeque::new();
-    drive(&mut original, &mut rng, &mut pending, &script);
+    let (mut pending, mut configs) = (VecDeque::new(), BTreeMap::new());
+    drive(&mut original, &mut rng, &mut pending, &mut configs, &script);
 
     // Full JSON round trip through rendered text, exactly as a snapshot
     // file would store it.
     let state = original.export_state();
-    let text = scheduler_state_to_json(&state).render();
+    let text = match &state {
+        SchedulerState::SyncSha(sha) if legacy => {
+            legacy::to_json(&legacy::of_run(sha, &configs), false).render()
+        }
+        _ => scheduler_state_to_json(&state).render(),
+    };
     let parsed = JsonValue::parse(&text)
         .map_err(|e| e.to_string())
         .and_then(|v| scheduler_state_from_json(&v).map_err(|e| e.to_string()))?;
     // State equality is checked via re-rendered JSON (NaN losses make the
     // structural PartialEq vacuously false).
-    prop_assert_eq!(&text, &scheduler_state_to_json(&parsed).render());
+    if !legacy {
+        prop_assert_eq!(&text, &scheduler_state_to_json(&parsed).render());
+    }
     // The sampling plane takes the same trip: kind + cursors through JSON,
     // then a fresh sampler instance rehydrated from the parsed spec — the
     // exact path `DurableRun::resume` walks.
@@ -108,6 +133,12 @@ fn check_roundtrip(
     if let Some(s) = &parsed_spec {
         restored.restore_sampler_spec(s);
     }
+    // Whichever document carried it, the restored scheduler holds the
+    // state the original exported.
+    prop_assert_eq!(
+        scheduler_state_to_json(&state).render(),
+        scheduler_state_to_json(&restored.export_state()).render()
+    );
     prop_assert_eq!(
         &spec,
         &restored.export_sampler_spec(),
@@ -316,6 +347,18 @@ proptest! {
             ShaConfig::new(27, 1.0, 27.0, 3.0),
         ));
         check_roundtrip(scheduler, script, seed)?;
+    }
+
+    /// A growing BOHB mid-run, most reports in (so that brackets finish),
+    /// written as the legacy `sync_sha` document: the state it decodes to restores a
+    /// scheduler, TPE cursor included, that decides as the live one does.
+    #[test]
+    fn legacy_sync_sha_documents_restore_the_scheduler_that_wrote_them(
+        script in prop::collection::vec(((0u8..20).prop_map(|x| x < 17), 0u8..5), 1..120),
+        seed in 0u64..1000,
+    ) {
+        let scheduler = StoredScheduler::new(bohb(space(), ShaConfig::new(9, 1.0, 9.0, 3.0).growing()));
+        check_restore(scheduler, script, seed, true)?;
     }
 
     #[test]

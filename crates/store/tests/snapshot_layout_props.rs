@@ -13,18 +13,20 @@
 
 use asha_baselines::Sampler;
 use asha_core::{
-    AshaConfig, AshaState, AsyncHyperbandState, BracketState, HyperbandConfig, Job, RungState,
-    ScanOrder, SchedulerState, ShaConfig, SyncShaState, TrialId,
+    AshaConfig, AshaState, AsyncHyperbandState, Barrier, BracketState, HyperbandConfig, Job,
+    RungState, ScanOrder, SchedulerState, ShaConfig, ShaState, TrialId,
 };
 use asha_metrics::{FaultStats, JsonValue, TraceEvent};
 use asha_sim::{PendingJob, SimRunState, TrialSlotState};
 use asha_space::{Config, ParamValue};
 use asha_store::binary::{decode_value, put_value};
+use asha_store::codec::scheduler_state_from_json;
 use asha_store::{SamplerSpec, Snapshot, SNAPSHOT_SCHEMA};
 use asha_surrogate::TrainingState;
 use proptest::prelude::*;
 
 mod keyed;
+mod legacy;
 
 // ---------------------------------------------------------------------------
 // Strategies
@@ -125,17 +127,60 @@ fn asha_state(any_rule: bool) -> impl Strategy<Value = AshaState> {
         )
 }
 
-fn sync_sha_state() -> impl Strategy<Value = SyncShaState> {
+/// A SHA config on the 1..27, η = 3 ladder (decoders validate).
+fn sha_config() -> impl Strategy<Value = ShaConfig> {
+    (0usize..=3, any::<bool>()).prop_map(|(stop_rate, grow_brackets)| {
+        let mut config = ShaConfig::new(27, 1.0, 27.0, 3.0);
+        config.stop_rate = stop_rate;
+        config.grow_brackets = grow_brackets;
+        config
+    })
+}
+
+fn sha_state() -> impl Strategy<Value = ShaState> {
     let bracket = (
-        (any::<usize>(), any::<usize>(), any::<usize>()),
-        trial_configs(),
+        any::<usize>(),
+        asha_state(false),
+        any::<usize>(),
         prop::collection::vec(any::<u64>(), 0..3),
-        trial_losses(),
+    )
+        .prop_map(|(index, asha, rung, queue)| BracketState {
+            index,
+            asha,
+            barrier: Some(Barrier { rung, queue }),
+        });
+    (
+        sha_config(),
+        any::<usize>(),
+        prop::collection::vec(bracket, 0..3),
+        name(),
+    )
+        .prop_map(|(config, opened, brackets, name)| ShaState {
+            config,
+            opened,
+            brackets,
+            name,
+        })
+}
+
+/// A `sync_sha` document's state, any counts and ids, small ones weighted
+/// in so that some decode.
+fn legacy_sync_sha_state() -> impl Strategy<Value = legacy::SyncShaState> {
+    let small = || prop_oneof![0u64..60, any::<u64>()];
+    let bracket = (
+        (
+            0usize..30,
+            0usize..3,
+            prop_oneof![0usize..5, any::<usize>()],
+        ),
+        prop::collection::vec((small(), config()), 0..4),
+        prop::collection::vec(small(), 0..3),
+        prop::collection::vec((small(), wild_f64()), 0..5),
         any::<bool>(),
     )
         .prop_map(
             |((remaining_to_sample, outstanding, rung), queue, issued, results, done)| {
-                BracketState {
+                legacy::BracketState {
                     remaining_to_sample,
                     queue,
                     outstanding,
@@ -147,24 +192,19 @@ fn sync_sha_state() -> impl Strategy<Value = SyncShaState> {
             },
         );
     (
-        (0usize..=3, any::<bool>()),
+        sha_config(),
         prop::collection::vec(bracket, 0..3),
-        prop::collection::vec((any::<u64>(), any::<usize>(), config()), 0..4),
+        prop::collection::vec((small(), 0usize..4, config()), 0..8),
         any::<u64>(),
         name(),
     )
         .prop_map(
-            |((stop_rate, grow_brackets), brackets, trial_meta, next_trial, name)| {
-                let mut config = ShaConfig::new(27, 1.0, 27.0, 3.0);
-                config.stop_rate = stop_rate;
-                config.grow_brackets = grow_brackets;
-                SyncShaState {
-                    config,
-                    brackets,
-                    trial_meta,
-                    next_trial,
-                    name,
-                }
+            |(config, brackets, trial_meta, next_trial, name)| legacy::SyncShaState {
+                config,
+                brackets,
+                trial_meta,
+                next_trial,
+                name,
             },
         )
 }
@@ -183,7 +223,14 @@ fn hyperband_state() -> impl Strategy<Value = AsyncHyperbandState> {
                     num_brackets,
                     ..HyperbandConfig::new(1.0, 27.0, 3.0)
                 },
-                brackets,
+                brackets: (0..)
+                    .zip(brackets)
+                    .map(|(index, asha)| BracketState {
+                        index,
+                        asha,
+                        barrier: None,
+                    })
+                    .collect(),
                 spent,
                 current,
                 name,
@@ -194,7 +241,7 @@ fn hyperband_state() -> impl Strategy<Value = AsyncHyperbandState> {
 fn scheduler_state() -> impl Strategy<Value = SchedulerState> {
     prop_oneof![
         asha_state(true).prop_map(SchedulerState::Asha),
-        sync_sha_state().prop_map(SchedulerState::SyncSha),
+        sha_state().prop_map(SchedulerState::SyncSha),
         hyperband_state().prop_map(SchedulerState::AsyncHyperband),
     ]
 }
@@ -490,6 +537,22 @@ proptest! {
         let back = from_tree(&doc)?;
         prop_assert!(same_state(&snap, &back), "{snap:?}\n!=\n{back:?}");
         prop_assert!(encode(&back) == encode(&snap), "v1 and v2 decode differently");
+    }
+
+    /// A `sync_sha` document, any counts and ids, decodes the same from
+    /// either layout of its config values, and neither the reader nor the
+    /// check of what it reads panics.
+    #[test]
+    fn legacy_sync_sha_documents_decode_alike_from_either_layout(
+        state in legacy_sync_sha_state(),
+    ) {
+        let v2 = scheduler_state_from_json(&legacy::to_json(&state, false));
+        let v1 = scheduler_state_from_json(&legacy::to_json(&state, true));
+        prop_assert_eq!(format!("{v2:?}"), format!("{v1:?}"));
+        if let Ok(decoded) = v2 {
+            prop_assert_eq!(decoded.kind(), "sha");
+            let _ = decoded.validate();
+        }
     }
 
     /// Hostile rows: each v2 row one element short, one element long, with
