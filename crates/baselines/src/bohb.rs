@@ -4,7 +4,7 @@
 //! paper's figures print (`BOHB`, `ASHA+TPE`); every other sampler cross
 //! names itself (`D-ASHA+tpe`, `SHA+gp`, ...).
 
-use asha_core::{Asha, AshaConfig, ShaConfig, SyncSha};
+use asha_core::{Asha, AshaConfig, BracketLoop, BracketLoopConfig};
 use asha_space::SearchSpace;
 
 use crate::sampler::Sampler;
@@ -14,29 +14,30 @@ use crate::sampler::Sampler;
 /// differs only in how configurations are sampled; while SHA uses random
 /// sampling, BOHB uses Bayesian optimization to adaptively sample new
 /// configurations." The paper runs BOHB "using the same early-stopping rate
-/// as SHA and ASHA instead of looping through brackets".
+/// as SHA and ASHA instead of looping through brackets", which is
+/// [`BracketLoopConfig::sha`]; its brackets share one model.
 ///
 /// # Panics
 ///
-/// Panics under the same conditions as [`SyncSha::new`].
+/// Panics under the same conditions as [`BracketLoop::new`].
 ///
 /// # Examples
 ///
 /// ```
 /// use asha_baselines::bohb;
-/// use asha_core::{Scheduler, ShaConfig};
+/// use asha_core::{BracketLoopConfig, Scheduler};
 /// use asha_space::{Scale, SearchSpace};
 ///
 /// let space = SearchSpace::builder()
 ///     .continuous("lr", 1e-3, 1.0, Scale::Log)
 ///     .build()?;
-/// let tuner = bohb(space, ShaConfig::new(9, 1.0, 9.0, 3.0));
+/// let tuner = bohb(space, BracketLoopConfig::sha(9, 1.0, 9.0, 3.0));
 /// assert_eq!(tuner.name(), "BOHB");
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn bohb(space: SearchSpace, config: ShaConfig) -> SyncSha {
-    let sampler = Sampler::Tpe.build(&space);
-    let mut sha = SyncSha::with_sampler(space, config, sampler);
+pub fn bohb(space: SearchSpace, config: BracketLoopConfig) -> BracketLoop {
+    let tpe = |_| Sampler::Tpe.build(&space);
+    let mut sha = BracketLoop::with_sampler_factory(space.clone(), config, tpe);
     sha.set_name("BOHB");
     sha
 }
@@ -72,7 +73,7 @@ mod tests {
 
     #[test]
     fn bohb_runs_a_bracket_like_sha() {
-        let mut tuner = bohb(space(), ShaConfig::new(9, 1.0, 9.0, 3.0));
+        let mut tuner = bohb(space(), BracketLoopConfig::sha(9, 1.0, 9.0, 3.0));
         let mut rng = StdRng::seed_from_u64(0);
         let mut jobs = 0;
         loop {
@@ -93,7 +94,10 @@ mod tests {
         // Feed a long-running growing BOHB and verify proposals concentrate:
         // losses favor x near 0.25.
         let s = space();
-        let mut tuner = bohb(s.clone(), ShaConfig::new(9, 1.0, 9.0, 3.0).growing());
+        let mut tuner = bohb(
+            s.clone(),
+            BracketLoopConfig::sha(9, 1.0, 9.0, 3.0).growing(),
+        );
         let mut rng = StdRng::seed_from_u64(1);
         let mut late_xs = Vec::new();
         for i in 0..400 {

@@ -29,14 +29,14 @@
 //!
 //! ```
 //! use asha_baselines::bohb;
-//! use asha_core::{Scheduler, ShaConfig};
+//! use asha_core::{BracketLoopConfig, Scheduler};
 //! use asha_space::{Scale, SearchSpace};
 //! use rand::SeedableRng;
 //!
 //! let space = SearchSpace::builder()
 //!     .continuous("lr", 1e-4, 1.0, Scale::Log)
 //!     .build()?;
-//! let mut tuner = bohb(space, ShaConfig::new(9, 1.0, 9.0, 3.0));
+//! let mut tuner = bohb(space, BracketLoopConfig::sha(9, 1.0, 9.0, 3.0));
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 //! assert!(matches!(tuner.suggest(&mut rng), asha_core::Decision::Run(_)));
 //! # Ok::<(), Box<dyn std::error::Error>>(())

@@ -2,7 +2,7 @@
 //! paper's comparisons hinge on, checked directly against each scheduler.
 
 use asha_baselines::{bohb, Fabolas, FabolasConfig, Pbt, PbtConfig, Vizier, VizierConfig};
-use asha_core::{Decision, Observation, Scheduler, ShaConfig};
+use asha_core::{BracketLoopConfig, Decision, Observation, Scheduler};
 use asha_space::{Scale, SearchSpace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -55,7 +55,10 @@ fn mean_distance(points: &[Vec<f64>], target: (f64, f64)) -> f64 {
 
 #[test]
 fn bohb_proposals_adapt_toward_the_optimum() {
-    let mut tuner = bohb(space(), ShaConfig::new(64, 1.0, 64.0, 4.0).growing());
+    let mut tuner = bohb(
+        space(),
+        BracketLoopConfig::sha(64, 1.0, 64.0, 4.0).growing(),
+    );
     let late = drive_tail(&mut tuner, 600, 60, false);
     let dist = mean_distance(&late, (0.7, 0.2));
     // Uniform sampling over the unit square averages ≈ 0.50 from (0.7, 0.2).
@@ -131,7 +134,7 @@ fn pbt_population_mean_improves_over_generations() {
 fn bohb_and_sha_share_bracket_structure() {
     // BOHB's early stopping is exactly SHA's: same rung resources and
     // counts on a deterministic serial run.
-    let mut tuner = bohb(space(), ShaConfig::new(16, 4.0, 64.0, 4.0));
+    let mut tuner = bohb(space(), BracketLoopConfig::sha(16, 4.0, 64.0, 4.0));
     let mut rng = StdRng::seed_from_u64(4);
     let mut per_rung = [0usize; 3];
     while let Decision::Run(job) = tuner.suggest(&mut rng) {

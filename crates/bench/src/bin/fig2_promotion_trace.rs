@@ -3,7 +3,7 @@
 //! worker with deterministic losses (configuration `i` has loss `i`; lower
 //! is better, so configurations 0, 1, 2 are the promotion-worthy ones).
 
-use asha::core::{AshaConfig, Decision, Observation, Scheduler, ShaConfig};
+use asha::core::{AshaConfig, BracketLoopConfig, Decision, Observation, Scheduler};
 use asha::space::{Scale, SearchSpace};
 use asha::tune::Searcher;
 use rand::rngs::StdRng;
@@ -46,7 +46,10 @@ fn print_trace(title: &str, trace: &[(u64, usize, f64)]) {
 fn main() {
     println!("Figure 2: promotion schemes of SHA vs ASHA (bracket 0, r=1, R=9, eta=3)");
 
-    let sha_trace = serial_trace(Searcher::sha(ShaConfig::new(9, 1.0, 9.0, 3.0)), 13);
+    let sha_trace = serial_trace(
+        Searcher::bracket_loop(BracketLoopConfig::sha(9, 1.0, 9.0, 3.0)),
+        13,
+    );
     print_trace("Successive Halving (Synchronous):", &sha_trace);
 
     let asha_trace = serial_trace(Searcher::asha(AshaConfig::new(1.0, 9.0, 3.0)), 13);

@@ -9,7 +9,7 @@
 //! A.1: configurations trained to the full resource R, plus the fault tally
 //! the executor survived.
 
-use asha::core::{AshaConfig, ShaConfig};
+use asha::core::{AshaConfig, BracketLoopConfig};
 use asha::exec::{
     install_quiet_panic_hook, ChaosConfig, ChaosObjective, Evaluation, ExecConfig, FaultPolicy,
     FnObjective, ParallelTuner,
@@ -98,7 +98,7 @@ fn main() {
             1000 + i as u64,
         );
         let sha = run_cell(
-            Searcher::sha(ShaConfig::new(N, 1.0, R, ETA)),
+            Searcher::bracket_loop(BracketLoopConfig::sha(N, 1.0, R, ETA)),
             rate,
             2000 + i as u64,
         );

@@ -5,7 +5,7 @@
 //! bracket" (only at bracket completions, as Klein et al. evaluated it).
 
 use asha::baselines::FabolasConfig;
-use asha::core::HyperbandConfig;
+use asha::core::BracketLoopConfig;
 use asha::metrics::{aggregate, uniform_grid, write_csv, AggregateCurve, RunTrace, StepCurve};
 use asha::sim::{ClusterSim, SimConfig};
 use asha::surrogate::{presets, BenchmarkModel, CurveBenchmark};
@@ -38,7 +38,7 @@ fn run_task(bench: &CurveBenchmark, horizon: f64, default_loss: f64, stem: &str)
     let max_r = bench.max_resource();
 
     // Hyperband: one set of runs, two accountings.
-    let hyperband = Searcher::Hyperband(HyperbandConfig::new(max_r / 64.0, max_r, ETA));
+    let hyperband = Searcher::bracket_loop(BracketLoopConfig::hyperband(max_r / 64.0, max_r, ETA));
     let hyperband = traces(&hyperband, bench, horizon, 100);
     let fabolas = Searcher::Fabolas(FabolasConfig::new(max_r));
     let fabolas = traces(&fabolas, bench, horizon, 200);

@@ -13,7 +13,8 @@
 //!     [--seed N]        RNG seed for --demo (default 0)
 //!     [--scheduler K]   method for --demo at r = 1, R = 256, eta = 4: any
 //!                       persistable `Searcher::from_name` name — asha
-//!                       (default), dasha, sha, bohb, async-hyperband
+//!                       (default), dasha, sha, bohb, hyperband,
+//!                       async-hyperband
 //!     [--sampler K]     config sampler for --demo: random, tpe or gp
 //!                       (default: the method's own; bohb's is tpe)
 //!     [--store DIR]     run the --demo through the durable experiment store:

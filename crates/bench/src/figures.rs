@@ -6,7 +6,7 @@
 
 use asha::tune::Searcher;
 use asha_baselines::{PbtConfig, VizierConfig};
-use asha_core::{AshaConfig, HyperbandConfig, ShaConfig};
+use asha_core::{AshaConfig, BracketLoopConfig};
 use asha_space::SearchSpace;
 use asha_surrogate::{presets, BenchmarkModel, CurveBenchmark};
 
@@ -107,8 +107,8 @@ fn asha(max_r: f64) -> AshaConfig {
 }
 
 /// Synchronous brackets of `n = 256` (Appendix A.3), regrown when done.
-fn sha256() -> ShaConfig {
-    ShaConfig::new(256, 1.0, 256.0, ETA).growing()
+fn sha256() -> BracketLoopConfig {
+    BracketLoopConfig::sha(256, 1.0, 256.0, ETA).growing()
 }
 
 /// Appendix A.3's PBT for the CIFAR-10 tasks: population 25, explore/exploit
@@ -124,10 +124,11 @@ fn pbt_cifar(space: &SearchSpace) -> Searcher {
 }
 
 fn fig3_methods(space: &SearchSpace) -> Vec<MethodSpec> {
-    let hyperband = HyperbandConfig::new(1.0, 256.0, ETA);
+    let hyperband = BracketLoopConfig::hyperband(1.0, 256.0, ETA);
+    let async_hyperband = BracketLoopConfig::async_hyperband(1.0, 256.0, ETA);
     vec![
-        MethodSpec::new("SHA", Searcher::sha(sha256())),
-        MethodSpec::new("Hyperband", Searcher::Hyperband(hyperband.clone())),
+        MethodSpec::new("SHA", Searcher::bracket_loop(sha256())),
+        MethodSpec::new("Hyperband", Searcher::bracket_loop(hyperband)),
         MethodSpec::new(
             "Random",
             Searcher::Random {
@@ -136,7 +137,7 @@ fn fig3_methods(space: &SearchSpace) -> Vec<MethodSpec> {
         ),
         MethodSpec::new("PBT", pbt_cifar(space)),
         MethodSpec::new("ASHA", Searcher::asha(asha(256.0))),
-        MethodSpec::new("Hyperband (async)", Searcher::async_hyperband(hyperband)),
+        MethodSpec::new("Hyperband (async)", Searcher::bracket_loop(async_hyperband)),
         MethodSpec::new("BOHB", Searcher::bohb(sha256())),
     ]
 }
@@ -145,7 +146,7 @@ fn fig4_methods(space: &SearchSpace) -> Vec<MethodSpec> {
     vec![
         MethodSpec::new("ASHA", Searcher::asha(asha(256.0))),
         MethodSpec::new("PBT", pbt_cifar(space)),
-        MethodSpec::new("SHA", Searcher::sha(sha256())),
+        MethodSpec::new("SHA", Searcher::bracket_loop(sha256())),
         MethodSpec::new("BOHB", Searcher::bohb(sha256())),
     ]
 }
@@ -162,7 +163,9 @@ fn fig5_methods(_: &SearchSpace) -> Vec<MethodSpec> {
         MethodSpec::new("ASHA", Searcher::asha(asha(64.0))),
         MethodSpec::new(
             "Hyperband (loop brackets)",
-            Searcher::async_hyperband(HyperbandConfig::new(1.0, 64.0, ETA).with_brackets(4)),
+            Searcher::bracket_loop(
+                BracketLoopConfig::async_hyperband(1.0, 64.0, ETA).with_brackets(4),
+            ),
         ),
         MethodSpec::new("Vizier", Searcher::Vizier(vizier)),
     ]
@@ -190,7 +193,7 @@ fn sample_efficiency_methods(_: &SearchSpace) -> Vec<MethodSpec> {
         MethodSpec::new("ASHA+TPE", Searcher::asha_tpe(asha(256.0))),
         MethodSpec::new("D-ASHA", Searcher::asha(asha(256.0).delayed())),
         MethodSpec::new("D-ASHA+TPE", Searcher::asha_tpe(asha(256.0).delayed())),
-        MethodSpec::new("SyncSHA", Searcher::sha(sha256())),
+        MethodSpec::new("SyncSHA", Searcher::bracket_loop(sha256())),
         MethodSpec::new("BOHB", Searcher::bohb(sha256())),
     ]
 }

@@ -8,7 +8,7 @@
 //! `z ~ N(0, std)`; jobs drop with probability `p` per time unit.
 
 use asha::tune::Searcher;
-use asha_core::{AshaConfig, ShaConfig};
+use asha_core::{AshaConfig, BracketLoopConfig};
 use asha_metrics::{write_csv, RunTrace};
 use asha_sim::{ClusterSim, ResumePolicy, SimConfig};
 use asha_space::{Scale, SearchSpace};
@@ -56,7 +56,7 @@ pub fn run(
 ) {
     let bench = unit_cost_benchmark();
     let asha = Searcher::asha(AshaConfig::new(1.0, R, ETA));
-    let sha = Searcher::sha(ShaConfig::new(256, 1.0, R, ETA).growing());
+    let sha = Searcher::bracket_loop(BracketLoopConfig::sha(256, 1.0, R, ETA).growing());
     let mut rows = Vec::new();
     println!("{what} ({WORKERS} workers, {SIMS} sims/cell)");
     println!(

@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 
 use asha::tune::{Sampler, Searcher};
 use asha_bench::{run_experiment, run_experiment_parallel, FIGURES};
-use asha_core::PromotionRule;
+use asha_core::{Opening, PromotionRule};
 use asha_surrogate::{presets, BenchmarkModel};
 
 #[test]
@@ -34,23 +34,16 @@ fn scheduler_name(searcher: &Searcher) -> &'static str {
             (Sampler::Gp, PromotionRule::Eager) => "ASHA+gp",
             (Sampler::Gp, PromotionRule::Delayed) => "D-ASHA+gp",
         },
-        Searcher::Sha {
-            sampler: Sampler::Random,
-            ..
-        } => "SHA",
-        Searcher::Sha {
-            sampler: Sampler::Tpe,
-            ..
-        } => "BOHB",
-        Searcher::Sha {
-            sampler: Sampler::Gp,
-            ..
-        } => "SHA+gp",
-        Searcher::Hyperband(_) => "Hyperband",
-        Searcher::AsyncHyperband { sampler, .. } => match sampler {
-            Sampler::Random => "Hyperband (async)",
-            Sampler::Tpe => "Hyperband (async)+tpe",
-            Sampler::Gp => "Hyperband (async)+gp",
+        Searcher::BracketLoop { config, sampler } => match (config.opening, sampler) {
+            (Opening::Sha { .. }, Sampler::Random) => "SHA",
+            (Opening::Sha { .. }, Sampler::Tpe) => "BOHB",
+            (Opening::Sha { .. }, Sampler::Gp) => "SHA+gp",
+            (Opening::Hyperband { .. }, Sampler::Random) => "Hyperband",
+            (Opening::Hyperband { .. }, Sampler::Tpe) => "Hyperband+tpe",
+            (Opening::Hyperband { .. }, Sampler::Gp) => "Hyperband+gp",
+            (Opening::AsyncHyperband { .. }, Sampler::Random) => "Hyperband (async)",
+            (Opening::AsyncHyperband { .. }, Sampler::Tpe) => "Hyperband (async)+tpe",
+            (Opening::AsyncHyperband { .. }, Sampler::Gp) => "Hyperband (async)+gp",
         },
         Searcher::Pbt(_) => "PBT",
         Searcher::Vizier(_) => "Vizier",
@@ -79,10 +72,7 @@ fn every_method_validates_and_builds_the_scheduler_it_names() {
                 // construction; the others assert in their `new`.
                 let valid = match &method.searcher {
                     Searcher::Asha { config, .. } => config.validate(),
-                    Searcher::Sha { config, .. } => config.validate(),
-                    Searcher::Hyperband(config) | Searcher::AsyncHyperband { config, .. } => {
-                        config.validate()
-                    }
+                    Searcher::BracketLoop { config, .. } => config.validate(),
                     _ => Ok(()),
                 };
                 valid.unwrap_or_else(|e| panic!("{at}: {e}"));

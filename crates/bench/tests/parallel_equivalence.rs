@@ -7,7 +7,7 @@ use asha::tune::Searcher;
 use asha_bench::{
     run_experiment, run_experiment_parallel, write_results_to, ExperimentConfig, MethodSpec,
 };
-use asha_core::{AshaConfig, HyperbandConfig};
+use asha_core::{AshaConfig, BracketLoopConfig};
 use asha_surrogate::{presets, CurveBenchmark};
 
 const R: f64 = 256.0;
@@ -17,7 +17,9 @@ fn methods(_: &CurveBenchmark) -> Vec<MethodSpec> {
         MethodSpec::new("ASHA", Searcher::asha(AshaConfig::new(1.0, R, 4.0))),
         MethodSpec::new(
             "AsyncHB",
-            Searcher::async_hyperband(HyperbandConfig::new(1.0, R, 4.0).with_brackets(4)),
+            Searcher::bracket_loop(
+                BracketLoopConfig::async_hyperband(1.0, R, 4.0).with_brackets(4),
+            ),
         ),
         MethodSpec::new("Random", Searcher::Random { max_resource: R }),
     ]

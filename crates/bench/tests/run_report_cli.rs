@@ -2,7 +2,8 @@
 //! the usage line on stderr) before it runs anything: a mistyped
 //! `--crash-after-jobs` must not run the demo to completion in place of the
 //! crash a recovery check asked for. `--snapshot-jobs 0` is no typo: it is
-//! the amortised cadence, the default.
+//! the amortised cadence, the default. Synchronous Hyperband runs through
+//! the store like every other persistable method.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -81,6 +82,45 @@ fn snapshot_jobs_zero_is_the_amortised_default() {
     assert!(written.len() < 20, "{} checkpoints", written.len());
     assert!(written == checkpoints(&default), "checkpoints differ");
     for dir in [zero, default] {
+        std::fs::remove_dir_all(dir).ok();
+    }
+}
+
+/// `--scheduler hyperband` runs durably: crashed after 300 jobs and resumed,
+/// the run reports what the uninterrupted one does, byte for byte.
+#[test]
+fn a_crashed_hyperband_run_resumes_to_the_uninterrupted_report() {
+    let (whole, crashed) = (tmpdir("hyperband-whole"), tmpdir("hyperband-crashed"));
+    let reports = tmpdir("hyperband-reports");
+    std::fs::create_dir_all(&reports).unwrap();
+    let (whole_json, resumed_json) = (reports.join("whole.json"), reports.join("resumed.json"));
+    let hyperband = ["--scheduler", "hyperband", "--json"];
+    let out = run_report(
+        &[&hyperband[..], &[whole_json.to_str().unwrap()]].concat(),
+        &whole,
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "uninterrupted run: {stderr}");
+    let out = run_report(
+        &[&hyperband[..2], &["--crash-after-jobs", "300"]].concat(),
+        &crashed,
+    );
+    assert!(!out.status.success(), "the crashed run exited cleanly");
+    let out = Command::new(env!("CARGO_BIN_EXE_run_report"))
+        .arg("--resume")
+        .arg(&crashed)
+        .arg("--json")
+        .arg(&resumed_json)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "resume: {stderr}");
+    let (whole_report, resumed_report) = (
+        std::fs::read(&whole_json).unwrap(),
+        std::fs::read(&resumed_json).unwrap(),
+    );
+    assert!(whole_report == resumed_report, "the resumed report differs");
+    for dir in [whole, crashed, reports] {
         std::fs::remove_dir_all(dir).ok();
     }
 }

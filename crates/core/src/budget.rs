@@ -11,14 +11,22 @@ use crate::error::Error;
 /// rounding lands just below the integer at exact powers (`log_3(243)`
 /// evaluates to 4.999…) and would cost the ladder its top rung. The relative
 /// epsilon absorbs the rounding of `r * eta^k` itself; dividing (rather than
-/// scaling `R` up) keeps the loop finite for `R` near `f64::MAX`.
+/// scaling `R` up) keeps the loop finite for `R` near `f64::MAX`. The count
+/// stops at [`MAX_RUNGS`], which is already past any ladder [`Geometry`]
+/// accepts.
 fn s_max(r: f64, max_r: f64, eta: f64) -> usize {
     let mut k = 0;
-    while r * eta.powi(k + 1) / max_r <= 1.0 + 1e-9 {
+    while k < MAX_RUNGS && r * eta.powi(k as i32 + 1) / max_r <= 1.0 + 1e-9 {
         k += 1;
     }
-    k as usize
+    k
 }
+
+/// The most rungs a finite ladder may have. At `eta >= 2` the paper's
+/// ladders have a handful; without a cap, `r = 5e-324, R = 1e308, eta = 2`
+/// is a ladder of ~2 100 rungs, which a restored Hyperband allocates for
+/// each of as many brackets, from a document of a few hundred bytes.
+const MAX_RUNGS: usize = 64;
 
 /// The fewest base-rung configurations a synchronous bracket needs for one
 /// to reach rung `top`, when each rung keeps `floor(n / eta)` of its `n`.
@@ -48,7 +56,8 @@ impl Geometry {
     /// the infinite horizon (Section 3.3): no top rung, any `s`.
     ///
     /// Fails (kind `Config`) unless `eta >= 2`, `0 < r <= R`, all three are
-    /// finite, and `s <= floor(log_eta(R/r))`.
+    /// finite, the ladder has at most 64 rungs
+    /// (`floor(log_eta(R/r)) + 1 <= 64`), and `s <= floor(log_eta(R/r))`.
     pub(crate) fn new(r: f64, max_r: Option<f64>, eta: f64, s: usize) -> Result<Self, Error> {
         // Written so that NaN fails each check.
         if !(eta >= 2.0 && eta.is_finite()) {
@@ -66,6 +75,12 @@ impl Geometry {
             None => None,
             Some(max_r) => {
                 let s_max = s_max(r, max_r, eta);
+                if s_max >= MAX_RUNGS {
+                    return Err(Error::config(format!(
+                        "a ladder from r={r} to R={max_r} at eta={eta} has more than \
+                         {MAX_RUNGS} rungs"
+                    )));
+                }
                 if s > s_max {
                     return Err(Error::config(format!(
                         "early-stopping rate s={s} exceeds log_eta(R/r)={s_max}"
@@ -301,9 +316,18 @@ mod tests {
             Geometry::new(1.0, Some(9.0), 1.5, 0).unwrap_err().kind(),
             crate::ErrorKind::Config
         );
-        // The largest finite R terminates, and the infinite horizon takes
+        // A ladder of more than 64 rungs is refused, and the count stops at
+        // the cap even for the largest finite R; the infinite horizon takes
         // any stop rate.
-        assert!(Geometry::new(1.0, Some(f64::MAX), 2.0, 1023).is_ok());
+        assert!(err(1.0, Some(f64::MAX), 2.0, 1023).contains("more than 64 rungs"));
+        assert!(err(5e-324, Some(1e308), 2.0, 0).contains("more than 64 rungs"));
+        assert!(err(1.0, Some(2f64.powi(64)), 2.0, 0).contains("more than 64 rungs"));
+        assert_eq!(
+            Geometry::new(1.0, Some(2f64.powi(63)), 2.0, 0)
+                .unwrap()
+                .num_rungs(),
+            64
+        );
         assert_eq!(Geometry::new(1.0, None, 3.0, 40).unwrap().max_rung(), None);
     }
 

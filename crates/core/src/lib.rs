@@ -7,9 +7,10 @@
 //!   next rung whenever possible; otherwise grow the bottom rung.
 //!   [`AshaConfig::delayed`] switches it to Hyper-Tune's delayed promotion
 //!   rule (D-ASHA): per-rung promotions never exceed the exact `1/eta` quota.
-//! * [`SyncSha`], [`Hyperband`], [`AsyncHyperband`] — one loop over ASHA's
-//!   brackets: Algorithm 1 is a bracket under a synchronous barrier, grown
-//!   as Falkner et al. (2018) do, and the Hyperbands vary its `s`.
+//! * [`BracketLoop`] — SHA, Hyperband and asynchronous Hyperband as one
+//!   loop over ASHA's brackets, its [`Opening`] data: Algorithm 1 is a
+//!   bracket under a synchronous barrier, grown as Falkner et al. (2018) do,
+//!   and the Hyperbands vary its `s`.
 //! * [`RandomSearch`] — the embarrassingly parallel baseline.
 //! * [`budget`] — `budget::Geometry`, the one place `(r, R, eta, s)` is
 //!   validated and turned into rung counts and rung resources; plus the
@@ -62,35 +63,32 @@
 #![warn(unreachable_pub)]
 
 mod asha;
+mod bracket_loop;
 pub mod budget;
 mod driver;
 mod durability;
 pub mod error;
 mod fx;
-mod hyperband;
 mod random;
 #[cfg(any(test, feature = "reference"))]
 pub mod reference;
 mod rung;
 mod sampler;
 mod scheduler;
-mod sha;
 mod state;
 pub mod telemetry;
 
 pub use crate::asha::{Asha, AshaConfig, Barrier};
+pub use crate::bracket_loop::{BracketLoop, BracketLoopConfig, Opening};
 pub use crate::driver::{Completion, Driver};
 pub use crate::durability::Durability;
 pub use crate::error::{Error, ErrorKind, ResultContext};
 pub use crate::fx::FxHashMap;
-pub use crate::hyperband::{AsyncHyperband, Hyperband, HyperbandConfig};
 pub use crate::random::RandomSearch;
 pub use crate::rung::{PromotionRule, ScanOrder};
 pub use crate::sampler::{ConfigSampler, Fidelity, RandomSampler};
 pub use crate::scheduler::{Decision, Job, Observation, Scheduler, TrialId};
-pub use crate::sha::{ShaConfig, SyncSha};
 pub use crate::state::{
-    AshaState, AsyncHyperbandState, BracketState, DurableScheduler, RungState, SchedulerState,
-    ShaState,
+    AshaState, BracketLoopState, BracketState, DurableScheduler, RungState, SchedulerState,
 };
 pub use crate::telemetry::{NoopRecorder, Recorder};

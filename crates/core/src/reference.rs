@@ -6,9 +6,9 @@
 //! index-free bookkeeping (trial table, outstanding list, trial cap) and
 //! makes every promotion and barrier decision by brute force — sorting the
 //! full rung on each query — with no caches or heaps. It is the one twin:
-//! SHA and asynchronous Hyperband are the same bracket loop over it
-//! ([`sync_sha`], [`async_hyperband`]) as the production schedulers are
-//! over `Asha`'s bracket.
+//! SHA and both Hyperbands are the same bracket loop over it
+//! ([`bracket_loop`]) as the production schedulers are over `Asha`'s
+//! bracket.
 //! Property tests (`tests/asha_properties.rs`) drive an indexed scheduler
 //! and its reference twin through identical hostile event streams and
 //! assert bitwise-identical decisions and exported state at every step;
@@ -25,7 +25,7 @@ use crate::rung::{PromotionRule, ScanOrder};
 use crate::sampler::{ConfigSampler, Fidelity, RandomSampler};
 use crate::scheduler::{Decision, Job, Observation, Scheduler, TrialId};
 use crate::state::{AshaState, RungState};
-use crate::{AshaConfig, AsyncHyperband, HyperbandConfig, ShaConfig, SyncSha};
+use crate::{AshaConfig, BracketLoop, BracketLoopConfig};
 
 /// One rung with no indexes: arrival-ordered records and a promoted set.
 #[derive(Debug, Clone, Default)]
@@ -312,25 +312,13 @@ impl Scheduler for RefAsha {
     }
 }
 
-fn brute(config: AshaConfig, barrier: bool) -> Box<dyn Engine> {
-    Box::new(BruteBracket::new(config, barrier))
-}
-
-/// Synchronous SHA as the bracket loop over [`RefAsha`]'s brute-force
-/// bracket: the twin of [`crate::SyncSha::new`], compared through
-/// [`crate::SyncSha::export_state`].
-pub fn sync_sha(space: SearchSpace, config: ShaConfig) -> SyncSha {
-    let mut sha = SyncSha::new(space, config);
-    sha.brackets.rebuild(brute);
-    sha
-}
-
-/// Asynchronous Hyperband as the bracket loop over [`RefAsha`]'s
-/// brute-force bracket: the twin of [`crate::AsyncHyperband::new`].
-pub fn async_hyperband(space: SearchSpace, config: HyperbandConfig) -> AsyncHyperband {
-    let mut ahb = AsyncHyperband::new(space, config);
-    ahb.brackets.rebuild(brute);
-    ahb
+/// A bracket loop over [`RefAsha`]'s brute-force bracket: the twin of
+/// [`crate::BracketLoop::new`], compared through
+/// [`crate::BracketLoop::export_state`].
+pub fn bracket_loop(space: SearchSpace, config: BracketLoopConfig) -> BracketLoop {
+    let mut twin = BracketLoop::new(space, config);
+    twin.rebuild(|config, barrier| Box::new(BruteBracket::new(config, barrier)));
+    twin
 }
 
 #[cfg(test)]
@@ -387,8 +375,9 @@ mod tests {
 
     #[test]
     fn ref_sync_sha_matches_indexed_to_completion() {
-        let mut fast = crate::SyncSha::new(space(), ShaConfig::new(9, 1.0, 9.0, 3.0));
-        let mut slow = sync_sha(space(), ShaConfig::new(9, 1.0, 9.0, 3.0));
+        let config = BracketLoopConfig::sha(9, 1.0, 9.0, 3.0);
+        let mut fast = BracketLoop::new(space(), config.clone());
+        let mut slow = bracket_loop(space(), config);
         let mut rng_a = StdRng::seed_from_u64(5);
         let mut rng_b = StdRng::seed_from_u64(5);
         loop {

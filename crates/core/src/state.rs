@@ -1,6 +1,6 @@
 //! Plain-data snapshots of scheduler state, for durable persistence.
 //!
-//! Each scheduler (`Asha`, `SyncSha`, `AsyncHyperband`) can export its full
+//! Each scheduler (`Asha`, `BracketLoop`) can export its full
 //! mutable state as one of these structs and be rebuilt from it so that the
 //! restored instance is *decision-for-decision identical* to the original:
 //! given the same RNG stream and the same `suggest`/`observe` call sequence,
@@ -14,11 +14,13 @@
 //! iteration order is nondeterministic, and a snapshot must be byte-stable
 //! for a given logical state.
 
+use std::collections::BTreeSet;
+
 use asha_space::Config;
 
 use crate::asha::Barrier;
+use crate::bracket_loop::{BracketLoopConfig, Opening};
 use crate::error::Error;
-use crate::hyperband::BracketLoop;
 use crate::rung::{PromotionRule, Rung};
 use crate::scheduler::Scheduler;
 
@@ -124,7 +126,7 @@ impl AshaState {
 /// Snapshot of one open bracket of a bracket loop: its ladder, trials and
 /// jobs as the same [`AshaState`] an [`Asha`](crate::Asha) exports (trial
 /// ids local, a barrier's closed rungs empty), and its [`Barrier`] if it
-/// runs under one, as a [`SyncSha`](crate::SyncSha) bracket does.
+/// runs under one, as a SHA or Hyperband bracket does.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BracketState {
     /// The bracket's index: its trial `t` is the scheduler's
@@ -136,75 +138,109 @@ pub struct BracketState {
     pub barrier: Option<Barrier>,
 }
 
-/// Snapshot of a [`SyncSha`](crate::SyncSha) scheduler: the brackets it
-/// runs. A finished bracket is freed, so it is in no document.
+/// Snapshot of a [`BracketLoop`](crate::BracketLoop): the brackets it has
+/// opened, the open ones (a finished bracket is freed, so it is in no
+/// document), and asynchronous Hyperband's turn. Per-bracket budgets are a
+/// pure function of the configuration and are recomputed on restore.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ShaState {
+pub struct BracketLoopState {
     /// The scheduler's configuration.
-    pub config: crate::ShaConfig,
+    pub config: BracketLoopConfig,
     /// Brackets opened so far, finished ones included.
     pub opened: usize,
     /// The open brackets, ascending by index.
     pub brackets: Vec<BracketState>,
-    /// The scheduler's display name.
-    pub name: String,
-}
-
-impl ShaState {
-    /// Check that a [`SyncSha`](crate::SyncSha) can hold this state, which
-    /// [`SyncSha::from_state_with_sampler`](crate::SyncSha::from_state_with_sampler)
-    /// panics on otherwise: a valid config, trial ids of every bracket
-    /// opened below `2^64`, and the open brackets as the loop checks them
-    /// (`BracketLoop::validate`).
-    pub(crate) fn validate(&self) -> Result<(), Error> {
-        self.config.validate()?;
-        let (opened, n) = (self.opened, self.config.num_configs as u64);
-        if (opened as u64).checked_mul(n).is_none() {
-            return Err(Error::config(format!("{opened} brackets of {n} trials")));
-        }
-        BracketLoop::validate(opened, &self.brackets, |_| self.config.bracket_config())
-    }
-}
-
-/// Snapshot of an [`AsyncHyperband`](crate::AsyncHyperband) scheduler: one
-/// bracket per `s`, none under a barrier, plus the round-robin budget
-/// cursor. Per-bracket budgets are a pure function of the configuration
-/// and are recomputed on restore.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AsyncHyperbandState {
-    /// The scheduler's configuration.
-    pub config: crate::HyperbandConfig,
-    /// Bracket `s` at index `s`, `s = 0` first.
-    pub brackets: Vec<BracketState>,
-    /// Resource issued in the current activation of the current bracket.
+    /// Resource the current bracket has issued in its turn (asynchronous
+    /// Hyperband; 0 otherwise).
     pub spent: f64,
-    /// Index of the bracket currently being filled.
+    /// The bracket whose turn it is (asynchronous Hyperband; 0 otherwise).
     pub current: usize,
     /// The scheduler's display name.
     pub name: String,
 }
 
-impl AsyncHyperbandState {
-    /// Check that an [`AsyncHyperband`](crate::AsyncHyperband) can hold
-    /// this state: a valid config, one bracket per configured bracket, a
-    /// current bracket among them, a finite `spent` of at least 0 (a NaN
-    /// would never reach a budget, and the loop would never rotate), and
-    /// the brackets as the loop checks them (`BracketLoop::validate`).
+impl BracketLoopState {
+    /// Check that a [`BracketLoop`](crate::BracketLoop) can hold this
+    /// state, which [`BracketLoop::from_state`](crate::BracketLoop::from_state)
+    /// panics on otherwise: a valid config; trial ids of every bracket
+    /// opened below `2^64`; Hyperband's one generation open at most;
+    /// asynchronous Hyperband's one bracket per `s`, a current one among
+    /// them and a finite `spent` of at least 0 (a NaN would never reach a
+    /// budget, and the loop would never rotate), and no turn elsewhere.
+    ///
+    /// The open brackets, ascending, each have an index below `opened`, the
+    /// config the loop opens there and a barrier exactly if it caps its
+    /// trials, and an `Asha` state (`AshaState::validate`). A barrier runs
+    /// a rung on the ladder, the only one with records or jobs, with no
+    /// promotion; its queued, outstanding and reported trials are sampled
+    /// and distinct; only the last bracket has trials left to sample, at
+    /// rung 0; survivors queue above rung 0; and work is left, for a
+    /// finished bracket is freed.
     pub(crate) fn validate(&self) -> Result<(), Error> {
         self.config.validate()?;
-        let brackets = self.brackets.len();
-        if brackets != self.config.num_brackets || self.current >= brackets {
+        let (opened, stride) = (self.opened, self.config.stride());
+        if (opened as u64).checked_mul(stride).is_none() {
             return Err(Error::config(format!(
-                "bracket {} of {brackets} current, {} configured",
-                self.current, self.config.num_brackets
+                "{opened} brackets of {stride} trials"
             )));
         }
-        if !(self.spent.is_finite() && self.spent >= 0.0) {
-            let spent = self.spent;
-            return Err(Error::config(format!("spent {spent} is no resource")));
+        let (open, spent, current) = (self.brackets.len(), self.spent, self.current);
+        let turn = match self.config.opening {
+            Opening::AsyncHyperband { num_brackets: k } => {
+                (open, opened) == (k, k) && current < k && spent.is_finite() && spent >= 0.0
+            }
+            Opening::Hyperband { .. } if open > 1 => {
+                return Err(Error::config(format!("{open} generations open at once")));
+            }
+            _ => (spent, current) == (0.0, 0),
+        };
+        if !turn {
+            return Err(Error::config(format!(
+                "bracket {current} of {open} open ({opened} opened) has spent {spent}"
+            )));
         }
-        let config = |s| self.config.bracket_config(s, false);
-        BracketLoop::validate(brackets, &self.brackets, config)
+        let mut next = 0;
+        for bracket in &self.brackets {
+            let (b, state) = (bracket.index, &bracket.asha);
+            let refuse = |why| Err(Error::config(format!("bracket {b} of {opened}: {why}")));
+            let opens =
+                (next..opened).contains(&b) && state.config == self.config.bracket_config(b);
+            if !opens || bracket.barrier.is_some() != state.config.max_trials.is_some() {
+                return refuse("an index, config or barrier the loop does not open");
+            }
+            let at = format!("bracket {b}");
+            state.validate().map_err(|e| e.context(at))?;
+            next = b + 1;
+            let Some(Barrier { rung, queue }) = &bracket.barrier else {
+                continue;
+            };
+            let rung = *rung;
+            let (n, sampled) = (state.config.max_trials.unwrap_or(0), state.trials.len());
+            let top = state.config.geometry()?.max_rung().unwrap_or(0);
+            let records = state.rungs.get(rung).map_or(&[][..], |r| &r.records[..]);
+            let jobs = state.outstanding.iter().map(|&(t, _)| t);
+            let mut ids = (queue.iter().copied().chain(jobs)).chain(records.iter().map(|r| r.0));
+            let mut seen = BTreeSet::new();
+            let stray = |(k, r): (usize, &RungState)| {
+                !r.promoted.is_empty() || (k != rung && !r.records.is_empty())
+            };
+            if rung > top
+                || state.rungs.iter().enumerate().any(stray)
+                || state.outstanding.iter().any(|&(_, k)| k != rung)
+                || !ids.all(|t| t < sampled as u64 && seen.insert(t))
+            {
+                return refuse("a rung, record or job off the barrier, or a trial named twice");
+            }
+            if state.trials_started != sampled
+                || sampled > n
+                || (sampled < n && (rung > 0 || next < opened))
+                || (rung == 0 && !queue.is_empty())
+                || (sampled == n && queue.is_empty() && state.outstanding.is_empty())
+            {
+                return refuse("trials sampled, a rung and a queue no open bracket reaches");
+            }
+        }
+        Ok(())
     }
 }
 
@@ -214,10 +250,9 @@ pub enum SchedulerState {
     /// An [`Asha`](crate::Asha) scheduler — ASHA or, when the embedded
     /// config carries [`PromotionRule::Delayed`], D-ASHA.
     Asha(AshaState),
-    /// A [`SyncSha`](crate::SyncSha) scheduler.
-    SyncSha(ShaState),
-    /// An [`AsyncHyperband`](crate::AsyncHyperband) scheduler.
-    AsyncHyperband(AsyncHyperbandState),
+    /// A [`BracketLoop`](crate::BracketLoop): SHA, Hyperband or
+    /// asynchronous Hyperband, by its config's opening.
+    BracketLoop(BracketLoopState),
 }
 
 impl SchedulerState {
@@ -225,28 +260,32 @@ impl SchedulerState {
     /// `"dasha"` is an [`AshaState`] under the delayed rule: the rule
     /// travels in the tag, not in the config document, which keeps every
     /// store written before the rule became a config field readable (and
-    /// everything written since, byte-identical to it). `"sha"` took over
-    /// from `"sync_sha"`, whose document listed every bracket and trial
-    /// ever opened; the store still reads that one.
+    /// everything written since, byte-identical to it). A bracket loop's
+    /// opening travels in the tag the same way: `"sha"`, `"hyperband"` or
+    /// `"async_hyperband"`. `"sha"` took over from `"sync_sha"`, whose
+    /// document listed every bracket and trial ever opened; the store still
+    /// reads that one.
     pub fn kind(&self) -> &'static str {
         match self {
             SchedulerState::Asha(s) => match s.config.rule {
                 PromotionRule::Eager => "asha",
                 PromotionRule::Delayed => "dasha",
             },
-            SchedulerState::SyncSha(_) => "sha",
-            SchedulerState::AsyncHyperband(_) => "async_hyperband",
+            SchedulerState::BracketLoop(s) => match s.config.opening {
+                Opening::Sha { .. } => "sha",
+                Opening::Hyperband { .. } => "hyperband",
+                Opening::AsyncHyperband { .. } => "async_hyperband",
+            },
         }
     }
 
     /// Check that the scheduler of this kind can hold the state (see
-    /// `AshaState::validate`, `ShaState::validate`,
-    /// `AsyncHyperbandState::validate`). An error is of kind `Config`.
+    /// `AshaState::validate`, `BracketLoopState::validate`). An error is of
+    /// kind `Config`.
     pub fn validate(&self) -> Result<(), Error> {
         match self {
             SchedulerState::Asha(s) => s.validate(),
-            SchedulerState::SyncSha(s) => s.validate(),
-            SchedulerState::AsyncHyperband(s) => s.validate(),
+            SchedulerState::BracketLoop(s) => s.validate(),
         }
     }
 }
@@ -265,8 +304,8 @@ pub trait DurableScheduler: Scheduler + std::fmt::Debug {
 
     /// Each sampler instance's serialized cursor (see
     /// [`ConfigSampler::export_cursor`](crate::ConfigSampler::export_cursor)):
-    /// one entry for single-ladder schedulers, one per bracket for
-    /// [`AsyncHyperband`](crate::AsyncHyperband).
+    /// one entry for single-sampler schedulers, one per bracket for
+    /// asynchronous Hyperband.
     fn sampler_cursors(&self) -> Vec<Option<String>>;
 
     /// Restore cursors produced by [`DurableScheduler::sampler_cursors`].
@@ -278,7 +317,7 @@ pub trait DurableScheduler: Scheduler + std::fmt::Debug {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AsyncHyperband, Decision, HyperbandConfig, Observation, ShaConfig, SyncSha};
+    use crate::{BracketLoop, Decision, Observation, Scheduler};
     use asha_space::{Scale, SearchSpace};
     use rand::SeedableRng;
 
@@ -291,9 +330,9 @@ mod tests {
 
     /// A growing SHA mid-run: bracket 0 at rung 1 with one survivor issued
     /// and two queued, bracket 1 with one of its nine trials issued.
-    fn mid_run() -> ShaState {
-        let config = ShaConfig::new(9, 1.0, 9.0, 3.0).growing();
-        let mut sha = SyncSha::new(space(), config);
+    fn mid_run() -> BracketLoopState {
+        let config = BracketLoopConfig::sha(9, 1.0, 9.0, 3.0).growing();
+        let mut sha = BracketLoop::new(space(), config);
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         let jobs: Vec<_> = (0..10)
             .filter_map(|_| sha.suggest(&mut rng).job())
@@ -305,19 +344,42 @@ mod tests {
         sha.export_state()
     }
 
-    fn barrier(s: &mut ShaState) -> &mut Barrier {
+    /// A synchronous Hyperband on `(1, 9, 3)` run serially into its second
+    /// generation, bracket 1 at `s = 1`.
+    fn hyperband_mid_run() -> BracketLoopState {
+        let config = BracketLoopConfig::hyperband(1.0, 9.0, 3.0);
+        let mut hb = BracketLoop::new(space(), config);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        while let Decision::Run(job) = hb.suggest(&mut rng) {
+            hb.observe(Observation::for_job(&job, job.trial.0 as f64));
+            if job.bracket == 1 {
+                break;
+            }
+        }
+        hb.export_state()
+    }
+
+    fn barrier(s: &mut BracketLoopState) -> &mut Barrier {
         s.brackets[0]
             .barrier
             .as_mut()
             .expect("a SHA bracket has a barrier")
     }
 
-    fn refused(tamper: fn(&mut ShaState), why: &str) {
-        let mut state = mid_run();
+    fn refused_from(
+        state: fn() -> BracketLoopState,
+        tamper: impl FnOnce(&mut BracketLoopState),
+        why: &str,
+    ) {
+        let mut state = state();
         tamper(&mut state);
-        let err = SchedulerState::SyncSha(state).validate().unwrap_err();
+        let err = SchedulerState::BracketLoop(state).validate().unwrap_err();
         assert_eq!(err.kind(), crate::ErrorKind::Config, "{err}");
         assert!(err.to_string().contains(why), "{err}");
+    }
+
+    fn refused(tamper: fn(&mut BracketLoopState), why: &str) {
+        refused_from(mid_run, tamper, why);
     }
 
     #[test]
@@ -327,9 +389,11 @@ mod tests {
         let barrier = b0.barrier.as_ref().unwrap();
         assert_eq!((state.opened, barrier.rung, barrier.queue.len()), (2, 1, 2));
         assert_eq!((b1.index, b1.asha.outstanding.len()), (1, 1));
-        SchedulerState::SyncSha(state.clone()).validate().unwrap();
-        let sampler = Box::new(crate::RandomSampler::new());
-        let restored = SyncSha::from_state_with_sampler(space(), state.clone(), sampler);
+        SchedulerState::BracketLoop(state.clone())
+            .validate()
+            .unwrap();
+        let fresh = |_| Box::new(crate::RandomSampler::new()) as Box<dyn crate::ConfigSampler>;
+        let restored = BracketLoop::from_state(space(), state.clone(), fresh);
         assert_eq!(restored.export_state(), state);
     }
 
@@ -356,6 +420,12 @@ mod tests {
     }
 
     #[test]
+    fn sha_with_a_turn_is_refused() {
+        refused(|s| s.spent = 1.0, "has spent 1");
+        refused(|s| s.current = 1, "bracket 1 of 2");
+    }
+
+    #[test]
     fn sha_job_outstanding_off_the_barrier_rung_is_refused() {
         refused(
             |s| s.brackets[0].asha.outstanding[0].1 = 0,
@@ -370,7 +440,9 @@ mod tests {
 
     #[test]
     fn sha_trial_both_queued_and_issued_is_refused() {
-        let twice = |s: &mut ShaState| barrier(s).queue[0] = s.brackets[0].asha.outstanding[0].0;
+        let twice = |s: &mut BracketLoopState| {
+            barrier(s).queue[0] = s.brackets[0].asha.outstanding[0].0;
+        };
         refused(twice, "named twice");
     }
 
@@ -397,7 +469,7 @@ mod tests {
 
     #[test]
     fn sha_bracket_opened_before_the_last_sampled_all_is_refused() {
-        let unsampled = |s: &mut ShaState| {
+        let unsampled = |s: &mut BracketLoopState| {
             let b = &mut s.brackets[0];
             b.barrier = Some(Barrier::default());
             b.asha.outstanding = vec![(0, 0)];
@@ -409,7 +481,7 @@ mod tests {
 
     #[test]
     fn sha_finished_bracket_left_open_is_refused() {
-        let done = |s: &mut ShaState| {
+        let done = |s: &mut BracketLoopState| {
             let b = &mut s.brackets[0];
             b.asha.outstanding.clear();
             b.barrier.as_mut().unwrap().queue.clear();
@@ -417,41 +489,85 @@ mod tests {
         refused(done, "no open bracket reaches");
     }
 
-    fn hyperband() -> AsyncHyperbandState {
-        AsyncHyperband::new(space(), HyperbandConfig::new(1.0, 9.0, 3.0)).export_state()
+    #[test]
+    fn a_mid_run_hyperband_state_validates_and_round_trips() {
+        let state = hyperband_mid_run();
+        assert_eq!((state.opened, state.brackets.len()), (2, 1));
+        assert_eq!(state.brackets[0].asha.config.stop_rate, 1);
+        SchedulerState::BracketLoop(state.clone())
+            .validate()
+            .unwrap();
+        let fresh = |_| Box::new(crate::RandomSampler::new()) as Box<dyn crate::ConfigSampler>;
+        let restored = BracketLoop::from_state(space(), state.clone(), fresh);
+        assert_eq!(restored.export_state(), state);
+    }
+
+    #[test]
+    fn hyperband_with_two_generations_open_is_refused() {
+        let two = |s: &mut BracketLoopState| {
+            let mut next = s.brackets[0].clone();
+            next.index = 2;
+            s.brackets.push(next);
+            s.opened = 3;
+        };
+        refused_from(hyperband_mid_run, two, "2 generations open at once");
+    }
+
+    #[test]
+    fn hyperband_bracket_at_a_rate_other_than_its_generations_is_refused() {
+        // Generation 1 is bracket `s = 1`; generation 4 wraps to `s = 1`.
+        let wrapped = |s: &mut BracketLoopState| {
+            (s.brackets[0].index, s.opened) = (4, 5);
+        };
+        let mut state = hyperband_mid_run();
+        wrapped(&mut state);
+        SchedulerState::BracketLoop(state).validate().unwrap();
+        let at = |s: &mut BracketLoopState| {
+            (s.brackets[0].index, s.opened) = (3, 4);
+        };
+        refused_from(hyperband_mid_run, at, "config");
+    }
+
+    #[test]
+    fn hyperband_generations_past_the_trial_ids_are_refused() {
+        let past = |s: &mut BracketLoopState| s.opened = 1 << 24;
+        refused_from(
+            hyperband_mid_run,
+            past,
+            "16777216 brackets of 1099511627776 trials",
+        );
+    }
+
+    fn async_hyperband() -> BracketLoopState {
+        let config = BracketLoopConfig::async_hyperband(1.0, 9.0, 3.0);
+        BracketLoop::new(space(), config).export_state()
     }
 
     #[test]
     fn async_hyperband_spent_that_is_no_resource_is_refused() {
         for spent in [f64::NAN, -1.0, f64::INFINITY] {
-            let state = AsyncHyperbandState {
+            let state = BracketLoopState {
                 spent,
-                ..hyperband()
+                ..async_hyperband()
             };
-            let err = SchedulerState::AsyncHyperband(state)
-                .validate()
-                .unwrap_err();
+            let err = SchedulerState::BracketLoop(state).validate().unwrap_err();
             assert_eq!(err.kind(), crate::ErrorKind::Config, "{err}");
         }
     }
 
     #[test]
     fn async_hyperband_bracket_of_another_stop_rate_or_under_a_barrier_is_refused() {
-        let mut state = hyperband();
-        SchedulerState::AsyncHyperband(state.clone())
+        let mut state = async_hyperband();
+        SchedulerState::BracketLoop(state.clone())
             .validate()
             .unwrap();
         let (b0, b1) = state.brackets.split_at_mut(1);
         std::mem::swap(&mut b0[0].asha, &mut b1[0].asha);
-        let err = SchedulerState::AsyncHyperband(state)
-            .validate()
-            .unwrap_err();
+        let err = SchedulerState::BracketLoop(state).validate().unwrap_err();
         assert!(err.to_string().contains("bracket 0"), "{err}");
-        let mut state = hyperband();
+        let mut state = async_hyperband();
         state.brackets[2].barrier = Some(Barrier::default());
-        let err = SchedulerState::AsyncHyperband(state)
-            .validate()
-            .unwrap_err();
+        let err = SchedulerState::BracketLoop(state).validate().unwrap_err();
         assert!(err.to_string().contains("bracket 2"), "{err}");
     }
 }

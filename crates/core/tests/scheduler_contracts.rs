@@ -3,8 +3,8 @@
 //! consistency checks that unit tests inside each module cannot express.
 
 use asha_core::{
-    Asha, AshaConfig, AsyncHyperband, Decision, Hyperband, HyperbandConfig, Observation,
-    RandomSearch, ScanOrder, Scheduler, ShaConfig, SyncSha, TrialId,
+    Asha, AshaConfig, BracketLoop, BracketLoopConfig, Decision, Observation, Opening, RandomSearch,
+    ScanOrder, Scheduler, TrialId,
 };
 use asha_space::{Scale, SearchSpace};
 use rand::rngs::StdRng;
@@ -21,17 +21,17 @@ fn space() -> SearchSpace {
 fn all_schedulers() -> Vec<Box<dyn Scheduler>> {
     vec![
         Box::new(Asha::new(space(), AshaConfig::new(1.0, 27.0, 3.0))),
-        Box::new(SyncSha::new(
+        Box::new(BracketLoop::new(
             space(),
-            ShaConfig::new(27, 1.0, 27.0, 3.0).growing(),
+            BracketLoopConfig::sha(27, 1.0, 27.0, 3.0).growing(),
         )),
-        Box::new(Hyperband::new(
+        Box::new(BracketLoop::new(
             space(),
-            HyperbandConfig::new(1.0, 27.0, 3.0),
+            BracketLoopConfig::hyperband(1.0, 27.0, 3.0),
         )),
-        Box::new(AsyncHyperband::new(
+        Box::new(BracketLoop::new(
             space(),
-            HyperbandConfig::new(1.0, 27.0, 3.0),
+            BracketLoopConfig::async_hyperband(1.0, 27.0, 3.0),
         )),
         Box::new(RandomSearch::new(space(), 27.0)),
     ]
@@ -193,7 +193,7 @@ fn scan_orders_diverge_when_multiple_rungs_are_promotable() {
 fn hyperband_generations_do_not_leak_observations() {
     // Complete bracket 0 fully, then send a stale observation for one of
     // its trials: the new bracket must ignore it.
-    let mut hb = Hyperband::new(space(), HyperbandConfig::new(1.0, 9.0, 3.0));
+    let mut hb = BracketLoop::new(space(), BracketLoopConfig::hyperband(1.0, 9.0, 3.0));
     let mut rng = StdRng::seed_from_u64(7);
     let mut last_job = None;
     for _ in 0..13 {
@@ -211,10 +211,11 @@ fn hyperband_generations_do_not_leak_observations() {
 
 #[test]
 fn async_hyperband_budgets_match_bracket_tables() {
-    let cfg = HyperbandConfig::new(1.0, 256.0, 4.0);
+    let cfg = BracketLoopConfig::async_hyperband(1.0, 256.0, 4.0);
+    assert_eq!(cfg.opening, Opening::AsyncHyperband { num_brackets: 5 });
     // The per-bracket budget used for switching equals the SHA bracket
     // budget for that bracket's n.
-    for s in 0..cfg.num_brackets {
+    for s in 0..5 {
         let n = cfg.bracket_num_configs(s);
         let budget = asha_core::budget::bracket_budget(n, 1.0, 256.0, 4.0, s);
         assert!(budget > 0.0);

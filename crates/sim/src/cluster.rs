@@ -796,7 +796,7 @@ impl<'b, S: Scheduler> SimEngine<'b, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asha_core::{Asha, AshaConfig, RandomSearch, ShaConfig, SyncSha};
+    use asha_core::{Asha, AshaConfig, BracketLoop, BracketLoopConfig, RandomSearch};
     use asha_surrogate::presets;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -908,7 +908,7 @@ mod tests {
     /// a restored engine exports exactly what it was restored from.
     #[test]
     fn export_writes_slots_in_trial_order_and_restore_round_trips() {
-        use asha_core::{AsyncHyperband, HyperbandConfig, NoopRecorder, RandomSampler};
+        use asha_core::{ConfigSampler, NoopRecorder, RandomSampler};
 
         fn run<S: Scheduler>(mut engine: SimEngine<'_, S>) -> SimEngine<'_, S> {
             let mut rng = rng(21);
@@ -929,28 +929,31 @@ mod tests {
         let bench = presets::cifar10_cuda_convnet(1);
         let space = bench.space().clone();
         let cfg = SimConfig::new(25, 1e6).with_drops(0.02);
-        let ahb = AsyncHyperband::new(space.clone(), HyperbandConfig::new(1.0, 9.0, 3.0));
+        let config = BracketLoopConfig::async_hyperband(1.0, 9.0, 3.0);
+        let ahb = BracketLoop::new(space.clone(), config);
         let ahb = run(SimEngine::new(cfg.clone(), ahb, &bench));
         assert!(!ahb.order.is_sorted(), "the brackets never interleaved");
-        check(&ahb, |s| {
-            let fresh = |_| Box::new(RandomSampler::new()) as Box<dyn asha_core::ConfigSampler>;
-            AsyncHyperband::from_state_with_sampler_factory(space.clone(), s.export_state(), fresh)
-        });
-        let sha = SyncSha::new(
-            space.clone(),
-            ShaConfig::new(16, 16.0, 256.0, 4.0).growing(),
-        );
-        let sha = run(SimEngine::new(cfg, sha, &bench));
-        check(&sha, |s| {
-            let fresh = Box::new(RandomSampler::new());
-            SyncSha::from_state_with_sampler(space.clone(), s.export_state(), fresh)
-        });
+        let restore = |s: &BracketLoop| {
+            let fresh = |_| Box::new(RandomSampler::new()) as Box<dyn ConfigSampler>;
+            BracketLoop::from_state(space.clone(), s.export_state(), fresh)
+        };
+        check(&ahb, restore);
+        let config = BracketLoopConfig::sha(16, 16.0, 256.0, 4.0).growing();
+        let sha = run(SimEngine::new(
+            cfg,
+            BracketLoop::new(space.clone(), config),
+            &bench,
+        ));
+        check(&sha, restore);
     }
 
     #[test]
     fn sync_sha_finishes_and_reports_completion() {
         let bench = presets::cifar10_cuda_convnet(1);
-        let sha = SyncSha::new(bench.space().clone(), ShaConfig::new(16, 16.0, 256.0, 4.0));
+        let sha = BracketLoop::new(
+            bench.space().clone(),
+            BracketLoopConfig::sha(16, 16.0, 256.0, 4.0),
+        );
         let result = ClusterSim::new(SimConfig::new(4, 1e6)).run(sha, &bench, &mut rng(2));
         assert!(result.scheduler_finished);
         // 16 + 4 + 1 jobs.
@@ -960,7 +963,10 @@ mod tests {
     #[test]
     fn drops_are_retried_and_work_still_completes() {
         let bench = presets::cifar10_cuda_convnet(1);
-        let sha = SyncSha::new(bench.space().clone(), ShaConfig::new(16, 16.0, 256.0, 4.0));
+        let sha = BracketLoop::new(
+            bench.space().clone(),
+            BracketLoopConfig::sha(16, 16.0, 256.0, 4.0),
+        );
         // 0.1 per job over 21+ jobs makes "at least one drop" near-certain
         // rather than a property of one lucky rng stream.
         let result =
@@ -974,7 +980,12 @@ mod tests {
     #[test]
     fn stragglers_slow_the_clock_but_not_correctness() {
         let bench = presets::cifar10_cuda_convnet(1);
-        let mk = || SyncSha::new(bench.space().clone(), ShaConfig::new(16, 16.0, 256.0, 4.0));
+        let mk = || {
+            BracketLoop::new(
+                bench.space().clone(),
+                BracketLoopConfig::sha(16, 16.0, 256.0, 4.0),
+            )
+        };
         let clean = ClusterSim::new(SimConfig::new(4, 1e7)).run(mk(), &bench, &mut rng(4));
         let slow = ClusterSim::new(SimConfig::new(4, 1e7).with_stragglers(1.5)).run(
             mk(),

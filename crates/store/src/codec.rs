@@ -35,8 +35,8 @@ use crate::binary::{from_tree, tree_of, Reader, ValueWriter, TAG_ARR, TAG_INT, T
 use crate::upgrade;
 use asha_core::Error;
 use asha_core::{
-    AshaConfig, AshaState, AsyncHyperbandState, Barrier, BracketState, HyperbandConfig, Job,
-    PromotionRule, RungState, ScanOrder, SchedulerState, ShaConfig, ShaState, TrialId,
+    AshaConfig, AshaState, Barrier, BracketLoopConfig, BracketLoopState, BracketState, Job,
+    Opening, PromotionRule, RungState, ScanOrder, SchedulerState, TrialId,
 };
 use asha_metrics::{FaultStats, JsonValue, TraceEvent};
 use asha_sim::{PendingJob, ResumePolicy, SimConfig, SimRunState, TraceMode, TrialSlotState};
@@ -283,48 +283,65 @@ fn get_asha_config(r: &mut Reader<'_>) -> Result<AshaConfig, Error> {
     })
 }
 
-fn put_sha_config(w: &mut ValueWriter<'_>, c: &ShaConfig) {
-    w.obj(6);
-    w.key("num_configs").int(c.num_configs as u64);
+fn put_ladder(w: &mut ValueWriter<'_>, c: &BracketLoopConfig) {
     put_float(w.key("min_resource"), c.min_resource);
     put_float(w.key("max_resource"), c.max_resource);
     put_float(w.key("reduction_factor"), c.reduction_factor);
-    w.key("stop_rate").int(c.stop_rate as u64);
-    w.key("grow_brackets").bool(c.grow_brackets);
 }
 
-/// Decode and validate a [`ShaConfig`].
-pub(crate) fn get_sha_config(r: &mut Reader<'_>) -> Result<ShaConfig, Error> {
-    r.object(|o| {
-        let n = o.get("num_configs", Reader::usize)?;
-        let (min, max) = (
+/// A bracket loop's config: SHA's six keys, or a Hyperband's four.
+fn put_loop_config(w: &mut ValueWriter<'_>, c: &BracketLoopConfig) {
+    match c.opening {
+        Opening::Sha {
+            num_configs,
+            stop_rate,
+            grow,
+        } => {
+            w.obj(6);
+            w.key("num_configs").int(num_configs as u64);
+            put_ladder(w, c);
+            w.key("stop_rate").int(stop_rate as u64);
+            w.key("grow_brackets").bool(grow);
+        }
+        Opening::Hyperband { num_brackets } | Opening::AsyncHyperband { num_brackets } => {
+            w.obj(4);
+            put_ladder(w, c);
+            w.key("num_brackets").int(num_brackets as u64);
+        }
+    }
+}
+
+/// Decode and validate the config of a bracket loop whose document is of
+/// `kind` (`"sha"`, `"hyperband"` or `"async_hyperband"`).
+pub(crate) fn get_loop_config(r: &mut Reader<'_>, kind: &str) -> Result<BracketLoopConfig, Error> {
+    let c = r.object(|o| {
+        let num_configs = match kind {
+            "sha" => Some(o.get("num_configs", Reader::usize)?),
+            _ => None,
+        };
+        let (min_resource, max_resource, reduction_factor) = (
             o.get("min_resource", Reader::f64)?,
             o.get("max_resource", Reader::f64)?,
+            o.get("reduction_factor", Reader::f64)?,
         );
-        let mut c = ShaConfig::new(n, min, max, o.get("reduction_factor", Reader::f64)?);
-        c.stop_rate = o.get("stop_rate", Reader::usize)?;
-        c.grow_brackets = o.get("grow_brackets", Reader::bool)?;
-        c.validate()?;
-        Ok(c)
-    })
-}
-
-fn put_hyperband_config(w: &mut ValueWriter<'_>, c: &HyperbandConfig) {
-    w.obj(4);
-    put_float(w.key("min_resource"), c.min_resource);
-    put_float(w.key("max_resource"), c.max_resource);
-    put_float(w.key("reduction_factor"), c.reduction_factor);
-    w.key("num_brackets").int(c.num_brackets as u64);
-}
-
-/// Decode and validate a [`HyperbandConfig`].
-fn get_hyperband_config(r: &mut Reader<'_>) -> Result<HyperbandConfig, Error> {
-    let c = r.object(|o| {
-        Ok(HyperbandConfig {
-            min_resource: o.get("min_resource", Reader::f64)?,
-            max_resource: o.get("max_resource", Reader::f64)?,
-            reduction_factor: o.get("reduction_factor", Reader::f64)?,
-            num_brackets: o.get("num_brackets", Reader::usize)?,
+        let opening = match (num_configs, kind) {
+            (Some(num_configs), _) => Opening::Sha {
+                num_configs,
+                stop_rate: o.get("stop_rate", Reader::usize)?,
+                grow: o.get("grow_brackets", Reader::bool)?,
+            },
+            (None, "hyperband") => Opening::Hyperband {
+                num_brackets: o.get("num_brackets", Reader::usize)?,
+            },
+            (None, _) => Opening::AsyncHyperband {
+                num_brackets: o.get("num_brackets", Reader::usize)?,
+            },
+        };
+        Ok(BracketLoopConfig {
+            min_resource,
+            max_resource,
+            reduction_factor,
+            opening,
         })
     })?;
     c.validate()?;
@@ -418,15 +435,23 @@ fn get_asha_state(r: &mut Reader<'_>) -> Result<AshaState, Error> {
     })
 }
 
-/// SHA's document: its config, the brackets opened, and each open one as
-/// its index (`bracket`), its barrier's `rung` and `queue`, and its `asha`
-/// document.
-fn put_sha_state(w: &mut ValueWriter<'_>, s: &ShaState) {
-    w.obj(4);
-    put_sha_config(w.key("config"), &s.config);
-    w.key("opened").int(s.opened as u64);
+/// A bracket loop's document. SHA's and Hyperband's: the config, the
+/// brackets opened, and each open one as its index (`bracket`), its
+/// barrier's `rung` and `queue`, and its `asha` document. Asynchronous
+/// Hyperband's: bracket `s` as its `s`-th `asha` document, then the turn.
+fn put_loop_state(w: &mut ValueWriter<'_>, s: &BracketLoopState) {
+    let rotates = matches!(s.config.opening, Opening::AsyncHyperband { .. });
+    w.obj(if rotates { 5 } else { 4 });
+    put_loop_config(w.key("config"), &s.config);
+    if !rotates {
+        w.key("opened").int(s.opened as u64);
+    }
     w.key("brackets").arr(s.brackets.len());
     for b in &s.brackets {
+        if rotates {
+            put_asha_state(w, &b.asha);
+            continue;
+        }
         let barrier = b.barrier.as_ref();
         w.obj(4);
         w.key("bracket").int(b.index as u64);
@@ -434,11 +459,15 @@ fn put_sha_state(w: &mut ValueWriter<'_>, s: &ShaState) {
         put_u64s(w.key("queue"), barrier.map_or(&[], |b| &b.queue));
         put_asha_state(w.key("asha"), &b.asha);
     }
+    if rotates {
+        put_float(w.key("spent"), s.spent);
+        w.key("current").int(s.current as u64);
+    }
     w.key("name").str(&s.name);
 }
 
-fn get_sha_state(r: &mut Reader<'_>) -> Result<ShaState, Error> {
-    let bracket = |r: &mut Reader<'_>| {
+fn get_loop_state(r: &mut Reader<'_>, kind: &str) -> Result<BracketLoopState, Error> {
+    let barrier_bracket = |r: &mut Reader<'_>| {
         r.object(|o| {
             let index = o.get("bracket", Reader::usize)?;
             let rung = o.get("rung", Reader::usize)?;
@@ -452,48 +481,33 @@ fn get_sha_state(r: &mut Reader<'_>) -> Result<ShaState, Error> {
             })
         })
     };
-    r.object(|o| {
-        Ok(ShaState {
-            config: o.get("config", get_sha_config)?,
-            opened: o.get("opened", Reader::usize)?,
-            brackets: o.get("brackets", |r| r.list(bracket))?,
-            name: o.get("name", Reader::string)?,
-        })
-    })
-}
-
-/// Async Hyperband's document: bracket `s` is its `s`-th `asha` document.
-fn put_hyperband_state(w: &mut ValueWriter<'_>, s: &AsyncHyperbandState) {
-    w.obj(5);
-    put_hyperband_config(w.key("config"), &s.config);
-    w.key("brackets").arr(s.brackets.len());
-    for b in &s.brackets {
-        put_asha_state(w, &b.asha);
-    }
-    put_float(w.key("spent"), s.spent);
-    w.key("current").int(s.current as u64);
-    w.key("name").str(&s.name);
-}
-
-fn get_hyperband_state(r: &mut Reader<'_>) -> Result<AsyncHyperbandState, Error> {
-    let mut index = 0;
-    let bracket = |r: &mut Reader<'_>| {
-        let (asha, barrier) = (get_asha_state(r)?, None);
-        index += 1;
-        Ok(BracketState {
-            index: index - 1,
-            asha,
-            barrier,
-        })
+    let rate_bracket = |(index, asha)| BracketState {
+        index,
+        asha,
+        barrier: None,
     };
     r.object(|o| {
-        Ok(AsyncHyperbandState {
-            config: o.get("config", get_hyperband_config)?,
-            brackets: o.get("brackets", |r| r.list(bracket))?,
-            spent: o.get("spent", Reader::f64)?,
-            current: o.get("current", Reader::usize)?,
-            name: o.get("name", Reader::string)?,
-        })
+        let config = o.get("config", |r| get_loop_config(r, kind))?;
+        let mut s = BracketLoopState {
+            config,
+            opened: 0,
+            brackets: Vec::new(),
+            spent: 0.0,
+            current: 0,
+            name: String::new(),
+        };
+        if let Opening::AsyncHyperband { .. } = s.config.opening {
+            let ashas = o.get("brackets", |r| r.list(get_asha_state))?;
+            s.brackets = ashas.into_iter().enumerate().map(rate_bracket).collect();
+            s.opened = s.brackets.len();
+            s.spent = o.get("spent", Reader::f64)?;
+            s.current = o.get("current", Reader::usize)?;
+        } else {
+            s.opened = o.get("opened", Reader::usize)?;
+            s.brackets = o.get("brackets", |r| r.list(barrier_bracket))?;
+        }
+        s.name = o.get("name", Reader::string)?;
+        Ok(s)
     })
 }
 
@@ -503,8 +517,7 @@ pub(crate) fn put_scheduler_state(w: &mut ValueWriter<'_>, s: &SchedulerState) {
     w.key("state");
     match s {
         SchedulerState::Asha(s) => put_asha_state(w, s),
-        SchedulerState::SyncSha(s) => put_sha_state(w, s),
-        SchedulerState::AsyncHyperband(s) => put_hyperband_state(w, s),
+        SchedulerState::BracketLoop(s) => put_loop_state(w, s),
     }
 }
 
@@ -535,9 +548,10 @@ fn state_of(kind: &str, r: &mut Reader<'_>) -> Result<SchedulerState, Error> {
             s.config.rule = PromotionRule::Delayed;
             SchedulerState::Asha(s)
         }
-        "sha" => SchedulerState::SyncSha(get_sha_state(r)?),
-        "sync_sha" => SchedulerState::SyncSha(upgrade::sync_sha_state(r)?),
-        "async_hyperband" => SchedulerState::AsyncHyperband(get_hyperband_state(r)?),
+        "sha" | "hyperband" | "async_hyperband" => {
+            SchedulerState::BracketLoop(get_loop_state(r, kind)?)
+        }
+        "sync_sha" => SchedulerState::BracketLoop(upgrade::sync_sha_state(r)?),
         other => return Err(Error::codec(format!("unknown scheduler kind {other:?}"))),
     })
 }

@@ -26,8 +26,7 @@ use std::path::{Path, PathBuf};
 
 use asha_baselines::Sampler;
 use asha_core::{
-    Asha, AsyncHyperband, AsyncHyperbandState, Decision, DurableScheduler, Observation, Scheduler,
-    SchedulerState, ShaState, SyncSha,
+    Asha, BracketLoop, Decision, DurableScheduler, Observation, Scheduler, SchedulerState,
 };
 use asha_metrics::JsonValue;
 use asha_sim::SimRunState;
@@ -54,8 +53,8 @@ pub(crate) const DELTA_SCHEMA: &str = "asha-store-delta-v1";
 /// scheduler runs and each sampler instance's serialized model cursor.
 ///
 /// `cursors` holds one entry per sampler instance — a single element for
-/// `Asha`/`SyncSha`, one per bracket for `AsyncHyperband`. A `None` entry
-/// means that instance keeps no cursor (stateless sampler).
+/// `Asha`, SHA and Hyperband, one per bracket for asynchronous Hyperband. A
+/// `None` entry means that instance keeps no cursor (stateless sampler).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SamplerSpec {
     /// The sampler's kind, written as its name: `"tpe"` or `"gp"` (the
@@ -137,12 +136,7 @@ impl StoredScheduler {
         };
         StoredScheduler(match state {
             SchedulerState::Asha(s) => Box::new(Asha::from_state_with_sampler(space, s, fresh(0))),
-            SchedulerState::SyncSha(s) => {
-                Box::new(SyncSha::from_state_with_sampler(space, s, fresh(0)))
-            }
-            SchedulerState::AsyncHyperband(s) => Box::new(
-                AsyncHyperband::from_state_with_sampler_factory(space, s, fresh),
-            ),
+            SchedulerState::BracketLoop(s) => Box::new(BracketLoop::from_state(space, s, fresh)),
         })
     }
 
@@ -257,9 +251,8 @@ impl Snapshot {
         };
         match &self.scheduler {
             SchedulerState::Asha(s) => s.trials.iter().try_for_each(|(_, c)| check(c))?,
-            SchedulerState::SyncSha(ShaState { brackets, .. })
-            | SchedulerState::AsyncHyperband(AsyncHyperbandState { brackets, .. }) => {
-                let mut trials = brackets.iter().flat_map(|b| &b.asha.trials);
+            SchedulerState::BracketLoop(s) => {
+                let mut trials = s.brackets.iter().flat_map(|b| &b.asha.trials);
                 trials.try_for_each(|(_, c)| check(c))?;
             }
         }

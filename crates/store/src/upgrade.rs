@@ -37,7 +37,9 @@ use crate::format::{encode_wal, WAL_MAGIC};
 use crate::snapshot::{checkpoint_position, delta_file_name, fsync_dir, read_payload};
 use crate::snapshot::{write_atomic, write_document, Snapshot, EXT};
 use crate::wal::{SnapMarker, StoreEvent, WalContents, WalRecord};
-use asha_core::{AshaState, Barrier, BracketState, Error, RungState, ShaState};
+use asha_core::{
+    budget, AshaState, Barrier, BracketLoopState, BracketState, Error, Opening, RungState,
+};
 
 const V1: &str = "jsonl-v1";
 const V2: &str = "binary-v2";
@@ -303,16 +305,25 @@ pub(crate) fn keyed_param_value(r: &mut Reader<'_>) -> Result<ParamValue, Error>
 /// A `sync_sha` document, SHA's state before it freed finished brackets:
 /// every bracket opened, as its barrier's counts and lists in global ids,
 /// and `trial_meta`, `[trial, bracket, config]` for every trial sampled, as
-/// the [`ShaState`] SHA holds now: each bracket not `done`, ids made local,
-/// with the trials `trial_meta` files under it. What that cannot carry (an
-/// `outstanding` count not the `issued` list's, a rung past the ladder, a
-/// bracket whose trial ids pass `2^64`, one never opened) is refused;
-/// `SchedulerState::validate` judges the rest (an id of another bracket
-/// wraps past every trial sampled).
-pub(crate) fn sync_sha_state(r: &mut Reader<'_>) -> Result<ShaState, Error> {
+/// the [`BracketLoopState`] SHA holds now: each bracket not `done`, ids
+/// made local, with the trials `trial_meta` files under it. What that
+/// cannot carry (an `outstanding` count not the `issued` list's, a rung
+/// past the ladder, a bracket whose trial ids pass `2^64`, one never
+/// opened) is refused; `SchedulerState::validate` judges the rest (an id
+/// of another bracket wraps past every trial sampled).
+pub(crate) fn sync_sha_state(r: &mut Reader<'_>) -> Result<BracketLoopState, Error> {
     r.object(|o| {
-        let config = o.get("config", codec::get_sha_config)?;
-        let (n, rungs, mut opened) = (config.num_configs, config.num_rungs(), 0);
+        let config = o.get("config", |r| codec::get_loop_config(r, "sha"))?;
+        let Opening::Sha { num_configs: n, .. } = config.opening else {
+            unreachable!("a \"sha\" config is SHA's")
+        };
+        let (bracket_config, mut opened) = (config.bracket_config(0), 0);
+        let (r, max_r, eta) = (
+            config.min_resource,
+            config.max_resource,
+            config.reduction_factor,
+        );
+        let rungs = budget::promotion_table(n, r, max_r, eta, bracket_config.stop_rate).len();
         let base = |b: usize| (b as u64).wrapping_mul(n as u64);
         let bracket = |r: &mut Reader<'_>| {
             let (index, local) = (opened, move |t: u64| t.wrapping_sub(base(opened)));
@@ -324,9 +335,9 @@ pub(crate) fn sync_sha_state(r: &mut Reader<'_>) -> Result<ShaState, Error> {
                 let issued = o.get("issued", |r| r.list(Reader::u64))?;
                 let results = o.get("results", |r| r.list(codec::get_trial_loss))?;
                 let (rung, done) = (o.get("rung", Reader::usize)?, o.get("done", Reader::bool)?);
-                // A ladder of more than 65 rungs needs an `n` near 2^64, whose
-                // ids fit two brackets: refusing ids past 2^64 before the
-                // ladder below is allocated bounds what a document can cost.
+                // Refusing ids past 2^64 before the ladder below is
+                // allocated bounds the brackets a document can cost, as the
+                // 64-rung cap bounds each one's ladder.
                 let ids = (index as u64).checked_mul(n as u64);
                 if outstanding != issued.len() || rung >= rungs || ids.is_none() {
                     return Err(Error::config(format!("bracket {index}: a count or a rung")));
@@ -334,7 +345,7 @@ pub(crate) fn sync_sha_state(r: &mut Reader<'_>) -> Result<ShaState, Error> {
                 let mut ladder = vec![RungState::default(); rungs];
                 ladder[rung].records = results.into_iter().map(|(t, l)| (local(t), l)).collect();
                 let asha = AshaState {
-                    config: config.bracket_config(),
+                    config: bracket_config.clone(),
                     rungs: ladder,
                     trials: Vec::new(),
                     outstanding: issued.into_iter().map(|t| (local(t), rung)).collect(),
@@ -365,10 +376,12 @@ pub(crate) fn sync_sha_state(r: &mut Reader<'_>) -> Result<ShaState, Error> {
             }
         }
         let name = o.get("name", Reader::string)?;
-        Ok(ShaState {
+        Ok(BracketLoopState {
             config,
             opened,
             brackets,
+            spent: 0.0,
+            current: 0,
             name,
         })
     })
@@ -453,19 +466,19 @@ mod tests {
         assert_eq!(decoded.records, records, "jsonl-v1");
     }
 
-    /// With `n` near 2^64 a bracket's ladder can hold ~2 000 rungs, and only
-    /// two brackets have trial ids: the third of a `sync_sha` document is
-    /// refused before its ladder is built.
+    /// With `n = 2^63` only two brackets have trial ids: the third of a
+    /// `sync_sha` document is refused before its 63-rung ladder is built.
     #[test]
     fn a_sync_sha_bracket_past_the_trial_ids_is_refused() {
         let bracket = r#"{"remaining_to_sample": 0, "queue": [], "outstanding": 0,
             "issued": [], "results": [], "rung": 0, "done": false}"#;
         let doc = format!(
             r#"{{"kind": "sync_sha", "state": {{"config": {{"num_configs": {n},
-                "min_resource": 5e-324, "max_resource": 1e308, "reduction_factor": 2,
+                "min_resource": 1, "max_resource": {max_r}, "reduction_factor": 2,
                 "stop_rate": 0, "grow_brackets": true}}, "brackets": [{bracket}, {bracket},
                 {bracket}], "trial_meta": [], "next_trial": 0, "name": "SHA"}}}}"#,
-            n = u64::MAX
+            n = 1u64 << 63,
+            max_r = 2f64.powi(62)
         );
         let doc = JsonValue::parse(&doc).unwrap();
         let err = codec::scheduler_state_from_json(&doc).unwrap_err();

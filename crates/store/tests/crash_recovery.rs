@@ -8,8 +8,7 @@ use std::path::{Path, PathBuf};
 use asha_baselines::{bohb_asha, Sampler};
 use asha_core::telemetry::EventKind;
 use asha_core::{
-    Asha, AshaConfig, AsyncHyperband, Decision, HyperbandConfig, Observation, Scheduler, ShaConfig,
-    SyncSha, TrialId,
+    Asha, AshaConfig, BracketLoop, BracketLoopConfig, Decision, Observation, Scheduler, TrialId,
 };
 use asha_metrics::JsonValue;
 use asha_sim::{SimConfig, SimResult};
@@ -871,13 +870,32 @@ fn create_refuses_an_initial_state_the_scheduler_cannot_hold() {
     assert!(!dir.exists(), "a refused create left {dir:?} behind");
     // Async Hyperband's budget cursor: a NaN `spent` never reaches a
     // budget, so such a run would never leave its first bracket.
-    let config = HyperbandConfig::new(1.0, 27.0, 3.0);
-    let mut state = AsyncHyperband::new(meta.space.clone(), config).export_state();
+    let config = BracketLoopConfig::async_hyperband(1.0, 27.0, 3.0);
+    let mut state = BracketLoop::new(meta.space.clone(), config).export_state();
     state.spent = f64::NAN;
-    meta.initial = SchedulerState::AsyncHyperband(state);
+    meta.initial = SchedulerState::BracketLoop(state);
     let err = DurableRun::create(&dir, &meta, &bench, opts(20))
         .err()
         .expect("create accepted a NaN spent");
+    assert_eq!(err.kind(), ErrorKind::Config, "{err}");
+    assert!(!dir.exists(), "a refused create left {dir:?} behind");
+    // A ladder of ~2 100 rungs (r = 5e-324, R = 1e308, eta = 2), which a
+    // restored bracket would allocate whole, is refused as the document is
+    // read, before any bracket is built.
+    let asha = r#"{"config": {"min_resource": 5e-324, "max_resource": 1e308,
+        "reduction_factor": 2, "stop_rate": 0, "infinite_horizon": false,
+        "max_trials": null, "scan_order": "top_down"}, "rungs": [], "trials": [],
+        "outstanding": [], "next_trial": 0, "trials_started": 0, "name": "ASHA"}"#;
+    let doc = format!(
+        r#"{{"kind": "async_hyperband", "state": {{"config": {{"min_resource": 5e-324,
+            "max_resource": 1e308, "reduction_factor": 2, "num_brackets": 1}},
+            "brackets": [{asha}], "spent": 0, "current": 0, "name": "Hyperband (async)"}}}}"#
+    );
+    let mut tree = meta.to_json();
+    *field(&mut tree, "scheduler") = JsonValue::parse(&doc).unwrap();
+    let err = ExperimentMeta::from_json(&tree)
+        .and_then(|meta| DurableRun::create(&dir, &meta, &bench, opts(20)).map(drop))
+        .expect_err("create accepted a ladder of ~2 100 rungs");
     assert_eq!(err.kind(), ErrorKind::Config, "{err}");
     assert!(!dir.exists(), "a refused create left {dir:?} behind");
     std::fs::remove_dir_all(&root).ok();
@@ -896,11 +914,11 @@ fn create_and_resume_refuse_a_sync_sha_state_no_bracket_can_hold() {
         ..opts(20)
     };
     let mut meta = chaos_meta("unholdable-sha", 42);
-    let sha = ShaConfig::new(27, 1.0, 27.0, 3.0).growing();
-    let initial = SyncSha::new(meta.space.clone(), sha).export_state();
+    let sha = BracketLoopConfig::sha(27, 1.0, 27.0, 3.0).growing();
+    let initial = BracketLoop::new(meta.space.clone(), sha).export_state();
     let mut bad = initial.clone();
     bad.brackets[0].index = 5;
-    meta.initial = SchedulerState::SyncSha(bad);
+    meta.initial = SchedulerState::BracketLoop(bad);
     let bench = meta.bench.build().unwrap();
     let dir = root.join("run");
     let err = DurableRun::create(&dir, &meta, &bench, o)
@@ -916,12 +934,12 @@ fn create_and_resume_refuse_a_sync_sha_state_no_bracket_can_hold() {
     let err = ExperimentMeta::from_json(&tree).expect_err("a trial of bracket 5 was read");
     assert_eq!(err.kind(), ErrorKind::Config, "{err}");
 
-    meta.initial = SchedulerState::SyncSha(initial);
+    meta.initial = SchedulerState::BracketLoop(initial);
     let mut run = DurableRun::create(&dir, &meta, &bench, o).unwrap();
     assert!(run.run_until_jobs(45).unwrap());
     drop(run);
     let (snap, path) = load_latest(&dir).unwrap().expect("checkpoints were taken");
-    let SchedulerState::SyncSha(state) = &snap.scheduler else {
+    let SchedulerState::BracketLoop(state) = &snap.scheduler else {
         unreachable!("the run is SHA")
     };
     let file_name = path.file_name().unwrap().to_str().unwrap().to_owned();
@@ -946,7 +964,7 @@ fn create_and_resume_refuse_a_sync_sha_state_no_bracket_can_hold() {
     busy.expect("a bracket has jobs out").outstanding += 1;
     let mut doc = snap.to_json();
     for scheduler in [
-        scheduler_state_to_json(&SchedulerState::SyncSha(twice)),
+        scheduler_state_to_json(&SchedulerState::BracketLoop(twice)),
         legacy::to_json(&miscounted, false),
     ] {
         *field(&mut doc, "scheduler") = scheduler;

@@ -8,9 +8,7 @@
 use std::sync::OnceLock;
 
 use asha_baselines::Sampler;
-use asha_core::{
-    Asha, AshaConfig, AsyncHyperband, HyperbandConfig, SchedulerState, ShaConfig, SyncSha,
-};
+use asha_core::{Asha, AshaConfig, BracketLoop, BracketLoopConfig, SchedulerState};
 use asha_sim::SimConfig;
 use asha_store::{
     load_latest, BenchSpec, Durability, DurableRun, ExperimentMeta, RunOptions, Snapshot,
@@ -19,7 +17,7 @@ use asha_surrogate::BenchmarkModel;
 use proptest::prelude::*;
 
 /// The latest full checkpoint's payload of a short 25-worker run of each
-/// scheduler kind (ASHA, synchronous SHA, async Hyperband) × sampler
+/// scheduler kind (ASHA, SHA and both Hyperbands) × sampler
 /// (random, TPE).
 fn payloads() -> &'static [Vec<u8>] {
     static PAYLOADS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
@@ -37,20 +35,16 @@ fn payloads() -> &'static [Vec<u8>] {
                 AshaConfig::new(1.0, 27.0, 3.0),
                 sampler.build(&space),
             );
-            let sha = SyncSha::with_sampler(
-                space.clone(),
-                ShaConfig::new(27, 1.0, 27.0, 3.0).growing(),
-                sampler.build(&space),
-            );
-            let ahb = AsyncHyperband::with_sampler_factory(
-                space.clone(),
-                HyperbandConfig::new(1.0, 27.0, 3.0),
-                |_| sampler.build(&space),
-            );
+            let bracket_loop = |config| {
+                let fresh = |_| sampler.build(&space);
+                let state = BracketLoop::with_sampler_factory(space.clone(), config, fresh);
+                SchedulerState::BracketLoop(state.export_state())
+            };
             let initials = [
                 SchedulerState::Asha(asha.export_state()),
-                SchedulerState::SyncSha(sha.export_state()),
-                SchedulerState::AsyncHyperband(ahb.export_state()),
+                bracket_loop(BracketLoopConfig::sha(27, 1.0, 27.0, 3.0).growing()),
+                bracket_loop(BracketLoopConfig::hyperband(1.0, 27.0, 3.0)),
+                bracket_loop(BracketLoopConfig::async_hyperband(1.0, 27.0, 3.0)),
             ];
             for initial in initials {
                 let name = format!("{}-{}", initial.kind(), sampler.name());

@@ -8,14 +8,15 @@
 //! library's writer; the rest (scheduler configs, rung records, faults) is
 //! the same document and is copied here so the oracle owes the code under
 //! test nothing. SHA's state is written as today's `sha` document, which
-//! took over from `sync_sha` (kept in `legacy/`) after schema v2.
+//! took over from `sync_sha` (kept in `legacy/`) after schema v2, and
+//! synchronous Hyperband's in the same shape under its `hyperband` tag.
 
 // Each test target that includes this module uses only part of it.
 #![allow(dead_code)]
 
 use asha_core::{
-    AshaConfig, AshaState, AsyncHyperbandState, HyperbandConfig, Job, RungState, ScanOrder,
-    SchedulerState, ShaConfig, ShaState,
+    AshaConfig, AshaState, BracketLoopConfig, BracketLoopState, Job, Opening, RungState, ScanOrder,
+    SchedulerState,
 };
 use asha_metrics::{FaultStats, JsonValue, TraceEvent};
 use asha_sim::SimRunState;
@@ -114,22 +115,31 @@ fn put_asha_config(w: &mut ValueWriter<'_>, c: &AshaConfig) {
     });
 }
 
-fn put_sha_config(w: &mut ValueWriter<'_>, c: &ShaConfig) {
-    w.obj(6);
-    w.key("num_configs").int(c.num_configs as u64);
+fn put_ladder(w: &mut ValueWriter<'_>, c: &BracketLoopConfig) {
     put_float(w.key("min_resource"), c.min_resource);
     put_float(w.key("max_resource"), c.max_resource);
     put_float(w.key("reduction_factor"), c.reduction_factor);
-    w.key("stop_rate").int(c.stop_rate as u64);
-    w.key("grow_brackets").bool(c.grow_brackets);
 }
 
-fn put_hyperband_config(w: &mut ValueWriter<'_>, c: &HyperbandConfig) {
-    w.obj(4);
-    put_float(w.key("min_resource"), c.min_resource);
-    put_float(w.key("max_resource"), c.max_resource);
-    put_float(w.key("reduction_factor"), c.reduction_factor);
-    w.key("num_brackets").int(c.num_brackets as u64);
+fn put_loop_config(w: &mut ValueWriter<'_>, c: &BracketLoopConfig) {
+    match c.opening {
+        Opening::Sha {
+            num_configs,
+            stop_rate,
+            grow,
+        } => {
+            w.obj(6);
+            w.key("num_configs").int(num_configs as u64);
+            put_ladder(w, c);
+            w.key("stop_rate").int(stop_rate as u64);
+            w.key("grow_brackets").bool(grow);
+        }
+        Opening::Hyperband { num_brackets } | Opening::AsyncHyperband { num_brackets } => {
+            w.obj(4);
+            put_ladder(w, c);
+            w.key("num_brackets").int(num_brackets as u64);
+        }
+    }
 }
 
 fn put_trial_loss_pairs(w: &mut ValueWriter<'_>, pairs: &[(u64, f64)]) {
@@ -175,9 +185,9 @@ fn put_asha_state(w: &mut ValueWriter<'_>, s: &AshaState) {
     w.key("name").str(&s.name);
 }
 
-fn put_sha_state(w: &mut ValueWriter<'_>, s: &ShaState) {
+fn put_sha_state(w: &mut ValueWriter<'_>, s: &BracketLoopState) {
     w.obj(4);
-    put_sha_config(w.key("config"), &s.config);
+    put_loop_config(w.key("config"), &s.config);
     w.key("opened").int(s.opened as u64);
     w.key("brackets").arr(s.brackets.len());
     for b in &s.brackets {
@@ -191,9 +201,9 @@ fn put_sha_state(w: &mut ValueWriter<'_>, s: &ShaState) {
     w.key("name").str(&s.name);
 }
 
-fn put_hyperband_state(w: &mut ValueWriter<'_>, s: &AsyncHyperbandState) {
+fn put_hyperband_state(w: &mut ValueWriter<'_>, s: &BracketLoopState) {
     w.obj(5);
-    put_hyperband_config(w.key("config"), &s.config);
+    put_loop_config(w.key("config"), &s.config);
     w.key("brackets").arr(s.brackets.len());
     for b in &s.brackets {
         put_asha_state(w, &b.asha);
@@ -209,8 +219,10 @@ fn put_scheduler_state(w: &mut ValueWriter<'_>, s: &SchedulerState) {
     w.key("state");
     match s {
         SchedulerState::Asha(s) => put_asha_state(w, s),
-        SchedulerState::SyncSha(s) => put_sha_state(w, s),
-        SchedulerState::AsyncHyperband(s) => put_hyperband_state(w, s),
+        SchedulerState::BracketLoop(s) => match s.config.opening {
+            Opening::AsyncHyperband { .. } => put_hyperband_state(w, s),
+            Opening::Sha { .. } | Opening::Hyperband { .. } => put_sha_state(w, s),
+        },
     }
 }
 

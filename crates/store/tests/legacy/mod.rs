@@ -1,8 +1,8 @@
 //! SHA's `sync_sha` document, as the store wrote it before SHA freed its
 //! finished brackets: every bracket opened, each as its barrier's counts and
 //! lists in global trial ids, and `trial_meta`, a table of every trial
-//! sampled. Nothing in the library writes it any more (its state is
-//! `ShaState`, kind `"sha"`); the tests keep the shape and its encoder, as
+//! sampled. Nothing in the library writes it any more (its state is a
+//! `BracketLoopState`, kind `"sha"`); the tests keep the shape and its encoder, as
 //! `keyed/` keeps the v1 keyed writer, as the oracle the legacy reader in
 //! `asha_store::upgrade` is checked against.
 
@@ -11,10 +11,22 @@
 
 use std::collections::BTreeMap;
 
-use asha_core::{ShaConfig, ShaState};
+use asha_core::{BracketLoopConfig, BracketLoopState, Opening};
 use asha_metrics::JsonValue;
 use asha_space::{Config, ParamValue};
 use asha_store::binary::{decode_value, ValueWriter};
+
+/// `(num_configs, stop_rate, grow)` of SHA's config.
+fn sha(config: &BracketLoopConfig) -> (usize, usize, bool) {
+    match config.opening {
+        Opening::Sha {
+            num_configs,
+            stop_rate,
+            grow,
+        } => (num_configs, stop_rate, grow),
+        other => panic!("a sync_sha document holds SHA, not {other:?}"),
+    }
+}
 
 /// One bracket of a `sync_sha` document: the live state of its barrier.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,7 +50,8 @@ pub struct BracketState {
 /// A `sync_sha` document.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SyncShaState {
-    pub config: ShaConfig,
+    /// SHA's config: its opening is [`Opening::Sha`].
+    pub config: BracketLoopConfig,
     /// Every bracket opened, in order.
     pub brackets: Vec<BracketState>,
     /// `(trial, bracket, config)` of every trial sampled, by trial id.
@@ -49,10 +62,11 @@ pub struct SyncShaState {
 
 /// The document a SHA whose state is `state` wrote, `configs` holding every
 /// trial sampled by global id (a finished bracket's trials are in no
-/// `ShaState`). A finished bracket is written as the old writer wrote it
-/// but for the rung it stopped at, which the reader passes by: 0 stands in.
-pub fn of_run(state: &ShaState, configs: &BTreeMap<u64, Config>) -> SyncShaState {
-    let n = state.config.num_configs;
+/// `BracketLoopState`). A finished bracket is written as the old writer
+/// wrote it but for the rung it stopped at, which the reader passes by: 0
+/// stands in.
+pub fn of_run(state: &BracketLoopState, configs: &BTreeMap<u64, Config>) -> SyncShaState {
+    let (n, _, _) = sha(&state.config);
     let mut open = state.brackets.iter().peekable();
     let brackets = (0..state.opened).map(|b| {
         let base = (b * n) as u64;
@@ -105,14 +119,14 @@ pub fn to_json(s: &SyncShaState, keyed: bool) -> JsonValue {
     w.obj(2);
     w.key("kind").str("sync_sha");
     w.key("state").obj(5);
-    let c = &s.config;
+    let (c, (n, stop_rate, grow)) = (&s.config, sha(&s.config));
     w.key("config").obj(6);
-    w.key("num_configs").int(c.num_configs as u64);
+    w.key("num_configs").int(n as u64);
     put_float(w.key("min_resource"), c.min_resource);
     put_float(w.key("max_resource"), c.max_resource);
     put_float(w.key("reduction_factor"), c.reduction_factor);
-    w.key("stop_rate").int(c.stop_rate as u64);
-    w.key("grow_brackets").bool(c.grow_brackets);
+    w.key("stop_rate").int(stop_rate as u64);
+    w.key("grow_brackets").bool(grow);
     w.key("brackets").arr(s.brackets.len());
     for b in &s.brackets {
         w.obj(7);

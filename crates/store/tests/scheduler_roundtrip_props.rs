@@ -9,8 +9,8 @@ use std::collections::{BTreeMap, VecDeque};
 
 use asha_baselines::{bohb, bohb_asha, Sampler};
 use asha_core::{
-    Asha, AshaConfig, AsyncHyperband, Decision, HyperbandConfig, Job, Observation, Scheduler,
-    SchedulerState, ShaConfig, SyncSha,
+    Asha, AshaConfig, BracketLoop, BracketLoopConfig, Decision, Job, Observation, Scheduler,
+    SchedulerState,
 };
 use asha_metrics::JsonValue;
 use asha_space::{Config, Scale, SearchSpace};
@@ -98,7 +98,7 @@ fn check_restore(
     // file would store it.
     let state = original.export_state();
     let text = match &state {
-        SchedulerState::SyncSha(sha) if legacy => {
+        SchedulerState::BracketLoop(sha) if legacy => {
             legacy::to_json(&legacy::of_run(sha, &configs), false).render()
         }
         _ => scheduler_state_to_json(&state).render(),
@@ -342,9 +342,21 @@ proptest! {
         script in prop::collection::vec((any::<bool>(), 0u8..5), 1..80),
         seed in 0u64..1000,
     ) {
-        let scheduler = StoredScheduler::new(SyncSha::new(
+        let scheduler = StoredScheduler::new(BracketLoop::new(
             space(),
-            ShaConfig::new(27, 1.0, 27.0, 3.0),
+            BracketLoopConfig::sha(27, 1.0, 27.0, 3.0),
+        ));
+        check_roundtrip(scheduler, script, seed)?;
+    }
+
+    #[test]
+    fn hyperband_roundtrips_mid_run(
+        script in prop::collection::vec((any::<bool>(), 0u8..5), 1..120),
+        seed in 0u64..1000,
+    ) {
+        let scheduler = StoredScheduler::new(BracketLoop::new(
+            space(),
+            BracketLoopConfig::hyperband(1.0, 9.0, 3.0),
         ));
         check_roundtrip(scheduler, script, seed)?;
     }
@@ -357,7 +369,7 @@ proptest! {
         script in prop::collection::vec(((0u8..20).prop_map(|x| x < 17), 0u8..5), 1..120),
         seed in 0u64..1000,
     ) {
-        let scheduler = StoredScheduler::new(bohb(space(), ShaConfig::new(9, 1.0, 9.0, 3.0).growing()));
+        let scheduler = StoredScheduler::new(bohb(space(), BracketLoopConfig::sha(9, 1.0, 9.0, 3.0).growing()));
         check_restore(scheduler, script, seed, true)?;
     }
 
@@ -366,9 +378,9 @@ proptest! {
         script in prop::collection::vec((any::<bool>(), 0u8..5), 1..80),
         seed in 0u64..1000,
     ) {
-        let scheduler = StoredScheduler::new(AsyncHyperband::new(
+        let scheduler = StoredScheduler::new(BracketLoop::new(
             space(),
-            HyperbandConfig::new(1.0, 27.0, 3.0),
+            BracketLoopConfig::async_hyperband(1.0, 27.0, 3.0),
         ));
         check_roundtrip(scheduler, script, seed)?;
     }

@@ -13,8 +13,8 @@
 
 use asha_baselines::Sampler;
 use asha_core::{
-    AshaConfig, AshaState, AsyncHyperbandState, Barrier, BracketState, HyperbandConfig, Job,
-    RungState, ScanOrder, SchedulerState, ShaConfig, ShaState, TrialId,
+    AshaConfig, AshaState, Barrier, BracketLoopConfig, BracketLoopState, BracketState, Job,
+    Opening, RungState, ScanOrder, SchedulerState, TrialId,
 };
 use asha_metrics::{FaultStats, JsonValue, TraceEvent};
 use asha_sim::{PendingJob, SimRunState, TrialSlotState};
@@ -128,16 +128,22 @@ fn asha_state(any_rule: bool) -> impl Strategy<Value = AshaState> {
 }
 
 /// A SHA config on the 1..27, η = 3 ladder (decoders validate).
-fn sha_config() -> impl Strategy<Value = ShaConfig> {
-    (0usize..=3, any::<bool>()).prop_map(|(stop_rate, grow_brackets)| {
-        let mut config = ShaConfig::new(27, 1.0, 27.0, 3.0);
-        config.stop_rate = stop_rate;
-        config.grow_brackets = grow_brackets;
-        config
+fn sha_config() -> impl Strategy<Value = BracketLoopConfig> {
+    (0usize..=3, any::<bool>()).prop_map(|(stop_rate, grow)| BracketLoopConfig {
+        opening: Opening::Sha {
+            num_configs: 27,
+            stop_rate,
+            grow,
+        },
+        ..BracketLoopConfig::sha(27, 1.0, 27.0, 3.0)
     })
 }
 
-fn sha_state() -> impl Strategy<Value = ShaState> {
+/// A barrier loop's state: SHA's, or synchronous Hyperband's on the same
+/// ladder.
+fn sha_state() -> impl Strategy<Value = BracketLoopState> {
+    let hyperband =
+        (1usize..=4).prop_map(|k| BracketLoopConfig::hyperband(1.0, 27.0, 3.0).with_brackets(k));
     let bracket = (
         any::<usize>(),
         asha_state(false),
@@ -150,15 +156,17 @@ fn sha_state() -> impl Strategy<Value = ShaState> {
             barrier: Some(Barrier { rung, queue }),
         });
     (
-        sha_config(),
+        prop_oneof![sha_config(), hyperband],
         any::<usize>(),
         prop::collection::vec(bracket, 0..3),
         name(),
     )
-        .prop_map(|(config, opened, brackets, name)| ShaState {
+        .prop_map(|(config, opened, brackets, name)| BracketLoopState {
             config,
             opened,
             brackets,
+            spent: 0.0,
+            current: 0,
             name,
         })
 }
@@ -209,7 +217,7 @@ fn legacy_sync_sha_state() -> impl Strategy<Value = legacy::SyncShaState> {
         )
 }
 
-fn hyperband_state() -> impl Strategy<Value = AsyncHyperbandState> {
+fn hyperband_state() -> impl Strategy<Value = BracketLoopState> {
     (
         1usize..=4,
         prop::collection::vec(asha_state(false), 0..3),
@@ -218,11 +226,10 @@ fn hyperband_state() -> impl Strategy<Value = AsyncHyperbandState> {
         name(),
     )
         .prop_map(
-            |(num_brackets, brackets, spent, current, name)| AsyncHyperbandState {
-                config: HyperbandConfig {
-                    num_brackets,
-                    ..HyperbandConfig::new(1.0, 27.0, 3.0)
-                },
+            |(num_brackets, brackets, spent, current, name)| BracketLoopState {
+                config: BracketLoopConfig::async_hyperband(1.0, 27.0, 3.0)
+                    .with_brackets(num_brackets),
+                opened: brackets.len(),
                 brackets: (0..)
                     .zip(brackets)
                     .map(|(index, asha)| BracketState {
@@ -241,8 +248,8 @@ fn hyperband_state() -> impl Strategy<Value = AsyncHyperbandState> {
 fn scheduler_state() -> impl Strategy<Value = SchedulerState> {
     prop_oneof![
         asha_state(true).prop_map(SchedulerState::Asha),
-        sha_state().prop_map(SchedulerState::SyncSha),
-        hyperband_state().prop_map(SchedulerState::AsyncHyperband),
+        sha_state().prop_map(SchedulerState::BracketLoop),
+        hyperband_state().prop_map(SchedulerState::BracketLoop),
     ]
 }
 

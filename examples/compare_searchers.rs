@@ -5,10 +5,7 @@
 //! Run with: `cargo run --release --example compare_searchers`
 
 use asha::baselines::{bohb, Pbt, PbtConfig, Vizier, VizierConfig};
-use asha::core::{
-    Asha, AshaConfig, AsyncHyperband, Hyperband, HyperbandConfig, RandomSearch, Scheduler,
-    ShaConfig, SyncSha,
-};
+use asha::core::{Asha, AshaConfig, BracketLoop, BracketLoopConfig, RandomSearch, Scheduler};
 use asha::sim::{ClusterSim, SimConfig};
 use asha::surrogate::{presets, BenchmarkModel};
 use rand::SeedableRng;
@@ -24,21 +21,21 @@ fn main() {
 
     let searchers: Vec<Box<dyn Scheduler>> = vec![
         Box::new(Asha::new(space.clone(), AshaConfig::new(1.0, R, ETA))),
-        Box::new(SyncSha::new(
+        Box::new(BracketLoop::new(
             space.clone(),
-            ShaConfig::new(256, 1.0, R, ETA).growing(),
+            BracketLoopConfig::sha(256, 1.0, R, ETA).growing(),
         )),
-        Box::new(Hyperband::new(
+        Box::new(BracketLoop::new(
             space.clone(),
-            HyperbandConfig::new(1.0, R, ETA),
+            BracketLoopConfig::hyperband(1.0, R, ETA),
         )),
-        Box::new(AsyncHyperband::new(
+        Box::new(BracketLoop::new(
             space.clone(),
-            HyperbandConfig::new(1.0, R, ETA),
+            BracketLoopConfig::async_hyperband(1.0, R, ETA),
         )),
         Box::new(bohb(
             space.clone(),
-            ShaConfig::new(256, 1.0, R, ETA).growing(),
+            BracketLoopConfig::sha(256, 1.0, R, ETA).growing(),
         )),
         Box::new(Pbt::new(
             space.clone(),

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example straggler_robustness`
 
-use asha::core::{Asha, AshaConfig, ShaConfig, SyncSha};
+use asha::core::{Asha, AshaConfig, BracketLoop, BracketLoopConfig};
 use asha::sim::{ClusterSim, ResumePolicy, SimConfig};
 use asha::space::{Scale, SearchSpace};
 use asha::surrogate::{BenchmarkModel, CurveBenchmark};
@@ -53,9 +53,9 @@ fn main() {
                 .trace
                 .configs_trained_to(R, 2000.0);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let sha = SyncSha::new(
+            let sha = BracketLoop::new(
                 bench.space().clone(),
-                ShaConfig::new(256, 1.0, R, 4.0).growing(),
+                BracketLoopConfig::sha(256, 1.0, R, 4.0).growing(),
             );
             sha_total += sim
                 .run(sha, &bench, &mut rng)

@@ -83,9 +83,8 @@ pub use asha_surrogate as surrogate;
 /// ```
 pub mod prelude {
     pub use asha_core::{
-        Asha, AshaConfig, AsyncHyperband, Decision, Durability, Error, ErrorKind, Hyperband,
-        HyperbandConfig, Job, Observation, RandomSearch, ResultContext, Scheduler, ShaConfig,
-        SyncSha, TrialId,
+        Asha, AshaConfig, BracketLoop, BracketLoopConfig, Decision, Durability, Error, ErrorKind,
+        Job, Observation, Opening, RandomSearch, ResultContext, Scheduler, TrialId,
     };
     pub use asha_exec::{ExecConfig, FnObjective, Objective, ParallelTuner};
     pub use asha_obs::{RunRecorder, RunReport};

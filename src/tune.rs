@@ -25,8 +25,8 @@ use asha_baselines::{
     bohb, bohb_asha, Fabolas, FabolasConfig, Pbt, PbtConfig, Vizier, VizierConfig,
 };
 use asha_core::{
-    Asha, AshaConfig, AsyncHyperband, DurableScheduler, Hyperband, HyperbandConfig, PromotionRule,
-    RandomSearch, Scheduler, ShaConfig, SyncSha,
+    Asha, AshaConfig, BracketLoop, BracketLoopConfig, DurableScheduler, Opening, PromotionRule,
+    RandomSearch, Scheduler,
 };
 use asha_metrics::{FaultStats, RunTrace};
 use asha_sim::{ClusterSim, SimConfig, SimResult, TraceMode};
@@ -53,20 +53,13 @@ pub enum Searcher {
         /// Source of new configurations.
         sampler: Sampler,
     },
-    /// Synchronous SHA; BOHB under [`Sampler::Tpe`].
-    Sha {
-        /// Bracket size and geometry.
-        config: ShaConfig,
-        /// Source of new configurations.
-        sampler: Sampler,
-    },
-    /// Synchronous Hyperband looping over brackets.
-    Hyperband(HyperbandConfig),
-    /// Asynchronous Hyperband (Section 3.2).
-    AsyncHyperband {
-        /// Brackets and geometry.
-        config: HyperbandConfig,
-        /// Source of new configurations, one instance per bracket.
+    /// SHA, Hyperband or asynchronous Hyperband, by `config.opening`; SHA
+    /// under [`Sampler::Tpe`] is BOHB.
+    BracketLoop {
+        /// Ladder geometry and when a bracket opens.
+        config: BracketLoopConfig,
+        /// Source of new configurations: one shared by a synchronous
+        /// loop's brackets, one instance per asynchronous bracket.
         sampler: Sampler,
     },
     /// Population Based Training (Appendix A.3 settings).
@@ -99,27 +92,20 @@ impl Searcher {
         }
     }
 
-    /// Synchronous SHA with uniform sampling.
-    pub fn sha(config: ShaConfig) -> Self {
-        Searcher::Sha {
+    /// A bracket loop with uniform sampling.
+    pub fn bracket_loop(config: BracketLoopConfig) -> Self {
+        Searcher::BracketLoop {
             config,
             sampler: Sampler::Random,
         }
     }
 
-    /// BOHB: synchronous SHA with TPE sampling.
-    pub fn bohb(config: ShaConfig) -> Self {
-        Searcher::Sha {
+    /// A bracket loop with TPE sampling: BOHB under a SHA opening, named
+    /// `Hyperband+tpe` or `Hyperband (async)+tpe` under the others.
+    pub fn bohb(config: BracketLoopConfig) -> Self {
+        Searcher::BracketLoop {
             config,
             sampler: Sampler::Tpe,
-        }
-    }
-
-    /// Asynchronous Hyperband with uniform sampling.
-    pub fn async_hyperband(config: HyperbandConfig) -> Self {
-        Searcher::AsyncHyperband {
-            config,
-            sampler: Sampler::Random,
         }
     }
 
@@ -137,9 +123,7 @@ impl Searcher {
     /// one — exactly the persistable methods ([`Searcher::durable`]).
     pub fn sampler_mut(&mut self) -> Option<&mut Sampler> {
         match self {
-            Searcher::Asha { sampler, .. }
-            | Searcher::Sha { sampler, .. }
-            | Searcher::AsyncHyperband { sampler, .. } => Some(sampler),
+            Searcher::Asha { sampler, .. } | Searcher::BracketLoop { sampler, .. } => Some(sampler),
             _ => None,
         }
     }
@@ -153,7 +137,6 @@ impl Searcher {
     pub fn build(&self, space: &SearchSpace) -> Box<dyn Scheduler + Send> {
         let space = space.clone();
         match self.clone() {
-            Searcher::Hyperband(config) => Box::new(Hyperband::new(space, config)),
             Searcher::Pbt(config) => Box::new(Pbt::new(space, config)),
             Searcher::Vizier(config) => Box::new(Vizier::new(space, config)),
             Searcher::Fabolas(config) => Box::new(Fabolas::new(space, config)),
@@ -180,14 +163,13 @@ impl Searcher {
                 (Sampler::Tpe, PromotionRule::Eager) => bohb_asha(space, config),
                 (sampler, _) => Asha::with_sampler(space, config, fresh(sampler)),
             }),
-            Searcher::Sha { config, sampler } => Box::new(match sampler {
-                Sampler::Tpe => bohb(space, config),
-                sampler => SyncSha::with_sampler(space, config, fresh(sampler)),
-            }),
-            Searcher::AsyncHyperband { config, sampler } => {
-                Box::new(AsyncHyperband::with_sampler_factory(space, config, |_| {
-                    fresh(sampler)
-                }))
+            Searcher::BracketLoop { config, sampler } => {
+                Box::new(match (sampler, config.opening) {
+                    (Sampler::Tpe, Opening::Sha { .. }) => bohb(space, config),
+                    (sampler, _) => {
+                        BracketLoop::with_sampler_factory(space, config, |_| fresh(sampler))
+                    }
+                })
             }
             _ => return None,
         })
@@ -197,7 +179,8 @@ impl Searcher {
     /// `asha`, `dasha`, `sha` (a growing bracket of `R/r` configurations),
     /// `bohb`, `hyperband`, `async-hyperband` (at most four brackets), and
     /// `pbt`, `vizier`, `fabolas`, `random`, which read only `R`. The one
-    /// name table of `tune_sim`, `run_report --demo` and `asha-ctl create`.
+    /// name table of `tune_sim`, `run_report --demo` and `asha-ctl create`;
+    /// every name before `pbt` is persistable ([`Searcher::durable`]).
     ///
     /// # Panics
     ///
@@ -205,18 +188,20 @@ impl Searcher {
     /// first with [`AshaConfig::validate`].
     pub fn from_name(name: &str, r: f64, max_r: f64, eta: f64) -> Option<Self> {
         let asha = || AshaConfig::new(r, max_r, eta);
-        let sha = || ShaConfig::new((max_r / r).round() as usize, r, max_r, eta).growing();
-        let hyperband = || HyperbandConfig::new(r, max_r, eta);
+        let n = (max_r / r).round() as usize;
+        let sha = || BracketLoopConfig::sha(n, r, max_r, eta).growing();
         Some(match name {
             "asha" => Searcher::asha(asha()),
             "dasha" => Searcher::asha(asha().delayed()),
-            "sha" => Searcher::sha(sha()),
+            "sha" => Searcher::bracket_loop(sha()),
             "bohb" => Searcher::bohb(sha()),
-            "hyperband" => Searcher::Hyperband(hyperband()),
+            "hyperband" => Searcher::bracket_loop(BracketLoopConfig::hyperband(r, max_r, eta)),
             "async-hyperband" => {
-                let config = hyperband();
-                let brackets = config.num_brackets.min(4);
-                Searcher::async_hyperband(config.with_brackets(brackets))
+                let mut config = BracketLoopConfig::async_hyperband(r, max_r, eta);
+                if let Opening::AsyncHyperband { num_brackets } = &mut config.opening {
+                    *num_brackets = (*num_brackets).min(4);
+                }
+                Searcher::bracket_loop(config)
             }
             "pbt" => Searcher::Pbt(PbtConfig::new(25, max_r, (max_r / 30.0).max(1.0)).spawning()),
             "vizier" => Searcher::Vizier(VizierConfig::new(max_r)),

@@ -6,8 +6,8 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use asha::baselines::{TpeConfig, TpeSampler};
 use asha::core::{
-    Asha, AshaConfig, AsyncHyperband, Decision, HyperbandConfig, Job, Observation, Scheduler,
-    ShaConfig, SyncSha, TrialId,
+    Asha, AshaConfig, BracketLoop, BracketLoopConfig, Decision, Job, Observation, Scheduler,
+    TrialId,
 };
 use asha::space::{Scale, SearchSpace};
 use asha_core::reference::{self as twin, RefAsha};
@@ -310,7 +310,7 @@ proptest! {
         steps in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u16>()), 1..400),
         workers in 1usize..16,
     ) {
-        let sha = SyncSha::new(space(), ShaConfig::new(9, 1.0, 9.0, 3.0).growing());
+        let sha = BracketLoop::new(space(), BracketLoopConfig::sha(9, 1.0, 9.0, 3.0).growing());
         let (issued, first_loss) = drive_hostile(sha, &steps, workers);
         let bad = poisoned_promotions(&issued, &first_loss);
         prop_assert!(bad.is_empty(), "poisoned trials promoted: {:?}", bad);
@@ -328,7 +328,7 @@ proptest! {
         steps in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u16>()), 1..400),
         workers in 1usize..16,
     ) {
-        let hb = AsyncHyperband::new(space(), HyperbandConfig::new(1.0, 27.0, 3.0));
+        let hb = BracketLoop::new(space(), BracketLoopConfig::async_hyperband(1.0, 27.0, 3.0));
         let (issued, first_loss) = drive_hostile(hb, &steps, workers);
         let bad = poisoned_promotions(&issued, &first_loss);
         prop_assert!(bad.is_empty(), "poisoned trials promoted: {:?}", bad);
@@ -451,12 +451,28 @@ proptest! {
         steps in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u16>()), 1..300),
         workers in 1usize..16,
     ) {
-        let config = ShaConfig::new(9, 1.0, 9.0, 3.0).growing();
-        let fast = SyncSha::new(space(), config.clone());
-        let reference = twin::sync_sha(space(), config);
+        let config = BracketLoopConfig::sha(9, 1.0, 9.0, 3.0).growing();
+        let fast = BracketLoop::new(space(), config.clone());
+        let reference = twin::bracket_loop(space(), config);
         assert_differential(
             fast, reference, &steps, workers,
-            SyncSha::export_state, SyncSha::export_state,
+            BracketLoop::export_state, BracketLoop::export_state,
+        )?;
+    }
+
+    #[test]
+    fn indexed_hyperband_matches_reference_on_hostile_streams(
+        steps in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u16>()), 1..300),
+        workers in 1usize..16,
+    ) {
+        // Brackets of 9, 5 and 3 trials: a stream passes several
+        // generations, wrapping back to `s = 0`.
+        let config = BracketLoopConfig::hyperband(1.0, 9.0, 3.0);
+        let fast = BracketLoop::new(space(), config.clone());
+        let reference = twin::bracket_loop(space(), config);
+        assert_differential(
+            fast, reference, &steps, workers,
+            BracketLoop::export_state, BracketLoop::export_state,
         )?;
     }
 
@@ -465,12 +481,12 @@ proptest! {
         steps in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u16>()), 1..300),
         workers in 1usize..16,
     ) {
-        let config = HyperbandConfig::new(1.0, 27.0, 3.0);
-        let fast = AsyncHyperband::new(space(), config.clone());
-        let reference = twin::async_hyperband(space(), config);
+        let config = BracketLoopConfig::async_hyperband(1.0, 27.0, 3.0);
+        let fast = BracketLoop::new(space(), config.clone());
+        let reference = twin::bracket_loop(space(), config);
         assert_differential(
             fast, reference, &steps, workers,
-            AsyncHyperband::export_state, AsyncHyperband::export_state,
+            BracketLoop::export_state, BracketLoop::export_state,
         )?;
     }
 

@@ -5,7 +5,7 @@
 //! faults must never kill the worker pool, and tuning quality must degrade
 //! gracefully.
 
-use asha::core::{Asha, AshaConfig, RandomSearch, ShaConfig, SyncSha};
+use asha::core::{Asha, AshaConfig, BracketLoop, BracketLoopConfig, RandomSearch};
 use asha::exec::{
     install_quiet_panic_hook, ChaosConfig, ChaosObjective, Evaluation, ExecConfig, FaultPolicy,
     FnObjective, ParallelTuner,
@@ -155,11 +155,11 @@ fn panics_and_timeouts_never_kill_the_pool() {
 #[test]
 fn sync_sha_barrier_survives_poisoned_rungs() {
     install_quiet_panic_hook();
-    // A third of all jobs crash. SyncSha's barrier still releases (poisoned
+    // A third of all jobs crash. SHA's barrier still releases (poisoned
     // jobs are observed as INFINITY), poisoned trials are never promoted,
     // and the bracket terminates.
     let chaos = ChaosObjective::new(objective(), ChaosConfig::new(2).with_panics(0.33));
-    let sha = SyncSha::new(space(), ShaConfig::new(9, 1.0, 9.0, 3.0));
+    let sha = BracketLoop::new(space(), BracketLoopConfig::sha(9, 1.0, 9.0, 3.0));
     let result = ParallelTuner::new(ExecConfig::new(3)).run(sha, &chaos, 5);
     assert!(
         result.scheduler_finished,

@@ -3,7 +3,7 @@
 //! well-formed trace, and is deterministic given its seed.
 
 use asha::baselines::{FabolasConfig, PbtConfig, VizierConfig};
-use asha::core::{AshaConfig, HyperbandConfig, Scheduler, ShaConfig};
+use asha::core::{AshaConfig, BracketLoopConfig, Scheduler};
 use asha::sim::{ClusterSim, SimConfig};
 use asha::space::SearchSpace;
 use asha::surrogate::{presets, BenchmarkModel, CurveBenchmark};
@@ -16,10 +16,10 @@ fn all_schedulers(space: &SearchSpace, max_r: f64) -> Vec<Box<dyn Scheduler + Se
     let r = max_r / 64.0;
     [
         Searcher::asha(AshaConfig::new(r, max_r, eta)),
-        Searcher::sha(ShaConfig::new(n, r, max_r, eta).growing()),
-        Searcher::Hyperband(HyperbandConfig::new(r, max_r, eta)),
-        Searcher::async_hyperband(HyperbandConfig::new(r, max_r, eta)),
-        Searcher::bohb(ShaConfig::new(n, r, max_r, eta).growing()),
+        Searcher::bracket_loop(BracketLoopConfig::sha(n, r, max_r, eta).growing()),
+        Searcher::bracket_loop(BracketLoopConfig::hyperband(r, max_r, eta)),
+        Searcher::bracket_loop(BracketLoopConfig::async_hyperband(r, max_r, eta)),
+        Searcher::bohb(BracketLoopConfig::sha(n, r, max_r, eta).growing()),
         Searcher::Pbt(PbtConfig::new(8, max_r, max_r / 16.0).spawning()),
         Searcher::Vizier(VizierConfig::new(max_r)),
         Searcher::Fabolas(FabolasConfig::new(max_r)),

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use asha::core::{Asha, AshaConfig, ShaConfig, SyncSha};
+use asha::core::{Asha, AshaConfig, BracketLoop, BracketLoopConfig};
 use asha::exec::{Evaluation, ExecConfig, FnObjective, ParallelTuner};
 use asha::metrics::RunTrace;
 use asha::sim::{ClusterSim, SimConfig};
@@ -186,7 +186,7 @@ fn asha_sees_the_same_run_on_both_layers() {
 #[test]
 fn sync_sha_sees_the_same_run_on_both_layers() {
     let seed = 23;
-    let mk = || SyncSha::new(space(), ShaConfig::new(9, 1.0, 9.0, 3.0));
+    let mk = || BracketLoop::new(space(), BracketLoopConfig::sha(9, 1.0, 9.0, 3.0));
 
     let exec = ParallelTuner::new(ExecConfig::new(1)).run(mk(), &objective(false), seed);
     assert!(exec.scheduler_finished);

@@ -1,5 +1,6 @@
 //! One method, four paths, one digest table. Every persistable method —
-//! `asha`, `dasha`, `sha` and `async-hyperband` at r = 1, R = 256, η = 4,
+//! `asha`, `dasha`, `sha`, `async-hyperband` and `hyperband` at r = 1,
+//! R = 256, η = 4,
 //! each drawing configurations at random, from TPE and from GP-EI — runs one
 //! seeded chaos simulation four ways:
 //!
@@ -13,8 +14,9 @@
 //! `Debug` rendering, as in `sim_golden` — must match the committed table.
 //! The table was generated before the four paths shared one constructor,
 //! so it also pins that the shared constructor builds the schedulers the
-//! separate ones did. On a deliberate numerics change the failure prints
-//! the replacement table.
+//! separate ones did; the `hyperband` / `random` simulator digests are
+//! those of synchronous Hyperband before it could run durably. On a
+//! deliberate numerics change the failure prints the replacement table.
 
 use std::fmt::Write;
 use std::path::{Path, PathBuf};
@@ -33,13 +35,13 @@ use asha::surrogate::{presets, BenchmarkModel, CurveBenchmark};
 use asha::tune::{Sampler, Searcher};
 use rand::{Rng, SeedableRng};
 
-const METHODS: [&str; 4] = ["asha", "dasha", "sha", "async-hyperband"];
+const METHODS: [&str; 5] = ["asha", "dasha", "sha", "async-hyperband", "hyperband"];
 const SAMPLERS: [&str; 3] = ["random", "tpe", "gp"];
 const JOBS: usize = 300;
 
 /// `(method, sampler, SimResult digest, telemetry digest)`.
 #[rustfmt::skip]
-const GOLDEN: [(&str, &str, u64, u64); 12] = [
+const GOLDEN: [(&str, &str, u64, u64); 15] = [
     ("asha", "random", 0xd26786cf425f8e6f, 0x8821aa1c7630cf76),
     ("asha", "tpe", 0xbd76e886b669f553, 0xb2acbd1b3ff8fea5),
     ("asha", "gp", 0x17e0911e488171a7, 0x93ee1e5f7ab6219c),
@@ -52,6 +54,9 @@ const GOLDEN: [(&str, &str, u64, u64); 12] = [
     ("async-hyperband", "random", 0x13d56584d65a5ad5, 0x4807eedc9dad4e0d),
     ("async-hyperband", "tpe", 0x473aca5c57f0b0c7, 0xb2c4b624c534c25b),
     ("async-hyperband", "gp", 0x99962f25ad9e5d03, 0xf63ecb8dbcd60953),
+    ("hyperband", "random", 0xc05d69e72e4a87f8, 0x381a8152a110bc0c),
+    ("hyperband", "tpe", 0x37b5b844dc9fd5fd, 0x6e10e36e1af286fc),
+    ("hyperband", "gp", 0xcdc8d8e1529787c5, 0xf6d9ce1e8bdec8d5),
 ];
 
 struct Fnv1a(u64);

@@ -4,7 +4,7 @@
 //! silently break the reproduction's shape.
 
 use asha::baselines::VizierConfig;
-use asha::core::{AshaConfig, HyperbandConfig, ShaConfig};
+use asha::core::{AshaConfig, BracketLoopConfig};
 use asha::sim::{ClusterSim, ResumePolicy, SimConfig};
 use asha::space::{Scale, SearchSpace};
 use asha::surrogate::{presets, BenchmarkModel, CurveBenchmark};
@@ -77,7 +77,8 @@ fn asha_withstands_stragglers_better_than_sync_sha() {
             .trace
             .configs_trained_to(64.0, 600.0);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let sha = Searcher::sha(ShaConfig::new(64, 1.0, 64.0, 4.0).growing()).build(bench.space());
+        let sha = Searcher::bracket_loop(BracketLoopConfig::sha(64, 1.0, 64.0, 4.0).growing())
+            .build(bench.space());
         sha_total += sim
             .run(sha, &bench, &mut rng)
             .trace
@@ -108,7 +109,7 @@ fn by_rung_accounting_never_trails_by_bracket() {
     // earlier. Structural property of the two accountings on any trace.
     let bench = presets::svm_vehicle(presets::DEFAULT_SURFACE_SEED);
     let outcome = SimTune::new(&bench)
-        .searcher(Searcher::Hyperband(HyperbandConfig::new(
+        .searcher(Searcher::bracket_loop(BracketLoopConfig::hyperband(
             1.0,
             bench.max_resource(),
             4.0,

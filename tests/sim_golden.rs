@@ -9,7 +9,7 @@
 
 use std::fmt::Write;
 
-use asha::core::{AshaConfig, HyperbandConfig, ShaConfig};
+use asha::core::{AshaConfig, BracketLoopConfig};
 use asha::sim::{ClusterSim, SimConfig, SimResult, TraceMode};
 use asha::surrogate::{presets, BenchmarkModel, CurveBenchmark};
 use asha::tune::Searcher;
@@ -62,11 +62,11 @@ fn run(bench: &CurveBenchmark, setup: &str) -> SimResult {
         "asha-500w-chaos" => (sim(500).with_stragglers(0.5).with_drops(0.001), asha),
         "sync-sha" => (
             sim(25),
-            Searcher::sha(ShaConfig::new(64, r, max_r, eta).growing()),
+            Searcher::bracket_loop(BracketLoopConfig::sha(64, r, max_r, eta).growing()),
         ),
         "async-hyperband" => (
             sim(25),
-            Searcher::async_hyperband(HyperbandConfig::new(r, max_r, eta)),
+            Searcher::bracket_loop(BracketLoopConfig::async_hyperband(r, max_r, eta)),
         ),
         other => unreachable!("unknown set-up {other}"),
     };

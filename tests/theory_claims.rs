@@ -4,7 +4,8 @@
 //! synchronous SHA needs one `time(R)` per rung.
 
 use asha::core::{
-    budget, Asha, AshaConfig, Decision, HyperbandConfig, Observation, Scheduler, ShaConfig, SyncSha,
+    budget, Asha, AshaConfig, BracketLoop, BracketLoopConfig, Decision, Observation, Opening,
+    Scheduler,
 };
 use asha::sim::{ClusterSim, ResumePolicy, SimConfig};
 use asha::space::{Scale, SearchSpace};
@@ -74,7 +75,10 @@ fn sync_sha_needs_one_time_r_per_rung() {
     // completion is (log_eta(R/r) - s + 1) x time(R)" — each rung costs a
     // full time(R) because its budget equals n_i * r_i = n * r0 resources.
     let bench = linear_cost_benchmark(9.0);
-    let sha = SyncSha::new(bench.space().clone(), ShaConfig::new(9, 1.0, 9.0, 3.0));
+    let sha = BracketLoop::new(
+        bench.space().clone(),
+        BracketLoopConfig::sha(9, 1.0, 9.0, 3.0),
+    );
     // Plenty of workers: the bound is structural, not throughput-limited.
     let t = first_full_r_time(sha, &bench, 9);
     let expected = budget::sha_time_to_completion(1.0, 9.0, 3.0, 0);
@@ -128,12 +132,16 @@ fn exact_powers_get_their_top_rung() {
             assert_eq!(asha.ladder().max_rung(), Some(k), "{case}");
             assert_eq!(asha.ladder().resource(k), max_r, "{case}");
 
-            let sha = ShaConfig::new(max_r as usize, 1.0, max_r, eta);
-            assert_eq!(sha.num_rungs(), k + 1, "{case}");
-            assert_eq!(sha.rung_resource(k), max_r, "{case}");
+            // SHA's bracket climbs that same ladder.
+            let sha = BracketLoopConfig::sha(max_r as usize, 1.0, max_r, eta);
+            let ladder = AshaConfig::new(1.0, max_r, eta).with_max_trials(max_r as usize);
+            assert_eq!(sha.bracket_config(0), ladder, "{case}");
 
-            let hyperband = HyperbandConfig::new(1.0, max_r, eta);
-            assert_eq!(hyperband.num_brackets, k + 1, "{case}");
+            let hyperband = BracketLoopConfig::hyperband(1.0, max_r, eta);
+            let brackets = Opening::Hyperband {
+                num_brackets: k + 1,
+            };
+            assert_eq!(hyperband.opening, brackets, "{case}");
 
             let table = budget::promotion_table(max_r as usize, 1.0, max_r, eta, 0);
             assert_eq!(table.len(), k + 1, "{case}");
@@ -144,12 +152,12 @@ fn exact_powers_get_their_top_rung() {
 
 /// The highest rung a serial run of one synchronous bracket trains, with
 /// seeded random finite losses.
-fn top_rung_reached(config: ShaConfig, seed: u64) -> usize {
+fn top_rung_reached(config: BracketLoopConfig, seed: u64) -> usize {
     let space = SearchSpace::builder()
         .continuous("x", 0.0, 1.0, Scale::Linear)
         .build()
         .expect("valid space");
-    let mut sha = SyncSha::new(space, config);
+    let mut sha = BracketLoop::new(space, config);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut losses = rand::rngs::StdRng::seed_from_u64(!seed);
     let mut top = 0;
@@ -176,26 +184,31 @@ fn the_smallest_accepted_bracket_reaches_r_for_any_eta() {
         for ratio in [1.0, eta, eta * eta, 6.25, 10.0, 27.0, 50.0, 100.0, 256.0] {
             let max_r = 2.0 * ratio;
             let case = format!("eta = {eta}, R/r = {ratio}");
-            let config = |n| ShaConfig::new(n, 2.0, max_r, eta);
-            let top = config(1).num_rungs() - 1;
+            let config = |n| BracketLoopConfig::sha(n, 2.0, max_r, eta);
+            let top = |s| budget::promotion_table(1, 2.0, max_r, eta, s).len() - 1;
             let n = (1..)
                 .find(|&n| config(n).validate().is_ok())
                 .expect("some n is accepted");
             seed += 1;
-            assert_eq!(top_rung_reached(config(n), seed), top, "{case}, n = {n}");
+            assert_eq!(top_rung_reached(config(n), seed), top(0), "{case}, n = {n}");
             assert!(config(n - 1).validate().is_err(), "{case}");
 
-            let hyperband = HyperbandConfig::new(2.0, max_r, eta);
-            for s in 0..hyperband.num_brackets {
-                let bracket = ShaConfig {
-                    num_configs: hyperband.bracket_num_configs(s),
-                    stop_rate: s,
+            let hyperband = BracketLoopConfig::hyperband(2.0, max_r, eta);
+            let Opening::Hyperband { num_brackets } = hyperband.opening else {
+                unreachable!("a Hyperband config")
+            };
+            for s in 0..num_brackets {
+                let bracket = BracketLoopConfig {
+                    opening: Opening::Sha {
+                        num_configs: hyperband.bracket_num_configs(s),
+                        stop_rate: s,
+                        grow: false,
+                    },
                     ..config(1)
                 };
                 assert!(bracket.validate().is_ok(), "{case}, s = {s}");
-                let top = bracket.num_rungs() - 1;
                 seed += 1;
-                assert_eq!(top_rung_reached(bracket, seed), top, "{case}, s = {s}");
+                assert_eq!(top_rung_reached(bracket, seed), top(s), "{case}, s = {s}");
             }
         }
     }
