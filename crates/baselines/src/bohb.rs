@@ -44,7 +44,8 @@ pub fn bohb(space: SearchSpace, config: BracketLoopConfig) -> BracketLoop {
 
 /// The asynchronous cross: ASHA promotions with TPE sampling. Not a paper
 /// baseline, but a natural ablation ("can BOHB's model help ASHA?") used by
-/// the ablation benches.
+/// the ablation benches. On a one-rung ladder nothing is stopped early, so
+/// the scheduler keeps its own name, `Random+tpe`.
 ///
 /// # Panics
 ///
@@ -52,7 +53,9 @@ pub fn bohb(space: SearchSpace, config: BracketLoopConfig) -> BracketLoop {
 pub fn bohb_asha(space: SearchSpace, config: AshaConfig) -> Asha {
     let sampler = Sampler::Tpe.build(&space);
     let mut asha = Asha::with_sampler(space, config, sampler);
-    asha.set_name("ASHA+TPE");
+    if asha.ladder().max_rung() != Some(0) {
+        asha.set_name("ASHA+TPE");
+    }
     asha
 }
 
@@ -124,5 +127,7 @@ mod tests {
     fn asha_tpe_cross_names_itself() {
         let tuner = bohb_asha(space(), asha_core::AshaConfig::new(1.0, 9.0, 3.0));
         assert_eq!(tuner.name(), "ASHA+TPE");
+        let random = bohb_asha(space(), asha_core::AshaConfig::random(9.0));
+        assert_eq!(random.name(), "Random+tpe");
     }
 }

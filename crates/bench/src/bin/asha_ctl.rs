@@ -26,8 +26,9 @@
 //! --eta E --scheduler M --sampler (random|tpe|gp)
 //! --sync (never|always|N) --snapshot-jobs N --delta-chain N`.
 //! `--scheduler` is a persistable `Searcher::from_name` method (asha, dasha,
-//! sha, bohb, hyperband, async-hyperband) on the ladder `--min-r`, `--max-r`,
-//! `--eta`; `--sampler` replaces its own (bohb's is tpe, the others' random).
+//! sha, bohb, hyperband, async-hyperband, random) on the ladder `--min-r`,
+//! `--max-r`, `--eta` (random reads only `--max-r`); `--sampler` replaces its
+//! own (bohb's is tpe, the others' random).
 //! `--snapshot-jobs N` checkpoints every N jobs; 0, the default, is
 //! amortised: a checkpoint once the WAL written since the last one
 //! outweighs it. `--delta-chain` caps delta snapshots between full ones

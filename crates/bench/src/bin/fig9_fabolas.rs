@@ -42,9 +42,7 @@ fn run_task(bench: &CurveBenchmark, horizon: f64, default_loss: f64, stem: &str)
     let hyperband = traces(&hyperband, bench, horizon, 100);
     let fabolas = Searcher::Fabolas(FabolasConfig::new(max_r));
     let fabolas = traces(&fabolas, bench, horizon, 200);
-    let random = Searcher::Random {
-        max_resource: max_r,
-    };
+    let random = Searcher::random(max_r);
     let random = traces(&random, bench, horizon, 300);
 
     let by_rung = RunTrace::incumbent_curve as fn(&RunTrace) -> StepCurve;

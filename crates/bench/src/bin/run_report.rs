@@ -14,7 +14,7 @@
 //!     [--scheduler K]   method for --demo at r = 1, R = 256, eta = 4: any
 //!                       persistable `Searcher::from_name` name — asha
 //!                       (default), dasha, sha, bohb, hyperband,
-//!                       async-hyperband
+//!                       async-hyperband, random
 //!     [--sampler K]     config sampler for --demo: random, tpe or gp
 //!                       (default: the method's own; bohb's is tpe)
 //!     [--store DIR]     run the --demo through the durable experiment store:

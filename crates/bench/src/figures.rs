@@ -129,12 +129,7 @@ fn fig3_methods(space: &SearchSpace) -> Vec<MethodSpec> {
     vec![
         MethodSpec::new("SHA", Searcher::bracket_loop(sha256())),
         MethodSpec::new("Hyperband", Searcher::bracket_loop(hyperband)),
-        MethodSpec::new(
-            "Random",
-            Searcher::Random {
-                max_resource: 256.0,
-            },
-        ),
+        MethodSpec::new("Random", Searcher::random(256.0)),
         MethodSpec::new("PBT", pbt_cifar(space)),
         MethodSpec::new("ASHA", Searcher::asha(asha(256.0))),
         MethodSpec::new("Hyperband (async)", Searcher::bracket_loop(async_hyperband)),

@@ -367,12 +367,7 @@ mod tests {
         let bench = presets::cifar10_cuda_convnet(2020);
         let methods = vec![
             MethodSpec::new("ASHA", Searcher::asha(AshaConfig::new(1.0, 256.0, 4.0))),
-            MethodSpec::new(
-                "Random",
-                Searcher::Random {
-                    max_resource: 256.0,
-                },
-            ),
+            MethodSpec::new("Random", Searcher::random(256.0)),
         ];
         let cfg = ExperimentConfig::new(9, 120.0, 2, 0.9);
         let results = run_experiment(&bench, &methods, &cfg);

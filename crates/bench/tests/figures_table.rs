@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 
 use asha::tune::{Sampler, Searcher};
 use asha_bench::{run_experiment, run_experiment_parallel, FIGURES};
-use asha_core::{Opening, PromotionRule};
+use asha_core::{AshaConfig, Opening, PromotionRule};
 use asha_surrogate::{presets, BenchmarkModel};
 
 #[test]
@@ -26,6 +26,9 @@ fn names_and_csv_stems_are_unique() {
 /// produced.
 fn scheduler_name(searcher: &Searcher) -> &'static str {
     match searcher {
+        Searcher::Asha { config, .. } if *config == AshaConfig::random(config.max_resource) => {
+            "Random"
+        }
         Searcher::Asha { config, sampler } => match (sampler, config.rule) {
             (Sampler::Random, PromotionRule::Eager) => "ASHA",
             (Sampler::Random, PromotionRule::Delayed) => "D-ASHA",
@@ -48,7 +51,6 @@ fn scheduler_name(searcher: &Searcher) -> &'static str {
         Searcher::Pbt(_) => "PBT",
         Searcher::Vizier(_) => "Vizier",
         Searcher::Fabolas(_) => "Fabolas",
-        Searcher::Random { .. } => "Random",
     }
 }
 

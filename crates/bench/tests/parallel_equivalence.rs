@@ -21,7 +21,7 @@ fn methods(_: &CurveBenchmark) -> Vec<MethodSpec> {
                 BracketLoopConfig::async_hyperband(1.0, R, 4.0).with_brackets(4),
             ),
         ),
-        MethodSpec::new("Random", Searcher::Random { max_resource: R }),
+        MethodSpec::new("Random", Searcher::random(R)),
     ]
 }
 

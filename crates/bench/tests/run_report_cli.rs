@@ -2,8 +2,8 @@
 //! the usage line on stderr) before it runs anything: a mistyped
 //! `--crash-after-jobs` must not run the demo to completion in place of the
 //! crash a recovery check asked for. `--snapshot-jobs 0` is no typo: it is
-//! the amortised cadence, the default. Synchronous Hyperband runs through
-//! the store like every other persistable method.
+//! the amortised cadence, the default. Synchronous Hyperband and random
+//! search run through the store like every other persistable method.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -86,26 +86,31 @@ fn snapshot_jobs_zero_is_the_amortised_default() {
     }
 }
 
-/// `--scheduler hyperband` runs durably: crashed after 300 jobs and resumed,
-/// the run reports what the uninterrupted one does, byte for byte.
-#[test]
-fn a_crashed_hyperband_run_resumes_to_the_uninterrupted_report() {
-    let (whole, crashed) = (tmpdir("hyperband-whole"), tmpdir("hyperband-crashed"));
-    let reports = tmpdir("hyperband-reports");
+/// `--scheduler S` runs durably: crashed after `crash_after` jobs and
+/// resumed, the run reports what the uninterrupted one does, byte for byte.
+fn a_crashed_run_resumes_to_the_uninterrupted_report(scheduler: &str, crash_after: &str) {
+    let (whole, crashed) = (tmpdir(&format!("{scheduler}-whole")), tmpdir(scheduler));
+    let reports = tmpdir(&format!("{scheduler}-reports"));
     std::fs::create_dir_all(&reports).unwrap();
     let (whole_json, resumed_json) = (reports.join("whole.json"), reports.join("resumed.json"));
-    let hyperband = ["--scheduler", "hyperband", "--json"];
+    let method = ["--scheduler", scheduler, "--json"];
     let out = run_report(
-        &[&hyperband[..], &[whole_json.to_str().unwrap()]].concat(),
+        &[&method[..], &[whole_json.to_str().unwrap()]].concat(),
         &whole,
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "uninterrupted run: {stderr}");
+    assert!(
+        out.status.success(),
+        "{scheduler}: uninterrupted run: {stderr}"
+    );
     let out = run_report(
-        &[&hyperband[..2], &["--crash-after-jobs", "300"]].concat(),
+        &[&method[..2], &["--crash-after-jobs", crash_after]].concat(),
         &crashed,
     );
-    assert!(!out.status.success(), "the crashed run exited cleanly");
+    assert!(
+        !out.status.success(),
+        "{scheduler}: the crashed run exited cleanly"
+    );
     let out = Command::new(env!("CARGO_BIN_EXE_run_report"))
         .arg("--resume")
         .arg(&crashed)
@@ -114,13 +119,28 @@ fn a_crashed_hyperband_run_resumes_to_the_uninterrupted_report() {
         .output()
         .unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "resume: {stderr}");
+    assert!(out.status.success(), "{scheduler}: resume: {stderr}");
     let (whole_report, resumed_report) = (
         std::fs::read(&whole_json).unwrap(),
         std::fs::read(&resumed_json).unwrap(),
     );
-    assert!(whole_report == resumed_report, "the resumed report differs");
+    assert!(
+        whole_report == resumed_report,
+        "{scheduler}: the resumed report differs"
+    );
     for dir in [whole, crashed, reports] {
         std::fs::remove_dir_all(dir).ok();
     }
+}
+
+#[test]
+fn a_crashed_hyperband_run_resumes_to_the_uninterrupted_report() {
+    a_crashed_run_resumes_to_the_uninterrupted_report("hyperband", "300");
+}
+
+/// Every random-search job trains to `R`, so the demo's horizon fits nine
+/// of them: the crash comes after five, with every worker still busy.
+#[test]
+fn a_crashed_random_run_resumes_to_the_uninterrupted_report() {
+    a_crashed_run_resumes_to_the_uninterrupted_report("random", "5");
 }

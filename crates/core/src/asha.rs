@@ -60,6 +60,13 @@ impl AshaConfig {
         }
     }
 
+    /// Random search at full budget: a one-rung ladder with `r = R`, so
+    /// every configuration trains to `R` and none is ever promoted; the
+    /// bottom rung grows by one fresh draw per free worker (`eta` is moot).
+    pub fn random(max_resource: f64) -> Self {
+        AshaConfig::new(max_resource, max_resource, 2.0)
+    }
+
     /// Set the early-stopping rate `s`.
     pub fn with_stop_rate(mut self, stop_rate: usize) -> Self {
         self.stop_rate = stop_rate;
@@ -119,6 +126,18 @@ pub(crate) fn display_name(prefix: &str, sampler: &dyn ConfigSampler) -> String 
         "random" => prefix.to_owned(),
         sampler => format!("{prefix}+{sampler}"),
     }
+}
+
+/// An ASHA scheduler's display name: `ASHA` or `D-ASHA` by its rule, or
+/// `Random` on a ladder of one rung, which never promotes.
+pub(crate) fn asha_name(config: &AshaConfig, sampler: &dyn ConfigSampler) -> String {
+    let one_rung = config.geometry().is_ok_and(|g| g.max_rung() == Some(0));
+    let prefix = match config.rule {
+        _ if one_rung => "Random",
+        PromotionRule::Eager => "ASHA",
+        PromotionRule::Delayed => "D-ASHA",
+    };
+    display_name(prefix, sampler)
 }
 
 /// Algorithm 1's barrier on a bracket of `max_trials` trials: every job
@@ -375,14 +394,10 @@ impl Asha {
         config: AshaConfig,
         sampler: Box<dyn ConfigSampler>,
     ) -> Self {
-        let prefix = match config.rule {
-            PromotionRule::Eager => "ASHA",
-            PromotionRule::Delayed => "D-ASHA",
-        };
         Asha {
             space,
+            name: asha_name(&config, &*sampler),
             bracket: Bracket::new(config, false),
-            name: display_name(prefix, &*sampler),
             sampler,
         }
     }
@@ -682,6 +697,30 @@ mod tests {
         let asha = Asha::new(space(), AshaConfig::new(1.0, 9.0, 3.0));
         assert_eq!(asha.name(), "ASHA");
         assert!(format!("{asha:?}").contains("Asha"));
+    }
+
+    #[test]
+    fn a_one_rung_ladder_is_random_search() {
+        let mut random = Asha::new(space(), AshaConfig::random(100.0));
+        assert_eq!(random.name(), "Random");
+        let mut r = rng();
+        for i in 0..10 {
+            let job = random
+                .suggest(&mut r)
+                .job()
+                .expect("random search never waits");
+            assert_eq!((job.trial, job.rung, job.resource), (TrialId(i), 0, 100.0));
+            assert_eq!(job.bracket, 0);
+            complete(&mut random, &job, 1.0 / (i + 1) as f64);
+        }
+        assert_eq!(best(&random).unwrap().1, 0.1);
+        assert_eq!(SchedulerState::Asha(random.export_state()).kind(), "asha");
+    }
+
+    #[test]
+    #[should_panic(expected = "resources must satisfy")]
+    fn random_search_needs_a_positive_budget() {
+        let _ = Asha::new(space(), AshaConfig::random(0.0));
     }
 
     fn delayed() -> Asha {

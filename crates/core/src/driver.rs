@@ -204,7 +204,7 @@ impl<S: Scheduler> Driver<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Asha, AshaConfig, NoopRecorder, RandomSearch};
+    use crate::{Asha, AshaConfig, NoopRecorder};
     use asha_space::{Scale, SearchSpace};
     use rand::SeedableRng;
 
@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn non_finite_losses_are_poisoned_and_never_the_incumbent() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let mut driver = Driver::new(RandomSearch::new(space(), 1.0));
+        let mut driver = Driver::new(Asha::new(space(), AshaConfig::random(1.0)));
         let mut done = Vec::new();
         for (val, test) in [(f64::NAN, f64::NAN), (f64::NEG_INFINITY, 0.5), (0.7, 0.6)] {
             let job = driver.next(0.0, &mut rng, &mut NoopRecorder).unwrap();

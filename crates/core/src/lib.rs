@@ -7,11 +7,13 @@
 //!   next rung whenever possible; otherwise grow the bottom rung.
 //!   [`AshaConfig::delayed`] switches it to Hyper-Tune's delayed promotion
 //!   rule (D-ASHA): per-rung promotions never exceed the exact `1/eta` quota.
+//!   On [`AshaConfig::random`]'s one-rung ladder it never promotes and
+//!   trains every configuration to `R`: random search, the embarrassingly
+//!   parallel baseline.
 //! * [`BracketLoop`] — SHA, Hyperband and asynchronous Hyperband as one
 //!   loop over ASHA's brackets, its [`Opening`] data: Algorithm 1 is a
 //!   bracket under a synchronous barrier, grown as Falkner et al. (2018) do,
 //!   and the Hyperbands vary its `s`.
-//! * [`RandomSearch`] — the embarrassingly parallel baseline.
 //! * [`budget`] — `budget::Geometry`, the one place `(r, R, eta, s)` is
 //!   validated and turned into rung counts and rung resources; plus the
 //!   closed-form promotion/budget tables of Figure 1 and the wall-clock
@@ -69,7 +71,6 @@ mod driver;
 mod durability;
 pub mod error;
 mod fx;
-mod random;
 #[cfg(any(test, feature = "reference"))]
 pub mod reference;
 mod rung;
@@ -84,7 +85,6 @@ pub use crate::driver::{Completion, Driver};
 pub use crate::durability::Durability;
 pub use crate::error::{Error, ErrorKind, ResultContext};
 pub use crate::fx::FxHashMap;
-pub use crate::random::RandomSearch;
 pub use crate::rung::{PromotionRule, ScanOrder};
 pub use crate::sampler::{ConfigSampler, Fidelity, RandomSampler};
 pub use crate::scheduler::{Decision, Job, Observation, Scheduler, TrialId};

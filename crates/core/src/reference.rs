@@ -19,7 +19,7 @@
 
 use asha_space::{Config, SearchSpace};
 
-use crate::asha::{display_name, Barrier, Engine};
+use crate::asha::{asha_name, Barrier, Engine};
 use crate::budget::Geometry;
 use crate::rung::{PromotionRule, ScanOrder};
 use crate::sampler::{ConfigSampler, Fidelity, RandomSampler};
@@ -275,14 +275,10 @@ impl RefAsha {
         config: AshaConfig,
         sampler: Box<dyn ConfigSampler>,
     ) -> Self {
-        let prefix = match config.rule {
-            PromotionRule::Eager => "ASHA",
-            PromotionRule::Delayed => "D-ASHA",
-        };
         RefAsha {
             space,
+            name: asha_name(&config, &*sampler),
             bracket: BruteBracket::new(config, false),
-            name: display_name(prefix, &*sampler),
             sampler,
         }
     }

@@ -3,8 +3,8 @@
 //! consistency checks that unit tests inside each module cannot express.
 
 use asha_core::{
-    Asha, AshaConfig, BracketLoop, BracketLoopConfig, Decision, Observation, Opening, RandomSearch,
-    ScanOrder, Scheduler, TrialId,
+    Asha, AshaConfig, BracketLoop, BracketLoopConfig, Decision, Observation, Opening, ScanOrder,
+    Scheduler, TrialId,
 };
 use asha_space::{Scale, SearchSpace};
 use rand::rngs::StdRng;
@@ -33,7 +33,7 @@ fn all_schedulers() -> Vec<Box<dyn Scheduler>> {
             space(),
             BracketLoopConfig::async_hyperband(1.0, 27.0, 3.0),
         )),
-        Box::new(RandomSearch::new(space(), 27.0)),
+        Box::new(Asha::new(space(), AshaConfig::random(27.0))),
     ]
 }
 

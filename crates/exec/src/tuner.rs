@@ -422,7 +422,7 @@ impl ParallelTuner {
 mod tests {
     use super::*;
     use crate::objective::{Evaluation, FnObjective};
-    use asha_core::{Asha, AshaConfig, RandomSearch};
+    use asha_core::{Asha, AshaConfig};
     use asha_space::{Scale, SearchSpace};
 
     fn space() -> SearchSpace {
@@ -482,7 +482,7 @@ mod tests {
 
     #[test]
     fn job_cap_stops_random_search() {
-        let rs = RandomSearch::new(space(), 10.0);
+        let rs = Asha::new(space(), AshaConfig::random(10.0));
         let result =
             ParallelTuner::new(ExecConfig::new(4).with_max_jobs(50)).run(rs, &objective(), 3);
         assert!(result.jobs_completed >= 50);
@@ -491,7 +491,7 @@ mod tests {
 
     #[test]
     fn trace_times_are_monotone() {
-        let rs = RandomSearch::new(space(), 5.0);
+        let rs = Asha::new(space(), AshaConfig::random(5.0));
         let result =
             ParallelTuner::new(ExecConfig::new(8).with_max_jobs(100)).run(rs, &objective(), 4);
         let times: Vec<f64> = result.trace.events().iter().map(|e| e.time).collect();
@@ -662,7 +662,7 @@ mod tests {
         });
         crate::install_quiet_panic_hook();
         let result = ParallelTuner::new(ExecConfig::new(2).with_max_jobs(10)).run(
-            RandomSearch::new(space(), 4.0),
+            Asha::new(space(), AshaConfig::random(4.0)),
             &obj,
             7,
         );
@@ -687,7 +687,7 @@ mod tests {
                 .with_max_jobs(6)
                 .with_fault_policy(policy),
         )
-        .run(RandomSearch::new(space(), 4.0), &obj, 8);
+        .run(Asha::new(space(), AshaConfig::random(4.0)), &obj, 8);
         assert!(result.jobs_completed >= 6);
         assert_eq!(result.faults.jobs_poisoned, result.jobs_completed);
         assert_eq!(result.faults.jobs_dropped, 2 * result.jobs_completed);
@@ -716,7 +716,7 @@ mod tests {
                 .with_max_jobs(2)
                 .with_fault_policy(policy),
         )
-        .run(RandomSearch::new(space(), 4.0), &obj, 9);
+        .run(Asha::new(space(), AshaConfig::random(4.0)), &obj, 9);
         assert_eq!(result.faults.jobs_timed_out, 2 * result.jobs_completed);
         assert_eq!(result.faults.jobs_retried, result.jobs_completed);
         assert_eq!(result.faults.jobs_poisoned, result.jobs_completed);
@@ -740,7 +740,7 @@ mod tests {
             (Evaluation::of(f64::NAN), r)
         });
         let result = ParallelTuner::new(ExecConfig::new(2).with_max_jobs(5)).run(
-            RandomSearch::new(space(), 4.0),
+            Asha::new(space(), AshaConfig::random(4.0)),
             &obj,
             10,
         );

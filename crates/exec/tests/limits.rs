@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use asha_core::{Asha, AshaConfig, RandomSearch};
+use asha_core::{Asha, AshaConfig};
 use asha_exec::{Evaluation, ExecConfig, FnObjective, ParallelTuner};
 use asha_space::{Config, Scale, SearchSpace};
 
@@ -26,7 +26,7 @@ fn slow_objective() -> impl asha_exec::Objective<Checkpoint = f64> {
 
 #[test]
 fn wall_limit_stops_an_endless_scheduler() {
-    let rs = RandomSearch::new(space(), 10.0);
+    let rs = Asha::new(space(), AshaConfig::random(10.0));
     let result = ParallelTuner::new(ExecConfig::new(2).with_wall_limit(Duration::from_millis(150)))
         .run(rs, &slow_objective(), 0);
     assert!(!result.scheduler_finished);
@@ -57,7 +57,7 @@ fn many_workers_with_instant_jobs_do_not_race() {
 
 #[test]
 fn single_job_cap_is_respected_exactly_enough() {
-    let rs = RandomSearch::new(space(), 10.0);
+    let rs = Asha::new(space(), AshaConfig::random(10.0));
     let result =
         ParallelTuner::new(ExecConfig::new(4).with_max_jobs(10)).run(rs, &instant_objective(), 2);
     // Workers can overshoot by at most the number of in-flight jobs.

@@ -516,7 +516,7 @@ mod tests {
 
     /// A telemetry record; `idle` tells one file's records from another's.
     fn idle(seq: u64, idle: usize) -> WalRecord {
-        WalRecord::telemetry(Event {
+        WalRecord::Telemetry(Event {
             seq,
             time: seq as f64,
             kind: EventKind::WorkerIdle { idle },

@@ -796,7 +796,7 @@ impl<'b, S: Scheduler> SimEngine<'b, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asha_core::{Asha, AshaConfig, BracketLoop, BracketLoopConfig, RandomSearch};
+    use asha_core::{Asha, AshaConfig, BracketLoop, BracketLoopConfig};
     use asha_surrogate::presets;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1022,7 +1022,7 @@ mod tests {
     #[test]
     fn job_cap_stops_runaway() {
         let bench = presets::cifar10_cuda_convnet(1);
-        let rs = RandomSearch::new(bench.space().clone(), 256.0);
+        let rs = Asha::new(bench.space().clone(), AshaConfig::random(256.0));
         let result = ClusterSim::new(SimConfig::new(100, 1e12).with_max_jobs(500)).run(
             rs,
             &bench,
@@ -1034,7 +1034,7 @@ mod tests {
     #[test]
     fn horizon_truncates_cleanly() {
         let bench = presets::cifar10_cuda_convnet(1);
-        let rs = RandomSearch::new(bench.space().clone(), 256.0);
+        let rs = Asha::new(bench.space().clone(), AshaConfig::random(256.0));
         let result = ClusterSim::new(SimConfig::new(2, 10.0)).run(rs, &bench, &mut rng(7));
         assert!(result.trace.events().iter().all(|e| e.time <= 10.0));
         assert!(result.end_time <= 10.0);

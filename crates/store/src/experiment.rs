@@ -235,7 +235,7 @@ impl Recorder for WalRecorder {
             time: now,
             kind,
         };
-        match self.writer.append(&WalRecord::telemetry(event)) {
+        match self.writer.append(&WalRecord::Telemetry(event)) {
             Ok(()) => self.next_seq += 1,
             Err(e) => self.error = Some(e),
         }

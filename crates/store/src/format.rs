@@ -239,7 +239,7 @@ fn get_event(tag: u8, payload: &[u8], pos: &mut usize) -> Result<Event, String> 
 
 fn encode_payload(record: &WalRecord, out: &mut Vec<u8>) {
     match record {
-        WalRecord::Decision(event) | WalRecord::Job(event) => put_event(out, event),
+        WalRecord::Telemetry(event) => put_event(out, event),
         WalRecord::SnapshotMarker { time, marker } => match marker {
             SnapMarker::Full { snap, events } => {
                 out.push(TAG_SNAPSHOT_FULL);
@@ -287,7 +287,7 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
     let record = match tag {
         TAG_SUGGEST..=TAG_WORKER_IDLE => {
             let event = get_event(tag, payload, &mut pos)?;
-            WalRecord::telemetry(event)
+            WalRecord::Telemetry(event)
         }
         TAG_EXPERIMENT_CREATED => {
             let time = read_f64(payload, &mut pos)?;
@@ -476,7 +476,7 @@ pub(crate) mod tests {
                     name: "exp-α".to_owned(),
                 },
             },
-            WalRecord::telemetry(Event {
+            WalRecord::Telemetry(Event {
                 seq: 0,
                 time: 0.0,
                 kind: EventKind::GrowBottom {
@@ -485,7 +485,7 @@ pub(crate) mod tests {
                     resource: 1.0,
                 },
             }),
-            WalRecord::telemetry(Event {
+            WalRecord::Telemetry(Event {
                 seq: 1,
                 time: 0.25,
                 kind: EventKind::JobStart {
@@ -495,7 +495,7 @@ pub(crate) mod tests {
                     resource: 1.0,
                 },
             }),
-            WalRecord::telemetry(Event {
+            WalRecord::Telemetry(Event {
                 seq: 2,
                 time: 1.5,
                 kind: EventKind::JobEnd {
@@ -505,14 +505,14 @@ pub(crate) mod tests {
                     loss: f64::INFINITY,
                 },
             }),
-            WalRecord::telemetry(Event {
+            WalRecord::Telemetry(Event {
                 seq: 3,
                 time: 1.5,
                 kind: EventKind::Suggest {
                     decision: IdleKind::Wait,
                 },
             }),
-            WalRecord::telemetry(Event {
+            WalRecord::Telemetry(Event {
                 seq: 4,
                 time: 2.0,
                 kind: EventKind::Promote {
@@ -523,7 +523,7 @@ pub(crate) mod tests {
                     resource: 4.0,
                 },
             }),
-            WalRecord::telemetry(Event {
+            WalRecord::Telemetry(Event {
                 seq: 5,
                 time: 2.5,
                 kind: EventKind::Drop {
@@ -532,12 +532,12 @@ pub(crate) mod tests {
                     cause: DropCause::Timeout,
                 },
             }),
-            WalRecord::telemetry(Event {
+            WalRecord::Telemetry(Event {
                 seq: 6,
                 time: 2.75,
                 kind: EventKind::Retry { trial: 9, rung: 1 },
             }),
-            WalRecord::telemetry(Event {
+            WalRecord::Telemetry(Event {
                 seq: 7,
                 time: 3.0,
                 kind: EventKind::WorkerIdle { idle: 3 },

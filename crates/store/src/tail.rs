@@ -256,7 +256,7 @@ mod tests {
     }
 
     fn ev(seq: u64) -> WalRecord {
-        WalRecord::telemetry(Event {
+        WalRecord::Telemetry(Event {
             seq,
             time: seq as f64,
             kind: EventKind::WorkerIdle { idle: seq as usize },
@@ -287,7 +287,7 @@ mod tests {
                 },
             ),
             ev(0),
-            WalRecord::telemetry(Event {
+            WalRecord::Telemetry(Event {
                 seq: 1,
                 time: 1.0,
                 kind: EventKind::GrowBottom {

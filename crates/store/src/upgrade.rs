@@ -224,7 +224,7 @@ fn parse_record(line: &str) -> Result<WalRecord, String> {
         "paused" => Some(StoreEvent::Paused),
         "resumed" => Some(StoreEvent::Resumed),
         "experiment_finished" => Some(StoreEvent::ExperimentFinished),
-        _ => return asha_obs::event_from_json(&value).map(WalRecord::telemetry),
+        _ => return asha_obs::event_from_json(&value).map(WalRecord::Telemetry),
     };
     let time = value.get("t").and_then(JsonValue::as_f64);
     let time = time.ok_or("store event missing numeric t")?;
@@ -511,8 +511,8 @@ mod tests {
         let path = dir.join("wal.jsonl");
         // Two clean v1 lines, then a crash mid-append: a partial final line.
         let mut bytes = v1_bytes(&[
-            WalRecord::telemetry(ev(0, 0.0)),
-            WalRecord::telemetry(ev(1, 0.5)),
+            WalRecord::Telemetry(ev(0, 0.0)),
+            WalRecord::Telemetry(ev(1, 0.5)),
         ]);
         bytes.extend_from_slice(b"{\"seq\":2,\"t\":0.7,\"ev\":\"job_e");
         std::fs::write(&path, bytes).unwrap();
@@ -522,11 +522,11 @@ mod tests {
 
         // Blank lines and CRLF endings (a WAL that passed through an editor)
         // are skipped, not counted as damage.
-        let text = String::from_utf8(v1_bytes(&[WalRecord::telemetry(ev(0, 0.0))])).unwrap();
+        let text = String::from_utf8(v1_bytes(&[WalRecord::Telemetry(ev(0, 0.0))])).unwrap();
         std::fs::write(&path, format!("\n{}\r\n  \n", text.trim_end())).unwrap();
         let contents = read_v1(&path).unwrap();
         assert!(!contents.torn_tail);
-        assert_eq!(contents.records, vec![WalRecord::telemetry(ev(0, 0.0))]);
+        assert_eq!(contents.records, vec![WalRecord::Telemetry(ev(0, 0.0))]);
 
         // The same garbage mid-file is corruption, not a torn tail.
         std::fs::write(
@@ -547,7 +547,7 @@ mod tests {
     fn v1_lines_that_are_not_json_are_skipped() {
         let dir = tmpdir("v1-junk");
         let path = dir.join("wal.jsonl");
-        let ev = |seq| WalRecord::telemetry(ev(seq, seq as f64));
+        let ev = |seq| WalRecord::Telemetry(ev(seq, seq as f64));
         let mut bytes = v1_bytes(&[ev(0)]);
         bytes.extend_from_slice(b"\n   \nnot json\n");
         bytes.extend_from_slice(&v1_bytes(&[ev(1)]));
@@ -661,7 +661,7 @@ mod tests {
                     time,
                     event: StoreEvent::Resumed,
                 },
-                _ => WalRecord::telemetry(ev(n, time)),
+                _ => WalRecord::Telemetry(ev(n, time)),
             }
         });
         prop::collection::vec(record, 1..40)

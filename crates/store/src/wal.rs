@@ -1,13 +1,12 @@
 //! The write-ahead event log: durable typed records.
 //!
-//! A WAL holds one stream of [`WalRecord`]s — telemetry split into
-//! scheduler [`WalRecord::Decision`]s and executor [`WalRecord::Job`]
-//! events, snapshot markers (full and delta), and experiment-lifecycle
-//! [`WalRecord::Meta`] events. How records become bytes is
-//! [`crate::format`]'s business: the writer appends `binary-v2`
-//! length-prefixed CRC-guarded frames after the file's magic, and the
-//! reader reads nothing else (a pre-redesign `jsonl-v1` WAL is converted by
-//! [`crate::upgrade`] first).
+//! A WAL holds one stream of [`WalRecord`]s — [`WalRecord::Telemetry`]
+//! events (scheduler decisions and execution-plane events alike), snapshot
+//! markers (full and delta), and experiment-lifecycle [`WalRecord::Meta`]
+//! events. How records become bytes is [`crate::format`]'s business: the
+//! writer appends `binary-v2` length-prefixed CRC-guarded frames after the
+//! file's magic, and the reader reads nothing else (a pre-redesign
+//! `jsonl-v1` WAL is converted by [`crate::upgrade`] first).
 //!
 //! Durability follows a [`Durability`] policy: appends always reach the OS
 //! (flushed through the userspace buffer at each commit point), and
@@ -22,7 +21,6 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use asha_core::telemetry::EventKind;
 pub use asha_core::Durability;
 use asha_metrics::{push_json_f64, push_json_str, push_json_u64};
 use asha_obs::Event;
@@ -112,10 +110,10 @@ impl SnapMarker {
 /// the writer free-form JSON.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// A scheduler decision (`suggest` / `promote` / `grow_bottom`).
-    Decision(Event),
-    /// An execution-plane event (job lifecycle, faults, idle workers).
-    Job(Event),
+    /// A telemetry event: a scheduler decision (`suggest` / `promote` /
+    /// `grow_bottom`) or an execution-plane event (job lifecycle, faults,
+    /// idle workers).
+    Telemetry(Event),
     /// A checkpoint became durable.
     SnapshotMarker {
         /// Timestamp on the run's clock (simulated time).
@@ -133,21 +131,10 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
-    /// Wrap a telemetry event, classifying it as a scheduler decision or
-    /// an execution-plane job event by its kind.
-    pub fn telemetry(event: Event) -> WalRecord {
-        match event.kind {
-            EventKind::Suggest { .. }
-            | EventKind::Promote { .. }
-            | EventKind::GrowBottom { .. } => WalRecord::Decision(event),
-            _ => WalRecord::Job(event),
-        }
-    }
-
     /// The telemetry event inside, if this is a telemetry record.
     pub fn event(&self) -> Option<&Event> {
         match self {
-            WalRecord::Decision(event) | WalRecord::Job(event) => Some(event),
+            WalRecord::Telemetry(event) => Some(event),
             _ => None,
         }
     }
@@ -161,7 +148,7 @@ impl WalRecord {
         // ~100 bytes of an event; the tail renders one per record.
         let mut out = String::with_capacity(128);
         match self {
-            WalRecord::Decision(event) | WalRecord::Job(event) => {
+            WalRecord::Telemetry(event) => {
                 asha_obs::encode_event_into(&mut out, event);
             }
             WalRecord::SnapshotMarker { time, marker } => {
@@ -284,11 +271,11 @@ impl WalWriter {
     }
 
     /// Bytes of the telemetry records this writer appended — frames of
-    /// [`WalRecord::Decision`] / [`WalRecord::Job`] only, never markers or
-    /// lifecycle records, and counted from 0 at open. A run that regenerates
-    /// the same events after recovery counts the same bytes, which is what
-    /// lets the amortised checkpoint rule ([`crate::RunOptions`]) repeat
-    /// across a crash.
+    /// [`WalRecord::Telemetry`] only, never markers or lifecycle records,
+    /// and counted from 0 at open. A run that regenerates the same events
+    /// after recovery counts the same bytes, which is what lets the
+    /// amortised checkpoint rule ([`crate::RunOptions`]) repeat across a
+    /// crash.
     pub(crate) fn telemetry_bytes(&self) -> u64 {
         self.telemetry_bytes
     }
@@ -302,7 +289,7 @@ impl WalWriter {
         self.file
             .write_all(&self.buf.bytes)
             .map_err(|e| Error::io(&self.path, e))?;
-        if matches!(record, WalRecord::Decision(_) | WalRecord::Job(_)) {
+        if matches!(record, WalRecord::Telemetry(_)) {
             self.telemetry_appended += 1;
             self.telemetry_bytes += self.buf.bytes.len() as u64;
         }
@@ -496,9 +483,9 @@ mod tests {
         let mut wal = WalWriter::create(&dir.join("wal"), Durability::EveryN(2)).unwrap();
         let metrics = crate::StoreMetrics::new();
         wal.set_metrics(std::sync::Arc::clone(&metrics));
-        wal.append(&WalRecord::telemetry(ev(0, 0.0))).unwrap();
+        wal.append(&WalRecord::Telemetry(ev(0, 0.0))).unwrap();
         assert_eq!(metrics.wal_fsync.snapshot().count(), 0);
-        wal.append(&WalRecord::telemetry(ev(1, 0.5))).unwrap();
+        wal.append(&WalRecord::Telemetry(ev(1, 0.5))).unwrap();
         assert_eq!(metrics.wal_fsync.snapshot().count(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -516,7 +503,7 @@ mod tests {
         let err = wal.sync().unwrap_err();
         assert_eq!(err.kind(), crate::ErrorKind::Io);
         assert_eq!(err.path(), Some(path));
-        assert!(wal.append(&WalRecord::telemetry(ev(0, 0.0))).is_err());
+        assert!(wal.append(&WalRecord::Telemetry(ev(0, 0.0))).is_err());
         assert_eq!(metrics.wal_fsync.snapshot().count(), 0);
     }
 
@@ -529,8 +516,8 @@ mod tests {
                     name: "exp".to_owned(),
                 },
             },
-            WalRecord::telemetry(ev(0, 0.0)),
-            WalRecord::telemetry(ev(1, 0.5)),
+            WalRecord::Telemetry(ev(0, 0.0)),
+            WalRecord::Telemetry(ev(1, 0.5)),
             WalRecord::SnapshotMarker {
                 time: 0.5,
                 marker: SnapMarker::Full { snap: 0, events: 2 },
@@ -569,18 +556,13 @@ mod tests {
                 events: 2
             })
         );
-        assert_eq!(
-            contents.records[1],
-            WalRecord::Decision(ev(0, 0.0)),
-            "grow_bottom classifies as a scheduler decision"
-        );
 
         // Appending continues the binary file; a missing file starts fresh.
         for path in [path, dir.join("fresh")] {
             let before = read_wal(&path).map_or(0, |c| c.telemetry_len());
             {
                 let mut wal = WalWriter::open_append(&path, Durability::Flush, before).unwrap();
-                wal.append(&WalRecord::telemetry(ev(before, 2.0))).unwrap();
+                wal.append(&WalRecord::Telemetry(ev(before, 2.0))).unwrap();
                 assert_eq!(wal.telemetry_appended(), before + 1);
             }
             let contents = read_wal(&path).unwrap();
@@ -604,7 +586,7 @@ mod tests {
                     name: "exp".to_owned(),
                 },
             },
-            WalRecord::telemetry(ev(0, 0.0)),
+            WalRecord::Telemetry(ev(0, 0.0)),
             WalRecord::SnapshotMarker {
                 time: 0.5,
                 marker: SnapMarker::Full { snap: 0, events: 1 },
@@ -613,7 +595,7 @@ mod tests {
                 time: 0.5,
                 event: StoreEvent::Resumed,
             },
-            WalRecord::telemetry(ev(1, 0.75)),
+            WalRecord::Telemetry(ev(1, 0.75)),
         ];
         let mut wal = WalWriter::create(&path, Durability::Flush).unwrap();
         let (mut frame, mut expected) = (EncodeBuf::default(), 0);
@@ -638,7 +620,7 @@ mod tests {
     fn read_wal_refuses_a_file_without_the_magic() {
         let dir = tmpdir("no-magic");
         let path = dir.join("wal.jsonl");
-        let mut bytes = encode_wal(&[WalRecord::telemetry(ev(0, 0.0))]);
+        let mut bytes = encode_wal(&[WalRecord::Telemetry(ev(0, 0.0))]);
         bytes[0] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         let err = read_wal(&path).unwrap_err();
@@ -669,7 +651,7 @@ mod tests {
         {
             let mut wal = WalWriter::create(&path, Durability::Flush).unwrap();
             for i in 0..4 {
-                wal.append(&WalRecord::telemetry(ev(i, i as f64))).unwrap();
+                wal.append(&WalRecord::Telemetry(ev(i, i as f64))).unwrap();
             }
         }
         let clean = std::fs::read(&path).unwrap();
@@ -706,7 +688,7 @@ mod tests {
         let path = dir.join("wal.jsonl");
         let mut wal = WalWriter::create(&path, Durability::EveryN(2)).unwrap();
         for i in 0..5 {
-            wal.append(&WalRecord::telemetry(ev(i, i as f64))).unwrap();
+            wal.append(&WalRecord::Telemetry(ev(i, i as f64))).unwrap();
         }
         // Records are at least flushed per policy; all 5 parse back after a
         // plain flush (the buffered tail).

@@ -505,7 +505,7 @@ fn wal_suffix_replay_reconstructs_scheduler_decisions() {
             if let Some(job) = pending.pop_front() {
                 let loss = (job.trial.0 as f64 * 0.29).cos();
                 live.observe(Observation::for_job(&job, loss));
-                records.push(WalRecord::telemetry(Event {
+                records.push(WalRecord::Telemetry(Event {
                     seq,
                     time: step as f64,
                     kind: EventKind::JobEnd {
@@ -519,7 +519,7 @@ fn wal_suffix_replay_reconstructs_scheduler_decisions() {
             }
         }
         let d = live.suggest(&mut rng);
-        records.push(WalRecord::telemetry(Event {
+        records.push(WalRecord::Telemetry(Event {
             seq,
             time: step as f64,
             kind: EventKind::of_decision(&d),
@@ -580,7 +580,7 @@ fn replay_detects_log_state_mismatch() {
     // A log claiming a different trial was grown must be rejected.
     use asha_core::telemetry::{Event, EventKind};
     use asha_store::WalRecord;
-    let bogus = vec![WalRecord::telemetry(Event {
+    let bogus = vec![WalRecord::Telemetry(Event {
         seq: 0,
         time: 0.0,
         kind: EventKind::GrowBottom {

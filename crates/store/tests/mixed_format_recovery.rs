@@ -733,7 +733,7 @@ fn event_kind() -> impl Strategy<Value = EventKind> {
 fn wal_record() -> impl Strategy<Value = WalRecord> {
     prop_oneof![
         (any::<u64>(), wild_f64(), event_kind())
-            .prop_map(|(seq, time, kind)| WalRecord::telemetry(Event { seq, time, kind })),
+            .prop_map(|(seq, time, kind)| WalRecord::Telemetry(Event { seq, time, kind })),
         (wild_f64(), any::<u64>(), any::<u64>()).prop_map(|(time, snap, events)| {
             WalRecord::SnapshotMarker {
                 time,

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example compare_searchers`
 
 use asha::baselines::{bohb, Pbt, PbtConfig, Vizier, VizierConfig};
-use asha::core::{Asha, AshaConfig, BracketLoop, BracketLoopConfig, RandomSearch, Scheduler};
+use asha::core::{Asha, AshaConfig, BracketLoop, BracketLoopConfig, Scheduler};
 use asha::sim::{ClusterSim, SimConfig};
 use asha::surrogate::{presets, BenchmarkModel};
 use rand::SeedableRng;
@@ -44,7 +44,7 @@ fn main() {
                 .spawning(),
         )),
         Box::new(Vizier::new(space.clone(), VizierConfig::new(R))),
-        Box::new(RandomSearch::new(space.clone(), R)),
+        Box::new(Asha::new(space.clone(), AshaConfig::random(R))),
     ];
 
     println!(

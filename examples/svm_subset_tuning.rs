@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example svm_subset_tuning`
 
-use asha::core::{Asha, AshaConfig, RandomSearch, Scheduler};
+use asha::core::{Asha, AshaConfig, Scheduler};
 use asha::exec::{Evaluation, ExecConfig, FnObjective, ParallelTuner};
 use asha::ml::{Dataset, KernelRidge, KernelRidgeConfig};
 use asha::space::{Config, Scale, SearchSpace};
@@ -68,7 +68,7 @@ fn main() {
     // full-budget slots — the classic comparison.
     let random_best = run(
         "Random",
-        Box::new(RandomSearch::new(space.clone(), max_r)),
+        Box::new(Asha::new(space.clone(), AshaConfig::random(max_r))),
         16,
     );
     println!(

@@ -84,7 +84,7 @@ pub use asha_surrogate as surrogate;
 pub mod prelude {
     pub use asha_core::{
         Asha, AshaConfig, BracketLoop, BracketLoopConfig, Decision, Durability, Error, ErrorKind,
-        Job, Observation, Opening, RandomSearch, ResultContext, Scheduler, TrialId,
+        Job, Observation, Opening, ResultContext, Scheduler, TrialId,
     };
     pub use asha_exec::{ExecConfig, FnObjective, Objective, ParallelTuner};
     pub use asha_obs::{RunRecorder, RunReport};

@@ -26,7 +26,7 @@ use asha_baselines::{
 };
 use asha_core::{
     Asha, AshaConfig, BracketLoop, BracketLoopConfig, DurableScheduler, Opening, PromotionRule,
-    RandomSearch, Scheduler,
+    Scheduler,
 };
 use asha_metrics::{FaultStats, RunTrace};
 use asha_sim::{ClusterSim, SimConfig, SimResult, TraceMode};
@@ -46,7 +46,8 @@ pub use asha_baselines::Sampler;
 #[derive(Debug, Clone, PartialEq)]
 pub enum Searcher {
     /// Asynchronous Successive Halving (Algorithm 2); D-ASHA when
-    /// `config.rule` is delayed, ASHA+TPE / D-ASHA+TPE under [`Sampler::Tpe`].
+    /// `config.rule` is delayed, ASHA+TPE / D-ASHA+TPE under [`Sampler::Tpe`],
+    /// and random search on a one-rung ladder ([`Searcher::random`]).
     Asha {
         /// Ladder geometry, stop rate, scan order and promotion rule.
         config: AshaConfig,
@@ -68,11 +69,6 @@ pub enum Searcher {
     Vizier(VizierConfig),
     /// Fabolas-like cost-aware BO over (config, subset) space.
     Fabolas(FabolasConfig),
-    /// Random search at full budget.
-    Random {
-        /// Resource `R` every configuration trains for.
-        max_resource: f64,
-    },
 }
 
 impl Searcher {
@@ -90,6 +86,12 @@ impl Searcher {
             config,
             sampler: Sampler::Tpe,
         }
+    }
+
+    /// Random search at full budget `R`: ASHA on [`AshaConfig::random`]'s
+    /// one-rung ladder, named `Random`.
+    pub fn random(max_resource: f64) -> Self {
+        Searcher::asha(AshaConfig::random(max_resource))
     }
 
     /// A bracket loop with uniform sampling.
@@ -140,7 +142,6 @@ impl Searcher {
             Searcher::Pbt(config) => Box::new(Pbt::new(space, config)),
             Searcher::Vizier(config) => Box::new(Vizier::new(space, config)),
             Searcher::Fabolas(config) => Box::new(Fabolas::new(space, config)),
-            Searcher::Random { max_resource } => Box::new(RandomSearch::new(space, max_resource)),
             _ => self
                 .durable(&space)
                 .expect("every other method has a sampler, so persists"),
@@ -177,10 +178,11 @@ impl Searcher {
 
     /// Parse a method from its CLI name on the ladder `r`, `R`, `eta`:
     /// `asha`, `dasha`, `sha` (a growing bracket of `R/r` configurations),
-    /// `bohb`, `hyperband`, `async-hyperband` (at most four brackets), and
-    /// `pbt`, `vizier`, `fabolas`, `random`, which read only `R`. The one
-    /// name table of `tune_sim`, `run_report --demo` and `asha-ctl create`;
-    /// every name before `pbt` is persistable ([`Searcher::durable`]).
+    /// `bohb`, `hyperband`, `async-hyperband` (at most four brackets),
+    /// `random` (one rung, at `R`), and `pbt`, `vizier`, `fabolas`, which
+    /// also read only `R`. The one name table of `tune_sim`,
+    /// `run_report --demo` and `asha-ctl create`; every name before `pbt` is
+    /// persistable ([`Searcher::durable`]).
     ///
     /// # Panics
     ///
@@ -203,12 +205,10 @@ impl Searcher {
                 }
                 Searcher::bracket_loop(config)
             }
+            "random" => Searcher::random(max_r),
             "pbt" => Searcher::Pbt(PbtConfig::new(25, max_r, (max_r / 30.0).max(1.0)).spawning()),
             "vizier" => Searcher::Vizier(VizierConfig::new(max_r)),
             "fabolas" => Searcher::Fabolas(FabolasConfig::new(max_r)),
-            "random" => Searcher::Random {
-                max_resource: max_r,
-            },
             _ => return None,
         })
     }

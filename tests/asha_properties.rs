@@ -437,9 +437,16 @@ proptest! {
     fn indexed_asha_matches_reference_on_hostile_streams(
         steps in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u16>()), 1..300),
         workers in 1usize..16,
+        one_rung in any::<bool>(),
     ) {
-        let fast = Asha::new(space(), AshaConfig::new(1.0, 27.0, 3.0));
-        let reference = RefAsha::new(space(), AshaConfig::new(1.0, 27.0, 3.0));
+        // `r = R` is random search: one rung, nothing ever promoted.
+        let config = if one_rung {
+            AshaConfig::random(27.0)
+        } else {
+            AshaConfig::new(1.0, 27.0, 3.0)
+        };
+        let fast = Asha::new(space(), config.clone());
+        let reference = RefAsha::new(space(), config);
         assert_differential(
             fast, reference, &steps, workers,
             Asha::export_state, RefAsha::export_state,

@@ -5,7 +5,7 @@
 //! faults must never kill the worker pool, and tuning quality must degrade
 //! gracefully.
 
-use asha::core::{Asha, AshaConfig, BracketLoop, BracketLoopConfig, RandomSearch};
+use asha::core::{Asha, AshaConfig, BracketLoop, BracketLoopConfig};
 use asha::exec::{
     install_quiet_panic_hook, ChaosConfig, ChaosObjective, Evaluation, ExecConfig, FaultPolicy,
     FnObjective, ParallelTuner,
@@ -127,7 +127,7 @@ fn chaos_best_stays_within_2x_of_fault_free_run() {
 fn panics_and_timeouts_never_kill_the_pool() {
     install_quiet_panic_hook();
     // Panic-heavy chaos plus real delays against a tight job timeout: the
-    // pool must absorb everything and stop at the job cap (RandomSearch
+    // pool must absorb everything and stop at the job cap (random search
     // itself never finishes).
     let chaos = ChaosObjective::new(
         objective(),
@@ -141,7 +141,8 @@ fn panics_and_timeouts_never_kill_the_pool() {
             .with_max_retries(1)
             .with_backoff(Duration::from_micros(100), Duration::from_millis(1)),
     );
-    let result = ParallelTuner::new(exec).run(RandomSearch::new(space(), 3.0), &chaos, 13);
+    let result =
+        ParallelTuner::new(exec).run(Asha::new(space(), AshaConfig::random(3.0)), &chaos, 13);
     assert!(!result.scheduler_finished, "random search has no end");
     assert!(result.jobs_completed >= 30, "{}", result.jobs_completed);
     assert!(result.faults.jobs_panicked > 0, "{}", result.faults);

@@ -23,9 +23,7 @@ fn all_schedulers(space: &SearchSpace, max_r: f64) -> Vec<Box<dyn Scheduler + Se
         Searcher::Pbt(PbtConfig::new(8, max_r, max_r / 16.0).spawning()),
         Searcher::Vizier(VizierConfig::new(max_r)),
         Searcher::Fabolas(FabolasConfig::new(max_r)),
-        Searcher::Random {
-            max_resource: max_r,
-        },
+        Searcher::random(max_r),
     ]
     .iter()
     .map(|searcher| searcher.build(space))
@@ -101,10 +99,7 @@ fn early_stopping_methods_evaluate_many_more_configs_than_full_budget_ones() {
         .trace
         .distinct_trials();
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    let random = Searcher::Random {
-        max_resource: 256.0,
-    }
-    .build(bench.space());
+    let random = Searcher::random(256.0).build(bench.space());
     let random_configs = ClusterSim::new(SimConfig::new(25, 100.0))
         .run(random, &bench, &mut rng)
         .trace

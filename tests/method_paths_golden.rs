@@ -1,8 +1,7 @@
 //! One method, four paths, one digest table. Every persistable method —
-//! `asha`, `dasha`, `sha`, `async-hyperband` and `hyperband` at r = 1,
-//! R = 256, η = 4,
-//! each drawing configurations at random, from TPE and from GP-EI — runs one
-//! seeded chaos simulation four ways:
+//! `asha`, `dasha`, `sha`, `async-hyperband`, `hyperband` and `random` at
+//! r = 1, R = 256, η = 4, each drawing configurations at random, from TPE
+//! and from GP-EI — runs one seeded chaos simulation four ways:
 //!
 //! 1. `ClusterSim::run_recorded`, no store;
 //! 2. a `DurableRun`, uninterrupted;
@@ -15,8 +14,10 @@
 //! The table was generated before the four paths shared one constructor,
 //! so it also pins that the shared constructor builds the schedulers the
 //! separate ones did; the `hyperband` / `random` simulator digests are
-//! those of synchronous Hyperband before it could run durably. On a
-//! deliberate numerics change the failure prints the replacement table.
+//! those of synchronous Hyperband before it could run durably, and the
+//! `random` / `random` pair is that of the dedicated random-search
+//! scheduler that preceded the one-rung ASHA ladder. On a deliberate
+//! numerics change the failure prints the replacement table.
 
 use std::fmt::Write;
 use std::path::{Path, PathBuf};
@@ -35,13 +36,20 @@ use asha::surrogate::{presets, BenchmarkModel, CurveBenchmark};
 use asha::tune::{Sampler, Searcher};
 use rand::{Rng, SeedableRng};
 
-const METHODS: [&str; 5] = ["asha", "dasha", "sha", "async-hyperband", "hyperband"];
+const METHODS: [&str; 6] = [
+    "asha",
+    "dasha",
+    "sha",
+    "async-hyperband",
+    "hyperband",
+    "random",
+];
 const SAMPLERS: [&str; 3] = ["random", "tpe", "gp"];
 const JOBS: usize = 300;
 
 /// `(method, sampler, SimResult digest, telemetry digest)`.
 #[rustfmt::skip]
-const GOLDEN: [(&str, &str, u64, u64); 15] = [
+const GOLDEN: [(&str, &str, u64, u64); 18] = [
     ("asha", "random", 0xd26786cf425f8e6f, 0x8821aa1c7630cf76),
     ("asha", "tpe", 0xbd76e886b669f553, 0xb2acbd1b3ff8fea5),
     ("asha", "gp", 0x17e0911e488171a7, 0x93ee1e5f7ab6219c),
@@ -57,6 +65,9 @@ const GOLDEN: [(&str, &str, u64, u64); 15] = [
     ("hyperband", "random", 0xc05d69e72e4a87f8, 0x381a8152a110bc0c),
     ("hyperband", "tpe", 0x37b5b844dc9fd5fd, 0x6e10e36e1af286fc),
     ("hyperband", "gp", 0xcdc8d8e1529787c5, 0xf6d9ce1e8bdec8d5),
+    ("random", "random", 0x31d9ee9fdadffdf8, 0x03770f3da2b14a24),
+    ("random", "tpe", 0x143e7cdd3377a849, 0xbc164d26eee664fe),
+    ("random", "gp", 0xafe8aa52b3658343, 0x2e59b2c9b8afcbc5),
 ];
 
 struct Fnv1a(u64);
@@ -234,6 +245,14 @@ fn every_persistable_method_agrees_on_every_path() {
             (*method, *sampler),
             (golden.0, golden.1),
             "GOLDEN rows follow METHODS × SAMPLERS"
+        );
+        // Only a method that stops nothing early is named for random search.
+        let name = fresh(method, sampler, bench.space()).name().to_owned();
+        assert_eq!(
+            name.starts_with("Random"),
+            *method == "random",
+            "{}: named {name}",
+            meta.name
         );
         let [simulated, whole, resumed] = local_paths(method, sampler, meta, &bench, &root);
         let served = served(&mut client, &meta.name);

@@ -36,14 +36,7 @@ fn asha_beats_random_search_clearly_on_benchmark1() {
     // Section 4.2's regime: the same parallel budget, vastly more configs.
     let bench = presets::cifar10_cuda_convnet(presets::DEFAULT_SURFACE_SEED);
     let asha = mean_final(&bench, Searcher::default_asha(256.0), 25, 100.0);
-    let random = mean_final(
-        &bench,
-        Searcher::Random {
-            max_resource: 256.0,
-        },
-        25,
-        100.0,
-    );
+    let random = mean_final(&bench, Searcher::random(256.0), 25, 100.0);
     assert!(
         asha + 0.01 < random,
         "ASHA {asha:.4} should clearly beat random {random:.4}"
