@@ -9,6 +9,7 @@
 
 use std::fmt::Write;
 
+use asha::baselines::VizierConfig;
 use asha::core::{AshaConfig, BracketLoopConfig};
 use asha::sim::{ClusterSim, SimConfig, SimResult, TraceMode};
 use asha::surrogate::{presets, BenchmarkModel, CurveBenchmark};
@@ -18,6 +19,10 @@ use rand::SeedableRng;
 const SEED: u64 = 7;
 const JOBS: usize = 3_000;
 const SETUPS: [&str; 4] = ["asha-25w", "asha-500w-chaos", "sync-sha", "async-hyperband"];
+
+/// Digest of Vizier's run on `ptb-lstm` at Figure 5's settings; see
+/// [`vizier_matches_its_committed_digest`].
+const VIZIER_GOLDEN: u64 = 0x262d4c97a00cc01f;
 
 /// `(preset, [digest per entry of SETUPS])`.
 #[rustfmt::skip]
@@ -105,5 +110,30 @@ fn sim_results_match_committed_digests() {
     assert!(
         moved.is_empty(),
         "simulator output changed for {moved:?}; if intended, GOLDEN becomes:\n{table}"
+    );
+}
+
+/// Vizier at `figures fig5`'s settings (R = 64, at most 150 model points, 64
+/// EI candidates, a refit every 16 completions) on `ptb-lstm` with 25
+/// workers: its GP-EI proposals, constant-liar pending set and full-budget
+/// jobs are pinned here, not only by `results/fig5_ptb_vizier.csv`.
+#[test]
+fn vizier_matches_its_committed_digest() {
+    let bench = presets::ptb_lstm(SEED);
+    let mut vizier = VizierConfig::new(64.0);
+    vizier.max_model_points = 150;
+    vizier.candidates = 64;
+    vizier.refit_every = 16;
+    let scheduler = Searcher::Vizier(vizier).build(bench.space());
+    let config = SimConfig::new(25, 1e12)
+        .with_max_jobs(400)
+        .with_trace_mode(TraceMode::Full);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(SEED);
+    let result = ClusterSim::new(config).run(scheduler, &bench, &mut rng);
+    assert_eq!(result.jobs_completed, 400, "vizier ran short");
+    let got = digest(&result);
+    assert_eq!(
+        got, VIZIER_GOLDEN,
+        "Vizier's simulated run changed: {got:#018x}"
     );
 }
