@@ -1,5 +1,5 @@
 //! A rung-conditioned Gaussian-process EI sampler — GP-EI as a pluggable
-//! [`ConfigSampler`], the async counterpart of the [`crate::Vizier`]
+//! [`ConfigSampler`], the async counterpart of the [`crate::vizier`]
 //! scheduler's model.
 //!
 //! Observations are grouped by rung, exactly like [`crate::TpeSampler`]; a
@@ -93,7 +93,7 @@ impl GpSampler {
     }
 }
 
-/// The EI step of this sampler and [`crate::Vizier`]: the first of
+/// The EI step of this sampler and [`crate::vizier`]'s: the first of
 /// `candidates` uniform points whose expected improvement on `best` is a
 /// strict maximum, or a uniform sample if none beats `-inf`.
 pub(crate) fn ei_argmax(

@@ -1,25 +1,26 @@
 //! Baseline hyperparameter tuners the ASHA paper compares against.
 //!
-//! Every baseline implements [`asha_core::Scheduler`], so the discrete-event
-//! simulator and the thread-pool executor drive them exactly like ASHA:
+//! BOHB and Vizier are [`asha_core::ConfigSampler`]s on the shared ladders
+//! (they differ from SHA and random search only in how configurations are
+//! sampled); only PBT and Fabolas keep [`asha_core::Scheduler`]s of their
+//! own. The simulator and the executor drive them all exactly like ASHA:
 //!
-//! * [`TpeSampler`] — a rung-conditioned Tree-structured Parzen Estimator
-//!   ([`asha_core::ConfigSampler`]); plugging it into synchronous SHA yields
-//!   **BOHB** ([`bohb`]), into ASHA yields **ASHA+TPE** ([`bohb_asha`], the
-//!   A-BOHB direction), and into D-ASHA yields **D-ASHA+TPE** (the
-//!   Hyper-Tune combination).
+//! * [`TpeSampler`] — a rung-conditioned Tree-structured Parzen Estimator;
+//!   plugging it into synchronous SHA yields **BOHB** ([`bohb`]), into ASHA
+//!   yields **ASHA+TPE** ([`bohb_asha`], the A-BOHB direction), and into
+//!   D-ASHA yields **D-ASHA+TPE** (the Hyper-Tune combination).
 //! * [`GpSampler`] — rung-conditioned GP-EI as a pluggable sampler (the
-//!   async counterpart of [`Vizier`]'s model).
+//!   async counterpart of [`vizier`]'s model).
 //! * [`Sampler`] — the three sampler kinds (random, TPE, GP-EI) as a value:
 //!   what a method description, `meta.json` and a snapshot name, and the
 //!   one place a kind becomes a sampler.
+//! * [`vizier`] — a stand-in for Google Vizier's default algorithm: batched
+//!   GP-EI with a constant-liar heuristic on random search's one rung, so
+//!   *no* early stopping (the paper's "Vizier without the performance curve
+//!   early-stopping rule").
 //! * [`Pbt`] — Population Based Training with truncation selection and
 //!   perturb/resample exploration, following Appendix A.3 (including frozen
 //!   architecture hyperparameters and the bounded-lag fairness rule).
-//! * [`Vizier`] — a stand-in for Google Vizier's default algorithm: batched
-//!   GP-EI Bayesian optimization with a constant-liar heuristic and *no*
-//!   early stopping (the paper compares against "Vizier without the
-//!   performance curve early-stopping rule").
 //! * [`Fabolas`] — a stand-in for Fabolas: cost-aware Bayesian optimization
 //!   over the joint (configuration, dataset-fraction) space, with periodic
 //!   full-budget incumbent evaluations mirroring Klein et al.'s offline
@@ -61,4 +62,4 @@ pub use gp::{GpSampler, GpSamplerConfig};
 pub use pbt::{Pbt, PbtConfig};
 pub use sampler::Sampler;
 pub use tpe::{TpeConfig, TpeSampler};
-pub use vizier::{Vizier, VizierConfig};
+pub use vizier::{vizier, VizierConfig};

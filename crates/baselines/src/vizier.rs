@@ -5,18 +5,22 @@
 //! paper compares against exactly this setting ("Vizier *without* the
 //! performance curve early-stopping rule").
 //!
+//! Without early stopping, Vizier is random search with a model choosing
+//! the configurations: [`Asha`] on [`AshaConfig::random`]'s one rung with a
+//! GP-EI [`ConfigSampler`].
+//!
 //! Faithful weaknesses are kept on purpose: the GP models raw losses, so the
 //! divergent-perplexity tail of the PTB benchmark degrades the fit even when
 //! losses are capped at 1000 — the behaviour the paper observes in
 //! Section 4.3.
 
-use asha_core::{Decision, Job, Observation, Scheduler, TrialId};
+use asha_core::{Asha, AshaConfig, ConfigSampler};
 use asha_math::{Gp, GpConfig};
 use asha_space::{Config, SearchSpace};
 
 use crate::gp::ei_argmax;
 
-/// Configuration of a [`Vizier`] scheduler.
+/// Configuration of a [`vizier`] scheduler.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VizierConfig {
     /// Resource every evaluation trains for (the full `R`).
@@ -50,48 +54,51 @@ impl VizierConfig {
     }
 }
 
-/// The Vizier-like scheduler; see the module docs.
-pub struct Vizier {
+/// The Vizier-like scheduler, named `Vizier`: every job trains a fresh
+/// trial to `R` at rung 0 of bracket 0, and a GP-EI model of the completed
+/// losses picks its configuration; see the module docs.
+///
+/// # Panics
+///
+/// Panics if `config.max_resource <= 0`.
+pub fn vizier(space: SearchSpace, config: VizierConfig) -> Asha {
+    let ladder = AshaConfig::random(config.max_resource);
+    let sampler = Box::new(VizierSampler::new(space.clone(), config));
+    let mut asha = Asha::with_sampler(space, ladder, sampler);
+    asha.set_name("Vizier");
+    asha
+}
+
+/// Vizier's model as a [`ConfigSampler`]: the completed full-budget
+/// evaluations, the in-flight proposals the constant liar stands in for,
+/// and a GP refit every [`VizierConfig::refit_every`] completions.
+///
+/// The pending set is keyed by each proposal's unit vector: `propose`
+/// pushes it and `record` removes the first equal one. That is the proposal
+/// the report belongs to whenever no two in-flight proposals embed to the
+/// same unit point, which any space with a continuous parameter guarantees
+/// (the PTB space of Figure 5 among them).
+struct VizierSampler {
     space: SearchSpace,
     config: VizierConfig,
     /// Completed evaluations: unit point and loss.
     completed: Vec<(Vec<f64>, f64)>,
     /// Outstanding evaluations' unit points (for the constant liar).
-    pending: Vec<(TrialId, Vec<f64>)>,
+    pending: Vec<Vec<f64>>,
     model: Option<Gp>,
     completions_since_fit: usize,
-    next_trial: u64,
-    name: String,
 }
 
-impl std::fmt::Debug for Vizier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Vizier")
-            .field("completed", &self.completed.len())
-            .field("pending", &self.pending.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl Vizier {
-    /// Create a Vizier-like scheduler.
-    pub fn new(space: SearchSpace, config: VizierConfig) -> Self {
-        Vizier {
+impl VizierSampler {
+    fn new(space: SearchSpace, config: VizierConfig) -> Self {
+        VizierSampler {
             space,
             config,
             completed: Vec::new(),
             pending: Vec::new(),
             model: None,
             completions_since_fit: 0,
-            next_trial: 0,
-            name: "Vizier".to_owned(),
         }
-    }
-
-    /// Number of completed full evaluations.
-    #[cfg(test)]
-    pub(crate) fn completed(&self) -> usize {
-        self.completed.len()
     }
 
     fn best_loss(&self) -> f64 {
@@ -114,7 +121,7 @@ impl Vizier {
             .map(|(u, _)| u.clone())
             .collect();
         let mut ys: Vec<f64> = self.completed[start..].iter().map(|&(_, l)| l).collect();
-        for (_, u) in &self.pending {
+        for u in &self.pending {
             xs.push(u.clone());
             ys.push(liar);
         }
@@ -122,68 +129,56 @@ impl Vizier {
         self.completions_since_fit = 0;
     }
 
-    fn propose(&mut self, rng: &mut dyn rand::RngCore) -> Config {
+    fn choose(&mut self, space: &SearchSpace, rng: &mut dyn rand::RngCore) -> Config {
         if self.completed.len() < self.config.warmup {
-            return self.space.sample(rng);
+            return space.sample(rng);
         }
         if self.model.is_none() || self.completions_since_fit >= self.config.refit_every {
             self.refit();
         }
         let Some(model) = &self.model else {
-            return self.space.sample(rng);
+            return space.sample(rng);
         };
         let best = self.best_loss();
-        ei_argmax(model, best, self.config.candidates, &self.space, rng)
+        ei_argmax(model, best, self.config.candidates, space, rng)
     }
 }
 
-impl Scheduler for Vizier {
-    fn suggest(&mut self, rng: &mut dyn rand::RngCore) -> Decision {
-        let config = self.propose(rng);
-        let trial = TrialId(self.next_trial);
-        self.next_trial += 1;
+impl ConfigSampler for VizierSampler {
+    fn propose(&mut self, space: &SearchSpace, rng: &mut dyn rand::RngCore) -> Config {
+        let config = self.choose(space, rng);
         let unit = self
             .space
             .to_unit(&config)
             .expect("proposals come from this space");
-        self.pending.push((trial, unit));
-        // A new pending point changes the constant-liar set; force a refit
-        // on the next proposal if the batch grows large.
-        Decision::Run(Job {
-            trial,
-            config,
-            rung: 0,
-            resource: self.config.max_resource,
-            bracket: 0,
-            inherit_from: None,
-        })
+        self.pending.push(unit);
+        config
     }
 
-    fn observe(&mut self, obs: Observation) {
-        let Some(pos) = self.pending.iter().position(|(t, _)| *t == obs.trial) else {
+    fn record(&mut self, config: &Config, _rung: usize, _resource: f64, loss: f64) {
+        let Ok(unit) = self.space.to_unit(config) else {
             return;
         };
-        let (_, unit) = self.pending.swap_remove(pos);
-        let loss = if obs.loss.is_nan() {
-            f64::INFINITY
-        } else {
-            obs.loss
+        let Some(pos) = self.pending.iter().position(|u| *u == unit) else {
+            return;
         };
+        let unit = self.pending.swap_remove(pos);
+        let loss = if loss.is_nan() { f64::INFINITY } else { loss };
         // Infinite losses would poison the GP's target standardization;
         // store a large finite proxy instead (mirrors the paper's capping).
-        let loss = loss.min(1e9);
-        self.completed.push((unit, loss));
+        self.completed.push((unit, loss.min(1e9)));
         self.completions_since_fit += 1;
     }
 
     fn name(&self) -> &str {
-        &self.name
+        "vizier"
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asha_core::{Observation, Scheduler, TrialId};
     use asha_space::Scale;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -197,15 +192,18 @@ mod tests {
     }
 
     #[test]
-    fn always_full_budget_and_never_waits() {
-        let mut v = Vizier::new(space(), VizierConfig::new(256.0));
+    fn every_job_is_a_fresh_trial_at_full_budget() {
+        let mut v = vizier(space(), VizierConfig::new(256.0));
+        assert_eq!(v.name(), "Vizier");
         let mut rng = StdRng::seed_from_u64(0);
-        for _ in 0..30 {
+        for i in 0..30 {
             let job = v.suggest(&mut rng).job().expect("vizier always has work");
-            assert_eq!(job.resource, 256.0);
+            assert_eq!(
+                (job.trial, job.rung, job.resource, job.bracket),
+                (TrialId(i), 0, 256.0, 0)
+            );
             v.observe(Observation::for_job(&job, 1.0));
         }
-        assert_eq!(v.completed(), 30);
     }
 
     #[test]
@@ -213,7 +211,7 @@ mod tests {
         // Quadratic bowl at (0.3, 0.7); after warmup the EI proposals should
         // be much closer to the optimum than uniform sampling.
         let s = space();
-        let mut v = Vizier::new(s.clone(), VizierConfig::new(1.0));
+        let mut v = vizier(s.clone(), VizierConfig::new(1.0));
         let mut rng = StdRng::seed_from_u64(1);
         let mut dists = Vec::new();
         for i in 0..80 {
@@ -237,7 +235,7 @@ mod tests {
         // Issue a batch of 10 with no observations: after warmup data the
         // liar should keep proposals from collapsing to one point.
         let s = space();
-        let mut v = Vizier::new(s.clone(), VizierConfig::new(1.0));
+        let mut v = vizier(s.clone(), VizierConfig::new(1.0));
         let mut rng = StdRng::seed_from_u64(2);
         // Warmup data.
         for _ in 0..12 {
@@ -262,15 +260,18 @@ mod tests {
     }
 
     #[test]
-    fn unsolicited_and_infinite_losses_are_handled() {
-        let mut v = Vizier::new(space(), VizierConfig::new(1.0));
+    fn unproposed_and_infinite_losses_are_handled() {
+        let s = space();
+        let mut sampler = VizierSampler::new(s.clone(), VizierConfig::new(1.0));
         let mut rng = StdRng::seed_from_u64(3);
-        v.observe(Observation::new(TrialId(42), 0, 1.0, 0.5));
-        assert_eq!(v.completed(), 0);
-        let job = v.suggest(&mut rng).job().unwrap();
-        v.observe(Observation::for_job(&job, f64::INFINITY));
-        assert_eq!(v.completed(), 1);
+        sampler.record(&s.sample(&mut rng), 0, 1.0, 0.5);
+        assert!(sampler.completed.is_empty());
+        let config = sampler.propose(&s, &mut rng);
+        sampler.record(&config, 0, 1.0, f64::NAN);
+        assert_eq!(sampler.completed.len(), 1);
+        assert!(sampler.pending.is_empty());
+        assert_eq!(sampler.best_loss(), 1e9);
         // Later proposals still work.
-        assert!(v.suggest(&mut rng).job().is_some());
+        assert_eq!(sampler.propose(&s, &mut rng).len(), 2);
     }
 }

@@ -1,7 +1,7 @@
 //! Behavioural integration tests of the baselines: the properties the
 //! paper's comparisons hinge on, checked directly against each scheduler.
 
-use asha_baselines::{bohb, Fabolas, FabolasConfig, Pbt, PbtConfig, Vizier, VizierConfig};
+use asha_baselines::{bohb, vizier, Fabolas, FabolasConfig, Pbt, PbtConfig, VizierConfig};
 use asha_core::{BracketLoopConfig, Decision, Observation, Scheduler};
 use asha_space::{Scale, SearchSpace};
 use rand::rngs::StdRng;
@@ -67,7 +67,7 @@ fn bohb_proposals_adapt_toward_the_optimum() {
 
 #[test]
 fn vizier_proposals_adapt_toward_the_optimum() {
-    let mut tuner = Vizier::new(space(), VizierConfig::new(64.0));
+    let mut tuner = vizier(space(), VizierConfig::new(64.0));
     let late = drive_tail(&mut tuner, 120, 30, false);
     let dist = mean_distance(&late, (0.7, 0.2));
     assert!(dist < 0.35, "Vizier late proposals not adaptive: {dist:.3}");

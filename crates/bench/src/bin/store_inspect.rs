@@ -17,7 +17,11 @@
 //! and whether a torn tail was discarded. A store written before the
 //! redesign (`jsonl-v1`) is read in memory through `asha_store::upgrade`,
 //! and nothing is written: the tool shows it as it is on disk.
+//!
+//! Everything is written through one buffered stdout; when its reader goes
+//! away (`store_inspect DIR | head`), the tool stops quietly with status 0.
 
+use std::io::{self, BufWriter, ErrorKind, Write};
 use std::path::Path;
 
 use asha::metrics::JsonValue;
@@ -33,28 +37,30 @@ fn fail(msg: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
-fn inspect_experiment(dir: &Path, dump: bool) {
-    println!("experiment store: {}", dir.display());
+fn inspect_experiment(out: &mut impl Write, dir: &Path, dump: bool) -> io::Result<()> {
+    writeln!(out, "experiment store: {}", dir.display())?;
 
     match read_meta(dir) {
         Ok(meta) => {
-            println!("  name:      {}", meta.name);
-            println!("  scheduler: {}", meta.initial.kind());
-            println!(
+            writeln!(out, "  name:      {}", meta.name)?;
+            writeln!(out, "  scheduler: {}", meta.initial.kind())?;
+            writeln!(
+                out,
                 "  benchmark: {} (surface seed {})",
                 meta.bench.preset, meta.bench.seed
-            );
-            println!("  run seed:  {}", meta.seed);
-            println!(
+            )?;
+            writeln!(out, "  run seed:  {}", meta.seed)?;
+            writeln!(
+                out,
                 "  sim:       {} workers, horizon {}, stragglers {}, drop prob {}",
                 meta.sim.workers, meta.sim.max_time, meta.sim.straggler_std, meta.sim.drop_prob
-            );
+            )?;
         }
-        Err(e) => println!("  meta: unreadable ({e})"),
+        Err(e) => writeln!(out, "  meta: unreadable ({e})")?,
     }
 
-    inspect_checkpoints(dir);
-    inspect_wal(dir, dump);
+    inspect_checkpoints(out, dir)?;
+    inspect_wal(out, dir, dump)
 }
 
 /// The layout a snapshot document's payload was written in, from its schema
@@ -88,14 +94,14 @@ fn decode<T>(
 /// the layout of the document each file restores — a delta's is that of
 /// its base with the chain patched on, so an old store resumed under new
 /// code shows as a v1 snapshot followed by v2 deltas.
-fn inspect_checkpoints(dir: &Path) {
+fn inspect_checkpoints(out: &mut impl Write, dir: &Path) -> io::Result<()> {
     let files = match upgrade::checkpoints(dir) {
         Ok(files) => files,
-        Err(e) => return println!("  snapshots: unreadable ({e})"),
+        Err(e) => return writeln!(out, "  snapshots: unreadable ({e})"),
     };
     match files.iter().filter(|f| f.delta == 0).count() {
-        0 => println!("  snapshots: none"),
-        n => println!("  snapshots: {n}"),
+        0 => writeln!(out, "  snapshots: none")?,
+        n => writeln!(out, "  snapshots: {n}")?,
     }
     // The document the chain has restored so far, as a payload, and the
     // chain position it was restored to.
@@ -108,12 +114,13 @@ fn inspect_checkpoints(dir: &Path) {
         }
         if k == 0 {
             match decode(file, Snapshot::from_json) {
-                Ok((snap, payload)) => println!(
+                Ok((snap, payload)) => writeln!(
+                    out,
                     "    snap {seq:>6}: covers {:>7} events, {size:>9} bytes ({dialect}, layout {})",
                     snap.events,
                     layout(chain.insert(payload))
-                ),
-                Err(e) => println!("    snap {seq:>6}: UNREADABLE, {size:>9} bytes ({e})"),
+                )?,
+                Err(e) => writeln!(out, "    snap {seq:>6}: UNREADABLE, {size:>9} bytes ({e})")?,
             }
             continue;
         }
@@ -135,102 +142,120 @@ fn inspect_checkpoints(dir: &Path) {
                     apply_bytes(&base, &patch, &mut patched).ok()?;
                     Some(patched)
                 });
-                println!(
+                writeln!(
+                    out,
                     "      delta {seq:>4}+{k}: covers {:>7} events, {size:>9} bytes ({dialect}, layout {})",
                     delta.events,
                     chain.as_deref().map_or_else(|| "?".to_owned(), layout)
-                )
+                )?
             }
-            Err(e) => println!("      delta {seq:>4}+{k}: UNREADABLE, {size:>9} bytes ({e})"),
+            Err(e) => writeln!(
+                out,
+                "      delta {seq:>4}+{k}: UNREADABLE, {size:>9} bytes ({e})"
+            )?,
         }
     }
+    Ok(())
 }
 
-fn inspect_wal(dir: &Path, dump: bool) {
+fn inspect_wal(out: &mut impl Write, dir: &Path, dump: bool) -> io::Result<()> {
     match upgrade::read_wal(&dir.join(WAL_FILE)) {
         Ok((contents, dialect)) => {
             let telemetry: Vec<_> = contents.telemetry().collect();
             let stores = contents.records.len() - telemetry.len();
-            println!(
+            writeln!(
+                out,
                 "  wal:       {} records ({} telemetry + {stores} store markers), {dialect} dialect",
                 contents.records.len(),
                 telemetry.len(),
-            );
+            )?;
             match (telemetry.first(), telemetry.last()) {
-                (Some(first), Some(last)) => println!(
+                (Some(first), Some(last)) => writeln!(
+                    out,
                     "    telemetry seq {}..={} over t [{:.3}, {:.3}]",
                     first.seq, last.seq, first.time, last.time
-                ),
-                _ => println!("    no telemetry yet"),
+                )?,
+                _ => writeln!(out, "    no telemetry yet")?,
             }
             for record in &contents.records {
                 if let WalRecord::Meta { time, event } = record {
-                    println!("    t {time:>10.3}  {}", event.name());
+                    writeln!(out, "    t {time:>10.3}  {}", event.name())?;
                 }
                 if let WalRecord::SnapshotMarker { time, marker } = record {
                     match marker.delta() {
-                        0 => println!(
+                        0 => writeln!(
+                            out,
                             "    t {time:>10.3}  snapshot marker: snap {} @ {} events",
                             marker.snap(),
                             marker.events()
-                        ),
-                        k => println!(
+                        )?,
+                        k => writeln!(
+                            out,
                             "    t {time:>10.3}  delta marker: snap {}+{k} @ {} events",
                             marker.snap(),
                             marker.events()
-                        ),
+                        )?,
                     }
                 }
             }
             if contents.torn_tail {
-                println!("    torn tail: one partial final record discarded (crash mid-append)");
+                writeln!(
+                    out,
+                    "    torn tail: one partial final record discarded (crash mid-append)"
+                )?;
             }
             if dump {
-                println!("  records:");
+                writeln!(out, "  records:")?;
                 for record in &contents.records {
-                    println!("    {}", record.render_jsonl());
+                    writeln!(out, "    {}", record.render_jsonl())?;
                 }
             }
         }
-        Err(e) => println!("  wal: {e}"),
+        Err(e) => writeln!(out, "  wal: {e}")?,
     }
+    Ok(())
 }
 
-fn usage(code: i32) -> ! {
-    println!("usage: store_inspect [--dump] <experiment-dir | supervisor-root>");
-    std::process::exit(code);
-}
+const USAGE: &str = "usage: store_inspect [--dump] <experiment-dir | supervisor-root>";
 
-fn main() {
+/// Inspect what the arguments name, writing to `out`; the exit status.
+fn run(out: &mut impl Write) -> io::Result<i32> {
     let mut dump = false;
     let mut dir: Option<String> = None;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--help" | "-h" => usage(0),
+            "--help" | "-h" => {
+                writeln!(out, "{USAGE}")?;
+                return Ok(0);
+            }
             "--dump" => dump = true,
             other if dir.is_none() && !other.starts_with('-') => dir = Some(other.to_owned()),
             other => fail(format!("unexpected argument {other:?}")),
         }
     }
-    let Some(dir) = dir else { usage(2) };
+    let Some(dir) = dir else {
+        writeln!(out, "{USAGE}")?;
+        return Ok(2);
+    };
     let dir = Path::new(&dir);
 
     let manifest_path = dir.join(MANIFEST_FILE);
     if manifest_path.exists() {
         let entries = read_manifest(&manifest_path).unwrap_or_else(|e| fail(e));
-        println!(
+        writeln!(
+            out,
             "supervisor root: {} ({} experiments)",
             dir.display(),
             entries.len()
-        );
+        )?;
         for entry in &entries {
-            println!("  {:<24} {}", entry.name, entry.status.as_str());
+            writeln!(out, "  {:<24} {}", entry.name, entry.status.as_str())?;
         }
         for entry in &entries {
-            println!();
-            inspect_experiment(&dir.join(&entry.name), dump);
+            writeln!(out)?;
+            inspect_experiment(out, &dir.join(&entry.name), dump)?;
         }
-        return;
+        return Ok(0);
     }
 
     if !dir.join(META_FILE).exists() {
@@ -239,5 +264,16 @@ fn main() {
             dir.display()
         ));
     }
-    inspect_experiment(dir, dump);
+    inspect_experiment(out, dir, dump)?;
+    Ok(0)
+}
+
+fn main() {
+    let mut out = BufWriter::new(io::stdout().lock());
+    match run(&mut out).and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => std::process::exit(code),
+        // The reader went away (`store_inspect DIR | head`): stop quietly.
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => {}
+        Err(e) => fail(e),
+    }
 }

@@ -7,10 +7,10 @@
 //! pool stays while they do. This crate makes those dynamics inspectable
 //! for any run:
 //!
-//! * [`RunRecorder`] — the collecting [`Recorder`]: buffers every event,
-//!   stamps gap-free sequence numbers, and folds each event into a
-//!   [`MetricsRegistry`] as it arrives. Plug it into
-//!   `ClusterSim::run_recorded` or `ParallelTuner::run_recorded`.
+//! * [`RunRecorder`] — the collecting [`Recorder`]: buffers every event and
+//!   stamps gap-free sequence numbers; [`RunRecorder::report`] folds them.
+//!   Plug it into `ClusterSim::run_recorded` or
+//!   `ParallelTuner::run_recorded`.
 //! * `log` — the JSONL event-log codec: deterministic one-line-per-event
 //!   encoding (same seed ⇒ byte-identical log) and a strict parser.
 //! * [`MetricsRegistry`] — counters (decisions by kind, promotions per

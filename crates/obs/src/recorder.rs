@@ -1,6 +1,6 @@
-//! The collecting recorder: buffers the event stream, stamps sequence
-//! numbers, and keeps the online metrics registry up to date as events
-//! arrive.
+//! The collecting recorder: buffers the event stream and stamps sequence
+//! numbers; [`RunReport`] is the one fold of the buffered events into
+//! metrics.
 
 use std::io::Write;
 use std::path::Path;
@@ -8,21 +8,19 @@ use std::path::Path;
 use asha_core::telemetry::{Event, EventKind, Recorder};
 
 use crate::log::encode_jsonl;
-use crate::metrics::MetricsRegistry;
 use crate::report::RunReport;
 
-/// A [`Recorder`] that collects every event into memory and folds it into a
-/// [`MetricsRegistry`] as it arrives.
+/// A [`Recorder`] that collects every event into memory; its
+/// [`RunRecorder::report`] derives the metrics.
 ///
 /// Sequence numbers are assigned here (0-based, gap-free), so emitters only
 /// supply timestamps. In debug builds the recorder asserts the contract the
 /// execution layers promise: timestamps never decrease within one run.
-/// Recording performs one `Vec` push and an O(1) registry update per event —
-/// no per-event allocation once the buffer has warmed up.
+/// Recording performs one `Vec` push per event — no per-event allocation
+/// once the buffer has warmed up.
 #[derive(Debug, Clone, Default)]
 pub struct RunRecorder {
     events: Vec<Event>,
-    metrics: MetricsRegistry,
     next_seq: u64,
     last_time: f64,
 }
@@ -30,20 +28,12 @@ pub struct RunRecorder {
 impl RunRecorder {
     /// An empty recorder.
     pub fn new() -> Self {
-        RunRecorder {
-            metrics: MetricsRegistry::new(),
-            ..Default::default()
-        }
+        RunRecorder::default()
     }
 
     /// The recorded events, in `seq` order.
     pub fn events(&self) -> &[Event] {
         &self.events
-    }
-
-    /// The online metrics derived from the stream so far.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
     }
 
     /// Number of events recorded.
@@ -122,7 +112,6 @@ impl Recorder for RunRecorder {
             "sequence numbers must strictly increase"
         );
         self.next_seq += 1;
-        self.metrics.apply(&event);
         self.events.push(event);
     }
 }
@@ -142,7 +131,7 @@ mod tests {
         assert_eq!(rec.len(), 5);
         let seqs: Vec<u64> = rec.events().iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
-        assert_eq!(rec.metrics().idle_rounds.get(), 5);
+        assert_eq!(rec.report(None).metrics().idle_rounds.get(), 5);
     }
 
     #[test]

@@ -168,7 +168,8 @@ fn recorded_metrics_agree_with_ladder_state() {
         asha.observe(Observation::for_job(&job, loss));
     }
 
-    let m = recorder.metrics();
+    let report = recorder.report(None);
+    let m = report.metrics();
     assert_eq!(m.jobs_started.get(), m.jobs_completed.get());
     assert_eq!(m.busy_workers.value(), 0);
     // Per-rung occupancy equals the ladder's record count, promotions out

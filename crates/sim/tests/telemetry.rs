@@ -68,16 +68,16 @@ fn gauges_never_negative_across_a_full_chaos_run() {
     assert!(replay.rung_occupancy.iter().all(|g| g.min() >= 0));
     assert!(replay.pending_promotions.iter().all(|g| g.min() >= 0));
 
-    // The live registry (updated online) and the replayed one agree.
-    let live = recorder.metrics();
-    assert_eq!(live.jobs_completed.get(), replay.jobs_completed.get());
-    assert_eq!(live.jobs_dropped.get(), replay.jobs_dropped.get());
-    assert_eq!(live.busy_workers.max(), replay.busy_workers.max());
-
-    // And the counters match the simulator's own ledger.
-    assert_eq!(live.jobs_completed.get() as usize, result.jobs_completed);
-    assert_eq!(live.jobs_dropped.get() as usize, result.faults.jobs_dropped);
-    assert_eq!(live.jobs_retried.get() as usize, result.faults.jobs_retried);
+    // The counters match the simulator's own ledger.
+    assert_eq!(replay.jobs_completed.get() as usize, result.jobs_completed);
+    assert_eq!(
+        replay.jobs_dropped.get() as usize,
+        result.faults.jobs_dropped
+    );
+    assert_eq!(
+        replay.jobs_retried.get() as usize,
+        result.faults.jobs_retried
+    );
 }
 
 #[test]

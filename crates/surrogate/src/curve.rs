@@ -78,35 +78,61 @@ impl CurveBenchmark {
     /// The noise-free asymptotic loss of a configuration (no run jitter):
     /// the ground-truth quality the tuner is trying to find.
     pub fn asymptote(&self, config: &Config) -> f64 {
-        let u = self
-            .space
-            .to_unit(config)
-            .expect("config must come from this benchmark's space");
-        self.asym_from(self.quality(&u))
+        self.profile_of(config).asym_base
     }
 
     /// The noise-free convergence rate of a configuration.
     pub fn convergence_rate(&self, config: &Config) -> f64 {
-        let u = self
-            .space
-            .to_unit(config)
-            .expect("config must come from this benchmark's space");
-        self.rate_from(&u, self.quality(&u))
+        self.profile_of(config).rate
     }
 
     /// Probability that a run of this configuration diverges.
     pub fn divergence_probability(&self, config: &Config) -> f64 {
+        self.profile_of(config).diverge_p
+    }
+
+    /// The one place each formula of the curve lives: `config`'s response
+    /// as a [`ConfigProfile`]. [`BenchmarkModel::profile`], the per-call
+    /// methods and the accessors above all evaluate through it, so profiled
+    /// and unprofiled evaluation agree bit for bit by construction.
+    fn profile_of(&self, config: &Config) -> ConfigProfile {
         let u = self
             .space
             .to_unit(config)
             .expect("config must come from this benchmark's space");
-        self.diverge_p_at(&u)
+        let quality = self.quality(&u);
+        // Better configurations converge faster as well as lower — the
+        // coupling that makes partial losses informative of final quality,
+        // which real learning curves exhibit (and which early stopping
+        // fundamentally relies on).
+        let rate = self.rate_base
+            * (self.rate_span * (self.rate_field.eval(&u) - 0.5)).exp()
+            * (self.rate_quality_coupling * (0.5 - quality)).exp();
+        let diverge_p = self.divergence.map_or(0.0, |spec| {
+            let x = u[spec.dim];
+            if x <= spec.threshold {
+                0.0
+            } else {
+                ((x - spec.threshold) / (1.0 - spec.threshold)).clamp(0.0, 1.0)
+            }
+        });
+        let mut exponent = 0.0;
+        for (i, &ui) in u.iter().enumerate() {
+            exponent += self.cost_weights.get(i).copied().unwrap_or(0.0) * (ui - 0.5);
+        }
+        ConfigProfile {
+            max_resource: self.max_resource,
+            asym_base: self.floor + self.range * quality,
+            asym_floor: self.floor * 0.5,
+            rate,
+            noise_std: self.noise_std,
+            gap: self.gap_frac * self.range * self.gap_field.eval(&u),
+            loss_cap: self.loss_cap,
+            diverge_p,
+            diverge_magnitude: self.divergence.map_or(0.0, |s| s.magnitude),
+            time_per_unit: (self.cost_base / self.max_resource) * exponent.exp(),
+        }
     }
-
-    // The helpers below are the only place each formula lives. The per-call
-    // methods and `profile` both map the config into unit space themselves
-    // and then call these, so profiled and unprofiled evaluation agree bit
-    // for bit by construction.
 
     fn quality(&self, u: &[f64]) -> f64 {
         let mut total = 0.0;
@@ -123,63 +149,6 @@ impl CurveBenchmark {
         let bowl = if wsum > 0.0 { total / wsum } else { 0.0 };
         let rough = self.roughness * (self.quality_field.eval(u) - 0.5);
         (self.sharpness * bowl + rough).clamp(0.0, 1.0)
-    }
-
-    fn asym_from(&self, quality: f64) -> f64 {
-        self.floor + self.range * quality
-    }
-
-    /// `quality` is `self.quality(u)`, passed in so a caller that also needs
-    /// the asymptote evaluates the surface once.
-    fn rate_from(&self, u: &[f64], quality: f64) -> f64 {
-        // Better configurations converge faster as well as lower — the
-        // coupling that makes partial losses informative of final quality,
-        // which real learning curves exhibit (and which early stopping
-        // fundamentally relies on).
-        self.rate_base
-            * (self.rate_span * (self.rate_field.eval(u) - 0.5)).exp()
-            * (self.rate_quality_coupling * (0.5 - quality)).exp()
-    }
-
-    fn gap_at(&self, u: &[f64]) -> f64 {
-        self.gap_frac * self.range * self.gap_field.eval(u)
-    }
-
-    fn diverge_p_at(&self, u: &[f64]) -> f64 {
-        let Some(spec) = self.divergence else {
-            return 0.0;
-        };
-        let x = u[spec.dim];
-        if x <= spec.threshold {
-            0.0
-        } else {
-            ((x - spec.threshold) / (1.0 - spec.threshold)).clamp(0.0, 1.0)
-        }
-    }
-
-    fn cost_per_unit_at(&self, u: &[f64]) -> f64 {
-        let mut exponent = 0.0;
-        for (i, &ui) in u.iter().enumerate() {
-            exponent += self.cost_weights.get(i).copied().unwrap_or(0.0) * (ui - 0.5);
-        }
-        (self.cost_base / self.max_resource) * exponent.exp()
-    }
-
-    /// Resource at which a run with divergence draw `d` diverges at unit
-    /// point `u`, or `INFINITY`.
-    fn diverge_at(&self, u: &[f64], draw: f64) -> f64 {
-        let p = self.diverge_p_at(u);
-        if p > 0.0 && draw < p {
-            // Higher risk diverges earlier; always within the first half of
-            // training, like real learning-rate blowups.
-            (draw / p) * 0.5 * self.max_resource
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    fn clamp_loss(&self, loss: f64) -> f64 {
-        loss.clamp(0.0, self.loss_cap)
     }
 }
 
@@ -210,80 +179,28 @@ impl BenchmarkModel for CurveBenchmark {
         target_resource: f64,
         _rng: &mut dyn rand::RngCore,
     ) {
-        let target = target_resource.min(self.max_resource);
-        if target <= state.resource || state.diverged {
-            state.resource = state.resource.max(target);
-            return;
-        }
-        let u = self
-            .space
-            .to_unit(config)
-            .expect("config must come from this benchmark's space");
-        if self.diverge_at(&u, state.divergence_draw) <= target {
-            state.diverged = true;
-            if let Some(spec) = self.divergence {
-                state.loss = spec.magnitude;
-            }
-            state.resource = target;
-            return;
-        }
-        let quality = self.quality(&u);
-        let asym = (self.asym_from(quality) + state.asym_jitter).max(self.floor * 0.5);
-        let rate = self.rate_from(&u, quality) * state.rate_jitter;
-        let delta = (target - state.resource) / self.max_resource;
-        state.loss = asym + (state.loss - asym) * (-rate * delta).exp();
-        state.resource = target;
+        self.profile_of(config).advance(state, target_resource);
     }
 
     fn validation_loss(
         &self,
-        _config: &Config,
+        config: &Config,
         state: &TrainingState,
         rng: &mut dyn rand::RngCore,
     ) -> f64 {
-        if state.diverged {
-            return self.clamp_loss(state.loss);
-        }
-        self.clamp_loss(state.loss + normal(rng, 0.0, self.noise_std))
+        self.profile_of(config).validation_loss(state, rng)
     }
 
     fn test_loss(&self, config: &Config, state: &TrainingState) -> f64 {
-        if state.diverged {
-            return self.clamp_loss(state.loss);
-        }
-        let u = self
-            .space
-            .to_unit(config)
-            .expect("config must come from this benchmark's space");
-        self.clamp_loss(state.loss + self.gap_at(&u))
+        self.profile_of(config).test_loss(state)
     }
 
     fn time_per_unit(&self, config: &Config) -> f64 {
-        let u = self
-            .space
-            .to_unit(config)
-            .expect("config must come from this benchmark's space");
-        self.cost_per_unit_at(&u)
+        self.profile_of(config).time_per_unit
     }
 
     fn profile(&self, config: &Config) -> Option<ConfigProfile> {
-        let u = self
-            .space
-            .to_unit(config)
-            .expect("config must come from this benchmark's space");
-        let quality = self.quality(&u);
-        Some(ConfigProfile {
-            max_resource: self.max_resource,
-            asym_base: self.asym_from(quality),
-            asym_floor: self.floor * 0.5,
-            rate: self.rate_from(&u, quality),
-            noise_std: self.noise_std,
-            gap: self.gap_at(&u),
-            loss_cap: self.loss_cap,
-            diverge_p: self.diverge_p_at(&u),
-            diverge_magnitude: self.divergence.map_or(0.0, |s| s.magnitude),
-            time_per_unit: self.cost_per_unit_at(&u),
-        })
+        Some(self.profile_of(config))
     }
 
     fn name(&self) -> &str {
@@ -695,125 +612,6 @@ mod tests {
             over > under,
             "overshoot {over} must exceed undershoot {under}"
         );
-    }
-
-    fn state_bits(s: &TrainingState) -> [u64; 6] {
-        [
-            s.resource.to_bits(),
-            s.loss.to_bits(),
-            s.asym_jitter.to_bits(),
-            s.rate_jitter.to_bits(),
-            s.divergence_draw.to_bits(),
-            u64::from(s.diverged),
-        ]
-    }
-
-    /// The per-call methods are the oracle: a profile of `c` must reproduce
-    /// every one of them bit for bit, along a schedule that overshoots `R`.
-    fn assert_profile_twin(b: &CurveBenchmark, c: &Config, r: &mut StdRng) {
-        let name = b.name();
-        let profile = b.profile(c).expect("curve benchmarks are profilable");
-        assert_eq!(
-            profile.time_per_unit.to_bits(),
-            b.time_per_unit(c).to_bits(),
-            "{name}: time_per_unit of {c:?}"
-        );
-        assert_eq!(
-            profile.asym_base.to_bits(),
-            b.asymptote(c).to_bits(),
-            "{name}: asymptote of {c:?}"
-        );
-        assert_eq!(
-            profile.rate.to_bits(),
-            b.convergence_rate(c).to_bits(),
-            "{name}: rate of {c:?}"
-        );
-        assert_eq!(
-            profile.diverge_p.to_bits(),
-            b.divergence_probability(c).to_bits(),
-            "{name}: divergence probability of {c:?}"
-        );
-        let mut direct = b.init_state(c, r);
-        let mut via = direct;
-        // Twin RNGs so the noise draws see identical streams.
-        let mut ra = StdRng::seed_from_u64(direct.asym_jitter.to_bits());
-        let mut rb = ra.clone();
-        for step in 1..=6 {
-            let target = step as f64 * 0.2 * b.max_resource; // overshoots R on purpose
-            b.advance(c, &mut direct, target, &mut ra);
-            profile.advance(&mut via, target);
-            assert_eq!(
-                state_bits(&direct),
-                state_bits(&via),
-                "{name}: state diverged at target {target} for {c:?}"
-            );
-            assert_eq!(
-                b.validation_loss(c, &direct, &mut ra).to_bits(),
-                profile.validation_loss(&via, &mut rb).to_bits(),
-                "{name}: validation loss at target {target} for {c:?}"
-            );
-            assert_eq!(
-                b.test_loss(c, &direct).to_bits(),
-                profile.test_loss(&via).to_bits(),
-                "{name}: test loss at target {target} for {c:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn profile_is_bitwise_identical_to_per_call_methods() {
-        use crate::presets;
-
-        let space = SearchSpace::builder()
-            .continuous("lr", 1e-4, 1.0, Scale::Log)
-            .continuous("reg", 1e-5, 1.0, Scale::Log)
-            .build()
-            .unwrap();
-        let hand_built = CurveBenchmark::builder("prof", space, 100.0, 17)
-            .losses(0.05, 0.5, 0.9, 2.0)
-            .divergence(DivergenceSpec {
-                dim: 0,
-                threshold: 0.6,
-                magnitude: 1.5,
-            })
-            .build();
-        let seed = presets::DEFAULT_SURFACE_SEED;
-        let benches = [
-            hand_built,
-            presets::cifar10_cuda_convnet(seed),
-            presets::cifar10_small_cnn(seed),
-            presets::svhn_small_cnn(seed),
-            presets::ptb_lstm(seed),
-            presets::ptb_dropconnect_lstm(seed),
-            presets::svm_vehicle(seed),
-            presets::svm_mnist(seed),
-        ];
-        let mut r = rng();
-        for b in &benches {
-            for _ in 0..200 {
-                let c = b.space().sample(&mut r);
-                assert_profile_twin(b, &c, &mut r);
-            }
-            // The corners of the unit cube, then the divergence coordinate
-            // on and around the point where the risk turns on.
-            let dims = b.space().len();
-            let mut edges = vec![vec![0.0; dims], vec![1.0; dims]];
-            if let Some(spec) = b.divergence {
-                let ulp_above = f64::from_bits(spec.threshold.to_bits() + 1);
-                for x in [spec.threshold, ulp_above, 1.0] {
-                    let mut u = vec![0.5; dims];
-                    u[spec.dim] = x;
-                    edges.push(u);
-                }
-            }
-            for u in &edges {
-                // Several runs per edge so both sides of the divergence
-                // draw are taken.
-                for _ in 0..8 {
-                    assert_profile_twin(b, &b.space().from_unit(u), &mut r);
-                }
-            }
-        }
     }
 
     #[test]

@@ -77,6 +77,8 @@ impl ConfigProfile {
             state.resource = state.resource.max(target);
             return;
         }
+        // Higher risk diverges earlier; always within the first half of
+        // training, like real learning-rate blowups.
         let p = self.diverge_p;
         if p > 0.0
             && state.divergence_draw < p

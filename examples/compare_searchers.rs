@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example compare_searchers`
 
-use asha::baselines::{bohb, Pbt, PbtConfig, Vizier, VizierConfig};
+use asha::baselines::{bohb, vizier, Pbt, PbtConfig, VizierConfig};
 use asha::core::{Asha, AshaConfig, BracketLoop, BracketLoopConfig, Scheduler};
 use asha::sim::{ClusterSim, SimConfig};
 use asha::surrogate::{presets, BenchmarkModel};
@@ -43,7 +43,7 @@ fn main() {
                 .with_frozen(&["batch_size", "n_layers", "n_filters"])
                 .spawning(),
         )),
-        Box::new(Vizier::new(space.clone(), VizierConfig::new(R))),
+        Box::new(vizier(space.clone(), VizierConfig::new(R))),
         Box::new(Asha::new(space.clone(), AshaConfig::random(R))),
     ];
 

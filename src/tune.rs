@@ -22,7 +22,7 @@
 //! ```
 
 use asha_baselines::{
-    bohb, bohb_asha, Fabolas, FabolasConfig, Pbt, PbtConfig, Vizier, VizierConfig,
+    bohb, bohb_asha, vizier, Fabolas, FabolasConfig, Pbt, PbtConfig, VizierConfig,
 };
 use asha_core::{
     Asha, AshaConfig, BracketLoop, BracketLoopConfig, DurableScheduler, Opening, PromotionRule,
@@ -140,7 +140,7 @@ impl Searcher {
         let space = space.clone();
         match self.clone() {
             Searcher::Pbt(config) => Box::new(Pbt::new(space, config)),
-            Searcher::Vizier(config) => Box::new(Vizier::new(space, config)),
+            Searcher::Vizier(config) => Box::new(vizier(space, config)),
             Searcher::Fabolas(config) => Box::new(Fabolas::new(space, config)),
             _ => self
                 .durable(&space)

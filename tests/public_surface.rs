@@ -17,14 +17,14 @@ use std::path::{Path, PathBuf};
 /// `(source root, public item declaration lines)`, one row per crate.
 #[rustfmt::skip]
 const SURFACE: [(&str, usize); 14] = [
-    ("crates/baselines/src", 34),
+    ("crates/baselines/src", 33),
     ("crates/bench/src", 20),
     ("crates/core/src", 139),
     ("crates/exec/src", 37),
     ("crates/math/src", 39),
     ("crates/metrics/src", 60),
     ("crates/ml/src", 26),
-    ("crates/obs/src", 78),
+    ("crates/obs/src", 77),
     ("crates/service/src", 98),
     ("crates/sim/src", 28),
     ("crates/space/src", 51),

@@ -114,7 +114,8 @@ fn executor_telemetry_is_consistent_under_chaos() {
         .run_recorded(asha, &Flaky, 1, &mut recorder);
 
     assert!(result.faults.jobs_dropped > 0, "flaky objective must drop");
-    let m = recorder.metrics();
+    let report = recorder.report(Some(workers));
+    let m = report.metrics();
     assert!(m.busy_workers.min() >= 0, "busy gauge went negative");
     assert!(
         m.busy_workers.max() <= workers as i64,
