@@ -9,15 +9,15 @@
 //!   plugging it into synchronous SHA yields **BOHB** ([`bohb`]), into ASHA
 //!   yields **ASHA+TPE** ([`bohb_asha`], the A-BOHB direction), and into
 //!   D-ASHA yields **D-ASHA+TPE** (the Hyper-Tune combination).
-//! * [`GpSampler`] — rung-conditioned GP-EI as a pluggable sampler (the
-//!   async counterpart of [`vizier`]'s model).
+//! * [`GpSampler`] — rung-conditioned GP-EI as a pluggable sampler, with an
+//!   optional constant liar for in-flight proposals and a cached fit.
 //! * [`Sampler`] — the three sampler kinds (random, TPE, GP-EI) as a value:
 //!   what a method description, `meta.json` and a snapshot name, and the
 //!   one place a kind becomes a sampler.
-//! * [`vizier`] — a stand-in for Google Vizier's default algorithm: batched
-//!   GP-EI with a constant-liar heuristic on random search's one rung, so
-//!   *no* early stopping (the paper's "Vizier without the performance curve
-//!   early-stopping rule").
+//! * [`vizier`] — a stand-in for Google Vizier's default algorithm: random
+//!   search's one rung, so *no* early stopping (the paper's "Vizier without
+//!   the performance curve early-stopping rule"), with a [`GpSampler`] at
+//!   [`GpSamplerConfig::vizier`]'s settings (batched GP-EI, constant liar).
 //! * [`Pbt`] — Population Based Training with truncation selection and
 //!   perturb/resample exploration, following Appendix A.3 (including frozen
 //!   architecture hyperparameters and the bounded-lag fairness rule).
@@ -54,12 +54,10 @@ mod gp;
 mod pbt;
 mod sampler;
 mod tpe;
-mod vizier;
 
 pub use bohb::{bohb, bohb_asha};
 pub use fabolas::{Fabolas, FabolasConfig};
-pub use gp::{GpSampler, GpSamplerConfig};
+pub use gp::{vizier, GpSampler, GpSamplerConfig};
 pub use pbt::{Pbt, PbtConfig};
 pub use sampler::Sampler;
 pub use tpe::{TpeConfig, TpeSampler};
-pub use vizier::{vizier, VizierConfig};

@@ -42,14 +42,12 @@
 //! whichever of its instantiations the CPU selects, so that count, like
 //! every proposal, is the same on every CPU.
 
-use std::collections::BTreeMap;
-
 use asha_core::ConfigSampler;
 use asha_math::Kde1d;
 use asha_space::{Config, SearchSpace};
 use rand::Rng;
 
-use crate::cursor::{decode_by_rung, encode_by_rung, rows_fit};
+use crate::cursor::Book;
 
 /// Version header of the TPE sampler cursor format.
 const CURSOR_HEADER: &str = "tpe-v1";
@@ -88,10 +86,10 @@ impl Default for TpeConfig {
 /// because [`ConfigSampler::record`] does not receive the space).
 #[derive(Debug, Clone)]
 pub struct TpeSampler {
-    space: SearchSpace,
+    /// Observations per rung. A rung needs at least two to be modelled,
+    /// whatever `min_points` says: one good and one bad.
+    book: Book,
     config: TpeConfig,
-    /// Observations per rung: unit-space points and losses.
-    by_rung: BTreeMap<usize, Vec<(Vec<f64>, f64)>>,
     /// One dimension's points for the KDE `propose` is fitting; kept so
     /// that a proposal does not allocate one per KDE.
     points: Vec<f64>,
@@ -101,36 +99,10 @@ impl TpeSampler {
     /// Create a TPE sampler over `space` with the given knobs.
     pub fn new(space: SearchSpace, config: TpeConfig) -> Self {
         TpeSampler {
-            space,
+            book: Book::new(space, config.min_points, 2),
             config,
-            by_rung: BTreeMap::new(),
             points: Vec::new(),
         }
-    }
-
-    /// Number of recorded observations at the given rung.
-    #[cfg(test)]
-    pub(crate) fn observations_at(&self, rung: usize) -> usize {
-        self.by_rung.get(&rung).map_or(0, Vec::len)
-    }
-
-    fn min_points(&self) -> usize {
-        if self.config.min_points > 0 {
-            self.config.min_points
-        } else {
-            self.space.len() + 3
-        }
-    }
-
-    /// The highest rung with enough observations to model, if any. A rung
-    /// needs at least two whatever `min_points` says: one good and one bad.
-    fn model_rung(&self) -> Option<usize> {
-        let need = self.min_points().max(2);
-        self.by_rung
-            .iter()
-            .rev()
-            .find(|(_, obs)| obs.len() >= need)
-            .map(|(&rung, _)| rung)
     }
 }
 
@@ -140,15 +112,9 @@ impl TpeSampler {
 fn pick(good: &[Kde1d], bad: &[Kde1d], candidates: &[f64], count: usize) -> Option<usize> {
     certified_pick(good, bad, candidates, count).or_else(|| {
         #[cfg(test)]
-        EXACT_PICKS.with(|n| n.set(n.get() + 1));
+        tests::EXACT_PICKS.with(|n| n.set(n.get() + 1));
         exact_pick(good, bad, candidates, count)
     })
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Times [`pick`] fell back to [`exact_pick`] on this thread.
-    static EXACT_PICKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// The reference scorer: the first candidate with the largest
@@ -234,10 +200,10 @@ impl ConfigSampler for TpeSampler {
         if rng.gen::<f64>() < self.config.random_fraction {
             return space.sample(rng);
         }
-        let Some(rung) = self.model_rung() else {
+        let Some(rung) = self.book.model_rung() else {
             return space.sample(rng);
         };
-        let obs = &self.by_rung[&rung];
+        let obs = self.book.rung(rung);
         // Split into good/bad by loss.
         let mut order: Vec<usize> = (0..obs.len()).collect();
         order.sort_by(|&a, &b| {
@@ -276,14 +242,7 @@ impl ConfigSampler for TpeSampler {
     }
 
     fn record(&mut self, config: &Config, rung: usize, _resource: f64, loss: f64) {
-        // A config from a foreign space cannot be embedded; drop it rather
-        // than corrupting the model.
-        if let Ok(u) = self.space.to_unit(config) {
-            self.by_rung
-                .entry(rung)
-                .or_default()
-                .push((u, if loss.is_nan() { f64::INFINITY } else { loss }));
-        }
+        self.book.record(config, rung, loss);
     }
 
     fn name(&self) -> &str {
@@ -291,23 +250,18 @@ impl ConfigSampler for TpeSampler {
     }
 
     fn export_cursor(&self) -> Option<String> {
-        Some(encode_by_rung(CURSOR_HEADER, &self.by_rung))
+        Some(self.book.export(CURSOR_HEADER))
     }
 
     fn restore_cursor(&mut self, cursor: &str) {
-        // Atomic: an unrecognized or malformed cursor leaves the sampler
-        // cold rather than half-restored.
-        if let Some(by_rung) = decode_by_rung(CURSOR_HEADER, cursor)
-            .filter(|by_rung| rows_fit(by_rung, self.space.len()))
-        {
-            self.by_rung = by_rung;
-        }
+        self.book.restore(CURSOR_HEADER, cursor);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cursor::{encode_by_rung, ByRung};
     use asha_math::stats::std_dev;
     use asha_space::Scale;
     use rand::rngs::StdRng;
@@ -376,12 +330,12 @@ mod tests {
             tpe.record(&c, 1, 4.0, 0.4);
         }
         // Rung 1 has too few points (need d+3 = 5): the model rung is 0.
-        assert_eq!(tpe.model_rung(), Some(0));
+        assert_eq!(tpe.book.model_rung(), Some(0));
         for _ in 0..5 {
             let c = s.sample(&mut rng);
             tpe.record(&c, 1, 4.0, 0.4);
         }
-        assert_eq!(tpe.model_rung(), Some(1));
+        assert_eq!(tpe.book.model_rung(), Some(1));
     }
 
     #[test]
@@ -465,6 +419,18 @@ mod tests {
             assert!((1e-4..=1.0).contains(&lr));
             let n = c.int("n", &s).unwrap();
             assert!((1..=8).contains(&n));
+        }
+    }
+
+    thread_local! {
+        /// Times [`pick`] fell back to [`exact_pick`] on this thread.
+        pub(super) static EXACT_PICKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    impl TpeSampler {
+        /// Number of recorded observations at the given rung.
+        fn observations_at(&self, rung: usize) -> usize {
+            self.book.rung(rung).len()
         }
     }
 
@@ -667,10 +633,10 @@ mod tests {
         );
         let mut rng = StdRng::seed_from_u64(4);
         tpe.record(&s.sample(&mut rng), 0, 1.0, 0.5);
-        assert_eq!(tpe.model_rung(), None);
+        assert_eq!(tpe.book.model_rung(), None);
         assert_eq!(tpe.propose(&s, &mut rng).len(), 2);
         tpe.record(&s.sample(&mut rng), 0, 1.0, 0.7);
-        assert_eq!(tpe.model_rung(), Some(0));
+        assert_eq!(tpe.book.model_rung(), Some(0));
         assert_eq!(tpe.propose(&s, &mut rng).len(), 2);
     }
 
@@ -686,11 +652,28 @@ mod tests {
         for i in 0..20 {
             one_dim.record(&narrow.sample(&mut rng), 0, 1.0, f64::from(i));
         }
-        let mut by_rung = crate::cursor::ByRung::new();
-        by_rung.insert(0, vec![(vec![0.5, f64::NAN], 0.1); 20]);
+        let mut nan_coordinate = ByRung::new();
+        nan_coordinate.insert(0, vec![(vec![0.5, f64::NAN], 0.1); 20]);
+        // Losses `record` never writes: NaN has no place in the good/bad
+        // order.
+        let mut nan_loss = ByRung::new();
+        nan_loss.insert(
+            0,
+            (0..20)
+                .map(|i| {
+                    let loss = if i % 3 == 0 { f64::NAN } else { f64::from(i) };
+                    (vec![rng.gen::<f64>(), rng.gen::<f64>()], loss)
+                })
+                .collect(),
+        );
+        let mut fits = ByRung::new();
+        fits.insert(0, vec![(vec![0.5, 0.5], 0.1); 20]);
+        let once = encode_by_rung(CURSOR_HEADER, &fits);
         let cursors = [
             one_dim.export_cursor().unwrap(),
-            encode_by_rung(CURSOR_HEADER, &by_rung),
+            encode_by_rung(CURSOR_HEADER, &nan_coordinate),
+            encode_by_rung(CURSOR_HEADER, &nan_loss),
+            format!("{once};{}", &once[CURSOR_HEADER.len() + 1..]),
         ];
         for cursor in &cursors {
             let mut tpe = TpeSampler::new(

@@ -5,7 +5,7 @@
 //! from [`Figure::config`] and [`Figure::methods`].
 
 use asha::tune::Searcher;
-use asha_baselines::{PbtConfig, VizierConfig};
+use asha_baselines::{GpSamplerConfig, PbtConfig};
 use asha_core::{AshaConfig, BracketLoopConfig};
 use asha_space::SearchSpace;
 use asha_surrogate::{presets, BenchmarkModel, CurveBenchmark};
@@ -149,11 +149,13 @@ fn fig4_methods(space: &SearchSpace) -> Vec<MethodSpec> {
 /// Paper settings: R = 64 with r = R/64; asynchronous Hyperband loops
 /// brackets s = 0..=3; Vizier runs without early stopping.
 fn fig5_methods(_: &SearchSpace) -> Vec<MethodSpec> {
-    let mut vizier = VizierConfig::new(64.0);
     // Keep the O(n^3) GP affordable at 500-worker scale.
-    vizier.max_model_points = 150;
-    vizier.candidates = 64;
-    vizier.refit_every = 16;
+    let sampler = GpSamplerConfig {
+        max_model_points: 150,
+        candidates: 64,
+        refit_every: 16,
+        ..GpSamplerConfig::vizier()
+    };
     vec![
         MethodSpec::new("ASHA", Searcher::asha(asha(64.0))),
         MethodSpec::new(
@@ -162,7 +164,13 @@ fn fig5_methods(_: &SearchSpace) -> Vec<MethodSpec> {
                 BracketLoopConfig::async_hyperband(1.0, 64.0, ETA).with_brackets(4),
             ),
         ),
-        MethodSpec::new("Vizier", Searcher::Vizier(vizier)),
+        MethodSpec::new(
+            "Vizier",
+            Searcher::Vizier {
+                max_resource: 64.0,
+                sampler,
+            },
+        ),
     ]
 }
 

@@ -49,7 +49,7 @@ fn scheduler_name(searcher: &Searcher) -> &'static str {
             (Opening::AsyncHyperband { .. }, Sampler::Gp) => "Hyperband (async)+gp",
         },
         Searcher::Pbt(_) => "PBT",
-        Searcher::Vizier(_) => "Vizier",
+        Searcher::Vizier { .. } => "Vizier",
         Searcher::Fabolas(_) => "Fabolas",
     }
 }

@@ -22,7 +22,7 @@
 //! ```
 
 use asha_baselines::{
-    bohb, bohb_asha, vizier, Fabolas, FabolasConfig, Pbt, PbtConfig, VizierConfig,
+    bohb, bohb_asha, vizier, Fabolas, FabolasConfig, GpSamplerConfig, Pbt, PbtConfig,
 };
 use asha_core::{
     Asha, AshaConfig, BracketLoop, BracketLoopConfig, DurableScheduler, Opening, PromotionRule,
@@ -65,8 +65,14 @@ pub enum Searcher {
     },
     /// Population Based Training (Appendix A.3 settings).
     Pbt(PbtConfig),
-    /// Vizier-like GP-EI without early stopping.
-    Vizier(VizierConfig),
+    /// Vizier-like GP-EI without early stopping: random search at the full
+    /// budget `R` whose configurations a GP-EI sampler picks.
+    Vizier {
+        /// The budget every configuration trains for.
+        max_resource: f64,
+        /// The GP-EI sampler's knobs.
+        sampler: GpSamplerConfig,
+    },
     /// Fabolas-like cost-aware BO over (config, subset) space.
     Fabolas(FabolasConfig),
 }
@@ -92,6 +98,15 @@ impl Searcher {
     /// one-rung ladder, named `Random`.
     pub fn random(max_resource: f64) -> Self {
         Searcher::asha(AshaConfig::random(max_resource))
+    }
+
+    /// Vizier at full budget `R`, its sampler at
+    /// [`GpSamplerConfig::vizier`]'s settings.
+    pub fn vizier(max_resource: f64) -> Self {
+        Searcher::Vizier {
+            max_resource,
+            sampler: GpSamplerConfig::vizier(),
+        }
     }
 
     /// A bracket loop with uniform sampling.
@@ -140,7 +155,10 @@ impl Searcher {
         let space = space.clone();
         match self.clone() {
             Searcher::Pbt(config) => Box::new(Pbt::new(space, config)),
-            Searcher::Vizier(config) => Box::new(vizier(space, config)),
+            Searcher::Vizier {
+                max_resource,
+                sampler,
+            } => Box::new(vizier(space, max_resource, sampler)),
             Searcher::Fabolas(config) => Box::new(Fabolas::new(space, config)),
             _ => self
                 .durable(&space)
@@ -207,7 +225,7 @@ impl Searcher {
             }
             "random" => Searcher::random(max_r),
             "pbt" => Searcher::Pbt(PbtConfig::new(25, max_r, (max_r / 30.0).max(1.0)).spawning()),
-            "vizier" => Searcher::Vizier(VizierConfig::new(max_r)),
+            "vizier" => Searcher::vizier(max_r),
             "fabolas" => Searcher::Fabolas(FabolasConfig::new(max_r)),
             _ => return None,
         })

@@ -2,7 +2,7 @@
 //! every surrogate benchmark under the discrete-event simulator, produces a
 //! well-formed trace, and is deterministic given its seed.
 
-use asha::baselines::{FabolasConfig, PbtConfig, VizierConfig};
+use asha::baselines::{FabolasConfig, PbtConfig};
 use asha::core::{AshaConfig, BracketLoopConfig, Scheduler};
 use asha::sim::{ClusterSim, SimConfig};
 use asha::space::SearchSpace;
@@ -21,7 +21,7 @@ fn all_schedulers(space: &SearchSpace, max_r: f64) -> Vec<Box<dyn Scheduler + Se
         Searcher::bracket_loop(BracketLoopConfig::async_hyperband(r, max_r, eta)),
         Searcher::bohb(BracketLoopConfig::sha(n, r, max_r, eta).growing()),
         Searcher::Pbt(PbtConfig::new(8, max_r, max_r / 16.0).spawning()),
-        Searcher::Vizier(VizierConfig::new(max_r)),
+        Searcher::vizier(max_r),
         Searcher::Fabolas(FabolasConfig::new(max_r)),
         Searcher::random(max_r),
     ]

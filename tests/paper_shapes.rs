@@ -3,7 +3,6 @@
 //! `asha-bench` figure binaries; these guard against changes that would
 //! silently break the reproduction's shape.
 
-use asha::baselines::VizierConfig;
 use asha::core::{AshaConfig, BracketLoopConfig};
 use asha::sim::{ClusterSim, ResumePolicy, SimConfig};
 use asha::space::{Scale, SearchSpace};
@@ -89,7 +88,7 @@ fn early_stopping_dominates_full_budget_evaluation_under_time_pressure() {
     // ASHA must beat the no-early-stopping model-based baseline.
     let bench = presets::ptb_lstm(presets::DEFAULT_SURFACE_SEED);
     let asha = mean_final(&bench, Searcher::default_asha(64.0), 50, 2.0);
-    let vizier = mean_final(&bench, Searcher::Vizier(VizierConfig::new(64.0)), 50, 2.0);
+    let vizier = mean_final(&bench, Searcher::vizier(64.0), 50, 2.0);
     assert!(
         asha < vizier,
         "ASHA {asha:.2} should beat Vizier {vizier:.2} at 2 x time(R)"

@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 /// `(source root, public item declaration lines)`, one row per crate.
 #[rustfmt::skip]
 const SURFACE: [(&str, usize); 14] = [
-    ("crates/baselines/src", 33),
+    ("crates/baselines/src", 31),
     ("crates/bench/src", 20),
     ("crates/core/src", 139),
     ("crates/exec/src", 37),
@@ -30,7 +30,7 @@ const SURFACE: [(&str, usize); 14] = [
     ("crates/space/src", 51),
     ("crates/store/src", 137),
     ("crates/surrogate/src", 26),
-    ("src", 46),
+    ("src", 47),
 ];
 
 /// The item keywords a counted line starts with, after `pub` and

@@ -9,7 +9,7 @@
 
 use std::fmt::Write;
 
-use asha::baselines::VizierConfig;
+use asha::baselines::GpSamplerConfig;
 use asha::core::{AshaConfig, BracketLoopConfig};
 use asha::sim::{ClusterSim, SimConfig, SimResult, TraceMode};
 use asha::surrogate::{presets, BenchmarkModel, CurveBenchmark};
@@ -120,11 +120,17 @@ fn sim_results_match_committed_digests() {
 #[test]
 fn vizier_matches_its_committed_digest() {
     let bench = presets::ptb_lstm(SEED);
-    let mut vizier = VizierConfig::new(64.0);
-    vizier.max_model_points = 150;
-    vizier.candidates = 64;
-    vizier.refit_every = 16;
-    let scheduler = Searcher::Vizier(vizier).build(bench.space());
+    let sampler = GpSamplerConfig {
+        max_model_points: 150,
+        candidates: 64,
+        refit_every: 16,
+        ..GpSamplerConfig::vizier()
+    };
+    let scheduler = Searcher::Vizier {
+        max_resource: 64.0,
+        sampler,
+    }
+    .build(bench.space());
     let config = SimConfig::new(25, 1e12)
         .with_max_jobs(400)
         .with_trace_mode(TraceMode::Full);
