@@ -28,7 +28,7 @@ fn asha(eta: f64) -> AshaConfig {
 fn main() {
     let bench = presets::cifar10_small_cnn(presets::DEFAULT_SURFACE_SEED);
     let threads = threads_from_args();
-    let cfg = ExperimentConfig::new(25, 150.0, 5, 0.9);
+    let cfg = ExperimentConfig::new(SimConfig::new(25, 150.0), 5, 0.9);
     let compare = |title: &str, methods: Vec<MethodSpec>| {
         let results = run_experiment_parallel(&bench, &methods, &cfg, threads);
         print_comparison(title, &results, &[25.0, 50.0, 100.0, 150.0]);
@@ -49,9 +49,9 @@ fn main() {
     // 2. Resume policy.
     let methods = vec![MethodSpec::new("ASHA", Searcher::asha(asha(4.0)))];
     let mut ckpt_cfg = cfg.clone();
-    ckpt_cfg.sim_tweak = |c: SimConfig| c.with_resume(ResumePolicy::Checkpoint);
+    ckpt_cfg.sim.resume = ResumePolicy::Checkpoint;
     let mut scratch_cfg = cfg.clone();
-    scratch_cfg.sim_tweak = |c: SimConfig| c.with_resume(ResumePolicy::FromScratch);
+    scratch_cfg.sim.resume = ResumePolicy::FromScratch;
     let ckpt = run_experiment_parallel(&bench, &methods, &ckpt_cfg, threads);
     let scratch = run_experiment_parallel(&bench, &methods, &scratch_cfg, threads);
     println!("\n== Ablation 2 — resume policy (benchmark 2, 25 workers) ==");

@@ -96,7 +96,7 @@ fn parse_opts() -> Opts {
         let flag = arg.as_str();
         match flag {
             "--workers" => opts.workers = Some(number(flag, args.next())),
-            "--json" => opts.json = args.next(),
+            "--json" => opts.json = Some(value(flag, args.next())),
             "--demo" => opts.demo = true,
             "--seed" => opts.seed = number(flag, args.next()),
             "--scheduler" => opts.scheduler = value(flag, args.next()),
@@ -106,9 +106,9 @@ fn parse_opts() -> Opts {
                     usage_error(format!("--sampler: unknown kind {kind:?} (random/tpe/gp)"))
                 }));
             }
-            "--store" => opts.store = args.next(),
+            "--store" => opts.store = Some(value(flag, args.next())),
             "--crash-after-jobs" => opts.crash_after_jobs = Some(number(flag, args.next())),
-            "--resume" => opts.resume = args.next(),
+            "--resume" => opts.resume = Some(value(flag, args.next())),
             "--snapshot-jobs" => opts.snapshot_jobs = Some(number(flag, args.next())),
             "--delta-chain" => opts.delta_chain = Some(number(flag, args.next())),
             "--help" | "-h" => {
@@ -138,9 +138,11 @@ fn usage_error(msg: impl std::fmt::Display) -> ! {
     std::process::exit(2);
 }
 
-/// The value after `flag`, which must be there.
+/// The value after `flag`, which must be there and must not be the next
+/// flag: `--store --crash-after-jobs 300` names no store directory.
 fn value(flag: &str, raw: Option<String>) -> String {
-    raw.unwrap_or_else(|| usage_error(format!("{flag} needs a value")))
+    raw.filter(|raw| !raw.starts_with("--"))
+        .unwrap_or_else(|| usage_error(format!("{flag} needs a value")))
 }
 
 /// The number after `flag`: a missing or malformed one is a usage error, so

@@ -3,10 +3,11 @@
 //!
 //! ```text
 //! cargo run --release -p asha-bench --bin tune_sim -- \
-//!     --bench ptb-lstm --searcher asha --workers 100 --horizon 4 --seed 3
+//!     --bench ptb-lstm --searcher asha --workers 100 --horizon 4
 //! ```
 //!
-//! Flags (all optional except `--bench`):
+//! Flags (all optional except `--bench`; any other argument is a usage
+//! error):
 //!   --bench       cuda-convnet | small-cnn | svhn | ptb-lstm | dropconnect |
 //!                 svm-vehicle | svm-mnist
 //!   --searcher    asha | dasha | sha | hyperband | async-hyperband | bohb |
@@ -18,15 +19,23 @@
 //!   --drops       per-time-unit drop probability      (default 0)
 //!   --seed        RNG seed                            (default 0)
 
-use asha::sim::SimConfig;
-use asha::surrogate::{presets, BenchmarkModel, CurveBenchmark};
-use asha::tune::{Searcher, SimTune};
+use std::collections::HashMap;
 
-fn parse_flag(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
+use asha::sim::{ClusterSim, SimConfig};
+use asha::surrogate::{presets, BenchmarkModel, CurveBenchmark};
+use asha::tune::Searcher;
+use rand::SeedableRng;
+
+/// Every flag `tune_sim` takes; each is followed by its value.
+const FLAGS: [&str; 7] = [
+    "--bench",
+    "--searcher",
+    "--workers",
+    "--horizon",
+    "--stragglers",
+    "--drops",
+    "--seed",
+];
 
 /// A malformed command line: one `tune_sim: ...` line on stderr, exit 2.
 fn usage_error(msg: impl std::fmt::Display) -> ! {
@@ -34,15 +43,34 @@ fn usage_error(msg: impl std::fmt::Display) -> ! {
     std::process::exit(2);
 }
 
-/// The number after `flag`, or `default()` when the flag is absent. A missing
-/// or malformed value is a usage error, so `--workers 2S` never runs the
+/// The command line as flag -> value, the first occurrence of each flag
+/// winning. An unknown flag, a stray argument or a flag without its value is
+/// a usage error, so `--wrokers 500` never runs the default worker count.
+fn parse_flags() -> HashMap<&'static str, String> {
+    let mut flags = HashMap::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let Some(&flag) = FLAGS.iter().find(|&&flag| flag == arg) else {
+            usage_error(format!("unknown argument {arg:?}"))
+        };
+        let Some(value) = args.next() else {
+            usage_error(format!("{flag} needs a value"))
+        };
+        flags.entry(flag).or_insert(value);
+    }
+    flags
+}
+
+/// The number after `flag`, or `default()` when the flag is absent. A
+/// malformed value is a usage error, so `--workers 2S` never runs the
 /// default worker count.
-fn number<T: std::str::FromStr>(args: &[String], flag: &str, default: impl FnOnce() -> T) -> T {
-    let Some(i) = args.iter().position(|a| a == flag) else {
+fn number<T: std::str::FromStr>(
+    flags: &HashMap<&str, String>,
+    flag: &str,
+    default: impl FnOnce() -> T,
+) -> T {
+    let Some(raw) = flags.get(flag) else {
         return default();
-    };
-    let Some(raw) = args.get(i + 1) else {
-        usage_error(format!("{flag} needs a value"))
     };
     raw.parse()
         .unwrap_or_else(|_| usage_error(format!("{flag}: not a number: {raw:?}")))
@@ -63,79 +91,67 @@ fn benchmark_by_name(name: &str) -> Option<CurveBenchmark> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let Some(bench_name) = parse_flag(&args, "--bench") else {
+    let flags = parse_flags();
+    let Some(bench_name) = flags.get("--bench") else {
         eprintln!("usage: tune_sim --bench <name> [--searcher asha] [--workers 25] ...");
         eprintln!(
             "benchmarks: cuda-convnet small-cnn svhn ptb-lstm dropconnect svm-vehicle svm-mnist"
         );
         std::process::exit(2);
     };
-    let Some(bench) = benchmark_by_name(&bench_name) else {
+    let Some(bench) = benchmark_by_name(bench_name) else {
         eprintln!("unknown benchmark `{bench_name}`");
         std::process::exit(2);
     };
-    let searcher_name = parse_flag(&args, "--searcher").unwrap_or_else(|| "asha".into());
+    let searcher_name = flags.get("--searcher").map_or("asha", String::as_str);
     let max_r = bench.max_resource();
-    let Some(searcher) = Searcher::from_name(&searcher_name, (max_r / 256.0).max(1.0), max_r, 4.0)
+    let Some(searcher) = Searcher::from_name(searcher_name, (max_r / 256.0).max(1.0), max_r, 4.0)
     else {
         eprintln!("unknown searcher `{searcher_name}`");
         std::process::exit(2);
     };
-    let workers: usize = number(&args, "--workers", || 25);
-    let horizon: f64 = number(&args, "--horizon", || {
-        bench.time_full(&bench.space().default_config()) * 10.0
-    });
-    let stragglers: f64 = number(&args, "--stragglers", || 0.0);
-    let drops: f64 = number(&args, "--drops", || 0.0);
-    let seed: u64 = number(&args, "--seed", || 0);
-    // `SimTune::run` builds its `SimConfig` through the panicking
-    // constructors; reject the same conditions here as a usage error.
-    let flags = SimConfig {
-        workers,
-        max_time: horizon,
-        straggler_std: stragglers,
-        drop_prob: drops,
+    let space = bench.space();
+    let sim = SimConfig {
+        workers: number(&flags, "--workers", || 25),
+        max_time: number(&flags, "--horizon", || {
+            bench.time_full(&space.default_config()) * 10.0
+        }),
+        straggler_std: number(&flags, "--stragglers", || 0.0),
+        drop_prob: number(&flags, "--drops", || 0.0),
         ..SimConfig::new(1, 1.0)
     };
-    if let Err(e) = flags.validate() {
+    let seed: u64 = number(&flags, "--seed", || 0);
+    if let Err(e) = sim.validate() {
         usage_error(e);
     }
 
     println!(
-        "tuning `{}` with {searcher_name} on {workers} simulated workers for {horizon:.1} time units",
-        bench.name()
+        "tuning `{}` with {searcher_name} on {} simulated workers for {:.1} time units",
+        bench.name(),
+        sim.workers,
+        sim.max_time
     );
-    let outcome = SimTune::new(&bench)
-        .searcher(searcher)
-        .workers(workers)
-        .horizon(horizon)
-        .stragglers(stragglers)
-        .drops(drops)
-        .seed(seed)
-        .run();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let result = ClusterSim::new(sim).run(searcher.build(space), &bench, &mut rng);
 
     println!(
         "\ncompleted {} jobs over {} configurations ({} dropped), sim time {:.1}",
-        outcome.jobs_completed,
-        outcome.configs_evaluated,
-        outcome.faults.jobs_dropped,
-        outcome.end_time
+        result.jobs_completed, result.distinct_trials, result.faults.jobs_dropped, result.end_time
     );
-    match &outcome.best {
-        Some(best) => {
-            println!(
-                "best validation loss {:.4} at resource {:.0}:",
-                best.val_loss, best.resource
-            );
-            for pair in best.summary.split(' ') {
+    match &result.best_config {
+        Some((config, val_loss, resource)) => {
+            println!("best validation loss {val_loss:.4} at resource {resource:.0}:");
+            let summary = space
+                .display(config)
+                .unwrap_or_else(|_| "<foreign config>".to_owned());
+            for pair in summary.split(' ') {
                 println!("    {pair}");
             }
         }
         None => println!("no job completed within the horizon"),
     }
     println!("\nincumbent trajectory (last 5 improvements):");
-    let curve = outcome.trace.incumbent_curve();
+    let curve = result.trace.incumbent_curve();
     for &(t, v) in curve
         .points()
         .iter()

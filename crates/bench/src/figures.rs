@@ -7,6 +7,7 @@
 use asha::tune::Searcher;
 use asha_baselines::{GpSamplerConfig, PbtConfig};
 use asha_core::{AshaConfig, BracketLoopConfig};
+use asha_sim::SimConfig;
 use asha_space::SearchSpace;
 use asha_surrogate::{presets, BenchmarkModel, CurveBenchmark};
 
@@ -56,8 +57,8 @@ pub struct Figure {
 impl Figure {
     /// The experiment parameters of `panel` under this figure.
     pub fn config(&self, panel: &Panel) -> ExperimentConfig {
-        let mut cfg =
-            ExperimentConfig::new(self.workers, self.horizon, self.trials, panel.default_loss);
+        let sim = SimConfig::new(self.workers, self.horizon);
+        let mut cfg = ExperimentConfig::new(sim, self.trials, panel.default_loss);
         cfg.grid_points = self.grid_points;
         cfg
     }

@@ -47,13 +47,14 @@ impl MethodSpec {
     }
 }
 
-/// One experiment's execution parameters.
+/// One experiment's execution parameters: the simulated cluster every
+/// (method, trial) cell runs on, and how the cells are repeated and
+/// aggregated.
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {
-    /// Worker count of the simulated cluster.
-    pub workers: usize,
-    /// Simulated-time horizon.
-    pub horizon: f64,
+    /// The simulated cluster of every run; its `max_time` is also the end of
+    /// the aggregation grid.
+    pub sim: SimConfig,
     /// Number of repeated trials per method.
     pub trials: usize,
     /// Points on the shared aggregation grid.
@@ -62,21 +63,17 @@ pub struct ExperimentConfig {
     pub default_loss: f64,
     /// Base RNG seed; trial `t` of any method uses `base_seed + t`.
     pub base_seed: u64,
-    /// Extra simulator knobs applied to every run.
-    pub sim_tweak: fn(SimConfig) -> SimConfig,
 }
 
 impl ExperimentConfig {
-    /// A clean cluster (no stragglers or drops) with 200 grid points.
-    pub fn new(workers: usize, horizon: f64, trials: usize, default_loss: f64) -> Self {
+    /// `trials` runs of each method on `sim`, with 200 grid points.
+    pub fn new(sim: SimConfig, trials: usize, default_loss: f64) -> Self {
         ExperimentConfig {
-            workers,
-            horizon,
+            sim,
             trials,
             grid_points: 200,
             default_loss,
             base_seed: 42,
-            sim_tweak: |c| c,
         }
     }
 }
@@ -112,7 +109,7 @@ fn run_cell(
 ) -> CellOutcome {
     let mut rng = StdRng::seed_from_u64(cfg.base_seed + t as u64);
     let scheduler = method.searcher.build(bench.space());
-    let sim = ClusterSim::new((cfg.sim_tweak)(SimConfig::new(cfg.workers, cfg.horizon)));
+    let sim = ClusterSim::new(cfg.sim.clone());
     let result = sim.run(scheduler, bench, &mut rng);
     CellOutcome {
         curve: result.trace.incumbent_curve(),
@@ -154,7 +151,7 @@ pub fn run_experiment(
     methods: &[MethodSpec],
     cfg: &ExperimentConfig,
 ) -> Vec<MethodResult> {
-    let grid = uniform_grid(cfg.horizon, cfg.grid_points);
+    let grid = uniform_grid(cfg.sim.max_time, cfg.grid_points);
     methods
         .iter()
         .map(|m| {
@@ -189,7 +186,7 @@ pub fn run_experiment_parallel(
     } else {
         threads
     };
-    let grid = uniform_grid(cfg.horizon, cfg.grid_points);
+    let grid = uniform_grid(cfg.sim.max_time, cfg.grid_points);
     let cells = methods.len() * cfg.trials;
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<CellOutcome>>> = (0..cells).map(|_| Mutex::new(None)).collect();
@@ -369,7 +366,7 @@ mod tests {
             MethodSpec::new("ASHA", Searcher::asha(AshaConfig::new(1.0, 256.0, 4.0))),
             MethodSpec::new("Random", Searcher::random(256.0)),
         ];
-        let cfg = ExperimentConfig::new(9, 120.0, 2, 0.9);
+        let cfg = ExperimentConfig::new(SimConfig::new(9, 120.0), 2, 0.9);
         let results = run_experiment(&bench, &methods, &cfg);
         assert_eq!(results.len(), 2);
         // ASHA must evaluate far more configurations than random search in

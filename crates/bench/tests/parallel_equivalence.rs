@@ -3,6 +3,7 @@
 //! aggregates, same CSV bytes — because results are collected by cell index,
 //! never by completion order.
 
+use asha::sim::SimConfig;
 use asha::tune::Searcher;
 use asha_bench::{
     run_experiment, run_experiment_parallel, write_results_to, ExperimentConfig, MethodSpec,
@@ -26,7 +27,7 @@ fn methods(_: &CurveBenchmark) -> Vec<MethodSpec> {
 }
 
 fn cfg() -> ExperimentConfig {
-    ExperimentConfig::new(9, 60.0, 5, 0.65)
+    ExperimentConfig::new(SimConfig::new(9, 60.0), 5, 0.65)
 }
 
 #[test]

@@ -52,6 +52,36 @@ fn malformed_flag_values_are_usage_errors() {
     }
 }
 
+/// A path flag never takes the next flag as its value: `--store
+/// --crash-after-jobs 300` must not write a store into a directory named
+/// `--crash-after-jobs` and run uninterrupted, and a trailing `--json`,
+/// `--store` or `--resume` must not be dropped silently.
+#[test]
+fn path_flags_without_a_value_are_usage_errors() {
+    let cwd = tmpdir("path-flags");
+    std::fs::create_dir_all(&cwd).unwrap();
+    for args in [
+        &["--demo", "--store", "--crash-after-jobs", "300"][..],
+        &["--demo", "--json"],
+        &["--demo", "--store"],
+        &["--resume", "--json", "report.json"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_run_report"))
+            .args(args)
+            .current_dir(&cwd)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("needs a value"), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: run_report"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} started a run");
+        let left: Vec<_> = std::fs::read_dir(&cwd).unwrap().collect();
+        assert!(left.is_empty(), "{args:?} wrote {left:?}");
+    }
+    std::fs::remove_dir_all(&cwd).unwrap();
+}
+
 /// `--snapshot-jobs 0` asks for the default cadence, so it writes the same
 /// checkpoints as no flag at all — not one checkpoint per job.
 #[test]

@@ -1,7 +1,7 @@
 //! `tune_sim` rejects out-of-range flag values as usage errors (exit 2, one
 //! `tune_sim: config: ...` line on stderr) instead of tripping the
-//! `SimConfig` constructor assertions, and malformed numbers the same way
-//! instead of running the default.
+//! `SimConfig` constructor assertions, and malformed numbers and unknown
+//! flags the same way instead of running the default.
 
 use std::process::Command;
 
@@ -28,9 +28,10 @@ fn out_of_range_flags_are_usage_errors_not_panics() {
     }
 }
 
-/// A malformed number is refused the same way (exit 2, nothing on stdout),
-/// never replaced by the flag's default: `--workers 2S` must not run 25
-/// workers and `--seed x` must not run seed 0.
+/// A malformed number or an unknown flag is refused the same way (exit 2,
+/// nothing on stdout), never replaced by the flag's default: `--workers 2S`
+/// and `--wrokers 500` must not run 25 workers and `--seed x` must not run
+/// seed 0.
 #[test]
 fn malformed_numbers_are_usage_errors_not_defaults() {
     for (flag, value, needle) in [
@@ -40,6 +41,8 @@ fn malformed_numbers_are_usage_errors_not_defaults() {
         ("--drops", Some("0,1"), "--drops: not a number"),
         ("--seed", Some("x"), "--seed: not a number"),
         ("--seed", None, "--seed needs a value"),
+        ("--wrokers", Some("500"), "unknown argument \"--wrokers\""),
+        ("stray", None, "unknown argument \"stray\""),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_tune_sim"))
             .args(["--bench", "svm-vehicle", flag])

@@ -473,9 +473,10 @@ pub(crate) trait ConnHandler: Send + Sync + 'static {
     /// One complete frame was decoded. Typically: enqueue + schedule a
     /// worker visit.
     fn on_frame(&self, conn: &Arc<ConnHandle>, frame: JsonValue);
-    /// A decode error (malformed, oversized, torn). Return true to close
-    /// the connection after its queue drains.
-    fn on_decode_error(&self, conn: &Arc<ConnHandle>, err: &Error) -> bool;
+    /// A decode error (malformed, oversized, torn). The connection stays
+    /// open: the decoder has already discarded the bad bytes, and a torn
+    /// frame is only reported at EOF, where the connection drains anyway.
+    fn on_decode_error(&self, conn: &Arc<ConnHandle>, err: &Error);
     /// A complete HTTP request head arrived on an [`Listener::Http`]
     /// connection. The connection drains and closes once a response has
     /// been queued (directly or via the worker pool). Default: ignore,
@@ -574,8 +575,8 @@ struct IoConn {
     handle: Arc<ConnHandle>,
     /// Interest currently armed with the poller.
     armed: Interest,
-    /// Read side finished (EOF, fatal decode error, or a dispatched HTTP
-    /// request): drain, then close.
+    /// Read side finished (EOF or a dispatched HTTP request): drain, then
+    /// close.
     draining: bool,
 }
 
@@ -758,7 +759,6 @@ impl Reactor {
         if io.draining {
             return;
         }
-        let mut fatal = false;
         let mut eof = false;
         for _ in 0..READ_ROUNDS {
             if shutting_down || io.handle.backlog() >= self.cfg.high_water {
@@ -779,23 +779,12 @@ impl Reactor {
                                 decoded_any = true;
                                 match frame {
                                     Ok(value) => self.handler.on_frame(&io.handle, value),
-                                    Err(e) => {
-                                        if self.handler.on_decode_error(&io.handle, &e) {
-                                            fatal = true;
-                                            break;
-                                        }
-                                    }
+                                    Err(e) => self.handler.on_decode_error(&io.handle, &e),
                                 }
-                            }
-                            if fatal {
-                                break;
                             }
                             if !decoded_any {
                                 if let Err(e) = frames.check_overflow() {
-                                    if self.handler.on_decode_error(&io.handle, &e) {
-                                        fatal = true;
-                                        break;
-                                    }
+                                    self.handler.on_decode_error(&io.handle, &e);
                                 }
                             }
                         }
@@ -826,15 +815,15 @@ impl Reactor {
                 }
             }
         }
-        if eof || fatal {
+        if eof {
             let Some(io) = self.conns.get_mut(&token) else {
                 return;
             };
             match &mut io.decoder {
                 Decoder::Frames(frames) => {
-                    if eof && frames.has_partial() {
+                    if frames.has_partial() {
                         let torn = Error::protocol("torn frame: stream ended mid-line");
-                        let _ = self.handler.on_decode_error(&io.handle, &torn);
+                        self.handler.on_decode_error(&io.handle, &torn);
                         frames.clear();
                     }
                     io.draining = true;

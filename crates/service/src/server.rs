@@ -232,15 +232,13 @@ mod unix_impl {
             }
         }
 
-        fn on_decode_error(&self, conn: &Arc<ConnHandle>, err: &Error) -> bool {
-            // Oversized or malformed frames get a diagnostic before the
-            // stream state is trusted again; torn/IO failures end the
-            // connection once its queue drains.
+        fn on_decode_error(&self, conn: &Arc<ConnHandle>, err: &Error) {
+            // Oversized, malformed or torn frames get a diagnostic; the
+            // decoder has already dropped the bad bytes.
             self.shared.metrics.decode_error();
             let frame = Reply::error_frame(0, err);
             self.shared.trace_frame("res", conn.peer(), &frame);
             let _ = conn.push_reply(encode_frame(&frame));
-            err.to_string().contains("torn frame") || err.kind() == asha_core::ErrorKind::Io
         }
 
         fn on_http(&self, conn: &Arc<ConnHandle>, method: &str, path: &str) {

@@ -582,9 +582,7 @@ mod tests {
             self.opened.lock().unwrap().send(Arc::clone(conn)).unwrap();
         }
         fn on_frame(&self, _: &Arc<ConnHandle>, _: JsonValue) {}
-        fn on_decode_error(&self, _: &Arc<ConnHandle>, _: &asha_core::Error) -> bool {
-            false
-        }
+        fn on_decode_error(&self, _: &Arc<ConnHandle>, _: &asha_core::Error) {}
         fn on_room(&self, _: &Arc<ConnHandle>) {
             for sub in self.subs.lock().unwrap().iter() {
                 sub.ring();

@@ -71,10 +71,8 @@ impl SimConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `workers == 0` or `max_time <= 0`.
+    /// Panics if `workers == 0` or `max_time <= 0` ([`SimConfig::validate`]).
     pub fn new(workers: usize, max_time: f64) -> Self {
-        assert!(workers > 0, "need at least one worker");
-        assert!(max_time > 0.0, "horizon must be positive");
         SimConfig {
             workers,
             max_time,
@@ -84,23 +82,19 @@ impl SimConfig {
             resume: ResumePolicy::Checkpoint,
             trace_mode: TraceMode::Full,
         }
+        .checked()
     }
 
     /// Enable straggler noise.
     pub fn with_stragglers(mut self, std: f64) -> Self {
-        assert!(std >= 0.0, "straggler std must be non-negative");
         self.straggler_std = std;
-        self
+        self.checked()
     }
 
     /// Enable job drops with per-time-unit probability `p`.
     pub fn with_drops(mut self, p: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&p),
-            "drop probability must be in [0, 1)"
-        );
         self.drop_prob = p;
-        self
+        self.checked()
     }
 
     /// Set the resume policy.
@@ -113,11 +107,10 @@ impl SimConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `max_jobs == 0`.
+    /// Panics if `max_jobs == 0` ([`SimConfig::validate`]).
     pub fn with_max_jobs(mut self, max_jobs: usize) -> Self {
-        assert!(max_jobs > 0, "max_jobs must be positive");
         self.max_jobs = max_jobs;
-        self
+        self.checked()
     }
 
     /// Select how much of the completion stream to record.
@@ -130,7 +123,7 @@ impl SimConfig {
     /// `straggler_std >= 0`, `drop_prob` in `[0, 1)`. Returns a typed
     /// [`asha_core::Error`] (kind `Config`) so configuration coming from
     /// CLIs, stored files or the service layer is rejected gracefully; the
-    /// constructors above panic on the same conditions.
+    /// constructors above panic through it.
     ///
     /// ```
     /// use asha_sim::SimConfig;
@@ -168,6 +161,14 @@ impl SimConfig {
             )));
         }
         Ok(())
+    }
+
+    /// `self`, or a panic with [`SimConfig::validate`]'s message.
+    fn checked(self) -> Self {
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
+        self
     }
 }
 

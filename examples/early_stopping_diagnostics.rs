@@ -6,21 +6,20 @@
 //! Run with: `cargo run --release --example early_stopping_diagnostics`
 
 use asha::metrics::analysis;
+use asha::sim::{ClusterSim, SimConfig};
 use asha::surrogate::{presets, BenchmarkModel};
-use asha::tune::{Searcher, SimTune};
+use asha::tune::Searcher;
+use rand::SeedableRng;
 
 fn diagnose(bench: &dyn BenchmarkModel, horizon: f64) {
-    let outcome = SimTune::new(bench)
-        .searcher(Searcher::default_asha(bench.max_resource()))
-        .workers(25)
-        .horizon(horizon)
-        .seed(17)
-        .run();
+    let scheduler = Searcher::default_asha(bench.max_resource()).build(bench.space());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+    let outcome = ClusterSim::new(SimConfig::new(25, horizon)).run(scheduler, bench, &mut rng);
     println!(
         "\n{} — {} jobs, {} configs",
         bench.name(),
         outcome.jobs_completed,
-        outcome.configs_evaluated
+        outcome.distinct_trials
     );
     println!(
         "{:>6} {:>8} {:>12} {:>22}",

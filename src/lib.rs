@@ -95,6 +95,4 @@ pub mod prelude {
         BenchSpec, DurableRun, ExperimentMeta, ExperimentSupervisor, RunOptions, SchedulerState,
     };
     pub use asha_surrogate::{presets, BenchmarkModel, CurveBenchmark};
-
-    pub use crate::tune::{BestConfig, SimTune, TuneOutcome};
 }

@@ -1,24 +1,24 @@
-//! High-level tuning front end: pick a searcher by name, point it at a
-//! benchmark (simulated) or an objective (real threads), set a budget, run.
+//! Tuning methods as values: pick a searcher by name or by config, build a
+//! fresh scheduler from it, and hand that to the simulator (`asha_sim`), the
+//! real executor (`asha_exec`) or the durable store (`asha_store`).
 //!
-//! This is the "system" layer over the algorithmic crates: everything it
-//! does can also be done by wiring `asha_core` + `asha_sim`/`asha_exec`
-//! together by hand, but downstream users mostly want exactly this:
+//! A [`Searcher`] is the one description of a method; a simulated run is one
+//! `SimConfig` driven by `ClusterSim`:
 //!
 //! ```
 //! use asha::core::AshaConfig;
-//! use asha::surrogate::presets;
-//! use asha::tune::{Searcher, SimTune};
+//! use asha::sim::{ClusterSim, SimConfig};
+//! use asha::surrogate::{presets, BenchmarkModel};
+//! use asha::tune::Searcher;
+//! use rand::SeedableRng;
 //!
 //! let bench = presets::cifar10_cuda_convnet(presets::DEFAULT_SURFACE_SEED);
-//! let outcome = SimTune::new(&bench)
-//!     .searcher(Searcher::asha(AshaConfig::new(1.0, 256.0, 4.0)))
-//!     .workers(25)
-//!     .horizon(60.0)
-//!     .seed(7)
-//!     .run();
-//! let best = outcome.best.expect("jobs completed");
-//! println!("best validation loss {:.4}: {}", best.val_loss, best.summary);
+//! let scheduler = Searcher::asha(AshaConfig::new(1.0, 256.0, 4.0)).build(bench.space());
+//! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+//! let result = ClusterSim::new(SimConfig::new(25, 60.0)).run(scheduler, &bench, &mut rng);
+//! let (config, val_loss, _resource) = result.best_config.expect("jobs completed");
+//! let summary = bench.space().display(&config).expect("a config of this space");
+//! println!("best validation loss {val_loss:.4}: {summary}");
 //! ```
 
 use asha_baselines::{
@@ -28,11 +28,7 @@ use asha_core::{
     Asha, AshaConfig, BracketLoop, BracketLoopConfig, DurableScheduler, Opening, PromotionRule,
     Scheduler,
 };
-use asha_metrics::{FaultStats, RunTrace};
-use asha_sim::{ClusterSim, SimConfig, SimResult, TraceMode};
-use asha_space::{Config, SearchSpace};
-use asha_surrogate::BenchmarkModel;
-use rand::SeedableRng;
+use asha_space::SearchSpace;
 
 pub use asha_baselines::Sampler;
 
@@ -232,164 +228,23 @@ impl Searcher {
     }
 }
 
-/// The best configuration a tuning run found.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BestConfig {
-    /// The winning hyperparameter configuration.
-    pub config: Config,
-    /// Its validation loss.
-    pub val_loss: f64,
-    /// The cumulative resource it was trained for when observed.
-    pub resource: f64,
-    /// `name=value` rendering of the configuration.
-    pub summary: String,
-}
-
-/// Outcome of a [`SimTune`] run.
-#[derive(Debug, Clone)]
-pub struct TuneOutcome {
-    /// The best configuration found, if any job completed.
-    pub best: Option<BestConfig>,
-    /// The full completion trace.
-    pub trace: RunTrace,
-    /// Jobs completed.
-    pub jobs_completed: usize,
-    /// Fault tally of the simulated cluster (drops are always retried), in
-    /// the same format the real executor reports.
-    pub faults: FaultStats,
-    /// Distinct configurations evaluated.
-    pub configs_evaluated: usize,
-    /// Simulated end time.
-    pub end_time: f64,
-}
-
-impl TuneOutcome {
-    fn from_sim(result: SimResult, space: &SearchSpace) -> Self {
-        // The simulator's online counter is exact in every trace mode; the
-        // trace itself may be thinned (IncumbentOnly) or empty (Aggregated).
-        let configs_evaluated = result.distinct_trials;
-        let best = result.best_config.map(|(config, val_loss, resource)| {
-            let summary = space
-                .display(&config)
-                .unwrap_or_else(|_| "<foreign config>".to_owned());
-            BestConfig {
-                config,
-                val_loss,
-                resource,
-                summary,
-            }
-        });
-        TuneOutcome {
-            best,
-            trace: result.trace,
-            jobs_completed: result.jobs_completed,
-            faults: result.faults,
-            configs_evaluated,
-            end_time: result.end_time,
-        }
-    }
-}
-
-/// Builder for a simulated tuning run over a [`BenchmarkModel`]; see the
-/// module docs for an example.
-pub struct SimTune<'a> {
-    bench: &'a dyn BenchmarkModel,
-    searcher: Searcher,
-    workers: usize,
-    horizon: f64,
-    straggler_std: f64,
-    drop_prob: f64,
-    trace_mode: TraceMode,
-    seed: u64,
-}
-
-impl<'a> SimTune<'a> {
-    /// Tune `bench` with the paper-default ASHA on 25 workers for 10 full
-    /// training times; override anything via the builder methods.
-    pub fn new(bench: &'a dyn BenchmarkModel) -> Self {
-        let horizon = bench.time_full(&bench.space().default_config()) * 10.0;
-        SimTune {
-            searcher: Searcher::default_asha(bench.max_resource()),
-            bench,
-            workers: 25,
-            horizon,
-            straggler_std: 0.0,
-            drop_prob: 0.0,
-            trace_mode: TraceMode::Full,
-            seed: 0,
-        }
-    }
-
-    /// Select the searcher.
-    pub fn searcher(mut self, searcher: Searcher) -> Self {
-        self.searcher = searcher;
-        self
-    }
-
-    /// Number of simulated workers.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Simulated-time budget.
-    pub fn horizon(mut self, horizon: f64) -> Self {
-        self.horizon = horizon;
-        self
-    }
-
-    /// Straggler noise (Appendix A.1's `1 + |z|` multiplier).
-    pub fn stragglers(mut self, std: f64) -> Self {
-        self.straggler_std = std;
-        self
-    }
-
-    /// Per-time-unit job-drop probability.
-    pub fn drops(mut self, p: f64) -> Self {
-        self.drop_prob = p;
-        self
-    }
-
-    /// How much of the completion stream to keep. [`TraceMode::Full`] (the
-    /// default) records every job; [`TraceMode::IncumbentOnly`] keeps
-    /// O(incumbent-updates) memory on long horizons with the identical
-    /// incumbent curve; [`TraceMode::Aggregated`] keeps scalars only.
-    #[cfg(test)]
-    pub(crate) fn trace_mode(mut self, mode: TraceMode) -> Self {
-        self.trace_mode = mode;
-        self
-    }
-
-    /// RNG seed (sampling, noise, stragglers).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Run the simulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the searcher parameters are invalid for the benchmark's
-    /// resource scale, or `workers == 0` / `horizon <= 0`.
-    pub fn run(self) -> TuneOutcome {
-        let space = self.bench.space().clone();
-        let scheduler = self.searcher.build(&space);
-        let sim = ClusterSim::new(
-            SimConfig::new(self.workers, self.horizon)
-                .with_stragglers(self.straggler_std)
-                .with_drops(self.drop_prob)
-                .with_trace_mode(self.trace_mode),
-        );
-        let mut rng = rand::rngs::StdRng::seed_from_u64(self.seed);
-        TuneOutcome::from_sim(sim.run(scheduler, self.bench, &mut rng), &space)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asha_surrogate::presets;
+    use asha_sim::{ClusterSim, SimConfig, SimResult};
+    use asha_surrogate::{presets, BenchmarkModel, CurveBenchmark};
+    use rand::SeedableRng;
+
+    /// `searcher` on `bench` over a simulated cluster seeded with `seed`.
+    fn simulate(
+        bench: &CurveBenchmark,
+        searcher: &Searcher,
+        sim: SimConfig,
+        seed: u64,
+    ) -> SimResult {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        ClusterSim::new(sim).run(searcher.build(bench.space()), bench, &mut rng)
+    }
 
     #[test]
     fn every_named_searcher_builds_and_runs() {
@@ -409,16 +264,10 @@ mod tests {
         ] {
             let searcher = Searcher::from_name(name, (max_r / 256.0).max(1.0), max_r, 4.0)
                 .expect("known name");
-            let outcome = SimTune::new(&bench)
-                .searcher(searcher)
-                .workers(4)
-                .horizon(120.0)
-                .seed(1)
-                .run();
-            assert!(outcome.jobs_completed > 0, "{name} did nothing");
-            let best = outcome.best.expect("at least one completion");
-            assert!(best.val_loss.is_finite());
-            assert!(best.summary.contains('='), "summary: {}", best.summary);
+            let result = simulate(&bench, &searcher, SimConfig::new(4, 120.0), 1);
+            assert!(result.jobs_completed > 0, "{name} did nothing");
+            let (_, val_loss, _) = result.best_config.expect("at least one completion");
+            assert!(val_loss.is_finite());
         }
         assert!(Searcher::from_name("nope", 1.0, 64.0, 4.0).is_none());
     }
@@ -439,54 +288,25 @@ mod tests {
     #[test]
     fn outcome_reports_the_best_config_consistently() {
         let bench = presets::cifar10_cuda_convnet(presets::DEFAULT_SURFACE_SEED);
-        let outcome = SimTune::new(&bench).workers(9).horizon(100.0).seed(3).run();
-        let best = outcome.best.expect("jobs completed");
+        let searcher = Searcher::default_asha(bench.max_resource());
+        let result = simulate(&bench, &searcher, SimConfig::new(9, 100.0), 3);
+        let (_, val_loss, resource) = result.best_config.expect("jobs completed");
         // The reported best must agree with the trace's final best.
-        let (trace_val, _) = outcome.trace.final_best().expect("events exist");
-        assert_eq!(best.val_loss, trace_val);
-        assert!(best.resource > 0.0);
-        assert!(outcome.configs_evaluated > 10);
-    }
-
-    #[test]
-    fn trace_modes_preserve_outcome_scalars() {
-        let bench = presets::cifar10_cuda_convnet(presets::DEFAULT_SURFACE_SEED);
-        let run = |mode| {
-            SimTune::new(&bench)
-                .workers(9)
-                .horizon(80.0)
-                .seed(4)
-                .trace_mode(mode)
-                .run()
-        };
-        let full = run(TraceMode::Full);
-        let lean = run(TraceMode::IncumbentOnly);
-        let agg = run(TraceMode::Aggregated);
-        assert_eq!(full.trace.incumbent_curve(), lean.trace.incumbent_curve());
-        assert!(lean.trace.len() < full.trace.len());
-        assert!(agg.trace.is_empty());
-        for other in [&lean, &agg] {
-            assert_eq!(full.jobs_completed, other.jobs_completed);
-            assert_eq!(full.configs_evaluated, other.configs_evaluated);
-            assert_eq!(full.end_time, other.end_time);
-            assert_eq!(
-                full.best.as_ref().map(|b| b.val_loss),
-                other.best.as_ref().map(|b| b.val_loss)
-            );
-        }
+        let (trace_val, _) = result.trace.final_best().expect("events exist");
+        assert_eq!(val_loss, trace_val);
+        assert!(resource > 0.0);
+        assert!(result.distinct_trials > 10);
     }
 
     #[test]
     fn stragglers_and_drops_are_plumbed_through() {
         let bench = presets::svm_vehicle(presets::DEFAULT_SURFACE_SEED);
-        let clean = SimTune::new(&bench).workers(4).horizon(300.0).seed(5).run();
-        let noisy = SimTune::new(&bench)
-            .workers(4)
-            .horizon(300.0)
-            .stragglers(1.0)
-            .drops(5e-3)
-            .seed(5)
-            .run();
+        let searcher = Searcher::default_asha(bench.max_resource());
+        let clean = simulate(&bench, &searcher, SimConfig::new(4, 300.0), 5);
+        let noisy = SimConfig::new(4, 300.0)
+            .with_stragglers(1.0)
+            .with_drops(5e-3);
+        let noisy = simulate(&bench, &searcher, noisy, 5);
         assert!(noisy.faults.jobs_dropped > 0);
         assert!(noisy.jobs_completed < clean.jobs_completed);
     }

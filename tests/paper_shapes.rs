@@ -7,20 +7,17 @@ use asha::core::{AshaConfig, BracketLoopConfig};
 use asha::sim::{ClusterSim, ResumePolicy, SimConfig};
 use asha::space::{Scale, SearchSpace};
 use asha::surrogate::{presets, BenchmarkModel, CurveBenchmark};
-use asha::tune::{Searcher, SimTune};
+use asha::tune::Searcher;
 use rand::SeedableRng;
 
 /// Mean final incumbent over a few seeds (keeps single-run noise out of CI).
 fn mean_final(bench: &CurveBenchmark, searcher: Searcher, workers: usize, horizon: f64) -> f64 {
     let mut total = 0.0;
     let seeds = [11, 22, 33, 44, 55];
+    let sim = ClusterSim::new(SimConfig::new(workers, horizon));
     for &seed in &seeds {
-        let outcome = SimTune::new(bench)
-            .searcher(searcher.clone())
-            .workers(workers)
-            .horizon(horizon)
-            .seed(seed)
-            .run();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let outcome = sim.run(searcher.build(bench.space()), bench, &mut rng);
         total += outcome
             .trace
             .incumbent_curve()
@@ -100,16 +97,11 @@ fn by_rung_accounting_never_trails_by_bracket() {
     // Appendix A.2: using intermediate losses can only reveal the incumbent
     // earlier. Structural property of the two accountings on any trace.
     let bench = presets::svm_vehicle(presets::DEFAULT_SURFACE_SEED);
-    let outcome = SimTune::new(&bench)
-        .searcher(Searcher::bracket_loop(BracketLoopConfig::hyperband(
-            1.0,
-            bench.max_resource(),
-            4.0,
-        )))
-        .workers(1)
-        .horizon(500.0)
-        .seed(4)
-        .run();
+    let hyperband =
+        Searcher::bracket_loop(BracketLoopConfig::hyperband(1.0, bench.max_resource(), 4.0))
+            .build(bench.space());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+    let outcome = ClusterSim::new(SimConfig::new(1, 500.0)).run(hyperband, &bench, &mut rng);
     let by_rung = outcome.trace.incumbent_curve();
     let by_bracket = outcome.trace.incumbent_curve_by_bracket();
     // "Earlier" is about *when* the incumbent is revealed, not a pointwise
