@@ -124,11 +124,11 @@ impl Fabolas {
 
     /// Best *predicted* full-budget loss over the configs evaluated so far.
     fn predicted_incumbent(&self) -> Option<(Vec<f64>, f64)> {
-        self.model.as_ref()?;
+        let model = self.model.as_ref()?;
         let mut best: Option<(Vec<f64>, f64)> = None;
         for (joint, _) in &self.observations {
             let unit_config = &joint[..joint.len() - 1];
-            let (mu, _) = self.predict_full(unit_config);
+            let mu = model.mean(&[unit_config, &[1.0]].concat());
             if best.as_ref().is_none_or(|(_, b)| mu < *b) {
                 best = Some((unit_config.to_vec(), mu));
             }

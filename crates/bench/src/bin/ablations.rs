@@ -9,25 +9,34 @@
 //!    stopping (`s = 0`) works best (Section 2's discussion of Li et al.
 //!    2018); this sweeps `s = 0..=3` on benchmark 2.
 //! 4. **Reduction factor `eta`** — 2 vs 4 vs 8 on the same budget.
+//!
+//! `--threads N`, else `ASHA_THREADS`, sets the trial-level parallelism
+//! (default 0: one thread per core); output is byte-identical for any value.
 
 use asha::core::{AshaConfig, ScanOrder};
 use asha::sim::{ClusterSim, ResumePolicy, SimConfig};
 use asha::surrogate::{presets, BenchmarkModel};
 use asha::tune::Searcher;
-use asha_bench::{
-    print_comparison, run_experiment_parallel, threads_from_args, ExperimentConfig, MethodSpec,
-};
+use asha_bench::cli::Cli;
+use asha_bench::{print_comparison, run_experiment_parallel, ExperimentConfig, MethodSpec};
 use rand::SeedableRng;
 
 const R: f64 = 256.0;
+
+const CLI: Cli = Cli {
+    bin: "ablations",
+    synopsis: "[--threads N]",
+    flags: &["--threads N"],
+    positionals: 0,
+};
 
 fn asha(eta: f64) -> AshaConfig {
     AshaConfig::new(1.0, R, eta)
 }
 
 fn main() {
+    let threads = CLI.parse().threads();
     let bench = presets::cifar10_small_cnn(presets::DEFAULT_SURFACE_SEED);
-    let threads = threads_from_args();
     let cfg = ExperimentConfig::new(SimConfig::new(25, 150.0), 5, 0.9);
     let compare = |title: &str, methods: Vec<MethodSpec>| {
         let results = run_experiment_parallel(&bench, &methods, &cfg, threads);

@@ -34,18 +34,23 @@
 //! outweighs it. `--delta-chain` caps delta snapshots between full ones
 //! (0 = always full; default 1).
 //!
-//! `--connect-timeout` (default 10) bounds TCP connection establishment;
-//! `--timeout` (default 30, `0` disables) bounds each request's wait for a
-//! reply, so a dead or wedged daemon fails the command instead of hanging
-//! the terminal forever. Streaming waits in `tail`/`watch` are separate
-//! and remain generous (an idle experiment is not a dead daemon).
+//! `--connect-timeout` (default 10 s, must be positive) bounds TCP
+//! connection establishment; `--timeout` (default 30 s, `0` disables)
+//! bounds each request's wait for a reply, so a dead or wedged daemon fails
+//! the command instead of hanging the terminal forever. Streaming waits in
+//! `tail`/`watch` are separate and remain generous (an idle experiment is
+//! not a dead daemon).
+//!
+//! The whole command line is read before connecting: a malformed one
+//! (a missing or malformed value, an unknown or repeated flag, a stray
+//! argument, a `create` the daemon would refuse) is a usage error, exit 2;
+//! `--help` prints the usage line (exit 0). Runtime errors exit 1.
 //!
 //! `watch` doubles as *attach*: subscribing replays the experiment's WAL
 //! from the requested sequence, so re-running `watch` after a daemon
 //! restart (even one recovering from SIGKILL) rebuilds the identical run
 //! report from the recovered log.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
 use asha::core::AshaConfig;
@@ -55,164 +60,132 @@ use asha::service::{Client, Push};
 use asha::sim::SimConfig;
 use asha::store::{BenchSpec, Durability, ExperimentMeta, RunOptions};
 use asha::surrogate::BenchmarkModel as _;
-use asha::tune::{Sampler, Searcher};
+use asha_bench::cli::{Cli, CommandLine};
+use asha_bench::durable_method;
 
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("asha-ctl: error: {msg}");
     std::process::exit(1);
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: asha-ctl (--unix PATH | --tcp ADDR)\n\
-         \x20              [--connect-timeout SECS] [--timeout SECS] COMMAND [ARGS]\n\
-         commands: ping, create, start, pause, resume, abort, status, list,\n\
-         \x20         metrics, top, tail, watch, shutdown\n\
-         \x20         (see source header for flags)"
-    );
-    std::process::exit(2);
-}
+const CLI: Cli = Cli {
+    bin: "asha-ctl",
+    synopsis: "(--unix PATH | --tcp ADDR)\n\
+        \x20              [--connect-timeout SECS] [--timeout SECS] COMMAND [ARGS]\n\
+        commands: ping, create, start, pause, resume, abort, status, list,\n\
+        \x20         metrics, top, tail, watch, shutdown\n\
+        \x20         (see source header for flags)",
+    flags: &[
+        "--unix PATH",
+        "--tcp ADDR",
+        "--connect-timeout SECS",
+        "--timeout SECS",
+    ],
+    positionals: 1,
+};
 
-/// Flag parser over the remaining arguments: positionals in order plus
-/// `--flag value` pairs.
-struct Args {
-    positional: Vec<String>,
-    flags: HashMap<String, String>,
-}
+/// The flags of `start`, which `create` takes too.
+const RUN_FLAGS: &[&str] = &["--sync S", "--snapshot-jobs N", "--delta-chain N"];
 
-impl Args {
-    fn parse(raw: &[String]) -> Args {
-        let mut positional = Vec::new();
-        let mut flags = HashMap::new();
-        let mut it = raw.iter();
-        while let Some(arg) = it.next() {
-            if let Some(name) = arg.strip_prefix("--") {
-                let value = it
-                    .next()
-                    .unwrap_or_else(|| fail(format!("--{name} needs a value")));
-                flags.insert(name.to_owned(), value.clone());
-            } else {
-                positional.push(arg.clone());
-            }
-        }
-        Args { positional, flags }
-    }
+/// Each command's flags and how many positionals it takes.
+const COMMANDS: [(&str, &[&str], usize); 13] = [
+    ("ping", &[], 0),
+    (
+        "create",
+        &[
+            "--preset P",
+            "--bench-seed N",
+            "--seed N",
+            "--workers N",
+            "--max-time T",
+            "--straggler-std S",
+            "--drop-prob Q",
+            "--min-r R",
+            "--max-r R",
+            "--eta E",
+            "--scheduler M",
+            "--sampler K",
+            "--sync S",
+            "--snapshot-jobs N",
+            "--delta-chain N",
+        ],
+        1,
+    ),
+    ("start", RUN_FLAGS, 1),
+    ("pause", &[], 1),
+    ("resume", &[], 1),
+    ("abort", &[], 1),
+    ("status", &[], 1),
+    ("list", &[], 0),
+    ("metrics", &[], 0),
+    ("top", &["--interval SECS", "--count N"], 0),
+    ("tail", &["--from SEQ"], 1),
+    ("watch", &["--from SEQ", "--out FILE", "--workers N"], 1),
+    ("shutdown", &[], 0),
+];
 
-    fn positional(&self, idx: usize, what: &str) -> &str {
-        self.positional
-            .get(idx)
-            .unwrap_or_else(|| fail(format!("missing {what}")))
-    }
-
-    fn get(&self, name: &str) -> Option<&str> {
-        self.flags.get(name).map(String::as_str)
-    }
-
-    fn num<T: std::str::FromStr>(&self, name: &str, default: T) -> T
-    where
-        T::Err: std::fmt::Display,
-    {
-        match self.get(name) {
-            Some(raw) => raw
-                .parse()
-                .unwrap_or_else(|e| fail(format!("--{name}: {e}"))),
-            None => default,
-        }
-    }
-}
-
-fn run_options(args: &Args) -> RunOptions {
-    let sync = match args.get("sync") {
+fn run_options(args: &CommandLine) -> RunOptions {
+    let sync = match args.value("--sync") {
         None => Durability::default(),
         Some("never") | Some("flush") => Durability::Flush,
         Some("always") | Some("sync") => Durability::Sync,
-        Some(n) => Durability::EveryN(
-            n.parse()
-                .unwrap_or_else(|e| fail(format!("--sync: expected never/always/N: {e}"))),
-        ),
+        Some(n) => Durability::EveryN(n.parse().unwrap_or_else(|_| {
+            args.usage_error(format!("--sync: expected never/always/N: {n:?}"))
+        })),
     };
+    let defaults = RunOptions::default();
     let opts = RunOptions {
         sync,
-        snapshot_jobs: args.num("snapshot-jobs", RunOptions::default().snapshot_jobs),
-        delta_chain: args.num("delta-chain", RunOptions::default().delta_chain),
+        snapshot_jobs: args
+            .number("--snapshot-jobs")
+            .unwrap_or(defaults.snapshot_jobs),
+        delta_chain: args.number("--delta-chain").unwrap_or(defaults.delta_chain),
     };
-    opts.validate().unwrap_or_else(|e| fail(e));
+    opts.validate().unwrap_or_else(|e| args.usage_error(e));
     opts
 }
 
-fn connect(
-    unix: Option<&str>,
-    tcp: Option<&str>,
-    connect_timeout: Duration,
-    call_timeout: Option<Duration>,
-) -> Client {
-    let mut client = match (unix, tcp) {
-        (Some(path), _) => Client::connect_unix(path).unwrap_or_else(|e| fail(e)),
-        (None, Some(addr)) => {
-            Client::connect_tcp_timeout(addr, connect_timeout).unwrap_or_else(|e| fail(e))
-        }
-        (None, None) => fail("need --unix PATH or --tcp ADDR before the command"),
+/// The experiment `create` asks for: its metadata and run options.
+fn create_request(args: &CommandLine) -> (ExperimentMeta, RunOptions) {
+    let name = args.positional("experiment name");
+    let Some(preset) = args.value("--preset") else {
+        args.usage_error("--preset is required")
     };
-    client.set_call_timeout(call_timeout);
-    client
-}
-
-fn cmd_create(client: &mut Client, args: &Args) {
-    let name = args.positional(0, "experiment name");
-    let preset = args
-        .get("preset")
-        .unwrap_or_else(|| fail("--preset is required"));
     let spec = BenchSpec {
         preset: preset.to_owned(),
-        seed: args.num("bench-seed", 0u64),
+        seed: args.number("--bench-seed").unwrap_or(0),
     };
-    let bench = spec.build().unwrap_or_else(|e| fail(e));
+    let bench = spec.build().unwrap_or_else(|e| args.usage_error(e));
     let space = bench.space().clone();
-    let min_r = args.num("min-r", 1.0f64);
-    let max_r = args.num("max-r", 27.0f64);
-    let eta = args.num("eta", 3.0f64);
+    let min_r = args.number("--min-r").unwrap_or(1.0);
+    let max_r = args.number("--max-r").unwrap_or(27.0);
+    let eta = args.number("--eta").unwrap_or(3.0);
     if let Err(e) = AshaConfig::new(min_r, max_r, eta).validate() {
-        fail(e)
+        args.usage_error(e)
     }
-    let kind = args.get("scheduler").unwrap_or("asha");
-    let mut searcher = Searcher::from_name(kind, min_r, max_r, eta)
-        .unwrap_or_else(|| fail(format!("--scheduler: unknown method {kind:?}")));
     // The sampler kind travels in the meta; the daemon rebuilds the sampler
     // server-side and snapshots carry its model cursor.
-    let sampler = searcher
-        .sampler_mut()
-        .unwrap_or_else(|| fail(format!("--scheduler: {kind:?} cannot run durably")));
-    if let Some(name) = args.get("sampler") {
-        *sampler = Sampler::from_name(name)
-            .unwrap_or_else(|| fail(format!("--sampler: unknown kind {name:?} (random/tpe/gp)")));
-    }
-    let sampler = *sampler;
-    let scheduler = searcher
-        .durable(&space)
-        .expect("a method with a sampler is persistable");
+    let (scheduler, sampler) = durable_method(args, &space, [min_r, max_r, eta]);
 
     let sim = SimConfig {
-        workers: args.num("workers", 4usize),
-        max_time: args.num("max-time", 100.0f64),
-        straggler_std: args.num("straggler-std", 0.0f64),
-        drop_prob: args.num("drop-prob", 0.0f64),
+        workers: args.number("--workers").unwrap_or(4),
+        max_time: args.number("--max-time").unwrap_or(100.0),
+        straggler_std: args.number("--straggler-std").unwrap_or(0.0),
+        drop_prob: args.number("--drop-prob").unwrap_or(0.0),
         ..SimConfig::new(1, 1.0)
     };
-    sim.validate().unwrap_or_else(|e| fail(e));
+    sim.validate().unwrap_or_else(|e| args.usage_error(e));
 
     let meta = ExperimentMeta {
         name: name.to_owned(),
         space,
         initial: scheduler.durable_state(),
         sampler: Some(sampler),
-        seed: args.num("seed", 0u64),
+        seed: args.number("--seed").unwrap_or(0),
         sim,
         bench: spec,
     };
-    client
-        .create(&meta, run_options(args))
-        .unwrap_or_else(|e| fail(e));
-    println!("created {name}");
+    (meta, run_options(args))
 }
 
 /// Follow a subscription; returns the accumulated telemetry when the
@@ -279,20 +252,6 @@ fn follow(client: &mut Client, name: &str, from_seq: u64, print_lines: bool) -> 
         }
     }
     events
-}
-
-fn cmd_watch(client: &mut Client, args: &Args) {
-    let name = args.positional(0, "experiment name");
-    let from_seq = args.num("from", 0u64);
-    let events = follow(client, name, from_seq, false);
-    let workers = args.get("workers").map(|_| args.num("workers", 0usize));
-    let report = RunReport::from_events(&events, workers);
-    println!("{}", report.render_text());
-    if let Some(path) = args.get("out") {
-        std::fs::write(path, report.to_json().render())
-            .unwrap_or_else(|e| fail(format!("writing {path}: {e}")));
-        eprintln!("asha-ctl: report written to {path}");
-    }
 }
 
 /// Walk a dotted path through nested JSON objects.
@@ -410,132 +369,122 @@ fn render_top(snap: &JsonValue, rows: &[asha::service::WireStatus]) {
     }
 }
 
-fn cmd_top(client: &mut Client, args: &Args) {
-    let interval = args.num("interval", 2.0f64);
-    if interval <= 0.0 {
-        fail("--interval must be positive");
-    }
-    let count = args.num("count", 0u64); // 0 = run until interrupted
-    let mut frames = 0u64;
-    loop {
-        let snap = client.metrics().unwrap_or_else(|e| fail(e));
-        let rows = client.list().unwrap_or_else(|e| fail(e));
-        if frames > 0 {
-            // Clear between frames only, so a single `--count 1` shot (and
-            // anything piping the output) gets plain text.
-            print!("\x1b[2J\x1b[H");
-        }
-        render_top(&snap, &rows);
-        frames += 1;
-        if count != 0 && frames >= count {
-            break;
-        }
-        std::thread::sleep(Duration::from_secs_f64(interval));
-    }
-}
-
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    // Connection flags come before the command; everything after belongs
-    // to the subcommand.
-    let mut unix = None;
-    let mut tcp = None;
-    let mut connect_timeout = Duration::from_secs(10);
-    let mut call_timeout = Some(Duration::from_secs(30));
-    let mut idx = 0;
-    let take_value = |raw: &[String], idx: usize, name: &str| -> String {
-        raw.get(idx + 1)
-            .cloned()
-            .unwrap_or_else(|| fail(format!("{name} needs a value")))
-    };
-    while idx < raw.len() {
-        match raw[idx].as_str() {
-            "--unix" => {
-                unix = Some(take_value(&raw, idx, "--unix"));
-                idx += 2;
-            }
-            "--tcp" => {
-                tcp = Some(take_value(&raw, idx, "--tcp"));
-                idx += 2;
-            }
-            "--connect-timeout" => {
-                let secs: f64 = take_value(&raw, idx, "--connect-timeout")
-                    .parse()
-                    .unwrap_or_else(|e| fail(format!("--connect-timeout: {e}")));
-                if secs <= 0.0 {
-                    fail("--connect-timeout must be positive");
-                }
-                connect_timeout = Duration::from_secs_f64(secs);
-                idx += 2;
-            }
-            "--timeout" => {
-                let secs: f64 = take_value(&raw, idx, "--timeout")
-                    .parse()
-                    .unwrap_or_else(|e| fail(format!("--timeout: {e}")));
-                // 0 disables the bound (block forever, the old behavior).
-                call_timeout = (secs > 0.0).then(|| Duration::from_secs_f64(secs));
-                idx += 2;
-            }
-            "--help" | "-h" => usage(),
-            _ => break,
-        }
+    let (conn, args) = CLI.parse_command(&COMMANDS);
+    // The whole command line is read before connecting, so a malformed one
+    // is a usage error whether or not a daemon is listening.
+    let connect_timeout = conn
+        .seconds("--connect-timeout")
+        .unwrap_or(Duration::from_secs(10));
+    if connect_timeout.is_zero() {
+        conn.usage_error("--connect-timeout must be positive");
     }
-    let Some(command) = raw.get(idx) else { usage() };
-    let args = Args::parse(&raw[idx + 1..]);
-    let mut client = connect(
-        unix.as_deref(),
-        tcp.as_deref(),
-        connect_timeout,
-        call_timeout,
-    );
-
-    match command.as_str() {
-        "ping" => {
+    // `--timeout 0` disables the bound (block forever).
+    let call_timeout = conn.seconds("--timeout").unwrap_or(Duration::from_secs(30));
+    let call_timeout = (!call_timeout.is_zero()).then_some(call_timeout);
+    let name = || args.positional("experiment name");
+    let command = conn.positionals[0].as_str();
+    let run: Box<dyn FnOnce(&mut Client)> = match command {
+        "ping" => Box::new(|client| {
             client.ping().unwrap_or_else(|e| fail(e));
             println!("pong");
+        }),
+        "create" => {
+            let (meta, opts) = create_request(&args);
+            Box::new(move |client| {
+                client.create(&meta, opts).unwrap_or_else(|e| fail(e));
+                println!("created {}", meta.name);
+            })
         }
-        "create" => cmd_create(&mut client, &args),
         "start" => {
-            let name = args.positional(0, "experiment name");
-            client
-                .start(name, run_options(&args))
-                .unwrap_or_else(|e| fail(e));
-            println!("started {name}");
+            let (name, opts) = (name(), run_options(&args));
+            Box::new(move |client| {
+                client.start(name, opts).unwrap_or_else(|e| fail(e));
+                println!("started {name}");
+            })
         }
         "pause" | "resume" | "abort" => {
-            let name = args.positional(0, "experiment name");
-            let result = match command.as_str() {
-                "pause" => client.pause(name),
-                "resume" => client.resume(name),
-                _ => client.abort(name),
-            };
-            result.unwrap_or_else(|e| fail(e));
-            println!("{command} {name}: ok");
+            let name = name();
+            Box::new(move |client| {
+                let result = match command {
+                    "pause" => client.pause(name),
+                    "resume" => client.resume(name),
+                    _ => client.abort(name),
+                };
+                result.unwrap_or_else(|e| fail(e));
+                println!("{command} {name}: ok");
+            })
         }
         "status" => {
-            let name = args.positional(0, "experiment name");
-            let status = client.status(name).unwrap_or_else(|e| fail(e));
-            println!("{} {}", status.name, status.status.as_str());
+            let name = name();
+            Box::new(move |client| {
+                let status = client.status(name).unwrap_or_else(|e| fail(e));
+                println!("{} {}", status.name, status.status.as_str());
+            })
         }
-        "list" => {
+        "list" => Box::new(|client| {
             for row in client.list().unwrap_or_else(|e| fail(e)) {
                 println!("{:<24} {}", row.name, row.status.as_str());
             }
-        }
-        "metrics" => {
+        }),
+        "metrics" => Box::new(|client| {
             let snap = client.metrics().unwrap_or_else(|e| fail(e));
             print!("{}", snap.render());
+        }),
+        "top" => {
+            let interval = args.seconds("--interval").unwrap_or(Duration::from_secs(2));
+            if interval.is_zero() {
+                args.usage_error("--interval must be positive");
+            }
+            let count = args.number("--count").unwrap_or(0); // 0 = until interrupted
+            Box::new(move |client| {
+                for frame in 0.. {
+                    let snap = client.metrics().unwrap_or_else(|e| fail(e));
+                    let rows = client.list().unwrap_or_else(|e| fail(e));
+                    if frame > 0 {
+                        // Clear between frames only, so a single `--count 1`
+                        // shot (and anything piping the output) gets plain text.
+                        print!("\x1b[2J\x1b[H");
+                    }
+                    render_top(&snap, &rows);
+                    if frame + 1 == count {
+                        break;
+                    }
+                    std::thread::sleep(interval);
+                }
+            })
         }
-        "top" => cmd_top(&mut client, &args),
         "tail" => {
-            let name = args.positional(0, "experiment name");
-            follow(&mut client, name, args.num("from", 0u64), true);
+            let (name, from) = (name(), args.number("--from").unwrap_or(0));
+            Box::new(move |client| drop(follow(client, name, from, true)))
         }
-        "watch" => cmd_watch(&mut client, &args),
-        "shutdown" => {
+        "watch" => {
+            let (name, from) = (name(), args.number("--from").unwrap_or(0));
+            let (out, workers) = (args.value("--out"), args.number("--workers"));
+            Box::new(move |client| {
+                let events = follow(client, name, from, false);
+                let report = RunReport::from_events(&events, workers);
+                println!("{}", report.render_text());
+                if let Some(path) = out {
+                    std::fs::write(path, report.to_json().render())
+                        .unwrap_or_else(|e| fail(format!("writing {path}: {e}")));
+                    eprintln!("asha-ctl: report written to {path}");
+                }
+            })
+        }
+        "shutdown" => Box::new(|client| {
             client.shutdown().unwrap_or_else(|e| fail(e));
             println!("shutdown requested");
+        }),
+        other => unreachable!("{other:?} is not in COMMANDS"),
+    };
+    let mut client = match (conn.value("--unix"), conn.value("--tcp")) {
+        (Some(path), _) => Client::connect_unix(path).unwrap_or_else(|e| fail(e)),
+        (None, Some(addr)) => {
+            Client::connect_tcp_timeout(addr, connect_timeout).unwrap_or_else(|e| fail(e))
         }
-        other => fail(format!("unknown command {other:?}")),
-    }
+        (None, None) => conn.usage_error("need --unix PATH or --tcp ADDR before the command"),
+    };
+    client.set_call_timeout(call_timeout);
+    run(&mut client);
 }

@@ -19,11 +19,13 @@
 //! as JSONL. The daemon runs until SIGTERM/SIGINT or a client `shutdown`
 //! request, then drains gracefully: running experiments park behind
 //! durable snapshots, the manifest is flushed, and client queues are
-//! drained before exit.
+//! drained before exit. A malformed command line is a usage error (exit 2)
+//! before anything is created; `--help` prints the usage line (exit 0).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use asha::service::{Daemon, ServeOptions};
+use asha_bench::cli::Cli;
 
 /// Set from the signal handler; polled by the main loop.
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
@@ -61,83 +63,42 @@ fn fail(msg: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: asha-serve --root DIR [--unix PATH] [--tcp ADDR] [--trace FILE]\n\
-         \x20                 [--queue-depth N] [--max-frame BYTES]\n\
-         \x20                 [--metrics-addr ADDR] [--slow-log FILE] [--slow-ms MS]"
-    );
-    std::process::exit(2);
-}
+const CLI: Cli = Cli {
+    bin: "asha-serve",
+    synopsis: "--root DIR [--unix PATH] [--tcp ADDR] [--trace FILE]\n\
+        \x20                 [--queue-depth N] [--max-frame BYTES]\n\
+        \x20                 [--metrics-addr ADDR] [--slow-log FILE] [--slow-ms MS]",
+    flags: &[
+        "--root DIR",
+        "--unix PATH",
+        "--tcp ADDR",
+        "--trace FILE",
+        "--queue-depth N",
+        "--max-frame BYTES",
+        "--metrics-addr ADDR",
+        "--slow-log FILE",
+        "--slow-ms MS",
+    ],
+    positionals: 0,
+};
 
 fn parse_options() -> ServeOptions {
-    let mut root = None;
-    let mut unix = None;
-    let mut tcp = None;
-    let mut trace = None;
-    let mut queue_depth = None;
-    let mut max_frame = None;
-    let mut metrics_addr = None;
-    let mut slow_log = None;
-    let mut slow_ms = None;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| fail(format!("{flag} needs a value")))
-        };
-        match arg.as_str() {
-            "--root" => root = Some(value("--root")),
-            "--unix" => unix = Some(value("--unix")),
-            "--tcp" => tcp = Some(value("--tcp")),
-            "--trace" => trace = Some(value("--trace")),
-            "--queue-depth" => {
-                queue_depth = Some(
-                    value("--queue-depth")
-                        .parse::<usize>()
-                        .unwrap_or_else(|e| fail(format!("--queue-depth: {e}"))),
-                )
-            }
-            "--max-frame" => {
-                max_frame = Some(
-                    value("--max-frame")
-                        .parse::<usize>()
-                        .unwrap_or_else(|e| fail(format!("--max-frame: {e}"))),
-                )
-            }
-            "--metrics-addr" => metrics_addr = Some(value("--metrics-addr")),
-            "--slow-log" => slow_log = Some(value("--slow-log")),
-            "--slow-ms" => {
-                slow_ms = Some(
-                    value("--slow-ms")
-                        .parse::<u64>()
-                        .unwrap_or_else(|e| fail(format!("--slow-ms: {e}"))),
-                )
-            }
-            "--help" | "-h" => usage(),
-            other => fail(format!("unknown argument {other:?}")),
-        }
-    }
-
-    let root = root.unwrap_or_else(|| fail("--root is required"));
+    let args = CLI.parse();
+    let Some(root) = args.value("--root") else {
+        args.usage_error("--root is required")
+    };
     let mut opts = ServeOptions::new(root);
-    opts.unix = unix.map(Into::into);
-    opts.tcp = tcp;
-    opts.trace = trace.map(Into::into);
-    if let Some(depth) = queue_depth {
-        opts.queue_depth = depth;
-    }
-    if let Some(limit) = max_frame {
-        opts.max_frame = limit;
-    }
-    opts.metrics_addr = metrics_addr;
-    opts.slow_log = slow_log.map(Into::into);
-    if let Some(ms) = slow_ms {
-        opts.slow_threshold = std::time::Duration::from_millis(ms);
-    }
+    opts.unix = args.value("--unix").map(Into::into);
+    opts.tcp = args.value("--tcp").map(Into::into);
+    opts.trace = args.value("--trace").map(Into::into);
+    opts.queue_depth = args.number("--queue-depth").unwrap_or(opts.queue_depth);
+    opts.max_frame = args.number("--max-frame").unwrap_or(opts.max_frame);
+    opts.metrics_addr = args.value("--metrics-addr").map(Into::into);
+    opts.slow_log = args.value("--slow-log").map(Into::into);
+    let slow_ms = args.number("--slow-ms");
+    opts.slow_threshold = slow_ms.map_or(opts.slow_threshold, std::time::Duration::from_millis);
     if opts.unix.is_none() && opts.tcp.is_none() {
-        fail("at least one of --unix / --tcp is required");
+        args.usage_error("at least one of --unix / --tcp is required");
     }
     opts
 }

@@ -1,6 +1,7 @@
 //! Figure 1 (right): the SHA promotion scheme for n = 9, r = 1, R = 9,
 //! η = 3, for brackets s = 0, 1, 2 — plus the Section 3.1/3.2 wall-clock
 //! facts and the paper-experiment-scale table (n = 256, η = 4).
+//! Takes no arguments: any is a usage error (exit 2).
 
 use asha::core::budget;
 
@@ -23,6 +24,7 @@ fn print_bracket(n: usize, r: f64, max_r: f64, eta: f64, s: usize) {
 }
 
 fn main() {
+    asha_bench::cli::Cli::no_args("fig1_promotion_table").parse();
     println!("Figure 1 (right): promotion scheme for n=9, r=1, R=9, eta=3");
     println!(
         "{:>8} {:>6} {:>6} {:>10} {:>14}",

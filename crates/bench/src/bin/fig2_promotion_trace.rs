@@ -2,6 +2,7 @@
 //! bracket 0 of the toy setting (r = 1, R = 9, η = 3), run on a single
 //! worker with deterministic losses (configuration `i` has loss `i`; lower
 //! is better, so configurations 0, 1, 2 are the promotion-worthy ones).
+//! Takes no arguments: any is a usage error (exit 2).
 
 use asha::core::{AshaConfig, BracketLoopConfig, Decision, Observation, Scheduler};
 use asha::space::{Scale, SearchSpace};
@@ -44,6 +45,7 @@ fn print_trace(title: &str, trace: &[(u64, usize, f64)]) {
 }
 
 fn main() {
+    asha_bench::cli::Cli::no_args("fig2_promotion_trace").parse();
     println!("Figure 2: promotion schemes of SHA vs ASHA (bracket 0, r=1, R=9, eta=3)");
 
     let sha_trace = serial_trace(

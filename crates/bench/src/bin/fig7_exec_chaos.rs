@@ -8,6 +8,7 @@
 //! (sanitized to `INFINITY`) at the swept rate. The metric mirrors Appendix
 //! A.1: configurations trained to the full resource R, plus the fault tally
 //! the executor survived.
+//! Takes no arguments: any is a usage error (exit 2).
 
 use asha::core::{AshaConfig, BracketLoopConfig};
 use asha::exec::{
@@ -81,6 +82,7 @@ fn run_cell(searcher: Searcher, rate: f64, seed_base: u64) -> Cell {
 }
 
 fn main() {
+    asha_bench::cli::Cli::no_args("fig7_exec_chaos").parse();
     install_quiet_panic_hook();
     println!(
         "Executor chaos sweep: configs trained to R = {R} over {RUNS} runs/cell ({WORKERS} workers)"

@@ -2,10 +2,12 @@
 //! maximum resource R within 2000 time units, as drop probability and
 //! straggler variance grow — ASHA vs synchronous SHA, simulated workloads
 //! (settings in [`asha_bench::sweep`]).
+//! Takes no arguments: any is a usage error (exit 2).
 
 use asha_bench::sweep::{self, HORIZON, R};
 
 fn main() {
+    asha_bench::cli::Cli::no_args("fig7_stragglers").parse();
     sweep::run(
         &format!("Figure 7: configs trained to R within {HORIZON} time units"),
         &[0.10, 0.24, 0.56, 1.33],

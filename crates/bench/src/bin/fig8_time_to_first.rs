@@ -5,10 +5,12 @@
 //! Runs that fail to produce a full-budget configuration within the 2000
 //! time-unit horizon are reported at the horizon (matching the flat-topped
 //! curves of the paper's plot).
+//! Takes no arguments: any is a usage error (exit 2).
 
 use asha_bench::sweep::{self, HORIZON, R};
 
 fn main() {
+    asha_bench::cli::Cli::no_args("fig8_time_to_first").parse();
     sweep::run(
         "Figure 8: time until the first configuration trained for R",
         &[0.0, 0.33, 0.67, 1.0, 1.33, 1.67],

@@ -3,6 +3,7 @@
 //! and the small-CNN SVHN task. Hyperband is evaluated under both incumbent
 //! accountings: "by rung" (using intermediate losses, as ASHA does) and "by
 //! bracket" (only at bracket completions, as Klein et al. evaluated it).
+//! Takes no arguments: any is a usage error (exit 2).
 
 use asha::baselines::FabolasConfig;
 use asha::core::BracketLoopConfig;
@@ -104,6 +105,7 @@ fn run_task(bench: &CurveBenchmark, horizon: f64, default_loss: f64, stem: &str)
 }
 
 fn main() {
+    asha_bench::cli::Cli::no_args("fig9_fabolas").parse();
     println!("Figure 9: sequential Fabolas comparison on four tasks...");
     let seed = presets::DEFAULT_SURFACE_SEED;
     run_task(&presets::svm_vehicle(seed), 800.0, 0.75, "fig9_svm_vehicle");

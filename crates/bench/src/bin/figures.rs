@@ -6,44 +6,43 @@
 //! figures --list    print the names
 //! ```
 //!
-//! `--threads N` / `ASHA_THREADS` set the trial-level parallelism; output is
-//! byte-identical for any value.
+//! `--threads N`, else `ASHA_THREADS`, sets the trial-level parallelism
+//! (default 0: one thread per core); output is byte-identical for any value.
+//! A malformed count from either source is a usage error (exit 2).
 
-use asha_bench::{threads_from_args, Figure, FIGURES};
+use asha_bench::cli::Cli;
+use asha_bench::{Figure, FIGURES};
+
+const CLI: Cli = Cli {
+    bin: "figures",
+    synopsis: "[--threads N] (--all | --list | NAME...)",
+    flags: &["--threads N", "--all", "--list"],
+    positionals: usize::MAX,
+};
 
 fn main() {
+    let args = CLI.parse();
+    let threads = args.threads();
+    if args.has("--list") {
+        for figure in FIGURES {
+            println!("{}", figure.name);
+        }
+        return;
+    }
     let mut selected: Vec<&Figure> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--threads" => drop(args.next()),
-            a if a.starts_with("--threads=") => {}
-            "--all" => selected.extend(FIGURES),
-            "--list" => {
-                for figure in FIGURES {
-                    println!("{}", figure.name);
-                }
-                return;
-            }
-            name => match FIGURES.iter().find(|f| f.name == name) {
-                Some(figure) => selected.push(figure),
-                None => usage(&format!("unknown figure `{name}`")),
-            },
+    if args.has("--all") {
+        selected.extend(FIGURES);
+    }
+    for name in &args.positionals {
+        match FIGURES.iter().find(|f| f.name == name) {
+            Some(figure) => selected.push(figure),
+            None => args.usage_error(format!("unknown figure `{name}` (see --list)")),
         }
     }
     if selected.is_empty() {
-        usage("no figure named");
+        args.usage_error("no figure named (see --list)");
     }
-    let threads = threads_from_args();
     for figure in selected {
         figure.run(threads);
     }
-}
-
-fn usage(problem: &str) -> ! {
-    let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
-    eprintln!("figures: {problem}");
-    eprintln!("usage: figures [--threads N] (--all | --list | NAME...)");
-    eprintln!("figures: {}", names.join(" "));
-    std::process::exit(2);
 }

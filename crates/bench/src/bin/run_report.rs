@@ -33,8 +33,8 @@
 //!                       --store/--resume (0 = always full; default 1)
 //! ```
 //!
-//! A flag missing its value, a malformed number or an unknown sampler is a
-//! usage error (exit 2).
+//! A flag missing its value, a malformed number, a repeated or unknown flag
+//! and an unknown method or sampler are usage errors (exit 2): nothing runs.
 //!
 //! The report is derived entirely from the log, so it reproduces exactly the
 //! metrics the live run's recorder saw: per-rung promotion table, decision
@@ -50,136 +50,57 @@ use asha::obs::{parse_jsonl, Event, RunRecorder, RunReport};
 use asha::sim::{ClusterSim, SimConfig};
 use asha::store::{read_meta, read_wal, BenchSpec, DurableRun, ExperimentMeta, RunOptions};
 use asha::surrogate::{presets, BenchmarkModel};
-use asha::tune::{Sampler, Searcher};
+use asha_bench::cli::{Cli, CommandLine};
+use asha_bench::durable_method;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const USAGE: &str = "usage: run_report <events.jsonl> [--workers N] [--json PATH] [--demo] \
-     [--seed N] [--scheduler M] [--sampler K] [--store DIR] [--crash-after-jobs N] \
-     [--resume DIR] [--snapshot-jobs N] [--delta-chain N]";
+const CLI: Cli = Cli {
+    bin: "run_report",
+    synopsis: "<events.jsonl> [--workers N] [--json PATH] [--demo] [--seed N] [--scheduler M] \
+        [--sampler K] [--store DIR] [--crash-after-jobs N] [--resume DIR] [--snapshot-jobs N] \
+        [--delta-chain N]",
+    flags: &[
+        "--workers N",
+        "--json PATH",
+        "--demo",
+        "--seed N",
+        "--scheduler M",
+        "--sampler K",
+        "--store DIR",
+        "--crash-after-jobs N",
+        "--resume DIR",
+        "--snapshot-jobs N",
+        "--delta-chain N",
+    ],
+    positionals: 1,
+};
 
 /// Worker count used by `--demo` (the paper's small-cluster regime).
 const DEMO_WORKERS: usize = 25;
-
-struct Opts {
-    log: Option<String>,
-    workers: Option<usize>,
-    json: Option<String>,
-    demo: bool,
-    seed: u64,
-    scheduler: String,
-    sampler: Option<Sampler>,
-    store: Option<String>,
-    crash_after_jobs: Option<usize>,
-    resume: Option<String>,
-    snapshot_jobs: Option<usize>,
-    delta_chain: Option<usize>,
-}
-
-fn parse_opts() -> Opts {
-    let mut opts = Opts {
-        log: None,
-        workers: None,
-        json: None,
-        demo: false,
-        seed: 0,
-        scheduler: "asha".to_owned(),
-        sampler: None,
-        store: None,
-        crash_after_jobs: None,
-        resume: None,
-        snapshot_jobs: None,
-        delta_chain: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let flag = arg.as_str();
-        match flag {
-            "--workers" => opts.workers = Some(number(flag, args.next())),
-            "--json" => opts.json = Some(value(flag, args.next())),
-            "--demo" => opts.demo = true,
-            "--seed" => opts.seed = number(flag, args.next()),
-            "--scheduler" => opts.scheduler = value(flag, args.next()),
-            "--sampler" => {
-                let kind = value(flag, args.next());
-                opts.sampler = Some(Sampler::from_name(&kind).unwrap_or_else(|| {
-                    usage_error(format!("--sampler: unknown kind {kind:?} (random/tpe/gp)"))
-                }));
-            }
-            "--store" => opts.store = Some(value(flag, args.next())),
-            "--crash-after-jobs" => opts.crash_after_jobs = Some(number(flag, args.next())),
-            "--resume" => opts.resume = Some(value(flag, args.next())),
-            "--snapshot-jobs" => opts.snapshot_jobs = Some(number(flag, args.next())),
-            "--delta-chain" => opts.delta_chain = Some(number(flag, args.next())),
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other if !other.starts_with("--") && opts.log.is_none() => {
-                opts.log = Some(other.to_owned());
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                std::process::exit(2);
-            }
-        }
-    }
-    opts
-}
 
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(1);
 }
 
-/// A malformed command line: the message and the usage line, exit 2.
-fn usage_error(msg: impl std::fmt::Display) -> ! {
-    eprintln!("error: {msg}\n{USAGE}");
-    std::process::exit(2);
-}
-
-/// The value after `flag`, which must be there and must not be the next
-/// flag: `--store --crash-after-jobs 300` names no store directory.
-fn value(flag: &str, raw: Option<String>) -> String {
-    raw.filter(|raw| !raw.starts_with("--"))
-        .unwrap_or_else(|| usage_error(format!("{flag} needs a value")))
-}
-
-/// The number after `flag`: a missing or malformed one is a usage error, so
-/// `--crash-after-jobs 2OO` never runs uninterrupted in place of a crash.
-fn number<T: std::str::FromStr>(flag: &str, raw: Option<String>) -> T {
-    let raw = value(flag, raw);
-    raw.parse()
-        .unwrap_or_else(|_| usage_error(format!("{flag}: not a number: {raw:?}")))
-}
-
 /// The `--demo` experiment: the `--scheduler` / `--sampler` method on a
 /// seeded 25-worker chaos simulation (stragglers + drops), described as
 /// durable-store metadata, and the fresh scheduler its initial state was
 /// taken from.
-fn demo(opts: &Opts) -> (ExperimentMeta, Box<dyn DurableScheduler + Send>) {
+fn demo(args: &CommandLine) -> (ExperimentMeta, Box<dyn DurableScheduler + Send>) {
     let spec = BenchSpec {
         preset: "cifar10_cuda_convnet".to_owned(),
         seed: presets::DEFAULT_SURFACE_SEED,
     };
     let space = spec.build().expect("demo preset exists").space().clone();
-    let kind = &opts.scheduler;
-    let mut searcher = Searcher::from_name(kind, 1.0, 256.0, 4.0)
-        .unwrap_or_else(|| fail(format!("--scheduler: unknown method {kind:?}")));
-    let sampler = searcher
-        .sampler_mut()
-        .unwrap_or_else(|| fail(format!("--scheduler: {kind:?} cannot run durably")));
-    *sampler = opts.sampler.unwrap_or(*sampler);
-    let sampler = *sampler;
-    let scheduler = searcher
-        .durable(&space)
-        .expect("a method with a sampler is persistable");
+    let (scheduler, sampler) = durable_method(args, &space, [1.0, 256.0, 4.0]);
     let meta = ExperimentMeta {
         name: "run-report-demo".to_owned(),
         initial: scheduler.durable_state(),
         space,
         sampler: Some(sampler),
-        seed: opts.seed,
+        seed: args.number("--seed").unwrap_or(0),
         sim: SimConfig::new(DEMO_WORKERS, 60.0)
             .with_stragglers(0.5)
             .with_drops(0.01),
@@ -190,8 +111,7 @@ fn demo(opts: &Opts) -> (ExperimentMeta, Box<dyn DurableScheduler + Send>) {
 
 /// Run the demo simulation with recording on and write its event log to
 /// `path`.
-fn write_demo_log(path: &str, opts: &Opts) {
-    let (meta, scheduler) = demo(opts);
+fn write_demo_log(path: &str, meta: ExperimentMeta, scheduler: Box<dyn DurableScheduler + Send>) {
     let bench = meta.bench.build().unwrap_or_else(|e| fail(e));
     let mut recorder = RunRecorder::new();
     let mut rng = StdRng::seed_from_u64(meta.seed);
@@ -209,12 +129,15 @@ fn write_demo_log(path: &str, opts: &Opts) {
 
 /// Run the demo through the durable store, optionally dying abruptly after
 /// `crash_after_jobs` completed jobs.
-fn run_demo_store(dir: &Path, opts: &Opts, run_opts: RunOptions) {
-    let (meta, _) = demo(opts);
-    let seed = opts.seed;
+fn run_demo_store(
+    dir: &Path,
+    meta: &ExperimentMeta,
+    crash_after_jobs: Option<usize>,
+    run_opts: RunOptions,
+) {
     let bench = meta.bench.build().unwrap_or_else(|e| fail(e));
-    let mut run = DurableRun::create(dir, &meta, &bench, run_opts).unwrap_or_else(|e| fail(e));
-    if let Some(jobs) = opts.crash_after_jobs {
+    let mut run = DurableRun::create(dir, meta, &bench, run_opts).unwrap_or_else(|e| fail(e));
+    if let Some(jobs) = crash_after_jobs {
         let alive = run.run_until_jobs(jobs).unwrap_or_else(|e| fail(e));
         if alive {
             println!(
@@ -231,8 +154,9 @@ fn run_demo_store(dir: &Path, opts: &Opts, run_opts: RunOptions) {
     while run.step().unwrap_or_else(|e| fail(e)) {}
     let result = run.into_result();
     println!(
-        "store demo: simulated {} jobs on {DEMO_WORKERS} workers (seed {seed}), store in {}\n",
+        "store demo: simulated {} jobs on {DEMO_WORKERS} workers (seed {}), store in {}\n",
         result.jobs_completed,
+        meta.seed,
         dir.display()
     );
 }
@@ -259,70 +183,60 @@ fn wal_events(dir: &Path) -> Vec<Event> {
     contents.telemetry().copied().collect()
 }
 
+/// The telemetry stream of a JSONL event log.
+fn read_log(path: &str) -> Vec<Event> {
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
+    parse_jsonl(&text).unwrap_or_else(|e| fail(format!("{path}: {e}")))
+}
+
 fn main() {
-    let mut opts = parse_opts();
-
-    // Store-backed paths: the report comes from the WAL, not a loose log.
-    let mut run_opts = RunOptions::default();
-    if let Some(jobs) = opts.snapshot_jobs {
-        run_opts.snapshot_jobs = jobs;
-    }
-    if let Some(chain) = opts.delta_chain {
-        run_opts.delta_chain = chain;
-    }
-    let store_dir = if let Some(dir) = &opts.resume {
-        resume_store(Path::new(dir), run_opts);
-        Some(dir.clone())
-    } else if let (true, Some(dir)) = (opts.demo, opts.store.clone()) {
-        run_demo_store(Path::new(&dir), &opts, run_opts);
-        Some(dir)
-    } else {
-        None
+    let args = CLI.parse();
+    // Every flag is read before anything runs, so a malformed or repeated
+    // one is a usage error that has written nothing.
+    let workers: Option<usize> = args.number("--workers");
+    let (json, demo_run) = (args.value("--json"), args.has("--demo"));
+    let crash_after_jobs = args.number("--crash-after-jobs");
+    let defaults = RunOptions::default();
+    let run_opts = RunOptions {
+        snapshot_jobs: args
+            .number("--snapshot-jobs")
+            .unwrap_or(defaults.snapshot_jobs),
+        delta_chain: args.number("--delta-chain").unwrap_or(defaults.delta_chain),
+        ..defaults
     };
-    if let Some(dir) = store_dir {
-        let dir = Path::new(&dir);
-        let events = wal_events(dir);
-        let meta = read_meta(dir).unwrap_or_else(|e| fail(e));
-        let workers = opts.workers.unwrap_or(meta.sim.workers);
-        let report = RunReport::from_events(&events, Some(workers));
-        print!("{}", report.render_text());
-        if let Some(json_path) = opts.json {
-            match asha::metrics::write_json(&json_path, &report.to_json()) {
-                Ok(()) => println!("\nwrote {json_path}"),
-                Err(e) => fail(e),
-            }
+    let (meta, scheduler) = demo(&args);
+
+    let store_dir = match (args.value("--resume"), args.value("--store")) {
+        (Some(dir), _) => {
+            resume_store(Path::new(dir), run_opts);
+            Some(dir)
         }
-        return;
-    }
-
-    if opts.demo {
-        let path = opts
-            .log
-            .clone()
-            .unwrap_or_else(|| "events.jsonl".to_owned());
-        write_demo_log(&path, &opts);
-        opts.log = Some(path);
-        opts.workers = opts.workers.or(Some(DEMO_WORKERS));
-    }
-    let Some(log_path) = opts.log else {
-        eprintln!("{USAGE}");
-        std::process::exit(2);
+        (None, Some(dir)) if demo_run => {
+            run_demo_store(Path::new(dir), &meta, crash_after_jobs, run_opts);
+            Some(dir)
+        }
+        _ => None,
+    };
+    // Store-backed paths: the report comes from the WAL, not a loose log.
+    let (events, workers) = if let Some(dir) = store_dir.map(Path::new) {
+        let meta = read_meta(dir).unwrap_or_else(|e| fail(e));
+        (wal_events(dir), Some(workers.unwrap_or(meta.sim.workers)))
+    } else if demo_run {
+        let path = args
+            .positionals
+            .first()
+            .map_or("events.jsonl", String::as_str);
+        write_demo_log(path, meta, scheduler);
+        (read_log(path), Some(workers.unwrap_or(DEMO_WORKERS)))
+    } else {
+        (read_log(args.positional("event log")), workers)
     };
 
-    let text = match std::fs::read_to_string(&log_path) {
-        Ok(text) => text,
-        Err(e) => fail(format!("cannot read {log_path}: {e}")),
-    };
-    let events = match parse_jsonl(&text) {
-        Ok(events) => events,
-        Err(e) => fail(format!("{log_path}: {e}")),
-    };
-
-    let report = RunReport::from_events(&events, opts.workers);
+    let report = RunReport::from_events(&events, workers);
     print!("{}", report.render_text());
-
-    if let Some(json_path) = opts.json {
-        match asha::metrics::write_json(&json_path, &report.to_json()) {
+    if let Some(json_path) = json {
+        match asha::metrics::write_json(json_path, &report.to_json()) {
             Ok(()) => println!("\nwrote {json_path}"),
             Err(e) => fail(e),
         }

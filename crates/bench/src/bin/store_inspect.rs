@@ -20,6 +20,8 @@
 //!
 //! Everything is written through one buffered stdout; when its reader goes
 //! away (`store_inspect DIR | head`), the tool stops quietly with status 0.
+//! A missing `DIR`, an unknown flag or a second directory is a usage error
+//! (exit 2, the usage line on stderr).
 
 use std::io::{self, BufWriter, ErrorKind, Write};
 use std::path::Path;
@@ -31,6 +33,7 @@ use asha::store::upgrade::{self, Checkpoint};
 use asha::store::{
     read_manifest, read_meta, DeltaDoc, Snapshot, WalRecord, MANIFEST_FILE, META_FILE, WAL_FILE,
 };
+use asha_bench::cli::Cli;
 
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("error: {msg}");
@@ -216,29 +219,15 @@ fn inspect_wal(out: &mut impl Write, dir: &Path, dump: bool) -> io::Result<()> {
     Ok(())
 }
 
-const USAGE: &str = "usage: store_inspect [--dump] <experiment-dir | supervisor-root>";
+const CLI: Cli = Cli {
+    bin: "store_inspect",
+    synopsis: "[--dump] <experiment-dir | supervisor-root>",
+    flags: &["--dump"],
+    positionals: 1,
+};
 
-/// Inspect what the arguments name, writing to `out`; the exit status.
-fn run(out: &mut impl Write) -> io::Result<i32> {
-    let mut dump = false;
-    let mut dir: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--help" | "-h" => {
-                writeln!(out, "{USAGE}")?;
-                return Ok(0);
-            }
-            "--dump" => dump = true,
-            other if dir.is_none() && !other.starts_with('-') => dir = Some(other.to_owned()),
-            other => fail(format!("unexpected argument {other:?}")),
-        }
-    }
-    let Some(dir) = dir else {
-        writeln!(out, "{USAGE}")?;
-        return Ok(2);
-    };
-    let dir = Path::new(&dir);
-
+/// Inspect the store or supervisor root at `dir`, writing to `out`.
+fn run(out: &mut impl Write, dir: &Path, dump: bool) -> io::Result<()> {
     let manifest_path = dir.join(MANIFEST_FILE);
     if manifest_path.exists() {
         let entries = read_manifest(&manifest_path).unwrap_or_else(|e| fail(e));
@@ -255,7 +244,7 @@ fn run(out: &mut impl Write) -> io::Result<i32> {
             writeln!(out)?;
             inspect_experiment(out, &dir.join(&entry.name), dump)?;
         }
-        return Ok(0);
+        return Ok(());
     }
 
     if !dir.join(META_FILE).exists() {
@@ -264,14 +253,15 @@ fn run(out: &mut impl Write) -> io::Result<i32> {
             dir.display()
         ));
     }
-    inspect_experiment(out, dir, dump)?;
-    Ok(0)
+    inspect_experiment(out, dir, dump)
 }
 
 fn main() {
+    let args = CLI.parse();
+    let dir = Path::new(args.positional("directory"));
     let mut out = BufWriter::new(io::stdout().lock());
-    match run(&mut out).and_then(|code| out.flush().map(|()| code)) {
-        Ok(code) => std::process::exit(code),
+    match run(&mut out, dir, args.has("--dump")).and_then(|()| out.flush()) {
+        Ok(()) => {}
         // The reader went away (`store_inspect DIR | head`): stop quietly.
         Err(e) if e.kind() == ErrorKind::BrokenPipe => {}
         Err(e) => fail(e),

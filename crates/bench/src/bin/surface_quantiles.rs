@@ -9,22 +9,27 @@
 //! ```
 //!
 //! `SAMPLES` is the number of random configurations per benchmark (default
-//! 20 000).
+//! 20 000); a malformed count is a usage error (exit 2), not the default.
 
 use asha::math::stats::{mean, quantile, std_dev};
 use asha::surrogate::{presets, BenchmarkModel};
+use asha_bench::cli::Cli;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+const CLI: Cli = Cli {
+    bin: "surface_quantiles",
+    synopsis: "[SAMPLES]",
+    flags: &[],
+    positionals: 1,
+};
+
 fn main() {
-    // A malformed sample count is a usage error (exit 2), not the default.
-    let n: usize = match std::env::args().nth(1) {
-        None => 20_000,
-        Some(raw) => raw.parse().unwrap_or_else(|_| {
-            eprintln!("surface_quantiles: not a number: {raw:?}");
-            std::process::exit(2);
-        }),
-    };
+    let args = CLI.parse();
+    let n: usize = args
+        .positionals
+        .first()
+        .map_or(20_000, |raw| args.parse_value("SAMPLES", raw));
     let seed = presets::DEFAULT_SURFACE_SEED;
     let benches = [
         presets::cifar10_cuda_convnet(seed),

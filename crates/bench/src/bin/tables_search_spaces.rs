@@ -1,9 +1,11 @@
 //! Tables 1–3 (and the remaining benchmark spaces): the hyperparameter
 //! search spaces of the paper, as encoded in `asha::space::presets`.
+//! Takes no arguments: any is a usage error (exit 2).
 
 use asha::space::presets;
 
 fn main() {
+    asha_bench::cli::Cli::no_args("tables_search_spaces").parse();
     println!("Table 1: hyperparameters for the small CNN architecture tuning task");
     println!("{}", presets::small_cnn_space());
     println!("Table 2: hyperparameters for the PTB LSTM task (Section 4.3)");

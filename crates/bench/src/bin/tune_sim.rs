@@ -6,8 +6,8 @@
 //!     --bench ptb-lstm --searcher asha --workers 100 --horizon 4
 //! ```
 //!
-//! Flags (all optional except `--bench`; any other argument is a usage
-//! error):
+//! Flags (all optional except `--bench`; a missing or malformed value, a
+//! repeated flag and any other argument are usage errors, exit 2):
 //!   --bench       cuda-convnet | small-cnn | svhn | ptb-lstm | dropconnect |
 //!                 svm-vehicle | svm-mnist
 //!   --searcher    asha | dasha | sha | hyperband | async-hyperband | bohb |
@@ -19,62 +19,28 @@
 //!   --drops       per-time-unit drop probability      (default 0)
 //!   --seed        RNG seed                            (default 0)
 
-use std::collections::HashMap;
-
 use asha::sim::{ClusterSim, SimConfig};
 use asha::surrogate::{presets, BenchmarkModel, CurveBenchmark};
 use asha::tune::Searcher;
+use asha_bench::cli::Cli;
 use rand::SeedableRng;
 
-/// Every flag `tune_sim` takes; each is followed by its value.
-const FLAGS: [&str; 7] = [
-    "--bench",
-    "--searcher",
-    "--workers",
-    "--horizon",
-    "--stragglers",
-    "--drops",
-    "--seed",
-];
-
-/// A malformed command line: one `tune_sim: ...` line on stderr, exit 2.
-fn usage_error(msg: impl std::fmt::Display) -> ! {
-    eprintln!("tune_sim: {msg}");
-    std::process::exit(2);
-}
-
-/// The command line as flag -> value, the first occurrence of each flag
-/// winning. An unknown flag, a stray argument or a flag without its value is
-/// a usage error, so `--wrokers 500` never runs the default worker count.
-fn parse_flags() -> HashMap<&'static str, String> {
-    let mut flags = HashMap::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let Some(&flag) = FLAGS.iter().find(|&&flag| flag == arg) else {
-            usage_error(format!("unknown argument {arg:?}"))
-        };
-        let Some(value) = args.next() else {
-            usage_error(format!("{flag} needs a value"))
-        };
-        flags.entry(flag).or_insert(value);
-    }
-    flags
-}
-
-/// The number after `flag`, or `default()` when the flag is absent. A
-/// malformed value is a usage error, so `--workers 2S` never runs the
-/// default worker count.
-fn number<T: std::str::FromStr>(
-    flags: &HashMap<&str, String>,
-    flag: &str,
-    default: impl FnOnce() -> T,
-) -> T {
-    let Some(raw) = flags.get(flag) else {
-        return default();
-    };
-    raw.parse()
-        .unwrap_or_else(|_| usage_error(format!("{flag}: not a number: {raw:?}")))
-}
+const CLI: Cli = Cli {
+    bin: "tune_sim",
+    synopsis: "--bench NAME [--searcher M] [--workers N] [--horizon T] [--stragglers S] \
+        [--drops P] [--seed N]\n\
+        benchmarks: cuda-convnet small-cnn svhn ptb-lstm dropconnect svm-vehicle svm-mnist",
+    flags: &[
+        "--bench NAME",
+        "--searcher M",
+        "--workers N",
+        "--horizon T",
+        "--stragglers S",
+        "--drops P",
+        "--seed N",
+    ],
+    positionals: 0,
+};
 
 fn benchmark_by_name(name: &str) -> Option<CurveBenchmark> {
     let seed = presets::DEFAULT_SURFACE_SEED;
@@ -91,38 +57,32 @@ fn benchmark_by_name(name: &str) -> Option<CurveBenchmark> {
 }
 
 fn main() {
-    let flags = parse_flags();
-    let Some(bench_name) = flags.get("--bench") else {
-        eprintln!("usage: tune_sim --bench <name> [--searcher asha] [--workers 25] ...");
-        eprintln!(
-            "benchmarks: cuda-convnet small-cnn svhn ptb-lstm dropconnect svm-vehicle svm-mnist"
-        );
-        std::process::exit(2);
+    let args = CLI.parse();
+    let Some(bench_name) = args.value("--bench") else {
+        args.usage_error("--bench is required")
     };
     let Some(bench) = benchmark_by_name(bench_name) else {
-        eprintln!("unknown benchmark `{bench_name}`");
-        std::process::exit(2);
+        args.usage_error(format!("unknown benchmark `{bench_name}`"))
     };
-    let searcher_name = flags.get("--searcher").map_or("asha", String::as_str);
+    let searcher_name = args.value("--searcher").unwrap_or("asha");
     let max_r = bench.max_resource();
     let Some(searcher) = Searcher::from_name(searcher_name, (max_r / 256.0).max(1.0), max_r, 4.0)
     else {
-        eprintln!("unknown searcher `{searcher_name}`");
-        std::process::exit(2);
+        args.usage_error(format!("unknown searcher `{searcher_name}`"))
     };
     let space = bench.space();
     let sim = SimConfig {
-        workers: number(&flags, "--workers", || 25),
-        max_time: number(&flags, "--horizon", || {
-            bench.time_full(&space.default_config()) * 10.0
-        }),
-        straggler_std: number(&flags, "--stragglers", || 0.0),
-        drop_prob: number(&flags, "--drops", || 0.0),
+        workers: args.number("--workers").unwrap_or(25),
+        max_time: args
+            .number("--horizon")
+            .unwrap_or_else(|| bench.time_full(&space.default_config()) * 10.0),
+        straggler_std: args.number("--stragglers").unwrap_or(0.0),
+        drop_prob: args.number("--drops").unwrap_or(0.0),
         ..SimConfig::new(1, 1.0)
     };
-    let seed: u64 = number(&flags, "--seed", || 0);
+    let seed: u64 = args.number("--seed").unwrap_or(0);
     if let Err(e) = sim.validate() {
-        usage_error(e);
+        args.usage_error(e);
     }
 
     println!(

@@ -12,6 +12,7 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
+pub mod cli;
 mod figures;
 pub mod sweep;
 
@@ -20,9 +21,11 @@ pub use figures::{Figure, FIGURES};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use asha::tune::Searcher;
+use asha::tune::{Sampler, Searcher};
+use asha_core::DurableScheduler;
 use asha_metrics::{aggregate, uniform_grid, AggregateCurve, StepCurve};
 use asha_sim::{ClusterSim, SimConfig};
+use asha_space::SearchSpace;
 use asha_surrogate::BenchmarkModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -222,27 +225,31 @@ pub fn run_experiment_parallel(
         .collect()
 }
 
-/// Thread-count knob shared by the experiment binaries: `--threads N` (or
-/// `--threads=N`) on the command line, else the `ASHA_THREADS` environment
-/// variable, else `0` (one thread per core — [`run_experiment_parallel`]
-/// resolves it).
-pub fn threads_from_args() -> usize {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == "--threads" {
-            if let Some(n) = args.next().and_then(|v| v.parse().ok()) {
-                return n;
-            }
-        } else if let Some(rest) = arg.strip_prefix("--threads=") {
-            if let Ok(n) = rest.parse() {
-                return n;
-            }
-        }
+/// The persistable method `--scheduler` names (default `asha`) on the ladder
+/// `r`, `max_r`, `eta`, with `--sampler`'s kind in place of its own sampler:
+/// the fresh scheduler for `space` and that sampler kind. An unknown or
+/// non-persistable method and an unknown sampler are usage errors.
+pub fn durable_method(
+    args: &cli::CommandLine,
+    space: &SearchSpace,
+    [r, max_r, eta]: [f64; 3],
+) -> (Box<dyn DurableScheduler + Send>, Sampler) {
+    let kind = args.value("--scheduler").unwrap_or("asha");
+    let mut searcher = Searcher::from_name(kind, r, max_r, eta)
+        .unwrap_or_else(|| args.usage_error(format!("--scheduler: unknown method {kind:?}")));
+    let sampler = searcher
+        .sampler_mut()
+        .unwrap_or_else(|| args.usage_error(format!("--scheduler: {kind:?} cannot run durably")));
+    if let Some(kind) = args.value("--sampler") {
+        *sampler = Sampler::from_name(kind).unwrap_or_else(|| {
+            args.usage_error(format!("--sampler: unknown kind {kind:?} (random/tpe/gp)"))
+        });
     }
-    std::env::var("ASHA_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
+    let sampler = *sampler;
+    let scheduler = searcher
+        .durable(space)
+        .expect("a method with a sampler is persistable");
+    (scheduler, sampler)
 }
 
 /// Print a fixed-width comparison table: one row per sampled time, one

@@ -119,19 +119,31 @@ impl Gp {
     /// Posterior mean and variance at a query point, in the original target
     /// units.
     pub fn predict(&self, x: &[f64]) -> (f64, f64) {
-        let kx: Vec<f64> = self
-            .xs
-            .iter()
-            .map(|xi| kernel(&self.config, xi, x))
-            .collect();
-        let mu_z: f64 = kx.iter().zip(&self.alpha).map(|(k, a)| k * a).sum();
+        let kx = self.cross_kernel(x);
         let v = self.chol.solve_lower(&kx);
         let var_z =
             (self.config.signal_variance - v.iter().map(|vi| vi * vi).sum::<f64>()).max(1e-12);
-        (
-            self.y_mean + self.y_std * mu_z,
-            var_z * self.y_std * self.y_std,
-        )
+        (self.mean_of(&kx), var_z * self.y_std * self.y_std)
+    }
+
+    /// Posterior mean at a query point, in the original target units: the
+    /// mean of [`Gp::predict`], bit for bit, without the O(n²) variance.
+    pub fn mean(&self, x: &[f64]) -> f64 {
+        self.mean_of(&self.cross_kernel(x))
+    }
+
+    /// The kernel between every training point and `x`.
+    fn cross_kernel(&self, x: &[f64]) -> Vec<f64> {
+        self.xs
+            .iter()
+            .map(|xi| kernel(&self.config, xi, x))
+            .collect()
+    }
+
+    /// The posterior mean given the cross-kernel vector `kx`.
+    fn mean_of(&self, kx: &[f64]) -> f64 {
+        let mu_z: f64 = kx.iter().zip(&self.alpha).map(|(k, a)| k * a).sum();
+        self.y_mean + self.y_std * mu_z
     }
 
     /// Number of training observations.
@@ -181,6 +193,8 @@ pub fn expected_improvement(mu: f64, var: f64, best: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn grid_1d(n: usize) -> Vec<Vec<f64>> {
         (0..n).map(|i| vec![i as f64 / (n - 1) as f64]).collect()
@@ -203,6 +217,20 @@ mod tests {
             let (mu, var) = gp.predict(x);
             assert!((mu - y).abs() < 0.05, "mu={mu} y={y}");
             assert!(var < 0.1);
+        }
+    }
+
+    #[test]
+    fn mean_is_the_mean_of_predict_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let xs: Vec<Vec<f64>> = (0..40)
+            .map(|_| (0..3).map(|_| rng.gen::<f64>()).collect())
+            .collect();
+        let ys: Vec<f64> = xs.iter().map(|x| x[0].sin() + x[1] * x[2]).collect();
+        let gp = Gp::fit(&xs, &ys, GpConfig::default()).unwrap();
+        for _ in 0..200 {
+            let x: Vec<f64> = (0..3).map(|_| rng.gen::<f64>()).collect();
+            assert_eq!(gp.mean(&x).to_bits(), gp.predict(&x).0.to_bits(), "{x:?}");
         }
     }
 
