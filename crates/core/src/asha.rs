@@ -189,12 +189,10 @@ pub(crate) struct Bracket {
     ladder: RungLadder,
     barrier: Option<Barrier>,
     /// Every trial's configuration, indexed by trial id: ids are dense
-    /// `0..next_trial`, so `run` and `observe` index instead of hashing
-    /// and an export walks the table in id order.
+    /// `0..len`, so `run` and `observe` index instead of hashing, an export
+    /// walks the table in id order, and its length is the trials started.
     trial_configs: Vec<Config>,
     outstanding: FxHashSet<(TrialId, usize)>,
-    next_trial: u64,
-    trials_started: usize,
 }
 
 impl Bracket {
@@ -202,33 +200,31 @@ impl Bracket {
     /// config.
     pub(crate) fn new(config: AshaConfig, barrier: bool) -> Self {
         Bracket {
-            ladder: RungLadder::new(config.geometry().unwrap_or_else(|e| panic!("{e}"))),
+            ladder: RungLadder::new(config.geometry().unwrap_or_else(|e| panic!("{e}")), barrier),
             config,
             barrier: barrier.then(Barrier::default),
             trial_configs: Vec::new(),
             outstanding: FxHashSet::default(),
-            next_trial: 0,
-            trials_started: 0,
         }
     }
 
     /// Rebuild a bracket from `state` (checked by the caller) and `barrier`.
+    /// An infinite ladder grows to the state's length, empty rungs included.
     pub(crate) fn from_state(state: AshaState, barrier: Option<Barrier>) -> Self {
-        let mut bracket = Bracket::new(state.config, false);
+        let mut bracket = Bracket::new(state.config, barrier.is_some());
         bracket.barrier = barrier;
-        for (k, rung) in state.rungs.iter().enumerate() {
-            for &(trial, loss) in &rung.records {
-                bracket.ladder.record(k, TrialId(trial), loss);
+        for (k, saved) in state.rungs.iter().enumerate() {
+            let rung = bracket.ladder.rung_mut(k);
+            for &(trial, loss) in &saved.records {
+                rung.record(TrialId(trial), loss);
             }
-            for &trial in &rung.promoted {
-                bracket.ladder.mark_promoted(k, TrialId(trial));
+            for &trial in &saved.promoted {
+                rung.mark_promoted(TrialId(trial));
             }
         }
         bracket.trial_configs = state.trials.into_iter().map(|(_, c)| c).collect();
         let outstanding = state.outstanding.into_iter();
         bracket.outstanding = outstanding.map(|(t, r)| (TrialId(t), r)).collect();
-        bracket.next_trial = state.next_trial;
-        bracket.trials_started = state.trials_started;
         bracket
     }
 
@@ -276,7 +272,7 @@ impl Engine for Bracket {
         if self
             .config
             .max_trials
-            .is_some_and(|cap| self.trials_started >= cap)
+            .is_some_and(|cap| self.trial_configs.len() >= cap)
         {
             return if self.outstanding.is_empty() {
                 Decision::Finished
@@ -284,9 +280,7 @@ impl Engine for Bracket {
                 Decision::Wait
             };
         }
-        let trial = TrialId(self.next_trial);
-        self.next_trial += 1;
-        self.trials_started += 1;
+        let trial = TrialId(self.trial_configs.len() as u64);
         let fidelity = Fidelity::base(self.ladder.resource(0));
         self.trial_configs
             .push(sampler.propose_at(space, fidelity, rng));
@@ -325,7 +319,7 @@ impl Engine for Bracket {
     fn finished(&self) -> bool {
         self.barrier.as_ref().is_some_and(|b| b.queue.is_empty())
             && self.outstanding.is_empty()
-            && self.config.max_trials == Some(self.trials_started)
+            && self.config.max_trials == Some(self.trial_configs.len())
     }
 
     fn export_state(&self, name: &str) -> AshaState {
@@ -339,8 +333,6 @@ impl Engine for Bracket {
             rungs: self.ladder.states(),
             trials,
             outstanding,
-            next_trial: self.next_trial,
-            trials_started: self.trials_started,
             name: name.to_owned(),
         }
     }
@@ -366,7 +358,7 @@ impl std::fmt::Debug for Asha {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Asha")
             .field("config", &self.bracket.config)
-            .field("trials_started", &self.bracket.trials_started)
+            .field("trials_started", &self.bracket.trial_configs.len())
             .field("outstanding", &self.bracket.outstanding.len())
             .finish_non_exhaustive()
     }
@@ -452,18 +444,11 @@ impl Asha {
         sampler: Box<dyn ConfigSampler>,
     ) -> Self {
         state.validate().unwrap_or_else(|e| panic!("{e}"));
-        let (name, rungs) = (state.name.clone(), state.rungs.len());
-        let mut bracket = Bracket::from_state(state, None);
-        // Infinite-horizon ladders grow on demand; force the restored ladder
-        // to the snapshot's length even if trailing rungs are empty.
-        if bracket.config.infinite_horizon && rungs > 0 {
-            bracket.ladder.rung_mut(rungs - 1);
-        }
         Asha {
             space,
-            bracket,
+            name: state.name.clone(),
+            bracket: Bracket::from_state(state, None),
             sampler,
-            name,
         }
     }
 }
@@ -553,7 +538,7 @@ mod tests {
             assert_eq!(job.resource, 1.0);
             assert_eq!(job.trial, TrialId(i));
         }
-        assert_eq!(asha.bracket.trials_started, 5);
+        assert_eq!(asha.bracket.trial_configs.len(), 5);
         assert_eq!(asha.bracket.outstanding.len(), 5);
     }
 

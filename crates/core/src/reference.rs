@@ -234,8 +234,6 @@ impl Engine for BruteBracket {
             rungs: self.rungs.iter().map(RefRung::export).collect(),
             trials: (0..).zip(self.trials.iter().cloned()).collect(),
             outstanding,
-            next_trial: self.trials.len() as u64,
-            trials_started: self.trials.len(),
             name: name.to_owned(),
         }
     }

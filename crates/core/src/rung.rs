@@ -1,38 +1,33 @@
 //! Rung bookkeeping shared by ASHA and the analysis tooling.
 //!
-//! A *rung* is the set of configurations that have been trained for a given
-//! resource level within a bracket; a [`RungLadder`] is the full stack of
-//! rungs for one bracket (Figure 1 of the paper).
+//! A *rung* is the arrival-ordered `(trial, loss)` records of the
+//! configurations trained to one resource level of a bracket; a
+//! [`RungLadder`] is one bracket's stack of rungs (Figure 1 of the paper).
 //!
-//! The promotion query (`top_k(rung, |rung|/eta)` minus already-promoted,
-//! line 14–15 of Algorithm 2) is the hot path of ASHA — it runs once per
-//! `suggest`, and large-scale runs issue hundreds of thousands of jobs. The
-//! implementation keeps an incremental promotion-candidate index per rung so
-//! the common case is O(1):
+//! Algorithm 2's promotion query (`top_k(rung, |rung|/eta)` minus
+//! already-promoted, lines 14–15) runs once per `suggest`, and large runs
+//! issue hundreds of thousands of jobs. The rungs it visits — rungs `0..K`
+//! of a finite ladder without a barrier, every rung of an infinite one —
+//! carry a promotion index that answers it in O(1) in the common case. No
+//! other rung has one: nothing promotes out of a finite ladder's top rung,
+//! and a barrier bracket (Algorithm 1) reads each rung once, when it
+//! closes, by sorting its records ([`Rung::top_k`]). So random search's one
+//! rung and every SHA rung are records alone. The index is
 //!
-//! * a *candidate cache* memoizes the full answer of the last promotability
-//!   check, keyed on `(len, promoted, eta)`. Rungs only ever mutate by
-//!   appending a record (`len` grows) or promoting a trial (`promoted`
-//!   grows), so that key uniquely identifies the rung's decision-relevant
-//!   state and the cache never needs explicit invalidation — both "yes,
-//!   this trial" and "no" answers are served without touching any ordered
-//!   structure until the rung actually changes;
-//! * the unpromoted population lives in a lazy-deletion min-heap ordered by
-//!   `(loss, trial)`: `record` is an O(1) amortized push, and promotions
-//!   leave stale entries behind that are popped (each at most once) the
-//!   next time the heap minimum is consulted;
-//! * the promoted population stays in an ordered set so the exact rank
-//!   check — is the best unpromoted trial within the top `k`? — remains
-//!   available: if `promoted < k` the best unpromoted trial is *always*
-//!   within the top `k` (every trial better than it is promoted, so its
-//!   rank is at most `promoted`); otherwise an early-exit rank count runs,
-//!   bounded by `promoted - k + 1` steps — a handful in practice because
-//!   the rank gate keeps the promoted population tracking `k`.
+//! * a *candidate cache* of the last answer, keyed on `(len, promoted,
+//!   eta)`: a rung only ever grows a record or a promotion, each of which
+//!   changes the key, so the cache never needs invalidating;
+//! * a lazy-deletion min-heap of the unpromoted trials by `(loss, trial)`:
+//!   `record` is an O(1) amortized push, and a promoted entry is popped
+//!   (once) the next time the minimum is consulted;
+//! * an ordered set of the promoted trials, for the exact rank check: if
+//!   `promoted < k` the best unpromoted trial is in the top `k` (every
+//!   better trial is promoted); otherwise an early-exit count runs, bounded
+//!   by `promoted - k + 1` steps — a handful, because the rank gate keeps
+//!   `promoted` tracking `k`.
 //!
-//! None of these indexes is serialized: [`crate::state::RungState`] stores
-//! only the arrival-ordered records and the promoted set, and a restore
-//! rebuilds the indexes by replaying them — which is also what makes old
-//! snapshots (written before the indexes existed) load unchanged.
+//! No index is serialized: a restore rebuilds it by replaying the records
+//! and promoted set of [`crate::state::RungState`].
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -115,12 +110,9 @@ struct PromoCache {
     result: Option<(u64, TrialId)>,
 }
 
-/// One rung: the trials evaluated at this resource level, their losses, and
-/// which of them have already been promoted.
+/// The promotion index of a rung Algorithm 2's scan visits.
 #[derive(Debug, Clone, Default)]
-pub struct Rung {
-    /// `(trial, loss)` in arrival order, for traces and analysis.
-    records: Vec<(TrialId, f64)>,
+struct PromotionIndex {
     /// `(loss key, promoted)` per member; doubles as the membership set.
     /// Keeping the promoted flag here makes the lazy-heap cleanup a single
     /// hash probe instead of an ordered-set seek.
@@ -142,48 +134,9 @@ pub struct Rung {
     cache: Cell<Option<PromoCache>>,
 }
 
-impl Rung {
-    /// Create an empty rung.
-    pub(crate) fn new() -> Self {
-        Rung::default()
-    }
-
-    /// Record a trial's loss at this rung. Re-reports of the same trial are
-    /// ignored (first result wins), which makes executors free to retry jobs.
-    pub(crate) fn record(&mut self, trial: TrialId, loss: f64) {
-        // A non-finite loss (NaN, either infinity) is a poisoned trial:
-        // recorded as worst-possible, so it never sits ahead of a finite one.
-        let loss = if loss.is_finite() {
-            loss
-        } else {
-            f64::INFINITY
-        };
-        let key = loss_key(loss);
-        if let Entry::Vacant(slot) = self.loss_of.entry(trial) {
-            slot.insert((key, false));
-            self.records.push((trial, loss));
-            self.unpromoted.get_mut().push(Reverse((key, trial)));
-        }
-    }
-
-    /// Number of trials recorded at this rung.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the given trial has already been promoted out of this rung.
-    pub(crate) fn is_promoted(&self, trial: TrialId) -> bool {
+impl PromotionIndex {
+    fn is_promoted(&self, trial: TrialId) -> bool {
         self.loss_of.get(&trial).is_some_and(|&(_, p)| p)
-    }
-
-    /// Number of trials promoted out of this rung so far.
-    pub fn promoted_count(&self) -> usize {
-        self.promoted_sorted.len()
-    }
-
-    /// All `(trial, loss)` records in arrival order.
-    pub(crate) fn records(&self) -> &[(TrialId, f64)] {
-        &self.records
     }
 
     /// The best (lowest `(loss, trial)`) not-yet-promoted entry, discarding
@@ -199,80 +152,6 @@ impl Rung {
             }
         }
         None
-    }
-
-    /// The `top_k` operator of Algorithms 1–2: the `k` best (lowest-loss)
-    /// trials at this rung, best first. Ties break by trial id, which keeps
-    /// promotion deterministic. It pays an O(n log n) sort of the unpromoted
-    /// population, so only a barrier's close (once per rung) and analysis
-    /// call it; ASHA's promotion scan never does.
-    pub fn top_k(&self, k: usize) -> Vec<(TrialId, f64)> {
-        let heap = self.unpromoted.borrow();
-        let mut unpromoted: Vec<(u64, TrialId)> = heap
-            .iter()
-            .map(|&Reverse(entry)| entry)
-            .filter(|&(_, trial)| !self.is_promoted(trial))
-            .collect();
-        unpromoted.sort_unstable();
-        // Merge the two ordered populations, taking the first k.
-        let mut a = unpromoted.iter().peekable();
-        let mut b = self.promoted_sorted.iter().peekable();
-        let mut out = Vec::with_capacity(k.min(self.records.len()));
-        while out.len() < k {
-            let take_a = match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) => x <= y,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let &(key, trial) = if take_a {
-                a.next().expect("peeked")
-            } else {
-                b.next().expect("peeked")
-            };
-            out.push((trial, key_loss(key)));
-        }
-        out
-    }
-
-    /// The best not-yet-promoted trial among the top `1/eta` fraction of this
-    /// rung (line 14–17 of Algorithm 2) that `rule` lets move up, if any.
-    /// O(1) when the rung is unchanged since the last call (candidate cache
-    /// hit, either answer).
-    ///
-    /// The delayed gate — `promoted < floor(len/eta)` — depends only on the
-    /// `(len, promoted, eta)` triple the candidate cache is keyed on, so it
-    /// runs as pure arithmetic *before* the cached check and adds nothing to
-    /// the indexes: whenever the gate passes, `promoted < k` means the eager
-    /// answer is already exactly the delayed answer.
-    pub(crate) fn promotable(&self, eta: f64, rule: PromotionRule) -> Option<(TrialId, f64)> {
-        let len = self.records.len();
-        let p = self.promoted_sorted.len();
-        if rule == PromotionRule::Delayed && p >= (len as f64 / eta).floor() as usize {
-            return None;
-        }
-        let eta_bits = eta.to_bits();
-        // The cache is consulted before `k` is even computed: the hit path —
-        // several times per `suggest`, since the ladder scan revisits every
-        // rung — is three integer compares and a `Cell` copy.
-        if let Some(cached) = self.cache.get() {
-            if (cached.len, cached.promoted, cached.eta_bits) == (len, p, eta_bits) {
-                return cached.result.map(|(key, trial)| (trial, key_loss(key)));
-            }
-        }
-        let k = (len as f64 / eta).floor() as usize;
-        let result = if k == 0 {
-            None
-        } else {
-            self.compute_promotable(k, p)
-        };
-        self.cache.set(Some(PromoCache {
-            len,
-            promoted: p,
-            eta_bits,
-            result,
-        }));
-        result.map(|(key, trial)| (trial, key_loss(key)))
     }
 
     /// The uncached promotability check (runs once per rung mutation).
@@ -318,20 +197,139 @@ impl Rung {
         }
         None
     }
+}
 
-    /// Mark a trial as promoted out of this rung. Unknown trials are
-    /// ignored. The stale heap entry is *not* removed here (lazy deletion);
-    /// the candidate cache self-invalidates because `promoted_count` grew.
+/// One rung: the trials evaluated at this resource level and their losses,
+/// and, on a rung Algorithm 2's scan visits, the index of which of them
+/// have already been promoted.
+#[derive(Debug, Clone, Default)]
+pub struct Rung {
+    /// `(trial, loss)` in arrival order.
+    records: Vec<(TrialId, f64)>,
+    index: Option<PromotionIndex>,
+}
+
+impl Rung {
+    /// An empty rung, with a promotion index if `scanned`.
+    pub(crate) fn new(scanned: bool) -> Self {
+        Rung {
+            records: Vec::new(),
+            index: scanned.then(PromotionIndex::default),
+        }
+    }
+
+    /// Record a trial's loss at this rung. A bracket records a trial once
+    /// per rung: it takes only the report of a job it issued, and
+    /// `AshaState::validate` refuses a document naming a trial twice. (An
+    /// indexed rung also ignores a re-report: first result wins.)
+    pub(crate) fn record(&mut self, trial: TrialId, loss: f64) {
+        // A non-finite loss (NaN, either infinity) is a poisoned trial:
+        // recorded as worst-possible, so it never sits ahead of a finite one.
+        let loss = if loss.is_finite() {
+            loss
+        } else {
+            f64::INFINITY
+        };
+        if let Some(index) = &mut self.index {
+            let (key, Entry::Vacant(slot)) = (loss_key(loss), index.loss_of.entry(trial)) else {
+                return;
+            };
+            slot.insert((key, false));
+            index.unpromoted.get_mut().push(Reverse((key, trial)));
+        }
+        self.records.push((trial, loss));
+    }
+
+    /// Number of trials recorded at this rung.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Whether the given trial has already been promoted out of this rung.
+    pub(crate) fn is_promoted(&self, trial: TrialId) -> bool {
+        self.index.as_ref().is_some_and(|i| i.is_promoted(trial))
+    }
+
+    /// Number of trials promoted out of this rung so far.
+    pub fn promoted_count(&self) -> usize {
+        self.index.as_ref().map_or(0, |i| i.promoted_sorted.len())
+    }
+
+    /// All `(trial, loss)` records in arrival order.
+    pub(crate) fn records(&self) -> &[(TrialId, f64)] {
+        &self.records
+    }
+
+    /// The `top_k` operator of Algorithms 1–2: the `k` best (lowest-loss)
+    /// trials at this rung, best first. Ties break by trial id, which keeps
+    /// promotion deterministic. It sorts the records, O(n log n), so only a
+    /// barrier's close (once per rung) and analysis call it; ASHA's
+    /// promotion scan never does.
+    pub fn top_k(&self, k: usize) -> Vec<(TrialId, f64)> {
+        let mut sorted = self.records.clone();
+        sorted.sort_unstable_by_key(|&(trial, loss)| (loss_key(loss), trial));
+        sorted.truncate(k);
+        sorted
+    }
+
+    /// The best not-yet-promoted trial among the top `1/eta` fraction of this
+    /// rung (line 14–17 of Algorithm 2) that `rule` lets move up, if any;
+    /// none on a rung without an index. O(1) when the rung is unchanged
+    /// since the last call (candidate cache hit, either answer).
+    ///
+    /// The delayed gate — `promoted < floor(len/eta)` — depends only on the
+    /// `(len, promoted, eta)` triple the candidate cache is keyed on, so it
+    /// runs as pure arithmetic *before* the cached check and adds nothing to
+    /// the index: whenever the gate passes, `promoted < k` means the eager
+    /// answer is already exactly the delayed answer.
+    pub(crate) fn promotable(&self, eta: f64, rule: PromotionRule) -> Option<(TrialId, f64)> {
+        let index = self.index.as_ref()?;
+        let len = self.records.len();
+        let p = index.promoted_sorted.len();
+        if rule == PromotionRule::Delayed && p >= (len as f64 / eta).floor() as usize {
+            return None;
+        }
+        let eta_bits = eta.to_bits();
+        // The cache is consulted before `k` is even computed: the hit path —
+        // several times per `suggest`, since the ladder scan revisits every
+        // rung — is three integer compares and a `Cell` copy.
+        if let Some(cached) = index.cache.get() {
+            if (cached.len, cached.promoted, cached.eta_bits) == (len, p, eta_bits) {
+                return cached.result.map(|(key, trial)| (trial, key_loss(key)));
+            }
+        }
+        let k = (len as f64 / eta).floor() as usize;
+        let result = if k == 0 {
+            None
+        } else {
+            index.compute_promotable(k, p)
+        };
+        index.cache.set(Some(PromoCache {
+            len,
+            promoted: p,
+            eta_bits,
+            result,
+        }));
+        result.map(|(key, trial)| (trial, key_loss(key)))
+    }
+
+    /// Mark a trial as promoted out of this rung. Unknown trials, and every
+    /// trial of a rung without an index, are ignored. The stale heap entry
+    /// is *not* removed here (lazy deletion); the candidate cache
+    /// self-invalidates because `promoted_count` grew.
     pub(crate) fn mark_promoted(&mut self, trial: TrialId) {
-        if let Some(slot) = self.loss_of.get_mut(&trial) {
+        let Some(index) = &mut self.index else {
+            return;
+        };
+        if let Some(slot) = index.loss_of.get_mut(&trial) {
             slot.1 = true;
             let entry = (slot.0, trial);
-            if self.promoted_sorted.insert(entry) {
-                if entry > self.promoted_top[0] {
-                    self.promoted_top[1] = self.promoted_top[0];
-                    self.promoted_top[0] = entry;
-                } else if entry > self.promoted_top[1] {
-                    self.promoted_top[1] = entry;
+            if index.promoted_sorted.insert(entry) {
+                let top = &mut index.promoted_top;
+                if entry > top[0] {
+                    (top[1], top[0]) = (top[0], entry);
+                } else if entry > top[1] {
+                    top[1] = entry;
                 }
             }
         }
@@ -349,10 +347,14 @@ pub struct RungLadder {
 impl RungLadder {
     /// An empty ladder over `geometry`: every rung `0..=K` up front in the
     /// finite horizon (Algorithm 2 line 13 scans `K-1..=0`), one rung that
-    /// grows on demand in the infinite horizon.
-    pub(crate) fn new(geometry: Geometry) -> Self {
+    /// grows on demand in the infinite horizon. The rungs `find_promotable`
+    /// visits are indexed: none of a `barrier` ladder's (always finite), which
+    /// promotes by closing rungs, and all of an infinite ladder's.
+    pub(crate) fn new(geometry: Geometry, barrier: bool) -> Self {
+        let top = geometry.max_rung();
+        let rungs = (0..=top.unwrap_or(0)).map(|k| Rung::new(!barrier && top != Some(k)));
         RungLadder {
-            rungs: vec![Rung::new(); geometry.max_rung().map_or(1, |max| max + 1)],
+            rungs: rungs.collect(),
             geometry,
         }
     }
@@ -383,7 +385,7 @@ impl RungLadder {
         if let Some(max) = self.max_rung() {
             assert!(k <= max, "rung {k} exceeds finite-horizon top rung {max}");
         } else if k >= self.rungs.len() {
-            self.rungs.resize_with(k + 1, Rung::new);
+            self.rungs.resize_with(k + 1, || Rung::new(true));
         }
         &mut self.rungs[k]
     }
@@ -404,8 +406,8 @@ impl RungLadder {
     /// [`ScanOrder::BottomUp`] is the ablation alternative and
     /// [`PromotionRule::Delayed`] the D-ASHA scan (identical walk, but each
     /// rung's candidate must also fit under the `floor(len/eta)` quota).
-    /// With the per-rung candidate caches, an unchanged ladder answers this
-    /// scan in a handful of integer compares.
+    /// It visits exactly the indexed rungs; with their candidate caches, an
+    /// unchanged ladder answers it in a handful of integer compares.
     pub(crate) fn find_promotable(
         &self,
         order: ScanOrder,
@@ -430,9 +432,9 @@ impl RungLadder {
     /// Close barrier rung `k` and return its survivors, best first: its top
     /// `floor(len/eta)` in `(loss, trial)` order, finite losses only, and
     /// none at the top rung. Nothing reads a closed rung again, so its
-    /// records and indexes are dropped.
+    /// records are dropped.
     pub(crate) fn close(&mut self, rung: usize) -> Vec<TrialId> {
-        let closed = std::mem::replace(&mut self.rungs[rung], Rung::new());
+        let closed = std::mem::take(&mut self.rungs[rung]);
         if self.max_rung() == Some(rung) {
             return Vec::new();
         }
@@ -455,7 +457,7 @@ mod tests {
     use PromotionRule::{Delayed, Eager};
 
     fn finite(r: f64, max_r: f64, eta: f64, s: usize) -> RungLadder {
-        RungLadder::new(Geometry::new(r, Some(max_r), eta, s).unwrap())
+        RungLadder::new(Geometry::new(r, Some(max_r), eta, s).unwrap(), false)
     }
 
     #[test]
@@ -482,7 +484,7 @@ mod tests {
 
     #[test]
     fn a_negative_zero_loss_is_promotable() {
-        let mut rung = Rung::new();
+        let mut rung = Rung::new(true);
         rung.record(TrialId(0), -0.0);
         rung.record(TrialId(1), -0.5);
         rung.record(TrialId(2), 0.0);
@@ -499,7 +501,7 @@ mod tests {
 
     #[test]
     fn a_negative_infinite_loss_is_poisoned_not_best() {
-        let mut rung = Rung::new();
+        let mut rung = Rung::new(true);
         rung.record(TrialId(0), f64::NEG_INFINITY);
         rung.record(TrialId(1), 0.5);
         rung.record(TrialId(2), 0.7);
@@ -542,7 +544,7 @@ mod tests {
 
     #[test]
     fn promotable_needs_eta_records() {
-        let mut rung = Rung::new();
+        let mut rung = Rung::new(true);
         rung.record(TrialId(0), 0.5);
         rung.record(TrialId(1), 0.3);
         // |rung|/eta = 2/3 -> floor 0 candidates.
@@ -550,13 +552,14 @@ mod tests {
         rung.record(TrialId(2), 0.8);
         // Now 3/3 = 1 candidate: trial 1 with loss 0.3.
         assert_eq!(rung.promotable(3.0, Eager), Some((TrialId(1), 0.3)));
-        assert!(rung.loss_of.contains_key(&TrialId(1)));
-        assert!(!rung.loss_of.contains_key(&TrialId(9)));
+        let index = rung.index.as_ref().expect("an indexed rung");
+        assert!(index.loss_of.contains_key(&TrialId(1)));
+        assert!(!index.loss_of.contains_key(&TrialId(9)));
     }
 
     #[test]
     fn non_finite_losses_are_never_promotable() {
-        let mut rung = Rung::new();
+        let mut rung = Rung::new(true);
         rung.record(TrialId(0), f64::INFINITY);
         rung.record(TrialId(1), f64::NAN); // recorded as INFINITY
         rung.record(TrialId(2), f64::NEG_INFINITY);
@@ -578,7 +581,7 @@ mod tests {
 
     #[test]
     fn promoted_trials_are_skipped() {
-        let mut rung = Rung::new();
+        let mut rung = Rung::new(true);
         for (i, loss) in [0.9, 0.1, 0.2, 0.3, 0.4, 0.5].iter().enumerate() {
             rung.record(TrialId(i as u64), *loss);
         }
@@ -597,7 +600,7 @@ mod tests {
         // The exact Algorithm 2 corner case: the rung has promoted its k
         // quota, but a strictly better configuration arrives later — it
         // ranks inside the top k, so it must be promotable.
-        let mut rung = Rung::new();
+        let mut rung = Rung::new(true);
         for (i, loss) in [0.5, 0.6, 0.7].iter().enumerate() {
             rung.record(TrialId(i as u64), *loss);
         }
@@ -614,7 +617,7 @@ mod tests {
         // Same setup as `late_better_arrivals_reopen_promotion`: eager ASHA
         // promotes the late better arrival immediately, D-ASHA delays it
         // until the rung grows another quota slot.
-        let mut rung = Rung::new();
+        let mut rung = Rung::new(true);
         for (i, loss) in [0.5, 0.6, 0.7].iter().enumerate() {
             rung.record(TrialId(i as u64), *loss);
         }
@@ -640,7 +643,7 @@ mod tests {
 
     #[test]
     fn delayed_rule_matches_eager_under_quota() {
-        let mut rung = Rung::new();
+        let mut rung = Rung::new(true);
         for (i, loss) in [0.9, 0.1, 0.2, 0.3, 0.4, 0.5].iter().enumerate() {
             rung.record(TrialId(i as u64), *loss);
         }
@@ -650,7 +653,7 @@ mod tests {
 
     #[test]
     fn candidate_cache_invalidates_on_change() {
-        let mut rung = Rung::new();
+        let mut rung = Rung::new(true);
         for (i, loss) in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6].iter().enumerate() {
             rung.record(TrialId(i as u64), *loss);
         }
@@ -670,7 +673,7 @@ mod tests {
         // A cached *success* must also survive repeated queries (analysis
         // code may probe without promoting) and must change the moment the
         // caller promotes.
-        let mut rung = Rung::new();
+        let mut rung = Rung::new(true);
         for (i, loss) in [0.3, 0.1, 0.2].iter().enumerate() {
             rung.record(TrialId(i as u64), *loss);
         }
@@ -682,7 +685,7 @@ mod tests {
 
     #[test]
     fn candidate_cache_distinguishes_eta() {
-        let mut rung = Rung::new();
+        let mut rung = Rung::new(true);
         for (i, loss) in [0.4, 0.1, 0.2, 0.3].iter().enumerate() {
             rung.record(TrialId(i as u64), *loss);
         }
@@ -695,7 +698,7 @@ mod tests {
 
     #[test]
     fn top_k_merges_promoted_and_unpromoted() {
-        let mut rung = Rung::new();
+        let mut rung = Rung::new(true);
         for (i, loss) in [0.4, 0.1, 0.3, 0.2].iter().enumerate() {
             rung.record(TrialId(i as u64), *loss);
         }
@@ -708,7 +711,7 @@ mod tests {
 
     #[test]
     fn duplicate_records_are_ignored() {
-        let mut rung = Rung::new();
+        let mut rung = Rung::new(true);
         rung.record(TrialId(0), 0.5);
         rung.record(TrialId(0), 0.1);
         assert_eq!(rung.len(), 1);
@@ -717,7 +720,7 @@ mod tests {
 
     #[test]
     fn nan_losses_become_infinite() {
-        let mut rung = Rung::new();
+        let mut rung = Rung::new(true);
         rung.record(TrialId(0), f64::NAN);
         rung.record(TrialId(1), 0.4);
         assert_eq!(
@@ -727,10 +730,43 @@ mod tests {
     }
 
     #[test]
+    fn only_the_rungs_the_scan_visits_are_indexed() {
+        let indexed = |l: &RungLadder| {
+            l.rungs
+                .iter()
+                .map(|r| r.index.is_some())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(indexed(&finite(1.0, 9.0, 3.0, 0)), [true, true, false]);
+        let sha = RungLadder::new(Geometry::new(1.0, Some(9.0), 3.0, 0).unwrap(), true);
+        assert_eq!(indexed(&sha), [false, false, false]);
+        assert_eq!(indexed(&finite(9.0, 9.0, 3.0, 0)), [false], "random search");
+        let mut infinite = RungLadder::new(Geometry::new(1.0, None, 3.0, 0).unwrap(), false);
+        infinite.rung_mut(2);
+        assert_eq!(indexed(&infinite), [true, true, true]);
+    }
+
+    #[test]
+    fn a_records_only_rung_sorts_its_records_and_never_promotes() {
+        let mut rung = Rung::default();
+        for (i, loss) in [0.4, f64::NAN, 0.1, 0.4, -0.0, 0.0].iter().enumerate() {
+            rung.record(TrialId(i as u64), *loss);
+        }
+        let ids: Vec<u64> = rung.top_k(9).iter().map(|(t, _)| t.0).collect();
+        assert_eq!(ids, [4, 5, 2, 0, 3, 1]);
+        assert_eq!(rung.top_k(6)[5].1, f64::INFINITY);
+        assert_eq!(rung.promotable(3.0, Eager), None);
+        rung.mark_promoted(TrialId(2));
+        assert_eq!(
+            (rung.promoted_count(), rung.is_promoted(TrialId(2))),
+            (0, false)
+        );
+    }
+
+    #[test]
     fn top_k_is_stable_after_promotions() {
-        // top_k merges the lazy heap with the promoted set; stale heap
-        // entries must not resurface.
-        let mut rung = Rung::new();
+        // top_k reads the records, promoted or not.
+        let mut rung = Rung::new(true);
         for (i, loss) in [0.2, 0.1, 0.3].iter().enumerate() {
             rung.record(TrialId(i as u64), *loss);
         }
@@ -749,7 +785,7 @@ mod tests {
 
     #[test]
     fn mark_promoted_unknown_trial_is_ignored() {
-        let mut rung = Rung::new();
+        let mut rung = Rung::new(true);
         rung.record(TrialId(0), 0.5);
         rung.mark_promoted(TrialId(42));
         assert_eq!(rung.promoted_count(), 0);
@@ -757,7 +793,7 @@ mod tests {
 
     #[test]
     fn mark_promoted_is_idempotent() {
-        let mut rung = Rung::new();
+        let mut rung = Rung::new(true);
         for (i, loss) in [0.1, 0.2, 0.3].iter().enumerate() {
             rung.record(TrialId(i as u64), *loss);
         }
@@ -795,7 +831,7 @@ mod tests {
 
     #[test]
     fn infinite_horizon_grows_rungs() {
-        let mut ladder = RungLadder::new(Geometry::new(1.0, None, 3.0, 0).unwrap());
+        let mut ladder = RungLadder::new(Geometry::new(1.0, None, 3.0, 0).unwrap(), false);
         assert_eq!(ladder.max_rung(), None);
         for i in 0..3 {
             ladder.record(4, TrialId(i), i as f64);
@@ -812,7 +848,7 @@ mod tests {
         // Performance smoke test: 50k records with interleaved promotions
         // must complete fast (quadratic behaviour would take minutes).
         let start = std::time::Instant::now();
-        let mut rung = Rung::new();
+        let mut rung = Rung::new(true);
         let mut promoted = 0u64;
         for i in 0..50_000u64 {
             rung.record(TrialId(i), (i % 977) as f64);

@@ -21,6 +21,7 @@ use asha_space::Config;
 use crate::asha::Barrier;
 use crate::bracket_loop::{BracketLoopConfig, Opening};
 use crate::error::Error;
+use crate::fx::FxHashSet;
 use crate::rung::{PromotionRule, Rung};
 use crate::scheduler::Scheduler;
 
@@ -53,32 +54,36 @@ impl RungState {
 }
 
 /// Snapshot of an [`Asha`](crate::Asha) scheduler.
+///
+/// The trial table is the one trial count: its length is both the next
+/// trial id and the number of trials started. The store's document still
+/// carries `next_trial` and `trials_started` keys for readers of older
+/// stores; it writes `trials.len()` under both and refuses a document
+/// whose keys disagree with its table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AshaState {
     /// The scheduler's configuration (the ladder is rebuilt from it).
     pub config: crate::AshaConfig,
     /// Per-rung history, bottom rung first.
     pub rungs: Vec<RungState>,
-    /// Every trial's sampled configuration: trial ids `0..next_trial`, in
-    /// order.
+    /// Every trial's sampled configuration: trial ids `0..len`, in order.
     pub trials: Vec<(u64, Config)>,
     /// Issued-but-unreported `(trial, rung)` jobs, sorted.
     pub outstanding: Vec<(u64, usize)>,
-    /// Next trial id to assign.
-    pub next_trial: u64,
-    /// Number of distinct trials started.
-    pub trials_started: usize,
     /// The scheduler's display name.
     pub name: String,
 }
 
 impl AshaState {
     /// Check that an [`Asha`](crate::Asha) can hold this state, which
-    /// [`Asha::from_state`](crate::Asha::from_state) panics on otherwise: a
-    /// valid config; `trials` exactly the ids `0..n` in order, with
-    /// `next_trial == n`; every rung record, promoted id and outstanding id
-    /// below `n`; and every rung, and the rung of every outstanding job, on
-    /// the ladder. The codecs accept any well-formed document, so the
+    /// [`Asha::from_state`](crate::Asha::from_state) panics on otherwise, or
+    /// would not export again as it was: a valid config; `trials` exactly
+    /// the ids `0..n` in order; every rung record, promoted id and
+    /// outstanding id below `n`; every rung, and the rung of every
+    /// outstanding job, on the ladder; no trial recorded or promoted twice
+    /// in one rung, none promoted that the rung did not record, and none
+    /// promoted out of a finite ladder's top rung (which keeps no promotion
+    /// index). The codecs accept any well-formed document, so the
     /// boundaries that restore an untrusted state call this first.
     pub(crate) fn validate(&self) -> Result<(), Error> {
         let top = self.config.geometry()?.max_rung();
@@ -86,12 +91,6 @@ impl AshaState {
         if let Some((&(t, _), i)) = self.trials.iter().zip(0..).find(|&(&(t, _), i)| t != i) {
             return Err(Error::config(format!(
                 "trial {t} sits at position {i} of the trial table"
-            )));
-        }
-        if self.next_trial != n {
-            return Err(Error::config(format!(
-                "next_trial is {} but the trial table holds {n} trials",
-                self.next_trial
             )));
         }
         let rungs = self.rungs.len();
@@ -107,6 +106,17 @@ impl AshaState {
             let ids = rung.records.iter().map(|&(t, _)| t);
             if let Some(t) = ids.chain(rung.promoted.iter().copied()).find(|&t| t >= n) {
                 return Err(unknown(t, format!("rung {k}")));
+            }
+            let (mut recorded, mut promoted) = (FxHashSet::default(), FxHashSet::default());
+            if let Some(&(t, _)) = rung.records.iter().find(|&&(t, _)| !recorded.insert(t)) {
+                return Err(Error::config(format!("rung {k} records trial {t} twice")));
+            }
+            let stray =
+                |&&t: &&u64| top == Some(k) || !recorded.contains(&t) || !promoted.insert(t);
+            if let Some(t) = rung.promoted.iter().find(stray) {
+                return Err(Error::config(format!(
+                    "rung {k} promotes trial {t} twice, unrecorded or at the top"
+                )));
             }
         }
         for &(t, k) in &self.outstanding {
@@ -231,8 +241,7 @@ impl BracketLoopState {
             {
                 return refuse("a rung, record or job off the barrier, or a trial named twice");
             }
-            if state.trials_started != sampled
-                || sampled > n
+            if sampled > n
                 || (sampled < n && (rung > 0 || next < opened))
                 || (rung == 0 && !queue.is_empty())
                 || (sampled == n && queue.is_empty() && state.outstanding.is_empty())
@@ -459,12 +468,41 @@ mod tests {
         );
     }
 
+    /// An `Asha` mid-run on `(1, 9, 3)`: rung 0 has promoted trial 0 to
+    /// rung 1, where trials 0, 1 and 2 reached the top rung 2.
+    fn asha_mid_run() -> AshaState {
+        let mut asha = crate::Asha::new(space(), crate::AshaConfig::new(1.0, 9.0, 3.0));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        for _ in 0..40 {
+            if let Decision::Run(job) = asha.suggest(&mut rng) {
+                asha.observe(Observation::for_job(&job, job.trial.0 as f64));
+            }
+        }
+        asha.export_state()
+    }
+
     #[test]
-    fn sha_trials_started_other_than_sampled_are_refused() {
-        refused(
-            |s| s.brackets[1].asha.trials_started = 2,
-            "no open bracket reaches",
-        );
+    fn an_asha_state_that_would_not_export_as_it_was_is_refused() {
+        let state = asha_mid_run();
+        assert!(!state.rungs[1].promoted.is_empty() && !state.rungs[2].records.is_empty());
+        SchedulerState::Asha(state.clone()).validate().unwrap();
+        type Tamper = fn(&mut [RungState]);
+        let tampers: [(Tamper, &str); 4] = [
+            (|r| r[0].records.push(r[0].records[0]), "records trial"),
+            (|r| r[0].promoted.push(r[0].promoted[0]), "promotes trial"),
+            (
+                |r| r[1].promoted.push(r[0].records.last().unwrap().0),
+                "promotes trial",
+            ),
+            (|r| r[2].promoted.push(r[2].records[0].0), "promotes trial"),
+        ];
+        for (tamper, why) in tampers {
+            let mut state = state.clone();
+            tamper(&mut state.rungs);
+            let err = SchedulerState::Asha(state).validate().unwrap_err();
+            assert_eq!(err.kind(), crate::ErrorKind::Config, "{err}");
+            assert!(err.to_string().contains(why), "{err}");
+        }
     }
 
     #[test]
@@ -474,7 +512,6 @@ mod tests {
             b.barrier = Some(Barrier::default());
             b.asha.outstanding = vec![(0, 0)];
             b.asha.trials.pop();
-            (b.asha.next_trial, b.asha.trials_started) = (8, 8);
         };
         refused(unsampled, "no open bracket reaches");
     }

@@ -412,8 +412,10 @@ fn put_asha_state(w: &mut ValueWriter<'_>, s: &AshaState) {
         w.int(t);
         w.int(k as u64);
     }
-    w.key("next_trial").int(s.next_trial);
-    w.key("trials_started").int(s.trials_started as u64);
+    // One count under both keys older stores carry.
+    let count = s.trials.len() as u64;
+    w.key("next_trial").int(count);
+    w.key("trials_started").int(count);
     w.key("name").str(&s.name);
 }
 
@@ -423,13 +425,23 @@ fn get_asha_state(r: &mut Reader<'_>) -> Result<AshaState, Error> {
         Ok((r.u64()?, r.usize()?))
     };
     r.object(|o| {
+        let config = o.get("config", get_asha_config)?;
+        let rungs = o.get("rungs", |r| r.list(get_rung_state))?;
+        let trials = o.get("trials", |r| r.list(get_trial_config))?;
+        let outstanding = o.get("outstanding", |r| r.list(outstanding))?;
+        let next = o.get("next_trial", Reader::u64)?;
+        let started = o.get("trials_started", Reader::u64)?;
+        let n = trials.len() as u64;
+        if (next, started) != (n, n) {
+            return Err(Error::config(format!(
+                "next_trial {next} and trials_started {started} for a table of {n} trials"
+            )));
+        }
         Ok(AshaState {
-            config: o.get("config", get_asha_config)?,
-            rungs: o.get("rungs", |r| r.list(get_rung_state))?,
-            trials: o.get("trials", |r| r.list(get_trial_config))?,
-            outstanding: o.get("outstanding", |r| r.list(outstanding))?,
-            next_trial: o.get("next_trial", Reader::u64)?,
-            trials_started: o.get("trials_started", Reader::usize)?,
+            config,
+            rungs,
+            trials,
+            outstanding,
             name: o.get("name", Reader::string)?,
         })
     })

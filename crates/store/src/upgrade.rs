@@ -307,8 +307,9 @@ pub(crate) fn keyed_param_value(r: &mut Reader<'_>) -> Result<ParamValue, Error>
 /// and `trial_meta`, `[trial, bracket, config]` for every trial sampled, as
 /// the [`BracketLoopState`] SHA holds now: each bracket not `done`, ids
 /// made local, with the trials `trial_meta` files under it. What that
-/// cannot carry (an `outstanding` count not the `issued` list's, a rung
-/// past the ladder, a bracket whose trial ids pass `2^64`, one never
+/// cannot carry (an `outstanding` count not the `issued` list's, a
+/// `remaining_to_sample` count not the trials filed under the bracket, a
+/// rung past the ladder, a bracket whose trial ids pass `2^64`, one never
 /// opened) is refused; `SchedulerState::validate` judges the rest (an id
 /// of another bracket wraps past every trial sampled).
 pub(crate) fn sync_sha_state(r: &mut Reader<'_>) -> Result<BracketLoopState, Error> {
@@ -349,21 +350,20 @@ pub(crate) fn sync_sha_state(r: &mut Reader<'_>) -> Result<BracketLoopState, Err
                     rungs: ladder,
                     trials: Vec::new(),
                     outstanding: issued.into_iter().map(|t| (local(t), rung)).collect(),
-                    next_trial: sampled as u64,
-                    trials_started: sampled,
                     name: String::new(),
                 };
                 let queue = queue.into_iter().map(|(t, _)| local(t)).collect();
                 let barrier = Some(Barrier { rung, queue });
-                Ok((!done).then_some(BracketState {
+                let bracket = BracketState {
                     index,
                     asha,
                     barrier,
-                }))
+                };
+                Ok((!done).then_some((bracket, sampled)))
             })
         };
         let brackets = o.get("brackets", |r| r.list(bracket))?;
-        let mut brackets: Vec<_> = brackets.into_iter().flatten().collect();
+        let (mut brackets, sampled): (Vec<_>, Vec<_>) = brackets.into_iter().flatten().unzip();
         let trial = |r: &mut Reader<'_>| {
             r.tuple(3, "[trial, bracket, config] triple")?;
             Ok((r.u64()?, r.usize()?, codec::get_config(r)?))
@@ -373,6 +373,13 @@ pub(crate) fn sync_sha_state(r: &mut Reader<'_>) -> Result<BracketLoopState, Err
                 Ok(i) => brackets[i].asha.trials.push((t.wrapping_sub(base(b)), c)),
                 Err(_) if b >= opened => return Err(Error::config(format!("trial {t}: {b}"))),
                 Err(_) => {} // a finished bracket's
+            }
+        }
+        for (b, &n) in brackets.iter().zip(&sampled) {
+            let (index, filed) = (b.index, b.asha.trials.len());
+            if filed != n {
+                let msg = format!("bracket {index} sampled {n} trials but files {filed}");
+                return Err(Error::config(msg));
             }
         }
         let name = o.get("name", Reader::string)?;
@@ -484,6 +491,24 @@ mod tests {
         let err = codec::scheduler_state_from_json(&doc).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Config, "{err}");
         assert!(err.to_string().contains("bracket 2"), "{err}");
+    }
+
+    /// The trial count is the trials filed under a bracket, so a
+    /// `remaining_to_sample` that disagrees with them is refused.
+    #[test]
+    fn a_sync_sha_bracket_whose_trials_are_not_all_filed_is_refused() {
+        let doc = r#"{"kind": "sync_sha", "state": {"config": {"num_configs": 9,
+            "min_resource": 1, "max_resource": 9, "reduction_factor": 3,
+            "stop_rate": 0, "grow_brackets": true}, "brackets": [{"remaining_to_sample": 7,
+            "queue": [], "outstanding": 1, "issued": [0], "results": [], "rung": 0,
+            "done": false}], "trial_meta": [[0, 0, [0.5]]], "next_trial": 2, "name": "SHA"}}"#;
+        let doc = JsonValue::parse(doc).unwrap();
+        let err = codec::scheduler_state_from_json(&doc).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Config, "{err}");
+        assert!(
+            err.to_string().contains("sampled 2 trials but files 1"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -8,7 +8,8 @@ use std::path::{Path, PathBuf};
 use asha_baselines::{bohb_asha, Sampler};
 use asha_core::telemetry::EventKind;
 use asha_core::{
-    Asha, AshaConfig, BracketLoop, BracketLoopConfig, Decision, Observation, Scheduler, TrialId,
+    Asha, AshaConfig, AshaState, BracketLoop, BracketLoopConfig, Decision, Observation, Scheduler,
+    TrialId,
 };
 use asha_metrics::JsonValue;
 use asha_sim::{SimConfig, SimResult};
@@ -778,7 +779,8 @@ fn resume_refuses_a_snapshot_whose_configs_do_not_fit_the_space() {
 }
 
 /// A CRC-valid checkpoint whose state the run cannot hold — a rung record
-/// of a trial that was never sampled, a gap in the trial table, simulator
+/// of a trial that was never sampled, a gap in the trial table, a trial
+/// recorded twice in one rung or promoted out of the top one, simulator
 /// slots out of order, an in-flight or retry job without a slot, more
 /// workers than the cluster has — must be refused at resume as `Corrupt`,
 /// naming the checkpoint, not restored into a run that panics at its first
@@ -799,26 +801,34 @@ fn resume_refuses_a_snapshot_the_scheduler_cannot_hold() {
 
     let (good, path) = load_latest(&dir).unwrap().expect("checkpoints were taken");
     let file_name = path.file_name().unwrap().to_str().unwrap().to_owned();
+    fn asha(s: &mut Snapshot) -> &mut AshaState {
+        let SchedulerState::Asha(a) = &mut s.scheduler else {
+            unreachable!("chaos_meta runs ASHA")
+        };
+        a
+    }
     type Tamper = fn(&mut Snapshot);
-    let hostile: [(&str, Tamper); 7] = [
+    let hostile: [(&str, Tamper); 9] = [
         ("orphan record", |s| {
-            let SchedulerState::Asha(a) = &mut s.scheduler else {
-                unreachable!("chaos_meta runs ASHA")
-            };
-            a.rungs[0].records.push((a.next_trial + 100, 0.5));
+            let a = asha(s);
+            a.rungs[0].records.push((a.trials.len() as u64 + 100, 0.5));
         }),
         ("trial table gap", |s| {
-            let SchedulerState::Asha(a) = &mut s.scheduler else {
-                unreachable!("chaos_meta runs ASHA")
-            };
-            a.trials.remove(1);
-            a.next_trial -= 1;
+            asha(s).trials.remove(1);
         }),
         ("outstanding past the ladder", |s| {
-            let SchedulerState::Asha(a) = &mut s.scheduler else {
-                unreachable!("chaos_meta runs ASHA")
-            };
-            a.outstanding.push((0, 7));
+            asha(s).outstanding.push((0, 7));
+        }),
+        ("trial recorded twice in one rung", |s| {
+            let rung = &mut asha(s).rungs[0];
+            rung.records.push(rung.records[0]);
+        }),
+        ("promotion out of the finite top rung", |s| {
+            let rungs = &mut asha(s).rungs;
+            let record = rungs[0].records[0];
+            let top = rungs.last_mut().expect("a finite ladder");
+            top.records.push(record);
+            top.promoted.push(record.0);
         }),
         ("slots out of order", |s| {
             s.sim.as_mut().expect("simulated run").slots.swap(0, 1);

@@ -180,8 +180,8 @@ fn put_asha_state(w: &mut ValueWriter<'_>, s: &AshaState) {
         w.int(t);
         w.int(k as u64);
     }
-    w.key("next_trial").int(s.next_trial);
-    w.key("trials_started").int(s.trials_started as u64);
+    w.key("next_trial").int(s.trials.len() as u64);
+    w.key("trials_started").int(s.trials.len() as u64);
     w.key("name").str(&s.name);
 }
 

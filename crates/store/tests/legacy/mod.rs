@@ -86,7 +86,7 @@ pub fn of_run(state: &BracketLoopState, configs: &BTreeMap<u64, Config>) -> Sync
         let (rung, queue) = (barrier.rung, &barrier.queue);
         let queued = |&t: &u64| (base + t, asha.trials[t as usize].1.clone());
         BracketState {
-            remaining_to_sample: n - asha.trials_started,
+            remaining_to_sample: n - asha.trials.len(),
             queue: queue.iter().map(queued).collect(),
             outstanding: asha.outstanding.len(),
             issued: asha.outstanding.iter().map(|&(t, _)| base + t).collect(),

@@ -192,21 +192,9 @@ fn check_restore(
     Ok(())
 }
 
-/// Compatibility: snapshots written before the promotion-candidate indexes
-/// existed contain only arrival-ordered records and promoted lists — no
-/// index data. Loading such a snapshot must rebuild every index by replay
-/// and make the exact promotion decisions the records imply.
-///
-/// The fixture is hand-written JSON in the v1 snapshot scheduler schema
-/// (which the index work deliberately left unchanged): a two-rung ASHA
-/// ladder mid-run, with rung 0 at its promotion quota and rung 1 holding an
-/// unpromoted best trial.
-#[test]
-fn pre_index_snapshot_restores_and_promotes_correctly() {
-    let fixture_space = SearchSpace::builder()
-        .continuous("x", 0.0, 1.0, Scale::Linear)
-        .build()
-        .expect("valid space");
+/// The hand-written two-rung ASHA document of nine trials below, with the
+/// two trial counts older stores carry.
+fn pre_index_document(next_trial: u64, trials_started: u64) -> JsonValue {
     let trials_json: String = (0..9)
         .map(|t| format!("[{t}, [{{\"float\": 0.{t}5}}]]"))
         .collect::<Vec<_>>()
@@ -229,13 +217,46 @@ fn pre_index_snapshot_restores_and_promotes_correctly() {
             ],
             "trials": [{trials_json}],
             "outstanding": [],
-            "next_trial": 9,
-            "trials_started": 9,
+            "next_trial": {next_trial},
+            "trials_started": {trials_started},
             "name": "ASHA"
         }}
     }}"#
     );
-    let parsed = JsonValue::parse(&text).expect("fixture parses");
+    JsonValue::parse(&text).expect("fixture parses")
+}
+
+/// The trial table is an `asha` document's one trial count: a `next_trial`
+/// or `trials_started` key that disagrees with it is refused as the
+/// document is decoded, not restored into a scheduler that samples past its
+/// `max_trials` or reuses a trial id.
+#[test]
+fn an_asha_document_whose_counts_disagree_with_its_trials_is_refused() {
+    for (next_trial, trials_started) in [(9, 0), (4, 9), (10, 10)] {
+        let doc = pre_index_document(next_trial, trials_started);
+        let err = scheduler_state_from_json(&doc).expect_err("counts off the table decoded");
+        assert_eq!(err.kind(), asha_store::ErrorKind::Config, "{err}");
+        let want = format!("next_trial {next_trial} and trials_started {trials_started}");
+        assert!(err.to_string().contains(&want), "{err}");
+    }
+}
+
+/// Compatibility: snapshots written before the promotion-candidate indexes
+/// existed contain only arrival-ordered records and promoted lists — no
+/// index data. Loading such a snapshot must rebuild every index by replay
+/// and make the exact promotion decisions the records imply.
+///
+/// The fixture is hand-written JSON in the v1 snapshot scheduler schema
+/// (which the index work deliberately left unchanged): a two-rung ASHA
+/// ladder mid-run, with rung 0 at its promotion quota and rung 1 holding an
+/// unpromoted best trial.
+#[test]
+fn pre_index_snapshot_restores_and_promotes_correctly() {
+    let fixture_space = SearchSpace::builder()
+        .continuous("x", 0.0, 1.0, Scale::Linear)
+        .build()
+        .expect("valid space");
+    let parsed = pre_index_document(9, 9);
     let state = scheduler_state_from_json(&parsed).expect("fixture decodes");
     let mut restored = StoredScheduler::from_state(fixture_space, state, Sampler::Random);
     let mut rng = StdRng::seed_from_u64(0);

@@ -111,20 +111,15 @@ fn asha_state(any_rule: bool) -> impl Strategy<Value = AshaState> {
         prop::collection::vec(rung, 0..4),
         trial_configs(),
         prop::collection::vec((any::<u64>(), any::<usize>()), 0..3),
-        (any::<u64>(), any::<usize>()),
         name(),
     )
-        .prop_map(
-            |(config, rungs, trials, outstanding, (next_trial, trials_started), name)| AshaState {
-                config,
-                rungs,
-                trials,
-                outstanding,
-                next_trial,
-                trials_started,
-                name,
-            },
-        )
+        .prop_map(|(config, rungs, trials, outstanding, name)| AshaState {
+            config,
+            rungs,
+            trials,
+            outstanding,
+            name,
+        })
 }
 
 /// A SHA config on the 1..27, η = 3 ladder (decoders validate).
