@@ -18,6 +18,7 @@ use asha::sim::{ClusterSim, ResumePolicy, SimConfig};
 use asha::surrogate::{presets, BenchmarkModel};
 use asha::tune::Searcher;
 use asha_bench::cli::Cli;
+use asha_bench::outln;
 use asha_bench::{print_comparison, run_experiment_parallel, ExperimentConfig, MethodSpec};
 use rand::SeedableRng;
 
@@ -63,17 +64,19 @@ fn main() {
     scratch_cfg.sim.resume = ResumePolicy::FromScratch;
     let ckpt = run_experiment_parallel(&bench, &methods, &ckpt_cfg, threads);
     let scratch = run_experiment_parallel(&bench, &methods, &scratch_cfg, threads);
-    println!("\n== Ablation 2 — resume policy (benchmark 2, 25 workers) ==");
-    println!("{:>22} {:>14} {:>14}", "", "checkpoint", "from-scratch");
-    println!(
+    outln!("\n== Ablation 2 — resume policy (benchmark 2, 25 workers) ==");
+    outln!("{:>22} {:>14} {:>14}", "", "checkpoint", "from-scratch");
+    outln!(
         "{:>22} {:>14.4} {:>14.4}",
         "final mean test error",
         ckpt[0].aggregate.final_mean(),
         scratch[0].aggregate.final_mean()
     );
-    println!(
+    outln!(
         "{:>22} {:>14.0} {:>14.0}",
-        "configs/trial", ckpt[0].mean_configs, scratch[0].mean_configs
+        "configs/trial",
+        ckpt[0].mean_configs,
+        scratch[0].mean_configs
     );
 
     // 3. Early-stopping rate s.
@@ -105,20 +108,22 @@ fn main() {
     let result = ClusterSim::new(SimConfig::new(25, 150.0)).run(scheduler, &bench, &mut rng);
     let by_any = result.trace.incumbent_curve();
     let final_only = result.trace.incumbent_curve_final_only(R);
-    println!("\n== Ablation 5 — incumbent accounting (Section 3.3) ==");
-    println!(
+    outln!("\n== Ablation 5 — incumbent accounting (Section 3.3) ==");
+    outln!(
         "{:>8} {:>22} {:>22}",
-        "time", "intermediate losses", "final-rung only"
+        "time",
+        "intermediate losses",
+        "final-rung only"
     );
     for t in [15.0, 30.0, 60.0, 100.0, 150.0] {
-        println!(
+        outln!(
             "{t:>8.0} {:>22.4} {:>22.4}",
             by_any.eval_or(t, f64::NAN),
             final_only.eval_or(t, f64::NAN)
         );
     }
 
-    println!("\nExpected: top-down ≈ bottom-up early but top-down reaches full-budget configs");
-    println!("sooner; checkpointing beats from-scratch; aggressive early stopping (s = 0) and");
-    println!("eta = 4 are solid defaults, as the paper argues.");
+    outln!("\nExpected: top-down ≈ bottom-up early but top-down reaches full-budget configs");
+    outln!("sooner; checkpointing beats from-scratch; aggressive early stopping (s = 0) and");
+    outln!("eta = 4 are solid defaults, as the paper argues.");
 }

@@ -62,6 +62,7 @@ use asha::store::{BenchSpec, Durability, ExperimentMeta, RunOptions};
 use asha::surrogate::BenchmarkModel as _;
 use asha_bench::cli::{Cli, CommandLine};
 use asha_bench::durable_method;
+use asha_bench::{out, outln};
 
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("asha-ctl: error: {msg}");
@@ -207,7 +208,7 @@ fn follow(client: &mut Client, name: &str, from_seq: u64, print_lines: bool) -> 
                 match push {
                     Push::Event { data, .. } => {
                         if print_lines {
-                            println!("{}", data.render_compact());
+                            outln!("{}", data.render_compact());
                         }
                         if data.get("seq").is_some() {
                             match event_from_json(&data) {
@@ -289,13 +290,13 @@ fn fmt_secs(s: f64) -> String {
 
 /// One rendered frame of the `top` view.
 fn render_top(snap: &JsonValue, rows: &[asha::service::WireStatus]) {
-    println!(
+    outln!(
         "asha-serve — up {:.0}s — metrics on",
         jpath(snap, "uptime_s")
             .and_then(JsonValue::as_f64)
             .unwrap_or(0.0),
     );
-    println!(
+    outln!(
         "conns {} open / {} total   workers queue {}   subs {} open   http scrapes {}",
         jint(snap, "connections.open"),
         jint(snap, "connections.total"),
@@ -303,7 +304,7 @@ fn render_top(snap: &JsonValue, rows: &[asha::service::WireStatus]) {
         jint(snap, "subscriptions.open"),
         jint(snap, "http.requests"),
     );
-    println!(
+    outln!(
         "reactor: {} iters (p50/p99 {}), wake {}, {} B in / {} B out, {} decode errs, {} read pauses",
         jint(snap, "reactor.iterations"),
         jhist(snap, "reactor.iteration"),
@@ -313,7 +314,7 @@ fn render_top(snap: &JsonValue, rows: &[asha::service::WireStatus]) {
         jint(snap, "reactor.decode_errors"),
         jint(snap, "reactor.read_pauses"),
     );
-    println!(
+    outln!(
         "requests: {} total, {} errors, {} slow   events: {} sent",
         jint(snap, "requests.total"),
         jint(snap, "requests.errors"),
@@ -321,12 +322,15 @@ fn render_top(snap: &JsonValue, rows: &[asha::service::WireStatus]) {
         jint(snap, "subscriptions.events_sent"),
     );
     if let Some(JsonValue::Obj(by_op)) = jpath(snap, "requests.by_op") {
-        println!(
+        outln!(
             "  {:<12} {:>8} {:>6}  {:<20} EXEC p50/p99",
-            "OP", "COUNT", "ERRS", "QUEUE p50/p99"
+            "OP",
+            "COUNT",
+            "ERRS",
+            "QUEUE p50/p99"
         );
         for (op, cells) in by_op {
-            println!(
+            outln!(
                 "  {:<12} {:>8} {:>6}  {:<20} {}",
                 op,
                 jint(cells, "count"),
@@ -338,12 +342,17 @@ fn render_top(snap: &JsonValue, rows: &[asha::service::WireStatus]) {
     }
     if let Some(JsonValue::Obj(tailers)) = snap.get("tailers") {
         if !tailers.is_empty() {
-            println!(
+            outln!(
                 "  {:<24} {:>5} {:>8} {:>10} {:>8} {:>8}",
-                "TAILER", "SUBS", "LAG", "FANOUT", "JAMS", "TIMEDOUT"
+                "TAILER",
+                "SUBS",
+                "LAG",
+                "FANOUT",
+                "JAMS",
+                "TIMEDOUT"
             );
             for (name, t) in tailers {
-                println!(
+                outln!(
                     "  {:<24} {:>5} {:>8} {:>10} {:>8} {:>8}",
                     name,
                     jint(t, "subscribers"),
@@ -355,16 +364,16 @@ fn render_top(snap: &JsonValue, rows: &[asha::service::WireStatus]) {
             }
         }
     }
-    println!(
+    outln!(
         "store: wal append {}   fsync {}   snapshot write {}",
         jhist(snap, "store.wal_append"),
         jhist(snap, "store.wal_fsync"),
         jhist(snap, "store.snapshot_write"),
     );
     if !rows.is_empty() {
-        println!("experiments:");
+        outln!("experiments:");
         for row in rows {
-            println!("  {:<24} {}", row.name, row.status.as_str());
+            outln!("  {:<24} {}", row.name, row.status.as_str());
         }
     }
 }
@@ -387,20 +396,20 @@ fn main() {
     let run: Box<dyn FnOnce(&mut Client)> = match command {
         "ping" => Box::new(|client| {
             client.ping().unwrap_or_else(|e| fail(e));
-            println!("pong");
+            outln!("pong");
         }),
         "create" => {
             let (meta, opts) = create_request(&args);
             Box::new(move |client| {
                 client.create(&meta, opts).unwrap_or_else(|e| fail(e));
-                println!("created {}", meta.name);
+                outln!("created {}", meta.name);
             })
         }
         "start" => {
             let (name, opts) = (name(), run_options(&args));
             Box::new(move |client| {
                 client.start(name, opts).unwrap_or_else(|e| fail(e));
-                println!("started {name}");
+                outln!("started {name}");
             })
         }
         "pause" | "resume" | "abort" => {
@@ -412,24 +421,24 @@ fn main() {
                     _ => client.abort(name),
                 };
                 result.unwrap_or_else(|e| fail(e));
-                println!("{command} {name}: ok");
+                outln!("{command} {name}: ok");
             })
         }
         "status" => {
             let name = name();
             Box::new(move |client| {
                 let status = client.status(name).unwrap_or_else(|e| fail(e));
-                println!("{} {}", status.name, status.status.as_str());
+                outln!("{} {}", status.name, status.status.as_str());
             })
         }
         "list" => Box::new(|client| {
             for row in client.list().unwrap_or_else(|e| fail(e)) {
-                println!("{:<24} {}", row.name, row.status.as_str());
+                outln!("{:<24} {}", row.name, row.status.as_str());
             }
         }),
         "metrics" => Box::new(|client| {
             let snap = client.metrics().unwrap_or_else(|e| fail(e));
-            print!("{}", snap.render());
+            out!("{}", snap.render());
         }),
         "top" => {
             let interval = args.seconds("--interval").unwrap_or(Duration::from_secs(2));
@@ -444,7 +453,7 @@ fn main() {
                     if frame > 0 {
                         // Clear between frames only, so a single `--count 1`
                         // shot (and anything piping the output) gets plain text.
-                        print!("\x1b[2J\x1b[H");
+                        out!("\x1b[2J\x1b[H");
                     }
                     render_top(&snap, &rows);
                     if frame + 1 == count {
@@ -464,7 +473,7 @@ fn main() {
             Box::new(move |client| {
                 let events = follow(client, name, from, false);
                 let report = RunReport::from_events(&events, workers);
-                println!("{}", report.render_text());
+                outln!("{}", report.render_text());
                 if let Some(path) = out {
                     std::fs::write(path, report.to_json().render())
                         .unwrap_or_else(|e| fail(format!("writing {path}: {e}")));
@@ -474,7 +483,7 @@ fn main() {
         }
         "shutdown" => Box::new(|client| {
             client.shutdown().unwrap_or_else(|e| fail(e));
-            println!("shutdown requested");
+            outln!("shutdown requested");
         }),
         other => unreachable!("{other:?} is not in COMMANDS"),
     };

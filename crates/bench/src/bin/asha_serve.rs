@@ -26,6 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use asha::service::{Daemon, ServeOptions};
 use asha_bench::cli::Cli;
+use asha_bench::outln;
 
 /// Set from the signal handler; polled by the main loop.
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
@@ -110,12 +111,12 @@ fn main() {
 
     let daemon = Daemon::start(opts).unwrap_or_else(|e| fail(e));
     if let Some(addr) = daemon.tcp_addr() {
-        println!("asha-serve: listening on tcp {addr}");
+        outln!("asha-serve: listening on tcp {addr}");
     }
     if let Some(addr) = daemon.metrics_addr() {
-        println!("asha-serve: metrics on http://{addr}/metrics");
+        outln!("asha-serve: metrics on http://{addr}/metrics");
     }
-    println!("asha-serve: ready (pid {})", std::process::id());
+    outln!("asha-serve: ready (pid {})", std::process::id());
 
     loop {
         if SIGNALLED.load(Ordering::SeqCst) {
@@ -131,7 +132,7 @@ fn main() {
     }
 
     match daemon.wait() {
-        Ok(()) => println!("asha-serve: drained, exiting"),
+        Ok(()) => outln!("asha-serve: drained, exiting"),
         Err(e) => fail(format!("shutdown: {e}")),
     }
 }

@@ -7,6 +7,7 @@
 use asha::core::{AshaConfig, BracketLoopConfig, Decision, Observation, Scheduler};
 use asha::space::{Scale, SearchSpace};
 use asha::tune::Searcher;
+use asha_bench::outln;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -37,16 +38,16 @@ fn serial_trace(searcher: Searcher, max_jobs: usize) -> Vec<(u64, usize, f64)> {
 }
 
 fn print_trace(title: &str, trace: &[(u64, usize, f64)]) {
-    println!("\n{title}");
-    println!("{:>5} {:>8} {:>6} {:>8}", "job", "config", "rung", "budget");
+    outln!("\n{title}");
+    outln!("{:>5} {:>8} {:>6} {:>8}", "job", "config", "rung", "budget");
     for (i, (trial, rung, budget)) in trace.iter().enumerate() {
-        println!("{:>5} {:>8} {:>6} {:>8}", i + 1, trial, rung, budget);
+        outln!("{:>5} {:>8} {:>6} {:>8}", i + 1, trial, rung, budget);
     }
 }
 
 fn main() {
     asha_bench::cli::Cli::no_args("fig2_promotion_trace").parse();
-    println!("Figure 2: promotion schemes of SHA vs ASHA (bracket 0, r=1, R=9, eta=3)");
+    outln!("Figure 2: promotion schemes of SHA vs ASHA (bracket 0, r=1, R=9, eta=3)");
 
     let sha_trace = serial_trace(
         Searcher::bracket_loop(BracketLoopConfig::sha(9, 1.0, 9.0, 3.0)),
@@ -60,7 +61,7 @@ fn main() {
     // The structural claims of the figure, checked programmatically.
     let sha_first_promo = sha_trace.iter().position(|&(_, rung, _)| rung == 1);
     let asha_first_promo = asha_trace.iter().position(|&(_, rung, _)| rung == 1);
-    println!(
+    outln!(
         "\nSHA first promotion at job {} (after the whole rung of 9); \
          ASHA at job {} (as soon as eta configs have completed).",
         sha_first_promo.map_or(0, |i| i + 1),
@@ -68,5 +69,5 @@ fn main() {
     );
     assert_eq!(sha_first_promo, Some(9));
     assert_eq!(asha_first_promo, Some(3));
-    println!("ASHA keeps each rung at ~1/eta of the rung below while growing the bottom rung.");
+    outln!("ASHA keeps each rung at ~1/eta of the rung below while growing the bottom rung.");
 }

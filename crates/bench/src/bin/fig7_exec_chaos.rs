@@ -18,6 +18,7 @@ use asha::exec::{
 use asha::metrics::{write_csv, FaultStats};
 use asha::space::{Config, ParamValue, Scale, SearchSpace};
 use asha::tune::Searcher;
+use asha_bench::outln;
 
 const R: f64 = 256.0;
 const ETA: f64 = 4.0;
@@ -84,14 +85,19 @@ fn run_cell(searcher: Searcher, rate: f64, seed_base: u64) -> Cell {
 fn main() {
     asha_bench::cli::Cli::no_args("fig7_exec_chaos").parse();
     install_quiet_panic_hook();
-    println!(
+    outln!(
         "Executor chaos sweep: configs trained to R = {R} over {RUNS} runs/cell ({WORKERS} workers)"
     );
     let rates = [0.0, 0.02, 0.05, 0.1, 0.2];
     let mut rows = Vec::new();
-    println!(
+    outln!(
         "{:>10} {:>10} {:>12} {:>10} {:>12} {:>10}",
-        "rate", "ASHA@R", "ASHA best", "SHA@R", "SHA best", "faults"
+        "rate",
+        "ASHA@R",
+        "ASHA best",
+        "SHA@R",
+        "SHA best",
+        "faults"
     );
     for (i, &rate) in rates.iter().enumerate() {
         let asha = run_cell(
@@ -105,9 +111,12 @@ fn main() {
             2000 + i as u64,
         );
         let total_faults = asha.faults.total() + sha.faults.total();
-        println!(
+        outln!(
             "{rate:>10.2} {:>10} {:>12.4} {:>10} {:>12.4} {total_faults:>10}",
-            asha.configs_at_r, asha.best, sha.configs_at_r, sha.best
+            asha.configs_at_r,
+            asha.best,
+            sha.configs_at_r,
+            sha.best
         );
         rows.push(vec![
             rate,
@@ -134,7 +143,7 @@ fn main() {
     ) {
         eprintln!("warning: {e}");
     }
-    println!("\nExpected shape: both finish every sweep cell (faults never kill the pool);");
-    println!("ASHA keeps pushing survivors to R as rates grow, while the synchronous");
-    println!("barrier stalls brackets whose rungs collect poisoned trials.");
+    outln!("\nExpected shape: both finish every sweep cell (faults never kill the pool);");
+    outln!("ASHA keeps pushing survivors to R as rates grow, while the synchronous");
+    outln!("barrier stalls brackets whose rungs collect poisoned trials.");
 }

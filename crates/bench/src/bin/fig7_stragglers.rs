@@ -4,6 +4,7 @@
 //! (settings in [`asha_bench::sweep`]).
 //! Takes no arguments: any is a usage error (exit 2).
 
+use asha_bench::outln;
 use asha_bench::sweep::{self, HORIZON, R};
 
 fn main() {
@@ -17,6 +18,6 @@ fn main() {
         "results/fig7_stragglers.csv",
         ["asha_configs_at_r", "sha_configs_at_r"],
     );
-    println!("Expected shape (paper): ASHA trains many more configurations to R, and its");
-    println!("advantage grows with straggler variance and drop probability.");
+    outln!("Expected shape (paper): ASHA trains many more configurations to R, and its");
+    outln!("advantage grows with straggler variance and drop probability.");
 }

@@ -7,6 +7,7 @@
 //! curves of the paper's plot).
 //! Takes no arguments: any is a usage error (exit 2).
 
+use asha_bench::outln;
 use asha_bench::sweep::{self, HORIZON, R};
 
 fn main() {
@@ -20,6 +21,6 @@ fn main() {
         "results/fig8_time_to_first.csv",
         ["asha_first_time", "sha_first_time"],
     );
-    println!("Expected shape (paper): ASHA reaches a fully-trained configuration much sooner,");
-    println!("and degrades gracefully where SHA's time blows up toward the horizon.");
+    outln!("Expected shape (paper): ASHA reaches a fully-trained configuration much sooner,");
+    outln!("and degrades gracefully where SHA's time blows up toward the horizon.");
 }

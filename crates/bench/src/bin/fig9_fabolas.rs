@@ -11,6 +11,7 @@ use asha::metrics::{aggregate, uniform_grid, write_csv, AggregateCurve, RunTrace
 use asha::sim::{ClusterSim, SimConfig};
 use asha::surrogate::{presets, BenchmarkModel, CurveBenchmark};
 use asha::tune::Searcher;
+use asha_bench::{out, outln};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -62,28 +63,28 @@ fn run_task(bench: &CurveBenchmark, horizon: f64, default_loss: f64, stem: &str)
         (name, aggregate(&curves, &grid, default_loss))
     });
 
-    println!(
+    outln!(
         "\n== Figure 9 — {} (1 worker, mean of {TRIALS} trials, test error) ==",
         bench.name()
     );
-    print!("{:>10}", "time");
+    out!("{:>10}", "time");
     for (name, _) in &series {
-        print!("{name:>24}");
+        out!("{name:>24}");
     }
-    println!();
+    outln!();
     for frac in [0.1, 0.25, 0.5, 0.75, 1.0] {
         let t = horizon * frac;
         let idx = grid.iter().position(|&g| g >= t).unwrap_or(grid.len() - 1);
-        print!("{t:>10.0}");
+        out!("{t:>10.0}");
         for (_, agg) in &series {
-            print!("{:>24.4}", agg.mean[idx]);
+            out!("{:>24.4}", agg.mean[idx]);
         }
-        println!();
+        outln!();
     }
     // Variance comparison the paper highlights: Hyperband (by rung) should
     // show a tighter final spread than Fabolas.
     let spread = |agg: &AggregateCurve| agg.max.last().unwrap() - agg.min.last().unwrap();
-    println!(
+    outln!(
         "final spread (max-min): by-rung {:.4}, fabolas {:.4}",
         spread(&series[0].1),
         spread(&series[2].1)
@@ -106,7 +107,7 @@ fn run_task(bench: &CurveBenchmark, horizon: f64, default_loss: f64, stem: &str)
 
 fn main() {
     asha_bench::cli::Cli::no_args("fig9_fabolas").parse();
-    println!("Figure 9: sequential Fabolas comparison on four tasks...");
+    outln!("Figure 9: sequential Fabolas comparison on four tasks...");
     let seed = presets::DEFAULT_SURFACE_SEED;
     run_task(&presets::svm_vehicle(seed), 800.0, 0.75, "fig9_svm_vehicle");
     run_task(&presets::svm_mnist(seed), 800.0, 0.90, "fig9_svm_mnist");
@@ -117,6 +118,6 @@ fn main() {
         "fig9_cifar10_convnet",
     );
     run_task(&presets::svhn_small_cnn(seed), 2500.0, 0.85, "fig9_svhn");
-    println!("\nExpected shape (paper): Hyperband (by rung) is competitive with or better than");
-    println!("Fabolas, with lower variance; Hyperband (by bracket) lags until bracket 0 ends.");
+    outln!("\nExpected shape (paper): Hyperband (by rung) is competitive with or better than");
+    outln!("Fabolas, with lower variance; Hyperband (by bracket) lags until bracket 0 ends.");
 }

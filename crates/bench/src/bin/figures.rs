@@ -11,6 +11,7 @@
 //! A malformed count from either source is a usage error (exit 2).
 
 use asha_bench::cli::Cli;
+use asha_bench::outln;
 use asha_bench::{Figure, FIGURES};
 
 const CLI: Cli = Cli {
@@ -25,7 +26,7 @@ fn main() {
     let threads = args.threads();
     if args.has("--list") {
         for figure in FIGURES {
-            println!("{}", figure.name);
+            outln!("{}", figure.name);
         }
         return;
     }

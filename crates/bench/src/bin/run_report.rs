@@ -52,6 +52,7 @@ use asha::store::{read_meta, read_wal, BenchSpec, DurableRun, ExperimentMeta, Ru
 use asha::surrogate::{presets, BenchmarkModel};
 use asha_bench::cli::{Cli, CommandLine};
 use asha_bench::durable_method;
+use asha_bench::{out, outln};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -119,7 +120,7 @@ fn write_demo_log(path: &str, meta: ExperimentMeta, scheduler: Box<dyn DurableSc
     if let Err(e) = recorder.write_jsonl_durable(path) {
         fail(format!("failed to write {path}: {e}"));
     }
-    println!(
+    outln!(
         "demo: simulated {} jobs on {DEMO_WORKERS} workers (seed {}), wrote {} events to {path}\n",
         result.jobs_completed,
         meta.seed,
@@ -140,7 +141,7 @@ fn run_demo_store(
     if let Some(jobs) = crash_after_jobs {
         let alive = run.run_until_jobs(jobs).unwrap_or_else(|e| fail(e));
         if alive {
-            println!(
+            outln!(
                 "store demo: {} jobs completed in {}, crashing now (no cleanup)",
                 run.jobs_completed(),
                 dir.display()
@@ -153,7 +154,7 @@ fn run_demo_store(
     }
     while run.step().unwrap_or_else(|e| fail(e)) {}
     let result = run.into_result();
-    println!(
+    outln!(
         "store demo: simulated {} jobs on {DEMO_WORKERS} workers (seed {}), store in {}\n",
         result.jobs_completed,
         meta.seed,
@@ -169,7 +170,7 @@ fn resume_store(dir: &Path, opts: RunOptions) {
     let recovered_jobs = run.jobs_completed();
     while run.step().unwrap_or_else(|e| fail(e)) {}
     let result = run.into_result();
-    println!(
+    outln!(
         "resumed {:?} from {} at {recovered_jobs} jobs; finished with {} jobs\n",
         meta.name,
         dir.display(),
@@ -234,10 +235,10 @@ fn main() {
     };
 
     let report = RunReport::from_events(&events, workers);
-    print!("{}", report.render_text());
+    out!("{}", report.render_text());
     if let Some(json_path) = json {
         match asha::metrics::write_json(json_path, &report.to_json()) {
-            Ok(()) => println!("\nwrote {json_path}"),
+            Ok(()) => outln!("\nwrote {json_path}"),
             Err(e) => fail(e),
         }
     }

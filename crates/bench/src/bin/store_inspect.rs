@@ -23,7 +23,7 @@
 //! A missing `DIR`, an unknown flag or a second directory is a usage error
 //! (exit 2, the usage line on stderr).
 
-use std::io::{self, BufWriter, ErrorKind, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 use asha::metrics::JsonValue;
@@ -33,7 +33,7 @@ use asha::store::upgrade::{self, Checkpoint};
 use asha::store::{
     read_manifest, read_meta, DeltaDoc, Snapshot, WalRecord, MANIFEST_FILE, META_FILE, WAL_FILE,
 };
-use asha_bench::cli::Cli;
+use asha_bench::cli::{self, Cli};
 
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("error: {msg}");
@@ -259,11 +259,8 @@ fn run(out: &mut impl Write, dir: &Path, dump: bool) -> io::Result<()> {
 fn main() {
     let args = CLI.parse();
     let dir = Path::new(args.positional("directory"));
+    // One buffer for the whole report; a reader that went away
+    // (`store_inspect DIR | head`) stops it quietly.
     let mut out = BufWriter::new(io::stdout().lock());
-    match run(&mut out, dir, args.has("--dump")).and_then(|()| out.flush()) {
-        Ok(()) => {}
-        // The reader went away (`store_inspect DIR | head`): stop quietly.
-        Err(e) if e.kind() == ErrorKind::BrokenPipe => {}
-        Err(e) => fail(e),
-    }
+    cli::stdout_done(run(&mut out, dir, args.has("--dump")).and_then(|()| out.flush()));
 }

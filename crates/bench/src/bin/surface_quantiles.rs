@@ -14,6 +14,7 @@
 use asha::math::stats::{mean, quantile, std_dev};
 use asha::surrogate::{presets, BenchmarkModel};
 use asha_bench::cli::Cli;
+use asha_bench::outln;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -40,10 +41,18 @@ fn main() {
         presets::svm_vehicle(seed),
         presets::svm_mnist(seed),
     ];
-    println!("full-training loss quantiles over {n} uniform random configurations\n");
-    println!(
+    outln!("full-training loss quantiles over {n} uniform random configurations\n");
+    outln!(
         "{:<24} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>11} {:>9}",
-        "benchmark", "min", "p0.1%", "p1%", "p10%", "p50%", "p99%", "cost mean", "cost std"
+        "benchmark",
+        "min",
+        "p0.1%",
+        "p1%",
+        "p10%",
+        "p50%",
+        "p99%",
+        "cost mean",
+        "cost std"
     );
     for b in &benches {
         let mut rng = StdRng::seed_from_u64(9999);
@@ -56,7 +65,7 @@ fn main() {
             losses.push(b.validation_loss(&c, &s, &mut rng));
             costs.push(b.time_full(&c));
         }
-        println!(
+        outln!(
             "{:<24} {:>9.4} {:>9.4} {:>9.4} {:>9.4} {:>9.4} {:>9.4} {:>11.2} {:>9.2}",
             b.name(),
             quantile(&losses, 0.0),

@@ -23,6 +23,7 @@ use asha::sim::{ClusterSim, SimConfig};
 use asha::surrogate::{presets, BenchmarkModel, CurveBenchmark};
 use asha::tune::Searcher;
 use asha_bench::cli::Cli;
+use asha_bench::outln;
 use rand::SeedableRng;
 
 const CLI: Cli = Cli {
@@ -85,7 +86,7 @@ fn main() {
         args.usage_error(e);
     }
 
-    println!(
+    outln!(
         "tuning `{}` with {searcher_name} on {} simulated workers for {:.1} time units",
         bench.name(),
         sim.workers,
@@ -94,23 +95,26 @@ fn main() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let result = ClusterSim::new(sim).run(searcher.build(space), &bench, &mut rng);
 
-    println!(
+    outln!(
         "\ncompleted {} jobs over {} configurations ({} dropped), sim time {:.1}",
-        result.jobs_completed, result.distinct_trials, result.faults.jobs_dropped, result.end_time
+        result.jobs_completed,
+        result.distinct_trials,
+        result.faults.jobs_dropped,
+        result.end_time
     );
     match &result.best_config {
         Some((config, val_loss, resource)) => {
-            println!("best validation loss {val_loss:.4} at resource {resource:.0}:");
+            outln!("best validation loss {val_loss:.4} at resource {resource:.0}:");
             let summary = space
                 .display(config)
                 .unwrap_or_else(|_| "<foreign config>".to_owned());
             for pair in summary.split(' ') {
-                println!("    {pair}");
+                outln!("    {pair}");
             }
         }
-        None => println!("no job completed within the horizon"),
+        None => outln!("no job completed within the horizon"),
     }
-    println!("\nincumbent trajectory (last 5 improvements):");
+    outln!("\nincumbent trajectory (last 5 improvements):");
     let curve = result.trace.incumbent_curve();
     for &(t, v) in curve
         .points()
@@ -121,6 +125,6 @@ fn main() {
         .iter()
         .rev()
     {
-        println!("    t = {t:9.2}   test loss = {v:.4}");
+        outln!("    t = {t:9.2}   test loss = {v:.4}");
     }
 }

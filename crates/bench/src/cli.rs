@@ -14,10 +14,55 @@
 //! - `--help` / `-h` prints the usage line to stdout and exits 0.
 //!
 //! Runtime errors are the binaries' own and exit 1.
+//!
+//! Every binary prints through [`out!`](crate::out) and
+//! [`outln!`](crate::outln), which write to the process's one stdout (std's
+//! buffered one, locked for each write), or, for a binary that buffers a
+//! whole report itself, hands its write result to [`stdout_done`]. Either
+//! way a reader that went away (`tune_sim ... | head -1`) ends the binary
+//! quietly with status 0, without a panic and without resetting SIGPIPE;
+//! any other write failure is a runtime error.
 
 use std::fmt::Display;
+use std::io::{self, ErrorKind};
 use std::str::FromStr;
 use std::time::Duration;
+
+/// `print!` for this crate's binaries: see the [`cli`](crate::cli) module.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::cli::stdout_done(::std::io::Write::write_fmt(
+            &mut ::std::io::stdout().lock(),
+            format_args!($($arg)*),
+        ))
+    };
+}
+
+/// `println!` for this crate's binaries: see the [`cli`](crate::cli) module.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::out!("\n")
+    };
+    ($($arg:tt)*) => {
+        $crate::out!("{}\n", format_args!($($arg)*))
+    };
+}
+
+/// What a write to stdout came to: nothing to do when it went through; the
+/// end of the process, quietly and with status 0, when the reader went
+/// away; `error: ...` and status 1 otherwise.
+pub fn stdout_done(result: io::Result<()>) {
+    match result {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("error: writing to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
 
 /// A binary's command-line grammar.
 #[derive(Debug, Clone, Copy)]
@@ -91,7 +136,7 @@ impl Cli {
         while !(stop && args.positionals.len() == self.positionals) {
             let Some(arg) = raw.next() else { break };
             if arg == "--help" || arg == "-h" {
-                println!("usage: {} {}", self.bin, self.synopsis);
+                crate::outln!("usage: {} {}", self.bin, self.synopsis);
                 std::process::exit(0);
             }
             if !arg.starts_with('-') && args.positionals.len() < self.positionals {

@@ -11,6 +11,7 @@ use asha_sim::SimConfig;
 use asha_space::SearchSpace;
 use asha_surrogate::{presets, BenchmarkModel, CurveBenchmark};
 
+use crate::outln;
 use crate::{
     print_comparison, print_time_to_reach, run_experiment_parallel, write_results,
     ExperimentConfig, MethodSpec,
@@ -66,7 +67,7 @@ impl Figure {
     /// Run every panel on `threads` worker threads, print the tables and
     /// write the CSVs.
     pub fn run(&self, threads: usize) {
-        println!("{}", self.banner);
+        outln!("{}", self.banner);
         for panel in self.panels {
             let bench = (panel.bench)(presets::DEFAULT_SURFACE_SEED);
             let methods = (self.methods)(bench.space());
@@ -78,7 +79,7 @@ impl Figure {
             }
             write_results(panel.stem, &results);
         }
-        println!("\n{}", self.expected);
+        outln!("\n{}", self.expected);
     }
 }
 

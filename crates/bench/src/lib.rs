@@ -255,45 +255,45 @@ pub fn durable_method(
 /// Print a fixed-width comparison table: one row per sampled time, one
 /// column per method (mean incumbent loss).
 pub fn print_comparison(title: &str, results: &[MethodResult], sample_times: &[f64]) {
-    println!("\n== {title} ==");
-    print!("{:>12}", "time");
+    outln!("\n== {title} ==");
+    out!("{:>12}", "time");
     for r in results {
-        print!("{:>18}", r.name);
+        out!("{:>18}", r.name);
     }
-    println!();
+    outln!();
     for &t in sample_times {
-        print!("{t:>12.1}");
+        out!("{t:>12.1}");
         for r in results {
             let idx = nearest_grid_index(&r.aggregate.grid, t);
-            print!("{:>18.4}", r.aggregate.mean[idx]);
+            out!("{:>18.4}", r.aggregate.mean[idx]);
         }
-        println!();
+        outln!();
     }
-    print!("{:>12}", "final");
+    out!("{:>12}", "final");
     for r in results {
-        print!("{:>18.4}", r.aggregate.final_mean());
+        out!("{:>18.4}", r.aggregate.final_mean());
     }
-    println!();
-    print!("{:>12}", "jobs/trial");
+    outln!();
+    out!("{:>12}", "jobs/trial");
     for r in results {
-        print!("{:>18.0}", r.mean_jobs);
+        out!("{:>18.0}", r.mean_jobs);
     }
-    println!();
-    print!("{:>12}", "configs");
+    outln!();
+    out!("{:>12}", "configs");
     for r in results {
-        print!("{:>18.0}", r.mean_configs);
+        out!("{:>18.0}", r.mean_configs);
     }
-    println!();
+    outln!();
 }
 
 /// Print "time to reach threshold" per method — the paper's headline
 /// comparisons ("ASHA finds a configuration below X in Y minutes").
 pub(crate) fn print_time_to_reach(results: &[MethodResult], threshold: f64) {
-    println!("\n-- time to reach mean loss <= {threshold} --");
+    outln!("\n-- time to reach mean loss <= {threshold} --");
     for r in results {
         match r.aggregate.time_to_reach(threshold) {
-            Some(t) => println!("{:>20}: {t:.1}", r.name),
-            None => println!("{:>20}: not reached", r.name),
+            Some(t) => outln!("{:>20}: {t:.1}", r.name),
+            None => outln!("{:>20}: not reached", r.name),
         }
     }
 }

@@ -7,6 +7,7 @@
 //! unit); stragglers multiply expected time by `1 + |z|`,
 //! `z ~ N(0, std)`; jobs drop with probability `p` per time unit.
 
+use crate::outln;
 use asha::tune::Searcher;
 use asha_core::{AshaConfig, BracketLoopConfig};
 use asha_metrics::{write_csv, RunTrace};
@@ -58,10 +59,13 @@ pub fn run(
     let asha = Searcher::asha(AshaConfig::new(1.0, R, ETA));
     let sha = Searcher::bracket_loop(BracketLoopConfig::sha(256, 1.0, R, ETA).growing());
     let mut rows = Vec::new();
-    println!("{what} ({WORKERS} workers, {SIMS} sims/cell)");
-    println!(
+    outln!("{what} ({WORKERS} workers, {SIMS} sims/cell)");
+    outln!(
         "{:>10} {:>10} {:>12} {:>12}",
-        "train std", "drop prob", "ASHA", "SHA"
+        "train std",
+        "drop prob",
+        "ASHA",
+        "SHA"
     );
     for &std in stds {
         for (i, &p) in drops.iter().enumerate() {
@@ -82,10 +86,10 @@ pub fn run(
                 total / SIMS as f64
             };
             let (asha, sha) = (mean(&asha, seed_bases[0]), mean(&sha, seed_bases[1]));
-            println!("{std:>10.2} {p:>10.4} {asha:>12.1} {sha:>12.1}");
+            outln!("{std:>10.2} {p:>10.4} {asha:>12.1} {sha:>12.1}");
             rows.push(vec![std, p, asha, sha]);
         }
-        println!();
+        outln!();
     }
     let header = ["train_std", "drop_prob", columns[0], columns[1]];
     if let Err(e) = write_csv(csv, &header, &rows) {

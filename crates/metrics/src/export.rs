@@ -1,8 +1,29 @@
+//! CSV and JSON export: [`write_csv`], and [`JsonValue`] with its one
+//! renderer, its one parser and the leaf writers ([`push_json_str`],
+//! [`push_json_u64`], [`push_json_f64`]) every hand-written encoder shares.
+//!
+//! # Floats
+//!
+//! A float is written in Rust's `{}` form: the shortest digits that read
+//! back as the same `f64`, laid out without an exponent. Every log line,
+//! pushed frame and `results/` file renders floats so, and they must keep
+//! their bytes. [`push_json_f64`] finds the digits with a port of core's
+//! Grisu3 shortest mode (`grisu.rs`, from `core::num::flt2dec`, MIT or
+//! Apache-2.0 like this crate) and lays them out as core's
+//! `digits_to_dec_str` does, without going through `core::fmt`. Grisu
+//! declines when it cannot prove its digits shortest and nearest (under
+//! 1 % of random bit patterns, where core falls back to Dragon4); there the
+//! function calls `write!(out, "{v}")` itself. Both branches therefore give
+//! core's bytes by construction, and `tests::floats_are_written_as_core_writes_them`
+//! checks it on a million random bit patterns and every special class.
+
 use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 use std::io::Write as _;
 use std::path::Path;
+
+use crate::grisu;
 
 /// Error writing experiment output.
 #[derive(Debug)]
@@ -322,31 +343,35 @@ impl JsonValue {
 
 /// Append `s` to `out` as a JSON string literal (quoted and escaped): the
 /// bytes [`JsonValue::Str`] renders as. Runs that need no escaping are
-/// copied whole, so a plain key or name costs one `push_str`. Encoders that
-/// know their shape ([`JsonValue`]'s renderers, the event log) write their
-/// leaves through these three functions and so cannot disagree on a byte.
+/// copied whole, so a plain key or name costs one scan and one `push_str`.
+/// Encoders that know their shape ([`JsonValue`]'s renderers, the event
+/// log) write their leaves through these three functions and so cannot
+/// disagree on a byte.
 pub fn push_json_str(out: &mut String, s: &str) {
-    use std::fmt::Write as _;
+    out.reserve(s.len() + 2);
     out.push('"');
+    let bytes = s.as_bytes();
     // Start of the run not yet copied. Every byte that ends a run is ASCII,
     // so `run` and `i` are always character boundaries.
     let mut run = 0;
-    for (i, &b) in s.as_bytes().iter().enumerate() {
-        // `None`: a control character with no short form.
-        let escape = match b {
-            b'"' => Some("\\\""),
-            b'\\' => Some("\\\\"),
-            b'\n' => Some("\\n"),
-            b'\r' => Some("\\r"),
-            b'\t' => Some("\\t"),
-            0..=0x1f => None,
-            _ => continue,
-        };
+    while let Some(len) = bytes[run..]
+        .iter()
+        .position(|&b| b < 0x20 || b == b'"' || b == b'\\')
+    {
+        let i = run + len;
         out.push_str(&s[run..i]);
-        match escape {
-            Some(escape) => out.push_str(escape),
-            None => {
-                let _ = write!(out, "\\u{b:04x}");
+        match bytes[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            // A control character with no short form.
+            b => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
             }
         }
         run = i + 1;
@@ -374,14 +399,46 @@ pub fn push_json_u64(out: &mut String, mut v: u64) {
 
 /// Append `v` in Rust's shortest round-trip `{}` form, or `null` when it is
 /// not finite (JSON has no NaN or infinity): the bytes [`JsonValue::Num`]
-/// renders as.
+/// renders as. The digits come from the Grisu port, laid out as core lays
+/// them out, and from `write!` where Grisu declines (see the module doc).
 pub fn push_json_f64(out: &mut String, v: f64) {
-    use std::fmt::Write as _;
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
+    if !v.is_finite() {
         out.push_str("null");
+        return;
     }
+    if v == 0.0 {
+        out.push_str(if v.is_sign_negative() { "-0" } else { "0" });
+        return;
+    }
+    let mut buf = [0u8; grisu::MAX_SIG_DIGITS];
+    let Some((len, exp)) = grisu::shortest(v.abs(), &mut buf) else {
+        use std::fmt::Write as _;
+        let _ = write!(out, "{v}");
+        return;
+    };
+    if v < 0.0 {
+        out.push('-');
+    }
+    let digits = std::str::from_utf8(&buf[..len]).expect("ASCII digits");
+    // `0.<digits> * 10^exp`, as core's `digits_to_dec_str` writes it when
+    // no fractional digits are asked for.
+    if exp <= 0 {
+        out.push_str("0.");
+        push_zeros(out, usize::from(exp.unsigned_abs()));
+        out.push_str(digits);
+    } else if (exp as usize) < len {
+        let (int, frac) = digits.split_at(exp as usize);
+        out.push_str(int);
+        out.push('.');
+        out.push_str(frac);
+    } else {
+        out.push_str(digits);
+        push_zeros(out, exp as usize - len);
+    }
+}
+
+fn push_zeros(out: &mut String, n: usize) {
+    out.extend(std::iter::repeat_n('0', n));
 }
 
 fn push_indent(out: &mut String, indent: usize) {
@@ -1028,6 +1085,100 @@ mod tests {
             push_json_f64(&mut out, v);
             assert_eq!(out, want);
         }
+    }
+
+    /// What `format!("{v}")` writes, and what `push_json_f64` writes, for
+    /// `v` and `-v`; counts the values Grisu declined.
+    fn check_float(v: f64, declined: &mut usize) {
+        for v in [v, -v] {
+            let mut out = String::from("x");
+            push_json_f64(&mut out, v);
+            let want = if v.is_finite() {
+                format!("{v}")
+            } else {
+                "null".to_owned()
+            };
+            assert_eq!(out[1..], want, "bits {:#018x}", v.to_bits());
+        }
+        if v.is_finite() && v != 0.0 {
+            let mut buf = [0; grisu::MAX_SIG_DIGITS];
+            *declined += usize::from(grisu::shortest(v.abs(), &mut buf).is_none());
+        }
+    }
+
+    #[test]
+    fn floats_are_written_as_core_writes_them() {
+        let mut declined = 0;
+        let mut special = vec![
+            0.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::EPSILON,
+            f64::NAN,
+            f64::INFINITY,
+            0.1 + 0.2,
+            1.0 / 3.0,
+            2.0 / 3.0,
+            0.421875,
+            1e-7,
+            123_456.789,
+        ];
+        // Subnormals: the smallest, the largest, and the powers of two.
+        special.extend((1..=2_000).map(f64::from_bits));
+        special.extend((1..=2_000).map(|k| f64::from_bits((1 << 52) - k)));
+        // Integers: small ones, then up to 2^53 and just past it.
+        special.extend((0..=10_000).map(f64::from));
+        let two53 = (1u64 << 53) as f64;
+        for k in 0..=64 {
+            special.push(two53 - k as f64);
+            special.push(two53 + 2.0 * k as f64);
+            special.push((1u64 << (k.min(63))) as f64);
+        }
+        // Every power of two, and the powers of ten 1e-300..1e300 with
+        // their neighbours.
+        special.extend((-1074..=1023).map(|k| 2f64.powi(k)));
+        for k in -300..=300 {
+            let p: f64 = format!("1e{k}").parse().unwrap();
+            special.extend([p, p.next_up(), p.next_down(), (p - 1.0).max(0.0), p + 1.0]);
+        }
+        // Shortest forms of 17 digits: one ulp off a short decimal.
+        for base in [0.1, 0.3, 1.0, 1.1, 9.5, 100.0, 1e22, 1e-5, 5e-324] {
+            special.extend([f64::next_up(base), f64::next_down(base)]);
+        }
+        let seventeen = special
+            .iter()
+            .filter(|v| {
+                let e = format!("{:e}", v.abs());
+                e.split('e').next().unwrap().replace('.', "").len() == 17
+            })
+            .count();
+        assert!(seventeen >= 10, "{seventeen} values of 17 digits");
+        for &v in &special {
+            check_float(v, &mut declined);
+        }
+
+        // Random bit patterns, seeded: a million in release.
+        let n: u64 = if cfg!(debug_assertions) {
+            50_000
+        } else {
+            1_000_000
+        };
+        let mut state = 0x5eed_u64;
+        let mut random_declined = 0;
+        for _ in 0..n {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            check_float(f64::from_bits(z ^ (z >> 31)), &mut random_declined);
+        }
+        // Both branches ran: Grisu for nearly all, `write!` for the rest.
+        assert!(random_declined > 0, "no random value took the fallback");
+        assert!(
+            random_declined * 100 < n as usize,
+            "{random_declined} of {n} declined"
+        );
     }
 
     #[test]

@@ -42,6 +42,7 @@ pub mod analysis;
 mod curve;
 mod export;
 mod faults;
+mod grisu;
 mod trace;
 
 pub use curve::{aggregate, uniform_grid, AggregateCurve, StepCurve};

@@ -168,24 +168,38 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, LogError> {
     Ok(events)
 }
 
-/// Every key an event line can carry, all kinds together.
-const KEYS: [&str; 13] = [
-    "seq", "t", "ev", "trial", "rung", "resource", "bracket", "loss", "from", "to", "decision",
-    "cause", "idle",
-];
+/// How many keys an event line can carry, all kinds together.
+const KEYS: usize = 13;
 
+/// The slot of each key an event line can carry: a `match`, which compiles
+/// to a length switch and one comparison, not a scan of the key list.
 fn key_index(key: &str) -> Option<usize> {
-    KEYS.iter().position(|k| *k == key)
+    Some(match key {
+        "seq" => 0,
+        "t" => 1,
+        "ev" => 2,
+        "trial" => 3,
+        "rung" => 4,
+        "resource" => 5,
+        "bracket" => 6,
+        "loss" => 7,
+        "from" => 8,
+        "to" => 9,
+        "decision" => 10,
+        "cause" => 11,
+        "idle" => 12,
+        _ => return None,
+    })
 }
 
 /// One line, decoded as it is parsed: the fields go straight into a slot
 /// per known key, and no tree of the line is built. `first_seen[i]` is what
-/// `JsonValue::get(KEYS[i])` would find in that tree — the first value
+/// `JsonValue::get` would find under key `i` in that tree — the first value
 /// under the key — so the result, error text included, is
 /// `JsonValue::parse(line)` then [`event_from_json`].
 fn parse_line(line: &str, lineno: usize) -> Result<Event, LogError> {
     let fail = |msg: String| LogError { line: lineno, msg };
-    let mut first_seen: [Option<JsonValue>; KEYS.len()] = Default::default();
+    let mut first_seen: [Option<JsonValue>; KEYS] = Default::default();
     JsonValue::parse_fields(line, |key, value| {
         if let Some(i) = key_index(key) {
             first_seen[i].get_or_insert(value);

@@ -19,7 +19,28 @@ use asha_store::{ExperimentMeta, RunOptions};
 
 use crate::codec::{encode_frame, Frame, FrameReader};
 use crate::conn::Conn;
-use crate::proto::{Push, Reply, Request, WireStatus};
+use crate::proto::{Push, PushFields, Reply, Request, WireStatus};
+
+/// A frame as the client reads it. A push is decoded field by field
+/// straight from its line ([`JsonValue::parse_fields`]), so the envelope of
+/// a pushed event builds no tree and allocates no keys; anything else is
+/// parsed again as a tree (a reply, rare on a streaming connection).
+enum Incoming {
+    Push(PushFields),
+    Other(JsonValue),
+}
+
+impl Incoming {
+    fn parse(text: &str) -> Result<Incoming, impl std::fmt::Display> {
+        let mut fields = PushFields::default();
+        JsonValue::parse_fields(text, |key, value| fields.offer(key, value))?;
+        if fields.is_push() {
+            Ok(Incoming::Push(fields))
+        } else {
+            JsonValue::parse(text).map(Incoming::Other)
+        }
+    }
+}
 
 /// A connected protocol client.
 pub struct Client {
@@ -112,7 +133,7 @@ impl Client {
         // daemon never writes a byte; without one, block for real.
         self.arm_read_timeout(deadline.map(|_| POLL_SLICE))?;
         loop {
-            match self.reader.read_frame() {
+            match self.reader.read_frame_with(Incoming::parse) {
                 Err(e) => break Err(e),
                 Ok(Frame::Eof) => {
                     break Err(Error::protocol("connection closed while awaiting reply"))
@@ -131,14 +152,11 @@ impl Client {
                         }
                     }
                 }
-                Ok(Frame::Value(frame)) => {
-                    if Push::is_push_frame(&frame) {
-                        match Push::from_frame(frame) {
-                            Ok(push) => self.pending.push_back(push),
-                            Err(e) => break Err(e),
-                        }
-                        continue;
-                    }
+                Ok(Frame::Value(Incoming::Push(fields))) => match fields.decode() {
+                    Ok(push) => self.pending.push_back(push),
+                    Err(e) => break Err(e),
+                },
+                Ok(Frame::Value(Incoming::Other(frame))) => {
                     break Reply::from_frame(&frame, op).and_then(|(got_id, reply)| {
                         if got_id != id {
                             return Err(Error::protocol(format!(
@@ -164,7 +182,7 @@ impl Client {
         // reconfiguring the socket per call.
         self.arm_read_timeout(Some(POLL_SLICE))?;
         loop {
-            match self.reader.read_frame() {
+            match self.reader.read_frame_with(Incoming::parse) {
                 Ok(Frame::Eof) => break Ok(None),
                 Ok(Frame::TimedOut) => {
                     if let Some(d) = deadline {
@@ -173,12 +191,10 @@ impl Client {
                         }
                     }
                 }
-                Ok(Frame::Value(frame)) => {
-                    if Push::is_push_frame(&frame) {
-                        break Push::from_frame(frame).map(Some);
-                    }
-                    // A reply with no in-flight call is a protocol breach.
-                    break Err(Error::protocol("unsolicited reply frame"));
+                Ok(Frame::Value(Incoming::Push(fields))) => break fields.decode().map(Some),
+                // A reply with no in-flight call is a protocol breach.
+                Ok(Frame::Value(Incoming::Other(_))) => {
+                    break Err(Error::protocol("unsolicited reply frame"))
                 }
                 Err(e) => break Err(e),
             }
@@ -322,6 +338,61 @@ mod tests {
     fn pair() -> (Client, UnixStream) {
         let (ours, theirs) = UnixStream::pair().unwrap();
         (Client::from_conn(Conn::Unix(ours)).unwrap(), theirs)
+    }
+
+    /// The client decodes a push from its text, field by field; the tree
+    /// decoder ([`Push::is_push_frame`], [`Push::from_frame`]) is its oracle:
+    /// the same push or the same error, and a reply is still a reply.
+    #[test]
+    fn a_push_read_from_its_text_is_the_push_its_tree_decodes_to() {
+        let data =
+            r#"{"seq":3,"t":1.5,"ev":"job_end","trial":1,"rung":0,"resource":1,"loss":0.25}"#;
+        let state = r#"{"name":"e","status":"running"}"#;
+        let frames = [
+            format!(r#"{{"v":1,"sub":4,"push":"event","data":{data}}}"#),
+            format!(r#"{{"data":{data},"push":"event","sub":4,"v":1}}"#),
+            format!(r#"{{"v":1,"sub":4,"push":"status","state":{state}}}"#),
+            r#"{"v":1,"sub":4,"push":"lag","dropped":9}"#.to_owned(),
+            r#"{"v":1,"sub":4,"push":"rewind"}"#.to_owned(),
+            r#"{"v":1,"sub":4,"push":"end","extra":[1,{"v":2}]}"#.to_owned(),
+            // The first of a repeated key wins, as `JsonValue::get` finds it.
+            r#"{"v":1,"sub":4,"sub":5,"push":"end","push":"bogus"}"#.to_owned(),
+            r#"{"v":1,"sub":4,"push":"event","data":1,"data":2}"#.to_owned(),
+            // Refused: version, types, missing fields, unknown kinds.
+            r#"{"v":2,"sub":4,"push":"end"}"#.to_owned(),
+            r#"{"sub":4,"push":"end"}"#.to_owned(),
+            r#"{"v":1,"sub":"4","push":"end"}"#.to_owned(),
+            r#"{"v":1,"sub":4,"push":7}"#.to_owned(),
+            r#"{"v":1,"sub":4,"push":"event"}"#.to_owned(),
+            r#"{"v":1,"sub":4,"push":"status"}"#.to_owned(),
+            r#"{"v":1,"sub":4,"push":"status","state":{"name":"e"}}"#.to_owned(),
+            r#"{"v":1,"sub":4,"push":"lag"}"#.to_owned(),
+            r#"{"v":1,"sub":4,"push":"bogus"}"#.to_owned(),
+            // Not pushes, or not frames at all.
+            r#"{"v":1,"id":2,"ok":{"pong":true}}"#.to_owned(),
+            "[1,2]".to_owned(),
+            "{}".to_owned(),
+            r#"{"v":1,"sub":4,"push":"end""#.to_owned(),
+            r#"{"v":1,"sub":4,"push":"end"} x"#.to_owned(),
+        ];
+        for text in &frames {
+            let oracle = JsonValue::parse(text).map(|tree| {
+                if Push::is_push_frame(&tree) {
+                    Ok(Push::from_frame(tree).map_err(|e| e.to_string()))
+                } else {
+                    Err(tree)
+                }
+            });
+            let read = Incoming::parse(text).map_err(|e| e.to_string());
+            match (read, oracle) {
+                (Ok(Incoming::Push(fields)), Ok(Ok(push))) => {
+                    assert_eq!(fields.decode().map_err(|e| e.to_string()), push, "{text}")
+                }
+                (Ok(Incoming::Other(got)), Ok(Err(tree))) => assert_eq!(got, tree, "{text}"),
+                (Err(got), Err(want)) => assert_eq!(got, want.to_string(), "{text}"),
+                (read, _) => panic!("{text}: read as {:?}", read.is_ok()),
+            }
+        }
     }
 
     #[test]

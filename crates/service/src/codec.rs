@@ -13,6 +13,7 @@
 //!   itself and distinguishes a clean EOF (at a line boundary) from a torn
 //!   frame (EOF mid-line) and from a read timeout.
 
+use std::fmt::Display;
 use std::io::Read;
 
 use asha_core::Error;
@@ -20,11 +21,13 @@ use asha_metrics::JsonValue;
 
 use crate::proto::DEFAULT_MAX_FRAME;
 
-/// Outcome of one [`FrameReader::read_frame`] call.
+/// Outcome of one [`FrameReader::read_frame`] call: the frame parsed as a
+/// [`JsonValue`], or, for the client's reads, as what its parser makes of
+/// the line.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Frame {
+pub enum Frame<T = JsonValue> {
     /// A complete, parsed frame.
-    Value(JsonValue),
+    Value(T),
     /// The peer closed the stream at a frame boundary.
     Eof,
     /// The read timed out (or would block) with no complete frame buffered;
@@ -103,6 +106,15 @@ impl FrameBuf {
     /// malformed line is consumed (so the error is not sticky) and returned
     /// as `Some(Err(_))`.
     pub fn next_frame(&mut self) -> Option<Result<JsonValue, Error>> {
+        self.next_frame_with(&mut JsonValue::parse)
+    }
+
+    /// [`FrameBuf::next_frame`], with `parse` in place of
+    /// [`JsonValue::parse`].
+    fn next_frame_with<T, E: Display>(
+        &mut self,
+        parse: &mut impl FnMut(&str) -> Result<T, E>,
+    ) -> Option<Result<T, Error>> {
         loop {
             let pending = &self.buf[self.start..];
             let nl = pending.iter().position(|&b| b == b'\n')?;
@@ -123,8 +135,8 @@ impl FrameBuf {
             // allocating path so its error message matches what a text
             // parser would report.
             let parsed = match std::str::from_utf8(line) {
-                Ok(text) => JsonValue::parse(text),
-                Err(_) => JsonValue::parse(&String::from_utf8_lossy(line)),
+                Ok(text) => parse(text),
+                Err(_) => parse(&String::from_utf8_lossy(line)),
             };
             let result = parsed.map_err(|e| Error::protocol(format!("malformed frame: {e}")));
             self.start += nl + 1;
@@ -179,7 +191,9 @@ impl<R: Read> FrameReader<R> {
         FrameReader {
             inner,
             frames: FrameBuf::new(max_frame),
-            chunk: vec![0u8; 8 * 1024],
+            // The daemon writes a stream of pushes 64 KiB at a time (the
+            // reactor's write size): one read takes in one write.
+            chunk: vec![0u8; 64 * 1024],
         }
     }
 
@@ -194,8 +208,17 @@ impl<R: Read> FrameReader<R> {
     /// immediately; a partial line at EOF is a torn frame and fails with a
     /// `protocol` error.
     pub fn read_frame(&mut self) -> Result<Frame, Error> {
+        self.read_frame_with(JsonValue::parse)
+    }
+
+    /// [`FrameReader::read_frame`], with `parse` in place of
+    /// [`JsonValue::parse`].
+    pub(crate) fn read_frame_with<T, E: Display>(
+        &mut self,
+        mut parse: impl FnMut(&str) -> Result<T, E>,
+    ) -> Result<Frame<T>, Error> {
         loop {
-            if let Some(frame) = self.frames.next_frame() {
+            if let Some(frame) = self.frames.next_frame_with(&mut parse) {
                 return frame.map(Frame::Value);
             }
             self.frames.check_overflow()?;

@@ -383,9 +383,9 @@ impl ServiceMetrics {
         self.subscriptions.open.dec();
     }
 
-    /// A push frame was delivered to a subscriber queue.
-    pub(crate) fn event_sent(&self) {
-        self.subscriptions.events_sent.inc();
+    /// `n` push frames were delivered to a subscriber queue.
+    pub(crate) fn events_sent(&self, n: u64) {
+        self.subscriptions.events_sent.add(n);
     }
 
     /// The per-experiment tailer cells, created on first use. Stable for

@@ -44,20 +44,34 @@ fn obj(fields: Vec<(&'static str, JsonValue)>) -> JsonValue {
 }
 
 fn get_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, Error> {
-    v.get(key)
+    str_field(v.get(key), key)
+}
+
+fn get_u64(v: &JsonValue, key: &str) -> Result<u64, Error> {
+    u64_field(v.get(key), key)
+}
+
+/// `value`, the frame's field `key`, as a string.
+fn str_field<'a>(value: Option<&'a JsonValue>, key: &str) -> Result<&'a str, Error> {
+    value
         .and_then(|s| s.as_str())
         .ok_or_else(|| Error::protocol(format!("frame missing string field {key:?}")))
 }
 
-fn get_u64(v: &JsonValue, key: &str) -> Result<u64, Error> {
-    v.get(key)
+/// `value`, the frame's field `key`, as an integer.
+fn u64_field(value: Option<&JsonValue>, key: &str) -> Result<u64, Error> {
+    value
         .and_then(|s| s.as_u64())
         .ok_or_else(|| Error::protocol(format!("frame missing integer field {key:?}")))
 }
 
 /// Check the `"v"` field of a decoded frame.
 pub(crate) fn check_version(v: &JsonValue) -> Result<(), Error> {
-    let version = get_u64(v, "v")?;
+    version_field(v.get("v"))
+}
+
+fn version_field(value: Option<&JsonValue>) -> Result<(), Error> {
+    let version = u64_field(value, "v")?;
     if version != PROTOCOL_VERSION {
         return Err(Error::protocol(format!(
             "unsupported protocol version {version} (this build speaks {PROTOCOL_VERSION})"
@@ -519,32 +533,79 @@ impl Push {
 
     /// Decode a push frame. The frame is taken by value so an event's `data`
     /// is moved out of it instead of cloned and then dropped with it.
-    pub fn from_frame(mut v: JsonValue) -> Result<Push, Error> {
-        // Taken in place: the other keys keep their positions, so a frame
-        // with repeated keys still reads its first `v`, `sub` and `push`.
-        let data = match &mut v {
-            JsonValue::Obj(fields) => fields
-                .iter_mut()
-                .find(|(key, _)| key == "data")
-                .map(|(_, value)| std::mem::replace(value, JsonValue::Null)),
-            _ => None,
+    pub fn from_frame(v: JsonValue) -> Result<Push, Error> {
+        let mut fields = PushFields::default();
+        if let JsonValue::Obj(frame) = v {
+            for (key, value) in frame {
+                fields.offer(&key, value);
+            }
+        }
+        fields.decode()
+    }
+
+    /// Whether a decoded frame is a push (has a `push` field) rather than
+    /// a reply.
+    pub fn is_push_frame(v: &JsonValue) -> bool {
+        v.get("push").is_some()
+    }
+}
+
+/// The fields of a frame that decoding a push reads, each the first under
+/// its key, as [`JsonValue::get`] finds it. Filled from a frame's tree
+/// ([`Push::from_frame`]) or straight from its text
+/// ([`JsonValue::parse_fields`], in the client), so a pushed event costs no
+/// tree of its envelope.
+#[derive(Debug, Default)]
+pub(crate) struct PushFields {
+    v: Option<JsonValue>,
+    sub: Option<JsonValue>,
+    push: Option<JsonValue>,
+    data: Option<JsonValue>,
+    dropped: Option<JsonValue>,
+    state: Option<JsonValue>,
+}
+
+impl PushFields {
+    /// Keep `value` if a push reads `key` and it is the key's first.
+    pub(crate) fn offer(&mut self, key: &str, value: JsonValue) {
+        let slot = match key {
+            "v" => &mut self.v,
+            "sub" => &mut self.sub,
+            "push" => &mut self.push,
+            "data" => &mut self.data,
+            "dropped" => &mut self.dropped,
+            "state" => &mut self.state,
+            _ => return,
         };
-        let v = &v;
-        check_version(v)?;
-        let sub = get_u64(v, "sub")?;
-        Ok(match get_str(v, "push")? {
+        slot.get_or_insert(value);
+    }
+
+    /// Whether the frame is a push (has a `push` field) rather than a
+    /// reply: [`Push::is_push_frame`].
+    pub(crate) fn is_push(&self) -> bool {
+        self.push.is_some()
+    }
+
+    /// The push, checked as [`Push::from_frame`] documents.
+    pub(crate) fn decode(self) -> Result<Push, Error> {
+        version_field(self.v.as_ref())?;
+        let sub = u64_field(self.sub.as_ref(), "sub")?;
+        Ok(match str_field(self.push.as_ref(), "push")? {
             "event" => Push::Event {
                 sub,
-                data: data.ok_or_else(|| Error::protocol("event push missing data"))?,
+                data: self
+                    .data
+                    .ok_or_else(|| Error::protocol("event push missing data"))?,
             },
             "lag" => Push::Lag {
                 sub,
-                dropped: get_u64(v, "dropped")?,
+                dropped: u64_field(self.dropped.as_ref(), "dropped")?,
             },
             "status" => Push::Status {
                 sub,
                 state: status_from_json(
-                    v.get("state")
+                    self.state
+                        .as_ref()
                         .ok_or_else(|| Error::protocol("status push missing state"))?,
                 )?,
             },
@@ -552,11 +613,5 @@ impl Push {
             "end" => Push::End { sub },
             other => return Err(Error::protocol(format!("unknown push {other:?}"))),
         })
-    }
-
-    /// Whether a decoded frame is a push (has a `push` field) rather than
-    /// a reply.
-    pub fn is_push_frame(v: &JsonValue) -> bool {
-        v.get("push").is_some()
     }
 }

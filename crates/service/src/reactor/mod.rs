@@ -158,6 +158,10 @@ pub(crate) struct ConnHandle {
     notify: Arc<ReactorNotify>,
     metrics: Arc<ServiceMetrics>,
     user: OnceLock<Box<dyn Any + Send + Sync>>,
+    /// Calls of [`ConnHandle::mark_dirty`], rung or coalesced: how often a
+    /// producer handed this connection to the reactor.
+    #[cfg(test)]
+    pub(crate) rings: AtomicU64,
 }
 
 impl std::fmt::Debug for ConnHandle {
@@ -190,6 +194,8 @@ impl ConnHandle {
             notify,
             metrics,
             user: OnceLock::new(),
+            #[cfg(test)]
+            rings: AtomicU64::new(0),
         })
     }
 
@@ -231,28 +237,44 @@ impl ConnHandle {
 
     /// Queue a subscription frame if the bounded outgoing queue has room.
     pub(crate) fn offer_frame(&self, line: String) -> Offer {
-        self.offer_with(|out| out.offer(line))
-    }
-
-    /// Queue a frame of a file-backed stream, which stops short of the
-    /// queue's capacity (see [`OutBuf::offer_stream`]).
-    pub(crate) fn offer_stream_frame(&self, line: String) -> Offer {
-        self.offer_with(|out| out.offer_stream(line))
-    }
-
-    fn offer_with(&self, offer: impl FnOnce(&mut OutBuf) -> Offer) -> Offer {
         if self.is_closed() {
             return Offer::Closed;
         }
-        let offer = offer(&mut self.out.lock().expect("outgoing queue poisoned"));
+        let offer = self
+            .out
+            .lock()
+            .expect("outgoing queue poisoned")
+            .offer(line);
         if offer == Offer::Sent {
             self.mark_dirty();
         }
         offer
     }
 
+    /// Queue the front frames of a file-backed stream, as many as fit short
+    /// of the queue's capacity (see [`OutBuf::offer_stream`]), in one
+    /// hand-off: one lock, and one ring of the reactor for all of them.
+    /// Returns how many were queued and what the first one left was
+    /// answered (`Sent` when none was left).
+    pub(crate) fn offer_stream_frames(&self, frames: &mut VecDeque<String>) -> (usize, Offer) {
+        if self.is_closed() {
+            return (0, Offer::Closed);
+        }
+        let (sent, offer) = self
+            .out
+            .lock()
+            .expect("outgoing queue poisoned")
+            .offer_stream(frames);
+        if sent > 0 {
+            self.mark_dirty();
+        }
+        (sent, offer)
+    }
+
     /// Ring the reactor's doorbell for this connection (flush + re-arm).
     pub(crate) fn mark_dirty(&self) {
+        #[cfg(test)]
+        self.rings.fetch_add(1, Ordering::Relaxed);
         if !self.dirty.swap(true, Ordering::AcqRel) {
             // `.max(1)` keeps a 0 reading distinguishable from "unset".
             self.dirty_at_nanos

@@ -115,13 +115,37 @@ impl OutBuf {
         self.offer_below(frame, self.cap)
     }
 
-    /// Append a frame of a stream that can always wait (its source is a
-    /// file), leaving the last eighth of the capacity to [`OutBuf::offer`].
-    pub(crate) fn offer_stream(&mut self, frame: String) -> Offer {
-        self.offer_below(frame, self.cap - self.cap / 8)
+    /// Move frames of a stream that can always wait (its source is a
+    /// file) from the front of `frames` to the queue, in order, for as long
+    /// as the queue has room below its last eighth, which is left to
+    /// [`OutBuf::offer`]. Returns how many moved, and what the first frame
+    /// that stayed was answered (`Sent` when none stayed); each frame is
+    /// answered as a lone offer of it would have been.
+    pub(crate) fn offer_stream(&mut self, frames: &mut VecDeque<String>) -> (usize, Offer) {
+        let mark = self.cap - self.cap / 8;
+        let mut sent = 0;
+        while !frames.is_empty() {
+            let offer = self.room_below(mark);
+            if offer != Offer::Sent {
+                return (sent, offer);
+            }
+            self.frames.extend(frames.pop_front());
+            sent += 1;
+        }
+        (sent, Offer::Sent)
     }
 
     fn offer_below(&mut self, frame: String, mark: usize) -> Offer {
+        let offer = self.room_below(mark);
+        if offer == Offer::Sent {
+            self.frames.push_back(frame);
+        }
+        offer
+    }
+
+    /// Whether one more frame fits below `mark`; a refusal for room marks
+    /// the buffer starved.
+    fn room_below(&mut self, mark: usize) -> Offer {
         if self.closed || self.closing {
             return Offer::Closed;
         }
@@ -129,7 +153,6 @@ impl OutBuf {
             self.starved = Some(self.starved.map_or(mark, |m| m.min(mark)));
             return Offer::Full;
         }
-        self.frames.push_back(frame);
         Offer::Sent
     }
 
@@ -291,13 +314,17 @@ mod tests {
         assert!(out.take_starved());
     }
 
+    /// Stream frames `from..from + n`, five bytes each: `0000\n`, `0001\n`…
+    fn stream(from: usize, n: usize) -> VecDeque<String> {
+        (from..from + n).map(|i| format!("{i:04}\n")).collect()
+    }
+
     #[test]
     fn stream_frames_leave_an_eighth_to_the_other_pushes() {
         let mut out = OutBuf::new(16);
-        for _ in 0..14 {
-            assert_eq!(out.offer_stream("abcd\n".into()), Offer::Sent);
-        }
-        assert_eq!(out.offer_stream("abcd\n".into()), Offer::Full);
+        let mut frames = stream(0, 20);
+        assert_eq!(out.offer_stream(&mut frames), (14, Offer::Full));
+        assert_eq!(frames, stream(14, 6), "what stayed is the tail, in order");
         assert_eq!(out.offer("abcd\n".into()), Offer::Sent);
         assert_eq!(out.offer("abcd\n".into()), Offer::Sent);
         assert_eq!(out.offer("abcd\n".into()), Offer::Full);
@@ -309,13 +336,25 @@ mod tests {
         );
         out.consume(5);
         assert!(out.take_starved());
-        assert_eq!(out.offer_stream("abcd\n".into()), Offer::Sent);
+        assert_eq!(out.offer_stream(&mut frames), (1, Offer::Full));
+        let wire = drain_in_chunks(&mut out, 7);
+        let want: String =
+            stream(3, 11).into_iter().collect::<String>() + "abcd\nabcd\n" + &stream(14, 1)[0];
+        assert_eq!(String::from_utf8(wire).unwrap(), want);
+        assert!(out.take_starved(), "the second refusal is woken too");
+        // All of a short stream goes; nothing is left to refuse.
+        let mut frames = stream(0, 3);
+        assert_eq!(out.offer_stream(&mut frames), (3, Offer::Sent));
+        assert!(frames.is_empty());
+        assert!(!out.take_starved());
         // A queue too shallow to spare a frame gives the stream all of it.
         let mut out = OutBuf::new(4);
-        for _ in 0..4 {
-            assert_eq!(out.offer_stream("abcd\n".into()), Offer::Sent);
-        }
-        assert_eq!(out.offer_stream("abcd\n".into()), Offer::Full);
+        assert_eq!(out.offer_stream(&mut stream(0, 5)), (4, Offer::Full));
+        // A closing queue takes none.
+        out.begin_close();
+        let mut frames = stream(0, 2);
+        assert_eq!(out.offer_stream(&mut frames), (0, Offer::Closed));
+        assert_eq!(frames.len(), 2);
     }
 
     #[test]

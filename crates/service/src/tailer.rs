@@ -10,11 +10,12 @@
 //! last one held has gone out, so a subscriber holds at most one window of
 //! records however long the WAL behind it, and a slow one holds back no
 //! reads but its own. The tail renders every `binary-v2` record as its
-//! JSON line — the event frame's body, wrapped only in the push envelope
-//! (`{"v":1,"sub":K,"push":"event","data":<body>}`) — and tags it with its
-//! `seq` and whether it is the finished marker, so no line is parsed back
-//! here; records below the subscription's `from_seq` are dropped as they
-//! are read. Every turn polls every tail, a drained one for its next
+//! JSON line — the event frame's body — and tags it with its `seq` and
+//! whether it is the finished marker, so no line is parsed back here; the
+//! push envelope (`{"v":1,"sub":K,"push":"event","data":<body>}`) is
+//! written around the body in the line's own buffer, so a frame is one
+//! `String`. Records below the subscription's `from_seq` are dropped as
+//! they are read. Every turn polls every tail, a drained one for its next
 //! window and the others only for a rewrite: crash recovery rewrites the
 //! WAL, and the tail's rewind detection is how a subscriber hears of it.
 //! K subscribers of one experiment decode each record K times.
@@ -33,7 +34,9 @@
 //!   state; the WAL's `paused` / `resumed` / `experiment_finished` records
 //!   are the history);
 //! * the pending WAL **event frames**, file-backed, a gap-free stream at
-//!   whatever pace the client reads;
+//!   whatever pace the client reads: as many as the queue takes, in one
+//!   hand-off (one lock of the queue, one ring of the reactor), not one a
+//!   frame;
 //! * `end`, once the finished marker (or, when the daemon drains, whatever
 //!   was already read) has gone out.
 //!
@@ -140,10 +143,10 @@ impl SubState {
         }
     }
 
-    /// Book what the connection answered to an offer.
+    /// Book what the connection answered to an offer of one push.
     fn account(&self, metrics: &ServiceMetrics, offer: Offer) -> Offer {
         match offer {
-            Offer::Sent => metrics.event_sent(),
+            Offer::Sent => metrics.events_sent(1),
             Offer::Full => {}
             Offer::Closed => self.mark_closed(metrics),
         }
@@ -160,24 +163,24 @@ impl SubState {
         self.account(metrics, self.conn.offer_frame(line))
     }
 
-    /// Offer one WAL record's rendered line as an event frame; on a full
-    /// queue the caller keeps the line. The body is wrapped in the push
-    /// envelope by hand — field order as [`Push::to_frame`] renders it, so
-    /// the wire bytes are the same — and is never re-rendered itself.
-    fn offer_event(&self, metrics: &ServiceMetrics, body: &str) -> Offer {
+    /// Offer the pending event frames, front first, in one hand-off to the
+    /// connection: as many as its queue takes go under one lock with one
+    /// ring of the reactor, and the rest stay in `frames`. Returns how many
+    /// went and what the first that stayed was answered (`Sent` if none).
+    fn offer_events(
+        &self,
+        metrics: &ServiceMetrics,
+        frames: &mut VecDeque<String>,
+    ) -> (usize, Offer) {
         if self.is_closed() {
-            return Offer::Closed;
+            return (0, Offer::Closed);
         }
-        const HEAD: &str = "{\"v\":1,\"sub\":";
-        const MID: &str = ",\"push\":\"event\",\"data\":";
-        // 20 digits of `sub` at most, and the closing `}\n`.
-        let mut line = String::with_capacity(HEAD.len() + 20 + MID.len() + body.len() + 2);
-        line.push_str(HEAD);
-        push_json_u64(&mut line, self.sub);
-        line.push_str(MID);
-        line.push_str(body);
-        line.push_str("}\n");
-        self.account(metrics, self.conn.offer_stream_frame(line))
+        let (sent, offer) = self.conn.offer_stream_frames(frames);
+        metrics.events_sent(sent as u64);
+        if offer == Offer::Closed {
+            self.mark_closed(metrics);
+        }
+        (sent, offer)
     }
 }
 
@@ -201,8 +204,12 @@ fn poll_window(tail: &mut WalTail, limit: u64) -> std::io::Result<WalChunk> {
 struct Follower {
     state: Arc<SubState>,
     tail: WalTail,
-    /// Rendered records at or past `from_seq` that the connection queue
-    /// has not taken yet: what one read brought in, at most.
+    /// The push envelope up to an event's body,
+    /// `{"v":1,"sub":K,"push":"event","data":`.
+    head: String,
+    /// Event frames of the records at or past `from_seq` that the
+    /// connection queue has not taken yet: what one read brought in, at
+    /// most.
     pending: VecDeque<String>,
     /// The finished marker has been read: `end` is owed once `pending` is
     /// delivered.
@@ -215,14 +222,28 @@ struct Follower {
 
 impl Follower {
     fn new(state: Arc<SubState>, wal_path: &PathBuf) -> Follower {
+        let mut head = String::from("{\"v\":1,\"sub\":");
+        push_json_u64(&mut head, state.sub);
+        head.push_str(",\"push\":\"event\",\"data\":");
         Follower {
             state,
             tail: WalTail::new(wal_path),
+            head,
             pending: VecDeque::new(),
             finished: false,
             rewind_owed: false,
             status_owed: None,
         }
+    }
+
+    /// One WAL record's rendered line as its event frame, built in the
+    /// line's own buffer: the envelope goes in front of the body (the tail
+    /// renders with room for it), `}` and the newline after. Field order is
+    /// [`Push::to_frame`]'s, so the wire bytes are the same.
+    fn event_frame(&self, mut body: String) -> String {
+        body.insert_str(0, &self.head);
+        body.push_str("}\n");
+        body
     }
 
     /// One turn without blocking: poll the tail, then offer the owed
@@ -262,7 +283,7 @@ impl Follower {
                 for (body, tag) in chunk.lines.into_iter().zip(chunk.tags) {
                     self.finished |= tag.finished;
                     if tag.seq.is_none_or(|seq| seq >= self.state.from_seq) {
-                        self.pending.push_back(body);
+                        self.pending.push_back(self.event_frame(body));
                     }
                 }
             }
@@ -287,13 +308,13 @@ impl Follower {
             }
             progressed = true;
         }
-        while let Some(body) = self.pending.front() {
-            match self.state.offer_event(metrics, body) {
-                Offer::Sent => tm.fanout_frames.inc(),
-                other => return (progressed, other == Offer::Full),
+        if !self.pending.is_empty() {
+            let (sent, offer) = self.state.offer_events(metrics, &mut self.pending);
+            tm.fanout_frames.add(sent as u64);
+            progressed |= sent > 0;
+            if offer != Offer::Sent {
+                return (progressed, offer == Offer::Full);
             }
-            self.pending.pop_front();
-            progressed = true;
         }
         if !self.finished && !shutting_down {
             return (progressed, false);
@@ -757,6 +778,58 @@ mod tests {
         }
         assert!(wire == expected, "the stream differs from the WAL");
         assert_eq!(tm.fanout_frames.get(), whole.lines.len() as u64);
+        rig.stop();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A turn hands the reactor every frame it queues at once: it rings the
+    /// connection's doorbell once whatever the number, and not at all when
+    /// it queues none. Over a WAL hundreds of times the 4-frame queue, the
+    /// client still receives every record, gap-free and in order, and
+    /// `fanout_frames` counts each once.
+    #[test]
+    fn a_turn_rings_the_reactor_once_for_all_the_frames_it_queues() {
+        let dir = tmpdir("ring");
+        let wal_path = dir.join("wal.jsonl");
+        write_wal(&wal_path, 2_000);
+        let lines = WalTail::new(&wal_path).poll().unwrap().lines;
+
+        let rig = Rig::start(&dir);
+        let (mut peer, conn) = rig.connect();
+        let tm = rig.metrics.tailer("ring");
+        let mut follower = Follower::new(SubState::new(3, 0, Arc::clone(&conn)), &wal_path);
+        let rings = || conn.rings.load(Ordering::Relaxed);
+        let (mut wire, mut buf) = (Vec::new(), vec![0u8; 16 * 1024]);
+        let (mut turns, mut most_queued) = (0, 0);
+        while !follower.state.is_closed() {
+            let (frames_before, rings_before) = (tm.fanout_frames.get(), rings());
+            let (_, jammed) = follower.turn(false, &rig.metrics, &tm);
+            let queued = tm.fanout_frames.get() - frames_before;
+            // The turn that sends `end` rings once more, for that push.
+            let end = u64::from(follower.state.is_closed());
+            assert_eq!(
+                rings() - rings_before,
+                u64::from(queued > 0) + end,
+                "turn {turns} queued {queued} frames"
+            );
+            most_queued = most_queued.max(queued);
+            turns += 1;
+            if jammed {
+                let n = peer.read(&mut buf).unwrap();
+                wire.extend_from_slice(&buf[..n]);
+            }
+        }
+        assert!(most_queued >= 4, "a turn filled the queue: {most_queued}");
+        assert!(turns > 10, "the queue refused most of the WAL at first");
+
+        let expected = [frames(3, &lines), frame(Push::End { sub: 3 })].concat();
+        while wire.len() < expected.len() {
+            let n = peer.read(&mut buf).unwrap();
+            assert!(n > 0, "connection closed early");
+            wire.extend_from_slice(&buf[..n]);
+        }
+        assert!(wire == expected, "the stream differs from the WAL");
+        assert_eq!(tm.fanout_frames.get(), lines.len() as u64);
         rig.stop();
         std::fs::remove_dir_all(&dir).ok();
     }

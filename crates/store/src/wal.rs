@@ -145,8 +145,10 @@ impl WalRecord {
     /// records out as JSON events. Never written to a store file.
     pub fn render_jsonl(&self) -> String {
         // A line grown from empty reallocates five times on its way to the
-        // ~100 bytes of an event; the tail renders one per record.
-        let mut out = String::with_capacity(128);
+        // ~100 bytes of an event; the tail renders one per record. The room
+        // past that holds the push envelope the service's tailer writes in
+        // front of the line, in place.
+        let mut out = String::with_capacity(192);
         match self {
             WalRecord::Telemetry(event) => {
                 asha_obs::encode_event_into(&mut out, event);
